@@ -73,15 +73,7 @@ func usage() {
 subcommands:
   build     -seed -size -tile -out        build the world, persist arrays
   tracegen  -seed -size -tile -out        simulate the study, save traces
-  serve     -seed -size -tile -addr -k [-async] [-push] [-prefetch-workers]
-            [-prefetch-queue] [-global-queue] [-decay-half-life]
-            [-adaptive-k] [-fair-share] [-utility-learning]
-            [-adaptive-allocation] [-hotspot] [-alloc-floor]
-            [-alloc-warmup] [-alloc-max-step] [-metrics]
-            [-tracing] [-trace-buffer] [-pprof] [-log-level]
-            [-state-dir] [-snapshot-interval]
-            [-binary-tiles] [-encoded-cache-budget]
-            [-shared-tiles] [-max-sessions] [-session-ttl]
+  serve     -seed -size -tile [flags: serve -h]
                                           run the HTTP middleware
                                           (SIGINT/SIGTERM shut down
                                           gracefully: in-flight requests
@@ -164,109 +156,91 @@ func cmdTracegen(args []string) error {
 	return nil
 }
 
+// serveFlags are serve's own knobs: the listen address, the log level and
+// the deployment config the remaining flags fill in place.
+type serveFlags struct {
+	addr     string
+	logLevel string
+	cfg      forecache.MiddlewareConfig
+}
+
+func addServeFlags(fs *flag.FlagSet) *serveFlags {
+	sf := &serveFlags{}
+	c := &sf.cfg
+	fs.StringVar(&sf.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&c.K, "k", 5, "prefetch budget in tiles")
+	fs.BoolVar(&c.AsyncPrefetch, "async", true, "prefetch through the shared asynchronous scheduler, with its feedback loops on: adaptive K under backpressure, scoped per session by fair share, and the learned position-utility curve")
+	fs.BoolVar(&c.Push, "push", false, "continuous push delivery: stream completed prefetches to attached sessions over GET /stream and price scheduler admission by per-session drain rate (requires -async)")
+	fs.IntVar(&c.Shards, "shards", 1, "independent serving-tier shards behind a consistent-hash router keyed on session id (session tables, sweeps and scheduler queues go per-shard; single-flight and learned state stay deployment-wide)")
+	fs.IntVar(&c.PrefetchWorkers, "prefetch-workers", 4, "scheduler worker pool size (concurrent DBMS fetches)")
+	fs.IntVar(&c.GlobalQueueBudget, "global-queue", 1024, "queued prefetch entries across all sessions; lowest-utility entries are shed at saturation (negative = unlimited)")
+	fs.DurationVar(&c.DecayHalfLife, "decay-half-life", 2*time.Second, "queue age at which a pending prefetch entry's utility halves (negative disables)")
+	fs.BoolVar(&c.AdaptiveAllocation, "adaptive-allocation", true, "re-split the per-phase prefetch budget toward the model whose prefetches get consumed (static table as prior)")
+	fs.BoolVar(&c.Hotspot, "hotspot", true, "register the online cross-session hotspot recommender as a third model (one shared, decaying popularity table; makes -adaptive-allocation a 3-way split)")
+	fs.BoolVar(&c.MetricsEndpoint, "metrics", true, "expose Prometheus text-format telemetry under GET /metrics")
+	fs.BoolVar(&c.Tracing, "tracing", true, "trace every request (X-Trace-ID, GET /debug/traces) and export per-stage latency histograms under /metrics")
+	fs.BoolVar(&c.Pprof, "pprof", false, "expose Go's net/http/pprof profiling handlers under GET /debug/pprof/")
+	fs.StringVar(&sf.logLevel, "log-level", "info", "structured request log level: debug, info, warn or error (debug logs every finished trace)")
+	fs.StringVar(&c.StateDir, "state-dir", "", "directory for crash-safe snapshots of learned state (utility curve, allocation shares, hotspot table); restored at startup, written on -snapshot-interval and at shutdown (empty disables)")
+	fs.DurationVar(&c.SnapshotInterval, "snapshot-interval", 0, "background snapshot cadence (0 = 30s default; negative disables the ticker, shutdown still snapshots)")
+	fs.BoolVar(&c.BinaryTiles, "binary-tiles", false, "zero-recompute tile serving: memoize encoded payloads deployment-wide, content-negotiate the binary codec (Accept: application/x-forecache-tile) and gzip on /tile, and push cached bytes down streams; clients without the Accept header still get byte-identical JSON")
+	fs.Int64Var(&c.EncodedCacheBudget, "encoded-cache-budget", 0, "encoded tile payload cache budget in bytes (0 = 64 MiB default; only meaningful with -binary-tiles)")
+	fs.IntVar(&c.SharedTiles, "shared-tiles", 512, "cross-session shared tile pool capacity (0 disables)")
+	fs.IntVar(&c.MaxSessions, "max-sessions", 1024, "live session cap, LRU-evicted past it (0 = unlimited)")
+	fs.DurationVar(&c.SessionTTL, "session-ttl", 30*time.Minute, "evict sessions idle this long (0 = never)")
+	return sf
+}
+
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	wf := addWorldFlags(fs)
-	addr := fs.String("addr", ":8080", "listen address")
-	k := fs.Int("k", 5, "prefetch budget in tiles")
-	async := fs.Bool("async", true, "prefetch through the shared asynchronous scheduler")
-	pushOn := fs.Bool("push", false, "continuous push delivery: stream completed prefetches to attached sessions over GET /stream and price scheduler admission by per-session drain rate (requires -async)")
-	shards := fs.Int("shards", 1, "independent serving-tier shards behind a consistent-hash router keyed on session id (session tables, sweeps and scheduler queues go per-shard; single-flight and learned state stay deployment-wide)")
-	workers := fs.Int("prefetch-workers", 4, "scheduler worker pool size (concurrent DBMS fetches)")
-	queue := fs.Int("prefetch-queue", 64, "queued prefetch entries per session")
-	globalQueue := fs.Int("global-queue", 1024, "queued prefetch entries across all sessions; lowest-utility entries are shed at saturation (negative = unlimited)")
-	decayHalfLife := fs.Duration("decay-half-life", 2*time.Second, "queue age at which a pending prefetch entry's utility halves (negative disables)")
-	adaptiveK := fs.Bool("adaptive-k", true, "shrink per-session prefetch budget K under scheduler backpressure")
-	fairShare := fs.Bool("fair-share", true, "scope backpressure per session: the flooding session's K shrinks first (requires -adaptive-k)")
-	utilityLearning := fs.Bool("utility-learning", true, "learn the position-utility curve from observed cache outcomes instead of the static 0.85 decay")
-	adaptiveAllocation := fs.Bool("adaptive-allocation", true, "re-split the per-phase prefetch budget toward the model whose prefetches get consumed (static table as prior)")
-	hotspot := fs.Bool("hotspot", true, "register the online cross-session hotspot recommender as a third model (one shared, decaying popularity table; makes -adaptive-allocation a 3-way split)")
-	allocFloor := fs.Float64("alloc-floor", 0, "adaptive allocation: minimum budget share every model keeps (0 = default 0.1)")
-	allocWarmup := fs.Int("alloc-warmup", 0, "adaptive allocation: per-(phase, model) outcomes before shares move (0 = default 30)")
-	allocMaxStep := fs.Float64("alloc-max-step", 0, "adaptive allocation: per-reallocation share step bound (0 = default 0.02)")
-	metrics := fs.Bool("metrics", true, "expose Prometheus text-format telemetry under GET /metrics")
-	tracing := fs.Bool("tracing", true, "trace every request (X-Trace-ID, GET /debug/traces) and export per-stage latency histograms under /metrics")
-	traceBuffer := fs.Int("trace-buffer", 256, "completed request traces retained for /debug/traces (negative keeps histograms only)")
-	pprofOn := fs.Bool("pprof", false, "expose Go's net/http/pprof profiling handlers under GET /debug/pprof/")
-	logLevel := fs.String("log-level", "info", "structured request log level: debug, info, warn or error (debug logs every finished trace)")
-	stateDir := fs.String("state-dir", "", "directory for crash-safe snapshots of learned state (utility curve, allocation shares, hotspot table); restored at startup, written on -snapshot-interval and at shutdown (empty disables)")
-	snapshotInterval := fs.Duration("snapshot-interval", 0, "background snapshot cadence (0 = 30s default; negative disables the ticker, shutdown still snapshots)")
-	binaryTiles := fs.Bool("binary-tiles", false, "zero-recompute tile serving: memoize encoded payloads deployment-wide, content-negotiate the binary codec (Accept: application/x-forecache-tile) and gzip on /tile, and push cached bytes down streams; clients without the Accept header still get byte-identical JSON")
-	encodedBudget := fs.Int64("encoded-cache-budget", 0, "encoded tile payload cache budget in bytes (0 = 64 MiB default; only meaningful with -binary-tiles)")
-	sharedTiles := fs.Int("shared-tiles", 512, "cross-session shared tile pool capacity (0 disables)")
-	maxSessions := fs.Int("max-sessions", 1024, "live session cap, LRU-evicted past it (0 = unlimited)")
-	sessionTTL := fs.Duration("session-ttl", 30*time.Minute, "evict sessions idle this long (0 = never)")
+	sf := addServeFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	logger, err := obs.NewLogger(os.Stderr, *logLevel)
+	logger, err := obs.NewLogger(os.Stderr, sf.logLevel)
 	if err != nil {
 		return err
 	}
+	cfg := sf.cfg
+	cfg.Logger = logger
+	// The scheduler's three feedback loops have only ever helped: they run
+	// whenever the scheduler does.
+	cfg.AdaptiveK, cfg.FairShare, cfg.UtilityLearning = cfg.AsyncPrefetch, cfg.AsyncPrefetch, cfg.AsyncPrefetch
 	ds, err := wf.build()
 	if err != nil {
 		return err
 	}
-	traces := ds.SimulateStudy(wf.seed)
-	srv, err := ds.NewServer(traces, forecache.MiddlewareConfig{
-		K:                  *k,
-		AsyncPrefetch:      *async,
-		Push:               *pushOn,
-		Shards:             *shards,
-		PrefetchWorkers:    *workers,
-		PrefetchQueue:      *queue,
-		GlobalQueueBudget:  *globalQueue,
-		DecayHalfLife:      *decayHalfLife,
-		AdaptiveK:          *adaptiveK,
-		FairShare:          *fairShare,
-		UtilityLearning:    *utilityLearning,
-		AdaptiveAllocation: *adaptiveAllocation,
-		Hotspot:            *hotspot,
-		AllocationFloor:    *allocFloor,
-		AllocationWarmup:   *allocWarmup,
-		AllocationMaxStep:  *allocMaxStep,
-		MetricsEndpoint:    *metrics,
-		Tracing:            *tracing,
-		TraceBuffer:        *traceBuffer,
-		Pprof:              *pprofOn,
-		Logger:             logger,
-		StateDir:           *stateDir,
-		SnapshotInterval:   *snapshotInterval,
-		BinaryTiles:        *binaryTiles,
-		EncodedCacheBudget: *encodedBudget,
-		SharedTiles:        *sharedTiles,
-		MaxSessions:        *maxSessions,
-		SessionTTL:         *sessionTTL,
-	})
+	srv, err := ds.NewServer(ds.SimulateStudy(wf.seed), cfg)
 	if err != nil {
 		return err
 	}
 	defer srv.Close()
 	mode := "inline prefetch"
-	if *async {
-		mode = fmt.Sprintf("async prefetch: %d workers, queue %d/session, global budget %d, decay half-life %s, adaptive K %v, fair share %v, utility learning %v, adaptive allocation %v, hotspot %v",
-			*workers, *queue, *globalQueue, *decayHalfLife, *adaptiveK, *fairShare, *utilityLearning, *adaptiveAllocation, *hotspot)
+	if cfg.AsyncPrefetch {
+		mode = fmt.Sprintf("async prefetch: %d workers, global budget %d, decay half-life %s, adaptive allocation %v, hotspot %v",
+			cfg.PrefetchWorkers, cfg.GlobalQueueBudget, cfg.DecayHalfLife, cfg.AdaptiveAllocation, cfg.Hotspot)
 	}
-	if *shards > 1 {
-		mode += fmt.Sprintf("; %d shards", *shards)
+	if cfg.Shards > 1 {
+		mode += fmt.Sprintf("; %d shards", cfg.Shards)
 	}
-	if *pushOn {
+	if cfg.Push {
 		mode += "; push delivery"
 	}
-	if *binaryTiles {
+	if cfg.BinaryTiles {
 		mode += "; binary tile codec + encoded-payload cache"
 	}
 	endpoints := "GET /meta, /tile?level=&y=&x=, /stats"
-	if *pushOn {
+	if cfg.Push {
 		endpoints += ", /stream"
 	}
-	if *metrics {
+	if cfg.MetricsEndpoint {
 		endpoints += ", /metrics"
 	}
-	if *tracing {
+	if cfg.Tracing {
 		endpoints += ", /debug/traces"
 	}
-	if *pprofOn {
+	if cfg.Pprof {
 		endpoints += ", /debug/pprof/"
 	}
 
@@ -278,13 +252,13 @@ func cmdServe(args []string) error {
 	// in-flight requests drain through http.Server.Shutdown, and returning
 	// normally lets the deferred srv.Close tear down the scheduler and
 	// write the final snapshot.
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", sf.addr)
 	if err != nil {
 		return err
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	fmt.Printf("serving tiles on %s (%s; %s; POST /reset)\n", *addr, mode, endpoints)
+	fmt.Printf("serving tiles on %s (%s; %s; POST /reset)\n", sf.addr, mode, endpoints)
 	httpSrv := newHTTPServer(srv)
 	if reg := srv.Push(); reg != nil {
 		// Shutdown waits for in-flight handlers, and every attached push

@@ -2,14 +2,18 @@ package main
 
 import (
 	"context"
+	"flag"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
+
+	"forecache"
 )
 
 // The subcommands are exercised with tiny worlds so CLI plumbing (flag
@@ -104,6 +108,24 @@ func TestCmdScrapeValidatesExposition(t *testing.T) {
 	defer failing.Close()
 	if err := cmdScrape([]string{"-url", failing.URL}); err == nil {
 		t.Error("404 endpoint accepted")
+	}
+}
+
+// TestKnobBudget fails when the option count creeps back up: every
+// MiddlewareConfig field and serve flag doubles the configurations tests
+// and benchmarks must cover, so adding one means retiring one (or raising
+// the budget here, deliberately, in the same change).
+func TestKnobBudget(t *testing.T) {
+	const maxFields, maxFlags = 26, 21
+	if n := reflect.TypeOf(forecache.MiddlewareConfig{}).NumField(); n > maxFields {
+		t.Errorf("MiddlewareConfig has %d fields, budget is %d", n, maxFields)
+	}
+	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+	addServeFlags(fs)
+	n := 0
+	fs.VisitAll(func(*flag.Flag) { n++ })
+	if n > maxFlags {
+		t.Errorf("serve registers %d flags of its own, budget is %d", n, maxFlags)
 	}
 }
 

@@ -58,9 +58,8 @@
 //     prior table (the paper's §5.4.3, extended with a hotspot column
 //     when the hotspot model is registered) is the prior until a phase
 //     warms up, every model keeps a floor share for exploration
-//     (tunable, with warmup and step bound, via
-//     AllocationFloor/AllocationWarmup/AllocationMaxStep), hysteresis
-//     bounds how fast shares move, and stale evidence decays with a
+//     (core.AdaptiveConfig's defaults for floor, warmup and step
+//     bound), hysteresis bounds how fast shares move, and stale evidence decays with a
 //     half-life so a dataset shift re-learns the split instead of being
 //     pinned by history. With three registered models the learned split
 //     is genuinely 3-way (the learned shares appear under /stats and as
@@ -82,7 +81,8 @@
 //     all learned state stay deployment-wide and /stats + /metrics
 //     aggregate per-shard snapshots into exact, monotone totals (with
 //     per-shard series like forecache_shard_sessions{shard="0"});
-//     Shards=1, the default, is the unsharded deployment bit-for-bit;
+//     Shards=1, the default, is the same prefetch.Scheduler with one
+//     shard, bit-for-bit the unsharded deployment;
 //   - push-based continuous delivery (internal/push): with
 //     MiddlewareConfig.Push (serve -push) the server mounts GET /stream —
 //     one long-lived SSE response per session — and every completed
@@ -118,8 +118,8 @@
 //     MiddlewareConfig.Tracing every /tile request is traced end to end
 //     (trace id echoed as X-Trace-ID, per-span breakdown across session
 //     resolution, cache lookup, backend fetch and prefetch submission),
-//     the slowest traces are retained in a bounded ring
-//     (MiddlewareConfig.TraceBuffer) behind GET /debug/traces, and
+//     the slowest traces are retained in a bounded ring (the 256
+//     newest) behind GET /debug/traces, and
 //     /metrics grows lock-free latency histograms for request outcomes
 //     (hit/miss/shed), scheduler queue wait, backend fetches and
 //     prefetch lead time. MiddlewareConfig.Logger receives one

@@ -3,6 +3,7 @@ package forecache
 import (
 	"fmt"
 	"log/slog"
+	"slices"
 	"time"
 
 	"forecache/internal/array"
@@ -50,15 +51,9 @@ type (
 	Harness = eval.Harness
 	// Server is the HTTP middleware front door.
 	Server = server.Server
-	// Scheduler is the shared asynchronous prefetch pipeline.
+	// Scheduler is the shared asynchronous prefetch pipeline:
+	// MiddlewareConfig.Shards queue shards behind a consistent-hash router.
 	Scheduler = prefetch.Scheduler
-	// ShardedScheduler is the prefetch pipeline fanned out over N
-	// independent scheduler shards behind a consistent-hash router
-	// (MiddlewareConfig.Shards > 1).
-	ShardedScheduler = prefetch.ShardedScheduler
-	// Pipeline is the scheduler surface the server consumes, satisfied by
-	// both Scheduler and ShardedScheduler (Server.Scheduler returns it).
-	Pipeline = prefetch.Pipeline
 	// PrefetchStats snapshots scheduler activity (queued, coalesced,
 	// cancelled, completed, queue latency, ...).
 	PrefetchStats = prefetch.Stats
@@ -165,21 +160,11 @@ func (d *Dataset) Harness(traces []*trace.Trace) *eval.Harness {
 type MiddlewareConfig struct {
 	// K is the prefetch budget in tiles. Default 5 (the paper's headline k).
 	K int
-	// D is the prediction distance in moves. Default 1.
-	D int
-	// HistoryLen is the session history window. Default 3.
-	HistoryLen int
-	// ABOrder is the Markov chain order. Default 3 (the paper's best).
-	ABOrder int
-	// SBSignatures restricts the signature model. Default SIFT only.
-	SBSignatures []string
 	// Latency overrides the hit/miss service times. Default: the paper's
 	// measured 19.5 ms / 984 ms.
 	Latency LatencyModel
 	// Clock accounts simulated latency; nil disables accounting.
 	Clock backend.Clock
-	// MaxClassifierRequests caps SVM training size. Default 800.
-	MaxClassifierRequests int
 
 	// AsyncPrefetch routes every server session's prefetching through one
 	// shared asynchronous scheduler (submit-and-return with cross-session
@@ -217,8 +202,6 @@ type MiddlewareConfig struct {
 	// DBMS fetch budget); with Shards > 1 this is the deployment-wide
 	// budget, divided ceil(Workers/Shards) per shard. Default 4.
 	PrefetchWorkers int
-	// PrefetchQueue caps queued prefetch entries per session. Default 64.
-	PrefetchQueue int
 	// GlobalQueueBudget caps queued prefetch entries across ALL sessions.
 	// At saturation the scheduler sheds the lowest-utility queued entry
 	// (utility = model confidence decayed by queue age and batch position)
@@ -262,17 +245,6 @@ type MiddlewareConfig struct {
 	// Works with or without AsyncPrefetch (outcomes flow through the
 	// feedback loop in both modes); independent of UtilityLearning.
 	AdaptiveAllocation bool
-	// AllocationFloor, AllocationWarmup and AllocationMaxStep tune the
-	// adaptive allocation policy (core.AdaptiveConfig): the minimum budget
-	// share every model keeps once shares move (default 0.1), the
-	// per-(phase, model) outcome count below which a phase keeps the prior
-	// split (default 30), and the per-reallocation hysteresis bound on the
-	// fastest-moving share (default 0.02). Zero means default; out-of-range
-	// values (floor outside [0,1), negative warmup, step outside (0,1])
-	// are construction errors. Only meaningful with AdaptiveAllocation.
-	AllocationFloor   float64
-	AllocationWarmup  int
-	AllocationMaxStep float64
 	// Hotspot registers the third recommender: the online, training-free
 	// cross-session hotspot model. One deployment-wide, lock-striped
 	// counter table learns which tiles the whole population recently
@@ -286,7 +258,7 @@ type MiddlewareConfig struct {
 	// so construction performs no training at all: NewMiddleware and
 	// NewServer reuse the bundle's shared recommender artifacts and phase
 	// classifier. The bundle must come from the same Dataset and a config
-	// with the same model shape (ABOrder, SBSignatures, Hotspot).
+	// with the same model shape (Hotspot).
 	Artifacts *Artifacts
 	// MetricsEndpoint registers a dependency-free Prometheus text-format
 	// GET /metrics endpoint on the server: scheduler counters, global and
@@ -304,11 +276,6 @@ type MiddlewareConfig struct {
 	// NewMiddleware engines stay uninstrumented so the eval harness
 	// measures the paper's numbers, not the telemetry's.
 	Tracing bool
-	// TraceBuffer caps the in-memory ring of completed request traces
-	// behind /debug/traces. 0 = default 256; negative keeps histograms but
-	// disables trace retention (and the endpoint with it). Only meaningful
-	// with Tracing.
-	TraceBuffer int
 	// Pprof registers Go's net/http/pprof profiling handlers under
 	// GET /debug/pprof/ on the server. Off by default: profiles expose
 	// internals and cost CPU while streaming, so production deployments
@@ -357,30 +324,20 @@ type MiddlewareConfig struct {
 	SessionTTL time.Duration
 }
 
+// The model shape and training size every deployment runs: the paper's
+// best Markov order (SB uses SIFT signatures alone) and the SVM training
+// cap. Prediction distance and history window are core.DefaultConfig's.
+const (
+	abOrder               = 3
+	maxClassifierRequests = 800
+)
+
 func (c MiddlewareConfig) withDefaults() MiddlewareConfig {
 	if c.K <= 0 {
 		c.K = 5
 	}
-	if c.D <= 0 {
-		c.D = 1
-	}
-	if c.HistoryLen <= 0 {
-		c.HistoryLen = 3
-	}
-	if c.ABOrder <= 0 {
-		c.ABOrder = 3
-	}
-	if len(c.SBSignatures) == 0 {
-		c.SBSignatures = []string{sig.NameSIFT}
-	}
 	if c.Latency == (LatencyModel{}) {
 		c.Latency = backend.DefaultLatency()
-	}
-	if c.MaxClassifierRequests <= 0 {
-		c.MaxClassifierRequests = 800
-	}
-	if c.Shards <= 0 {
-		c.Shards = 1
 	}
 	if c.GlobalQueueBudget == 0 {
 		c.GlobalQueueBudget = 1024
@@ -427,7 +384,7 @@ func (d *Dataset) registry(cfg MiddlewareConfig) (*recommend.Registry, error) {
 	if cfg.Hotspot {
 		hs = &recommend.HotspotConfig{}
 	}
-	return recommend.NewRegistry(recommend.DefaultSpecs(cfg.ABOrder, cfg.SBSignatures, hs)...)
+	return recommend.NewRegistry(recommend.DefaultSpecs(abOrder, []string{sig.NameSIFT}, hs)...)
 }
 
 // Train runs the deployment's one training pass over the study traces:
@@ -436,11 +393,6 @@ func (d *Dataset) registry(cfg MiddlewareConfig) (*recommend.Registry, error) {
 // NewMiddleware / NewServer calls via MiddlewareConfig.Artifacts, which
 // then skip training entirely.
 func (d *Dataset) Train(train []*trace.Trace, cfg MiddlewareConfig) (*Artifacts, error) {
-	cfg = cfg.withDefaults()
-	return d.train(train, cfg)
-}
-
-func (d *Dataset) train(train []*trace.Trace, cfg MiddlewareConfig) (*Artifacts, error) {
 	reg, err := d.registry(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("forecache: %w", err)
@@ -450,8 +402,8 @@ func (d *Dataset) train(train []*trace.Trace, cfg MiddlewareConfig) (*Artifacts,
 		return nil, fmt.Errorf("forecache: %w", err)
 	}
 	reqs := phase.Requests(train)
-	if len(reqs) > cfg.MaxClassifierRequests {
-		reqs = reqs[:cfg.MaxClassifierRequests]
+	if len(reqs) > maxClassifierRequests {
+		reqs = reqs[:maxClassifierRequests]
 	}
 	if trainHook != nil {
 		trainHook("classifier")
@@ -470,7 +422,7 @@ func (d *Dataset) train(train []*trace.Trace, cfg MiddlewareConfig) (*Artifacts,
 // pass over the traces.
 func (d *Dataset) artifacts(train []*trace.Trace, cfg MiddlewareConfig) (*Artifacts, error) {
 	if cfg.Artifacts == nil {
-		return d.train(train, cfg)
+		return d.Train(train, cfg)
 	}
 	reg, err := d.registry(cfg)
 	if err != nil {
@@ -481,12 +433,8 @@ func (d *Dataset) artifacts(train []*trace.Trace, cfg MiddlewareConfig) (*Artifa
 		want = append(want, s.Name)
 	}
 	got := cfg.Artifacts.Models()
-	match := len(got) == len(want)
-	for i := 0; match && i < len(want); i++ {
-		match = got[i] == want[i]
-	}
-	if !match {
-		return nil, fmt.Errorf("forecache: supplied artifacts carry models %v but the config (ABOrder/SBSignatures/Hotspot) expects %v", got, want)
+	if !slices.Equal(got, want) {
+		return nil, fmt.Errorf("forecache: supplied artifacts carry models %v but the config (Hotspot) expects %v", got, want)
 	}
 	return cfg.Artifacts, nil
 }
@@ -500,9 +448,6 @@ func (d *Dataset) artifacts(train []*trace.Trace, cfg MiddlewareConfig) (*Artifa
 // asynchronous shared pipeline is a NewServer concern.
 func (d *Dataset) NewMiddleware(train []*trace.Trace, cfg MiddlewareConfig) (*core.Engine, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
 	db := backend.NewDBMS(d.Pyramid, cfg.Latency, cfg.Clock)
 	arts, err := d.artifacts(train, cfg)
 	if err != nil {
@@ -515,16 +460,6 @@ func (d *Dataset) NewMiddleware(train []*trace.Trace, cfg MiddlewareConfig) (*co
 	return d.assembleEngine(db, arts, cfg, opts...)
 }
 
-// validate rejects nonsensical tuning values with a construction error
-// instead of serving with silently-clamped settings.
-func (c MiddlewareConfig) validate() error {
-	cfg := core.AdaptiveConfig{Floor: c.AllocationFloor, Warmup: c.AllocationWarmup, MaxStep: c.AllocationMaxStep}
-	if err := cfg.Validate(); err != nil {
-		return fmt.Errorf("forecache: %w", err)
-	}
-	return nil
-}
-
 // assembleEngine builds one two-level engine over an existing store and an
 // already-trained artifact bundle, so several sessions can share a DBMS
 // adapter, pool, scheduler, classifier and every shared recommender
@@ -534,8 +469,7 @@ func (c MiddlewareConfig) validate() error {
 // so the learned split's prior and model list can never diverge from the
 // table the engines fall back to.
 func (d *Dataset) assembleEngine(store backend.Store, arts *Artifacts, cfg MiddlewareConfig, opts ...core.Option) (*core.Engine, error) {
-	return core.NewEngineFromSet(store, arts.cls, arts.set,
-		core.Config{K: cfg.K, D: cfg.D, HistoryLen: cfg.HistoryLen}, opts...)
+	return core.NewEngineFromSet(store, arts.cls, arts.set, core.Config{K: cfg.K}, opts...)
 }
 
 // NewServer wraps the dataset in an HTTP middleware server; each session
@@ -550,8 +484,8 @@ func (d *Dataset) assembleEngine(store backend.Store, arts *Artifacts, cfg Middl
 // exactly once, here — or reused from cfg.Artifacts — and shared by every
 // session engine: creating the 2nd..Nth session performs no training and
 // is O(1). Construction returns an error for invalid tuning values or a
-// failed training pass. The scheduler is sized by PrefetchWorkers /
-// PrefetchQueue / GlobalQueueBudget / DecayHalfLife; AdaptiveK closes the
+// failed training pass. The scheduler is sized by Shards / PrefetchWorkers /
+// GlobalQueueBudget / DecayHalfLife; AdaptiveK closes the
 // backpressure loop from its Pressure signal back into each engine's
 // prefetch budget (per-session with FairShare), UtilityLearning closes
 // the prediction-quality loop from cache outcomes back into admission
@@ -563,9 +497,6 @@ func (d *Dataset) assembleEngine(store backend.Store, arts *Artifacts, cfg Middl
 // adds Go's profiling handlers under GET /debug/pprof/.
 func (d *Dataset) NewServer(train []*trace.Trace, cfg MiddlewareConfig) (*server.Server, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
 	meta := server.Meta{
 		Levels:   d.Pyramid.NumLevels(),
 		TileSize: d.Pyramid.TileSize(),
@@ -580,14 +511,10 @@ func (d *Dataset) NewServer(train []*trace.Trace, cfg MiddlewareConfig) (*server
 	if err != nil {
 		return nil, err
 	}
+	var sched *prefetch.Scheduler
 	// The feedback collector exists whenever some loop consumes outcomes:
 	// UtilityLearning prices scheduler admission with it (async only),
 	// AdaptiveAllocation re-splits the budget with it (either mode).
-	var sched prefetch.Pipeline
-	// submitterFor binds each session engine to its home scheduler shard
-	// once at construction (the routing hash is paid per session, not per
-	// request); with one shard every session binds to the same scheduler.
-	var submitterFor func(session string) core.Submitter
 	var fc *prefetch.FeedbackCollector
 	opts := []server.Option{server.WithShards(cfg.Shards)}
 	if (cfg.UtilityLearning && cfg.AsyncPrefetch) || cfg.AdaptiveAllocation {
@@ -605,11 +532,7 @@ func (d *Dataset) NewServer(train []*trace.Trace, cfg MiddlewareConfig) (*server
 		if err != nil {
 			return nil, fmt.Errorf("forecache: adaptive allocation: %w", err)
 		}
-		adaptive, err = core.NewAdaptivePolicy(base, arts.set.Names(), fc, core.AdaptiveConfig{
-			Floor:   cfg.AllocationFloor,
-			Warmup:  cfg.AllocationWarmup,
-			MaxStep: cfg.AllocationMaxStep,
-		})
+		adaptive, err = core.NewAdaptivePolicy(base, arts.set.Names(), fc, core.AdaptiveConfig{})
 		if err != nil {
 			return nil, fmt.Errorf("forecache: adaptive allocation: %w", err)
 		}
@@ -621,7 +544,7 @@ func (d *Dataset) NewServer(train []*trace.Trace, cfg MiddlewareConfig) (*server
 	// serves the result (/metrics histograms, /debug/traces).
 	var pipe *obs.Pipeline
 	if cfg.Tracing {
-		pipe = obs.NewPipeline(obs.Config{TraceCapacity: cfg.TraceBuffer, Logger: cfg.Logger})
+		pipe = obs.NewPipeline(obs.Config{Logger: cfg.Logger})
 		opts = append(opts, server.WithObs(pipe))
 	}
 	if cfg.Pprof {
@@ -645,12 +568,12 @@ func (d *Dataset) NewServer(train []*trace.Trace, cfg MiddlewareConfig) (*server
 			util = fc
 		}
 		pcfg := prefetch.Config{
-			Workers:         cfg.PrefetchWorkers,
-			QueuePerSession: cfg.PrefetchQueue,
-			GlobalQueue:     cfg.GlobalQueueBudget,
-			DecayHalfLife:   cfg.DecayHalfLife,
-			Utility:         util,
-			Obs:             pipe,
+			Shards:        cfg.Shards,
+			Workers:       cfg.PrefetchWorkers,
+			GlobalQueue:   cfg.GlobalQueueBudget,
+			DecayHalfLife: cfg.DecayHalfLife,
+			Utility:       util,
+			Obs:           pipe,
 		}
 		// One registry is both the scheduler's push sink (frame production)
 		// and the server's /stream transport (frame drain), so the two sides
@@ -660,15 +583,7 @@ func (d *Dataset) NewServer(train []*trace.Trace, cfg MiddlewareConfig) (*server
 			pcfg.Push = reg
 			opts = append(opts, server.WithPush(reg))
 		}
-		if cfg.Shards > 1 {
-			ss := prefetch.NewShardedScheduler(store, pcfg, cfg.Shards)
-			sched = ss
-			submitterFor = func(session string) core.Submitter { return ss.Shard(session) }
-		} else {
-			sc := prefetch.NewScheduler(store, pcfg)
-			sched = sc
-			submitterFor = func(string) core.Submitter { return sc }
-		}
+		sched = prefetch.NewScheduler(store, pcfg)
 		opts = append(opts, server.WithScheduler(sched))
 	}
 	if cfg.MetricsEndpoint {
@@ -725,7 +640,9 @@ func (d *Dataset) NewServer(train []*trace.Trace, cfg MiddlewareConfig) (*server
 	factory := func(session string) (*core.Engine, error) {
 		var engOpts []core.Option
 		if sched != nil {
-			engOpts = append(engOpts, core.WithScheduler(submitterFor(session), session))
+			// Bound to the session's home shard once, here: the routing hash
+			// is paid per session, not per request.
+			engOpts = append(engOpts, core.WithScheduler(sched.Shard(session), session))
 			if cfg.AdaptiveK {
 				engOpts = append(engOpts, core.WithAdaptiveK())
 				if cfg.FairShare {

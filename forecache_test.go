@@ -232,9 +232,9 @@ func TestShardedServerFacade(t *testing.T) {
 			}
 		}
 	}
-	sched, ok := srv.Scheduler().(*ShardedScheduler)
-	if !ok {
-		t.Fatalf("Scheduler() = %T, want *ShardedScheduler", srv.Scheduler())
+	sched := srv.Scheduler()
+	if sched.NumShards() != 4 {
+		t.Fatalf("Scheduler().NumShards() = %d, want 4", sched.NumShards())
 	}
 	sched.Drain()
 	st := sched.Stats()
@@ -274,7 +274,7 @@ func TestShardedServerFacade(t *testing.T) {
 	}
 }
 
-// TestTracingServerFacade proves the Tracing/TraceBuffer/Pprof knobs wire
+// TestTracingServerFacade proves the Tracing/Pprof knobs wire
 // the observability pipeline end to end: traced tile responses carry
 // X-Trace-ID, /debug/traces serves the per-span breakdowns, /metrics
 // grows the latency histogram families, and /debug/pprof/ answers.
@@ -282,7 +282,7 @@ func TestTracingServerFacade(t *testing.T) {
 	ds, traces := testWorld(t)
 	srv, err := ds.NewServer(traces, MiddlewareConfig{
 		K: 5, AsyncPrefetch: true, PrefetchWorkers: 2,
-		MetricsEndpoint: true, Tracing: true, TraceBuffer: 8, Pprof: true,
+		MetricsEndpoint: true, Tracing: true, Pprof: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -338,8 +338,8 @@ func TestTracingServerFacade(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &dbg); err != nil {
 		t.Fatalf("decode /debug/traces: %v", err)
 	}
-	if dbg.Capacity != 8 || dbg.Stored != 3 {
-		t.Errorf("trace buffer = cap %d stored %d, want cap 8 stored 3", dbg.Capacity, dbg.Stored)
+	if dbg.Capacity != 256 || dbg.Stored != 3 {
+		t.Errorf("trace buffer = cap %d stored %d, want cap 256 stored 3", dbg.Capacity, dbg.Stored)
 	}
 	spanNames := map[string]bool{}
 	for _, tr := range dbg.Traces {
@@ -661,8 +661,8 @@ func TestSharedArtifactsSkipTraining(t *testing.T) {
 	}
 
 	// A bundle whose model shape disagrees with the config (trained
-	// without the hotspot, config asks for it — or a different Markov
-	// order) must be rejected, not silently served.
+	// without the hotspot, config asks for it) must be rejected, not
+	// silently served.
 	mismatch := cfg
 	mismatch.Hotspot = false
 	if _, err := ds.NewMiddleware(traces, mismatch); err == nil {
@@ -672,42 +672,6 @@ func TestSharedArtifactsSkipTraining(t *testing.T) {
 		srv.Close()
 		t.Error("NewServer should reject artifacts whose model set mismatches the config")
 	}
-	order := cfg
-	order.ABOrder = 2
-	if _, err := ds.NewMiddleware(traces, order); err == nil {
-		t.Error("NewMiddleware should reject artifacts trained at a different Markov order")
-	}
-}
-
-// TestMiddlewareConfigValidation: out-of-range allocation tuning is a
-// construction error on both facade entry points, and in-range values
-// reach the adaptive policy.
-func TestMiddlewareConfigValidation(t *testing.T) {
-	ds, traces := testWorld(t)
-	bad := []MiddlewareConfig{
-		{K: 5, AllocationFloor: -0.5},
-		{K: 5, AllocationFloor: 1.5},
-		{K: 5, AllocationWarmup: -1},
-		{K: 5, AllocationMaxStep: 2},
-		{K: 5, AllocationMaxStep: -0.1},
-	}
-	for _, cfg := range bad {
-		if _, err := ds.NewMiddleware(traces, cfg); err == nil {
-			t.Errorf("NewMiddleware(%+v) should reject out-of-range tuning", cfg)
-		}
-		if srv, err := ds.NewServer(traces, cfg); err == nil {
-			srv.Close()
-			t.Errorf("NewServer(%+v) should reject out-of-range tuning", cfg)
-		}
-	}
-	srv, err := ds.NewServer(traces, MiddlewareConfig{
-		K: 5, AdaptiveAllocation: true,
-		AllocationFloor: 0.05, AllocationWarmup: 10, AllocationMaxStep: 0.1,
-	})
-	if err != nil {
-		t.Fatalf("in-range tuning rejected: %v", err)
-	}
-	srv.Close()
 }
 
 // TestHotspotServerLearnsConsumption: with Hotspot on, one session's

@@ -59,34 +59,6 @@ func (c *SimClock) Elapsed() time.Duration {
 	return c.elapsed
 }
 
-// Reset zeroes the accumulated time.
-func (c *SimClock) Reset() {
-	c.mu.Lock()
-	c.elapsed = 0
-	c.mu.Unlock()
-}
-
-// RealClock sleeps on the wall clock.
-type RealClock struct {
-	mu      sync.Mutex
-	elapsed time.Duration
-}
-
-// Sleep waits for d on the wall clock.
-func (c *RealClock) Sleep(d time.Duration) {
-	time.Sleep(d)
-	c.mu.Lock()
-	c.elapsed += d
-	c.mu.Unlock()
-}
-
-// Elapsed returns total wall time slept through this clock.
-func (c *RealClock) Elapsed() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.elapsed
-}
-
 // DBMS fetches tiles from the materialized pyramid, charging the miss
 // latency per fetch. It stands in for the SciDB instance of Figure 5.
 type DBMS struct {

@@ -276,29 +276,10 @@ func TestIndexConsistentAfterChurn(t *testing.T) {
 	}
 }
 
-// lookupScan reimplements the pre-index linear lookup (every region slice
-// scanned under the lock, then one map probe for the LRU region) as the
-// benchmark baseline.
-func (m *Manager) lookupScan(c tile.Coord) (*tile.Tile, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, region := range m.regions {
-		for _, pt := range region {
-			if pt.t.Coord == c {
-				return pt.t, true
-			}
-		}
-	}
-	if e := m.byCoord[c]; e != nil && e.recent != nil {
-		return e.recent.Value.(*tile.Tile), true
-	}
-	return nil, false
-}
-
-// benchManagerN builds the hot-path fix's reference shape: n model regions
-// of 8 tiles each (K=8), with production-sized tiles (16x16 float64 grids,
-// ~2KB) scattered across the heap the way a long-running server's tiles
-// are — the linear scan pays a pointer chase per entry.
+// benchManagerN builds the lookup benchmarks' reference shape: n model
+// regions of 8 tiles each (K=8), with production-sized tiles (16x16 float64
+// grids, ~2KB) scattered across the heap the way a long-running server's
+// tiles are.
 func benchManagerN(n int) (*Manager, []tile.Coord) {
 	m := NewManager(8)
 	allocs := map[string]int{}
@@ -328,22 +309,14 @@ func benchManagerN(n int) (*Manager, []tile.Coord) {
 
 func benchManager() (*Manager, []tile.Coord) { return benchManagerN(8) }
 
-// BenchmarkLookupIndexed8Regions vs BenchmarkLookupScan8Regions measure the
-// hot-path win of the coordinate index at K=8 regions; the miss pair is the
-// worst case for the scan (every region walked end to end).
+// BenchmarkLookupIndexed8Regions and its miss twin measure the coordinate
+// index's hot path at K=8 regions (the linear scan it replaced was ~3x
+// slower at 16 regions; CHANGES.md PR 3 has the numbers).
 func BenchmarkLookupIndexed8Regions(b *testing.B) {
 	m, coords := benchManager()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m.Lookup(coords[i%len(coords)])
-	}
-}
-
-func BenchmarkLookupScan8Regions(b *testing.B) {
-	m, coords := benchManager()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m.lookupScan(coords[i%len(coords)])
 	}
 }
 
@@ -356,18 +329,8 @@ func BenchmarkLookupMissIndexed8Regions(b *testing.B) {
 	}
 }
 
-func BenchmarkLookupMissScan8Regions(b *testing.B) {
-	m, _ := benchManager()
-	miss := tile.Coord{Level: 9, Y: 9, X: 9}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m.lookupScan(miss)
-	}
-}
-
-// The 16-region pair shows the asymptotic point: the scan is O(regions ×
-// K) while the index stays flat, so the gap widens with every model a
-// deployment adds.
+// 16 regions shows the asymptotic point: the index stays flat with every
+// model a deployment adds.
 func BenchmarkLookupMissIndexed16Regions(b *testing.B) {
 	m, _ := benchManagerN(16)
 	miss := tile.Coord{Level: 9, Y: 99, X: 99}
@@ -377,19 +340,9 @@ func BenchmarkLookupMissIndexed16Regions(b *testing.B) {
 	}
 }
 
-func BenchmarkLookupMissScan16Regions(b *testing.B) {
-	m, _ := benchManagerN(16)
-	miss := tile.Coord{Level: 9, Y: 99, X: 99}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m.lookupScan(miss)
-	}
-}
-
-// The parallel pair measures what the scan really costs a loaded server:
-// the manager's mutex is shared by the request path and the scheduler's
-// async deliveries, so lock hold time — not per-call latency — bounds
-// throughput. The linear scan holds the lock for the whole regions walk.
+// The parallel run measures what a loaded server pays: the manager's mutex
+// is shared by the request path and the scheduler's async deliveries, so
+// lock hold time — not per-call latency — bounds throughput.
 func BenchmarkLookupParallelIndexed8Regions(b *testing.B) {
 	m, coords := benchManager()
 	miss := tile.Coord{Level: 9, Y: 9, X: 9}
@@ -401,23 +354,6 @@ func BenchmarkLookupParallelIndexed8Regions(b *testing.B) {
 				m.Lookup(coords[i%len(coords)])
 			} else {
 				m.Lookup(miss)
-			}
-			i++
-		}
-	})
-}
-
-func BenchmarkLookupParallelScan8Regions(b *testing.B) {
-	m, coords := benchManager()
-	miss := tile.Coord{Level: 9, Y: 9, X: 9}
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			if i%2 == 0 {
-				m.lookupScan(coords[i%len(coords)])
-			} else {
-				m.lookupScan(miss)
 			}
 			i++
 		}

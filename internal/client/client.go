@@ -135,7 +135,10 @@ func (c *Client) Tile(coord tile.Coord) (*tile.Tile, TileInfo, error) {
 
 // decodeTileBody decodes a /tile response in whichever representation the
 // server chose: Content-Encoding selects the decompressor, Content-Type
-// the codec. Plain JSON from a legacy server flows through unchanged.
+// the codec. Plain JSON from a legacy server flows through unchanged. The
+// body is always read to EOF — a JSON decoder alone stops before the
+// body's trailing newline, and the transport only reuses a connection
+// whose response was fully drained.
 func decodeTileBody(resp *http.Response) (*tile.Tile, error) {
 	body := io.Reader(resp.Body)
 	if resp.Header.Get("Content-Encoding") == "gzip" {
@@ -146,11 +149,11 @@ func decodeTileBody(resp *http.Response) (*tile.Tile, error) {
 		defer zr.Close()
 		body = zr
 	}
+	raw, err := io.ReadAll(body)
+	if err != nil {
+		return nil, fmt.Errorf("client: read tile: %w", err)
+	}
 	if strings.HasPrefix(resp.Header.Get("Content-Type"), tile.BinaryContentType) {
-		raw, err := io.ReadAll(body)
-		if err != nil {
-			return nil, fmt.Errorf("client: read tile: %w", err)
-		}
 		t, err := tile.DecodeBinary(raw)
 		if err != nil {
 			return nil, fmt.Errorf("client: decode tile: %w", err)
@@ -158,7 +161,7 @@ func decodeTileBody(resp *http.Response) (*tile.Tile, error) {
 		return t, nil
 	}
 	var t tile.Tile
-	if err := json.NewDecoder(body).Decode(&t); err != nil {
+	if err := json.Unmarshal(raw, &t); err != nil {
 		return nil, fmt.Errorf("client: decode tile: %w", err)
 	}
 	return &t, nil

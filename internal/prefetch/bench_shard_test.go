@@ -53,13 +53,7 @@ func BenchmarkFleetSubmitDrain(b *testing.B) {
 
 func benchFleet(b *testing.B, shards int) {
 	store := &nullStore{}
-	cfg := Config{Workers: 8, QueuePerSession: 16}
-	var p Pipeline
-	if shards > 1 {
-		p = NewShardedScheduler(store, cfg, shards)
-	} else {
-		p = NewScheduler(store, cfg)
-	}
+	p := NewScheduler(store, Config{Shards: shards, Workers: 8, QueuePerSession: 16})
 	defer p.Close()
 
 	const fleet = 1024

@@ -9,22 +9,27 @@ package prefetch
 // budget collapses first while sessions at or under their share keep
 // prefetching at full K (they are not the reason the queue is full).
 
-// Pressure reports the global queue's saturation in [0, 1]: how full the
-// GlobalQueue budget is right now. It is the scheduler→engine backpressure
-// signal: engines built with core.WithAdaptiveK shrink their prefetch
-// budget K as pressure rises and restore it when the queue drains. Without
-// a global budget the signal is always 0.
-func (s *Scheduler) Pressure() float64 {
+// Pressure reports the shard's queue saturation in [0, 1]: how full its
+// slice of the GlobalQueue budget is right now. It is the scheduler→engine
+// backpressure signal: engines built with core.WithAdaptiveK shrink their
+// prefetch budget K as pressure rises and restore it when the queue
+// drains. Without a global budget the signal is always 0.
+func (s *Shard) Pressure() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.pressureLocked()
 }
 
-func (s *Scheduler) pressureLocked() float64 {
-	if s.cfg.GlobalQueue <= 0 {
+func (s *Shard) pressureLocked() float64 {
+	return saturation(s.stats.Pending, s.cfg.GlobalQueue)
+}
+
+// saturation is pending over budget clamped to [0, 1]; 0 without a budget.
+func saturation(pending, budget int) float64 {
+	if budget <= 0 {
 		return 0
 	}
-	p := float64(s.stats.Pending) / float64(s.cfg.GlobalQueue)
+	p := float64(pending) / float64(budget)
 	if p > 1 {
 		p = 1
 	}
@@ -39,13 +44,13 @@ func (s *Scheduler) pressureLocked() float64 {
 // global pressure as one session approaches owning the whole queue. A lone
 // occupant is by definition the flooder and reads the global pressure
 // unscaled. Engines opt in with core.WithFairShare.
-func (s *Scheduler) SessionPressure(session string) float64 {
+func (s *Shard) SessionPressure(session string) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.sessionPressureLocked(session, s.active)
 }
 
-func (s *Scheduler) sessionPressureLocked(session string, active int) float64 {
+func (s *Shard) sessionPressureLocked(session string, active int) float64 {
 	p := s.pressureLocked()
 	if p == 0 || s.stats.Pending <= 0 {
 		return 0

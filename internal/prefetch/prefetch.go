@@ -97,6 +97,10 @@ type PushSink interface {
 
 // Config sizes a scheduler.
 type Config struct {
+	// Shards is how many independent queue shards the scheduler runs behind
+	// its consistent-hash session router; Workers and GlobalQueue are
+	// deployment-wide and ceil-divided across them. Default 1.
+	Shards int
 	// Workers is the bounded worker pool size: the maximum number of
 	// concurrent DBMS fetches (the inflight budget). Default 4.
 	Workers int
@@ -137,16 +141,17 @@ type Config struct {
 	clock func() time.Time
 }
 
-// DefaultConfig returns the default scheduler sizing.
-func DefaultConfig() Config { return Config{Workers: 4, QueuePerSession: 64} }
-
+// withDefaults fills the unset sizing fields with the defaults their
+// field comments document.
 func (c Config) withDefaults() Config {
-	d := DefaultConfig()
+	if c.Shards <= 0 {
+		c.Shards = 1
+	}
 	if c.Workers <= 0 {
-		c.Workers = d.Workers
+		c.Workers = 4
 	}
 	if c.QueuePerSession <= 0 {
-		c.QueuePerSession = d.QueuePerSession
+		c.QueuePerSession = 64
 	}
 	if c.clock == nil {
 		c.clock = time.Now
@@ -173,11 +178,11 @@ type Stats struct {
 	Coalesced int
 	// CrossShardCoalesced counts worker fetches that joined another
 	// shard's in-flight DBMS fetch through the deployment-wide
-	// single-flight store (ShardedScheduler only; a lone Scheduler's own
-	// inflight map already coalesces everything it sees, so this stays 0).
+	// single-flight store (always 0 with one shard, whose own inflight map
+	// already coalesces everything it sees).
 	CrossShardCoalesced int
 	// Shards is how many independent scheduler shards the counters were
-	// aggregated over (1 for a lone Scheduler).
+	// aggregated over (1 for a single Shard's own snapshot).
 	Shards int
 	// Completed counts entries whose tile was fetched and delivered.
 	Completed int

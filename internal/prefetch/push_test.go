@@ -176,65 +176,94 @@ func TestPushBandwidthAdmission(t *testing.T) {
 	}
 }
 
-// TestShardedPressureSaturation pins the aggregate-pressure bugfix: with a
-// global budget that does not divide evenly across shards, deployment-wide
+// TestShardedPressureSaturation pins the aggregate-pressure bugfix and the
+// shard-sum invariants for every shard count: with a global budget that
+// does not divide evenly across shards (1024 over 3), deployment-wide
 // pressure must read exactly 1.0 when exactly the configured budget is
 // pending — not pending over the ceil-divided per-shard budgets times the
-// shard count (10 over 3 shards gave 4×3 = 12 and a ceiling of 0.833).
+// shard count (342×3 = 1026 would cap it at 0.998) — and the per-shard
+// snapshots must sum to the deployment totals.
 func TestShardedPressureSaturation(t *testing.T) {
-	store := newFakeStore()
-	store.gate = make(chan struct{})
-	// Buffer covers every fetch the test triggers (3 decoys + 10 fills):
-	// fetch starts announced after the gate opens must never block.
-	store.started = make(chan tile.Coord, 16)
-	const shards, budget = 3, 10 // ceil(10/3) = 4 per shard: non-divisible
-	ss := NewShardedScheduler(store, Config{Workers: shards, GlobalQueue: budget}, shards)
-	defer ss.Close()
-
-	// One shard-local session per shard, found by probing the ring.
-	taken := map[string]bool{}
-	local := make([]string, shards)
-	for k := range local {
-		for i := 0; ; i++ {
-			id := fmt.Sprintf("sess-%d", i)
-			if !taken[id] && ss.ring.Locate(id) == k {
-				taken[id] = true
-				local[k] = id
-				break
+	const budget = 1024
+	for _, shards := range []int{1, 2, 3, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			store := newFakeStore()
+			store.gate = make(chan struct{})
+			// Buffer covers every fetch the test triggers (the decoys plus
+			// the fills): fetch starts announced after the gate opens must
+			// never block.
+			store.started = make(chan tile.Coord, budget+shards)
+			ss := NewScheduler(store, Config{Shards: shards, Workers: shards, QueuePerSession: budget, GlobalQueue: budget})
+			defer ss.Close()
+			if got := ss.NumShards(); got != shards {
+				t.Fatalf("NumShards = %d, want %d", got, shards)
 			}
-		}
-	}
 
-	// Park each shard's lone worker on a gated decoy fetch so everything
-	// submitted afterwards stays pending.
-	for k, id := range local {
-		ss.Submit(id, []Request{{Coord: tile.Coord{Level: 9, X: k}, Score: 2}})
-	}
-	for range local {
-		<-store.started
-	}
+			// One shard-local session per shard, found by probing the ring.
+			local := make([]string, shards)
+			for k := range local {
+				for i := 0; local[k] == ""; i++ {
+					if id := fmt.Sprintf("sess-%d", i); ss.ring.Locate(id) == k {
+						local[k] = id
+					}
+				}
+			}
 
-	// Fill to exactly the configured deployment-wide budget: 4 + 4 + 2.
-	// Shards cap at their ceil-divided share (4), so the split must respect
-	// per-shard limits while the total hits the configured 10.
-	fill := []int{4, 4, 2}
-	pending := 0
-	for k, n := range fill {
-		reqs := make([]Request, n)
-		for i := range reqs {
-			reqs[i] = Request{Coord: tile.Coord{Level: 5, Y: k, X: i}, Score: 1}
-		}
-		pending += ss.Submit(local[k], reqs)
+			// Park each shard's lone worker on a gated decoy fetch so
+			// everything submitted afterwards stays pending.
+			for k, id := range local {
+				ss.Submit(id, []Request{{Coord: tile.Coord{Level: 9, X: k}, Score: 2}})
+			}
+			for range local {
+				<-store.started
+			}
+
+			// Fill to exactly the configured deployment-wide budget. Shards
+			// cap at their ceil-divided share, so the split respects the
+			// per-shard limits while the total hits the configured budget
+			// (342 + 342 + 340 over three shards).
+			per := (budget + shards - 1) / shards
+			pending := 0
+			for k := range local {
+				n := per
+				if budget-pending < n {
+					n = budget - pending
+				}
+				reqs := make([]Request, n)
+				for i := range reqs {
+					reqs[i] = Request{Coord: tile.Coord{Level: 5, Y: k, X: i}, Score: 1}
+				}
+				pending += ss.Submit(local[k], reqs)
+			}
+			if pending != budget {
+				t.Fatalf("pending = %d, want the full budget %d", pending, budget)
+			}
+			if got := ss.Pressure(); got != 1.0 {
+				t.Fatalf("Pressure at exact saturation = %v, want exactly 1.0", got)
+			}
+			st := ss.Stats()
+			if st.Pressure != 1.0 {
+				t.Fatalf("Stats().Pressure at exact saturation = %v, want exactly 1.0", st.Pressure)
+			}
+			if st.Shards != shards {
+				t.Errorf("Stats().Shards = %d, want %d", st.Shards, shards)
+			}
+			close(store.gate)
+			ss.Drain()
+
+			st = ss.Stats()
+			var queued, completed int
+			for _, sh := range ss.ShardStats() {
+				queued += sh.Queued
+				completed += sh.Completed
+			}
+			if queued != st.Queued || completed != st.Completed || st.Completed != budget+shards {
+				t.Errorf("per-shard queued/completed sum to %d/%d, totals %d/%d, want %d each",
+					queued, completed, st.Queued, st.Completed, budget+shards)
+			}
+			if shards == 1 && (st.CrossShardCoalesced != 0 || ss.store != nil) {
+				t.Errorf("one shard built a cross-shard coalescer (joined %d)", st.CrossShardCoalesced)
+			}
+		})
 	}
-	if pending != budget {
-		t.Fatalf("pending = %d, want the full budget %d", pending, budget)
-	}
-	if got := ss.Pressure(); got != 1.0 {
-		t.Fatalf("Pressure at exact saturation = %v, want exactly 1.0", got)
-	}
-	if got := ss.Stats().Pressure; got != 1.0 {
-		t.Fatalf("Stats().Pressure at exact saturation = %v, want exactly 1.0", got)
-	}
-	close(store.gate)
-	ss.Drain()
 }

@@ -1,517 +1,258 @@
 package prefetch
 
 import (
-	"container/heap"
-	"sort"
 	"sync"
 	"time"
 
 	"forecache/internal/backend"
+	"forecache/internal/shard"
 	"forecache/internal/tile"
 )
 
-// entry states.
-const (
-	stateQueued = iota
-	stateDone   // cancelled, coalesced, or handed to a worker
-)
+// This file is the prefetch pipeline's fan-out: a Scheduler is N >= 1
+// independent Shards — each with its own mutex, per-session queues, worker
+// pool and pressure signal — behind a consistent-hash router keyed on
+// session id. One process-wide scheduler lock is the serving tier's
+// submit-path choke point at fleet scale (every session's Submit, Cancel
+// and worker pop serializes on it); sharding multiplies the locks while
+// the consistent-hash ring keeps each session's whole scheduler life on
+// one shard, so per-session semantics (batch superseding, fair-share
+// pressure, queue budgets) are untouched.
+//
+// What must NOT shard is single-flight deduplication: two sessions on
+// different shards wanting the same tile should still cost one DBMS
+// fetch. Each shard's own inflight map coalesces within the shard;
+// CoalescingStore adds the deployment-wide layer underneath, joining
+// concurrent FetchQuiet calls across shards on one backend round trip.
 
-// entry is one queued Request plus its scheduling bookkeeping.
-type entry struct {
-	req      Request
-	session  string
-	seq      uint64 // tiebreak: earlier submissions first at equal score
-	enqueued time.Time
-	state    int
+// storeFlight is one in-flight FetchQuiet and everyone waiting on it.
+type storeFlight struct {
+	done chan struct{}
+	t    *tile.Tile
+	err  error
 }
 
-// entryHeap orders a session's pending entries by score descending.
-type entryHeap []*entry
+// CoalescingStore wraps a backend.Store with deployment-wide single-flight
+// on the prefetch path: concurrent FetchQuiet calls for one coordinate —
+// typically scheduler workers on different shards — share one underlying
+// fetch. The response path (Fetch) is not coalesced: it charges latency
+// per the paper's model and stays the engine's own concern. Safe for
+// concurrent use.
+type CoalescingStore struct {
+	backend.Store
 
-func (h entryHeap) Len() int { return len(h) }
-func (h entryHeap) Less(i, j int) bool {
-	if h[i].req.Score != h[j].req.Score {
-		return h[i].req.Score > h[j].req.Score
+	mu       sync.Mutex
+	inflight map[tile.Coord]*storeFlight
+	joined   int
+}
+
+// NewCoalescingStore wraps store. A nil store is a programming error and
+// panics on first use, like handing the scheduler a nil store would.
+func NewCoalescingStore(store backend.Store) *CoalescingStore {
+	return &CoalescingStore{Store: store, inflight: make(map[tile.Coord]*storeFlight)}
+}
+
+// FetchQuiet fetches c, joining an identical in-flight fetch if one
+// exists instead of issuing a duplicate.
+func (cs *CoalescingStore) FetchQuiet(c tile.Coord) (*tile.Tile, error) {
+	cs.mu.Lock()
+	if fl, ok := cs.inflight[c]; ok {
+		cs.joined++
+		cs.mu.Unlock()
+		<-fl.done
+		return fl.t, fl.err
 	}
-	return h[i].seq < h[j].seq
-}
-func (h entryHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *entryHeap) Push(x any)   { *h = append(*h, x.(*entry)) }
-func (h *entryHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+	fl := &storeFlight{done: make(chan struct{})}
+	cs.inflight[c] = fl
+	cs.mu.Unlock()
+
+	fl.t, fl.err = cs.Store.FetchQuiet(c)
+
+	cs.mu.Lock()
+	delete(cs.inflight, c)
+	cs.mu.Unlock()
+	close(fl.done)
+	return fl.t, fl.err
 }
 
-// sessionQueue holds one session's pending entries.
-type sessionQueue struct {
-	id      string
-	pending entryHeap
-	queued  int  // live (stateQueued) entries, for the budget
-	inRing  bool // whether id is in the round-robin ring
+// Joined reports how many fetches piggybacked on another's in-flight
+// round trip since construction.
+func (cs *CoalescingStore) Joined() int {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	return cs.joined
 }
 
-// waiter is one Request waiting on a flight, tagged with its session so
-// push dispatch (Config.Push) knows whose stream the tile belongs on.
-type waiter struct {
-	session string
-	req     Request
-}
-
-// flight is one in-flight DBMS fetch and the requests waiting on it.
-type flight struct {
-	waiters []waiter
-}
-
-// Scheduler is the shared asynchronous prefetch pipeline. Construct with
-// NewScheduler; it is safe for concurrent use by any number of sessions.
+// Scheduler is the shared asynchronous prefetch pipeline: Config.Shards
+// independent Shards behind a consistent-hash ring keyed on session id.
+// Every per-session operation routes to the session's home shard; Stats,
+// Drain and Close fan out over all of them. Construct with NewScheduler; it
+// is safe for concurrent use by any number of sessions.
 type Scheduler struct {
-	store backend.Store
-	cfg   Config
-
-	mu         sync.Mutex
-	work       *sync.Cond // signaled when queued work or shutdown arrives
-	idle       *sync.Cond // signaled when queued+inflight may have drained
-	sessions   map[string]*sessionQueue
-	rr         []string // round-robin ring of session ids with pending work
-	rrPos      int
-	byCoord    map[tile.Coord]map[*entry]struct{} // queued entries by coordinate
-	inflight   map[tile.Coord]*flight
-	delivering int // completed fetches whose Deliver callbacks still run
-	active     int // sessions with queued > 0, maintained on 0<->1 transitions
-	seq        uint64
-	closed     bool
-
-	stats        Stats
-	queueLatency time.Duration // summed over issued/coalesced entries
-	measured     int
-
-	wg sync.WaitGroup
+	ring   *shard.Ring
+	shards []*Shard
+	// store is the cross-shard single-flight layer, nil with one shard: a
+	// lone shard's own inflight map already coalesces everything it sees.
+	store *CoalescingStore
+	// total is the *configured* deployment-wide GlobalQueue — the aggregate
+	// pressure denominator. It must not be reconstructed as per-shard × n:
+	// per-shard budgets are ceil-divided, so that product overshoots for
+	// non-divisible splits (1024 over 3 shards → 342×3 = 1026) and pressure
+	// would never read 1.0 at true saturation.
+	total int
 }
 
-// NewScheduler starts a scheduler fetching from store with cfg.Workers
-// workers. Call Close to stop them.
+// NewScheduler starts cfg.Shards scheduler shards (one when unset) over
+// store. The deployment-wide sizing in cfg is divided across shards: each
+// gets ceil(Workers/n) workers and ceil(GlobalQueue/n) global-queue slots,
+// so the fleet's total fetch concurrency and queue budget match what one
+// shard with the same cfg would run (QueuePerSession is per-session and
+// passes through unchanged). With more than one shard the store is wrapped
+// in one shared CoalescingStore so cross-shard duplicates still cost one
+// DBMS fetch. Shared learning state (cfg.Utility, cfg.Obs, cfg.Push) is
+// deployment-wide by construction: every shard feeds the same collector,
+// pipeline and push registry. Call Close to stop all worker pools.
 func NewScheduler(store backend.Store, cfg Config) *Scheduler {
-	s := &Scheduler{
-		store:    store,
-		cfg:      cfg.withDefaults(),
-		sessions: make(map[string]*sessionQueue),
-		byCoord:  make(map[tile.Coord]map[*entry]struct{}),
-		inflight: make(map[tile.Coord]*flight),
+	cfg = cfg.withDefaults()
+	n := cfg.Shards
+	per := cfg
+	per.Workers = (cfg.Workers + n - 1) / n
+	if cfg.GlobalQueue > 0 {
+		per.GlobalQueue = (cfg.GlobalQueue + n - 1) / n
 	}
-	s.work = sync.NewCond(&s.mu)
-	s.idle = sync.NewCond(&s.mu)
-	s.wg.Add(s.cfg.Workers)
-	for i := 0; i < s.cfg.Workers; i++ {
-		go s.worker()
+	s := &Scheduler{
+		ring:   shard.NewRing(n),
+		shards: make([]*Shard, n),
+		total:  cfg.GlobalQueue,
+	}
+	if n > 1 {
+		s.store = NewCoalescingStore(store)
+		store = s.store
+	}
+	for i := range s.shards {
+		s.shards[i] = newShard(store, per)
 	}
 	return s
 }
 
-// Submit replaces session's pending batch with reqs: entries still queued
-// from earlier batches are cancelled (their predictions are stale), then
-// reqs are enqueued in score order subject to the per-session budget and
-// the global one. When the global budget is saturated, each admission sheds
-// the lowest-utility queued entry across all sessions (utility = score
-// decayed by queue age and batch position), or rejects the newcomer if
-// everything queued outranks it. Returns the number of entries accepted.
-// Fetches already in flight are not interrupted. Safe to call concurrently;
-// a no-op after Close.
+// NumShards returns the shard count.
+func (s *Scheduler) NumShards() int { return len(s.shards) }
+
+// Shard returns the shard owning session. Engines are bound to their
+// session's shard at construction (core.WithScheduler), so the routing
+// hash is paid once per session, not once per request.
+func (s *Scheduler) Shard(session string) *Shard {
+	return s.shards[s.ring.Locate(session)]
+}
+
+// Submit routes the batch to the session's shard; see Shard.Submit.
 func (s *Scheduler) Submit(session string, reqs []Request) int {
-	now := s.cfg.clock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return 0
-	}
-	sq := s.sessions[session]
-	if sq == nil {
-		sq = &sessionQueue{id: session}
-		s.sessions[session] = sq
-	}
-	s.cancelQueuedLocked(sq)
-	// The bandwidth-aware admission term: with push delivery on, queued
-	// entries age by the connection's measured per-frame drain time as well
-	// as by wall clock, so tiles a slow stream cannot deliver before they
-	// decay stale lose admission fights. 0 (pull mode, no stream, or no
-	// measurement yet) prices exactly like the classic pull path.
-	pushDelay := s.cfg.pushDelay(session)
-	// Process the batch in descending score order: the queue was just
-	// cleared, so when the budget truncates, it is exactly the batch's
-	// lowest-scored entries that drop (the documented contract), whatever
-	// order the caller built the slice in.
-	order := make([]int, len(reqs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return reqs[order[a]].Score > reqs[order[b]].Score
-	})
-	var shed *shedHeap // built lazily on the first saturated admission
-	accepted, enqueued := 0, 0
-	for _, i := range order {
-		// A fetch for this tile is already in flight (another session's,
-		// typically): piggyback on it instead of queueing a duplicate.
-		if fl, ok := s.inflight[reqs[i].Coord]; ok {
-			fl.waiters = append(fl.waiters, waiter{session: session, req: reqs[i]})
-			s.stats.Coalesced++
-			accepted++
-			continue
-		}
-		if sq.queued >= s.cfg.QueuePerSession {
-			// Over budget for queueing — but keep scanning: lower-scored
-			// requests may still piggyback on in-flight fetches at zero
-			// queue cost.
-			s.stats.Dropped++
-			continue
-		}
-		if s.cfg.GlobalQueue > 0 && s.stats.Pending >= s.cfg.GlobalQueue {
-			if shed == nil {
-				shed = s.buildShedHeapLocked(now)
-			}
-			// The newcomer's admission utility is priced at the position it
-			// will occupy: sq.queued entries sit ahead of it, so its
-			// 0-indexed rank is sq.queued. (After the heap.Push below the
-			// same rank reads sq.queued-1 — the counter has incremented by
-			// then; the two sites price the same position.) With push
-			// delivery on, the rank also charges drain time: the connection
-			// must deliver rank+1 frames before this one reaches the client.
-			u := decayedUtilityFactor(reqs[i].Score, time.Duration(sq.queued+1)*pushDelay, s.cfg.DecayHalfLife, s.cfg.positionFactor(sq.queued))
-			if !s.shedLowestBelowLocked(shed, u) {
-				s.stats.Dropped++
-				continue
-			}
-		}
-		s.seq++
-		e := &entry{req: reqs[i], session: session, seq: s.seq, enqueued: now}
-		heap.Push(&sq.pending, e)
-		s.addQueuedLocked(sq, 1)
-		s.stats.Pending++
-		if s.stats.Pending > s.stats.PeakPending {
-			s.stats.PeakPending = s.stats.Pending
-		}
-		if shed != nil {
-			// This batch's own entries compete too: a tiny global budget
-			// must keep only the batch's best. sq.queued-1 is this entry's
-			// 0-indexed rank (the counter was just incremented), the same
-			// position the admission check above priced it at. Because the
-			// batch is processed in descending score order and position
-			// factors are non-increasing, a later same-batch entry can
-			// never outrank an earlier one — these candidates only ever
-			// lose fights, they are here so the accounting stays exact.
-			heap.Push(shed, shedCand{e: e, util: decayedUtilityFactor(e.req.Score, time.Duration(sq.queued)*pushDelay, s.cfg.DecayHalfLife, s.cfg.positionFactor(sq.queued-1))})
-		}
-		set := s.byCoord[e.req.Coord]
-		if set == nil {
-			set = make(map[*entry]struct{})
-			s.byCoord[e.req.Coord] = set
-		}
-		set[e] = struct{}{}
-		accepted++
-		enqueued++
-	}
-	s.stats.Queued += accepted
-	if enqueued > 0 {
-		if !sq.inRing {
-			sq.inRing = true
-			s.rr = append(s.rr, session)
-		}
-		s.work.Broadcast()
-	}
-	return accepted
+	return s.Shard(session).Submit(session, reqs)
 }
 
-// CancelSession drops session's queued entries and forgets its scheduler
-// state (used when the server evicts an idle session). In-flight fetches
-// complete normally.
+// CancelSession drops the session's queued entries on its shard.
 func (s *Scheduler) CancelSession(session string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sq := s.sessions[session]
-	if sq == nil {
-		return
-	}
-	s.cancelQueuedLocked(sq)
-	if sq.inRing {
-		s.removeFromRingLocked(session)
-	}
-	delete(s.sessions, session)
-	s.idle.Broadcast()
+	s.Shard(session).CancelSession(session)
 }
 
-// removeFromRingLocked drops one session id from the round-robin ring,
-// keeping the rotation position stable.
-func (s *Scheduler) removeFromRingLocked(session string) {
-	for i, id := range s.rr {
-		if id != session {
-			continue
-		}
-		s.rr = append(s.rr[:i], s.rr[i+1:]...)
-		if s.rrPos > i {
-			s.rrPos--
-		}
-		return
+// Pressure reports the deployment-wide queue saturation: total pending
+// entries over the total global budget. One slammed shard next to idle
+// ones therefore reads as partial pressure — the per-shard signal engines
+// actually shrink on comes from their own shard's Pressure.
+func (s *Scheduler) Pressure() float64 {
+	pending := 0
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		pending += sh.stats.Pending
+		sh.mu.Unlock()
 	}
+	return saturation(pending, s.total)
 }
 
-// Drain blocks until no entries are queued and no fetches are in flight.
+// SessionPressure reports the fair-share backpressure signal from the
+// session's home shard (fairness is scoped to the sessions actually
+// contending on that shard's queue).
+func (s *Scheduler) SessionPressure(session string) float64 {
+	return s.Shard(session).SessionPressure(session)
+}
+
+// Stats aggregates the per-shard snapshots into one deployment-wide view.
+// Counters are sums of per-shard counters: each shard's are monotone and
+// the shard set is fixed for the scheduler's lifetime, so the sums are
+// monotone too. Session-keyed maps merge disjointly (a session lives on
+// exactly one shard). AvgQueueLatency is weighted by each shard's
+// measured entry count, PeakPending is the sum of per-shard peaks (an
+// upper bound on the true simultaneous peak), and Pressure is the
+// deployment-wide saturation.
+func (s *Scheduler) Stats() Stats {
+	var agg Stats
+	agg.Shards = len(s.shards)
+	agg.QueueDepths = make(map[string]int)
+	agg.SessionPressures = make(map[string]float64)
+	var latency time.Duration
+	measured := 0
+	for _, sh := range s.shards {
+		st, lat, n := sh.statsDetail()
+		agg.Queued += st.Queued
+		agg.Dropped += st.Dropped
+		agg.Shed += st.Shed
+		agg.Cancelled += st.Cancelled
+		agg.Coalesced += st.Coalesced
+		agg.Completed += st.Completed
+		agg.Pushed += st.Pushed
+		agg.Errors += st.Errors
+		agg.Pending += st.Pending
+		agg.PeakPending += st.PeakPending
+		agg.Inflight += st.Inflight
+		agg.Sessions += st.Sessions
+		for id, d := range st.QueueDepths {
+			agg.QueueDepths[id] = d
+		}
+		for id, p := range st.SessionPressures {
+			agg.SessionPressures[id] = p
+		}
+		latency += lat
+		measured += n
+		// The utility collector is shared: every shard reports the same
+		// curve, so the first shard's copy is the deployment's.
+		if agg.UtilityCurve == nil {
+			agg.UtilityCurve = st.UtilityCurve
+			agg.UtilityObservations = st.UtilityObservations
+		}
+	}
+	if measured > 0 {
+		agg.AvgQueueLatency = latency / time.Duration(measured)
+	}
+	agg.Pressure = saturation(agg.Pending, s.total)
+	if s.store != nil {
+		agg.CrossShardCoalesced = s.store.Joined()
+	}
+	return agg
+}
+
+// ShardStats snapshots every shard individually (index = shard id), for
+// per-shard observability series.
+func (s *Scheduler) ShardStats() []Stats {
+	out := make([]Stats, len(s.shards))
+	for i, sh := range s.shards {
+		out[i] = sh.Stats()
+	}
+	return out
+}
+
+// Drain blocks until every shard's queue and inflight set are empty.
 // Deliveries for completed fetches finish before Drain returns, so tests
 // and examples can read caches deterministically afterwards.
 func (s *Scheduler) Drain() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for s.stats.Pending > 0 || len(s.inflight) > 0 || s.delivering > 0 {
-		s.idle.Wait()
+	for _, sh := range s.shards {
+		sh.drain()
 	}
 }
 
-// Close stops the workers after cancelling all queued entries and waits for
-// in-flight fetches to finish delivering.
+// Close stops every shard's worker pool after cancelling all queued
+// entries and waits for in-flight fetches to finish delivering. Idempotent.
 func (s *Scheduler) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
+	for _, sh := range s.shards {
+		sh.close()
 	}
-	s.closed = true
-	for _, sq := range s.sessions {
-		s.cancelQueuedLocked(sq)
-	}
-	s.work.Broadcast()
-	s.idle.Broadcast() // cancelling zeroed Pending: wake concurrent Drains
-	s.mu.Unlock()
-	s.wg.Wait()
-	// Workers are gone; wait out the detached delivery goroutines too.
-	s.mu.Lock()
-	for s.delivering > 0 {
-		s.idle.Wait()
-	}
-	s.mu.Unlock()
-}
-
-// Stats snapshots the scheduler counters. The snapshot is internally
-// consistent: every field is read under one hold of the scheduler lock.
-func (s *Scheduler) Stats() Stats {
-	st, _, _ := s.statsDetail()
-	return st
-}
-
-// statsDetail is Stats plus the raw queue-latency accumulators, so the
-// sharded aggregator can compute an exactly-weighted deployment-wide mean
-// instead of averaging per-shard averages.
-func (s *Scheduler) statsDetail() (Stats, time.Duration, int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.stats
-	st.Shards = 1
-	st.Inflight = len(s.inflight)
-	st.Sessions = len(s.sessions)
-	st.Pressure = s.pressureLocked()
-	st.QueueDepths = make(map[string]int, len(s.sessions))
-	st.SessionPressures = make(map[string]float64, len(s.sessions))
-	active := s.active
-	for id, sq := range s.sessions {
-		st.QueueDepths[id] = sq.queued
-		st.SessionPressures[id] = s.sessionPressureLocked(id, active)
-	}
-	if s.measured > 0 {
-		st.AvgQueueLatency = s.queueLatency / time.Duration(s.measured)
-	}
-	if s.cfg.Utility != nil {
-		st.UtilityCurve = s.cfg.Utility.Curve()
-		st.UtilityObservations = s.cfg.Utility.Observations()
-	}
-	return st, s.queueLatency, s.measured
-}
-
-// addQueuedLocked adjusts a session's live-entry count, maintaining the
-// scheduler's count of sessions with queued work (the fair-share N) on
-// 0<->1 transitions so SessionPressure never scans the session table on
-// the request hot path.
-func (s *Scheduler) addQueuedLocked(sq *sessionQueue, delta int) {
-	before := sq.queued
-	sq.queued += delta
-	switch {
-	case before == 0 && sq.queued > 0:
-		s.active++
-	case before > 0 && sq.queued == 0:
-		s.active--
-	}
-}
-
-// cancelQueuedLocked marks all of sq's queued entries cancelled. It wakes
-// Drain waiters: cancellation may have emptied the queue for good (e.g. a
-// Submit whose whole batch is dropped or piggybacked enqueues nothing).
-func (s *Scheduler) cancelQueuedLocked(sq *sessionQueue) {
-	cancelled := false
-	for _, e := range sq.pending {
-		if e.state == stateQueued {
-			e.state = stateDone
-			s.detachLocked(e)
-			s.stats.Cancelled++
-			s.stats.Pending--
-			cancelled = true
-		}
-	}
-	sq.pending = sq.pending[:0]
-	s.addQueuedLocked(sq, -sq.queued)
-	if cancelled {
-		s.idle.Broadcast()
-	}
-}
-
-// detachLocked removes a no-longer-queued entry from the coordinate index.
-func (s *Scheduler) detachLocked(e *entry) {
-	if set, ok := s.byCoord[e.req.Coord]; ok {
-		delete(set, e)
-		if len(set) == 0 {
-			delete(s.byCoord, e.req.Coord)
-		}
-	}
-}
-
-// popNextLocked picks the next entry to fetch: sessions with pending work
-// are visited round-robin, and within a session the highest-scored entry
-// wins. Returns nil when nothing is queued.
-func (s *Scheduler) popNextLocked() *entry {
-	for len(s.rr) > 0 {
-		if s.rrPos >= len(s.rr) {
-			s.rrPos = 0
-		}
-		id := s.rr[s.rrPos]
-		sq := s.sessions[id]
-		var e *entry
-		for sq != nil && sq.pending.Len() > 0 {
-			top := heap.Pop(&sq.pending).(*entry)
-			if top.state != stateQueued {
-				continue // lazily discarded (cancelled or coalesced)
-			}
-			e = top
-			break
-		}
-		if e == nil {
-			// Session has no live work: drop it from the rotation.
-			if sq != nil {
-				sq.inRing = false
-			}
-			s.rr = append(s.rr[:s.rrPos], s.rr[s.rrPos+1:]...)
-			continue
-		}
-		s.rrPos++
-		e.state = stateDone
-		s.addQueuedLocked(sq, -1)
-		s.detachLocked(e)
-		return e
-	}
-	return nil
-}
-
-// worker is one pool goroutine: it pops entries fairly, coalesces
-// duplicates, and issues at most one DBMS fetch at a time.
-func (s *Scheduler) worker() {
-	defer s.wg.Done()
-	for {
-		s.mu.Lock()
-		var e *entry
-		for {
-			e = s.popNextLocked()
-			if e != nil || s.closed {
-				break
-			}
-			s.work.Wait()
-		}
-		if e == nil { // closed and drained
-			s.mu.Unlock()
-			return
-		}
-		now := s.cfg.clock()
-		s.accountLatencyLocked(e, now)
-		s.stats.Pending--
-		coord := e.req.Coord
-		if fl, ok := s.inflight[coord]; ok {
-			// Another worker is already fetching this tile: piggyback.
-			fl.waiters = append(fl.waiters, waiter{session: e.session, req: e.req})
-			s.stats.Coalesced++
-			s.mu.Unlock()
-			continue
-		}
-		fl := &flight{waiters: []waiter{{session: e.session, req: e.req}}}
-		// Absorb queued duplicates from every session: one DBMS round trip
-		// serves them all.
-		for dup := range s.byCoord[coord] {
-			dup.state = stateDone
-			s.addQueuedLocked(s.sessions[dup.session], -1)
-			fl.waiters = append(fl.waiters, waiter{session: dup.session, req: dup.req})
-			s.accountLatencyLocked(dup, now)
-			s.stats.Coalesced++
-			s.stats.Pending--
-		}
-		delete(s.byCoord, coord)
-		s.inflight[coord] = fl
-		s.mu.Unlock()
-
-		// The fetch timer reuses the queue-wait timestamp taken above, so
-		// instrumentation costs one clock read per fetch, not two. The
-		// duplicate-absorption map work between the two points is charged
-		// to the fetch; it is nanoseconds against a DBMS round trip.
-		t, err := s.store.FetchQuiet(coord)
-		if s.cfg.Obs != nil {
-			s.cfg.Obs.ObserveBackendFetch(s.cfg.clock().Sub(now))
-		}
-
-		s.mu.Lock()
-		delete(s.inflight, coord)
-		// Late arrivals may have piggybacked while we fetched; deliver to
-		// the final waiter set.
-		waiters := fl.waiters
-		if err != nil {
-			s.stats.Errors += len(waiters)
-			s.idle.Broadcast()
-			s.mu.Unlock()
-			continue
-		}
-		s.stats.Completed += len(waiters)
-		s.delivering++
-		s.mu.Unlock()
-		// Deliver off the worker: a Deliver callback may block on a busy
-		// engine's lock, and stalling the shared pool on one session would
-		// be cross-session head-of-line blocking.
-		go func() {
-			for _, w := range waiters {
-				if w.req.Deliver != nil {
-					w.req.Deliver(t)
-				}
-			}
-			// Push dispatch runs after the cache deliveries (the stream
-			// frame must never beat its own cache insert) and before
-			// delivering is released, so Drain returning guarantees every
-			// completed fetch's frame has been enqueued.
-			pushed := 0
-			if sink := s.cfg.Push; sink != nil {
-				for _, w := range waiters {
-					if sink.Push(w.session, w.req.Model, coord, w.req.Score, t) {
-						pushed++
-					}
-				}
-			}
-			s.mu.Lock()
-			s.stats.Pushed += pushed
-			s.delivering--
-			s.idle.Broadcast()
-			s.mu.Unlock()
-		}()
-	}
-}
-
-// accountLatencyLocked records how long e sat queued. The queue-wait
-// histogram rides the same already-computed timestamp, so observability
-// adds no clock read here.
-func (s *Scheduler) accountLatencyLocked(e *entry, now time.Time) {
-	wait := now.Sub(e.enqueued)
-	s.queueLatency += wait
-	s.measured++
-	s.cfg.Obs.ObserveQueueWait(wait)
 }

@@ -12,7 +12,7 @@ import (
 // sessionsOnDistinctShards returns two session ids the sharded scheduler
 // routes to different shards (they exist for any n >= 2: the ring is
 // balanced enough that 64 candidate ids never all land on one shard).
-func sessionsOnDistinctShards(t *testing.T, ss *ShardedScheduler) (string, string) {
+func sessionsOnDistinctShards(t *testing.T, ss *Scheduler) (string, string) {
 	t.Helper()
 	first := ""
 	for i := 0; i < 64; i++ {
@@ -37,7 +37,7 @@ func TestCrossShardSingleFlight(t *testing.T) {
 	store := newFakeStore()
 	store.gate = make(chan struct{})
 	store.started = make(chan tile.Coord, 16)
-	ss := NewShardedScheduler(store, Config{Workers: 4}, 4)
+	ss := NewScheduler(store, Config{Shards: 4, Workers: 4})
 	defer ss.Close()
 	s1, s2 := sessionsOnDistinctShards(t, ss)
 
@@ -87,7 +87,7 @@ func TestCrossShardSingleFlight(t *testing.T) {
 func TestShardedRoutingDisjoint(t *testing.T) {
 	store := newFakeStore()
 	store.gate = make(chan struct{}) // hold fetches so queues stay visible
-	ss := NewShardedScheduler(store, Config{Workers: 4, QueuePerSession: 8}, 4)
+	ss := NewScheduler(store, Config{Shards: 4, Workers: 4, QueuePerSession: 8})
 	// Release the gate before Close: Close waits for workers, and workers
 	// wait on the gate — deferred in this order, gate opens first.
 	defer ss.Close()
@@ -129,7 +129,7 @@ func TestShardedRoutingDisjoint(t *testing.T) {
 // and repeated snapshots stay monotone on the counter fields.
 func TestShardedStatsAggregation(t *testing.T) {
 	store := newFakeStore()
-	ss := NewShardedScheduler(store, Config{Workers: 8, QueuePerSession: 64}, 3)
+	ss := NewScheduler(store, Config{Shards: 3, Workers: 8, QueuePerSession: 64})
 	defer ss.Close()
 
 	const sessions, batch = 48, 5
@@ -185,7 +185,7 @@ func TestShardedStatsAggregation(t *testing.T) {
 // silently multiply its fetch concurrency or admission budget.
 func TestShardedBudgetDivision(t *testing.T) {
 	store := newFakeStore()
-	ss := NewShardedScheduler(store, Config{Workers: 8, GlobalQueue: 100}, 4)
+	ss := NewScheduler(store, Config{Shards: 4, Workers: 8, GlobalQueue: 100})
 	defer ss.Close()
 	for _, sh := range ss.shards {
 		if sh.cfg.Workers != 2 {
@@ -196,7 +196,7 @@ func TestShardedBudgetDivision(t *testing.T) {
 		}
 	}
 	// Ceiling division never starves a shard of its last worker.
-	ss2 := NewShardedScheduler(store, Config{Workers: 2}, 4)
+	ss2 := NewScheduler(store, Config{Shards: 4, Workers: 2})
 	defer ss2.Close()
 	for _, sh := range ss2.shards {
 		if sh.cfg.Workers != 1 {
@@ -209,7 +209,7 @@ func TestShardedBudgetDivision(t *testing.T) {
 // to call twice; Submit after Close accepts nothing.
 func TestShardedCloseIdempotent(t *testing.T) {
 	store := newFakeStore()
-	ss := NewShardedScheduler(store, Config{Workers: 4}, 2)
+	ss := NewScheduler(store, Config{Shards: 2, Workers: 4})
 	ss.Submit("u", []Request{{Coord: tile.Coord{Level: 1}, Score: 1}})
 	ss.Close()
 	ss.Close()

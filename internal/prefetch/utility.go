@@ -108,7 +108,7 @@ func (h *shedHeap) Pop() any {
 // buildShedHeapLocked snapshots every live queued entry with its decayed
 // utility at now. Within each session, entries are ranked by score (the
 // dispatch order) to assign the position-decay exponent.
-func (s *Scheduler) buildShedHeapLocked(now time.Time) *shedHeap {
+func (s *Shard) buildShedHeapLocked(now time.Time) *shedHeap {
 	h := make(shedHeap, 0, s.stats.Pending)
 	for _, sq := range s.sessions {
 		live := make([]*entry, 0, sq.queued)
@@ -140,7 +140,7 @@ func (s *Scheduler) buildShedHeapLocked(now time.Time) *shedHeap {
 // shedLowestBelowLocked evicts the lowest-utility queued entry if its
 // utility is strictly below u, reporting whether a slot was freed. Keeping
 // the incumbent on ties avoids churn when nothing has actually decayed.
-func (s *Scheduler) shedLowestBelowLocked(h *shedHeap, u float64) bool {
+func (s *Shard) shedLowestBelowLocked(h *shedHeap, u float64) bool {
 	for h.Len() > 0 {
 		if (*h)[0].e.state != stateQueued { // already popped or superseded
 			heap.Pop(h)

@@ -10,7 +10,6 @@ import (
 	"forecache/internal/cache"
 	"forecache/internal/core"
 	"forecache/internal/obs"
-	"forecache/internal/prefetch"
 )
 
 // This file implements the dependency-free Prometheus text-format
@@ -206,29 +205,27 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		pw.family("forecache_prefetch_session_queue_depth", "Live queued entries per session.", "gauge", depthSamples...)
 		pw.family("forecache_prefetch_session_pressure", "Per-session fair-share backpressure in [0,1]; FairShare engines shrink on it.", "gauge", pressureSamples...)
 
-		// A sharded pipeline additionally exposes per-shard series: the
-		// deployment totals above are the sums of these within one scrape
-		// (both come from the same kind of per-shard snapshots).
-		if sharded, ok := s.sched.(interface{ ShardStats() []prefetch.Stats }); ok {
-			per := sharded.ShardStats()
-			pw.counter("forecache_prefetch_cross_shard_coalesced_total",
-				"Worker fetches that joined another shard's in-flight DBMS fetch (deployment-wide single-flight).", float64(st.CrossShardCoalesced))
-			queuedS := make([]sample, len(per))
-			completedS := make([]sample, len(per))
-			pendingS := make([]sample, len(per))
-			pressureS := make([]sample, len(per))
-			for i, shst := range per {
-				l := labels(map[string]string{"shard": strconv.Itoa(i)})
-				queuedS[i] = sample{labels: l, value: float64(shst.Queued)}
-				completedS[i] = sample{labels: l, value: float64(shst.Completed)}
-				pendingS[i] = sample{labels: l, value: float64(shst.Pending)}
-				pressureS[i] = sample{labels: l, value: shst.Pressure}
-			}
-			pw.family("forecache_prefetch_shard_queued_total", "Prefetch entries accepted per scheduler shard.", "counter", queuedS...)
-			pw.family("forecache_prefetch_shard_completed_total", "Entries fetched and delivered per scheduler shard.", "counter", completedS...)
-			pw.family("forecache_prefetch_shard_pending", "Entries queued right now per scheduler shard.", "gauge", pendingS...)
-			pw.family("forecache_prefetch_shard_pressure", "Queue saturation per scheduler shard in [0,1].", "gauge", pressureS...)
+		// Per-shard series: the deployment totals above are the sums of
+		// these within one scrape (both come from the same kind of per-shard
+		// snapshots). A one-shard deployment renders one shard="0" series.
+		per := s.sched.ShardStats()
+		pw.counter("forecache_prefetch_cross_shard_coalesced_total",
+			"Worker fetches that joined another shard's in-flight DBMS fetch (deployment-wide single-flight).", float64(st.CrossShardCoalesced))
+		queuedS := make([]sample, len(per))
+		completedS := make([]sample, len(per))
+		pendingS := make([]sample, len(per))
+		pressureS := make([]sample, len(per))
+		for i, shst := range per {
+			l := labels(map[string]string{"shard": strconv.Itoa(i)})
+			queuedS[i] = sample{labels: l, value: float64(shst.Queued)}
+			completedS[i] = sample{labels: l, value: float64(shst.Completed)}
+			pendingS[i] = sample{labels: l, value: float64(shst.Pending)}
+			pressureS[i] = sample{labels: l, value: shst.Pressure}
 		}
+		pw.family("forecache_prefetch_shard_queued_total", "Prefetch entries accepted per scheduler shard.", "counter", queuedS...)
+		pw.family("forecache_prefetch_shard_completed_total", "Entries fetched and delivered per scheduler shard.", "counter", completedS...)
+		pw.family("forecache_prefetch_shard_pending", "Entries queued right now per scheduler shard.", "gauge", pendingS...)
+		pw.family("forecache_prefetch_shard_pressure", "Queue saturation per scheduler shard in [0,1].", "gauge", pressureS...)
 
 		if st.UtilityCurve != nil {
 			curveSamples := make([]sample, len(st.UtilityCurve))

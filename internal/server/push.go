@@ -91,11 +91,14 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		case <-hb.C:
+			// Count, then publish: a client holding the frame must never
+			// read a counter that excludes it (a failed write leaves the
+			// counter one ahead, which is the harmless direction).
+			s.push.CountHeartbeat()
 			if !write(push.Frame{Type: push.FrameHeartbeat, Session: id}) {
 				s.push.Release(st)
 				return
 			}
-			s.push.CountHeartbeat()
 		case <-st.Done():
 			// Superseded, evicted, or registry closed: the closer already
 			// removed the registry entry; just end the response. Never block

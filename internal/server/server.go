@@ -90,11 +90,10 @@ func WithSessionTTL(ttl time.Duration) Option {
 	return func(s *Server) { s.ttl = ttl }
 }
 
-// WithScheduler attaches the deployment's shared prefetch pipeline — the
-// single-lock *prefetch.Scheduler or the consistent-hash
-// *prefetch.ShardedScheduler: its stats appear under /stats, evicted
-// sessions' queued fetches are cancelled, and Close shuts it down.
-func WithScheduler(sched prefetch.Pipeline) Option {
+// WithScheduler attaches the deployment's shared prefetch pipeline: its
+// stats appear under /stats, evicted sessions' queued fetches are
+// cancelled, and Close shuts it down.
+func WithScheduler(sched *prefetch.Scheduler) Option {
 	return func(s *Server) { s.sched = sched }
 }
 
@@ -188,7 +187,7 @@ type Server struct {
 	meta        Meta
 	factory     EngineFactory
 	mux         *http.ServeMux
-	sched       prefetch.Pipeline
+	sched       *prefetch.Scheduler
 	alloc       *core.AdaptivePolicy
 	persist     *persist.Store
 	push        *push.Registry     // nil => pull-only deployment
@@ -512,7 +511,7 @@ func (s *Server) Evicted() int {
 
 // Scheduler returns the attached shared prefetch pipeline (nil when the
 // deployment prefetches inline).
-func (s *Server) Scheduler() prefetch.Pipeline { return s.sched }
+func (s *Server) Scheduler() *prefetch.Scheduler { return s.sched }
 
 func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.meta)

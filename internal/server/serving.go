@@ -12,34 +12,37 @@ import (
 	"forecache/internal/tile"
 )
 
-// Tile response serving: with an encoded-payload cache attached
-// (WithEncodedTiles) the /tile handler negotiates the wire format from the
-// request headers and answers with memoized bytes — the tile is encoded at
-// most once per (format, compression) for its cache lifetime, and the
-// response write is a single copy from the cached payload. Without the
-// cache the legacy json.Encoder path runs unchanged.
+// Tile response serving: every /tile body is the tile's canonical encoding
+// (Tile.EncodeJSON, or tile.EncodeBinary when negotiated) written in one
+// Write with its Content-Length. With an encoded-payload cache attached
+// (WithEncodedTiles) the handler additionally negotiates the wire format
+// from the request headers and answers with memoized bytes — the tile is
+// encoded at most once per (format, compression) for its cache lifetime.
 
-// writeTile answers a /tile request with t's payload in the negotiated
-// format. The plain-JSON rendering (no Accept header, no gzip) is
-// byte-identical to the legacy writeJSON path, cached or not.
+// writeTile answers a /tile request with t's payload. Without the encoded
+// cache that is the plain JSON body, encoded per request; with it, the
+// memoized body in the negotiated format, whose plain-JSON rendering (no
+// Accept header, no gzip) is byte-identical to the uncached one.
 func (s *Server) writeTile(w http.ResponseWriter, r *http.Request, c tile.Coord, t *tile.Tile) {
+	h := w.Header()
+	format, gz := tile.FormatJSON, false
+	var payload []byte
+	var err error
 	if s.encoded == nil {
-		writeJSON(w, http.StatusOK, t)
-		return
+		payload, err = t.EncodeJSON()
+	} else {
+		if acceptsTileBinary(r.Header.Get("Accept")) {
+			format = tile.FormatBinary
+		}
+		gz = acceptsGzip(r.Header.Get("Accept-Encoding"))
+		payload, err = s.encodedBody(c, t, format, gz)
+		h.Add("Vary", "Accept")
+		h.Add("Vary", "Accept-Encoding")
 	}
-	format := tile.FormatJSON
-	if acceptsTileBinary(r.Header.Get("Accept")) {
-		format = tile.FormatBinary
-	}
-	gz := acceptsGzip(r.Header.Get("Accept-Encoding"))
-	payload, err := s.encodedBody(c, t, format, gz)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
-	h := w.Header()
-	h.Add("Vary", "Accept")
-	h.Add("Vary", "Accept-Encoding")
 	if format == tile.FormatBinary {
 		h.Set("Content-Type", tile.BinaryContentType)
 	} else {

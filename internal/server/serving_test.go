@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -47,21 +48,40 @@ func getTileRaw(t *testing.T, ts *httptest.Server, session string, headers map[s
 }
 
 // TestEncodedTilesDefaultBodyMatchesLegacy: with no Accept header and no
-// compression, the encoded-cache serving path must produce the exact bytes
-// of the legacy json.Encoder path — replay suites diff bodies.
+// compression, both serving paths — uncached and encoded-cache — must
+// produce the exact bytes json.Encoder has always written for a tile
+// (rendered here as the independent reference) — replay suites diff bodies.
 func TestEncodedTilesDefaultBodyMatchesLegacy(t *testing.T) {
-	_, legacy := testServer(t)
+	root, err := testPyramid(t).Tile(tile.Coord{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(root); err != nil {
+		t.Fatal(err)
+	}
+	_, uncached := testServer(t)
 	_, encoded := testServer(t, WithEncodedTiles(tile.NewEncodedCache(0, nil)))
-	lr, lbody := getTileRaw(t, legacy, "l1", nil)
+	ur, ubody := getTileRaw(t, uncached, "l1", nil)
 	er, ebody := getTileRaw(t, encoded, "e1", nil)
-	if !bytes.Equal(lbody, ebody) {
-		t.Fatalf("cached body differs from legacy body:\nlegacy:  %q\nencoded: %q", lbody, ebody)
+	if !bytes.Equal(ubody, want.Bytes()) {
+		t.Fatalf("uncached body differs from the json.Encoder rendering:\nwant: %q\ngot:  %q", want.Bytes(), ubody)
 	}
-	if lct, ect := lr.Header.Get("Content-Type"), er.Header.Get("Content-Type"); lct != ect {
-		t.Fatalf("content type drifted: legacy %q, encoded %q", lct, ect)
+	if !bytes.Equal(ebody, want.Bytes()) {
+		t.Fatalf("cached body differs from the json.Encoder rendering:\nwant: %q\ngot:  %q", want.Bytes(), ebody)
 	}
-	if enc := er.Header.Get("Content-Encoding"); enc != "" {
-		t.Fatalf("unsolicited Content-Encoding %q", enc)
+	for name, resp := range map[string]*http.Response{"uncached": ur, "encoded": er} {
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s content type = %q, want application/json", name, ct)
+		}
+		if enc := resp.Header.Get("Content-Encoding"); enc != "" {
+			t.Errorf("%s: unsolicited Content-Encoding %q", name, enc)
+		}
+	}
+	// The transport asks for gzip on its own and inflates the encoded
+	// server's answer, so only the uncached response still carries a length.
+	if ur.ContentLength != int64(want.Len()) {
+		t.Errorf("uncached Content-Length = %d, want %d (one Write, no chunking)", ur.ContentLength, want.Len())
 	}
 }
 

@@ -18,11 +18,11 @@ import (
 
 // shardedTestServer wires the full sharded deployment shape: an N-shard
 // session tier over an N-shard prefetch pipeline sharing one DBMS.
-func shardedTestServer(t *testing.T, shards int, opts ...Option) (*Server, *prefetch.ShardedScheduler) {
+func shardedTestServer(t *testing.T, shards int, opts ...Option) (*Server, *prefetch.Scheduler) {
 	t.Helper()
 	pyr := testPyramid(t)
 	db := backend.NewDBMS(pyr, backend.DefaultLatency(), nil)
-	sched := prefetch.NewShardedScheduler(db, prefetch.Config{Workers: 4, QueuePerSession: 8}, shards)
+	sched := prefetch.NewScheduler(db, prefetch.Config{Shards: shards, Workers: 4, QueuePerSession: 8})
 	factory := func(session string) (*core.Engine, error) {
 		m := recommend.NewMomentum()
 		return core.NewEngine(db, nil, core.SinglePolicy{Model: m.Name()},
@@ -228,48 +228,57 @@ func TestCrossShardAggregationUnderChurn(t *testing.T) {
 	wg.Wait()
 }
 
-// TestShardedSchedulerSeriesExported: a sharded pipeline's per-shard
-// scheduler families appear (with shard labels), pass the strict
-// validator, and their queued/completed sums match the deployment totals
-// once the pipeline is drained and quiescent.
-func TestShardedSchedulerSeriesExported(t *testing.T) {
-	srv, sched := shardedTestServer(t, 3, WithMetrics())
-	for i := 0; i < 9; i++ {
-		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, httptest.NewRequest("GET",
-			fmt.Sprintf("/tile?level=0&y=0&x=0&session=series-%d", i), nil))
-		if rec.Code != 200 {
-			t.Fatalf("tile %d: %d", i, rec.Code)
-		}
-	}
-	sched.Drain()
+// TestSchedulerShardSeriesExported: for every shard count — one included —
+// the per-shard scheduler families appear (with shard labels), pass the
+// strict validator, and their queued/completed sums match the deployment
+// totals once the pipeline is drained and quiescent.
+func TestSchedulerShardSeriesExported(t *testing.T) {
+	for _, shards := range []int{1, 2, 3, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			srv, sched := shardedTestServer(t, shards, WithMetrics())
+			for i := 0; i < 9; i++ {
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, httptest.NewRequest("GET",
+					fmt.Sprintf("/tile?level=0&y=0&x=0&session=series-%d", i), nil))
+				if rec.Code != 200 {
+					t.Fatalf("tile %d: %d", i, rec.Code)
+				}
+			}
+			sched.Drain()
 
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	values := validatePromText(t, rec.Body.String())
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+			values := validatePromText(t, rec.Body.String())
 
-	var queued, completed float64
-	shardsSeen := 0
-	for i := 0; i < 3; i++ {
-		q, ok := values[fmt.Sprintf(`forecache_prefetch_shard_queued_total{shard="%d"}`, i)]
-		if !ok {
-			t.Fatalf("missing shard %d queued series", i)
-		}
-		queued += q
-		completed += values[fmt.Sprintf(`forecache_prefetch_shard_completed_total{shard="%d"}`, i)]
-		shardsSeen++
-	}
-	if shardsSeen != 3 {
-		t.Fatalf("per-shard scheduler series for %d shards, want 3", shardsSeen)
-	}
-	if queued != values["forecache_prefetch_queued_total"] {
-		t.Errorf("per-shard queued sums to %v, total %v", queued, values["forecache_prefetch_queued_total"])
-	}
-	if completed != values["forecache_prefetch_completed_total"] {
-		t.Errorf("per-shard completed sums to %v, total %v", completed, values["forecache_prefetch_completed_total"])
-	}
-	if _, ok := values["forecache_prefetch_cross_shard_coalesced_total"]; !ok {
-		t.Error("missing forecache_prefetch_cross_shard_coalesced_total")
+			var queued, completed float64
+			for i := 0; i < shards; i++ {
+				q, ok := values[fmt.Sprintf(`forecache_prefetch_shard_queued_total{shard="%d"}`, i)]
+				if !ok {
+					t.Fatalf("missing shard %d queued series", i)
+				}
+				queued += q
+				completed += values[fmt.Sprintf(`forecache_prefetch_shard_completed_total{shard="%d"}`, i)]
+			}
+			if _, extra := values[fmt.Sprintf(`forecache_prefetch_shard_queued_total{shard="%d"}`, shards)]; extra {
+				t.Errorf("per-shard scheduler series beyond shard %d", shards-1)
+			}
+			if queued == 0 || queued != values["forecache_prefetch_queued_total"] {
+				t.Errorf("per-shard queued sums to %v, total %v", queued, values["forecache_prefetch_queued_total"])
+			}
+			if completed != values["forecache_prefetch_completed_total"] {
+				t.Errorf("per-shard completed sums to %v, total %v", completed, values["forecache_prefetch_completed_total"])
+			}
+			joined, ok := values["forecache_prefetch_cross_shard_coalesced_total"]
+			if !ok {
+				t.Error("missing forecache_prefetch_cross_shard_coalesced_total")
+			}
+			if shards == 1 && joined != 0 {
+				t.Errorf("one shard reports %v cross-shard joins, want 0", joined)
+			}
+			if st := getStats(t, srv, ""); st.Scheduler == nil || st.Scheduler.Shards != shards {
+				t.Errorf("/stats scheduler = %+v, want Shards %d", st.Scheduler, shards)
+			}
+		})
 	}
 }
 
@@ -305,7 +314,7 @@ func TestShardedObsTracing(t *testing.T) {
 	pyr := testPyramid(t)
 	db := backend.NewDBMS(pyr, backend.DefaultLatency(), nil)
 	pipe := obs.NewPipeline(obs.Config{TraceCapacity: 16})
-	sched := prefetch.NewShardedScheduler(db, prefetch.Config{Workers: 4, Obs: pipe}, 4)
+	sched := prefetch.NewScheduler(db, prefetch.Config{Shards: 4, Workers: 4, Obs: pipe})
 	factory := func(session string) (*core.Engine, error) {
 		m := recommend.NewMomentum()
 		return core.NewEngine(db, nil, core.SinglePolicy{Model: m.Name()},

@@ -157,24 +157,6 @@ func (ec *EncodedCache) Get(c Coord, format Format, gzipped bool, encode func() 
 	return payload, err
 }
 
-// Invalidate drops every cached encoding of the tile at c (all formats and
-// compression variants). It exists for future in-place tile refreshes — a
-// fidelity-ladder upgrade re-encodes on the next request.
-func (ec *EncodedCache) Invalidate(c Coord) {
-	ec.mu.Lock()
-	defer ec.mu.Unlock()
-	for _, format := range []Format{FormatJSON, FormatBinary} {
-		for _, gz := range []bool{false, true} {
-			if el, ok := ec.idx[encKey{coord: c, format: format, gzip: gz}]; ok {
-				victim := el.Value.(*encEntry)
-				ec.lru.Remove(el)
-				delete(ec.idx, victim.key)
-				ec.bytes -= entryBytes(victim.payload)
-			}
-		}
-	}
-}
-
 // Stats snapshots the cache counters.
 func (ec *EncodedCache) Stats() EncodedCacheStats {
 	ec.mu.Lock()

@@ -148,27 +148,6 @@ func TestEncodedCacheOversizeEntryStays(t *testing.T) {
 	}
 }
 
-func TestEncodedCacheInvalidate(t *testing.T) {
-	ec := NewEncodedCache(1<<20, nil)
-	c := Coord{Level: 1, Y: 1, X: 0}
-	for _, gz := range []bool{false, true} {
-		for _, f := range []Format{FormatJSON, FormatBinary} {
-			if _, err := ec.Get(c, f, gz, func() ([]byte, error) { return []byte("v1"), nil }); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	ec.Invalidate(c)
-	st := ec.Stats()
-	if st.Entries != 0 || st.Bytes != 0 {
-		t.Errorf("stats after invalidate = %+v, want empty", st)
-	}
-	got, err := ec.Get(c, FormatJSON, false, func() ([]byte, error) { return []byte("v2"), nil })
-	if err != nil || !bytes.Equal(got, []byte("v2")) {
-		t.Errorf("Get after invalidate = %q, %v", got, err)
-	}
-}
-
 func TestEncodedCacheOnEncodeHook(t *testing.T) {
 	var calls atomic.Int64
 	ec := NewEncodedCache(1<<20, func(d time.Duration) {

@@ -119,11 +119,11 @@ func TestPushDeliveryAcceptance(t *testing.T) {
 	}
 }
 
-// enqueued counts the frames ever placed on any stream's channel: pushes
-// and backfills that were not dropped for a full buffer.
+// enqueued counts the frames ever placed on any stream's channel. Pushed
+// is exactly that: it includes backfills (an attach that races the first
+// request replays its prefetches) and excludes drops for a full buffer.
 func enqueued(srv *Server) int {
-	rs := srv.Push().Stats()
-	return rs.Pushed + rs.Backfilled - rs.Dropped
+	return srv.Push().Stats().Pushed
 }
 
 // waitStreamed blocks until the client has received every frame the
