@@ -16,7 +16,7 @@ import (
 const allocFloor = 0.1
 
 func hybridPriorShare(phase, model string) float64 {
-	// HybridPolicy at k=5: Sensemaking all to SB; other phases 4/5 AB, 1/5 SB.
+	// The §5.4.3 table at k=5: Sensemaking all to SB; other phases 4/5 AB, 1/5 SB.
 	if phase == "Sensemaking" {
 		if model == "sb:sift" {
 			return 1

@@ -159,7 +159,7 @@ func BenchmarkAblationAllocationPolicies(b *testing.B) {
 	h := benchHarness(b, 3)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := h.EvalHybridLOO(eval.HybridSpec{Name: "orig", UseOriginalPolicy: true}, []int{5}); err != nil {
+		if _, err := h.EvalHybridLOO(eval.HybridSpec{Name: "orig", OriginalTable: true}, []int{5}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -171,7 +171,7 @@ func addServeFlags(fs *flag.FlagSet) *serveFlags {
 	fs.IntVar(&c.K, "k", 5, "prefetch budget in tiles")
 	fs.BoolVar(&c.AsyncPrefetch, "async", true, "prefetch through the shared asynchronous scheduler, with its feedback loops on: adaptive K under backpressure, scoped per session by fair share, and the learned position-utility curve")
 	fs.BoolVar(&c.Push, "push", false, "continuous push delivery: stream completed prefetches to attached sessions over GET /stream and price scheduler admission by per-session drain rate (requires -async)")
-	fs.IntVar(&c.Shards, "shards", 1, "independent serving-tier shards behind a consistent-hash router keyed on session id (session tables, sweeps and scheduler queues go per-shard; single-flight and learned state stay deployment-wide)")
+	fs.IntVar(&c.Shards, "shards", 1, "independent serving-tier shards behind a hash router keyed on session id (session tables, sweeps and scheduler queues go per-shard; single-flight and learned state stay deployment-wide)")
 	fs.IntVar(&c.PrefetchWorkers, "prefetch-workers", 4, "scheduler worker pool size (concurrent DBMS fetches)")
 	fs.IntVar(&c.GlobalQueueBudget, "global-queue", 1024, "queued prefetch entries across all sessions; lowest-utility entries are shed at saturation (negative = unlimited)")
 	fs.DurationVar(&c.DecayHalfLife, "decay-half-life", 2*time.Second, "queue age at which a pending prefetch entry's utility halves (negative disables)")

@@ -1,14 +1,17 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
+	"io/fs"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -126,6 +129,44 @@ func TestKnobBudget(t *testing.T) {
 	fs.VisitAll(func(*flag.Flag) { n++ })
 	if n > maxFlags {
 		t.Errorf("serve registers %d flags of its own, budget is %d", n, maxFlags)
+	}
+}
+
+// TestLineBudget fails when the code grows back: non-test Go outside
+// benchmark/ is a tracked number (ROADMAP aim 2) that should go down, so a
+// change that needs more lines deletes as many elsewhere (or raises the
+// budget here, deliberately, in the same change). Counted the way CHANGES
+// counts it: find . -name '*.go' -not -name '*_test.go' -not -path
+// './benchmark/*' | xargs cat | wc -l.
+func TestLineBudget(t *testing.T) {
+	const maxLines = 17201
+	const root = "../.."
+	lines := 0
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == filepath.Join(root, "benchmark") || (path != root && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		lines += bytes.Count(data, []byte("\n"))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines > maxLines {
+		t.Errorf("non-test Go outside benchmark/ is %d lines, budget is %d", lines, maxLines)
 	}
 }
 

@@ -75,12 +75,14 @@
 //     dependency-free Prometheus text under GET /metrics. At fleet scale
 //     the serving tier shards: MiddlewareConfig.Shards (serve -shards)
 //     splits the session table, TTL/LRU sweep and scheduler queues into
-//     N independent shards behind a consistent-hash router keyed on
-//     session id (internal/shard), each shard behind its own lock with
+//     N independent shards behind a hash router keyed on
+//     session id (internal/shard: mix(FNV-1a(id)) % N — the shard count
+//     is fixed for a process's life), each shard behind its own lock with
 //     its own worker pool, while single-flight fetch deduplication and
 //     all learned state stay deployment-wide and /stats + /metrics
-//     aggregate per-shard snapshots into exact, monotone totals (with
-//     per-shard series like forecache_shard_sessions{shard="0"});
+//     aggregate per-shard snapshots into exact totals that stay monotone
+//     across session eviction and POST /reset (with per-shard series
+//     like forecache_shard_sessions{shard="0"});
 //     Shards=1, the default, is the same prefetch.Scheduler with one
 //     shard, bit-for-bit the unsharded deployment;
 //   - push-based continuous delivery (internal/push): with
@@ -139,8 +141,15 @@
 //     fsync + rename), a damaged or version-skewed section cold-starts
 //     only its own family, and snapshot health rides /stats and
 //     /metrics (forecache_snapshot_age_seconds and friends);
-//   - a user-study simulator (internal/study) and the experiment harness
-//     reproducing every table and figure of the paper (internal/eval).
+//   - a user-study simulator (internal/study), which writes each request's
+//     ground-truth analysis phase into its traces (the classifier's
+//     training labels), and the experiment harness reproducing every table
+//     and figure of the paper (internal/eval). The harness assembles every
+//     multi-model engine through the same registry path deployments use;
+//     it owns what only the comparisons need — the trace-trained Hotspot
+//     baseline of Doshi et al. and the two allocation ablations (a custom
+//     AB-first split, the §4.4 original table), expressed as prior-column
+//     overrides on the AB spec rather than as policy types.
 //
 // Quickstart:
 //

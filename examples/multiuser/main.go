@@ -37,7 +37,7 @@ func main() {
 		K:                  5,
 		AsyncPrefetch:      true, // submit-and-return prefetching
 		Push:               true, // stream completed prefetches to attached sessions (GET /stream)
-		Shards:             2,    // independent serving-tier shards (consistent-hash on session id)
+		Shards:             2,    // independent serving-tier shards (hashed on session id)
 		PrefetchWorkers:    4,    // concurrent DBMS fetch budget, divided across shards
 		GlobalQueueBudget:  globalQueueBudget,
 		DecayHalfLife:      2 * time.Second,  // stale queued predictions lose utility
@@ -121,7 +121,7 @@ func main() {
 	for _, r := range results {
 		fmt.Println(r)
 	}
-	// With Shards > 1 each analyst's session lives on its consistent-hash
+	// With Shards > 1 each analyst's session lives on its hashed
 	// home shard (own lock, own sweep, own scheduler queue); telemetry
 	// still aggregates deployment-wide.
 	fmt.Printf("server tracked %d isolated sessions across %d shards\n", srv.Sessions(), srv.NumShards())

@@ -52,7 +52,7 @@ type (
 	// Server is the HTTP middleware front door.
 	Server = server.Server
 	// Scheduler is the shared asynchronous prefetch pipeline:
-	// MiddlewareConfig.Shards queue shards behind a consistent-hash router.
+	// MiddlewareConfig.Shards queue shards behind a hash router.
 	Scheduler = prefetch.Scheduler
 	// PrefetchStats snapshots scheduler activity (queued, coalesced,
 	// cancelled, completed, queue latency, ...).
@@ -188,7 +188,7 @@ type MiddlewareConfig struct {
 	// construction fails otherwise. Only NewServer honors this.
 	Push bool
 	// Shards splits the serving tier into N independent shards behind a
-	// consistent-hash router keyed on session id: the server's session
+	// hash router keyed on session id: the server's session
 	// table, TTL/LRU sweep and retired-stats baseline become per-shard
 	// (one mutex each), and with AsyncPrefetch the scheduler fans out into
 	// per-shard worker pools and queues — while cross-session single-flight

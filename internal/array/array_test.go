@@ -267,32 +267,6 @@ func TestProject(t *testing.T) {
 	}
 }
 
-func TestAttrStats(t *testing.T) {
-	a := mkArray(t, "A", 2, 2, func(r, c int) float64 { return float64(r*2 + c) }) // 0,1,2,3
-	s, err := a.AttrStats("v")
-	if err != nil {
-		t.Fatalf("AttrStats: %v", err)
-	}
-	if s.Count != 4 || s.Mean != 1.5 || s.Min != 0 || s.Max != 3 {
-		t.Errorf("stats = %+v", s)
-	}
-	wantStd := math.Sqrt(1.25)
-	if math.Abs(s.Stddev-wantStd) > 1e-12 {
-		t.Errorf("stddev = %v, want %v", s.Stddev, wantStd)
-	}
-}
-
-func TestAttrStatsEmpty(t *testing.T) {
-	a := New(Schema{Name: "A", Attrs: []string{"v"}, Dims: [2]Dim{{"r", 2}, {"c", 2}}})
-	s, err := a.AttrStats("v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Count != 0 || !math.IsNaN(s.Mean) {
-		t.Errorf("empty stats = %+v", s)
-	}
-}
-
 func TestDatabaseStoreGetRemove(t *testing.T) {
 	db := NewDatabase()
 	a := mkArray(t, "A", 2, 2, func(r, c int) float64 { return 1 })

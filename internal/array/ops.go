@@ -254,47 +254,3 @@ func (a *Array) Project(attrs ...string) (*Array, error) {
 	}
 	return out, nil
 }
-
-// Stats summarizes one attribute: count of non-empty cells, mean, standard
-// deviation, minimum and maximum. It underlies the Normal tile signature.
-type Stats struct {
-	Count    int
-	Mean     float64
-	Stddev   float64
-	Min, Max float64
-}
-
-// AttrStats computes Stats for the named attribute.
-func (a *Array) AttrStats(attr string) (Stats, error) {
-	src, err := a.AttrData(attr)
-	if err != nil {
-		return Stats{}, err
-	}
-	var s Stats
-	s.Min, s.Max = math.Inf(1), math.Inf(-1)
-	var sum, sq float64
-	for _, v := range src {
-		if math.IsNaN(v) {
-			continue
-		}
-		s.Count++
-		sum += v
-		sq += v * v
-		if v < s.Min {
-			s.Min = v
-		}
-		if v > s.Max {
-			s.Max = v
-		}
-	}
-	if s.Count == 0 {
-		return Stats{Min: math.NaN(), Max: math.NaN(), Mean: math.NaN(), Stddev: math.NaN()}, nil
-	}
-	s.Mean = sum / float64(s.Count)
-	variance := sq/float64(s.Count) - s.Mean*s.Mean
-	if variance < 0 {
-		variance = 0
-	}
-	s.Stddev = math.Sqrt(variance)
-	return s, nil
-}

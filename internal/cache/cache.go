@@ -41,6 +41,14 @@ type Stats struct {
 	Evicted    int
 }
 
+// Add folds o into s.
+func (s *Stats) Add(o Stats) {
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.Prefetched += o.Prefetched
+	s.Evicted += o.Evicted
+}
+
 // HitRate returns Hits / (Hits + Misses), or 0 before any lookups.
 func (s Stats) HitRate() float64 {
 	total := s.Hits + s.Misses
@@ -131,7 +139,11 @@ type Manager struct {
 	obs *obs.Pipeline
 	now func() time.Time
 
-	stats Stats
+	// stats counts since construction and only ever grows; statsBase is
+	// its value at the last ResetStats, so the resettable view is the
+	// difference and a reset can never roll the lifetime view backwards.
+	stats     Stats
+	statsBase Stats
 }
 
 // NewManager returns a cache whose LRU region retains the last recentCap
@@ -498,18 +510,31 @@ func (m *Manager) InsertRecent(t *tile.Tile) {
 	}
 }
 
-// Stats returns a snapshot of the counters.
+// Stats returns a snapshot of the counters since the last ResetStats.
 func (m *Manager) Stats() Stats {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return Stats{
+		Hits:       m.stats.Hits - m.statsBase.Hits,
+		Misses:     m.stats.Misses - m.statsBase.Misses,
+		Prefetched: m.stats.Prefetched - m.statsBase.Prefetched,
+		Evicted:    m.stats.Evicted - m.statsBase.Evicted,
+	}
+}
+
+// LifetimeStats returns the counters since construction, which ResetStats
+// does not clear: the monotone view behind the *_total series on /metrics.
+func (m *Manager) LifetimeStats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.stats
 }
 
-// ResetStats zeroes the counters (e.g. between experiment phases).
+// ResetStats zeroes the Stats view (e.g. between experiment phases).
 func (m *Manager) ResetStats() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.stats = Stats{}
+	m.statsBase = m.stats
 }
 
 // Clear empties every region and the LRU (a new session), keeping the

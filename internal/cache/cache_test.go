@@ -155,6 +155,10 @@ func TestResetStats(t *testing.T) {
 	if st := m.Stats(); st.Misses != 0 {
 		t.Errorf("stats after reset = %+v", st)
 	}
+	m.Lookup(tile.Coord{Level: 1})
+	if st, life := m.Stats(), m.LifetimeStats(); st.Misses != 1 || life.Misses != 2 {
+		t.Errorf("after reset + one miss: stats %+v, lifetime %+v, want 1 and 2 misses", st, life)
+	}
 }
 
 func TestMemBytes(t *testing.T) {

@@ -15,7 +15,7 @@ import (
 // largest-remainder rounding). Results recorded in BENCH_alloc.json.
 
 func BenchmarkAllocationsStatic(b *testing.B) {
-	p := NewHybridPolicy("markov3", "sb:sift")
+	p := hybridPolicy(b, "markov3", "sb:sift")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p.Allocations(trace.Navigation, 5)
@@ -24,7 +24,7 @@ func BenchmarkAllocationsStatic(b *testing.B) {
 
 func BenchmarkAllocationsAdaptiveCold(b *testing.B) {
 	fc := prefetch.NewFeedbackCollector(5)
-	base := NewHybridPolicy("markov3", "sb:sift")
+	base := hybridPolicy(b, "markov3", "sb:sift")
 	p, err := NewAdaptivePolicy(base, []string{"markov3", "sb:sift"}, fc, AdaptiveConfig{})
 	if err != nil {
 		b.Fatal(err)
@@ -41,7 +41,7 @@ func BenchmarkAllocationsAdaptiveCold(b *testing.B) {
 // exact-sum rounding).
 func BenchmarkAllocationsAdaptiveWarmed(b *testing.B) {
 	fc := prefetch.NewFeedbackCollector(5)
-	base := NewHybridPolicy("markov3", "sb:sift")
+	base := hybridPolicy(b, "markov3", "sb:sift")
 	p, err := NewAdaptivePolicy(base, []string{"markov3", "sb:sift"}, fc, AdaptiveConfig{})
 	if err != nil {
 		b.Fatal(err)
@@ -61,7 +61,7 @@ func BenchmarkAllocationsAdaptiveWarmed(b *testing.B) {
 // hysteresis step (and the Observe that feeds it) on every reallocation.
 func BenchmarkAllocationsAdaptiveStepping(b *testing.B) {
 	fc := prefetch.NewFeedbackCollector(5)
-	base := NewHybridPolicy("markov3", "sb:sift")
+	base := hybridPolicy(b, "markov3", "sb:sift")
 	p, err := NewAdaptivePolicy(base, []string{"markov3", "sb:sift"}, fc, AdaptiveConfig{})
 	if err != nil {
 		b.Fatal(err)

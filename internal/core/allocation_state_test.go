@@ -18,7 +18,7 @@ func trainedAdaptive(t *testing.T) *AdaptivePolicy {
 	r.set(trace.Foraging, "sb", 0.1, 1000)
 	r.set(trace.Navigation, "ab", 0.2, 1000)
 	r.set(trace.Navigation, "sb", 0.8, 1000)
-	p := mustAdaptive(t, NewHybridPolicy("ab", "sb"), []string{"ab", "sb"}, r, AdaptiveConfig{Floor: 0.1, MaxStep: 0.5})
+	p := mustAdaptive(t, hybridPolicy(t, "ab", "sb"), []string{"ab", "sb"}, r, AdaptiveConfig{Floor: 0.1, MaxStep: 0.5})
 	for i := 0; i < 8; i++ {
 		p.Allocations(trace.Foraging, 8)
 		p.Allocations(trace.Navigation, 8)
@@ -33,7 +33,7 @@ func TestAllocationStateRoundTripBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	q := mustAdaptive(t, NewHybridPolicy("ab", "sb"), []string{"ab", "sb"}, newFakeRater(), AdaptiveConfig{Floor: 0.1, MaxStep: 0.5})
+	q := mustAdaptive(t, hybridPolicy(t, "ab", "sb"), []string{"ab", "sb"}, newFakeRater(), AdaptiveConfig{Floor: 0.1, MaxStep: 0.5})
 	if err := q.ImportState(first); err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +57,11 @@ func TestAllocationImportRejectsModelSetMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	renamed := mustAdaptive(t, NewHybridPolicy("ab", "sb"), []string{"ab", "hotspot"}, newFakeRater(), AdaptiveConfig{})
+	renamed := mustAdaptive(t, hybridPolicy(t, "ab", "sb"), []string{"ab", "hotspot"}, newFakeRater(), AdaptiveConfig{})
 	if err := renamed.ImportState(raw); err == nil {
 		t.Error("snapshot with model {ab, sb} imported into policy with {ab, hotspot}")
 	}
-	grown := mustAdaptive(t, NewHybridPolicy("ab", "sb"), []string{"ab", "sb", "hotspot"}, newFakeRater(), AdaptiveConfig{})
+	grown := mustAdaptive(t, hybridPolicy(t, "ab", "sb"), []string{"ab", "sb", "hotspot"}, newFakeRater(), AdaptiveConfig{})
 	if err := grown.ImportState(raw); err == nil {
 		t.Error("two-model snapshot imported into three-model policy")
 	}

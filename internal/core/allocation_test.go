@@ -52,7 +52,7 @@ func mustAdaptive(t testing.TB, base AllocationPolicy, models []string, fb Alloc
 }
 
 func TestNewAdaptivePolicyValidation(t *testing.T) {
-	base := NewHybridPolicy("ab", "sb")
+	base := hybridPolicy(t, "ab", "sb")
 	if _, err := NewAdaptivePolicy(nil, []string{"ab"}, nil, AdaptiveConfig{}); err == nil {
 		t.Error("nil base should fail")
 	}
@@ -63,7 +63,7 @@ func TestNewAdaptivePolicyValidation(t *testing.T) {
 		t.Error("duplicate models should fail")
 	}
 	p := mustAdaptive(t, base, []string{"ab", "sb"}, nil, AdaptiveConfig{})
-	if p.Name() != "adaptive(hybrid)" {
+	if p.Name() != "adaptive(registry)" {
 		t.Errorf("Name = %q", p.Name())
 	}
 }
@@ -71,7 +71,7 @@ func TestNewAdaptivePolicyValidation(t *testing.T) {
 // TestAdaptiveWarmupFallsBackToBase: with a cold rater (or none at all)
 // every allocation is exactly the base policy's, for every phase and k.
 func TestAdaptiveWarmupFallsBackToBase(t *testing.T) {
-	base := NewHybridPolicy("ab", "sb")
+	base := hybridPolicy(t, "ab", "sb")
 	cold := newFakeRater()
 	cold.set(trace.Navigation, "ab", 0.9, 29) // one short of Warmup=30
 	cold.set(trace.Navigation, "sb", 0.1, 29)
@@ -104,7 +104,7 @@ func TestAdaptiveWarmupFallsBackToBase(t *testing.T) {
 // own bucket; phase-wide evidence must unblock reallocation anyway, and the
 // floor must then hand the starved model its exploration share.
 func TestAdaptivePhaseTotalWarmsStarvedModel(t *testing.T) {
-	base := NewHybridPolicy("ab", "sb")
+	base := hybridPolicy(t, "ab", "sb")
 	r := newFakeRater()
 	r.set(trace.Sensemaking, "sb", 0.8, 60) // 2 models x Warmup(30) in total
 	r.set(trace.Sensemaking, "ab", 0, 0)
@@ -126,7 +126,7 @@ func TestAdaptivePhaseTotalWarmsStarvedModel(t *testing.T) {
 // losing model's target never drops below the floor (and with a floor
 // above 1/len(models), the floor clamps to an equal split).
 func TestAdaptiveFloorClamping(t *testing.T) {
-	base := NewHybridPolicy("ab", "sb")
+	base := hybridPolicy(t, "ab", "sb")
 	r := newFakeRater()
 	r.set(trace.Navigation, "ab", 1.0, 100)
 	r.set(trace.Navigation, "sb", 0.0, 100)
@@ -155,7 +155,7 @@ func TestAdaptiveFloorClamping(t *testing.T) {
 // evidence) converge monotonically — and calls WITHOUT new evidence do not
 // move shares at all, so call rate alone never drives drift.
 func TestAdaptiveHysteresisBounds(t *testing.T) {
-	base := NewHybridPolicy("ab", "sb")
+	base := hybridPolicy(t, "ab", "sb")
 	r := newFakeRater()
 	r.set(trace.Navigation, "ab", 0.0, 100) // prior 0.8 -> target floor 0.1
 	r.set(trace.Navigation, "sb", 1.0, 100)
@@ -189,7 +189,7 @@ func TestAdaptiveHysteresisBounds(t *testing.T) {
 // respect MaxStep, the vector must stay normalized without distortion, and
 // no model may dip below the floor on its way to a target at or above it.
 func TestAdaptiveThreeModelStepInvariants(t *testing.T) {
-	base := OriginalPolicy{ABName: "a", SBName: "b"} // model c: prior share 0
+	base := hybridPolicy(t, "a", "b") // model c: prior share 0
 	r := newFakeRater()
 	r.set(trace.Navigation, "a", 0.05, 100)
 	r.set(trace.Navigation, "b", 0.9, 100)
@@ -275,7 +275,7 @@ func TestAdaptiveRoundingSumsToK(t *testing.T) {
 // TestAdaptiveEdgeBudgets: k=0 allocates nothing, k=1 routes the whole
 // budget to the higher-share model.
 func TestAdaptiveEdgeBudgets(t *testing.T) {
-	base := NewHybridPolicy("ab", "sb")
+	base := hybridPolicy(t, "ab", "sb")
 	r := newFakeRater()
 	r.set(trace.Navigation, "ab", 0.1, 100)
 	r.set(trace.Navigation, "sb", 0.9, 100)
@@ -312,24 +312,27 @@ func TestAdaptiveDeterministicRoundingTies(t *testing.T) {
 func TestEngineWithAdaptiveAllocation(t *testing.T) {
 	db := testDBMS(t)
 	mom := recommend.NewMomentum()
-	hot := recommend.NewTraceHotspot(zoomTraces(4), 4, 1)
-	base := OriginalPolicy{ABName: mom.Name(), SBName: hot.Name()}
-	r := newFakeRater()
-	p := mustAdaptive(t, base, []string{mom.Name(), hot.Name()}, r, AdaptiveConfig{Floor: 0.1, MaxStep: 1})
-	eng, err := NewEngine(db, nil, SinglePolicy{Model: mom.Name()},
-		[]recommend.Model{mom, hot}, Config{K: 4}, WithAdaptiveAllocation(p))
+	ab, err := recommend.NewAB(3, zoomTraces(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.Policy() != AllocationPolicy(p) {
+	base := hybridPolicy(t, mom.Name(), ab.Name())
+	r := newFakeRater()
+	p := mustAdaptive(t, base, []string{mom.Name(), ab.Name()}, r, AdaptiveConfig{Floor: 0.1, MaxStep: 1})
+	eng, err := NewEngine(db, nil, SinglePolicy{Model: mom.Name()},
+		[]recommend.Model{mom, ab}, Config{K: 4}, WithAdaptiveAllocation(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng.policy != AllocationPolicy(p) {
 		t.Fatal("option did not install the adaptive policy")
 	}
 	// A policy referencing models the engine lacks must fail validation
 	// even when it arrives via the option.
-	ghost := mustAdaptive(t, OriginalPolicy{ABName: "ghost", SBName: hot.Name()},
-		[]string{"ghost", hot.Name()}, nil, AdaptiveConfig{})
+	ghost := mustAdaptive(t, hybridPolicy(t, "ghost", ab.Name()),
+		[]string{"ghost", ab.Name()}, nil, AdaptiveConfig{})
 	if _, err := NewEngine(db, nil, SinglePolicy{Model: mom.Name()},
-		[]recommend.Model{mom, hot}, Config{K: 4}, WithAdaptiveAllocation(ghost)); err == nil {
+		[]recommend.Model{mom, ab}, Config{K: 4}, WithAdaptiveAllocation(ghost)); err == nil {
 		t.Error("unknown model via WithAdaptiveAllocation should fail")
 	}
 	if _, err := eng.Request(tile.Coord{}); err != nil {
@@ -347,7 +350,7 @@ func TestEngineWithAdaptiveAllocation(t *testing.T) {
 // scrapes (modeled on the PR 2 stress suite).
 func TestAdaptiveAllocationConcurrent(t *testing.T) {
 	fc := prefetch.NewFeedbackCollector(5)
-	base := NewHybridPolicy("ab", "sb")
+	base := hybridPolicy(t, "ab", "sb")
 	p := mustAdaptive(t, base, []string{"ab", "sb"}, fc, AdaptiveConfig{Floor: 0.1, MaxStep: 0.02})
 	phases := []trace.Phase{trace.Foraging, trace.Navigation, trace.Sensemaking}
 	models := []string{"ab", "sb"}

@@ -12,45 +12,6 @@ import (
 	"forecache/internal/trace"
 )
 
-func TestHybridPolicyAllocations(t *testing.T) {
-	p := NewHybridPolicy("markov3", "sb:sift")
-	if p.Name() != "hybrid" {
-		t.Errorf("Name = %s", p.Name())
-	}
-	// Sensemaking: everything to SB (paper §5.4.3).
-	a := p.Allocations(trace.Sensemaking, 5)
-	if a["sb:sift"] != 5 || a["markov3"] != 0 {
-		t.Errorf("sensemaking allocations = %v", a)
-	}
-	// Other phases: first 4 to AB, remainder to SB.
-	a = p.Allocations(trace.Navigation, 6)
-	if a["markov3"] != 4 || a["sb:sift"] != 2 {
-		t.Errorf("navigation allocations = %v", a)
-	}
-	// k < 4: all to AB.
-	a = p.Allocations(trace.Foraging, 3)
-	if a["markov3"] != 3 {
-		t.Errorf("small-k allocations = %v", a)
-	}
-	if len(p.Allocations(trace.Foraging, 0)) != 0 {
-		t.Error("k=0 should allocate nothing")
-	}
-}
-
-func TestOriginalPolicyAllocations(t *testing.T) {
-	p := OriginalPolicy{ABName: "ab", SBName: "sb"}
-	if a := p.Allocations(trace.Navigation, 4); a["ab"] != 4 {
-		t.Errorf("navigation = %v", a)
-	}
-	if a := p.Allocations(trace.Sensemaking, 4); a["sb"] != 4 {
-		t.Errorf("sensemaking = %v", a)
-	}
-	a := p.Allocations(trace.Foraging, 5)
-	if a["ab"] != 3 || a["sb"] != 2 {
-		t.Errorf("foraging = %v", a)
-	}
-}
-
 func TestSinglePolicy(t *testing.T) {
 	p := SinglePolicy{Model: "momentum"}
 	if a := p.Allocations(trace.Sensemaking, 7); a["momentum"] != 7 {
@@ -236,12 +197,19 @@ func TestEngineWithClassifierAndHybrid(t *testing.T) {
 	db := testDBMS(t)
 	levels := db.Pyramid().NumLevels()
 
-	// Train a tiny classifier on rule-labeled synthetic requests.
+	// Train a tiny classifier on rule-labeled synthetic requests: the
+	// root is Foraging, pans at the deepest level Sensemaking, the rest
+	// Navigation.
 	var reqs []trace.Request
 	for l := 0; l < levels; l++ {
 		for _, mv := range trace.AllMoves() {
-			r := trace.Request{Coord: tile.Coord{Level: l, Y: 0, X: 0}, Move: mv}
-			r.Phase = phase.Label(r, phase.LabelerConfig{Levels: levels})
+			r := trace.Request{Coord: tile.Coord{Level: l, Y: 0, X: 0}, Move: mv, Phase: trace.Navigation}
+			switch {
+			case l == 0:
+				r.Phase = trace.Foraging
+			case l == levels-1 && mv.IsPan():
+				r.Phase = trace.Sensemaking
+			}
 			reqs = append(reqs, r)
 		}
 	}
@@ -254,7 +222,7 @@ func TestEngineWithClassifierAndHybrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	mom := recommend.NewMomentum()
-	eng, err := NewEngine(db, cls, HybridPolicy{ABName: ab.Name(), SBName: mom.Name(), ABFirst: 4},
+	eng, err := NewEngine(db, cls, hybridPolicy(t, ab.Name(), mom.Name()),
 		[]recommend.Model{ab, mom}, Config{K: 6})
 	if err != nil {
 		t.Fatal(err)

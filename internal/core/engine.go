@@ -365,13 +365,16 @@ func (e *Engine) deliver(model string, epoch uint64, pos int, ph trace.Phase, t 
 // Config returns the engine's configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// Policy returns the engine's allocation policy.
-func (e *Engine) Policy() AllocationPolicy { return e.policy }
-
 // CacheStats snapshots the cache counters (hit rate = prediction accuracy,
 // paper §5.2.2).
 func (e *Engine) CacheStats() cache.Stats {
 	return e.cache.Stats()
+}
+
+// LifetimeCacheStats is CacheStats without Reset's zeroing: the counters
+// since the engine was built, for series that must never decrease.
+func (e *Engine) LifetimeCacheStats() cache.Stats {
+	return e.cache.LifetimeStats()
 }
 
 // Reset starts a fresh session: history, cache contents, model state and

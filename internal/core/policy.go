@@ -19,75 +19,6 @@ type AllocationPolicy interface {
 	Name() string
 }
 
-// HybridPolicy is the final tuned strategy of §5.4.3: in Sensemaking all k
-// slots go to the Signature-Based model; in every other phase the first
-// min(k, ABFirst) slots go to the Actions-Based model and the remainder to
-// the Signature-Based model. The paper uses ABFirst = 4.
-type HybridPolicy struct {
-	ABName  string
-	SBName  string
-	ABFirst int
-}
-
-// NewHybridPolicy returns the paper's final policy over the two model
-// names (e.g. "markov3" and "sb:sift").
-func NewHybridPolicy(abName, sbName string) HybridPolicy {
-	return HybridPolicy{ABName: abName, SBName: sbName, ABFirst: 4}
-}
-
-// Name identifies the policy.
-func (p HybridPolicy) Name() string { return "hybrid" }
-
-// Allocations implements the §5.4.3 split.
-func (p HybridPolicy) Allocations(ph trace.Phase, k int) map[string]int {
-	if k <= 0 {
-		return map[string]int{}
-	}
-	if ph == trace.Sensemaking {
-		return map[string]int{p.SBName: k}
-	}
-	ab := p.ABFirst
-	if k < ab {
-		ab = k
-	}
-	out := map[string]int{p.ABName: ab}
-	if rest := k - ab; rest > 0 {
-		out[p.SBName] = rest
-	}
-	return out
-}
-
-// OriginalPolicy is the pre-tuning strategy of §4.4, kept for the ablation
-// bench: Navigation gives everything to AB, Sensemaking everything to SB,
-// and Foraging splits the space equally.
-type OriginalPolicy struct {
-	ABName string
-	SBName string
-}
-
-// Name identifies the policy.
-func (p OriginalPolicy) Name() string { return "original" }
-
-// Allocations implements the §4.4 per-phase table.
-func (p OriginalPolicy) Allocations(ph trace.Phase, k int) map[string]int {
-	if k <= 0 {
-		return map[string]int{}
-	}
-	switch ph {
-	case trace.Navigation:
-		return map[string]int{p.ABName: k}
-	case trace.Sensemaking:
-		return map[string]int{p.SBName: k}
-	default: // Foraging (and unknown): equal split, AB gets the odd slot.
-		half := k / 2
-		out := map[string]int{p.ABName: k - half}
-		if half > 0 {
-			out[p.SBName] = half
-		}
-		return out
-	}
-}
-
 // RegistryPolicy is the allocation policy a recommender registry's prior
 // columns compose to: for each phase the registered models' claims are
 // resolved in registry order, every claim clamped to the budget still

@@ -9,10 +9,10 @@ import (
 	"forecache/internal/trace"
 )
 
-// twoWayColumns / threeWayColumns are the default registry prior tables,
-// as a policy input.
-func specColumns(t *testing.T, hotspot bool) []recommend.PriorColumn {
-	t.Helper()
+// specColumns is the default registry prior table (two-way, or three-way
+// with the hotspot column), as a policy input.
+func specColumns(tb testing.TB, hotspot bool) []recommend.PriorColumn {
+	tb.Helper()
 	var hs *recommend.HotspotConfig
 	if hotspot {
 		hs = &recommend.HotspotConfig{}
@@ -25,25 +25,50 @@ func specColumns(t *testing.T, hotspot bool) []recommend.PriorColumn {
 	return cols
 }
 
-// TestRegistryPolicyMatchesHybrid: the two-model registry table must
-// reproduce the paper's §5.4.3 HybridPolicy exactly, for every phase and
-// budget — the refactor may not change what deployments allocate.
+// hybridPolicy is the §5.4.3 table over two model names, built the way
+// deployments build it: the default registry's AB column (first four slots
+// outside Sensemaking) for ab and its remainder column for sb.
+func hybridPolicy(tb testing.TB, ab, sb string) *RegistryPolicy {
+	tb.Helper()
+	cols := specColumns(tb, false)
+	cols[0].Model, cols[1].Model = ab, sb
+	p, err := NewRegistryPolicy(cols)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
+// TestRegistryPolicyMatchesHybrid: the two-model registry table — the only
+// static allocation table deployments have — must reproduce the paper's
+// §5.4.3 rule, written out here independently, for every phase and budget:
+// Sensemaking gives all k slots to SB; every other phase gives the first
+// min(k, 4) to AB and the remainder to SB.
 func TestRegistryPolicyMatchesHybrid(t *testing.T) {
 	rp, err := NewRegistryPolicy(specColumns(t, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hybrid := NewHybridPolicy("markov3", "sb:sift")
 	for _, ph := range append(trace.AllPhases(), trace.PhaseUnknown) {
 		for k := 0; k <= 9; k++ {
+			want := map[string]int{}
+			ab := min(k, 4)
+			if ph == trace.Sensemaking {
+				ab = 0
+			}
+			if ab > 0 {
+				want["markov3"] = ab
+			}
+			if k > ab {
+				want["sb:sift"] = k - ab
+			}
 			got := rp.Allocations(ph, k)
-			want := hybrid.Allocations(ph, k)
 			if len(got) != len(want) {
-				t.Fatalf("phase %v k=%d: registry %v, hybrid %v", ph, k, got, want)
+				t.Fatalf("phase %v k=%d: registry %v, §5.4.3 %v", ph, k, got, want)
 			}
 			for m, n := range want {
 				if got[m] != n {
-					t.Fatalf("phase %v k=%d: registry %v, hybrid %v", ph, k, got, want)
+					t.Fatalf("phase %v k=%d: registry %v, §5.4.3 %v", ph, k, got, want)
 				}
 			}
 		}
@@ -144,7 +169,7 @@ func TestAdaptiveConfigValidate(t *testing.T) {
 		}
 	}
 	// NewAdaptivePolicy rejects the same values.
-	base := NewHybridPolicy("ab", "sb")
+	base := hybridPolicy(t, "ab", "sb")
 	if _, err := NewAdaptivePolicy(base, []string{"ab", "sb"}, nil, AdaptiveConfig{Floor: -1}); err == nil ||
 		!strings.Contains(err.Error(), "floor") {
 		t.Errorf("NewAdaptivePolicy with bad floor: %v", err)
@@ -160,7 +185,7 @@ func TestAdaptiveConfigValidate(t *testing.T) {
 func TestAdaptiveShiftThenRecover(t *testing.T) {
 	fc := prefetch.NewFeedbackCollector(5)
 	fc.SetAllocationHalfLife(60)
-	base := OriginalPolicy{ABName: "a", SBName: "b"}
+	base := hybridPolicy(t, "a", "b")
 	p, err := NewAdaptivePolicy(base, []string{"a", "b"}, fc, AdaptiveConfig{
 		Floor: 0.1, Warmup: 10, MaxStep: 0.05,
 	})

@@ -8,7 +8,6 @@ import (
 	"forecache/internal/core"
 	"forecache/internal/phase"
 	"forecache/internal/recommend"
-	"forecache/internal/sig"
 	"forecache/internal/trace"
 )
 
@@ -66,34 +65,11 @@ func (h *Harness) RegistryEngineSetup(specs []recommend.Spec) EngineSetup {
 	}
 }
 
-// HybridEngineSetup builds the paper's full engine: AB + SB models from
-// the registry, the trained phase classifier, and the §5.4.3 allocation
-// policy. Spec overrides (a custom ABFirst split, the pre-tuning original
-// policy) swap the policy while the model set stays registry-built.
+// HybridEngineSetup builds the paper's full engine — AB + SB models, the
+// trained phase classifier and the spec's allocation table — through the
+// registry path, like every other multi-model engine.
 func (h *Harness) HybridEngineSetup(spec HybridSpec) EngineSetup {
-	order := spec.ABOrder
-	if order <= 0 {
-		order = 3
-	}
-	sigs := spec.SBSigs
-	if len(sigs) == 0 {
-		sigs = []string{sig.NameSIFT}
-	}
-	registry := h.RegistryEngineSetup(recommend.DefaultSpecs(order, sigs, nil))
-	return func(train []*trace.Trace) ([]recommend.Model, core.AllocationPolicy, *phase.Classifier, error) {
-		models, policy, cls, err := registry(train)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		abName, sbName := models[0].Name(), models[1].Name()
-		if spec.ABFirst > 0 {
-			policy = core.HybridPolicy{ABName: abName, SBName: sbName, ABFirst: max(spec.ABFirst, 1)}
-		}
-		if spec.UseOriginalPolicy {
-			policy = core.OriginalPolicy{ABName: abName, SBName: sbName}
-		}
-		return models, policy, cls, nil
-	}
+	return h.RegistryEngineSetup(spec.specs())
 }
 
 // RunEngineLOO replays the held-out traces through a real middleware
@@ -154,10 +130,3 @@ func (h *Harness) RunEngineLOO(name string, setup EngineSetup, ks []int, lm back
 // reserves the remaining cache space for the last n requested tiles; we
 // use the history window size.
 func (h *Harness) RecentTiles() int { return h.HistoryLen }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

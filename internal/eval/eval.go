@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"forecache/internal/backend"
+	"forecache/internal/core"
 	"forecache/internal/phase"
 	"forecache/internal/recommend"
 	"forecache/internal/sig"
@@ -147,7 +148,7 @@ func MomentumFactory() ModelFactory {
 // HotspotFactory builds the trace-trained hotspot baseline with n hotspots.
 func HotspotFactory(n, radius int) ModelFactory {
 	return func(train []*trace.Trace) (recommend.Model, error) {
-		return recommend.NewTraceHotspot(train, n, radius), nil
+		return newTraceHotspot(train, n, radius), nil
 	}
 }
 
@@ -254,88 +255,110 @@ type HybridSpec struct {
 	SBSigs []string
 	// ABFirst is how many slots AB fills before SB (paper: 4).
 	ABFirst int
-	// UseOriginalPolicy switches to the pre-tuning §4.4 allocation
+	// OriginalTable switches to the pre-tuning §4.4 allocation
 	// strategy (ablation).
-	UseOriginalPolicy bool
+	OriginalTable bool
 	// OraclePhases uses ground-truth phase labels instead of the trained
 	// classifier (ablation isolating classifier error).
 	OraclePhases bool
 }
 
+// specs is the registry composition the spec describes: the default AB +
+// SB pair, with AB's prior column overridden for the two allocation
+// ablations (SB keeps the remainder column, so it still owns Sensemaking).
+func (spec HybridSpec) specs() []recommend.Spec {
+	order := spec.ABOrder
+	if order <= 0 {
+		order = 3
+	}
+	sigs := spec.SBSigs
+	if len(sigs) == 0 {
+		sigs = []string{sig.NameSIFT}
+	}
+	specs := recommend.DefaultSpecs(order, sigs, nil)
+	switch {
+	case spec.OriginalTable:
+		// §4.4: Navigation all AB, Sensemaking all SB, Foraging an equal
+		// split with the odd slot to AB.
+		specs[0].Prior = func(ph trace.Phase, k int) int {
+			switch ph {
+			case trace.Navigation:
+				return k
+			case trace.Sensemaking:
+				return 0
+			default:
+				return k - k/2
+			}
+		}
+	case spec.ABFirst > 0:
+		// §5.4.3 with a custom split: the first min(k, ABFirst) slots.
+		first := spec.ABFirst
+		specs[0].Prior = func(ph trace.Phase, k int) int {
+			if ph == trace.Sensemaking {
+				return 0
+			}
+			return first
+		}
+	}
+	return specs
+}
+
 // EvalHybridLOO measures the full two-level prediction engine: per fold it
 // trains the phase classifier and the AB chain on 17 users and replays the
-// held-out user's traces, combining AB and SB rankings per the allocation
-// policy (§5.4.3).
+// held-out user's traces, combining the models' rankings per the spec's
+// allocation table (§5.4.3).
 func (h *Harness) EvalHybridLOO(spec HybridSpec, ks []int) (*Table, error) {
 	h.withDefaults()
 	if spec.Name == "" {
 		spec.Name = "hybrid"
 	}
-	if spec.ABOrder <= 0 {
-		spec.ABOrder = 3
-	}
-	if spec.ABFirst <= 0 {
-		spec.ABFirst = 4
-	}
-	if len(spec.SBSigs) == 0 {
-		spec.SBSigs = []string{sig.NameSIFT}
-	}
+	setup := h.HybridEngineSetup(spec)
 	table := NewTable()
 	for _, fold := range h.folds() {
-		ab, err := recommend.NewAB(spec.ABOrder, fold.train)
+		models, policy, cls, err := setup(fold.train)
 		if err != nil {
 			return nil, err
 		}
-		sb := recommend.NewSB(h.Pyr, recommend.WithSignatures(spec.SBSigs...))
-		var cls *phase.Classifier
-		if !spec.OraclePhases {
-			cls, err = phase.Train(h.sampleRequests(fold.train), phase.TrainConfig{})
-			if err != nil {
-				return nil, fmt.Errorf("eval: phase classifier: %w", err)
-			}
+		if spec.OraclePhases {
+			cls = nil
 		}
 		for _, tr := range fold.test {
-			h.stepHybrid(spec, ab, sb, cls, tr, ks, table)
+			h.stepHybrid(spec.Name, models, policy, cls, tr, ks, table)
 		}
 	}
 	return table, nil
 }
 
-func (h *Harness) stepHybrid(spec HybridSpec, ab, sb recommend.Model, cls *phase.Classifier, tr *trace.Trace, ks []int, table *Table) {
-	ab.Reset()
-	sb.Reset()
+func (h *Harness) stepHybrid(name string, models []recommend.Model, policy core.AllocationPolicy, cls *phase.Classifier, tr *trace.Trace, ks []int, table *Table) {
+	for _, m := range models {
+		m.Reset()
+	}
 	hist := trace.NewHistory(h.HistoryLen)
+	ranks := make([][]recommend.Ranked, len(models))
 	for i := 0; i+1 < len(tr.Requests); i++ {
 		r, next := tr.Requests[i], tr.Requests[i+1]
 		hist.Push(r)
-		ab.Observe(r)
-		sb.Observe(r)
+		for _, m := range models {
+			m.Observe(r)
+		}
 		ph := r.Phase
 		if cls != nil {
 			ph = cls.Predict(r)
 		}
 		cands := recommend.Candidates(h.Pyr, r.Coord, h.D)
-		abRank := ab.Predict(r, cands, hist)
-		sbRank := sb.Predict(r, cands, hist)
+		for j, m := range models {
+			ranks[j] = m.Predict(r, cands, hist)
+		}
 		for _, k := range ks {
-			var abK, sbK int
-			if ph == trace.Sensemaking {
-				sbK = k
-			} else if spec.UseOriginalPolicy && ph == trace.Navigation {
-				abK = k
-			} else if spec.UseOriginalPolicy { // Foraging under §4.4
-				sbK = k / 2
-				abK = k - sbK
-			} else { // §5.4.3 hybrid
-				abK = spec.ABFirst
-				if k < abK {
-					abK = k
+			alloc := policy.Allocations(ph, k)
+			hit := false
+			for j, m := range models {
+				if recommend.Contains(ranks[j], alloc[m.Name()], next.Coord) {
+					hit = true
+					break
 				}
-				sbK = k - abK
 			}
-			hit := recommend.Contains(abRank, abK, next.Coord) ||
-				recommend.Contains(sbRank, sbK, next.Coord)
-			table.Add(spec.Name, k, next.Phase, hit)
+			table.Add(name, k, next.Phase, hit)
 		}
 	}
 }

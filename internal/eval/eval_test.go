@@ -2,6 +2,7 @@ package eval
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -354,5 +355,64 @@ func BenchmarkEvalMomentumLOO(b *testing.B) {
 		if _, err := h.EvalModelLOO("momentum", MomentumFactory(), []int{5}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestHybridSpecPolicies pins the allocation tables HybridEngineSetup
+// builds against the paper's rules written out independently: §5.4.3 (the
+// first min(k, ABFirst) slots to AB outside Sensemaking, SB the rest and
+// all of Sensemaking) for the default and every ABFirst, and the §4.4
+// original table — every phase and k = 1..8.
+func TestHybridSpecPolicies(t *testing.T) {
+	tuned := func(abFirst int) func(trace.Phase, int) int {
+		return func(ph trace.Phase, k int) int {
+			if ph == trace.Sensemaking {
+				return 0
+			}
+			return min(k, abFirst)
+		}
+	}
+	original := func(ph trace.Phase, k int) int {
+		switch ph {
+		case trace.Navigation:
+			return k
+		case trace.Sensemaking:
+			return 0
+		default: // Foraging: equal split, AB gets the odd slot
+			return (k + 1) / 2
+		}
+	}
+	type tc struct {
+		name   string
+		spec   HybridSpec
+		wantAB func(trace.Phase, int) int
+	}
+	cases := []tc{
+		{"default", HybridSpec{}, tuned(4)},
+		{"original", HybridSpec{OriginalTable: true}, original},
+	}
+	for first := 1; first <= 8; first++ {
+		cases = append(cases, tc{fmt.Sprintf("abfirst=%d", first), HybridSpec{ABFirst: first}, tuned(first)})
+	}
+	h := harness(t)
+	h.withDefaults()
+	train := subsetUsers(h.Traces, 2)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			models, policy, _, err := h.HybridEngineSetup(c.spec)(train)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ab, sb := models[0].Name(), models[1].Name()
+			for _, ph := range append(trace.AllPhases(), trace.PhaseUnknown) {
+				for k := 1; k <= 8; k++ {
+					got := policy.Allocations(ph, k)
+					wantAB := c.wantAB(ph, k)
+					if got[ab] != wantAB || got[sb] != k-wantAB || got[ab]+got[sb] != k {
+						t.Fatalf("phase %v k=%d: %v, want %s=%d %s=%d", ph, k, got, ab, wantAB, sb, k-wantAB)
+					}
+				}
+			}
+		})
 	}
 }

@@ -52,17 +52,6 @@ func Lookup(name string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// RunAll executes every experiment in order.
-func RunAll(w io.Writer, h *Harness) error {
-	for _, e := range Experiments() {
-		fmt.Fprintf(w, "\n=== %s (%s) ===\n", e.Name, e.Paper)
-		if err := e.Run(w, h); err != nil {
-			return fmt.Errorf("%s: %w", e.Name, err)
-		}
-	}
-	return nil
-}
-
 func runTable1(w io.Writer, h *Harness) error {
 	rows := make([]PhaseResult, 0, phase.NumFeatures+1)
 	for i, name := range phase.FeatureNames {
@@ -312,7 +301,7 @@ func runPolicyAblation(w io.Writer, h *Harness) error {
 	if err != nil {
 		return err
 	}
-	original, err := h.EvalHybridLOO(HybridSpec{Name: "original", UseOriginalPolicy: true}, ks)
+	original, err := h.EvalHybridLOO(HybridSpec{Name: "original", OriginalTable: true}, ks)
 	if err != nil {
 		return err
 	}

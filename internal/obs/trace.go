@@ -101,15 +101,6 @@ func (t *ReqTrace) ID() string {
 	return t.tr.ID
 }
 
-// SetTarget replaces the trace's target (e.g. once the tile coordinate
-// has parsed, replacing the raw query string).
-func (t *ReqTrace) SetTarget(target string) {
-	if t == nil {
-		return
-	}
-	t.tr.Target = truncateLabel(target)
-}
-
 // SetOutcome records the request's outcome (OutcomeHit / OutcomeMiss /
 // OutcomeShed). Unset at Finish means OutcomeShed: the request never got
 // as far as serving a tile.

@@ -70,7 +70,6 @@ func TestReqTraceNilSafe(t *testing.T) {
 	if tr.ID() != "" {
 		t.Fatal("nil trace ID should be empty")
 	}
-	tr.SetTarget("x")
 	tr.SetOutcome(OutcomeHit)
 	tr.StartSpan("span")()
 	tr.Finish()

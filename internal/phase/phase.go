@@ -1,7 +1,8 @@
 // Package phase implements ForeCache's analysis-phase model: feature
-// extraction per Table 1, a rule-based reference labeler standing in for
-// the paper's hand labeling, and the SVM classifier that predicts the
-// user's current phase from her recent requests (paper §4.2).
+// extraction per Table 1 and the SVM classifier that predicts the user's
+// current phase from her recent requests (paper §4.2). Training labels
+// come with the traces: the study simulator writes each request's
+// ground-truth phase, standing in for the paper's hand labeling.
 //
 // The three phases (defined in package trace, next to the labeled request
 // type) are:
@@ -45,71 +46,6 @@ func Features(r trace.Request) []float64 {
 		f[5] = 1
 	}
 	return f
-}
-
-// LabelerConfig parameterizes the rule-based reference labeler. Zoom
-// levels are split into coarse / middle / detailed bands by fractions of
-// the pyramid depth.
-type LabelerConfig struct {
-	// Levels is the pyramid's zoom-level count.
-	Levels int
-	// CoarseFrac bounds the Foraging band: levels < CoarseFrac*(Levels-1)
-	// are coarse. Defaults to 0.4.
-	CoarseFrac float64
-	// DetailFrac bounds the Sensemaking band: levels >=
-	// DetailFrac*(Levels-1) are detailed. Defaults to 0.75.
-	DetailFrac float64
-}
-
-func (c LabelerConfig) withDefaults() LabelerConfig {
-	if c.CoarseFrac <= 0 {
-		c.CoarseFrac = 0.4
-	}
-	if c.DetailFrac <= 0 {
-		c.DetailFrac = 0.75
-	}
-	return c
-}
-
-// coarseMax returns the highest level still considered coarse.
-func (c LabelerConfig) coarseMax() int {
-	return int(c.CoarseFrac * float64(c.Levels-1))
-}
-
-// detailMin returns the lowest level considered detailed.
-func (c LabelerConfig) detailMin() int {
-	m := int(c.DetailFrac * float64(c.Levels-1))
-	if m <= c.coarseMax() {
-		m = c.coarseMax() + 1
-	}
-	return m
-}
-
-// Label assigns an analysis phase to a single request with the rule set we
-// used in place of the paper's hand labeling:
-//
-//   - requests at coarse levels are Foraging (the user is scanning for
-//     regions of interest);
-//   - pans at detailed levels are Sensemaking (comparing neighbors);
-//   - everything else — zoom chains and mid-level travel — is Navigation.
-func Label(r trace.Request, cfg LabelerConfig) trace.Phase {
-	cfg = cfg.withDefaults()
-	switch {
-	case r.Coord.Level <= cfg.coarseMax():
-		return trace.Foraging
-	case r.Coord.Level >= cfg.detailMin() && (r.Move.IsPan() || r.Move == trace.None):
-		return trace.Sensemaking
-	default:
-		return trace.Navigation
-	}
-}
-
-// LabelTrace labels every request of the trace in place and returns it.
-func LabelTrace(t *trace.Trace, cfg LabelerConfig) *trace.Trace {
-	for i := range t.Requests {
-		t.Requests[i].Phase = Label(t.Requests[i], cfg)
-	}
-	return t
 }
 
 // Classifier predicts the user's current analysis phase from a request's

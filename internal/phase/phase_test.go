@@ -29,47 +29,24 @@ func TestFeaturesVector(t *testing.T) {
 	}
 }
 
-func TestLabelRules(t *testing.T) {
-	cfg := LabelerConfig{Levels: 9} // coarse <= 3, detailed >= 6
-	cases := []struct {
-		level int
-		move  trace.Move
-		want  trace.Phase
-	}{
-		{0, trace.None, trace.Foraging},
-		{2, trace.PanRight, trace.Foraging},
-		{3, trace.ZoomInNW, trace.Foraging},
-		{4, trace.ZoomInNW, trace.Navigation},
-		{5, trace.PanLeft, trace.Navigation},
-		{6, trace.PanLeft, trace.Sensemaking},
-		{8, trace.PanUp, trace.Sensemaking},
-		{8, trace.ZoomOut, trace.Navigation},
-		{7, trace.ZoomInSE, trace.Navigation},
-	}
-	for _, tc := range cases {
-		r := trace.Request{Coord: tile.Coord{Level: tc.level}, Move: tc.move}
-		if got := Label(r, cfg); got != tc.want {
-			t.Errorf("Label(level=%d, %v) = %v, want %v", tc.level, tc.move, got, tc.want)
-		}
+// ruleLabel is the fixture's ground truth on a 9-level pyramid: coarse
+// levels are Foraging, pans at detailed levels Sensemaking, the rest
+// Navigation.
+func ruleLabel(r trace.Request) trace.Phase {
+	switch {
+	case r.Coord.Level <= 3:
+		return trace.Foraging
+	case r.Coord.Level >= 6 && (r.Move.IsPan() || r.Move == trace.None):
+		return trace.Sensemaking
+	default:
+		return trace.Navigation
 	}
 }
 
-func TestLabelTraceInPlace(t *testing.T) {
-	tr := &trace.Trace{Requests: []trace.Request{
-		{Coord: tile.Coord{Level: 0}, Move: trace.None},
-		{Coord: tile.Coord{Level: 8, Y: 1}, Move: trace.PanDown},
-	}}
-	LabelTrace(tr, LabelerConfig{Levels: 9})
-	if tr.Requests[0].Phase != trace.Foraging || tr.Requests[1].Phase != trace.Sensemaking {
-		t.Errorf("labels = %v, %v", tr.Requests[0].Phase, tr.Requests[1].Phase)
-	}
-}
-
-// synthReqs builds a labeled request set whose phases follow the labeler's
-// own rules, so a working classifier must reach high accuracy.
+// synthReqs builds a labeled request set whose phases follow ruleLabel, so
+// a working classifier must reach high accuracy.
 func synthReqs(n int, seed int64) []trace.Request {
 	rng := rand.New(rand.NewSource(seed))
-	cfg := LabelerConfig{Levels: 9}
 	moves := trace.AllMoves()
 	var out []trace.Request
 	for i := 0; i < n; i++ {
@@ -79,7 +56,7 @@ func synthReqs(n int, seed int64) []trace.Request {
 			Coord: tile.Coord{Level: level, Y: rng.Intn(side), X: rng.Intn(side)},
 			Move:  moves[rng.Intn(len(moves))],
 		}
-		r.Phase = Label(r, cfg)
+		r.Phase = ruleLabel(r)
 		out = append(out, r)
 	}
 	return out

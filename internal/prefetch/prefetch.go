@@ -98,7 +98,7 @@ type PushSink interface {
 // Config sizes a scheduler.
 type Config struct {
 	// Shards is how many independent queue shards the scheduler runs behind
-	// its consistent-hash session router; Workers and GlobalQueue are
+	// its session hash router; Workers and GlobalQueue are
 	// deployment-wide and ceil-divided across them. Default 1.
 	Shards int
 	// Workers is the bounded worker pool size: the maximum number of

@@ -11,11 +11,11 @@ import (
 
 // This file is the prefetch pipeline's fan-out: a Scheduler is N >= 1
 // independent Shards — each with its own mutex, per-session queues, worker
-// pool and pressure signal — behind a consistent-hash router keyed on
+// pool and pressure signal — behind a hash router keyed on
 // session id. One process-wide scheduler lock is the serving tier's
 // submit-path choke point at fleet scale (every session's Submit, Cancel
 // and worker pop serializes on it); sharding multiplies the locks while
-// the consistent-hash ring keeps each session's whole scheduler life on
+// the hash router keeps each session's whole scheduler life on
 // one shard, so per-session semantics (batch superseding, fair-share
 // pressure, queue budgets) are untouched.
 //
@@ -84,7 +84,7 @@ func (cs *CoalescingStore) Joined() int {
 }
 
 // Scheduler is the shared asynchronous prefetch pipeline: Config.Shards
-// independent Shards behind a consistent-hash ring keyed on session id.
+// independent Shards behind a hash router keyed on session id.
 // Every per-session operation routes to the session's home shard; Stats,
 // Drain and Close fan out over all of them. Construct with NewScheduler; it
 // is safe for concurrent use by any number of sessions.

@@ -68,7 +68,7 @@ type flight struct {
 
 // Shard is one independent slice of the Scheduler: its own mutex,
 // per-session queues, worker pool and pressure signal, serving the sessions
-// the consistent-hash ring routes to it. Engines bind to their session's
+// the hash router routes to it. Engines bind to their session's
 // Shard once (Scheduler.Shard), so the request path submits straight to the
 // queue that owns the session. Safe for concurrent use by any number of
 // sessions.

@@ -33,14 +33,6 @@ func NewAB(order int, traces []*trace.Trace) (*AB, error) {
 	return &AB{chain: chain}, nil
 }
 
-// NewABFromChain wraps an already-trained chain: the shared-model route for
-// deployments that train one chain and hand it to every session.
-func NewABFromChain(chain *markov.Chain) *AB { return &AB{chain: chain} }
-
-// Chain exposes the trained Markov chain (read-only by convention): callers
-// share it across recommenders instead of retraining per session.
-func (m *AB) Chain() *markov.Chain { return m.chain }
-
 // Name identifies the model, including its order (e.g. "markov3").
 func (m *AB) Name() string { return "markov" + itoa(m.chain.Order()) }
 

@@ -1,11 +1,6 @@
 package recommend
 
-import (
-	"sort"
-
-	"forecache/internal/tile"
-	"forecache/internal/trace"
-)
+import "forecache/internal/trace"
 
 // Momentum is the baseline from Doshi et al. (paper §5.2.3): the user's
 // next move will match her previous move. The matching tile gets
@@ -39,108 +34,4 @@ func (m *Momentum) Predict(req trace.Request, cands []Candidate, h *trace.Histor
 		out = append(out, Ranked{Coord: c.Coord, Score: score})
 	}
 	return sortRanked(out)
-}
-
-// TraceHotspot extends Momentum with awareness of popular tiles (paper
-// §5.2.3, the Doshi et al. baseline): the most-requested tiles in the
-// training traces become hotspots; when the user is near one, candidates
-// that move her closer to it are ranked above the rest, otherwise the
-// model behaves exactly like Momentum. It is trained ahead of time and
-// then fixed — the online, cross-session Hotspot model (hotspot.go)
-// learns the same signal continuously instead.
-type TraceHotspot struct {
-	momentum *Momentum
-	hotspots []tile.Coord
-	// radius is how near (Manhattan tiles, at the deeper of the two levels)
-	// a hotspot must be to take over the ranking.
-	radius int
-}
-
-// NewTraceHotspot trains the hotspot baseline: the n most-requested tiles
-// in the traces become hotspots. The paper trains this "ahead of time" on
-// the same study traces used for the Markov models.
-func NewTraceHotspot(traces []*trace.Trace, n, radius int) *TraceHotspot {
-	if n <= 0 {
-		n = 8
-	}
-	if radius <= 0 {
-		radius = 3
-	}
-	counts := make(map[tile.Coord]int)
-	for _, t := range traces {
-		for _, r := range t.Requests {
-			counts[r.Coord]++
-		}
-	}
-	coords := make([]tile.Coord, 0, len(counts))
-	for c := range counts {
-		coords = append(coords, c)
-	}
-	sort.Slice(coords, func(i, j int) bool {
-		if counts[coords[i]] != counts[coords[j]] {
-			return counts[coords[i]] > counts[coords[j]]
-		}
-		a, b := coords[i], coords[j]
-		if a.Level != b.Level {
-			return a.Level < b.Level
-		}
-		if a.Y != b.Y {
-			return a.Y < b.Y
-		}
-		return a.X < b.X
-	})
-	if len(coords) > n {
-		coords = coords[:n]
-	}
-	return &TraceHotspot{momentum: NewMomentum(), hotspots: coords, radius: radius}
-}
-
-// Name identifies the model.
-func (m *TraceHotspot) Name() string { return "hotspot" }
-
-// Observe is a no-op.
-func (m *TraceHotspot) Observe(trace.Request) {}
-
-// Reset is a no-op.
-func (m *TraceHotspot) Reset() {}
-
-// Hotspots exposes the trained hotspot tiles (for inspection and tests).
-func (m *TraceHotspot) Hotspots() []tile.Coord { return append([]tile.Coord(nil), m.hotspots...) }
-
-// Predict behaves like Momentum unless a hotspot is within radius of the
-// current tile; then candidates are re-scored by how much closer they
-// bring the user to the nearest hotspot.
-func (m *TraceHotspot) Predict(req trace.Request, cands []Candidate, h *trace.History) []Ranked {
-	base := m.momentum.Predict(req, cands, h)
-	nearest, dist := m.nearest(req.Coord)
-	if dist > m.radius {
-		return base
-	}
-	scores := make(map[tile.Coord]float64, len(base))
-	for _, r := range base {
-		scores[r.Coord] = r.Score
-	}
-	out := make([]Ranked, 0, len(base))
-	for _, r := range base {
-		d := r.Coord.ManhattanTo(nearest)
-		// Approach bonus dominates the momentum prior; among approaching
-		// tiles, closer is better.
-		bonus := 0.0
-		if d < dist {
-			bonus = 2 + 1/float64(1+d)
-		}
-		out = append(out, Ranked{Coord: r.Coord, Score: scores[r.Coord] + bonus})
-	}
-	return sortRanked(out)
-}
-
-func (m *TraceHotspot) nearest(c tile.Coord) (tile.Coord, int) {
-	best := tile.Coord{}
-	bestD := 1 << 30
-	for _, hc := range m.hotspots {
-		if d := c.ManhattanTo(hc); d < bestD {
-			best, bestD = hc, d
-		}
-	}
-	return best, bestD
 }

@@ -68,13 +68,13 @@ type hotStripe struct {
 
 // Hotspot is the online, cross-session hotspot recommender: it ranks
 // candidate tiles by how often the whole deployment's sessions recently
-// consumed them. Where the trace-trained TraceHotspot baseline (Doshi et
-// al., paper §5.2.3) fixes its hotspots ahead of time, this model is
-// training-free and population-level, in the spirit of Continuous
-// Prefetch's cross-user access statistics: one shared instance is fed the
-// coordinates of consumed prefetched tiles from the same cache.Outcome
-// stream the FeedbackCollector drains (core.WithConsumption), and every
-// session engine reads the same table.
+// consumed them. Where the trace-trained Hotspot baseline of Doshi et al.
+// (paper §5.2.3; internal/eval) fixes its hotspots ahead of time, this
+// model is training-free and population-level, in the spirit of
+// Continuous Prefetch's cross-user access statistics: one shared instance
+// is fed the coordinates of consumed prefetched tiles from the same
+// cache.Outcome stream the FeedbackCollector drains
+// (core.WithConsumption), and every session engine reads the same table.
 //
 // Weights are kept per zoom level and EWMA-decayed by observation count:
 // each new consumption at a level multiplies every other tile's weight at

@@ -23,14 +23,6 @@ type Candidate struct {
 	Moves []trace.Move
 }
 
-// FirstMove returns the first move of the chain.
-func (c Candidate) FirstMove() trace.Move {
-	if len(c.Moves) == 0 {
-		return trace.None
-	}
-	return c.Moves[0]
-}
-
 // Bounds abstracts the pyramid geometry the candidate generator needs, so
 // models are testable without building real pyramids.
 type Bounds interface {

@@ -48,8 +48,8 @@ func TestCandidatesRoot(t *testing.T) {
 		t.Fatalf("root candidates = %d, want 4", len(cands))
 	}
 	for _, c := range cands {
-		if !c.FirstMove().IsZoomIn() {
-			t.Errorf("root candidate via %v", c.FirstMove())
+		if !c.Moves[0].IsZoomIn() {
+			t.Errorf("root candidate via %v", c.Moves[0])
 		}
 	}
 }
@@ -157,50 +157,6 @@ func TestMomentumFirstRequest(t *testing.T) {
 		if r.Score != 0.0125 {
 			t.Fatalf("first-request score = %v, want uniform 0.0125", r.Score)
 		}
-	}
-}
-
-func TestHotspotTraining(t *testing.T) {
-	hot := tile.Coord{Level: 2, Y: 2, X: 2}
-	var traces []*trace.Trace
-	for i := 0; i < 5; i++ {
-		traces = append(traces, &trace.Trace{Requests: []trace.Request{
-			{Coord: hot, Move: trace.PanRight},
-			{Coord: tile.Coord{Level: 2, Y: 0, X: i % 3}, Move: trace.PanLeft},
-		}})
-	}
-	m := NewTraceHotspot(traces, 1, 3)
-	if hs := m.Hotspots(); len(hs) != 1 || hs[0] != hot {
-		t.Fatalf("Hotspots = %v, want [%v]", hs, hot)
-	}
-}
-
-func TestHotspotAttractsNearby(t *testing.T) {
-	hot := tile.Coord{Level: 3, Y: 4, X: 6}
-	traces := []*trace.Trace{{Requests: []trace.Request{
-		{Coord: hot}, {Coord: hot}, {Coord: hot},
-	}}}
-	m := NewTraceHotspot(traces, 1, 3)
-	// User two tiles left of the hotspot, just moved up (momentum says up).
-	cur := tile.Coord{Level: 3, Y: 4, X: 4}
-	req := trace.Request{Coord: cur, Move: trace.PanUp}
-	ranked := m.Predict(req, Candidates(gridBounds{maxLevel: 5}, cur, 1), trace.NewHistory(3))
-	if want := cur.Pan(0, 1); ranked[0].Coord != want {
-		t.Errorf("hotspot should attract: top = %v, want %v (toward hotspot)", ranked[0].Coord, want)
-	}
-}
-
-func TestHotspotFallsBackToMomentumWhenFar(t *testing.T) {
-	hot := tile.Coord{Level: 4, Y: 15, X: 15}
-	traces := []*trace.Trace{{Requests: []trace.Request{{Coord: hot}, {Coord: hot}}}}
-	m := NewTraceHotspot(traces, 1, 2)
-	cur := tile.Coord{Level: 4, Y: 1, X: 1}
-	req := trace.Request{Coord: cur, Move: trace.PanDown}
-	rankedHot := m.Predict(req, Candidates(gridBounds{maxLevel: 5}, cur, 1), trace.NewHistory(3))
-	rankedMom := NewMomentum().Predict(req, Candidates(gridBounds{maxLevel: 5}, cur, 1), trace.NewHistory(3))
-	if rankedHot[0].Coord != rankedMom[0].Coord {
-		t.Errorf("far from hotspots, Hotspot (%v) should match Momentum (%v)",
-			rankedHot[0].Coord, rankedMom[0].Coord)
 	}
 }
 

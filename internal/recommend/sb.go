@@ -54,7 +54,6 @@ type TileSource interface {
 type SB struct {
 	src     TileSource
 	sigs    []string
-	weights []float64
 	tracker ROITracker
 
 	// physicalDivision applies Algorithm 3's line 13 division by the
@@ -73,13 +72,6 @@ type SBOption func(*SB)
 // per-signature accuracy experiment of Figure 10b uses one at a time).
 func WithSignatures(names ...string) SBOption {
 	return func(s *SB) { s.sigs = names }
-}
-
-// WithWeights sets the per-signature weights of the ℓ2 combination, in the
-// same order as the signature names. Default is equal weights (paper:
-// "All signatures are assigned equal weight by default").
-func WithWeights(w ...float64) SBOption {
-	return func(s *SB) { s.weights = w }
 }
 
 // WithPhysicalDivision enables the literal line-13 division (see the field
@@ -173,8 +165,9 @@ func (s *SB) Predict(req trace.Request, cands []Candidate, h *trace.History) []R
 		}
 	}
 
-	// Lines 10-13: normalize per signature, then combine with the weighted
-	// ℓ2 norm; lines 14-15: sum pair distances per candidate.
+	// Lines 10-13: normalize per signature, then combine with the ℓ2 norm
+	// (paper: "All signatures are assigned equal weight by default");
+	// lines 14-15: sum pair distances per candidate.
 	total := make([]float64, len(cands))
 	counted := make([]bool, len(cands))
 	for _, p := range pairs {
@@ -182,7 +175,7 @@ func (s *SB) Predict(req trace.Request, cands []Candidate, h *trace.History) []R
 		for si, d := range p.dists {
 			norm[si] = d / maxD[si]
 		}
-		dAB := sig.WeightedL2(norm, s.weights)
+		dAB := sig.WeightedL2(norm, nil)
 		if s.physicalDivision {
 			if phys := cands[p.cand].Coord.ManhattanTo(roiTiles[p.roi].Coord); phys > 0 {
 				dAB /= float64(phys)

@@ -4,7 +4,7 @@
 // dataset the middleware serves.
 //
 // Renderings are plain image.Image values encodable with the stdlib's
-// image/png; color maps are tuned for the NDSI convention the paper's
+// image/png; the color map follows the NDSI convention the paper's
 // figures use (snow in warm oranges/yellows, snow-free land and ocean in
 // cool greens/blues, Figure 6).
 package render
@@ -21,13 +21,10 @@ import (
 	"forecache/internal/tile"
 )
 
-// ColorMap maps a normalized value in [0,1] to a color. Values outside the
-// range are clamped; NaN cells render as transparent gray.
-type ColorMap func(v float64) color.RGBA
-
-// NDSIMap mirrors the paper's snow-cover palette: high values (snow) in
-// orange/yellow, low values in green fading to blue (Figure 6's caption:
-// "Snow is orange to yellow, snow-free areas in green to blue").
+// NDSIMap maps a normalized value in [0,1] (clamped outside it) to the
+// paper's snow-cover palette: high values (snow) in orange/yellow, low
+// values in green fading to blue (Figure 6's caption: "Snow is orange to
+// yellow, snow-free areas in green to blue").
 func NDSIMap(v float64) color.RGBA {
 	switch {
 	case v >= 0.75: // deep snow: yellow
@@ -38,26 +35,6 @@ func NDSIMap(v float64) color.RGBA {
 		return lerp(color.RGBA{34, 139, 34, 255}, color.RGBA{154, 205, 50, 255}, (v-0.3)/0.2)
 	default: // snow-free / water: blue
 		return lerp(color.RGBA{8, 48, 107, 255}, color.RGBA{60, 120, 180, 255}, v/0.3)
-	}
-}
-
-// GrayMap is a plain grayscale ramp for generic attributes.
-func GrayMap(v float64) color.RGBA {
-	g := uint8(clamp01(v) * 255)
-	return color.RGBA{g, g, g, 255}
-}
-
-// HeatMap is a classic black-red-yellow-white heat ramp (used by the
-// heart-rate example).
-func HeatMap(v float64) color.RGBA {
-	v = clamp01(v)
-	switch {
-	case v < 1.0/3:
-		return lerp(color.RGBA{0, 0, 0, 255}, color.RGBA{200, 30, 30, 255}, v*3)
-	case v < 2.0/3:
-		return lerp(color.RGBA{200, 30, 30, 255}, color.RGBA{255, 220, 60, 255}, (v-1.0/3)*3)
-	default:
-		return lerp(color.RGBA{255, 220, 60, 255}, color.RGBA{255, 255, 255, 255}, (v-2.0/3)*3)
 	}
 }
 
@@ -87,16 +64,11 @@ type Options struct {
 	// Min and Max bound the attribute's value range for normalization
 	// (NDSI: -1..1).
 	Min, Max float64
-	// Map is the color map; nil means NDSIMap.
-	Map ColorMap
 	// Scale is the integer pixel size per cell (>= 1).
 	Scale int
 }
 
 func (o Options) withDefaults() Options {
-	if o.Map == nil {
-		o.Map = NDSIMap
-	}
 	if o.Scale < 1 {
 		o.Scale = 1
 	}
@@ -122,7 +94,7 @@ func Tile(t *tile.Tile, opts Options) (image.Image, error) {
 			if math.IsNaN(v) {
 				c = emptyColor
 			} else {
-				c = opts.Map((v - opts.Min) / span)
+				c = NDSIMap((v - opts.Min) / span)
 			}
 			fillCell(img, x, y, opts.Scale, c)
 		}
@@ -157,7 +129,7 @@ func Level(p *tile.Pyramid, level int, opts Options) (image.Image, error) {
 					if math.IsNaN(v) {
 						c = emptyColor
 					} else {
-						c = opts.Map((v - opts.Min) / span)
+						c = NDSIMap((v - opts.Min) / span)
 					}
 					fillCell(img, tx*ts+x, ty*ts+y, opts.Scale, c)
 				}

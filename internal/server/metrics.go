@@ -138,27 +138,20 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		shardSessions[i], shardEvicted[i] = n, ev
 		sessions += n
 		evicted += ev
-		agg.Hits += retired.Hits
-		agg.Misses += retired.Misses
-		agg.Prefetched += retired.Prefetched
-		agg.Evicted += retired.Evicted
+		agg.Add(retired)
 		engines = append(engines, engs...)
 	}
 	closed := s.closed.Load()
 
 	for _, eng := range engines {
-		cs := eng.CacheStats()
-		agg.Hits += cs.Hits
-		agg.Misses += cs.Misses
-		agg.Prefetched += cs.Prefetched
-		agg.Evicted += cs.Evicted
+		agg.Add(eng.LifetimeCacheStats())
 	}
 
 	pw := &promWriter{}
 	pw.gauge("forecache_sessions", "Live sessions with engine state.", float64(sessions))
 	pw.counter("forecache_sessions_evicted_total", "Sessions evicted by the TTL or LRU cap.", float64(evicted))
 	pw.gauge("forecache_server_closed", "1 after Close, 0 while serving.", boolValue(closed))
-	pw.gauge("forecache_shards", "Session-tier shards behind the consistent-hash router.", float64(len(s.shards)))
+	pw.gauge("forecache_shards", "Session-tier shards behind the hash router.", float64(len(s.shards)))
 	shardSess := make([]sample, len(s.shards))
 	shardEv := make([]sample, len(s.shards))
 	for i := range s.shards {

@@ -139,42 +139,59 @@ func TestMetricsEndpointValidates(t *testing.T) {
 }
 
 // TestMetricsCountersSurviveEviction: the *_total cache counters are
-// lifetime totals — evicting a session folds its counts into the retired
-// baseline instead of making a Prometheus counter go backwards.
+// lifetime totals — neither evicting a session (its counts fold into the
+// retired baseline) nor POST /reset (which zeroes only the session's
+// /stats view) may make a Prometheus counter go backwards.
 func TestMetricsCountersSurviveEviction(t *testing.T) {
-	srv, _ := testServer(t, WithMetrics(), WithSessionLimit(1))
-	get := func(path string) *httptest.ResponseRecorder {
-		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
-		return rec
+	cases := []struct {
+		name    string
+		method  string
+		disturb string
+		// evictions and misses are what the disturbing request itself adds.
+		evictions, misses float64
+	}{
+		// Session b's first tile evicts a (limit 1) and is a miss of its own.
+		{"eviction", "GET", "/tile?level=0&y=0&x=0&session=b", 1, 1},
+		{"reset", "POST", "/reset?session=a", 0, 0},
 	}
-	// Session a accumulates one miss (and prefetches).
-	if rec := get("/tile?level=0&y=0&x=0&session=a"); rec.Code != 200 {
-		t.Fatalf("tile: %d", rec.Code)
-	}
-	before := validatePromText(t, get("/metrics").Body.String())
-	if before["forecache_cache_misses_total"] < 1 {
-		t.Fatalf("expected at least one miss before eviction, got %v", before["forecache_cache_misses_total"])
-	}
-	// Session b evicts a (limit 1). The totals must not decrease.
-	if rec := get("/tile?level=0&y=0&x=0&session=b"); rec.Code != 200 {
-		t.Fatalf("tile: %d", rec.Code)
-	}
-	after := validatePromText(t, get("/metrics").Body.String())
-	if after["forecache_sessions_evicted_total"] != 1 {
-		t.Fatalf("evicted = %v, want 1", after["forecache_sessions_evicted_total"])
-	}
-	for _, name := range []string{
-		"forecache_cache_hits_total", "forecache_cache_misses_total",
-		"forecache_cache_prefetched_total", "forecache_cache_evicted_total",
-	} {
-		if after[name] < before[name] {
-			t.Errorf("%s went backwards across eviction: %v -> %v", name, before[name], after[name])
-		}
-	}
-	if after["forecache_cache_misses_total"] < before["forecache_cache_misses_total"]+1 {
-		t.Errorf("misses_total = %v, want >= %v (b's first miss on top of a's retired count)",
-			after["forecache_cache_misses_total"], before["forecache_cache_misses_total"]+1)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, _ := testServer(t, WithMetrics(), WithSessionLimit(1))
+			do := func(method, path string) *httptest.ResponseRecorder {
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, httptest.NewRequest(method, path, nil))
+				return rec
+			}
+			// Session a accumulates one miss, one hit, prefetches and evictions.
+			for _, path := range []string{"/tile?level=0&y=0&x=0&session=a", "/tile?level=1&y=0&x=0&session=a"} {
+				if rec := do("GET", path); rec.Code != 200 {
+					t.Fatalf("%s: %d", path, rec.Code)
+				}
+			}
+			before := validatePromText(t, do("GET", "/metrics").Body.String())
+			if before["forecache_cache_misses_total"] != 1 || before["forecache_cache_hits_total"] != 1 {
+				t.Fatalf("before: hits %v misses %v, want 1 and 1",
+					before["forecache_cache_hits_total"], before["forecache_cache_misses_total"])
+			}
+			if rec := do(tc.method, tc.disturb); rec.Code >= 300 {
+				t.Fatalf("%s %s: %d", tc.method, tc.disturb, rec.Code)
+			}
+			after := validatePromText(t, do("GET", "/metrics").Body.String())
+			if got := after["forecache_sessions_evicted_total"]; got != tc.evictions {
+				t.Fatalf("evicted = %v, want %v", got, tc.evictions)
+			}
+			for _, name := range []string{
+				"forecache_cache_hits_total", "forecache_cache_misses_total",
+				"forecache_cache_prefetched_total", "forecache_cache_evicted_total",
+			} {
+				if after[name] < before[name] {
+					t.Errorf("%s went backwards: %v -> %v", name, before[name], after[name])
+				}
+			}
+			if got, want := after["forecache_cache_misses_total"], before["forecache_cache_misses_total"]+tc.misses; got != want {
+				t.Errorf("misses_total = %v, want %v", got, want)
+			}
+		})
 	}
 }
 
@@ -189,7 +206,14 @@ func TestMetricsAllocationShares(t *testing.T) {
 	db := backend.NewDBMS(pyr, backend.DefaultLatency(), nil)
 	fc := prefetch.NewFeedbackCollector(4)
 	evil := `ev"il\mo` + "\ndel"
-	base := core.OriginalPolicy{ABName: evil, SBName: "sb_ok"}
+	specs := recommend.DefaultSpecs(3, nil, nil)
+	base, err := core.NewRegistryPolicy([]recommend.PriorColumn{
+		{Model: evil, Claim: specs[0].Prior},
+		{Model: "sb_ok", Claim: specs[1].Prior},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ap, err := core.NewAdaptivePolicy(base, []string{evil, "sb_ok"}, fc,
 		core.AdaptiveConfig{Floor: 0.1, MaxStep: 0.02})
 	if err != nil {

@@ -5,8 +5,8 @@
 //
 // The session tier is sharded: session state (the engine table, the
 // LRU/TTL recency list, the retired-stats baseline) lives in N
-// independent shards, each behind its own mutex, and a consistent-hash
-// ring keyed on session id routes every request to its session's home
+// independent shards, each behind its own mutex, and a hash router
+// keyed on session id routes every request to its session's home
 // shard. The Server itself is a thin router — it owns only the immutable
 // config, the mux and the ring — so one shard's TTL sweep or table scan
 // never blocks requests routed to another shard. The default is one
@@ -66,7 +66,7 @@ type EngineFactory func(session string) (*core.Engine, error)
 type Option func(*Server)
 
 // WithShards splits the session tier into n independent shards behind a
-// consistent-hash router keyed on session id: each shard owns its own
+// hash router keyed on session id: each shard owns its own
 // session table, recency list, TTL sweep and retired-stats baseline under
 // its own mutex, so session churn in one shard never contends with
 // requests routed to another. n <= 1 keeps the single-shard layout, which
@@ -179,7 +179,7 @@ type sessionShard struct {
 	closed  bool
 }
 
-// Server is the HTTP middleware front door: a thin consistent-hash router
+// Server is the HTTP middleware front door: a thin hash router
 // over N session shards. Create with New, then mount via Handler (it
 // implements http.Handler). All mutable session state lives in the
 // shards; the Server owns only the mux, the ring and immutable config.
@@ -443,11 +443,7 @@ func (sh *sessionShard) evictLocked(sess *session) *session {
 // shard lock is safe: the cache mutex is a leaf lock, never held while
 // acquiring a shard's mu.
 func (sh *sessionShard) retireStatsLocked(sess *session) {
-	cs := sess.eng.CacheStats()
-	sh.retired.Hits += cs.Hits
-	sh.retired.Misses += cs.Misses
-	sh.retired.Prefetched += cs.Prefetched
-	sh.retired.Evicted += cs.Evicted
+	sh.retired.Add(sess.eng.LifetimeCacheStats())
 }
 
 // snapshotLocked reads one shard's aggregation inputs under its lock:

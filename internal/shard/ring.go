@@ -1,95 +1,31 @@
-// Package shard is the serving tier's consistent-hash router: it maps a
-// session id to one of N independent shards, and every layer that splits
-// per-session state (the server's session tables, the prefetch pipeline's
-// per-shard schedulers) routes through the same ring so a session's HTTP
-// requests, scheduler queue and eviction bookkeeping all live on one
-// shard. Sessions are independent behind the engine factory, so sharding
-// the tier is a pure routing concern — this package owns that concern and
-// nothing else.
+// Package shard is the serving tier's session router: it maps a session id
+// to one of N independent shards, and every layer that splits per-session
+// state (the server's session tables, the prefetch pipeline's per-shard
+// schedulers) routes through the same Ring so a session's HTTP requests,
+// scheduler queue and eviction bookkeeping all live on one shard. Sessions
+// are independent behind the engine factory, so sharding the tier is a
+// pure routing concern — this package owns that concern and nothing else.
 //
-// The ring hashes each shard onto many virtual points (FNV-1a 64) and
-// routes a key to the first point at or clockwise of the key's hash.
-// Virtual points keep the assignment balanced at small N and — the
-// consistent-hashing property — changing the shard count moves only the
-// sessions whose arc changed owner, instead of reshuffling almost every
-// session the way hash(key) % N would. Within one process lifetime the
-// mapping is deterministic: the same id always lands on the same shard,
-// with no dependency on map iteration order, process start time or
-// previous lookups.
+// Routing is mix(FNV-1a(key)) % N. The shard count is fixed for a
+// process's life and no session outlives the process, so nothing is ever
+// re-homed and a consistent-hash ring's "few keys move when N changes"
+// would buy nothing. The mapping is a pure function of (key, N): the same
+// id always lands on the same shard, with no dependency on map iteration
+// order, process start time or previous lookups.
 package shard
-
-import (
-	"hash/fnv"
-	"sort"
-	"strconv"
-)
-
-// vnodes is how many virtual points each shard claims on the ring. 128
-// keeps the worst shard within a few percent of the mean at N <= 64 while
-// the ring stays small enough that Locate's binary search is ~7 probes.
-const vnodes = 128
-
-// point is one virtual node: a position on the ring owned by a shard.
-type point struct {
-	hash  uint64
-	shard int
-}
 
 // Ring routes keys to shards. Construct with NewRing; a Ring is immutable
 // and safe for concurrent use without synchronization.
 type Ring struct {
-	n      int
-	points []point // sorted by hash ascending
+	n int
 }
 
-// NewRing builds a ring over n shards (n < 1 is treated as 1).
+// NewRing builds a router over n shards (n < 1 is treated as 1).
 func NewRing(n int) *Ring {
 	if n < 1 {
 		n = 1
 	}
-	r := &Ring{n: n}
-	if n == 1 {
-		return r // Locate short-circuits; no points needed
-	}
-	r.points = make([]point, 0, n*vnodes)
-	for s := 0; s < n; s++ {
-		for v := 0; v < vnodes; v++ {
-			r.points = append(r.points, point{hash: vnodeHash(s, v), shard: s})
-		}
-	}
-	sort.Slice(r.points, func(i, j int) bool {
-		if r.points[i].hash != r.points[j].hash {
-			return r.points[i].hash < r.points[j].hash
-		}
-		// A 64-bit collision between virtual nodes is astronomically
-		// unlikely, but the tie must still break deterministically.
-		return r.points[i].shard < r.points[j].shard
-	})
-	return r
-}
-
-// vnodeHash positions virtual node v of shard s on the ring.
-func vnodeHash(s, v int) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte("shard-"))
-	h.Write([]byte(strconv.Itoa(s)))
-	h.Write([]byte("-vnode-"))
-	h.Write([]byte(strconv.Itoa(v)))
-	return mix(h.Sum64())
-}
-
-// mix is a 64-bit finalizer (MurmurHash3's fmix64). FNV-1a alone has weak
-// avalanche in the high bits for short, similar inputs — exactly what
-// "shard-1-vnode-7" style vnode names and sequential session ids are —
-// which clusters ring positions and unbalances the shards. The finalizer
-// diffuses every input bit across the whole word.
-func mix(h uint64) uint64 {
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
+	return &Ring{n: n}
 }
 
 // Shards returns the number of shards the ring routes over.
@@ -102,14 +38,23 @@ func (r *Ring) Locate(key string) int {
 	if r.n == 1 {
 		return 0
 	}
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	kh := mix(h.Sum64())
-	// First virtual point clockwise of the key's hash; wrap to the start
-	// of the ring past the last point.
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= kh })
-	if i == len(r.points) {
-		i = 0
+	h := uint64(14695981039346656037) // FNV-1a 64 offset basis
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= 1099511628211 // FNV-1a 64 prime
 	}
-	return r.points[i].shard
+	return int(mix(h) % uint64(r.n))
+}
+
+// mix is a 64-bit finalizer (MurmurHash3's fmix64). FNV-1a alone has weak
+// avalanche for short, similar inputs — exactly what sequential session
+// ids are — which would unbalance the shards. The finalizer diffuses every
+// input bit across the whole word.
+func mix(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
 }

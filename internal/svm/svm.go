@@ -33,17 +33,6 @@ func RBF(gamma float64) Kernel {
 	}
 }
 
-// Linear returns the plain dot-product kernel.
-func Linear() Kernel {
-	return func(a, b []float64) float64 {
-		s := 0.0
-		for i := range a {
-			s += a[i] * b[i]
-		}
-		return s
-	}
-}
-
 // Config controls training.
 type Config struct {
 	// C is the soft-margin penalty. Defaults to 1.

@@ -166,10 +166,6 @@ func TestDeterministicTraining(t *testing.T) {
 }
 
 func TestKernels(t *testing.T) {
-	lin := Linear()
-	if got := lin([]float64{1, 2}, []float64{3, 4}); got != 11 {
-		t.Errorf("linear = %v, want 11", got)
-	}
 	rbf := RBF(1)
 	if got := rbf([]float64{1, 1}, []float64{1, 1}); got != 1 {
 		t.Errorf("rbf self = %v, want 1", got)

@@ -29,8 +29,7 @@ import (
 //
 // Readers skip unknown section ids (a newer writer may add sections) and
 // reject duplicates, out-of-bound dimensions, non-canonical shapes and
-// checksum mismatches — the same hardening posture as the pyramid file
-// format in io.go, whose bounds this codec shares.
+// checksum mismatches.
 
 const (
 	// BinaryContentType is the HTTP media type the /tile endpoint and the
@@ -48,6 +47,10 @@ const (
 	maxBinarySigs   = 64
 	maxBinarySigLen = 1 << 20
 	maxBinaryLevel  = 24
+	// maxTileSize bounds the per-side cell count the codec carries. The
+	// encoder and decoder enforce it symmetrically: anything EncodeBinary
+	// accepts, DecodeBinary reads back.
+	maxTileSize = 1024
 )
 
 // EncodeBinary renders t in the binary wire format.

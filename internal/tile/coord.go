@@ -94,21 +94,6 @@ func (c Coord) Parent() Coord {
 	return Coord{Level: c.Level - 1, Y: c.Y / 2, X: c.X / 2}
 }
 
-// QuadrantIn reports which quadrant of its parent this coordinate occupies.
-func (c Coord) QuadrantIn() Quadrant {
-	dy, dx := c.Y&1, c.X&1
-	switch {
-	case dy == 0 && dx == 0:
-		return NW
-	case dy == 0 && dx == 1:
-		return NE
-	case dy == 1 && dx == 0:
-		return SW
-	default:
-		return SE
-	}
-}
-
 // ManhattanTo returns the physical tile distance used by the signature
 // recommender's distance penalty (Algorithm 3): the lateral Manhattan
 // distance after projecting both coordinates to the deeper level, plus one

@@ -4,131 +4,7 @@ import (
 	"bytes"
 	"math"
 	"testing"
-
-	"forecache/internal/array"
 )
-
-// fuzzPyramidBytes serializes a small real pyramid (with signatures) as the
-// structured seed for the IO fuzzer.
-func fuzzPyramidBytes(tb testing.TB) []byte {
-	tb.Helper()
-	a := array.NewZero(array.Schema{
-		Name:  "FZ",
-		Attrs: []string{"v"},
-		Dims:  [2]array.Dim{{Name: "r", Size: 16}, {Name: "c", Size: 16}},
-	})
-	data, _ := a.AttrData("v")
-	for i := range data {
-		data[i] = float64(i%13) / 13
-	}
-	p, err := Build(a, Params{TileSize: 8, Agg: array.AggAvg})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	p.ComputeMetadata(func(t *Tile) map[string][]float64 {
-		return map[string][]float64{"hist": {1, 2, 3}}
-	})
-	var buf bytes.Buffer
-	if _, err := WritePyramid(&buf, p); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// FuzzReadPyramid feeds arbitrary bytes to the pyramid reader. Run
-// continuously with:
-//
-//	go test ./internal/tile -run '^$' -fuzz '^FuzzReadPyramid$' -fuzztime 10s
-//
-// Properties checked: no panic and no unbounded allocation on any input
-// (corrupt headers must fail fast); any stream the reader accepts must
-// survive a write→read round trip unchanged (shape, attrs, cell data and
-// signatures), i.e. parsing is the inverse of serialization on its image.
-func FuzzReadPyramid(f *testing.F) {
-	valid := fuzzPyramidBytes(f)
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])     // truncated mid-stream
-	f.Add([]byte("FCPY"))           // magic only
-	f.Add([]byte("NOPE_not_a_pyr")) // wrong magic
-	f.Add(bytes.Repeat(valid, 2))   // trailing garbage
-	corrupt := bytes.Clone(valid)
-	corrupt[5] ^= 0xff // version byte
-	f.Add(corrupt)
-	huge := bytes.Clone(valid)
-	copy(huge[8:12], []byte{0xff, 0xff, 0xff, 0xff}) // tileSize u32 = max
-	f.Add(huge)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := ReadPyramid(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if _, err := WritePyramid(&buf, p); err != nil {
-			t.Fatalf("accepted pyramid fails to serialize: %v", err)
-		}
-		q, err := ReadPyramid(&buf)
-		if err != nil {
-			t.Fatalf("round trip failed: %v", err)
-		}
-		if q.NumLevels() != p.NumLevels() || q.NumTiles() != p.NumTiles() || q.TileSize() != p.TileSize() {
-			t.Fatalf("round trip shape mismatch: %d/%d/%d vs %d/%d/%d",
-				p.NumLevels(), p.NumTiles(), p.TileSize(),
-				q.NumLevels(), q.NumTiles(), q.TileSize())
-		}
-		pa, qa := p.Attrs(), q.Attrs()
-		if len(pa) != len(qa) {
-			t.Fatalf("round trip attrs mismatch: %v vs %v", pa, qa)
-		}
-		p.EachTile(func(pt *Tile) bool {
-			qt, err := q.Tile(pt.Coord)
-			if err != nil {
-				t.Fatalf("round trip lost tile %v: %v", pt.Coord, err)
-			}
-			for ai := range pt.Data {
-				for ci, v := range pt.Data[ai] {
-					got := qt.Data[ai][ci]
-					if got != v && !(v != v && got != got) { // NaN-tolerant
-						t.Fatalf("tile %v attr %d cell %d: %v != %v", pt.Coord, ai, ci, got, v)
-					}
-				}
-			}
-			if len(pt.Signatures) != len(qt.Signatures) {
-				t.Fatalf("tile %v signature count changed", pt.Coord)
-			}
-			return true
-		})
-	})
-}
-
-// TestReadPyramidRejectsCorruptHeaders locks the fuzz-motivated bounds in
-// as deterministic regressions.
-func TestReadPyramidRejectsCorruptHeaders(t *testing.T) {
-	valid := fuzzPyramidBytes(t)
-	mutate := func(off int, b []byte) []byte {
-		out := bytes.Clone(valid)
-		copy(out[off:], b)
-		return out
-	}
-	cases := []struct {
-		name string
-		data []byte
-	}{
-		{"huge tile size", mutate(8, []byte{0xff, 0xff, 0xff, 0xff})},
-		{"zero tile size", mutate(8, []byte{0, 0, 0, 0})},
-		{"too many levels", mutate(12, []byte{200, 0, 0, 0})},
-		{"zero levels", mutate(12, []byte{0, 0, 0, 0})},
-		{"tile count beyond pyramid capacity", mutate(25, []byte{0xff, 0xff, 0xff, 0x0f})},
-		{"empty", nil},
-		{"bad magic", []byte("XXXX")},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ReadPyramid(bytes.NewReader(tc.data)); err == nil {
-				t.Error("corrupt stream accepted")
-			}
-		})
-	}
-}
 
 // FuzzTileDecodeBinary feeds arbitrary bytes to the single-tile binary
 // decoder. Run continuously with:

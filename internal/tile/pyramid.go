@@ -2,7 +2,6 @@ package tile
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"forecache/internal/array"
@@ -238,23 +237,4 @@ func (p *Pyramid) SampleTiles(n int) []*Tile {
 		return len(out) < n
 	})
 	return out
-}
-
-// MaxAbs returns the maximum absolute non-empty cell value of attr across
-// the whole pyramid, handy for clients normalizing color scales.
-func (p *Pyramid) MaxAbs(attr string) float64 {
-	best := 0.0
-	p.EachTile(func(t *Tile) bool {
-		g, err := t.Grid(attr)
-		if err != nil {
-			return false
-		}
-		for _, v := range g {
-			if !math.IsNaN(v) && math.Abs(v) > best {
-				best = math.Abs(v)
-			}
-		}
-		return true
-	})
-	return best
 }

@@ -50,7 +50,7 @@ func TestCoordParentChildRoundTrip(t *testing.T) {
 		side := 1 << l
 		c := Coord{Level: l, Y: int(y) % side, X: int(x) % side}
 		child := c.Child(Quadrant(q % 4))
-		return child.Parent() == c && child.QuadrantIn() == Quadrant(q%4)
+		return child.Parent() == c
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -305,17 +305,6 @@ func TestTileBytesPositive(t *testing.T) {
 	tl := &Tile{Size: 4, Attrs: []string{"v"}, Data: [][]float64{make([]float64, 16)}}
 	if tl.Bytes() <= 16*8 {
 		t.Errorf("Bytes = %d, want > 128", tl.Bytes())
-	}
-}
-
-func TestMaxAbs(t *testing.T) {
-	pyr, err := Build(rawArray(t, 16), Params{TileSize: 8, Agg: array.AggAvg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Raw cells are 0..255, so MaxAbs of the finest level is 255.
-	if got := pyr.MaxAbs("v"); got != 255 {
-		t.Errorf("MaxAbs = %v, want 255", got)
 	}
 }
 
