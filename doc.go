@@ -87,10 +87,12 @@
 //     shard, bit-for-bit the unsharded deployment;
 //   - push-based continuous delivery (internal/push): with
 //     MiddlewareConfig.Push (serve -push) the server mounts GET /stream —
-//     one long-lived SSE response per session — and every completed
-//     prefetch for a stream-attached session is written down it as a
-//     framed tile payload carrying its coordinate, model attribution and
-//     score, with heartbeats while idle and teardown on session eviction
+//     one long-lived response per session, SSE or (negotiated as on
+//     /tile, with BinaryTiles) binary frames around the memoized FCT1
+//     bodies — and every completed prefetch for a stream-attached
+//     session is written down it as a framed tile payload carrying its
+//     coordinate, model attribution and score, with heartbeats while
+//     idle and teardown on session eviction
 //     and Close (Khameleon-style: round-trip latency moves from
 //     paid-per-pan to hidden-behind-the-stream). The registry measures
 //     each stream's drain rate from real writes and the scheduler's
@@ -100,8 +102,8 @@
 //     slot buffer — newest frame supersedes, consumed on request
 //     (TileInfo.Streamed) — and auto-reattaches after a drop, with the
 //     server backfilling the session's cached predictions. Stream
-//     telemetry (open streams, pushed/backfilled/dropped frames,
-//     push-to-consume lead time, per-session drain rates) rides /stats
+//     telemetry (open streams, pushed/backfilled/dropped frames, frame
+//     bytes, push-to-consume lead time, per-session drain rates) rides /stats
 //     and /metrics as forecache_push_* series. Push off is the pull
 //     deployment bit-for-bit;
 //   - zero-copy tile serving (internal/tile codec + encoded cache): with
@@ -111,10 +113,10 @@
 //     each optionally gzip-compressed — is memoized in one
 //     deployment-wide byte-budgeted LRU (EncodedCacheBudget) with
 //     single-flight encoding, shared by the /tile handler and the push
-//     registry, so a tile is encoded at most once per format however
+//     streams, so a tile is encoded at most once per format however
 //     it leaves the server. The Go client opts in with
-//     NegotiateBinary; the default JSON wire format is byte-for-byte
-//     unchanged, knob off or on. Cache traffic and encode latencies
+//     NegotiateBinary (/tile and /stream alike); the default JSON and
+//     SSE wire formats are byte-for-byte unchanged, knob off or on. Cache traffic and encode latencies
 //     ride /metrics as the forecache_tile_* series;
 //   - the observability layer (internal/obs): with
 //     MiddlewareConfig.Tracing every /tile request is traced end to end

@@ -174,10 +174,12 @@ type MiddlewareConfig struct {
 	// deterministic.
 	AsyncPrefetch bool
 	// Push enables continuous push delivery (Khameleon-style): the server
-	// mounts GET /stream — one long-lived SSE response per session — and
+	// mounts GET /stream — one long-lived response per session — and
 	// every completed prefetch for a stream-attached session is written to
 	// it as a framed tile payload with its coordinate, model attribution and
-	// score, so the client holds the tile before ever asking for it. The
+	// score, so the client holds the tile before ever asking for it (SSE;
+	// with BinaryTiles, binary frames around the memoized FCT1 bodies for
+	// a request that names the binary tile codec in Accept). The
 	// scheduler's admission control grows a bandwidth-aware term: a queued
 	// entry's utility decays by the extra queue-rank × per-session drain
 	// delay (estimated bytes over the stream's measured throughput), so
@@ -308,11 +310,11 @@ type MiddlewareConfig struct {
 	// encoded-payload cache memoizes each tile's wire bytes per (coord,
 	// format, compression), /tile content-negotiates the binary codec
 	// ("Accept: application/x-forecache-tile") and gzip compression, and
-	// push frames embed the cached JSON body instead of re-marshaling the
-	// tile per attached stream. Clients that send no Accept header still
-	// get byte-identical legacy JSON; off (the default), the serving paths
-	// are bit-for-bit the per-request-marshal deployment. Only NewServer
-	// honors this.
+	// push frames embed the cached body (JSON on an SSE stream, FCT1 on a
+	// binary one) instead of re-marshaling the tile per attached stream.
+	// Clients that send no Accept header still get byte-identical legacy
+	// JSON and SSE; off (the default), the serving paths are bit-for-bit
+	// the per-request-marshal deployment. Only NewServer honors this.
 	BinaryTiles bool
 	// EncodedCacheBudget caps the encoded-payload cache in bytes. 0 means
 	// the 64 MiB default. Only meaningful with BinaryTiles.
@@ -550,10 +552,10 @@ func (d *Dataset) NewServer(train []*trace.Trace, cfg MiddlewareConfig) (*server
 	if cfg.Pprof {
 		opts = append(opts, server.WithPprof())
 	}
-	// The encoded-payload cache is deployment-wide: the /tile handler and
-	// the push registry share it, so the pull and push paths serve the same
-	// memoized bytes and a tile is encoded once however it leaves the
-	// server. The encode-duration hook is nil-receiver safe when untraced.
+	// The encoded-payload cache is deployment-wide: the /tile and /stream
+	// handlers and the push registry share it, so the pull and push paths
+	// serve the same memoized bytes and a tile is encoded once however it
+	// leaves. The encode-duration hook is nil-receiver safe when untraced.
 	var encCache *tile.EncodedCache
 	if cfg.BinaryTiles {
 		encCache = tile.NewEncodedCache(cfg.EncodedCacheBudget, pipe.ObserveTileEncode)

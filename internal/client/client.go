@@ -51,10 +51,10 @@ func New(base, session string) *Client {
 	return &Client{base: base, session: session, http: &http.Client{Timeout: 30 * time.Second}}
 }
 
-// NegotiateBinary toggles wire-format negotiation on Tile requests: when
+// NegotiateBinary toggles wire-format negotiation on Tile and Attach: when
 // on, the client advertises "Accept: application/x-forecache-tile" and
 // "Accept-Encoding: gzip", and decodes whatever the server grants — the
-// binary codec, gzip compression, both, or plain JSON from a server
+// binary codec, gzip compression, both, or plain JSON and SSE from a server
 // without encoded serving (the headers are ignored there, so a mixed
 // fleet is safe). Off (the default) keeps requests byte-identical to
 // earlier clients.
@@ -62,6 +62,20 @@ func (c *Client) NegotiateBinary(on bool) {
 	c.mu.Lock()
 	c.binary = on
 	c.mu.Unlock()
+}
+
+// negotiate adds NegotiateBinary's headers to a /tile or /stream request.
+func (c *Client) negotiate(req *http.Request) {
+	c.mu.Lock()
+	binary := c.binary
+	c.mu.Unlock()
+	if binary {
+		req.Header.Set("Accept", tile.BinaryContentType)
+		// Setting Accept-Encoding explicitly disables the transport's
+		// transparent decompression: decodeTileBody gunzips by hand, and
+		// stream frames are gzipped one by one.
+		req.Header.Set("Accept-Encoding", "gzip")
+	}
 }
 
 // TileInfo carries the middleware telemetry for one served tile.
@@ -101,15 +115,7 @@ func (c *Client) Tile(coord tile.Coord) (*tile.Tile, TileInfo, error) {
 	if err != nil {
 		return nil, TileInfo{}, err
 	}
-	c.mu.Lock()
-	binary := c.binary
-	c.mu.Unlock()
-	if binary {
-		req.Header.Set("Accept", tile.BinaryContentType)
-		// Setting Accept-Encoding explicitly disables the transport's
-		// transparent decompression, so decodeTileBody gunzips by hand.
-		req.Header.Set("Accept-Encoding", "gzip")
-	}
+	c.negotiate(req)
 	resp, err := c.http.Do(req)
 	if err != nil {
 		return nil, TileInfo{}, err

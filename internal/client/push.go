@@ -97,7 +97,8 @@ func (c *Client) PushStats() PushStats {
 
 // dialStream opens one long-lived /stream response. It uses a dedicated
 // http.Client: the regular one carries a global Timeout that would kill a
-// healthy stream after 30s.
+// healthy stream after 30s. Binary frames or SSE, whichever the server
+// grants, streamDecoder reads.
 func (c *Client) dialStream(ctx context.Context) (*http.Response, error) {
 	u := c.base + "/stream"
 	if c.session != "" {
@@ -107,6 +108,7 @@ func (c *Client) dialStream(ctx context.Context) (*http.Response, error) {
 	if err != nil {
 		return nil, err
 	}
+	c.negotiate(req)
 	resp, err := (&http.Client{}).Do(req)
 	if err != nil {
 		return nil, err
@@ -115,11 +117,23 @@ func (c *Client) dialStream(ctx context.Context) (*http.Response, error) {
 		defer resp.Body.Close()
 		return nil, decodeError(resp)
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
+	if streamDecoder(resp) == nil {
 		resp.Body.Close()
-		return nil, fmt.Errorf("client: /stream content type %q", ct)
+		return nil, fmt.Errorf("client: /stream content type %q", resp.Header.Get("Content-Type"))
 	}
 	return resp, nil
+}
+
+// streamDecoder picks the frame decoder the response's Content-Type names,
+// nil for a type this client does not read.
+func streamDecoder(resp *http.Response) func(*bufio.Reader) (push.Frame, error) {
+	switch resp.Header.Get("Content-Type") {
+	case "text/event-stream":
+		return push.Decode
+	case push.BinaryContentType:
+		return push.DecodeBinary
+	}
+	return nil
 }
 
 // consumeStream decodes frames until the stream drops, then redials until
@@ -127,9 +141,9 @@ func (c *Client) dialStream(ctx context.Context) (*http.Response, error) {
 func (c *Client) consumeStream(ctx context.Context, st *streamState, resp *http.Response) {
 	defer close(st.done)
 	for {
-		r := bufio.NewReader(resp.Body)
+		r, decode := bufio.NewReader(resp.Body), streamDecoder(resp)
 		for {
-			f, err := push.Decode(r)
+			f, err := decode(r)
 			if err != nil {
 				break
 			}

@@ -27,9 +27,14 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // pushServer builds a fake middleware: /tile serves a JSON tile for any
-// coordinate, /stream hands the connection to stream (which runs until it
-// returns; connections are numbered from 1).
+// coordinate, /stream hands the SSE connection to stream (which runs until
+// it returns; connections are numbered from 1).
 func pushServer(t *testing.T, stream func(n int, w http.ResponseWriter, r *http.Request)) *httptest.Server {
+	return pushServerTyped(t, "text/event-stream", stream)
+}
+
+// pushServerTyped is pushServer answering /stream with contentType.
+func pushServerTyped(t *testing.T, contentType string, stream func(n int, w http.ResponseWriter, r *http.Request)) *httptest.Server {
 	t.Helper()
 	var conns atomic.Int64
 	mux := http.NewServeMux()
@@ -41,7 +46,7 @@ func pushServer(t *testing.T, stream func(n int, w http.ResponseWriter, r *http.
 		_ = json.NewEncoder(w).Encode(tile.Tile{Coord: tile.Coord{Level: lvl, Y: y, X: x}, Size: 1})
 	})
 	mux.HandleFunc("/stream", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/event-stream")
+		w.Header().Set("Content-Type", contentType)
 		w.WriteHeader(http.StatusOK)
 		w.(http.Flusher).Flush()
 		stream(int(conns.Add(1)), w, r)
@@ -60,16 +65,54 @@ func frameFor(c tile.Coord, backfill bool) push.Frame {
 
 // TestClientStreamedTile: a streamed tile lands in the slot buffer, the
 // next request for its coordinate consumes the slot exactly once, and
-// heartbeats are counted without occupying slots.
+// heartbeats are counted without occupying slots — in either framing, the
+// decoder following the response's Content-Type: a negotiating client
+// reads the SSE of a server that does not grant binary (mixed fleet) as
+// well as the binary frames of one that does.
 func TestClientStreamedTile(t *testing.T) {
 	c1 := tile.Coord{Level: 1, Y: 0, X: 1}
-	ts := pushServer(t, func(n int, w http.ResponseWriter, r *http.Request) {
+	sse := func(w http.ResponseWriter) {
 		_, _ = push.Encode(w, frameFor(c1, false))
 		_, _ = push.Encode(w, push.Frame{Type: push.FrameHeartbeat, Session: "s"})
-		w.(http.Flusher).Flush()
-		<-r.Context().Done()
-	})
-	c := New(ts.URL, "s")
+	}
+	binary := func(w http.ResponseWriter) {
+		body, err := tile.EncodeBinary(&tile.Tile{Coord: c1, Size: 1, Attrs: []string{"v"}, Data: [][]float64{{1}}})
+		if err != nil {
+			t.Error(err)
+		}
+		raw, err := push.AppendBinary(nil, frameFor(c1, false), body, false)
+		if err != nil {
+			t.Error(err)
+		}
+		raw, _ = push.AppendBinary(raw, push.Frame{Type: push.FrameHeartbeat}, nil, false)
+		_, _ = w.Write(raw)
+	}
+	for _, tc := range []struct {
+		name, contentType string
+		negotiate         bool
+		frames            func(http.ResponseWriter)
+	}{
+		{"sse", "text/event-stream", false, sse},
+		{"sse to a negotiating client", "text/event-stream", true, sse},
+		{"binary", push.BinaryContentType, true, binary},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := pushServerTyped(t, tc.contentType, func(n int, w http.ResponseWriter, r *http.Request) {
+				if got := r.Header.Get("Accept") == tile.BinaryContentType && r.Header.Get("Accept-Encoding") == "gzip"; got != tc.negotiate {
+					t.Errorf("stream request negotiates binary+gzip = %v, want %v (headers %v)", got, tc.negotiate, r.Header)
+				}
+				tc.frames(w)
+				w.(http.Flusher).Flush()
+				<-r.Context().Done()
+			})
+			c := New(ts.URL, "s")
+			c.NegotiateBinary(tc.negotiate)
+			testStreamedTile(t, c, c1)
+		})
+	}
+}
+
+func testStreamedTile(t *testing.T, c *Client, c1 tile.Coord) {
 	if err := c.Attach(); err != nil {
 		t.Fatal(err)
 	}
@@ -170,6 +213,10 @@ func TestClientAttachLifecycle(t *testing.T) {
 	defer notFound.Close()
 	if err := New(notFound.URL, "s").Attach(); err == nil {
 		t.Fatal("attach against a pull-only server should error")
+	}
+	html := pushServerTyped(t, "text/html", func(int, http.ResponseWriter, *http.Request) {})
+	if err := New(html.URL, "s").Attach(); err == nil {
+		t.Fatal("attach to a stream in neither framing should error")
 	}
 
 	ts := pushServer(t, func(n int, w http.ResponseWriter, r *http.Request) {

@@ -7,9 +7,10 @@
 //
 // The package has two halves:
 //
-//   - the wire format (this file): SSE-compatible frames carrying the tile
-//     payload plus its coord/model/score attribution, decodable by the Go
-//     client and greppable by curl;
+//   - the wire formats: SSE frames (this file) carrying the tile payload
+//     plus its coord/model/score attribution, greppable by curl, and binary
+//     frames (binary.go) around the tile's memoized FCT1 body, which a
+//     client negotiates on GET /stream as it does on /tile;
 //   - the Registry (registry.go): the per-session stream table the server
 //     and the prefetch scheduler share — attach/supersede/detach
 //     lifecycle, bounded per-stream frame buffers, per-session drain-rate
@@ -41,8 +42,8 @@ const (
 type Frame struct {
 	// Type is FrameTile or FrameHeartbeat.
 	Type string `json:"type"`
-	// Session is the stream's session id (echoed so a frame is
-	// self-describing in logs and captures).
+	// Session is the stream's session id (echoed so an SSE frame is
+	// self-describing in logs and captures; binary frames omit it).
 	Session string `json:"session,omitempty"`
 	// Seq is the stream-local frame sequence number, assigned at enqueue.
 	Seq uint64 `json:"seq"`

@@ -176,14 +176,22 @@ func TestRegistryAttachSupersede(t *testing.T) {
 	}
 }
 
+// TestRegistryPushUnattached: a push-enabled deployment whose clients never
+// attach pays nothing per completed prefetch — no frame, no encode.
 func TestRegistryPushUnattached(t *testing.T) {
-	r := NewRegistry(Config{})
-	c := tile.Coord{Level: 1}
-	if r.Push("ghost", "m", c, 1, testTile(c)) {
-		t.Fatal("Push to unattached session succeeded")
+	ec := tile.NewEncodedCache(0, nil)
+	r := NewRegistry(Config{Encoded: ec})
+	for i := 0; i < 8; i++ {
+		c := tile.Coord{Level: 3, X: i}
+		if r.Push("ghost", "m", c, 1, testTile(c)) {
+			t.Fatal("Push to unattached session succeeded")
+		}
 	}
-	if got := r.Stats(); got.Pushed != 0 {
+	if got := r.Stats(); got.Pushed != 0 || got.Dropped != 0 {
 		t.Fatalf("stats counted a refused push: %+v", got)
+	}
+	if got := ec.Stats(); got.Misses != 0 || got.Hits != 0 || got.Entries != 0 {
+		t.Fatalf("pushes to nobody touched the encoded cache: %+v", got)
 	}
 }
 
@@ -291,6 +299,13 @@ func TestRegistryDrainDelay(t *testing.T) {
 	}
 	if d := r.DrainDelay("nobody"); d != 0 {
 		t.Fatalf("DrainDelay for unknown session: %v", d)
+	}
+	// Bytes are counted ahead of the write, on their own: the EWMA's
+	// samples do not feed the total.
+	r.CountWrite(1000, false)
+	r.CountWrite(36, true)
+	if got := r.Stats(); got.Bytes != 1036 || got.Heartbeats != 1 {
+		t.Fatalf("Stats = %+v, want 1036 bytes and 1 heartbeat", got)
 	}
 }
 
@@ -425,6 +440,24 @@ func TestRegistryPushSharesEncodedPayload(t *testing.T) {
 		if got.Tile == nil || got.Tile.Coord != c || got.Tile.Data[0][1] != -2.25 {
 			t.Fatalf("stream %d: decoded tile corrupted: %+v", i, got.Tile)
 		}
+	}
+
+	// A binary stream's handler copies the FCT1 body at write time, so its
+	// frames carry no JSON payload and never touch the JSON variant — on
+	// push or on backfill.
+	before := ec.Stats()
+	bin := r.AttachBinary("bin")
+	fresh := tile.Coord{Level: 2, Y: 2, X: 2}
+	if !r.Push("bin", "m", fresh, 1, testTile(fresh)) || !r.Backfill(bin, "m", c, tl) {
+		t.Fatal("Push/Backfill to the binary stream failed")
+	}
+	for i := 0; i < 2; i++ {
+		if f := <-bin.Frames(); f.Payload != nil || f.Tile == nil {
+			t.Fatalf("binary stream frame %d: %+v, want the tile and no payload", i, f)
+		}
+	}
+	if after := ec.Stats(); after != before {
+		t.Fatalf("binary stream touched the encoded cache: %+v -> %+v", before, after)
 	}
 }
 

@@ -1,7 +1,6 @@
 package push
 
 import (
-	"encoding/json"
 	"sync"
 	"time"
 
@@ -34,9 +33,10 @@ type Config struct {
 	// the tile's request arriving). Nil is a no-op.
 	Obs *obs.Pipeline
 	// Encoded, when set, is the deployment's encoded-payload cache: every
-	// pushed frame carries the tile's memoized JSON body (Frame.Payload),
-	// so a tile delivered to N attached streams — and to the /tile pull
-	// path — is encoded exactly once. Nil keeps the per-frame marshal.
+	// frame pushed onto an SSE stream carries the tile's memoized JSON body
+	// (Frame.Payload), so a tile delivered to N attached streams — and to
+	// the /tile pull path — is encoded exactly once. Nil keeps the
+	// per-frame marshal. Binary streams never ask for the JSON variant.
 	Encoded *tile.EncodedCache
 	// Now overrides time.Now (test seam).
 	Now func() time.Time
@@ -61,6 +61,8 @@ type Stats struct {
 	// Consumed counts pushed tiles whose session later requested them (each
 	// observes one push-to-consume lead time).
 	Consumed int `json:"consumed"`
+	// Bytes counts frame bytes written to streams, heartbeats included.
+	Bytes int64 `json:"bytes"`
 	// DrainRates maps each open stream's session to its measured drain rate
 	// in bytes per second (0 until the first write is recorded).
 	DrainRates map[string]float64 `json:"drain_bytes_per_sec,omitempty"`
@@ -82,8 +84,8 @@ type sessionState struct {
 // done channel closed when the stream is superseded, its session is
 // evicted, or the registry closes.
 type Stream struct {
-	reg     *Registry
 	session string
+	binary  bool // framed by AppendBinary: frames carry no JSON payload
 	frames  chan Frame
 	done    chan struct{}
 	closed  bool   // guarded by reg.mu
@@ -97,9 +99,6 @@ func (st *Stream) Frames() <-chan Frame { return st.frames }
 // session evicted, or registry closed.
 func (st *Stream) Done() <-chan struct{} { return st.done }
 
-// Session returns the stream's session id.
-func (st *Stream) Session() string { return st.session }
-
 // Registry is the deployment's push-stream table, shared by the HTTP
 // server (attach/teardown, frame writing) and the prefetch scheduler
 // (frame dispatch, bandwidth-aware admission). Safe for concurrent use.
@@ -112,6 +111,7 @@ type Registry struct {
 	closed   bool
 
 	opened, pushed, backfilled, dropped, heartbeats, consumed int
+	bytes                                                     int64
 }
 
 // NewRegistry builds a stream registry.
@@ -135,10 +135,16 @@ func NewRegistry(cfg Config) *Registry {
 // HeartbeatInterval returns the configured idle-stream heartbeat cadence.
 func (r *Registry) HeartbeatInterval() time.Duration { return r.cfg.Heartbeat }
 
-// Attach registers a stream for session, superseding (and closing) any
-// stream the session already has — the newest connection wins, which is
-// what makes client reconnects safe. Returns nil after Close.
-func (r *Registry) Attach(session string) *Stream {
+// Attach registers an SSE stream for session, superseding (and closing)
+// any stream the session already has — the newest connection wins, which
+// is what makes client reconnects safe. Returns nil after Close.
+func (r *Registry) Attach(session string) *Stream { return r.attach(session, false) }
+
+// AttachBinary is Attach for a stream the handler frames with AppendBinary
+// around the memoized FCT1 body: its frames get no JSON Payload.
+func (r *Registry) AttachBinary(session string) *Stream { return r.attach(session, true) }
+
+func (r *Registry) attach(session string, binary bool) *Stream {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -148,8 +154,8 @@ func (r *Registry) Attach(session string) *Stream {
 		r.closeStreamLocked(old)
 	}
 	st := &Stream{
-		reg:     r,
 		session: session,
+		binary:  binary,
 		frames:  make(chan Frame, r.cfg.Buffer),
 		done:    make(chan struct{}),
 	}
@@ -212,12 +218,12 @@ func (r *Registry) closeStreamLocked(st *Stream) {
 // whether the frame was accepted (false: no stream attached, buffer full,
 // or registry closed). This is the prefetch scheduler's dispatch hook
 // (prefetch.PushSink); it never blocks — a slow consumer loses frames, not
-// the worker pool.
+// the worker pool — and nothing is encoded for a session without a stream.
 func (r *Registry) Push(session, model string, c tile.Coord, score float64, t *tile.Tile) bool {
-	return r.enqueue(session, Frame{
-		Type: FrameTile, Model: model, Score: score, Coord: c, Tile: t,
-		Payload: r.encodedPayload(c, t),
-	}, false)
+	r.mu.Lock()
+	st := r.streams[session]
+	r.mu.Unlock()
+	return st != nil && r.enqueue(st, Frame{Type: FrameTile, Model: model, Score: score, Coord: c, Tile: t})
 }
 
 // Backfill enqueues one cached tile onto st after a re-attach, so the
@@ -225,42 +231,23 @@ func (r *Registry) Push(session, model string, c tile.Coord, score float64, t *t
 // without re-fetching (and without touching cache outcome accounting —
 // the caller reads the cache through a side-effect-free snapshot).
 func (r *Registry) Backfill(st *Stream, model string, c tile.Coord, t *tile.Tile) bool {
-	payload := r.encodedPayload(c, t) // encode outside the registry lock
+	return r.enqueue(st, Frame{Type: FrameTile, Model: model, Coord: c, Tile: t, Backfill: true})
+}
+
+// enqueue puts f on st unless st was superseded or released meanwhile (the
+// tile, already cached, reaches the replacing stream as backfill). A frame
+// for an SSE stream first takes the tile's memoized JSON body — before the
+// registry lock, so a first-touch encode stalls no other stream; without
+// it Encode marshals per frame.
+func (r *Registry) enqueue(st *Stream, f Frame) bool {
+	if !st.binary && r.cfg.Encoded != nil && f.Tile != nil {
+		if p, err := r.cfg.Encoded.Get(f.Coord, tile.FormatJSON, false, f.Tile.EncodeJSON); err == nil {
+			f.Payload = p
+		}
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.streams[st.session] != st {
-		// st was superseded or released; its frames belong to nobody now.
-		return false
-	}
-	return r.enqueueLocked(st, Frame{
-		Type: FrameTile, Model: model, Coord: c, Tile: t, Backfill: true,
-		Payload: payload,
-	}, true)
-}
-
-// encodedPayload returns t's memoized JSON body from the encoded-payload
-// cache, or nil — falling back to Encode's per-frame marshal — when the
-// cache is absent or the encode fails. Called before taking the registry
-// lock: a first-touch encode must not stall every other stream.
-func (r *Registry) encodedPayload(c tile.Coord, t *tile.Tile) json.RawMessage {
-	if r.cfg.Encoded == nil || t == nil {
-		return nil
-	}
-	p, err := r.cfg.Encoded.Get(c, tile.FormatJSON, false, t.EncodeJSON)
-	if err != nil {
-		return nil
-	}
-	return p
-}
-
-func (r *Registry) enqueue(session string, f Frame, backfill bool) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.enqueueLocked(r.streams[session], f, backfill)
-}
-
-func (r *Registry) enqueueLocked(st *Stream, f Frame, backfill bool) bool {
-	if st == nil || st.closed || r.closed {
 		return false
 	}
 	session := st.session
@@ -274,7 +261,7 @@ func (r *Registry) enqueueLocked(st *Stream, f Frame, backfill bool) bool {
 		return false
 	}
 	r.pushed++
-	if backfill {
+	if f.Backfill {
 		r.backfilled++
 	}
 	ss := r.sessions[session]
@@ -342,10 +329,16 @@ func (r *Registry) RecordWrite(session string, n int, elapsed time.Duration) {
 	}
 }
 
-// CountHeartbeat counts one heartbeat frame written by a stream handler.
-func (r *Registry) CountHeartbeat() {
+// CountWrite counts one frame of n bytes a stream handler is about to
+// write — count, then publish: a client holding the frame must never read
+// a counter that excludes it (a failed write leaves the counters one
+// ahead, which is the harmless direction).
+func (r *Registry) CountWrite(n int, heartbeat bool) {
 	r.mu.Lock()
-	r.heartbeats++
+	r.bytes += int64(n)
+	if heartbeat {
+		r.heartbeats++
+	}
 	r.mu.Unlock()
 }
 
@@ -381,6 +374,7 @@ func (r *Registry) Stats() Stats {
 		Dropped:    r.dropped,
 		Heartbeats: r.heartbeats,
 		Consumed:   r.consumed,
+		Bytes:      r.bytes,
 	}
 	if len(r.streams) > 0 {
 		st.DrainRates = make(map[string]float64, len(r.streams))

@@ -244,6 +244,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		pw.counter("forecache_push_dropped_total", "Push frames lost to a full stream buffer or a detached session.", float64(st.Dropped))
 		pw.counter("forecache_push_heartbeats_total", "Heartbeat frames written on idle push streams.", float64(st.Heartbeats))
 		pw.counter("forecache_push_consumed_total", "Pushed tiles whose session later requested them.", float64(st.Consumed))
+		pw.counter("forecache_push_bytes_total", "Frame bytes handed to push stream connections (SSE and binary framing, heartbeats included).", float64(st.Bytes))
 		drainIDs := make([]string, 0, len(st.DrainRates))
 		for id := range st.DrainRates {
 			drainIDs = append(drainIDs, id)

@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"net/http"
 	"time"
 
 	"forecache/internal/push"
+	"forecache/internal/tile"
 )
 
 // streamWriteTimeout bounds each individual frame write on a push stream.
@@ -16,8 +18,8 @@ import (
 const streamWriteTimeout = 30 * time.Second
 
 // WithPush attaches the deployment's push-stream registry and mounts
-// GET /stream: one long-lived SSE response per session carrying framed
-// prefetched tiles (internal/push wire format), heartbeats while idle, and
+// GET /stream: one long-lived response per session carrying framed
+// prefetched tiles (internal/push wire formats), heartbeats while idle, and
 // teardown on session eviction and Close. The same registry must be handed
 // to the prefetch pipeline (prefetch.Config.Push) — the scheduler produces
 // the frames this endpoint drains.
@@ -44,25 +46,54 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := sessionID(r)
-	st := s.push.Attach(id)
+	// Framing follows the request headers as /tile's format does: binary
+	// frames around the memoized bodies for a client naming the tile codec
+	// on a deployment with an encoded cache, SSE for anyone else.
+	binary := s.encoded != nil && acceptsTileBinary(r.Header.Get("Accept"))
+	gz := binary && acceptsGzip(r.Header.Get("Accept-Encoding"))
+	attach, contentType := s.push.Attach, "text/event-stream"
+	if binary {
+		attach, contentType = s.push.AttachBinary, push.BinaryContentType
+	}
+	st := attach(id)
 	if st == nil { // registry already closed
 		httpError(w, http.StatusServiceUnavailable, ErrClosed)
 		return
 	}
-	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Content-Type", contentType)
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("X-Accel-Buffering", "no") // proxies must not buffer the stream
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
 	_ = rc.Flush()
 
-	// write frames one SSE event with a per-write deadline and feeds the
-	// observed throughput back into the session's drain-rate estimate (the
-	// scheduler's bandwidth-aware admission term).
+	// write sends one frame with a per-write deadline and feeds the observed
+	// throughput back into the session's drain-rate estimate (the
+	// scheduler's bandwidth-aware admission term). The frame is encoded into
+	// buf first: the estimate times the connection, never the encoder.
+	var buf []byte
 	write := func(f push.Frame) bool {
+		var err error
+		if binary {
+			var body []byte
+			if f.Tile != nil { // heartbeats carry none
+				body, err = s.encodedBody(f.Coord, f.Tile, tile.FormatBinary, gz)
+			}
+			if err == nil {
+				buf, err = push.AppendBinary(buf[:0], f, body, gz)
+			}
+		} else {
+			sse := bytes.NewBuffer(buf[:0])
+			_, err = push.Encode(sse, f)
+			buf = sse.Bytes()
+		}
+		if err != nil {
+			return false
+		}
+		s.push.CountWrite(len(buf), f.Type == push.FrameHeartbeat)
 		start := time.Now()
 		_ = rc.SetWriteDeadline(start.Add(streamWriteTimeout))
-		n, err := push.Encode(w, f)
+		n, err := w.Write(buf)
 		if err != nil {
 			return false
 		}
@@ -91,10 +122,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		case <-hb.C:
-			// Count, then publish: a client holding the frame must never
-			// read a counter that excludes it (a failed write leaves the
-			// counter one ahead, which is the harmless direction).
-			s.push.CountHeartbeat()
 			if !write(push.Frame{Type: push.FrameHeartbeat, Session: id}) {
 				s.push.Release(st)
 				return

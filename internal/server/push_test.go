@@ -2,7 +2,10 @@ package server
 
 import (
 	"bufio"
+	"bytes"
+	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -39,35 +42,56 @@ func pushTestServer(t *testing.T, pcfg push.Config, opts ...Option) (*Server, *h
 	return srv, ts, sched, reg
 }
 
-// attachStream opens GET /stream for a session and decodes frames into the
+// attachStream opens GET /stream for a session the way curl does — no
+// Accept header, so the answer must be SSE — and decodes frames into the
 // returned channel until the stream ends (then the channel closes).
 func attachStream(t *testing.T, ts *httptest.Server, session string) (<-chan push.Frame, *http.Response) {
 	t.Helper()
-	resp, err := ts.Client().Get(ts.URL + "/stream?session=" + session)
+	frames, resp := attachStreamWith(t, ts, session, nil)
+	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
+		t.Fatalf("stream content type = %q", ct)
+	}
+	return frames, resp
+}
+
+// binaryGzip is what a NegotiateBinary client sends on /tile and /stream.
+var binaryGzip = map[string]string{"Accept": tile.BinaryContentType, "Accept-Encoding": "gzip"}
+
+// attachStreamWith is attachStream with request headers; the decoder
+// follows the response's Content-Type.
+func attachStreamWith(t *testing.T, ts *httptest.Server, session string, headers map[string]string) (<-chan push.Frame, *http.Response) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, ts.URL+"/stream?session="+session, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range headers {
+		req.Header.Set(k, v)
+	}
+	resp, err := ts.Client().Do(req)
 	if err != nil {
 		t.Fatalf("attach stream: %v", err)
 	}
+	t.Cleanup(func() { resp.Body.Close() })
 	if resp.StatusCode != http.StatusOK {
-		resp.Body.Close()
 		t.Fatalf("stream status = %d", resp.StatusCode)
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		resp.Body.Close()
-		t.Fatalf("stream content type = %q", ct)
+	decode := push.Decode
+	if resp.Header.Get("Content-Type") == push.BinaryContentType {
+		decode = push.DecodeBinary
 	}
 	frames := make(chan push.Frame, 256)
 	go func() {
 		defer close(frames)
 		r := bufio.NewReader(resp.Body)
 		for {
-			f, err := push.Decode(r)
+			f, err := decode(r)
 			if err != nil {
 				return
 			}
 			frames <- f
 		}
 	}()
-	t.Cleanup(func() { resp.Body.Close() })
 	return frames, resp
 }
 
@@ -208,19 +232,27 @@ func TestStreamSupersededByReconnect(t *testing.T) {
 }
 
 // TestStreamHeartbeat: an idle stream emits heartbeat frames at the
-// configured cadence.
+// configured cadence, in either framing.
 func TestStreamHeartbeat(t *testing.T) {
-	_, ts, _, reg := pushTestServer(t, push.Config{Heartbeat: 30 * time.Millisecond})
-	frames, _ := attachStream(t, ts, "u1")
-	f, ok := waitFrame(t, frames, 5*time.Second)
-	if !ok {
-		t.Fatal("stream ended before a heartbeat")
-	}
-	if f.Type != push.FrameHeartbeat {
-		t.Fatalf("frame = %+v, want heartbeat", f)
-	}
-	if st := reg.Stats(); st.Heartbeats < 1 {
-		t.Fatalf("Heartbeats = %d", st.Heartbeats)
+	for name, headers := range map[string]map[string]string{"sse": nil, "binary": binaryGzip} {
+		t.Run(name, func(t *testing.T) {
+			ec := tile.NewEncodedCache(0, nil)
+			_, ts, _, reg := pushTestServer(t, push.Config{Heartbeat: 30 * time.Millisecond, Encoded: ec}, WithEncodedTiles(ec))
+			frames, resp := attachStreamWith(t, ts, "u1", headers)
+			if ct := resp.Header.Get("Content-Type"); (ct == push.BinaryContentType) != (headers != nil) {
+				t.Fatalf("stream content type = %q", ct)
+			}
+			f, ok := waitFrame(t, frames, 5*time.Second)
+			if !ok {
+				t.Fatal("stream ended before a heartbeat")
+			}
+			if f.Type != push.FrameHeartbeat {
+				t.Fatalf("frame = %+v, want heartbeat", f)
+			}
+			if st := reg.Stats(); st.Heartbeats < 1 || st.Bytes == 0 {
+				t.Fatalf("stats = %+v, want the heartbeat and its bytes counted", st)
+			}
+		})
 	}
 }
 
@@ -325,5 +357,185 @@ func TestStreamEvictionWriteCloseRace(t *testing.T) {
 	wg.Wait()
 	if st := reg.Stats(); st.Open != 0 {
 		t.Fatalf("streams leaked past Close: %+v", st)
+	}
+}
+
+// TestStreamFramingNegotiation: /stream picks its framing from the request
+// headers exactly as /tile picks its format. No media type named — curl,
+// EventSource — is answered with the SSE bytes push.Encode has always
+// produced; the binary codec is granted only where an encoded cache holds
+// the bodies to frame; and whichever framing runs, the frame bytes are in
+// forecache_push_bytes_total by the time a client holds them.
+func TestStreamFramingNegotiation(t *testing.T) {
+	cases := []struct {
+		name     string
+		encoded  bool
+		headers  map[string]string
+		wantType string
+		wantGzip bool
+	}{
+		{name: "no Accept, encoded cache", encoded: true, wantType: "text/event-stream"},
+		{name: "no Accept, no cache", wantType: "text/event-stream"},
+		// Go's transport asks for gzip on its own unless told otherwise.
+		{name: "binary", encoded: true, headers: map[string]string{"Accept": tile.BinaryContentType, "Accept-Encoding": "identity"}, wantType: push.BinaryContentType},
+		{name: "binary+gzip", encoded: true, headers: binaryGzip, wantType: push.BinaryContentType, wantGzip: true},
+		{name: "binary asked of a server without the cache", headers: binaryGzip, wantType: "text/event-stream"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var pcfg push.Config
+			opts := []Option{WithMetrics()}
+			if tc.encoded {
+				pcfg.Encoded = tile.NewEncodedCache(0, nil)
+				opts = append(opts, WithEncodedTiles(pcfg.Encoded))
+			}
+			_, ts, sched, _ := pushTestServer(t, pcfg, opts...)
+			req, err := http.NewRequest(http.MethodGet, ts.URL+"/stream?session=u1", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, v := range tc.headers {
+				req.Header.Set(k, v)
+			}
+			resp, err := ts.Client().Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != tc.wantType {
+				t.Fatalf("status %d, Content-Type %q, want 200 %q", resp.StatusCode, ct, tc.wantType)
+			}
+			if ce := resp.Header.Get("Content-Encoding"); ce != "" {
+				t.Fatalf("Content-Encoding = %q: compression is per frame, never the response's", ce)
+			}
+			getTileRaw(t, ts, "u1", nil)
+			sched.Drain()
+
+			// Keep every byte the decoder consumes: the first frame is
+			// checked against the encoder, byte for byte.
+			var raw bytes.Buffer
+			r := bufio.NewReader(io.TeeReader(resp.Body, &raw))
+			var f push.Frame
+			var want []byte
+			if tc.wantType == push.BinaryContentType {
+				if f, err = push.DecodeBinary(r); err != nil {
+					t.Fatal(err)
+				}
+				if gz := raw.Bytes()[1]&2 != 0; gz != tc.wantGzip {
+					t.Fatalf("frame gzip flag = %v, want %v", gz, tc.wantGzip)
+				}
+				body, err := tile.EncodeBinary(f.Tile)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.wantGzip {
+					if body, err = gzipBytes(body); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if want, err = push.AppendBinary(nil, f, body, tc.wantGzip); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				if f, err = push.Decode(r); err != nil {
+					t.Fatal(err)
+				}
+				var sse bytes.Buffer
+				if _, err := push.Encode(&sse, f); err != nil {
+					t.Fatal(err)
+				}
+				want = sse.Bytes()
+			}
+			if f.Type != push.FrameTile || f.Seq != 1 || f.Model == "" || f.Tile == nil || f.Tile.Coord != f.Coord {
+				t.Fatalf("first frame = %+v", f)
+			}
+			if !bytes.HasPrefix(raw.Bytes(), want) {
+				t.Fatalf("stream does not start with the encoder's bytes for %+v:\n got %q\nwant %q",
+					f, raw.Bytes()[:min(raw.Len(), 120)], want[:min(len(want), 120)])
+			}
+
+			mresp, err := ts.Client().Get(ts.URL + "/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(mresp.Body)
+			mresp.Body.Close()
+			values := validatePromText(t, string(body))
+			if got := values["forecache_push_bytes_total"]; got < float64(len(want)) {
+				t.Fatalf("forecache_push_bytes_total = %v with a %d-byte frame already received", got, len(want))
+			}
+			if values["forecache_push_tiles_total"] < 1 || values["forecache_push_streams"] != 1 {
+				t.Fatalf("push families: tiles %v streams %v", values["forecache_push_tiles_total"], values["forecache_push_streams"])
+			}
+		})
+	}
+}
+
+// slowConn is the stub connection of
+// TestStreamDrainRateExcludesEncode: it takes a moment per Write, so the
+// drain-rate sample is never discarded as zero-length.
+type slowConn struct {
+	*httptest.ResponseRecorder
+	wrote chan int
+}
+
+func (w *slowConn) Write(p []byte) (int, error) {
+	time.Sleep(time.Millisecond)
+	w.wrote <- len(p)
+	return len(p), nil
+}
+
+// TestStreamDrainRateExcludesEncode: the drain-rate EWMA is the
+// scheduler's estimate of the connection, so the clock around a frame
+// write must not cover resolving its payload. A first-touch encode is held
+// for 300 ms; the recorded sample has to be far shorter.
+func TestStreamDrainRateExcludesEncode(t *testing.T) {
+	const encodeDelay = 300 * time.Millisecond
+	ec := tile.NewEncodedCache(0, nil)
+	srv, _, _, reg := pushTestServer(t, push.Config{Encoded: ec}, WithEncodedTiles(ec))
+	ctx, cancel := context.WithCancel(context.Background())
+	req := httptest.NewRequest(http.MethodGet, "/stream?session=u1", nil).WithContext(ctx)
+	req.Header.Set("Accept", tile.BinaryContentType)
+	w := &slowConn{ResponseRecorder: httptest.NewRecorder(), wrote: make(chan int, 8)}
+	done := make(chan struct{})
+	go func() { defer close(done); srv.ServeHTTP(w, req) }()
+	defer func() { cancel(); <-done }()
+	for reg.Stats().Open == 0 {
+		time.Sleep(time.Millisecond)
+	}
+
+	c := tile.Coord{Level: 1, Y: 1, X: 1}
+	tl, err := testPyramid(t).Tile(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Hold the tile's single-flight encode open: the handler's own lookup
+	// joins it and waits the delay out before it can write.
+	encoding := make(chan struct{})
+	go func() {
+		_, _ = ec.Get(c, tile.FormatBinary, false, func() ([]byte, error) {
+			close(encoding)
+			time.Sleep(encodeDelay)
+			return tile.EncodeBinary(tl)
+		})
+	}()
+	<-encoding
+	start := time.Now()
+	if !reg.Push("u1", "m", c, 1, tl) {
+		t.Fatal("Push refused")
+	}
+	n := <-w.wrote
+	if waited := time.Since(start); waited < encodeDelay/2 {
+		t.Fatalf("frame written after %v: the encode was not held", waited)
+	}
+	var bps float64
+	for deadline := time.Now().Add(5 * time.Second); bps == 0; bps = reg.Stats().DrainRates["u1"] {
+		if time.Now().After(deadline) {
+			t.Fatal("no drain-rate sample recorded")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if elapsed := time.Duration(float64(n) / bps * float64(time.Second)); elapsed > encodeDelay/2 {
+		t.Fatalf("drain sample covers %v for a %d-byte write behind a %v encode: the encoder was timed", elapsed, n, encodeDelay)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -230,7 +231,8 @@ func TestMetricsExposeEncodedCacheFamilies(t *testing.T) {
 // TestStreamPayloadEncodedOncePerTile: with the deployment-wide encoded
 // cache wired into the push registry, re-attaching a stream (backfill
 // replay) must not re-encode tiles — the encode counter is flat across
-// attachments while every frame stays decodable by the updated client.
+// attachments while every frame stays decodable by the updated client —
+// and a binary stream is cut from the very bodies /tile memoizes.
 func TestStreamPayloadEncodedOncePerTile(t *testing.T) {
 	ec := tile.NewEncodedCache(0, nil)
 	_, ts, sched, _ := pushTestServer(t, push.Config{Encoded: ec}, WithEncodedTiles(ec))
@@ -269,4 +271,52 @@ func TestStreamPayloadEncodedOncePerTile(t *testing.T) {
 	if st := ec.Stats(); st.Hits == 0 {
 		t.Fatalf("backfill replays never hit the encoded cache: %+v", st)
 	}
+
+	// Binary framing shares the pull path's bodies: a tile pushed on a
+	// binary+gzip stream and pulled as binary+gzip costs exactly two
+	// encoder runs — FCT1, then its gzip — and never a JSON entry.
+	t.Run("binary", func(t *testing.T) {
+		ec := tile.NewEncodedCache(0, nil)
+		_, ts, sched, reg := pushTestServer(t, push.Config{Encoded: ec}, WithEncodedTiles(ec))
+		frames, resp := attachStreamWith(t, ts, "b1", binaryGzip)
+		if ct := resp.Header.Get("Content-Type"); ct != push.BinaryContentType {
+			t.Fatalf("stream content type = %q", ct)
+		}
+		getTileRaw(t, ts, "b1", binaryGzip)
+		sched.Drain()
+		pushed := reg.Stats().Pushed
+		if pushed == 0 {
+			t.Fatal("nothing pushed")
+		}
+		var last push.Frame
+		for i := 0; i < pushed; i++ {
+			var ok bool
+			if last, ok = waitFrame(t, frames, 5*time.Second); !ok {
+				t.Fatalf("stream ended after %d of %d frames", i, pushed)
+			}
+		}
+		want := int64(2 * (1 + pushed)) // the pulled root and every pushed tile
+		if st := ec.Stats(); st.Misses != want || int64(st.Entries) != want {
+			t.Fatalf("after 1 pull and %d binary pushes: %+v, want %d encoder runs and entries", pushed, st, want)
+		}
+		// Pulling a pushed tile (from a session without a stream, so nothing
+		// new is pushed) is served from the bytes the frame was cut from.
+		u := fmt.Sprintf("%s/tile?level=%d&y=%d&x=%d&session=b2", ts.URL, last.Coord.Level, last.Coord.Y, last.Coord.X)
+		req, err := http.NewRequest(http.MethodGet, u, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range binaryGzip {
+			req.Header.Set(k, v)
+		}
+		pull, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pull.Body.Close()
+		sched.Drain()
+		if st := ec.Stats(); pull.StatusCode != http.StatusOK || st.Misses != want || int64(st.Entries) != want {
+			t.Fatalf("pulling pushed tile %v: status %d, %+v, want still %d encoder runs", last.Coord, pull.StatusCode, st, want)
+		}
+	})
 }

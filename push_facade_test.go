@@ -10,15 +10,17 @@ import (
 )
 
 // TestPushDeliveryAcceptance is the issue's acceptance test for the push
-// tentpole. Three replays of the same pan-heavy study trace:
+// tentpole. Replays of the same pan-heavy study trace:
 //
 //	pull      Push off — the baseline middleware
 //	detached  Push on, but the session never attaches a stream
-//	streamed  Push on with a live client stream and slot buffer
+//	streamed  Push on with a live client stream and slot buffer (SSE)
+//	binary    the same over binary frames: BinaryTiles on, NegotiateBinary
+//	mixed     NegotiateBinary against the server without BinaryTiles: SSE
 //
-// The streamed replay must make a strictly positive fraction of its tiles
-// available client-side BEFORE they are requested (push lead time >= 0),
-// which pull mode can never do. Meanwhile the server-observed hit/miss
+// The streamed replays must make the pinned 22 of 27 tiles available
+// client-side BEFORE they are requested (push lead time >= 0), which pull
+// mode can never do — whichever framing carries them. Meanwhile the server-observed hit/miss
 // sequence must be bit-identical across all three replays: push is a
 // delivery channel, not a behavior change, so the pull path — and with it
 // the suite's pinned replay hit rates — cannot move.
@@ -29,9 +31,9 @@ func TestPushDeliveryAcceptance(t *testing.T) {
 	// viewer — the case push delivery exists for.
 	replay := []*Trace{traces[2], traces[5]}
 
-	mkServer := func(pushOn bool) (*Server, *httptest.Server) {
+	mkServer := func(pushOn, binaryTiles bool) (*Server, *httptest.Server) {
 		srv, err := ds.NewServer(traces, MiddlewareConfig{
-			K: 5, AsyncPrefetch: true, PrefetchWorkers: 4, Push: pushOn,
+			K: 5, AsyncPrefetch: true, PrefetchWorkers: 4, Push: pushOn, BinaryTiles: binaryTiles,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -45,10 +47,11 @@ func TestPushDeliveryAcceptance(t *testing.T) {
 	// run replays the traces in fresh sessions and returns the hit/miss
 	// sequence plus how many requests were answered from the client's
 	// push-stream slot buffer.
-	run := func(srv *Server, ts *httptest.Server, prefix string, attach bool) (hits []bool, streamed, total int) {
+	run := func(srv *Server, ts *httptest.Server, prefix string, attach, negotiate bool) (hits []bool, streamed, total int) {
 		sched := srv.Scheduler()
 		for i, tr := range replay {
 			c := client.New(ts.URL, fmt.Sprintf("%s-%d", prefix, i))
+			c.NegotiateBinary(negotiate)
 			var base int
 			if attach {
 				if err := c.Attach(); err != nil {
@@ -83,32 +86,45 @@ func TestPushDeliveryAcceptance(t *testing.T) {
 		return hits, streamed, total
 	}
 
-	pullSrv, pullTS := mkServer(false)
-	pullHits, pullStreamed, _ := run(pullSrv, pullTS, "pull", false)
+	pullSrv, pullTS := mkServer(false, false)
+	pullHits, pullStreamed, _ := run(pullSrv, pullTS, "pull", false, false)
 
-	pushSrv, pushTS := mkServer(true)
-	detHits, detStreamed, _ := run(pushSrv, pushTS, "detached", false)
-	strHits, strStreamed, total := run(pushSrv, pushTS, "streamed", true)
+	pushSrv, pushTS := mkServer(true, false)
+	detHits, detStreamed, _ := run(pushSrv, pushTS, "detached", false, false)
+	strHits, strStreamed, total := run(pushSrv, pushTS, "streamed", true, false)
+	sseBytes := pushSrv.Push().Stats().Bytes
+	mixHits, mixStreamed, _ := run(pushSrv, pushTS, "mixed", true, true)
+
+	binSrv, binTS := mkServer(true, true)
+	binHits, binStreamed, _ := run(binSrv, binTS, "binary", true, true)
 
 	if pullStreamed != 0 || detStreamed != 0 {
 		t.Fatalf("streamed tiles without a stream: pull=%d detached=%d", pullStreamed, detStreamed)
 	}
-	// Strictly better time-to-tile-available: a positive fraction of the
-	// streamed replay's tiles were already on the client when requested.
-	if strStreamed == 0 {
-		t.Fatalf("streamed replay consumed 0 of %d tiles from the slot buffer", total)
+	// Strictly better time-to-tile-available: the same pinned share of
+	// each streamed replay's tiles was already on the client when requested.
+	for name, got := range map[string]int{"streamed": strStreamed, "mixed": mixStreamed, "binary": binStreamed} {
+		if got != 22 || total != 27 {
+			t.Errorf("%s replay: %d/%d tiles available before request, want 22/27", name, got, total)
+		}
 	}
-	t.Logf("streamed fraction: %d/%d tiles available before request", strStreamed, total)
+	// The binary replay really ran in binary frames: the same frames in
+	// well under half the bytes.
+	if binBytes := binSrv.Push().Stats().Bytes; sseBytes == 0 || binBytes == 0 || 2*binBytes > sseBytes {
+		t.Errorf("stream bytes: sse %d, binary %d, want binary under half", sseBytes, binBytes)
+	}
 
 	// Bit-identical server behavior: the hit/miss sequence must not move,
-	// whether push is compiled out of the deployment, idle, or live.
-	if len(pullHits) != len(detHits) || len(pullHits) != len(strHits) {
-		t.Fatalf("replay lengths diverged: %d/%d/%d", len(pullHits), len(detHits), len(strHits))
-	}
-	for i := range pullHits {
-		if pullHits[i] != detHits[i] || pullHits[i] != strHits[i] {
-			t.Fatalf("request %d hit/miss diverged: pull=%v detached=%v streamed=%v",
-				i, pullHits[i], detHits[i], strHits[i])
+	// whether push is compiled out of the deployment, idle, or live in
+	// either framing.
+	for name, hits := range map[string][]bool{"detached": detHits, "streamed": strHits, "mixed": mixHits, "binary": binHits} {
+		if len(hits) != len(pullHits) {
+			t.Fatalf("replay lengths diverged: pull %d, %s %d", len(pullHits), name, len(hits))
+		}
+		for i := range pullHits {
+			if pullHits[i] != hits[i] {
+				t.Fatalf("request %d hit/miss diverged: pull=%v %s=%v", i, pullHits[i], name, hits[i])
+			}
 		}
 	}
 
