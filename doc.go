@@ -36,10 +36,11 @@
 //     submit ranked candidate batches and return immediately, a bounded
 //     worker pool fetches them in confidence order with per-session
 //     fairness, duplicate requests across sessions coalesce into one DBMS
-//     fetch (single-flight), and a session's newer batch cancels its stale
-//     queued entries. The scheduler is adaptive and closed-loop: queued
-//     entries lose utility as they age (DecayHalfLife) and by batch
-//     position, a global queue budget (GlobalQueueBudget) sheds the
+//     fetch (single-flight: within a shard at dispatch, and across shards
+//     through an always-on coalescer), and a session's newer batch cancels
+//     its stale queued entries. The scheduler is adaptive and closed-loop:
+//     queued entries lose utility as they age (DecayHalfLife) and by
+//     batch position, a global queue budget (GlobalQueueBudget) sheds the
 //     lowest-utility entries across all sessions at saturation, and a
 //     Pressure signal feeds back into each engine so its prefetch budget K
 //     shrinks under load (AdaptiveK) and recovers as the queue drains —
@@ -112,12 +113,13 @@
 //     CRC-checked binary codec (Accept: application/x-forecache-tile),
 //     each optionally gzip-compressed — is memoized in one
 //     deployment-wide byte-budgeted LRU (EncodedCacheBudget) with
-//     single-flight encoding, shared by the /tile handler and the push
-//     streams, so a tile is encoded at most once per format however
-//     it leaves the server. The Go client opts in with
-//     NegotiateBinary (/tile and /stream alike); the default JSON and
-//     SSE wire formats are byte-for-byte unchanged, knob off or on. Cache traffic and encode latencies
-//     ride /metrics as the forecache_tile_* series;
+//     single-flight encoding (internal/memo's Cache, as are the tile pool
+//     behind SharedTiles and the prefetch coalescer), shared by the /tile
+//     handler and the push streams, so a tile is encoded at most once per
+//     format however it leaves the server. The Go client opts in with
+//     NegotiateBinary (/tile and /stream alike); the default JSON and SSE
+//     wire formats are byte-for-byte unchanged, knob off or on. Cache
+//     traffic and encode latencies ride /metrics as forecache_tile_*;
 //   - the observability layer (internal/obs): with
 //     MiddlewareConfig.Tracing every /tile request is traced end to end
 //     (trace id echoed as X-Trace-ID, per-span breakdown across session

@@ -194,11 +194,11 @@ type MiddlewareConfig struct {
 	// table, TTL/LRU sweep and retired-stats baseline become per-shard
 	// (one mutex each), and with AsyncPrefetch the scheduler fans out into
 	// per-shard worker pools and queues — while cross-session single-flight
-	// stays deployment-wide, so N shards wanting one tile still cost one
-	// DBMS fetch. Shared learned state (feedback, allocation, hotspot)
-	// also stays deployment-wide; /stats and /metrics aggregate across
-	// shards with monotone counters. Default 1, which is bit-for-bit the
-	// unsharded deployment. Only NewServer honors this.
+	// stays deployment-wide (every shard fetches through one coalescer, at
+	// any shard count), so N shards wanting one tile still cost one DBMS
+	// fetch. Shared learned state (feedback, allocation, hotspot) also
+	// stays deployment-wide; /stats and /metrics aggregate across shards
+	// with monotone counters. Default 1. Only NewServer honors this.
 	Shards int
 	// PrefetchWorkers sizes the scheduler's worker pool (the concurrent
 	// DBMS fetch budget); with Shards > 1 this is the deployment-wide
@@ -304,7 +304,8 @@ type MiddlewareConfig struct {
 	SnapshotInterval time.Duration
 	// SharedTiles > 0 wraps the server's DBMS in a cross-session
 	// backend.SharedPool of that many tiles, so popular tiles are fetched
-	// once and reused by every session. Only NewServer honors this.
+	// once and reused by every session, and sessions missing one tile at
+	// the same moment share one fetch. Only NewServer honors this.
 	SharedTiles int
 	// BinaryTiles enables zero-recompute tile serving: a deployment-wide
 	// encoded-payload cache memoizes each tile's wire bytes per (coord,
@@ -312,9 +313,9 @@ type MiddlewareConfig struct {
 	// ("Accept: application/x-forecache-tile") and gzip compression, and
 	// push frames embed the cached body (JSON on an SSE stream, FCT1 on a
 	// binary one) instead of re-marshaling the tile per attached stream.
-	// Clients that send no Accept header still get byte-identical legacy
-	// JSON and SSE; off (the default), the serving paths are bit-for-bit
-	// the per-request-marshal deployment. Only NewServer honors this.
+	// Clients that send no Accept header still get the same JSON and SSE
+	// bytes; off (the default), every response is marshaled per request.
+	// Only NewServer honors this.
 	BinaryTiles bool
 	// EncodedCacheBudget caps the encoded-payload cache in bytes. 0 means
 	// the 64 MiB default. Only meaningful with BinaryTiles.

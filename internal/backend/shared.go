@@ -1,10 +1,7 @@
 package backend
 
 import (
-	"container/list"
-	"sync"
-	"sync/atomic"
-
+	"forecache/internal/memo"
 	"forecache/internal/tile"
 )
 
@@ -25,10 +22,10 @@ type Store interface {
 
 // SharedStats counts cross-session pool activity.
 type SharedStats struct {
-	// PoolHits are fetches answered from the shared pool (another
-	// session's work was reused).
+	// PoolHits are fetches answered from the shared pool or joined onto
+	// another session's fetch already in flight (its work was reused).
 	PoolHits int
-	// DBMSFetches went through to the DBMS.
+	// DBMSFetches went through to the DBMS: one per round trip issued.
 	DBMSFetches int
 	// Evicted tiles were dropped by the pool's LRU.
 	Evicted int
@@ -39,20 +36,11 @@ type SharedStats struct {
 // same dataset, popular tiles (continental overviews, famous mountain
 // ranges) are fetched from the DBMS once and reused: a pool hit on the
 // user-facing path costs the hit latency instead of a full DBMS round
+// trip, and sessions missing one tile at the same moment share one round
 // trip. It is safe for concurrent use.
 type SharedPool struct {
-	db       *DBMS
-	capacity int
-
-	mu  sync.Mutex
-	lru *list.List // of *tile.Tile, front = most recent
-	idx map[tile.Coord]*list.Element
-
-	// The stats counters are atomic so Stats() never contends with the
-	// LRU lock taken on every fetch.
-	poolHits    atomic.Int64
-	dbmsFetches atomic.Int64
-	evicted     atomic.Int64
+	db    *DBMS
+	tiles *memo.Cache[tile.Coord, *tile.Tile]
 }
 
 // NewSharedPool wraps the DBMS with a pool holding up to capacity tiles.
@@ -61,42 +49,29 @@ func NewSharedPool(db *DBMS, capacity int) *SharedPool {
 		capacity = 1
 	}
 	return &SharedPool{
-		db:       db,
-		capacity: capacity,
-		lru:      list.New(),
-		idx:      make(map[tile.Coord]*list.Element),
+		db:    db,
+		tiles: memo.New[tile.Coord](int64(capacity), func(*tile.Tile) int64 { return 1 }),
 	}
 }
 
-// Fetch serves the user-facing path: pool hits cost the hit latency, pool
-// misses go to the DBMS (miss latency) and populate the pool.
+// Fetch serves the user-facing path: pool hits — a pooled tile, or a DBMS
+// fetch another session already has in flight — cost the hit latency,
+// pool misses go to the DBMS (miss latency) and populate the pool.
 func (p *SharedPool) Fetch(c tile.Coord) (*tile.Tile, error) {
-	if t := p.lookup(c); t != nil {
+	t, hit, err := p.tiles.Get(c, func() (*tile.Tile, error) { return p.db.Fetch(c) })
+	if hit && err == nil {
 		if clock := p.db.Clock(); clock != nil {
 			clock.Sleep(p.db.Latency().Hit)
 		}
-		return t, nil
 	}
-	t, err := p.db.Fetch(c)
-	if err != nil {
-		return nil, err
-	}
-	p.insert(t)
-	return t, nil
+	return t, err
 }
 
 // FetchQuiet serves prefetching: no latency is charged either way, but the
 // pool still deduplicates DBMS work across sessions.
 func (p *SharedPool) FetchQuiet(c tile.Coord) (*tile.Tile, error) {
-	if t := p.lookup(c); t != nil {
-		return t, nil
-	}
-	t, err := p.db.FetchQuiet(c)
-	if err != nil {
-		return nil, err
-	}
-	p.insert(t)
-	return t, nil
+	t, _, err := p.tiles.Get(c, func() (*tile.Tile, error) { return p.db.FetchQuiet(c) })
+	return t, err
 }
 
 // Latency reports the wrapped DBMS's latency model.
@@ -107,44 +82,13 @@ func (p *SharedPool) Pyramid() *tile.Pyramid { return p.db.Pyramid() }
 
 // Stats snapshots the pool counters.
 func (p *SharedPool) Stats() SharedStats {
+	st := p.tiles.Stats()
 	return SharedStats{
-		PoolHits:    int(p.poolHits.Load()),
-		DBMSFetches: int(p.dbmsFetches.Load()),
-		Evicted:     int(p.evicted.Load()),
+		PoolHits:    int(st.Hits),
+		DBMSFetches: int(st.Misses),
+		Evicted:     int(st.Evicted),
 	}
 }
 
 // Len returns the number of pooled tiles.
-func (p *SharedPool) Len() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.lru.Len()
-}
-
-func (p *SharedPool) lookup(c tile.Coord) *tile.Tile {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if el, ok := p.idx[c]; ok {
-		p.lru.MoveToFront(el)
-		p.poolHits.Add(1)
-		return el.Value.(*tile.Tile)
-	}
-	return nil
-}
-
-func (p *SharedPool) insert(t *tile.Tile) {
-	p.dbmsFetches.Add(1)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if el, ok := p.idx[t.Coord]; ok {
-		p.lru.MoveToFront(el)
-		return
-	}
-	p.idx[t.Coord] = p.lru.PushFront(t)
-	for p.lru.Len() > p.capacity {
-		back := p.lru.Back()
-		p.lru.Remove(back)
-		delete(p.idx, back.Value.(*tile.Tile).Coord)
-		p.evicted.Add(1)
-	}
-}
+func (p *SharedPool) Len() int { return p.tiles.Stats().Entries }

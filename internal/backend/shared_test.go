@@ -1,7 +1,9 @@
 package backend
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -35,6 +37,59 @@ func TestSharedPoolDeduplicatesAcrossSessions(t *testing.T) {
 	}
 	if db.Queries() != 1 {
 		t.Errorf("DBMS queries = %d, want 1 (deduplicated)", db.Queries())
+	}
+	if n := testing.AllocsPerRun(100, func() { pool.Fetch(root) }); n != 0 {
+		t.Errorf("pool hit allocates %v times, want 0", n)
+	}
+}
+
+// gateClock holds every DBMS round trip open until ready reports that all
+// fetchers have arrived, either here or as joiners counted by the pool.
+type gateClock struct {
+	SimClock
+	miss    time.Duration
+	arrived atomic.Int64
+	ready   func() bool
+}
+
+func (g *gateClock) Sleep(d time.Duration) {
+	if d == g.miss {
+		g.arrived.Add(1)
+		for deadline := time.Now().Add(10 * time.Second); !g.ready() && time.Now().Before(deadline); {
+			runtime.Gosched()
+		}
+	}
+	g.SimClock.Sleep(d)
+}
+
+// Sessions missing one coordinate at the same moment share one DBMS round
+// trip; the joiners are pool hits and pay the hit latency.
+func TestSharedPoolConcurrentMissesShareOneFetch(t *testing.T) {
+	const n = 16
+	lat := DefaultLatency()
+	clock := &gateClock{miss: lat.Miss}
+	db := NewDBMS(buildPyramid(t), lat, clock)
+	pool := NewSharedPool(db, 8)
+	clock.ready = func() bool {
+		return clock.arrived.Load()+int64(pool.Stats().PoolHits) == n
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := pool.Fetch(tile.Coord{}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	st := pool.Stats()
+	if db.Queries() != 1 || st.DBMSFetches != 1 || st.PoolHits != n-1 {
+		t.Errorf("queries = %d, stats = %+v; want 1 DBMS fetch and %d pool hits", db.Queries(), st, n-1)
+	}
+	if want := lat.Miss + (n-1)*lat.Hit; clock.Elapsed() != want {
+		t.Errorf("charged %v, want one miss + %d hits = %v", clock.Elapsed(), n-1, want)
 	}
 }
 

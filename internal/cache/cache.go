@@ -6,9 +6,7 @@
 // actually requested.
 //
 // Lookups are O(1): one coordinate index covers every region (model
-// regions and the LRU), maintained on insert and evict, replacing the
-// per-request scan of every region slice that used to sit on the request
-// hot path.
+// regions and the LRU), maintained on insert and evict.
 //
 // Beyond serving lookups, the manager attributes each prefetched tile's
 // fate to the model region, batch position and predicted analysis phase

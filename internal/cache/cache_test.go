@@ -217,6 +217,22 @@ func BenchmarkLookup(b *testing.B) {
 	}
 }
 
+// A Lookup hit is on every /tile request's path and must stay free of
+// allocation.
+func TestLookupHitDoesNotAllocate(t *testing.T) {
+	m := NewManager(8)
+	m.SetAllocations(map[string]int{"ab": 4})
+	tl := mkTile(4, 0, 3)
+	m.FillPredictions("ab", []*tile.Tile{tl}, trace.Foraging)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok := m.Lookup(tl.Coord); !ok {
+			t.Fatal("lookup missed a filled prediction")
+		}
+	}); n != 0 {
+		t.Errorf("Lookup hit allocates %v times, want 0", n)
+	}
+}
+
 func TestInsertPredictionRingBehavior(t *testing.T) {
 	m := NewManager(2)
 	m.SetAllocations(map[string]int{"ab": 2})

@@ -12,7 +12,7 @@ import (
 // on top of the static table is a per-request tax. The three benchmarks
 // bracket it: the static table alone, the cold wrapper (warmup check +
 // base fallback), and the warmed wrapper (EWMA lookups + hysteresis step +
-// largest-remainder rounding). Results recorded in BENCH_alloc.json.
+// largest-remainder rounding).
 
 func BenchmarkAllocationsStatic(b *testing.B) {
 	p := hybridPolicy(b, "markov3", "sb:sift")

@@ -111,6 +111,15 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
+// Observe runs several times per traced request and must stay free of
+// allocation.
+func TestHistogramObserveDoesNotAllocate(t *testing.T) {
+	h := NewHistogram(ExpBuckets(100e-6, 2, 15))
+	if n := testing.AllocsPerRun(100, func() { h.Observe(3e-4) }); n != 0 {
+		t.Errorf("Observe allocates %v times, want 0", n)
+	}
+}
+
 func BenchmarkHistogramObserve(b *testing.B) {
 	h := NewHistogram(ExpBuckets(100e-6, 2, 15))
 	b.ReportAllocs()

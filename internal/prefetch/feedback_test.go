@@ -238,17 +238,17 @@ func TestSubmitShedPositionContract(t *testing.T) {
 	}
 }
 
-// TestDecayedUtilityFactorMatchesStatic: the factor-threaded variant and
-// the static helper agree everywhere the static curve applies.
+// TestDecayedUtilityFactorMatchesStatic: a scheduler with no learned curve
+// prices every position on the static positionBase^pos curve.
 func TestDecayedUtilityFactorMatchesStatic(t *testing.T) {
 	hl := 50 * time.Millisecond
 	for _, score := range []float64{2, 0, -1} {
 		for _, age := range []time.Duration{0, hl, 3 * hl} {
 			for pos := 0; pos < 5; pos++ {
-				want := decayedUtility(score, age, hl, pos)
-				got := decayedUtilityFactor(score, age, hl, math.Pow(positionBase, float64(pos)))
+				want := decayedUtilityFactor(score, age, hl, math.Pow(positionBase, float64(pos)))
+				got := decayedUtilityFactor(score, age, hl, Config{}.positionFactor(pos))
 				if math.Abs(got-want) > 1e-12 && got != want {
-					t.Fatalf("factor variant diverges at score=%v age=%v pos=%d: %v vs %v",
+					t.Fatalf("unlearned config diverges at score=%v age=%v pos=%d: %v vs %v",
 						score, age, pos, got, want)
 				}
 			}

@@ -12,7 +12,7 @@
 //   - each session keeps a priority queue of pending candidates ordered by
 //     model confidence, and sessions with pending work are drained
 //     round-robin so one aggressive session cannot starve the others;
-//   - the worker pool bounds concurrent DBMS fetches (the inflight budget);
+//   - the worker pool bounds concurrent DBMS fetches (the in-flight budget);
 //   - duplicate requests coalesce: when N sessions want the same tile, one
 //     DBMS fetch is issued and its result is delivered to all N waiters
 //     (single-flight), both for queued duplicates and for requests arriving
@@ -102,7 +102,7 @@ type Config struct {
 	// deployment-wide and ceil-divided across them. Default 1.
 	Shards int
 	// Workers is the bounded worker pool size: the maximum number of
-	// concurrent DBMS fetches (the inflight budget). Default 4.
+	// concurrent DBMS fetches (the in-flight budget). Default 4.
 	Workers int
 	// QueuePerSession caps how many entries one session may have queued;
 	// submissions beyond the cap drop the lowest-scored entries. Default 64.
@@ -178,7 +178,7 @@ type Stats struct {
 	Coalesced int
 	// CrossShardCoalesced counts worker fetches that joined another
 	// shard's in-flight DBMS fetch through the deployment-wide
-	// single-flight store (always 0 with one shard, whose own inflight map
+	// single-flight store (0 with one shard, whose own flight table
 	// already coalesces everything it sees).
 	CrossShardCoalesced int
 	// Shards is how many independent scheduler shards the counters were

@@ -1,10 +1,10 @@
 package prefetch
 
 import (
-	"sync"
 	"time"
 
 	"forecache/internal/backend"
+	"forecache/internal/memo"
 	"forecache/internal/shard"
 	"forecache/internal/tile"
 )
@@ -18,70 +18,36 @@ import (
 // the hash router keeps each session's whole scheduler life on
 // one shard, so per-session semantics (batch superseding, fair-share
 // pressure, queue budgets) are untouched.
-//
-// What must NOT shard is single-flight deduplication: two sessions on
-// different shards wanting the same tile should still cost one DBMS
-// fetch. Each shard's own inflight map coalesces within the shard;
-// CoalescingStore adds the deployment-wide layer underneath, joining
-// concurrent FetchQuiet calls across shards on one backend round trip.
-
-// storeFlight is one in-flight FetchQuiet and everyone waiting on it.
-type storeFlight struct {
-	done chan struct{}
-	t    *tile.Tile
-	err  error
-}
 
 // CoalescingStore wraps a backend.Store with deployment-wide single-flight
-// on the prefetch path: concurrent FetchQuiet calls for one coordinate —
-// typically scheduler workers on different shards — share one underlying
-// fetch. The response path (Fetch) is not coalesced: it charges latency
-// per the paper's model and stays the engine's own concern. Safe for
-// concurrent use.
+// on the prefetch path, the one thing that must not shard: concurrent
+// FetchQuiet calls for one coordinate — typically scheduler workers on
+// different shards — share one underlying fetch. Each shard's own flight
+// table coalesces above it, fanning one fetch out to many Deliver
+// callbacks without parking a worker. The response path (Fetch) is not
+// coalesced: it charges latency per the paper's model and stays the
+// engine's own concern. Safe for concurrent use.
 type CoalescingStore struct {
 	backend.Store
-
-	mu       sync.Mutex
-	inflight map[tile.Coord]*storeFlight
-	joined   int
+	flights *memo.Cache[tile.Coord, *tile.Tile] // budget 0: joins, retains nothing
 }
 
 // NewCoalescingStore wraps store. A nil store is a programming error and
 // panics on first use, like handing the scheduler a nil store would.
 func NewCoalescingStore(store backend.Store) *CoalescingStore {
-	return &CoalescingStore{Store: store, inflight: make(map[tile.Coord]*storeFlight)}
+	return &CoalescingStore{Store: store, flights: memo.New[tile.Coord, *tile.Tile](0, nil)}
 }
 
 // FetchQuiet fetches c, joining an identical in-flight fetch if one
 // exists instead of issuing a duplicate.
 func (cs *CoalescingStore) FetchQuiet(c tile.Coord) (*tile.Tile, error) {
-	cs.mu.Lock()
-	if fl, ok := cs.inflight[c]; ok {
-		cs.joined++
-		cs.mu.Unlock()
-		<-fl.done
-		return fl.t, fl.err
-	}
-	fl := &storeFlight{done: make(chan struct{})}
-	cs.inflight[c] = fl
-	cs.mu.Unlock()
-
-	fl.t, fl.err = cs.Store.FetchQuiet(c)
-
-	cs.mu.Lock()
-	delete(cs.inflight, c)
-	cs.mu.Unlock()
-	close(fl.done)
-	return fl.t, fl.err
+	t, _, err := cs.flights.Get(c, func() (*tile.Tile, error) { return cs.Store.FetchQuiet(c) })
+	return t, err
 }
 
 // Joined reports how many fetches piggybacked on another's in-flight
 // round trip since construction.
-func (cs *CoalescingStore) Joined() int {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return cs.joined
-}
+func (cs *CoalescingStore) Joined() int { return int(cs.flights.Stats().Hits) }
 
 // Scheduler is the shared asynchronous prefetch pipeline: Config.Shards
 // independent Shards behind a hash router keyed on session id.
@@ -91,8 +57,8 @@ func (cs *CoalescingStore) Joined() int {
 type Scheduler struct {
 	ring   *shard.Ring
 	shards []*Shard
-	// store is the cross-shard single-flight layer, nil with one shard: a
-	// lone shard's own inflight map already coalesces everything it sees.
+	// store is what every shard fetches through. With one shard it joins
+	// nothing: the shard's own flight table already coalesces all it sees.
 	store *CoalescingStore
 	// total is the *configured* deployment-wide GlobalQueue — the aggregate
 	// pressure denominator. It must not be reconstructed as per-shard × n:
@@ -107,11 +73,11 @@ type Scheduler struct {
 // gets ceil(Workers/n) workers and ceil(GlobalQueue/n) global-queue slots,
 // so the fleet's total fetch concurrency and queue budget match what one
 // shard with the same cfg would run (QueuePerSession is per-session and
-// passes through unchanged). With more than one shard the store is wrapped
-// in one shared CoalescingStore so cross-shard duplicates still cost one
-// DBMS fetch. Shared learning state (cfg.Utility, cfg.Obs, cfg.Push) is
-// deployment-wide by construction: every shard feeds the same collector,
-// pipeline and push registry. Call Close to stop all worker pools.
+// passes through unchanged). The store is wrapped in one shared
+// CoalescingStore so cross-shard duplicates still cost one DBMS fetch.
+// Shared learning state (cfg.Utility, cfg.Obs, cfg.Push) is deployment-wide
+// by construction: every shard feeds the same collector, pipeline and push
+// registry. Call Close to stop all worker pools.
 func NewScheduler(store backend.Store, cfg Config) *Scheduler {
 	cfg = cfg.withDefaults()
 	n := cfg.Shards
@@ -123,14 +89,11 @@ func NewScheduler(store backend.Store, cfg Config) *Scheduler {
 	s := &Scheduler{
 		ring:   shard.NewRing(n),
 		shards: make([]*Shard, n),
+		store:  NewCoalescingStore(store),
 		total:  cfg.GlobalQueue,
 	}
-	if n > 1 {
-		s.store = NewCoalescingStore(store)
-		store = s.store
-	}
 	for i := range s.shards {
-		s.shards[i] = newShard(store, per)
+		s.shards[i] = newShard(s.store, per)
 	}
 	return s
 }
@@ -224,9 +187,7 @@ func (s *Scheduler) Stats() Stats {
 		agg.AvgQueueLatency = latency / time.Duration(measured)
 	}
 	agg.Pressure = saturation(agg.Pending, s.total)
-	if s.store != nil {
-		agg.CrossShardCoalesced = s.store.Joined()
-	}
+	agg.CrossShardCoalesced = s.store.Joined()
 	return agg
 }
 
@@ -240,7 +201,7 @@ func (s *Scheduler) ShardStats() []Stats {
 	return out
 }
 
-// Drain blocks until every shard's queue and inflight set are empty.
+// Drain blocks until every shard's queue and in-flight set are empty.
 // Deliveries for completed fetches finish before Drain returns, so tests
 // and examples can read caches deterministically afterwards.
 func (s *Scheduler) Drain() {

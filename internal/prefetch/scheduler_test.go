@@ -360,6 +360,28 @@ func BenchmarkSchedulerSubmitDrain(b *testing.B) {
 	}
 }
 
+// TestSubmitDrainAllocCeiling pins what one engine batch costs the
+// allocator end to end: Shard.Submit of a 5-entry batch, five fetches
+// through the coalescer, five deliveries, drain. Measured 43 (entries,
+// shard flights, heap growth, one coalescer flight per fetch); lower the
+// constant when the number drops.
+func TestSubmitDrainAllocCeiling(t *testing.T) {
+	s := NewScheduler(newFakeStore(), Config{Workers: 4})
+	defer s.Close()
+	sh := s.Shard("s1")
+	batch := make([]Request, 5)
+	for i := range batch {
+		batch[i] = Request{Coord: coordAt(i), Score: float64(len(batch) - i)}
+	}
+	const ceiling = 43
+	if n := testing.AllocsPerRun(100, func() {
+		sh.Submit("s1", batch)
+		s.Drain()
+	}); n > ceiling {
+		t.Errorf("Submit+Drain of 5 entries allocates %v times, ceiling %d", n, ceiling)
+	}
+}
+
 // TestSchedulerFeedsObsHistograms: with a pipeline configured, every
 // issued entry reports its queue wait and every DBMS fetch its duration.
 func TestSchedulerFeedsObsHistograms(t *testing.T) {
@@ -379,7 +401,7 @@ func TestSchedulerFeedsObsHistograms(t *testing.T) {
 
 // BenchmarkSchedulerSubmitDrainInstrumented is BenchmarkSchedulerSubmitDrain
 // with a live observability pipeline: the acceptance budget is staying
-// within 5% of the uninstrumented baseline (BENCH_obs.json records both).
+// within 5% of the uninstrumented baseline.
 func BenchmarkSchedulerSubmitDrainInstrumented(b *testing.B) {
 	store := newFakeStore()
 	s := NewScheduler(store, Config{Workers: 8, QueuePerSession: 256, Obs: obs.NewPipeline(obs.Config{})})

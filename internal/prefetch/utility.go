@@ -44,16 +44,6 @@ func (c Config) pushDelay(session string) time.Duration {
 	return c.Push.DrainDelay(session)
 }
 
-// decayedUtility is the admission-control currency with the static default
-// curve; see decayedUtilityFactor.
-func decayedUtility(score float64, age, halfLife time.Duration, pos int) float64 {
-	f := 1.0
-	if pos > 0 {
-		f = math.Pow(positionBase, float64(pos))
-	}
-	return decayedUtilityFactor(score, age, halfLife, f)
-}
-
 // decayedUtilityFactor is the admission-control currency: score discounted
 // exponentially by queue age (halving every halfLife) and by the entry's
 // position factor (the static base^pos or the learned curve's value at its

@@ -53,9 +53,9 @@ func TestDecayedUtilityTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := decayedUtility(tc.score, tc.age, tc.halfLife, tc.pos)
+			got := decayedUtilityFactor(tc.score, tc.age, tc.halfLife, math.Pow(positionBase, float64(tc.pos)))
 			if math.Abs(got-tc.want) > 1e-12 && got != tc.want {
-				t.Errorf("decayedUtility(%v, %v, %v, %d) = %v, want %v",
+				t.Errorf("decayedUtilityFactor(%v, %v, %v, base^%d) = %v, want %v",
 					tc.score, tc.age, tc.halfLife, tc.pos, got, tc.want)
 			}
 		})

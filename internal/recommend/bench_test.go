@@ -46,6 +46,16 @@ func BenchmarkHotspotObserve(b *testing.B) {
 	}
 }
 
+// One consumption update of a tile the table already holds — the engines'
+// outcome drain pays it per hit — must stay free of allocation.
+func TestHotspotObserveDoesNotAllocate(t *testing.T) {
+	h := benchHotspot()
+	c := tile.Coord{Level: 3, Y: 4, X: 4}
+	if n := testing.AllocsPerRun(100, func() { h.ObserveConsumption(c, trace.Foraging) }); n != 0 {
+		t.Errorf("ObserveConsumption allocates %v times, want 0", n)
+	}
+}
+
 // BenchmarkHotspotObserveParallel is the contended shape: every session
 // engine of a deployment feeds the same lock-striped table.
 func BenchmarkHotspotObserveParallel(b *testing.B) {

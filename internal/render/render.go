@@ -78,30 +78,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Tile renders one data tile.
-func Tile(t *tile.Tile, opts Options) (image.Image, error) {
-	opts = opts.withDefaults()
-	g, err := t.Grid(opts.Attr)
-	if err != nil {
-		return nil, err
-	}
-	img := image.NewRGBA(image.Rect(0, 0, t.Size*opts.Scale, t.Size*opts.Scale))
-	span := opts.Max - opts.Min
-	for y := 0; y < t.Size; y++ {
-		for x := 0; x < t.Size; x++ {
-			v := g[y*t.Size+x]
-			var c color.RGBA
-			if math.IsNaN(v) {
-				c = emptyColor
-			} else {
-				c = NDSIMap((v - opts.Min) / span)
-			}
-			fillCell(img, x, y, opts.Scale, c)
-		}
-	}
-	return img, nil
-}
-
 // Level renders a whole zoom level as a mosaic of its tiles.
 func Level(p *tile.Pyramid, level int, opts Options) (image.Image, error) {
 	opts = opts.withDefaults()

@@ -268,7 +268,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		pw.counter("forecache_tile_encode_misses_total", "Tile payload encodings actually performed (encoded-cache misses).", float64(st.Misses))
 		pw.counter("forecache_tile_encoded_cache_evicted_total", "Encoded payloads dropped by the cache's byte-budget LRU.", float64(st.Evicted))
 		pw.gauge("forecache_tile_encoded_cache_entries", "Encoded payloads resident in the cache.", float64(st.Entries))
-		pw.gauge("forecache_tile_encoded_cache_bytes", "Bytes of encoded payloads resident in the cache (budget accounting, bookkeeping overhead included).", float64(st.Bytes))
+		pw.gauge("forecache_tile_encoded_cache_bytes", "Bytes of encoded payloads resident in the cache (budget accounting, bookkeeping overhead included).", float64(st.Cost))
 		if s.obs != nil {
 			pw.histogramFamily("forecache_tile_encode_duration_seconds",
 				"Wall time of tile payload encodings (JSON or binary); with the encoded cache on, only misses encode.",

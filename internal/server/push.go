@@ -36,16 +36,12 @@ func (s *Server) Push() *push.Registry { return s.push }
 // until the stream is torn down (session evicted, registry closed, client
 // gone, or a write stalls past streamWriteTimeout).
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	eng, err := s.session(r)
+	id := sessionID(r.URL.Query())
+	eng, err := s.session(id)
 	if err != nil {
-		status := http.StatusInternalServerError
-		if err == ErrClosed {
-			status = http.StatusServiceUnavailable
-		}
-		httpError(w, status, err)
+		sessionError(w, err)
 		return
 	}
-	id := sessionID(r)
 	// Framing follows the request headers as /tile's format does: binary
 	// frames around the memoized bodies for a client naming the tile codec
 	// on a deployment with an encoded cache, SSE for anyone else.

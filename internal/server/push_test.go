@@ -168,7 +168,7 @@ func TestStreamBackfillOnReconnect(t *testing.T) {
 	if st := reg.Stats(); st.Pushed != 0 {
 		t.Fatalf("pushed %d frames with no stream attached", st.Pushed)
 	}
-	eng, ok := srv.peekSession(httptest.NewRequest("GET", "/stats?session=u1", nil))
+	eng, ok := srv.peekSession("u1")
 	if !ok {
 		t.Fatal("session u1 missing")
 	}

@@ -10,7 +10,7 @@
 // shard. The Server itself is a thin router — it owns only the immutable
 // config, the mux and the ring — so one shard's TTL sweep or table scan
 // never blocks requests routed to another shard. The default is one
-// shard, which behaves exactly like the pre-sharding single-table server.
+// shard.
 //
 // Session state is bounded: an LRU cap and an idle TTL evict stale
 // sessions so long-running deployments don't leak one engine per session
@@ -69,8 +69,7 @@ type Option func(*Server)
 // hash router keyed on session id: each shard owns its own
 // session table, recency list, TTL sweep and retired-stats baseline under
 // its own mutex, so session churn in one shard never contends with
-// requests routed to another. n <= 1 keeps the single-shard layout, which
-// behaves identically to the pre-sharding server.
+// requests routed to another. n <= 1 means one shard.
 func WithShards(n int) Option {
 	return func(s *Server) { s.nshards = n }
 }
@@ -118,8 +117,7 @@ func WithAllocation(p *core.AdaptivePolicy) Option {
 // selects the binary codec, "Accept-Encoding: gzip" compresses the payload
 // with pooled writers, and every encoding is memoized per (coord, format,
 // compression) — an immutable tile is encoded once and served N times as
-// cached bytes. Without this option /tile keeps the legacy per-request
-// JSON marshal, byte for byte.
+// cached bytes. Without this option /tile marshals JSON per request.
 func WithEncodedTiles(ec *tile.EncodedCache) Option {
 	return func(s *Server) { s.encoded = ec }
 }
@@ -161,9 +159,8 @@ type session struct {
 
 // sessionShard is one independent slice of the session tier: a session
 // table, its recency list and the eviction/retired-stats bookkeeping, all
-// behind one shard-local mutex. Every mutable per-session field the
-// pre-sharding Server kept under its single lock lives here now; the
-// Server above it holds only immutable routing state.
+// behind one shard-local mutex. Every mutable per-session field lives
+// here; the Server above it holds only immutable routing state.
 type sessionShard struct {
 	srv *Server // immutable config back-pointer (ttl, caps, clock, sched)
 
@@ -191,7 +188,7 @@ type Server struct {
 	alloc       *core.AdaptivePolicy
 	persist     *persist.Store
 	push        *push.Registry     // nil => pull-only deployment
-	encoded     *tile.EncodedCache // nil => legacy per-request JSON marshal
+	encoded     *tile.EncodedCache // nil => per-request JSON marshal
 	metrics     bool
 	obs         *obs.Pipeline // nil => untraced
 	pprofOn     bool
@@ -314,21 +311,30 @@ func (s *Server) Close() {
 	}
 }
 
-// sessionID extracts the request's session id ("default" when absent).
-func sessionID(r *http.Request) string {
-	if id := r.URL.Query().Get("session"); id != "" {
+// sessionID extracts the session id from a request's parsed query; it
+// defaults to "default" so single-user tools need no bookkeeping.
+func sessionID(q url.Values) string {
+	if id := q.Get("session"); id != "" {
 		return id
 	}
 	return "default"
 }
 
-// session returns (creating on demand) the engine for the request's
-// session id; the id defaults to "default" so single-user tools need no
-// bookkeeping. Expired and over-cap sessions of the id's home shard are
-// evicted here, on access — a sweep only ever holds its own shard's lock,
-// so it cannot stall requests routed to other shards.
-func (s *Server) session(r *http.Request) (*core.Engine, error) {
-	id := sessionID(r)
+// sessionError answers a request whose engine could not be had: 503 once
+// the server is closed, 500 for a failed factory run.
+func sessionError(w http.ResponseWriter, err error) {
+	status := http.StatusInternalServerError
+	if errors.Is(err, ErrClosed) {
+		status = http.StatusServiceUnavailable
+	}
+	httpError(w, status, err)
+}
+
+// session returns (creating on demand) the engine for session id. Expired
+// and over-cap sessions of the id's home shard are evicted here, on access
+// — a sweep only ever holds its own shard's lock, so it cannot stall
+// requests routed to other shards.
+func (s *Server) session(id string) (*core.Engine, error) {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	if sh.closed {
@@ -384,15 +390,15 @@ func (s *Server) session(r *http.Request) (*core.Engine, error) {
 	return eng, nil
 }
 
-// peekSession returns the request's existing engine without creating one —
+// peekSession returns id's existing engine without creating one —
 // read-only endpoints (/stats) and idempotent ones (/reset) must not spend
 // a factory run, and at the session cap must not evict a live analyst's
 // session, just because a probe named an unknown id.
-func (s *Server) peekSession(r *http.Request) (*core.Engine, bool) {
-	sh := s.shardFor(sessionID(r))
+func (s *Server) peekSession(id string) (*core.Engine, bool) {
+	sh := s.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sess, ok := sh.sessions[sessionID(r)]
+	sess, ok := sh.sessions[id]
 	if !ok {
 		return nil, false
 	}
@@ -517,23 +523,21 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 	// Trace the whole request (no-ops when untraced). A request refused on
 	// any early-out below finishes without an outcome and is recorded as
 	// shed; the engine sets hit/miss and the stage spans.
-	rt := s.obs.StartTrace(sessionID(r), r.URL.RawQuery)
+	q := r.URL.Query()
+	id := sessionID(q)
+	rt := s.obs.StartTrace(id, r.URL.RawQuery)
 	defer rt.Finish()
-	if id := rt.ID(); id != "" {
-		w.Header().Set("X-Trace-ID", id)
+	if traceID := rt.ID(); traceID != "" {
+		w.Header().Set("X-Trace-ID", traceID)
 	}
 	endSession := rt.StartSpan("session")
-	eng, err := s.session(r)
+	eng, err := s.session(id)
 	endSession()
 	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, ErrClosed) {
-			status = http.StatusServiceUnavailable
-		}
-		httpError(w, status, err)
+		sessionError(w, err)
 		return
 	}
-	c, err := coordFromQuery(r.URL.Query())
+	c, err := coordFromQuery(q)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -546,7 +550,7 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 	if s.push != nil {
 		// Close the push-to-consume loop: if this tile was framed onto the
 		// session's stream, its lead time (push to request) is observed now.
-		s.push.Consumed(sessionID(r), c)
+		s.push.Consumed(id, c)
 	}
 	if resp.Hit {
 		w.Header().Set("X-Cache", "HIT")
@@ -640,7 +644,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		out.Sessions += sessions
 		out.Evicted += evicted
 	}
-	if eng, ok := s.peekSession(r); ok {
+	if eng, ok := s.peekSession(sessionID(r.URL.Query())); ok {
 		cs := eng.CacheStats()
 		out.Cache = &cs
 	}
@@ -670,7 +674,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleReset(w http.ResponseWriter, r *http.Request) {
 	// Resetting a session that does not exist is a no-op, not a reason to
 	// build an engine.
-	if eng, ok := s.peekSession(r); ok {
+	if eng, ok := s.peekSession(sessionID(r.URL.Query())); ok {
 		eng.Reset()
 	}
 	w.WriteHeader(http.StatusNoContent)

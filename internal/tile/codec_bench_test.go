@@ -31,8 +31,7 @@ func benchTile(size int) *Tile {
 // serving path: the legacy reflection marshal (a *float64 per cell), the
 // streamed JSON rewrite, the binary codec, and a warm encoded-cache hit —
 // the steady state of a deployed server, where an immutable tile is
-// encoded once and then served as cached bytes. Results are recorded in
-// BENCH_codec.json at the repo root.
+// encoded once and then served as cached bytes.
 func BenchmarkTileServeEncoding(b *testing.B) {
 	for _, size := range []int{16, 64} {
 		tl := benchTile(size)

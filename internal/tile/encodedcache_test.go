@@ -38,8 +38,13 @@ func TestEncodedCacheHitMiss(t *testing.T) {
 	if st.Misses != 3 || st.Hits != 2 || st.Entries != 3 {
 		t.Errorf("stats = %+v, want 3 misses / 2 hits / 3 entries", st)
 	}
-	if st.Bytes <= 0 || st.Budget != 1<<20 {
+	if st.Cost <= 0 || st.Budget != 1<<20 {
 		t.Errorf("stats accounting = %+v", st)
+	}
+	// The /tile hit path: a resident payload costs no allocation, encode
+	// closure included.
+	if n := testing.AllocsPerRun(100, func() { ec.Get(c, FormatJSON, false, enc) }); n != 0 {
+		t.Errorf("encoded-cache hit allocates %v times, want 0", n)
 	}
 }
 
@@ -113,8 +118,8 @@ func TestEncodedCacheEvictsLRU(t *testing.T) {
 	if st.Evicted != 4 || st.Entries != 4 {
 		t.Errorf("stats = %+v, want 4 evicted / 4 resident", st)
 	}
-	if st.Bytes > st.Budget {
-		t.Errorf("resident bytes %d over budget %d", st.Bytes, st.Budget)
+	if st.Cost > st.Budget {
+		t.Errorf("resident bytes %d over budget %d", st.Cost, st.Budget)
 	}
 	// The most recently inserted coords are the survivors.
 	var encodes atomic.Int64
