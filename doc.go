@@ -118,8 +118,11 @@
 //     handler and the push streams, so a tile is encoded at most once per
 //     format however it leaves the server. The Go client opts in with
 //     NegotiateBinary (/tile and /stream alike); the default JSON and SSE
-//     wire formats are byte-for-byte unchanged, knob off or on. Cache
-//     traffic and encode latencies ride /metrics as forecache_tile_*;
+//     wire formats are byte-for-byte unchanged, knob off or on. JSON is
+//     decoded by tile.DecodeJSON (one pass over the canonical rendering,
+//     encoding/json for anything else), and both codecs validate a
+//     tile's shape on decode. Cache traffic and encode latencies ride
+//     /metrics as forecache_tile_*;
 //   - the observability layer (internal/obs): with
 //     MiddlewareConfig.Tracing every /tile request is traced end to end
 //     (trace id echoed as X-Trace-ID, per-span breakdown across session

@@ -5,6 +5,7 @@
 package client
 
 import (
+	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"fmt"
@@ -92,7 +93,7 @@ type TileInfo struct {
 // Meta fetches the dataset description.
 func (c *Client) Meta() (Meta, error) {
 	var meta Meta
-	err := c.getJSON("/meta", nil, &meta)
+	err := c.getJSON("/meta", &meta)
 	return meta, err
 }
 
@@ -104,14 +105,11 @@ func (c *Client) Meta() (Meta, error) {
 // judged exactly once, by the server.
 func (c *Client) Tile(coord tile.Coord) (*tile.Tile, TileInfo, error) {
 	streamed := c.takeSlot(coord)
-	q := url.Values{}
-	q.Set("level", strconv.Itoa(coord.Level))
-	q.Set("y", strconv.Itoa(coord.Y))
-	q.Set("x", strconv.Itoa(coord.X))
+	u := c.base + "/tile?level=" + strconv.Itoa(coord.Level) + "&y=" + strconv.Itoa(coord.Y) + "&x=" + strconv.Itoa(coord.X)
 	if c.session != "" {
-		q.Set("session", c.session)
+		u += "&session=" + url.QueryEscape(c.session)
 	}
-	req, err := http.NewRequest(http.MethodGet, c.base+"/tile?"+q.Encode(), nil)
+	req, err := http.NewRequest(http.MethodGet, u, nil)
 	if err != nil {
 		return nil, TileInfo{}, err
 	}
@@ -142,8 +140,8 @@ func (c *Client) Tile(coord tile.Coord) (*tile.Tile, TileInfo, error) {
 // decodeTileBody decodes a /tile response in whichever representation the
 // server chose: Content-Encoding selects the decompressor, Content-Type
 // the codec. Plain JSON from a legacy server flows through unchanged. The
-// body is always read to EOF — a JSON decoder alone stops before the
-// body's trailing newline, and the transport only reuses a connection
+// body is always read to EOF, into a buffer sized once from Content-Length
+// when the server declared one — the transport only reuses a connection
 // whose response was fully drained.
 func decodeTileBody(resp *http.Response) (*tile.Tile, error) {
 	body := io.Reader(resp.Body)
@@ -155,38 +153,36 @@ func decodeTileBody(resp *http.Response) (*tile.Tile, error) {
 		defer zr.Close()
 		body = zr
 	}
-	raw, err := io.ReadAll(body)
-	if err != nil {
+	var buf bytes.Buffer
+	// A declared length sizes the buffer only up to 1 MiB (a real body is
+	// tens of kilobytes): past that it grows as bytes actually arrive.
+	if n := resp.ContentLength; n > 0 && n <= 1<<20 {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(body); err != nil {
 		return nil, fmt.Errorf("client: read tile: %w", err)
 	}
+	decode := tile.DecodeJSON
 	if strings.HasPrefix(resp.Header.Get("Content-Type"), tile.BinaryContentType) {
-		t, err := tile.DecodeBinary(raw)
-		if err != nil {
-			return nil, fmt.Errorf("client: decode tile: %w", err)
-		}
-		return t, nil
+		decode = tile.DecodeBinary
 	}
-	var t tile.Tile
-	if err := json.Unmarshal(raw, &t); err != nil {
+	t, err := decode(buf.Bytes())
+	if err != nil {
 		return nil, fmt.Errorf("client: decode tile: %w", err)
 	}
-	return &t, nil
+	return t, nil
 }
 
 // Stats fetches the session's cache statistics.
 func (c *Client) Stats() (map[string]any, error) {
 	var out map[string]any
-	err := c.getJSON("/stats", c.sessionQuery(), &out)
+	err := c.getJSON("/stats"+c.sessionQuery(), &out)
 	return out, err
 }
 
 // Reset starts a fresh session on the server.
 func (c *Client) Reset() error {
-	u := c.base + "/reset"
-	if q := c.sessionQuery(); q != nil {
-		u += "?" + q.Encode()
-	}
-	resp, err := c.http.Post(u, "", nil)
+	resp, err := c.http.Post(c.base+"/reset"+c.sessionQuery(), "", nil)
 	if err != nil {
 		return err
 	}
@@ -197,21 +193,16 @@ func (c *Client) Reset() error {
 	return nil
 }
 
-func (c *Client) sessionQuery() url.Values {
+// sessionQuery is the query string naming the client's session, if it has one.
+func (c *Client) sessionQuery() string {
 	if c.session == "" {
-		return nil
+		return ""
 	}
-	q := url.Values{}
-	q.Set("session", c.session)
-	return q
+	return "?session=" + url.QueryEscape(c.session)
 }
 
-func (c *Client) getJSON(path string, q url.Values, dst any) error {
-	u := c.base + path
-	if q != nil {
-		u += "?" + q.Encode()
-	}
-	resp, err := c.http.Get(u)
+func (c *Client) getJSON(pathAndQuery string, dst any) error {
+	resp, err := c.http.Get(c.base + pathAndQuery)
 	if err != nil {
 		return err
 	}

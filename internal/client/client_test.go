@@ -3,9 +3,13 @@ package client
 import (
 	"bytes"
 	"compress/gzip"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"reflect"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -82,7 +86,8 @@ func contains(s, sub string) bool {
 // TestClientReusesConnection: every /tile body is read to EOF — including
 // the JSON body's trailing newline, which a bare json.Decoder leaves
 // unread — so the transport keeps one connection alive across sequential
-// requests, whichever codec the server answers with.
+// requests, whichever codec the server answers with and whether or not it
+// declares a Content-Length.
 func TestClientReusesConnection(t *testing.T) {
 	tl := &tile.Tile{Size: 16, Attrs: []string{"v"}, Data: [][]float64{make([]float64, 16*16)}}
 	jsonBody, err := tl.EncodeJSON()
@@ -99,20 +104,33 @@ func TestClientReusesConnection(t *testing.T) {
 	if err := zw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, binary := range []bool{false, true} {
-		var dialled atomic.Int64
+	for _, tc := range []struct {
+		name, contentType, encoding string
+		body                        []byte
+	}{
+		{"json", "application/json", "", jsonBody},
+		{"binary", tile.BinaryContentType, "", bin},
+		{"binary+gzip", tile.BinaryContentType, "gzip", gz.Bytes()},
+	} {
+		var dialled, served atomic.Int64
 		ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.Header.Get("Accept") == tile.BinaryContentType {
-				w.Header().Set("Content-Type", tile.BinaryContentType)
-				w.Header().Set("Content-Encoding", "gzip")
-				_, _ = w.Write(gz.Bytes())
-			} else {
-				w.Header().Set("Content-Type", "application/json")
-				_, _ = w.Write(jsonBody)
+			if got, want := r.Header.Get("Accept") == tile.BinaryContentType, tc.contentType == tile.BinaryContentType; got != want {
+				t.Errorf("%s: binary negotiated = %v, want %v", tc.name, got, want)
 			}
-			// Model a chunked response whose terminator trails the data on
+			w.Header().Set("Content-Type", tc.contentType)
+			if tc.encoding != "" {
+				w.Header().Set("Content-Encoding", tc.encoding)
+			}
+			if served.Add(1)%2 == 0 {
+				// The middleware's own shape: the length declared up front.
+				w.Header().Set("Content-Length", strconv.Itoa(len(tc.body)))
+				_, _ = w.Write(tc.body)
+				return
+			}
+			// And a chunked response whose terminator trails the data on
 			// the wire: a client that stops at the end of the value closes
 			// the body before EOF and forfeits the connection.
+			_, _ = w.Write(tc.body)
 			w.(http.Flusher).Flush()
 			time.Sleep(time.Millisecond)
 		}))
@@ -122,16 +140,50 @@ func TestClientReusesConnection(t *testing.T) {
 			}
 		}
 		ts.Start()
-		c := New(ts.URL, "s")
-		c.NegotiateBinary(binary)
+		c := New(ts.URL, "s p&c") // a session id the query must escape
+		c.NegotiateBinary(tc.contentType == tile.BinaryContentType)
 		for i := 0; i < 50; i++ {
-			if _, _, err := c.Tile(tile.Coord{}); err != nil {
-				t.Fatalf("binary=%v request %d: %v", binary, i, err)
+			got, _, err := c.Tile(tile.Coord{})
+			if err != nil {
+				t.Fatalf("%s request %d: %v", tc.name, i, err)
+			}
+			if got.Size != tl.Size || len(got.Data) != 1 || len(got.Data[0]) != 16*16 {
+				t.Fatalf("%s request %d: decoded %+v", tc.name, i, got)
 			}
 		}
 		ts.Close()
 		if got := dialled.Load(); got != 1 {
-			t.Errorf("binary=%v: 50 sequential Tile calls opened %d connections, want 1", binary, got)
+			t.Errorf("%s: 50 sequential Tile calls opened %d connections, want 1", tc.name, got)
 		}
+	}
+}
+
+// TestTileQueryEscapesSession: the hand-built /tile query carries the
+// coordinate and the session id exactly as url.Values would have.
+func TestTileQueryEscapesSession(t *testing.T) {
+	var got url.Values
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		got = r.URL.Query()
+		w.WriteHeader(http.StatusTeapot)
+	}))
+	defer ts.Close()
+	_, _, _ = New(ts.URL, "a b&x=9/é").Tile(tile.Coord{Level: 3, Y: 5, X: 2})
+	want := url.Values{"level": {"3"}, "y": {"5"}, "x": {"2"}, "session": {"a b&x=9/é"}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("server parsed %v, want %v", got, want)
+	}
+}
+
+// TestHostileContentLengthIsOnlyAHint: past 1 MiB a declared length
+// sizes nothing (growing a buffer to 1 TiB would panic); the client reads
+// what actually arrives.
+func TestHostileContentLengthIsOnlyAHint(t *testing.T) {
+	body, err := (&tile.Tile{Size: 1, Attrs: []string{"v"}, Data: [][]float64{{1}}}).EncodeJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := &http.Response{Header: http.Header{}, ContentLength: 1 << 40, Body: io.NopCloser(bytes.NewReader(body))}
+	if tl, err := decodeTileBody(resp); err != nil || tl.Size != 1 {
+		t.Errorf("decodeTileBody = %+v, %v", tl, err)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/url"
 	"time"
 
 	"forecache/internal/push"
@@ -100,11 +99,7 @@ func (c *Client) PushStats() PushStats {
 // healthy stream after 30s. Binary frames or SSE, whichever the server
 // grants, streamDecoder reads.
 func (c *Client) dialStream(ctx context.Context) (*http.Response, error) {
-	u := c.base + "/stream"
-	if c.session != "" {
-		u += "?session=" + url.QueryEscape(c.session)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/stream"+c.sessionQuery(), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -19,17 +19,26 @@ import (
 // from the request headers and answers with memoized bytes — the tile is
 // encoded at most once per (format, compression) for its cache lifetime.
 
+// jsonBodyPool holds the buffers uncached JSON bodies are encoded into: a
+// body is dead once Write returns, so the next response reuses its bytes.
+var jsonBodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
 // writeTile answers a /tile request with t's payload. Without the encoded
-// cache that is the plain JSON body, encoded per request; with it, the
-// memoized body in the negotiated format, whose plain-JSON rendering (no
-// Accept header, no gzip) is byte-identical to the uncached one.
+// cache that is the plain JSON body, encoded per request into a pooled
+// buffer; with it, the memoized body in the negotiated format, whose
+// plain-JSON rendering (no Accept header, no gzip) is byte-identical to
+// the uncached one.
 func (s *Server) writeTile(w http.ResponseWriter, r *http.Request, c tile.Coord, t *tile.Tile) {
 	h := w.Header()
 	format, gz := tile.FormatJSON, false
 	var payload []byte
 	var err error
 	if s.encoded == nil {
-		payload, err = t.EncodeJSON()
+		buf := jsonBodyPool.Get().(*[]byte)
+		defer jsonBodyPool.Put(buf)
+		// Tile.EncodeJSON's body, in place: the marshalled tile and a newline.
+		*buf, err = tile.AppendJSON((*buf)[:0], t)
+		payload = append(*buf, '\n')
 	} else {
 		if acceptsTileBinary(r.Header.Get("Accept")) {
 			format = tile.FormatBinary

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -319,4 +320,55 @@ func TestStreamPayloadEncodedOncePerTile(t *testing.T) {
 			t.Fatalf("pulling pushed tile %v: status %d, %+v, want still %d encoder runs", last.Coord, pull.StatusCode, st, want)
 		}
 	})
+}
+
+// headerOnlyWriter is a ResponseWriter that keeps nothing, so a handler's
+// own allocations are all a measurement sees.
+type headerOnlyWriter struct{ h http.Header }
+
+func (w headerOnlyWriter) Header() http.Header         { return w.h }
+func (w headerOnlyWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w headerOnlyWriter) WriteHeader(int)             {}
+
+// TestUncachedTileBodyIsPooled: without an encoded cache every response
+// encodes its tile afresh, but into a reused buffer — a response allocates
+// far less than encoding the body into a new one does — and the bytes are
+// still exactly Tile.EncodeJSON's.
+func TestUncachedTileBodyIsPooled(t *testing.T) {
+	srv, _ := testServer(t)
+	root := &tile.Tile{Size: 64, Attrs: []string{"v"}, Data: [][]float64{make([]float64, 64*64)}}
+	for i := range root.Data[0] {
+		root.Data[0][i] = float64(i) / 7
+	}
+	want, err := root.EncodeJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodGet, "/tile?level=0&y=0&x=0", nil)
+	for i := 0; i < 3; i++ { // a reused buffer must not leak the previous body
+		rec := httptest.NewRecorder()
+		srv.writeTile(rec, req, root.Coord, root)
+		if !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Fatalf("response %d differs from EncodeJSON:\nwant: %q\ngot:  %q", i, want, rec.Body.Bytes())
+		}
+	}
+	perResponse := func(respond func(w http.ResponseWriter)) uint64 {
+		const runs = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			respond(headerOnlyWriter{http.Header{}})
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	fresh := perResponse(func(w http.ResponseWriter) {
+		body, _ := root.EncodeJSON()
+		_, _ = w.Write(body)
+	})
+	pooled := perResponse(func(w http.ResponseWriter) { srv.writeTile(w, req, root.Coord, root) })
+	// Half, not a tenth: under -race sync.Pool drops a quarter of its Puts.
+	if pooled > fresh/2 {
+		t.Errorf("an uncached response allocates %d bytes, a fresh EncodeJSON %d: the body buffer is not reused", pooled, fresh)
+	}
 }

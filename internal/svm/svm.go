@@ -210,12 +210,13 @@ func trainBinary(x [][]float64, y []float64, kernel Kernel, cfg Config) *binary 
 			gram[i][j] = kernel(x[i], x[j])
 		}
 	}
+	// active lists the non-zero alphas' indices in ascending order, so f adds
+	// the same terms in the same order as a scan of all n; most stay zero.
+	var active []int
 	f := func(i int) float64 {
 		s := -m.b
-		for k := 0; k < n; k++ {
-			if m.alphas[k] != 0 {
-				s += m.alphas[k] * y[k] * gram[k][i]
-			}
+		for _, k := range active {
+			s += m.alphas[k] * y[k] * gram[k][i]
 		}
 		return s
 	}
@@ -272,6 +273,12 @@ func trainBinary(x [][]float64, y []float64, kernel Kernel, cfg Config) *binary 
 			}
 			m.alphas[i], m.alphas[j] = aiNew, ajNew
 			changed++
+			active = active[:0]
+			for k, a := range m.alphas {
+				if a != 0 {
+					active = append(active, k)
+				}
+			}
 		}
 		if changed == 0 {
 			passes++

@@ -165,6 +165,133 @@ func TestDeterministicTraining(t *testing.T) {
 	}
 }
 
+// TestTrainBinaryMatchesFullScan: summing f over the ascending list of
+// non-zero alphas adds the same terms in the same order as scanning all of
+// them, so training is bit-identical — every alpha and the bias compare
+// with ==, on overlapping classes that leave many alphas at a bound and
+// move others back to zero.
+func TestTrainBinaryMatchesFullScan(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		rng := rand.New(rand.NewSource(seed))
+		var x [][]float64
+		var y []float64
+		for i := 0; i < 120; i++ {
+			label := float64(1 - 2*(i%2))
+			x = append(x, []float64{rng.NormFloat64() + 0.6*label, rng.NormFloat64() - 0.4*label, rng.Float64()})
+			y = append(y, label)
+		}
+		cfg := Config{Seed: seed}.withDefaults(3)
+		got := trainBinary(x, y, RBF(cfg.Gamma), cfg)
+		want := trainBinaryFullScan(x, y, RBF(cfg.Gamma), cfg)
+		if got.b != want.b {
+			t.Errorf("seed %d: b = %v, full scan %v", seed, got.b, want.b)
+		}
+		support := 0
+		for i := range want.alphas {
+			if got.alphas[i] != want.alphas[i] {
+				t.Fatalf("seed %d: alpha[%d] = %v, full scan %v", seed, i, got.alphas[i], want.alphas[i])
+			}
+			if want.alphas[i] != 0 {
+				support++
+			}
+		}
+		if support == 0 || support == len(want.alphas) {
+			t.Errorf("seed %d: %d of %d alphas non-zero: the set does not exercise the skip", seed, support, len(want.alphas))
+		}
+	}
+}
+
+// trainBinaryFullScan is trainBinary as it was before f kept an active
+// set: f walks all n alphas on every call. It is the reference
+// TestTrainBinaryMatchesFullScan holds the shipped trainer to.
+func trainBinaryFullScan(x [][]float64, y []float64, kernel Kernel, cfg Config) *binary {
+	n := len(x)
+	m := &binary{alphas: make([]float64, n), x: x, y: y}
+	if n == 0 {
+		return m
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed + int64(n)))
+	// Cache the kernel matrix: training sets here are small (hundreds of
+	// requests), so O(n²) memory is the right trade.
+	gram := make([][]float64, n)
+	for i := range gram {
+		gram[i] = make([]float64, n)
+		for j := range gram[i] {
+			gram[i][j] = kernel(x[i], x[j])
+		}
+	}
+	f := func(i int) float64 {
+		s := -m.b
+		for k := 0; k < n; k++ {
+			if m.alphas[k] != 0 {
+				s += m.alphas[k] * y[k] * gram[k][i]
+			}
+		}
+		return s
+	}
+
+	passes, iters := 0, 0
+	for passes < cfg.MaxPasses && iters < cfg.MaxIter {
+		iters++
+		changed := 0
+		for i := 0; i < n; i++ {
+			ei := f(i) - y[i]
+			if !((y[i]*ei < -cfg.Tol && m.alphas[i] < cfg.C) || (y[i]*ei > cfg.Tol && m.alphas[i] > 0)) {
+				continue
+			}
+			j := rng.Intn(n - 1)
+			if j >= i {
+				j++
+			}
+			ej := f(j) - y[j]
+			ai, aj := m.alphas[i], m.alphas[j]
+			var lo, hi float64
+			if y[i] != y[j] {
+				lo = math.Max(0, aj-ai)
+				hi = math.Min(cfg.C, cfg.C+aj-ai)
+			} else {
+				lo = math.Max(0, ai+aj-cfg.C)
+				hi = math.Min(cfg.C, ai+aj)
+			}
+			if lo == hi {
+				continue
+			}
+			eta := 2*gram[i][j] - gram[i][i] - gram[j][j]
+			if eta >= 0 {
+				continue
+			}
+			ajNew := aj - y[j]*(ei-ej)/eta
+			if ajNew > hi {
+				ajNew = hi
+			} else if ajNew < lo {
+				ajNew = lo
+			}
+			if math.Abs(ajNew-aj) < 1e-5 {
+				continue
+			}
+			aiNew := ai + y[i]*y[j]*(aj-ajNew)
+			b1 := m.b + ei + y[i]*(aiNew-ai)*gram[i][i] + y[j]*(ajNew-aj)*gram[i][j]
+			b2 := m.b + ej + y[i]*(aiNew-ai)*gram[i][j] + y[j]*(ajNew-aj)*gram[j][j]
+			switch {
+			case aiNew > 0 && aiNew < cfg.C:
+				m.b = b1
+			case ajNew > 0 && ajNew < cfg.C:
+				m.b = b2
+			default:
+				m.b = (b1 + b2) / 2
+			}
+			m.alphas[i], m.alphas[j] = aiNew, ajNew
+			changed++
+		}
+		if changed == 0 {
+			passes++
+		} else {
+			passes = 0
+		}
+	}
+	return m
+}
+
 func TestKernels(t *testing.T) {
 	rbf := RBF(1)
 	if got := rbf([]float64{1, 1}, []float64{1, 1}); got != 1 {

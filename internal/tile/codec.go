@@ -65,17 +65,14 @@ func EncodeBinary(t *Tile) ([]byte, error) {
 // section lengths could not represent) are rejected so an encoded payload
 // always decodes back.
 func AppendBinary(dst []byte, t *Tile) ([]byte, error) {
-	if t.Size <= 0 || t.Size > maxTileSize {
-		return nil, fmt.Errorf("tile %s: size %d outside the codec's (0, %d] bound", t.Coord, t.Size, maxTileSize)
+	if err := t.checkShape(); err != nil {
+		return nil, err
 	}
 	if !binaryCoordValid(t.Coord) {
 		return nil, fmt.Errorf("tile: coordinate %s outside the codec's bounds", t.Coord)
 	}
 	if len(t.Attrs) > maxBinaryAttrs {
 		return nil, fmt.Errorf("tile %s: %d attributes over the codec's %d bound", t.Coord, len(t.Attrs), maxBinaryAttrs)
-	}
-	if len(t.Data) != len(t.Attrs) {
-		return nil, fmt.Errorf("tile %s: %d grids for %d attributes", t.Coord, len(t.Data), len(t.Attrs))
 	}
 	cells := t.Size * t.Size
 	headerLen := 5 * 4
@@ -84,11 +81,6 @@ func AppendBinary(dst []byte, t *Tile) ([]byte, error) {
 			return nil, fmt.Errorf("tile %s: attribute name of %d bytes over the codec's %d bound", t.Coord, len(a), maxBinaryString)
 		}
 		headerLen += 4 + len(a)
-	}
-	for i, g := range t.Data {
-		if len(g) != cells {
-			return nil, fmt.Errorf("tile %s: grid %q has %d cells, want %d", t.Coord, t.Attrs[i], len(g), cells)
-		}
 	}
 	dataLen := uint64(len(t.Attrs)) * uint64(cells) * 8
 	if dataLen > math.MaxUint32 {
@@ -225,6 +217,25 @@ func DecodeBinary(data []byte) (*Tile, error) {
 		return nil, fmt.Errorf("tile: binary payload missing required sections")
 	}
 	return t, nil
+}
+
+// checkShape reports a tile whose grids do not match what it declares: a Size
+// outside (0, maxTileSize], or anything but one Size×Size grid per attribute.
+// Grid and At index on that promise, so AppendBinary and DecodeJSON refuse such
+// a tile here, and DecodeBinary from its section lengths before it allocates.
+func (t *Tile) checkShape() error {
+	if t.Size <= 0 || t.Size > maxTileSize {
+		return fmt.Errorf("tile %s: size %d outside the codec's (0, %d] bound", t.Coord, t.Size, maxTileSize)
+	}
+	if len(t.Data) != len(t.Attrs) {
+		return fmt.Errorf("tile %s: %d grids for %d attributes", t.Coord, len(t.Data), len(t.Attrs))
+	}
+	for i, g := range t.Data {
+		if len(g) != t.Size*t.Size {
+			return fmt.Errorf("tile %s: grid %q has %d cells, want %d", t.Coord, t.Attrs[i], len(g), t.Size*t.Size)
+		}
+	}
+	return nil
 }
 
 func binaryCoordValid(c Coord) bool {

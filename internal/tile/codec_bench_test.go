@@ -84,6 +84,58 @@ func BenchmarkTileServeEncoding(b *testing.B) {
 	}
 }
 
+// realShapedTile has the shape the benchmark world serves: 4 attributes of
+// 16×16 cells and four signature vectors, about 16.7 KB of JSON.
+func realShapedTile() *Tile {
+	t := &Tile{Coord: Coord{Level: 4, Y: 3, X: 7}, Size: 16, Signatures: map[string][]float64{}}
+	for _, a := range []string{"ndsi", "mask", "svis", "sswir"} {
+		t.Attrs = append(t.Attrs, a)
+		t.Data = append(t.Data, benchTile(16).Data[0])
+	}
+	for name, n := range map[string]int{"normal": 2, "histogram": 8, "sift": 64, "densesift": 64} {
+		vec := make([]float64, n)
+		for i := range vec {
+			vec[i] = float64(i*7919%1009) / 1009
+		}
+		t.Signatures[name] = vec
+	}
+	return t
+}
+
+// BenchmarkTileDecode compares what a client pays to turn one /tile body
+// back into a Tile: encoding/json into the pointer-per-cell mirror, the
+// single-pass JSON decoder, and the binary codec.
+func BenchmarkTileDecode(b *testing.B) {
+	tl := realShapedTile()
+	jsonBody, err := tl.EncodeJSON()
+	if err != nil {
+		b.Fatal(err)
+	}
+	binBody, err := EncodeBinary(tl)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name   string
+		body   []byte
+		decode func([]byte) (*Tile, error)
+	}{
+		{"json-reflect", jsonBody, reflectJSON},
+		{"json", jsonBody, DecodeJSON},
+		{"binary", binBody, DecodeBinary},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(bc.body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := bc.decode(bc.body); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // legacyMarshalJSONBench aliases the compatibility oracle so the benchmark
 // reads as the old serving path.
 func legacyMarshalJSONBench(t *Tile) ([]byte, error) { return legacyMarshalJSON(t) }
