@@ -1,7 +1,6 @@
 // Command forecache is the command-line front end of the ForeCache
 // reproduction. Subcommands:
 //
-//	build     synthesize the MODIS world and persist the arrays to disk
 //	tracegen  simulate the 18-user x 3-task study and save the traces
 //	serve     run the HTTP middleware over a freshly built world
 //	explore   walk a move script through the middleware and print tiles
@@ -40,8 +39,6 @@ func main() {
 	}
 	var err error
 	switch os.Args[1] {
-	case "build":
-		err = cmdBuild(os.Args[2:])
 	case "tracegen":
 		err = cmdTracegen(os.Args[2:])
 	case "serve":
@@ -51,7 +48,7 @@ func main() {
 	case "render":
 		err = cmdRender(os.Args[2:])
 	case "bench":
-		err = cmdBench(os.Args[2:])
+		err = cmdBench(os.Stdout, os.Args[2:])
 	case "scrape":
 		err = cmdScrape(os.Args[2:])
 	case "help", "-h", "--help":
@@ -71,7 +68,6 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage: forecache <subcommand> [flags]
 
 subcommands:
-  build     -seed -size -tile -out        build the world, persist arrays
   tracegen  -seed -size -tile -out        simulate the study, save traces
   serve     -seed -size -tile [flags: serve -h]
                                           run the HTTP middleware
@@ -113,24 +109,6 @@ func (wf *worldFlags) build() (*forecache.Dataset, error) {
 		ds.Pyramid.NumLevels(), ds.Pyramid.NumTiles(),
 		float64(ds.Pyramid.MemBytes())/1e6, time.Since(start).Round(time.Millisecond))
 	return ds, nil
-}
-
-func cmdBuild(args []string) error {
-	fs := flag.NewFlagSet("build", flag.ExitOnError)
-	wf := addWorldFlags(fs)
-	out := fs.String("out", "data", "output directory for array files")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	ds, err := wf.build()
-	if err != nil {
-		return err
-	}
-	if err := ds.DB.SaveDir(*out); err != nil {
-		return err
-	}
-	fmt.Printf("arrays saved under %s: %s\n", *out, strings.Join(ds.DB.Names(), ", "))
-	return nil
 }
 
 func cmdTracegen(args []string) error {
@@ -462,7 +440,9 @@ func cmdRender(args []string) error {
 	return nil
 }
 
-func cmdBench(args []string) error {
+// cmdBench writes the experiments' tables to w; progress and timings go to
+// stderr, so w's bytes are deterministic for a fixed world.
+func cmdBench(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
 	wf := addWorldFlags(fs)
 	list := fs.Bool("list", false, "list available experiments")
@@ -471,15 +451,19 @@ func cmdBench(args []string) error {
 	}
 	if *list {
 		for _, e := range eval.Experiments() {
-			fmt.Printf("  %-16s %s\n", e.Name, e.Paper)
+			fmt.Fprintf(w, "  %-16s %s\n", e.Name, e.Paper)
 		}
 		return nil
 	}
-	names := fs.Args()
-	if len(names) == 0 || (len(names) == 1 && names[0] == "all") {
-		names = nil
-		for _, e := range eval.Experiments() {
-			names = append(names, e.Name)
+	exps := eval.Experiments()
+	if names := fs.Args(); len(names) > 0 && !(len(names) == 1 && names[0] == "all") {
+		exps = nil
+		for _, name := range names {
+			e, ok := eval.Lookup(name)
+			if !ok {
+				return fmt.Errorf("unknown experiment %q (try -list)", name)
+			}
+			exps = append(exps, e)
 		}
 	}
 	ds, err := wf.build()
@@ -488,14 +472,10 @@ func cmdBench(args []string) error {
 	}
 	traces := ds.SimulateStudy(wf.seed)
 	h := ds.Harness(traces)
-	for _, name := range names {
-		e, ok := eval.Lookup(name)
-		if !ok {
-			return fmt.Errorf("unknown experiment %q (try -list)", name)
-		}
-		fmt.Printf("\n=== %s (%s) ===\n", e.Name, e.Paper)
+	for _, e := range exps {
+		fmt.Fprintf(w, "\n=== %s (%s) ===\n", e.Name, e.Paper)
 		start := time.Now()
-		if err := e.Run(os.Stdout, h); err != nil {
+		if err := e.Run(w, h); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "[%s took %s]\n", e.Name, time.Since(start).Round(time.Millisecond))

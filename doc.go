@@ -167,5 +167,7 @@
 //	resp, _ = mw.Request(forecache.Coord{Level: 1})     // often prefetched
 //
 // See examples/ for runnable programs and cmd/forecache for the CLI that
-// regenerates the paper's experiments.
+// regenerates the paper's experiments (TestBenchAllGolden there holds
+// their output to committed bytes). scripts/live.sh drives a built binary
+// over real HTTP; scripts/reachability.sh lists what no entry point runs.
 package forecache

@@ -2,7 +2,6 @@ package array
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"unicode"
 )
@@ -20,15 +19,13 @@ import (
 //	  NDSI
 //	)
 //
-// Supported operators:
+// Supported operators are the ones that pipeline issues; any other name is
+// an unknown-operator error (regridding, slicing and projection are the Go
+// methods Regrid, Subarray and Project, which the pyramid builder calls):
 //
-//	scan(NAME)                         read a stored array (bare names also scan)
+//	NAME                               read a stored array
 //	join(expr, expr)                   equi-join on dimensions
 //	apply(expr, attr, udf(args...))    cell-wise UDF producing a new attribute
-//	regrid(expr, j0, j1, agg(attr))    windowed aggregation over every attribute
-//	                                   (agg selects attrs first when given)
-//	subarray(expr, r0, c0, r1, c1)     rectangular slice
-//	project(expr, attr, ...)           keep only the named attributes
 //	store(expr, NAME)                  bind the result in the database
 //
 // UDF argument references may be qualified ("SVIS.reflectance") or bare
@@ -52,11 +49,10 @@ func (db *Database) Query(afl string) (*Array, error) {
 
 // aflNode is a parsed AFL expression tree node.
 type aflNode struct {
-	op   string // "scan", "join", "apply", "regrid", "subarray", "project", "store"
-	name string // array name (scan/store), attribute name (apply), agg name (regrid)
+	op   string // "scan", "join", "apply", "store"
+	name string // array name (scan/store), attribute name (apply)
 	udf  string // UDF name for apply
 	args []string
-	ints []int
 	kids []*aflNode
 }
 
@@ -116,22 +112,7 @@ func (p *aflParser) ident() (string, error) {
 	return p.src[start:p.pos], nil
 }
 
-func (p *aflParser) integer() (int, error) {
-	p.skipSpace()
-	start := p.pos
-	if p.peek() == '-' {
-		p.pos++
-	}
-	for p.pos < len(p.src) && p.src[p.pos] >= '0' && p.src[p.pos] <= '9' {
-		p.pos++
-	}
-	if p.pos == start {
-		return 0, fmt.Errorf("expected integer at byte %d", p.pos)
-	}
-	return strconv.Atoi(p.src[start:p.pos])
-}
-
-// parseExpr parses either an operator call or a bare array name (scan).
+// parseExpr parses either an operator call or a bare array name (a scan).
 func (p *aflParser) parseExpr() (*aflNode, error) {
 	p.depth++
 	defer func() { p.depth-- }()
@@ -147,16 +128,6 @@ func (p *aflParser) parseExpr() (*aflNode, error) {
 		return &aflNode{op: "scan", name: id}, nil // bare name
 	}
 	switch strings.ToLower(id) {
-	case "scan":
-		p.pos++
-		name, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect(')'); err != nil {
-			return nil, err
-		}
-		return &aflNode{op: "scan", name: name}, nil
 	case "join":
 		p.pos++
 		left, err := p.parseExpr()
@@ -218,97 +189,6 @@ func (p *aflParser) parseExpr() (*aflNode, error) {
 			return nil, err
 		}
 		return &aflNode{op: "apply", name: attr, udf: udf, args: args, kids: []*aflNode{in}}, nil
-	case "regrid":
-		p.pos++
-		in, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect(','); err != nil {
-			return nil, err
-		}
-		j0, err := p.integer()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect(','); err != nil {
-			return nil, err
-		}
-		j1, err := p.integer()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect(','); err != nil {
-			return nil, err
-		}
-		agg, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		node := &aflNode{op: "regrid", name: agg, ints: []int{j0, j1}, kids: []*aflNode{in}}
-		p.skipSpace()
-		if p.peek() == '(' { // optional agg(attr) form
-			p.pos++
-			attr, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			node.args = []string{attr}
-			if err := p.expect(')'); err != nil {
-				return nil, err
-			}
-		}
-		if err := p.expect(')'); err != nil {
-			return nil, err
-		}
-		return node, nil
-	case "subarray":
-		p.pos++
-		in, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		coords := make([]int, 4)
-		for i := range coords {
-			if err := p.expect(','); err != nil {
-				return nil, err
-			}
-			v, err := p.integer()
-			if err != nil {
-				return nil, err
-			}
-			coords[i] = v
-		}
-		if err := p.expect(')'); err != nil {
-			return nil, err
-		}
-		return &aflNode{op: "subarray", ints: coords, kids: []*aflNode{in}}, nil
-	case "project":
-		p.pos++
-		in, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		var attrs []string
-		for {
-			p.skipSpace()
-			if p.peek() != ',' {
-				break
-			}
-			p.pos++
-			attr, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			attrs = append(attrs, attr)
-		}
-		if err := p.expect(')'); err != nil {
-			return nil, err
-		}
-		if len(attrs) == 0 {
-			return nil, fmt.Errorf("project needs at least one attribute")
-		}
-		return &aflNode{op: "project", args: attrs, kids: []*aflNode{in}}, nil
 	case "store":
 		p.pos++
 		in, err := p.parseExpr()
@@ -359,38 +239,6 @@ func (db *Database) eval(n *aflNode) (*Array, error) {
 			attrs[i] = resolveAttrRef(in, ref)
 		}
 		return in.Apply(n.name, fn, attrs...)
-	case "regrid":
-		in, err := db.eval(n.kids[0])
-		if err != nil {
-			return nil, err
-		}
-		if len(n.args) == 1 {
-			in, err = in.Project(resolveAttrRef(in, n.args[0]))
-			if err != nil {
-				return nil, err
-			}
-		}
-		agg, err := ParseAgg(n.name)
-		if err != nil {
-			return nil, err
-		}
-		return in.Regrid(n.ints[0], n.ints[1], agg)
-	case "subarray":
-		in, err := db.eval(n.kids[0])
-		if err != nil {
-			return nil, err
-		}
-		return in.Subarray(n.ints[0], n.ints[1], n.ints[2], n.ints[3])
-	case "project":
-		in, err := db.eval(n.kids[0])
-		if err != nil {
-			return nil, err
-		}
-		attrs := make([]string, len(n.args))
-		for i, ref := range n.args {
-			attrs[i] = resolveAttrRef(in, ref)
-		}
-		return in.Project(attrs...)
 	case "store":
 		in, err := db.eval(n.kids[0])
 		if err != nil {

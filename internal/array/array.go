@@ -153,16 +153,6 @@ func (a *Array) AttrData(attr string) ([]float64, error) {
 	return a.data[i], nil
 }
 
-// Clone returns a deep copy of the array.
-func (a *Array) Clone() *Array {
-	out := &Array{schema: a.schema, data: make([][]float64, len(a.data))}
-	out.schema.Attrs = append([]string(nil), a.schema.Attrs...)
-	for i, col := range a.data {
-		out.data[i] = append([]float64(nil), col...)
-	}
-	return out
-}
-
 // Rename returns the same array under a new name (shallow; shares storage).
 func (a *Array) Rename(name string) *Array {
 	out := *a

@@ -1,10 +1,9 @@
 package array
 
 import (
-	"bytes"
 	"math"
-	"math/rand"
-	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -161,7 +160,7 @@ func TestRegridAvgMatchesPaperFigure3(t *testing.T) {
 	// Window at output (0,0) covers inputs {0,1,16,17} -> mean 8.5.
 	v, _ := out.Get("v", 0, 0)
 	if v != 8.5 {
-		t.Errorf("regrid(0,0) = %v, want 8.5", v)
+		t.Errorf("Regrid cell (0,0) = %v, want 8.5", v)
 	}
 }
 
@@ -328,31 +327,45 @@ func TestQueryPaperQuery1(t *testing.T) {
 	if _, err := db.Get("NDSI"); err != nil {
 		t.Errorf("store() should bind NDSI: %v", err)
 	}
+	// The text form is the Go operators and nothing else: same cells as
+	// Join + Apply called directly.
+	svis, _ := db.Get("SVIS")
+	sswir, _ := db.Get("SSWIR")
+	joined, err := Join(svis, sswir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn, _ := db.UDF("ndsi_func")
+	direct, err := joined.Apply("ndsi", fn, "reflectance", "SSWIR_reflectance")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := out.AttrData("ndsi")
+	wantCells, _ := direct.AttrData("ndsi")
+	if !slices.Equal(got, wantCells) {
+		t.Fatalf("query cells %v, direct calls %v", got, wantCells)
+	}
 }
 
-func TestQueryRegridSubarrayProject(t *testing.T) {
+// TestAFLRejectsUnissuedOperators: the text forms no pipeline query uses
+// are not part of the grammar any more — each is an unknown-operator error
+// naming the operator, never a panic — while a bare name still scans.
+func TestAFLRejectsUnissuedOperators(t *testing.T) {
 	db := NewDatabase()
 	db.Store("A", mkArray(t, "A", 8, 8, func(r, c int) float64 { return float64(r*8 + c) }))
-	out, err := db.Query("regrid(A, 2, 2, avg)")
-	if err != nil {
-		t.Fatalf("regrid query: %v", err)
+	for op, q := range map[string]string{
+		"scan":     "scan(A)",
+		"regrid":   "regrid(A, 2, 2, avg)",
+		"subarray": "subarray(A, 0, 0, 2, 3)",
+		"project":  "project(A, v)",
+	} {
+		if _, err := db.Query(q); err == nil || !strings.Contains(err.Error(), `unknown operator "`+op+`"`) {
+			t.Errorf("Query(%q): err = %v, want unknown operator %q", q, err, op)
+		}
 	}
-	if out.Rows() != 4 || out.Cols() != 4 {
-		t.Fatalf("regrid result %dx%d, want 4x4", out.Rows(), out.Cols())
-	}
-	out, err = db.Query("subarray(A, 0, 0, 2, 3)")
-	if err != nil {
-		t.Fatalf("subarray query: %v", err)
-	}
-	if out.Rows() != 2 || out.Cols() != 3 {
-		t.Fatalf("subarray result %dx%d, want 2x3", out.Rows(), out.Cols())
-	}
-	out, err = db.Query("project(scan(A), v)")
-	if err != nil {
-		t.Fatalf("project query: %v", err)
-	}
-	if len(out.Schema().Attrs) != 1 {
-		t.Fatalf("project attrs = %v", out.Schema().Attrs)
+	out, err := db.Query("A")
+	if err != nil || out.Rows() != 8 || out.Cols() != 8 {
+		t.Fatalf("bare name should scan A: %v, %v", out, err)
 	}
 }
 
@@ -362,88 +375,14 @@ func TestQueryErrors(t *testing.T) {
 	for _, q := range []string{
 		"",                     // empty
 		"frobnicate(A)",        // unknown operator
-		"scan(A) extra",        // trailing input
-		"scan(Missing)",        // unknown array
+		"A extra",              // trailing input
+		"Missing",              // unknown array
 		"join(A)",              // arity
 		"apply(A, x, nope(v))", // unknown UDF
-		"regrid(A, 2, 2, zzz)", // unknown aggregate
 	} {
 		if _, err := db.Query(q); err == nil {
 			t.Errorf("Query(%q) should fail", q)
 		}
-	}
-}
-
-func TestIORoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a := NewZero(Schema{Name: "RT", Attrs: []string{"x", "y"},
-		Dims: [2]Dim{{"lat", 37}, {"lon", 61}}}) // deliberately not chunk-aligned
-	for _, attr := range []string{"x", "y"} {
-		data, _ := a.AttrData(attr)
-		for i := range data {
-			if rng.Intn(10) == 0 {
-				data[i] = math.NaN()
-			} else {
-				data[i] = rng.NormFloat64()
-			}
-		}
-	}
-	var buf bytes.Buffer
-	if _, err := a.WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	b, err := ReadFrom(&buf)
-	if err != nil {
-		t.Fatalf("ReadFrom: %v", err)
-	}
-	if b.Schema().String() != a.Schema().String() {
-		t.Fatalf("schema mismatch: %v vs %v", b.Schema(), a.Schema())
-	}
-	for _, attr := range []string{"x", "y"} {
-		ad, _ := a.AttrData(attr)
-		bd, _ := b.AttrData(attr)
-		for i := range ad {
-			if ad[i] != bd[i] && !(math.IsNaN(ad[i]) && math.IsNaN(bd[i])) {
-				t.Fatalf("cell %d of %s: %v != %v", i, attr, ad[i], bd[i])
-			}
-		}
-	}
-}
-
-func TestIOFileAndDir(t *testing.T) {
-	dir := t.TempDir()
-	db := NewDatabase()
-	db.Store("A", mkArray(t, "A", 4, 4, func(r, c int) float64 { return float64(r + c) }))
-	db.Store("B", mkArray(t, "B", 2, 2, func(r, c int) float64 { return 1 }))
-	if err := db.SaveDir(dir); err != nil {
-		t.Fatalf("SaveDir: %v", err)
-	}
-	db2 := NewDatabase()
-	if err := db2.LoadDir(dir); err != nil {
-		t.Fatalf("LoadDir: %v", err)
-	}
-	if got := db2.Names(); len(got) != 2 || got[0] != "A" || got[1] != "B" {
-		t.Fatalf("Names = %v", got)
-	}
-	a2, err := db2.Get("A")
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, _ := a2.Get("v", 3, 3)
-	if v != 6 {
-		t.Errorf("loaded cell = %v, want 6", v)
-	}
-	if _, err := LoadFile(filepath.Join(dir, "missing.fcar")); err == nil {
-		t.Error("LoadFile on missing path should fail")
-	}
-}
-
-func TestReadFromRejectsCorrupt(t *testing.T) {
-	if _, err := ReadFrom(bytes.NewReader([]byte("XXXX"))); err == nil {
-		t.Error("bad magic should fail")
-	}
-	if _, err := ReadFrom(bytes.NewReader(nil)); err == nil {
-		t.Error("empty stream should fail")
 	}
 }
 
@@ -502,32 +441,6 @@ func TestRegridCountCompositionProperty(t *testing.T) {
 	}
 }
 
-// Property: IO round trip preserves every cell bit pattern (modulo NaN).
-func TestIORoundTripProperty(t *testing.T) {
-	f := func(vals [24]float64) bool {
-		a := mkArrayQuick(vals[:], 4, 6)
-		var buf bytes.Buffer
-		if _, err := a.WriteTo(&buf); err != nil {
-			return false
-		}
-		b, err := ReadFrom(&buf)
-		if err != nil {
-			return false
-		}
-		ad, _ := a.AttrData("v")
-		bd, _ := b.AttrData("v")
-		for i := range ad {
-			if ad[i] != bd[i] && !(math.IsNaN(ad[i]) && math.IsNaN(bd[i])) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 func mkArrayQuick(vals []float64, rows, cols int) *Array {
 	a := NewZero(Schema{Name: "Q", Attrs: []string{"v"},
 		Dims: [2]Dim{{"r", rows}, {"c", cols}}})
@@ -561,7 +474,7 @@ func BenchmarkQueryParseEval(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Query("regrid(apply(scan(A), w, id(v)), 2, 2, avg)"); err != nil {
+		if _, err := db.Query("store(apply(A, w, id(v)), W)"); err != nil {
 			b.Fatal(err)
 		}
 	}

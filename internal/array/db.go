@@ -2,7 +2,6 @@ package array
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -46,18 +45,6 @@ func (db *Database) Remove(name string) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	delete(db.arrays, name)
-}
-
-// Names lists the stored array names in sorted order.
-func (db *Database) Names() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	names := make([]string, 0, len(db.arrays))
-	for n := range db.arrays {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // RegisterUDF makes fn callable from AFL queries under the given name,

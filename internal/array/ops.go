@@ -92,40 +92,6 @@ const (
 	AggCount
 )
 
-// ParseAgg maps an AFL aggregate name ("avg", "sum", ...) to an Agg.
-func ParseAgg(name string) (Agg, error) {
-	switch name {
-	case "avg":
-		return AggAvg, nil
-	case "sum":
-		return AggSum, nil
-	case "min":
-		return AggMin, nil
-	case "max":
-		return AggMax, nil
-	case "count":
-		return AggCount, nil
-	}
-	return 0, fmt.Errorf("array: unknown aggregate %q", name)
-}
-
-// String returns the AFL name of the aggregate.
-func (g Agg) String() string {
-	switch g {
-	case AggAvg:
-		return "avg"
-	case AggSum:
-		return "sum"
-	case AggMin:
-		return "min"
-	case AggMax:
-		return "max"
-	case AggCount:
-		return "count"
-	}
-	return "agg?"
-}
-
 // Regrid aggregates non-overlapping j0 x j1 windows of every attribute into
 // single cells, producing an array of size ceil(rows/j0) x ceil(cols/j1).
 // This is the paper's materialized-view builder: aggregation parameters
