@@ -126,10 +126,10 @@
 //   - the observability layer (internal/obs): with
 //     MiddlewareConfig.Tracing every /tile request is traced end to end
 //     (trace id echoed as X-Trace-ID, per-span breakdown across session
-//     resolution, cache lookup, backend fetch and prefetch submission),
-//     the slowest traces are retained in a bounded ring (the 256
-//     newest) behind GET /debug/traces, and
-//     /metrics grows lock-free latency histograms for request outcomes
+//     resolution, cache lookup, backend fetch, prefetch submission and
+//     the response write), the slowest traces are retained in a bounded
+//     ring (the 256 newest) behind GET /debug/traces, and /metrics
+//     grows lock-free latency histograms for request outcomes
 //     (hit/miss/shed), scheduler queue wait, backend fetches and
 //     prefetch lead time. MiddlewareConfig.Logger receives one
 //     structured log line per finished trace; MiddlewareConfig.Pprof

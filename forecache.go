@@ -358,13 +358,16 @@ func (c MiddlewareConfig) withDefaults() MiddlewareConfig {
 // Artifacts bundles the immutable, shareable output of one training pass:
 // the registry-built recommender artifact set (the trained Kneser–Ney
 // Markov chain, the SB stamp, the shared hotspot counter table when the
-// config registers one) and the fitted SVM phase classifier. One bundle is
+// config registers one), the allocation table its prior columns compose to
+// (so an engine's models and its policy can never diverge) and the fitted
+// SVM phase classifier. One bundle is
 // safely shared by every session engine of a deployment — and, via
 // MiddlewareConfig.Artifacts, by several middleware constructions, which
 // then perform no training at all.
 type Artifacts struct {
-	set *recommend.Set
-	cls *phase.Classifier
+	set   *recommend.Set
+	prior *core.RegistryPolicy
+	cls   *phase.Classifier
 }
 
 // Models returns the bundle's recommender names in registry order.
@@ -404,6 +407,10 @@ func (d *Dataset) Train(train []*trace.Trace, cfg MiddlewareConfig) (*Artifacts,
 	if err != nil {
 		return nil, fmt.Errorf("forecache: %w", err)
 	}
+	prior, err := core.NewRegistryPolicy(set.Columns())
+	if err != nil {
+		return nil, fmt.Errorf("forecache: %w", err)
+	}
 	reqs := phase.Requests(train)
 	if len(reqs) > maxClassifierRequests {
 		reqs = reqs[:maxClassifierRequests]
@@ -415,7 +422,7 @@ func (d *Dataset) Train(train []*trace.Trace, cfg MiddlewareConfig) (*Artifacts,
 	if err != nil {
 		return nil, fmt.Errorf("forecache: train phase classifier: %w", err)
 	}
-	return &Artifacts{set: set, cls: cls}, nil
+	return &Artifacts{set: set, prior: prior, cls: cls}, nil
 }
 
 // artifacts returns the bundle the construction should use: the supplied
@@ -456,23 +463,11 @@ func (d *Dataset) NewMiddleware(train []*trace.Trace, cfg MiddlewareConfig) (*co
 	if err != nil {
 		return nil, err
 	}
-	var opts []core.Option
+	ecfg := core.Config{K: cfg.K}
 	if hs := arts.set.Hotspot(); hs != nil {
-		opts = append(opts, core.WithConsumption(hs))
+		ecfg.Consumption = hs
 	}
-	return d.assembleEngine(db, arts, cfg, opts...)
-}
-
-// assembleEngine builds one two-level engine over an existing store and an
-// already-trained artifact bundle, so several sessions can share a DBMS
-// adapter, pool, scheduler, classifier and every shared recommender
-// artifact. Only the cheap per-session state is fresh: the SB recommender
-// (its ROI tracker is mutable), the cache manager and the history window.
-// Models and the static allocation policy both come from the registry set,
-// so the learned split's prior and model list can never diverge from the
-// table the engines fall back to.
-func (d *Dataset) assembleEngine(store backend.Store, arts *Artifacts, cfg MiddlewareConfig, opts ...core.Option) (*core.Engine, error) {
-	return core.NewEngineFromSet(store, arts.cls, arts.set, core.Config{K: cfg.K}, opts...)
+	return core.NewEngine(db, arts.cls, arts.prior, arts.set.Session(), ecfg)
 }
 
 // NewServer wraps the dataset in an HTTP middleware server; each session
@@ -514,32 +509,28 @@ func (d *Dataset) NewServer(train []*trace.Trace, cfg MiddlewareConfig) (*server
 	if err != nil {
 		return nil, err
 	}
-	var sched *prefetch.Scheduler
 	// The feedback collector exists whenever some loop consumes outcomes:
 	// UtilityLearning prices scheduler admission with it (async only),
 	// AdaptiveAllocation re-splits the budget with it (either mode).
 	var fc *prefetch.FeedbackCollector
-	opts := []server.Option{server.WithShards(cfg.Shards)}
 	if (cfg.UtilityLearning && cfg.AsyncPrefetch) || cfg.AdaptiveAllocation {
 		fc = prefetch.NewFeedbackCollector(cfg.K)
 	}
-	// One AdaptivePolicy is shared by every session engine, so the learned
-	// per-phase split reflects the whole deployment's traffic and the
-	// server can export it once (/stats, /metrics). Its model list and
-	// prior both come from the registry set, so a third registered
+	// Every session engine shares one allocation policy: the registry's
+	// prior table, or — with AdaptiveAllocation — one AdaptivePolicy over
+	// it, so the learned per-phase split reflects the whole deployment's
+	// traffic and the server can export it once (/stats, /metrics). Models
+	// and prior both come from the registry set, so a third registered
 	// recommender makes the split 3-way with no further wiring. Built
 	// before the scheduler so no worker pool leaks on a construction error.
+	var policy core.AllocationPolicy = arts.prior
 	var adaptive *core.AdaptivePolicy
 	if cfg.AdaptiveAllocation {
-		base, err := core.NewRegistryPolicy(arts.set.Columns())
+		adaptive, err = core.NewAdaptivePolicy(arts.prior, arts.set.Names(), fc, core.AdaptiveConfig{})
 		if err != nil {
 			return nil, fmt.Errorf("forecache: adaptive allocation: %w", err)
 		}
-		adaptive, err = core.NewAdaptivePolicy(base, arts.set.Names(), fc, core.AdaptiveConfig{})
-		if err != nil {
-			return nil, fmt.Errorf("forecache: adaptive allocation: %w", err)
-		}
-		opts = append(opts, server.WithAllocation(adaptive))
+		policy = adaptive
 	}
 	// The observability pipeline is one shared instance: the scheduler
 	// feeds its queue-wait and backend-fetch histograms, every session
@@ -548,10 +539,6 @@ func (d *Dataset) NewServer(train []*trace.Trace, cfg MiddlewareConfig) (*server
 	var pipe *obs.Pipeline
 	if cfg.Tracing {
 		pipe = obs.NewPipeline(obs.Config{Logger: cfg.Logger})
-		opts = append(opts, server.WithObs(pipe))
-	}
-	if cfg.Pprof {
-		opts = append(opts, server.WithPprof())
 	}
 	// The encoded-payload cache is deployment-wide: the /tile and /stream
 	// handlers and the push registry share it, so the pull and push paths
@@ -560,49 +547,38 @@ func (d *Dataset) NewServer(train []*trace.Trace, cfg MiddlewareConfig) (*server
 	var encCache *tile.EncodedCache
 	if cfg.BinaryTiles {
 		encCache = tile.NewEncodedCache(cfg.EncodedCacheBudget, pipe.ObserveTileEncode)
-		opts = append(opts, server.WithEncodedTiles(encCache))
 	}
 	if cfg.Push && !cfg.AsyncPrefetch {
 		return nil, fmt.Errorf("forecache: Push requires AsyncPrefetch (push frames are produced by the shared scheduler)")
 	}
+	var sched *prefetch.Scheduler
+	var streams *push.Registry
 	if cfg.AsyncPrefetch {
-		var util *prefetch.FeedbackCollector
-		if cfg.UtilityLearning {
-			util = fc
-		}
 		pcfg := prefetch.Config{
 			Shards:        cfg.Shards,
 			Workers:       cfg.PrefetchWorkers,
 			GlobalQueue:   cfg.GlobalQueueBudget,
 			DecayHalfLife: cfg.DecayHalfLife,
-			Utility:       util,
 			Obs:           pipe,
+		}
+		if cfg.UtilityLearning {
+			pcfg.Utility = fc
 		}
 		// One registry is both the scheduler's push sink (frame production)
 		// and the server's /stream transport (frame drain), so the two sides
 		// can never disagree about which sessions have live streams.
 		if cfg.Push {
-			reg := push.NewRegistry(push.Config{Obs: pipe, Encoded: encCache})
-			pcfg.Push = reg
-			opts = append(opts, server.WithPush(reg))
+			streams = push.NewRegistry(push.Config{Obs: pipe, Encoded: encCache})
+			pcfg.Push = streams
 		}
 		sched = prefetch.NewScheduler(store, pcfg)
-		opts = append(opts, server.WithScheduler(sched))
-	}
-	if cfg.MetricsEndpoint {
-		opts = append(opts, server.WithMetrics())
-	}
-	if cfg.MaxSessions > 0 {
-		opts = append(opts, server.WithSessionLimit(cfg.MaxSessions))
-	}
-	if cfg.SessionTTL > 0 {
-		opts = append(opts, server.WithSessionTTL(cfg.SessionTTL))
 	}
 	hotspot := arts.set.Hotspot()
 	// Warm restart: restore the learned-state families from the snapshot
 	// directory BEFORE the first session engine is built, then start the
 	// interval ticker. The store is handed to the server so Close writes
 	// the final snapshot and /stats + /metrics report snapshot health.
+	var snapshots *persist.Store
 	if cfg.StateDir != "" {
 		var families []persist.Family
 		if fc != nil {
@@ -624,7 +600,7 @@ func (d *Dataset) NewServer(train []*trace.Trace, cfg MiddlewareConfig) (*server
 			})
 		}
 		if len(families) > 0 {
-			store, err := persist.NewStore(persist.Config{
+			snapshots, err = persist.NewStore(persist.Config{
 				Dir:      cfg.StateDir,
 				Interval: cfg.SnapshotInterval,
 				Logger:   cfg.Logger,
@@ -635,37 +611,42 @@ func (d *Dataset) NewServer(train []*trace.Trace, cfg MiddlewareConfig) (*server
 				}
 				return nil, fmt.Errorf("forecache: %w", err)
 			}
-			store.Restore()
-			store.Start()
-			opts = append(opts, server.WithPersist(store))
+			snapshots.Restore()
+			snapshots.Start()
 		}
 	}
+	// What every session engine shares. The two observer fields are
+	// interfaces, so they are set only from non-nil pointers.
+	ecfg := core.Config{K: cfg.K, AdaptiveK: cfg.AdaptiveK, FairShare: cfg.FairShare, Obs: pipe}
+	if fc != nil {
+		ecfg.Feedback = fc
+	}
+	if hotspot != nil {
+		ecfg.Consumption = hotspot
+	}
+	// Only the cheap per-session state is fresh per engine: the model
+	// instances stamped out of the shared artifacts (SB's ROI tracker is
+	// mutable), the cache manager and the history window.
 	factory := func(session string) (*core.Engine, error) {
-		var engOpts []core.Option
+		ecfg := ecfg // this session's copy
 		if sched != nil {
 			// Bound to the session's home shard once, here: the routing hash
 			// is paid per session, not per request.
-			engOpts = append(engOpts, core.WithScheduler(sched.Shard(session), session))
-			if cfg.AdaptiveK {
-				engOpts = append(engOpts, core.WithAdaptiveK())
-				if cfg.FairShare {
-					engOpts = append(engOpts, core.WithFairShare())
-				}
-			}
+			ecfg.Scheduler, ecfg.Session = sched.Shard(session), session
 		}
-		if fc != nil {
-			engOpts = append(engOpts, core.WithFeedback(fc))
-		}
-		if hotspot != nil {
-			engOpts = append(engOpts, core.WithConsumption(hotspot))
-		}
-		if adaptive != nil {
-			engOpts = append(engOpts, core.WithAdaptiveAllocation(adaptive))
-		}
-		if pipe != nil {
-			engOpts = append(engOpts, core.WithObs(pipe))
-		}
-		return d.assembleEngine(store, arts, cfg, engOpts...)
+		return core.NewEngine(store, arts.cls, policy, arts.set.Session(), ecfg)
 	}
-	return server.New(meta, factory, opts...), nil
+	return server.New(meta, factory, server.Config{
+		Shards:      cfg.Shards,
+		MaxSessions: cfg.MaxSessions,
+		SessionTTL:  cfg.SessionTTL,
+		Scheduler:   sched,
+		Allocation:  adaptive,
+		Push:        streams,
+		Encoded:     encCache,
+		Obs:         pipe,
+		Persist:     snapshots,
+		Metrics:     cfg.MetricsEndpoint,
+		Pprof:       cfg.Pprof,
+	}), nil
 }

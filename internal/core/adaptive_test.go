@@ -97,7 +97,7 @@ func TestAdaptiveKShrinksAndRestores(t *testing.T) {
 	fake := &fakeSubmitter{}
 	m := recommend.NewMomentum()
 	eng, err := NewEngine(db, nil, SinglePolicy{Model: m.Name()},
-		[]recommend.Model{m}, Config{K: 4}, WithScheduler(fake, "s1"), WithAdaptiveK())
+		[]recommend.Model{m}, Config{K: 4, Scheduler: fake, Session: "s1", AdaptiveK: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestAdaptiveKKeepsCacheRegionsFull(t *testing.T) {
 	fake := &fakeSubmitter{}
 	m := recommend.NewMomentum()
 	eng, err := NewEngine(db, nil, SinglePolicy{Model: m.Name()},
-		[]recommend.Model{m}, Config{K: 4}, WithScheduler(fake, "s1"), WithAdaptiveK())
+		[]recommend.Model{m}, Config{K: 4, Scheduler: fake, Session: "s1", AdaptiveK: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestAdaptiveKKeepsCacheRegionsFull(t *testing.T) {
 	}
 }
 
-// TestAdaptiveKOffByDefault: without the option the engine ignores pressure.
+// TestAdaptiveKOffByDefault: without AdaptiveK the engine ignores pressure.
 func TestAdaptiveKOffByDefault(t *testing.T) {
 	db := testDBMS(t)
 	fake := &fakeSubmitter{}
@@ -219,7 +219,7 @@ func TestAdaptiveKUnderRealSaturation(t *testing.T) {
 
 	m := recommend.NewMomentum()
 	eng, err := NewEngine(store, nil, SinglePolicy{Model: m.Name()},
-		[]recommend.Model{m}, Config{K: 4}, WithScheduler(sched, "s1"), WithAdaptiveK())
+		[]recommend.Model{m}, Config{K: 4, Scheduler: sched, Session: "s1", AdaptiveK: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 // the EWMA rate at which one model's prefetches get consumed under one
 // predicted analysis phase, plus how many cache outcomes that rate was fit
 // from. Implemented by *prefetch.FeedbackCollector, which every session
-// engine of a deployment feeds via WithFeedback.
+// engine of a deployment feeds via Config.Feedback.
 type AllocationFeedback interface {
 	AllocationRate(ph trace.Phase, model string) (rate float64, obs int)
 }
@@ -91,8 +91,8 @@ type phaseShares struct {
 // shares are rounded to integer slot counts that always sum to exactly k.
 //
 // One AdaptivePolicy is shared by every session engine of a deployment
-// (WithAdaptiveAllocation) so the learned split reflects all traffic; all
-// methods are safe for concurrent use.
+// (each NewEngine call is passed the same one) so the learned split
+// reflects all traffic; all methods are safe for concurrent use.
 type AdaptivePolicy struct {
 	base   AllocationPolicy
 	models []string

@@ -306,9 +306,10 @@ func TestAdaptiveDeterministicRoundingTies(t *testing.T) {
 	}
 }
 
-// TestEngineWithAdaptiveAllocation: the option swaps the shared policy in,
-// NewEngine validates the effective policy's models, and a warmed policy
-// reshapes what the engine actually prefetches.
+// TestEngineWithAdaptiveAllocation: an engine takes the deployment's
+// shared adaptive policy as its policy, NewEngine validates the policy's
+// models without mutating it, and a warmed policy reshapes what the engine
+// actually prefetches.
 func TestEngineWithAdaptiveAllocation(t *testing.T) {
 	db := testDBMS(t)
 	mom := recommend.NewMomentum()
@@ -319,21 +320,15 @@ func TestEngineWithAdaptiveAllocation(t *testing.T) {
 	base := hybridPolicy(t, mom.Name(), ab.Name())
 	r := newFakeRater()
 	p := mustAdaptive(t, base, []string{mom.Name(), ab.Name()}, r, AdaptiveConfig{Floor: 0.1, MaxStep: 1})
-	eng, err := NewEngine(db, nil, SinglePolicy{Model: mom.Name()},
-		[]recommend.Model{mom, ab}, Config{K: 4}, WithAdaptiveAllocation(p))
+	eng, err := NewEngine(db, nil, p, []recommend.Model{mom, ab}, Config{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.policy != AllocationPolicy(p) {
-		t.Fatal("option did not install the adaptive policy")
-	}
-	// A policy referencing models the engine lacks must fail validation
-	// even when it arrives via the option.
+	// A policy referencing models the engine lacks must fail validation.
 	ghost := mustAdaptive(t, hybridPolicy(t, "ghost", ab.Name()),
 		[]string{"ghost", ab.Name()}, nil, AdaptiveConfig{})
-	if _, err := NewEngine(db, nil, SinglePolicy{Model: mom.Name()},
-		[]recommend.Model{mom, ab}, Config{K: 4}, WithAdaptiveAllocation(ghost)); err == nil {
-		t.Error("unknown model via WithAdaptiveAllocation should fail")
+	if _, err := NewEngine(db, nil, ghost, []recommend.Model{mom, ab}, Config{K: 4}); err == nil {
+		t.Error("an adaptive policy naming an unknown model should fail")
 	}
 	if _, err := eng.Request(tile.Coord{}); err != nil {
 		t.Fatal(err)

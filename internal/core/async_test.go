@@ -27,7 +27,7 @@ func newAsyncEngine(t *testing.T, store backend.Store, sched Submitter, session 
 	t.Helper()
 	m := recommend.NewMomentum()
 	eng, err := NewEngine(store, nil, SinglePolicy{Model: m.Name()},
-		[]recommend.Model{m}, Config{K: 4}, WithScheduler(sched, session))
+		[]recommend.Model{m}, Config{K: 4, Scheduler: sched, Session: session})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,9 @@ import (
 	"forecache/internal/trace"
 )
 
-// Config sizes one prediction engine / session.
+// Config sizes and wires one prediction engine / session. The zero value of
+// every field below RecentTiles means "off": a synchronous, uninstrumented
+// engine that reports its cache outcomes to nobody.
 type Config struct {
 	// K is the prefetch budget in tiles (the paper sweeps k = 1..8).
 	K int
@@ -33,6 +35,48 @@ type Config struct {
 	HistoryLen int
 	// RecentTiles is the LRU region capacity for the last requested tiles.
 	RecentTiles int
+
+	// Scheduler switches the engine from inline (synchronous) prefetching to
+	// submit-and-return: after each request the ranked candidates are handed
+	// to the shared scheduler under the Session id, and the DBMS fetches
+	// happen off the response path, delivered into this engine's cache as
+	// they complete. The synchronous default is kept for the eval harness so
+	// paper experiments stay deterministic.
+	Scheduler Submitter
+	Session   string
+	// AdaptiveK makes the engine respond to scheduler backpressure: each
+	// request reads the scheduler's Pressure signal and shrinks the prefetch
+	// budget from K down toward 1 as the shared queue saturates, restoring it
+	// as the queue drains. Only meaningful with a Scheduler; a synchronous
+	// engine always prefetches with the full K.
+	AdaptiveK bool
+	// FairShare switches an adaptive engine from the global Pressure signal
+	// to the scheduler's per-session one: the budget shrinks only to the
+	// extent ITS session crowds the shared queue past its fair share, so a
+	// flooding session's K collapses first while light sessions keep
+	// prefetching at full budget. Only meaningful with AdaptiveK.
+	FairShare bool
+	// Feedback closes the prediction-quality loop: the engine tracks each
+	// prefetched tile's fate in its cache (consumed vs evicted unconsumed,
+	// attributed to the model, batch position and predicted phase that
+	// prefetched it) and reports the outcomes here after every request.
+	// Sharing one *prefetch.FeedbackCollector across a deployment's engines
+	// and its scheduler lets admission control learn the position-utility
+	// curve — and an AdaptivePolicy the per-phase model split — from real
+	// consumption instead of the static guesses.
+	Feedback FeedbackObserver
+	// Consumption receives the coordinates of consumed prefetched tiles (one
+	// call per tile per request, however many models predicted it). Sharing
+	// one *recommend.Hotspot across a deployment's engines this way is what
+	// turns per-session cache outcomes into the population-level hotspot
+	// signal. Independent of Feedback; either alone enables outcome tracking.
+	Consumption ConsumptionObserver
+	// Obs is the deployment's observability pipeline: synchronous backend
+	// fetches report their wall time, and the engine's cache reports each
+	// prefetched tile's lead time (insert to first consumption). The
+	// request-path span breakdown additionally requires the caller to pass a
+	// trace to RequestTraced.
+	Obs *obs.Pipeline
 }
 
 // DefaultConfig mirrors the paper's experimental defaults.
@@ -71,7 +115,7 @@ type Response struct {
 	Prefetched []tile.Coord
 	// PrefetchBudget is the effective K this request prefetched with: the
 	// configured K, shrunk by scheduler backpressure when the engine runs
-	// with WithAdaptiveK.
+	// with Config.AdaptiveK.
 	PrefetchBudget int
 }
 
@@ -79,11 +123,11 @@ type Response struct {
 // candidate batches to (implemented by *prefetch.Scheduler). Submit
 // enqueues a batch and returns immediately; CancelSession drops a
 // session's still-queued entries; Pressure reports the pipeline's global
-// queue saturation in [0, 1] — the backpressure signal WithAdaptiveK
+// queue saturation in [0, 1] — the backpressure signal AdaptiveK
 // engines use to shrink their prefetch budget under load. SessionPressure
 // is the fair-share variant of the same signal, scoped to one session:
 // sessions at or under their fair share of the queue read 0 while the
-// flooding session reads up to the full global pressure (WithFairShare
+// flooding session reads up to the full global pressure (FairShare
 // engines shrink on it instead).
 type Submitter interface {
 	Submit(session string, reqs []prefetch.Request) int
@@ -113,98 +157,6 @@ type ConsumptionObserver interface {
 	ObserveConsumption(c tile.Coord, ph trace.Phase)
 }
 
-// Option customizes an Engine beyond Config.
-type Option func(*Engine)
-
-// WithScheduler switches the engine from inline (synchronous) prefetching
-// to submit-and-return: after each request the ranked candidates are handed
-// to the shared scheduler under the given session id, and the DBMS fetches
-// happen off the response path, delivered into this engine's cache as they
-// complete. The synchronous default is kept for the eval harness so paper
-// experiments stay deterministic.
-func WithScheduler(s Submitter, session string) Option {
-	return func(e *Engine) {
-		e.sched = s
-		e.session = session
-	}
-}
-
-// WithAdaptiveK makes the engine respond to scheduler backpressure: each
-// request reads the scheduler's Pressure signal and shrinks the prefetch
-// budget from the configured K down toward 1 as the shared queue saturates,
-// restoring it as the queue drains. Only meaningful together with
-// WithScheduler; a synchronous engine always prefetches with the full K.
-func WithAdaptiveK() Option {
-	return func(e *Engine) { e.adaptiveK = true }
-}
-
-// WithFairShare switches an adaptive engine from the global Pressure
-// signal to the scheduler's per-session fair-share signal: the engine's
-// budget shrinks only to the extent ITS session crowds the shared queue
-// past its fair share, so a flooding session's K collapses first while
-// light sessions keep prefetching at full budget. Only meaningful together
-// with WithAdaptiveK.
-func WithFairShare() Option {
-	return func(e *Engine) { e.fairShare = true }
-}
-
-// WithFeedback closes the prediction-quality loop: the engine tracks each
-// prefetched tile's fate in its cache (consumed vs evicted unconsumed,
-// attributed to the model, batch position and predicted phase that
-// prefetched it) and reports the outcomes to obs after every request.
-// Sharing one *prefetch.FeedbackCollector across a deployment's engines
-// and its scheduler lets admission control learn the position-utility
-// curve — and the allocation policy the per-phase model split — from real
-// consumption instead of the static guesses.
-func WithFeedback(obs FeedbackObserver) Option {
-	return func(e *Engine) {
-		e.feedback = obs
-		e.cache.TrackOutcomes(e.feedback != nil || e.consumption != nil)
-	}
-}
-
-// WithConsumption routes the coordinates of consumed prefetched tiles
-// (one call per tile per request, however many models predicted it) to
-// obs. Sharing one *recommend.Hotspot across a deployment's engines this
-// way is what turns per-session cache outcomes into the population-level
-// hotspot signal. Independent of WithFeedback; either alone enables
-// outcome tracking.
-func WithConsumption(obs ConsumptionObserver) Option {
-	return func(e *Engine) {
-		e.consumption = obs
-		e.cache.TrackOutcomes(e.feedback != nil || e.consumption != nil)
-	}
-}
-
-// WithObs attaches the deployment's observability pipeline: synchronous
-// backend fetches report their wall time, and the engine's cache reports
-// each prefetched tile's lead time (insert to first consumption). The
-// request-path span breakdown additionally requires the caller to pass a
-// trace to RequestTraced. Nil is a no-op.
-func WithObs(p *obs.Pipeline) Option {
-	return func(e *Engine) {
-		e.obs = p
-		e.cache.SetObs(p)
-	}
-}
-
-// WithAdaptiveAllocation replaces the engine's allocation policy with the
-// deployment's shared feedback-driven policy: the per-phase budget split
-// shifts toward the model whose prefetches actually get consumed (fed by
-// the same FeedbackCollector passed to WithFeedback), with the engine's
-// static policy table as the prior. Every session engine of a deployment
-// shares one *AdaptivePolicy so the learned split reflects all traffic and
-// is exported once under /stats and /metrics. The policy must allocate to
-// models the engine actually has (NewEngine validates the effective policy
-// after options are applied).
-func WithAdaptiveAllocation(p *AdaptivePolicy) Option {
-	return func(e *Engine) {
-		if p != nil {
-			e.policy = p
-		}
-	}
-}
-
 // adaptiveBudget maps backpressure to an effective prefetch budget: the
 // full K at zero pressure, linearly down to a single tile at saturation.
 // One tile is always kept — the top prediction stays worth submitting even
@@ -227,20 +179,16 @@ func adaptiveBudget(k int, pressure float64) int {
 // manager + DBMS adapter (Figure 5). It is safe for concurrent use, though
 // a session's requests are inherently sequential.
 type Engine struct {
-	cfg         Config
-	db          backend.Store
-	classifier  *phase.Classifier // nil => phase always PhaseUnknown
-	policy      AllocationPolicy
-	models      map[string]recommend.Model
-	sched       Submitter // nil => inline synchronous prefetch
-	session     string
-	adaptiveK   bool                // shrink K under scheduler backpressure
-	fairShare   bool                // use the per-session fair-share signal
-	feedback    FeedbackObserver    // per-(model, position, phase) outcome sink
-	consumption ConsumptionObserver // per-tile consumption sink (hotspot)
-	obs         *obs.Pipeline       // latency histograms; nil => uninstrumented
+	cfg        Config
+	db         backend.Store
+	classifier *phase.Classifier // nil => phase always PhaseUnknown
+	policy     AllocationPolicy
+	models     map[string]recommend.Model
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// sched starts as cfg.Scheduler and is the one wired value that changes:
+	// DetachScheduler clears it. nil => inline synchronous prefetch.
+	sched   Submitter
 	cache   *cache.Manager
 	history *trace.History
 	last    trace.Request
@@ -251,8 +199,10 @@ type Engine struct {
 }
 
 // NewEngine assembles an engine. classifier may be nil (single-model
-// baselines); every model named by the policy must be present.
-func NewEngine(db backend.Store, classifier *phase.Classifier, policy AllocationPolicy, models []recommend.Model, cfg Config, opts ...Option) (*Engine, error) {
+// baselines); every model the policy can allocate to must be present. A
+// deployment's engines may share one policy (*AdaptivePolicy): the learned
+// split then reflects all traffic and is exported once.
+func NewEngine(db backend.Store, classifier *phase.Classifier, policy AllocationPolicy, models []recommend.Model, cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if db == nil {
 		return nil, fmt.Errorf("core: nil DBMS")
@@ -264,29 +214,15 @@ func NewEngine(db backend.Store, classifier *phase.Classifier, policy Allocation
 	for _, m := range models {
 		byName[m.Name()] = m
 	}
-	e := &Engine{
-		cfg:        cfg,
-		db:         db,
-		classifier: classifier,
-		policy:     policy,
-		models:     byName,
-		cache:      cache.NewManager(cfg.RecentTiles),
-		history:    trace.NewHistory(cfg.HistoryLen),
-	}
-	for _, opt := range opts {
-		opt(e)
-	}
-	// Validate the EFFECTIVE policy (options may have swapped it in, e.g.
-	// WithAdaptiveAllocation): every model it can allocate to must exist.
 	// A policy that names its models (AdaptivePolicy) is probed read-only —
 	// calling Allocations on the deployment's shared learning policy would
 	// mutate its state as a side effect of every session construction.
 	var names []string
-	if mp, ok := e.policy.(interface{ Models() []string }); ok {
+	if mp, ok := policy.(interface{ Models() []string }); ok {
 		names = mp.Models()
 	} else {
 		for _, ph := range []trace.Phase{trace.Foraging, trace.Sensemaking} {
-			for name := range e.policy.Allocations(ph, cfg.K) {
+			for name := range policy.Allocations(ph, cfg.K) {
 				names = append(names, name)
 			}
 		}
@@ -296,25 +232,19 @@ func NewEngine(db backend.Store, classifier *phase.Classifier, policy Allocation
 			return nil, fmt.Errorf("core: policy references unknown model %q", name)
 		}
 	}
+	e := &Engine{
+		cfg:        cfg,
+		db:         db,
+		classifier: classifier,
+		policy:     policy,
+		models:     byName,
+		sched:      cfg.Scheduler,
+		cache:      cache.NewManager(cfg.RecentTiles),
+		history:    trace.NewHistory(cfg.HistoryLen),
+	}
+	e.cache.TrackOutcomes(cfg.Feedback != nil || cfg.Consumption != nil)
+	e.cache.SetObs(cfg.Obs)
 	return e, nil
-}
-
-// NewEngineFromSet assembles an engine whose model set AND allocation
-// policy both come from a registry-built recommend.Set: the per-session
-// models are stamped out of the set's shared artifacts and the policy is
-// the set's prior-column table (optionally swapped for the deployment's
-// shared AdaptivePolicy via WithAdaptiveAllocation). This is the
-// registry-era construction path — adding a recommender to the set adds a
-// model and a policy column here with no engine-side wiring.
-func NewEngineFromSet(db backend.Store, classifier *phase.Classifier, set *recommend.Set, cfg Config, opts ...Option) (*Engine, error) {
-	if set == nil {
-		return nil, fmt.Errorf("core: nil recommender set")
-	}
-	policy, err := NewRegistryPolicy(set.Columns())
-	if err != nil {
-		return nil, err
-	}
-	return NewEngine(db, classifier, policy, set.Session(), cfg, opts...)
 }
 
 // Async reports whether prefetching is routed through a shared scheduler.
@@ -362,9 +292,6 @@ func (e *Engine) deliver(model string, epoch uint64, pos int, ph trace.Phase, t 
 	e.cache.InsertPrediction(model, t, pos, ph)
 }
 
-// Config returns the engine's configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
 // CacheStats snapshots the cache counters (hit rate = prediction accuracy,
 // paper §5.2.2).
 func (e *Engine) CacheStats() cache.Stats {
@@ -392,7 +319,7 @@ func (e *Engine) Reset() {
 	e.started = false
 	e.epoch++
 	if e.sched != nil {
-		e.sched.CancelSession(e.session)
+		e.sched.CancelSession(e.cfg.Session)
 	}
 }
 
@@ -436,12 +363,12 @@ func (e *Engine) RequestTraced(c tile.Coord, rt *obs.ReqTrace) (*Response, error
 	} else {
 		endFetch := rt.StartSpan("backend_fetch")
 		var fetchStart time.Time
-		if e.obs != nil {
+		if e.cfg.Obs != nil {
 			fetchStart = time.Now()
 		}
 		t, err := e.db.Fetch(c) // charges the miss latency on the clock
-		if e.obs != nil {
-			e.obs.ObserveBackendFetch(time.Since(fetchStart))
+		if e.cfg.Obs != nil {
+			e.cfg.Obs.ObserveBackendFetch(time.Since(fetchStart))
 		}
 		endFetch()
 		if err != nil {
@@ -472,8 +399,8 @@ func (e *Engine) RequestTraced(c tile.Coord, rt *obs.ReqTrace) (*Response, error
 	// consumptions are reported from the outcome stream below; a missed
 	// tile by definition had no prediction entry to hit, so the two feeds
 	// cannot double-count one consumption.
-	if e.consumption != nil && !resp.Hit {
-		e.consumption.ObserveConsumption(c, resp.Phase)
+	if e.cfg.Consumption != nil && !resp.Hit {
+		e.cfg.Consumption.ObserveConsumption(c, resp.Phase)
 	}
 
 	endPrefetch := rt.StartSpan("prefetch")
@@ -486,10 +413,10 @@ func (e *Engine) RequestTraced(c tile.Coord, rt *obs.ReqTrace) (*Response, error
 	// shrinks — the cache regions stay sized for the configured K, so
 	// pressure never evicts tiles the scheduler already delivered.
 	k := e.cfg.K
-	if e.adaptiveK && e.sched != nil {
+	if e.cfg.AdaptiveK && e.sched != nil {
 		p := e.sched.Pressure()
-		if e.fairShare {
-			p = e.sched.SessionPressure(e.session)
+		if e.cfg.FairShare {
+			p = e.sched.SessionPressure(e.cfg.Session)
 		}
 		k = adaptiveBudget(k, p)
 	}
@@ -515,18 +442,18 @@ func (e *Engine) RequestTraced(c tile.Coord, rt *obs.ReqTrace) (*Response, error
 	// coordinates to the consumption sink (the cross-session hotspot
 	// table), deduplicated so a tile several models predicted counts as
 	// one consumption, not one per agreeing model.
-	if e.feedback != nil || e.consumption != nil {
+	if e.cfg.Feedback != nil || e.cfg.Consumption != nil {
 		var consumed map[tile.Coord]bool
 		for _, o := range e.cache.TakeOutcomes() {
-			if e.feedback != nil {
-				e.feedback.Observe(o.Phase, o.Model, o.Position, o.Hit)
+			if e.cfg.Feedback != nil {
+				e.cfg.Feedback.Observe(o.Phase, o.Model, o.Position, o.Hit)
 			}
-			if e.consumption != nil && o.Hit && !consumed[o.Coord] {
+			if e.cfg.Consumption != nil && o.Hit && !consumed[o.Coord] {
 				if consumed == nil {
 					consumed = make(map[tile.Coord]bool, 4)
 				}
 				consumed[o.Coord] = true
-				e.consumption.ObserveConsumption(o.Coord, o.Phase)
+				e.cfg.Consumption.ObserveConsumption(o.Coord, o.Phase)
 			}
 		}
 	}
@@ -577,12 +504,12 @@ func (e *Engine) prefetch(req trace.Request, allocs map[string]int, ph trace.Pha
 		tiles := make([]*tile.Tile, 0, len(r.ranked))
 		for _, pred := range r.ranked {
 			var fetchStart time.Time
-			if e.obs != nil {
+			if e.cfg.Obs != nil {
 				fetchStart = time.Now()
 			}
 			t, err := e.db.FetchQuiet(pred.Coord)
-			if e.obs != nil {
-				e.obs.ObserveBackendFetch(time.Since(fetchStart))
+			if e.cfg.Obs != nil {
+				e.cfg.Obs.ObserveBackendFetch(time.Since(fetchStart))
 			}
 			if err != nil {
 				continue
@@ -635,6 +562,6 @@ func (e *Engine) submitPrefetch(req trace.Request, allocs map[string]int, ph tra
 		return reqs[i].Coord.Less(reqs[j].Coord)
 	})
 	sort.Slice(submitted, func(i, j int) bool { return submitted[i].Less(submitted[j]) })
-	e.sched.Submit(e.session, reqs)
+	e.sched.Submit(e.cfg.Session, reqs)
 	return submitted
 }

@@ -45,7 +45,7 @@ func (r *recordingObserver) counts() (hits, misses int) {
 	return hits, misses
 }
 
-// TestFairShareEngineUsesSessionSignal: a WithFairShare engine budgets by
+// TestFairShareEngineUsesSessionSignal: a FairShare engine budgets by
 // its own session's pressure, not the global signal — a light session on a
 // globally saturated queue keeps its full K, a flooding session collapses
 // to 1 even while another session's signal reads 0.
@@ -58,8 +58,7 @@ func TestFairShareEngineUsesSessionSignal(t *testing.T) {
 
 	m := recommend.NewMomentum()
 	light, err := NewEngine(db, nil, SinglePolicy{Model: m.Name()},
-		[]recommend.Model{m}, Config{K: 4},
-		WithScheduler(fake, "light"), WithAdaptiveK(), WithFairShare())
+		[]recommend.Model{m}, Config{K: 4, Scheduler: fake, Session: "light", AdaptiveK: true, FairShare: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,8 +72,7 @@ func TestFairShareEngineUsesSessionSignal(t *testing.T) {
 
 	m2 := recommend.NewMomentum()
 	flood, err := NewEngine(db, nil, SinglePolicy{Model: m2.Name()},
-		[]recommend.Model{m2}, Config{K: 4},
-		WithScheduler(fake, "flood"), WithAdaptiveK(), WithFairShare())
+		[]recommend.Model{m2}, Config{K: 4, Scheduler: fake, Session: "flood", AdaptiveK: true, FairShare: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +84,10 @@ func TestFairShareEngineUsesSessionSignal(t *testing.T) {
 		t.Errorf("flooding session PrefetchBudget = %d, want 1", resp.PrefetchBudget)
 	}
 
-	// Without WithFairShare the same engine shape reads the global signal.
+	// Without FairShare the same engine shape reads the global signal.
 	m3 := recommend.NewMomentum()
 	global, err := NewEngine(db, nil, SinglePolicy{Model: m3.Name()},
-		[]recommend.Model{m3}, Config{K: 4},
-		WithScheduler(fake, "light"), WithAdaptiveK())
+		[]recommend.Model{m3}, Config{K: 4, Scheduler: fake, Session: "light", AdaptiveK: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +100,7 @@ func TestFairShareEngineUsesSessionSignal(t *testing.T) {
 	}
 }
 
-// TestEngineReportsOutcomes: a synchronous engine with WithFeedback drains
+// TestEngineReportsOutcomes: a synchronous engine with a Feedback sink drains
 // its cache's prefetch outcomes to the observer after every request —
 // consumed predictions as hits at their batch position, replaced
 // unconsumed ones as misses.
@@ -112,7 +109,7 @@ func TestEngineReportsOutcomes(t *testing.T) {
 	rec := &recordingObserver{}
 	m := recommend.NewMomentum()
 	eng, err := NewEngine(db, nil, SinglePolicy{Model: m.Name()},
-		[]recommend.Model{m}, Config{K: 4}, WithFeedback(rec))
+		[]recommend.Model{m}, Config{K: 4, Feedback: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,8 +169,7 @@ func TestEngineFeedbackFeedsCollector(t *testing.T) {
 	defer sched.Close()
 	m := recommend.NewMomentum()
 	eng, err := NewEngine(db, nil, SinglePolicy{Model: m.Name()},
-		[]recommend.Model{m}, Config{K: 4},
-		WithScheduler(sched, "s1"), WithFeedback(fc))
+		[]recommend.Model{m}, Config{K: 4, Scheduler: sched, Session: "s1", Feedback: fc})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func (r *consumptionRecorder) count(c tile.Coord) int {
 	return r.seen[c]
 }
 
-func obsEngine(t testing.TB, k int, opts ...Option) *Engine {
+func obsEngine(t testing.TB, cfg Config) *Engine {
 	t.Helper()
 	db := testDBMS(t)
 	ab, err := recommend.NewAB(3, zoomTraces(4))
@@ -43,7 +43,7 @@ func obsEngine(t testing.TB, k int, opts ...Option) *Engine {
 		t.Fatal(err)
 	}
 	eng, err := NewEngine(db, nil, SinglePolicy{Model: ab.Name()},
-		[]recommend.Model{ab}, Config{K: k}, opts...)
+		[]recommend.Model{ab}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func obsEngine(t testing.TB, k int, opts ...Option) *Engine {
 // prefetcher failed to anticipate, not only the ones it got right.
 func TestMissFeedsConsumption(t *testing.T) {
 	rec := newConsumptionRecorder()
-	eng := obsEngine(t, 4, WithConsumption(rec))
+	eng := obsEngine(t, Config{K: 4, Consumption: rec})
 	c := tile.Coord{}
 	if _, err := eng.Request(c); err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestMissFeedsConsumption(t *testing.T) {
 // feed must not add a second observation for a cache hit.
 func TestPrefetchHitNotDoubleCounted(t *testing.T) {
 	rec := newConsumptionRecorder()
-	eng := obsEngine(t, 8, WithConsumption(rec))
+	eng := obsEngine(t, Config{K: 8, Consumption: rec})
 	// Walk the AB model's trained zoom path so the next tile is prefetched.
 	c := tile.Coord{}
 	if _, err := eng.Request(c); err != nil {
@@ -93,7 +93,7 @@ func TestPrefetchHitNotDoubleCounted(t *testing.T) {
 // cache_lookup / backend_fetch / prefetch spans and the hit-miss outcome.
 func TestRequestTracedSpans(t *testing.T) {
 	p := obs.NewPipeline(obs.Config{})
-	eng := obsEngine(t, 4, WithObs(p))
+	eng := obsEngine(t, Config{K: 4, Obs: p})
 
 	rt := p.StartTrace("sess", "q")
 	if _, err := eng.RequestTraced(tile.Coord{}, rt); err != nil {
@@ -128,7 +128,7 @@ func TestRequestTracedSpans(t *testing.T) {
 // TestRequestTracedNilTrace: a nil trace must be a usable no-op (the
 // untraced path).
 func TestRequestTracedNilTrace(t *testing.T) {
-	eng := obsEngine(t, 4)
+	eng := obsEngine(t, Config{K: 4})
 	if _, err := eng.RequestTraced(tile.Coord{}, nil); err != nil {
 		t.Fatal(err)
 	}

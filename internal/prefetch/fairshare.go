@@ -11,7 +11,7 @@ package prefetch
 
 // Pressure reports the shard's queue saturation in [0, 1]: how full its
 // slice of the GlobalQueue budget is right now. It is the scheduler→engine
-// backpressure signal: engines built with core.WithAdaptiveK shrink their
+// backpressure signal: engines built with core.Config.AdaptiveK shrink their
 // prefetch budget K as pressure rises and restore it when the queue
 // drains. Without a global budget the signal is always 0.
 func (s *Shard) Pressure() float64 {
@@ -43,7 +43,7 @@ func saturation(pending, budget int) float64 {
 // matter how hard others flood — and the signal ramps linearly to the full
 // global pressure as one session approaches owning the whole queue. A lone
 // occupant is by definition the flooder and reads the global pressure
-// unscaled. Engines opt in with core.WithFairShare.
+// unscaled. Engines opt in with core.Config.FairShare.
 func (s *Shard) SessionPressure(session string) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -36,11 +36,11 @@
 //     fresh predictions;
 //   - Pressure reports global queue saturation in [0, 1]; engines use it as
 //     a backpressure signal to shrink their prefetch budget K under load
-//     (core.WithAdaptiveK) and restore it when the queue drains;
+//     (core.Config.AdaptiveK) and restore it when the queue drains;
 //   - SessionPressure is the fair-share variant: global pressure scaled by
 //     how far one session's queue share exceeds its fair share 1/N, so the
 //     flooding session's budget collapses first while light sessions keep
-//     prefetching at full K (core.WithFairShare);
+//     prefetching at full K (core.Config.FairShare);
 //   - a FeedbackCollector (Config.Utility) closes the loop from cache
 //     outcomes back into admission control: it fits the position-utility
 //     curve online from which prefetched tiles clients actually consumed,
@@ -121,7 +121,7 @@ type Config struct {
 	// collector's learned curve: admission control discounts a queued
 	// entry ranked at position p by the observed consumption rate of
 	// position p relative to the front-runner. The same collector is fed
-	// cache outcomes by every session engine (core.WithFeedback). Nil
+	// cache outcomes by every session engine (core.Config.Feedback). Nil
 	// keeps the static curve.
 	Utility *FeedbackCollector
 	// Obs, when set, receives per-stage latency observations: how long

@@ -102,7 +102,7 @@ func NewScheduler(store backend.Store, cfg Config) *Scheduler {
 func (s *Scheduler) NumShards() int { return len(s.shards) }
 
 // Shard returns the shard owning session. Engines are bound to their
-// session's shard at construction (core.WithScheduler), so the routing
+// session's shard at construction (core.Config.Scheduler), so the routing
 // hash is paid once per session, not once per request.
 func (s *Scheduler) Shard(session string) *Shard {
 	return s.shards[s.ring.Locate(session)]

@@ -74,7 +74,7 @@ type hotStripe struct {
 // Continuous Prefetch's cross-user access statistics: one shared instance
 // is fed the coordinates of consumed prefetched tiles from the same
 // cache.Outcome stream the FeedbackCollector drains
-// (core.WithConsumption), and every session engine reads the same table.
+// (core.Config.Consumption), and every session engine reads the same table.
 //
 // Weights are kept per zoom level and EWMA-decayed by observation count:
 // each new consumption at a level multiplies every other tile's weight at

@@ -5,7 +5,14 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"forecache/internal/backend"
+	"forecache/internal/persist"
+	"forecache/internal/prefetch"
+	"forecache/internal/tile"
 )
 
 // TestStatsCloseRace hammers /stats and /tile from many goroutines while
@@ -14,7 +21,7 @@ import (
 // no torn snapshot, and after Close the server still answers /stats with
 // its server-wide fields.
 func TestStatsCloseRace(t *testing.T) {
-	srv, ts, sched := asyncTestServer(t)
+	srv, ts, sched := asyncTestServer(t, Config{})
 
 	// Seed a few live sessions so Close has engines to detach and queued
 	// prefetches to cancel.
@@ -107,7 +114,7 @@ func TestStatsCloseRace(t *testing.T) {
 // mode, so a scheduler delivery racing the shutdown cannot repopulate them,
 // and their queued prefetches are cancelled.
 func TestCloseDetachesEngines(t *testing.T) {
-	srv, ts, sched := asyncTestServer(t)
+	srv, ts, sched := asyncTestServer(t, Config{})
 	resp, err := ts.Client().Get(ts.URL + "/tile?level=0&y=0&x=0&session=a")
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +133,7 @@ func TestCloseDetachesEngines(t *testing.T) {
 // TestStatsExposesPressureAndQueueDepths: the adaptive pipeline's
 // backpressure telemetry reaches /stats.
 func TestStatsExposesPressureAndQueueDepths(t *testing.T) {
-	_, ts, sched := asyncTestServer(t)
+	_, ts, sched := asyncTestServer(t, Config{})
 	resp, err := ts.Client().Get(ts.URL + "/tile?level=0&y=0&x=0&session=a")
 	if err != nil {
 		t.Fatal(err)
@@ -156,5 +163,77 @@ func TestStatsExposesPressureAndQueueDepths(t *testing.T) {
 	}
 	if _, ok := depths["a"]; !ok {
 		t.Errorf("QueueDepths = %v, want session a tracked", depths)
+	}
+}
+
+// gatedStore holds every prefetch fetch until gate is closed, and closes
+// entered when the first one arrives.
+type gatedStore struct {
+	backend.Store
+	gate    chan struct{}
+	entered chan struct{}
+	once    sync.Once
+}
+
+func (g *gatedStore) FetchQuiet(c tile.Coord) (*tile.Tile, error) {
+	g.once.Do(func() { close(g.entered) })
+	<-g.gate
+	return g.Store.FetchQuiet(c)
+}
+
+// TestConcurrentCloseSnapshotsAfterSchedulerStops: two goroutines call
+// Close while a prefetch is in flight. Whichever of them ends up in the
+// snapshot store's Close, the one final save must come after the scheduler
+// has stopped — i.e. after the in-flight fetch was delivered — so the
+// snapshot carries the last outcomes. Run with -race -count=20.
+func TestConcurrentCloseSnapshotsAfterSchedulerStops(t *testing.T) {
+	pyr := testPyramid(t)
+	store := &gatedStore{
+		Store: backend.NewDBMS(pyr, backend.DefaultLatency(), nil),
+		gate:  make(chan struct{}), entered: make(chan struct{}),
+	}
+	sched := prefetch.NewScheduler(store, prefetch.Config{Workers: 1})
+	var delivered atomic.Bool
+	exported := make(chan bool, 1) // one final save => one send
+	snapshots, err := persist.NewStore(persist.Config{Dir: t.TempDir(), Interval: -1}, persist.Family{
+		Name: "probe", Version: 1,
+		Export: func() ([]byte, error) { exported <- delivered.Load(); return []byte("{}"), nil },
+		Import: func([]byte) error { return nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Meta{}, nil, Config{Scheduler: sched, Persist: snapshots})
+
+	sched.Submit("probe", []prefetch.Request{{
+		Coord: tile.Coord{}, Score: 1, Model: "m",
+		Deliver: func(*tile.Tile) { delivered.Store(true) },
+	}})
+	<-store.entered
+
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			srv.Close()
+		}()
+	}
+	// Nothing observable says "both callers are inside Close", so give a
+	// premature save a moment to happen before letting the fetch finish; a
+	// correct Close saves nothing until the gate opens, however long that is.
+	premature := false
+	select {
+	case <-exported:
+		premature = true
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(store.gate)
+	wg.Wait()
+	if premature || !<-exported {
+		t.Error("final snapshot was exported before the in-flight prefetch was delivered")
+	}
+	if st := snapshots.Status(); st.Saves != 1 {
+		t.Errorf("saves = %d, want exactly the one final snapshot", st.Saves)
 	}
 }

@@ -7,13 +7,11 @@ import (
 	"strconv"
 	"strings"
 
-	"forecache/internal/cache"
-	"forecache/internal/core"
 	"forecache/internal/obs"
 )
 
 // This file implements the dependency-free Prometheus text-format
-// /metrics endpoint (enabled with WithMetrics): the operability surface
+// /metrics endpoint (enabled with Config.Metrics): the operability surface
 // Kyrix argues production-scale interactive viz needs. It exposes the
 // whole closed scheduling loop — queue/shed/coalesce counters, global and
 // per-session backpressure, aggregate cache hit rates, and the learned
@@ -118,58 +116,37 @@ func (w *promWriter) histBucket(name string, base map[string]string, le string, 
 	fmt.Fprintf(&w.b, "%s_bucket%s %d\n", name, labels(kv), count)
 }
 
-// handleMetrics renders the exposition payload. Per-shard fields are each
-// snapshotted under one hold of that shard's lock and the totals are
-// computed from the same snapshots (so forecache_sessions always equals
-// the sum of the forecache_shard_sessions series in one scrape), engine
-// cache stats are read outside the shard locks (each engine locks only
-// its own cache), and the scheduler contributes its internally-consistent
-// Stats snapshot.
+// handleMetrics renders the exposition payload: the session tier from one
+// gather (so forecache_sessions always equals the sum of the
+// forecache_shard_sessions series in one scrape, and departed sessions'
+// cache totals keep the cache counters monotone), and the scheduler from
+// its internally-consistent Stats snapshot.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var (
-		sessions, evicted int
-		agg               cache.Stats // departed sessions' totals keep the counters monotone
-		engines           []*core.Engine
-	)
-	shardSessions := make([]int, len(s.shards))
-	shardEvicted := make([]int, len(s.shards))
-	for i, sh := range s.shards {
-		n, ev, retired, engs := sh.snapshot()
-		shardSessions[i], shardEvicted[i] = n, ev
-		sessions += n
-		evicted += ev
-		agg.Add(retired)
-		engines = append(engines, engs...)
-	}
-	closed := s.closed.Load()
-
-	for _, eng := range engines {
-		agg.Add(eng.LifetimeCacheStats())
-	}
+	tier := s.gather(true)
 
 	pw := &promWriter{}
-	pw.gauge("forecache_sessions", "Live sessions with engine state.", float64(sessions))
-	pw.counter("forecache_sessions_evicted_total", "Sessions evicted by the TTL or LRU cap.", float64(evicted))
-	pw.gauge("forecache_server_closed", "1 after Close, 0 while serving.", boolValue(closed))
+	pw.gauge("forecache_sessions", "Live sessions with engine state.", float64(tier.sessions))
+	pw.counter("forecache_sessions_evicted_total", "Sessions evicted by the TTL or LRU cap.", float64(tier.evicted))
+	pw.gauge("forecache_server_closed", "1 after Close, 0 while serving.", boolValue(s.closed.Load()))
 	pw.gauge("forecache_shards", "Session-tier shards behind the hash router.", float64(len(s.shards)))
 	shardSess := make([]sample, len(s.shards))
 	shardEv := make([]sample, len(s.shards))
 	for i := range s.shards {
 		l := labels(map[string]string{"shard": strconv.Itoa(i)})
-		shardSess[i] = sample{labels: l, value: float64(shardSessions[i])}
-		shardEv[i] = sample{labels: l, value: float64(shardEvicted[i])}
+		shardSess[i] = sample{labels: l, value: float64(tier.shardSessions[i])}
+		shardEv[i] = sample{labels: l, value: float64(tier.shardEvicted[i])}
 	}
 	pw.family("forecache_shard_sessions", "Live sessions per session-tier shard; sums to forecache_sessions within one scrape.", "gauge", shardSess...)
 	pw.family("forecache_shard_sessions_evicted_total", "Sessions evicted per session-tier shard (TTL or LRU cap).", "counter", shardEv...)
 
-	pw.counter("forecache_cache_hits_total", "Tile requests served from a middleware cache, summed over all sessions ever (live and retired).", float64(agg.Hits))
-	pw.counter("forecache_cache_misses_total", "Tile requests that fell through to the DBMS, summed over all sessions ever.", float64(agg.Misses))
-	pw.counter("forecache_cache_prefetched_total", "Tiles inserted into prediction regions, summed over all sessions ever.", float64(agg.Prefetched))
-	pw.counter("forecache_cache_evicted_total", "Tiles evicted from session caches, summed over all sessions ever.", float64(agg.Evicted))
-	pw.gauge("forecache_cache_hit_ratio", "Lifetime cache hit rate (prediction accuracy, paper 5.2.2).", agg.HitRate())
+	pw.counter("forecache_cache_hits_total", "Tile requests served from a middleware cache, summed over all sessions ever (live and retired).", float64(tier.cache.Hits))
+	pw.counter("forecache_cache_misses_total", "Tile requests that fell through to the DBMS, summed over all sessions ever.", float64(tier.cache.Misses))
+	pw.counter("forecache_cache_prefetched_total", "Tiles inserted into prediction regions, summed over all sessions ever.", float64(tier.cache.Prefetched))
+	pw.counter("forecache_cache_evicted_total", "Tiles evicted from session caches, summed over all sessions ever.", float64(tier.cache.Evicted))
+	pw.gauge("forecache_cache_hit_ratio", "Lifetime cache hit rate (prediction accuracy, paper 5.2.2).", tier.cache.HitRate())
 
-	if s.sched != nil {
-		st := s.sched.Stats()
+	if s.cfg.Scheduler != nil {
+		st := s.cfg.Scheduler.Stats()
 		pw.counter("forecache_prefetch_queued_total", "Prefetch entries accepted into the scheduler queue.", float64(st.Queued))
 		pw.counter("forecache_prefetch_dropped_total", "Prefetch entries rejected at submission.", float64(st.Dropped))
 		pw.counter("forecache_prefetch_shed_total", "Queued entries evicted by global admission control.", float64(st.Shed))
@@ -201,7 +178,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		// Per-shard series: the deployment totals above are the sums of
 		// these within one scrape (both come from the same kind of per-shard
 		// snapshots). A one-shard deployment renders one shard="0" series.
-		per := s.sched.ShardStats()
+		per := s.cfg.Scheduler.ShardStats()
 		pw.counter("forecache_prefetch_cross_shard_coalesced_total",
 			"Worker fetches that joined another shard's in-flight DBMS fetch (deployment-wide single-flight).", float64(st.CrossShardCoalesced))
 		queuedS := make([]sample, len(per))
@@ -235,8 +212,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	if s.push != nil {
-		st := s.push.Stats()
+	if s.cfg.Push != nil {
+		st := s.cfg.Push.Stats()
 		pw.gauge("forecache_push_streams", "Push streams attached right now.", float64(st.Open))
 		pw.counter("forecache_push_streams_opened_total", "Push stream attachments ever (reconnects included).", float64(st.Opened))
 		pw.counter("forecache_push_tiles_total", "Tile frames enqueued onto push streams (backfill included).", float64(st.Pushed))
@@ -262,52 +239,52 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			"gauge", drainSamples...)
 	}
 
-	if s.encoded != nil {
-		st := s.encoded.Stats()
+	if s.cfg.Encoded != nil {
+		st := s.cfg.Encoded.Stats()
 		pw.counter("forecache_tile_encode_cache_hits_total", "Tile payload requests served from the encoded-payload cache (or coalesced onto an in-flight encode).", float64(st.Hits))
 		pw.counter("forecache_tile_encode_misses_total", "Tile payload encodings actually performed (encoded-cache misses).", float64(st.Misses))
 		pw.counter("forecache_tile_encoded_cache_evicted_total", "Encoded payloads dropped by the cache's byte-budget LRU.", float64(st.Evicted))
 		pw.gauge("forecache_tile_encoded_cache_entries", "Encoded payloads resident in the cache.", float64(st.Entries))
 		pw.gauge("forecache_tile_encoded_cache_bytes", "Bytes of encoded payloads resident in the cache (budget accounting, bookkeeping overhead included).", float64(st.Cost))
-		if s.obs != nil {
+		if s.cfg.Obs != nil {
 			pw.histogramFamily("forecache_tile_encode_duration_seconds",
 				"Wall time of tile payload encodings (JSON or binary); with the encoded cache on, only misses encode.",
-				histSeries{snap: s.obs.TileEncode.Snapshot()})
+				histSeries{snap: s.cfg.Obs.TileEncode.Snapshot()})
 			pw.histogramFamily("forecache_tile_response_bytes",
 				"Size of /tile response payloads as written: post content negotiation, post compression.",
-				histSeries{snap: s.obs.TileBytes.Snapshot()})
+				histSeries{snap: s.cfg.Obs.TileBytes.Snapshot()})
 		}
 	}
 
-	if s.obs != nil {
-		if s.push != nil {
+	if s.cfg.Obs != nil {
+		if s.cfg.Push != nil {
 			pw.histogramFamily("forecache_push_lead_time_seconds",
 				"Push-to-consume lead time: tile frame enqueued onto a session's stream to that tile's request arriving.",
-				histSeries{snap: s.obs.PushLead.Snapshot()})
+				histSeries{snap: s.cfg.Obs.PushLead.Snapshot()})
 		}
 		pw.histogramFamily("forecache_request_duration_seconds",
 			"End-to-end /tile request latency by outcome: hit (served from a middleware cache), miss (synchronous DBMS fetch), shed (refused before a tile was served).",
-			histSeries{labels: map[string]string{"outcome": obs.OutcomeHit}, snap: s.obs.RequestHit.Snapshot()},
-			histSeries{labels: map[string]string{"outcome": obs.OutcomeMiss}, snap: s.obs.RequestMiss.Snapshot()},
-			histSeries{labels: map[string]string{"outcome": obs.OutcomeShed}, snap: s.obs.RequestShed.Snapshot()},
+			histSeries{labels: map[string]string{"outcome": obs.OutcomeHit}, snap: s.cfg.Obs.RequestHit.Snapshot()},
+			histSeries{labels: map[string]string{"outcome": obs.OutcomeMiss}, snap: s.cfg.Obs.RequestMiss.Snapshot()},
+			histSeries{labels: map[string]string{"outcome": obs.OutcomeShed}, snap: s.cfg.Obs.RequestShed.Snapshot()},
 		)
 		pw.histogramFamily("forecache_prefetch_queue_wait_seconds",
 			"Time prefetch entries sat queued in the scheduler before their DBMS fetch was issued (or joined another's).",
-			histSeries{snap: s.obs.QueueWait.Snapshot()})
+			histSeries{snap: s.cfg.Obs.QueueWait.Snapshot()})
 		pw.histogramFamily("forecache_backend_fetch_duration_seconds",
 			"Wall time of DBMS tile fetches, on the response path (sync misses) and off it (prefetches).",
-			histSeries{snap: s.obs.BackendFetch.Snapshot()})
+			histSeries{snap: s.cfg.Obs.BackendFetch.Snapshot()})
 		pw.histogramFamily("forecache_prefetch_lead_time_seconds",
 			"Prefetch lead time: cache insert of a prefetched tile to its first consumption by a request.",
-			histSeries{snap: s.obs.LeadTime.Snapshot()})
+			histSeries{snap: s.cfg.Obs.LeadTime.Snapshot()})
 	}
 
-	if s.alloc != nil {
+	if s.cfg.Allocation != nil {
 		// The Shares snapshot is taken under one policy lock hold, so within
 		// one scrape every phase's shares sum to 1 even while reallocations
 		// race the scrape. Samples are emitted in sorted (phase, model)
 		// order so consecutive scrapes list the same series identically.
-		shares := s.alloc.Shares()
+		shares := s.cfg.Allocation.Shares()
 		type phaseRow struct {
 			name    string
 			byModel map[string]float64
@@ -336,8 +313,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			"gauge", allocSamples...)
 	}
 
-	if s.persist != nil {
-		st := s.persist.Status()
+	if s.cfg.Persist != nil {
+		st := s.cfg.Persist.Status()
 		pw.gauge("forecache_snapshot_age_seconds",
 			"Age of the last successful learned-state snapshot; -1 before the first save.", st.AgeSeconds)
 		pw.gauge("forecache_snapshot_last_result",

@@ -46,11 +46,10 @@ func metricsServer(t *testing.T) (*Server, *prefetch.Scheduler) {
 	factory := func(session string) (*core.Engine, error) {
 		m := recommend.NewMomentum()
 		return core.NewEngine(db, nil, core.SinglePolicy{Model: m.Name()},
-			[]recommend.Model{m}, core.Config{K: 4},
-			core.WithScheduler(sched, session), core.WithFeedback(fc), core.WithObs(pipe))
+			[]recommend.Model{m}, core.Config{K: 4, Scheduler: sched, Session: session, Feedback: fc, Obs: pipe})
 	}
 	srv := New(Meta{Levels: pyr.NumLevels(), TileSize: pyr.TileSize(), Attrs: pyr.Attrs()},
-		factory, WithScheduler(sched), WithMetrics(), WithObs(pipe))
+		factory, Config{Scheduler: sched, Metrics: true, Obs: pipe})
 	t.Cleanup(srv.Close)
 	return srv, sched
 }
@@ -156,7 +155,7 @@ func TestMetricsCountersSurviveEviction(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			srv, _ := testServer(t, WithMetrics(), WithSessionLimit(1))
+			srv, _ := testServer(t, Config{Metrics: true, MaxSessions: 1})
 			do := func(method, path string) *httptest.ResponseRecorder {
 				rec := httptest.NewRecorder()
 				srv.ServeHTTP(rec, httptest.NewRequest(method, path, nil))
@@ -225,7 +224,7 @@ func TestMetricsAllocationShares(t *testing.T) {
 			[]recommend.Model{m}, core.Config{K: 4})
 	}
 	srv := New(Meta{Levels: pyr.NumLevels(), TileSize: pyr.TileSize(), Attrs: pyr.Attrs()},
-		factory, WithMetrics(), WithAllocation(ap))
+		factory, Config{Metrics: true, Allocation: ap})
 	t.Cleanup(srv.Close)
 
 	// Populate every phase's share state: two cold (prior shares) and one
@@ -318,11 +317,11 @@ func TestMetricsAllocationShares(t *testing.T) {
 }
 
 func TestMetricsAbsentWithoutOption(t *testing.T) {
-	srv, _ := testServer(t)
+	srv, _ := testServer(t, Config{})
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if rec.Code != 404 {
-		t.Errorf("/metrics without WithMetrics = %d, want 404", rec.Code)
+		t.Errorf("/metrics without Config.Metrics = %d, want 404", rec.Code)
 	}
 }
 

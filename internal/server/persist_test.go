@@ -40,7 +40,7 @@ func persistServer(t *testing.T, dir string) (*Server, *httptest.Server, *prefet
 	}
 	store.Restore()
 	store.Start()
-	srv, ts := testServer(t, WithPersist(store), WithMetrics())
+	srv, ts := testServer(t, Config{Persist: store, Metrics: true})
 	return srv, ts, fc
 }
 

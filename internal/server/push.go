@@ -17,18 +17,8 @@ import (
 // gets its stream dropped.
 const streamWriteTimeout = 30 * time.Second
 
-// WithPush attaches the deployment's push-stream registry and mounts
-// GET /stream: one long-lived response per session carrying framed
-// prefetched tiles (internal/push wire formats), heartbeats while idle, and
-// teardown on session eviction and Close. The same registry must be handed
-// to the prefetch pipeline (prefetch.Config.Push) — the scheduler produces
-// the frames this endpoint drains.
-func WithPush(reg *push.Registry) Option {
-	return func(s *Server) { s.push = reg }
-}
-
 // Push returns the attached push registry (nil on pull-only deployments).
-func (s *Server) Push() *push.Registry { return s.push }
+func (s *Server) Push() *push.Registry { return s.cfg.Push }
 
 // handleStream is the long-lived per-session push response. Lifecycle:
 // attach (superseding any previous stream for the session — reconnects
@@ -45,11 +35,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// Framing follows the request headers as /tile's format does: binary
 	// frames around the memoized bodies for a client naming the tile codec
 	// on a deployment with an encoded cache, SSE for anyone else.
-	binary := s.encoded != nil && acceptsTileBinary(r.Header.Get("Accept"))
+	binary := s.cfg.Encoded != nil && acceptsTileBinary(r.Header.Get("Accept"))
 	gz := binary && acceptsGzip(r.Header.Get("Accept-Encoding"))
-	attach, contentType := s.push.Attach, "text/event-stream"
+	attach, contentType := s.cfg.Push.Attach, "text/event-stream"
 	if binary {
-		attach, contentType = s.push.AttachBinary, push.BinaryContentType
+		attach, contentType = s.cfg.Push.AttachBinary, push.BinaryContentType
 	}
 	st := attach(id)
 	if st == nil { // registry already closed
@@ -86,7 +76,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return false
 		}
-		s.push.CountWrite(len(buf), f.Type == push.FrameHeartbeat)
+		s.cfg.Push.CountWrite(len(buf), f.Type == push.FrameHeartbeat)
 		start := time.Now()
 		_ = rc.SetWriteDeadline(start.Add(streamWriteTimeout))
 		n, err := w.Write(buf)
@@ -96,7 +86,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		if err := rc.Flush(); err != nil {
 			return false
 		}
-		s.push.RecordWrite(id, n, time.Since(start))
+		s.cfg.Push.RecordWrite(id, n, time.Since(start))
 		return true
 	}
 
@@ -105,21 +95,21 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// carried without new DBMS fetches. CachedPredictions is side-effect
 	// free, so the replay cannot double-count feedback outcomes.
 	for _, p := range eng.CachedPredictions() {
-		s.push.Backfill(st, p.Model, p.Tile.Coord, p.Tile)
+		s.cfg.Push.Backfill(st, p.Model, p.Tile.Coord, p.Tile)
 	}
 
-	hb := time.NewTicker(s.push.HeartbeatInterval())
+	hb := time.NewTicker(s.cfg.Push.HeartbeatInterval())
 	defer hb.Stop()
 	for {
 		select {
 		case f := <-st.Frames():
 			if !write(f) {
-				s.push.Release(st)
+				s.cfg.Push.Release(st)
 				return
 			}
 		case <-hb.C:
 			if !write(push.Frame{Type: push.FrameHeartbeat, Session: id}) {
-				s.push.Release(st)
+				s.cfg.Push.Release(st)
 				return
 			}
 		case <-st.Done():
@@ -128,7 +118,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			// here — Close must not wait on a stream mid-write.
 			return
 		case <-r.Context().Done():
-			s.push.Release(st)
+			s.cfg.Push.Release(st)
 			return
 		}
 	}

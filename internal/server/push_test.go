@@ -22,7 +22,7 @@ import (
 
 // pushTestServer wires the full push pipeline: one registry shared by the
 // scheduler (frame production) and the server (stream transport).
-func pushTestServer(t *testing.T, pcfg push.Config, opts ...Option) (*Server, *httptest.Server, *prefetch.Scheduler, *push.Registry) {
+func pushTestServer(t *testing.T, pcfg push.Config, cfg Config) (*Server, *httptest.Server, *prefetch.Scheduler, *push.Registry) {
 	t.Helper()
 	pyr := testPyramid(t)
 	db := backend.NewDBMS(pyr, backend.DefaultLatency(), nil)
@@ -31,11 +31,10 @@ func pushTestServer(t *testing.T, pcfg push.Config, opts ...Option) (*Server, *h
 	factory := func(session string) (*core.Engine, error) {
 		m := recommend.NewMomentum()
 		return core.NewEngine(db, nil, core.SinglePolicy{Model: m.Name()},
-			[]recommend.Model{m}, core.Config{K: 4},
-			core.WithScheduler(sched, session))
+			[]recommend.Model{m}, core.Config{K: 4, Scheduler: sched, Session: session})
 	}
-	srv := New(Meta{Levels: pyr.NumLevels(), TileSize: pyr.TileSize(), Attrs: pyr.Attrs()},
-		factory, append(opts, WithScheduler(sched), WithPush(reg))...)
+	cfg.Scheduler, cfg.Push = sched, reg
+	srv := New(Meta{Levels: pyr.NumLevels(), TileSize: pyr.TileSize(), Attrs: pyr.Attrs()}, factory, cfg)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	t.Cleanup(srv.Close)
@@ -112,7 +111,7 @@ func waitFrame(t *testing.T, frames <-chan push.Frame, timeout time.Duration) (p
 // down the session's stream, and requesting a pushed coordinate closes the
 // push-to-consume loop.
 func TestStreamDeliversPushedTiles(t *testing.T) {
-	_, ts, sched, reg := pushTestServer(t, push.Config{})
+	_, ts, sched, reg := pushTestServer(t, push.Config{}, Config{})
 	frames, _ := attachStream(t, ts, "u1")
 
 	resp, err := ts.Client().Get(ts.URL + "/tile?level=0&y=0&x=0&session=u1")
@@ -156,7 +155,7 @@ func TestStreamDeliversPushedTiles(t *testing.T) {
 // any new cache outcome (the feedback loop judges each prediction exactly
 // once, on real consumption).
 func TestStreamBackfillOnReconnect(t *testing.T) {
-	srv, ts, sched, reg := pushTestServer(t, push.Config{})
+	srv, ts, sched, reg := pushTestServer(t, push.Config{}, Config{})
 
 	// No stream attached yet: prefetches land in the cache only.
 	resp, err := ts.Client().Get(ts.URL + "/tile?level=0&y=0&x=0&session=u1")
@@ -210,7 +209,7 @@ func TestStreamBackfillOnReconnect(t *testing.T) {
 // TestStreamSupersededByReconnect: a second attach for the same session
 // ends the first stream (newest connection wins).
 func TestStreamSupersededByReconnect(t *testing.T) {
-	_, ts, _, reg := pushTestServer(t, push.Config{})
+	_, ts, _, reg := pushTestServer(t, push.Config{}, Config{})
 	first, _ := attachStream(t, ts, "u1")
 	second, _ := attachStream(t, ts, "u1")
 	select {
@@ -237,7 +236,7 @@ func TestStreamHeartbeat(t *testing.T) {
 	for name, headers := range map[string]map[string]string{"sse": nil, "binary": binaryGzip} {
 		t.Run(name, func(t *testing.T) {
 			ec := tile.NewEncodedCache(0, nil)
-			_, ts, _, reg := pushTestServer(t, push.Config{Heartbeat: 30 * time.Millisecond, Encoded: ec}, WithEncodedTiles(ec))
+			_, ts, _, reg := pushTestServer(t, push.Config{Heartbeat: 30 * time.Millisecond, Encoded: ec}, Config{Encoded: ec})
 			frames, resp := attachStreamWith(t, ts, "u1", headers)
 			if ct := resp.Header.Get("Content-Type"); (ct == push.BinaryContentType) != (headers != nil) {
 				t.Fatalf("stream content type = %q", ct)
@@ -260,7 +259,7 @@ func TestStreamHeartbeat(t *testing.T) {
 // handler goroutine observes the registry detach and returns, closing the
 // response).
 func TestStreamClosedOnEviction(t *testing.T) {
-	_, ts, _, _ := pushTestServer(t, push.Config{}, WithSessionLimit(1))
+	_, ts, _, _ := pushTestServer(t, push.Config{}, Config{MaxSessions: 1})
 	frames, _ := attachStream(t, ts, "a")
 	// Creating session b evicts a (cap 1) and must tear a's stream down.
 	resp, err := ts.Client().Get(ts.URL + "/tile?level=0&y=0&x=0&session=b")
@@ -281,7 +280,7 @@ func TestStreamClosedOnEviction(t *testing.T) {
 // TestStreamClosedOnServerClose: Close ends every open stream promptly and
 // a post-Close attach is refused.
 func TestStreamClosedOnServerClose(t *testing.T) {
-	srv, ts, _, _ := pushTestServer(t, push.Config{})
+	srv, ts, _, _ := pushTestServer(t, push.Config{}, Config{})
 	frames, _ := attachStream(t, ts, "a")
 	srv.Close()
 	select {
@@ -307,7 +306,7 @@ func TestStreamClosedOnServerClose(t *testing.T) {
 // Close does not deadlock on a mid-write stream, and no goroutine leaks a
 // stream past shutdown.
 func TestStreamEvictionWriteCloseRace(t *testing.T) {
-	srv, ts, _, reg := pushTestServer(t, push.Config{Heartbeat: 5 * time.Millisecond}, WithSessionLimit(2))
+	srv, ts, _, reg := pushTestServer(t, push.Config{Heartbeat: 5 * time.Millisecond}, Config{MaxSessions: 2})
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	// Stream churn: 3 session ids over a 2-session cap forces evictions.
@@ -384,12 +383,10 @@ func TestStreamFramingNegotiation(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var pcfg push.Config
-			opts := []Option{WithMetrics()}
 			if tc.encoded {
 				pcfg.Encoded = tile.NewEncodedCache(0, nil)
-				opts = append(opts, WithEncodedTiles(pcfg.Encoded))
 			}
-			_, ts, sched, _ := pushTestServer(t, pcfg, opts...)
+			_, ts, sched, _ := pushTestServer(t, pcfg, Config{Metrics: true, Encoded: pcfg.Encoded})
 			req, err := http.NewRequest(http.MethodGet, ts.URL+"/stream?session=u1", nil)
 			if err != nil {
 				t.Fatal(err)
@@ -492,7 +489,7 @@ func (w *slowConn) Write(p []byte) (int, error) {
 func TestStreamDrainRateExcludesEncode(t *testing.T) {
 	const encodeDelay = 300 * time.Millisecond
 	ec := tile.NewEncodedCache(0, nil)
-	srv, _, _, reg := pushTestServer(t, push.Config{Encoded: ec}, WithEncodedTiles(ec))
+	srv, _, _, reg := pushTestServer(t, push.Config{Encoded: ec}, Config{Encoded: ec})
 	ctx, cancel := context.WithCancel(context.Background())
 	req := httptest.NewRequest(http.MethodGet, "/stream?session=u1", nil).WithContext(ctx)
 	req.Header.Set("Accept", tile.BinaryContentType)

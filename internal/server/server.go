@@ -16,7 +16,7 @@
 // sessions so long-running deployments don't leak one engine per session
 // id forever. When the deployment routes prefetching through a shared
 // prefetch pipeline, the server surfaces its stats and cancels an evicted
-// session's queued fetches; WithMetrics additionally exposes the full
+// session's queued fetches; Config.Metrics additionally exposes the full
 // scheduling loop (counters, per-session backpressure, cache hit rates,
 // the learned utility curve, per-shard series) as Prometheus text under
 // GET /metrics.
@@ -62,91 +62,71 @@ type Meta struct {
 // scheduler.
 type EngineFactory func(session string) (*core.Engine, error)
 
-// Option customizes a Server.
-type Option func(*Server)
-
-// WithShards splits the session tier into n independent shards behind a
-// hash router keyed on session id: each shard owns its own
-// session table, recency list, TTL sweep and retired-stats baseline under
-// its own mutex, so session churn in one shard never contends with
-// requests routed to another. n <= 1 means one shard.
-func WithShards(n int) Option {
-	return func(s *Server) { s.nshards = n }
-}
-
-// WithSessionLimit caps live sessions at n across the whole server; with
-// multiple shards each shard caps at ceil(n / shards), so the fleet total
-// never exceeds n by more than the rounding slack. The least recently
-// used session of the arriving session's shard is evicted when the shard
-// would exceed its cap. n <= 0 means unlimited.
-func WithSessionLimit(n int) Option {
-	return func(s *Server) { s.maxSessions = n }
-}
-
-// WithSessionTTL evicts sessions idle for longer than ttl (checked lazily
-// on access, per shard). ttl <= 0 disables expiry.
-func WithSessionTTL(ttl time.Duration) Option {
-	return func(s *Server) { s.ttl = ttl }
-}
-
-// WithScheduler attaches the deployment's shared prefetch pipeline: its
-// stats appear under /stats, evicted sessions' queued fetches are
-// cancelled, and Close shuts it down.
-func WithScheduler(sched *prefetch.Scheduler) Option {
-	return func(s *Server) { s.sched = sched }
-}
-
-// WithMetrics registers a dependency-free Prometheus text-format GET
-// /metrics endpoint exposing server, cache and prefetch-pipeline telemetry
-// (including per-session backpressure, per-shard session and scheduler
-// series, the learned utility curve and the adaptive allocation shares
-// when the deployment has them).
-func WithMetrics() Option {
-	return func(s *Server) { s.metrics = true }
-}
-
-// WithAllocation attaches the deployment's shared feedback-driven
-// allocation policy so its learned per-(phase, model) budget shares appear
-// under /stats ("allocation") and /metrics (forecache_allocation_share).
-func WithAllocation(p *core.AdaptivePolicy) Option {
-	return func(s *Server) { s.alloc = p }
-}
-
-// WithEncodedTiles attaches the deployment-wide encoded-payload cache and
-// turns on /tile content negotiation: "Accept: application/x-forecache-tile"
-// selects the binary codec, "Accept-Encoding: gzip" compresses the payload
-// with pooled writers, and every encoding is memoized per (coord, format,
-// compression) — an immutable tile is encoded once and served N times as
-// cached bytes. Without this option /tile marshals JSON per request.
-func WithEncodedTiles(ec *tile.EncodedCache) Option {
-	return func(s *Server) { s.encoded = ec }
-}
-
-// WithObs attaches the deployment's observability pipeline: every /tile
-// request gets a trace (id returned as X-Trace-ID, span breakdown
-// retained in the pipeline's ring buffer, request latency fed to the
-// outcome-split histogram), /metrics additionally exports the latency
-// histogram families, and — when the pipeline keeps a trace buffer —
-// GET /debug/traces serves the slowest retained traces. Nil is a no-op.
-func WithObs(p *obs.Pipeline) Option {
-	return func(s *Server) { s.obs = p }
-}
-
-// WithPersist attaches the deployment's snapshot store: Close writes one
-// final snapshot after the scheduler stops (so a graceful shutdown never
-// loses learned state to the interval ticker's timing), and the store's
-// status — restore results per family, snapshot age, last result, bytes
-// written — appears under /stats ("snapshot") and /metrics
-// (forecache_snapshot_*).
-func WithPersist(st *persist.Store) Option {
-	return func(s *Server) { s.persist = st }
-}
-
-// WithPprof mounts net/http/pprof's profiling handlers under
-// /debug/pprof/ (opt-in: profiling endpoints expose internals and cost
-// CPU, so they are off unless a deployment asks).
-func WithPprof() Option {
-	return func(s *Server) { s.pprofOn = true }
+// Config wires a Server to the rest of the deployment. Every field's zero
+// value means "off" or "none": the zero Config is a one-shard, unbounded,
+// pull-only, untraced server that marshals JSON per request.
+type Config struct {
+	// Shards splits the session tier into that many independent shards
+	// behind a hash router keyed on session id: each shard owns its own
+	// session table, recency list, TTL sweep and retired-stats baseline
+	// under its own mutex, so session churn in one shard never contends with
+	// requests routed to another. Below 1 means one shard.
+	Shards int
+	// MaxSessions caps live sessions across the whole server; with multiple
+	// shards each shard caps at ceil(MaxSessions / Shards), so the fleet
+	// total never exceeds the cap by more than the rounding slack. The least
+	// recently used session of the arriving session's shard is evicted when
+	// the shard would exceed its cap. 0 or less means unlimited.
+	MaxSessions int
+	// SessionTTL evicts sessions idle for longer than this (checked lazily
+	// on access, per shard). 0 or less disables expiry.
+	SessionTTL time.Duration
+	// Scheduler is the deployment's shared prefetch pipeline: its stats
+	// appear under /stats, evicted sessions' queued fetches are cancelled,
+	// and Close shuts it down.
+	Scheduler *prefetch.Scheduler
+	// Allocation is the deployment's shared feedback-driven allocation
+	// policy; its learned per-(phase, model) budget shares appear under
+	// /stats ("allocation") and /metrics (forecache_allocation_share).
+	Allocation *core.AdaptivePolicy
+	// Push is the deployment's push-stream registry and mounts GET /stream:
+	// one long-lived response per session carrying framed prefetched tiles
+	// (internal/push wire formats), heartbeats while idle, and teardown on
+	// session eviction and Close. The same registry must be handed to the
+	// prefetch pipeline (prefetch.Config.Push) — the scheduler produces the
+	// frames this endpoint drains.
+	Push *push.Registry
+	// Encoded is the deployment-wide encoded-payload cache and turns on
+	// /tile content negotiation: "Accept: application/x-forecache-tile"
+	// selects the binary codec, "Accept-Encoding: gzip" compresses the
+	// payload with pooled writers, and every encoding is memoized per
+	// (coord, format, compression) — an immutable tile is encoded once and
+	// served N times as cached bytes. Without it /tile marshals JSON per
+	// request.
+	Encoded *tile.EncodedCache
+	// Obs is the deployment's observability pipeline: every /tile request
+	// gets a trace (id returned as X-Trace-ID, span breakdown retained in
+	// the pipeline's ring buffer, request latency fed to the outcome-split
+	// histogram), /metrics additionally exports the latency histogram
+	// families, and — when the pipeline keeps a trace buffer — GET
+	// /debug/traces serves the slowest retained traces.
+	Obs *obs.Pipeline
+	// Persist is the deployment's snapshot store: Close writes one final
+	// snapshot after the scheduler stops (so a graceful shutdown never loses
+	// learned state to the interval ticker's timing), and the store's status
+	// — restore results per family, snapshot age, last result, bytes written
+	// — appears under /stats ("snapshot") and /metrics (forecache_snapshot_*).
+	Persist *persist.Store
+	// Metrics registers a dependency-free Prometheus text-format GET
+	// /metrics endpoint exposing server, cache and prefetch-pipeline
+	// telemetry (including per-session backpressure, per-shard session and
+	// scheduler series, the learned utility curve and the adaptive
+	// allocation shares when the deployment has them).
+	Metrics bool
+	// Pprof mounts net/http/pprof's profiling handlers under /debug/pprof/
+	// (opt-in: profiling endpoints expose internals and cost CPU, so they
+	// are off unless a deployment asks).
+	Pprof bool
 }
 
 // session is one live engine plus its eviction bookkeeping.
@@ -183,45 +163,31 @@ type sessionShard struct {
 type Server struct {
 	meta        Meta
 	factory     EngineFactory
+	cfg         Config
 	mux         *http.ServeMux
-	sched       *prefetch.Scheduler
-	alloc       *core.AdaptivePolicy
-	persist     *persist.Store
-	push        *push.Registry     // nil => pull-only deployment
-	encoded     *tile.EncodedCache // nil => per-request JSON marshal
-	metrics     bool
-	obs         *obs.Pipeline // nil => untraced
-	pprofOn     bool
-	maxSessions int
-	ttl         time.Duration
 	now         func() time.Time // test hook
 	start       time.Time        // construction time, for /stats uptime
-	nshards     int
-	perShardCap int // ceil(maxSessions / nshards); 0 = unlimited
+	perShardCap int              // ceil(cfg.MaxSessions / shards); 0 = unlimited
 	ring        *shard.Ring
-	shards      []*sessionShard
+	shards      []*sessionShard // max(cfg.Shards, 1) of them
 	closed      atomic.Bool
+	teardown    sync.Once
 }
 
 // New builds a server for a pyramid-backed middleware.
-func New(meta Meta, factory EngineFactory, opts ...Option) *Server {
+func New(meta Meta, factory EngineFactory, cfg Config) *Server {
 	s := &Server{
 		meta:    meta,
 		factory: factory,
+		cfg:     cfg,
 		mux:     http.NewServeMux(),
 		now:     time.Now,
+		shards:  make([]*sessionShard, max(cfg.Shards, 1)),
 	}
-	for _, opt := range opts {
-		opt(s)
+	if cfg.MaxSessions > 0 {
+		s.perShardCap = (cfg.MaxSessions + len(s.shards) - 1) / len(s.shards)
 	}
-	if s.nshards < 1 {
-		s.nshards = 1
-	}
-	if s.maxSessions > 0 {
-		s.perShardCap = (s.maxSessions + s.nshards - 1) / s.nshards
-	}
-	s.ring = shard.NewRing(s.nshards)
-	s.shards = make([]*sessionShard, s.nshards)
+	s.ring = shard.NewRing(len(s.shards))
 	for i := range s.shards {
 		s.shards[i] = &sessionShard{srv: s, sessions: make(map[string]*session), recency: list.New()}
 	}
@@ -230,16 +196,16 @@ func New(meta Meta, factory EngineFactory, opts ...Option) *Server {
 	s.mux.HandleFunc("GET /tile", s.handleTile)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
 	s.mux.HandleFunc("POST /reset", s.handleReset)
-	if s.push != nil {
+	if cfg.Push != nil {
 		s.mux.HandleFunc("GET /stream", s.handleStream)
 	}
-	if s.metrics {
+	if cfg.Metrics {
 		s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	}
-	if s.obs != nil && s.obs.Traces != nil {
+	if cfg.Obs != nil && cfg.Obs.Traces != nil {
 		s.mux.HandleFunc("GET /debug/traces", s.handleTraces)
 	}
-	if s.pprofOn {
+	if cfg.Pprof {
 		// pprof.Index routes named profiles (heap, goroutine, ...) by path
 		// suffix, so the subtree pattern covers them all.
 		s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
@@ -259,56 +225,48 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 func (s *Server) shardFor(id string) *sessionShard { return s.shards[s.ring.Locate(id)] }
 
 // NumShards returns how many session shards the router fans out over.
-func (s *Server) NumShards() int { return s.nshards }
+func (s *Server) NumShards() int { return len(s.shards) }
 
-// Close releases server resources. It is idempotent and safe to call
-// concurrently with in-flight requests: each shard's session table is
-// torn down under that shard's lock (later tile requests get ErrClosed /
-// 503 and /stats keeps answering with server-wide telemetry), every
-// engine is detached so pending deliveries are dropped, the shared
-// scheduler, if any, is shut down after cancelling all queued prefetches,
-// and finally the snapshot store, if any, writes the deployment's learned
-// state to disk one last time — after the scheduler stops, so the
-// snapshot sees the last outcomes the worker pool delivered.
+// Close releases server resources. It is safe to call concurrently with
+// in-flight requests and with itself: the teardown runs once, concurrent
+// callers return only when it is done, later calls are no-ops. Each shard's
+// session table is torn down under that shard's lock (later tile requests
+// get ErrClosed / 503 and /stats keeps answering with server-wide
+// telemetry), every engine is detached so pending deliveries are dropped,
+// the shared scheduler, if any, is shut down after cancelling all queued
+// prefetches, and finally the snapshot store, if any, writes the
+// deployment's learned state to disk one last time — after the scheduler
+// stops, so the snapshot sees the last outcomes the worker pool delivered.
 func (s *Server) Close() {
-	if s.closed.Swap(true) {
-		if s.push != nil {
-			s.push.Close() // idempotent; re-signals any straggling streams
+	s.closed.Store(true)
+	s.teardown.Do(func() {
+		for _, sh := range s.shards {
+			sh.mu.Lock()
+			sh.closed = true
+			closing := make([]*session, 0, len(sh.sessions))
+			for _, sess := range sh.sessions {
+				closing = append(closing, sess)
+				sh.retireStatsLocked(sess)
+			}
+			sh.sessions = make(map[string]*session)
+			sh.recency.Init()
+			sh.mu.Unlock()
+			s.releaseSessions(closing)
 		}
-		if s.sched != nil {
-			s.sched.Close() // idempotent; lets double-Close still stop workers
+		if s.cfg.Push != nil {
+			// Signal every remaining stream handler to return (sessions created
+			// mid-Close may have attached after their shard drained). Close only
+			// closes done channels — it never waits on a handler mid-write, so
+			// it cannot deadlock against a stalled stream.
+			s.cfg.Push.Close()
 		}
-		if s.persist != nil {
-			s.persist.Close()
+		if s.cfg.Scheduler != nil {
+			s.cfg.Scheduler.Close()
 		}
-		return
-	}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		sh.closed = true
-		closing := make([]*session, 0, len(sh.sessions))
-		for _, sess := range sh.sessions {
-			closing = append(closing, sess)
-			sh.retireStatsLocked(sess)
+		if s.cfg.Persist != nil {
+			s.cfg.Persist.Close()
 		}
-		sh.sessions = make(map[string]*session)
-		sh.recency.Init()
-		sh.mu.Unlock()
-		s.releaseSessions(closing)
-	}
-	if s.push != nil {
-		// Signal every remaining stream handler to return (sessions created
-		// mid-Close may have attached after their shard drained). Close only
-		// closes done channels — it never waits on a handler mid-write, so
-		// it cannot deadlock against a stalled stream.
-		s.push.Close()
-	}
-	if s.sched != nil {
-		s.sched.Close()
-	}
-	if s.persist != nil {
-		s.persist.Close()
-	}
+	})
 }
 
 // sessionID extracts the session id from a request's parsed query; it
@@ -407,10 +365,7 @@ func (s *Server) peekSession(id string) (*core.Engine, bool) {
 
 // hasSession reports whether id currently has a live engine (test hook).
 func (s *Server) hasSession(id string) bool {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	_, ok := sh.sessions[id]
+	_, ok := s.peekSession(id)
 	return ok
 }
 
@@ -418,13 +373,13 @@ func (s *Server) hasSession(id string) bool {
 // tables and returns them for release. It scans only this shard, under
 // this shard's lock: a sweep here cannot block another shard's requests.
 func (sh *sessionShard) sweepLocked(now time.Time) []*session {
-	if sh.srv.ttl <= 0 {
+	if sh.srv.cfg.SessionTTL <= 0 {
 		return nil
 	}
 	var evicted []*session
 	for sh.recency.Len() > 0 {
 		oldest := sh.recency.Back().Value.(*session)
-		if now.Sub(oldest.lastSeen) <= sh.srv.ttl {
+		if now.Sub(oldest.lastSeen) <= sh.srv.cfg.SessionTTL {
 			break
 		}
 		evicted = append(evicted, sh.evictLocked(oldest))
@@ -452,19 +407,41 @@ func (sh *sessionShard) retireStatsLocked(sess *session) {
 	sh.retired.Add(sess.eng.LifetimeCacheStats())
 }
 
-// snapshotLocked reads one shard's aggregation inputs under its lock:
-// session count, eviction count, the retired baseline and the live
-// engines. /stats and /metrics sum these per-shard snapshots, so the
-// totals they report always equal the sum of the per-shard series taken
-// in the same pass.
-func (sh *sessionShard) snapshot() (sessions, evicted int, retired cache.Stats, engines []*core.Engine) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	engines = make([]*core.Engine, 0, len(sh.sessions))
-	for _, sess := range sh.sessions {
-		engines = append(engines, sess.eng)
+// tierStats is one pass over the session tier: each shard read under one
+// hold of its lock and the totals summed from those same reads, so within
+// one /stats or /metrics answer every total equals the sum of its per-shard
+// series.
+type tierStats struct {
+	shardSessions, shardEvicted []int // by shard id
+	sessions, evicted           int
+	// cache is the lifetime cache counters of every session ever, departed
+	// (the shards' retired baselines) and live; zero unless asked for.
+	cache cache.Stats
+}
+
+// gather takes the tier's snapshot. The cache aggregate costs one cache
+// lock per live engine — taken outside the shard locks — so only callers
+// that render it (withCache) pay for it.
+func (s *Server) gather(withCache bool) tierStats {
+	t := tierStats{shardSessions: make([]int, len(s.shards)), shardEvicted: make([]int, len(s.shards))}
+	var engines []*core.Engine
+	for i, sh := range s.shards {
+		sh.mu.Lock()
+		t.shardSessions[i], t.shardEvicted[i] = len(sh.sessions), sh.evicted
+		if withCache {
+			t.cache.Add(sh.retired)
+			for _, sess := range sh.sessions {
+				engines = append(engines, sess.eng)
+			}
+		}
+		sh.mu.Unlock()
+		t.sessions += t.shardSessions[i]
+		t.evicted += t.shardEvicted[i]
 	}
-	return len(sh.sessions), sh.evicted, sh.retired, engines
+	for _, eng := range engines {
+		t.cache.Add(eng.LifetimeCacheStats())
+	}
+	return t
 }
 
 // releaseSessions finishes evictions outside the shard lock: the engine is
@@ -474,46 +451,30 @@ func (sh *sessionShard) snapshot() (sessions, evicted int, retired cache.Stats, 
 // stream handler observes the closed done channel and returns — an evicted
 // session must not leak a goroutine holding a hijackable response).
 func (s *Server) releaseSessions(evicted []*session) {
-	if s.sched == nil && s.push == nil {
+	if s.cfg.Scheduler == nil && s.cfg.Push == nil {
 		return
 	}
 	for _, sess := range evicted {
 		sess.eng.DetachScheduler()
-		if s.sched != nil {
-			s.sched.CancelSession(sess.id)
+		if s.cfg.Scheduler != nil {
+			s.cfg.Scheduler.CancelSession(sess.id)
 		}
-		if s.push != nil {
-			s.push.Detach(sess.id)
+		if s.cfg.Push != nil {
+			s.cfg.Push.Detach(sess.id)
 		}
 	}
 }
 
 // Sessions returns the number of live sessions across all shards.
-func (s *Server) Sessions() int {
-	total := 0
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		total += len(sh.sessions)
-		sh.mu.Unlock()
-	}
-	return total
-}
+func (s *Server) Sessions() int { return s.gather(false).sessions }
 
 // Evicted returns how many sessions have been evicted (TTL or LRU cap)
 // across all shards.
-func (s *Server) Evicted() int {
-	total := 0
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		total += sh.evicted
-		sh.mu.Unlock()
-	}
-	return total
-}
+func (s *Server) Evicted() int { return s.gather(false).evicted }
 
 // Scheduler returns the attached shared prefetch pipeline (nil when the
 // deployment prefetches inline).
-func (s *Server) Scheduler() *prefetch.Scheduler { return s.sched }
+func (s *Server) Scheduler() *prefetch.Scheduler { return s.cfg.Scheduler }
 
 func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.meta)
@@ -525,10 +486,18 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 	// shed; the engine sets hit/miss and the stage spans.
 	q := r.URL.Query()
 	id := sessionID(q)
-	rt := s.obs.StartTrace(id, r.URL.RawQuery)
+	rt := s.cfg.Obs.StartTrace(id, r.URL.RawQuery)
 	defer rt.Finish()
 	if traceID := rt.ID(); traceID != "" {
 		w.Header().Set("X-Trace-ID", traceID)
+	}
+	// The coordinate is validated before the session is resolved: a
+	// malformed request must not spend a factory run or, at the session
+	// cap, evict a live analyst's session just to be answered 400.
+	c, err := coordFromQuery(q)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
 	}
 	endSession := rt.StartSpan("session")
 	eng, err := s.session(id)
@@ -537,20 +506,15 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 		sessionError(w, err)
 		return
 	}
-	c, err := coordFromQuery(q)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
 	resp, err := eng.RequestTraced(c, rt)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if s.push != nil {
+	if s.cfg.Push != nil {
 		// Close the push-to-consume loop: if this tile was framed onto the
 		// session's stream, its lead time (push to request) is observed now.
-		s.push.Consumed(id, c)
+		s.cfg.Push.Consumed(id, c)
 	}
 	if resp.Hit {
 		w.Header().Set("X-Cache", "HIT")
@@ -560,7 +524,9 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Phase", resp.Phase.String())
 	w.Header().Set("X-Latency-Ms",
 		strconv.FormatFloat(float64(resp.Latency)/float64(time.Millisecond), 'f', 3, 64))
+	endWrite := rt.StartSpan("write")
 	s.writeTile(w, r, c, resp.Tile)
+	endWrite()
 }
 
 // StatsResponse is the /stats payload: the session's cache counters (when
@@ -625,47 +591,42 @@ var buildInfoMap = sync.OnceValue(func() map[string]string {
 })
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	// Aggregate the per-shard snapshots — each taken under one hold of its
-	// shard's lock — then the scheduler counters under the pipeline's own
-	// snapshot discipline. The reported totals are the exact sums of the
-	// per-shard values read in this pass. /stats stays answerable during
-	// and after Close — it reports the torn-down state instead of racing it.
+	// The session tier's snapshot, then the scheduler counters under the
+	// pipeline's own snapshot discipline. /stats stays answerable during and
+	// after Close — it reports the torn-down state instead of racing it.
+	tier := s.gather(false)
 	out := StatsResponse{
+		Sessions:      tier.sessions,
+		Evicted:       tier.evicted,
 		Closed:        s.closed.Load(),
-		Shards:        s.nshards,
-		ShardSessions: make([]int, s.nshards),
+		Shards:        len(s.shards),
+		ShardSessions: tier.shardSessions,
 		Uptime:        max(0, s.now().Sub(s.start).Seconds()),
 		GoVersion:     runtime.Version(),
 		Build:         buildInfoMap(),
-	}
-	for i, sh := range s.shards {
-		sessions, evicted, _, _ := sh.snapshot()
-		out.ShardSessions[i] = sessions
-		out.Sessions += sessions
-		out.Evicted += evicted
 	}
 	if eng, ok := s.peekSession(sessionID(r.URL.Query())); ok {
 		cs := eng.CacheStats()
 		out.Cache = &cs
 	}
-	if s.sched != nil {
-		st := s.sched.Stats()
+	if s.cfg.Scheduler != nil {
+		st := s.cfg.Scheduler.Stats()
 		out.Scheduler = &st
 		out.Pressure = st.Pressure
 	}
-	if s.push != nil {
-		st := s.push.Stats()
+	if s.cfg.Push != nil {
+		st := s.cfg.Push.Stats()
 		out.Push = &st
 	}
-	if s.alloc != nil {
-		shares := s.alloc.Shares()
+	if s.cfg.Allocation != nil {
+		shares := s.cfg.Allocation.Shares()
 		out.Allocation = make(map[string]map[string]float64, len(shares))
 		for ph, byModel := range shares {
 			out.Allocation[ph.String()] = byModel
 		}
 	}
-	if s.persist != nil {
-		st := s.persist.Status()
+	if s.cfg.Persist != nil {
+		st := s.cfg.Persist.Status()
 		out.Snapshot = &st
 	}
 	writeJSON(w, http.StatusOK, out)

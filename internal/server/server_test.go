@@ -33,7 +33,7 @@ func testPyramid(t testing.TB) *tile.Pyramid {
 	return pyr
 }
 
-func testServer(t *testing.T, opts ...Option) (*Server, *httptest.Server) {
+func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	pyr := testPyramid(t)
 	factory := func(session string) (*core.Engine, error) {
@@ -42,7 +42,7 @@ func testServer(t *testing.T, opts ...Option) (*Server, *httptest.Server) {
 		return core.NewEngine(db, nil, core.SinglePolicy{Model: m.Name()},
 			[]recommend.Model{m}, core.Config{K: 4})
 	}
-	srv := New(Meta{Levels: pyr.NumLevels(), TileSize: pyr.TileSize(), Attrs: pyr.Attrs()}, factory, opts...)
+	srv := New(Meta{Levels: pyr.NumLevels(), TileSize: pyr.TileSize(), Attrs: pyr.Attrs()}, factory, cfg)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	t.Cleanup(srv.Close)
@@ -50,7 +50,7 @@ func testServer(t *testing.T, opts ...Option) (*Server, *httptest.Server) {
 }
 
 func TestMetaEndpoint(t *testing.T) {
-	_, ts := testServer(t)
+	_, ts := testServer(t, Config{})
 	c := client.New(ts.URL, "")
 	meta, err := c.Meta()
 	if err != nil {
@@ -62,7 +62,7 @@ func TestMetaEndpoint(t *testing.T) {
 }
 
 func TestTileRoundTripAndTelemetry(t *testing.T) {
-	_, ts := testServer(t)
+	_, ts := testServer(t, Config{})
 	c := client.New(ts.URL, "u1")
 	root := tile.Coord{}
 	tl, info, err := c.Tile(root)
@@ -92,7 +92,7 @@ func TestTileRoundTripAndTelemetry(t *testing.T) {
 }
 
 func TestJumpRejectedWith400(t *testing.T) {
-	_, ts := testServer(t)
+	_, ts := testServer(t, Config{})
 	c := client.New(ts.URL, "u2")
 	if _, _, err := c.Tile(tile.Coord{}); err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestJumpRejectedWith400(t *testing.T) {
 }
 
 func TestBadQuery(t *testing.T) {
-	_, ts := testServer(t)
+	_, ts := testServer(t, Config{})
 	resp, err := ts.Client().Get(ts.URL + "/tile?level=zero&y=0&x=0")
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +123,7 @@ func TestBadQuery(t *testing.T) {
 }
 
 func TestSessionsAreIsolated(t *testing.T) {
-	srv, ts := testServer(t)
+	srv, ts := testServer(t, Config{})
 	a := client.New(ts.URL, "alice")
 	b := client.New(ts.URL, "bob")
 	if _, _, err := a.Tile(tile.Coord{}); err != nil {
@@ -146,7 +146,7 @@ func TestSessionsAreIsolated(t *testing.T) {
 }
 
 func TestResetAndStats(t *testing.T) {
-	_, ts := testServer(t)
+	_, ts := testServer(t, Config{})
 	c := client.New(ts.URL, "u3")
 	if _, _, err := c.Tile(tile.Coord{}); err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestResetAndStats(t *testing.T) {
 }
 
 func TestSessionLRUCap(t *testing.T) {
-	srv, ts := testServer(t, WithSessionLimit(2))
+	srv, ts := testServer(t, Config{MaxSessions: 2})
 	for _, id := range []string{"a", "b", "c"} {
 		c := client.New(ts.URL, id)
 		if _, _, err := c.Tile(tile.Coord{}); err != nil {
@@ -202,7 +202,7 @@ func TestSessionLRUCap(t *testing.T) {
 }
 
 func TestSessionTTLEviction(t *testing.T) {
-	srv, ts := testServer(t, WithSessionTTL(time.Minute))
+	srv, ts := testServer(t, Config{SessionTTL: time.Minute})
 	clock := time.Unix(1000, 0)
 	srv.now = func() time.Time { return clock }
 
@@ -235,7 +235,7 @@ func TestSessionTTLEviction(t *testing.T) {
 
 // TestTTLRefreshOnAccess: activity keeps a session alive past the TTL.
 func TestTTLRefreshOnAccess(t *testing.T) {
-	srv, ts := testServer(t, WithSessionTTL(time.Minute))
+	srv, ts := testServer(t, Config{SessionTTL: time.Minute})
 	clock := time.Unix(1000, 0)
 	srv.now = func() time.Time { return clock }
 
@@ -257,7 +257,7 @@ func TestTTLRefreshOnAccess(t *testing.T) {
 
 // asyncTestServer wires a shared DBMS + scheduler, the deployment shape the
 // facade's NewServer produces in async mode.
-func asyncTestServer(t *testing.T, opts ...Option) (*Server, *httptest.Server, *prefetch.Scheduler) {
+func asyncTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *prefetch.Scheduler) {
 	t.Helper()
 	pyr := testPyramid(t)
 	db := backend.NewDBMS(pyr, backend.DefaultLatency(), nil)
@@ -265,11 +265,10 @@ func asyncTestServer(t *testing.T, opts ...Option) (*Server, *httptest.Server, *
 	factory := func(session string) (*core.Engine, error) {
 		m := recommend.NewMomentum()
 		return core.NewEngine(db, nil, core.SinglePolicy{Model: m.Name()},
-			[]recommend.Model{m}, core.Config{K: 4},
-			core.WithScheduler(sched, session))
+			[]recommend.Model{m}, core.Config{K: 4, Scheduler: sched, Session: session})
 	}
-	srv := New(Meta{Levels: pyr.NumLevels(), TileSize: pyr.TileSize(), Attrs: pyr.Attrs()},
-		factory, append(opts, WithScheduler(sched))...)
+	cfg.Scheduler = sched
+	srv := New(Meta{Levels: pyr.NumLevels(), TileSize: pyr.TileSize(), Attrs: pyr.Attrs()}, factory, cfg)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	t.Cleanup(srv.Close)
@@ -277,7 +276,7 @@ func asyncTestServer(t *testing.T, opts ...Option) (*Server, *httptest.Server, *
 }
 
 func TestAsyncServerServesAndReportsSchedulerStats(t *testing.T) {
-	srv, ts, sched := asyncTestServer(t)
+	srv, ts, sched := asyncTestServer(t, Config{})
 	c := client.New(ts.URL, "u1")
 	if _, _, err := c.Tile(tile.Coord{}); err != nil {
 		t.Fatal(err)
@@ -309,7 +308,7 @@ func TestAsyncServerServesAndReportsSchedulerStats(t *testing.T) {
 // TestEvictionCancelsScheduledPrefetch: evicting a session drops its
 // scheduler state.
 func TestEvictionCancelsScheduledPrefetch(t *testing.T) {
-	_, ts, sched := asyncTestServer(t, WithSessionLimit(1))
+	_, ts, sched := asyncTestServer(t, Config{MaxSessions: 1})
 	a := client.New(ts.URL, "a")
 	if _, _, err := a.Tile(tile.Coord{}); err != nil {
 		t.Fatal(err)
@@ -327,7 +326,7 @@ func TestEvictionCancelsScheduledPrefetch(t *testing.T) {
 // TestStatsAndResetDoNotCreateSessions: read-only probes with unknown
 // session ids must not spend a factory run or evict live sessions.
 func TestStatsAndResetDoNotCreateSessions(t *testing.T) {
-	srv, ts := testServer(t, WithSessionLimit(1))
+	srv, ts := testServer(t, Config{MaxSessions: 1})
 	a := client.New(ts.URL, "analyst")
 	if _, _, err := a.Tile(tile.Coord{}); err != nil {
 		t.Fatal(err)

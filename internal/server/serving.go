@@ -15,7 +15,7 @@ import (
 // Tile response serving: every /tile body is the tile's canonical encoding
 // (Tile.EncodeJSON, or tile.EncodeBinary when negotiated) written in one
 // Write with its Content-Length. With an encoded-payload cache attached
-// (WithEncodedTiles) the handler additionally negotiates the wire format
+// (Config.Encoded) the handler additionally negotiates the wire format
 // from the request headers and answers with memoized bytes — the tile is
 // encoded at most once per (format, compression) for its cache lifetime.
 
@@ -33,7 +33,7 @@ func (s *Server) writeTile(w http.ResponseWriter, r *http.Request, c tile.Coord,
 	format, gz := tile.FormatJSON, false
 	var payload []byte
 	var err error
-	if s.encoded == nil {
+	if s.cfg.Encoded == nil {
 		buf := jsonBodyPool.Get().(*[]byte)
 		defer jsonBodyPool.Put(buf)
 		// Tile.EncodeJSON's body, in place: the marshalled tile and a newline.
@@ -63,7 +63,7 @@ func (s *Server) writeTile(w http.ResponseWriter, r *http.Request, c tile.Coord,
 	h.Set("Content-Length", strconv.Itoa(len(payload)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(payload)
-	s.obs.ObserveTileBytes(len(payload))
+	s.cfg.Obs.ObserveTileBytes(len(payload))
 }
 
 // encodedBody returns the cached response body for (c, format, gz),
@@ -78,10 +78,10 @@ func (s *Server) encodedBody(c tile.Coord, t *tile.Tile, format tile.Format, gz 
 		return t.EncodeJSON()
 	}
 	if !gz {
-		return s.encoded.Get(c, format, false, encode)
+		return s.cfg.Encoded.Get(c, format, false, encode)
 	}
-	return s.encoded.Get(c, format, true, func() ([]byte, error) {
-		plain, err := s.encoded.Get(c, format, false, encode)
+	return s.cfg.Encoded.Get(c, format, true, func() ([]byte, error) {
+		plain, err := s.cfg.Encoded.Get(c, format, false, encode)
 		if err != nil {
 			return nil, err
 		}

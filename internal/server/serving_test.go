@@ -62,8 +62,8 @@ func TestEncodedTilesDefaultBodyMatchesLegacy(t *testing.T) {
 	if err := json.NewEncoder(&want).Encode(root); err != nil {
 		t.Fatal(err)
 	}
-	_, uncached := testServer(t)
-	_, encoded := testServer(t, WithEncodedTiles(tile.NewEncodedCache(0, nil)))
+	_, uncached := testServer(t, Config{})
+	_, encoded := testServer(t, Config{Encoded: tile.NewEncodedCache(0, nil)})
 	ur, ubody := getTileRaw(t, uncached, "l1", nil)
 	er, ebody := getTileRaw(t, encoded, "e1", nil)
 	if !bytes.Equal(ubody, want.Bytes()) {
@@ -92,7 +92,7 @@ func TestEncodedTilesDefaultBodyMatchesLegacy(t *testing.T) {
 // JSON rendering (proved by re-encoding it to the canonical JSON body).
 func TestTileBinaryNegotiation(t *testing.T) {
 	ec := tile.NewEncodedCache(0, nil)
-	_, ts := testServer(t, WithEncodedTiles(ec))
+	_, ts := testServer(t, Config{Encoded: ec})
 	_, plain := getTileRaw(t, ts, "b0", nil)
 	resp, body := getTileRaw(t, ts, "b1", map[string]string{"Accept": tile.BinaryContentType})
 	if ct := resp.Header.Get("Content-Type"); ct != tile.BinaryContentType {
@@ -119,7 +119,7 @@ func TestTileBinaryNegotiation(t *testing.T) {
 // and the decompressed bytes are exactly the plain cached body.
 func TestTileGzipNegotiation(t *testing.T) {
 	ec := tile.NewEncodedCache(0, nil)
-	_, ts := testServer(t, WithEncodedTiles(ec))
+	_, ts := testServer(t, Config{Encoded: ec})
 	for _, accept := range []string{"", tile.BinaryContentType} {
 		hdr := map[string]string{}
 		if accept != "" {
@@ -154,7 +154,7 @@ func TestTileGzipNegotiation(t *testing.T) {
 // same tile as a default JSON client, and a default client is unaffected by
 // the server's encoded cache.
 func TestClientBinaryNegotiationEquivalence(t *testing.T) {
-	_, ts := testServer(t, WithEncodedTiles(tile.NewEncodedCache(0, nil)))
+	_, ts := testServer(t, Config{Encoded: tile.NewEncodedCache(0, nil)})
 	root := tile.Coord{}
 	jc := client.New(ts.URL, "json")
 	jt, _, err := jc.Tile(root)
@@ -185,7 +185,7 @@ func TestClientBinaryNegotiationEquivalence(t *testing.T) {
 func TestMetricsExposeEncodedCacheFamilies(t *testing.T) {
 	pipe := obs.NewPipeline(obs.Config{})
 	ec := tile.NewEncodedCache(0, pipe.ObserveTileEncode)
-	_, ts := testServer(t, WithEncodedTiles(ec), WithMetrics(), WithObs(pipe))
+	_, ts := testServer(t, Config{Encoded: ec, Metrics: true, Obs: pipe})
 	getTileRaw(t, ts, "m0", nil)
 	getTileRaw(t, ts, "m1", map[string]string{"Accept": tile.BinaryContentType})
 	scrape := func() map[string]float64 {
@@ -236,7 +236,7 @@ func TestMetricsExposeEncodedCacheFamilies(t *testing.T) {
 // and a binary stream is cut from the very bodies /tile memoizes.
 func TestStreamPayloadEncodedOncePerTile(t *testing.T) {
 	ec := tile.NewEncodedCache(0, nil)
-	_, ts, sched, _ := pushTestServer(t, push.Config{Encoded: ec}, WithEncodedTiles(ec))
+	_, ts, sched, _ := pushTestServer(t, push.Config{Encoded: ec}, Config{Encoded: ec})
 	frames, _ := attachStream(t, ts, "u1")
 
 	resp, err := ts.Client().Get(ts.URL + "/tile?level=0&y=0&x=0&session=u1")
@@ -278,7 +278,7 @@ func TestStreamPayloadEncodedOncePerTile(t *testing.T) {
 	// encoder runs — FCT1, then its gzip — and never a JSON entry.
 	t.Run("binary", func(t *testing.T) {
 		ec := tile.NewEncodedCache(0, nil)
-		_, ts, sched, reg := pushTestServer(t, push.Config{Encoded: ec}, WithEncodedTiles(ec))
+		_, ts, sched, reg := pushTestServer(t, push.Config{Encoded: ec}, Config{Encoded: ec})
 		frames, resp := attachStreamWith(t, ts, "b1", binaryGzip)
 		if ct := resp.Header.Get("Content-Type"); ct != push.BinaryContentType {
 			t.Fatalf("stream content type = %q", ct)
@@ -335,7 +335,7 @@ func (w headerOnlyWriter) WriteHeader(int)             {}
 // far less than encoding the body into a new one does — and the bytes are
 // still exactly Tile.EncodeJSON's.
 func TestUncachedTileBodyIsPooled(t *testing.T) {
-	srv, _ := testServer(t)
+	srv, _ := testServer(t, Config{})
 	root := &tile.Tile{Size: 64, Attrs: []string{"v"}, Data: [][]float64{make([]float64, 64*64)}}
 	for i := range root.Data[0] {
 		root.Data[0][i] = float64(i) / 7

@@ -18,7 +18,7 @@ import (
 
 // shardedTestServer wires the full sharded deployment shape: an N-shard
 // session tier over an N-shard prefetch pipeline sharing one DBMS.
-func shardedTestServer(t *testing.T, shards int, opts ...Option) (*Server, *prefetch.Scheduler) {
+func shardedTestServer(t *testing.T, shards int, cfg Config) (*Server, *prefetch.Scheduler) {
 	t.Helper()
 	pyr := testPyramid(t)
 	db := backend.NewDBMS(pyr, backend.DefaultLatency(), nil)
@@ -26,11 +26,10 @@ func shardedTestServer(t *testing.T, shards int, opts ...Option) (*Server, *pref
 	factory := func(session string) (*core.Engine, error) {
 		m := recommend.NewMomentum()
 		return core.NewEngine(db, nil, core.SinglePolicy{Model: m.Name()},
-			[]recommend.Model{m}, core.Config{K: 4},
-			core.WithScheduler(sched.Shard(session), session))
+			[]recommend.Model{m}, core.Config{K: 4, Scheduler: sched.Shard(session), Session: session})
 	}
-	srv := New(Meta{Levels: pyr.NumLevels(), TileSize: pyr.TileSize(), Attrs: pyr.Attrs()},
-		factory, append(opts, WithShards(shards), WithScheduler(sched))...)
+	cfg.Shards, cfg.Scheduler = shards, sched
+	srv := New(Meta{Levels: pyr.NumLevels(), TileSize: pyr.TileSize(), Attrs: pyr.Attrs()}, factory, cfg)
 	t.Cleanup(srv.Close)
 	return srv, sched
 }
@@ -52,7 +51,7 @@ func getStats(t *testing.T, srv *Server, query string) StatsResponse {
 // TestShardedSessionsSpread: with several shards, a fleet of sessions
 // lands on more than one shard and every request still round-trips.
 func TestShardedSessionsSpread(t *testing.T) {
-	srv, _ := shardedTestServer(t, 4)
+	srv, _ := shardedTestServer(t, 4, Config{})
 	for i := 0; i < 16; i++ {
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, httptest.NewRequest("GET",
@@ -87,7 +86,7 @@ func TestShardedSessionsSpread(t *testing.T) {
 // to one shard expires only that shard's idle sessions, so one shard's
 // sweep never blocks (or even touches) another shard's table.
 func TestShardSweepIsolation(t *testing.T) {
-	srv, _ := shardedTestServer(t, 4, WithSessionTTL(time.Minute))
+	srv, _ := shardedTestServer(t, 4, Config{SessionTTL: time.Minute})
 	clock := time.Unix(1000, 0)
 	srv.now = func() time.Time { return clock }
 
@@ -149,7 +148,7 @@ func TestShardSweepIsolation(t *testing.T) {
 // the same scrape, and (c) monotone counters across scrapes. Run with
 // -race this also proves the per-shard locking has no data races.
 func TestCrossShardAggregationUnderChurn(t *testing.T) {
-	srv, _ := shardedTestServer(t, 4, WithMetrics(), WithSessionLimit(12))
+	srv, _ := shardedTestServer(t, 4, Config{Metrics: true, MaxSessions: 12})
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -235,7 +234,7 @@ func TestCrossShardAggregationUnderChurn(t *testing.T) {
 func TestSchedulerShardSeriesExported(t *testing.T) {
 	for _, shards := range []int{1, 2, 3, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			srv, sched := shardedTestServer(t, shards, WithMetrics())
+			srv, sched := shardedTestServer(t, shards, Config{Metrics: true})
 			for i := 0; i < 9; i++ {
 				rec := httptest.NewRecorder()
 				srv.ServeHTTP(rec, httptest.NewRequest("GET",
@@ -286,7 +285,7 @@ func TestSchedulerShardSeriesExported(t *testing.T) {
 // session on shard 0 — the pre-sharding layout — and /stats reports the
 // single-shard shape.
 func TestSingleShardIdenticalRouting(t *testing.T) {
-	srv, ts := testServer(t)
+	srv, ts := testServer(t, Config{})
 	defer ts.Close()
 	if srv.NumShards() != 1 {
 		t.Fatalf("default shards = %d, want 1", srv.NumShards())
@@ -318,11 +317,10 @@ func TestShardedObsTracing(t *testing.T) {
 	factory := func(session string) (*core.Engine, error) {
 		m := recommend.NewMomentum()
 		return core.NewEngine(db, nil, core.SinglePolicy{Model: m.Name()},
-			[]recommend.Model{m}, core.Config{K: 4},
-			core.WithScheduler(sched.Shard(session), session), core.WithObs(pipe))
+			[]recommend.Model{m}, core.Config{K: 4, Scheduler: sched.Shard(session), Session: session, Obs: pipe})
 	}
 	srv := New(Meta{Levels: pyr.NumLevels(), TileSize: pyr.TileSize(), Attrs: pyr.Attrs()},
-		factory, WithShards(4), WithScheduler(sched), WithObs(pipe))
+		factory, Config{Shards: 4, Scheduler: sched, Obs: pipe})
 	t.Cleanup(srv.Close)
 
 	ids := map[string]bool{}

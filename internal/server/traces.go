@@ -43,7 +43,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		}
 		n = v
 	}
-	buf := s.obs.Traces
+	buf := s.cfg.Obs.Traces
 	out := TracesResponse{
 		Capacity: buf.Cap(),
 		Stored:   buf.Len(),

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -29,17 +30,17 @@ func (s *slowStore) Fetch(c tile.Coord) (*tile.Tile, error) {
 }
 
 // tracedServer builds a synchronous-prefetch server with tracing on.
-func tracedServer(t *testing.T, store backend.Store, opts ...Option) (*Server, *obs.Pipeline) {
+func tracedServer(t *testing.T, store backend.Store) (*Server, *obs.Pipeline) {
 	t.Helper()
 	pipe := obs.NewPipeline(obs.Config{TraceCapacity: 16})
 	factory := func(session string) (*core.Engine, error) {
 		m := recommend.NewMomentum()
 		return core.NewEngine(store, nil, core.SinglePolicy{Model: m.Name()},
-			[]recommend.Model{m}, core.Config{K: 2}, core.WithObs(pipe))
+			[]recommend.Model{m}, core.Config{K: 2, Obs: pipe})
 	}
 	pyr := store.Pyramid()
 	srv := New(Meta{Levels: pyr.NumLevels(), TileSize: pyr.TileSize(), Attrs: pyr.Attrs()},
-		factory, append([]Option{WithObs(pipe), WithMetrics()}, opts...)...)
+		factory, Config{Obs: pipe, Metrics: true})
 	t.Cleanup(srv.Close)
 	return srv, pipe
 }
@@ -161,19 +162,19 @@ func TestTracesRecordShedOutcomes(t *testing.T) {
 
 // TestTracesAbsentWithoutObs: no pipeline, no endpoint.
 func TestTracesAbsentWithoutObs(t *testing.T) {
-	srv, _ := testServer(t)
+	srv, _ := testServer(t, Config{})
 	if rec := get(t, srv, "/debug/traces"); rec.Code != 404 {
-		t.Errorf("/debug/traces without WithObs = %d, want 404", rec.Code)
+		t.Errorf("/debug/traces without Config.Obs = %d, want 404", rec.Code)
 	}
 }
 
-// TestPprofOptIn: profiling handlers exist only with WithPprof.
+// TestPprofOptIn: profiling handlers exist only with Config.Pprof.
 func TestPprofOptIn(t *testing.T) {
-	srv, _ := testServer(t)
+	srv, _ := testServer(t, Config{})
 	if rec := get(t, srv, "/debug/pprof/"); rec.Code != 404 {
-		t.Errorf("pprof without WithPprof = %d, want 404", rec.Code)
+		t.Errorf("pprof without Config.Pprof = %d, want 404", rec.Code)
 	}
-	srv2, _ := testServer(t, WithPprof())
+	srv2, _ := testServer(t, Config{Pprof: true})
 	if rec := get(t, srv2, "/debug/pprof/"); rec.Code != 200 {
 		t.Errorf("pprof index = %d, want 200", rec.Code)
 	}
@@ -262,7 +263,7 @@ func TestObservabilitySurvivesClose(t *testing.T) {
 
 // TestStatsUptimeAndBuild: the /stats fleet-dashboard fields.
 func TestStatsUptimeAndBuild(t *testing.T) {
-	srv, _ := testServer(t)
+	srv, _ := testServer(t, Config{})
 	rec := get(t, srv, "/stats")
 	if rec.Code != 200 {
 		t.Fatalf("/stats: %d", rec.Code)
@@ -279,5 +280,79 @@ func TestStatsUptimeAndBuild(t *testing.T) {
 	}
 	if out.Build != nil && out.Build["path"] == "" {
 		t.Errorf("build info present but empty path: %v", out.Build)
+	}
+}
+
+// TestMalformedTileDoesNotTouchSessions: /tile validates the coordinate
+// before it resolves the session, so at the session cap a malformed request
+// for a new id is answered 400 without a factory run and without evicting
+// the live analyst — and its trace is recorded as shed.
+func TestMalformedTileDoesNotTouchSessions(t *testing.T) {
+	pyr := testPyramid(t)
+	db := backend.NewDBMS(pyr, backend.DefaultLatency(), nil)
+	pipe := obs.NewPipeline(obs.Config{TraceCapacity: 16})
+	var built atomic.Int64
+	factory := func(session string) (*core.Engine, error) {
+		built.Add(1)
+		m := recommend.NewMomentum()
+		return core.NewEngine(db, nil, core.SinglePolicy{Model: m.Name()},
+			[]recommend.Model{m}, core.Config{K: 2, Obs: pipe})
+	}
+	srv := New(Meta{}, factory, Config{MaxSessions: 1, Obs: pipe})
+	t.Cleanup(srv.Close)
+	if rec := get(t, srv, "/tile?session=analyst&level=0&y=0&x=0"); rec.Code != 200 {
+		t.Fatalf("analyst tile: %d %s", rec.Code, rec.Body)
+	}
+	for _, q := range []string{"level=0&y=0", "level=0&y=zero&x=0", "", "level=&y=0&x=0"} {
+		if rec := get(t, srv, "/tile?session=stranger&"+q); rec.Code != 400 {
+			t.Errorf("malformed %q = %d, want 400", q, rec.Code)
+		}
+	}
+	if srv.Sessions() != 1 || srv.Evicted() != 0 || built.Load() != 1 {
+		t.Errorf("sessions = %d evicted = %d factory runs = %d after malformed requests, want 1, 0, 1",
+			srv.Sessions(), srv.Evicted(), built.Load())
+	}
+	if !srv.hasSession("analyst") {
+		t.Error("the analyst's session was evicted to answer a 400")
+	}
+	if got := pipe.RequestShed.Snapshot().Count; got != 4 {
+		t.Errorf("shed histogram count = %d, want the 4 malformed requests", got)
+	}
+	for _, tr := range pipe.Traces.Snapshot() {
+		if tr.Session == "stranger" && (tr.Outcome != obs.OutcomeShed || len(tr.Spans) != 0) {
+			t.Errorf("malformed request's trace = %+v, want shed with no session span", tr)
+		}
+	}
+}
+
+// TestTraceSpansCoverTheRequest: a traced request's spans are session,
+// cache_lookup, (backend_fetch on a miss,) prefetch and write, in start
+// order, each inside the trace's duration — so encode + header + body write
+// is attributed rather than left in the residual.
+func TestTraceSpansCoverTheRequest(t *testing.T) {
+	pyr := testPyramid(t)
+	srv, pipe := tracedServer(t, backend.NewDBMS(pyr, backend.DefaultLatency(), nil))
+	if rec := get(t, srv, "/tile?level=0&y=0&x=0"); rec.Code != 200 {
+		t.Fatalf("tile: %d %s", rec.Code, rec.Body)
+	}
+	traces := pipe.Traces.Snapshot()
+	if len(traces) != 1 {
+		t.Fatalf("traces = %+v, want one", traces)
+	}
+	tr := traces[0]
+	var names []string
+	prevStart := int64(-1)
+	for _, sp := range tr.Spans {
+		names = append(names, sp.Name)
+		if sp.StartNS < prevStart {
+			t.Errorf("span %s starts at %d, before its predecessor's %d", sp.Name, sp.StartNS, prevStart)
+		}
+		prevStart = sp.StartNS
+		if sp.StartNS < 0 || sp.StartNS+sp.DurNS > tr.DurNS {
+			t.Errorf("span %s [%d, +%d] falls outside the trace's %d ns", sp.Name, sp.StartNS, sp.DurNS, tr.DurNS)
+		}
+	}
+	if got, want := strings.Join(names, ","), "session,cache_lookup,backend_fetch,prefetch,write"; got != want {
+		t.Errorf("spans = %s, want %s", got, want)
 	}
 }

@@ -90,7 +90,10 @@ grep -q 'forecache_tile_encoded_cache_bytes' "$WORK/metrics-enc.out"
 grep -q 'forecache_tile_encode_duration_seconds_bucket' "$WORK/metrics-enc.out"
 grep -q 'forecache_tile_response_bytes_bucket' "$WORK/metrics-enc.out"
 "$BIN" scrape -url "http://localhost:18080/metrics"
-curl -sf "http://localhost:18080/debug/traces?n=5" | grep -q '"traces"'
+# Every served /tile trace attributes its encode + header + body write.
+curl -sf "http://localhost:18080/debug/traces?n=5" > "$WORK/traces.out"
+grep -q '"traces"' "$WORK/traces.out"
+grep -q '"write"' "$WORK/traces.out"
 curl -sf "http://localhost:18080/stats" | grep -q '"snapshot"'
 # SIGTERM must drain, snapshot and exit 0 even with the push
 # stream still attached (the old ListenAndServe path skipped the
