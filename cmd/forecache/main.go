@@ -151,8 +151,6 @@ func addServeFlags(fs *flag.FlagSet) *serveFlags {
 	fs.BoolVar(&c.Push, "push", false, "continuous push delivery: stream completed prefetches to attached sessions over GET /stream and price scheduler admission by per-session drain rate (requires -async)")
 	fs.IntVar(&c.Shards, "shards", 1, "independent serving-tier shards behind a hash router keyed on session id (session tables, sweeps and scheduler queues go per-shard; single-flight and learned state stay deployment-wide)")
 	fs.IntVar(&c.PrefetchWorkers, "prefetch-workers", 4, "scheduler worker pool size (concurrent DBMS fetches)")
-	fs.IntVar(&c.GlobalQueueBudget, "global-queue", 1024, "queued prefetch entries across all sessions; lowest-utility entries are shed at saturation (negative = unlimited)")
-	fs.DurationVar(&c.DecayHalfLife, "decay-half-life", 2*time.Second, "queue age at which a pending prefetch entry's utility halves (negative disables)")
 	fs.BoolVar(&c.AdaptiveAllocation, "adaptive-allocation", true, "re-split the per-phase prefetch budget toward the model whose prefetches get consumed (static table as prior)")
 	fs.BoolVar(&c.Hotspot, "hotspot", true, "register the online cross-session hotspot recommender as a third model (one shared, decaying popularity table; makes -adaptive-allocation a 3-way split)")
 	fs.BoolVar(&c.MetricsEndpoint, "metrics", true, "expose Prometheus text-format telemetry under GET /metrics")
@@ -196,8 +194,8 @@ func cmdServe(args []string) error {
 	defer srv.Close()
 	mode := "inline prefetch"
 	if cfg.AsyncPrefetch {
-		mode = fmt.Sprintf("async prefetch: %d workers, global budget %d, decay half-life %s, adaptive allocation %v, hotspot %v",
-			cfg.PrefetchWorkers, cfg.GlobalQueueBudget, cfg.DecayHalfLife, cfg.AdaptiveAllocation, cfg.Hotspot)
+		mode = fmt.Sprintf("async prefetch: %d workers, adaptive allocation %v, hotspot %v",
+			cfg.PrefetchWorkers, cfg.AdaptiveAllocation, cfg.Hotspot)
 	}
 	if cfg.Shards > 1 {
 		mode += fmt.Sprintf("; %d shards", cfg.Shards)

@@ -190,7 +190,7 @@ func TestCmdScrapeValidatesExposition(t *testing.T) {
 // and benchmarks must cover, so adding one means retiring one (or raising
 // the budget here, deliberately, in the same change).
 func TestKnobBudget(t *testing.T) {
-	const maxFields, maxFlags = 26, 21
+	const maxFields, maxFlags = 24, 19
 	if n := reflect.TypeOf(forecache.MiddlewareConfig{}).NumField(); n > maxFields {
 		t.Errorf("MiddlewareConfig has %d fields, budget is %d", n, maxFields)
 	}
@@ -210,7 +210,7 @@ func TestKnobBudget(t *testing.T) {
 // counts it: find . -name '*.go' -not -name '*_test.go' -not -path
 // './benchmark/*' | xargs cat | wc -l.
 func TestLineBudget(t *testing.T) {
-	const maxLines = 16820
+	const maxLines = 16662
 	const root = "../.."
 	lines := 0
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {

@@ -39,8 +39,8 @@
 //     fetch (single-flight: within a shard at dispatch, and across shards
 //     through an always-on coalescer), and a session's newer batch cancels
 //     its stale queued entries. The scheduler is adaptive and closed-loop:
-//     queued entries lose utility as they age (DecayHalfLife) and by
-//     batch position, a global queue budget (GlobalQueueBudget) sheds the
+//     queued entries lose utility as they age (halving every 2 s) and by
+//     batch position, a global queue budget (1024 entries) sheds the
 //     lowest-utility entries across all sessions at saturation, and a
 //     Pressure signal feeds back into each engine so its prefetch budget K
 //     shrinks under load (AdaptiveK) and recovers as the queue drains —

@@ -32,15 +32,12 @@ func main() {
 		log.Fatal(err)
 	}
 	traces := ds.SimulateStudy(7)
-	const globalQueueBudget = 128 // queued prefetch entries across ALL sessions
 	srv, err := ds.NewServer(traces, forecache.MiddlewareConfig{
 		K:                  5,
-		AsyncPrefetch:      true, // submit-and-return prefetching
-		Push:               true, // stream completed prefetches to attached sessions (GET /stream)
-		Shards:             2,    // independent serving-tier shards (hashed on session id)
-		PrefetchWorkers:    4,    // concurrent DBMS fetch budget, divided across shards
-		GlobalQueueBudget:  globalQueueBudget,
-		DecayHalfLife:      2 * time.Second,  // stale queued predictions lose utility
+		AsyncPrefetch:      true,             // submit-and-return prefetching
+		Push:               true,             // stream completed prefetches to attached sessions (GET /stream)
+		Shards:             2,                // independent serving-tier shards (hashed on session id)
+		PrefetchWorkers:    4,                // concurrent DBMS fetch budget, divided across shards
 		AdaptiveK:          true,             // engines shrink K under backpressure
 		FairShare:          true,             // ...the flooding session's K first
 		UtilityLearning:    true,             // fit the position curve from consumption
@@ -133,8 +130,8 @@ func main() {
 	st := srv.Scheduler().Stats()
 	fmt.Printf("prefetch pipeline: %d queued, %d coalesced, %d cancelled, %d completed, %d shed\n",
 		st.Queued, st.Coalesced, st.Cancelled, st.Completed, st.Shed)
-	fmt.Printf("mean queue latency %s across %d sessions; pressure now %.2f (peak queue %d/%d)\n",
-		st.AvgQueueLatency.Round(time.Microsecond), st.Sessions, st.Pressure, st.PeakPending, globalQueueBudget)
+	fmt.Printf("mean queue latency %s across %d sessions; pressure now %.2f (peak queue %d)\n",
+		st.AvgQueueLatency.Round(time.Microsecond), st.Sessions, st.Pressure, st.PeakPending)
 
 	// Push delivery telemetry: the same numbers ride /stats ("push") and
 	// /metrics (forecache_push_*).

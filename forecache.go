@@ -204,18 +204,6 @@ type MiddlewareConfig struct {
 	// DBMS fetch budget); with Shards > 1 this is the deployment-wide
 	// budget, divided ceil(Workers/Shards) per shard. Default 4.
 	PrefetchWorkers int
-	// GlobalQueueBudget caps queued prefetch entries across ALL sessions.
-	// At saturation the scheduler sheds the lowest-utility queued entry
-	// (utility = model confidence decayed by queue age and batch position)
-	// to admit higher-utility newcomers, so one session's stale backlog
-	// cannot crowd out another's fresh predictions. Default 1024; negative
-	// disables the global budget (and the Pressure signal with it).
-	GlobalQueueBudget int
-	// DecayHalfLife is the queue age at which a pending prefetch entry's
-	// utility halves (Khameleon-style diminishing returns): predictions
-	// made for a view the user has already left lose admission-control
-	// fights against fresh ones. Default 2s; negative disables age decay.
-	DecayHalfLife time.Duration
 	// AdaptiveK makes every async session engine respond to scheduler
 	// backpressure: as the global queue saturates (Pressure → 1) engines
 	// shrink their per-request prefetch budget from K down toward 1, and
@@ -335,22 +323,29 @@ const (
 	maxClassifierRequests = 800
 )
 
+// The scheduler's admission constants, fixed the way Khameleon fixes its
+// utility decay: the only values any deployment has run. Without the
+// budget there is no Pressure signal for AdaptiveK and FairShare to read.
+const (
+	// globalQueueBudget caps queued prefetch entries across ALL sessions.
+	// At saturation the scheduler sheds the lowest-utility queued entry
+	// (utility = model confidence decayed by queue age and batch position)
+	// to admit higher-utility newcomers, so one session's stale backlog
+	// cannot crowd out another's fresh predictions.
+	globalQueueBudget = 1024
+	// decayHalfLife is the queue age at which a pending prefetch entry's
+	// utility halves (Khameleon-style diminishing returns): predictions
+	// made for a view the user has already left lose admission-control
+	// fights against fresh ones.
+	decayHalfLife = 2 * time.Second
+)
+
 func (c MiddlewareConfig) withDefaults() MiddlewareConfig {
 	if c.K <= 0 {
 		c.K = 5
 	}
 	if c.Latency == (LatencyModel{}) {
 		c.Latency = backend.DefaultLatency()
-	}
-	if c.GlobalQueueBudget == 0 {
-		c.GlobalQueueBudget = 1024
-	} else if c.GlobalQueueBudget < 0 {
-		c.GlobalQueueBudget = 0 // unlimited
-	}
-	if c.DecayHalfLife == 0 {
-		c.DecayHalfLife = 2 * time.Second
-	} else if c.DecayHalfLife < 0 {
-		c.DecayHalfLife = 0 // disabled
 	}
 	return c
 }
@@ -482,8 +477,8 @@ func (d *Dataset) NewMiddleware(train []*trace.Trace, cfg MiddlewareConfig) (*co
 // exactly once, here — or reused from cfg.Artifacts — and shared by every
 // session engine: creating the 2nd..Nth session performs no training and
 // is O(1). Construction returns an error for invalid tuning values or a
-// failed training pass. The scheduler is sized by Shards / PrefetchWorkers /
-// GlobalQueueBudget / DecayHalfLife; AdaptiveK closes the
+// failed training pass. The scheduler is sized by Shards / PrefetchWorkers
+// (its queue budget and utility half-life are constants); AdaptiveK closes the
 // backpressure loop from its Pressure signal back into each engine's
 // prefetch budget (per-session with FairShare), UtilityLearning closes
 // the prediction-quality loop from cache outcomes back into admission
@@ -557,8 +552,8 @@ func (d *Dataset) NewServer(train []*trace.Trace, cfg MiddlewareConfig) (*server
 		pcfg := prefetch.Config{
 			Shards:        cfg.Shards,
 			Workers:       cfg.PrefetchWorkers,
-			GlobalQueue:   cfg.GlobalQueueBudget,
-			DecayHalfLife: cfg.DecayHalfLife,
+			GlobalQueue:   globalQueueBudget,
+			DecayHalfLife: decayHalfLife,
 			Obs:           pipe,
 		}
 		if cfg.UtilityLearning {

@@ -578,11 +578,9 @@ func TestNewMiddlewareStillTrainsPerCall(t *testing.T) {
 func TestAdaptiveServerFacade(t *testing.T) {
 	ds, traces := testWorld(t)
 	srv, err := ds.NewServer(traces, MiddlewareConfig{
-		K:                 5,
-		AsyncPrefetch:     true,
-		GlobalQueueBudget: 16,
-		DecayHalfLife:     time.Second,
-		AdaptiveK:         true,
+		K:             5,
+		AsyncPrefetch: true,
+		AdaptiveK:     true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -603,8 +601,8 @@ func TestAdaptiveServerFacade(t *testing.T) {
 		t.Errorf("drained pressure = %v, want 0", p)
 	}
 	st := sched.Stats()
-	if st.PeakPending > 16 {
-		t.Errorf("PeakPending = %d, global budget 16 exceeded", st.PeakPending)
+	if st.PeakPending > globalQueueBudget {
+		t.Errorf("PeakPending = %d, global budget %d exceeded", st.PeakPending, globalQueueBudget)
 	}
 	resp, err := ts.Client().Get(ts.URL + "/stats")
 	if err != nil {

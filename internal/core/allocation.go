@@ -10,12 +10,14 @@ import (
 )
 
 // AllocationFeedback is the consumption signal AdaptivePolicy learns from:
-// the EWMA rate at which one model's prefetches get consumed under one
+// the EWMA rate at which each model's prefetches get consumed under one
 // predicted analysis phase, plus how many cache outcomes that rate was fit
-// from. Implemented by *prefetch.FeedbackCollector, which every session
-// engine of a deployment feeds via Config.Feedback.
+// from, ordered like models — one call per request, so an implementation
+// shared by every session answers it in one lock hold. Implemented by
+// *prefetch.FeedbackCollector, which every session engine of a deployment
+// feeds via Config.Feedback.
 type AllocationFeedback interface {
-	AllocationRate(ph trace.Phase, model string) (rate float64, obs int)
+	AllocationRates(ph trace.Phase, models []string) (rates []float64, obs []int)
 }
 
 // AdaptiveConfig tunes an AdaptivePolicy.
@@ -163,7 +165,7 @@ func (p *AdaptivePolicy) Allocations(ph trace.Phase, k int) map[string]int {
 	if p.fb == nil {
 		return p.base.Allocations(ph, k)
 	}
-	rates, obs := p.ratesFor(ph)
+	rates, obs := p.fb.AllocationRates(ph, p.models)
 	if !warmed(obs, p.cfg.Warmup) {
 		if !st.moved {
 			return p.base.Allocations(ph, k)
@@ -181,24 +183,6 @@ func (p *AdaptivePolicy) Allocations(ph trace.Phase, k int) map[string]int {
 		st.lastObs = total
 	}
 	return roundShares(st.shares, p.models, k)
-}
-
-// ratesFor probes the collector once per model — in a single lock hold
-// when the feedback source supports batching (*prefetch.FeedbackCollector
-// does) — and returns the per-model consumption rates and observation
-// counts, ordered like p.models.
-func (p *AdaptivePolicy) ratesFor(ph trace.Phase) ([]float64, []int) {
-	if br, ok := p.fb.(interface {
-		AllocationRates(ph trace.Phase, models []string) ([]float64, []int)
-	}); ok {
-		return br.AllocationRates(ph, p.models)
-	}
-	rates := make([]float64, len(p.models))
-	obs := make([]int, len(p.models))
-	for i, m := range p.models {
-		rates[i], obs[i] = p.fb.AllocationRate(ph, m)
-	}
-	return rates, obs
 }
 
 // warmed reports whether every bucket has warmup observations — or,
@@ -241,7 +225,7 @@ func (p *AdaptivePolicy) Warmed(ph trace.Phase) bool {
 	if p.fb == nil {
 		return false
 	}
-	_, obs := p.ratesFor(ph)
+	_, obs := p.fb.AllocationRates(ph, p.models)
 	return warmed(obs, p.cfg.Warmup)
 }
 

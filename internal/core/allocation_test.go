@@ -36,10 +36,14 @@ func (f *fakeRater) set(ph trace.Phase, model string, rate float64, obs int) {
 	f.obs[ph][model] = obs
 }
 
-func (f *fakeRater) AllocationRate(ph trace.Phase, model string) (float64, int) {
+func (f *fakeRater) AllocationRates(ph trace.Phase, models []string) ([]float64, []int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.rates[ph][model], f.obs[ph][model]
+	rates, obs := make([]float64, len(models)), make([]int, len(models))
+	for i, m := range models {
+		rates[i], obs[i] = f.rates[ph][m], f.obs[ph][m]
+	}
+	return rates, obs
 }
 
 func mustAdaptive(t testing.TB, base AllocationPolicy, models []string, fb AllocationFeedback, cfg AdaptiveConfig) *AdaptivePolicy {
@@ -401,7 +405,7 @@ func TestAdaptiveAllocationConcurrent(t *testing.T) {
 					}
 				}
 				_ = fc.Curve()
-				_ = fc.ModelRates()
+				_ = fc.Observations()
 				for _, ph := range phases {
 					_, _ = fc.AllocationRate(ph, "ab")
 					_ = p.Warmed(ph)

@@ -193,7 +193,12 @@ func TestEngineFeedbackFeedsCollector(t *testing.T) {
 	if fc.Observations() == 0 {
 		t.Error("collector received no observations from the async loop")
 	}
-	if rates := fc.ModelRates(); len(rates) == 0 {
-		t.Error("collector has no per-model tallies")
+	tallied := 0
+	for _, ph := range append(trace.AllPhases(), trace.PhaseUnknown) {
+		_, obs := fc.AllocationRates(ph, []string{m.Name()})
+		tallied += obs[0]
+	}
+	if tallied != fc.Observations() {
+		t.Errorf("per-(phase, model) tallies attribute %d outcomes to %s, curve saw %d", tallied, m.Name(), fc.Observations())
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"forecache/internal/core"
 	"forecache/internal/phase"
 	"forecache/internal/recommend"
-	"forecache/internal/trace"
 )
 
 // EngineRun reports one end-to-end middleware measurement: a model (or the
@@ -23,13 +22,13 @@ type EngineRun struct {
 }
 
 // EngineSetup builds the per-fold pieces an engine needs.
-type EngineSetup func(train []*trace.Trace) (models []recommend.Model, policy core.AllocationPolicy, cls *phase.Classifier, err error)
+type EngineSetup func(f fold) (models []recommend.Model, policy core.AllocationPolicy, cls *phase.Classifier, err error)
 
 // SingleEngineSetup wraps a ModelFactory into an engine setup with all
 // slots allocated to that model and no phase classifier.
 func SingleEngineSetup(factory ModelFactory) EngineSetup {
-	return func(train []*trace.Trace) ([]recommend.Model, core.AllocationPolicy, *phase.Classifier, error) {
-		m, err := factory(train)
+	return func(f fold) ([]recommend.Model, core.AllocationPolicy, *phase.Classifier, error) {
+		m, err := factory(f.train)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -44,12 +43,12 @@ func SingleEngineSetup(factory ModelFactory) EngineSetup {
 // measure exactly what deployments run. The optional hotspot spec gives
 // the eval path the 3-way table.
 func (h *Harness) RegistryEngineSetup(specs []recommend.Spec) EngineSetup {
-	return func(train []*trace.Trace) ([]recommend.Model, core.AllocationPolicy, *phase.Classifier, error) {
+	return func(f fold) ([]recommend.Model, core.AllocationPolicy, *phase.Classifier, error) {
 		reg, err := recommend.NewRegistry(specs...)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		set, err := reg.Build(recommend.Env{Tiles: h.Pyr, Traces: train})
+		set, err := reg.Build(recommend.Env{Tiles: h.Pyr, Traces: f.train})
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -57,12 +56,26 @@ func (h *Harness) RegistryEngineSetup(specs []recommend.Spec) EngineSetup {
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		cls, err := phase.Train(h.sampleRequests(train), phase.TrainConfig{})
+		cls, err := h.classifier(f)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		return set.Session(), policy, cls, nil
 	}
+}
+
+// classifier returns the fold's phase classifier, trained once per harness:
+// every multi-model experiment would otherwise refit the identical
+// leave-one-user-out SVM, which was most of `bench all`'s wall time.
+func (h *Harness) classifier(f fold) (*phase.Classifier, error) {
+	if cls, ok := h.classifiers[f.user]; ok {
+		return cls, nil
+	}
+	cls, err := phase.Train(h.sampleRequests(f.train), phase.TrainConfig{})
+	if err == nil {
+		h.classifiers[f.user] = cls
+	}
+	return cls, err
 }
 
 // HybridEngineSetup builds the paper's full engine — AB + SB models, the
@@ -86,7 +99,7 @@ func (h *Harness) RunEngineLOO(name string, setup EngineSetup, ks []int, lm back
 		sums[k] = &agg{}
 	}
 	for _, fold := range h.folds() {
-		models, policy, cls, err := setup(fold.train)
+		models, policy, cls, err := setup(fold)
 		if err != nil {
 			return nil, fmt.Errorf("eval: engine setup %s: %w", name, err)
 		}

@@ -39,6 +39,9 @@ type Harness struct {
 	MaxTrainRequests int
 	// Seed drives deterministic subsampling.
 	Seed int64
+	// classifiers memoizes each fold's phase classifier by held-out user;
+	// Traces, MaxTrainRequests and Seed must not change once it has entries.
+	classifiers map[int]*phase.Classifier
 }
 
 func (h *Harness) withDefaults() {
@@ -50,6 +53,9 @@ func (h *Harness) withDefaults() {
 	}
 	if h.MaxTrainRequests <= 0 {
 		h.MaxTrainRequests = 800
+	}
+	if h.classifiers == nil {
+		h.classifiers = make(map[int]*phase.Classifier)
 	}
 }
 
@@ -184,10 +190,14 @@ func (h *Harness) SBDivFactory(sigs ...string) ModelFactory {
 	}
 }
 
-// folds yields leave-one-user-out train/test splits (paper §5.4).
-func (h *Harness) folds() [](struct {
+// fold is one leave-one-user-out split (paper §5.4): user is held out.
+type fold struct {
+	user        int
 	train, test []*trace.Trace
-}) {
+}
+
+// folds yields the leave-one-user-out splits in user order.
+func (h *Harness) folds() []fold {
 	users := map[int]bool{}
 	for _, t := range h.Traces {
 		users[t.User] = true
@@ -197,50 +207,82 @@ func (h *Harness) folds() [](struct {
 		ids = append(ids, u)
 	}
 	sort.Ints(ids)
-	var out [](struct{ train, test []*trace.Trace })
+	var out []fold
 	for _, u := range ids {
-		var fold struct{ train, test []*trace.Trace }
+		f := fold{user: u}
 		for _, t := range h.Traces {
 			if t.User == u {
-				fold.test = append(fold.test, t)
+				f.test = append(f.test, t)
 			} else {
-				fold.train = append(fold.train, t)
+				f.train = append(f.train, t)
 			}
 		}
-		out = append(out, fold)
+		out = append(out, f)
 	}
 	return out
 }
 
 // EvalModelLOO measures one model's prediction accuracy with leave-one-out
-// cross-validation, for every k in ks, attributed per phase.
+// cross-validation, for every k in ks, attributed per phase: the one-model
+// engine, every slot allocated to it and no phase classifier.
 func (h *Harness) EvalModelLOO(name string, factory ModelFactory, ks []int) (*Table, error) {
+	return h.evalLOO(name, SingleEngineSetup(factory), false, ks)
+}
+
+// evalLOO is the paper's accuracy measurement (§5.2.2), once: per fold build
+// the engine's pieces on 17 users and step through the held-out user's
+// traces. oracle discards the setup's classifier (ground-truth phases).
+func (h *Harness) evalLOO(name string, setup EngineSetup, oracle bool, ks []int) (*Table, error) {
 	h.withDefaults()
 	table := NewTable()
 	for _, fold := range h.folds() {
-		m, err := factory(fold.train)
+		models, policy, cls, err := setup(fold)
 		if err != nil {
 			return nil, fmt.Errorf("eval: build %s: %w", name, err)
 		}
+		if oracle {
+			cls = nil
+		}
 		for _, tr := range fold.test {
-			h.stepTrace(m, tr, name, ks, table)
+			h.step(name, models, policy, cls, tr, ks, table)
 		}
 	}
 	return table, nil
 }
 
-// stepTrace replays one trace against a model, tallying top-k containment.
-func (h *Harness) stepTrace(m recommend.Model, tr *trace.Trace, name string, ks []int, table *Table) {
-	m.Reset()
+// step replays one trace: after each request, is the next tile in some
+// model's ranking trimmed to the slots the policy allots that model for the
+// request's phase (cls's prediction; the ground-truth label when cls is nil)?
+func (h *Harness) step(name string, models []recommend.Model, policy core.AllocationPolicy, cls *phase.Classifier, tr *trace.Trace, ks []int, table *Table) {
+	for _, m := range models {
+		m.Reset()
+	}
 	hist := trace.NewHistory(h.HistoryLen)
+	ranks := make([][]recommend.Ranked, len(models))
 	for i := 0; i+1 < len(tr.Requests); i++ {
 		r, next := tr.Requests[i], tr.Requests[i+1]
 		hist.Push(r)
-		m.Observe(r)
+		for _, m := range models {
+			m.Observe(r)
+		}
+		ph := r.Phase
+		if cls != nil {
+			ph = cls.Predict(r)
+		}
 		cands := recommend.Candidates(h.Pyr, r.Coord, h.D)
-		ranked := m.Predict(r, cands, hist)
+		for j, m := range models {
+			ranks[j] = m.Predict(r, cands, hist)
+		}
 		for _, k := range ks {
-			table.Add(name, k, next.Phase, recommend.Contains(ranked, k, next.Coord))
+			alloc := policy.Allocations(ph, k)
+			hit := false
+			for j, m := range models {
+				if recommend.Contains(ranks[j], alloc[m.Name()], next.Coord) {
+					hit = true
+					break
+				}
+			}
+			table.Add(name, k, next.Phase, hit)
 		}
 	}
 }
@@ -308,59 +350,10 @@ func (spec HybridSpec) specs() []recommend.Spec {
 // held-out user's traces, combining the models' rankings per the spec's
 // allocation table (§5.4.3).
 func (h *Harness) EvalHybridLOO(spec HybridSpec, ks []int) (*Table, error) {
-	h.withDefaults()
 	if spec.Name == "" {
 		spec.Name = "hybrid"
 	}
-	setup := h.HybridEngineSetup(spec)
-	table := NewTable()
-	for _, fold := range h.folds() {
-		models, policy, cls, err := setup(fold.train)
-		if err != nil {
-			return nil, err
-		}
-		if spec.OraclePhases {
-			cls = nil
-		}
-		for _, tr := range fold.test {
-			h.stepHybrid(spec.Name, models, policy, cls, tr, ks, table)
-		}
-	}
-	return table, nil
-}
-
-func (h *Harness) stepHybrid(name string, models []recommend.Model, policy core.AllocationPolicy, cls *phase.Classifier, tr *trace.Trace, ks []int, table *Table) {
-	for _, m := range models {
-		m.Reset()
-	}
-	hist := trace.NewHistory(h.HistoryLen)
-	ranks := make([][]recommend.Ranked, len(models))
-	for i := 0; i+1 < len(tr.Requests); i++ {
-		r, next := tr.Requests[i], tr.Requests[i+1]
-		hist.Push(r)
-		for _, m := range models {
-			m.Observe(r)
-		}
-		ph := r.Phase
-		if cls != nil {
-			ph = cls.Predict(r)
-		}
-		cands := recommend.Candidates(h.Pyr, r.Coord, h.D)
-		for j, m := range models {
-			ranks[j] = m.Predict(r, cands, hist)
-		}
-		for _, k := range ks {
-			alloc := policy.Allocations(ph, k)
-			hit := false
-			for j, m := range models {
-				if recommend.Contains(ranks[j], alloc[m.Name()], next.Coord) {
-					hit = true
-					break
-				}
-			}
-			table.Add(name, k, next.Phase, hit)
-		}
-	}
+	return h.evalLOO(spec.Name, h.HybridEngineSetup(spec), spec.OraclePhases, ks)
 }
 
 // sampleRequests flattens training traces into labeled requests, capped at

@@ -399,7 +399,7 @@ func TestHybridSpecPolicies(t *testing.T) {
 	train := subsetUsers(h.Traces, 2)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			models, policy, _, err := h.HybridEngineSetup(c.spec)(train)
+			models, policy, _, err := h.HybridEngineSetup(c.spec)(fold{train: train})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -112,96 +112,65 @@ func runFig9(w io.Writer, h *Harness) error {
 	return nil
 }
 
-func runFig10a(w io.Writer, h *Harness) error {
-	ks := KSweep()
+// accuracyRow is one labeled engine of an accuracy figure: a single model
+// (SingleEngineSetup) or the two-level engine, optionally on oracle phases.
+type accuracyRow struct {
+	name   string
+	setup  EngineSetup
+	oracle bool
+}
+
+// accuracyFigure evaluates every row leave-one-out and renders them as one
+// accuracy-by-phase-and-k table, followed by the paper's reading of it.
+func accuracyFigure(w io.Writer, h *Harness, title string, ks []int, rows []accuracyRow, notes ...string) error {
 	table := NewTable()
-	for _, spec := range []struct {
-		name    string
-		factory ModelFactory
-	}{
-		{"markov3", ABFactory(3)},
-		{"momentum", MomentumFactory()},
-		{"hotspot", HotspotFactory(8, 3)},
-	} {
-		t, err := h.EvalModelLOO(spec.name, spec.factory, ks)
+	names := make([]string, len(rows))
+	for i, row := range rows {
+		names[i] = row.name
+		t, err := h.evalLOO(row.name, row.setup, row.oracle, ks)
 		if err != nil {
 			return err
 		}
 		table.Merge(t)
 	}
-	RenderAccuracyByPhase(w, "Figure 10a: AB (markov3) vs existing models, accuracy by phase and k",
-		table, []string{"markov3", "momentum", "hotspot"}, ks)
-	fmt.Fprintln(w, "  paper shape: markov3 matches the baselines in Foraging/Sensemaking and wins Navigation at every k")
+	RenderAccuracyByPhase(w, title, table, names, ks)
+	for _, note := range notes {
+		fmt.Fprintln(w, note)
+	}
 	return nil
+}
+
+func runFig10a(w io.Writer, h *Harness) error {
+	return accuracyFigure(w, h, "Figure 10a: AB (markov3) vs existing models, accuracy by phase and k", KSweep(), []accuracyRow{
+		{name: "markov3", setup: SingleEngineSetup(ABFactory(3))},
+		{name: "momentum", setup: SingleEngineSetup(MomentumFactory())},
+		{name: "hotspot", setup: SingleEngineSetup(HotspotFactory(8, 3))},
+	}, "  paper shape: markov3 matches the baselines in Foraging/Sensemaking and wins Navigation at every k")
 }
 
 func runFig10b(w io.Writer, h *Harness) error {
-	ks := KSweep()
-	table := NewTable()
-	var names []string
+	var rows []accuracyRow
 	for _, s := range sig.AllNames() {
-		name := "sb:" + s
-		names = append(names, name)
-		t, err := h.EvalModelLOO(name, h.SBFactory(s), ks)
-		if err != nil {
-			return err
-		}
-		table.Merge(t)
+		rows = append(rows, accuracyRow{name: "sb:" + s, setup: SingleEngineSetup(h.SBFactory(s))})
 	}
-	RenderAccuracyByPhase(w, "Figure 10b: the four tile signatures, accuracy by phase and k",
-		table, names, ks)
-	fmt.Fprintln(w, "  paper shape: SIFT gives the best overall accuracy; DenseSIFT trails it")
-	return nil
+	return accuracyFigure(w, h, "Figure 10b: the four tile signatures, accuracy by phase and k", KSweep(), rows,
+		"  paper shape: SIFT gives the best overall accuracy; DenseSIFT trails it")
 }
 
 func runFig10c(w io.Writer, h *Harness) error {
-	ks := KSweep()
-	table, err := h.EvalHybridLOO(HybridSpec{}, ks)
-	if err != nil {
-		return err
-	}
-	for _, spec := range []struct {
-		name    string
-		factory ModelFactory
-	}{
-		{"markov3", ABFactory(3)},
-		{"sb:sift", h.SBFactory(sig.NameSIFT)},
-	} {
-		t, err := h.EvalModelLOO(spec.name, spec.factory, ks)
-		if err != nil {
-			return err
-		}
-		table.Merge(t)
-	}
-	RenderAccuracyByPhase(w, "Figure 10c: final two-level engine vs its best individual models",
-		table, []string{"hybrid", "markov3", "sb:sift"}, ks)
-	fmt.Fprintln(w, "  paper shape: hybrid matches the best model per phase, beating both overall")
-	return nil
+	return accuracyFigure(w, h, "Figure 10c: final two-level engine vs its best individual models", KSweep(), []accuracyRow{
+		{name: "hybrid", setup: h.HybridEngineSetup(HybridSpec{})},
+		{name: "markov3", setup: SingleEngineSetup(ABFactory(3))},
+		{name: "sb:sift", setup: SingleEngineSetup(h.SBFactory(sig.NameSIFT))},
+	}, "  paper shape: hybrid matches the best model per phase, beating both overall")
 }
 
 func runFig11(w io.Writer, h *Harness) error {
-	ks := KSweep()
-	table, err := h.EvalHybridLOO(HybridSpec{}, ks)
-	if err != nil {
-		return err
-	}
-	for _, spec := range []struct {
-		name    string
-		factory ModelFactory
-	}{
-		{"momentum", MomentumFactory()},
-		{"hotspot", HotspotFactory(8, 3)},
-	} {
-		t, err := h.EvalModelLOO(spec.name, spec.factory, ks)
-		if err != nil {
-			return err
-		}
-		table.Merge(t)
-	}
-	RenderAccuracyByPhase(w, "Figure 11: final engine vs existing techniques, accuracy by phase and k",
-		table, []string{"hybrid", "momentum", "hotspot"}, ks)
-	fmt.Fprintln(w, "  paper shape: up to 25% better in Navigation, 10-18% better in Sensemaking")
-	return nil
+	return accuracyFigure(w, h, "Figure 11: final engine vs existing techniques, accuracy by phase and k", KSweep(), []accuracyRow{
+		{name: "hybrid", setup: h.HybridEngineSetup(HybridSpec{})},
+		{name: "momentum", setup: SingleEngineSetup(MomentumFactory())},
+		{name: "hotspot", setup: SingleEngineSetup(HotspotFactory(8, 3))},
+	}, "  paper shape: up to 25% better in Navigation, 10-18% better in Sensemaking")
 }
 
 // engineRunsAll performs the engine replays shared by Figures 12/13.
@@ -296,47 +265,19 @@ func runMarkovOrder(w io.Writer, h *Harness) error {
 }
 
 func runPolicyAblation(w io.Writer, h *Harness) error {
-	ks := []int{2, 5, 8}
-	hybrid, err := h.EvalHybridLOO(HybridSpec{Name: "tuned"}, ks)
-	if err != nil {
-		return err
-	}
-	original, err := h.EvalHybridLOO(HybridSpec{Name: "original", OriginalTable: true}, ks)
-	if err != nil {
-		return err
-	}
-	oracle, err := h.EvalHybridLOO(HybridSpec{Name: "oracle", OraclePhases: true}, ks)
-	if err != nil {
-		return err
-	}
-	hybrid.Merge(original)
-	hybrid.Merge(oracle)
-	RenderAccuracyByPhase(w, "Allocation-strategy ablation: tuned §5.4.3 vs original §4.4 vs oracle phases",
-		hybrid, []string{"tuned", "original", "oracle"}, ks)
-	return nil
+	return accuracyFigure(w, h, "Allocation-strategy ablation: tuned §5.4.3 vs original §4.4 vs oracle phases", []int{2, 5, 8}, []accuracyRow{
+		{name: "tuned", setup: h.HybridEngineSetup(HybridSpec{})},
+		{name: "original", setup: h.HybridEngineSetup(HybridSpec{OriginalTable: true})},
+		{name: "oracle", setup: h.HybridEngineSetup(HybridSpec{}), oracle: true},
+	})
 }
 
 func runSBAblation(w io.Writer, h *Harness) error {
-	ks := []int{2, 5, 8}
-	table := NewTable()
-	specs := []struct {
-		name    string
-		factory ModelFactory
-	}{
-		{"sb:all", h.SBFactory(sig.AllNames()...)},
-		{"sb:sift", h.SBFactory(sig.NameSIFT)},
-		{"sb:sift/div", h.SBDivFactory(sig.NameSIFT)},
-	}
-	for _, spec := range specs {
-		t, err := h.EvalModelLOO(spec.name, spec.factory, ks)
-		if err != nil {
-			return err
-		}
-		table.Merge(t)
-	}
-	RenderAccuracyByPhase(w, "SB ablation: all signatures vs SIFT-only vs literal Alg. 3 line-13 division",
-		table, []string{"sb:all", "sb:sift", "sb:sift/div"}, ks)
-	return nil
+	return accuracyFigure(w, h, "SB ablation: all signatures vs SIFT-only vs literal Alg. 3 line-13 division", []int{2, 5, 8}, []accuracyRow{
+		{name: "sb:all", setup: SingleEngineSetup(h.SBFactory(sig.AllNames()...))},
+		{name: "sb:sift", setup: SingleEngineSetup(h.SBFactory(sig.NameSIFT))},
+		{name: "sb:sift/div", setup: SingleEngineSetup(h.SBDivFactory(sig.NameSIFT))},
+	})
 }
 
 func runDistanceAblation(w io.Writer, h *Harness) error {

@@ -45,10 +45,6 @@ type FeedbackCollector struct {
 	alpha float64   // EWMA weight of a new observation
 	rate  []float64 // EWMA consumption rate by position
 	obs   []int     // observations per position
-	// per-model consumption tallies, for operability (/metrics): which
-	// recommender's prefetches actually get consumed.
-	modelHits   map[string]int
-	modelMisses map[string]int
 	// per-(phase, model) EWMA consumption rate and observation counts: the
 	// allocation feedback signal. Buckets decay by staleness (see
 	// allocBucket), so a dataset shift can re-learn the split.
@@ -121,8 +117,6 @@ func NewFeedbackCollector(maxPos int) *FeedbackCollector {
 		alpha:         feedbackAlpha,
 		rate:          make([]float64, maxPos),
 		obs:           make([]int, maxPos),
-		modelHits:     make(map[string]int),
-		modelMisses:   make(map[string]int),
 		phaseAlloc:    make(map[phaseModel]*allocBucket),
 		phaseN:        make(map[trace.Phase]int),
 		allocHalfLife: defaultAllocHalfLife,
@@ -164,11 +158,6 @@ func (f *FeedbackCollector) Observe(ph trace.Phase, model string, pos int, hit b
 		f.rate[pos] += f.alpha * (v - f.rate[pos])
 	}
 	f.obs[pos]++
-	if hit {
-		f.modelHits[model]++
-	} else {
-		f.modelMisses[model]++
-	}
 	n := f.phaseN[ph] + 1
 	f.phaseN[ph] = n
 	key := phaseModel{ph: ph, model: model}
@@ -189,9 +178,8 @@ func (f *FeedbackCollector) Observe(ph trace.Phase, model string, pos int, hit b
 
 // AllocationRate reports the EWMA consumption rate of model's prefetches
 // under predicted phase ph, and how many outcomes it was fit from (0 obs =
-// never prefetched in that phase, rate 0). It implements
-// core.AllocationFeedback: the signal AdaptivePolicy re-splits the prefetch
-// budget from.
+// never prefetched in that phase, rate 0): the signal AdaptivePolicy
+// re-splits the prefetch budget from, one model at a time.
 func (f *FeedbackCollector) AllocationRate(ph trace.Phase, model string) (rate float64, obs int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -206,7 +194,7 @@ func (f *FeedbackCollector) allocationRateLocked(ph trace.Phase, model string) (
 	return b.rate * f.staleFactor(b, f.phaseN[ph]), b.obs
 }
 
-// AllocationRates is the batched variant AdaptivePolicy uses on the
+// AllocationRates implements core.AllocationFeedback, batched for the
 // per-request hot path: one lock hold returns every model's rate and
 // observation count for the phase (ordered like models), instead of
 // 2 x len(models) separate acquisitions of a mutex shared by all sessions.
@@ -288,23 +276,4 @@ func (f *FeedbackCollector) Observations() int {
 		n += c
 	}
 	return n
-}
-
-// ModelRates snapshots per-model consumption tallies: hits and misses of
-// each recommender's prefetched tiles.
-func (f *FeedbackCollector) ModelRates() map[string][2]int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make(map[string][2]int, len(f.modelHits)+len(f.modelMisses))
-	for m, h := range f.modelHits {
-		v := out[m]
-		v[0] = h
-		out[m] = v
-	}
-	for m, miss := range f.modelMisses {
-		v := out[m]
-		v[1] = miss
-		out[m] = v
-	}
-	return out
 }

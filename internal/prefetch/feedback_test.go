@@ -40,9 +40,8 @@ func TestFeedbackLearnsObservedCurve(t *testing.T) {
 	if n := f.Observations(); n != 600 {
 		t.Errorf("Observations = %d, want 600", n)
 	}
-	rates := f.ModelRates()
-	if v := rates["ab"]; v[0] != 300 || v[1] != 300 {
-		t.Errorf("ModelRates[ab] = %v, want [300 300]", v)
+	if _, obs := f.AllocationRates(trace.Foraging, []string{"ab"}); obs[0] != 600 {
+		t.Errorf("AllocationRates(Foraging, ab) fit from %d outcomes, want 600", obs[0])
 	}
 }
 
@@ -94,7 +93,7 @@ func TestFeedbackConcurrentObserve(t *testing.T) {
 				_ = f.Factor(i % 6)
 				if i%100 == 0 {
 					_ = f.Curve()
-					_ = f.ModelRates()
+					_, _ = f.AllocationRates(trace.Foraging, []string{"m"})
 				}
 			}
 		}(g)

@@ -139,7 +139,10 @@ func (s *Scheduler) SessionPressure(session string) float64 {
 	return s.Shard(session).SessionPressure(session)
 }
 
-// Stats aggregates the per-shard snapshots into one deployment-wide view.
+// Snapshot takes each shard's snapshot exactly once and returns both views
+// of it: the deployment-wide aggregate and the per-shard Stats it was
+// summed from (index = shard id), so within one Snapshot the per-shard
+// counters add up to the totals even while workers run.
 // Counters are sums of per-shard counters: each shard's are monotone and
 // the shard set is fixed for the scheduler's lifetime, so the sums are
 // monotone too. Session-keyed maps merge disjointly (a session lives on
@@ -147,15 +150,17 @@ func (s *Scheduler) SessionPressure(session string) float64 {
 // measured entry count, PeakPending is the sum of per-shard peaks (an
 // upper bound on the true simultaneous peak), and Pressure is the
 // deployment-wide saturation.
-func (s *Scheduler) Stats() Stats {
+func (s *Scheduler) Snapshot() (Stats, []Stats) {
 	var agg Stats
 	agg.Shards = len(s.shards)
 	agg.QueueDepths = make(map[string]int)
 	agg.SessionPressures = make(map[string]float64)
+	per := make([]Stats, len(s.shards))
 	var latency time.Duration
 	measured := 0
-	for _, sh := range s.shards {
+	for i, sh := range s.shards {
 		st, lat, n := sh.statsDetail()
+		per[i] = st
 		agg.Queued += st.Queued
 		agg.Dropped += st.Dropped
 		agg.Shed += st.Shed
@@ -188,17 +193,19 @@ func (s *Scheduler) Stats() Stats {
 	}
 	agg.Pressure = saturation(agg.Pending, s.total)
 	agg.CrossShardCoalesced = s.store.Joined()
+	return agg, per
+}
+
+// Stats is Snapshot's deployment-wide view alone.
+func (s *Scheduler) Stats() Stats {
+	agg, _ := s.Snapshot()
 	return agg
 }
 
-// ShardStats snapshots every shard individually (index = shard id), for
-// per-shard observability series.
+// ShardStats is Snapshot's per-shard view alone.
 func (s *Scheduler) ShardStats() []Stats {
-	out := make([]Stats, len(s.shards))
-	for i, sh := range s.shards {
-		out[i] = sh.Stats()
-	}
-	return out
+	_, per := s.Snapshot()
+	return per
 }
 
 // Drain blocks until every shard's queue and in-flight set are empty.

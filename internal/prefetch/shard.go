@@ -295,16 +295,11 @@ func (s *Shard) close() {
 	s.mu.Unlock()
 }
 
-// Stats snapshots this shard's counters. The snapshot is internally
-// consistent: every field is read under one hold of the shard lock.
-func (s *Shard) Stats() Stats {
-	st, _, _ := s.statsDetail()
-	return st
-}
-
-// statsDetail is Stats plus the raw queue-latency accumulators, so
-// Scheduler.Stats can compute an exactly-weighted deployment-wide mean
-// instead of averaging per-shard averages.
+// statsDetail snapshots this shard's counters — internally consistent:
+// every field is read under one hold of the shard lock — plus the raw
+// queue-latency accumulators, so Scheduler.Snapshot can compute an
+// exactly-weighted deployment-wide mean instead of averaging per-shard
+// averages.
 func (s *Shard) statsDetail() (Stats, time.Duration, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -119,7 +119,8 @@ func TestShardedRoutingDisjoint(t *testing.T) {
 
 	victim := "user-7"
 	ss.CancelSession(victim)
-	if _, ok := ss.Shard(victim).Stats().QueueDepths[victim]; ok {
+	st, _, _ := ss.Shard(victim).statsDetail()
+	if _, ok := st.QueueDepths[victim]; ok {
 		t.Errorf("CancelSession(%s) left state on the home shard", victim)
 	}
 }

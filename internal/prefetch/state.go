@@ -29,9 +29,6 @@ type feedbackState struct {
 	// position): EWMA consumption rate and lifetime observation count.
 	Rate []float64 `json:"rate"`
 	Obs  []int     `json:"obs"`
-	// ModelHits / ModelMisses are the per-model consumption tallies.
-	ModelHits   map[string]int `json:"model_hits"`
-	ModelMisses map[string]int `json:"model_misses"`
 	// PhaseN is the per-phase outcome total: the staleness clock the
 	// allocation buckets decay against.
 	PhaseN map[string]int `json:"phase_outcomes"`
@@ -56,11 +53,9 @@ func (f *FeedbackCollector) ExportState() ([]byte, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	st := feedbackState{
-		Rate:        append([]float64(nil), f.rate...),
-		Obs:         append([]int(nil), f.obs...),
-		ModelHits:   copyIntMap(f.modelHits),
-		ModelMisses: copyIntMap(f.modelMisses),
-		PhaseN:      make(map[string]int, len(f.phaseN)),
+		Rate:   append([]float64(nil), f.rate...),
+		Obs:    append([]int(nil), f.obs...),
+		PhaseN: make(map[string]int, len(f.phaseN)),
 	}
 	for ph, n := range f.phaseN {
 		st.PhaseN[ph.String()] = n
@@ -99,16 +94,6 @@ func (f *FeedbackCollector) ImportState(raw []byte) error {
 		}
 		if st.Obs[i] < 0 {
 			return fmt.Errorf("prefetch: feedback state: obs[%d] = %d negative", i, st.Obs[i])
-		}
-	}
-	for m, n := range st.ModelHits {
-		if n < 0 {
-			return fmt.Errorf("prefetch: feedback state: model %q hits %d negative", m, n)
-		}
-	}
-	for m, n := range st.ModelMisses {
-		if n < 0 {
-			return fmt.Errorf("prefetch: feedback state: model %q misses %d negative", m, n)
 		}
 	}
 	phaseN := make(map[trace.Phase]int, len(st.PhaseN))
@@ -153,8 +138,6 @@ func (f *FeedbackCollector) ImportState(raw []byte) error {
 	for i := n; i < len(f.rate); i++ {
 		f.rate[i], f.obs[i] = 0, 0
 	}
-	f.modelHits = copyIntMap(st.ModelHits)
-	f.modelMisses = copyIntMap(st.ModelMisses)
 	f.phaseN = phaseN
 	f.phaseAlloc = alloc
 	return nil
@@ -162,12 +145,4 @@ func (f *FeedbackCollector) ImportState(raw []byte) error {
 
 func validRate(r float64) bool {
 	return !math.IsNaN(r) && r >= 0 && r <= 1
-}
-
-func copyIntMap(m map[string]int) map[string]int {
-	out := make(map[string]int, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }

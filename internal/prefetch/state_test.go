@@ -102,12 +102,10 @@ func TestFeedbackStateCurvePrefix(t *testing.T) {
 func TestFeedbackImportRejectsBadState(t *testing.T) {
 	valid := func() feedbackState {
 		return feedbackState{
-			Rate:        []float64{0.5, 0.2},
-			Obs:         []int{10, 4},
-			ModelHits:   map[string]int{"m": 3},
-			ModelMisses: map[string]int{"m": 1},
-			PhaseN:      map[string]int{"Foraging": 20},
-			Alloc:       []allocState{{Phase: "Foraging", Model: "m", Rate: 0.4, Obs: 4, LastN: 18}},
+			Rate:   []float64{0.5, 0.2},
+			Obs:    []int{10, 4},
+			PhaseN: map[string]int{"Foraging": 20},
+			Alloc:  []allocState{{Phase: "Foraging", Model: "m", Rate: 0.4, Obs: 4, LastN: 18}},
 		}
 	}
 	cases := []struct {
@@ -117,7 +115,6 @@ func TestFeedbackImportRejectsBadState(t *testing.T) {
 		{"length mismatch", func(s *feedbackState) { s.Obs = s.Obs[:1] }},
 		{"rate above one", func(s *feedbackState) { s.Rate[0] = 1.5 }},
 		{"negative obs", func(s *feedbackState) { s.Obs[0] = -1 }},
-		{"negative model tally", func(s *feedbackState) { s.ModelHits["m"] = -2 }},
 		{"unknown phase", func(s *feedbackState) { s.PhaseN["Dreaming"] = 1 }},
 		{"unknown alloc phase", func(s *feedbackState) { s.Alloc[0].Phase = "Dreaming" }},
 		{"bucket rate out of range", func(s *feedbackState) { s.Alloc[0].Rate = -0.1 }},
@@ -149,5 +146,31 @@ func TestFeedbackImportRejectsBadState(t *testing.T) {
 	f := NewFeedbackCollector(4)
 	if err := f.ImportState([]byte("{not json")); err == nil {
 		t.Error("malformed JSON imported without error")
+	}
+}
+
+// TestFeedbackImportIgnoresRetiredModelTallies: version-1 payloads written
+// before the per-model hit/miss tallies were dropped still carry
+// model_hits / model_misses. They must import (a warm restart over an old
+// snapshot stays warm) and re-export without the two keys.
+func TestFeedbackImportIgnoresRetiredModelTallies(t *testing.T) {
+	const head = `{"rate":[0.5,0.2],"obs":[10,4],`
+	const tail = `"phase_outcomes":{"Foraging":20},"alloc":[{"phase":"Foraging","model":"m","rate":0.4,"obs":4,"last_n":18}]}`
+	f := NewFeedbackCollector(2)
+	if err := f.ImportState([]byte(head + `"model_hits":{"m":3},"model_misses":{"m":1},` + tail)); err != nil {
+		t.Fatalf("payload with retired keys rejected: %v", err)
+	}
+	if rate, obs := f.AllocationRate(trace.Foraging, "m"); obs != 4 || rate <= 0 || rate > 0.4 {
+		t.Errorf("AllocationRate(Foraging, m) = (%v, %d), want the imported bucket (rate 0.4 less 2 outcomes of decay, 4 obs)", rate, obs)
+	}
+	if n := f.Observations(); n != 14 {
+		t.Errorf("Observations = %d, want 14", n)
+	}
+	got, err := f.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := head + tail; string(got) != want {
+		t.Errorf("re-export = %s\nwant      %s", got, want)
 	}
 }

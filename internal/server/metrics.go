@@ -66,6 +66,35 @@ func labels(kv map[string]string) string {
 	return "{" + strings.Join(parts, ",") + "}"
 }
 
+// keyedSamples renders one sample per map entry in sorted key order,
+// labelled label="<key>" on top of the fixed labels (may be nil), so
+// consecutive scrapes list the same series identically.
+func keyedSamples[V int | float64](label string, m map[string]V, fixed map[string]string) []sample {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([]sample, len(keys))
+	for i, k := range keys {
+		kv := map[string]string{label: k}
+		for fk, fv := range fixed {
+			kv[fk] = fv
+		}
+		out[i] = sample{labels: labels(kv), value: float64(m[k])}
+	}
+	return out
+}
+
+// indexedSamples renders n samples labelled label="0".."n-1".
+func indexedSamples(label string, n int, value func(i int) float64) []sample {
+	out := make([]sample, n)
+	for i := range out {
+		out[i] = sample{labels: labels(map[string]string{label: strconv.Itoa(i)}), value: value(i)}
+	}
+	return out
+}
+
 // family writes one metric family: help/type header plus samples.
 func (w *promWriter) family(name, help, typ string, samples ...sample) {
 	fmt.Fprintf(&w.b, "# HELP %s %s\n", name, help)
@@ -120,7 +149,7 @@ func (w *promWriter) histBucket(name string, base map[string]string, le string, 
 // gather (so forecache_sessions always equals the sum of the
 // forecache_shard_sessions series in one scrape, and departed sessions'
 // cache totals keep the cache counters monotone), and the scheduler from
-// its internally-consistent Stats snapshot.
+// one Snapshot, whose per-shard series sum to its totals the same way.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	tier := s.gather(true)
 
@@ -129,15 +158,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	pw.counter("forecache_sessions_evicted_total", "Sessions evicted by the TTL or LRU cap.", float64(tier.evicted))
 	pw.gauge("forecache_server_closed", "1 after Close, 0 while serving.", boolValue(s.closed.Load()))
 	pw.gauge("forecache_shards", "Session-tier shards behind the hash router.", float64(len(s.shards)))
-	shardSess := make([]sample, len(s.shards))
-	shardEv := make([]sample, len(s.shards))
-	for i := range s.shards {
-		l := labels(map[string]string{"shard": strconv.Itoa(i)})
-		shardSess[i] = sample{labels: l, value: float64(tier.shardSessions[i])}
-		shardEv[i] = sample{labels: l, value: float64(tier.shardEvicted[i])}
-	}
-	pw.family("forecache_shard_sessions", "Live sessions per session-tier shard; sums to forecache_sessions within one scrape.", "gauge", shardSess...)
-	pw.family("forecache_shard_sessions_evicted_total", "Sessions evicted per session-tier shard (TTL or LRU cap).", "counter", shardEv...)
+	pw.family("forecache_shard_sessions", "Live sessions per session-tier shard; sums to forecache_sessions within one scrape.", "gauge",
+		indexedSamples("shard", len(s.shards), func(i int) float64 { return float64(tier.shardSessions[i]) })...)
+	pw.family("forecache_shard_sessions_evicted_total", "Sessions evicted per session-tier shard (TTL or LRU cap).", "counter",
+		indexedSamples("shard", len(s.shards), func(i int) float64 { return float64(tier.shardEvicted[i]) })...)
 
 	pw.counter("forecache_cache_hits_total", "Tile requests served from a middleware cache, summed over all sessions ever (live and retired).", float64(tier.cache.Hits))
 	pw.counter("forecache_cache_misses_total", "Tile requests that fell through to the DBMS, summed over all sessions ever.", float64(tier.cache.Misses))
@@ -146,7 +170,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	pw.gauge("forecache_cache_hit_ratio", "Lifetime cache hit rate (prediction accuracy, paper 5.2.2).", tier.cache.HitRate())
 
 	if s.cfg.Scheduler != nil {
-		st := s.cfg.Scheduler.Stats()
+		st, per := s.cfg.Scheduler.Snapshot()
 		pw.counter("forecache_prefetch_queued_total", "Prefetch entries accepted into the scheduler queue.", float64(st.Queued))
 		pw.counter("forecache_prefetch_dropped_total", "Prefetch entries rejected at submission.", float64(st.Dropped))
 		pw.counter("forecache_prefetch_shed_total", "Queued entries evicted by global admission control.", float64(st.Shed))
@@ -160,54 +184,28 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		pw.gauge("forecache_prefetch_pressure", "Global queue saturation in [0,1]; AdaptiveK engines shrink on it.", st.Pressure)
 		pw.gauge("forecache_prefetch_queue_latency_seconds", "Mean time entries spent queued before their fetch was issued.", st.AvgQueueLatency.Seconds())
 
-		depthSamples := make([]sample, 0, len(st.QueueDepths))
-		pressureSamples := make([]sample, 0, len(st.SessionPressures))
-		ids := make([]string, 0, len(st.QueueDepths))
-		for id := range st.QueueDepths {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			l := labels(map[string]string{"session": id})
-			depthSamples = append(depthSamples, sample{labels: l, value: float64(st.QueueDepths[id])})
-			pressureSamples = append(pressureSamples, sample{labels: l, value: st.SessionPressures[id]})
-		}
-		pw.family("forecache_prefetch_session_queue_depth", "Live queued entries per session.", "gauge", depthSamples...)
-		pw.family("forecache_prefetch_session_pressure", "Per-session fair-share backpressure in [0,1]; FairShare engines shrink on it.", "gauge", pressureSamples...)
+		pw.family("forecache_prefetch_session_queue_depth", "Live queued entries per session.", "gauge",
+			keyedSamples("session", st.QueueDepths, nil)...)
+		pw.family("forecache_prefetch_session_pressure", "Per-session fair-share backpressure in [0,1]; FairShare engines shrink on it.", "gauge",
+			keyedSamples("session", st.SessionPressures, nil)...)
 
-		// Per-shard series: the deployment totals above are the sums of
-		// these within one scrape (both come from the same kind of per-shard
-		// snapshots). A one-shard deployment renders one shard="0" series.
-		per := s.cfg.Scheduler.ShardStats()
+		// Per-shard series. A one-shard deployment renders one shard="0"
+		// series.
 		pw.counter("forecache_prefetch_cross_shard_coalesced_total",
 			"Worker fetches that joined another shard's in-flight DBMS fetch (deployment-wide single-flight).", float64(st.CrossShardCoalesced))
-		queuedS := make([]sample, len(per))
-		completedS := make([]sample, len(per))
-		pendingS := make([]sample, len(per))
-		pressureS := make([]sample, len(per))
-		for i, shst := range per {
-			l := labels(map[string]string{"shard": strconv.Itoa(i)})
-			queuedS[i] = sample{labels: l, value: float64(shst.Queued)}
-			completedS[i] = sample{labels: l, value: float64(shst.Completed)}
-			pendingS[i] = sample{labels: l, value: float64(shst.Pending)}
-			pressureS[i] = sample{labels: l, value: shst.Pressure}
-		}
-		pw.family("forecache_prefetch_shard_queued_total", "Prefetch entries accepted per scheduler shard.", "counter", queuedS...)
-		pw.family("forecache_prefetch_shard_completed_total", "Entries fetched and delivered per scheduler shard.", "counter", completedS...)
-		pw.family("forecache_prefetch_shard_pending", "Entries queued right now per scheduler shard.", "gauge", pendingS...)
-		pw.family("forecache_prefetch_shard_pressure", "Queue saturation per scheduler shard in [0,1].", "gauge", pressureS...)
+		pw.family("forecache_prefetch_shard_queued_total", "Prefetch entries accepted per scheduler shard.", "counter",
+			indexedSamples("shard", len(per), func(i int) float64 { return float64(per[i].Queued) })...)
+		pw.family("forecache_prefetch_shard_completed_total", "Entries fetched and delivered per scheduler shard.", "counter",
+			indexedSamples("shard", len(per), func(i int) float64 { return float64(per[i].Completed) })...)
+		pw.family("forecache_prefetch_shard_pending", "Entries queued right now per scheduler shard.", "gauge",
+			indexedSamples("shard", len(per), func(i int) float64 { return float64(per[i].Pending) })...)
+		pw.family("forecache_prefetch_shard_pressure", "Queue saturation per scheduler shard in [0,1].", "gauge",
+			indexedSamples("shard", len(per), func(i int) float64 { return per[i].Pressure })...)
 
 		if st.UtilityCurve != nil {
-			curveSamples := make([]sample, len(st.UtilityCurve))
-			for pos, f := range st.UtilityCurve {
-				curveSamples[pos] = sample{
-					labels: labels(map[string]string{"position": strconv.Itoa(pos)}),
-					value:  f,
-				}
-			}
 			pw.family("forecache_utility_position_factor",
 				"Effective position-decay curve: learned consumption rate of each batch position relative to position 0 (static 0.85^p until warmed up).",
-				"gauge", curveSamples...)
+				"gauge", indexedSamples("position", len(st.UtilityCurve), func(pos int) float64 { return st.UtilityCurve[pos] })...)
 			pw.counter("forecache_utility_observations_total", "Cache outcomes the utility curve was fit from.", float64(st.UtilityObservations))
 		}
 	}
@@ -222,21 +220,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		pw.counter("forecache_push_heartbeats_total", "Heartbeat frames written on idle push streams.", float64(st.Heartbeats))
 		pw.counter("forecache_push_consumed_total", "Pushed tiles whose session later requested them.", float64(st.Consumed))
 		pw.counter("forecache_push_bytes_total", "Frame bytes handed to push stream connections (SSE and binary framing, heartbeats included).", float64(st.Bytes))
-		drainIDs := make([]string, 0, len(st.DrainRates))
-		for id := range st.DrainRates {
-			drainIDs = append(drainIDs, id)
-		}
-		sort.Strings(drainIDs)
-		drainSamples := make([]sample, len(drainIDs))
-		for i, id := range drainIDs {
-			drainSamples[i] = sample{
-				labels: labels(map[string]string{"session": id}),
-				value:  st.DrainRates[id],
-			}
-		}
 		pw.family("forecache_push_drain_bytes_per_second",
 			"Measured per-session stream drain rate (EWMA); the scheduler's bandwidth-aware admission term divides by it.",
-			"gauge", drainSamples...)
+			"gauge", keyedSamples("session", st.DrainRates, nil)...)
 	}
 
 	if s.cfg.Encoded != nil {
@@ -284,29 +270,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		// one scrape every phase's shares sum to 1 even while reallocations
 		// race the scrape. Samples are emitted in sorted (phase, model)
 		// order so consecutive scrapes list the same series identically.
-		shares := s.cfg.Allocation.Shares()
-		type phaseRow struct {
-			name    string
-			byModel map[string]float64
+		byPhase := map[string]map[string]float64{}
+		for ph, byModel := range s.cfg.Allocation.Shares() {
+			byPhase[ph.String()] = byModel
 		}
-		rows := make([]phaseRow, 0, len(shares))
-		for ph, byModel := range shares {
-			rows = append(rows, phaseRow{name: ph.String(), byModel: byModel})
+		phases := make([]string, 0, len(byPhase))
+		for name := range byPhase {
+			phases = append(phases, name)
 		}
-		sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
+		sort.Strings(phases)
 		var allocSamples []sample
-		for _, row := range rows {
-			models := make([]string, 0, len(row.byModel))
-			for m := range row.byModel {
-				models = append(models, m)
-			}
-			sort.Strings(models)
-			for _, m := range models {
-				allocSamples = append(allocSamples, sample{
-					labels: labels(map[string]string{"phase": row.name, "model": m}),
-					value:  row.byModel[m],
-				})
-			}
+		for _, name := range phases {
+			allocSamples = append(allocSamples, keyedSamples("model", byPhase[name], map[string]string{"phase": name})...)
 		}
 		pw.family("forecache_allocation_share",
 			"Current prefetch-budget share per (phase, model) under the adaptive allocation policy (the static table's split until the phase warms up); each phase's shares sum to 1.",

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -23,10 +24,9 @@ import (
 // lower than before or disappears, and each per-shard family sums to its
 // deployment total within the scrape.
 type scrapeChecker struct {
-	t     *testing.T
-	srv   *Server
-	sched *prefetch.Scheduler
-	prev  map[string]float64
+	t    *testing.T
+	srv  *Server
+	prev map[string]float64
 }
 
 // shardSums pairs a per-shard family with the total it must sum to.
@@ -44,12 +44,11 @@ func isCounterSample(key string) bool {
 }
 
 // scrape validates one exposition against the properties and returns it.
-// The scheduler is drained first: its totals and its per-shard series come
-// from two passes over the shards, so they agree exactly only at rest (the
-// session tier's come from one pass and agree always).
+// Nothing is drained first: the session tier and the scheduler each render
+// their totals and per-shard series from one pass over the shards, so the
+// sums hold in every scrape, not only at rest.
 func (c *scrapeChecker) scrape(step string) map[string]float64 {
 	c.t.Helper()
-	c.sched.Drain()
 	cur := scrapeMetrics(c.t, c.srv)
 	for key, was := range c.prev {
 		if !isCounterSample(key) {
@@ -85,7 +84,9 @@ func (c *scrapeChecker) scrape(step string) map[string]float64 {
 // configuration — {1, 4} shards x {pull, push over SSE, push over a binary
 // stream} — through everything that retires or rebuilds state (requests,
 // /reset, eviction by cap, eviction by TTL, a stream detach and re-attach,
-// Close) and checks the scrape properties after every step.
+// Close) and checks the scrape properties after every step, and in every
+// scrape taken while prefetches are held in flight and then flow under
+// steady traffic.
 func TestCountersMonotoneAndShardSumsHold(t *testing.T) {
 	streams := map[string]map[string]string{
 		"pull":        nil,
@@ -106,7 +107,9 @@ func TestCountersMonotoneAndShardSumsHold(t *testing.T) {
 					cfg.Push = push.NewRegistry(push.Config{Obs: pipe, Encoded: cfg.Encoded})
 					pcfg.Push = cfg.Push
 				}
-				sched := prefetch.NewScheduler(db, pcfg)
+				// Gated until the under-load step below opens it for good.
+				store := &gatedStore{Store: db, gate: make(chan struct{}), entered: make(chan struct{})}
+				sched := prefetch.NewScheduler(store, pcfg)
 				cfg.Scheduler = sched
 				factory := func(session string) (*core.Engine, error) {
 					m := recommend.NewMomentum()
@@ -142,8 +145,53 @@ func TestCountersMonotoneAndShardSumsHold(t *testing.T) {
 						}
 					}
 				}
-				check := &scrapeChecker{t: t, srv: srv, sched: sched}
+				check := &scrapeChecker{t: t, srv: srv}
 				check.scrape("construction")
+
+				// Under load. The store holds every prefetch, so the first
+				// scrape is certain to find fetches in flight; then the gate
+				// opens under steady traffic, and every scrape taken while the
+				// counters move must still add up — one that visited the shards
+				// once for the totals and again for the series would not.
+				for s := 0; s < 4; s++ {
+					tileReq(fmt.Sprintf("busy-%d", s), tile.Coord{})
+				}
+				<-store.entered
+				if m := check.scrape("prefetches held in flight"); m["forecache_prefetch_inflight"] == 0 {
+					t.Fatal("the gated store holds no prefetch in flight")
+				}
+				close(store.gate)
+				stop := make(chan struct{})
+				var traffic sync.WaitGroup
+				traffic.Add(1)
+				go func() {
+					defer traffic.Done()
+					for i := 1; ; i++ { // root <-> its NW child, one legal move at a time
+						c := tile.Coord{}
+						if i%2 == 1 {
+							c = c.Child(tile.NW)
+						}
+						for s := 0; s < 4; s++ {
+							select {
+							case <-stop:
+								return
+							default:
+							}
+							rec := httptest.NewRecorder()
+							srv.ServeHTTP(rec, httptest.NewRequest("GET",
+								fmt.Sprintf("/tile?session=busy-%d&level=%d&y=%d&x=%d", s, c.Level, c.Y, c.X), nil))
+							if rec.Code != 200 {
+								t.Errorf("tile busy-%d %v: %d %s", s, c, rec.Code, rec.Body)
+								return
+							}
+						}
+					}
+				}()
+				for i := 0; i < 50; i++ {
+					check.scrape("prefetches flowing")
+				}
+				close(stop)
+				traffic.Wait()
 
 				detach := attach()
 				walk := []tile.Coord{{}, tile.Coord{}.Child(tile.NW), tile.Coord{}.Child(tile.NW).Child(tile.SE), tile.Coord{}.Child(tile.NW), {}}
