@@ -6,9 +6,10 @@
 //
 // The package is a facade over the building blocks in internal/:
 //
-//   - an array engine standing in for SciDB (internal/array), with a small
-//     AFL-style query language and the paper's NDSI pipeline;
-//   - a synthetic MODIS-like satellite dataset (internal/modis);
+//   - dense multi-attribute arrays standing in for SciDB's (internal/array),
+//     with the windowed Regrid aggregation that builds zoom levels;
+//   - a synthetic MODIS-like satellite dataset and the paper's NDSI
+//     computation, Query 1, as one function (internal/modis);
 //   - the tile pyramid data model (internal/tile) and tile signatures
 //     including SIFT bag-of-visual-words (internal/sig);
 //   - the two-level prediction engine (internal/core) over an SVM phase

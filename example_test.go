@@ -10,7 +10,7 @@ import (
 )
 
 // ExampleBuildWorld shows the one-call dataset pipeline: synthetic MODIS
-// bands -> NDSI via the array engine -> tile pyramid -> signatures.
+// bands -> NDSI (Query 1) -> tile pyramid -> signatures.
 func ExampleBuildWorld() {
 	ds, err := forecache.BuildWorld(forecache.WorldConfig{Seed: 1, Size: 128, TileSize: 16})
 	if err != nil {

@@ -12,8 +12,9 @@ import (
 )
 
 func main() {
-	// 1. Build the world: raw reflectance bands -> NDSI (Query 1) -> zoom
-	//    levels -> tiles -> signatures. Deterministic for a fixed seed.
+	// 1. Build the world: raw reflectance bands -> NDSI (the paper's Query
+	//    1, computed by modis.BuildNDSI) -> zoom levels (array Regrid) ->
+	//    tiles -> signatures. Deterministic for a fixed seed.
 	ds, err := forecache.BuildWorld(forecache.WorldConfig{Seed: 1, Size: 256, TileSize: 16})
 	if err != nil {
 		log.Fatal(err)

@@ -66,10 +66,9 @@ type (
 	AdaptivePolicy = core.AdaptivePolicy
 )
 
-// Dataset bundles a built world: the array database, the NDSI array, the
-// tile pyramid with signatures, and the signature computer.
+// Dataset bundles a built world: the NDSI array, the tile pyramid with
+// signatures, and the signature computer.
 type Dataset struct {
-	DB         *array.Database
 	NDSI       *array.Array
 	Pyramid    *tile.Pyramid
 	Signatures *sig.Computer
@@ -89,6 +88,10 @@ type WorldConfig struct {
 	CodebookTiles int
 }
 
+// defaultCodebookTiles is CodebookTiles' default; BuildPyramid applies it
+// for BuildWorld too.
+const defaultCodebookTiles = 80
+
 func (c WorldConfig) withDefaults() WorldConfig {
 	if c.Size <= 0 {
 		c.Size = 512
@@ -96,45 +99,32 @@ func (c WorldConfig) withDefaults() WorldConfig {
 	if c.TileSize <= 0 {
 		c.TileSize = 16
 	}
-	if c.CodebookTiles <= 0 {
-		c.CodebookTiles = 80
-	}
 	return c
 }
 
 // BuildWorld runs the full dataset pipeline of paper §2.3 and §5.1:
-// synthesize the MODIS bands, compute NDSI through the array engine
-// (Query 1), build the zoom-level pyramid, train the signature codebook on
-// the pyramid's own tiles, and attach all four signatures to every tile.
+// synthesize the MODIS bands, compute NDSI from them (Query 1), build the
+// zoom-level pyramid, train the signature codebook on the pyramid's own
+// tiles, and attach all four signatures to every tile.
 func BuildWorld(cfg WorldConfig) (*Dataset, error) {
 	cfg = cfg.withDefaults()
-	db := array.NewDatabase()
-	ndsi, err := modis.BuildWorld(db, cfg.Seed, cfg.Size)
+	ndsi, err := modis.BuildWorld(cfg.Seed, cfg.Size)
 	if err != nil {
 		return nil, fmt.Errorf("forecache: build world: %w", err)
 	}
-	return buildDataset(db, ndsi, "ndsi_avg", cfg.TileSize, cfg.CodebookTiles, cfg.Seed)
+	sigCfg := sig.DefaultConfig("ndsi_avg")
+	sigCfg.Seed = cfg.Seed
+	return BuildPyramid(ndsi, cfg.TileSize, sigCfg, cfg.CodebookTiles)
 }
 
 // BuildPyramid wraps any 2-D array into a signed tile pyramid: the route
-// for non-MODIS datasets (e.g. the time-series example). attr selects the
-// attribute signatures describe; sigCfg.Attr is overridden to match.
+// for non-MODIS datasets (e.g. the time-series example). sigCfg.Attr names
+// the attribute the signatures describe, and the Dataset's Attr is set from
+// it. codebookTiles <= 0 means the default, 80.
 func BuildPyramid(a *array.Array, tileSize int, sigCfg sig.Config, codebookTiles int) (*Dataset, error) {
-	db := array.NewDatabase()
-	db.Store(a.Schema().Name, a)
 	if codebookTiles <= 0 {
-		codebookTiles = 80
+		codebookTiles = defaultCodebookTiles
 	}
-	return buildDatasetWith(db, a, sigCfg, tileSize, codebookTiles)
-}
-
-func buildDataset(db *array.Database, a *array.Array, attr string, tileSize, codebookTiles int, seed int64) (*Dataset, error) {
-	sigCfg := sig.DefaultConfig(attr)
-	sigCfg.Seed = seed
-	return buildDatasetWith(db, a, sigCfg, tileSize, codebookTiles)
-}
-
-func buildDatasetWith(db *array.Database, a *array.Array, sigCfg sig.Config, tileSize, codebookTiles int) (*Dataset, error) {
 	pyr, err := tile.Build(a, tile.Params{TileSize: tileSize, Agg: array.AggAvg})
 	if err != nil {
 		return nil, fmt.Errorf("forecache: build pyramid: %w", err)
@@ -142,7 +132,7 @@ func buildDatasetWith(db *array.Database, a *array.Array, sigCfg sig.Config, til
 	comp := sig.NewComputer(sigCfg)
 	comp.TrainCodebook(pyr.SampleTiles(codebookTiles))
 	pyr.ComputeMetadata(comp.Compute)
-	return &Dataset{DB: db, NDSI: a, Pyramid: pyr, Signatures: comp, Attr: sigCfg.Attr}, nil
+	return &Dataset{NDSI: a, Pyramid: pyr, Signatures: comp, Attr: sigCfg.Attr}, nil
 }
 
 // SimulateStudy reproduces the paper's 18-user, 3-task study over this

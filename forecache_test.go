@@ -62,9 +62,9 @@ func TestBuildWorldPipeline(t *testing.T) {
 	if len(traces) != 54 {
 		t.Errorf("study traces = %d, want 54", len(traces))
 	}
-	// The NDSI array must be registered in the database.
-	if _, err := ds.DB.Get("NDSI"); err != nil {
-		t.Errorf("NDSI not in database: %v", err)
+	// The NDSI array the pyramid was built from stays on the Dataset.
+	if ds.NDSI == nil || ds.NDSI.Rows() != 256 || ds.NDSI.Schema().AttrIndex("ndsi_avg") < 0 {
+		t.Errorf("Dataset.NDSI = %v, want the 256x256 NDSI array", ds.NDSI)
 	}
 }
 

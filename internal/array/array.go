@@ -2,18 +2,15 @@
 //
 // ForeCache (the paper this repository reproduces) uses SciDB as its back-end
 // DBMS: multi-attribute dense arrays addressed by integer dimensions, with
-// windowed aggregation to build zoom levels, equi-joins on dimensions, and
-// user-defined functions applied cell-wise (the NDSI snow index is computed
-// this way, see the paper's Query 1). This package implements exactly that
-// operator surface over chunked two-dimensional arrays:
+// windowed aggregation to build zoom levels. This package implements the
+// part of that surface the tile pyramid builder uses:
 //
 //   - multi-attribute dense 2-D arrays with named dimensions
-//   - cell-wise Apply of registered UDFs
-//   - implicit dimension equi-Join
 //   - windowed Regrid aggregation (avg, sum, min, max, count)
 //   - Subarray slicing
-//   - a Database of named arrays with binary disk persistence
-//   - a small AFL-style query language (scan/join/apply/regrid/subarray/store)
+//
+// The paper's Query 1 (NDSI through join and apply) is one fixed
+// computation and lives in internal/modis as a plain function.
 //
 // Cells hold float64 values; NaN marks an empty cell and is skipped by
 // aggregates, matching SciDB's treatment of empty cells.
@@ -24,9 +21,6 @@ import (
 	"fmt"
 	"math"
 )
-
-// ErrShape reports an operation whose operand shapes are incompatible.
-var ErrShape = errors.New("array: incompatible shapes")
 
 // ErrNoAttr reports a reference to an attribute that does not exist.
 var ErrNoAttr = errors.New("array: no such attribute")
@@ -118,9 +112,6 @@ func (a *Array) Rows() int { return a.schema.Rows() }
 // Cols returns the extent of dimension 1.
 func (a *Array) Cols() int { return a.schema.Cols() }
 
-// NumCells returns the number of cells per attribute.
-func (a *Array) NumCells() int { return a.Rows() * a.Cols() }
-
 // Get returns the value of attribute attr at (row, col). It panics if the
 // coordinates are out of range and returns an error only for unknown
 // attributes, mirroring slice indexing semantics for the hot path.
@@ -151,16 +142,4 @@ func (a *Array) AttrData(attr string) ([]float64, error) {
 		return nil, fmt.Errorf("%w: %q in %s", ErrNoAttr, attr, a.schema.Name)
 	}
 	return a.data[i], nil
-}
-
-// Rename returns the same array under a new name (shallow; shares storage).
-func (a *Array) Rename(name string) *Array {
-	out := *a
-	out.schema.Name = name
-	return &out
-}
-
-// MemBytes reports the approximate heap footprint of the array's cell data.
-func (a *Array) MemBytes() int {
-	return len(a.data) * a.NumCells() * 8
 }

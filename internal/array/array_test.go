@@ -2,8 +2,6 @@ package array
 
 import (
 	"math"
-	"slices"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -70,79 +68,6 @@ func TestGetSetRoundTrip(t *testing.T) {
 	}
 	if err := a.Set("missing", 0, 0, 1); err == nil {
 		t.Error("Set on missing attribute should fail")
-	}
-}
-
-func TestApplyNDSI(t *testing.T) {
-	vis := mkArray(t, "SVIS", 4, 4, func(r, c int) float64 { return float64(r + c + 1) })
-	swir := mkArray(t, "SSWIR", 4, 4, func(r, c int) float64 { return 1 })
-	joined, err := Join(vis, swir)
-	if err != nil {
-		t.Fatalf("Join: %v", err)
-	}
-	ndsi := func(args []float64) float64 { return (args[0] - args[1]) / (args[0] + args[1]) }
-	out, err := joined.Apply("ndsi", ndsi, "v", "SSWIR_v")
-	if err != nil {
-		t.Fatalf("Apply: %v", err)
-	}
-	got, err := out.Get("ndsi", 1, 2)
-	if err != nil {
-		t.Fatalf("Get: %v", err)
-	}
-	want := (4.0 - 1.0) / (4.0 + 1.0)
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("ndsi(1,2) = %v, want %v", got, want)
-	}
-}
-
-func TestApplyPropagatesNaN(t *testing.T) {
-	a := mkArray(t, "A", 2, 2, func(r, c int) float64 { return 1 })
-	if err := a.Set("v", 0, 1, math.NaN()); err != nil {
-		t.Fatal(err)
-	}
-	out, err := a.Apply("twice", func(args []float64) float64 { return 2 * args[0] }, "v")
-	if err != nil {
-		t.Fatalf("Apply: %v", err)
-	}
-	v, _ := out.Get("twice", 0, 1)
-	if !math.IsNaN(v) {
-		t.Errorf("empty input cell should stay empty, got %v", v)
-	}
-	v, _ = out.Get("twice", 1, 1)
-	if v != 2 {
-		t.Errorf("valid cell = %v, want 2", v)
-	}
-}
-
-func TestApplyDuplicateAttrFails(t *testing.T) {
-	a := mkArray(t, "A", 2, 2, func(r, c int) float64 { return 1 })
-	if _, err := a.Apply("v", func(args []float64) float64 { return 0 }, "v"); err == nil {
-		t.Error("Apply with an existing output attribute should fail")
-	}
-}
-
-func TestJoinShapeMismatch(t *testing.T) {
-	a := mkArray(t, "A", 2, 2, func(r, c int) float64 { return 1 })
-	b := mkArray(t, "B", 2, 3, func(r, c int) float64 { return 1 })
-	if _, err := Join(a, b); err == nil {
-		t.Error("Join with mismatched shapes should fail")
-	}
-}
-
-func TestJoinDisambiguatesAttrNames(t *testing.T) {
-	a := mkArray(t, "A", 2, 2, func(r, c int) float64 { return 1 })
-	b := mkArray(t, "B", 2, 2, func(r, c int) float64 { return 2 })
-	j, err := Join(a, b)
-	if err != nil {
-		t.Fatalf("Join: %v", err)
-	}
-	if j.Schema().AttrIndex("v") < 0 || j.Schema().AttrIndex("B_v") < 0 {
-		t.Fatalf("join attrs = %v, want [v B_v]", j.Schema().Attrs)
-	}
-	left, _ := j.Get("v", 0, 0)
-	right, _ := j.Get("B_v", 0, 0)
-	if left != 1 || right != 2 {
-		t.Errorf("joined values = %v,%v want 1,2", left, right)
 	}
 }
 
@@ -252,140 +177,6 @@ func TestSubarrayEmptyFails(t *testing.T) {
 	}
 }
 
-func TestProject(t *testing.T) {
-	a := NewZero(Schema{Name: "A", Attrs: []string{"x", "y"}, Dims: [2]Dim{{"r", 2}, {"c", 2}}})
-	p, err := a.Project("y")
-	if err != nil {
-		t.Fatalf("Project: %v", err)
-	}
-	if len(p.Schema().Attrs) != 1 || p.Schema().Attrs[0] != "y" {
-		t.Errorf("projected attrs = %v, want [y]", p.Schema().Attrs)
-	}
-	if _, err := a.Project("z"); err == nil {
-		t.Error("Project on missing attribute should fail")
-	}
-}
-
-func TestDatabaseStoreGetRemove(t *testing.T) {
-	db := NewDatabase()
-	a := mkArray(t, "A", 2, 2, func(r, c int) float64 { return 1 })
-	db.Store("A", a)
-	got, err := db.Get("A")
-	if err != nil {
-		t.Fatalf("Get: %v", err)
-	}
-	if got.Schema().Name != "A" {
-		t.Errorf("stored name = %q", got.Schema().Name)
-	}
-	if _, err := db.Get("B"); err == nil {
-		t.Error("Get on missing array should fail")
-	}
-	db.Remove("A")
-	if _, err := db.Get("A"); err == nil {
-		t.Error("Get after Remove should fail")
-	}
-}
-
-func TestQueryPaperQuery1(t *testing.T) {
-	// The paper's Query 1: store(apply(join(SVIS,SSWIR), ndsi,
-	// ndsi_func(SVIS.reflectance, SSWIR.reflectance)), NDSI).
-	db := NewDatabase()
-	mk := func(name string, base float64) *Array {
-		a := NewZero(Schema{Name: name, Attrs: []string{"reflectance"},
-			Dims: [2]Dim{{"latitude", 4}, {"longitude", 4}}})
-		data, _ := a.AttrData("reflectance")
-		for i := range data {
-			data[i] = base + float64(i)
-		}
-		return a
-	}
-	db.Store("SVIS", mk("SVIS", 10))
-	db.Store("SSWIR", mk("SSWIR", 2))
-	db.RegisterUDF("ndsi_func", func(args []float64) float64 {
-		return (args[0] - args[1]) / (args[0] + args[1])
-	})
-	out, err := db.Query(`
-		store(
-			apply(
-				join(SVIS, SSWIR),
-				ndsi,
-				ndsi_func(SVIS.reflectance, SSWIR.reflectance)
-			),
-			NDSI
-		)`)
-	if err != nil {
-		t.Fatalf("Query: %v", err)
-	}
-	if out.Schema().AttrIndex("ndsi") < 0 {
-		t.Fatalf("result attrs = %v, want ndsi present", out.Schema().Attrs)
-	}
-	v, _ := out.Get("ndsi", 0, 0)
-	want := (10.0 - 2.0) / (10.0 + 2.0)
-	if math.Abs(v-want) > 1e-12 {
-		t.Errorf("ndsi(0,0) = %v, want %v", v, want)
-	}
-	if _, err := db.Get("NDSI"); err != nil {
-		t.Errorf("store() should bind NDSI: %v", err)
-	}
-	// The text form is the Go operators and nothing else: same cells as
-	// Join + Apply called directly.
-	svis, _ := db.Get("SVIS")
-	sswir, _ := db.Get("SSWIR")
-	joined, err := Join(svis, sswir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fn, _ := db.UDF("ndsi_func")
-	direct, err := joined.Apply("ndsi", fn, "reflectance", "SSWIR_reflectance")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := out.AttrData("ndsi")
-	wantCells, _ := direct.AttrData("ndsi")
-	if !slices.Equal(got, wantCells) {
-		t.Fatalf("query cells %v, direct calls %v", got, wantCells)
-	}
-}
-
-// TestAFLRejectsUnissuedOperators: the text forms no pipeline query uses
-// are not part of the grammar any more — each is an unknown-operator error
-// naming the operator, never a panic — while a bare name still scans.
-func TestAFLRejectsUnissuedOperators(t *testing.T) {
-	db := NewDatabase()
-	db.Store("A", mkArray(t, "A", 8, 8, func(r, c int) float64 { return float64(r*8 + c) }))
-	for op, q := range map[string]string{
-		"scan":     "scan(A)",
-		"regrid":   "regrid(A, 2, 2, avg)",
-		"subarray": "subarray(A, 0, 0, 2, 3)",
-		"project":  "project(A, v)",
-	} {
-		if _, err := db.Query(q); err == nil || !strings.Contains(err.Error(), `unknown operator "`+op+`"`) {
-			t.Errorf("Query(%q): err = %v, want unknown operator %q", q, err, op)
-		}
-	}
-	out, err := db.Query("A")
-	if err != nil || out.Rows() != 8 || out.Cols() != 8 {
-		t.Fatalf("bare name should scan A: %v, %v", out, err)
-	}
-}
-
-func TestQueryErrors(t *testing.T) {
-	db := NewDatabase()
-	db.Store("A", mkArray(t, "A", 2, 2, func(r, c int) float64 { return 0 }))
-	for _, q := range []string{
-		"",                     // empty
-		"frobnicate(A)",        // unknown operator
-		"A extra",              // trailing input
-		"Missing",              // unknown array
-		"join(A)",              // arity
-		"apply(A, x, nope(v))", // unknown UDF
-	} {
-		if _, err := db.Query(q); err == nil {
-			t.Errorf("Query(%q) should fail", q)
-		}
-	}
-}
-
 // Property: for any array contents, regrid with (1,1) and avg is identity.
 func TestRegridIdentityProperty(t *testing.T) {
 	f := func(vals [16]float64) bool {
@@ -460,21 +251,6 @@ func BenchmarkRegridAvg(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := a.Regrid(2, 2, AggAvg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkQueryParseEval(b *testing.B) {
-	db := NewDatabase()
-	a := NewZero(Schema{Name: "A", Attrs: []string{"v"},
-		Dims: [2]Dim{{"r", 64}, {"c", 64}}})
-	db.Store("A", a)
-	db.RegisterUDF("id", func(args []float64) float64 { return args[0] })
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := db.Query("store(apply(A, w, id(v)), W)"); err != nil {
 			b.Fatal(err)
 		}
 	}

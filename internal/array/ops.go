@@ -5,81 +5,6 @@ import (
 	"math"
 )
 
-// UDF is a cell-wise user-defined function: it receives one value per input
-// attribute (in the order given at the call site) and returns the output
-// cell value. The paper's NDSI snow index is expressed as a UDF.
-type UDF func(args []float64) float64
-
-// Apply evaluates a UDF cell-wise over the named input attributes and
-// returns a new array that contains all original attributes plus the result
-// stored under newAttr, mirroring SciDB's apply() operator.
-func (a *Array) Apply(newAttr string, fn UDF, inAttrs ...string) (*Array, error) {
-	idx := make([]int, len(inAttrs))
-	for i, name := range inAttrs {
-		j := a.schema.AttrIndex(name)
-		if j < 0 {
-			return nil, fmt.Errorf("%w: %q in %s", ErrNoAttr, name, a.schema.Name)
-		}
-		idx[i] = j
-	}
-	if a.schema.AttrIndex(newAttr) >= 0 {
-		return nil, fmt.Errorf("array: attribute %q already exists in %s", newAttr, a.schema.Name)
-	}
-	out := &Array{
-		schema: Schema{
-			Name:  a.schema.Name,
-			Attrs: append(append([]string(nil), a.schema.Attrs...), newAttr),
-			Dims:  a.schema.Dims,
-		},
-		data: append(append([][]float64(nil), a.data...), nil),
-	}
-	n := a.NumCells()
-	res := make([]float64, n)
-	args := make([]float64, len(idx))
-	for c := 0; c < n; c++ {
-		empty := false
-		for i, j := range idx {
-			v := a.data[j][c]
-			if math.IsNaN(v) {
-				empty = true
-				break
-			}
-			args[i] = v
-		}
-		if empty {
-			res[c] = math.NaN()
-			continue
-		}
-		res[c] = fn(args)
-	}
-	out.data[len(out.data)-1] = res
-	return out, nil
-}
-
-// Join performs SciDB's implicit equi-join on dimensions: both arrays must
-// have identical dimension extents; the result carries the attributes of
-// both inputs. Attribute name collisions are disambiguated by prefixing the
-// right array's name ("B.reflectance" style flattened to "B_reflectance").
-func Join(a, b *Array) (*Array, error) {
-	if a.Rows() != b.Rows() || a.Cols() != b.Cols() {
-		return nil, fmt.Errorf("%w: join %s with %s", ErrShape, a.schema, b.schema)
-	}
-	attrs := append([]string(nil), a.schema.Attrs...)
-	data := append([][]float64(nil), a.data...)
-	for i, name := range b.schema.Attrs {
-		out := name
-		if a.schema.AttrIndex(name) >= 0 {
-			out = b.schema.Name + "_" + name
-		}
-		attrs = append(attrs, out)
-		data = append(data, b.data[i])
-	}
-	return &Array{
-		schema: Schema{Name: a.schema.Name, Attrs: attrs, Dims: a.schema.Dims},
-		data:   data,
-	}, nil
-}
-
 // Agg identifies a windowed aggregation function for Regrid.
 type Agg int
 
@@ -201,22 +126,6 @@ func (a *Array) Subarray(r0, c0, r1, c1 int) (*Array, error) {
 				dst[r*cols+c] = src[sr*a.Cols()+sc]
 			}
 		}
-	}
-	return out, nil
-}
-
-// Project returns a new array retaining only the named attributes.
-func (a *Array) Project(attrs ...string) (*Array, error) {
-	out := &Array{
-		schema: Schema{Name: a.schema.Name, Dims: a.schema.Dims},
-	}
-	for _, name := range attrs {
-		i := a.schema.AttrIndex(name)
-		if i < 0 {
-			return nil, fmt.Errorf("%w: %q in %s", ErrNoAttr, name, a.schema.Name)
-		}
-		out.schema.Attrs = append(out.schema.Attrs, name)
-		out.data = append(out.data, a.data[i])
 	}
 	return out, nil
 }

@@ -56,7 +56,7 @@ func (h *Harness) RegistryEngineSetup(specs []recommend.Spec) EngineSetup {
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		cls, err := h.classifier(f)
+		cls, err := h.classifier(f, nil)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -64,15 +64,16 @@ func (h *Harness) RegistryEngineSetup(specs []recommend.Spec) EngineSetup {
 	}
 }
 
-// classifier returns the fold's phase classifier, trained once per harness:
-// every multi-model experiment would otherwise refit the identical
+// classifier returns the fold's phase classifier on a feature subset (nil =
+// all six). The all-six one is trained once per harness: table1's last row
+// and every multi-model experiment would otherwise refit the identical
 // leave-one-user-out SVM, which was most of `bench all`'s wall time.
-func (h *Harness) classifier(f fold) (*phase.Classifier, error) {
-	if cls, ok := h.classifiers[f.user]; ok {
+func (h *Harness) classifier(f fold, features []int) (*phase.Classifier, error) {
+	if cls, ok := h.classifiers[f.user]; ok && features == nil {
 		return cls, nil
 	}
-	cls, err := phase.Train(h.sampleRequests(f.train), phase.TrainConfig{})
-	if err == nil {
+	cls, err := phase.Train(h.sampleRequests(f.train), phase.TrainConfig{Features: features})
+	if err == nil && features == nil {
 		h.classifiers[f.user] = cls
 	}
 	return cls, err

@@ -396,7 +396,7 @@ func (h *Harness) EvalPhaseLOO(features []int, label string) (PhaseResult, error
 	h.withDefaults()
 	res := PhaseResult{Features: features, Label: label}
 	for _, fold := range h.folds() {
-		cls, err := phase.Train(h.sampleRequests(fold.train), phase.TrainConfig{Features: features})
+		cls, err := h.classifier(fold, features)
 		if err != nil {
 			return res, err
 		}

@@ -28,8 +28,7 @@ var (
 // eval tests: 256-cell raw grid, 5 zoom levels, full signatures, 54 traces.
 func fixture(t testing.TB) (*tile.Pyramid, []*trace.Trace) {
 	fixOnce.Do(func() {
-		db := array.NewDatabase()
-		ndsi, err := modis.BuildWorld(db, 42, 256)
+		ndsi, err := modis.BuildWorld(42, 256)
 		if err != nil {
 			t.Fatalf("BuildWorld: %v", err)
 		}

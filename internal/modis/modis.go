@@ -1,6 +1,6 @@
 // Package modis synthesizes a NASA-MODIS-like satellite imagery dataset and
-// computes the NDSI snow index through the array engine, standing in for the
-// 10 TB MODIS archive used in the paper's user study.
+// computes the NDSI snow index over it, standing in for the 10 TB MODIS
+// archive used in the paper's user study.
 //
 // The paper's experiments depend on two properties of the data, both of
 // which the generator reproduces:
@@ -15,8 +15,8 @@
 //
 // The raw data is produced as two reflectance arrays, SVIS (visible light)
 // and SSWIR (short-wave infrared), exactly the two MODIS bands the NDSI
-// needs. NDSI = (VIS − SWIR) / (VIS + SWIR), computed cell-wise by a UDF
-// through the paper's Query 1. Like the study dataset, the result carries
+// needs. NDSI = (VIS − SWIR) / (VIS + SWIR), computed cell-wise as the
+// paper's Query 1 does in SciDB. Like the study dataset, the result carries
 // four attributes: average, minimum, and maximum NDSI over the simulated
 // one-week window, plus a land/sea mask.
 package modis
@@ -238,22 +238,9 @@ func (cfg Config) snowCover(pr, pc, elev float64, daySeed int64) float64 {
 	return clamp01(s)
 }
 
-// LoadInto stores the raw band arrays and mask into the database under the
-// names the paper's pipeline expects (SVIS_day<i>, SSWIR_day<i>, MASK) and
-// registers the ndsi_func UDF.
-func (d *Dataset) LoadInto(db *array.Database) {
-	for i := range d.VIS {
-		db.Store(fmt.Sprintf("SVIS_day%d", i), d.VIS[i])
-		db.Store(fmt.Sprintf("SSWIR_day%d", i), d.SWIR[i])
-	}
-	db.Store("MASK", d.Mask)
-	db.RegisterUDF("ndsi_func", NDSIFunc)
-}
-
-// NDSIFunc is the Normalized Difference Snow Index UDF:
+// NDSI is the Normalized Difference Snow Index:
 // (visible − short-wave infrared) / (visible + short-wave infrared).
-func NDSIFunc(args []float64) float64 {
-	vis, swir := args[0], args[1]
+func NDSI(vis, swir float64) float64 {
 	den := vis + swir
 	if den == 0 {
 		return 0
@@ -261,37 +248,38 @@ func NDSIFunc(args []float64) float64 {
 	return (vis - swir) / den
 }
 
-// BuildNDSI runs the paper's Query 1 once per simulated day and folds the
-// per-day NDSI values into a single array with the study dataset's four
-// attributes: ndsi_avg, ndsi_min, ndsi_max and mask. The result is stored
-// in the database as "NDSI" and returned.
-func BuildNDSI(db *array.Database, days int) (*array.Array, error) {
-	if days <= 0 {
-		return nil, fmt.Errorf("modis: days must be positive, got %d", days)
+// BuildNDSI computes the paper's Query 1 once per simulated day,
+//
+//	store(apply(join(SVIS_day<d>, SSWIR_day<d>), ndsi,
+//	      ndsi_func(SVIS_day<d>.reflectance, SSWIR_day<d>.reflectance)), NDSI_day<d>)
+//
+// and folds the per-day values into one array with the study dataset's four
+// attributes: ndsi_avg, ndsi_min, ndsi_max and mask. As in SciDB's apply, a
+// NaN (empty) band cell yields an empty NDSI cell, which the fold skips; a
+// cell empty on every day is NaN in all three aggregates.
+func BuildNDSI(ds *Dataset) (*array.Array, error) {
+	days := len(ds.VIS)
+	if days == 0 || len(ds.SWIR) != days || ds.Mask == nil {
+		return nil, fmt.Errorf("modis: NDSI needs a mask and VIS and SWIR bands for ≥ 1 day, got %d VIS / %d SWIR days", days, len(ds.SWIR))
 	}
-	var daily []*array.Array
-	for day := 0; day < days; day++ {
-		// Query 1 from the paper, per day window.
-		q := fmt.Sprintf(
-			"store(apply(join(SVIS_day%d, SSWIR_day%d), ndsi, ndsi_func(SVIS_day%d.reflectance, SSWIR_day%d.reflectance)), NDSI_day%d)",
-			day, day, day, day, day)
-		out, err := db.Query(q)
-		if err != nil {
-			return nil, fmt.Errorf("modis: day %d NDSI: %w", day, err)
-		}
-		proj, err := out.Project("ndsi")
-		if err != nil {
-			return nil, err
-		}
-		daily = append(daily, proj)
-	}
-	mask, err := db.Get("MASK")
+	n0, n1 := ds.Mask.Rows(), ds.Mask.Cols()
+	srcMask, err := ds.Mask.AttrData("mask")
 	if err != nil {
 		return nil, err
 	}
-
-	n0 := daily[0].Rows()
-	n1 := daily[0].Cols()
+	vis := make([][]float64, days)
+	swir := make([][]float64, days)
+	for d := range days {
+		if ds.VIS[d].Rows() != n0 || ds.VIS[d].Cols() != n1 || ds.SWIR[d].Rows() != n0 || ds.SWIR[d].Cols() != n1 {
+			return nil, fmt.Errorf("modis: day %d shape mismatch", d)
+		}
+		if vis[d], err = ds.VIS[d].AttrData("reflectance"); err != nil {
+			return nil, err
+		}
+		if swir[d], err = ds.SWIR[d].AttrData("reflectance"); err != nil {
+			return nil, err
+		}
+	}
 	result := array.NewZero(array.Schema{
 		Name:  "NDSI",
 		Attrs: []string{"ndsi_avg", "ndsi_min", "ndsi_max", "mask"},
@@ -304,25 +292,11 @@ func BuildNDSI(db *array.Database, days int) (*array.Array, error) {
 	mn, _ := result.AttrData("ndsi_min")
 	mx, _ := result.AttrData("ndsi_max")
 	outMask, _ := result.AttrData("mask")
-	srcMask, err := mask.AttrData("mask")
-	if err != nil {
-		return nil, err
-	}
-	cells := n0 * n1
-	dayData := make([][]float64, len(daily))
-	for i, d := range daily {
-		if d.Rows() != n0 || d.Cols() != n1 {
-			return nil, fmt.Errorf("modis: day %d shape mismatch", i)
-		}
-		if dayData[i], err = d.AttrData("ndsi"); err != nil {
-			return nil, err
-		}
-	}
-	for c := 0; c < cells; c++ {
+	for c := range n0 * n1 {
 		lo, hi, sum := math.Inf(1), math.Inf(-1), 0.0
 		cnt := 0
-		for _, dd := range dayData {
-			v := dd[c]
+		for d := range days {
+			v := NDSI(vis[d][c], swir[d][c]) // NaN in, NaN out
 			if math.IsNaN(v) {
 				continue
 			}
@@ -342,24 +316,18 @@ func BuildNDSI(db *array.Database, days int) (*array.Array, error) {
 		}
 		outMask[c] = srcMask[c]
 	}
-	db.Store("NDSI", result)
-	// Free the per-day intermediates like the paper's pipeline would.
-	for day := range daily {
-		db.Remove(fmt.Sprintf("NDSI_day%d", day))
-	}
-	return db.Get("NDSI")
+	return result, nil
 }
 
 // BuildWorld is the one-call convenience used by examples and experiments:
-// it generates the dataset, loads it, and materializes the NDSI array.
-func BuildWorld(db *array.Database, seed int64, size int) (*array.Array, error) {
-	cfg := DefaultConfig(seed, size)
-	ds, err := Generate(cfg)
+// it generates the dataset and materializes the NDSI array. The raw bands
+// are garbage once it returns.
+func BuildWorld(seed int64, size int) (*array.Array, error) {
+	ds, err := Generate(DefaultConfig(seed, size))
 	if err != nil {
 		return nil, err
 	}
-	ds.LoadInto(db)
-	return BuildNDSI(db, cfg.Days)
+	return BuildNDSI(ds)
 }
 
 // StudyRegions exposes the three task regions (normalized bounding boxes)

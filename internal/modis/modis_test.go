@@ -1,7 +1,10 @@
 package modis
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -73,8 +76,7 @@ func TestReflectanceInRange(t *testing.T) {
 }
 
 func TestBuildNDSIShapeAndAttrs(t *testing.T) {
-	db := array.NewDatabase()
-	ndsi, err := BuildWorld(db, 5, 64)
+	ndsi, err := BuildWorld(5, 64)
 	if err != nil {
 		t.Fatalf("BuildWorld: %v", err)
 	}
@@ -94,8 +96,7 @@ func TestBuildNDSIShapeAndAttrs(t *testing.T) {
 }
 
 func TestNDSIBoundsAndOrdering(t *testing.T) {
-	db := array.NewDatabase()
-	ndsi, err := BuildWorld(db, 11, 96)
+	ndsi, err := BuildWorld(11, 96)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,9 +117,8 @@ func TestNDSIBoundsAndOrdering(t *testing.T) {
 }
 
 func TestMountainRangesAreSnowy(t *testing.T) {
-	db := array.NewDatabase()
 	size := 128
-	ndsi, err := BuildWorld(db, 3, size)
+	ndsi, err := BuildWorld(3, size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,9 +157,8 @@ func TestMountainRangesAreSnowy(t *testing.T) {
 }
 
 func TestOceanHasNegativeNDSIAndMaskZero(t *testing.T) {
-	db := array.NewDatabase()
 	size := 96
-	ndsi, err := BuildWorld(db, 9, size)
+	ndsi, err := BuildWorld(9, size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,30 +182,111 @@ func TestOceanHasNegativeNDSIAndMaskZero(t *testing.T) {
 }
 
 func TestBuildNDSIRejectsBadDays(t *testing.T) {
-	db := array.NewDatabase()
-	if _, err := BuildNDSI(db, 0); err == nil {
-		t.Error("BuildNDSI(0 days) should fail")
+	if _, err := BuildNDSI(&Dataset{}); err == nil {
+		t.Error("BuildNDSI on a dataset with no days should fail")
+	}
+}
+
+// TestBuildNDSIMatchesQuery1 holds BuildNDSI to what Query 1 plus the fold
+// meant when they ran through the array engine: apply's empty-in,
+// empty-out rule per day, then avg/min/max over the days that have a value.
+func TestBuildNDSIMatchesQuery1(t *testing.T) {
+	nan := math.NaN()
+	grid := func(attr string, vals ...float64) *array.Array {
+		a := array.NewZero(array.Schema{Name: attr, Attrs: []string{attr},
+			Dims: [2]array.Dim{{Name: "latitude", Size: 2}, {Name: "longitude", Size: 2}}})
+		data, _ := a.AttrData(attr)
+		copy(data, vals)
+		return a
+	}
+	ds := &Dataset{
+		// Cell 1 has no VIS on day 0; cell 3 has no SWIR on day 0 and no
+		// VIS on day 1, so no day at all.
+		VIS:  []*array.Array{grid("reflectance", 0.8, nan, 0.3, 0.4), grid("reflectance", 0.6, 0.5, 0.1, nan)},
+		SWIR: []*array.Array{grid("reflectance", 0.1, 0.2, 0.3, nan), grid("reflectance", 0.2, 0.5, 0.7, 0.1)},
+		Mask: grid("mask", 1, 0, 1, 0),
+	}
+	got, err := BuildNDSI(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	days := [][]float64{
+		{NDSI(0.8, 0.1), NDSI(0.6, 0.2)},
+		{NDSI(0.5, 0.5)},
+		{NDSI(0.3, 0.3), NDSI(0.1, 0.7)},
+		nil,
+	}
+	avg, _ := got.AttrData("ndsi_avg")
+	mn, _ := got.AttrData("ndsi_min")
+	mx, _ := got.AttrData("ndsi_max")
+	mask, _ := got.AttrData("mask")
+	same := func(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
+	for c, vs := range days {
+		wantAvg, wantMin, wantMax := nan, nan, nan
+		if len(vs) > 0 {
+			sum := 0.0
+			for _, v := range vs {
+				sum += v
+			}
+			wantAvg, wantMin, wantMax = sum/float64(len(vs)), slices.Min(vs), slices.Max(vs)
+		}
+		if !same(avg[c], wantAvg) || !same(mn[c], wantMin) || !same(mx[c], wantMax) {
+			t.Errorf("cell %d: avg/min/max = %v/%v/%v, want %v/%v/%v", c, avg[c], mn[c], mx[c], wantAvg, wantMin, wantMax)
+		}
+	}
+	if !slices.Equal(mask, []float64{1, 0, 1, 0}) {
+		t.Errorf("mask = %v, want it copied", mask)
+	}
+}
+
+// TestBuildWorldDigest pins every cell of the NDSI worlds the golden
+// (seed 42, 128) and the benchmark (seed 7, 512) are built on, to the bit:
+// the golden prints rounded accuracies, so an ulp of drift could pass it.
+// The constants were recorded with the array-engine pipeline before it was
+// replaced by BuildNDSI.
+func TestBuildWorldDigest(t *testing.T) {
+	for _, w := range []struct {
+		seed int64
+		size int
+		want uint64
+	}{{42, 128, 0xcdae5f169b2da977}, {7, 512, 0x590c1222f47000f4}} {
+		ndsi, err := BuildWorld(w.seed, w.size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		var b [8]byte
+		for _, attr := range []string{"ndsi_avg", "ndsi_min", "ndsi_max", "mask"} {
+			data, _ := ndsi.AttrData(attr)
+			for _, v := range data {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+				h.Write(b[:])
+			}
+		}
+		if got := h.Sum64(); got != w.want {
+			t.Errorf("BuildWorld(%d, %d) digest = %#x, want %#x", w.seed, w.size, got, w.want)
+		}
 	}
 }
 
 func TestNDSIFuncProperties(t *testing.T) {
-	if got := NDSIFunc([]float64{0, 0}); got != 0 {
+	if got := NDSI(0, 0); got != 0 {
 		t.Errorf("NDSI(0,0) = %v, want 0 (guarded division)", got)
 	}
 	f := func(vis, swir float64) bool {
 		vis, swir = math.Abs(vis), math.Abs(swir)
 		if vis+swir == 0 {
-			return NDSIFunc([]float64{vis, swir}) == 0
+			return NDSI(vis, swir) == 0
 		}
-		v := NDSIFunc([]float64{vis, swir})
+		v := NDSI(vis, swir)
 		return v >= -1-1e-9 && v <= 1+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 	// Snowy pixel (bright VIS, dark SWIR) must score higher than bare rock.
-	snow := NDSIFunc([]float64{0.8, 0.05})
-	rock := NDSIFunc([]float64{0.2, 0.5})
+	snow := NDSI(0.8, 0.05)
+	rock := NDSI(0.2, 0.5)
 	if snow <= rock {
 		t.Errorf("snow NDSI %v should exceed rock %v", snow, rock)
 	}

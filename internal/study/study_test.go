@@ -19,8 +19,7 @@ var (
 func worldPyramid(t *testing.T) *tile.Pyramid {
 	t.Helper()
 	pyrOnce.Do(func() {
-		db := array.NewDatabase()
-		ndsi, err := modis.BuildWorld(db, 42, 256)
+		ndsi, err := modis.BuildWorld(42, 256)
 		if err != nil {
 			t.Fatalf("BuildWorld: %v", err)
 		}
@@ -219,8 +218,7 @@ func TestSummarizeString(t *testing.T) {
 }
 
 func BenchmarkRunStudy(b *testing.B) {
-	db := array.NewDatabase()
-	ndsi, err := modis.BuildWorld(db, 42, 128)
+	ndsi, err := modis.BuildWorld(42, 128)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func diffTiles(a, b *Tile) error {
 // survives EncodeJSON → DecodeJSON bit for bit, through the single-pass
 // parser and not its fallback.
 func TestDecodeJSONRoundTripsPyramid(t *testing.T) {
-	ndsi, err := modis.BuildWorld(array.NewDatabase(), 3, 64)
+	ndsi, err := modis.BuildWorld(3, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
