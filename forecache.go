@@ -66,10 +66,10 @@ type (
 	AdaptivePolicy = core.AdaptivePolicy
 )
 
-// Dataset bundles a built world: the NDSI array, the tile pyramid with
-// signatures, and the signature computer.
+// Dataset bundles a built world: the tile pyramid with signatures and the
+// signature computer. The array the pyramid was built from is not kept; the
+// tiles hold every cell.
 type Dataset struct {
-	NDSI       *array.Array
 	Pyramid    *tile.Pyramid
 	Signatures *sig.Computer
 	Attr       string
@@ -120,7 +120,9 @@ func BuildWorld(cfg WorldConfig) (*Dataset, error) {
 // BuildPyramid wraps any 2-D array into a signed tile pyramid: the route
 // for non-MODIS datasets (e.g. the time-series example). sigCfg.Attr names
 // the attribute the signatures describe, and the Dataset's Attr is set from
-// it. codebookTiles <= 0 means the default, 80.
+// it. codebookTiles <= 0 means the default, 80. The Dataset does not retain
+// a: the tiles copy its cells out, so it can be collected once the caller
+// drops it.
 func BuildPyramid(a *array.Array, tileSize int, sigCfg sig.Config, codebookTiles int) (*Dataset, error) {
 	if codebookTiles <= 0 {
 		codebookTiles = defaultCodebookTiles
@@ -132,7 +134,7 @@ func BuildPyramid(a *array.Array, tileSize int, sigCfg sig.Config, codebookTiles
 	comp := sig.NewComputer(sigCfg)
 	comp.TrainCodebook(pyr.SampleTiles(codebookTiles))
 	pyr.ComputeMetadata(comp.Compute)
-	return &Dataset{NDSI: a, Pyramid: pyr, Signatures: comp, Attr: sigCfg.Attr}, nil
+	return &Dataset{Pyramid: pyr, Signatures: comp, Attr: sigCfg.Attr}, nil
 }
 
 // SimulateStudy reproduces the paper's 18-user, 3-task study over this

@@ -62,9 +62,24 @@ func TestBuildWorldPipeline(t *testing.T) {
 	if len(traces) != 54 {
 		t.Errorf("study traces = %d, want 54", len(traces))
 	}
-	// The NDSI array the pyramid was built from stays on the Dataset.
-	if ds.NDSI == nil || ds.NDSI.Rows() != 256 || ds.NDSI.Schema().AttrIndex("ndsi_avg") < 0 {
-		t.Errorf("Dataset.NDSI = %v, want the 256x256 NDSI array", ds.NDSI)
+	// The 256x256 NDSI array lives on only as tiles: 1+4+...+256 of them,
+	// and the 16x16 base tiles carry its ndsi_avg cells.
+	if got := ds.Pyramid.NumTiles(); got != 341 {
+		t.Errorf("tiles = %d, want 341", got)
+	}
+	baseCells := 0
+	ds.Pyramid.EachTile(func(tl *Tile) bool {
+		if tl.Coord.Level == ds.Pyramid.NumLevels()-1 {
+			g, err := tl.Grid("ndsi_avg")
+			if err != nil {
+				t.Fatal(err)
+			}
+			baseCells += len(g)
+		}
+		return true
+	})
+	if baseCells != 256*256 {
+		t.Errorf("base tiles hold %d ndsi_avg cells, want %d", baseCells, 256*256)
 	}
 }
 

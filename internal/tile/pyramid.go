@@ -2,7 +2,6 @@ package tile
 
 import (
 	"fmt"
-	"sync"
 
 	"forecache/internal/array"
 )
@@ -26,21 +25,22 @@ type MetadataFunc func(*Tile) map[string][]float64
 
 // Pyramid is the complete set of zoom levels for one dataset, with every
 // data tile materialized (the paper builds all tiles in advance and stores
-// them in SciDB; we keep the level arrays plus a tile map).
+// them in SciDB). It holds the tiles and nothing else: each cell once, in
+// its tile. The pyramid is immutable once built, so reads take no lock.
 type Pyramid struct {
 	params Params
 	attrs  []string
-	levels []*array.Array // levels[0] is the coarsest (one tile)
-
-	mu    sync.RWMutex
-	tiles map[Coord]*Tile
+	levels int
+	tiles  []*Tile // EachTile order; see index
 }
 
 // Build constructs a pyramid over the raw array. The raw data becomes the
 // most detailed zoom level (no aggregation, paper §2.3); each coarser level
-// is a separate materialized view built by aggregating 2x2 windows. The
-// raw array is padded with empty cells to the next power-of-two multiple of
-// TileSize so every level tiles exactly.
+// is a materialized view built by aggregating 2x2 windows. The raw array is
+// padded with empty cells to the next power-of-two multiple of TileSize so
+// every level tiles exactly. The views, the raw array among them, are
+// build-time only: every tile copies its cells out, and the pyramid keeps
+// none of them.
 func Build(raw *array.Array, p Params) (*Pyramid, error) {
 	if p.TileSize <= 0 {
 		return nil, fmt.Errorf("tile: TileSize must be positive, got %d", p.TileSize)
@@ -58,56 +58,60 @@ func Build(raw *array.Array, p Params) (*Pyramid, error) {
 		levels++
 	}
 	target := p.TileSize << (levels - 1)
-	base := raw
+	views := make([]*array.Array, levels) // views[0] is the coarsest (one tile)
+	views[levels-1] = raw
 	if raw.Rows() != target || raw.Cols() != target {
 		padded, err := raw.Subarray(0, 0, target, target)
 		if err != nil {
 			return nil, fmt.Errorf("tile: pad raw to %d: %w", target, err)
 		}
-		base = padded
+		views[levels-1] = padded
+	}
+	// Materialized views are computed bottom-up, doubling the aggregation
+	// interval at each coarser level (paper §2.3).
+	for l := levels - 2; l >= 0; l-- {
+		coarser, err := views[l+1].Regrid(2, 2, p.Agg)
+		if err != nil {
+			return nil, fmt.Errorf("tile: build level %d: %w", l, err)
+		}
+		views[l] = coarser
 	}
 
 	pyr := &Pyramid{
 		params: p,
 		attrs:  append([]string(nil), raw.Schema().Attrs...),
-		levels: make([]*array.Array, levels),
-		tiles:  make(map[Coord]*Tile),
-	}
-	pyr.levels[levels-1] = base
-	// Materialized views are computed bottom-up, doubling the aggregation
-	// interval at each coarser level (paper §2.3).
-	for l := levels - 2; l >= 0; l-- {
-		coarser, err := pyr.levels[l+1].Regrid(2, 2, p.Agg)
-		if err != nil {
-			return nil, fmt.Errorf("tile: build level %d: %w", l, err)
-		}
-		pyr.levels[l] = coarser
+		levels: levels,
+		tiles:  make([]*Tile, 0, index(Coord{Level: levels})), // every level's tiles
 	}
 	// Partition every level into tiles and compute metadata.
-	for l := 0; l < levels; l++ {
+	for l, view := range views {
 		side := 1 << l
 		for y := 0; y < side; y++ {
 			for x := 0; x < side; x++ {
-				c := Coord{Level: l, Y: y, X: x}
-				t, err := pyr.cut(c)
+				t, err := pyr.cut(view, Coord{Level: l, Y: y, X: x})
 				if err != nil {
 					return nil, err
 				}
 				if p.Metadata != nil {
 					t.Signatures = p.Metadata(t)
 				}
-				pyr.tiles[c] = t
+				pyr.tiles = append(pyr.tiles, t)
 			}
 		}
 	}
 	return pyr, nil
 }
 
-// cut extracts the tile at c from its level's materialized view.
-func (p *Pyramid) cut(c Coord) (*Tile, error) {
-	level := p.levels[c.Level]
+// index places c in Pyramid.tiles: after the (4^l - 1) / 3 tiles of the
+// coarser levels, row-major within its own level.
+func index(c Coord) int {
+	return (1<<(2*c.Level)-1)/3 + c.Y<<c.Level + c.X
+}
+
+// cut copies the tile at c out of its level's materialized view.
+func (p *Pyramid) cut(view *array.Array, c Coord) (*Tile, error) {
 	ts := p.params.TileSize
-	sub, err := level.Subarray(c.Y*ts, c.X*ts, (c.Y+1)*ts, (c.X+1)*ts)
+	sub, err := view.Subarray(c.Y*ts, c.X*ts, (c.Y+1)*ts, (c.X+1)*ts)
 	if err != nil {
 		return nil, fmt.Errorf("tile: cut %s: %w", c, err)
 	}
@@ -123,7 +127,7 @@ func (p *Pyramid) cut(c Coord) (*Tile, error) {
 }
 
 // NumLevels returns the number of zoom levels.
-func (p *Pyramid) NumLevels() int { return len(p.levels) }
+func (p *Pyramid) NumLevels() int { return p.levels }
 
 // TileSize returns the per-side cell count of every tile.
 func (p *Pyramid) TileSize() int { return p.params.TileSize }
@@ -135,15 +139,11 @@ func (p *Pyramid) Attrs() []string { return append([]string(nil), p.attrs...) }
 func (p *Pyramid) Side(level int) int { return 1 << level }
 
 // NumTiles returns the total number of materialized tiles.
-func (p *Pyramid) NumTiles() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return len(p.tiles)
-}
+func (p *Pyramid) NumTiles() int { return len(p.tiles) }
 
 // Contains reports whether c addresses a tile inside the pyramid.
 func (p *Pyramid) Contains(c Coord) bool {
-	if c.Level < 0 || c.Level >= len(p.levels) {
+	if c.Level < 0 || c.Level >= p.levels {
 		return false
 	}
 	side := p.Side(c.Level)
@@ -153,43 +153,17 @@ func (p *Pyramid) Contains(c Coord) bool {
 // Tile returns the materialized tile at c.
 func (p *Pyramid) Tile(c Coord) (*Tile, error) {
 	if !p.Contains(c) {
-		return nil, fmt.Errorf("tile: %s outside pyramid (%d levels)", c, len(p.levels))
+		return nil, fmt.Errorf("tile: %s outside pyramid (%d levels)", c, p.levels)
 	}
-	p.mu.RLock()
-	t := p.tiles[c]
-	p.mu.RUnlock()
-	if t == nil {
-		return nil, fmt.Errorf("tile: %s not materialized", c)
-	}
-	return t, nil
-}
-
-// Level exposes the materialized view array for a zoom level (coarsest = 0),
-// mainly for inspection and tests.
-func (p *Pyramid) Level(l int) (*array.Array, error) {
-	if l < 0 || l >= len(p.levels) {
-		return nil, fmt.Errorf("tile: level %d outside [0,%d)", l, len(p.levels))
-	}
-	return p.levels[l], nil
+	return p.tiles[index(c)], nil
 }
 
 // EachTile calls fn for every materialized tile in deterministic order
 // (level, then row-major), stopping early if fn returns false.
 func (p *Pyramid) EachTile(fn func(*Tile) bool) {
-	for l := 0; l < len(p.levels); l++ {
-		side := p.Side(l)
-		for y := 0; y < side; y++ {
-			for x := 0; x < side; x++ {
-				p.mu.RLock()
-				t := p.tiles[Coord{Level: l, Y: y, X: x}]
-				p.mu.RUnlock()
-				if t == nil {
-					continue
-				}
-				if !fn(t) {
-					return
-				}
-			}
+	for _, t := range p.tiles {
+		if !fn(t) {
+			return
 		}
 	}
 }
@@ -197,20 +171,18 @@ func (p *Pyramid) EachTile(fn func(*Tile) bool) {
 // MemBytes estimates the heap footprint of all materialized tiles.
 func (p *Pyramid) MemBytes() int {
 	total := 0
-	p.EachTile(func(t *Tile) bool {
+	for _, t := range p.tiles {
 		total += t.Bytes()
-		return true
-	})
+	}
 	return total
 }
 
 // ComputeMetadata (re)computes every tile's signature metadata with fn.
 // It exists for two-pass pipelines where the metadata computer itself must
 // first be trained on the pyramid's tiles (e.g. the SIFT visual-word
-// codebook) before signatures can be attached.
+// codebook) before signatures can be attached. It is a build step: run it
+// before the pyramid is shared, as nothing guards the tiles it writes.
 func (p *Pyramid) ComputeMetadata(fn MetadataFunc) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	for _, t := range p.tiles {
 		t.Signatures = fn(t)
 	}
@@ -222,19 +194,10 @@ func (p *Pyramid) SampleTiles(n int) []*Tile {
 	if n <= 0 {
 		return nil
 	}
-	total := p.NumTiles()
-	stride := total / n
-	if stride < 1 {
-		stride = 1
-	}
+	stride := max(len(p.tiles)/n, 1)
 	var out []*Tile
-	i := 0
-	p.EachTile(func(t *Tile) bool {
-		if i%stride == 0 && len(out) < n {
-			out = append(out, t)
-		}
-		i++
-		return len(out) < n
-	})
+	for i := 0; i < len(p.tiles) && len(out) < n; i += stride {
+		out = append(out, p.tiles[i])
+	}
 	return out
 }

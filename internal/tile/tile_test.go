@@ -3,8 +3,11 @@ package tile
 import (
 	"encoding/json"
 	"math"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
+	"weak"
 
 	"forecache/internal/array"
 )
@@ -105,6 +108,48 @@ func TestBuildLevelsAndTileCounts(t *testing.T) {
 	}
 }
 
+// fourAttrArray is an unpadded size x size raw array with four attributes,
+// the shape of the NDSI world.
+func fourAttrArray(size int) *array.Array {
+	a := array.NewZero(array.Schema{
+		Name:  "RAW",
+		Attrs: []string{"a", "b", "c", "d"},
+		Dims:  [2]array.Dim{{Name: "lat", Size: size}, {Name: "lon", Size: size}},
+	})
+	for _, attr := range a.Schema().Attrs {
+		data, _ := a.AttrData(attr)
+		for i := range data {
+			data[i] = float64(i % 251)
+		}
+	}
+	return a
+}
+
+func TestBuildRetainsOnlyTiles(t *testing.T) {
+	// The raw array is the base level as is, so it outlives Build only if
+	// the pyramid keeps a level view; the retained heap is then the tiles.
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	raw := fourAttrArray(256)
+	ref := weak.Make(raw)
+	pyr, err := Build(raw, Params{TileSize: 16, Agg: array.AggAvg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw = nil
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if ref.Value() != nil {
+		t.Error("the raw array is still reachable after Build")
+	}
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if limit := int64(pyr.MemBytes()) * 5 / 4; retained > limit {
+		t.Errorf("Build retained %d bytes, want <= %d (1.25 x %d bytes of tiles)", retained, limit, pyr.MemBytes())
+	}
+	runtime.KeepAlive(pyr)
+}
+
 func TestBuildPadsNonPow2(t *testing.T) {
 	pyr, err := Build(rawArray(t, 48), Params{TileSize: 16, Agg: array.AggAvg})
 	if err != nil {
@@ -153,28 +198,44 @@ func TestEveryTileSameSize(t *testing.T) {
 }
 
 func TestAggregationConsistencyAcrossLevels(t *testing.T) {
-	// A parent cell must equal the average of its four children (AggAvg,
-	// no NaN in this raw array).
+	// Every cell of every non-base level must equal the average of the 2x2
+	// block under it in the child tile (AggAvg, no NaN in this raw array).
 	pyr, err := Build(rawArray(t, 32), Params{TileSize: 8, Agg: array.AggAvg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parentLevel, _ := pyr.Level(1)
-	childLevel, _ := pyr.Level(2)
-	for r := 0; r < parentLevel.Rows(); r++ {
-		for c := 0; c < parentLevel.Cols(); c++ {
-			pv, _ := parentLevel.Get("v", r, c)
-			sum := 0.0
-			for dr := 0; dr < 2; dr++ {
-				for dc := 0; dc < 2; dc++ {
-					cv, _ := childLevel.Get("v", 2*r+dr, 2*c+dc)
-					sum += cv
+	ts := pyr.TileSize()
+	checked := 0
+	pyr.EachTile(func(parent *Tile) bool {
+		if parent.Coord.Level == pyr.NumLevels()-1 {
+			return true
+		}
+		for r := 0; r < ts; r++ {
+			for c := 0; c < ts; c++ {
+				// The cell's 2x2 block, in the next level's global cell grid.
+				gr, gc := 2*(parent.Coord.Y*ts+r), 2*(parent.Coord.X*ts+c)
+				child, err := pyr.Tile(Coord{Level: parent.Coord.Level + 1, Y: gr / ts, X: gc / ts})
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if math.Abs(pv-sum/4) > 1e-9 {
-				t.Fatalf("parent (%d,%d)=%v, children avg %v", r, c, pv, sum/4)
+				pv, _ := parent.At("v", r, c)
+				sum := 0.0
+				for dr := 0; dr < 2; dr++ {
+					for dc := 0; dc < 2; dc++ {
+						cv, _ := child.At("v", gr%ts+dr, gc%ts+dc)
+						sum += cv
+					}
+				}
+				if math.Abs(pv-sum/4) > 1e-9 {
+					t.Fatalf("%s cell (%d,%d)=%v, children avg %v", parent.Coord, r, c, pv, sum/4)
+				}
+				checked++
 			}
 		}
+		return true
+	})
+	if want := (1 + 4) * ts * ts; checked != want {
+		t.Errorf("checked %d parent cells, want %d (levels 0 and 1)", checked, want)
 	}
 }
 
@@ -218,17 +279,76 @@ func TestContains(t *testing.T) {
 		{Coord{0, 0, 0}, true},
 		{Coord{2, 3, 3}, true},
 		{Coord{2, 4, 0}, false},
+		{Coord{2, 0, 4}, false},
+		{Coord{1, 2, 2}, false},
 		{Coord{-1, 0, 0}, false},
 		{Coord{3, 0, 0}, false},
+		{Coord{9, 0, 0}, false},
 		{Coord{1, -1, 0}, false},
+		{Coord{1, 0, -1}, false},
 	}
 	for _, tc := range cases {
 		if got := pyr.Contains(tc.c); got != tc.want {
 			t.Errorf("Contains(%v) = %v, want %v", tc.c, got, tc.want)
 		}
+		tl, err := pyr.Tile(tc.c)
+		switch {
+		case tc.want && (err != nil || tl.Coord != tc.c):
+			t.Errorf("Tile(%v) = %v, %v; want the tile at %v", tc.c, tl, err, tc.c)
+		case !tc.want && err == nil:
+			t.Errorf("Tile(%v) outside the pyramid should fail", tc.c)
+		}
 	}
-	if _, err := pyr.Tile(Coord{Level: 9, Y: 0, X: 0}); err == nil {
-		t.Error("Tile outside pyramid should fail")
+}
+
+// signedPyramid is a pyramid whose tiles carry a "mean" signature.
+func signedPyramid(t *testing.T) *Pyramid {
+	t.Helper()
+	pyr, err := Build(rawArray(t, 64), Params{TileSize: 8, Agg: array.AggAvg, Metadata: func(tl *Tile) map[string][]float64 {
+		mean, _, _, _, _, _ := tl.Stats("v")
+		return map[string][]float64{"mean": {mean}}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pyr
+}
+
+func TestPyramidConcurrentReaders(t *testing.T) {
+	// Reads take no lock; under -race this pins that none needs one.
+	pyr := signedPyramid(t)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			seen := 0
+			pyr.EachTile(func(tl *Tile) bool {
+				got, err := pyr.Tile(tl.Coord)
+				if err != nil || got != tl || !pyr.Contains(tl.Coord) || len(got.Signatures["mean"]) != 1 {
+					t.Errorf("Tile(%v) = %p, %v; EachTile gave %p with signatures %v", tl.Coord, got, err, tl, tl.Signatures)
+					return false
+				}
+				seen++
+				return true
+			})
+			if seen != pyr.NumTiles() {
+				t.Errorf("EachTile visited %d of %d tiles", seen, pyr.NumTiles())
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+func TestPyramidTileNoAllocs(t *testing.T) {
+	pyr := signedPyramid(t)
+	c := Coord{Level: 2, Y: 1, X: 3}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := pyr.Tile(c); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Tile allocates %v times per call, want 0", allocs)
 	}
 }
 
