@@ -210,7 +210,7 @@ func TestKnobBudget(t *testing.T) {
 // counts it: find . -name '*.go' -not -name '*_test.go' -not -path
 // './benchmark/*' | xargs cat | wc -l.
 func TestLineBudget(t *testing.T) {
-	const maxLines = 16138
+	const maxLines = 16143
 	const root = "../.."
 	lines := 0
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {

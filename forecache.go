@@ -170,7 +170,7 @@ type MiddlewareConfig struct {
 	// every completed prefetch for a stream-attached session is written to
 	// it as a framed tile payload with its coordinate, model attribution and
 	// score, so the client holds the tile before ever asking for it (SSE;
-	// with BinaryTiles, binary frames around the memoized FCT1 bodies for
+	// with BinaryTiles, binary frames around the memoized FCT2 bodies for
 	// a request that names the binary tile codec in Accept). The
 	// scheduler's admission control grows a bandwidth-aware term: a queued
 	// entry's utility decays by the extra queue-rank × per-session drain
@@ -291,7 +291,7 @@ type MiddlewareConfig struct {
 	// encoded-payload cache memoizes each tile's wire bytes per (coord,
 	// format, compression), /tile content-negotiates the binary codec
 	// ("Accept: application/x-forecache-tile") and gzip compression, and
-	// push frames embed the cached body (JSON on an SSE stream, FCT1 on a
+	// push frames embed the cached body (JSON on an SSE stream, FCT2 on a
 	// binary one) instead of re-marshaling the tile per attached stream.
 	// Clients that send no Accept header still get the same JSON and SSE
 	// bytes; off (the default), every response is marshaled per request.

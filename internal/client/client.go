@@ -6,7 +6,6 @@ package client
 
 import (
 	"bytes"
-	"compress/gzip"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -138,33 +137,29 @@ func (c *Client) Tile(coord tile.Coord) (*tile.Tile, TileInfo, error) {
 }
 
 // decodeTileBody decodes a /tile response in whichever representation the
-// server chose: Content-Encoding selects the decompressor, Content-Type
-// the codec. Plain JSON from a legacy server flows through unchanged. The
-// body is always read to EOF, into a buffer sized once from Content-Length
-// when the server declared one — the transport only reuses a connection
-// whose response was fully drained.
+// server chose: Content-Type selects the codec, and a gzip Content-Encoding
+// routes the body through tile.DecodeGzip's pooled, bounded inflater first.
+// Plain JSON from a legacy server flows through unchanged. The body is
+// always read to EOF, into a buffer sized once from Content-Length when the
+// server declared one — the transport only reuses a connection whose
+// response was fully drained.
 func decodeTileBody(resp *http.Response) (*tile.Tile, error) {
-	body := io.Reader(resp.Body)
-	if resp.Header.Get("Content-Encoding") == "gzip" {
-		zr, err := gzip.NewReader(resp.Body)
-		if err != nil {
-			return nil, fmt.Errorf("client: gunzip tile: %w", err)
-		}
-		defer zr.Close()
-		body = zr
-	}
 	var buf bytes.Buffer
 	// A declared length sizes the buffer only up to 1 MiB (a real body is
 	// tens of kilobytes): past that it grows as bytes actually arrive.
 	if n := resp.ContentLength; n > 0 && n <= 1<<20 {
 		buf.Grow(int(n) + bytes.MinRead)
 	}
-	if _, err := buf.ReadFrom(body); err != nil {
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
 		return nil, fmt.Errorf("client: read tile: %w", err)
 	}
 	decode := tile.DecodeJSON
 	if strings.HasPrefix(resp.Header.Get("Content-Type"), tile.BinaryContentType) {
 		decode = tile.DecodeBinary
+	}
+	if resp.Header.Get("Content-Encoding") == "gzip" {
+		codec := decode
+		decode = func(b []byte) (*tile.Tile, error) { return tile.DecodeGzip(b, codec) }
 	}
 	t, err := decode(buf.Bytes())
 	if err != nil {

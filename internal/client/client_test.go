@@ -174,6 +174,36 @@ func TestTileQueryEscapesSession(t *testing.T) {
 	}
 }
 
+// TestClientInflateBound: a gzipped body that inflates past the bound is
+// refused with an error naming it. The body is a valid JSON tile followed
+// by 16 MiB of whitespace, so a client without the bound inflates all of
+// it and returns the tile.
+func TestClientInflateBound(t *testing.T) {
+	body, err := (&tile.Tile{Size: 1, Attrs: []string{"v"}, Data: [][]float64{{1}}}).EncodeJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gz bytes.Buffer
+	zw, _ := gzip.NewWriterLevel(&gz, gzip.BestSpeed)
+	_, _ = zw.Write(body)
+	_, _ = zw.Write(bytes.Repeat([]byte{' '}, 16<<20))
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Encoding", "gzip")
+		_, _ = w.Write(gz.Bytes())
+	}))
+	defer ts.Close()
+	c := New(ts.URL, "s")
+	c.NegotiateBinary(true) // asks for gzip itself, so the client inflates
+	_, _, err = c.Tile(tile.Coord{})
+	if err == nil || !contains(err.Error(), strconv.Itoa(16<<20)) {
+		t.Fatalf("a body inflating past 16 MiB: err = %v, want one naming the bound", err)
+	}
+}
+
 // TestHostileContentLengthIsOnlyAHint: past 1 MiB a declared length
 // sizes nothing (growing a buffer to 1 TiB would panic); the client reads
 // what actually arrives.

@@ -2,19 +2,16 @@ package push
 
 import (
 	"bufio"
-	"bytes"
-	"compress/gzip"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
-	"sync"
 
 	"forecache/internal/tile"
 )
 
 // Binary framing: what GET /stream answers to a request naming
-// tile.BinaryContentType. A frame's payload is the tile's memoized FCT1
+// tile.BinaryContentType. A frame's payload is the tile's memoized FCT2
 // body, the very bytes /tile serves: pushing a tile costs a header and a
 // copy. Layout (little-endian):
 //
@@ -29,10 +26,10 @@ const (
 	BinaryContentType = "application/x-forecache-stream"
 
 	binaryHeaderLen = 36
-	// maxBinaryPayload bounds a payload on the wire and after gunzip: room
-	// for a 1024² single-attribute tile, and a limit on what a hostile
-	// length can make the client allocate.
-	maxBinaryPayload = 16 << 20
+	// maxBinaryPayload bounds a payload on the wire, as tile.DecodeGzip
+	// bounds it after gunzip: a limit on what a hostile length can make the
+	// client allocate.
+	maxBinaryPayload = tile.MaxInflated
 
 	binTypeTile      = 1
 	binTypeHeartbeat = 2
@@ -41,7 +38,7 @@ const (
 )
 
 // AppendBinary appends f as one binary frame to dst. body is the tile's
-// FCT1 encoding as /tile serves it — gzip-compressed when gz — copied
+// FCT2 encoding as /tile serves it — gzip-compressed when gz — copied
 // verbatim; f.Tile and f.Payload are not consulted. Heartbeats carry
 // nothing but their seq.
 func AppendBinary(dst []byte, f Frame, body []byte, gz bool) ([]byte, error) {
@@ -129,46 +126,16 @@ func DecodeBinary(r *bufio.Reader) (Frame, error) {
 		return Frame{}, fmt.Errorf("push: read frame payload: %w", err)
 	}
 	f.Model = string(buf[:modelLen])
+	decode := tile.DecodeBinary
+	if flags&binFlagGzip != 0 {
+		decode = func(b []byte) (*tile.Tile, error) { return tile.DecodeGzip(b, tile.DecodeBinary) }
+	}
 	var err error
-	if f.Tile, err = decodeTile(buf[modelLen:], flags&binFlagGzip != 0); err != nil {
+	if f.Tile, err = decode(buf[modelLen:]); err != nil {
 		return Frame{}, fmt.Errorf("push: decode frame %s: %w", f.Coord, err)
 	}
 	if f.Tile.Coord != f.Coord {
 		return Frame{}, fmt.Errorf("push: frame for %s carries tile %s", f.Coord, f.Tile.Coord)
 	}
 	return f, nil
-}
-
-// inflater is decodeTile's pooled gunzip state: a gzip.Reader costs ~40 KB
-// to build and a stream inflates several frames per request.
-type inflater struct {
-	zr  gzip.Reader
-	src bytes.Reader
-	out bytes.Buffer
-}
-
-var inflaters = sync.Pool{New: func() any { return new(inflater) }}
-
-// decodeTile decodes a frame body, gunzipping it first — to at most
-// maxBinaryPayload bytes — when gz. tile.DecodeBinary copies everything
-// it keeps, so the inflated bytes go back to the pool.
-func decodeTile(body []byte, gz bool) (*tile.Tile, error) {
-	if !gz {
-		return tile.DecodeBinary(body)
-	}
-	in := inflaters.Get().(*inflater)
-	defer inflaters.Put(in)
-	in.src.Reset(body)
-	in.out.Reset()
-	if err := in.zr.Reset(&in.src); err != nil {
-		return nil, fmt.Errorf("gunzip: %w", err)
-	}
-	n, err := in.out.ReadFrom(io.LimitReader(&in.zr, maxBinaryPayload+1))
-	if err != nil {
-		return nil, fmt.Errorf("gunzip: %w", err)
-	}
-	if n > maxBinaryPayload {
-		return nil, fmt.Errorf("gunzip: payload inflates past %d bytes", maxBinaryPayload)
-	}
-	return tile.DecodeBinary(in.out.Bytes())
 }

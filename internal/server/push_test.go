@@ -426,7 +426,7 @@ func TestStreamFramingNegotiation(t *testing.T) {
 					t.Fatal(err)
 				}
 				if tc.wantGzip {
-					if body, err = gzipBytes(body); err != nil {
+					if body, err = tile.Gzip(body); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -420,26 +420,24 @@ type tierStats struct {
 }
 
 // gather takes the tier's snapshot. The cache aggregate costs one cache
-// lock per live engine — taken outside the shard locks — so only callers
-// that render it (withCache) pay for it.
+// lock per live engine, so only callers that render it (withCache) pay for
+// it. Each engine is read under its shard's lock, as evictLocked retires it:
+// read outside, a session evicted in between had its later prefetches
+// counted by this scrape and not by the next, and the total went backwards.
 func (s *Server) gather(withCache bool) tierStats {
 	t := tierStats{shardSessions: make([]int, len(s.shards)), shardEvicted: make([]int, len(s.shards))}
-	var engines []*core.Engine
 	for i, sh := range s.shards {
 		sh.mu.Lock()
 		t.shardSessions[i], t.shardEvicted[i] = len(sh.sessions), sh.evicted
 		if withCache {
 			t.cache.Add(sh.retired)
 			for _, sess := range sh.sessions {
-				engines = append(engines, sess.eng)
+				t.cache.Add(sess.eng.LifetimeCacheStats())
 			}
 		}
 		sh.mu.Unlock()
 		t.sessions += t.shardSessions[i]
 		t.evicted += t.shardEvicted[i]
-	}
-	for _, eng := range engines {
-		t.cache.Add(eng.LifetimeCacheStats())
 	}
 	return t
 }

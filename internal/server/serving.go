@@ -1,9 +1,6 @@
 package server
 
 import (
-	"bytes"
-	"compress/gzip"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -67,25 +64,20 @@ func (s *Server) writeTile(w http.ResponseWriter, r *http.Request, c tile.Coord,
 }
 
 // encodedBody returns the cached response body for (c, format, gz),
-// encoding it on first touch. The gzip variant composes through the cache:
-// it compresses the cached plain body of the same format, so a warm
-// deployment never re-encodes a tile just to change its compression.
+// encoding it on first touch. Only the variant served is cached: the gzip
+// variant encodes the tile and compresses it in one miss, and the plain
+// body it was cut from dies with the call.
 func (s *Server) encodedBody(c tile.Coord, t *tile.Tile, format tile.Format, gz bool) ([]byte, error) {
-	encode := func() ([]byte, error) {
+	return s.cfg.Encoded.Get(c, format, gz, func() ([]byte, error) {
+		encode := t.EncodeJSON
 		if format == tile.FormatBinary {
-			return tile.EncodeBinary(t)
+			encode = func() ([]byte, error) { return tile.EncodeBinary(t) }
 		}
-		return t.EncodeJSON()
-	}
-	if !gz {
-		return s.cfg.Encoded.Get(c, format, false, encode)
-	}
-	return s.cfg.Encoded.Get(c, format, true, func() ([]byte, error) {
-		plain, err := s.cfg.Encoded.Get(c, format, false, encode)
-		if err != nil {
-			return nil, err
+		body, err := encode()
+		if err != nil || !gz {
+			return body, err
 		}
-		return gzipBytes(plain)
+		return tile.Gzip(body)
 	})
 }
 
@@ -120,33 +112,4 @@ func acceptsGzip(acceptEncoding string) bool {
 		return true
 	}
 	return false
-}
-
-// Pooled gzip machinery: compression runs once per cached payload, but the
-// pools keep even cold-cache bursts (a fleet restart, an encoded-cache
-// wipe) from allocating a ~800 KB gzip.Writer per request.
-var (
-	gzipWriterPool = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
-	gzipBufPool    = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-)
-
-// gzipBytes compresses plain with a pooled writer and returns an owned
-// slice (the result outlives the pooled buffer inside the encoded cache).
-func gzipBytes(plain []byte) ([]byte, error) {
-	buf := gzipBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	zw := gzipWriterPool.Get().(*gzip.Writer)
-	zw.Reset(buf)
-	_, werr := zw.Write(plain)
-	cerr := zw.Close()
-	gzipWriterPool.Put(zw)
-	out := bytes.Clone(buf.Bytes())
-	gzipBufPool.Put(buf)
-	if werr != nil {
-		return nil, werr
-	}
-	if cerr != nil {
-		return nil, cerr
-	}
-	return out, nil
 }

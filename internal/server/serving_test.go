@@ -274,8 +274,9 @@ func TestStreamPayloadEncodedOncePerTile(t *testing.T) {
 	}
 
 	// Binary framing shares the pull path's bodies: a tile pushed on a
-	// binary+gzip stream and pulled as binary+gzip costs exactly two
-	// encoder runs — FCT1, then its gzip — and never a JSON entry.
+	// binary+gzip stream and pulled as binary+gzip costs exactly one
+	// encoder run — FCT2 and its gzip in one miss — and one entry, the
+	// gzipped body that is served. No plain body and no JSON entry is kept.
 	t.Run("binary", func(t *testing.T) {
 		ec := tile.NewEncodedCache(0, nil)
 		_, ts, sched, reg := pushTestServer(t, push.Config{Encoded: ec}, Config{Encoded: ec})
@@ -289,16 +290,39 @@ func TestStreamPayloadEncodedOncePerTile(t *testing.T) {
 		if pushed == 0 {
 			t.Fatal("nothing pushed")
 		}
+		root, err := testPyramid(t).Tile(tile.Coord{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := []*tile.Tile{root}
 		var last push.Frame
 		for i := 0; i < pushed; i++ {
 			var ok bool
 			if last, ok = waitFrame(t, frames, 5*time.Second); !ok {
 				t.Fatalf("stream ended after %d of %d frames", i, pushed)
 			}
+			served = append(served, last.Tile)
 		}
-		want := int64(2 * (1 + pushed)) // the pulled root and every pushed tile
+		want := int64(1 + pushed) // the pulled root and every pushed tile
 		if st := ec.Stats(); st.Misses != want || int64(st.Entries) != want {
 			t.Fatalf("after 1 pull and %d binary pushes: %+v, want %d encoder runs and entries", pushed, st, want)
+		}
+		// The cache is charged for the gzipped bodies it serves and nothing
+		// else: each tile's FCT2 body gzipped, plus the per-entry overhead.
+		const entryOverhead = 128 // tile.encEntryOverhead
+		var cost int64
+		for _, tl := range served {
+			body, err := tile.EncodeBinary(tl)
+			if err == nil {
+				body, err = tile.Gzip(body)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			cost += int64(len(body)) + entryOverhead
+		}
+		if st := ec.Stats(); st.Cost != cost {
+			t.Fatalf("encoded cache charges %d bytes, want %d: the gzip bodies plus %d each", st.Cost, cost, entryOverhead)
 		}
 		// Pulling a pushed tile (from a session without a stream, so nothing
 		// new is pushed) is served from the bytes the frame was cut from.

@@ -136,6 +136,43 @@ func BenchmarkTileDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkTileGzip measures both ends of a gzipped binary body on the
+// benchmark world's tile shape (16², four attributes): what the server pays
+// once per encoded-cache miss, and what every client pays per response.
+func BenchmarkTileGzip(b *testing.B) {
+	tl := realShapedTile()
+	plain, err := EncodeBinary(tl)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gz, err := Gzip(plain)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("encode+gzip", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			body, err := EncodeBinary(tl)
+			if err == nil {
+				_, err = Gzip(body)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(gz)), "gz-bytes")
+	})
+	b.Run("gunzip+decode", func(b *testing.B) {
+		b.SetBytes(int64(len(gz)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := DecodeGzip(gz, DecodeBinary); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // legacyMarshalJSONBench aliases the compatibility oracle so the benchmark
 // reads as the old serving path.
 func legacyMarshalJSONBench(t *Tile) ([]byte, error) { return legacyMarshalJSON(t) }

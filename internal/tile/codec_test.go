@@ -5,11 +5,13 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -162,7 +164,20 @@ func TestBinaryRoundTrip(t *testing.T) {
 	pyr.ComputeMetadata(func(tl *Tile) map[string][]float64 {
 		return map[string][]float64{"hist": {1, 2, 3}}
 	})
-	tiles := []*Tile{codecTile()}
+	// Cells whose eight bytes all differ, across two attributes of 3×3 cells
+	// (a plane is neither 8 nor a power of two bytes long), so an encoder
+	// and decoder that disagree on plane order, byte order or stride cannot
+	// round-trip every bit; TestBinaryGolden pins the order itself.
+	nanPayload := math.Float64frombits(0x7ff4_dead_beef_0001) // a non-canonical NaN
+	edge := &Tile{
+		Coord: Coord{Level: 2, Y: 1, X: 3}, Size: 3, Attrs: []string{"a", "b"},
+		Data: [][]float64{
+			{nanPayload, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 5e-324, math.MaxFloat64,
+				math.Float64frombits(0x0123_4567_89ab_cdef), -math.MaxFloat64, math.Float64frombits(0x000f_ffff_ffff_ffff)},
+			{math.Float64frombits(0xfedc_ba98_7654_3210), 1, -1, nanPayload, 0, 2.5e-308, -0.1, 1e300, math.Pi},
+		},
+	}
+	tiles := []*Tile{codecTile(), edge}
 	pyr.EachTile(func(tl *Tile) bool {
 		tiles = append(tiles, tl)
 		return true
@@ -195,7 +210,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 // regenerate the fixture (go test ./internal/tile -run Golden -update) and
 // announce a format version bump.
 func TestBinaryGolden(t *testing.T) {
-	path := filepath.Join("testdata", "codec_golden_v1.bin")
+	path := filepath.Join("testdata", "codec_golden_v2.bin")
 	enc, err := EncodeBinary(codecTile())
 	if err != nil {
 		t.Fatal(err)
@@ -251,6 +266,7 @@ func TestDecodeBinaryRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	version1 := binaryMagic[:3] + "1" // the cell-interleaved format before byte planes
 	reseal := func(b []byte) []byte {
 		// Recompute the trailer so the mutation under test — not the
 		// checksum — is what the decoder trips on.
@@ -261,6 +277,7 @@ func TestDecodeBinaryRejectsCorruption(t *testing.T) {
 		"empty":       {},
 		"short":       valid[:6],
 		"bad magic":   append([]byte("NOPE"), valid[4:]...),
+		"version 1":   reseal(append([]byte(version1), valid[4:]...)),
 		"truncated":   valid[:len(valid)/2],
 		"bit flip":    func() []byte { b := bytes.Clone(valid); b[len(b)/2] ^= 0x40; return b }(),
 		"crc flip":    func() []byte { b := bytes.Clone(valid); b[len(b)-1] ^= 0xff; return b }(),
@@ -287,6 +304,11 @@ func TestDecodeBinaryRejectsCorruption(t *testing.T) {
 		if _, err := DecodeBinary(data); err == nil {
 			t.Errorf("%s: DecodeBinary accepted corrupt payload", name)
 		}
+	}
+	// A version 1 body is refused by its magic, with its checksum intact,
+	// rather than misread as planes.
+	if _, err := DecodeBinary(cases["version 1"]); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("bad binary magic %q", version1)) {
+		t.Errorf("version 1 body: err = %v, want bad magic", err)
 	}
 }
 

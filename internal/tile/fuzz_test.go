@@ -2,8 +2,10 @@ package tile
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -35,7 +37,7 @@ func FuzzTileDecodeBinary(f *testing.F) {
 		corrupt[len(corrupt)/3] ^= 0x80
 		f.Add(corrupt) // checksum mismatch
 	}
-	f.Add([]byte("FCT1"))
+	f.Add([]byte("FCT2"))
 	f.Add([]byte("NOPE"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tl, err := DecodeBinary(data)
@@ -56,6 +58,61 @@ func FuzzTileDecodeBinary(f *testing.F) {
 		}
 		if !bytes.Equal(enc, enc2) {
 			t.Fatal("canonical encoding is not a fixed point")
+		}
+	})
+}
+
+// FuzzTileGzipRoundTrip reads its input two ways. Run continuously with:
+//
+//	go test ./internal/tile -run '^$' -fuzz '^FuzzTileGzipRoundTrip$' -fuzztime 10s
+//
+// As a gzipped body it goes to DecodeGzip, which must not panic and must
+// never hand the decoder more than MaxInflated bytes. As raw float64 bit
+// patterns it fills the cells of a square tile, which must come back from
+// Gzip(EncodeBinary(t)) through DecodeGzip(…, DecodeBinary) bit for bit.
+func FuzzTileGzipRoundTrip(f *testing.F) {
+	enc, err := EncodeBinary(codecTile())
+	if err != nil {
+		f.Fatal(err)
+	}
+	gz, err := Gzip(enc)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(gz)
+	f.Add(gz[:len(gz)/2])
+	f.Add(enc)
+	f.Add([]byte("\x1f\x8b\x08\x00"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, _ = DecodeGzip(data, func(b []byte) (*Tile, error) {
+			if len(b) > MaxInflated {
+				t.Fatalf("decoder handed %d inflated bytes, bound %d", len(b), MaxInflated)
+			}
+			return DecodeBinary(b)
+		})
+		side := max(1, min(32, int(math.Sqrt(float64(len(data)/8)))))
+		g := make([]float64, side*side)
+		for c := range g {
+			if c*8+8 <= len(data) {
+				g[c] = math.Float64frombits(binary.LittleEndian.Uint64(data[c*8:]))
+			}
+		}
+		tl := &Tile{Coord: Coord{Level: 1, Y: 1}, Size: side, Attrs: []string{"v", "w"}, Data: [][]float64{g, slices.Clone(g)}}
+		slices.Reverse(tl.Data[1])
+		enc, err := EncodeBinary(tl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gz, err := Gzip(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeGzip(gz, DecodeBinary)
+		if err != nil {
+			t.Fatalf("round trip: %v", err)
+		}
+		if !tilesEqual(tl, got) {
+			t.Fatal("gzip round trip changed a cell's bits")
 		}
 	})
 }
