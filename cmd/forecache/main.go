@@ -149,7 +149,7 @@ func addServeFlags(fs *flag.FlagSet) *serveFlags {
 	fs.IntVar(&c.K, "k", 5, "prefetch budget in tiles")
 	fs.BoolVar(&c.AsyncPrefetch, "async", true, "prefetch through the shared asynchronous scheduler, with its feedback loops on: adaptive K under backpressure, scoped per session by fair share, and the learned position-utility curve")
 	fs.BoolVar(&c.Push, "push", false, "continuous push delivery: stream completed prefetches to attached sessions over GET /stream and price scheduler admission by per-session drain rate (requires -async)")
-	fs.IntVar(&c.Shards, "shards", 1, "independent serving-tier shards behind a hash router keyed on session id (session tables, sweeps and scheduler queues go per-shard; single-flight and learned state stay deployment-wide)")
+	fs.IntVar(&c.Shards, "shards", 1, "prefetch scheduler shards behind a hash router keyed on session id (queues and workers go per-shard; the session table, single-flight and learned state stay deployment-wide)")
 	fs.IntVar(&c.PrefetchWorkers, "prefetch-workers", 4, "scheduler worker pool size (concurrent DBMS fetches)")
 	fs.BoolVar(&c.AdaptiveAllocation, "adaptive-allocation", true, "re-split the per-phase prefetch budget toward the model whose prefetches get consumed (static table as prior)")
 	fs.BoolVar(&c.Hotspot, "hotspot", true, "register the online cross-session hotspot recommender as a third model (one shared, decaying popularity table; makes -adaptive-allocation a 3-way split)")
@@ -198,7 +198,7 @@ func cmdServe(args []string) error {
 			cfg.PrefetchWorkers, cfg.AdaptiveAllocation, cfg.Hotspot)
 	}
 	if cfg.Shards > 1 {
-		mode += fmt.Sprintf("; %d shards", cfg.Shards)
+		mode += fmt.Sprintf("; %d scheduler shards", cfg.Shards)
 	}
 	if cfg.Push {
 		mode += "; push delivery"

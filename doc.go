@@ -74,19 +74,16 @@
 //     the experiments stay deterministic. MetricsEndpoint exposes the
 //     whole loop — queue/shed/coalesce counters, global and per-session
 //     backpressure, aggregate cache hit rates, the learned curve — as
-//     dependency-free Prometheus text under GET /metrics. At fleet scale
-//     the serving tier shards: MiddlewareConfig.Shards (serve -shards)
-//     splits the session table, TTL/LRU sweep and scheduler queues into
-//     N independent shards behind a hash router keyed on
-//     session id (internal/shard: mix(FNV-1a(id)) % N — the shard count
-//     is fixed for a process's life), each shard behind its own lock with
-//     its own worker pool, while single-flight fetch deduplication and
-//     all learned state stay deployment-wide and /stats + /metrics
-//     aggregate per-shard snapshots into exact totals that stay monotone
-//     across session eviction and POST /reset (with per-shard series
-//     like forecache_shard_sessions{shard="0"});
-//     Shards=1, the default, is the same prefetch.Scheduler with one
-//     shard, bit-for-bit the unsharded deployment;
+//     dependency-free Prometheus text under GET /metrics. The server
+//     keeps one session table behind one lock; MiddlewareConfig.Shards
+//     (serve -shards) splits only the scheduler, into N queue-and-worker
+//     shards behind a hash router keyed on session id (internal/shard:
+//     mix(FNV-1a(id)) % N — the shard count is fixed for a process's
+//     life), while single-flight fetch deduplication and all learned
+//     state stay deployment-wide and /metrics renders the per-shard
+//     series (forecache_prefetch_shard_*{shard="0"}) from the same pass
+//     as their totals; Shards=1, the default, is the same
+//     prefetch.Scheduler with one shard;
 //   - push-based continuous delivery (internal/push): with
 //     MiddlewareConfig.Push (serve -push) the server mounts GET /stream —
 //     one long-lived response per session, SSE or (negotiated as on

@@ -36,7 +36,7 @@ func main() {
 		K:                  5,
 		AsyncPrefetch:      true,             // submit-and-return prefetching
 		Push:               true,             // stream completed prefetches to attached sessions (GET /stream)
-		Shards:             2,                // independent serving-tier shards (hashed on session id)
+		Shards:             2,                // prefetch scheduler shards (hashed on session id)
 		PrefetchWorkers:    4,                // concurrent DBMS fetch budget, divided across shards
 		AdaptiveK:          true,             // engines shrink K under backpressure
 		FairShare:          true,             // ...the flooding session's K first
@@ -118,10 +118,9 @@ func main() {
 	for _, r := range results {
 		fmt.Println(r)
 	}
-	// With Shards > 1 each analyst's session lives on its hashed
-	// home shard (own lock, own sweep, own scheduler queue); telemetry
-	// still aggregates deployment-wide.
-	fmt.Printf("server tracked %d isolated sessions across %d shards\n", srv.Sessions(), srv.NumShards())
+	// Each analyst's session queues its prefetches on its hashed home
+	// scheduler shard; the session table and telemetry are deployment-wide.
+	fmt.Printf("server tracked %d isolated sessions over %d scheduler shards\n", srv.Sessions(), srv.Scheduler().NumShards())
 
 	// The shared scheduler worked off the response path the whole time:
 	// wait for the queue to drain, then read the pipeline telemetry (the

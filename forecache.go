@@ -51,8 +51,8 @@ type (
 	Harness = eval.Harness
 	// Server is the HTTP middleware front door.
 	Server = server.Server
-	// Scheduler is the shared asynchronous prefetch pipeline:
-	// MiddlewareConfig.Shards queue shards behind a hash router.
+	// Scheduler is the shared asynchronous prefetch pipeline: one queue
+	// and worker pool per MiddlewareConfig.Shards, routed by session id.
 	Scheduler = prefetch.Scheduler
 	// PrefetchStats snapshots scheduler activity (queued, coalesced,
 	// cancelled, completed, queue latency, ...).
@@ -181,16 +181,13 @@ type MiddlewareConfig struct {
 	// Requires AsyncPrefetch (frames are produced by the shared scheduler);
 	// construction fails otherwise. Only NewServer honors this.
 	Push bool
-	// Shards splits the serving tier into N independent shards behind a
-	// hash router keyed on session id: the server's session
-	// table, TTL/LRU sweep and retired-stats baseline become per-shard
-	// (one mutex each), and with AsyncPrefetch the scheduler fans out into
-	// per-shard worker pools and queues — while cross-session single-flight
-	// stays deployment-wide (every shard fetches through one coalescer, at
-	// any shard count), so N shards wanting one tile still cost one DBMS
-	// fetch. Shared learned state (feedback, allocation, hotspot) also
-	// stays deployment-wide; /stats and /metrics aggregate across shards
-	// with monotone counters. Default 1. Only NewServer honors this.
+	// Shards splits the async prefetch scheduler into N shards behind a
+	// hash router keyed on session id, each with its own queues and
+	// worker pool. Cross-session single-flight stays deployment-wide
+	// (every shard fetches through one coalescer), so N shards wanting one
+	// tile still cost one DBMS fetch; the server's session table and the
+	// learned state (feedback, allocation, hotspot) are one per deployment
+	// too. Default 1. Only NewServer with AsyncPrefetch honors this.
 	Shards int
 	// PrefetchWorkers sizes the scheduler's worker pool (the concurrent
 	// DBMS fetch budget); with Shards > 1 this is the deployment-wide
@@ -624,7 +621,6 @@ func (d *Dataset) NewServer(train []*trace.Trace, cfg MiddlewareConfig) (*server
 		return core.NewEngine(store, arts.cls, policy, arts.set.Session(), ecfg)
 	}
 	return server.New(meta, factory, server.Config{
-		Shards:      cfg.Shards,
 		MaxSessions: cfg.MaxSessions,
 		SessionTTL:  cfg.SessionTTL,
 		Scheduler:   sched,

@@ -16,6 +16,7 @@ import (
 
 	"forecache/internal/array"
 	"forecache/internal/client"
+	"forecache/internal/shard"
 	"forecache/internal/sig"
 	"forecache/internal/tile"
 )
@@ -216,10 +217,10 @@ func TestAsyncServerFacade(t *testing.T) {
 	}
 }
 
-// TestShardedServerFacade proves the Shards knob wires the whole sharded
-// deployment: sessions route to consistent-hash shards, engines bind to
-// their home scheduler shard, the learned loops stay deployment-wide,
-// and /stats aggregates across shards.
+// TestShardedServerFacade proves the Shards knob wires the sharded
+// scheduler: engines bind to their home scheduler shard, the fleet's
+// prefetches spread over the shards, and the learned loops stay
+// deployment-wide.
 func TestShardedServerFacade(t *testing.T) {
 	ds, traces := testWorld(t)
 	srv, err := ds.NewServer(traces, MiddlewareConfig{
@@ -233,9 +234,6 @@ func TestShardedServerFacade(t *testing.T) {
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	if srv.NumShards() != 4 {
-		t.Fatalf("NumShards = %d, want 4", srv.NumShards())
-	}
 
 	walk := []Coord{{}, {Level: 1}, {Level: 2}}
 	const fleet = 12
@@ -259,33 +257,71 @@ func TestShardedServerFacade(t *testing.T) {
 	if st.Queued == 0 || st.Completed == 0 {
 		t.Errorf("sharded scheduler never ran: %+v", st)
 	}
-	// The fleet spread over more than one shard, on both tiers.
-	stats, err := client.New(ts.URL, "analyst-0").Stats()
-	if err != nil {
-		t.Fatal(err)
+	if srv.Sessions() != fleet {
+		t.Errorf("sessions = %d, want %d", srv.Sessions(), fleet)
 	}
-	raw, ok := stats["shard_sessions"].([]any)
-	if !ok {
-		t.Fatalf("/stats shard_sessions missing: %v", stats)
-	}
-	nonzero, sum := 0, 0
-	for _, v := range raw {
-		n := int(v.(float64))
-		sum += n
-		if n > 0 {
+	// The fleet's prefetches spread over more than one scheduler shard.
+	nonzero := 0
+	for _, sh := range sched.ShardStats() {
+		if sh.Queued > 0 {
 			nonzero++
 		}
 	}
-	if sum != fleet {
-		t.Errorf("shard_sessions sums to %d, want %d", sum, fleet)
-	}
 	if nonzero < 2 {
-		t.Errorf("%d sessions landed on %d shard(s), want spread over at least 2", fleet, nonzero)
+		t.Errorf("%d sessions queued prefetches on %d shard(s), want spread over at least 2", fleet, nonzero)
 	}
 	// Learned state is deployment-wide: one utility curve fed by every
 	// shard's outcomes.
 	if st.UtilityObservations == 0 {
 		t.Error("deployment-wide feedback collector saw no outcomes from the sharded fleet")
+	}
+}
+
+// TestSessionCapIsExact: MaxSessions caps the deployment's live sessions
+// exactly, wherever the ids hash — four sessions that share a scheduler
+// shard all fit under a cap of four, and a fifth evicts only the least
+// recently used of them.
+func TestSessionCapIsExact(t *testing.T) {
+	ds, traces := testWorld(t)
+	srv, err := ds.NewServer(traces, MiddlewareConfig{K: 5, AsyncPrefetch: true, Shards: 2, MaxSessions: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var ids []string
+	for i := 0; len(ids) < 5; i++ {
+		if id := fmt.Sprintf("analyst-%d", i); shard.NewRing(2).Locate(id) == 0 {
+			ids = append(ids, id)
+		}
+	}
+	get := func(path string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if rec.Code != 200 {
+			t.Fatalf("%s: %d %s", path, rec.Code, rec.Body)
+		}
+		return rec
+	}
+	for _, id := range ids[:4] {
+		get("/tile?level=0&y=0&x=0&session=" + id)
+	}
+	if srv.Sessions() != 4 || srv.Evicted() != 0 {
+		t.Fatalf("four sessions under a cap of four: live %d, evicted %d", srv.Sessions(), srv.Evicted())
+	}
+	get("/tile?level=0&y=0&x=0&session=" + ids[4])
+	if srv.Sessions() != 4 || srv.Evicted() != 1 {
+		t.Fatalf("a fifth session: live %d, evicted %d, want 4 and 1", srv.Sessions(), srv.Evicted())
+	}
+	for i, id := range ids {
+		var st struct {
+			Cache *json.RawMessage `json:"cache"`
+		}
+		if err := json.Unmarshal(get("/stats?session="+id).Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		if alive := st.Cache != nil; alive != (i != 0) {
+			t.Errorf("session %s (request %d) alive = %v; only the least recently used should be gone", id, i, alive)
+		}
 	}
 }
 

@@ -145,23 +145,17 @@ func (w *promWriter) histBucket(name string, base map[string]string, le string, 
 	fmt.Fprintf(&w.b, "%s_bucket%s %d\n", name, labels(kv), count)
 }
 
-// handleMetrics renders the exposition payload: the session tier from one
-// gather (so forecache_sessions always equals the sum of the
-// forecache_shard_sessions series in one scrape, and departed sessions'
-// cache totals keep the cache counters monotone), and the scheduler from
-// one Snapshot, whose per-shard series sum to its totals the same way.
+// handleMetrics renders the exposition payload: the session table from one
+// gather (departed sessions' cache totals keep the cache counters
+// monotone), and the scheduler from one Snapshot, whose per-shard series
+// sum to its totals within one scrape.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	tier := s.gather(true)
 
 	pw := &promWriter{}
 	pw.gauge("forecache_sessions", "Live sessions with engine state.", float64(tier.sessions))
 	pw.counter("forecache_sessions_evicted_total", "Sessions evicted by the TTL or LRU cap.", float64(tier.evicted))
-	pw.gauge("forecache_server_closed", "1 after Close, 0 while serving.", boolValue(s.closed.Load()))
-	pw.gauge("forecache_shards", "Session-tier shards behind the hash router.", float64(len(s.shards)))
-	pw.family("forecache_shard_sessions", "Live sessions per session-tier shard; sums to forecache_sessions within one scrape.", "gauge",
-		indexedSamples("shard", len(s.shards), func(i int) float64 { return float64(tier.shardSessions[i]) })...)
-	pw.family("forecache_shard_sessions_evicted_total", "Sessions evicted per session-tier shard (TTL or LRU cap).", "counter",
-		indexedSamples("shard", len(s.shards), func(i int) float64 { return float64(tier.shardEvicted[i]) })...)
+	pw.gauge("forecache_server_closed", "1 after Close, 0 while serving.", boolValue(tier.closed))
 
 	pw.counter("forecache_cache_hits_total", "Tile requests served from a middleware cache, summed over all sessions ever (live and retired).", float64(tier.cache.Hits))
 	pw.counter("forecache_cache_misses_total", "Tile requests that fell through to the DBMS, summed over all sessions ever.", float64(tier.cache.Misses))

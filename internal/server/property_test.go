@@ -31,8 +31,6 @@ type scrapeChecker struct {
 
 // shardSums pairs a per-shard family with the total it must sum to.
 var shardSums = [][2]string{
-	{"forecache_shard_sessions", "forecache_sessions"},
-	{"forecache_shard_sessions_evicted_total", "forecache_sessions_evicted_total"},
 	{"forecache_prefetch_shard_queued_total", "forecache_prefetch_queued_total"},
 	{"forecache_prefetch_shard_completed_total", "forecache_prefetch_completed_total"},
 	{"forecache_prefetch_shard_pending", "forecache_prefetch_pending"},
@@ -44,9 +42,9 @@ func isCounterSample(key string) bool {
 }
 
 // scrape validates one exposition against the properties and returns it.
-// Nothing is drained first: the session tier and the scheduler each render
-// their totals and per-shard series from one pass over the shards, so the
-// sums hold in every scrape, not only at rest.
+// Nothing is drained first: the scheduler renders its totals and per-shard
+// series from one pass over its shards, so the sums hold in every scrape,
+// not only at rest.
 func (c *scrapeChecker) scrape(step string) map[string]float64 {
 	c.t.Helper()
 	cur := scrapeMetrics(c.t, c.srv)
@@ -69,8 +67,8 @@ func (c *scrapeChecker) scrape(step string) map[string]float64 {
 				n++
 			}
 		}
-		if n != c.srv.NumShards() {
-			c.t.Errorf("after %s: %s has %d series, want one per shard (%d)", step, pair[0], n, c.srv.NumShards())
+		if shards := c.srv.cfg.Scheduler.NumShards(); n != shards {
+			c.t.Errorf("after %s: %s has %d series, want one per shard (%d)", step, pair[0], n, shards)
 		}
 		if total, ok := cur[pair[1]]; !ok || sum != total {
 			c.t.Errorf("after %s: %s sums to %v, %s reads %v", step, pair[0], sum, pair[1], total)
@@ -100,7 +98,7 @@ func TestCountersMonotoneAndShardSumsHold(t *testing.T) {
 				db := backend.NewDBMS(pyr, backend.DefaultLatency(), nil)
 				pipe := obs.NewPipeline(obs.Config{})
 				fc := prefetch.NewFeedbackCollector(4)
-				cfg := Config{Shards: shards, MaxSessions: 8, SessionTTL: time.Minute, Obs: pipe, Metrics: true}
+				cfg := Config{MaxSessions: 8, SessionTTL: time.Minute, Obs: pipe, Metrics: true}
 				pcfg := prefetch.Config{Shards: shards, Workers: 4, Utility: fc, Obs: pipe}
 				if headers != nil {
 					cfg.Encoded = tile.NewEncodedCache(0, pipe.ObserveTileEncode)
@@ -222,24 +220,18 @@ func TestCountersMonotoneAndShardSumsHold(t *testing.T) {
 				}
 
 				elapsed.Store(int64(2 * time.Minute))
-				for i := 0; i < 16; i++ { // enough ids to touch, and so sweep, every shard
-					tileReq(fmt.Sprintf("late-%d", i), tile.Coord{})
-					// The cap alone would have left late-0's shard full; only the
-					// TTL sweep empties it of everyone else.
-					if home := srv.ring.Locate("late-0"); i == 0 && srv.gather(false).shardSessions[home] != 1 {
-						t.Fatal("two idle minutes past a one-minute TTL evicted nobody")
-					}
+				tileReq("late", tile.Coord{})
+				// The cap alone would have left the table full; only the TTL
+				// sweep empties it of everyone else.
+				if n := srv.gather(false).sessions; n != 1 {
+					t.Fatalf("two idle minutes past a one-minute TTL left %d sessions, want 1", n)
 				}
 				check.scrape("eviction by TTL")
 
 				detach()
 				check.scrape("stream detach")
-				next := tile.Coord{} // any coordinate, if the TTL sweep reached walker-0's shard
-				if srv.hasSession("walker-0") {
-					next = next.Child(tile.NW) // else one move on from where its walk ended
-				}
 				attach()
-				tileReq("walker-0", next)
+				tileReq("walker-0", tile.Coord{}) // swept, so any coordinate starts its walk
 				check.scrape("stream re-attach")
 
 				srv.Close()

@@ -3,23 +3,14 @@
 // Each browser session gets its own prediction engine, history and cache,
 // keyed by a session identifier.
 //
-// The session tier is sharded: session state (the engine table, the
-// LRU/TTL recency list, the retired-stats baseline) lives in N
-// independent shards, each behind its own mutex, and a hash router
-// keyed on session id routes every request to its session's home
-// shard. The Server itself is a thin router — it owns only the immutable
-// config, the mux and the ring — so one shard's TTL sweep or table scan
-// never blocks requests routed to another shard. The default is one
-// shard.
-//
 // Session state is bounded: an LRU cap and an idle TTL evict stale
 // sessions so long-running deployments don't leak one engine per session
 // id forever. When the deployment routes prefetching through a shared
 // prefetch pipeline, the server surfaces its stats and cancels an evicted
 // session's queued fetches; Config.Metrics additionally exposes the full
 // scheduling loop (counters, per-session backpressure, cache hit rates,
-// the learned utility curve, per-shard series) as Prometheus text under
-// GET /metrics.
+// the learned utility curve, the scheduler's per-shard series) as
+// Prometheus text under GET /metrics.
 package server
 
 import (
@@ -34,7 +25,6 @@ import (
 	"runtime/debug"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"forecache/internal/cache"
@@ -43,7 +33,6 @@ import (
 	"forecache/internal/persist"
 	"forecache/internal/prefetch"
 	"forecache/internal/push"
-	"forecache/internal/shard"
 	"forecache/internal/tile"
 )
 
@@ -63,23 +52,15 @@ type Meta struct {
 type EngineFactory func(session string) (*core.Engine, error)
 
 // Config wires a Server to the rest of the deployment. Every field's zero
-// value means "off" or "none": the zero Config is a one-shard, unbounded,
-// pull-only, untraced server that marshals JSON per request.
+// value means "off" or "none": the zero Config is an unbounded, pull-only,
+// untraced server that marshals JSON per request.
 type Config struct {
-	// Shards splits the session tier into that many independent shards
-	// behind a hash router keyed on session id: each shard owns its own
-	// session table, recency list, TTL sweep and retired-stats baseline
-	// under its own mutex, so session churn in one shard never contends with
-	// requests routed to another. Below 1 means one shard.
-	Shards int
-	// MaxSessions caps live sessions across the whole server; with multiple
-	// shards each shard caps at ceil(MaxSessions / Shards), so the fleet
-	// total never exceeds the cap by more than the rounding slack. The least
-	// recently used session of the arriving session's shard is evicted when
-	// the shard would exceed its cap. 0 or less means unlimited.
+	// MaxSessions caps live sessions: when a new session would exceed it,
+	// the least recently used session is evicted. 0 or less means
+	// unlimited.
 	MaxSessions int
 	// SessionTTL evicts sessions idle for longer than this (checked lazily
-	// on access, per shard). 0 or less disables expiry.
+	// on access). 0 or less disables expiry.
 	SessionTTL time.Duration
 	// Scheduler is the deployment's shared prefetch pipeline: its stats
 	// appear under /stats, evicted sessions' queued fetches are cancelled,
@@ -119,8 +100,8 @@ type Config struct {
 	Persist *persist.Store
 	// Metrics registers a dependency-free Prometheus text-format GET
 	// /metrics endpoint exposing server, cache and prefetch-pipeline
-	// telemetry (including per-session backpressure, per-shard session and
-	// scheduler series, the learned utility curve and the adaptive
+	// telemetry (including per-session backpressure, the scheduler's
+	// per-shard series, the learned utility curve and the adaptive
 	// allocation shares when the deployment has them).
 	Metrics bool
 	// Pprof mounts net/http/pprof's profiling handlers under /debug/pprof/
@@ -137,12 +118,15 @@ type session struct {
 	lastSeen time.Time
 }
 
-// sessionShard is one independent slice of the session tier: a session
-// table, its recency list and the eviction/retired-stats bookkeeping, all
-// behind one shard-local mutex. Every mutable per-session field lives
-// here; the Server above it holds only immutable routing state.
-type sessionShard struct {
-	srv *Server // immutable config back-pointer (ttl, caps, clock, sched)
+// Server is the HTTP middleware front door: one session table behind one
+// mutex. Create with New, then mount it as an http.Handler.
+type Server struct {
+	meta    Meta
+	factory EngineFactory
+	cfg     Config
+	mux     *http.ServeMux
+	now     func() time.Time // test hook
+	start   time.Time        // construction time, for /stats uptime
 
 	mu       sync.Mutex
 	sessions map[string]*session
@@ -152,44 +136,21 @@ type sessionShard struct {
 	// table (eviction or Close), so the /metrics cache counters are
 	// monotone over the server's lifetime — a Prometheus counter must
 	// never decrease just because a session aged out.
-	retired cache.Stats
-	closed  bool
-}
-
-// Server is the HTTP middleware front door: a thin hash router
-// over N session shards. Create with New, then mount via Handler (it
-// implements http.Handler). All mutable session state lives in the
-// shards; the Server owns only the mux, the ring and immutable config.
-type Server struct {
-	meta        Meta
-	factory     EngineFactory
-	cfg         Config
-	mux         *http.ServeMux
-	now         func() time.Time // test hook
-	start       time.Time        // construction time, for /stats uptime
-	perShardCap int              // ceil(cfg.MaxSessions / shards); 0 = unlimited
-	ring        *shard.Ring
-	shards      []*sessionShard // max(cfg.Shards, 1) of them
-	closed      atomic.Bool
-	teardown    sync.Once
+	retired  cache.Stats
+	closed   bool // set by Close; later tile requests get ErrClosed
+	teardown sync.Once
 }
 
 // New builds a server for a pyramid-backed middleware.
 func New(meta Meta, factory EngineFactory, cfg Config) *Server {
 	s := &Server{
-		meta:    meta,
-		factory: factory,
-		cfg:     cfg,
-		mux:     http.NewServeMux(),
-		now:     time.Now,
-		shards:  make([]*sessionShard, max(cfg.Shards, 1)),
-	}
-	if cfg.MaxSessions > 0 {
-		s.perShardCap = (cfg.MaxSessions + len(s.shards) - 1) / len(s.shards)
-	}
-	s.ring = shard.NewRing(len(s.shards))
-	for i := range s.shards {
-		s.shards[i] = &sessionShard{srv: s, sessions: make(map[string]*session), recency: list.New()}
+		meta:     meta,
+		factory:  factory,
+		cfg:      cfg,
+		mux:      http.NewServeMux(),
+		now:      time.Now,
+		sessions: make(map[string]*session),
+		recency:  list.New(),
 	}
 	s.start = s.now()
 	s.mux.HandleFunc("GET /meta", s.handleMeta)
@@ -221,43 +182,34 @@ func New(meta Meta, factory EngineFactory, cfg Config) *Server {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// shardFor returns the session id's home shard.
-func (s *Server) shardFor(id string) *sessionShard { return s.shards[s.ring.Locate(id)] }
-
-// NumShards returns how many session shards the router fans out over.
-func (s *Server) NumShards() int { return len(s.shards) }
-
 // Close releases server resources. It is safe to call concurrently with
 // in-flight requests and with itself: the teardown runs once, concurrent
-// callers return only when it is done, later calls are no-ops. Each shard's
-// session table is torn down under that shard's lock (later tile requests
-// get ErrClosed / 503 and /stats keeps answering with server-wide
-// telemetry), every engine is detached so pending deliveries are dropped,
-// the shared scheduler, if any, is shut down after cancelling all queued
-// prefetches, and finally the snapshot store, if any, writes the
-// deployment's learned state to disk one last time — after the scheduler
-// stops, so the snapshot sees the last outcomes the worker pool delivered.
+// callers return only when it is done, later calls are no-ops. The session
+// table is torn down under its lock (later tile requests get ErrClosed /
+// 503 and /stats keeps answering with server-wide telemetry), every engine
+// is detached so pending deliveries are dropped, the shared scheduler, if
+// any, is shut down after cancelling all queued prefetches, and finally
+// the snapshot store, if any, writes the deployment's learned state to disk
+// one last time — after the scheduler stops, so the snapshot sees the last
+// outcomes the worker pool delivered.
 func (s *Server) Close() {
-	s.closed.Store(true)
 	s.teardown.Do(func() {
-		for _, sh := range s.shards {
-			sh.mu.Lock()
-			sh.closed = true
-			closing := make([]*session, 0, len(sh.sessions))
-			for _, sess := range sh.sessions {
-				closing = append(closing, sess)
-				sh.retireStatsLocked(sess)
-			}
-			sh.sessions = make(map[string]*session)
-			sh.recency.Init()
-			sh.mu.Unlock()
-			s.releaseSessions(closing)
+		s.mu.Lock()
+		s.closed = true
+		closing := make([]*session, 0, len(s.sessions))
+		for _, sess := range s.sessions {
+			closing = append(closing, sess)
+			s.retireStatsLocked(sess)
 		}
+		s.sessions = make(map[string]*session)
+		s.recency.Init()
+		s.mu.Unlock()
+		s.releaseSessions(closing)
 		if s.cfg.Push != nil {
-			// Signal every remaining stream handler to return (sessions created
-			// mid-Close may have attached after their shard drained). Close only
-			// closes done channels — it never waits on a handler mid-write, so
-			// it cannot deadlock against a stalled stream.
+			// Signal every remaining stream handler to return (a stream may
+			// have attached after the table drained). Close only closes done
+			// channels — it never waits on a handler mid-write, so it cannot
+			// deadlock against a stalled stream.
 			s.cfg.Push.Close()
 		}
 		if s.cfg.Scheduler != nil {
@@ -289,61 +241,58 @@ func sessionError(w http.ResponseWriter, err error) {
 }
 
 // session returns (creating on demand) the engine for session id. Expired
-// and over-cap sessions of the id's home shard are evicted here, on access
-// — a sweep only ever holds its own shard's lock, so it cannot stall
-// requests routed to other shards.
+// and over-cap sessions are evicted here, on access.
 func (s *Server) session(id string) (*core.Engine, error) {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	if sh.closed {
-		sh.mu.Unlock()
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
 		return nil, ErrClosed
 	}
 	now := s.now()
-	evicted := sh.sweepLocked(now)
-	if sess, ok := sh.sessions[id]; ok {
+	evicted := s.sweepLocked(now)
+	if sess, ok := s.sessions[id]; ok {
 		sess.lastSeen = now
-		sh.recency.MoveToFront(sess.el)
-		sh.mu.Unlock()
+		s.recency.MoveToFront(sess.el)
+		s.mu.Unlock()
 		s.releaseSessions(evicted)
 		return sess.eng, nil
 	}
-	sh.mu.Unlock()
+	s.mu.Unlock()
 	s.releaseSessions(evicted)
 
 	// Build the engine outside the lock: assembling one can mean training
 	// models, and stalling every other session on it would serialize the
-	// shard.
+	// server.
 	eng, err := s.factory(id)
 	if err != nil {
 		return nil, err
 	}
 
-	sh.mu.Lock()
-	if sh.closed {
+	s.mu.Lock()
+	if s.closed {
 		// Close won the race while the engine was being built: discard it
 		// before it can register with the (stopping) scheduler.
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		eng.DetachScheduler()
 		return nil, ErrClosed
 	}
-	if sess, ok := sh.sessions[id]; ok {
+	if sess, ok := s.sessions[id]; ok {
 		// A concurrent request created this session first; use its engine
 		// and discard ours (it never submitted anything to the scheduler).
 		sess.lastSeen = s.now()
-		sh.recency.MoveToFront(sess.el)
-		sh.mu.Unlock()
+		s.recency.MoveToFront(sess.el)
+		s.mu.Unlock()
 		eng.DetachScheduler()
 		return sess.eng, nil
 	}
 	sess := &session{id: id, eng: eng, lastSeen: s.now()}
-	sess.el = sh.recency.PushFront(sess)
-	sh.sessions[id] = sess
+	sess.el = s.recency.PushFront(sess)
+	s.sessions[id] = sess
 	evicted = nil
-	for s.perShardCap > 0 && len(sh.sessions) > s.perShardCap {
-		evicted = append(evicted, sh.evictLocked(sh.recency.Back().Value.(*session)))
+	for s.cfg.MaxSessions > 0 && len(s.sessions) > s.cfg.MaxSessions {
+		evicted = append(evicted, s.evictLocked(s.recency.Back().Value.(*session)))
 	}
-	sh.mu.Unlock()
+	s.mu.Unlock()
 	s.releaseSessions(evicted)
 	return eng, nil
 }
@@ -353,10 +302,9 @@ func (s *Server) session(id string) (*core.Engine, error) {
 // a factory run, and at the session cap must not evict a live analyst's
 // session, just because a probe named an unknown id.
 func (s *Server) peekSession(id string) (*core.Engine, bool) {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sess, ok := sh.sessions[id]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sess, ok := s.sessions[id]
 	if !ok {
 		return nil, false
 	}
@@ -369,80 +317,70 @@ func (s *Server) hasSession(id string) bool {
 	return ok
 }
 
-// sweepLocked removes every session idle past the TTL from this shard's
-// tables and returns them for release. It scans only this shard, under
-// this shard's lock: a sweep here cannot block another shard's requests.
-func (sh *sessionShard) sweepLocked(now time.Time) []*session {
-	if sh.srv.cfg.SessionTTL <= 0 {
+// sweepLocked removes every session idle past the TTL from the table and
+// returns them for release.
+func (s *Server) sweepLocked(now time.Time) []*session {
+	if s.cfg.SessionTTL <= 0 {
 		return nil
 	}
 	var evicted []*session
-	for sh.recency.Len() > 0 {
-		oldest := sh.recency.Back().Value.(*session)
-		if now.Sub(oldest.lastSeen) <= sh.srv.cfg.SessionTTL {
+	for s.recency.Len() > 0 {
+		oldest := s.recency.Back().Value.(*session)
+		if now.Sub(oldest.lastSeen) <= s.cfg.SessionTTL {
 			break
 		}
-		evicted = append(evicted, sh.evictLocked(oldest))
+		evicted = append(evicted, s.evictLocked(oldest))
 	}
 	return evicted
 }
 
-// evictLocked unlinks a session from the shard tables. The scheduler
-// cleanup happens in releaseSessions, outside the shard lock: detaching
-// waits out any in-flight request on the session's engine, which must not
-// stall the shard.
-func (sh *sessionShard) evictLocked(sess *session) *session {
-	sh.recency.Remove(sess.el)
-	delete(sh.sessions, sess.id)
-	sh.evicted++
-	sh.retireStatsLocked(sess)
+// evictLocked unlinks a session from the table. The scheduler cleanup
+// happens in releaseSessions, outside the lock: detaching waits out any
+// in-flight request on the session's engine, which must not stall the
+// table.
+func (s *Server) evictLocked(sess *session) *session {
+	s.recency.Remove(sess.el)
+	delete(s.sessions, sess.id)
+	s.evicted++
+	s.retireStatsLocked(sess)
 	return sess
 }
 
 // retireStatsLocked folds a departing session's cache counters into the
-// shard's lifetime totals. Reading the engine's cache stats under the
-// shard lock is safe: the cache mutex is a leaf lock, never held while
-// acquiring a shard's mu.
-func (sh *sessionShard) retireStatsLocked(sess *session) {
-	sh.retired.Add(sess.eng.LifetimeCacheStats())
+// server's lifetime totals. Reading the engine's cache stats under mu is
+// safe: the cache mutex is a leaf lock, never held while acquiring mu.
+func (s *Server) retireStatsLocked(sess *session) {
+	s.retired.Add(sess.eng.LifetimeCacheStats())
 }
 
-// tierStats is one pass over the session tier: each shard read under one
-// hold of its lock and the totals summed from those same reads, so within
-// one /stats or /metrics answer every total equals the sum of its per-shard
-// series.
+// tierStats is one read of the session table under one hold of its lock.
 type tierStats struct {
-	shardSessions, shardEvicted []int // by shard id
-	sessions, evicted           int
+	sessions, evicted int
+	closed            bool
 	// cache is the lifetime cache counters of every session ever, departed
-	// (the shards' retired baselines) and live; zero unless asked for.
+	// (the retired baseline) and live; zero unless asked for.
 	cache cache.Stats
 }
 
-// gather takes the tier's snapshot. The cache aggregate costs one cache
+// gather takes the table's snapshot. The cache aggregate costs one cache
 // lock per live engine, so only callers that render it (withCache) pay for
-// it. Each engine is read under its shard's lock, as evictLocked retires it:
-// read outside, a session evicted in between had its later prefetches
-// counted by this scrape and not by the next, and the total went backwards.
+// it. Each engine is read under mu, as evictLocked retires it: read
+// outside, a session evicted in between had its later prefetches counted
+// by this scrape and not by the next, and the total went backwards.
 func (s *Server) gather(withCache bool) tierStats {
-	t := tierStats{shardSessions: make([]int, len(s.shards)), shardEvicted: make([]int, len(s.shards))}
-	for i, sh := range s.shards {
-		sh.mu.Lock()
-		t.shardSessions[i], t.shardEvicted[i] = len(sh.sessions), sh.evicted
-		if withCache {
-			t.cache.Add(sh.retired)
-			for _, sess := range sh.sessions {
-				t.cache.Add(sess.eng.LifetimeCacheStats())
-			}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t := tierStats{sessions: len(s.sessions), evicted: s.evicted, closed: s.closed}
+	if withCache {
+		t.cache.Add(s.retired)
+		for _, sess := range s.sessions {
+			t.cache.Add(sess.eng.LifetimeCacheStats())
 		}
-		sh.mu.Unlock()
-		t.sessions += t.shardSessions[i]
-		t.evicted += t.shardEvicted[i]
 	}
 	return t
 }
 
-// releaseSessions finishes evictions outside the shard lock: the engine is
+// releaseSessions finishes evictions outside the table lock: the engine is
 // detached first (so a request running right now cannot re-register the
 // session with the scheduler after the cancel), then the session's queued
 // prefetches are dropped and its push stream, if any, is torn down (the
@@ -463,11 +401,10 @@ func (s *Server) releaseSessions(evicted []*session) {
 	}
 }
 
-// Sessions returns the number of live sessions across all shards.
+// Sessions returns the number of live sessions.
 func (s *Server) Sessions() int { return s.gather(false).sessions }
 
-// Evicted returns how many sessions have been evicted (TTL or LRU cap)
-// across all shards.
+// Evicted returns how many sessions have been evicted (TTL or LRU cap).
 func (s *Server) Evicted() int { return s.gather(false).evicted }
 
 // Scheduler returns the attached shared prefetch pipeline (nil when the
@@ -530,22 +467,16 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 // StatsResponse is the /stats payload: the session's cache counters (when
 // the session exists) plus server-wide session and prefetch-pipeline
 // telemetry — including the scheduler's backpressure signal, per-session
-// queue depths (Scheduler.QueueDepths), the per-shard session spread and,
-// for deployments with adaptive allocation, the learned per-(phase,
+// queue depths (Scheduler.QueueDepths) and, for deployments with adaptive allocation, the learned per-(phase,
 // model) budget shares. Asking for an unknown session returns the
 // server-wide fields only — it does not create a session.
 type StatsResponse struct {
-	Cache    *cache.Stats `json:"cache,omitempty"`
-	Sessions int          `json:"sessions"`
-	Evicted  int          `json:"evicted"`
-	Closed   bool         `json:"closed,omitempty"`
-	// Shards is the session-tier shard count (1 = the single-table
-	// layout); ShardSessions is the live-session count per shard, in
-	// shard-id order, summing exactly to Sessions within this snapshot.
-	Shards        int             `json:"shards"`
-	ShardSessions []int           `json:"shard_sessions"`
-	Pressure      float64         `json:"pressure"`
-	Scheduler     *prefetch.Stats `json:"scheduler,omitempty"`
+	Cache     *cache.Stats    `json:"cache,omitempty"`
+	Sessions  int             `json:"sessions"`
+	Evicted   int             `json:"evicted"`
+	Closed    bool            `json:"closed,omitempty"`
+	Pressure  float64         `json:"pressure"`
+	Scheduler *prefetch.Stats `json:"scheduler,omitempty"`
 	// Push reports the push-delivery registry (open streams, pushed and
 	// consumed frames, per-session drain rates). Absent on pull-only
 	// deployments.
@@ -589,19 +520,17 @@ var buildInfoMap = sync.OnceValue(func() map[string]string {
 })
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	// The session tier's snapshot, then the scheduler counters under the
+	// The session table's snapshot, then the scheduler counters under the
 	// pipeline's own snapshot discipline. /stats stays answerable during and
 	// after Close — it reports the torn-down state instead of racing it.
 	tier := s.gather(false)
 	out := StatsResponse{
-		Sessions:      tier.sessions,
-		Evicted:       tier.evicted,
-		Closed:        s.closed.Load(),
-		Shards:        len(s.shards),
-		ShardSessions: tier.shardSessions,
-		Uptime:        max(0, s.now().Sub(s.start).Seconds()),
-		GoVersion:     runtime.Version(),
-		Build:         buildInfoMap(),
+		Sessions:  tier.sessions,
+		Evicted:   tier.evicted,
+		Closed:    tier.closed,
+		Uptime:    max(0, s.now().Sub(s.start).Seconds()),
+		GoVersion: runtime.Version(),
+		Build:     buildInfoMap(),
 	}
 	if eng, ok := s.peekSession(sessionID(r.URL.Query())); ok {
 		cs := eng.CacheStats()

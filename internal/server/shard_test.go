@@ -4,10 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"forecache/internal/backend"
 	"forecache/internal/core"
@@ -16,8 +14,8 @@ import (
 	"forecache/internal/recommend"
 )
 
-// shardedTestServer wires the full sharded deployment shape: an N-shard
-// session tier over an N-shard prefetch pipeline sharing one DBMS.
+// shardedTestServer wires the sharded deployment shape: one session table
+// over an N-shard prefetch pipeline sharing one DBMS.
 func shardedTestServer(t *testing.T, shards int, cfg Config) (*Server, *prefetch.Scheduler) {
 	t.Helper()
 	pyr := testPyramid(t)
@@ -28,7 +26,7 @@ func shardedTestServer(t *testing.T, shards int, cfg Config) (*Server, *prefetch
 		return core.NewEngine(db, nil, core.SinglePolicy{Model: m.Name()},
 			[]recommend.Model{m}, core.Config{K: 4, Scheduler: sched.Shard(session), Session: session})
 	}
-	cfg.Shards, cfg.Scheduler = shards, sched
+	cfg.Scheduler = sched
 	srv := New(Meta{Levels: pyr.NumLevels(), TileSize: pyr.TileSize(), Attrs: pyr.Attrs()}, factory, cfg)
 	t.Cleanup(srv.Close)
 	return srv, sched
@@ -48,105 +46,11 @@ func getStats(t *testing.T, srv *Server, query string) StatsResponse {
 	return out
 }
 
-// TestShardedSessionsSpread: with several shards, a fleet of sessions
-// lands on more than one shard and every request still round-trips.
-func TestShardedSessionsSpread(t *testing.T) {
-	srv, _ := shardedTestServer(t, 4, Config{})
-	for i := 0; i < 16; i++ {
-		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, httptest.NewRequest("GET",
-			fmt.Sprintf("/tile?level=0&y=0&x=0&session=spread-%d", i), nil))
-		if rec.Code != 200 {
-			t.Fatalf("tile for session %d: %d %s", i, rec.Code, rec.Body)
-		}
-	}
-	st := getStats(t, srv, "")
-	if st.Shards != 4 || len(st.ShardSessions) != 4 {
-		t.Fatalf("shards = %d with %d per-shard counts, want 4", st.Shards, len(st.ShardSessions))
-	}
-	if st.Sessions != 16 {
-		t.Errorf("sessions = %d, want 16", st.Sessions)
-	}
-	sum, nonzero := 0, 0
-	for _, n := range st.ShardSessions {
-		sum += n
-		if n > 0 {
-			nonzero++
-		}
-	}
-	if sum != st.Sessions {
-		t.Errorf("shard_sessions sums to %d, sessions = %d", sum, st.Sessions)
-	}
-	if nonzero < 2 {
-		t.Errorf("16 sessions landed on %d shard(s), want at least 2", nonzero)
-	}
-}
-
-// TestShardSweepIsolation: the TTL sweep is per-shard — an access routed
-// to one shard expires only that shard's idle sessions, so one shard's
-// sweep never blocks (or even touches) another shard's table.
-func TestShardSweepIsolation(t *testing.T) {
-	srv, _ := shardedTestServer(t, 4, Config{SessionTTL: time.Minute})
-	clock := time.Unix(1000, 0)
-	srv.now = func() time.Time { return clock }
-
-	// Find two sessions on different shards, plus a third on the first's
-	// shard to use as the post-expiry accessor.
-	var idA, idB string
-	for i := 0; i < 64 && idB == ""; i++ {
-		id := fmt.Sprintf("iso-%d", i)
-		if idA == "" {
-			idA = id
-			continue
-		}
-		if srv.shardFor(id) != srv.shardFor(idA) {
-			idB = id
-		}
-	}
-	if idB == "" {
-		t.Fatal("64 ids all on one shard; ring is broken")
-	}
-	var accessor string
-	for i := 0; i < 256; i++ {
-		id := fmt.Sprintf("acc-%d", i)
-		if srv.shardFor(id) == srv.shardFor(idA) && id != idA {
-			accessor = id
-			break
-		}
-	}
-	if accessor == "" {
-		t.Fatal("no second id found for idA's shard")
-	}
-
-	for _, id := range []string{idA, idB} {
-		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, httptest.NewRequest("GET", "/tile?level=0&y=0&x=0&session="+id, nil))
-		if rec.Code != 200 {
-			t.Fatalf("tile %s: %d", id, rec.Code)
-		}
-	}
-
-	// Both idle past the TTL; an access on idA's shard sweeps idA only.
-	clock = clock.Add(2 * time.Minute)
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/tile?level=0&y=0&x=0&session="+accessor, nil))
-	if rec.Code != 200 {
-		t.Fatalf("tile %s: %d", accessor, rec.Code)
-	}
-	if srv.hasSession(idA) {
-		t.Errorf("expired session %s still alive after a sweep on its shard", idA)
-	}
-	if !srv.hasSession(idB) {
-		t.Errorf("session %s on an unswept shard was evicted by another shard's sweep", idB)
-	}
-}
-
 // TestCrossShardAggregationUnderChurn: while sessions churn (creation,
-// eviction, tile traffic) across all shards, concurrent /stats and
-// /metrics scrapes must always see (a) a strictly valid exposition body,
-// (b) per-shard series that sum exactly to the deployment totals within
-// the same scrape, and (c) monotone counters across scrapes. Run with
-// -race this also proves the per-shard locking has no data races.
+// eviction, tile traffic) over a sharded scheduler, concurrent /stats and
+// /metrics scrapes must always see (a) a strictly valid exposition body
+// and (b) monotone counters across scrapes. Run with -race this also
+// proves the session table and the scheduler shards have no data races.
 func TestCrossShardAggregationUnderChurn(t *testing.T) {
 	srv, _ := shardedTestServer(t, 4, Config{Metrics: true, MaxSessions: 12})
 
@@ -181,39 +85,11 @@ func TestCrossShardAggregationUnderChurn(t *testing.T) {
 		"forecache_prefetch_completed_total",
 	}
 	for scrape := 0; scrape < 25; scrape++ {
-		st := getStats(t, srv, "")
-		sum := 0
-		for _, n := range st.ShardSessions {
-			sum += n
-		}
-		if sum != st.Sessions {
-			t.Fatalf("scrape %d: /stats shard_sessions sums to %d, sessions = %d", scrape, sum, st.Sessions)
-		}
+		getStats(t, srv, "")
 
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 		values := validatePromText(t, rec.Body.String())
-
-		var shardSess, shardEvicted float64
-		for k, v := range values {
-			if strings.HasPrefix(k, "forecache_shard_sessions{") {
-				shardSess += v
-			}
-			if strings.HasPrefix(k, "forecache_shard_sessions_evicted_total{") {
-				shardEvicted += v
-			}
-		}
-		if shardSess != values["forecache_sessions"] {
-			t.Fatalf("scrape %d: shard sessions sum %v != forecache_sessions %v",
-				scrape, shardSess, values["forecache_sessions"])
-		}
-		if shardEvicted != values["forecache_sessions_evicted_total"] {
-			t.Fatalf("scrape %d: shard evictions sum %v != forecache_sessions_evicted_total %v",
-				scrape, shardEvicted, values["forecache_sessions_evicted_total"])
-		}
-		if values["forecache_shards"] != 4 {
-			t.Fatalf("forecache_shards = %v, want 4", values["forecache_shards"])
-		}
 		if prev != nil {
 			for _, name := range monotone {
 				if values[name] < prev[name] {
@@ -281,32 +157,6 @@ func TestSchedulerShardSeriesExported(t *testing.T) {
 	}
 }
 
-// TestSingleShardIdenticalRouting: Shards=1 (and the default) keeps every
-// session on shard 0 — the pre-sharding layout — and /stats reports the
-// single-shard shape.
-func TestSingleShardIdenticalRouting(t *testing.T) {
-	srv, ts := testServer(t, Config{})
-	defer ts.Close()
-	if srv.NumShards() != 1 {
-		t.Fatalf("default shards = %d, want 1", srv.NumShards())
-	}
-	for _, id := range []string{"", "default", "alice", "ev\x00il", "日本語"} {
-		if got := srv.ring.Locate(id); got != 0 {
-			t.Errorf("Locate(%q) = %d on a 1-shard ring, want 0", id, got)
-		}
-	}
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/tile?level=0&y=0&x=0", nil))
-	if rec.Code != 200 {
-		t.Fatalf("tile: %d", rec.Code)
-	}
-	st := getStats(t, srv, "")
-	if st.Shards != 1 || len(st.ShardSessions) != 1 || st.ShardSessions[0] != st.Sessions {
-		t.Errorf("single-shard stats = shards %d, shard_sessions %v, sessions %d",
-			st.Shards, st.ShardSessions, st.Sessions)
-	}
-}
-
 // TestShardedObsTracing: the obs pipeline stays deployment-wide — traces
 // from sessions on different shards land in one buffer.
 func TestShardedObsTracing(t *testing.T) {
@@ -320,7 +170,7 @@ func TestShardedObsTracing(t *testing.T) {
 			[]recommend.Model{m}, core.Config{K: 4, Scheduler: sched.Shard(session), Session: session, Obs: pipe})
 	}
 	srv := New(Meta{Levels: pyr.NumLevels(), TileSize: pyr.TileSize(), Attrs: pyr.Attrs()},
-		factory, Config{Shards: 4, Scheduler: sched, Obs: pipe})
+		factory, Config{Scheduler: sched, Obs: pipe})
 	t.Cleanup(srv.Close)
 
 	ids := map[string]bool{}

@@ -1,9 +1,7 @@
-// Package shard is the serving tier's session router: it maps a session id
-// to one of N independent shards, and every layer that splits per-session
-// state (the server's session tables, the prefetch pipeline's per-shard
-// schedulers) routes through the same Ring so a session's HTTP requests,
-// scheduler queue and eviction bookkeeping all live on one shard. Sessions
-// are independent behind the engine factory, so sharding the tier is a
+// Package shard is the prefetch scheduler's session router: it maps a
+// session id to one of N independent scheduler shards, so a session's
+// queue, batch superseding and fair-share pressure all live on one shard.
+// Sessions are independent behind the engine factory, so sharding is a
 // pure routing concern — this package owns that concern and nothing else.
 //
 // Routing is mix(FNV-1a(key)) % N. The shard count is fixed for a

@@ -57,18 +57,17 @@ done
 grep -q 'FCT2' "$WORK/bstream.out"
 kill "$BSTREAM_PID" 2> /dev/null || true
 wait "$BSTREAM_PID" 2> /dev/null || true
-# A fleet of session ids must spread over the 4 shards: at least
-# two shards end up owning live sessions.
+# A fleet of session ids must spread over the 4 scheduler shards: at
+# least two shards end up having queued prefetches.
 for s in a b c d e f g h; do
   curl -sf "http://localhost:18080/tile?level=0&y=0&x=0&session=fleet-$s" > /dev/null
 done
-SPREAD=$(curl -sf "http://localhost:18080/stats" \
-  | grep -o '"shard_sessions":\[[^]]*\]' | tr -dc '0-9,' | tr ',' '\n' | grep -cv '^0$')
-echo "shards with live sessions: $SPREAD"
+SPREAD=$(curl -sf "http://localhost:18080/metrics" \
+  | grep '^forecache_prefetch_shard_queued_total{shard=' | grep -cv ' 0$')
+echo "scheduler shards with queued prefetches: $SPREAD"
 test "$SPREAD" -ge 2
 "$BIN" scrape -url "http://localhost:18080/metrics"
-curl -sf "http://localhost:18080/metrics" | grep -q 'forecache_shards 4'
-curl -sf "http://localhost:18080/metrics" | grep -q 'forecache_prefetch_shard_queued_total{shard="0"}'
+curl -sf "http://localhost:18080/metrics" | grep -q 'forecache_prefetch_shard_queued_total{shard="3"}'
 # Scrapes that several greps read go to a file first: `curl | tee f | grep -q`
 # lets grep exit on its first match and SIGPIPE tee before f is whole.
 curl -sf "http://localhost:18080/metrics" > "$WORK/metrics.out"
