@@ -87,7 +87,7 @@
 //   - push-based continuous delivery (internal/push): with
 //     MiddlewareConfig.Push (serve -push) the server mounts GET /stream —
 //     one long-lived response per session, SSE or (negotiated as on
-//     /tile, with BinaryTiles) binary frames around the memoized FCT2
+//     /tile, with BinaryTiles) binary frames around the memoized FCT3
 //     bodies — and every completed prefetch for a stream-attached
 //     session is written down it as a framed tile payload carrying its
 //     coordinate, model attribution and score, with heartbeats while

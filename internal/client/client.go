@@ -142,7 +142,8 @@ func (c *Client) Tile(coord tile.Coord) (*tile.Tile, TileInfo, error) {
 // Plain JSON from a legacy server flows through unchanged. The body is
 // always read to EOF, into a buffer sized once from Content-Length when the
 // server declared one — the transport only reuses a connection whose
-// response was fully drained.
+// response was fully drained — and never past tile.MaxInflated bytes, the
+// bound that also holds a body the transport gunzipped by itself.
 func decodeTileBody(resp *http.Response) (*tile.Tile, error) {
 	var buf bytes.Buffer
 	// A declared length sizes the buffer only up to 1 MiB (a real body is
@@ -150,8 +151,10 @@ func decodeTileBody(resp *http.Response) (*tile.Tile, error) {
 	if n := resp.ContentLength; n > 0 && n <= 1<<20 {
 		buf.Grow(int(n) + bytes.MinRead)
 	}
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
+	if n, err := buf.ReadFrom(io.LimitReader(resp.Body, tile.MaxInflated+1)); err != nil {
 		return nil, fmt.Errorf("client: read tile: %w", err)
+	} else if n > tile.MaxInflated {
+		return nil, fmt.Errorf("client: tile body past %d bytes", tile.MaxInflated)
 	}
 	decode := tile.DecodeJSON
 	if strings.HasPrefix(resp.Header.Get("Content-Type"), tile.BinaryContentType) {

@@ -204,6 +204,35 @@ func TestClientInflateBound(t *testing.T) {
 	}
 }
 
+// TestClientBoundsTransparentGzip: a client that does not negotiate lets
+// the transport ask for gzip and inflate the body itself, so the bound must
+// hold on the read: a body inflating past tile.MaxInflated is refused with
+// an error naming it rather than read whole (the tile followed by 16 MiB of
+// whitespace would otherwise decode).
+func TestClientBoundsTransparentGzip(t *testing.T) {
+	body, err := (&tile.Tile{Size: 1, Attrs: []string{"v"}, Data: [][]float64{{1}}}).EncodeJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gz bytes.Buffer
+	zw, _ := gzip.NewWriterLevel(&gz, gzip.BestSpeed)
+	_, _ = zw.Write(body)
+	_, _ = zw.Write(bytes.Repeat([]byte{' '}, tile.MaxInflated))
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Encoding", "gzip")
+		_, _ = w.Write(gz.Bytes())
+	}))
+	defer ts.Close()
+	_, _, err = New(ts.URL, "s").Tile(tile.Coord{})
+	if err == nil || !contains(err.Error(), strconv.Itoa(tile.MaxInflated)) {
+		t.Fatalf("a transparently gunzipped body past the bound: err = %v, want one naming %d", err, tile.MaxInflated)
+	}
+}
+
 // TestHostileContentLengthIsOnlyAHint: past 1 MiB a declared length
 // sizes nothing (growing a buffer to 1 TiB would panic); the client reads
 // what actually arrives.

@@ -11,7 +11,7 @@ import (
 )
 
 // Binary framing: what GET /stream answers to a request naming
-// tile.BinaryContentType. A frame's payload is the tile's memoized FCT2
+// tile.BinaryContentType. A frame's payload is the tile's memoized FCT3
 // body, the very bytes /tile serves: pushing a tile costs a header and a
 // copy. Layout (little-endian):
 //
@@ -38,7 +38,7 @@ const (
 )
 
 // AppendBinary appends f as one binary frame to dst. body is the tile's
-// FCT2 encoding as /tile serves it — gzip-compressed when gz — copied
+// FCT3 encoding as /tile serves it — gzip-compressed when gz — copied
 // verbatim; f.Tile and f.Payload are not consulted. Heartbeats carry
 // nothing but their seq.
 func AppendBinary(dst []byte, f Frame, body []byte, gz bool) ([]byte, error) {

@@ -9,7 +9,7 @@
 //
 //   - the wire formats: SSE frames (this file) carrying the tile payload
 //     plus its coord/model/score attribution, greppable by curl, and binary
-//     frames (binary.go) around the tile's memoized FCT2 body, which a
+//     frames (binary.go) around the tile's memoized FCT3 body, which a
 //     client negotiates on GET /stream as it does on /tile;
 //   - the Registry (registry.go): the per-session stream table the server
 //     and the prefetch scheduler share — attach/supersede/detach

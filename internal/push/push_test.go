@@ -442,7 +442,7 @@ func TestRegistryPushSharesEncodedPayload(t *testing.T) {
 		}
 	}
 
-	// A binary stream's handler copies the FCT2 body at write time, so its
+	// A binary stream's handler copies the FCT3 body at write time, so its
 	// frames carry no JSON payload and never touch the JSON variant — on
 	// push or on backfill.
 	before := ec.Stats()

@@ -141,7 +141,7 @@ func (r *Registry) HeartbeatInterval() time.Duration { return r.cfg.Heartbeat }
 func (r *Registry) Attach(session string) *Stream { return r.attach(session, false) }
 
 // AttachBinary is Attach for a stream the handler frames with AppendBinary
-// around the memoized FCT2 body: its frames get no JSON Payload.
+// around the memoized FCT3 body: its frames get no JSON Payload.
 func (r *Registry) AttachBinary(session string) *Stream { return r.attach(session, true) }
 
 func (r *Registry) attach(session string, binary bool) *Stream {

@@ -275,7 +275,7 @@ func TestStreamPayloadEncodedOncePerTile(t *testing.T) {
 
 	// Binary framing shares the pull path's bodies: a tile pushed on a
 	// binary+gzip stream and pulled as binary+gzip costs exactly one
-	// encoder run — FCT2 and its gzip in one miss — and one entry, the
+	// encoder run — FCT3 and its gzip in one miss — and one entry, the
 	// gzipped body that is served. No plain body and no JSON entry is kept.
 	t.Run("binary", func(t *testing.T) {
 		ec := tile.NewEncodedCache(0, nil)
@@ -308,7 +308,7 @@ func TestStreamPayloadEncodedOncePerTile(t *testing.T) {
 			t.Fatalf("after 1 pull and %d binary pushes: %+v, want %d encoder runs and entries", pushed, st, want)
 		}
 		// The cache is charged for the gzipped bodies it serves and nothing
-		// else: each tile's FCT2 body gzipped, plus the per-entry overhead.
+		// else: each tile's FCT3 body gzipped, plus the per-entry overhead.
 		const entryOverhead = 128 // tile.encEntryOverhead
 		var cost int64
 		for _, tl := range served {

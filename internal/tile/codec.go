@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 )
@@ -14,7 +15,7 @@ import (
 // need no special casing (JSON spells them null) and every bit pattern
 // round-trips. Layout (all integers little-endian):
 //
-//	magic "FCT2" (the trailing digit is the format version)
+//	magic "FCT3" (the trailing digit is the format version)
 //	| sections: id u32 | length u32 | payload
 //	| crc32 (IEEE) u32 over everything before it
 //
@@ -22,31 +23,39 @@ import (
 //
 //	header (id 1): level u32 | y u32 | x u32 | size u32 | nattrs u32
 //	               | per attr: len u32 | UTF-8 bytes
-//	data   (id 2): per attr, its size² float64 bit patterns as eight byte
-//	               planes, most significant first: plane p holds byte 7−p
-//	               of every cell in row-major order
+//	data   (id 2): plane map, one byte per attr | every plane the map does
+//	               not mark raw. Each grid is eight planes of size² bytes,
+//	               most significant first: plane p holds byte 7−p of every
+//	               cell's float64 bits in row-major order, and bit p of the
+//	               attr's map byte marks it raw. Planes go attr-major.
 //	sigs   (id 3): nsigs u32 | per signature, name-sorted: name len u32
 //	               | name | vec len u32 | values f64; the section is
 //	               omitted entirely when the tile has no signatures
+//	raw    (id 4): the raw planes, in the same order; present only when
+//	               the map marks one
 //
-// The planes are version 2's one change: they set the sign/exponent bytes,
-// which deflate well, apart from the mantissa noise, which does not, so a
-// gzip.BestSpeed body is smaller than the default level's on cell order.
+// Planes (version 2) set the sign/exponent bytes, which deflate well, apart
+// from the mantissa noise, which does not. Version 3 moves that noise to the
+// last section, so everything before its payload is one compressible run
+// and Gzip stores the rest. A plane is raw when it holds more than 64
+// distinct byte values and no other grid holds the same plane: a duplicate
+// deflates to a back-reference, so both copies stay in the run.
 //
 // Readers skip unknown section ids (a newer writer may add sections) and
-// reject duplicates, out-of-bound dimensions, non-canonical shapes and
-// checksum mismatches.
+// reject duplicates, out-of-bound dimensions, non-canonical shapes, a plane
+// map that disagrees with the section lengths and checksum mismatches.
 
 const (
 	// BinaryContentType is the HTTP media type the /tile endpoint and the
 	// Go client negotiate to select this codec over JSON.
 	BinaryContentType = "application/x-forecache-tile"
 
-	binaryMagic = "FCT2"
+	binaryMagic = "FCT3"
 
 	secHeader     = 1
 	secData       = 2
 	secSignatures = 3
+	secRaw        = 4
 
 	maxBinaryAttrs  = 1 << 12
 	maxBinaryString = 1 << 20
@@ -65,11 +74,11 @@ func EncodeBinary(t *Tile) ([]byte, error) {
 }
 
 // AppendBinary appends the binary encoding of t to dst and returns the
-// extended slice. The exact output size is computed up front, so encoding
-// into a nil dst costs a single allocation. Tiles outside the format's
-// bounds (or with grids that don't match Size/Attrs, which the implied
-// section lengths could not represent) are rejected so an encoded payload
-// always decodes back.
+// extended slice. The output size is computed up front (to within the raw
+// section's 8-byte frame), so encoding into a nil dst costs a single
+// allocation. Tiles outside the format's bounds (or with grids that don't
+// match Size/Attrs, which the implied section lengths could not represent)
+// are rejected so an encoded payload always decodes back.
 func AppendBinary(dst []byte, t *Tile) ([]byte, error) {
 	if err := t.checkShape(); err != nil {
 		return nil, err
@@ -88,9 +97,8 @@ func AppendBinary(dst []byte, t *Tile) ([]byte, error) {
 		}
 		headerLen += 4 + len(a)
 	}
-	dataLen := uint64(len(t.Attrs)) * uint64(cells) * 8
-	if dataLen > math.MaxUint32 {
-		return nil, fmt.Errorf("tile %s: %d-byte data section overflows the format", t.Coord, dataLen)
+	if n := uint64(len(t.Attrs)) * (1 + uint64(cells)*8); n > math.MaxUint32 {
+		return nil, fmt.Errorf("tile %s: %d-byte data section overflows the format", t.Coord, n)
 	}
 	sigLen := 0
 	var names []string
@@ -112,7 +120,9 @@ func AppendBinary(dst []byte, t *Tile) ([]byte, error) {
 		}
 		sort.Strings(names)
 	}
-	total := len(binaryMagic) + 8 + headerLen + 8 + int(dataLen) + 4
+	// Raw planes only move between sections, so the size is known up to the
+	// raw section's frame, which is reserved whether or not it is written.
+	total := len(binaryMagic) + 8 + headerLen + 8 + len(t.Attrs)*(1+8*cells) + 8 + 4
 	if sigLen > 0 {
 		total += 8 + sigLen
 	}
@@ -131,19 +141,14 @@ func AppendBinary(dst []byte, t *Tile) ([]byte, error) {
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(a)))
 		b = append(b, a...)
 	}
+	// The plane map is judged in place, where the data section will hold it.
+	planeMap := b[len(b)+8 : len(b)+8+len(t.Attrs)]
+	rawLen := markRawPlanes(planeMap, t.Data) * cells
+	dataLen := len(planeMap) + 8*len(planeMap)*cells - rawLen
 	b = binary.LittleEndian.AppendUint32(b, secData)
 	b = binary.LittleEndian.AppendUint32(b, uint32(dataLen))
-	for _, g := range t.Data {
-		a, n := b[len(b):len(b)+8*len(g)], len(g)
-		p0, p1, p2, p3 := a[:n], a[n:][:n], a[2*n:][:n], a[3*n:][:n]
-		p4, p5, p6, p7 := a[4*n:][:n], a[5*n:][:n], a[6*n:][:n], a[7*n:][:n]
-		for c, v := range g {
-			u := math.Float64bits(v)
-			p0[c], p1[c], p2[c], p3[c] = byte(u>>56), byte(u>>48), byte(u>>40), byte(u>>32)
-			p4[c], p5[c], p6[c], p7[c] = byte(u>>24), byte(u>>16), byte(u>>8), byte(u)
-		}
-		b = b[:len(b)+8*n]
-	}
+	planes := b[len(b)+len(planeMap) : len(b)+dataLen] // filled once raw is framed too
+	b = b[:len(b)+dataLen]
 	if sigLen > 0 {
 		b = binary.LittleEndian.AppendUint32(b, secSignatures)
 		b = binary.LittleEndian.AppendUint32(b, uint32(sigLen))
@@ -158,8 +163,83 @@ func AppendBinary(dst []byte, t *Tile) ([]byte, error) {
 			}
 		}
 	}
+	if rawLen > 0 {
+		b = binary.LittleEndian.AppendUint32(b, secRaw)
+		b = binary.LittleEndian.AppendUint32(b, uint32(rawLen))
+	}
+	raw := b[len(b) : len(b)+rawLen]
+	b = b[:len(b)+rawLen]
+	for a, g := range t.Data {
+		p := cutPlanes(planeMap[a], len(g), &planes, &raw)
+		p0, p1, p2, p3, p4, p5, p6, p7 := p[0], p[1], p[2], p[3], p[4], p[5], p[6], p[7]
+		for c, v := range g {
+			u := math.Float64bits(v)
+			p0[c], p1[c], p2[c], p3[c] = byte(u>>56), byte(u>>48), byte(u>>40), byte(u>>32)
+			p4[c], p5[c], p6[c], p7[c] = byte(u>>24), byte(u>>16), byte(u>>8), byte(u)
+		}
+	}
 	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
 	return b, nil
+}
+
+// markRawPlanes sets bit p of m[a] when plane p of data[a] is noise, as the
+// layout defines it, and returns how many bits it set.
+func markRawPlanes(m []byte, data [][]float64) (n int) {
+	for a, g := range data {
+		var seen [8][256]uint8 // 1 for each byte value a plane holds
+		for _, v := range g {
+			u := math.Float64bits(v)
+			seen[0][byte(u>>56)], seen[1][byte(u>>48)], seen[2][byte(u>>40)], seen[3][byte(u>>32)] = 1, 1, 1, 1
+			seen[4][byte(u>>24)], seen[5][byte(u>>16)], seen[6][byte(u>>8)], seen[7][byte(u)] = 1, 1, 1, 1
+		}
+		m[a] = 0
+		for p := range seen {
+			distinct := 0
+			for i := 0; i < len(seen[p]); i += 8 {
+				distinct += bits.OnesCount64(binary.LittleEndian.Uint64(seen[p][i:]))
+			}
+			if distinct > 64 {
+				m[a] |= 1 << p
+			}
+		}
+	}
+	for a, g := range data {
+		for o := 0; o < len(data) && m[a] != 0; o++ {
+			if o != a {
+				m[a] &^= samePlanes(g, data[o])
+			}
+		}
+		n += bits.OnesCount8(m[a])
+	}
+	return n
+}
+
+// samePlanes sets bit p when grids g and h hold the same plane p.
+func samePlanes(g, h []float64) (same byte) {
+	var diff uint64
+	for c, v := range g {
+		diff |= math.Float64bits(v) ^ math.Float64bits(h[c])
+	}
+	for p := range 8 {
+		if byte(diff>>(56-8*p)) == 0 {
+			same |= 1 << p
+		}
+	}
+	return same
+}
+
+// cutPlanes returns a grid's eight n-byte planes, most significant first,
+// each cut from the front of raw when bit p of m marks it raw and from the
+// front of rest otherwise.
+func cutPlanes(m byte, n int, rest, raw *[]byte) (p [8][]byte) {
+	for j := range p {
+		src := rest
+		if m&(1<<j) != 0 {
+			src = raw
+		}
+		p[j], *src = (*src)[:n], (*src)[n:]
+	}
+	return p
 }
 
 // DecodeBinary reconstructs a tile encoded with EncodeBinary. The payload
@@ -177,8 +257,10 @@ func DecodeBinary(data []byte) (*Tile, error) {
 	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(trailer); got != want {
 		return nil, fmt.Errorf("tile: binary payload checksum mismatch (%08x != %08x)", got, want)
 	}
-	t := &Tile{}
-	var sawHeader, sawData, sawSigs bool
+	// Known sections are kept by id and parsed once all are read: the grids
+	// need the header's shape and both the data and the raw section. A
+	// section, even an empty one, is a non-nil slice of data.
+	var secs [secRaw + 1][]byte
 	rest := body[len(binaryMagic):]
 	for len(rest) > 0 {
 		if len(rest) < 8 {
@@ -192,41 +274,29 @@ func DecodeBinary(data []byte) (*Tile, error) {
 		}
 		sec := rest[:ln]
 		rest = rest[ln:]
-		switch id {
-		case secHeader:
-			if sawHeader {
-				return nil, fmt.Errorf("tile: duplicate header section")
+		// Unknown sections are skipped: a newer writer may append sections
+		// this reader doesn't know about.
+		if id >= secHeader && id <= secRaw {
+			if secs[id] != nil {
+				return nil, fmt.Errorf("tile: duplicate section %d", id)
 			}
-			sawHeader = true
-			if err := decodeBinaryHeader(t, sec); err != nil {
-				return nil, err
-			}
-		case secData:
-			if sawData {
-				return nil, fmt.Errorf("tile: duplicate data section")
-			}
-			if !sawHeader {
-				return nil, fmt.Errorf("tile: data section before header")
-			}
-			sawData = true
-			if err := decodeBinaryData(t, sec); err != nil {
-				return nil, err
-			}
-		case secSignatures:
-			if sawSigs {
-				return nil, fmt.Errorf("tile: duplicate signatures section")
-			}
-			sawSigs = true
-			if err := decodeBinarySignatures(t, sec); err != nil {
-				return nil, err
-			}
-		default:
-			// Unknown sections are skipped: a newer writer may append
-			// sections this reader doesn't know about.
+			secs[id] = sec
 		}
 	}
-	if !sawHeader || !sawData {
+	if secs[secHeader] == nil || secs[secData] == nil {
 		return nil, fmt.Errorf("tile: binary payload missing required sections")
+	}
+	t := &Tile{}
+	if err := decodeBinaryHeader(t, secs[secHeader]); err != nil {
+		return nil, err
+	}
+	if err := decodeBinaryData(t, secs[secData], secs[secRaw]); err != nil {
+		return nil, err
+	}
+	if secs[secSignatures] != nil {
+		if err := decodeBinarySignatures(t, secs[secSignatures]); err != nil {
+			return nil, err
+		}
 	}
 	return t, nil
 }
@@ -302,17 +372,28 @@ func decodeBinaryHeader(t *Tile, sec []byte) error {
 	return nil
 }
 
-func decodeBinaryData(t *Tile, sec []byte) error {
+// decodeBinaryData assembles the grids from the data section and the raw
+// section (nil when absent) once the header has fixed their shape.
+func decodeBinaryData(t *Tile, sec, raw []byte) error {
 	cells := t.Size * t.Size
-	if want := uint64(len(t.Attrs)) * uint64(cells) * 8; uint64(len(sec)) != want {
-		return fmt.Errorf("tile %s: data section is %d bytes, want %d", t.Coord, len(sec), want)
+	if len(sec) < len(t.Attrs) {
+		return fmt.Errorf("tile %s: data section of %d bytes holds no plane map", t.Coord, len(sec))
+	}
+	planeMap, sec := sec[:len(t.Attrs)], sec[len(t.Attrs):]
+	nraw := 0
+	for _, m := range planeMap {
+		nraw += bits.OnesCount8(m)
+	}
+	// A raw section must carry at least one plane: the canonical encoding
+	// omits it otherwise.
+	if (raw != nil && nraw == 0) || uint64(len(sec)) != uint64(8*len(t.Attrs)-nraw)*uint64(cells) || uint64(len(raw)) != uint64(nraw)*uint64(cells) {
+		return fmt.Errorf("tile %s: %d data and %d raw plane bytes disagree with the plane map's %d raw planes", t.Coord, len(sec), len(raw), nraw)
 	}
 	t.Data = make([][]float64, len(t.Attrs))
 	for i := range t.Data {
-		a, n := sec[i*cells*8:], cells
-		p0, p1, p2, p3 := a[:n], a[n:][:n], a[2*n:][:n], a[3*n:][:n]
-		p4, p5, p6, p7 := a[4*n:][:n], a[5*n:][:n], a[6*n:][:n], a[7*n:][:n]
-		g := make([]float64, n)
+		p := cutPlanes(planeMap[i], cells, &sec, &raw)
+		p0, p1, p2, p3, p4, p5, p6, p7 := p[0], p[1], p[2], p[3], p[4], p[5], p[6], p[7]
+		g := make([]float64, cells)
 		for c := range g {
 			g[c] = math.Float64frombits(uint64(p0[c])<<56 | uint64(p1[c])<<48 | uint64(p2[c])<<40 | uint64(p3[c])<<32 |
 				uint64(p4[c])<<24 | uint64(p5[c])<<16 | uint64(p6[c])<<8 | uint64(p7[c]))

@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -38,6 +39,23 @@ func codecTile() *Tile {
 			"hist":   {1, 2, 3, 4, 5},
 		},
 	}
+}
+
+// noisyTile carries a raw section: its grids' low mantissa planes are noise
+// and, unlike realShapedTile's, its two grids differ. It backs the second
+// golden file and the corruption cases that need raw planes.
+func noisyTile() *Tile {
+	t := &Tile{Coord: Coord{Level: 2, Y: 3, X: 1}, Size: 16, Attrs: []string{"ndsi", "svis"},
+		Signatures: map[string][]float64{"normal": {0.25, 1.75}}}
+	for a := range t.Attrs {
+		g := make([]float64, 16*16)
+		for c := range g {
+			g[c] = float64((c*2654435761+a*40503)%1000003) / 1000003
+		}
+		g[17] = math.NaN()
+		t.Data = append(t.Data, g)
+	}
+	return t
 }
 
 // legacyMarshalJSON is the pre-codec MarshalJSON implementation (the
@@ -109,6 +127,18 @@ func TestMarshalJSONRejectsInf(t *testing.T) {
 	tl := &Tile{Size: 1, Attrs: []string{"v"}, Data: [][]float64{{math.Inf(1)}}}
 	if _, err := tl.MarshalJSON(); err == nil {
 		t.Error("MarshalJSON accepted +Inf; legacy encoder rejected it")
+	}
+}
+
+// TestEncodeJSONRightSized: the body a cache entry keeps holds no more than
+// its bytes, where AppendJSON alone leaves ~1.6× spare.
+func TestEncodeJSONRightSized(t *testing.T) {
+	body, err := realShapedTile().EncodeJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if float64(cap(body)) > 1.125*float64(len(body)) {
+		t.Errorf("EncodeJSON: %d B body in a %d B array", len(body), cap(body))
 	}
 }
 
@@ -207,32 +237,42 @@ func TestBinaryRoundTrip(t *testing.T) {
 
 // TestBinaryGolden pins the wire format to committed fixture bytes so it
 // cannot drift silently: any codec change that alters the encoding must
-// regenerate the fixture (go test ./internal/tile -run Golden -update) and
-// announce a format version bump.
+// regenerate the fixtures (go test ./internal/tile -run Golden -update) and
+// announce a format version bump. codecTile has no raw section and
+// noisyTile has one; the version 2 fixture must now be refused.
 func TestBinaryGolden(t *testing.T) {
-	path := filepath.Join("testdata", "codec_golden_v2.bin")
-	enc, err := EncodeBinary(codecTile())
+	for file, tl := range map[string]*Tile{"codec_golden_v3.bin": codecTile(), "codec_golden_v3_raw.bin": noisyTile()} {
+		path := filepath.Join("testdata", file)
+		enc, err := EncodeBinary(tl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *updateGolden {
+			if err := os.WriteFile(path, enc, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		golden, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("read golden fixture (regenerate with -update): %v", err)
+		}
+		if !bytes.Equal(enc, golden) {
+			t.Fatalf("%s: EncodeBinary output diverged from the committed wire format (%d vs %d bytes); if intentional, bump the codec version and regenerate with -update", file, len(enc), len(golden))
+		}
+		dec, err := DecodeBinary(golden)
+		if err != nil {
+			t.Fatalf("DecodeBinary(%s): %v", file, err)
+		}
+		if !tilesEqual(dec, tl) {
+			t.Errorf("%s no longer decodes to its reference tile", file)
+		}
+	}
+	v2, err := os.ReadFile(filepath.Join("testdata", "codec_golden_v2.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *updateGolden {
-		if err := os.WriteFile(path, enc, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	golden, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden fixture (regenerate with -update): %v", err)
-	}
-	if !bytes.Equal(enc, golden) {
-		t.Fatalf("EncodeBinary output diverged from the committed wire format (%d vs %d bytes); if intentional, bump the codec version and regenerate with -update", len(enc), len(golden))
-	}
-	dec, err := DecodeBinary(golden)
-	if err != nil {
-		t.Fatalf("DecodeBinary(golden): %v", err)
-	}
-	if !tilesEqual(dec, codecTile()) {
-		t.Error("golden fixture no longer decodes to the reference tile")
+	if _, err := DecodeBinary(v2); err == nil || !strings.Contains(err.Error(), `bad binary magic "FCT2"`) {
+		t.Errorf("version 2 fixture: err = %v, want bad magic", err)
 	}
 }
 
@@ -261,23 +301,60 @@ func TestCrossFormatEquivalence(t *testing.T) {
 	}
 }
 
+// reseal recomputes b's trailer so the mutation under test — not the
+// checksum — is what the decoder trips on.
+func reseal(b []byte) []byte {
+	binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[:len(b)-4]))
+	return b
+}
+
+// rawSectionCorruptions are bodies whose plane map and raw section
+// disagree, each resealed, and a version 2 body: the rejections version 3
+// added, for TestDecodeBinaryRejectsCorruption and as fuzz seeds.
+func rawSectionCorruptions(tb testing.TB) map[string][]byte {
+	plain, err := EncodeBinary(codecTile())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	noisy, err := EncodeBinary(noisyTile())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	// appendRaw adds a raw section of n bytes after body's last section.
+	appendRaw := func(body []byte, n int) []byte {
+		b := bytes.Clone(body[:len(body)-4])
+		b = binary.LittleEndian.AppendUint32(b, secRaw)
+		b = binary.LittleEndian.AppendUint32(b, uint32(n))
+		return reseal(append(b, make([]byte, n+4)...))
+	}
+	rawAt := rawTail(noisy) // the raw payload; its frame is the 8 bytes before
+	rawLen := len(noisy) - 4 - rawAt
+	mapAt := bytes.Index(noisy, []byte("svis")) + len("svis") + 8 // the last attr's map byte
+	return map[string][]byte{
+		// A map bit more or fewer than the planes the sections carry.
+		"map marks an extra plane": reseal(func() []byte { b := bytes.Clone(noisy); b[mapAt] |= 1; return b }()),
+		"map drops a raw plane":    reseal(func() []byte { b := bytes.Clone(noisy); b[mapAt] &= b[mapAt] - 1; return b }()),
+		"short raw section": func() []byte {
+			b := append(bytes.Clone(noisy[:len(noisy)-5]), 0, 0, 0, 0)
+			binary.LittleEndian.PutUint32(b[rawAt-4:], uint32(rawLen-1))
+			return reseal(b)
+		}(),
+		"raw section, no map bits": appendRaw(plain, 0),
+		"dup raw section":          appendRaw(noisy, rawLen),
+		"version 2":                reseal(append([]byte("FCT2"), plain[4:]...)),
+	}
+}
+
 func TestDecodeBinaryRejectsCorruption(t *testing.T) {
 	valid, err := EncodeBinary(codecTile())
 	if err != nil {
 		t.Fatal(err)
 	}
-	version1 := binaryMagic[:3] + "1" // the cell-interleaved format before byte planes
-	reseal := func(b []byte) []byte {
-		// Recompute the trailer so the mutation under test — not the
-		// checksum — is what the decoder trips on.
-		binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[:len(b)-4]))
-		return b
-	}
 	cases := map[string][]byte{
 		"empty":       {},
 		"short":       valid[:6],
 		"bad magic":   append([]byte("NOPE"), valid[4:]...),
-		"version 1":   reseal(append([]byte(version1), valid[4:]...)),
+		"version 1":   reseal(append([]byte("FCT1"), valid[4:]...)),
 		"truncated":   valid[:len(valid)/2],
 		"bit flip":    func() []byte { b := bytes.Clone(valid); b[len(b)/2] ^= 0x40; return b }(),
 		"crc flip":    func() []byte { b := bytes.Clone(valid); b[len(b)-1] ^= 0xff; return b }(),
@@ -300,15 +377,18 @@ func TestDecodeBinaryRejectsCorruption(t *testing.T) {
 			return reseal(append(b, 0, 0, 0, 0))
 		}(),
 	}
+	maps.Copy(cases, rawSectionCorruptions(t))
 	for name, data := range cases {
 		if _, err := DecodeBinary(data); err == nil {
 			t.Errorf("%s: DecodeBinary accepted corrupt payload", name)
 		}
 	}
-	// A version 1 body is refused by its magic, with its checksum intact,
-	// rather than misread as planes.
-	if _, err := DecodeBinary(cases["version 1"]); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("bad binary magic %q", version1)) {
-		t.Errorf("version 1 body: err = %v, want bad magic", err)
+	// Older versions are refused by their magic, with their checksums
+	// intact, rather than misread.
+	for _, v := range []string{"FCT1", "FCT2"} {
+		if _, err := DecodeBinary(cases["version "+v[3:]]); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("bad binary magic %q", v)) {
+			t.Errorf("%s body: err = %v, want bad magic", v, err)
+		}
 	}
 }
 

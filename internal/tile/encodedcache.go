@@ -67,7 +67,7 @@ func NewEncodedCache(budget int64, onEncode func(time.Duration)) *EncodedCache {
 	}
 	return &EncodedCache{
 		payloads: memo.New[encKey](budget, func(payload []byte) int64 {
-			return int64(len(payload)) + encEntryOverhead
+			return int64(cap(payload)) + encEntryOverhead // what the entry retains
 		}),
 		onEncode: onEncode,
 	}

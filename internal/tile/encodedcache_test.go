@@ -153,6 +153,18 @@ func TestEncodedCacheOversizeEntryStays(t *testing.T) {
 	}
 }
 
+// TestEncodedCacheChargesCapacity: an entry is charged for the array it
+// retains, not only the bytes it serves.
+func TestEncodedCacheChargesCapacity(t *testing.T) {
+	ec := NewEncodedCache(1<<20, nil)
+	if _, err := ec.Get(Coord{}, FormatJSON, false, func() ([]byte, error) { return make([]byte, 10, 4096), nil }); err != nil {
+		t.Fatal(err)
+	}
+	if st := ec.Stats(); st.Cost < 4096 {
+		t.Errorf("a 10 B payload in a 4096 B array is charged %d B", st.Cost)
+	}
+}
+
 func TestEncodedCacheOnEncodeHook(t *testing.T) {
 	var calls atomic.Int64
 	ec := NewEncodedCache(1<<20, func(d time.Duration) {

@@ -37,7 +37,15 @@ func FuzzTileDecodeBinary(f *testing.F) {
 		corrupt[len(corrupt)/3] ^= 0x80
 		f.Add(corrupt) // checksum mismatch
 	}
-	f.Add([]byte("FCT2"))
+	for _, body := range rawSectionCorruptions(f) {
+		f.Add(body)
+	}
+	noisy, err := EncodeBinary(noisyTile())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(noisy)
+	f.Add([]byte(binaryMagic))
 	f.Add([]byte("NOPE"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tl, err := DecodeBinary(data)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"io"
+	"math"
 	"sync"
 	"testing"
 )
@@ -102,5 +103,47 @@ func TestDecodeGzipKeepsNoAlias(t *testing.T) {
 		if !tilesEqual(kept, src) {
 			t.Error("a decoded tile changed when its pooled buffer was reused")
 		}
+	}
+}
+
+// TestGzipStoresRawPlanes: a 1024² tile's raw section spans many stored
+// blocks and still round-trips through a stock gzip reader and DecodeGzip,
+// and noisyTile's raw planes appear verbatim in its gzip body.
+func TestGzipStoresRawPlanes(t *testing.T) {
+	const side = 1024
+	g := make([]float64, side*side)
+	for i := range g {
+		g[i] = math.Sin(float64(i)) * 1e3
+	}
+	big := &Tile{Coord: Coord{Level: 2, Y: 1, X: 3}, Size: side, Attrs: []string{"v"}, Data: [][]float64{g}}
+	plain, err := EncodeBinary(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tail := len(plain) - rawTail(plain); tail < 4*maxStored {
+		t.Fatalf("raw tail of %d B spans too few stored blocks", tail)
+	}
+	gz, err := Gzip(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(gz))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := io.ReadAll(zr); err != nil || !bytes.Equal(got, plain) {
+		t.Fatalf("stock gzip reader: %d B, %v; want the %d B body", len(got), err, len(plain))
+	}
+	if got, err := DecodeGzip(gz, DecodeBinary); err != nil || !tilesEqual(got, big) {
+		t.Fatalf("DecodeGzip: %v", err)
+	}
+	plain, _ = EncodeBinary(noisyTile())
+	gz, _ = Gzip(plain)
+	split := rawTail(plain)
+	if split == len(plain) {
+		t.Fatal("noisyTile has no raw planes")
+	}
+	if !bytes.Contains(gz, plain[split:]) {
+		t.Errorf("the %d raw bytes are not stored verbatim", len(plain)-split)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 	"strconv"
+	"sync"
 )
 
 // Tile is one data tile: a Size x Size cell grid per attribute, plus the
@@ -188,13 +189,20 @@ func appendJSONFloat(b []byte, v float64) []byte {
 // has always appended to /tile responses. Every layer that memoizes JSON
 // payloads (the serving tier's encoded cache, the push registry) caches
 // exactly this body, so cached and uncached responses are byte-identical.
+// The body is right-sized: AppendJSON's generous first guess goes back to a
+// pool rather than into a cache entry.
 func (t *Tile) EncodeJSON() ([]byte, error) {
-	b, err := AppendJSON(nil, t)
+	buf := jsonBufs.Get().(*[]byte)
+	defer jsonBufs.Put(buf)
+	b, err := AppendJSON((*buf)[:0], t)
 	if err != nil {
 		return nil, err
 	}
-	return append(b, '\n'), nil
+	*buf = b
+	return append(append(make([]byte, 0, len(b)+1), b...), '\n'), nil
 }
+
+var jsonBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // DecodeJSON decodes a tile in the JSON wire format. A payload in exactly
 // the compact shape AppendJSON writes (trailing whitespace allowed) is

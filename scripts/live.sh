@@ -42,7 +42,7 @@ done
 grep -q 'event: tile' "$WORK/stream.out"
 # A second session negotiates binary framing on its stream the way
 # it would on /tile: the answer names the frame-stream type and the
-# frames arrive as bytes around the FCT2 bodies.
+# frames arrive as bytes around the FCT3 bodies.
 curl -sN -D "$WORK/bstream-headers.out" -H 'Accept: application/x-forecache-tile' \
   "http://localhost:18080/stream?session=ci-bin" > "$WORK/bstream.out" &
 BSTREAM_PID=$!
@@ -51,10 +51,10 @@ grep -qi 'content-type: application/x-forecache-stream' "$WORK/bstream-headers.o
 curl -sf "http://localhost:18080/tile?level=0&y=0&x=0&session=ci-bin" > /dev/null
 curl -sf "http://localhost:18080/tile?level=1&y=0&x=0&session=ci-bin" > /dev/null
 for i in $(seq 1 30); do
-  grep -q 'FCT2' "$WORK/bstream.out" && break
+  grep -q 'FCT3' "$WORK/bstream.out" && break
   sleep 1
 done
-grep -q 'FCT2' "$WORK/bstream.out"
+grep -q 'FCT3' "$WORK/bstream.out"
 kill "$BSTREAM_PID" 2> /dev/null || true
 wait "$BSTREAM_PID" 2> /dev/null || true
 # A fleet of session ids must spread over the 4 scheduler shards: at
