@@ -138,9 +138,6 @@ func NewAdaptivePolicy(base AllocationPolicy, models []string, fb AllocationFeed
 	}, nil
 }
 
-// Name identifies the policy in experiment output.
-func (p *AdaptivePolicy) Name() string { return "adaptive(" + p.base.Name() + ")" }
-
 // Allocations returns the per-model slot split for phase ph and budget k.
 // While the phase is still warming up this is exactly the base policy's
 // split; afterwards it is the smoothed, floored, consumption-proportional

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -67,8 +68,8 @@ func TestNewAdaptivePolicyValidation(t *testing.T) {
 		t.Error("duplicate models should fail")
 	}
 	p := mustAdaptive(t, base, []string{"ab", "sb"}, nil, AdaptiveConfig{})
-	if p.Name() != "adaptive(registry)" {
-		t.Errorf("Name = %q", p.Name())
+	if got := p.Models(); !slices.Equal(got, []string{"ab", "sb"}) {
+		t.Errorf("Models = %q", got)
 	}
 }
 

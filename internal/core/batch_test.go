@@ -1,0 +1,158 @@
+package core
+
+import (
+	"maps"
+	"slices"
+	"sort"
+	"testing"
+
+	"forecache/internal/backend"
+	"forecache/internal/prefetch"
+	"forecache/internal/recommend"
+	"forecache/internal/tile"
+	"forecache/internal/trace"
+)
+
+// countingStore counts the quiet (prefetch) fetches per coordinate.
+type countingStore struct {
+	*backend.DBMS
+	quiet map[tile.Coord]int
+}
+
+func (s *countingStore) FetchQuiet(c tile.Coord) (*tile.Tile, error) {
+	s.quiet[c]++
+	return s.DBMS.FetchQuiet(c)
+}
+
+// fixedModel ranks the same coordinates, best first, whatever the request.
+type fixedModel struct {
+	name   string
+	coords []tile.Coord
+}
+
+func (m fixedModel) Name() string        { return m.name }
+func (fixedModel) Observe(trace.Request) {}
+func (fixedModel) Reset()                {}
+func (m fixedModel) Predict(trace.Request, []recommend.Candidate, *trace.History) []recommend.Ranked {
+	out := make([]recommend.Ranked, len(m.coords))
+	for i, c := range m.coords {
+		out[i] = recommend.Ranked{Coord: c, Score: float64(len(m.coords) - i)}
+	}
+	return out
+}
+
+// fixedPolicy allots the same slots per model in every phase.
+type fixedPolicy map[string]int
+
+func (p fixedPolicy) Allocations(trace.Phase, int) map[string]int { return maps.Clone(p) }
+func (p fixedPolicy) Models() []string                            { return slices.Sorted(maps.Keys(p)) }
+
+// TestRequestFetchesEachPredictedTileOnce: two models that agree on a tile
+// cost one DBMS fetch for it, both still hold it in their regions, and
+// Response.Prefetched lists the distinct tiles in coordinate order.
+func TestRequestFetchesEachPredictedTileOnce(t *testing.T) {
+	nw, ne, se := tile.Coord{Level: 1}, tile.Coord{Level: 1, X: 1}, tile.Coord{Level: 1, Y: 1, X: 1}
+	store := &countingStore{DBMS: testDBMS(t), quiet: map[tile.Coord]int{}}
+	models := []recommend.Model{
+		fixedModel{name: "a", coords: []tile.Coord{se, nw}},
+		fixedModel{name: "b", coords: []tile.Coord{nw, ne}},
+	}
+	eng, err := NewEngine(store, nil, fixedPolicy{"a": 2, "b": 2}, models, Config{K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := eng.Request(tile.Coord{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[tile.Coord]int{nw: 1, ne: 1, se: 1}
+	if !maps.Equal(store.quiet, want) {
+		t.Errorf("quiet fetches = %v, want one per distinct predicted tile %v", store.quiet, want)
+	}
+	if !slices.Equal(resp.Prefetched, []tile.Coord{nw, ne, se}) {
+		t.Errorf("Prefetched = %v, want %v", resp.Prefetched, []tile.Coord{nw, ne, se})
+	}
+	var held []string
+	for _, p := range eng.CachedPredictions() {
+		held = append(held, p.Model+" "+p.Tile.Coord.String())
+	}
+	slices.Sort(held)
+	if wantHeld := []string{"a L1/0/0", "a L1/1/1", "b L1/0/0", "b L1/0/1"}; !slices.Equal(held, wantHeld) {
+		t.Errorf("cached predictions = %v, want %v", held, wantHeld)
+	}
+
+	// Two fresh two-model engines walking the same coordinates prefetch
+	// the same tiles in the same order at every step.
+	walk := []tile.Coord{{}, nw, {Level: 2}, nw, {}}
+	var first [][]tile.Coord
+	for run := 0; run < 2; run++ {
+		ab, err := recommend.NewAB(3, zoomTraces(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := NewEngine(testDBMS(t), nil, fixedPolicy{ab.Name(): 3, "momentum": 2},
+			[]recommend.Model{ab, recommend.NewMomentum()}, Config{K: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range walk {
+			resp, err := eng.Request(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := resp.Prefetched; !sort.SliceIsSorted(got, func(a, b int) bool { return got[a].Less(got[b]) }) {
+				t.Errorf("step %d: Prefetched %v is not in coordinate order", i, resp.Prefetched)
+			}
+			if run == 0 {
+				first = append(first, resp.Prefetched)
+			} else if !slices.Equal(resp.Prefetched, first[i]) {
+				t.Errorf("step %d: Prefetched %v, first engine %v", i, resp.Prefetched, first[i])
+			}
+		}
+	}
+}
+
+// nopSubmitter accepts every batch and fetches nothing.
+type nopSubmitter struct{}
+
+func (nopSubmitter) Submit(_ string, reqs []prefetch.Request) int { return len(reqs) }
+func (nopSubmitter) CancelSession(string)                         {}
+func (nopSubmitter) Pressure() float64                            { return 0 }
+func (nopSubmitter) SessionPressure(string) float64               { return 0 }
+
+// requestAllocs is the mean allocation count of one zoom-in, zoom-out
+// round trip after the engine's first request.
+func requestAllocs(t *testing.T, eng *Engine) float64 {
+	t.Helper()
+	if _, err := eng.Request(tile.Coord{}); err != nil {
+		t.Fatal(err)
+	}
+	return testing.AllocsPerRun(100, func() {
+		for _, c := range []tile.Coord{{Level: 1}, {}} {
+			if _, err := eng.Request(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
+// TestRequestAllocCeiling pins the request path's allocations, inline and
+// with a scheduler, at their measured counts.
+func TestRequestAllocCeiling(t *testing.T) {
+	const syncCeiling, asyncCeiling = 122, 104
+	if n := requestAllocs(t, testEngine(t, 5)); n > syncCeiling {
+		t.Errorf("sync round trip allocates %v times, ceiling %d", n, syncCeiling)
+	}
+	ab, err := recommend.NewAB(3, zoomTraces(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(testDBMS(t), nil, SinglePolicy{Model: ab.Name()},
+		[]recommend.Model{ab}, Config{K: 5, Scheduler: nopSubmitter{}, Session: "s"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := requestAllocs(t, eng); n > asyncCeiling {
+		t.Errorf("scheduler round trip allocates %v times, ceiling %d", n, asyncCeiling)
+	}
+}

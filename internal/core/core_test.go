@@ -17,8 +17,8 @@ func TestSinglePolicy(t *testing.T) {
 	if a := p.Allocations(trace.Sensemaking, 7); a["momentum"] != 7 {
 		t.Errorf("single = %v", a)
 	}
-	if p.Name() != "single:momentum" {
-		t.Errorf("Name = %s", p.Name())
+	if got := p.Models(); len(got) != 1 || got[0] != "momentum" {
+		t.Errorf("Models = %q", got)
 	}
 }
 

@@ -1,15 +1,17 @@
 // Package core implements ForeCache's two-level prediction engine, the
 // paper's primary contribution (§4). The top level classifies the user's
-// current analysis phase from her recent requests; the bottom level runs
-// several tile recommendation models in parallel; an allocation policy
+// current analysis phase from their recent requests; an allocation policy
 // converts the predicted phase into per-model shares of the prefetch
-// budget, and the cache manager prefetches the models' top-ranked tiles
-// before the user's next request arrives.
+// budget; the bottom level has each tile recommendation model rank its
+// share of candidates in turn, and the cache manager prefetches that one
+// batch before the user's next request arrives.
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -111,7 +113,9 @@ type Response struct {
 	// Phase is the classifier's prediction for the user's current phase
 	// (PhaseUnknown when the engine runs without a classifier).
 	Phase trace.Phase
-	// Prefetched lists the tiles fetched ahead for the next request.
+	// Prefetched lists the distinct tiles prefetched for the next request,
+	// in coordinate order: the ones loaded inline, or the ones submitted to
+	// the scheduler.
 	Prefetched []tile.Coord
 	// PrefetchBudget is the effective K this request prefetched with: the
 	// configured K, shrunk by scheduler backpressure when the engine runs
@@ -184,6 +188,7 @@ type Engine struct {
 	classifier *phase.Classifier // nil => phase always PhaseUnknown
 	policy     AllocationPolicy
 	models     map[string]recommend.Model
+	names      []string // models' keys in sorted order: the ranking order
 
 	mu sync.Mutex
 	// sched starts as cfg.Scheduler and is the one wired value that changes:
@@ -214,20 +219,7 @@ func NewEngine(db backend.Store, classifier *phase.Classifier, policy Allocation
 	for _, m := range models {
 		byName[m.Name()] = m
 	}
-	// A policy that names its models (AdaptivePolicy) is probed read-only —
-	// calling Allocations on the deployment's shared learning policy would
-	// mutate its state as a side effect of every session construction.
-	var names []string
-	if mp, ok := policy.(interface{ Models() []string }); ok {
-		names = mp.Models()
-	} else {
-		for _, ph := range []trace.Phase{trace.Foraging, trace.Sensemaking} {
-			for name := range policy.Allocations(ph, cfg.K) {
-				names = append(names, name)
-			}
-		}
-	}
-	for _, name := range names {
+	for _, name := range policy.Models() {
 		if _, ok := byName[name]; !ok {
 			return nil, fmt.Errorf("core: policy references unknown model %q", name)
 		}
@@ -238,6 +230,7 @@ func NewEngine(db backend.Store, classifier *phase.Classifier, policy Allocation
 		classifier: classifier,
 		policy:     policy,
 		models:     byName,
+		names:      slices.Sorted(maps.Keys(byName)),
 		sched:      cfg.Scheduler,
 		cache:      cache.NewManager(cfg.RecentTiles),
 		history:    trace.NewHistory(cfg.HistoryLen),
@@ -362,14 +355,7 @@ func (e *Engine) RequestTraced(c tile.Coord, rt *obs.ReqTrace) (*Response, error
 		rt.SetOutcome(obs.OutcomeHit)
 	} else {
 		endFetch := rt.StartSpan("backend_fetch")
-		var fetchStart time.Time
-		if e.cfg.Obs != nil {
-			fetchStart = time.Now()
-		}
-		t, err := e.db.Fetch(c) // charges the miss latency on the clock
-		if e.cfg.Obs != nil {
-			e.cfg.Obs.ObserveBackendFetch(time.Since(fetchStart))
-		}
+		t, err := e.timedFetch(e.db.Fetch, c) // charges the miss latency on the clock
 		endFetch()
 		if err != nil {
 			return nil, err
@@ -404,9 +390,9 @@ func (e *Engine) RequestTraced(c tile.Coord, rt *obs.ReqTrace) (*Response, error
 	}
 
 	endPrefetch := rt.StartSpan("prefetch")
-	// Bottom level: re-evaluate allocations, run the models in parallel,
-	// and prefetch their top-ranked tiles for the next request — inline by
-	// default, or submitted to the shared scheduler in async mode. Under
+	// Bottom level: re-evaluate allocations, rank one batch across the
+	// models, and prefetch it for the next request — inline by default, or
+	// submitted to the shared scheduler in async mode. Under
 	// backpressure an adaptive engine spends a smaller budget: queueing the
 	// full K onto a saturated scheduler only creates entries that decay or
 	// get shed before their fetch is issued. Only the submitted batch
@@ -427,10 +413,12 @@ func (e *Engine) RequestTraced(c tile.Coord, rt *obs.ReqTrace) (*Response, error
 	if k != e.cfg.K {
 		fetchAllocs = e.policy.Allocations(resp.Phase, k)
 	}
+	batch, coords := e.rank(req, fetchAllocs)
 	if e.sched != nil {
-		resp.Prefetched = e.submitPrefetch(req, fetchAllocs, resp.Phase)
+		e.submitPrefetch(batch, resp.Phase)
+		resp.Prefetched = coords
 	} else {
-		resp.Prefetched = e.prefetch(req, fetchAllocs, resp.Phase)
+		resp.Prefetched = e.prefetch(batch, coords, fetchAllocs, resp.Phase)
 	}
 	endPrefetch()
 
@@ -460,108 +448,97 @@ func (e *Engine) RequestTraced(c tile.Coord, rt *obs.ReqTrace) (*Response, error
 	return resp, nil
 }
 
-// modelRanked pairs one model's name with its top-k ranked predictions.
-type modelRanked struct {
-	name   string
-	ranked []recommend.Ranked
+// timedFetch is fetch(c), timed into the observability pipeline if the
+// engine has one.
+func (e *Engine) timedFetch(fetch func(tile.Coord) (*tile.Tile, error), c tile.Coord) (*tile.Tile, error) {
+	if e.cfg.Obs == nil {
+		return fetch(c)
+	}
+	start := time.Now()
+	t, err := fetch(c)
+	e.cfg.Obs.ObserveBackendFetch(time.Since(start))
+	return t, err
 }
 
-// rankModels runs every allotted model concurrently (the paper runs
-// recommenders in parallel) and collects their top-ranked candidates.
-func (e *Engine) rankModels(req trace.Request, allocs map[string]int) []modelRanked {
+// prediction is one model's ranked candidate at one batch position.
+type prediction struct {
+	model string
+	pos   int // the model's rank: the position outcomes attribute to
+	recommend.Ranked
+}
+
+// rank is the bottom level: each model with a positive allotment, in name
+// order, ranks the candidates around req and keeps its top slots. It
+// returns the batch, one entry per (model, position), and the batch's
+// distinct coordinates in coordinate order.
+func (e *Engine) rank(req trace.Request, allocs map[string]int) ([]prediction, []tile.Coord) {
 	cands := recommend.Candidates(e.db.Pyramid(), req.Coord, e.cfg.D)
-	results := make(chan modelRanked, len(allocs))
-	var wg sync.WaitGroup
-	for name, k := range allocs {
-		m := e.models[name]
-		if m == nil || k <= 0 {
+	batch := make([]prediction, 0, e.cfg.K) // allocations sum to at most K
+	coords := make([]tile.Coord, 0, e.cfg.K)
+	for _, name := range e.names {
+		if allocs[name] <= 0 {
 			continue
 		}
-		wg.Add(1)
-		go func(name string, m recommend.Model, k int) {
-			defer wg.Done()
-			ranked := recommend.TopK(m.Predict(req, cands, e.history), k)
-			results <- modelRanked{name: name, ranked: ranked}
-		}(name, m, k)
+		for pos, r := range recommend.TopK(e.models[name].Predict(req, cands, e.history), allocs[name]) {
+			batch = append(batch, prediction{model: name, pos: pos, Ranked: r})
+			coords = append(coords, r.Coord)
+		}
 	}
-	wg.Wait()
-	close(results)
-	out := make([]modelRanked, 0, len(allocs))
-	for r := range results {
-		out = append(out, r)
-	}
-	return out
+	slices.SortFunc(coords, func(a, b tile.Coord) int {
+		return cmp.Or(cmp.Compare(a.Level, b.Level), cmp.Compare(a.Y, b.Y), cmp.Compare(a.X, b.X))
+	})
+	return batch, slices.Compact(coords)
 }
 
-// prefetch is the synchronous path: it loads the models' winners into the
-// cache via quiet DBMS fetches inline (prefetching happens while the user
-// analyzes the current view, off the response path). The eval harness uses
-// this mode so the paper's experiments stay deterministic.
-func (e *Engine) prefetch(req trace.Request, allocs map[string]int, ph trace.Phase) []tile.Coord {
-	var fetched []tile.Coord
-	seen := map[tile.Coord]bool{}
-	for _, r := range e.rankModels(req, allocs) {
-		tiles := make([]*tile.Tile, 0, len(r.ranked))
-		for _, pred := range r.ranked {
-			var fetchStart time.Time
-			if e.cfg.Obs != nil {
-				fetchStart = time.Now()
-			}
-			t, err := e.db.FetchQuiet(pred.Coord)
-			if e.cfg.Obs != nil {
-				e.cfg.Obs.ObserveBackendFetch(time.Since(fetchStart))
-			}
-			if err != nil {
-				continue
-			}
-			tiles = append(tiles, t)
-			if !seen[pred.Coord] {
-				seen[pred.Coord] = true
-				fetched = append(fetched, pred.Coord)
+// prefetch is the synchronous path: it loads each distinct predicted tile
+// with one quiet DBMS fetch (prefetching happens while the user analyzes
+// the current view, off the response path), then fills every allotted
+// model's region with its predictions that loaded. It returns the
+// coordinates loaded. The eval harness uses this mode so the paper's
+// experiments stay deterministic.
+func (e *Engine) prefetch(batch []prediction, coords []tile.Coord, allocs map[string]int, ph trace.Phase) []tile.Coord {
+	fetched := coords[:0]
+	loaded := make([]*tile.Tile, 0, len(coords)) // loaded[i] is fetched[i]'s tile
+	for _, c := range coords {
+		if t, err := e.timedFetch(e.db.FetchQuiet, c); err == nil {
+			fetched = append(fetched, c)
+			loaded = append(loaded, t)
+		}
+	}
+	tiles := make([]*tile.Tile, 0, len(batch))
+	i := 0
+	for _, name := range e.names {
+		if allocs[name] <= 0 {
+			continue
+		}
+		// A model that ranked nothing still refills: its old region goes.
+		tiles = tiles[:0]
+		for ; i < len(batch) && batch[i].model == name; i++ {
+			if j := slices.Index(fetched, batch[i].Coord); j >= 0 {
+				tiles = append(tiles, loaded[j])
 			}
 		}
-		e.cache.FillPredictions(r.name, tiles, ph)
+		e.cache.FillPredictions(name, tiles, ph)
 	}
 	return fetched
 }
 
-// submitPrefetch is the asynchronous path: the ranked candidates become one
-// batch submitted to the shared scheduler, which fetches them off the
-// response path (coalescing duplicates across sessions) and delivers each
-// tile into this engine's cache as it completes. The returned coordinates
-// are the ones submitted, not necessarily loaded yet.
-func (e *Engine) submitPrefetch(req trace.Request, allocs map[string]int, ph trace.Phase) []tile.Coord {
-	var reqs []prefetch.Request
-	var submitted []tile.Coord
-	seen := map[tile.Coord]bool{}
+// submitPrefetch is the asynchronous path: the batch goes to the shared
+// scheduler as it is, which fetches it off the response path (coalescing
+// duplicates across sessions) and delivers each tile into this engine's
+// cache as it completes.
+func (e *Engine) submitPrefetch(batch []prediction, ph trace.Phase) {
 	epoch := e.epoch // caller holds e.mu
-	for _, r := range e.rankModels(req, allocs) {
-		name := r.name
-		for pi, pred := range r.ranked {
-			pos := pi // the model's rank: the position outcomes attribute to
-			reqs = append(reqs, prefetch.Request{
-				Coord: pred.Coord,
-				Score: pred.Score,
-				Model: name,
-				Deliver: func(t *tile.Tile) {
-					e.deliver(name, epoch, pos, ph, t)
-				},
-			})
-			if !seen[pred.Coord] {
-				seen[pred.Coord] = true
-				submitted = append(submitted, pred.Coord)
-			}
+	reqs := make([]prefetch.Request, len(batch))
+	for i, p := range batch {
+		reqs[i] = prefetch.Request{
+			Coord: p.Coord,
+			Score: p.Score,
+			Model: p.model,
+			Deliver: func(t *tile.Tile) {
+				e.deliver(p.model, epoch, p.pos, ph, t)
+			},
 		}
 	}
-	// Model results arrive in goroutine-completion order; sort so the batch
-	// the scheduler sees (and therefore its queue order) is deterministic.
-	sort.SliceStable(reqs, func(i, j int) bool {
-		if reqs[i].Score != reqs[j].Score {
-			return reqs[i].Score > reqs[j].Score
-		}
-		return reqs[i].Coord.Less(reqs[j].Coord)
-	})
-	sort.Slice(submitted, func(i, j int) bool { return submitted[i].Less(submitted[j]) })
 	e.sched.Submit(e.cfg.Session, reqs)
-	return submitted
 }

@@ -100,5 +100,5 @@ func TestEngineZeroPrefetchBudget(t *testing.T) {
 
 type starvedPolicy struct{}
 
-func (starvedPolicy) Name() string                                     { return "starved" }
+func (starvedPolicy) Models() []string                                 { return nil }
 func (starvedPolicy) Allocations(ph trace.Phase, k int) map[string]int { return nil }

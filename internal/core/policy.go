@@ -10,13 +10,15 @@ import (
 // AllocationPolicy decides, after every request, how many of the k
 // prefetch slots each recommendation model receives given the user's
 // predicted analysis phase — the cache manager's "allocation strategy"
-// (paper §3, §4.4).
+// (paper §3, §4.4). Models names every model it can allocate to, so
+// NewEngine can check them without calling Allocations: a deployment's
+// shared learning policy must not change state because a session was built.
 type AllocationPolicy interface {
 	// Allocations returns tile slots per model name; values should sum to
 	// at most k.
 	Allocations(ph trace.Phase, k int) map[string]int
-	// Name identifies the policy in experiment output.
-	Name() string
+	// Models returns the model names Allocations can return.
+	Models() []string
 }
 
 // RegistryPolicy is the allocation policy a recommender registry's prior
@@ -54,11 +56,7 @@ func NewRegistryPolicy(columns []recommend.PriorColumn) (*RegistryPolicy, error)
 	return &RegistryPolicy{columns: append([]recommend.PriorColumn(nil), columns...), models: models}, nil
 }
 
-// Name identifies the policy.
-func (p *RegistryPolicy) Name() string { return "registry" }
-
-// Models returns the registered model names in column order — the
-// read-only probe NewEngine validates the policy with.
+// Models returns the registered model names in column order.
 func (p *RegistryPolicy) Models() []string { return append([]string(nil), p.models...) }
 
 // Allocations resolves the prior columns against budget k.
@@ -88,8 +86,8 @@ func (p *RegistryPolicy) Allocations(ph trace.Phase, k int) map[string]int {
 // baselines (Momentum, Hotspot, lone AB or SB models) run under it.
 type SinglePolicy struct{ Model string }
 
-// Name identifies the policy.
-func (p SinglePolicy) Name() string { return "single:" + p.Model }
+// Models returns the one model.
+func (p SinglePolicy) Models() []string { return []string{p.Model} }
 
 // Allocations gives all k slots to the single model.
 func (p SinglePolicy) Allocations(ph trace.Phase, k int) map[string]int {

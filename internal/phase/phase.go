@@ -65,8 +65,6 @@ type Classifier struct {
 type TrainConfig struct {
 	// Features selects feature indices (into FeatureNames); nil means all.
 	Features []int
-	// SVM overrides the underlying SVM configuration.
-	SVM svm.Config
 }
 
 // Train fits the phase classifier on labeled requests (Phase must be set
@@ -101,7 +99,7 @@ func Train(reqs []trace.Request, cfg TrainConfig) (*Classifier, error) {
 	if len(x) == 0 {
 		return nil, fmt.Errorf("phase: no labeled requests to train on")
 	}
-	m, err := svm.Train(x, y, cfg.SVM)
+	m, err := svm.Train(x, y, svm.Config{})
 	if err != nil {
 		return nil, fmt.Errorf("phase: %w", err)
 	}
