@@ -85,6 +85,8 @@ func TestMarshalJSONMatchesLegacy(t *testing.T) {
 		"empty-sigs": {Coord: Coord{}, Size: 1, Attrs: []string{"v"}, Data: [][]float64{{0.5}},
 			Signatures: map[string][]float64{}},
 		"escaped-attr": {Coord: Coord{}, Size: 1, Attrs: []string{"a<b&c"}, Data: [][]float64{{1}}},
+		"escaped-sigs": {Coord: Coord{Level: 2, Y: -1, X: 3}, Size: 1, Attrs: []string{"v"}, Data: [][]float64{{1}},
+			Signatures: map[string][]float64{"z": {1e-7, 2}, `a"b`: {0.5}, "h\u00e9": {}, "nil": nil}},
 	}
 	for name, tl := range tiles {
 		got, err := tl.MarshalJSON()
@@ -103,10 +105,11 @@ func TestMarshalJSONMatchesLegacy(t *testing.T) {
 
 func TestMarshalJSONMatchesLegacyQuick(t *testing.T) {
 	f := func(a, b, c float64, exp int16, nan bool) bool {
-		// Sweep the magnitude range that crosses encoding/json's 'f'/'e'
-		// format switch points.
-		scaled := c * math.Pow(10, float64(exp%25))
-		cells := []float64{a, b, scaled, -scaled}
+		// quick draws a, b and c near MaxFloat64; c's fraction, scaled over
+		// every binary and decimal exponent of a float64, reaches the
+		// subnormals and both of encoding/json's 'f'/'e' switch points.
+		frac, _ := math.Frexp(c)
+		cells := []float64{a, b, math.Ldexp(frac, int(exp)%1100), -frac * math.Pow(10, float64(exp%330))}
 		if nan {
 			cells[1] = math.NaN()
 		}
@@ -127,6 +130,10 @@ func TestMarshalJSONRejectsInf(t *testing.T) {
 	tl := &Tile{Size: 1, Attrs: []string{"v"}, Data: [][]float64{{math.Inf(1)}}}
 	if _, err := tl.MarshalJSON(); err == nil {
 		t.Error("MarshalJSON accepted +Inf; legacy encoder rejected it")
+	}
+	tl = &Tile{Size: 1, Attrs: []string{"v"}, Data: [][]float64{{1}}, Signatures: map[string][]float64{"normal": {0.5, math.Inf(-1)}}}
+	if _, err := tl.MarshalJSON(); err == nil {
+		t.Error("MarshalJSON accepted -Inf in a signature; legacy encoder rejected it")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"strconv"
@@ -109,8 +110,14 @@ func (t *Tile) Stats(attr string) (mean, stddev, minv, maxv float64, count int, 
 	return mean, math.Sqrt(variance), minv, maxv, count, nil
 }
 
-// jsonHead renders the fixed start of a tile's JSON; scanJSON reads it back.
-const jsonHead = `{"coord":{"level":%d,"y":%d,"x":%d},"size":%d,"attrs":`
+// appendHead renders the fixed start of a tile's JSON; scanHead reads it back.
+func appendHead(b []byte, c Coord, size int) []byte {
+	b = strconv.AppendInt(append(b, `{"coord":{"level":`...), int64(c.Level), 10)
+	b = strconv.AppendInt(append(b, `,"y":`...), int64(c.Y), 10)
+	b = strconv.AppendInt(append(b, `,"x":`...), int64(c.X), 10)
+	b = strconv.AppendInt(append(b, `},"size":`...), int64(size), 10)
+	return append(b, `,"attrs":`...)
+}
 
 // MarshalJSON implements json.Marshaler with AppendJSON.
 func (t *Tile) MarshalJSON() ([]byte, error) { return AppendJSON(nil, t) }
@@ -127,61 +134,78 @@ func AppendJSON(dst []byte, t *Tile) ([]byte, error) {
 	// ~24 bytes covers a formatted float64 plus its comma; the slack takes
 	// the fixed fields, so the buffer almost never regrows.
 	b := slices.Grow(dst, 24*cells+512)
-	b = fmt.Appendf(b, jsonHead, t.Coord.Level, t.Coord.Y, t.Coord.X, t.Size)
-	attrs, _ := json.Marshal(t.Attrs) // a []string always marshals
-	b = append(b, attrs...)
+	b = appendHead(b, t.Coord, t.Size)
+	if t.Attrs == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, a := range t.Attrs {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendName(b, a)
+		}
+		b = append(b, ']')
+	}
 	b = append(b, `,"data":[`...)
+	var err error
 	for i, g := range t.Data {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = append(b, '[')
-		for j, v := range g {
-			if j > 0 {
-				b = append(b, ',')
-			}
-			switch {
-			case math.IsNaN(v):
-				b = append(b, "null"...)
-			case math.IsInf(v, 0):
-				return nil, fmt.Errorf("json: unsupported value: %g", v)
-			default:
-				b = appendJSONFloat(b, v)
-			}
+		if b, err = appendFloats(b, g, true); err != nil {
+			return nil, err
 		}
-		b = append(b, ']')
 	}
 	b = append(b, ']')
 	if len(t.Signatures) > 0 {
-		sigs, err := json.Marshal(t.Signatures)
-		if err != nil {
-			return nil, err
+		b = append(b, `,"signatures":{`...)
+		for i, name := range slices.Sorted(maps.Keys(t.Signatures)) {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(appendName(b, name), ':')
+			if vec := t.Signatures[name]; vec == nil {
+				b = append(b, "null"...)
+			} else if b, err = appendFloats(b, vec, false); err != nil {
+				return nil, err
+			}
 		}
-		b = append(b, `,"signatures":`...)
-		b = append(b, sigs...)
+		b = append(b, '}')
 	}
-	b = append(b, '}')
-	return b, nil
+	return append(b, '}'), nil
 }
 
-// appendJSONFloat renders v exactly as encoding/json does: shortest
-// round-trip form, switching to 'e' notation outside [1e-6, 1e21) and
-// stripping the leading zero encoding/json strips from two-digit negative
-// exponents ("e-09" → "e-9").
-func appendJSONFloat(b []byte, v float64) []byte {
-	abs := math.Abs(v)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, v, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
+// appendName appends s as a JSON string: verbatim when it is printable
+// ASCII that encoding/json would not escape, through json.Marshal otherwise.
+func appendName(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
 		}
 	}
-	return b
+	return append(append(append(b, '"'), s...), '"')
+}
+
+// appendFloats appends vec as a JSON array. A NaN is null where nullNaN
+// (grid cells); elsewhere it is an error, as an infinity is everywhere.
+func appendFloats(b []byte, vec []float64, nullNaN bool) ([]byte, error) {
+	b = append(b, '[')
+	for j, v := range vec {
+		if j > 0 {
+			b = append(b, ',')
+		}
+		switch {
+		case nullNaN && math.IsNaN(v):
+			b = append(b, "null"...)
+		case math.IsNaN(v) || math.IsInf(v, 0):
+			return nil, fmt.Errorf("json: unsupported value: %g", v)
+		default:
+			b = appendFloat(b, v)
+		}
+	}
+	return append(b, ']'), nil
 }
 
 // EncodeJSON returns the tile's canonical HTTP response body in the JSON
@@ -274,11 +298,9 @@ type jsonScanner struct {
 func scanJSON(b []byte) *Tile {
 	s := &jsonScanner{rest: b}
 	t := &Tile{Attrs: []string{}}
-	// The head is canonical when it re-renders to itself; one that scanned
-	// only in part, or with "+1", "01" or "1_0" for a number, cannot.
-	head := s.upTo('[')
-	_, _ = fmt.Sscanf(string(head), jsonHead, &t.Coord.Level, &t.Coord.Y, &t.Coord.X, &t.Size)
-	s.bad = s.bad || string(head) != fmt.Sprintf(jsonHead, t.Coord.Level, t.Coord.Y, t.Coord.X, t.Size)
+	var ok bool
+	t.Coord, t.Size, ok = scanHead(s.upTo('['))
+	s.bad = s.bad || !ok
 	names := s.upTo(']')
 	for more := len(names) > 0; more; {
 		var tok []byte
@@ -304,6 +326,38 @@ func scanJSON(b []byte) *Tile {
 		return nil
 	}
 	return t
+}
+
+// scanHead reads the four integers of a head in order, each a run of
+// digits with the minus sign before it. The head is canonical when they
+// re-render to it; one with "+1", "01", "1_0" or a number too long to read
+// cannot.
+func scanHead(head []byte) (c Coord, size int, ok bool) {
+	var v [4]int
+	n := 0
+	for i := 0; i < len(head); {
+		if head[i] != '-' && head[i]-'0' >= 10 {
+			i++
+			continue
+		}
+		if n == len(v) {
+			return c, 0, false
+		}
+		neg := head[i] == '-'
+		if neg {
+			i++
+		}
+		for digits := 0; i < len(head) && head[i]-'0' < 10 && digits < 18; i, digits = i+1, digits+1 {
+			v[n] = v[n]*10 + int(head[i]-'0')
+		}
+		if neg {
+			v[n] = -v[n]
+		}
+		n++
+	}
+	c, size = Coord{Level: v[0], Y: v[1], X: v[2]}, v[3]
+	var buf [128]byte
+	return c, size, n == len(v) && bytes.Equal(appendHead(buf[:0], c, size), head)
 }
 
 // lit steps past l if the input continues with it.
@@ -337,20 +391,28 @@ func (s *jsonScanner) unquote(tok []byte) string {
 // floats reads one array of numbers, null reading as NaN where allowed
 // (grid cells; encoding/json leaves a signature's null as 0). The vector is
 // sized from the commas present, never from a size the payload declares.
+// Each number is read in one pass by readFloat; strconv and jsonNumber
+// decide the tokens it leaves.
 func (s *jsonScanner) floats(null bool) []float64 {
 	s.expect(`[`)
 	body := s.upTo(']')
 	out := make([]float64, 0, bytes.Count(body, []byte{','})+1)
-	for more := len(body) > 0; more; {
-		var tok []byte
-		tok, body, more = bytes.Cut(body, []byte{','})
-		v := math.NaN()
-		if !null || string(tok) != "null" {
+	for more := len(body) > 0; more && !s.bad; {
+		v, n, ok := readFloat(body)
+		if !ok && null && bytes.HasPrefix(body, []byte("null")) {
+			v, n, ok = math.NaN(), 4, true
+		}
+		if !ok || n < len(body) && body[n] != ',' {
+			if n = bytes.IndexByte(body, ','); n < 0 {
+				n = len(body)
+			}
 			var err error
-			v, err = strconv.ParseFloat(string(tok), 64)
-			s.bad = s.bad || err != nil || !jsonNumber(tok) // not a number, or one outside float64
+			v, err = strconv.ParseFloat(string(body[:n]), 64)
+			s.bad = s.bad || err != nil || !jsonNumber(body[:n]) // not a number, or one outside float64
 		}
 		out = append(out, v)
+		more = n < len(body)
+		body = body[min(n+1, len(body)):]
 	}
 	return out
 }
