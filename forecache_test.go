@@ -1,12 +1,16 @@
 package forecache
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"io"
+	"maps"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -173,6 +177,48 @@ func TestWorldDeterminism(t *testing.T) {
 			if sa[i] != sb[i] {
 				t.Fatalf("signature %s differs across identical builds", name)
 			}
+		}
+	}
+}
+
+// TestPyramidDigest pins every tile BuildWorld makes, signatures included,
+// to the bit: per tile in EachTile order, FNV-64a over the coordinate, the
+// attribute names, every cell's float64 bits and the signatures in name
+// order. (3, 200) pads the raw grid with empty cells to 256.
+func TestPyramidDigest(t *testing.T) {
+	for _, w := range []struct {
+		seed int64
+		size int
+		want uint64
+	}{{42, 128, 0x562210138139757a}, {7, 512, 0x19bb3fbf3577b6b1}, {3, 200, 0x655a128e60867b96}} {
+		ds, err := BuildWorld(WorldConfig{Seed: w.seed, Size: w.size})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		var b [8]byte
+		floats := func(vs []float64) {
+			for _, v := range vs {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+				h.Write(b[:])
+			}
+		}
+		ds.Pyramid.EachTile(func(tl *Tile) bool {
+			io.WriteString(h, tl.Coord.String())
+			for _, a := range tl.Attrs {
+				io.WriteString(h, a)
+			}
+			for _, g := range tl.Data {
+				floats(g)
+			}
+			for _, name := range slices.Sorted(maps.Keys(tl.Signatures)) {
+				io.WriteString(h, name)
+				floats(tl.Signatures[name])
+			}
+			return true
+		})
+		if got := h.Sum64(); got != w.want {
+			t.Errorf("BuildWorld(%d, %d) pyramid digest = %#x, want %#x", w.seed, w.size, got, w.want)
 		}
 	}
 }
