@@ -6,12 +6,12 @@
 //
 // The package is a facade over the building blocks in internal/:
 //
-//   - dense multi-attribute arrays standing in for SciDB's (internal/array),
-//     with the windowed Regrid aggregation that builds zoom levels;
 //   - a synthetic MODIS-like satellite dataset and the paper's NDSI
 //     computation, Query 1, as one function (internal/modis);
-//   - the tile pyramid data model (internal/tile) and tile signatures
-//     including SIFT bag-of-visual-words (internal/sig);
+//   - the tile pyramid data model (internal/tile), built from a raw grid
+//     by the (2, 2) averaging regrid that makes each coarser zoom level,
+//     and tile signatures including SIFT bag-of-visual-words
+//     (internal/sig);
 //   - the two-level prediction engine (internal/core) over an SVM phase
 //     classifier (internal/svm, internal/phase), a Kneser–Ney Markov chain
 //     (internal/markov) and the recommenders (internal/recommend). The
@@ -166,8 +166,8 @@
 //	resp, _ := mw.Request(forecache.Coord{})            // root tile: a miss
 //	resp, _ = mw.Request(forecache.Coord{Level: 1})     // often prefetched
 //
-// See examples/ for runnable programs and cmd/forecache for the CLI that
-// regenerates the paper's experiments (TestBenchAllGolden there holds
+// See example_test.go for runnable examples and cmd/forecache for the CLI
+// that regenerates the paper's experiments (TestBenchAllGolden there holds
 // their output to committed bytes). scripts/live.sh drives a built binary
 // over real HTTP; scripts/reachability.sh lists what no entry point runs.
 package forecache

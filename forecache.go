@@ -6,7 +6,6 @@ import (
 	"slices"
 	"time"
 
-	"forecache/internal/array"
 	"forecache/internal/backend"
 	"forecache/internal/core"
 	"forecache/internal/eval"
@@ -32,6 +31,9 @@ type (
 	Tile = tile.Tile
 	// Pyramid is the materialized set of zoom levels and tiles.
 	Pyramid = tile.Pyramid
+	// Grid is a raw dataset: one row-major plane per attribute, NaN
+	// marking an empty cell. BuildPyramid tiles it.
+	Grid = tile.Grid
 	// Trace is one recorded user session.
 	Trace = trace.Trace
 	// Request is one tile request within a trace.
@@ -67,7 +69,7 @@ type (
 )
 
 // Dataset bundles a built world: the tile pyramid with signatures and the
-// signature computer. The array the pyramid was built from is not kept; the
+// signature computer. The grid the pyramid was built from is not kept; the
 // tiles hold every cell.
 type Dataset struct {
 	Pyramid    *tile.Pyramid
@@ -114,20 +116,20 @@ func BuildWorld(cfg WorldConfig) (*Dataset, error) {
 	}
 	sigCfg := sig.DefaultConfig("ndsi_avg")
 	sigCfg.Seed = cfg.Seed
-	return BuildPyramid(ndsi, cfg.TileSize, sigCfg, cfg.CodebookTiles)
+	raw := &Grid{Rows: cfg.Size, Cols: cfg.Size, Attrs: modis.Attrs, Data: ndsi}
+	return BuildPyramid(raw, cfg.TileSize, sigCfg, cfg.CodebookTiles)
 }
 
-// BuildPyramid wraps any 2-D array into a signed tile pyramid: the route
-// for non-MODIS datasets (e.g. the time-series example). sigCfg.Attr names
-// the attribute the signatures describe, and the Dataset's Attr is set from
-// it. codebookTiles <= 0 means the default, 80. The Dataset does not retain
-// a: the tiles copy its cells out, so it can be collected once the caller
-// drops it.
-func BuildPyramid(a *array.Array, tileSize int, sigCfg sig.Config, codebookTiles int) (*Dataset, error) {
+// BuildPyramid turns any raw grid into a signed tile pyramid: the route for
+// non-MODIS datasets. sigCfg.Attr names the attribute the signatures
+// describe, and the Dataset's Attr is set from it. codebookTiles <= 0 means
+// the default, 80. The Dataset does not retain raw: the tiles copy its
+// cells out, so it can be collected once the caller drops it.
+func BuildPyramid(raw *Grid, tileSize int, sigCfg sig.Config, codebookTiles int) (*Dataset, error) {
 	if codebookTiles <= 0 {
 		codebookTiles = defaultCodebookTiles
 	}
-	pyr, err := tile.Build(a, tile.Params{TileSize: tileSize, Agg: array.AggAvg})
+	pyr, err := tile.Build(raw, tileSize)
 	if err != nil {
 		return nil, fmt.Errorf("forecache: build pyramid: %w", err)
 	}

@@ -18,7 +18,6 @@ import (
 	"testing"
 	"time"
 
-	"forecache/internal/array"
 	"forecache/internal/client"
 	"forecache/internal/shard"
 	"forecache/internal/sig"
@@ -128,19 +127,14 @@ func TestNewMiddlewareEndToEnd(t *testing.T) {
 }
 
 func TestBuildPyramidGenericDataset(t *testing.T) {
-	// A non-MODIS array (heart-rate-like ramp) through the generic route.
-	a := array.NewZero(array.Schema{
-		Name:  "HR",
-		Attrs: []string{"bpm"},
-		Dims:  [2]array.Dim{{Name: "day", Size: 64}, {Name: "minute", Size: 64}},
-	})
-	data, _ := a.AttrData("bpm")
+	// A non-MODIS grid (heart-rate-like ramp) through the generic route.
+	data := make([]float64, 64*64)
 	for i := range data {
 		data[i] = 60 + float64(i%40)
 	}
 	cfg := sig.DefaultConfig("bpm")
 	cfg.ValueMin, cfg.ValueMax = 40, 160
-	ds, err := BuildPyramid(a, 16, cfg, 20)
+	ds, err := BuildPyramid(&Grid{Rows: 64, Cols: 64, Attrs: []string{"bpm"}, Data: [][]float64{data}}, 16, cfg, 20)
 	if err != nil {
 		t.Fatalf("BuildPyramid: %v", err)
 	}

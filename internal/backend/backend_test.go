@@ -4,18 +4,12 @@ import (
 	"testing"
 	"time"
 
-	"forecache/internal/array"
 	"forecache/internal/tile"
 )
 
 func buildPyramid(t *testing.T) *tile.Pyramid {
 	t.Helper()
-	a := array.NewZero(array.Schema{
-		Name:  "RAW",
-		Attrs: []string{"v"},
-		Dims:  [2]array.Dim{{Name: "lat", Size: 32}, {Name: "lon", Size: 32}},
-	})
-	p, err := tile.Build(a, tile.Params{TileSize: 8, Agg: array.AggAvg})
+	p, err := tile.Build(&tile.Grid{Rows: 32, Cols: 32, Attrs: []string{"v"}, Data: [][]float64{make([]float64, 32*32)}}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"forecache/internal/array"
 	"forecache/internal/backend"
 	"forecache/internal/phase"
 	"forecache/internal/recommend"
@@ -24,16 +23,11 @@ func TestSinglePolicy(t *testing.T) {
 
 func testDBMS(t testing.TB) *backend.DBMS {
 	t.Helper()
-	a := array.NewZero(array.Schema{
-		Name:  "RAW",
-		Attrs: []string{"v"},
-		Dims:  [2]array.Dim{{Name: "lat", Size: 64}, {Name: "lon", Size: 64}},
-	})
-	data, _ := a.AttrData("v")
+	data := make([]float64, 64*64)
 	for i := range data {
 		data[i] = float64(i % 13)
 	}
-	pyr, err := tile.Build(a, tile.Params{TileSize: 8, Agg: array.AggAvg})
+	pyr, err := tile.Build(&tile.Grid{Rows: 64, Cols: 64, Attrs: []string{"v"}, Data: [][]float64{data}}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"forecache/internal/array"
 	"forecache/internal/backend"
 	"forecache/internal/modis"
 	"forecache/internal/sig"
@@ -32,7 +31,7 @@ func fixture(t testing.TB) (*tile.Pyramid, []*trace.Trace) {
 		if err != nil {
 			t.Fatalf("BuildWorld: %v", err)
 		}
-		pyr, err := tile.Build(ndsi, tile.Params{TileSize: 16, Agg: array.AggAvg})
+		pyr, err := tile.Build(&tile.Grid{Rows: 256, Cols: 256, Attrs: modis.Attrs, Data: ndsi}, 16)
 		if err != nil {
 			t.Fatalf("Build: %v", err)
 		}

@@ -24,8 +24,7 @@ package modis
 import (
 	"fmt"
 	"math"
-
-	"forecache/internal/array"
+	"slices"
 )
 
 // Range describes one synthetic mountain range: a ridgeline segment in
@@ -83,15 +82,18 @@ func DefaultConfig(seed int64, size int) Config {
 	}
 }
 
-// Dataset holds the synthesized raw band arrays for one day window plus the
-// static land/sea mask.
+// Dataset holds the synthesized raw bands for one day window plus the
+// static land/sea mask. Every plane is Size x Size cells, row-major.
 type Dataset struct {
 	Config Config
-	// VIS[d] and SWIR[d] are the band arrays for day d.
-	VIS  []*array.Array
-	SWIR []*array.Array
-	Mask *array.Array // 1 = land, 0 = sea
+	// VIS[d] and SWIR[d] are the reflectance bands for day d.
+	VIS  [][]float64
+	SWIR [][]float64
+	Mask []float64 // 1 = land, 0 = sea
 }
+
+// Attrs names the four planes BuildNDSI returns, in order.
+var Attrs = []string{"ndsi_avg", "ndsi_min", "ndsi_max", "mask"}
 
 // Generate synthesizes the raw reflectance bands.
 func Generate(cfg Config) (*Dataset, error) {
@@ -104,28 +106,8 @@ func Generate(cfg Config) (*Dataset, error) {
 	ds := &Dataset{Config: cfg}
 	n := cfg.Size
 
-	mkSchema := func(name string) array.Schema {
-		return array.Schema{
-			Name:  name,
-			Attrs: []string{"reflectance"},
-			Dims: [2]array.Dim{
-				{Name: "latitude", Size: n},
-				{Name: "longitude", Size: n},
-			},
-		}
-	}
-	ds.Mask = array.NewZero(array.Schema{
-		Name:  "MASK",
-		Attrs: []string{"mask"},
-		Dims: [2]array.Dim{
-			{Name: "latitude", Size: n},
-			{Name: "longitude", Size: n},
-		},
-	})
-	maskData, err := ds.Mask.AttrData("mask")
-	if err != nil {
-		return nil, err
-	}
+	maskData := make([]float64, n*n)
+	ds.Mask = maskData
 
 	// Static per-cell fields: land mask, elevation, base snow probability.
 	elev := make([]float64, n*n)
@@ -142,16 +124,7 @@ func Generate(cfg Config) (*Dataset, error) {
 	}
 
 	for day := 0; day < cfg.Days; day++ {
-		vis := array.NewZero(mkSchema(fmt.Sprintf("SVIS_day%d", day)))
-		swir := array.NewZero(mkSchema(fmt.Sprintf("SSWIR_day%d", day)))
-		visData, err := vis.AttrData("reflectance")
-		if err != nil {
-			return nil, err
-		}
-		swirData, err := swir.AttrData("reflectance")
-		if err != nil {
-			return nil, err
-		}
+		visData, swirData := make([]float64, n*n), make([]float64, n*n)
 		daySeed := cfg.Seed + int64(day+1)*7919
 		for r := 0; r < n; r++ {
 			pr := (float64(r) + 0.5) / float64(n)
@@ -174,8 +147,8 @@ func Generate(cfg Config) (*Dataset, error) {
 				swirData[i] = clamp01(0.42 - 0.36*snow + swirNoise)
 			}
 		}
-		ds.VIS = append(ds.VIS, vis)
-		ds.SWIR = append(ds.SWIR, swir)
+		ds.VIS = append(ds.VIS, visData)
+		ds.SWIR = append(ds.SWIR, swirData)
 	}
 	return ds, nil
 }
@@ -253,46 +226,24 @@ func NDSI(vis, swir float64) float64 {
 //	store(apply(join(SVIS_day<d>, SSWIR_day<d>), ndsi,
 //	      ndsi_func(SVIS_day<d>.reflectance, SSWIR_day<d>.reflectance)), NDSI_day<d>)
 //
-// and folds the per-day values into one array with the study dataset's four
-// attributes: ndsi_avg, ndsi_min, ndsi_max and mask. As in SciDB's apply, a
+// and folds the per-day values into the study dataset's four planes, named
+// by Attrs: ndsi_avg, ndsi_min, ndsi_max and mask. As in SciDB's apply, a
 // NaN (empty) band cell yields an empty NDSI cell, which the fold skips; a
 // cell empty on every day is NaN in all three aggregates.
-func BuildNDSI(ds *Dataset) (*array.Array, error) {
+func BuildNDSI(ds *Dataset) ([][]float64, error) {
 	days := len(ds.VIS)
 	if days == 0 || len(ds.SWIR) != days || ds.Mask == nil {
 		return nil, fmt.Errorf("modis: NDSI needs a mask and VIS and SWIR bands for ≥ 1 day, got %d VIS / %d SWIR days", days, len(ds.SWIR))
 	}
-	n0, n1 := ds.Mask.Rows(), ds.Mask.Cols()
-	srcMask, err := ds.Mask.AttrData("mask")
-	if err != nil {
-		return nil, err
-	}
-	vis := make([][]float64, days)
-	swir := make([][]float64, days)
+	cells := len(ds.Mask)
+	vis, swir := ds.VIS, ds.SWIR
 	for d := range days {
-		if ds.VIS[d].Rows() != n0 || ds.VIS[d].Cols() != n1 || ds.SWIR[d].Rows() != n0 || ds.SWIR[d].Cols() != n1 {
+		if len(vis[d]) != cells || len(swir[d]) != cells {
 			return nil, fmt.Errorf("modis: day %d shape mismatch", d)
 		}
-		if vis[d], err = ds.VIS[d].AttrData("reflectance"); err != nil {
-			return nil, err
-		}
-		if swir[d], err = ds.SWIR[d].AttrData("reflectance"); err != nil {
-			return nil, err
-		}
 	}
-	result := array.NewZero(array.Schema{
-		Name:  "NDSI",
-		Attrs: []string{"ndsi_avg", "ndsi_min", "ndsi_max", "mask"},
-		Dims: [2]array.Dim{
-			{Name: "latitude", Size: n0},
-			{Name: "longitude", Size: n1},
-		},
-	})
-	avg, _ := result.AttrData("ndsi_avg")
-	mn, _ := result.AttrData("ndsi_min")
-	mx, _ := result.AttrData("ndsi_max")
-	outMask, _ := result.AttrData("mask")
-	for c := range n0 * n1 {
+	avg, mn, mx := make([]float64, cells), make([]float64, cells), make([]float64, cells)
+	for c := range cells {
 		lo, hi, sum := math.Inf(1), math.Inf(-1), 0.0
 		cnt := 0
 		for d := range days {
@@ -314,15 +265,14 @@ func BuildNDSI(ds *Dataset) (*array.Array, error) {
 		} else {
 			avg[c], mn[c], mx[c] = sum/float64(cnt), lo, hi
 		}
-		outMask[c] = srcMask[c]
 	}
-	return result, nil
+	return [][]float64{avg, mn, mx, slices.Clone(ds.Mask)}, nil
 }
 
-// BuildWorld is the one-call convenience used by examples and experiments:
-// it generates the dataset and materializes the NDSI array. The raw bands
-// are garbage once it returns.
-func BuildWorld(seed int64, size int) (*array.Array, error) {
+// BuildWorld generates the default world's dataset and computes its NDSI
+// planes, size x size cells each and named by Attrs. The raw bands are
+// garbage once it returns.
+func BuildWorld(seed int64, size int) ([][]float64, error) {
 	ds, err := Generate(DefaultConfig(seed, size))
 	if err != nil {
 		return nil, err
@@ -331,8 +281,8 @@ func BuildWorld(seed int64, size int) (*array.Array, error) {
 }
 
 // StudyRegions exposes the three task regions (normalized bounding boxes)
-// corresponding to the paper's browsing tasks, so the study simulator and
-// examples can aim users at the right parts of the world.
+// corresponding to the paper's browsing tasks, so the study simulator can
+// aim users at the right parts of the world.
 func StudyRegions() map[string][4]float64 {
 	return map[string][4]float64{
 		// r0, c0, r1, c1 fractions: region the task text names.

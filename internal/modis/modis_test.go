@@ -7,8 +7,6 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
-
-	"forecache/internal/array"
 )
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -21,8 +19,7 @@ func TestGenerateDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	av, _ := a.VIS[0].AttrData("reflectance")
-	bv, _ := b.VIS[0].AttrData("reflectance")
+	av, bv := a.VIS[0], b.VIS[0]
 	for i := range av {
 		if av[i] != bv[i] {
 			t.Fatalf("cell %d differs across runs: %v vs %v", i, av[i], bv[i])
@@ -39,8 +36,7 @@ func TestGenerateSeedChangesField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	av, _ := a.VIS[0].AttrData("reflectance")
-	bv, _ := b.VIS[0].AttrData("reflectance")
+	av, bv := a.VIS[0], b.VIS[0]
 	same := 0
 	for i := range av {
 		if av[i] == bv[i] {
@@ -64,8 +60,7 @@ func TestReflectanceInRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	for day := range ds.VIS {
-		for _, arr := range []*array.Array{ds.VIS[day], ds.SWIR[day]} {
-			data, _ := arr.AttrData("reflectance")
+		for _, data := range [][]float64{ds.VIS[day], ds.SWIR[day]} {
 			for i, v := range data {
 				if v < 0 || v > 1 || math.IsNaN(v) {
 					t.Fatalf("day %d cell %d reflectance %v out of [0,1]", day, i, v)
@@ -81,17 +76,13 @@ func TestBuildNDSIShapeAndAttrs(t *testing.T) {
 		t.Fatalf("BuildWorld: %v", err)
 	}
 	want := []string{"ndsi_avg", "ndsi_min", "ndsi_max", "mask"}
-	got := ndsi.Schema().Attrs
-	if len(got) != len(want) {
-		t.Fatalf("attrs = %v, want %v", got, want)
+	if !slices.Equal(Attrs, want) || len(ndsi) != len(want) {
+		t.Fatalf("attrs = %v over %d planes, want %v", Attrs, len(ndsi), want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("attrs = %v, want %v", got, want)
+	for i, plane := range ndsi {
+		if len(plane) != 64*64 {
+			t.Errorf("plane %s has %d cells, want 64x64", Attrs[i], len(plane))
 		}
-	}
-	if ndsi.Rows() != 64 || ndsi.Cols() != 64 {
-		t.Errorf("shape = %dx%d, want 64x64", ndsi.Rows(), ndsi.Cols())
 	}
 }
 
@@ -100,9 +91,7 @@ func TestNDSIBoundsAndOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	avg, _ := ndsi.AttrData("ndsi_avg")
-	mn, _ := ndsi.AttrData("ndsi_min")
-	mx, _ := ndsi.AttrData("ndsi_max")
+	avg, mn, mx := ndsi[0], ndsi[1], ndsi[2]
 	for i := range avg {
 		if math.IsNaN(avg[i]) {
 			continue
@@ -122,7 +111,7 @@ func TestMountainRangesAreSnowy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	avg, _ := ndsi.AttrData("ndsi_avg")
+	avg := ndsi[0]
 
 	meanOver := func(r0, c0, r1, c1 float64) float64 {
 		sum, n := 0.0, 0
@@ -162,8 +151,7 @@ func TestOceanHasNegativeNDSIAndMaskZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	avg, _ := ndsi.AttrData("ndsi_avg")
-	mask, _ := ndsi.AttrData("mask")
+	avg, mask := ndsi[0], ndsi[3]
 	// Mid-Pacific analogue: far from every continent ellipse.
 	r, c := int(0.5*float64(size)), int(0.02*float64(size))
 	i := r*size + c
@@ -192,19 +180,12 @@ func TestBuildNDSIRejectsBadDays(t *testing.T) {
 // empty-out rule per day, then avg/min/max over the days that have a value.
 func TestBuildNDSIMatchesQuery1(t *testing.T) {
 	nan := math.NaN()
-	grid := func(attr string, vals ...float64) *array.Array {
-		a := array.NewZero(array.Schema{Name: attr, Attrs: []string{attr},
-			Dims: [2]array.Dim{{Name: "latitude", Size: 2}, {Name: "longitude", Size: 2}}})
-		data, _ := a.AttrData(attr)
-		copy(data, vals)
-		return a
-	}
 	ds := &Dataset{
 		// Cell 1 has no VIS on day 0; cell 3 has no SWIR on day 0 and no
 		// VIS on day 1, so no day at all.
-		VIS:  []*array.Array{grid("reflectance", 0.8, nan, 0.3, 0.4), grid("reflectance", 0.6, 0.5, 0.1, nan)},
-		SWIR: []*array.Array{grid("reflectance", 0.1, 0.2, 0.3, nan), grid("reflectance", 0.2, 0.5, 0.7, 0.1)},
-		Mask: grid("mask", 1, 0, 1, 0),
+		VIS:  [][]float64{{0.8, nan, 0.3, 0.4}, {0.6, 0.5, 0.1, nan}},
+		SWIR: [][]float64{{0.1, 0.2, 0.3, nan}, {0.2, 0.5, 0.7, 0.1}},
+		Mask: []float64{1, 0, 1, 0},
 	}
 	got, err := BuildNDSI(ds)
 	if err != nil {
@@ -216,10 +197,7 @@ func TestBuildNDSIMatchesQuery1(t *testing.T) {
 		{NDSI(0.3, 0.3), NDSI(0.1, 0.7)},
 		nil,
 	}
-	avg, _ := got.AttrData("ndsi_avg")
-	mn, _ := got.AttrData("ndsi_min")
-	mx, _ := got.AttrData("ndsi_max")
-	mask, _ := got.AttrData("mask")
+	avg, mn, mx, mask := got[0], got[1], got[2], got[3]
 	same := func(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
 	for c, vs := range days {
 		wantAvg, wantMin, wantMax := nan, nan, nan
@@ -256,8 +234,7 @@ func TestBuildWorldDigest(t *testing.T) {
 		}
 		h := fnv.New64a()
 		var b [8]byte
-		for _, attr := range []string{"ndsi_avg", "ndsi_min", "ndsi_max", "mask"} {
-			data, _ := ndsi.AttrData(attr)
+		for _, data := range ndsi {
 			for _, v := range data {
 				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
 				h.Write(b[:])

@@ -7,24 +7,18 @@ import (
 	"path/filepath"
 	"testing"
 
-	"forecache/internal/array"
 	"forecache/internal/tile"
 )
 
 // rampPyramid is one 4x4 tile ramping over [-1, 1] with cell 5 empty.
 func rampPyramid(t *testing.T) *tile.Pyramid {
 	t.Helper()
-	a := array.NewZero(array.Schema{
-		Name:  "RAW",
-		Attrs: []string{"ndsi_avg"},
-		Dims:  [2]array.Dim{{Name: "r", Size: 4}, {Name: "c", Size: 4}},
-	})
-	data, _ := a.AttrData("ndsi_avg")
+	data := make([]float64, 4*4)
 	for i := range data {
 		data[i] = float64(i)/15*2 - 1
 	}
 	data[5] = math.NaN()
-	pyr, err := tile.Build(a, tile.Params{TileSize: 4, Agg: array.AggAvg})
+	pyr, err := tile.Build(&tile.Grid{Rows: 4, Cols: 4, Attrs: []string{"ndsi_avg"}, Data: [][]float64{data}}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,16 +26,11 @@ func rampPyramid(t *testing.T) *tile.Pyramid {
 }
 
 func TestLevelMosaic(t *testing.T) {
-	a := array.NewZero(array.Schema{
-		Name:  "RAW",
-		Attrs: []string{"v"},
-		Dims:  [2]array.Dim{{Name: "r", Size: 16}, {Name: "c", Size: 16}},
-	})
-	data, _ := a.AttrData("v")
+	data := make([]float64, 16*16)
 	for i := range data {
 		data[i] = float64(i % 16)
 	}
-	pyr, err := tile.Build(a, tile.Params{TileSize: 8, Agg: array.AggAvg})
+	pyr, err := tile.Build(&tile.Grid{Rows: 16, Cols: 16, Attrs: []string{"v"}, Data: [][]float64{data}}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,12 +122,7 @@ func TestColorMapsTotal(t *testing.T) {
 }
 
 func BenchmarkRenderLevel(b *testing.B) {
-	a := array.NewZero(array.Schema{
-		Name:  "RAW",
-		Attrs: []string{"v"},
-		Dims:  [2]array.Dim{{Name: "r", Size: 64}, {Name: "c", Size: 64}},
-	})
-	pyr, err := tile.Build(a, tile.Params{TileSize: 16, Agg: array.AggAvg})
+	pyr, err := tile.Build(&tile.Grid{Rows: 64, Cols: 64, Attrs: []string{"v"}, Data: [][]float64{make([]float64, 64*64)}}, 16)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"forecache/internal/array"
 	"forecache/internal/backend"
 	"forecache/internal/client"
 	"forecache/internal/core"
@@ -17,16 +16,11 @@ import (
 
 func testPyramid(t testing.TB) *tile.Pyramid {
 	t.Helper()
-	a := array.NewZero(array.Schema{
-		Name:  "RAW",
-		Attrs: []string{"v"},
-		Dims:  [2]array.Dim{{Name: "lat", Size: 32}, {Name: "lon", Size: 32}},
-	})
-	data, _ := a.AttrData("v")
+	data := make([]float64, 32*32)
 	for i := range data {
 		data[i] = float64(i % 7)
 	}
-	pyr, err := tile.Build(a, tile.Params{TileSize: 8, Agg: array.AggAvg})
+	pyr, err := tile.Build(&tile.Grid{Rows: 32, Cols: 32, Attrs: []string{"v"}, Data: [][]float64{data}}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

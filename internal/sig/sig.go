@@ -130,9 +130,9 @@ func (c *Computer) TrainCodebook(tiles []*tile.Tile) {
 func (c *Computer) CodebookTrained() bool { return c.codebook != nil }
 
 // Compute returns the signature vectors for the tile, keyed by signature
-// name. It is compatible with tile.MetadataFunc via:
+// name. It is a tile.MetadataFunc:
 //
-//	Params{Metadata: computer.Compute}
+//	pyr.ComputeMetadata(computer.Compute)
 func (c *Computer) Compute(t *tile.Tile) map[string][]float64 {
 	out := make(map[string][]float64, 4)
 	out[NameNormal] = c.Normal(t)

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"forecache/internal/array"
 	"forecache/internal/modis"
 	"forecache/internal/tile"
 	"forecache/internal/trace"
@@ -23,7 +22,7 @@ func worldPyramid(t *testing.T) *tile.Pyramid {
 		if err != nil {
 			t.Fatalf("BuildWorld: %v", err)
 		}
-		pyrMem, err = tile.Build(ndsi, tile.Params{TileSize: 16, Agg: array.AggAvg})
+		pyrMem, err = tile.Build(&tile.Grid{Rows: 256, Cols: 256, Attrs: modis.Attrs, Data: ndsi}, 16)
 		if err != nil {
 			t.Fatalf("Build: %v", err)
 		}
@@ -222,7 +221,7 @@ func BenchmarkRunStudy(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pyr, err := tile.Build(ndsi, tile.Params{TileSize: 16, Agg: array.AggAvg})
+	pyr, err := tile.Build(&tile.Grid{Rows: 128, Cols: 128, Attrs: modis.Attrs, Data: ndsi}, 16)
 	if err != nil {
 		b.Fatal(err)
 	}

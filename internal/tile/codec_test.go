@@ -15,8 +15,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"forecache/internal/array"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -194,7 +192,7 @@ func tilesEqual(a, b *Tile) bool {
 }
 
 func TestBinaryRoundTrip(t *testing.T) {
-	pyr, err := Build(rawArray(t, 16), Params{TileSize: 8, Agg: array.AggAvg})
+	pyr, err := Build(rawGrid(16), 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"math"
 	"testing"
 
-	"forecache/internal/array"
 	"forecache/internal/modis"
 )
 
@@ -68,9 +67,12 @@ func TestDecodeJSONRoundTripsPyramid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	attr := ndsi.Schema().Attrs[0]
-	pyr, err := Build(ndsi, Params{TileSize: 16, Agg: array.AggAvg, Metadata: func(tl *Tile) map[string][]float64 {
-		mean, sd, lo, hi, _, err := tl.Stats(attr)
+	pyr, err := Build(&Grid{Rows: 64, Cols: 64, Attrs: modis.Attrs, Data: ndsi}, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pyr.ComputeMetadata(func(tl *Tile) map[string][]float64 {
+		mean, sd, lo, hi, _, err := tl.Stats(modis.Attrs[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,10 +80,7 @@ func TestDecodeJSONRoundTripsPyramid(t *testing.T) {
 			return nil // an all-padding tile carries no signatures
 		}
 		return map[string][]float64{"normal": {mean, sd}, "range": {lo, hi, 1e-9 * mean, 1e22 * sd}}
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	n := 0
 	pyr.EachTile(func(tl *Tile) bool {
 		n++

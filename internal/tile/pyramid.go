@@ -2,25 +2,20 @@ package tile
 
 import (
 	"fmt"
-
-	"forecache/internal/array"
+	"math"
 )
 
-// Params configures pyramid construction.
-type Params struct {
-	// TileSize is the per-side cell count of every tile (tiling interval,
-	// identical across zoom levels per paper §2.3).
-	TileSize int
-	// Agg is the aggregation applied when building each coarser level from
-	// the finer one with aggregation parameters (2, 2).
-	Agg array.Agg
-	// Metadata, when non-nil, computes per-tile signatures at build time.
-	Metadata MetadataFunc
+// Grid is a raw two-dimensional dataset: one row-major Rows x Cols plane
+// per attribute, Data[attr][row*Cols+col], NaN marking an empty cell.
+type Grid struct {
+	Rows, Cols int
+	Attrs      []string
+	Data       [][]float64
 }
 
-// MetadataFunc computes the signature metadata for a freshly built tile.
-// The sig package supplies implementations; keeping it a function type here
-// avoids a dependency cycle.
+// MetadataFunc computes the signature metadata for a built tile. The sig
+// package supplies implementations; keeping it a function type here avoids
+// a dependency cycle.
 type MetadataFunc func(*Tile) map[string][]float64
 
 // Pyramid is the complete set of zoom levels for one dataset, with every
@@ -28,78 +23,116 @@ type MetadataFunc func(*Tile) map[string][]float64
 // them in SciDB). It holds the tiles and nothing else: each cell once, in
 // its tile. The pyramid is immutable once built, so reads take no lock.
 type Pyramid struct {
-	params Params
-	attrs  []string
-	levels int
-	tiles  []*Tile // EachTile order; see index
+	tileSize int
+	attrs    []string
+	levels   int
+	tiles    []*Tile // EachTile order; see index
 }
 
-// Build constructs a pyramid over the raw array. The raw data becomes the
-// most detailed zoom level (no aggregation, paper §2.3); each coarser level
-// is a materialized view built by aggregating 2x2 windows. The raw array is
-// padded with empty cells to the next power-of-two multiple of TileSize so
-// every level tiles exactly. The views, the raw array among them, are
-// build-time only: every tile copies its cells out, and the pyramid keeps
-// none of them.
-func Build(raw *array.Array, p Params) (*Pyramid, error) {
-	if p.TileSize <= 0 {
-		return nil, fmt.Errorf("tile: TileSize must be positive, got %d", p.TileSize)
+// Build constructs a pyramid of tileSize x tileSize tiles over the raw grid
+// (paper §2.3). The raw data becomes the most detailed zoom level, padded
+// with empty cells to the next power-of-two multiple of tileSize so every
+// level tiles exactly; each coarser level is the materialized view a
+// regrid with aggregation parameters (2, 2) builds from the finer one. The
+// levels are build-time only: every tile copies its cells out, and the
+// pyramid keeps neither them nor raw.
+func Build(raw *Grid, tileSize int) (*Pyramid, error) {
+	if tileSize <= 0 {
+		return nil, fmt.Errorf("tile: TileSize must be positive, got %d", tileSize)
 	}
-	maxDim := raw.Rows()
-	if raw.Cols() > maxDim {
-		maxDim = raw.Cols()
+	if err := raw.check(); err != nil {
+		return nil, err
 	}
-	if maxDim == 0 {
-		return nil, fmt.Errorf("tile: empty raw array")
-	}
-	// levels = 1 + ceil(log2(maxDim / TileSize)), at least 1.
+	// levels = 1 + ceil(log2(max(Rows, Cols) / tileSize)), at least 1.
 	levels := 1
-	for size := p.TileSize; size < maxDim; size *= 2 {
+	for size := tileSize; size < max(raw.Rows, raw.Cols); size *= 2 {
 		levels++
 	}
-	target := p.TileSize << (levels - 1)
-	views := make([]*array.Array, levels) // views[0] is the coarsest (one tile)
-	views[levels-1] = raw
-	if raw.Rows() != target || raw.Cols() != target {
-		padded, err := raw.Subarray(0, 0, target, target)
-		if err != nil {
-			return nil, fmt.Errorf("tile: pad raw to %d: %w", target, err)
-		}
-		views[levels-1] = padded
-	}
-	// Materialized views are computed bottom-up, doubling the aggregation
-	// interval at each coarser level (paper §2.3).
-	for l := levels - 2; l >= 0; l-- {
-		coarser, err := views[l+1].Regrid(2, 2, p.Agg)
-		if err != nil {
-			return nil, fmt.Errorf("tile: build level %d: %w", l, err)
-		}
-		views[l] = coarser
-	}
-
 	pyr := &Pyramid{
-		params: p,
-		attrs:  append([]string(nil), raw.Schema().Attrs...),
-		levels: levels,
-		tiles:  make([]*Tile, 0, index(Coord{Level: levels})), // every level's tiles
+		tileSize: tileSize,
+		attrs:    append([]string(nil), raw.Attrs...),
+		levels:   levels,
+		tiles:    make([]*Tile, index(Coord{Level: levels})), // every level's tiles
 	}
-	// Partition every level into tiles and compute metadata.
-	for l, view := range views {
-		side := 1 << l
-		for y := 0; y < side; y++ {
-			for x := 0; x < side; x++ {
-				t, err := pyr.cut(view, Coord{Level: l, Y: y, X: x})
-				if err != nil {
-					return nil, err
-				}
-				if p.Metadata != nil {
-					t.Signatures = p.Metadata(t)
-				}
-				pyr.tiles = append(pyr.tiles, t)
+	// Finest level first; each level's planes die once the next is built.
+	planes := raw.pad(tileSize << (levels - 1))
+	for l := levels - 1; l > 0; l-- {
+		pyr.cut(l, planes)
+		planes = halve(planes, tileSize<<l)
+	}
+	pyr.cut(0, planes)
+	return pyr, nil
+}
+
+// check rejects a grid Build cannot tile: no cells or attributes, or a
+// plane per attribute that is not Rows x Cols.
+func (g *Grid) check() error {
+	if g == nil || g.Rows <= 0 || g.Cols <= 0 || g.Rows > math.MaxInt/g.Cols || len(g.Attrs) == 0 {
+		return fmt.Errorf("tile: empty grid")
+	}
+	if len(g.Data) != len(g.Attrs) {
+		return fmt.Errorf("tile: grid has %d planes for %d attributes", len(g.Data), len(g.Attrs))
+	}
+	for i, plane := range g.Data {
+		if len(plane) != g.Rows*g.Cols {
+			return fmt.Errorf("tile: plane %q has %d cells, want %d x %d", g.Attrs[i], len(plane), g.Rows, g.Cols)
+		}
+	}
+	return nil
+}
+
+// pad returns g's planes at side x side. Planes already that size are
+// returned as they are; others are copied into planes of empty cells.
+func (g *Grid) pad(side int) [][]float64 {
+	if g.Rows == side && g.Cols == side {
+		return g.Data
+	}
+	out := make([][]float64, len(g.Data))
+	for i, src := range g.Data {
+		dst := make([]float64, side*side)
+		for j := range dst {
+			dst[j] = math.NaN()
+		}
+		for r := range g.Rows {
+			copy(dst[r*side:], src[r*g.Cols:(r+1)*g.Cols])
+		}
+		out[i] = dst
+	}
+	return out
+}
+
+// halve regrids side x side planes with (2, 2) windows (paper Figure 3):
+// each cell of the result is the mean of its window, read row by row.
+func halve(planes [][]float64, side int) [][]float64 {
+	half := side / 2
+	out := make([][]float64, len(planes))
+	for i, src := range planes {
+		dst := make([]float64, half*half)
+		for r := range half {
+			top, bot := src[2*r*side:], src[(2*r+1)*side:]
+			for c := range half {
+				dst[r*half+c] = mean([4]float64{top[2*c], top[2*c+1], bot[2*c], bot[2*c+1]})
 			}
 		}
+		out[i] = dst
 	}
-	return pyr, nil
+	return out
+}
+
+// mean is the mean of w's non-empty cells, summed in order, or NaN if w
+// has none.
+func mean(w [4]float64) float64 {
+	sum, n := 0.0, 0
+	for _, v := range w {
+		if !math.IsNaN(v) {
+			sum += v
+			n++
+		}
+	}
+	if n == 0 {
+		return math.NaN()
+	}
+	return sum / float64(n)
 }
 
 // index places c in Pyramid.tiles: after the (4^l - 1) / 3 tiles of the
@@ -108,29 +141,29 @@ func index(c Coord) int {
 	return (1<<(2*c.Level)-1)/3 + c.Y<<c.Level + c.X
 }
 
-// cut copies the tile at c out of its level's materialized view.
-func (p *Pyramid) cut(view *array.Array, c Coord) (*Tile, error) {
-	ts := p.params.TileSize
-	sub, err := view.Subarray(c.Y*ts, c.X*ts, (c.Y+1)*ts, (c.X+1)*ts)
-	if err != nil {
-		return nil, fmt.Errorf("tile: cut %s: %w", c, err)
-	}
-	t := &Tile{Coord: c, Size: ts, Attrs: p.attrs, Data: make([][]float64, len(p.attrs))}
-	for i, attr := range p.attrs {
-		g, err := sub.AttrData(attr)
-		if err != nil {
-			return nil, err
+// cut copies level l's tiles out of its planes, each tileSize << l a side.
+func (p *Pyramid) cut(l int, planes [][]float64) {
+	ts, side := p.tileSize, p.tileSize<<l
+	for y := range 1 << l {
+		for x := range 1 << l {
+			t := &Tile{Coord: Coord{Level: l, Y: y, X: x}, Size: ts, Attrs: p.attrs, Data: make([][]float64, len(planes))}
+			for i, src := range planes {
+				g := make([]float64, ts*ts)
+				for r := range ts {
+					copy(g[r*ts:(r+1)*ts], src[(y*ts+r)*side+x*ts:])
+				}
+				t.Data[i] = g
+			}
+			p.tiles[index(t.Coord)] = t
 		}
-		t.Data[i] = g
 	}
-	return t, nil
 }
 
 // NumLevels returns the number of zoom levels.
 func (p *Pyramid) NumLevels() int { return p.levels }
 
 // TileSize returns the per-side cell count of every tile.
-func (p *Pyramid) TileSize() int { return p.params.TileSize }
+func (p *Pyramid) TileSize() int { return p.tileSize }
 
 // Attrs returns the attribute names carried by every tile.
 func (p *Pyramid) Attrs() []string { return append([]string(nil), p.attrs...) }
@@ -178,10 +211,10 @@ func (p *Pyramid) MemBytes() int {
 }
 
 // ComputeMetadata (re)computes every tile's signature metadata with fn.
-// It exists for two-pass pipelines where the metadata computer itself must
-// first be trained on the pyramid's tiles (e.g. the SIFT visual-word
-// codebook) before signatures can be attached. It is a build step: run it
-// before the pyramid is shared, as nothing guards the tiles it writes.
+// It runs after Build because the metadata computer may first have to be
+// trained on the pyramid's own tiles (e.g. the SIFT visual-word codebook).
+// It is a build step: run it before the pyramid is shared, as nothing
+// guards the tiles it writes.
 func (p *Pyramid) ComputeMetadata(fn MetadataFunc) {
 	for _, t := range p.tiles {
 		t.Signatures = fn(t)

@@ -8,25 +8,16 @@ import (
 	"testing"
 	"testing/quick"
 	"weak"
-
-	"forecache/internal/array"
 )
 
-func rawArray(t *testing.T, size int) *array.Array {
-	t.Helper()
-	a := array.NewZero(array.Schema{
-		Name:  "RAW",
-		Attrs: []string{"v"},
-		Dims:  [2]array.Dim{{Name: "lat", Size: size}, {Name: "lon", Size: size}},
-	})
-	data, err := a.AttrData("v")
-	if err != nil {
-		t.Fatal(err)
-	}
+// rawGrid is a size x size grid of one attribute, v, whose cells count up
+// from 0 in row-major order.
+func rawGrid(size int) *Grid {
+	data := make([]float64, size*size)
 	for i := range data {
 		data[i] = float64(i)
 	}
-	return a
+	return &Grid{Rows: size, Cols: size, Attrs: []string{"v"}, Data: [][]float64{data}}
 }
 
 func TestCoordChildren(t *testing.T) {
@@ -91,7 +82,7 @@ func TestManhattanTo(t *testing.T) {
 
 func TestBuildLevelsAndTileCounts(t *testing.T) {
 	// 64x64 raw with tile size 16 -> levels: 16(=L0),32,64 => 3 levels.
-	pyr, err := Build(rawArray(t, 64), Params{TileSize: 16, Agg: array.AggAvg})
+	pyr, err := Build(rawGrid(64), 16)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -108,32 +99,30 @@ func TestBuildLevelsAndTileCounts(t *testing.T) {
 	}
 }
 
-// fourAttrArray is an unpadded size x size raw array with four attributes,
+// fourAttrGrid is an unpadded size x size raw grid with four attributes,
 // the shape of the NDSI world.
-func fourAttrArray(size int) *array.Array {
-	a := array.NewZero(array.Schema{
-		Name:  "RAW",
-		Attrs: []string{"a", "b", "c", "d"},
-		Dims:  [2]array.Dim{{Name: "lat", Size: size}, {Name: "lon", Size: size}},
-	})
-	for _, attr := range a.Schema().Attrs {
-		data, _ := a.AttrData(attr)
+func fourAttrGrid(size int) *Grid {
+	g := &Grid{Rows: size, Cols: size, Attrs: []string{"a", "b", "c", "d"}}
+	for range g.Attrs {
+		data := make([]float64, size*size)
 		for i := range data {
 			data[i] = float64(i % 251)
 		}
+		g.Data = append(g.Data, data)
 	}
-	return a
+	return g
 }
 
 func TestBuildRetainsOnlyTiles(t *testing.T) {
-	// The raw array is the base level as is, so it outlives Build only if
-	// the pyramid keeps a level view; the retained heap is then the tiles.
+	// The raw grid's planes are the base level as they are, so they outlive
+	// Build only if the pyramid keeps a level; the retained heap is then
+	// the tiles.
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	raw := fourAttrArray(256)
+	raw := fourAttrGrid(256)
 	ref := weak.Make(raw)
-	pyr, err := Build(raw, Params{TileSize: 16, Agg: array.AggAvg})
+	pyr, err := Build(raw, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +130,7 @@ func TestBuildRetainsOnlyTiles(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	if ref.Value() != nil {
-		t.Error("the raw array is still reachable after Build")
+		t.Error("the raw grid is still reachable after Build")
 	}
 	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	if limit := int64(pyr.MemBytes()) * 5 / 4; retained > limit {
@@ -150,36 +139,122 @@ func TestBuildRetainsOnlyTiles(t *testing.T) {
 	runtime.KeepAlive(pyr)
 }
 
+// TestBuildPadsNonPow2: a 5x3 grid pads to 8x8 with empty cells, which
+// the coarser levels skip.
 func TestBuildPadsNonPow2(t *testing.T) {
-	pyr, err := Build(rawArray(t, 48), Params{TileSize: 16, Agg: array.AggAvg})
-	if err != nil {
-		t.Fatalf("Build: %v", err)
+	const rows, cols = 5, 3
+	g := &Grid{Rows: rows, Cols: cols, Attrs: []string{"v"}, Data: [][]float64{make([]float64, rows*cols)}}
+	for i := range g.Data[0] {
+		g.Data[0][i] = float64(i)
 	}
-	// 48 pads to 64 -> 3 levels; border tiles carry NaN padding.
+	pyr, err := Build(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if pyr.NumLevels() != 3 {
-		t.Fatalf("NumLevels = %d, want 3", pyr.NumLevels())
+		t.Fatalf("levels = %d, want 3 (5 pads to 8 = 2 << 2)", pyr.NumLevels())
 	}
-	edge, err := pyr.Tile(Coord{Level: 2, Y: 3, X: 3})
-	if err != nil {
-		t.Fatal(err)
+	for r := range 8 {
+		for c := range 8 {
+			tl, _ := pyr.Tile(Coord{Level: 2, Y: r / 2, X: c / 2})
+			v, _ := tl.At("v", r%2, c%2)
+			if r < rows && c < cols {
+				if v != float64(r*cols+c) {
+					t.Errorf("cell (%d,%d) = %v, want %d", r, c, v, r*cols+c)
+				}
+			} else if !math.IsNaN(v) {
+				t.Errorf("padding cell (%d,%d) = %v, want NaN", r, c, v)
+			}
+		}
 	}
-	v, err := edge.At("v", 15, 15)
-	if err != nil {
-		t.Fatal(err)
+	// Level 1 cell (2, 1) covers rows 4-5, cols 2-3: only cell (4, 2) is
+	// in the grid; cell (3, 0) covers padding alone.
+	tl, _ := pyr.Tile(Coord{Level: 1, Y: 1, X: 0})
+	if v, _ := tl.At("v", 0, 1); v != 14 {
+		t.Errorf("edge window = %v, want 14, its one non-empty cell", v)
 	}
-	if !math.IsNaN(v) {
-		t.Errorf("padded cell = %v, want NaN", v)
+	if v, _ := tl.At("v", 1, 0); !math.IsNaN(v) {
+		t.Errorf("padding window = %v, want NaN", v)
 	}
 }
 
 func TestBuildRejectsBadParams(t *testing.T) {
-	if _, err := Build(rawArray(t, 8), Params{TileSize: 0}); err == nil {
+	if _, err := Build(rawGrid(8), 0); err == nil {
 		t.Error("TileSize 0 should fail")
 	}
 }
 
+func TestBuildRejectsMalformedGrid(t *testing.T) {
+	plane := make([]float64, 4*4)
+	for name, g := range map[string]*Grid{
+		"nil":             nil,
+		"zero value":      {},
+		"no rows":         {Rows: 0, Cols: 4, Attrs: []string{"v"}, Data: [][]float64{{}}},
+		"no attributes":   {Rows: 4, Cols: 4},
+		"missing plane":   {Rows: 4, Cols: 4, Attrs: []string{"v", "w"}, Data: [][]float64{plane}},
+		"extra plane":     {Rows: 4, Cols: 4, Attrs: []string{"v"}, Data: [][]float64{plane, plane}},
+		"short plane":     {Rows: 4, Cols: 4, Attrs: []string{"v", "w"}, Data: [][]float64{plane, plane[:15]}},
+		"long plane":      {Rows: 4, Cols: 3, Attrs: []string{"v"}, Data: [][]float64{plane}},
+		"overflowing dim": {Rows: 1 << 62, Cols: 4, Attrs: []string{"v"}, Data: [][]float64{plane}},
+	} {
+		if _, err := Build(g, 2); err == nil {
+			t.Errorf("%s: Build accepted a malformed grid", name)
+		}
+	}
+}
+
+// TestBuildAvgMatchesPaperFigure3: a 16x16 level regridded with (2, 2)
+// becomes the 8x8 level above it, each cell the average of a 2x2 window.
+func TestBuildAvgMatchesPaperFigure3(t *testing.T) {
+	pyr, err := Build(rawGrid(16), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, _ := pyr.Tile(Coord{})
+	if pyr.NumLevels() != 2 || root.Size != 8 {
+		t.Fatalf("levels = %d, root size = %d; want 2 levels, 8x8 root", pyr.NumLevels(), root.Size)
+	}
+	for r := range 8 {
+		for c := range 8 {
+			// The window holds cells 2r*16+2c, +1, +16 and +17.
+			want := float64(2*r*16+2*c) + 8.5
+			if v, _ := root.At("v", r, c); v != want {
+				t.Fatalf("cell (%d,%d) = %v, want %v", r, c, v, want)
+			}
+		}
+	}
+}
+
+// windowMean builds a pyramid of 1x1 tiles over one 2x2 window and returns
+// its root cell, the window's aggregate.
+func windowMean(t *testing.T, w ...float64) float64 {
+	t.Helper()
+	pyr, err := Build(&Grid{Rows: 2, Cols: 2, Attrs: []string{"v"}, Data: [][]float64{w}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, _ := pyr.Tile(Coord{})
+	v, _ := root.At("v", 0, 0)
+	return v
+}
+
+// TestBuildSkipsNaN: a window's mean is over its non-empty cells, and a
+// window with none is empty.
+func TestBuildSkipsNaN(t *testing.T) {
+	nan := math.NaN()
+	if v := windowMean(t, nan, 4, 4, 4); v != 4 {
+		t.Errorf("mean skipping NaN = %v, want 4", v)
+	}
+	if v := windowMean(t, 1, nan, 2, 6); v != 3 {
+		t.Errorf("mean of 1, 2, 6 = %v, want 3 (divided by the 3 non-empty cells)", v)
+	}
+	if v := windowMean(t, nan, nan, nan, nan); !math.IsNaN(v) {
+		t.Errorf("all-empty window = %v, want NaN", v)
+	}
+}
+
 func TestEveryTileSameSize(t *testing.T) {
-	pyr, err := Build(rawArray(t, 64), Params{TileSize: 8, Agg: array.AggAvg})
+	pyr, err := Build(rawGrid(64), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,8 +274,8 @@ func TestEveryTileSameSize(t *testing.T) {
 
 func TestAggregationConsistencyAcrossLevels(t *testing.T) {
 	// Every cell of every non-base level must equal the average of the 2x2
-	// block under it in the child tile (AggAvg, no NaN in this raw array).
-	pyr, err := Build(rawArray(t, 32), Params{TileSize: 8, Agg: array.AggAvg})
+	// block under it in the child tile (no NaN in this raw grid).
+	pyr, err := Build(rawGrid(32), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +316,7 @@ func TestAggregationConsistencyAcrossLevels(t *testing.T) {
 
 func TestTileCoverageMatchesChildQuadrants(t *testing.T) {
 	// One tile at level i must cover exactly its four child tiles' data.
-	pyr, err := Build(rawArray(t, 32), Params{TileSize: 8, Agg: array.AggAvg})
+	pyr, err := Build(rawGrid(32), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +343,7 @@ func TestTileCoverageMatchesChildQuadrants(t *testing.T) {
 }
 
 func TestContains(t *testing.T) {
-	pyr, err := Build(rawArray(t, 32), Params{TileSize: 8, Agg: array.AggAvg})
+	pyr, err := Build(rawGrid(32), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,13 +379,14 @@ func TestContains(t *testing.T) {
 // signedPyramid is a pyramid whose tiles carry a "mean" signature.
 func signedPyramid(t *testing.T) *Pyramid {
 	t.Helper()
-	pyr, err := Build(rawArray(t, 64), Params{TileSize: 8, Agg: array.AggAvg, Metadata: func(tl *Tile) map[string][]float64 {
-		mean, _, _, _, _, _ := tl.Stats("v")
-		return map[string][]float64{"mean": {mean}}
-	}})
+	pyr, err := Build(rawGrid(64), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pyr.ComputeMetadata(func(tl *Tile) map[string][]float64 {
+		mean, _, _, _, _, _ := tl.Stats("v")
+		return map[string][]float64{"mean": {mean}}
+	})
 	return pyr
 }
 
@@ -362,10 +438,11 @@ func TestMetadataHook(t *testing.T) {
 		}
 		return map[string][]float64{"mean": {mean}}
 	}
-	pyr, err := Build(rawArray(t, 16), Params{TileSize: 8, Agg: array.AggAvg, Metadata: meta})
+	pyr, err := Build(rawGrid(16), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pyr.ComputeMetadata(meta)
 	if called != pyr.NumTiles() {
 		t.Errorf("metadata called %d times for %d tiles", called, pyr.NumTiles())
 	}
@@ -429,19 +506,15 @@ func TestTileBytesPositive(t *testing.T) {
 }
 
 func BenchmarkBuildPyramid(b *testing.B) {
-	a := array.NewZero(array.Schema{
-		Name:  "RAW",
-		Attrs: []string{"v"},
-		Dims:  [2]array.Dim{{Name: "lat", Size: 256}, {Name: "lon", Size: 256}},
-	})
-	data, _ := a.AttrData("v")
+	data := make([]float64, 256*256)
 	for i := range data {
 		data[i] = float64(i % 251)
 	}
+	raw := &Grid{Rows: 256, Cols: 256, Attrs: []string{"v"}, Data: [][]float64{data}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Build(a, Params{TileSize: 64, Agg: array.AggAvg}); err != nil {
+		if _, err := Build(raw, 64); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,8 +16,8 @@
 # The rule the lists are read by. Stays: anything A reaches; a subcommand
 # whose output has a consumer (a person or CI); safety code (error returns,
 # input validation, fuzz oracles and fallbacks); an accessor a test asserts
-# through; examples/ and what only they call. Goes: code whose only product
-# nothing reads, grammar no query uses, functions with no caller at all.
+# through. Goes: code whose only product nothing reads, grammar no query
+# uses, functions with no caller at all.
 #
 # Exit status is the stable signal only: non-zero when a whole file has no
 # statement reached from A or B. Function-level lines are informational —
