@@ -68,7 +68,7 @@ func Build(raw *Grid, tileSize int) (*Pyramid, error) {
 // plane per attribute that is not Rows x Cols.
 func (g *Grid) check() error {
 	if g == nil || g.Rows <= 0 || g.Cols <= 0 || g.Rows > math.MaxInt/g.Cols || len(g.Attrs) == 0 {
-		return fmt.Errorf("tile: empty grid")
+		return fmt.Errorf("tile: empty or oversized grid")
 	}
 	if len(g.Data) != len(g.Attrs) {
 		return fmt.Errorf("tile: grid has %d planes for %d attributes", len(g.Data), len(g.Attrs))
