@@ -139,9 +139,32 @@ func TestBuildRetainsOnlyTiles(t *testing.T) {
 	runtime.KeepAlive(pyr)
 }
 
-// TestBuildPadsNonPow2: a 5x3 grid pads to 8x8 with empty cells, which
-// the coarser levels skip.
 func TestBuildPadsNonPow2(t *testing.T) {
+	pyr, err := Build(rawGrid(48), 16)
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	// 48 pads to 64 -> 3 levels; border tiles carry NaN padding.
+	if pyr.NumLevels() != 3 {
+		t.Fatalf("NumLevels = %d, want 3", pyr.NumLevels())
+	}
+	edge, err := pyr.Tile(Coord{Level: 2, Y: 3, X: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := edge.At("v", 15, 15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsNaN(v) {
+		t.Errorf("padded cell = %v, want NaN", v)
+	}
+}
+
+// TestBuildClipsAndPads: tiles over the edge of a 5x3 grid keep its cells
+// where they are and pad the rest of the 8x8 cover with empty cells, which
+// the coarser levels skip.
+func TestBuildClipsAndPads(t *testing.T) {
 	const rows, cols = 5, 3
 	g := &Grid{Rows: rows, Cols: cols, Attrs: []string{"v"}, Data: [][]float64{make([]float64, rows*cols)}}
 	for i := range g.Data[0] {
@@ -238,8 +261,7 @@ func windowMean(t *testing.T, w ...float64) float64 {
 	return v
 }
 
-// TestBuildSkipsNaN: a window's mean is over its non-empty cells, and a
-// window with none is empty.
+// TestBuildSkipsNaN: a window's mean is over its non-empty cells.
 func TestBuildSkipsNaN(t *testing.T) {
 	nan := math.NaN()
 	if v := windowMean(t, nan, 4, 4, 4); v != 4 {
@@ -248,6 +270,11 @@ func TestBuildSkipsNaN(t *testing.T) {
 	if v := windowMean(t, 1, nan, 2, 6); v != 3 {
 		t.Errorf("mean of 1, 2, 6 = %v, want 3 (divided by the 3 non-empty cells)", v)
 	}
+}
+
+// TestBuildAllNaNWindow: a window with no non-empty cell is empty.
+func TestBuildAllNaNWindow(t *testing.T) {
+	nan := math.NaN()
 	if v := windowMean(t, nan, nan, nan, nan); !math.IsNaN(v) {
 		t.Errorf("all-empty window = %v, want NaN", v)
 	}
