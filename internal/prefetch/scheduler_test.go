@@ -222,32 +222,47 @@ func TestFairnessAcrossSessions(t *testing.T) {
 }
 
 // TestPriorityWithinSession: one session's entries come back highest score
-// first.
+// first, and equal scores in the order they were submitted.
 func TestPriorityWithinSession(t *testing.T) {
-	store := newFakeStore()
-	store.gate = make(chan struct{})
-	store.started = make(chan tile.Coord, 16)
-	s := NewScheduler(store, Config{Workers: 1})
-	defer s.Close()
+	cases := []struct {
+		name   string
+		scores []float64 // batch entry i asks for coordAt(i)
+		want   []int
+	}{
+		{"distinct scores", []float64{0.1, 0.9, 0.5}, []int{1, 2, 0}},
+		// Equal scores dispatch in submission order.
+		{"equal scores", []float64{0.5, 0.9, 0.5, 0.1, 0.9, 0.5}, []int{1, 4, 0, 2, 5, 3}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			store := newFakeStore()
+			store.gate = make(chan struct{})
+			store.started = make(chan tile.Coord, 16)
+			s := NewScheduler(store, Config{Workers: 1})
+			defer s.Close()
 
-	dummy := tile.Coord{Level: 1}
-	s.Submit("warmup", []Request{{Coord: dummy, Score: 1}})
-	<-store.started
+			dummy := tile.Coord{Level: 1}
+			s.Submit("warmup", []Request{{Coord: dummy, Score: 1}})
+			<-store.started
 
-	s.Submit("s1", []Request{
-		{Coord: coordAt(0), Score: 0.1},
-		{Coord: coordAt(1), Score: 0.9},
-		{Coord: coordAt(2), Score: 0.5},
-	})
-	close(store.gate)
-	s.Drain()
+			batch := make([]Request, len(tc.scores))
+			for i, score := range tc.scores {
+				batch[i] = Request{Coord: coordAt(i), Score: score}
+			}
+			s.Submit("s1", batch)
+			close(store.gate)
+			s.Drain()
 
-	want := []tile.Coord{coordAt(1), coordAt(2), coordAt(0)}
-	order := store.fetchOrder()[1:]
-	for i, c := range want {
-		if order[i] != c {
-			t.Fatalf("fetch order = %v, want %v", order, want)
-		}
+			order := store.fetchOrder()[1:]
+			if len(order) != len(tc.want) {
+				t.Fatalf("fetched %v, want %d tiles", order, len(tc.want))
+			}
+			for i, j := range tc.want {
+				if order[i] != coordAt(j) {
+					t.Fatalf("fetch order = %v, want coordAt of %v", order, tc.want)
+				}
+			}
+		})
 	}
 }
 
