@@ -45,7 +45,7 @@ func TestAdaptiveAllocationReplay(t *testing.T) {
 	const nTraces = 12
 	run := func(adaptive, hotspot bool) (hitRate float64, alloc map[string]map[string]float64, metricsBody string) {
 		srv, err := ds.NewServer(traces, MiddlewareConfig{
-			K: 5, AsyncPrefetch: true, PrefetchWorkers: 4,
+			AsyncPrefetch: true, PrefetchWorkers: 4,
 			UtilityLearning: true, AdaptiveAllocation: adaptive,
 			Hotspot:         hotspot,
 			MetricsEndpoint: true, SharedTiles: 64,

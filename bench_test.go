@@ -187,7 +187,7 @@ func BenchmarkStudySimulation(b *testing.B) {
 
 func BenchmarkMiddlewareRequestPath(b *testing.B) {
 	ds, traces := testWorld(b)
-	mw, err := ds.NewMiddleware(traces, MiddlewareConfig{K: 5})
+	mw, err := ds.NewMiddleware(traces, MiddlewareConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}

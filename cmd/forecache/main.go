@@ -146,7 +146,6 @@ func addServeFlags(fs *flag.FlagSet) *serveFlags {
 	sf := &serveFlags{}
 	c := &sf.cfg
 	fs.StringVar(&sf.addr, "addr", ":8080", "listen address")
-	fs.IntVar(&c.K, "k", 5, "prefetch budget in tiles")
 	fs.BoolVar(&c.AsyncPrefetch, "async", true, "prefetch through the shared asynchronous scheduler, with its feedback loops on: adaptive K under backpressure, scoped per session by fair share, and the learned position-utility curve")
 	fs.BoolVar(&c.Push, "push", false, "continuous push delivery: stream completed prefetches to attached sessions over GET /stream and price scheduler admission by per-session drain rate (requires -async)")
 	fs.IntVar(&c.Shards, "shards", 1, "prefetch scheduler shards behind a hash router keyed on session id (queues and workers go per-shard; the session table, single-flight and learned state stay deployment-wide)")
@@ -332,7 +331,6 @@ func cmdExplore(args []string) error {
 	fs := flag.NewFlagSet("explore", flag.ExitOnError)
 	wf := addWorldFlags(fs)
 	moves := fs.String("moves", "in-nw,in-se,right,down,out", "comma-separated move script")
-	k := fs.Int("k", 5, "prefetch budget in tiles")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -341,7 +339,7 @@ func cmdExplore(args []string) error {
 		return err
 	}
 	traces := ds.SimulateStudy(wf.seed)
-	mw, err := ds.NewMiddleware(traces, forecache.MiddlewareConfig{K: *k})
+	mw, err := ds.NewMiddleware(traces, forecache.MiddlewareConfig{})
 	if err != nil {
 		return err
 	}

@@ -25,10 +25,11 @@
 //     the Actions-Based Markov model (trace-trained, immutable, shared by
 //     every session), the Signature-Based visual-similarity model
 //     (online, fresh per session) and the cross-session Hotspot model
-//     (online, one deployment-wide lock-striped table of EWMA-decayed
-//     per-zoom-level consumption frequencies, seeded from the training
-//     traces and fed live from the cache outcome stream — enabled with
-//     MiddlewareConfig.Hotspot / serve -hotspot);
+//     (online, EWMA-decayed per-zoom-level consumption frequencies in
+//     one map under one mutex, at most one entry per pyramid tile,
+//     seeded from the training traces and fed live from the cache
+//     outcome stream — enabled with MiddlewareConfig.Hotspot / serve
+//     -hotspot);
 //   - the middleware cache (internal/cache), the latency-modeling DBMS
 //     adapter (internal/backend) and the HTTP boundary (internal/server,
 //     internal/client);
@@ -162,7 +163,7 @@
 //
 //	ds, _ := forecache.BuildWorld(forecache.WorldConfig{Seed: 1, Size: 512, TileSize: 16})
 //	traces := ds.SimulateStudy(7)
-//	mw, _ := ds.NewMiddleware(traces, forecache.MiddlewareConfig{K: 5})
+//	mw, _ := ds.NewMiddleware(traces, forecache.MiddlewareConfig{})
 //	resp, _ := mw.Request(forecache.Coord{})            // root tile: a miss
 //	resp, _ = mw.Request(forecache.Coord{Level: 1})     // often prefetched
 //

@@ -34,7 +34,7 @@ func ExampleDataset_NewMiddleware() {
 		fmt.Println(err)
 		return
 	}
-	mw, err := ds.NewMiddleware(ds.SimulateStudy(1), forecache.MiddlewareConfig{K: 5})
+	mw, err := ds.NewMiddleware(ds.SimulateStudy(1), forecache.MiddlewareConfig{})
 	if err != nil {
 		fmt.Println(err)
 		return

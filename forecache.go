@@ -152,8 +152,6 @@ func (d *Dataset) Harness(traces []*trace.Trace) *eval.Harness {
 
 // MiddlewareConfig assembles a production middleware engine.
 type MiddlewareConfig struct {
-	// K is the prefetch budget in tiles. Default 5 (the paper's headline k).
-	K int
 	// Latency overrides the hit/miss service times. Default: the paper's
 	// measured 19.5 ms / 984 ms.
 	Latency LatencyModel
@@ -227,13 +225,14 @@ type MiddlewareConfig struct {
 	// feedback loop in both modes); independent of UtilityLearning.
 	AdaptiveAllocation bool
 	// Hotspot registers the third recommender: the online, training-free
-	// cross-session hotspot model. One deployment-wide, lock-striped
-	// counter table learns which tiles the whole population recently
-	// consumed (per zoom level, EWMA-decayed, fed from the same cache
-	// outcomes the feedback loops drain) and every session's engine ranks
-	// candidates against it. The prior allocation table grows a hotspot
-	// column (one slot per phase at k >= 3), and with AdaptiveAllocation
-	// the per-phase split becomes genuinely 3-way.
+	// cross-session hotspot model. One deployment-wide counter table (one
+	// map under one mutex, at most one entry per pyramid tile) learns
+	// which tiles the whole population recently consumed (per zoom level,
+	// EWMA-decayed, fed from the same cache outcomes the feedback loops
+	// drain) and every session's engine ranks candidates against it. The
+	// prior allocation table grows a hotspot column (one slot per phase at
+	// k >= 3), and with AdaptiveAllocation the per-phase split becomes
+	// genuinely 3-way.
 	Hotspot bool
 	// Artifacts supplies an already-trained artifact bundle (Dataset.Train)
 	// so construction performs no training at all: NewMiddleware and
@@ -307,9 +306,11 @@ type MiddlewareConfig struct {
 }
 
 // The model shape and training size every deployment runs: the paper's
-// best Markov order (SB uses SIFT signatures alone) and the SVM training
-// cap. Prediction distance and history window are core.DefaultConfig's.
+// headline prefetch budget k, its best Markov order (SB uses SIFT
+// signatures alone) and the SVM training cap. Prediction distance and
+// history window are core.DefaultConfig's.
 const (
+	prefetchK             = 5
 	abOrder               = 3
 	maxClassifierRequests = 800
 )
@@ -332,9 +333,6 @@ const (
 )
 
 func (c MiddlewareConfig) withDefaults() MiddlewareConfig {
-	if c.K <= 0 {
-		c.K = 5
-	}
 	if c.Latency == (LatencyModel{}) {
 		c.Latency = backend.DefaultLatency()
 	}
@@ -449,7 +447,7 @@ func (d *Dataset) NewMiddleware(train []*trace.Trace, cfg MiddlewareConfig) (*co
 	if err != nil {
 		return nil, err
 	}
-	ecfg := core.Config{K: cfg.K}
+	ecfg := core.Config{K: prefetchK}
 	if hs := arts.set.Hotspot(); hs != nil {
 		ecfg.Consumption = hs
 	}
@@ -500,7 +498,7 @@ func (d *Dataset) NewServer(train []*trace.Trace, cfg MiddlewareConfig) (*server
 	// AdaptiveAllocation re-splits the budget with it (either mode).
 	var fc *prefetch.FeedbackCollector
 	if (cfg.UtilityLearning && cfg.AsyncPrefetch) || cfg.AdaptiveAllocation {
-		fc = prefetch.NewFeedbackCollector(cfg.K)
+		fc = prefetch.NewFeedbackCollector(prefetchK)
 	}
 	// Every session engine shares one allocation policy: the registry's
 	// prior table, or — with AdaptiveAllocation — one AdaptivePolicy over
@@ -603,7 +601,7 @@ func (d *Dataset) NewServer(train []*trace.Trace, cfg MiddlewareConfig) (*server
 	}
 	// What every session engine shares. The two observer fields are
 	// interfaces, so they are set only from non-nil pointers.
-	ecfg := core.Config{K: cfg.K, AdaptiveK: cfg.AdaptiveK, FairShare: cfg.FairShare, Obs: pipe}
+	ecfg := core.Config{K: prefetchK, AdaptiveK: cfg.AdaptiveK, FairShare: cfg.FairShare, Obs: pipe}
 	if fc != nil {
 		ecfg.Feedback = fc
 	}

@@ -89,7 +89,7 @@ func TestBuildWorldPipeline(t *testing.T) {
 
 func TestNewMiddlewareEndToEnd(t *testing.T) {
 	ds, traces := testWorld(t)
-	mw, err := ds.NewMiddleware(traces, MiddlewareConfig{K: 5})
+	mw, err := ds.NewMiddleware(traces, MiddlewareConfig{})
 	if err != nil {
 		t.Fatalf("NewMiddleware: %v", err)
 	}
@@ -220,7 +220,7 @@ func TestPyramidDigest(t *testing.T) {
 func TestAsyncServerFacade(t *testing.T) {
 	ds, traces := testWorld(t)
 	srv, err := ds.NewServer(traces, MiddlewareConfig{
-		K: 5, AsyncPrefetch: true, PrefetchWorkers: 4,
+		AsyncPrefetch: true, PrefetchWorkers: 4,
 		SharedTiles: 64, MaxSessions: 8, SessionTTL: time.Hour,
 	})
 	if err != nil {
@@ -264,7 +264,7 @@ func TestAsyncServerFacade(t *testing.T) {
 func TestShardedServerFacade(t *testing.T) {
 	ds, traces := testWorld(t)
 	srv, err := ds.NewServer(traces, MiddlewareConfig{
-		K: 5, AsyncPrefetch: true, Shards: 4, PrefetchWorkers: 4,
+		AsyncPrefetch: true, Shards: 4, PrefetchWorkers: 4,
 		UtilityLearning: true, AdaptiveAllocation: true, Hotspot: true,
 		MetricsEndpoint: true, SharedTiles: 64,
 	})
@@ -323,7 +323,7 @@ func TestShardedServerFacade(t *testing.T) {
 // recently used of them.
 func TestSessionCapIsExact(t *testing.T) {
 	ds, traces := testWorld(t)
-	srv, err := ds.NewServer(traces, MiddlewareConfig{K: 5, AsyncPrefetch: true, Shards: 2, MaxSessions: 4})
+	srv, err := ds.NewServer(traces, MiddlewareConfig{AsyncPrefetch: true, Shards: 2, MaxSessions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestSessionCapIsExact(t *testing.T) {
 func TestTracingServerFacade(t *testing.T) {
 	ds, traces := testWorld(t)
 	srv, err := ds.NewServer(traces, MiddlewareConfig{
-		K: 5, AsyncPrefetch: true, PrefetchWorkers: 2,
+		AsyncPrefetch: true, PrefetchWorkers: 2,
 		MetricsEndpoint: true, Tracing: true, Pprof: true,
 	})
 	if err != nil {
@@ -518,7 +518,7 @@ func TestUtilityLearningConvergence(t *testing.T) {
 	const nTraces = 6
 	run := func(learning bool) (hitRate float64, st PrefetchStats, metricsBody string) {
 		srv, err := ds.NewServer(traces, MiddlewareConfig{
-			K: 5, AsyncPrefetch: true, PrefetchWorkers: 4,
+			AsyncPrefetch: true, PrefetchWorkers: 4,
 			AdaptiveK: true, FairShare: true,
 			UtilityLearning: learning, MetricsEndpoint: true,
 			SharedTiles: 64,
@@ -598,7 +598,7 @@ func TestUtilityLearningConvergence(t *testing.T) {
 
 func TestSyncServerFacadeHasNoScheduler(t *testing.T) {
 	ds, traces := testWorld(t)
-	srv, err := ds.NewServer(traces, MiddlewareConfig{K: 5})
+	srv, err := ds.NewServer(traces, MiddlewareConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -617,7 +617,7 @@ func TestServerTrainsModelsOnce(t *testing.T) {
 	trainHook = func(string) { trainings.Add(1) }
 	defer func() { trainHook = nil }()
 
-	srv, err := ds.NewServer(traces, MiddlewareConfig{K: 5, AsyncPrefetch: true})
+	srv, err := ds.NewServer(traces, MiddlewareConfig{AsyncPrefetch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -654,7 +654,7 @@ func TestNewMiddlewareStillTrainsPerCall(t *testing.T) {
 	trainHook = func(string) { trainings.Add(1) }
 	defer func() { trainHook = nil }()
 	for i := 0; i < 2; i++ {
-		if _, err := ds.NewMiddleware(traces, MiddlewareConfig{K: 3}); err != nil {
+		if _, err := ds.NewMiddleware(traces, MiddlewareConfig{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -669,7 +669,6 @@ func TestNewMiddlewareStillTrainsPerCall(t *testing.T) {
 func TestAdaptiveServerFacade(t *testing.T) {
 	ds, traces := testWorld(t)
 	srv, err := ds.NewServer(traces, MiddlewareConfig{
-		K:             5,
 		AsyncPrefetch: true,
 		AdaptiveK:     true,
 	})
@@ -718,7 +717,7 @@ func TestSharedArtifactsSkipTraining(t *testing.T) {
 	trainHook = func(string) { trainings.Add(1) }
 	defer func() { trainHook = nil }()
 
-	cfg := MiddlewareConfig{K: 5, Hotspot: true}
+	cfg := MiddlewareConfig{Hotspot: true}
 	arts, err := ds.Train(traces, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -769,7 +768,7 @@ func TestSharedArtifactsSkipTraining(t *testing.T) {
 func TestHotspotServerLearnsConsumption(t *testing.T) {
 	ds, traces := testWorld(t)
 	srv, err := ds.NewServer(traces, MiddlewareConfig{
-		K: 5, AsyncPrefetch: true, PrefetchWorkers: 4, Hotspot: true,
+		AsyncPrefetch: true, PrefetchWorkers: 4, Hotspot: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -804,7 +803,7 @@ func TestHotspotServerLearnsConsumption(t *testing.T) {
 func TestBinaryTilesFacade(t *testing.T) {
 	ds, traces := testWorld(t)
 	srv, err := ds.NewServer(traces, MiddlewareConfig{
-		K: 5, AsyncPrefetch: true, Push: true,
+		AsyncPrefetch: true, Push: true,
 		BinaryTiles: true, MetricsEndpoint: true, Tracing: true,
 	})
 	if err != nil {

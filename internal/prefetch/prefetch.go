@@ -9,9 +9,10 @@
 // budget-bound fetch scheduler, and Kyrix's middleware-throughput argument
 // for multi-user tile serving:
 //
-//   - each session keeps a priority queue of pending candidates ordered by
-//     model confidence, and sessions with pending work are drained
-//     round-robin so one aggressive session cannot starve the others;
+//   - each session keeps its latest batch, in dispatch order (model
+//     confidence descending, then submission order), and sessions with
+//     pending work are drained round-robin so one aggressive session
+//     cannot starve the others;
 //   - the worker pool bounds concurrent DBMS fetches (the in-flight budget);
 //   - duplicate requests coalesce: when N sessions want the same tile, one
 //     DBMS fetch is issued and its result is delivered to all N waiters

@@ -378,7 +378,7 @@ func BenchmarkSchedulerSubmitDrain(b *testing.B) {
 // TestSubmitDrainAllocCeiling pins what one engine batch costs the
 // allocator end to end: Shard.Submit of a 5-entry batch, five fetches
 // through the coalescer, five deliveries, drain. Measured 43 (entries,
-// shard flights, heap growth, one coalescer flight per fetch); lower the
+// shard flights, queue growth, one coalescer flight per fetch); lower the
 // constant when the number drops.
 func TestSubmitDrainAllocCeiling(t *testing.T) {
 	s := NewScheduler(newFakeStore(), Config{Workers: 4})

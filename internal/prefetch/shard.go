@@ -25,31 +25,14 @@ type entry struct {
 	state    int
 }
 
-// entryHeap orders a session's pending entries by score descending.
-type entryHeap []*entry
-
-func (h entryHeap) Len() int { return len(h) }
-func (h entryHeap) Less(i, j int) bool {
-	if h[i].req.Score != h[j].req.Score {
-		return h[i].req.Score > h[j].req.Score
-	}
-	return h[i].seq < h[j].seq
-}
-func (h entryHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *entryHeap) Push(x any)   { *h = append(*h, x.(*entry)) }
-func (h *entryHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-
-// sessionQueue holds one session's pending entries.
+// sessionQueue holds one session's latest batch in dispatch order (score
+// descending, then submission order): Submit clears it and appends the
+// batch already sorted, and workers take entries from next on. Entries
+// cancelled, coalesced or shed in place are skipped lazily.
 type sessionQueue struct {
 	id      string
-	pending entryHeap
+	pending []*entry
+	next    int  // index of the first entry not yet dispatched
 	queued  int  // live (stateQueued) entries, for the budget
 	inRing  bool // whether id is in the round-robin ring
 }
@@ -178,7 +161,7 @@ func (s *Shard) Submit(session string, reqs []Request) int {
 			}
 			// The newcomer's admission utility is priced at the position it
 			// will occupy: sq.queued entries sit ahead of it, so its
-			// 0-indexed rank is sq.queued. (After the heap.Push below the
+			// 0-indexed rank is sq.queued. (After the append below the
 			// same rank reads sq.queued-1 — the counter has incremented by
 			// then; the two sites price the same position.) With push
 			// delivery on, the rank also charges drain time: the connection
@@ -191,7 +174,7 @@ func (s *Shard) Submit(session string, reqs []Request) int {
 		}
 		s.seq++
 		e := &entry{req: reqs[i], session: session, seq: s.seq, enqueued: now}
-		heap.Push(&sq.pending, e)
+		sq.pending = append(sq.pending, e)
 		s.addQueuedLocked(sq, 1)
 		s.stats.Pending++
 		if s.stats.Pending > s.stats.PeakPending {
@@ -345,7 +328,7 @@ func (s *Shard) addQueuedLocked(sq *sessionQueue, delta int) {
 // Submit whose whole batch is dropped or piggybacked enqueues nothing).
 func (s *Shard) cancelQueuedLocked(sq *sessionQueue) {
 	cancelled := false
-	for _, e := range sq.pending {
+	for _, e := range sq.pending[sq.next:] {
 		if e.state == stateQueued {
 			e.state = stateDone
 			s.detachLocked(e)
@@ -354,7 +337,7 @@ func (s *Shard) cancelQueuedLocked(sq *sessionQueue) {
 			cancelled = true
 		}
 	}
-	sq.pending = sq.pending[:0]
+	sq.pending, sq.next = sq.pending[:0], 0
 	s.addQueuedLocked(sq, -sq.queued)
 	if cancelled {
 		s.idle.Broadcast()
@@ -382,13 +365,14 @@ func (s *Shard) popNextLocked() *entry {
 		id := s.rr[s.rrPos]
 		sq := s.sessions[id]
 		var e *entry
-		for sq != nil && sq.pending.Len() > 0 {
-			top := heap.Pop(&sq.pending).(*entry)
-			if top.state != stateQueued {
-				continue // lazily discarded (cancelled or coalesced)
+		for sq != nil && sq.next < len(sq.pending) {
+			top := sq.pending[sq.next]
+			sq.pending[sq.next] = nil
+			sq.next++
+			if top.state == stateQueued { // the rest were cancelled, coalesced or shed
+				e = top
+				break
 			}
-			e = top
-			break
 		}
 		if e == nil {
 			// Session has no live work: drop it from the rotation.

@@ -3,7 +3,6 @@ package prefetch
 import (
 	"container/heap"
 	"math"
-	"sort"
 	"time"
 )
 
@@ -96,31 +95,25 @@ func (h *shedHeap) Pop() any {
 }
 
 // buildShedHeapLocked snapshots every live queued entry with its decayed
-// utility at now. Within each session, entries are ranked by score (the
-// dispatch order) to assign the position-decay exponent.
+// utility at now. Within each session, an entry's rank among the live
+// entries of its queue (already in dispatch order) assigns the
+// position-decay exponent.
 func (s *Shard) buildShedHeapLocked(now time.Time) *shedHeap {
 	h := make(shedHeap, 0, s.stats.Pending)
 	for _, sq := range s.sessions {
-		live := make([]*entry, 0, sq.queued)
-		for _, e := range sq.pending {
-			if e.state == stateQueued {
-				live = append(live, e)
-			}
-		}
-		sort.Slice(live, func(a, b int) bool {
-			if live[a].req.Score != live[b].req.Score {
-				return live[a].req.Score > live[b].req.Score
-			}
-			return live[a].seq < live[b].seq
-		})
 		// With push delivery on, incumbents age by their session's drain
 		// time too — rank pos waits behind pos frames plus its own.
 		delay := s.cfg.pushDelay(sq.id)
-		for pos, e := range live {
+		pos := 0
+		for _, e := range sq.pending[sq.next:] {
+			if e.state != stateQueued {
+				continue
+			}
 			h = append(h, shedCand{
 				e:    e,
 				util: decayedUtilityFactor(e.req.Score, now.Sub(e.enqueued)+time.Duration(pos+1)*delay, s.cfg.DecayHalfLife, s.cfg.positionFactor(pos)),
 			})
+			pos++
 		}
 	}
 	heap.Init(&h)

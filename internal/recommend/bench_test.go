@@ -57,7 +57,7 @@ func TestHotspotObserveDoesNotAllocate(t *testing.T) {
 }
 
 // BenchmarkHotspotObserveParallel is the contended shape: every session
-// engine of a deployment feeds the same lock-striped table.
+// engine of a deployment feeds the same table under one mutex.
 func BenchmarkHotspotObserveParallel(b *testing.B) {
 	h := benchHotspot()
 	b.ReportAllocs()

@@ -13,9 +13,7 @@ import (
 // the per-level observation counters and the decayed per-tile consumption
 // weights serialize so a restarted deployment ranks candidates by what the
 // population was consuming before the restart, not just the training-trace
-// seed. Export bounds the table with the same noise floor and per-stripe
-// cap the sweep enforces, so a snapshot can never be larger than the live
-// table a sweep would keep.
+// seed. Export leaves out entries decayed below the noise floor.
 
 // HotspotStateVersion is the snapshot section format version for Hotspot
 // state.
@@ -41,42 +39,19 @@ type hotspotEntry struct {
 	LastN int64   `json:"last_n"`
 }
 
-// ExportState serializes the counter table. Per stripe it applies the
-// sweep's own bounds — entries below the noise floor are skipped, and a
-// stripe over the sweep target keeps only its highest-weight entries — so
-// a long-lived deployment's snapshot stays as small as its swept table.
-// Stripes are locked one at a time; concurrent observations between
-// stripes land in the next snapshot.
+// ExportState serializes the counter table, leaving out entries whose
+// decayed weight has fallen below the noise floor.
 func (h *Hotspot) ExportState() ([]byte, error) {
 	st := hotspotState{LevelN: make([]int64, hotspotMaxLevels)}
-	for l := range h.levelN {
-		st.LevelN[l] = h.levelN[l].Load()
-	}
-	target := h.cfg.MaxPerStripe - h.cfg.MaxPerStripe/8
-	for i := range h.strs {
-		s := &h.strs[i]
-		s.mu.Lock()
-		live := make([]hotspotEntry, 0, len(s.w))
-		for c, e := range s.w {
-			eff := e.score * math.Pow(h.gamma, float64(st.LevelN[level(c)]-e.lastN))
-			if eff < sweepMinWeight {
-				continue
-			}
-			live = append(live, hotspotEntry{Level: c.Level, Y: c.Y, X: c.X, Score: e.score, LastN: e.lastN})
+	h.mu.Lock()
+	copy(st.LevelN, h.levelN[:])
+	for c, e := range h.w {
+		if e.score*math.Pow(h.gamma, float64(st.LevelN[level(c)]-e.lastN)) < noiseWeight {
+			continue
 		}
-		s.mu.Unlock()
-		if len(live) > target {
-			sort.Slice(live, func(i, j int) bool {
-				ei, ej := entryEff(live[i], st.LevelN, h.gamma), entryEff(live[j], st.LevelN, h.gamma)
-				if ei != ej {
-					return ei > ej
-				}
-				return coordOf(live[i]).Less(coordOf(live[j]))
-			})
-			live = live[:target]
-		}
-		st.Entries = append(st.Entries, live...)
+		st.Entries = append(st.Entries, hotspotEntry{Level: c.Level, Y: c.Y, X: c.X, Score: e.score, LastN: e.lastN})
 	}
+	h.mu.Unlock()
 	sort.Slice(st.Entries, func(i, j int) bool {
 		return coordOf(st.Entries[i]).Less(coordOf(st.Entries[j]))
 	})
@@ -87,14 +62,9 @@ func coordOf(e hotspotEntry) tile.Coord {
 	return tile.Coord{Level: e.Level, Y: e.Y, X: e.X}
 }
 
-func entryEff(e hotspotEntry, levelN []int64, gamma float64) float64 {
-	return e.Score * math.Pow(gamma, float64(levelN[level(coordOf(e))]-e.LastN))
-}
-
 // ImportState validates a previously exported payload and replaces the
-// counter table wholesale. Entries rehash into the current stripe layout,
-// so a deployment that changed HotspotConfig.Stripes still restores. On
-// any validation failure the table is left untouched.
+// counter table wholesale. On any validation failure the table is left
+// untouched.
 func (h *Hotspot) ImportState(raw []byte) error {
 	var st hotspotState
 	if err := json.Unmarshal(raw, &st); err != nil {
@@ -108,39 +78,23 @@ func (h *Hotspot) ImportState(raw []byte) error {
 			return fmt.Errorf("recommend: hotspot state: level %d counter %d negative", l, n)
 		}
 	}
-	seen := make(map[tile.Coord]bool, len(st.Entries))
+	w := make(map[tile.Coord]hotEntry, len(st.Entries))
 	for _, e := range st.Entries {
 		c := coordOf(e)
-		if seen[c] {
+		if _, dup := w[c]; dup {
 			return fmt.Errorf("recommend: hotspot state: duplicate entry %v", c)
 		}
-		seen[c] = true
 		if math.IsNaN(e.Score) || math.IsInf(e.Score, 0) || e.Score <= 0 {
 			return fmt.Errorf("recommend: hotspot state: entry %v score %v", c, e.Score)
 		}
 		if n := st.LevelN[level(c)]; e.LastN < 0 || e.LastN > n {
 			return fmt.Errorf("recommend: hotspot state: entry %v clock %d outside [0, %d]", c, e.LastN, n)
 		}
+		w[c] = hotEntry{score: e.Score, lastN: e.LastN}
 	}
-	// Install: reset every stripe, then rehash the entries in. Stripe locks
-	// are taken one at a time — restore runs before the deployment serves,
-	// so there is no concurrent observer to tear against.
-	for i := range h.strs {
-		s := &h.strs[i]
-		s.mu.Lock()
-		s.w = make(map[tile.Coord]hotEntry)
-		s.sinceSweep = 0
-		s.mu.Unlock()
-	}
-	for l := range h.levelN {
-		h.levelN[l].Store(st.LevelN[l])
-	}
-	for _, e := range st.Entries {
-		c := coordOf(e)
-		s := h.stripe(c)
-		s.mu.Lock()
-		s.w[c] = hotEntry{score: e.Score, lastN: e.LastN}
-		s.mu.Unlock()
-	}
+	h.mu.Lock()
+	copy(h.levelN[:], st.LevelN)
+	h.w = w
+	h.mu.Unlock()
 	return nil
 }

@@ -125,30 +125,12 @@ func TestHotspotModelContract(t *testing.T) {
 	}
 }
 
-// TestHotspotSweepBoundsTable: the stripe cap is a hard bound. With a
-// short half-life the decayed-out entries go first; with an enormous
-// half-life (nothing ever decays below noise) the smallest-weight live
-// entries are evicted — either way the table cannot grow unboundedly,
-// and the cooldown keeps the sweep off the per-update hot path.
-func TestHotspotSweepBoundsTable(t *testing.T) {
-	for _, halfLife := range []float64{2, 1e12} {
-		h := NewHotspot(HotspotConfig{HalfLife: halfLife, Stripes: 1, MaxPerStripe: 64})
-		for i := 0; i < 10000; i++ {
-			h.ObserveConsumption(tile.Coord{Level: 5, Y: i / 128, X: i % 128}, trace.Foraging)
-		}
-		// Hard bound: cap plus the cooldown window's worth of inserts.
-		if n := len(h.strs[0].w); n > 64+64/8 {
-			t.Errorf("half-life %v: stripe holds %d entries, cap 64 not enforced", halfLife, n)
-		}
-	}
-}
-
 // TestHotspotConcurrent is the -race suite: many goroutines observe and
 // predict against one shared table, the deployment's actual concurrency
 // shape (every session engine feeds and reads the same instance).
 func TestHotspotConcurrent(t *testing.T) {
 	b := gridBounds{maxLevel: 4}
-	h := NewHotspot(HotspotConfig{HalfLife: 64, Stripes: 4})
+	h := NewHotspot(HotspotConfig{HalfLife: 64})
 	cur := tile.Coord{Level: 2, Y: 1, X: 1}
 	cands := Candidates(b, cur, 1)
 	var wg sync.WaitGroup

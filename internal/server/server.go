@@ -249,7 +249,7 @@ func (s *Server) session(id string) (*core.Engine, error) {
 		return nil, ErrClosed
 	}
 	now := s.now()
-	evicted := s.sweepLocked(now)
+	evicted := s.expireIdleLocked(now)
 	if sess, ok := s.sessions[id]; ok {
 		sess.lastSeen = now
 		s.recency.MoveToFront(sess.el)
@@ -317,9 +317,9 @@ func (s *Server) hasSession(id string) bool {
 	return ok
 }
 
-// sweepLocked removes every session idle past the TTL from the table and
+// expireIdleLocked removes every session idle past the TTL from the table and
 // returns them for release.
-func (s *Server) sweepLocked(now time.Time) []*session {
+func (s *Server) expireIdleLocked(now time.Time) []*session {
 	if s.cfg.SessionTTL <= 0 {
 		return nil
 	}

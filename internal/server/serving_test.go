@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -346,18 +345,23 @@ func TestStreamPayloadEncodedOncePerTile(t *testing.T) {
 	})
 }
 
-// headerOnlyWriter is a ResponseWriter that keeps nothing, so a handler's
-// own allocations are all a measurement sees.
-type headerOnlyWriter struct{ h http.Header }
+// bodyWriter is a ResponseWriter that keeps the slice its last Write was
+// handed, not a copy, so a test can see which array a body was written
+// from.
+type bodyWriter struct {
+	h    http.Header
+	body []byte
+}
 
-func (w headerOnlyWriter) Header() http.Header         { return w.h }
-func (w headerOnlyWriter) Write(b []byte) (int, error) { return len(b), nil }
-func (w headerOnlyWriter) WriteHeader(int)             {}
+func (w *bodyWriter) Header() http.Header         { return w.h }
+func (w *bodyWriter) Write(b []byte) (int, error) { w.body = b; return len(b), nil }
+func (w *bodyWriter) WriteHeader(int)             {}
 
 // TestUncachedTileBodyIsPooled: without an encoded cache every response
-// encodes its tile afresh, but into a reused buffer — a response allocates
-// far less than encoding the body into a new one does — and the bytes are
-// still exactly Tile.EncodeJSON's.
+// encodes its tile afresh, but into a reused buffer — the pool makes a
+// buffer only when it has none to hand out, and responses are written
+// from the arrays of those few buffers, never from a fresh one — and the
+// bytes are still exactly Tile.EncodeJSON's.
 func TestUncachedTileBodyIsPooled(t *testing.T) {
 	srv, _ := testServer(t, Config{})
 	root := &tile.Tile{Size: 64, Attrs: []string{"v"}, Data: [][]float64{make([]float64, 64*64)}}
@@ -376,23 +380,22 @@ func TestUncachedTileBodyIsPooled(t *testing.T) {
 			t.Fatalf("response %d differs from EncodeJSON:\nwant: %q\ngot:  %q", i, want, rec.Body.Bytes())
 		}
 	}
-	perResponse := func(respond func(w http.ResponseWriter)) uint64 {
-		const runs = 200
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			respond(headerOnlyWriter{http.Header{}})
-		}
-		runtime.ReadMemStats(&after)
-		return (after.TotalAlloc - before.TotalAlloc) / runs
+	made := 0
+	newBuf := jsonBodyPool.New
+	jsonBodyPool.New = func() any { made++; return newBuf() }
+	defer func() { jsonBodyPool.New = newBuf }()
+	// Every body array seen is held, so the allocator cannot hand a fresh
+	// body the address of an old one.
+	arrays := make(map[*byte][]byte)
+	const runs = 200
+	for i := 0; i < runs; i++ {
+		w := &bodyWriter{h: http.Header{}}
+		srv.writeTile(w, req, root.Coord, root)
+		arrays[&w.body[0]] = w.body
 	}
-	fresh := perResponse(func(w http.ResponseWriter) {
-		body, _ := root.EncodeJSON()
-		_, _ = w.Write(body)
-	})
-	pooled := perResponse(func(w http.ResponseWriter) { srv.writeTile(w, req, root.Coord, root) })
 	// Half, not a tenth: under -race sync.Pool drops a quarter of its Puts.
-	if pooled > fresh/2 {
-		t.Errorf("an uncached response allocates %d bytes, a fresh EncodeJSON %d: the body buffer is not reused", pooled, fresh)
+	if made > runs/2 || len(arrays) > runs/2 {
+		t.Errorf("%d uncached responses: the pool made %d buffers and bodies came from %d arrays, want at most %d of each",
+			runs, made, len(arrays), runs/2)
 	}
 }

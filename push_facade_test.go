@@ -33,7 +33,7 @@ func TestPushDeliveryAcceptance(t *testing.T) {
 
 	mkServer := func(pushOn, binaryTiles bool) (*Server, *httptest.Server) {
 		srv, err := ds.NewServer(traces, MiddlewareConfig{
-			K: 5, AsyncPrefetch: true, PrefetchWorkers: 4, Push: pushOn, BinaryTiles: binaryTiles,
+			AsyncPrefetch: true, PrefetchWorkers: 4, Push: pushOn, BinaryTiles: binaryTiles,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -70,7 +70,7 @@ func TestWarmRestartMatchesUninterruptedRun(t *testing.T) {
 	// hotspot counter table.
 	mkServer := func(stateDir string) (*Server, *httptest.Server) {
 		srv, err := ds.NewServer(traces, MiddlewareConfig{
-			K: 5, AsyncPrefetch: true, PrefetchWorkers: 4,
+			AsyncPrefetch: true, PrefetchWorkers: 4,
 			UtilityLearning: true, AdaptiveAllocation: true, Hotspot: true,
 			StateDir: stateDir, SnapshotInterval: -1,
 		})
