@@ -2,7 +2,10 @@ package forecache
 
 import (
 	"fmt"
+	"maps"
+	"math"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -23,7 +26,9 @@ import (
 // mode can never do — whichever framing carries them. Meanwhile the server-observed hit/miss
 // sequence must be bit-identical across all three replays: push is a
 // delivery channel, not a behavior change, so the pull path — and with it
-// the suite's pinned replay hit rates — cannot move.
+// the suite's pinned replay hit rates — cannot move. Every tile a replay
+// returns, streamed or pulled, must be the pyramid's own: cells, attribute
+// names and signatures.
 func TestPushDeliveryAcceptance(t *testing.T) {
 	ds, traces := testWorld(t)
 	// Task-3 traces (user-major order: user u's task 3 is trace 3u+2) are
@@ -68,9 +73,16 @@ func TestPushDeliveryAcceptance(t *testing.T) {
 					// slot-buffer consumption is deterministic.
 					waitStreamed(t, srv, c, base)
 				}
-				_, info, err := c.Tile(req.Coord)
+				got, info, err := c.Tile(req.Coord)
 				if err != nil {
 					t.Fatalf("%s trace %d %v: %v", prefix, i, req.Coord, err)
+				}
+				want, err := ds.Pyramid.Tile(req.Coord)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameTile(got, want) {
+					t.Fatalf("%s trace %d %v (streamed %v): the returned tile is not the pyramid's", prefix, i, req.Coord, info.Streamed)
 				}
 				hits = append(hits, info.Hit)
 				total++
@@ -133,6 +145,16 @@ func TestPushDeliveryAcceptance(t *testing.T) {
 	if st.Pushed == 0 || st.Consumed == 0 {
 		t.Fatalf("push registry stats = %+v, want pushed and consumed traffic", st)
 	}
+}
+
+// sameTile reports whether a and b carry the same coordinate, attribute
+// names, cells and signatures; empty (NaN) cells match each other.
+func sameTile(a, b *Tile) bool {
+	same := func(x, y []float64) bool {
+		return slices.EqualFunc(x, y, func(p, q float64) bool { return p == q || math.IsNaN(p) && math.IsNaN(q) })
+	}
+	return a.Coord == b.Coord && a.Size == b.Size && slices.Equal(a.Attrs, b.Attrs) &&
+		slices.EqualFunc(a.Data, b.Data, same) && maps.EqualFunc(a.Signatures, b.Signatures, same)
 }
 
 // enqueued counts the frames ever placed on any stream's channel. Pushed
