@@ -99,9 +99,9 @@
 //     admission control ages queued entries by queue-rank × drain delay,
 //     so a slow connection's backlog loses shed fights it would have won
 //     on score alone. The Go client (client.Attach) keeps a bounded
-//     slot buffer — newest frame supersedes, consumed on request
-//     (TileInfo.Streamed) — and auto-reattaches after a drop, with the
-//     server backfilling the session's cached predictions. Stream
+//     slot buffer of undecoded frames — newest supersedes; a request
+//     decodes and returns its slot's tile (TileInfo.Streamed) — and
+//     auto-reattaches after a drop, the server backfilling. Stream
 //     telemetry (open streams, pushed/backfilled/dropped frames, frame
 //     bytes, push-to-consume lead time, per-session drain rates) rides /stats
 //     and /metrics as forecache_push_* series. Push off is the pull

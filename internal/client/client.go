@@ -83,9 +83,9 @@ type TileInfo struct {
 	Hit     bool
 	Phase   string
 	Latency time.Duration
-	// Streamed reports that the tile was already sitting in the client's
-	// push-stream slot buffer when it was requested: it was available with
-	// zero fetch latency before the request was even issued.
+	// Streamed reports that the returned tile was already sitting in the
+	// client's push-stream slot buffer when it was requested: it was
+	// available with zero fetch latency before the request was issued.
 	Streamed bool
 }
 
@@ -98,12 +98,15 @@ func (c *Client) Meta() (Meta, error) {
 
 // Tile requests one tile; the returned info reports whether the middleware
 // had it prefetched. When a push stream is attached and the coordinate is
-// sitting in the slot buffer, the slot is consumed and Streamed is set —
-// but the HTTP request is still issued, so the server's view of the
-// session's request history stays contiguous and each prefetch outcome is
-// judged exactly once, by the server.
+// sitting in the slot buffer, the slot is consumed, its tile is decoded and
+// returned, and Streamed is set. The HTTP request is still issued, so the
+// server's view of the session's request history stays contiguous and each
+// prefetch outcome is judged exactly once, by the server; the response body
+// is then read to EOF undecoded, so the connection is reused. A slot whose tile
+// fails to decode is rejected, and the pulled body answers instead.
 func (c *Client) Tile(coord tile.Coord) (*tile.Tile, TileInfo, error) {
-	streamed := c.takeSlot(coord)
+	t := c.takeSlot(coord)
+	streamed := t != nil
 	u := c.base + "/tile?level=" + strconv.Itoa(coord.Level) + "&y=" + strconv.Itoa(coord.Y) + "&x=" + strconv.Itoa(coord.X)
 	if c.session != "" {
 		u += "&session=" + url.QueryEscape(c.session)
@@ -121,8 +124,11 @@ func (c *Client) Tile(coord tile.Coord) (*tile.Tile, TileInfo, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, TileInfo{}, decodeError(resp)
 	}
-	t, err := decodeTileBody(resp)
-	if err != nil {
+	if streamed {
+		// To EOF, so the transport reuses the connection; a body past
+		// decodeTileBody's bound is dropped with it.
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, tile.MaxInflated))
+	} else if t, err = decodeTileBody(resp); err != nil {
 		return nil, TileInfo{}, err
 	}
 	info := TileInfo{

@@ -28,6 +28,7 @@ type PushStats struct {
 	Heartbeats int // idle keepalives received
 	Evicted    int // slots dropped because the buffer was full
 	Consumed   int // Tile() calls answered from the slot buffer
+	Rejected   int // slots taken by Tile() whose tile failed to decode
 	Reattached int // successful redials after a dropped stream
 	Buffered   int // slots currently held
 }
@@ -131,8 +132,11 @@ func streamDecoder(resp *http.Response) func(*bufio.Reader) (push.Frame, error) 
 	return nil
 }
 
-// consumeStream decodes frames until the stream drops, then redials until
-// Detach cancels the context.
+// consumeStream reads frames into the slot buffer until the stream drops,
+// then redials until Detach cancels the context. It checks each frame's
+// framing only: a tile is decoded when Tile consumes its slot, on the
+// caller's goroutine, so a frame nobody asks for costs no decode, and a
+// frame whose tile is damaged is rejected then without dropping the stream.
 func (c *Client) consumeStream(ctx context.Context, st *streamState, resp *http.Response) {
 	defer close(st.done)
 	for {
@@ -167,7 +171,7 @@ func (c *Client) consumeStream(ctx context.Context, st *streamState, resp *http.
 	}
 }
 
-// storeFrame files one decoded frame into the slot buffer. Newest wins:
+// storeFrame files one received frame into the slot buffer. Newest wins:
 // a repeated coordinate supersedes the old slot in place (and refreshes
 // its eviction recency); at capacity the oldest slot is dropped.
 func (c *Client) storeFrame(f push.Frame) {
@@ -177,7 +181,7 @@ func (c *Client) storeFrame(f push.Frame) {
 		c.pstats.Heartbeats++
 		return
 	}
-	if f.Type != push.FrameTile || f.Tile == nil {
+	if f.Type != push.FrameTile {
 		return
 	}
 	if c.slots == nil {
@@ -199,17 +203,29 @@ func (c *Client) storeFrame(f push.Frame) {
 	}
 }
 
-// takeSlot consumes the buffered slot for a coordinate, if any.
-func (c *Client) takeSlot(coord tile.Coord) bool {
+// takeSlot consumes the buffered slot for a coordinate, if any, and
+// returns its tile, decoded outside the lock; nil if there is no slot or
+// its tile fails to decode (counted as Rejected).
+func (c *Client) takeSlot(coord tile.Coord) *tile.Tile {
+	c.mu.Lock()
+	f, ok := c.slots[coord]
+	if ok {
+		delete(c.slots, coord)
+		c.dropOrderLocked(coord)
+	}
+	c.mu.Unlock()
+	if !ok {
+		return nil
+	}
+	t, err := f.DecodeTile()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.slots[coord]; !ok {
-		return false
+	if err != nil {
+		c.pstats.Rejected++
+		return nil
 	}
-	delete(c.slots, coord)
-	c.dropOrderLocked(coord)
 	c.pstats.Consumed++
-	return true
+	return t
 }
 
 func (c *Client) dropOrderLocked(coord tile.Coord) {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -56,19 +57,32 @@ func pushServerTyped(t *testing.T, contentType string, stream func(n int, w http
 	return ts
 }
 
+// pushedTile is the tile the fake stream pushes for c. It differs from
+// what the fake /tile serves, so a test can tell which one Tile returned.
+func pushedTile(c tile.Coord) *tile.Tile {
+	return &tile.Tile{Coord: c, Size: 1, Attrs: []string{"v"}, Data: [][]float64{{1}}}
+}
+
+// frameFor is a tile frame for c as Decode hands it over: the payload is
+// pushedTile(c)'s JSON body.
 func frameFor(c tile.Coord, backfill bool) push.Frame {
+	body, err := pushedTile(c).EncodeJSON()
+	if err != nil {
+		panic(err)
+	}
 	return push.Frame{
 		Type: push.FrameTile, Session: "s", Model: "m", Score: 1, Backfill: backfill,
-		Coord: c, Tile: &tile.Tile{Coord: c, Size: 1},
+		Coord: c, Payload: body,
 	}
 }
 
 // TestClientStreamedTile: a streamed tile lands in the slot buffer, the
-// next request for its coordinate consumes the slot exactly once, and
-// heartbeats are counted without occupying slots — in either framing, the
-// decoder following the response's Content-Type: a negotiating client
-// reads the SSE of a server that does not grant binary (mixed fleet) as
-// well as the binary frames of one that does.
+// next request for its coordinate consumes the slot exactly once and
+// returns the pushed tile, not the pulled body, and heartbeats are counted
+// without occupying slots — in either framing, the decoder following the
+// response's Content-Type: a negotiating client reads the SSE of a server
+// that does not grant binary (mixed fleet) as well as the binary frames of
+// one that does.
 func TestClientStreamedTile(t *testing.T) {
 	c1 := tile.Coord{Level: 1, Y: 0, X: 1}
 	sse := func(w http.ResponseWriter) {
@@ -76,7 +90,7 @@ func TestClientStreamedTile(t *testing.T) {
 		_, _ = push.Encode(w, push.Frame{Type: push.FrameHeartbeat, Session: "s"})
 	}
 	binary := func(w http.ResponseWriter) {
-		body, err := tile.EncodeBinary(&tile.Tile{Coord: c1, Size: 1, Attrs: []string{"v"}, Data: [][]float64{{1}}})
+		body, err := tile.EncodeBinary(pushedTile(c1))
 		if err != nil {
 			t.Error(err)
 		}
@@ -124,18 +138,21 @@ func testStreamedTile(t *testing.T, c *Client, c1 tile.Coord) {
 	if st := c.PushStats(); st.Buffered != 1 {
 		t.Fatalf("stats = %+v, want 1 buffered slot", st)
 	}
-	_, info, err := c.Tile(c1)
+	got, info, err := c.Tile(c1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !info.Streamed || !info.Hit {
 		t.Fatalf("info = %+v, want Streamed+Hit", info)
 	}
-	// The slot was consumed: the same coordinate is a plain fetch now.
-	if _, info, err = c.Tile(c1); err != nil || info.Streamed {
-		t.Fatalf("second request: info=%+v err=%v, want un-streamed", info, err)
+	if !reflect.DeepEqual(got, pushedTile(c1)) {
+		t.Fatalf("streamed request returned %+v, want the pushed tile", got)
 	}
-	if st := c.PushStats(); st.Consumed != 1 || st.Buffered != 0 {
+	// The slot was consumed: the same coordinate is a plain fetch now.
+	if got, info, err = c.Tile(c1); err != nil || info.Streamed || len(got.Attrs) != 0 {
+		t.Fatalf("second request: tile=%+v info=%+v err=%v, want the un-streamed pulled body", got, info, err)
+	}
+	if st := c.PushStats(); st.Consumed != 1 || st.Rejected != 0 || st.Buffered != 0 {
 		t.Fatalf("stats = %+v, want exactly one consumption", st)
 	}
 }
@@ -169,8 +186,73 @@ func TestClientSlotSupersedeAndCap(t *testing.T) {
 	if st.Buffered != DefaultSlotCap || st.Evicted != 1 {
 		t.Fatalf("cap stats = %+v", st)
 	}
-	if c.takeSlot(dup) {
+	if c.takeSlot(dup) != nil {
 		t.Fatal("oldest slot should have been evicted at capacity")
+	}
+}
+
+// TestClientRejectsBadSlot: a frame whose framing is intact but whose tile
+// does not decode is buffered like any other and rejected only when Tile
+// consumes it. The pulled body answers, Streamed is false, the stream stays
+// attached, and the bad frame nobody consumes is never decoded.
+func TestClientRejectsBadSlot(t *testing.T) {
+	bad, unread := tile.Coord{Level: 1, X: 1}, tile.Coord{Level: 1, Y: 1}
+	sse := func(w http.ResponseWriter) {
+		for _, c := range []tile.Coord{bad, unread} {
+			// The tile is for another coordinate than the frame's.
+			f := frameFor(c, false)
+			f.Payload, f.Tile = nil, pushedTile(tile.Coord{Level: 1})
+			_, _ = push.Encode(w, f)
+		}
+	}
+	binary := func(w http.ResponseWriter) {
+		var raw []byte
+		for _, c := range []tile.Coord{bad, unread} {
+			body, err := tile.EncodeBinary(pushedTile(c))
+			if err != nil {
+				t.Error(err)
+			}
+			body[len(body)-1] ^= 0xff // break the CRC
+			if raw, err = push.AppendBinary(raw, frameFor(c, false), body, false); err != nil {
+				t.Error(err)
+			}
+		}
+		_, _ = w.Write(raw)
+	}
+	for _, tc := range []struct {
+		name, contentType string
+		frames            func(http.ResponseWriter)
+	}{
+		{"sse", "text/event-stream", sse},
+		{"binary", push.BinaryContentType, binary},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := pushServerTyped(t, tc.contentType, func(n int, w http.ResponseWriter, r *http.Request) {
+				tc.frames(w)
+				w.(http.Flusher).Flush()
+				<-r.Context().Done()
+			})
+			c := New(ts.URL, "s")
+			c.NegotiateBinary(tc.contentType == push.BinaryContentType)
+			if err := c.Attach(); err != nil {
+				t.Fatal(err)
+			}
+			defer c.Detach()
+			waitFor(t, "both frames", func() bool { return c.PushStats().Frames == 2 })
+			if st := c.PushStats(); st.Rejected != 0 || st.Buffered != 2 {
+				t.Fatalf("stats = %+v before any request, want 2 buffered and none rejected", st)
+			}
+			got, info, err := c.Tile(bad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Streamed || got.Coord != bad || len(got.Attrs) != 0 {
+				t.Fatalf("tile=%+v info=%+v, want the un-streamed pulled body", got, info)
+			}
+			if st := c.PushStats(); st.Rejected != 1 || st.Consumed != 0 || st.Buffered != 1 || st.Reattached != 0 {
+				t.Fatalf("stats = %+v, want one rejected slot, one left and the stream never redialed", st)
+			}
+		})
 	}
 }
 
@@ -195,7 +277,7 @@ func TestClientReconnectBackfill(t *testing.T) {
 		st := c.PushStats()
 		return st.Reattached >= 1 && st.Backfills == 1
 	})
-	if !c.takeSlot(c1) {
+	if c.takeSlot(c1) == nil {
 		t.Fatal("backfilled tile missing from slot buffer")
 	}
 }

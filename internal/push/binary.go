@@ -76,12 +76,12 @@ func AppendBinary(dst []byte, f Frame, body []byte, gz bool) ([]byte, error) {
 	return append(b, body...), nil
 }
 
-// DecodeBinary reads the next binary frame off the stream and decodes its
-// tile. It returns io.EOF only at a frame boundary; a stream that ends
-// inside a frame, an unknown type or flag, a payload outside the format's
-// bound or failing the tile codec's checks (CRC included), and a tile whose
-// coordinate differs from the header's are errors — as with Decode, a
-// reason to drop the stream and re-attach.
+// DecodeBinary reads the next binary frame off the stream, keeping its
+// tile payload undecoded (see DecodeTile). It returns io.EOF only at a
+// frame boundary; a stream that ends inside a frame, an unknown type or
+// flag, and a payload length outside the format's bound (checked before
+// anything is allocated) are errors — as with Decode, a reason to drop the
+// stream and re-attach.
 func DecodeBinary(r *bufio.Reader) (Frame, error) {
 	var hdr [binaryHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -125,17 +125,6 @@ func DecodeBinary(r *bufio.Reader) (Frame, error) {
 		}
 		return Frame{}, fmt.Errorf("push: read frame payload: %w", err)
 	}
-	f.Model = string(buf[:modelLen])
-	decode := tile.DecodeBinary
-	if flags&binFlagGzip != 0 {
-		decode = func(b []byte) (*tile.Tile, error) { return tile.DecodeGzip(b, tile.DecodeBinary) }
-	}
-	var err error
-	if f.Tile, err = decode(buf[modelLen:]); err != nil {
-		return Frame{}, fmt.Errorf("push: decode frame %s: %w", f.Coord, err)
-	}
-	if f.Tile.Coord != f.Coord {
-		return Frame{}, fmt.Errorf("push: frame for %s carries tile %s", f.Coord, f.Tile.Coord)
-	}
+	f.Model, f.body, f.gz = string(buf[:modelLen]), buf[modelLen:], flags&binFlagGzip != 0
 	return f, nil
 }

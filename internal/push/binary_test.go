@@ -89,6 +89,15 @@ func TestBinaryFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: DecodeBinary: %v", bc.name, err)
 		}
+		if got.gz != bc.gz {
+			t.Fatalf("%s: gzip flag %v, want %v", bc.name, got.gz, bc.gz)
+		}
+		if bc.f.Tile != nil {
+			if got.Tile, err = got.DecodeTile(); err != nil {
+				t.Fatalf("%s: DecodeTile: %v", bc.name, err)
+			}
+			got.body, got.gz = nil, false
+		}
 		if !reflect.DeepEqual(got, bc.f) {
 			t.Fatalf("%s:\n got %+v\nwant %+v", bc.name, got, bc.f)
 		}
@@ -120,37 +129,47 @@ func TestBinaryFrameRejects(t *testing.T) {
 	valid := appendCase(t, nil, binaryCase{f: Frame{Type: FrameTile, Seq: 1, Model: "m", Coord: c, Tile: testTile(c)}})
 	mutate := func(fn func(b []byte) []byte) []byte { return fn(bytes.Clone(valid)) }
 	other := tile.Coord{Level: 2, Y: 3, X: 2}
+	// consume marks the cases whose framing is intact: DecodeBinary reads
+	// them, and DecodeTile rejects their tile.
 	cases := []struct {
 		name, want string
 		raw        []byte
+		consume    bool
 	}{
-		{"unknown type", "unknown frame type", mutate(func(b []byte) []byte { b[0] = 9; return b })},
-		{"unknown flag", "unknown frame flags", mutate(func(b []byte) []byte { b[1] |= 1 << 7; return b })},
+		{"unknown type", "unknown frame type", mutate(func(b []byte) []byte { b[0] = 9; return b }), false},
+		{"unknown flag", "unknown frame flags", mutate(func(b []byte) []byte { b[1] |= 1 << 7; return b }), false},
 		{"empty tile frame", "outside (0,", mutate(func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[4:], 0)
 			return b
-		})},
-		{"heartbeat with payload", "heartbeat frame carries", mutate(func(b []byte) []byte { b[0] = binTypeHeartbeat; return b })},
+		}), false},
+		{"heartbeat with payload", "heartbeat frame carries", mutate(func(b []byte) []byte { b[0] = binTypeHeartbeat; return b }), false},
 		// Rejected on the length alone: there is no payload behind the
 		// header, so a decoder that allocated first would report a short
 		// read instead.
 		{"oversized payload", "outside (0,", mutate(func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[4:], maxBinaryPayload+1)
 			return b[:binaryHeaderLen]
-		})},
+		}), false},
 		{"4 GiB payload", "outside (0,", mutate(func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[4:], math.MaxUint32)
 			return b[:binaryHeaderLen]
-		})},
+		}), false},
 		{"header coord differs from the tile's", "carries tile", mutate(func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[32:], uint32(other.X))
 			return b
-		})},
-		{"corrupt tile body", "checksum", mutate(func(b []byte) []byte { b[len(b)-9] ^= 0xff; return b })},
-		{"gzip flag on a plain body", "gunzip", mutate(func(b []byte) []byte { b[1] |= binFlagGzip; return b })},
+		}), true},
+		{"corrupt tile body", "checksum", mutate(func(b []byte) []byte { b[len(b)-9] ^= 0xff; return b }), true},
+		{"gzip flag on a plain body", "gunzip", mutate(func(b []byte) []byte { b[1] |= binFlagGzip; return b }), true},
 	}
 	for _, tc := range cases {
-		_, err := DecodeBinary(bufio.NewReader(bytes.NewReader(tc.raw)))
+		f, err := DecodeBinary(bufio.NewReader(bytes.NewReader(tc.raw)))
+		if tc.consume {
+			if err != nil {
+				t.Errorf("%s: DecodeBinary refused intact framing: %v", tc.name, err)
+				continue
+			}
+			_, err = f.DecodeTile()
+		}
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want one naming %q", tc.name, err, tc.want)
 		}
@@ -161,7 +180,7 @@ func TestBinaryFrameRejects(t *testing.T) {
 }
 
 // TestBinaryFrameInflateBound: a body that gunzips past the payload bound
-// is refused without being inflated whole.
+// is refused at consume without being inflated whole.
 func TestBinaryFrameInflateBound(t *testing.T) {
 	var bomb bytes.Buffer
 	zw := gzip.NewWriter(&bomb)
@@ -176,7 +195,11 @@ func TestBinaryFrameInflateBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeBinary(bufio.NewReader(bytes.NewReader(raw))); err == nil || !strings.Contains(err.Error(), "inflates past") {
+	f, err := DecodeBinary(bufio.NewReader(bytes.NewReader(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.DecodeTile(); err == nil || !strings.Contains(err.Error(), "inflates past") {
 		t.Fatalf("err = %v, want the inflate bound", err)
 	}
 }
@@ -213,9 +236,16 @@ func FuzzDecodeBinaryFrame(f *testing.F) {
 			if err != nil {
 				return
 			}
-			// Whatever decodes is a frame the encoder could have written.
-			if got.Type == FrameTile && (got.Tile == nil || got.Tile.Coord != got.Coord) {
-				t.Fatalf("accepted a tile frame without its tile: %+v", got)
+			if got.Type != FrameTile {
+				continue
+			}
+			// A tile frame carries a payload within the bound, and it decodes
+			// to a tile for the frame's own coordinate, or to an error.
+			if len(got.body) == 0 || len(got.body) > maxBinaryPayload {
+				t.Fatalf("accepted a tile frame with a %d-byte payload", len(got.body))
+			}
+			if tl, err := got.DecodeTile(); err == nil && tl.Coord != got.Coord {
+				t.Fatalf("DecodeTile returned %v for a frame at %v", tl.Coord, got.Coord)
 			}
 		}
 	})

@@ -56,28 +56,51 @@ type Frame struct {
 	Backfill bool `json:"backfill,omitempty"`
 	// Coord addresses the tile (zero for heartbeats).
 	Coord tile.Coord `json:"coord"`
-	// Tile is the payload (nil for heartbeats).
+	// Tile is the payload to send (nil for heartbeats). Decode and
+	// DecodeBinary leave it nil: DecodeTile decodes a received tile.
 	Tile *tile.Tile `json:"tile,omitempty"`
 	// Payload, when set, is the tile's already-encoded JSON body — the same
 	// bytes the /tile endpoint serves, shared through the deployment's
 	// encoded-payload cache. Encode splices it into the "tile" field
 	// verbatim instead of re-marshaling Tile, so a tile pushed to N
 	// attached streams is encoded once, not N times. It is never a wire
-	// field of its own, and Decode leaves it nil (populating Tile).
+	// field of its own; Decode sets it to the "tile" value it read.
 	Payload json.RawMessage `json:"-"`
+
+	// body is DecodeBinary's undecoded FCT3 payload, gzipped when gz.
+	body []byte
+	gz   bool
 }
 
-// wireFrame is Frame's wire shape when a pre-encoded payload is spliced
-// in: identical fields, but the "tile" value is raw bytes.
+// DecodeTile decodes the tile a received frame carries: DecodeBinary's
+// FCT3 body, inflated first (to at most tile.MaxInflated bytes) when the
+// frame's gzip flag is set, or Decode's JSON payload. The codec's checks,
+// the CRC included, run here, and a tile whose coordinate differs from the
+// frame's is an error. Frame decoding leaves this to the consumer, so a
+// frame nobody consumes is never decoded.
+func (f Frame) DecodeTile() (*tile.Tile, error) {
+	b, decode := []byte(f.Payload), tile.DecodeJSON
+	if f.gz {
+		b, decode = f.body, func(b []byte) (*tile.Tile, error) { return tile.DecodeGzip(b, tile.DecodeBinary) }
+	} else if f.body != nil {
+		b, decode = f.body, tile.DecodeBinary
+	}
+	t, err := decode(b)
+	if err != nil {
+		return nil, fmt.Errorf("push: decode frame %s: %w", f.Coord, err)
+	}
+	if t.Coord != f.Coord {
+		return nil, fmt.Errorf("push: frame for %s carries tile %s", f.Coord, t.Coord)
+	}
+	return t, nil
+}
+
+// wireFrame is Frame with the "tile" value as raw bytes: how Encode splices
+// a pre-encoded payload in and how Decode reads one. The outer Tile hides
+// Frame's, and encoding/json writes it last, where Frame's would be.
 type wireFrame struct {
-	Type     string          `json:"type"`
-	Session  string          `json:"session,omitempty"`
-	Seq      uint64          `json:"seq"`
-	Model    string          `json:"model,omitempty"`
-	Score    float64         `json:"score,omitempty"`
-	Backfill bool            `json:"backfill,omitempty"`
-	Coord    tile.Coord      `json:"coord"`
-	Tile     json.RawMessage `json:"tile,omitempty"`
+	Frame
+	Tile json.RawMessage `json:"tile,omitempty"`
 }
 
 // Encode writes f as one SSE event — "event: <type>", "data: <json>", and
@@ -98,10 +121,7 @@ func Encode(w io.Writer, f Frame) (int, error) {
 		// json.Marshal compacts the RawMessage onto the single data line
 		// (the cached body carries a trailing newline), so the SSE framing
 		// holds regardless of how the payload was produced.
-		data, err = json.Marshal(wireFrame{
-			Type: f.Type, Session: f.Session, Seq: f.Seq, Model: f.Model,
-			Score: f.Score, Backfill: f.Backfill, Coord: f.Coord, Tile: f.Payload,
-		})
+		data, err = json.Marshal(wireFrame{Frame: f, Tile: f.Payload})
 	} else {
 		data, err = json.Marshal(f)
 	}
@@ -111,12 +131,13 @@ func Encode(w io.Writer, f Frame) (int, error) {
 	return fmt.Fprintf(w, "event: %s\ndata: %s\n\n", f.Type, data)
 }
 
-// Decode reads the next frame off the stream. It tolerates SSE comment
-// lines (": ...") and unknown fields, returns io.EOF at a clean end of
-// stream, and fails on data lines that do not parse — a framing error is
-// a reason to drop and re-attach the stream, not to guess.
+// Decode reads the next frame off the stream, keeping the "tile" value
+// undecoded in Payload (see DecodeTile). It tolerates SSE comment lines
+// (": ...") and unknown fields, returns io.EOF at a clean end of stream,
+// and fails on data lines that are not JSON — a framing error is a reason
+// to drop and re-attach the stream, not to guess.
 func Decode(r *bufio.Reader) (Frame, error) {
-	var f Frame
+	var w wireFrame
 	var haveData bool
 	for {
 		line, err := r.ReadString('\n')
@@ -130,13 +151,14 @@ func Decode(r *bufio.Reader) (Frame, error) {
 		switch {
 		case line == "":
 			if haveData {
-				return f, nil
+				w.Payload = w.Tile
+				return w.Frame, nil
 			}
 			// Leading blank lines between events are legal SSE; skip.
 		case strings.HasPrefix(line, ":"):
 			// SSE comment; ignore.
 		case strings.HasPrefix(line, "data: "):
-			if err := json.Unmarshal([]byte(line[len("data: "):]), &f); err != nil {
+			if err := json.Unmarshal([]byte(line[len("data: "):]), &w); err != nil {
 				return Frame{}, fmt.Errorf("push: decode frame: %w", err)
 			}
 			haveData = true

@@ -61,16 +61,19 @@ func TestFrameRoundTrip(t *testing.T) {
 			got.Backfill != want.Backfill || got.Coord != want.Coord {
 			t.Fatalf("frame %d: got %+v want %+v", i, got, want)
 		}
-		if (got.Tile == nil) != (want.Tile == nil) {
-			t.Fatalf("frame %d: tile presence mismatch", i)
+		if got.Tile != nil || (len(got.Payload) == 0) != (want.Tile == nil) {
+			t.Fatalf("frame %d: tile presence mismatch: got tile %v, payload %q", i, got.Tile, got.Payload)
 		}
-		if got.Tile != nil {
-			if got.Tile.Coord != want.Tile.Coord || got.Tile.Size != want.Tile.Size {
-				t.Fatalf("frame %d: tile mismatch: got %+v want %+v", i, got.Tile, want.Tile)
+		if want.Tile != nil {
+			tl, err := got.DecodeTile()
+			if err != nil {
+				t.Fatalf("frame %d: DecodeTile: %v", i, err)
 			}
-			if len(got.Tile.Data) != 1 || len(got.Tile.Data[0]) != 4 ||
-				got.Tile.Data[0][1] != -2.25 {
-				t.Fatalf("frame %d: tile data corrupted: %+v", i, got.Tile.Data)
+			if tl.Coord != want.Tile.Coord || tl.Size != want.Tile.Size {
+				t.Fatalf("frame %d: tile mismatch: got %+v want %+v", i, tl, want.Tile)
+			}
+			if len(tl.Data) != 1 || len(tl.Data[0]) != 4 || tl.Data[0][1] != -2.25 {
+				t.Fatalf("frame %d: tile data corrupted: %+v", i, tl.Data)
 			}
 		}
 	}
@@ -126,13 +129,25 @@ func FuzzDecode(f *testing.F) {
 	var buf bytes.Buffer
 	Encode(&buf, Frame{Type: FrameTile, Session: "s", Seq: 1, Coord: tile.Coord{Level: 1}})
 	f.Add(buf.String())
+	buf.Reset()
+	c := tile.Coord{Level: 1, X: 1}
+	Encode(&buf, Frame{Type: FrameTile, Session: "s", Seq: 2, Coord: c, Tile: testTile(c)})
+	f.Add(buf.String())
 	f.Add(": comment\n\n")
 	f.Add("data: {\"type\":\"tile\"}\n\n")
 	f.Fuzz(func(t *testing.T, s string) {
 		r := bufio.NewReader(strings.NewReader(s))
 		for i := 0; i < 16; i++ {
-			if _, err := Decode(r); err != nil {
+			got, err := Decode(r)
+			if err != nil {
 				return
+			}
+			// A tile frame's payload decodes to a tile for the frame's own
+			// coordinate, or to an error.
+			if got.Type == FrameTile {
+				if tl, err := got.DecodeTile(); err == nil && tl.Coord != got.Coord {
+					t.Fatalf("DecodeTile returned %v for a frame at %v", tl.Coord, got.Coord)
+				}
 			}
 		}
 	})
@@ -437,8 +452,8 @@ func TestRegistryPushSharesEncodedPayload(t *testing.T) {
 		if err != nil {
 			t.Fatalf("stream %d: Decode: %v", i, err)
 		}
-		if got.Tile == nil || got.Tile.Coord != c || got.Tile.Data[0][1] != -2.25 {
-			t.Fatalf("stream %d: decoded tile corrupted: %+v", i, got.Tile)
+		if tl, err := got.DecodeTile(); err != nil || tl.Coord != c || tl.Data[0][1] != -2.25 {
+			t.Fatalf("stream %d: decoded tile corrupted: %+v, %v", i, tl, err)
 		}
 	}
 
@@ -484,7 +499,7 @@ func TestRegistryBackfillUsesEncodedPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Backfill || got.Tile == nil || got.Tile.Coord != c {
-		t.Fatalf("decoded frame: %+v", got)
+	if tl, err := got.DecodeTile(); !got.Backfill || err != nil || tl.Coord != c {
+		t.Fatalf("decoded frame: %+v, DecodeTile: %v", got, err)
 	}
 }

@@ -88,6 +88,14 @@ func attachStreamWith(t *testing.T, ts *httptest.Server, session string, headers
 			if err != nil {
 				return
 			}
+			// Every tile frame is decoded here, so a damaged one fails the
+			// test, and the receiving test reads f.Tile.
+			if f.Type == push.FrameTile {
+				if f.Tile, err = f.DecodeTile(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
 			frames <- f
 		}
 	}()
@@ -418,6 +426,9 @@ func TestStreamFramingNegotiation(t *testing.T) {
 				if f, err = push.DecodeBinary(r); err != nil {
 					t.Fatal(err)
 				}
+				if f.Tile, err = f.DecodeTile(); err != nil {
+					t.Fatal(err)
+				}
 				if gz := raw.Bytes()[1]&2 != 0; gz != tc.wantGzip {
 					t.Fatalf("frame gzip flag = %v, want %v", gz, tc.wantGzip)
 				}
@@ -437,6 +448,10 @@ func TestStreamFramingNegotiation(t *testing.T) {
 				if f, err = push.Decode(r); err != nil {
 					t.Fatal(err)
 				}
+				if f.Tile, err = f.DecodeTile(); err != nil {
+					t.Fatal(err)
+				}
+				f.Payload = nil // encode the decoded tile, not the bytes read
 				var sse bytes.Buffer
 				if _, err := push.Encode(&sse, f); err != nil {
 					t.Fatal(err)
