@@ -19,9 +19,12 @@ import (
 	"time"
 
 	"forecache/internal/client"
+	"forecache/internal/phase"
+	"forecache/internal/recommend"
 	"forecache/internal/shard"
 	"forecache/internal/sig"
 	"forecache/internal/tile"
+	"forecache/internal/trace"
 )
 
 var (
@@ -214,6 +217,111 @@ func TestPyramidDigest(t *testing.T) {
 		if got := h.Sum64(); got != w.want {
 			t.Errorf("BuildWorld(%d, %d) pyramid digest = %#x, want %#x", w.seed, w.size, got, w.want)
 		}
+	}
+}
+
+// TestPredictionPin pins the prediction pass's answers on the 7/512 world
+// to the bit, one FNV-64a digest per model:
+//   - phase: Predict for every tile x move class, by the classifier
+//     Dataset.Train fits and by each of Table 1's six single-feature ones;
+//   - markov3: every AB ranking (coordinates and score bits) for every
+//     history of at most three moves, at d = 1 and d = 2, trained on
+//     SimulateStudy(7);
+//   - sb and sb:sift: every SB ranking along the study's first trace.
+func TestPredictionPin(t *testing.T) {
+	ds, err := BuildWorld(WorldConfig{Seed: 7, Size: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces := ds.SimulateStudy(7)
+	arts, err := ds.Train(traces, MiddlewareConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := phase.Requests(traces)
+	reqs = reqs[:min(len(reqs), maxClassifierRequests)]
+	classifiers := []*phase.Classifier{arts.cls}
+	for f := range phase.NumFeatures {
+		cls, err := phase.Train(reqs, phase.TrainConfig{Features: []int{f}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		classifiers = append(classifiers, cls)
+	}
+	ab, err := recommend.NewAB(3, traces)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	h := fnv.New64a()
+	var b [8]byte
+	word := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	ranking := func(rs []recommend.Ranked) {
+		for _, r := range rs {
+			io.WriteString(h, r.Coord.String())
+			word(math.Float64bits(r.Score))
+		}
+	}
+	check := func(name string, want uint64) {
+		t.Helper()
+		if got := h.Sum64(); got != want {
+			t.Errorf("%s prediction digest = %#x, want %#x", name, got, want)
+		}
+		h.Reset()
+	}
+
+	for _, cls := range classifiers {
+		ds.Pyramid.EachTile(func(tl *Tile) bool {
+			for _, mv := range []trace.Move{trace.None, trace.PanUp, trace.ZoomInNW, trace.ZoomOut} {
+				word(uint64(cls.Predict(trace.Request{Coord: tl.Coord, Move: mv})))
+			}
+			return true
+		})
+	}
+	check("phase", 0x9ca365778b934906)
+
+	// Every history of at most three moves, oldest first; a session's
+	// first request (None) leads until the window pushes it out.
+	hists := [][]trace.Move{nil}
+	for i := 0; i < len(hists); i++ {
+		if len(hists[i]) < 3 {
+			for _, mv := range trace.AllMoves() {
+				hists = append(hists, append(slices.Clone(hists[i]), mv))
+			}
+		}
+	}
+	cur := Coord{Level: 3, Y: 3, X: 4}
+	near, far := recommend.Candidates(ds.Pyramid, cur, 1), recommend.Candidates(ds.Pyramid, cur, 2)
+	for _, moves := range hists {
+		hist := trace.NewHistory(3)
+		hist.Push(trace.Request{Move: trace.None})
+		for _, mv := range moves {
+			hist.Push(trace.Request{Move: mv})
+		}
+		for _, cands := range [][]recommend.Candidate{near, far} {
+			ranking(ab.Predict(trace.Request{Coord: cur}, cands, hist))
+		}
+	}
+	check("markov3", 0x8ef01b060652ae03)
+
+	for _, sb := range []struct {
+		name  string
+		model *recommend.SB
+		want  uint64
+	}{
+		{"sb", recommend.NewSB(ds.Pyramid), 0xe8cb843cd00fdbf9},
+		{"sb:sift", recommend.NewSB(ds.Pyramid, recommend.WithSignatures(sig.NameSIFT)), 0x15ce918be4676243},
+	} {
+		hist := trace.NewHistory(3)
+		for _, r := range traces[0].Requests {
+			sb.model.Observe(r)
+			hist.Push(r)
+			ranking(sb.model.Predict(r, recommend.Candidates(ds.Pyramid, r.Coord, 1), hist))
+		}
+		check(sb.name, sb.want)
 	}
 }
 
