@@ -22,9 +22,10 @@
 //     and the eval harness all build their model sets — and the
 //     allocation policy (core.RegistryPolicy) — from registered specs
 //     instead of hard-coded wiring. Three recommenders ship registered:
-//     the Actions-Based Markov model (trace-trained, immutable, shared by
-//     every session), the Signature-Based visual-similarity model
-//     (online, fresh per session) and the cross-session Hotspot model
+//     the Actions-Based Markov model (trace-trained, shared by every
+//     session, each score computed once per input), the Signature-Based
+//     visual-similarity model (online, fresh per session) and the
+//     cross-session Hotspot model
 //     (online, EWMA-decayed per-zoom-level consumption frequencies in
 //     one map under one mutex, at most one entry per pyramid tile,
 //     seeded from the training traces and fed live from the cache
@@ -70,7 +71,7 @@
 //     one scheduler
 //     (plus an optional cross-session tile pool and bounded session table)
 //     across every session and trains the phase classifier and Markov
-//     chain exactly once, sharing the immutable artifacts with every
+//     chain exactly once, sharing the trained artifacts with every
 //     session engine; NewMiddleware keeps the paper's synchronous mode so
 //     the experiments stay deterministic. MetricsEndpoint exposes the
 //     whole loop — queue/shed/coalesce counters, global and per-session

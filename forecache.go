@@ -339,7 +339,7 @@ func (c MiddlewareConfig) withDefaults() MiddlewareConfig {
 	return c
 }
 
-// Artifacts bundles the immutable, shareable output of one training pass:
+// Artifacts bundles the shareable output of one training pass:
 // the registry-built recommender artifact set (the trained Kneser–Ney
 // Markov chain, the SB stamp, the shared hotspot counter table when the
 // config registers one), the allocation table its prior columns compose to

@@ -21,6 +21,7 @@ package cache
 
 import (
 	"container/list"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -262,7 +263,7 @@ func (m *Manager) evictRegionLocked(model string, pt *predTile) {
 func (m *Manager) SetAllocations(allocs map[string]int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.allocs = make(map[string]int, len(allocs))
+	clear(m.allocs) // never handed out: Allocations returns a copy
 	for name, k := range allocs {
 		if k < 0 {
 			k = 0
@@ -314,19 +315,13 @@ func (m *Manager) FillPredictions(model string, tiles []*tile.Tile, ph trace.Pha
 	if len(tiles) > k {
 		tiles = tiles[:k]
 	}
-	incoming := make(map[tile.Coord]bool, len(tiles))
-	for _, t := range tiles {
-		if t != nil {
-			incoming[t.Coord] = true
-		}
-	}
 	for _, pt := range old {
 		// The Evicted counter keeps the paper's accounting (a replaced
 		// region is evicted wholesale), but only entries that truly leave
 		// the cache — not re-predicted coordinates — are judged as misses.
 		m.indexRemoveLocked(model, pt.t.Coord)
 		m.stats.Evicted++
-		if !pt.consumed && !incoming[pt.t.Coord] {
+		if !pt.consumed && !slices.ContainsFunc(tiles, func(t *tile.Tile) bool { return t != nil && t.Coord == pt.t.Coord }) {
 			m.recordOutcomeLocked(Outcome{Model: model, Position: pt.pos, Phase: pt.ph, Coord: pt.t.Coord, Hit: false})
 		}
 	}
@@ -335,12 +330,10 @@ func (m *Manager) FillPredictions(model string, tiles []*tile.Tile, ph trace.Pha
 		born = m.now()
 	}
 	region := make([]*predTile, 0, len(tiles))
-	seen := make(map[tile.Coord]bool, len(tiles))
 	for i, t := range tiles {
-		if t == nil || seen[t.Coord] {
+		if t == nil || slices.ContainsFunc(region, func(pt *predTile) bool { return pt.t.Coord == t.Coord }) {
 			continue // keep the index one-entry-per-(coord, model)
 		}
-		seen[t.Coord] = true
 		pt := &predTile{t: t, pos: i, ph: ph, born: born}
 		region = append(region, pt)
 		m.indexAddLocked(model, pt)

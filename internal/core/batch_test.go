@@ -139,7 +139,7 @@ func requestAllocs(t *testing.T, eng *Engine) float64 {
 // TestRequestAllocCeiling pins the request path's allocations, inline and
 // with a scheduler, at their measured counts.
 func TestRequestAllocCeiling(t *testing.T) {
-	const syncCeiling, asyncCeiling = 122, 104
+	const syncCeiling, asyncCeiling = 44, 26
 	if n := requestAllocs(t, testEngine(t, 5)); n > syncCeiling {
 		t.Errorf("sync round trip allocates %v times, ceiling %d", n, syncCeiling)
 	}

@@ -14,8 +14,10 @@ package phase
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"forecache/internal/svm"
+	"forecache/internal/tile"
 	"forecache/internal/trace"
 )
 
@@ -53,13 +55,21 @@ func Features(r trace.Request) []float64 {
 // may be restricted to a subset of the Table 1 features, which is how the
 // per-feature accuracy column of Table 1 is reproduced.
 //
-// A trained Classifier is immutable — Predict and Accuracy only read the
-// fitted SVM — so one instance is safe for concurrent use and is meant to
-// be trained once and shared by every session engine of a deployment.
+// The features are a pure function of the tile and of the move's class
+// (none, pan, zoom-in, zoom-out), so each answer is computed once per input
+// and shared: one instance is safe for concurrent use and is meant to be
+// trained once and shared by every session engine of a deployment.
 type Classifier struct {
 	svm      *svm.Classifier
 	features []int // indices into the full feature vector
+	// table holds a word per tile of levels [0, levels), at tile.Index:
+	// byte k is move class k's phase plus one, or 0 until first asked.
+	table  []atomic.Uint32
+	levels int
 }
+
+// maxTableLevels caps the table at ~350k words (1.4 MB) at any depth.
+const maxTableLevels = 10
 
 // TrainConfig controls classifier training.
 type TrainConfig struct {
@@ -84,10 +94,12 @@ func Train(reqs []trace.Request, cfg TrainConfig) (*Classifier, error) {
 	}
 	var x [][]float64
 	var y []int
+	deepest := -1
 	for _, r := range reqs {
 		if r.Phase == trace.PhaseUnknown {
 			continue
 		}
+		deepest = max(deepest, r.Coord.Level)
 		full := Features(r)
 		row := make([]float64, len(features))
 		for i, fi := range features {
@@ -103,11 +115,47 @@ func Train(reqs []trace.Request, cfg TrainConfig) (*Classifier, error) {
 	if err != nil {
 		return nil, fmt.Errorf("phase: %w", err)
 	}
-	return &Classifier{svm: m, features: features}, nil
+	levels := min(deepest+1, maxTableLevels)
+	return &Classifier{svm: m, features: features, levels: levels,
+		table: make([]atomic.Uint32, tile.Index(tile.Coord{Level: levels}))}, nil
 }
 
-// Predict returns the predicted phase for a request.
+// Predict returns the predicted phase for a request. It reads the table,
+// filling the request's entry on first touch; a tile outside the table is
+// computed and not stored.
 func (c *Classifier) Predict(r trace.Request) trace.Phase {
+	co := r.Coord
+	if co.Level < 0 || co.Level >= c.levels || uint(co.Y)>>co.Level != 0 || uint(co.X)>>co.Level != 0 {
+		return c.fill(r)
+	}
+	w, shift := &c.table[tile.Index(co)], 8*moveClass(r.Move)
+	old := w.Load()
+	if b := uint8(old >> shift); b != 0 {
+		return trace.Phase(b - 1)
+	}
+	ph := c.fill(r)
+	for !w.CompareAndSwap(old, old|uint32(ph+1)<<shift) {
+		old = w.Load() // another byte was filled meanwhile: merge
+	}
+	return ph
+}
+
+// moveClass numbers the move's Table 1 flags: 0 none, 1 pan, 2 zoom-in,
+// 3 zoom-out.
+func moveClass(m trace.Move) int {
+	switch {
+	case m.IsPan():
+		return 1
+	case m.IsZoomIn():
+		return 2
+	case m.IsZoomOut():
+		return 3
+	}
+	return 0
+}
+
+// fill runs the SVM on the request's features.
+func (c *Classifier) fill(r trace.Request) trace.Phase {
 	full := Features(r)
 	row := make([]float64, len(c.features))
 	for i, fi := range c.features {

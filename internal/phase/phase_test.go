@@ -2,6 +2,7 @@ package phase
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"forecache/internal/tile"
@@ -153,4 +154,66 @@ func BenchmarkTrainPhaseClassifier(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestClassifierConcurrentTable: eight goroutines ask one shared classifier
+// for every tile and move its table covers, and for tiles it does not, each
+// in its own order; every answer must equal the SVM's on an untouched twin.
+func TestClassifierConcurrentTable(t *testing.T) {
+	var reqs []trace.Request
+	for _, r := range synthReqs(600, 6) {
+		if r.Coord.Level <= 5 {
+			reqs = append(reqs, r)
+		}
+	}
+	shared, err := Train(reqs, TrainConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := Train(reqs, TrainConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(shared.table), tile.Index(tile.Coord{Level: 6}); got != want {
+		t.Fatalf("table has %d words, want %d: one per tile of the trained levels", got, want)
+	}
+	moves := append([]trace.Move{trace.None}, trace.AllMoves()...)
+	var in []trace.Request
+	add := func(c tile.Coord) {
+		for _, mv := range moves {
+			in = append(in, trace.Request{Coord: c, Move: mv})
+		}
+	}
+	for l := range 6 {
+		for y := range 1 << l {
+			for x := range 1 << l {
+				add(tile.Coord{Level: l, Y: y, X: x})
+			}
+		}
+	}
+	// Outside the table: computed each time, never stored.
+	for x := range 64 {
+		add(tile.Coord{Level: 6, X: x})
+	}
+	add(tile.Coord{Level: 2, Y: -1})
+	add(tile.Coord{Level: 2, X: 4})
+	add(tile.Coord{Level: -1})
+	want := make([]trace.Phase, len(in))
+	for i, r := range in {
+		want[i] = twin.fill(r)
+	}
+
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, i := range rand.New(rand.NewSource(int64(g))).Perm(len(in)) {
+				if got := shared.Predict(in[i]); got != want[i] {
+					t.Errorf("goroutine %d: Predict(%v, %v) = %v, twin's SVM says %v", g, in[i].Coord, in[i].Move, got, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

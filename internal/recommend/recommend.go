@@ -10,7 +10,7 @@
 package recommend
 
 import (
-	"sort"
+	"slices"
 
 	"forecache/internal/tile"
 	"forecache/internal/trace"
@@ -33,32 +33,32 @@ type Bounds interface {
 // (paper §4.3.1), deduplicated to the shortest move chain, in a
 // deterministic order. For d=1 this is the classic 9-candidate set: four
 // pans, four zoom-in quadrants, one zoom-out, clipped at dataset borders.
+// Candidates share their chains' backing arrays: callers only read Moves.
 func Candidates(b Bounds, cur tile.Coord, d int) []Candidate {
-	type state struct {
-		coord tile.Coord
-		moves []trace.Move
-	}
-	seen := map[tile.Coord]bool{cur: true}
-	frontier := []state{{coord: cur}}
-	var out []Candidate
-	for depth := 0; depth < d; depth++ {
-		var next []state
+	out := make([]Candidate, 0, trace.NumMoves)
+	frontier := []Candidate{{Coord: cur}}
+	for range d {
+		next := len(out)
 		for _, s := range frontier {
-			for _, m := range trace.AllMoves() {
-				to := trace.Apply(s.coord, m)
-				if to == s.coord || !b.Contains(to) || seen[to] {
+			for i, m := range allMoves {
+				to := trace.Apply(s.Coord, m)
+				if to == cur || !b.Contains(to) || slices.ContainsFunc(out, func(c Candidate) bool { return c.Coord == to }) {
 					continue
 				}
-				seen[to] = true
-				chain := append(append([]trace.Move(nil), s.moves...), m)
-				next = append(next, state{coord: to, moves: chain})
+				chain := allMoves[i : i+1 : i+1]
+				if len(s.Moves) > 0 {
+					chain = append(s.Moves[:len(s.Moves):len(s.Moves)], m)
+				}
 				out = append(out, Candidate{Coord: to, Moves: chain})
 			}
 		}
-		frontier = next
+		frontier = out[next:]
 	}
 	return out
 }
+
+// allMoves is trace.AllMoves, and the backing of every one-move chain.
+var allMoves = trace.AllMoves()
 
 // Ranked is a scored candidate; higher Score means more likely.
 type Ranked struct {
@@ -79,11 +79,17 @@ type Model interface {
 // sortRanked orders by score descending with deterministic coordinate
 // tie-breaking.
 func sortRanked(out []Ranked) []Ranked {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+	slices.SortFunc(out, func(a, b Ranked) int {
+		if a.Score != b.Score {
+			if a.Score > b.Score {
+				return -1
+			}
+			return 1
 		}
-		return out[i].Coord.Less(out[j].Coord)
+		if a.Coord.Less(b.Coord) {
+			return -1
+		}
+		return 1
 	})
 	return out
 }

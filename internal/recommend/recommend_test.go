@@ -2,6 +2,10 @@ package recommend
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"forecache/internal/sig"
@@ -348,5 +352,127 @@ func BenchmarkABPredict(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ab.Predict(req, cands, h)
+	}
+}
+
+// randomWalks returns n seeded traces of steps random legal moves each
+// inside b, starting at the root.
+func randomWalks(b gridBounds, n, steps int, seed int64) []*trace.Trace {
+	rng := rand.New(rand.NewSource(seed))
+	var out []*trace.Trace
+	for i := range n {
+		tr := &trace.Trace{User: i}
+		c := tile.Coord{}
+		tr.Requests = append(tr.Requests, trace.Request{Coord: c, Move: trace.None})
+		for range steps {
+			cands := Candidates(b, c, 1)
+			next := cands[rng.Intn(len(cands))]
+			c = next.Coord
+			tr.Requests = append(tr.Requests, trace.Request{Coord: c, Move: next.Moves[0]})
+		}
+		out = append(out, tr)
+	}
+	return out
+}
+
+// TestABConcurrentTable: eight goroutines rank the candidates at d = 1 and
+// d = 2 for every history of at most three moves against one shared AB,
+// each in its own order; every score must equal the product of the chain's
+// own probabilities, over string contexts, on an untouched twin.
+func TestABConcurrentTable(t *testing.T) {
+	b := gridBounds{maxLevel: 6}
+	traces := randomWalks(b, 20, 60, 1)
+	shared, err := NewAB(3, traces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := NewAB(3, traces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := tile.Coord{Level: 3, Y: 3, X: 4}
+	candSets := [][]Candidate{Candidates(b, cur, 1), Candidates(b, cur, 2)}
+
+	type input struct {
+		hist  *trace.History
+		cands []Candidate
+		want  map[tile.Coord]float64
+	}
+	hists := [][]trace.Move{nil}
+	var in []input
+	for i := 0; i < len(hists); i++ {
+		moves := hists[i]
+		if len(moves) < 3 {
+			for _, mv := range trace.AllMoves() {
+				hists = append(hists, append(slices.Clone(moves), mv))
+			}
+		}
+		h := trace.NewHistory(3)
+		h.Push(trace.Request{Move: trace.None})
+		for _, mv := range moves {
+			h.Push(trace.Request{Move: mv})
+		}
+		for _, cands := range candSets {
+			want := make(map[tile.Coord]float64, len(cands))
+			for _, c := range cands {
+				var ctx []string
+				for _, mv := range moves {
+					ctx = append(ctx, mv.String())
+				}
+				p := 1.0
+				for _, mv := range c.Moves {
+					p *= twin.chain.Prob(ctx, mv.String())
+					ctx = append(ctx, mv.String())
+				}
+				want[c.Coord] = p
+			}
+			in = append(in, input{hist: h, cands: cands, want: want})
+		}
+	}
+
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, i := range rand.New(rand.NewSource(int64(g))).Perm(len(in)) {
+				x := in[i]
+				for _, r := range shared.Predict(trace.Request{Coord: cur}, x.cands, x.hist) {
+					if w := x.want[r.Coord]; math.Float64bits(r.Score) != math.Float64bits(w) {
+						t.Errorf("goroutine %d: history %v scores %v at %v, twin's chain %v", g, x.hist.RecentMoves(nil, 3), r.Score, r.Coord, w)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestABOrderBounds: a context of up to 15 moves packs beside the next move
+// in one key; longer orders are refused at construction.
+func TestABOrderBounds(t *testing.T) {
+	b := gridBounds{maxLevel: 6}
+	traces := randomWalks(b, 4, 40, 2)
+	for _, order := range []int{0, 16} {
+		if _, err := NewAB(order, traces); err == nil {
+			t.Errorf("NewAB(%d) should fail", order)
+		}
+	}
+	ab, err := NewAB(15, traces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := trace.NewHistory(20)
+	var ctx []string
+	for _, r := range traces[0].Requests[1:] {
+		h.Push(r)
+		ctx = append(ctx, r.Move.String())
+	}
+	cur := traces[0].Requests[len(traces[0].Requests)-1].Coord
+	for _, r := range ab.Predict(trace.Request{Coord: cur}, Candidates(b, cur, 1), h) {
+		mv, _ := trace.MoveBetween(cur, r.Coord)
+		if want := ab.chain.Prob(ctx, mv.String()); r.Score != want {
+			t.Errorf("order 15 scores %v at %v, chain says %v", r.Score, r.Coord, want)
+		}
 	}
 }

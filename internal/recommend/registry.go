@@ -2,6 +2,7 @@ package recommend
 
 import (
 	"fmt"
+	"strconv"
 
 	"forecache/internal/trace"
 )
@@ -27,7 +28,7 @@ type Env struct {
 // Artifact is one built (possibly trained) recommender artifact. Session
 // returns the per-session Model view: a fresh mutable model for
 // recommenders with per-session state (SB's ROI tracker), or the shared
-// instance itself for immutable (AB) and deployment-wide (Hotspot) ones.
+// instance itself for session-free (AB) and deployment-wide (Hotspot) ones.
 type Artifact interface {
 	Session() Model
 }
@@ -114,7 +115,7 @@ func (r *Registry) Build(env Env) (*Set, error) {
 	return &Set{specs: r.specs, arts: arts}, nil
 }
 
-// Set is a registry's built artifact bundle: the immutable, shareable
+// Set is a registry's built artifact bundle: the shareable
 // output of one Registry.Build pass. One Set serves every session of a
 // deployment — Session stamps out the cheap per-session model views while
 // the trained/shared artifacts are constructed exactly once.
@@ -185,12 +186,12 @@ type sbArtifact struct {
 func (a *sbArtifact) Session() Model { return NewSB(a.src, WithSignatures(a.sigs...)) }
 
 // ABSpec registers the Actions-Based Markov recommender of the given
-// order: trace-trained, immutable, shared by every session. Its default
+// order: trace-trained, shared by every session. Its default
 // prior is the paper's §5.4.3 column — the first four slots in Foraging
 // and Navigation, nothing in Sensemaking.
 func ABSpec(order int) Spec {
 	return Spec{
-		Name:   "markov" + itoa(order),
+		Name:   "markov" + strconv.Itoa(order),
 		Trains: true,
 		Prior: func(ph trace.Phase, k int) int {
 			if ph == trace.Sensemaking {
@@ -204,8 +205,8 @@ func ABSpec(order int) Spec {
 	}
 }
 
-// Session implements Artifact: a trained AB is immutable, so the shared
-// instance is the per-session model.
+// Session implements Artifact: a trained AB holds no session state, so
+// the shared instance is the per-session model.
 func (m *AB) Session() Model { return m }
 
 // SBSpec registers the Signature-Based recommender restricted to the

@@ -133,24 +133,33 @@ func (s *SB) Predict(req trace.Request, cands []Candidate, h *trace.History) []R
 		roi   int
 		dists []float64 // per signature, after the physical penalty
 	}
-	var pairs []pair
-	maxD := make([]float64, len(s.sigs))
+	nsig := len(s.sigs)
+	pairs := make([]pair, 0, len(cands)*len(roiTiles))
+	// One backing for the per-signature maxima, the norm buffer, the
+	// per-candidate totals and every pair's distances.
+	floats := make([]float64, 2*nsig+len(cands)+cap(pairs)*nsig)
+	maxD, norm := floats[:nsig], floats[nsig:2*nsig]
+	total, dists := floats[2*nsig:2*nsig+len(cands)], floats[2*nsig+len(cands):]
 	for i := range maxD {
 		maxD[i] = 1 // Algorithm 3 line 2: d_MAX starts at 1
 	}
-	candTiles := make([]*tile.Tile, len(cands))
+	candSigs := make([][]float64, nsig)
 	for ci, c := range cands {
 		t, err := s.src.Tile(c.Coord)
 		if err != nil {
+			total[ci] = math.Inf(1) // no pairs: ranked last
 			continue
 		}
-		candTiles[ci] = t
+		for si, name := range s.sigs {
+			candSigs[si] = t.Signatures[name]
+		}
 		for ri, rt := range roiTiles {
-			p := pair{cand: ci, roi: ri, dists: make([]float64, len(s.sigs))}
+			p := pair{cand: ci, roi: ri, dists: dists[:nsig:nsig]}
+			dists = dists[nsig:]
 			manh := c.Coord.ManhattanTo(rt.Coord)
-			penalty := math.Pow(2, float64(manh-1)) // line 8's 2^(dmanh-1)
+			penalty := math.Ldexp(1, manh-1) // line 8's 2^(dmanh-1), exactly
 			for si, name := range s.sigs {
-				sa := t.Signatures[name]
+				sa := candSigs[si]
 				sb := rt.Signatures[name]
 				if sa == nil || sb == nil {
 					continue
@@ -168,10 +177,7 @@ func (s *SB) Predict(req trace.Request, cands []Candidate, h *trace.History) []R
 	// Lines 10-13: normalize per signature, then combine with the ℓ2 norm
 	// (paper: "All signatures are assigned equal weight by default");
 	// lines 14-15: sum pair distances per candidate.
-	total := make([]float64, len(cands))
-	counted := make([]bool, len(cands))
 	for _, p := range pairs {
-		norm := make([]float64, len(p.dists))
 		for si, d := range p.dists {
 			norm[si] = d / maxD[si]
 		}
@@ -182,14 +188,9 @@ func (s *SB) Predict(req trace.Request, cands []Candidate, h *trace.History) []R
 			}
 		}
 		total[p.cand] += dAB
-		counted[p.cand] = true
 	}
 	for ci, c := range cands {
-		score := math.Inf(-1)
-		if counted[ci] {
-			score = -total[ci]
-		}
-		out = append(out, Ranked{Coord: c.Coord, Score: score})
+		out = append(out, Ranked{Coord: c.Coord, Score: -total[ci]})
 	}
 	return sortRanked(out)
 }

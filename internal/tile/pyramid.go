@@ -26,7 +26,7 @@ type Pyramid struct {
 	tileSize int
 	attrs    []string
 	levels   int
-	tiles    []*Tile // EachTile order; see index
+	tiles    []*Tile // EachTile order; see Index
 }
 
 // Build constructs a pyramid of tileSize x tileSize tiles over the raw grid
@@ -52,7 +52,7 @@ func Build(raw *Grid, tileSize int) (*Pyramid, error) {
 		tileSize: tileSize,
 		attrs:    append([]string(nil), raw.Attrs...),
 		levels:   levels,
-		tiles:    make([]*Tile, index(Coord{Level: levels})), // every level's tiles
+		tiles:    make([]*Tile, Index(Coord{Level: levels})), // every level's tiles
 	}
 	// Finest level first; each level's planes die once the next is built.
 	planes := raw.pad(tileSize << (levels - 1))
@@ -135,9 +135,11 @@ func mean(w [4]float64) float64 {
 	return sum / float64(n)
 }
 
-// index places c in Pyramid.tiles: after the (4^l - 1) / 3 tiles of the
-// coarser levels, row-major within its own level.
-func index(c Coord) int {
+// Index is c's flat position among a pyramid's tiles in EachTile order:
+// after the (4^l - 1) / 3 tiles of the coarser levels, row-major within its
+// own level. Index(Coord{Level: n}) is the tile count of n levels. c must
+// address a tile (see Pyramid.Contains).
+func Index(c Coord) int {
 	return (1<<(2*c.Level)-1)/3 + c.Y<<c.Level + c.X
 }
 
@@ -154,7 +156,7 @@ func (p *Pyramid) cut(l int, planes [][]float64) {
 				}
 				t.Data[i] = g
 			}
-			p.tiles[index(t.Coord)] = t
+			p.tiles[Index(t.Coord)] = t
 		}
 	}
 }
@@ -188,7 +190,7 @@ func (p *Pyramid) Tile(c Coord) (*Tile, error) {
 	if !p.Contains(c) {
 		return nil, fmt.Errorf("tile: %s outside pyramid (%d levels)", c, p.levels)
 	}
-	return p.tiles[index(c)], nil
+	return p.tiles[Index(c)], nil
 }
 
 // EachTile calls fn for every materialized tile in deterministic order

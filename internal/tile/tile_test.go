@@ -280,6 +280,26 @@ func TestBuildAllNaNWindow(t *testing.T) {
 	}
 }
 
+// TestIndexIsEachTileOrder: Index numbers the tiles 0, 1, 2, ... in the
+// order EachTile visits them, and Index(Coord{Level: n}) counts them.
+func TestIndexIsEachTileOrder(t *testing.T) {
+	pyr, err := Build(rawGrid(64), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	pyr.EachTile(func(tl *Tile) bool {
+		if got := Index(tl.Coord); got != i {
+			t.Errorf("Index(%s) = %d, want %d", tl.Coord, got, i)
+		}
+		i++
+		return true
+	})
+	if n := Index(Coord{Level: pyr.NumLevels()}); n != i || n != pyr.NumTiles() {
+		t.Errorf("Index(Coord{Level: %d}) = %d, want %d tiles", pyr.NumLevels(), n, i)
+	}
+}
+
 func TestEveryTileSameSize(t *testing.T) {
 	pyr, err := Build(rawGrid(64), 8)
 	if err != nil {

@@ -256,17 +256,22 @@ func (h *History) Last() (Request, bool) {
 // Requests returns the retained requests, oldest first.
 func (h *History) Requests() []Request { return append([]Request(nil), h.reqs...) }
 
-// MoveSymbols returns the retained moves as Markov chain symbols, oldest
-// first, excluding None.
-func (h *History) MoveSymbols() []string {
-	out := make([]string, 0, len(h.reqs))
-	for _, r := range h.reqs {
-		if r.Move == None {
-			continue
+// RecentMoves appends the retained moves to dst, oldest first, excluding
+// None and keeping only the n most recent. It allocates only when dst is
+// too short.
+func (h *History) RecentMoves(dst []Move, n int) []Move {
+	i := len(h.reqs)
+	for kept := 0; i > 0 && kept < n; i-- {
+		if h.reqs[i-1].Move != None {
+			kept++
 		}
-		out = append(out, r.Move.String())
 	}
-	return out
+	for _, r := range h.reqs[i:] {
+		if r.Move != None {
+			dst = append(dst, r.Move)
+		}
+	}
+	return dst
 }
 
 // Reset clears the window.

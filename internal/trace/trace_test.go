@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -139,14 +140,33 @@ func TestHistoryWindow(t *testing.T) {
 	}
 }
 
-func TestHistoryMoveSymbols(t *testing.T) {
+func TestHistoryRecentMoves(t *testing.T) {
 	h := NewHistory(4)
 	h.Push(Request{Move: None})
 	h.Push(Request{Move: PanUp})
 	h.Push(Request{Move: ZoomOut})
-	got := h.MoveSymbols()
-	if len(got) != 2 || got[0] != "up" || got[1] != "out" {
-		t.Errorf("MoveSymbols = %v", got)
+	for _, tc := range []struct {
+		n    int
+		want []Move
+	}{
+		{0, nil},
+		{1, []Move{ZoomOut}},
+		{2, []Move{PanUp, ZoomOut}},
+		{3, []Move{PanUp, ZoomOut}}, // None is skipped, not counted
+		{5, []Move{PanUp, ZoomOut}}, // the window is shorter than n
+	} {
+		if got := h.RecentMoves(nil, tc.n); !slices.Equal(got, tc.want) {
+			t.Errorf("RecentMoves(%d) = %v, want %v", tc.n, got, tc.want)
+		}
+	}
+	h.Push(Request{Move: ZoomInNE})
+	h.Push(Request{Move: PanLeft}) // pushes None out of the window
+	if got, want := h.RecentMoves([]Move{PanDown}, 3), []Move{PanDown, ZoomOut, ZoomInNE, PanLeft}; !slices.Equal(got, want) {
+		t.Errorf("RecentMoves appended %v, want %v", got, want)
+	}
+	var buf [3]Move
+	if n := testing.AllocsPerRun(10, func() { h.RecentMoves(buf[:0], 3) }); n != 0 {
+		t.Errorf("RecentMoves into a buffer with room allocates %v times", n)
 	}
 }
 
