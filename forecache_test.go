@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"slices"
 	"strconv"
 	"strings"
@@ -588,6 +589,53 @@ func TestTracingServerFacade(t *testing.T) {
 
 	if code, _, _ = get("/debug/pprof/"); code != 200 {
 		t.Errorf("/debug/pprof/: status %d, want 200", code)
+	}
+}
+
+// TestMetricsScrapePin holds the shape of /metrics for a deployment with
+// every feature on: the family list, help strings, types, label sets and
+// label escaping, with each sample's value masked. The walk is three tiles
+// (L0, L1, L2) under a session id holding a quote and a backslash, then a
+// drain; the masked scrape's FNV-64a digest is pinned. A deliberate change
+// to the exposition updates the digest in the same change.
+func TestMetricsScrapePin(t *testing.T) {
+	const want = 0x2861a113d4e97e8c
+	ds, traces := testWorld(t)
+	srv, err := ds.NewServer(traces, MiddlewareConfig{
+		AsyncPrefetch: true, Push: true, Shards: 2, PrefetchWorkers: 2,
+		AdaptiveK: true, FairShare: true, UtilityLearning: true,
+		AdaptiveAllocation: true, Hotspot: true, BinaryTiles: true,
+		MetricsEndpoint: true, Tracing: true, StateDir: t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	get := func(path string) string {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if rec.Code != 200 {
+			t.Fatalf("%s: %d %s", path, rec.Code, rec.Body)
+		}
+		return rec.Body.String()
+	}
+	session := url.QueryEscape(`ana"lyst\1`)
+	for level := range 3 {
+		get(fmt.Sprintf("/tile?level=%d&y=0&x=0&session=%s", level, session))
+	}
+	srv.Scheduler().Drain()
+	var masked strings.Builder
+	for _, line := range strings.SplitAfter(get("/metrics"), "\n") {
+		if sp := strings.LastIndexByte(line, ' '); !strings.HasPrefix(line, "#") && sp >= 0 {
+			line = line[:sp] + " V\n"
+		}
+		masked.WriteString(line)
+	}
+	h := fnv.New64a()
+	io.WriteString(h, masked.String())
+	if got := h.Sum64(); got != want {
+		t.Errorf("masked /metrics digest = %#x, want %#x; the scrape:\n%s", got, uint64(want), masked.String())
 	}
 }
 
