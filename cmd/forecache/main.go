@@ -19,6 +19,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -134,36 +135,74 @@ func cmdTracegen(args []string) error {
 	return nil
 }
 
-// serveFlags are serve's own knobs: the listen address, the log level and
-// the deployment config the remaining flags fill in place.
+// serveFlags are serve's own knobs: the listen address, the log level,
+// whether the profiling handlers are mounted, and the deployment config the
+// remaining flags size in place.
 type serveFlags struct {
 	addr     string
 	logLevel string
+	pprof    bool
 	cfg      forecache.MiddlewareConfig
 }
 
+// addServeFlags registers serve's flags over the one deployment shape it
+// runs: async prefetch with its three feedback loops, adaptive allocation
+// over the hotspot model, push delivery, the encoded-payload cache with
+// binary and gzip negotiation, /metrics and tracing, all always on. The
+// flags only size or place that deployment.
 func addServeFlags(fs *flag.FlagSet) *serveFlags {
-	sf := &serveFlags{}
+	sf := &serveFlags{cfg: forecache.MiddlewareConfig{
+		AsyncPrefetch: true, AdaptiveK: true, FairShare: true, UtilityLearning: true,
+		AdaptiveAllocation: true, Hotspot: true, Push: true, BinaryTiles: true,
+		MetricsEndpoint: true, Tracing: true,
+	}}
 	c := &sf.cfg
 	fs.StringVar(&sf.addr, "addr", ":8080", "listen address")
-	fs.BoolVar(&c.AsyncPrefetch, "async", true, "prefetch through the shared asynchronous scheduler, with its feedback loops on: adaptive K under backpressure, scoped per session by fair share, and the learned position-utility curve")
-	fs.BoolVar(&c.Push, "push", false, "continuous push delivery: stream completed prefetches to attached sessions over GET /stream and price scheduler admission by per-session drain rate (requires -async)")
 	fs.IntVar(&c.Shards, "shards", 1, "prefetch scheduler shards behind a hash router keyed on session id (queues and workers go per-shard; the session table, single-flight and learned state stay deployment-wide)")
 	fs.IntVar(&c.PrefetchWorkers, "prefetch-workers", 4, "scheduler worker pool size (concurrent DBMS fetches)")
-	fs.BoolVar(&c.AdaptiveAllocation, "adaptive-allocation", true, "re-split the per-phase prefetch budget toward the model whose prefetches get consumed (static table as prior)")
-	fs.BoolVar(&c.Hotspot, "hotspot", true, "register the online cross-session hotspot recommender as a third model (one shared, decaying popularity table; makes -adaptive-allocation a 3-way split)")
-	fs.BoolVar(&c.MetricsEndpoint, "metrics", true, "expose Prometheus text-format telemetry under GET /metrics")
-	fs.BoolVar(&c.Tracing, "tracing", true, "trace every request (X-Trace-ID, GET /debug/traces) and export per-stage latency histograms under /metrics")
-	fs.BoolVar(&c.Pprof, "pprof", false, "expose Go's net/http/pprof profiling handlers under GET /debug/pprof/")
+	fs.BoolVar(&sf.pprof, "pprof", false, "expose Go's net/http/pprof profiling handlers under GET /debug/pprof/")
 	fs.StringVar(&sf.logLevel, "log-level", "info", "structured request log level: debug, info, warn or error (debug logs every finished trace)")
 	fs.StringVar(&c.StateDir, "state-dir", "", "directory for crash-safe snapshots of learned state (utility curve, allocation shares, hotspot table); restored at startup, written on -snapshot-interval and at shutdown (empty disables)")
 	fs.DurationVar(&c.SnapshotInterval, "snapshot-interval", 0, "background snapshot cadence (0 = 30s default; negative disables the ticker, shutdown still snapshots)")
-	fs.BoolVar(&c.BinaryTiles, "binary-tiles", false, "zero-recompute tile serving: memoize encoded payloads deployment-wide, content-negotiate the binary codec (Accept: application/x-forecache-tile) and gzip on /tile, and push cached bytes down streams; clients without the Accept header still get byte-identical JSON")
-	fs.Int64Var(&c.EncodedCacheBudget, "encoded-cache-budget", 0, "encoded tile payload cache budget in bytes (0 = 64 MiB default; only meaningful with -binary-tiles)")
+	fs.Int64Var(&c.EncodedCacheBudget, "encoded-cache-budget", 0, "encoded tile payload cache budget in bytes (0 = 64 MiB default)")
 	fs.IntVar(&c.SharedTiles, "shared-tiles", 512, "cross-session shared tile pool capacity (0 disables)")
 	fs.IntVar(&c.MaxSessions, "max-sessions", 1024, "live session cap, LRU-evicted past it (0 = unlimited)")
 	fs.DurationVar(&c.SessionTTL, "session-ttl", 30*time.Minute, "evict sessions idle this long (0 = never)")
 	return sf
+}
+
+// deploy builds the deployment over wf's world: the middleware, and the
+// handler in front of it, which mounts Go's profiling handlers only when
+// -pprof asks.
+func (sf *serveFlags) deploy(wf *worldFlags) (*forecache.Server, http.Handler, error) {
+	logger, err := obs.NewLogger(os.Stderr, sf.logLevel)
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg := sf.cfg
+	cfg.Logger = logger
+	ds, err := wf.build()
+	if err != nil {
+		return nil, nil, err
+	}
+	srv, err := ds.NewServer(ds.SimulateStudy(wf.seed), cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	if !sf.pprof {
+		return srv, srv, nil
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/", srv)
+	// pprof.Index routes named profiles (heap, goroutine, ...) by path
+	// suffix, so the subtree pattern covers them all.
+	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
+	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("POST /debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+	return srv, mux, nil
 }
 
 func cmdServe(args []string) error {
@@ -173,49 +212,13 @@ func cmdServe(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	logger, err := obs.NewLogger(os.Stderr, sf.logLevel)
-	if err != nil {
-		return err
-	}
-	cfg := sf.cfg
-	cfg.Logger = logger
-	// The scheduler's three feedback loops have only ever helped: they run
-	// whenever the scheduler does.
-	cfg.AdaptiveK, cfg.FairShare, cfg.UtilityLearning = cfg.AsyncPrefetch, cfg.AsyncPrefetch, cfg.AsyncPrefetch
-	ds, err := wf.build()
-	if err != nil {
-		return err
-	}
-	srv, err := ds.NewServer(ds.SimulateStudy(wf.seed), cfg)
+	srv, handler, err := sf.deploy(wf)
 	if err != nil {
 		return err
 	}
 	defer srv.Close()
-	mode := "inline prefetch"
-	if cfg.AsyncPrefetch {
-		mode = fmt.Sprintf("async prefetch: %d workers, adaptive allocation %v, hotspot %v",
-			cfg.PrefetchWorkers, cfg.AdaptiveAllocation, cfg.Hotspot)
-	}
-	if cfg.Shards > 1 {
-		mode += fmt.Sprintf("; %d scheduler shards", cfg.Shards)
-	}
-	if cfg.Push {
-		mode += "; push delivery"
-	}
-	if cfg.BinaryTiles {
-		mode += "; binary tile codec + encoded-payload cache"
-	}
-	endpoints := "GET /meta, /tile?level=&y=&x=, /stats"
-	if cfg.Push {
-		endpoints += ", /stream"
-	}
-	if cfg.MetricsEndpoint {
-		endpoints += ", /metrics"
-	}
-	if cfg.Tracing {
-		endpoints += ", /debug/traces"
-	}
-	if cfg.Pprof {
+	endpoints := "GET /meta, /tile?level=&y=&x=, /stats, /stream, /metrics, /debug/traces"
+	if sf.pprof {
 		endpoints += ", /debug/pprof/"
 	}
 
@@ -233,17 +236,16 @@ func cmdServe(args []string) error {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	fmt.Printf("serving tiles on %s (%s; %s; POST /reset)\n", sf.addr, mode, endpoints)
-	httpSrv := newHTTPServer(srv)
-	if reg := srv.Push(); reg != nil {
-		// Shutdown waits for in-flight handlers, and every attached push
-		// stream IS an in-flight handler that would otherwise outlive the
-		// drain window. Closing the registry when the drain begins ends each
-		// stream's handler promptly, so SIGTERM with streams open still
-		// drains and exits 0. (Registry Close is idempotent; the deferred
-		// srv.Close repeats it harmlessly.)
-		httpSrv.RegisterOnShutdown(reg.Close)
-	}
+	fmt.Printf("serving tiles on %s (async prefetch, %d workers, %d shard(s); push; binary tile codec + encoded-payload cache; %s; POST /reset)\n",
+		sf.addr, sf.cfg.PrefetchWorkers, max(1, sf.cfg.Shards), endpoints)
+	httpSrv := newHTTPServer(handler)
+	// Shutdown waits for in-flight handlers, and every attached push stream
+	// IS an in-flight handler that would otherwise outlive the drain window.
+	// Closing the registry when the drain begins ends each stream's handler
+	// promptly, so SIGTERM with streams open still drains and exits 0.
+	// (Registry Close is idempotent; the deferred srv.Close repeats it
+	// harmlessly.)
+	httpSrv.RegisterOnShutdown(srv.Push().Close)
 	return serveUntilDone(ctx, httpSrv, ln)
 }
 

@@ -190,7 +190,7 @@ func TestCmdScrapeValidatesExposition(t *testing.T) {
 // and benchmarks must cover, so adding one means retiring one (or raising
 // the budget here, deliberately, in the same change).
 func TestKnobBudget(t *testing.T) {
-	const maxFields, maxFlags = 23, 18
+	const maxFields, maxFlags = 22, 11
 	if n := reflect.TypeOf(forecache.MiddlewareConfig{}).NumField(); n > maxFields {
 		t.Errorf("MiddlewareConfig has %d fields, budget is %d", n, maxFields)
 	}
@@ -206,7 +206,10 @@ func TestKnobBudget(t *testing.T) {
 // TestRetiredServeFlagsRejected: a retired serve flag is a usage error,
 // not silently ignored.
 func TestRetiredServeFlagsRejected(t *testing.T) {
-	for _, name := range []string{"k", "global-queue", "decay-half-life"} {
+	for _, name := range []string{
+		"k", "global-queue", "decay-half-life",
+		"async", "push", "adaptive-allocation", "hotspot", "metrics", "tracing", "binary-tiles",
+	} {
 		fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		addWorldFlags(fs)
@@ -258,6 +261,87 @@ func TestLineBudget(t *testing.T) {
 func TestCmdServeRejectsBadLogLevel(t *testing.T) {
 	if err := cmdServe(tinyWorld("-log-level", "loud")); err == nil {
 		t.Error("unknown log level should fail before building the world")
+	}
+}
+
+// deployServe builds serve's deployment over the tiny world from serve's
+// own flags and serves it from an httptest server.
+func deployServe(t *testing.T, args ...string) *httptest.Server {
+	t.Helper()
+	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+	wf := addWorldFlags(fs)
+	sf := addServeFlags(fs)
+	if err := fs.Parse(tinyWorld(args...)); err != nil {
+		t.Fatal(err)
+	}
+	srv, handler, err := sf.deploy(wf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(handler)
+	t.Cleanup(ts.Close)
+	t.Cleanup(srv.Close) // runs first: ends the push streams ts.Close waits on
+	return ts
+}
+
+// getStatus GETs path with the given Accept header and returns the status
+// and content type, reading only the headers: a /stream response never
+// ends on its own.
+func getStatus(t *testing.T, ts *httptest.Server, path, accept string) (int, string) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatalf("GET %s: %v", path, err)
+	}
+	defer resp.Body.Close()
+	return resp.StatusCode, resp.Header.Get("Content-Type")
+}
+
+// TestServeRunsOneShape: serve with no flags but the world's mounts push,
+// /metrics and traces, and negotiates the binary tile codec on /tile.
+func TestServeRunsOneShape(t *testing.T) {
+	ts := deployServe(t)
+	for _, c := range []struct{ path, accept, contentType string }{
+		{"/tile?level=0&y=0&x=0&session=s", "application/x-forecache-tile", "application/x-forecache-tile"},
+		{"/tile?level=0&y=0&x=0&session=j", "", "application/json"},
+		{"/stream?session=s", "", "text/event-stream"},
+		{"/metrics", "", "text/plain; version=0.0.4; charset=utf-8"},
+		{"/debug/traces", "", "application/json"},
+	} {
+		code, ct := getStatus(t, ts, c.path, c.accept)
+		if code != 200 || ct != c.contentType {
+			t.Errorf("GET %s (Accept %q) = %d %q, want 200 %q", c.path, c.accept, code, ct, c.contentType)
+		}
+	}
+}
+
+// TestPprofOptIn: the profiling handlers answer only behind -pprof, in
+// front of the middleware, which still serves every other path.
+func TestPprofOptIn(t *testing.T) {
+	for _, on := range []bool{false, true} {
+		var args []string
+		want := http.StatusNotFound
+		if on {
+			args, want = []string{"-pprof"}, http.StatusOK
+		}
+		ts := deployServe(t, args...)
+		for _, path := range []string{"/debug/pprof/", "/debug/pprof/goroutine?debug=1"} {
+			if code, _ := getStatus(t, ts, path, ""); code != want {
+				t.Errorf("-pprof=%v: GET %s = %d, want %d", on, path, code, want)
+			}
+		}
+		if code, _ := getStatus(t, ts, "/meta", ""); code != 200 {
+			t.Errorf("-pprof=%v: GET /meta = %d, want 200", on, code)
+		}
 	}
 }
 

@@ -256,11 +256,6 @@ type MiddlewareConfig struct {
 	// NewMiddleware engines stay uninstrumented so the eval harness
 	// measures the paper's numbers, not the telemetry's.
 	Tracing bool
-	// Pprof registers Go's net/http/pprof profiling handlers under
-	// GET /debug/pprof/ on the server. Off by default: profiles expose
-	// internals and cost CPU while streaming, so production deployments
-	// opt in deliberately.
-	Pprof bool
 	// Logger receives the pipeline's structured request logs (one Debug
 	// line per finished trace, carrying the trace id). nil logs nothing.
 	// Only meaningful with Tracing.
@@ -475,8 +470,7 @@ func (d *Dataset) NewMiddleware(train []*trace.Trace, cfg MiddlewareConfig) (*co
 // same outcomes back into the per-phase model split (2-way, or 3-way with
 // Hotspot), and MetricsEndpoint exposes all of it as Prometheus text
 // under GET /metrics. Tracing adds end-to-end request traces (X-Trace-ID,
-// GET /debug/traces) and per-stage latency histograms to /metrics; Pprof
-// adds Go's profiling handlers under GET /debug/pprof/.
+// GET /debug/traces) and per-stage latency histograms to /metrics.
 func (d *Dataset) NewServer(train []*trace.Trace, cfg MiddlewareConfig) (*server.Server, error) {
 	cfg = cfg.withDefaults()
 	meta := server.Meta{
@@ -630,6 +624,5 @@ func (d *Dataset) NewServer(train []*trace.Trace, cfg MiddlewareConfig) (*server
 		Obs:         pipe,
 		Persist:     snapshots,
 		Metrics:     cfg.MetricsEndpoint,
-		Pprof:       cfg.Pprof,
 	}), nil
 }

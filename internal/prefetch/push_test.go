@@ -195,8 +195,8 @@ func TestShardedPressureSaturation(t *testing.T) {
 			store.started = make(chan tile.Coord, budget+shards)
 			ss := NewScheduler(store, Config{Shards: shards, Workers: shards, QueuePerSession: budget, GlobalQueue: budget})
 			defer ss.Close()
-			if got := ss.NumShards(); got != shards {
-				t.Fatalf("NumShards = %d, want %d", got, shards)
+			if got := len(ss.shards); got != shards {
+				t.Fatalf("shards = %d, want %d", got, shards)
 			}
 
 			// One shard-local session per shard, found by probing the ring.
@@ -251,9 +251,9 @@ func TestShardedPressureSaturation(t *testing.T) {
 			close(store.gate)
 			ss.Drain()
 
-			st = ss.Stats()
+			st, perShard := ss.Snapshot()
 			var queued, completed int
-			for _, sh := range ss.ShardStats() {
+			for _, sh := range perShard {
 				queued += sh.Queued
 				completed += sh.Completed
 			}

@@ -98,9 +98,6 @@ func NewScheduler(store backend.Store, cfg Config) *Scheduler {
 	return s
 }
 
-// NumShards returns the shard count.
-func (s *Scheduler) NumShards() int { return len(s.shards) }
-
 // Shard returns the shard owning session. Engines are bound to their
 // session's shard at construction (core.Config.Scheduler), so the routing
 // hash is paid once per session, not once per request.
@@ -200,12 +197,6 @@ func (s *Scheduler) Snapshot() (Stats, []Stats) {
 func (s *Scheduler) Stats() Stats {
 	agg, _ := s.Snapshot()
 	return agg
-}
-
-// ShardStats is Snapshot's per-shard view alone.
-func (s *Scheduler) ShardStats() []Stats {
-	_, per := s.Snapshot()
-	return per
 }
 
 // Drain blocks until every shard's queue and in-flight set are empty.

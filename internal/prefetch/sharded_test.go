@@ -105,7 +105,7 @@ func TestShardedRoutingDisjoint(t *testing.T) {
 		}
 	}
 
-	perShard := ss.ShardStats()
+	_, perShard := ss.Snapshot()
 	for i := 0; i < sessions; i++ {
 		id := fmt.Sprintf("user-%d", i)
 		home := ss.ring.Locate(id)
@@ -146,7 +146,7 @@ func TestShardedStatsAggregation(t *testing.T) {
 	}
 	ss.Drain()
 
-	agg := ss.Stats()
+	agg, per := ss.Snapshot()
 	if agg.Shards != 3 {
 		t.Errorf("Shards = %d, want 3", agg.Shards)
 	}
@@ -158,7 +158,7 @@ func TestShardedStatsAggregation(t *testing.T) {
 	}
 
 	var sumQueued, sumCompleted, sumSess, sumDepth int
-	for _, st := range ss.ShardStats() {
+	for _, st := range per {
 		sumQueued += st.Queued
 		sumCompleted += st.Completed
 		sumSess += st.Sessions

@@ -67,7 +67,7 @@ func (c *scrapeChecker) scrape(step string) map[string]float64 {
 				n++
 			}
 		}
-		if shards := c.srv.cfg.Scheduler.NumShards(); n != shards {
+		if shards := c.srv.cfg.Scheduler.Stats().Shards; n != shards {
 			c.t.Errorf("after %s: %s has %d series, want one per shard (%d)", step, pair[0], n, shards)
 		}
 		if total, ok := cur[pair[1]]; !ok || sum != total {

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 	"net/url"
 	"runtime"
 	"runtime/debug"
@@ -104,10 +103,6 @@ type Config struct {
 	// per-shard series, the learned utility curve and the adaptive
 	// allocation shares when the deployment has them).
 	Metrics bool
-	// Pprof mounts net/http/pprof's profiling handlers under /debug/pprof/
-	// (opt-in: profiling endpoints expose internals and cost CPU, so they
-	// are off unless a deployment asks).
-	Pprof bool
 }
 
 // session is one live engine plus its eviction bookkeeping.
@@ -165,16 +160,6 @@ func New(meta Meta, factory EngineFactory, cfg Config) *Server {
 	}
 	if cfg.Obs != nil && cfg.Obs.Traces != nil {
 		s.mux.HandleFunc("GET /debug/traces", s.handleTraces)
-	}
-	if cfg.Pprof {
-		// pprof.Index routes named profiles (heap, goroutine, ...) by path
-		// suffix, so the subtree pattern covers them all.
-		s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-		s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-		s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-		s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-		s.mux.HandleFunc("POST /debug/pprof/symbol", pprof.Symbol)
-		s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
 	return s
 }

@@ -168,21 +168,6 @@ func TestTracesAbsentWithoutObs(t *testing.T) {
 	}
 }
 
-// TestPprofOptIn: profiling handlers exist only with Config.Pprof.
-func TestPprofOptIn(t *testing.T) {
-	srv, _ := testServer(t, Config{})
-	if rec := get(t, srv, "/debug/pprof/"); rec.Code != 404 {
-		t.Errorf("pprof without Config.Pprof = %d, want 404", rec.Code)
-	}
-	srv2, _ := testServer(t, Config{Pprof: true})
-	if rec := get(t, srv2, "/debug/pprof/"); rec.Code != 200 {
-		t.Errorf("pprof index = %d, want 200", rec.Code)
-	}
-	if rec := get(t, srv2, "/debug/pprof/goroutine?debug=1"); rec.Code != 200 {
-		t.Errorf("goroutine profile = %d, want 200", rec.Code)
-	}
-}
-
 // TestObservabilitySurvivesClose pins the Close vs in-flight scrape
 // contract: /debug/traces and /metrics keep answering 200 while Close
 // runs and afterwards, and the final trace set is intact. The concurrent

@@ -22,7 +22,9 @@ cleanup() {
 }
 trap cleanup EXIT
 
-"$BIN" serve -size 128 -addr :18080 -pprof -shards 4 -push -binary-tiles -state-dir "$STATE_DIR" &
+# serve runs one deployment shape: push, the encoded-payload cache,
+# /metrics and tracing are always on; the flags only size and place it.
+"$BIN" serve -size 128 -addr :18080 -pprof -shards 4 -state-dir "$STATE_DIR" &
 SERVE_PID=$!
 for i in $(seq 1 60); do
   curl -sf "http://localhost:18080/meta" > /dev/null && break
@@ -94,6 +96,7 @@ curl -sf "http://localhost:18080/debug/traces?n=5" > "$WORK/traces.out"
 grep -q '"traces"' "$WORK/traces.out"
 grep -q '"write"' "$WORK/traces.out"
 curl -sf "http://localhost:18080/stats" | grep -q '"snapshot"'
+curl -sf "http://localhost:18080/debug/pprof/" > /dev/null
 # SIGTERM must drain, snapshot and exit 0 even with the push
 # stream still attached (the old ListenAndServe path skipped the
 # deferred Close entirely; a stream Close must not deadlock on).
@@ -119,9 +122,15 @@ grep -q '"feedback":"restored"' "$WORK/warm-stats.json"
 grep -q '"allocation":"restored"' "$WORK/warm-stats.json"
 grep -q '"hotspot":"restored"' "$WORK/warm-stats.json"
 # The default one-shard deployment is the same scheduler with N=1:
-# its per-shard families render as a single shard="0" series.
+# its per-shard families render as a single shard="0" series. With no
+# flags but the state dir it still carries push and the encoded cache,
+# and profiling stays unmounted without -pprof.
 curl -sf "http://localhost:18081/tile?level=0&y=0&x=0&session=warm" > /dev/null
-curl -sf "http://localhost:18081/metrics" | grep -q 'forecache_prefetch_shard_queued_total{shard="0"}'
+curl -sf "http://localhost:18081/metrics" > "$WORK/warm-metrics.out"
+grep -q 'forecache_prefetch_shard_queued_total{shard="0"}' "$WORK/warm-metrics.out"
+grep -q 'forecache_push_streams' "$WORK/warm-metrics.out"
+grep -q 'forecache_tile_encode_misses_total' "$WORK/warm-metrics.out"
+test "$(curl -s -o /dev/null -w '%{http_code}' "http://localhost:18081/debug/pprof/")" = 404
 kill -TERM "$SERVE2_PID"
 wait "$SERVE2_PID"
 SERVE2_PID=
