@@ -2,8 +2,9 @@ package server
 
 import (
 	"fmt"
+	"maps"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -25,63 +26,27 @@ const promContentType = "text/plain; version=0.0.4; charset=utf-8"
 // promWriter accumulates one exposition payload. Metric families are
 // written atomically: HELP, TYPE, then every sample of the family.
 type promWriter struct {
-	b strings.Builder
+	b []byte
 }
 
-// escapeLabel escapes a label value per the exposition format: backslash,
+// labelEscaper escapes a label value per the exposition format: backslash,
 // double quote and newline.
-func escapeLabel(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	v = strings.ReplaceAll(v, "\n", `\n`)
-	v = strings.ReplaceAll(v, `"`, `\"`)
-	return v
-}
+var labelEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
 
-// formatValue renders a sample value; Prometheus accepts Go's shortest
-// float representation (and +Inf/-Inf/NaN spellings).
-func formatValue(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// sample is one labeled measurement within a family.
+// sample is one labeled measurement within a family. labels holds ordered
+// key/value pairs, rendered in the order given: keys in sorted order.
 type sample struct {
-	labels string // pre-rendered {k="v",...}, or ""
+	labels []string
 	value  float64
 }
 
-// labels renders a label set in deterministic (sorted) order.
-func labels(kv map[string]string) string {
-	if len(kv) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(kv))
-	for k := range kv {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = fmt.Sprintf(`%s="%s"`, k, escapeLabel(kv[k]))
-	}
-	return "{" + strings.Join(parts, ",") + "}"
-}
-
 // keyedSamples renders one sample per map entry in sorted key order,
-// labelled label="<key>" on top of the fixed labels (may be nil), so
-// consecutive scrapes list the same series identically.
-func keyedSamples[V int | float64](label string, m map[string]V, fixed map[string]string) []sample {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]sample, len(keys))
-	for i, k := range keys {
-		kv := map[string]string{label: k}
-		for fk, fv := range fixed {
-			kv[fk] = fv
-		}
-		out[i] = sample{labels: labels(kv), value: float64(m[k])}
+// labelled label="<key>" followed by the fixed pairs (whose keys sort after
+// label), so consecutive scrapes list the same series identically.
+func keyedSamples[V int | float64](label string, m map[string]V, fixed ...string) []sample {
+	out := make([]sample, 0, len(m))
+	for _, k := range slices.Sorted(maps.Keys(m)) {
+		out = append(out, sample{labels: append([]string{label, k}, fixed...), value: float64(m[k])})
 	}
 	return out
 }
@@ -90,17 +55,49 @@ func keyedSamples[V int | float64](label string, m map[string]V, fixed map[strin
 func indexedSamples(label string, n int, value func(i int) float64) []sample {
 	out := make([]sample, n)
 	for i := range out {
-		out[i] = sample{labels: labels(map[string]string{label: strconv.Itoa(i)}), value: value(i)}
+		out[i] = sample{labels: []string{label, strconv.Itoa(i)}, value: value(i)}
 	}
 	return out
 }
 
+// header writes a family's HELP and TYPE lines.
+func (w *promWriter) header(name, help, typ string) {
+	w.b = fmt.Appendf(w.b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+}
+
+// series starts one sample line: the name, then {k="v",...} for the label
+// pairs kv, then the space before the value.
+func (w *promWriter) series(name string, kv []string) {
+	w.b = append(w.b, name...)
+	sep := byte('{')
+	for i := 0; i < len(kv); i += 2 {
+		w.b = append(append(w.b, sep), kv[i]...)
+		w.b = append(append(w.b, `="`...), labelEscaper.Replace(kv[i+1])...)
+		w.b, sep = append(w.b, '"'), ','
+	}
+	if len(kv) > 0 {
+		w.b = append(w.b, '}')
+	}
+	w.b = append(w.b, ' ')
+}
+
+// float and count write one sample line. Prometheus accepts Go's shortest
+// float representation (and +Inf/-Inf/NaN spellings).
+func (w *promWriter) float(name string, kv []string, v float64) {
+	w.series(name, kv)
+	w.b = append(strconv.AppendFloat(w.b, v, 'g', -1, 64), '\n')
+}
+
+func (w *promWriter) count(name string, kv []string, v uint64) {
+	w.series(name, kv)
+	w.b = append(strconv.AppendUint(w.b, v, 10), '\n')
+}
+
 // family writes one metric family: help/type header plus samples.
 func (w *promWriter) family(name, help, typ string, samples ...sample) {
-	fmt.Fprintf(&w.b, "# HELP %s %s\n", name, help)
-	fmt.Fprintf(&w.b, "# TYPE %s %s\n", name, typ)
+	w.header(name, help, typ)
 	for _, s := range samples {
-		fmt.Fprintf(&w.b, "%s%s %s\n", name, s.labels, formatValue(s.value))
+		w.float(name, s.labels, s.value)
 	}
 }
 
@@ -114,7 +111,7 @@ func (w *promWriter) counter(name, help string, v float64) {
 // histSeries is one labeled histogram within a family (e.g. one outcome
 // of the request-latency histogram).
 type histSeries struct {
-	labels map[string]string // without "le"; may be nil
+	labels []string // key/value pairs without "le", whose key sorts first; may be nil
 	snap   obs.HistogramSnapshot
 }
 
@@ -123,26 +120,19 @@ type histSeries struct {
 // _count. Each series' snapshot is internally consistent (+Inf == count),
 // so the payload always passes the strict validator.
 func (w *promWriter) histogramFamily(name, help string, series ...histSeries) {
-	fmt.Fprintf(&w.b, "# HELP %s %s\n", name, help)
-	fmt.Fprintf(&w.b, "# TYPE %s histogram\n", name)
+	w.header(name, help, "histogram")
+	bucket := name + "_bucket"
 	for _, s := range series {
+		kv := append([]string{"le", ""}, s.labels...)
 		for i, bound := range s.snap.Bounds {
-			w.histBucket(name, s.labels, formatValue(bound), s.snap.Cumulative[i])
+			kv[1] = strconv.FormatFloat(bound, 'g', -1, 64)
+			w.count(bucket, kv, s.snap.Cumulative[i])
 		}
-		w.histBucket(name, s.labels, "+Inf", s.snap.Count)
-		fmt.Fprintf(&w.b, "%s_sum%s %s\n", name, labels(s.labels), formatValue(s.snap.Sum))
-		fmt.Fprintf(&w.b, "%s_count%s %d\n", name, labels(s.labels), s.snap.Count)
+		kv[1] = "+Inf"
+		w.count(bucket, kv, s.snap.Count)
+		w.float(name+"_sum", s.labels, s.snap.Sum)
+		w.count(name+"_count", s.labels, s.snap.Count)
 	}
-}
-
-// histBucket writes one _bucket sample with the le label merged in.
-func (w *promWriter) histBucket(name string, base map[string]string, le string, count uint64) {
-	kv := make(map[string]string, len(base)+1)
-	for k, v := range base {
-		kv[k] = v
-	}
-	kv["le"] = le
-	fmt.Fprintf(&w.b, "%s_bucket%s %d\n", name, labels(kv), count)
 }
 
 // handleMetrics renders the exposition payload: the session table from one
@@ -179,9 +169,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		pw.gauge("forecache_prefetch_queue_latency_seconds", "Mean time entries spent queued before their fetch was issued.", st.AvgQueueLatency.Seconds())
 
 		pw.family("forecache_prefetch_session_queue_depth", "Live queued entries per session.", "gauge",
-			keyedSamples("session", st.QueueDepths, nil)...)
+			keyedSamples("session", st.QueueDepths)...)
 		pw.family("forecache_prefetch_session_pressure", "Per-session fair-share backpressure in [0,1]; FairShare engines shrink on it.", "gauge",
-			keyedSamples("session", st.SessionPressures, nil)...)
+			keyedSamples("session", st.SessionPressures)...)
 
 		// Per-shard series. A one-shard deployment renders one shard="0"
 		// series.
@@ -216,7 +206,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		pw.counter("forecache_push_bytes_total", "Frame bytes handed to push stream connections (SSE and binary framing, heartbeats included).", float64(st.Bytes))
 		pw.family("forecache_push_drain_bytes_per_second",
 			"Measured per-session stream drain rate (EWMA); the scheduler's bandwidth-aware admission term divides by it.",
-			"gauge", keyedSamples("session", st.DrainRates, nil)...)
+			"gauge", keyedSamples("session", st.DrainRates)...)
 	}
 
 	if s.cfg.Encoded != nil {
@@ -244,9 +234,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		pw.histogramFamily("forecache_request_duration_seconds",
 			"End-to-end /tile request latency by outcome: hit (served from a middleware cache), miss (synchronous DBMS fetch), shed (refused before a tile was served).",
-			histSeries{labels: map[string]string{"outcome": obs.OutcomeHit}, snap: s.cfg.Obs.RequestHit.Snapshot()},
-			histSeries{labels: map[string]string{"outcome": obs.OutcomeMiss}, snap: s.cfg.Obs.RequestMiss.Snapshot()},
-			histSeries{labels: map[string]string{"outcome": obs.OutcomeShed}, snap: s.cfg.Obs.RequestShed.Snapshot()},
+			histSeries{labels: []string{"outcome", obs.OutcomeHit}, snap: s.cfg.Obs.RequestHit.Snapshot()},
+			histSeries{labels: []string{"outcome", obs.OutcomeMiss}, snap: s.cfg.Obs.RequestMiss.Snapshot()},
+			histSeries{labels: []string{"outcome", obs.OutcomeShed}, snap: s.cfg.Obs.RequestShed.Snapshot()},
 		)
 		pw.histogramFamily("forecache_prefetch_queue_wait_seconds",
 			"Time prefetch entries sat queued in the scheduler before their DBMS fetch was issued (or joined another's).",
@@ -268,14 +258,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		for ph, byModel := range s.cfg.Allocation.Shares() {
 			byPhase[ph.String()] = byModel
 		}
-		phases := make([]string, 0, len(byPhase))
-		for name := range byPhase {
-			phases = append(phases, name)
-		}
-		sort.Strings(phases)
 		var allocSamples []sample
-		for _, name := range phases {
-			allocSamples = append(allocSamples, keyedSamples("model", byPhase[name], map[string]string{"phase": name})...)
+		for _, name := range slices.Sorted(maps.Keys(byPhase)) {
+			allocSamples = append(allocSamples, keyedSamples("model", byPhase[name], "phase", name)...)
 		}
 		pw.family("forecache_allocation_share",
 			"Current prefetch-budget share per (phase, model) under the adaptive allocation policy (the static table's split until the phase warms up); each phase's shares sum to 1.",
@@ -298,7 +283,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", promContentType)
 	w.WriteHeader(http.StatusOK)
-	_, _ = fmt.Fprint(w, pw.b.String())
+	_, _ = w.Write(pw.b)
 }
 
 func boolValue(b bool) float64 {

@@ -303,7 +303,7 @@ func TestMetricsAllocationShares(t *testing.T) {
 	for ph, byModel := range ap.Shares() {
 		for model, share := range byModel {
 			key := fmt.Sprintf(`forecache_allocation_share{model="%s",phase="%s"}`,
-				escapeLabel(model), ph.String())
+				labelEscaper.Replace(model), ph.String())
 			got, ok := values[key]
 			if !ok {
 				t.Errorf("missing sample %s", key)
