@@ -293,6 +293,10 @@ func serveUntilDone(ctx context.Context, httpSrv *http.Server, ln net.Listener) 
 	}
 }
 
+// scrapeTimeout bounds one scrape, body included: a wedged /metrics fails
+// the command instead of hanging it.
+const scrapeTimeout = 10 * time.Second
+
 // cmdScrape fetches a Prometheus text-format endpoint and runs the same
 // strict exposition validator the unit tests use (obs.ParsePromText). CI
 // scrapes a live `serve` process with it, so a payload a real Prometheus
@@ -303,13 +307,18 @@ func cmdScrape(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	resp, err := http.Get(*url)
+	return scrape(&http.Client{Timeout: scrapeTimeout}, *url)
+}
+
+// scrape fetches url with client and validates the exposition.
+func scrape(client *http.Client, url string) error {
+	resp, err := client.Get(url)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("scrape %s: status %s", *url, resp.Status)
+		return fmt.Errorf("scrape %s: status %s", url, resp.Status)
 	}
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
 	if err != nil {
@@ -317,7 +326,7 @@ func cmdScrape(args []string) error {
 	}
 	samples, err := obs.ParsePromText(string(body))
 	if err != nil {
-		return fmt.Errorf("scrape %s: invalid exposition: %w", *url, err)
+		return fmt.Errorf("scrape %s: invalid exposition: %w", url, err)
 	}
 	histograms := 0
 	for key := range samples {
@@ -325,7 +334,7 @@ func cmdScrape(args []string) error {
 			histograms++
 		}
 	}
-	fmt.Printf("%s: %d samples valid (%d histogram buckets)\n", *url, len(samples), histograms)
+	fmt.Printf("%s: %d samples valid (%d histogram buckets)\n", url, len(samples), histograms)
 	return nil
 }
 

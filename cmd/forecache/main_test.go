@@ -185,6 +185,28 @@ func TestCmdScrapeValidatesExposition(t *testing.T) {
 	}
 }
 
+// TestScrapeTimesOut: a /metrics endpoint that never answers fails the
+// scrape once the client's timeout passes, instead of hanging it.
+func TestScrapeTimesOut(t *testing.T) {
+	release := make(chan struct{})
+	wedged := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	}))
+	defer wedged.Close()
+	defer close(release)
+	start := time.Now()
+	err := scrape(&http.Client{Timeout: 100 * time.Millisecond}, wedged.URL)
+	if err == nil {
+		t.Fatal("scrape of a wedged endpoint succeeded")
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Errorf("scrape returned after %v, want about the client's 100ms timeout", elapsed)
+	}
+}
+
 // TestKnobBudget fails when the option count creeps back up: every
 // MiddlewareConfig field and serve flag doubles the configurations tests
 // and benchmarks must cover, so adding one means retiring one (or raising
