@@ -60,11 +60,6 @@ func indexedSamples(label string, n int, value func(i int) float64) []sample {
 	return out
 }
 
-// header writes a family's HELP and TYPE lines.
-func (w *promWriter) header(name, help, typ string) {
-	w.b = fmt.Appendf(w.b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-}
-
 // series starts one sample line: the name, then {k="v",...} for the label
 // pairs kv, then the space before the value.
 func (w *promWriter) series(name string, kv []string) {
@@ -95,7 +90,7 @@ func (w *promWriter) count(name string, kv []string, v uint64) {
 
 // family writes one metric family: help/type header plus samples.
 func (w *promWriter) family(name, help, typ string, samples ...sample) {
-	w.header(name, help, typ)
+	w.b = fmt.Appendf(w.b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 	for _, s := range samples {
 		w.float(name, s.labels, s.value)
 	}
@@ -120,7 +115,7 @@ type histSeries struct {
 // _count. Each series' snapshot is internally consistent (+Inf == count),
 // so the payload always passes the strict validator.
 func (w *promWriter) histogramFamily(name, help string, series ...histSeries) {
-	w.header(name, help, "histogram")
+	w.family(name, help, "histogram")
 	bucket := name + "_bucket"
 	for _, s := range series {
 		kv := append([]string{"le", ""}, s.labels...)
