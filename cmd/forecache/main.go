@@ -222,14 +222,10 @@ func cmdServe(args []string) error {
 		endpoints += ", /debug/pprof/"
 	}
 
-	// Listen first so a bad address still fails fast with a non-zero exit,
-	// then serve until the process is asked to stop. http.ListenAndServe
-	// would block until the process is killed, which meant the
-	// `defer srv.Close()` above NEVER ran: no graceful shutdown, no final
-	// state snapshot. Instead, SIGINT/SIGTERM cancel the signal context,
-	// in-flight requests drain through http.Server.Shutdown, and returning
-	// normally lets the deferred srv.Close tear down the scheduler and
-	// write the final snapshot.
+	// Listen first so a bad address fails fast with a non-zero exit. On
+	// SIGINT/SIGTERM in-flight requests drain through http.Server.Shutdown,
+	// and returning lets the deferred srv.Close stop the scheduler and write
+	// the final snapshot.
 	ln, err := net.Listen("tcp", sf.addr)
 	if err != nil {
 		return err
@@ -239,12 +235,10 @@ func cmdServe(args []string) error {
 	fmt.Printf("serving tiles on %s (async prefetch, %d workers, %d shard(s); push; binary tile codec + encoded-payload cache; %s; POST /reset)\n",
 		sf.addr, sf.cfg.PrefetchWorkers, max(1, sf.cfg.Shards), endpoints)
 	httpSrv := newHTTPServer(handler)
-	// Shutdown waits for in-flight handlers, and every attached push stream
-	// IS an in-flight handler that would otherwise outlive the drain window.
-	// Closing the registry when the drain begins ends each stream's handler
-	// promptly, so SIGTERM with streams open still drains and exits 0.
-	// (Registry Close is idempotent; the deferred srv.Close repeats it
-	// harmlessly.)
+	// Shutdown waits for in-flight handlers, and an attached push stream is
+	// one that would outlive the drain window: closing the registry when the
+	// drain begins ends each stream, so SIGTERM with streams open exits 0.
+	// (Close is idempotent; the deferred srv.Close repeats it harmlessly.)
 	httpSrv.RegisterOnShutdown(srv.Push().Close)
 	return serveUntilDone(ctx, httpSrv, ln)
 }

@@ -29,8 +29,8 @@
 //     (online, EWMA-decayed per-zoom-level consumption frequencies in
 //     one map under one mutex, at most one entry per pyramid tile,
 //     seeded from the training traces and fed live from the cache
-//     outcome stream — enabled with MiddlewareConfig.Hotspot / serve
-//     -hotspot);
+//     outcome stream — enabled with MiddlewareConfig.Hotspot, always
+//     on in serve);
 //   - the middleware cache (internal/cache), the latency-modeling DBMS
 //     adapter (internal/backend) and the HTTP boundary (internal/server,
 //     internal/client);
@@ -87,7 +87,7 @@
 //     as their totals; Shards=1, the default, is the same
 //     prefetch.Scheduler with one shard;
 //   - push-based continuous delivery (internal/push): with
-//     MiddlewareConfig.Push (serve -push) the server mounts GET /stream —
+//     MiddlewareConfig.Push (always on in serve) the server mounts GET /stream —
 //     one long-lived response per session, SSE or (negotiated as on
 //     /tile, with BinaryTiles) binary frames around the memoized FCT3
 //     bodies — and every completed prefetch for a stream-attached
@@ -108,7 +108,7 @@
 //     and /metrics as forecache_push_* series. Push off is the pull
 //     deployment bit-for-bit;
 //   - zero-copy tile serving (internal/tile codec + encoded cache): with
-//     MiddlewareConfig.BinaryTiles (serve -binary-tiles) every tile
+//     MiddlewareConfig.BinaryTiles (always on in serve) every tile
 //     response body — the streamed-JSON rendering and the versioned,
 //     CRC-checked binary codec (Accept: application/x-forecache-tile),
 //     each optionally gzip-compressed — is memoized in one
@@ -134,8 +134,8 @@
 //     grows lock-free latency histograms for request outcomes
 //     (hit/miss/shed), scheduler queue wait, backend fetches and
 //     prefetch lead time. MiddlewareConfig.Logger receives one
-//     structured log line per finished trace; MiddlewareConfig.Pprof
-//     registers net/http/pprof under GET /debug/pprof/. The same
+//     structured log line per finished trace; serve -pprof mounts
+//     net/http/pprof under GET /debug/pprof/ in front of it. The same
 //     package's strict exposition parser backs the `forecache scrape`
 //     CLI subcommand, which CI points at a live server;
 //   - crash-safe warm restarts (internal/persist): with
@@ -170,6 +170,7 @@
 //
 // See example_test.go for runnable examples and cmd/forecache for the CLI
 // that regenerates the paper's experiments (TestBenchAllGolden there holds
-// their output to committed bytes). scripts/live.sh drives a built binary
+// their output to committed bytes) and serves one deployment shape, every
+// feature above on, with flags that only size or place it. scripts/live.sh drives a built binary
 // over real HTTP; scripts/reachability.sh lists what no entry point runs.
 package forecache

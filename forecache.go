@@ -461,16 +461,8 @@ func (d *Dataset) NewMiddleware(train []*trace.Trace, cfg MiddlewareConfig) (*co
 // exactly once, here — or reused from cfg.Artifacts — and shared by every
 // session engine: creating the 2nd..Nth session performs no training and
 // is O(1). Construction returns an error for invalid tuning values or a
-// failed training pass. The scheduler is sized by Shards / PrefetchWorkers
-// (its queue budget and utility half-life are constants); AdaptiveK closes the
-// backpressure loop from its Pressure signal back into each engine's
-// prefetch budget (per-session with FairShare), UtilityLearning closes
-// the prediction-quality loop from cache outcomes back into admission
-// control, AdaptiveAllocation closes the budget-allocation loop from the
-// same outcomes back into the per-phase model split (2-way, or 3-way with
-// Hotspot), and MetricsEndpoint exposes all of it as Prometheus text
-// under GET /metrics. Tracing adds end-to-end request traces (X-Trace-ID,
-// GET /debug/traces) and per-stage latency histograms to /metrics.
+// failed training pass. The feedback loops, push, the encoded cache,
+// /metrics and tracing are each described on their MiddlewareConfig field.
 func (d *Dataset) NewServer(train []*trace.Trace, cfg MiddlewareConfig) (*server.Server, error) {
 	cfg = cfg.withDefaults()
 	meta := server.Meta{
