@@ -326,6 +326,42 @@ func TestPredictionPin(t *testing.T) {
 	}
 }
 
+// TestABOrderPin pins every AB answer the Markov-order sweep can ask for
+// on TestPredictionPin's 7/512 world: one FNV-64a over the score bits and
+// coordinate of each ranking AB.Predict returns, for orders 1–10, at every
+// request of every SimulateStudy(7) trace, at d = 1 and d = 2.
+func TestABOrderPin(t *testing.T) {
+	ds, err := BuildWorld(WorldConfig{Seed: 7, Size: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces := ds.SimulateStudy(7)
+	h := fnv.New64a()
+	var b [8]byte
+	for order := 1; order <= 10; order++ {
+		ab, err := recommend.NewAB(order, traces)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tr := range traces {
+			hist := trace.NewHistory(10)
+			for _, r := range tr.Requests {
+				hist.Push(r)
+				for d := 1; d <= 2; d++ {
+					for _, x := range ab.Predict(r, recommend.Candidates(ds.Pyramid, r.Coord, d), hist) {
+						binary.LittleEndian.PutUint64(b[:], math.Float64bits(x.Score))
+						h.Write(b[:])
+						io.WriteString(h, x.Coord.String())
+					}
+				}
+			}
+		}
+	}
+	if got, want := h.Sum64(), uint64(0x8ac04655a4b62e2e); got != want {
+		t.Errorf("AB order-sweep digest = %#x, want %#x", got, want)
+	}
+}
+
 func TestAsyncServerFacade(t *testing.T) {
 	ds, traces := testWorld(t)
 	srv, err := ds.NewServer(traces, MiddlewareConfig{
