@@ -13,8 +13,8 @@
 //     and tile signatures including SIFT bag-of-visual-words
 //     (internal/sig);
 //   - the two-level prediction engine (internal/core) over an SVM phase
-//     classifier (internal/svm, internal/phase), a Kneser–Ney Markov chain
-//     (internal/markov) and the recommenders (internal/recommend). The
+//     classifier (internal/svm, internal/phase) and the recommenders
+//     (internal/recommend), among them a Kneser–Ney Markov chain. The
 //     recommenders are registered through a registry (recommend.Spec /
 //     recommend.Registry): each spec owns its model's construction, its
 //     training requirement (trace-trained vs online) and its column of

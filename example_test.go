@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"forecache"
-	"forecache/internal/markov"
 	"forecache/internal/sig"
 	"forecache/internal/tile"
 )
@@ -58,20 +57,6 @@ func ExampleCoord() {
 	// L1/0/1
 	// L2/1/3
 	// true
-}
-
-// ExampleChain demonstrates the Kneser–Ney Markov chain behind the
-// Actions-Based recommender.
-func ExampleChain() {
-	chain, _ := markov.New(3)
-	chain.Train([][]string{
-		{"in", "in", "in", "in", "out"},
-		{"in", "in", "in", "in", "out"},
-	})
-	top := chain.Predict([]string{"in", "in", "in"})[0]
-	fmt.Println(top.Symbol)
-	// Output:
-	// in
 }
 
 // ExampleChiSquared shows the signature distance used by Algorithm 3.

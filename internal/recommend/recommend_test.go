@@ -377,8 +377,8 @@ func randomWalks(b gridBounds, n, steps int, seed int64) []*trace.Trace {
 
 // TestABConcurrentTable: eight goroutines rank the candidates at d = 1 and
 // d = 2 for every history of at most three moves against one shared AB,
-// each in its own order; every score must equal the product of the chain's
-// own probabilities, over string contexts, on an untouched twin.
+// each in its own order; every score must equal the product of the
+// unmemoized probabilities on an untouched twin.
 func TestABConcurrentTable(t *testing.T) {
 	b := gridBounds{maxLevel: 6}
 	traces := randomWalks(b, 20, 60, 1)
@@ -415,14 +415,14 @@ func TestABConcurrentTable(t *testing.T) {
 		for _, cands := range candSets {
 			want := make(map[tile.Coord]float64, len(cands))
 			for _, c := range cands {
-				var ctx []string
+				var ctx uint64
 				for _, mv := range moves {
-					ctx = append(ctx, mv.String())
+					ctx = twin.push(ctx, mv)
 				}
 				p := 1.0
 				for _, mv := range c.Moves {
-					p *= twin.chain.Prob(ctx, mv.String())
-					ctx = append(ctx, mv.String())
+					p *= twin.prob(ctx, mv)
+					ctx = twin.push(ctx, mv)
 				}
 				want[c.Coord] = p
 			}
@@ -439,7 +439,7 @@ func TestABConcurrentTable(t *testing.T) {
 				x := in[i]
 				for _, r := range shared.Predict(trace.Request{Coord: cur}, x.cands, x.hist) {
 					if w := x.want[r.Coord]; math.Float64bits(r.Score) != math.Float64bits(w) {
-						t.Errorf("goroutine %d: history %v scores %v at %v, twin's chain %v", g, x.hist.RecentMoves(nil, 3), r.Score, r.Coord, w)
+						t.Errorf("goroutine %d: history %v scores %v at %v, twin computes %v", g, x.hist.RecentMoves(nil, 3), r.Score, r.Coord, w)
 					}
 				}
 			}
@@ -453,7 +453,7 @@ func TestABConcurrentTable(t *testing.T) {
 func TestABOrderBounds(t *testing.T) {
 	b := gridBounds{maxLevel: 6}
 	traces := randomWalks(b, 4, 40, 2)
-	for _, order := range []int{0, 16} {
+	for _, order := range []int{-1, 0, 16} {
 		if _, err := NewAB(order, traces); err == nil {
 			t.Errorf("NewAB(%d) should fail", order)
 		}
@@ -463,16 +463,16 @@ func TestABOrderBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := trace.NewHistory(20)
-	var ctx []string
+	var ctx uint64
 	for _, r := range traces[0].Requests[1:] {
 		h.Push(r)
-		ctx = append(ctx, r.Move.String())
+		ctx = ab.push(ctx, r.Move)
 	}
 	cur := traces[0].Requests[len(traces[0].Requests)-1].Coord
 	for _, r := range ab.Predict(trace.Request{Coord: cur}, Candidates(b, cur, 1), h) {
 		mv, _ := trace.MoveBetween(cur, r.Coord)
-		if want := ab.chain.Prob(ctx, mv.String()); r.Score != want {
-			t.Errorf("order 15 scores %v at %v, chain says %v", r.Score, r.Coord, want)
+		if want := ab.prob(ctx, mv); r.Score != want {
+			t.Errorf("order 15 scores %v at %v, unmemoized %v", r.Score, r.Coord, want)
 		}
 	}
 }

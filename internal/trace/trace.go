@@ -48,7 +48,7 @@ var moveNames = map[Move]string{
 	ZoomOut: "out", ZoomInNW: "in-nw", ZoomInNE: "in-ne", ZoomInSW: "in-sw", ZoomInSE: "in-se",
 }
 
-// String returns the move's wire name (also the Markov chain symbol).
+// String returns the move's wire name.
 func (m Move) String() string {
 	if s, ok := moveNames[m]; ok {
 		return s
@@ -185,19 +185,6 @@ type Trace struct {
 	User     int       `json:"user"`
 	Task     int       `json:"task"`
 	Requests []Request `json:"requests"`
-}
-
-// Moves returns the move sequence of the trace (Algorithm 2's
-// GetMoveSequence), skipping the leading None.
-func (t *Trace) Moves() []string {
-	out := make([]string, 0, len(t.Requests))
-	for _, r := range t.Requests {
-		if r.Move == None {
-			continue
-		}
-		out = append(out, r.Move.String())
-	}
-	return out
 }
 
 // MoveCounts tallies pans, zoom-ins and zoom-outs, the quantities behind

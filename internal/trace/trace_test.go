@@ -92,18 +92,6 @@ func TestMoveBetweenRejectsJumps(t *testing.T) {
 	}
 }
 
-func TestTraceMovesSkipsNone(t *testing.T) {
-	tr := &Trace{Requests: []Request{
-		{Move: None},
-		{Move: ZoomInNW},
-		{Move: PanRight},
-	}}
-	got := tr.Moves()
-	if len(got) != 2 || got[0] != "in-nw" || got[1] != "right" {
-		t.Errorf("Moves = %v", got)
-	}
-}
-
 func TestMoveCounts(t *testing.T) {
 	tr := &Trace{Requests: []Request{
 		{Move: None}, {Move: ZoomInNW}, {Move: ZoomInSE},
