@@ -359,8 +359,9 @@ func cmdExplore(args []string) error {
 		if err != nil {
 			return err
 		}
+		// Apply maps a zoom-out of the root to the root itself.
 		next := trace.Apply(cur, mv)
-		if !ds.Pyramid.Contains(next) {
+		if next == cur || !ds.Pyramid.Contains(next) {
 			fmt.Printf("move %s would leave the dataset; skipping\n", mv)
 			continue
 		}

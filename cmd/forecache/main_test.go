@@ -65,6 +65,14 @@ func TestCmdExploreScript(t *testing.T) {
 	}
 }
 
+// A zoom-out of the root goes nowhere: explore skips it like a move off
+// the pyramid's edge and walks on.
+func TestCmdExploreSkipsZoomOutAtRoot(t *testing.T) {
+	if err := cmdExplore(tinyWorld("-moves", "out,in-nw")); err != nil {
+		t.Fatalf("explore: %v", err)
+	}
+}
+
 func TestCmdBenchListAndUnknown(t *testing.T) {
 	var list bytes.Buffer
 	if err := cmdBench(&list, []string{"-list"}); err != nil {
