@@ -39,9 +39,11 @@ func SingleEngineSetup(factory ModelFactory) EngineSetup {
 // RegistryEngineSetup builds an engine from registered recommender specs:
 // the per-fold model set comes from Registry.Build over the training
 // traces and the allocation policy from the registry's prior columns —
-// the same construction path the production facade uses, so experiments
-// measure exactly what deployments run. The optional hotspot spec gives
-// the eval path the 3-way table.
+// the same construction path the production facade uses. The phase
+// classifier is not: it trains on a seeded random 800 of the fold's
+// requests (sampleRequests), where Dataset.Train takes the first 800 in
+// trace order. The optional hotspot spec gives the eval path the 3-way
+// table.
 func (h *Harness) RegistryEngineSetup(specs []recommend.Spec) EngineSetup {
 	return func(f fold) ([]recommend.Model, core.AllocationPolicy, *phase.Classifier, error) {
 		reg, err := recommend.NewRegistry(specs...)
