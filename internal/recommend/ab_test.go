@@ -55,7 +55,7 @@ func mustAB(t testing.TB, order int, traces []*trace.Trace) *AB {
 
 const (
 	up, down, left, right = trace.PanUp, trace.PanDown, trace.PanLeft, trace.PanRight
-	out, nw, ne, sw, se   = trace.ZoomOut, trace.ZoomInNW, trace.ZoomInNE, trace.ZoomInSW, trace.ZoomInSE
+	zout, nw, ne, sw, se  = trace.ZoomOut, trace.ZoomInNW, trace.ZoomInNE, trace.ZoomInSW, trace.ZoomInSE
 )
 
 func TestABTrainedChainPrefersObservedTransition(t *testing.T) {
@@ -76,7 +76,7 @@ func TestABTrainedChainPrefersObservedTransition(t *testing.T) {
 // After three zoom-ins comes a zoom-in: the top of the nine moves when
 // the traces hold it twice as often as the zoom-out that ends them.
 func TestABThreeZoomInsThenZoomIn(t *testing.T) {
-	m := mustAB(t, 3, []*trace.Trace{moveTrace(nw, nw, nw, nw, nw, out), moveTrace(nw, nw, nw, nw, nw, out)})
+	m := mustAB(t, 3, []*trace.Trace{moveTrace(nw, nw, nw, nw, nw, zout), moveTrace(nw, nw, nw, nw, nw, zout)})
 	ctx := []trace.Move{nw, nw, nw}
 	for _, mv := range allMoves {
 		if mv != nw && probOf(m, ctx, mv) >= probOf(m, ctx, nw) {
@@ -88,10 +88,10 @@ func TestABThreeZoomInsThenZoomIn(t *testing.T) {
 func TestABProbabilitiesSumToOne(t *testing.T) {
 	m := mustAB(t, 2, randomMoveTraces(rand.New(rand.NewSource(3)), 20, 30, allMoves))
 	for _, ctx := range [][]trace.Move{
-		{up, down}, {out, out}, {nw, up}, // full
-		{up},            // shorter than order
-		{down, out, se}, // longer than order
-		{},              // empty
+		{up, down}, {zout, zout}, {nw, up}, // full
+		{up},             // shorter than order
+		{down, zout, se}, // longer than order
+		{},               // empty
 	} {
 		sum := 0.0
 		for _, mv := range allMoves {
@@ -125,7 +125,7 @@ func TestABContinuationCountEffect(t *testing.T) {
 		traces = append(traces, moveTrace(up, mv, nw))
 	}
 	for range 6 {
-		traces = append(traces, moveTrace(out, out, ne))
+		traces = append(traces, moveTrace(zout, zout, ne))
 	}
 	m := mustAB(t, 2, traces)
 	ctx := []trace.Move{sw, se} // fully unseen context
