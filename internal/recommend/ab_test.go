@@ -53,6 +53,16 @@ func mustAB(t testing.TB, order int, traces []*trace.Trace) *AB {
 	return m
 }
 
+func TestNewABRejectsBadOrder(t *testing.T) {
+	tr := []*trace.Trace{moveTrace(trace.ZoomInNW, trace.PanLeft)}
+	if _, err := NewAB(0, tr); err == nil {
+		t.Error("order 0 should fail")
+	}
+	if _, err := NewAB(-1, tr); err == nil {
+		t.Error("negative order should fail")
+	}
+}
+
 const (
 	up, down, left, right = trace.PanUp, trace.PanDown, trace.PanLeft, trace.PanRight
 	zout, nw, ne, sw, se  = trace.ZoomOut, trace.ZoomInNW, trace.ZoomInNE, trace.ZoomInSW, trace.ZoomInSE
