@@ -101,8 +101,10 @@
 //     so a slow connection's backlog loses shed fights it would have won
 //     on score alone. The Go client (client.Attach) keeps a bounded
 //     slot buffer of undecoded frames — newest supersedes; a request
-//     decodes and returns its slot's tile (TileInfo.Streamed) — and
-//     auto-reattaches after a drop, the server backfilling. Stream
+//     decodes and returns its slot's tile (TileInfo.Streamed) and only
+//     revalidates it: If-None-Match on the tile's ETag under the stream's
+//     X-Tile-Epoch, answered 304 with no body — and auto-reattaches
+//     after a drop, the server backfilling. Stream
 //     telemetry (open streams, pushed/backfilled/dropped frames, frame
 //     bytes, push-to-consume lead time, per-session drain rates) rides /stats
 //     and /metrics as forecache_push_* series. Push off is the pull

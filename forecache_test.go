@@ -484,15 +484,23 @@ func TestSessionCapIsExact(t *testing.T) {
 		}
 		return rec
 	}
+	// table reads /stats' server-wide session counts.
+	table := func() (live, evicted int) {
+		var st struct{ Sessions, Evicted int }
+		if err := json.Unmarshal(get("/stats").Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		return st.Sessions, st.Evicted
+	}
 	for _, id := range ids[:4] {
 		get("/tile?level=0&y=0&x=0&session=" + id)
 	}
-	if srv.Sessions() != 4 || srv.Evicted() != 0 {
-		t.Fatalf("four sessions under a cap of four: live %d, evicted %d", srv.Sessions(), srv.Evicted())
+	if live, evicted := table(); live != 4 || evicted != 0 {
+		t.Fatalf("four sessions under a cap of four: live %d, evicted %d", live, evicted)
 	}
 	get("/tile?level=0&y=0&x=0&session=" + ids[4])
-	if srv.Sessions() != 4 || srv.Evicted() != 1 {
-		t.Fatalf("a fifth session: live %d, evicted %d, want 4 and 1", srv.Sessions(), srv.Evicted())
+	if live, evicted := table(); live != 4 || evicted != 1 {
+		t.Fatalf("a fifth session: live %d, evicted %d, want 4 and 1", live, evicted)
 	}
 	for i, id := range ids {
 		var st struct {

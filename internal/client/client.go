@@ -16,7 +16,6 @@ import (
 	"sync"
 	"time"
 
-	"forecache/internal/push"
 	"forecache/internal/tile"
 )
 
@@ -40,7 +39,7 @@ type Client struct {
 	mu     sync.Mutex
 	binary bool // guarded by mu; see NegotiateBinary
 	stream *streamState
-	slots  map[tile.Coord]push.Frame
+	slots  map[tile.Coord]slot
 	order  []tile.Coord
 	pstats PushStats
 }
@@ -101,11 +100,13 @@ func (c *Client) Meta() (Meta, error) {
 // sitting in the slot buffer, the slot is consumed, its tile is decoded and
 // returned, and Streamed is set. The HTTP request is still issued, so the
 // server's view of the session's request history stays contiguous and each
-// prefetch outcome is judged exactly once, by the server; the response body
-// is then read to EOF undecoded, so the connection is reused. A slot whose tile
-// fails to decode is rejected, and the pulled body answers instead.
+// prefetch outcome is judged exactly once, by the server. It revalidates the
+// slot's tile (If-None-Match: its ETag under the delivering stream's
+// X-Tile-Epoch), and the server answers 304 Not Modified with no body; a 200
+// body is read to EOF undecoded, so the connection is reused. A slot whose
+// tile fails to decode is rejected, and the pulled body answers instead.
 func (c *Client) Tile(coord tile.Coord) (*tile.Tile, TileInfo, error) {
-	t := c.takeSlot(coord)
+	t, epoch := c.takeSlot(coord)
 	streamed := t != nil
 	u := c.base + "/tile?level=" + strconv.Itoa(coord.Level) + "&y=" + strconv.Itoa(coord.Y) + "&x=" + strconv.Itoa(coord.X)
 	if c.session != "" {
@@ -116,18 +117,25 @@ func (c *Client) Tile(coord tile.Coord) (*tile.Tile, TileInfo, error) {
 		return nil, TileInfo{}, err
 	}
 	c.negotiate(req)
+	revalidate := streamed && epoch != ""
+	if revalidate {
+		req.Header.Set("If-None-Match", `W/"`+epoch+"."+strconv.Itoa(coord.Level)+"."+strconv.Itoa(coord.Y)+"."+strconv.Itoa(coord.X)+`"`)
+	}
 	resp, err := c.http.Do(req)
 	if err != nil {
 		return nil, TileInfo{}, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	if resp.StatusCode != http.StatusOK && (!revalidate || resp.StatusCode != http.StatusNotModified) {
 		return nil, TileInfo{}, decodeError(resp)
 	}
 	if streamed {
-		// To EOF, so the transport reuses the connection; a body past
-		// decodeTileBody's bound is dropped with it.
+		// To EOF (a 304 has no body), so the transport reuses the
+		// connection; a body past decodeTileBody's bound is dropped with it.
 		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, tile.MaxInflated))
+		c.mu.Lock()
+		c.pstats.Consumed++
+		c.mu.Unlock()
 	} else if t, err = decodeTileBody(resp); err != nil {
 		return nil, TileInfo{}, err
 	}

@@ -27,10 +27,17 @@ type PushStats struct {
 	Backfills  int // frames the server flagged as reconnect backfill
 	Heartbeats int // idle keepalives received
 	Evicted    int // slots dropped because the buffer was full
-	Consumed   int // Tile() calls answered from the slot buffer
+	Consumed   int // Tile() calls that returned a slot's tile
 	Rejected   int // slots taken by Tile() whose tile failed to decode
 	Reattached int // successful redials after a dropped stream
 	Buffered   int // slots currently held
+}
+
+// slot is one buffered frame and the X-Tile-Epoch of the stream that
+// delivered it, which names its tile in the ETag Tile revalidates.
+type slot struct {
+	frame push.Frame
+	epoch string
 }
 
 // streamState is one Attach's lifetime: cancel tears the consumer down,
@@ -141,12 +148,13 @@ func (c *Client) consumeStream(ctx context.Context, st *streamState, resp *http.
 	defer close(st.done)
 	for {
 		r, decode := bufio.NewReader(resp.Body), streamDecoder(resp)
+		epoch := resp.Header.Get("X-Tile-Epoch")
 		for {
 			f, err := decode(r)
 			if err != nil {
 				break
 			}
-			c.storeFrame(f)
+			c.storeFrame(f, epoch)
 		}
 		resp.Body.Close()
 		// Redial until it sticks or the client detaches.
@@ -171,10 +179,11 @@ func (c *Client) consumeStream(ctx context.Context, st *streamState, resp *http.
 	}
 }
 
-// storeFrame files one received frame into the slot buffer. Newest wins:
-// a repeated coordinate supersedes the old slot in place (and refreshes
-// its eviction recency); at capacity the oldest slot is dropped.
-func (c *Client) storeFrame(f push.Frame) {
+// storeFrame files one received frame, delivered under epoch, into the
+// slot buffer. Newest wins: a repeated coordinate supersedes the old slot
+// in place (and refreshes its eviction recency); at capacity the oldest
+// slot is dropped.
+func (c *Client) storeFrame(f push.Frame, epoch string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if f.Type == push.FrameHeartbeat {
@@ -185,7 +194,7 @@ func (c *Client) storeFrame(f push.Frame) {
 		return
 	}
 	if c.slots == nil {
-		c.slots = make(map[tile.Coord]push.Frame)
+		c.slots = make(map[tile.Coord]slot)
 	}
 	if _, ok := c.slots[f.Coord]; ok {
 		c.dropOrderLocked(f.Coord)
@@ -195,7 +204,7 @@ func (c *Client) storeFrame(f push.Frame) {
 		delete(c.slots, oldest)
 		c.pstats.Evicted++
 	}
-	c.slots[f.Coord] = f
+	c.slots[f.Coord] = slot{frame: f, epoch: epoch}
 	c.order = append(c.order, f.Coord)
 	c.pstats.Frames++
 	if f.Backfill {
@@ -203,29 +212,29 @@ func (c *Client) storeFrame(f push.Frame) {
 	}
 }
 
-// takeSlot consumes the buffered slot for a coordinate, if any, and
-// returns its tile, decoded outside the lock; nil if there is no slot or
-// its tile fails to decode (counted as Rejected).
-func (c *Client) takeSlot(coord tile.Coord) *tile.Tile {
+// takeSlot removes the buffered slot for a coordinate, if any, and returns
+// its tile, decoded outside the lock, with the slot's epoch; a nil tile if
+// there is no slot or its tile fails to decode (counted as Rejected). Tile
+// counts Consumed once it returns the tile.
+func (c *Client) takeSlot(coord tile.Coord) (*tile.Tile, string) {
 	c.mu.Lock()
-	f, ok := c.slots[coord]
+	sl, ok := c.slots[coord]
 	if ok {
 		delete(c.slots, coord)
 		c.dropOrderLocked(coord)
 	}
 	c.mu.Unlock()
 	if !ok {
-		return nil
+		return nil, ""
 	}
-	t, err := f.DecodeTile()
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	t, err := sl.frame.DecodeTile()
 	if err != nil {
+		c.mu.Lock()
+		defer c.mu.Unlock()
 		c.pstats.Rejected++
-		return nil
+		return nil, ""
 	}
-	c.pstats.Consumed++
-	return t
+	return t, sl.epoch
 }
 
 func (c *Client) dropOrderLocked(coord tile.Coord) {

@@ -162,15 +162,15 @@ func testStreamedTile(t *testing.T, c *Client, c1 tile.Coord) {
 func TestClientSlotSupersedeAndCap(t *testing.T) {
 	c := New("http://unused", "s")
 	dup := tile.Coord{Level: 7, Y: 7, X: 7}
-	c.storeFrame(frameFor(dup, false))
+	c.storeFrame(frameFor(dup, false), "")
 	super := frameFor(dup, false)
 	super.Score = 9
-	c.storeFrame(super)
+	c.storeFrame(super, "")
 	if st := c.PushStats(); st.Frames != 2 || st.Buffered != 1 || st.Evicted != 0 {
 		t.Fatalf("supersede stats = %+v", st)
 	}
 	c.mu.Lock()
-	if got := c.slots[dup].Score; got != 9 {
+	if got := c.slots[dup].frame.Score; got != 9 {
 		c.mu.Unlock()
 		t.Fatalf("slot score = %v, newest frame must win", got)
 	}
@@ -179,14 +179,14 @@ func TestClientSlotSupersedeAndCap(t *testing.T) {
 	// Fill to capacity and one past it: the oldest slot (dup, stored
 	// first) is the one evicted.
 	for i := 0; len(c.slots) < DefaultSlotCap; i++ {
-		c.storeFrame(frameFor(tile.Coord{Level: 8, X: i}, false))
+		c.storeFrame(frameFor(tile.Coord{Level: 8, X: i}, false), "")
 	}
-	c.storeFrame(frameFor(tile.Coord{Level: 9}, false))
+	c.storeFrame(frameFor(tile.Coord{Level: 9}, false), "")
 	st := c.PushStats()
 	if st.Buffered != DefaultSlotCap || st.Evicted != 1 {
 		t.Fatalf("cap stats = %+v", st)
 	}
-	if c.takeSlot(dup) != nil {
+	if got, _ := c.takeSlot(dup); got != nil {
 		t.Fatal("oldest slot should have been evicted at capacity")
 	}
 }
@@ -277,7 +277,7 @@ func TestClientReconnectBackfill(t *testing.T) {
 		st := c.PushStats()
 		return st.Reattached >= 1 && st.Backfills == 1
 	})
-	if c.takeSlot(c1) == nil {
+	if got, _ := c.takeSlot(c1); got == nil {
 		t.Fatal("backfilled tile missing from slot buffer")
 	}
 }

@@ -47,6 +47,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", contentType)
+	// The client revalidates a pushed tile under this epoch (see tileTag).
+	w.Header().Set("X-Tile-Epoch", s.epoch)
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("X-Accel-Buffering", "no") // proxies must not buffer the stream
 	w.WriteHeader(http.StatusOK)

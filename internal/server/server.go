@@ -15,6 +15,8 @@ package server
 
 import (
 	"container/list"
+	"crypto/rand"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -23,6 +25,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -122,6 +125,9 @@ type Server struct {
 	mux     *http.ServeMux
 	now     func() time.Time // test hook
 	start   time.Time        // construction time, for /stats uptime
+	// epoch names this process's immutable tiles in every ETag and in
+	// /stream's X-Tile-Epoch: another process's tags never match.
+	epoch string
 
 	mu       sync.Mutex
 	sessions map[string]*session
@@ -138,12 +144,15 @@ type Server struct {
 
 // New builds a server for a pyramid-backed middleware.
 func New(meta Meta, factory EngineFactory, cfg Config) *Server {
+	var epoch [8]byte
+	_, _ = rand.Read(epoch[:]) // never fails since Go 1.24
 	s := &Server{
 		meta:     meta,
 		factory:  factory,
 		cfg:      cfg,
 		mux:      http.NewServeMux(),
 		now:      time.Now,
+		epoch:    hex.EncodeToString(epoch[:]),
 		sessions: make(map[string]*session),
 		recency:  list.New(),
 	}
@@ -389,9 +398,6 @@ func (s *Server) releaseSessions(evicted []*session) {
 // Sessions returns the number of live sessions.
 func (s *Server) Sessions() int { return s.gather(false).sessions }
 
-// Evicted returns how many sessions have been evicted (TTL or LRU cap).
-func (s *Server) Evicted() int { return s.gather(false).evicted }
-
 // Scheduler returns the attached shared prefetch pipeline (nil when the
 // deployment prefetches inline).
 func (s *Server) Scheduler() *prefetch.Scheduler { return s.cfg.Scheduler }
@@ -444,9 +450,42 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Phase", resp.Phase.String())
 	w.Header().Set("X-Latency-Ms",
 		strconv.FormatFloat(float64(resp.Latency)/float64(time.Millisecond), 'f', 3, 64))
+	tag := s.tileTag(c)
+	w.Header().Set("Etag", tag) // the canonical spelling, which Set need not rewrite
+	if s.cfg.Encoded != nil {
+		w.Header().Add("Vary", "Accept")
+		w.Header().Add("Vary", "Accept-Encoding")
+	}
 	endWrite := rt.StartSpan("write")
-	s.writeTile(w, r, c, resp.Tile)
+	if listsTag(r.Header.Get("If-None-Match"), tag) {
+		// The client holds this tile (pushed to it, or pulled earlier from
+		// this process): revalidate it, do not send it again.
+		w.WriteHeader(http.StatusNotModified)
+	} else {
+		s.writeTile(w, r, c, resp.Tile)
+	}
 	endWrite()
+}
+
+// tileTag is the weak ETag of c's tile: W/"<epoch>.<level>.<y>.<x>". It is
+// weak because it names the tile, not one of its encodings.
+func (s *Server) tileTag(c tile.Coord) string {
+	return `W/"` + s.epoch + "." + strconv.Itoa(c.Level) + "." + strconv.Itoa(c.Y) + "." + strconv.Itoa(c.X) + `"`
+}
+
+// listsTag reports whether an If-None-Match value lists tag, by weak
+// comparison (RFC 9110 §8.8.3.2). A malformed member or "*" lists nothing:
+// a tag names one tile the client holds, and a wildcard names none.
+func listsTag(ifNoneMatch, tag string) bool {
+	tag = strings.TrimPrefix(tag, "W/")
+	for ifNoneMatch != "" {
+		var member string
+		member, ifNoneMatch, _ = strings.Cut(ifNoneMatch, ",")
+		if strings.TrimPrefix(strings.TrimSpace(member), "W/") == tag {
+			return true
+		}
+	}
+	return false
 }
 
 // StatsResponse is the /stats payload: the session's cache counters (when

@@ -182,8 +182,8 @@ func TestSessionLRUCap(t *testing.T) {
 	if srv.Sessions() != 2 {
 		t.Errorf("sessions = %d, want 2 (LRU cap)", srv.Sessions())
 	}
-	if srv.Evicted() != 1 {
-		t.Errorf("evicted = %d, want 1", srv.Evicted())
+	if srv.gather(false).evicted != 1 {
+		t.Errorf("evicted = %d, want 1", srv.gather(false).evicted)
 	}
 	// "a" was evicted: only "b" and "c" survive. (If "a" returns, the
 	// server builds a fresh engine for it — history and cache start over.)
@@ -222,8 +222,8 @@ func TestSessionTTLEviction(t *testing.T) {
 	if srv.Sessions() != 1 {
 		t.Errorf("sessions = %d, want 1 (a and b expired)", srv.Sessions())
 	}
-	if srv.Evicted() != 2 {
-		t.Errorf("evicted = %d, want 2", srv.Evicted())
+	if srv.gather(false).evicted != 2 {
+		t.Errorf("evicted = %d, want 2", srv.gather(false).evicted)
 	}
 }
 
@@ -244,8 +244,8 @@ func TestTTLRefreshOnAccess(t *testing.T) {
 			t.Fatalf("move %d: %v", i, err)
 		}
 	}
-	if srv.Sessions() != 1 || srv.Evicted() != 0 {
-		t.Errorf("sessions = %d evicted = %d, want 1 and 0", srv.Sessions(), srv.Evicted())
+	if srv.Sessions() != 1 || srv.gather(false).evicted != 0 {
+		t.Errorf("sessions = %d evicted = %d, want 1 and 0", srv.Sessions(), srv.gather(false).evicted)
 	}
 }
 
@@ -338,9 +338,9 @@ func TestStatsAndResetDoNotCreateSessions(t *testing.T) {
 			t.Fatalf("reset of unknown session should be a 204 no-op: %v", err)
 		}
 	}
-	if srv.Sessions() != 1 || srv.Evicted() != 0 {
+	if srv.Sessions() != 1 || srv.gather(false).evicted != 0 {
 		t.Errorf("sessions = %d evicted = %d after probes, want 1 and 0",
-			srv.Sessions(), srv.Evicted())
+			srv.Sessions(), srv.gather(false).evicted)
 	}
 	// The analyst's session survived and still has its history.
 	if _, _, err := a.Tile(tile.Coord{}.Child(tile.NW)); err != nil {

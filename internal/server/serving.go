@@ -15,6 +15,8 @@ import (
 // (Config.Encoded) the handler additionally negotiates the wire format
 // from the request headers and answers with memoized bytes — the tile is
 // encoded at most once per (format, compression) for its cache lifetime.
+// A request whose If-None-Match names the tile's ETag gets 304 and no body
+// (handleTile), so a tile the client already holds is never written twice.
 
 // jsonBodyPool holds the buffers uncached JSON bodies are encoded into: a
 // body is dead once Write returns, so the next response reuses its bytes.
@@ -24,7 +26,7 @@ var jsonBodyPool = sync.Pool{New: func() any { return new([]byte) }}
 // cache that is the plain JSON body, encoded per request into a pooled
 // buffer; with it, the memoized body in the negotiated format, whose
 // plain-JSON rendering (no Accept header, no gzip) is byte-identical to
-// the uncached one.
+// the uncached one. handleTile sets the ETag and Vary headers.
 func (s *Server) writeTile(w http.ResponseWriter, r *http.Request, c tile.Coord, t *tile.Tile) {
 	h := w.Header()
 	format, gz := tile.FormatJSON, false
@@ -42,10 +44,9 @@ func (s *Server) writeTile(w http.ResponseWriter, r *http.Request, c tile.Coord,
 		}
 		gz = acceptsGzip(r.Header.Get("Accept-Encoding"))
 		payload, err = s.encodedBody(c, t, format, gz)
-		h.Add("Vary", "Accept")
-		h.Add("Vary", "Accept-Encoding")
 	}
 	if err != nil {
+		h.Del("Etag") // a failure validates nothing
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}

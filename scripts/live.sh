@@ -91,6 +91,19 @@ grep -q 'forecache_tile_encoded_cache_bytes' "$WORK/metrics-enc.out"
 grep -q 'forecache_tile_encode_duration_seconds_bucket' "$WORK/metrics-enc.out"
 grep -q 'forecache_tile_response_bytes_bucket' "$WORK/metrics-enc.out"
 "$BIN" scrape -url "http://localhost:18080/metrics"
+# A tile the client holds is revalidated, not re-sent: this server's
+# ETag for a coordinate answers 304 with an empty body in any session,
+# and a tag under another epoch answers 200.
+curl -sfD "$WORK/etag-headers.out" -o /dev/null \
+  "http://localhost:18080/tile?level=0&y=0&x=0&session=etag-a"
+ETAG=$(grep -i '^etag:' "$WORK/etag-headers.out" | cut -d' ' -f2- | tr -d '\r')
+echo "tile ETag: $ETAG"
+test -n "$ETAG"
+test "$(curl -s -o "$WORK/etag-body.out" -w '%{http_code}' -H "If-None-Match: $ETAG" \
+  "http://localhost:18080/tile?level=0&y=0&x=0&session=etag-b")" = 304
+test ! -s "$WORK/etag-body.out"
+test "$(curl -s -o /dev/null -w '%{http_code}' -H 'If-None-Match: W/"0.0.0.0"' \
+  "http://localhost:18080/tile?level=0&y=0&x=0&session=etag-c")" = 200
 # Every served /tile trace attributes its encode + header + body write.
 curl -sf "http://localhost:18080/debug/traces?n=5" > "$WORK/traces.out"
 grep -q '"traces"' "$WORK/traces.out"
