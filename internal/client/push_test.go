@@ -1,11 +1,9 @@
 package client
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -39,13 +37,7 @@ func pushServerTyped(t *testing.T, contentType string, stream func(n int, w http
 	t.Helper()
 	var conns atomic.Int64
 	mux := http.NewServeMux()
-	mux.HandleFunc("/tile", func(w http.ResponseWriter, r *http.Request) {
-		lvl, _ := strconv.Atoi(r.URL.Query().Get("level"))
-		y, _ := strconv.Atoi(r.URL.Query().Get("y"))
-		x, _ := strconv.Atoi(r.URL.Query().Get("x"))
-		w.Header().Set("X-Cache", "HIT")
-		_ = json.NewEncoder(w).Encode(tile.Tile{Coord: tile.Coord{Level: lvl, Y: y, X: x}, Size: 1})
-	})
+	mux.HandleFunc("/tile", pulledTile)
 	mux.HandleFunc("/stream", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", contentType)
 		w.WriteHeader(http.StatusOK)

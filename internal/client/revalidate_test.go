@@ -53,16 +53,21 @@ func epochServer(t *testing.T, epochs []string, frames func(n int) []push.Frame,
 	return ts, dialled
 }
 
-// pulledTile answers /tile with a JSON tile for the queried coordinate,
-// which differs from pushedTile's, so a test can tell which one Tile
-// returned.
-func pulledTile(w http.ResponseWriter, r *http.Request) {
+// queryCoord is the coordinate a /tile request names.
+func queryCoord(r *http.Request) tile.Coord {
 	q := r.URL.Query()
 	lvl, _ := strconv.Atoi(q.Get("level"))
 	y, _ := strconv.Atoi(q.Get("y"))
 	x, _ := strconv.Atoi(q.Get("x"))
+	return tile.Coord{Level: lvl, Y: y, X: x}
+}
+
+// pulledTile answers /tile with a JSON tile for the queried coordinate,
+// which differs from pushedTile's, so a test can tell which one Tile
+// returned.
+func pulledTile(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Cache", "HIT")
-	_ = json.NewEncoder(w).Encode(tile.Tile{Coord: tile.Coord{Level: lvl, Y: y, X: x}, Size: 1})
+	_ = json.NewEncoder(w).Encode(tile.Tile{Coord: queryCoord(r), Size: 1})
 }
 
 // tagFor is the ETag the middleware gives c's tile under epoch.
@@ -157,11 +162,7 @@ func TestClientSlotKeepsItsEpoch(t *testing.T) {
 		}
 		return []push.Frame{frameFor(fresh, true)}
 	}, func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		lvl, _ := strconv.Atoi(q.Get("level"))
-		y, _ := strconv.Atoi(q.Get("y"))
-		x, _ := strconv.Atoi(q.Get("x"))
-		c := tile.Coord{Level: lvl, Y: y, X: x}
+		c := queryCoord(r)
 		mu.Lock()
 		sent[c] = r.Header.Get("If-None-Match")
 		mu.Unlock()
