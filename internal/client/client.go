@@ -97,16 +97,18 @@ func (c *Client) Meta() (Meta, error) {
 
 // Tile requests one tile; the returned info reports whether the middleware
 // had it prefetched. When a push stream is attached and the coordinate is
-// sitting in the slot buffer, the slot is consumed, its tile is decoded and
-// returned, and Streamed is set. The HTTP request is still issued, so the
-// server's view of the session's request history stays contiguous and each
-// prefetch outcome is judged exactly once, by the server. It revalidates the
-// slot's tile (If-None-Match: its ETag under the delivering stream's
-// X-Tile-Epoch), and the server answers 304 Not Modified with no body; a 200
-// body is read to EOF undecoded, so the connection is reused. A slot whose
-// tile fails to decode is rejected, and the pulled body answers instead.
+// sitting in the slot buffer, the request revalidates the slot's tile
+// (If-None-Match: its ETag under the delivering stream's X-Tile-Epoch). The
+// request is still issued so the server's view of the session's history
+// stays contiguous and each prefetch outcome is judged once, by the server.
+// A 304 Not Modified, or a 200 without an ETag (a server that ignores the
+// tag; its body is drained undecoded), consumes the slot: its tile is
+// returned with Streamed set. A 200 with an ETag means the tag is stale (the
+// server restarted, and may serve another world), so its body answers. A
+// failed request keeps the slot; a slot whose tile fails to decode is
+// rejected, and the pulled body answers.
 func (c *Client) Tile(coord tile.Coord) (*tile.Tile, TileInfo, error) {
-	t, epoch := c.takeSlot(coord)
+	t, epoch := c.slotTile(coord)
 	streamed := t != nil
 	u := c.base + "/tile?level=" + strconv.Itoa(coord.Level) + "&y=" + strconv.Itoa(coord.Y) + "&x=" + strconv.Itoa(coord.X)
 	if c.session != "" {
@@ -130,12 +132,19 @@ func (c *Client) Tile(coord tile.Coord) (*tile.Tile, TileInfo, error) {
 		return nil, TileInfo{}, decodeError(resp)
 	}
 	if streamed {
+		// A tagged 200 to a revalidation: the slot's tag is stale.
+		streamed = !revalidate || resp.StatusCode == http.StatusNotModified || resp.Header.Get("ETag") == ""
+		c.mu.Lock()
+		c.dropSlotLocked(coord)
+		if streamed {
+			c.pstats.Consumed++
+		}
+		c.mu.Unlock()
+	}
+	if streamed {
 		// To EOF (a 304 has no body), so the transport reuses the
 		// connection; a body past decodeTileBody's bound is dropped with it.
 		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, tile.MaxInflated))
-		c.mu.Lock()
-		c.pstats.Consumed++
-		c.mu.Unlock()
 	} else if t, err = decodeTileBody(resp); err != nil {
 		return nil, TileInfo{}, err
 	}

@@ -197,7 +197,7 @@ func (c *Client) storeFrame(f push.Frame, epoch string) {
 		c.slots = make(map[tile.Coord]slot)
 	}
 	if _, ok := c.slots[f.Coord]; ok {
-		c.dropOrderLocked(f.Coord)
+		c.dropSlotLocked(f.Coord)
 	} else if len(c.slots) >= DefaultSlotCap {
 		oldest := c.order[0]
 		c.order = c.order[1:]
@@ -212,17 +212,14 @@ func (c *Client) storeFrame(f push.Frame, epoch string) {
 	}
 }
 
-// takeSlot removes the buffered slot for a coordinate, if any, and returns
-// its tile, decoded outside the lock, with the slot's epoch; a nil tile if
-// there is no slot or its tile fails to decode (counted as Rejected). Tile
-// counts Consumed once it returns the tile.
-func (c *Client) takeSlot(coord tile.Coord) (*tile.Tile, string) {
+// slotTile returns the tile of the buffered slot for a coordinate, decoded
+// outside the lock, with the slot's epoch; a nil tile if there is no slot
+// or its tile fails to decode (the slot is then dropped and counted
+// Rejected). The slot stays buffered: Tile drops it once the server has
+// answered, and counts Consumed if it returns the slot's tile.
+func (c *Client) slotTile(coord tile.Coord) (*tile.Tile, string) {
 	c.mu.Lock()
 	sl, ok := c.slots[coord]
-	if ok {
-		delete(c.slots, coord)
-		c.dropOrderLocked(coord)
-	}
 	c.mu.Unlock()
 	if !ok {
 		return nil, ""
@@ -232,12 +229,15 @@ func (c *Client) takeSlot(coord tile.Coord) (*tile.Tile, string) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		c.pstats.Rejected++
+		c.dropSlotLocked(coord)
 		return nil, ""
 	}
 	return t, sl.epoch
 }
 
-func (c *Client) dropOrderLocked(coord tile.Coord) {
+// dropSlotLocked removes the buffered slot for a coordinate, if any.
+func (c *Client) dropSlotLocked(coord tile.Coord) {
+	delete(c.slots, coord)
 	for i, o := range c.order {
 		if o == coord {
 			c.order = append(c.order[:i], c.order[i+1:]...)

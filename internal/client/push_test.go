@@ -178,7 +178,7 @@ func TestClientSlotSupersedeAndCap(t *testing.T) {
 	if st.Buffered != DefaultSlotCap || st.Evicted != 1 {
 		t.Fatalf("cap stats = %+v", st)
 	}
-	if got, _ := c.takeSlot(dup); got != nil {
+	if got, _ := c.slotTile(dup); got != nil {
 		t.Fatal("oldest slot should have been evicted at capacity")
 	}
 }
@@ -269,7 +269,7 @@ func TestClientReconnectBackfill(t *testing.T) {
 		st := c.PushStats()
 		return st.Reattached >= 1 && st.Backfills == 1
 	})
-	if got, _ := c.takeSlot(c1); got == nil {
+	if got, _ := c.slotTile(c1); got == nil {
 		t.Fatal("backfilled tile missing from slot buffer")
 	}
 }

@@ -150,8 +150,9 @@ func TestClientRevalidationIgnored(t *testing.T) {
 
 // TestClientSlotKeepsItsEpoch: a slot delivered before the stream dropped
 // keeps the epoch of the stream that delivered it. After a reattach to a
-// server with another epoch, it sends its own tag and gets 200; a slot the
-// new stream delivered sends the new tag and gets 304.
+// server with another epoch, it sends its own tag and gets a 200 tagged
+// under the new epoch, whose body Tile returns; a slot the new stream
+// delivered sends the new tag and gets 304.
 func TestClientSlotKeepsItsEpoch(t *testing.T) {
 	old, fresh := tile.Coord{Level: 1, X: 1}, tile.Coord{Level: 1, Y: 1}
 	var mu sync.Mutex
@@ -166,6 +167,7 @@ func TestClientSlotKeepsItsEpoch(t *testing.T) {
 		mu.Lock()
 		sent[c] = r.Header.Get("If-None-Match")
 		mu.Unlock()
+		w.Header().Set("ETag", tagFor("after", c))
 		if r.Header.Get("If-None-Match") == tagFor("after", c) {
 			w.Header().Set("X-Cache", "HIT")
 			w.WriteHeader(http.StatusNotModified)
@@ -182,28 +184,34 @@ func TestClientSlotKeepsItsEpoch(t *testing.T) {
 		st := c.PushStats()
 		return st.Reattached >= 1 && st.Frames == 2
 	})
-	for _, coord := range []tile.Coord{old, fresh} {
-		got, info, err := c.Tile(coord)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !info.Streamed || !reflect.DeepEqual(got, pushedTile(coord)) {
-			t.Fatalf("Tile(%v) = %+v, %+v; want the pushed tile, streamed", coord, got, info)
-		}
+	got, info, err := c.Tile(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Streamed || got.Coord != old || len(got.Attrs) != 0 {
+		t.Fatalf("Tile(%v) = %+v, %+v; want the pulled tile, not streamed", old, got, info)
+	}
+	got, info, err = c.Tile(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.Streamed || !reflect.DeepEqual(got, pushedTile(fresh)) {
+		t.Fatalf("Tile(%v) = %+v, %+v; want the pushed tile, streamed", fresh, got, info)
 	}
 	mu.Lock()
 	defer mu.Unlock()
 	if sent[old] != tagFor("before", old) || sent[fresh] != tagFor("after", fresh) {
 		t.Fatalf("If-None-Match sent: %v; want the old slot under \"before\", the new under \"after\"", sent)
 	}
-	if st := c.PushStats(); st.Consumed != 2 {
-		t.Fatalf("Consumed = %d, want 2", st.Consumed)
+	if st := c.PushStats(); st.Consumed != 1 || st.Buffered != 0 {
+		t.Fatalf("stats = %+v, want one consumed and none buffered", st)
 	}
 }
 
 // TestClientCountsConsumedOnReturn: a slot is counted Consumed only when
 // Tile returns its tile. A pull the server answers 500 — or a 304 to a pull
-// that named no tag — fails, and consumes nothing.
+// that named no tag — fails, consumes nothing and keeps the slot; a retry
+// of the tagged pull answered 304 then returns the pushed tile.
 func TestClientCountsConsumedOnReturn(t *testing.T) {
 	held := tile.Coord{Level: 1, X: 1}
 	for _, tc := range []struct {
@@ -215,10 +223,15 @@ func TestClientCountsConsumedOnReturn(t *testing.T) {
 		{"304 unasked", "", http.StatusNotModified},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			var pulls atomic.Int64
 			ts, _ := epochServer(t, []string{tc.epoch}, func(int) []push.Frame {
 				return []push.Frame{frameFor(held, false)}
 			}, func(w http.ResponseWriter, r *http.Request) {
-				w.WriteHeader(tc.status)
+				if pulls.Add(1) == 1 {
+					w.WriteHeader(tc.status)
+					return
+				}
+				w.WriteHeader(http.StatusNotModified)
 			})
 			c := New(ts.URL, "s")
 			if err := c.Attach(); err != nil {
@@ -229,8 +242,21 @@ func TestClientCountsConsumedOnReturn(t *testing.T) {
 			if _, _, err := c.Tile(held); err == nil {
 				t.Fatalf("a %d answer should fail Tile", tc.status)
 			}
-			if st := c.PushStats(); st.Consumed != 0 || st.Buffered != 0 {
-				t.Fatalf("stats = %+v, want nothing consumed", st)
+			if st := c.PushStats(); st.Consumed != 0 || st.Buffered != 1 {
+				t.Fatalf("stats = %+v, want nothing consumed and the slot kept", st)
+			}
+			if tc.epoch == "" {
+				return // an untagged retry would be answered 304 unasked again
+			}
+			got, info, err := c.Tile(held)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !info.Streamed || !reflect.DeepEqual(got, pushedTile(held)) {
+				t.Fatalf("retry: Tile = %+v, %+v; want the pushed tile, streamed", got, info)
+			}
+			if st := c.PushStats(); st.Consumed != 1 || st.Buffered != 0 {
+				t.Fatalf("retry: stats = %+v, want one consumed and none buffered", st)
 			}
 		})
 	}
