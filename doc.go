@@ -68,14 +68,15 @@
 //     pinned by history. With three registered models the learned split
 //     is genuinely 3-way (the learned shares appear under /stats and as
 //     forecache_allocation_share{phase,model} gauges). NewServer wires
-//     one scheduler
-//     (plus an optional cross-session tile pool and bounded session table)
-//     across every session and trains the phase classifier and Markov
-//     chain exactly once, sharing the trained artifacts with every
-//     session engine; NewMiddleware keeps the paper's synchronous mode so
-//     the experiments stay deterministic. MetricsEndpoint exposes the
-//     whole loop — queue/shed/coalesce counters, global and per-session
-//     backpressure, aggregate cache hit rates, the learned curve — as
+//     one scheduler (plus an optional cross-session tile pool and bounded
+//     session table) across every session and trains the phase classifier
+//     and Markov chain exactly once, sharing the trained artifacts with
+//     every session engine. Every engine prefetches through one path, a
+//     Submitter delivering into its cache; NewMiddleware's is the inline
+//     one (the paper's think-time model), so the experiments stay
+//     deterministic. MetricsEndpoint exposes the whole loop —
+//     queue/shed/coalesce counters, global and per-session backpressure,
+//     aggregate cache hit rates, the learned curve — as
 //     dependency-free Prometheus text under GET /metrics. The server
 //     keeps one session table behind one lock; MiddlewareConfig.Shards
 //     (serve -shards) splits only the scheduler, into N queue-and-worker

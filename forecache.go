@@ -160,10 +160,10 @@ type MiddlewareConfig struct {
 
 	// AsyncPrefetch routes every server session's prefetching through one
 	// shared asynchronous scheduler (submit-and-return with cross-session
-	// coalescing) instead of fetching inline on the response path. Only
-	// NewServer honors this; engines built by NewMiddleware stay
-	// synchronous so the eval harness and paper experiments remain
-	// deterministic.
+	// coalescing) instead of each engine's inline submitter, which fetches
+	// the batch before the response returns; both deliver into the cache
+	// alike. Only NewServer honors this: NewMiddleware's engines stay
+	// inline so the eval harness and paper experiments stay deterministic.
 	AsyncPrefetch bool
 	// Push enables continuous push delivery (Khameleon-style): the server
 	// mounts GET /stream — one long-lived response per session — and
@@ -433,8 +433,8 @@ func (d *Dataset) artifacts(train []*trace.Trace, cfg MiddlewareConfig) (*Artifa
 // (or reused from cfg.Artifacts, in which case no training happens),
 // SIFT-based SB model over the dataset's signatures, the registry's
 // allocation table, cache manager and DBMS adapter. The engine prefetches
-// synchronously (the deterministic mode the eval harness replays); the
-// asynchronous shared pipeline is a NewServer concern.
+// through its inline submitter (the deterministic mode the eval harness
+// replays); the asynchronous shared pipeline is a NewServer concern.
 func (d *Dataset) NewMiddleware(train []*trace.Trace, cfg MiddlewareConfig) (*core.Engine, error) {
 	cfg = cfg.withDefaults()
 	db := backend.NewDBMS(d.Pyramid, cfg.Latency, cfg.Clock)

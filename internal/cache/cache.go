@@ -128,6 +128,8 @@ type Manager struct {
 	recentCap int
 	recent    *list.List // of *tile.Tile, front = most recent
 
+	gen uint64 // see Generation
+
 	// prefetch-outcome attribution, drained by TakeOutcomes.
 	trackOutcomes bool
 	outcomes      []Outcome
@@ -299,8 +301,8 @@ func (m *Manager) Allocations() map[string]int {
 	return out
 }
 
-// FillPredictions replaces a model's region with its newest ranked
-// predictions, trimmed to the model's allotment; a tile's slice index is its
+// FillPredictions replaces a model's region with a whole ranked batch at
+// once, trimmed to the model's allotment; a tile's slice index is its
 // batch position and ph is the analysis phase the allocation was made under
 // (both recorded as the attribution of the entry's eventual outcome). Tiles
 // beyond the allotment count as evictions. Unknown models get allotment 0.
@@ -342,47 +344,46 @@ func (m *Manager) FillPredictions(model string, tiles []*tile.Tile, ph trace.Pha
 	m.stats.Prefetched += len(region)
 }
 
-// InsertPrediction adds one asynchronously prefetched tile to a model's
-// region, newest first, trimmed to the model's current allotment. pos is
-// the batch position the prefetcher ranked the tile at (0 = front-runner)
-// and ph the analysis phase predicted when the batch was submitted — the
-// attribution its eventual hit/miss outcome is recorded under. Unlike
-// FillPredictions (the synchronous path, which replaces a region with a
-// whole ranked batch), tiles delivered by the prefetch scheduler arrive one
-// at a time and possibly out of order; the region behaves as a small
-// ring: a duplicate coordinate is refreshed in place (the old instance goes
-// unjudged), and tiles beyond the allotment fall off the old end as
-// evictions. A model with no allotment drops the tile.
-func (m *Manager) InsertPrediction(model string, t *tile.Tile, pos int, ph trace.Phase) {
+// InsertPrediction adds one prefetched tile to a model's region, newest
+// first, trimmed to the model's current allotment: the one way a prefetch
+// delivery enters the cache. gen is the Generation the tile was requested
+// under; a delivery from an older generation is dropped. pos is the batch
+// position the prefetcher ranked the tile at (0 = front-runner) and ph the
+// analysis phase predicted when the batch was submitted — the attribution
+// its eventual hit/miss outcome is recorded under. Tiles arrive one at a
+// time and, from a scheduler, possibly out of order; the region behaves as
+// a small ring: a duplicate coordinate is refreshed in place (the old
+// instance goes unjudged), and tiles beyond the allotment fall off the old
+// end as evictions. A model with no allotment drops the tile.
+func (m *Manager) InsertPrediction(model string, gen uint64, t *tile.Tile, pos int, ph trace.Phase) {
 	if t == nil {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	k := m.allocs[model]
-	if k <= 0 {
+	if k <= 0 || gen != m.gen {
 		return
 	}
-	region := m.regions[model]
 	fresh := &predTile{t: t, pos: pos, ph: ph}
 	if m.obs != nil {
 		fresh.born = m.now()
 	}
-	out := make([]*predTile, 0, len(region)+1)
-	out = append(out, fresh)
-	for _, old := range region {
-		if old.t.Coord == t.Coord {
-			continue // refresh: judged afresh at the new position
-		}
-		out = append(out, old)
-	}
-	if len(out) > k {
-		for _, evicted := range out[k:] {
+	// Shift the newer entries down over slot i: the refreshed duplicate
+	// (judged afresh at the new position), else the old end.
+	region := m.regions[model]
+	i := slices.IndexFunc(region, func(pt *predTile) bool { return pt.t.Coord == t.Coord })
+	if i < 0 && len(region) < k {
+		region, i = append(slices.Grow(region, k-len(region)), nil), len(region)
+	} else if i < 0 {
+		for _, evicted := range region[k-1:] {
 			m.evictRegionLocked(model, evicted)
 		}
-		out = out[:k]
+		region, i = region[:k], k-1
 	}
-	m.regions[model] = out
+	copy(region[1:i+1], region[:i])
+	region[0] = fresh
+	m.regions[model] = region
 	m.indexAddLocked(model, fresh)
 	m.stats.Prefetched++
 }
@@ -529,8 +530,9 @@ func (m *Manager) ResetStats() {
 }
 
 // Clear empties every region and the LRU (a new session), keeping the
-// allocation strategy. Cleared prediction entries are not judged: a session
-// reset says nothing about whether the predictions were good.
+// allocation strategy, and moves to a new Generation. Cleared prediction
+// entries are not judged: a session reset says nothing about whether the
+// predictions were good.
 func (m *Manager) Clear() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -538,6 +540,23 @@ func (m *Manager) Clear() {
 	m.byCoord = make(map[tile.Coord]*coordEntry)
 	m.recent.Init()
 	m.outcomes = nil
+	m.gen++
+}
+
+// Generation names the cache's current contents; pass it to
+// InsertPrediction with each tile requested now.
+func (m *Manager) Generation() uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.gen
+}
+
+// Invalidate moves to a new Generation without clearing anything: every
+// delivery still outstanding is dropped when it arrives.
+func (m *Manager) Invalidate() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.gen++
 }
 
 // MemBytes estimates the cache's current tile memory footprint.

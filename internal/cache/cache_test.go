@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -202,6 +203,47 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
+// TestConcurrentDeliveriesAcrossGenerations: deliveries racing lookups and
+// generation changes (run with -race, at several CPU counts) land only
+// under the generation they were requested in.
+func TestConcurrentDeliveriesAcrossGenerations(t *testing.T) {
+	m := NewManager(4)
+	m.SetAllocations(map[string]int{"ab": 4, "old": 4})
+	stale := m.Generation()
+	m.Invalidate()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				tl := mkTile(3, g, i%8)
+				switch i % 4 {
+				case 0:
+					m.InsertPrediction("ab", m.Generation(), tl, i%4, trace.Foraging)
+				case 1:
+					m.InsertPrediction("old", stale, tl, 0, trace.Foraging)
+				case 2:
+					m.Lookup(tl.Coord)
+				default:
+					m.Invalidate()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, p := range m.Predictions() {
+		if p.Model == "old" {
+			t.Fatalf("a delivery from generation %d landed: %+v", stale, p)
+		}
+	}
+	fresh := mkTile(5, 0, 0)
+	m.InsertPrediction("ab", m.Generation(), fresh, 0, trace.Foraging)
+	if !m.Peek(fresh.Coord) {
+		t.Error("a delivery from the current generation must land")
+	}
+}
+
 func BenchmarkLookup(b *testing.B) {
 	m := NewManager(8)
 	m.SetAllocations(map[string]int{"ab": 4})
@@ -237,13 +279,13 @@ func TestInsertPredictionRingBehavior(t *testing.T) {
 	m := NewManager(2)
 	m.SetAllocations(map[string]int{"ab": 2})
 	a, b, c := mkTile(2, 0, 0), mkTile(2, 0, 1), mkTile(2, 1, 0)
-	m.InsertPrediction("ab", a, 0, trace.Foraging)
-	m.InsertPrediction("ab", b, 1, trace.Foraging)
+	m.InsertPrediction("ab", 0, a, 0, trace.Foraging)
+	m.InsertPrediction("ab", 0, b, 1, trace.Foraging)
 	if !m.Peek(a.Coord) || !m.Peek(b.Coord) {
 		t.Fatal("both inserted predictions should be cached")
 	}
 	// A third insert evicts the oldest (a).
-	m.InsertPrediction("ab", c, 2, trace.Foraging)
+	m.InsertPrediction("ab", 0, c, 2, trace.Foraging)
 	if m.Peek(a.Coord) {
 		t.Error("oldest prediction should have been evicted")
 	}
@@ -251,7 +293,7 @@ func TestInsertPredictionRingBehavior(t *testing.T) {
 		t.Error("newest two predictions should remain")
 	}
 	// Re-inserting an existing coordinate refreshes, not duplicates.
-	m.InsertPrediction("ab", b, 1, trace.Foraging)
+	m.InsertPrediction("ab", 0, b, 1, trace.Foraging)
 	st := m.Stats()
 	if st.Prefetched != 4 {
 		t.Errorf("Prefetched = %d, want 4", st.Prefetched)
@@ -259,12 +301,38 @@ func TestInsertPredictionRingBehavior(t *testing.T) {
 	if st.Evicted != 1 {
 		t.Errorf("Evicted = %d, want 1", st.Evicted)
 	}
+	var order []tile.Coord
+	for _, p := range m.Predictions() {
+		order = append(order, p.Tile.Coord)
+	}
+	if want := []tile.Coord{b.Coord, c.Coord}; !slices.Equal(order, want) {
+		t.Errorf("region = %v, want the refreshed entry first %v", order, want)
+	}
+}
+
+// TestInsertPredictionDropsOlderGeneration: a delivery requested before a
+// Clear or an Invalidate never lands; one requested after does.
+func TestInsertPredictionDropsOlderGeneration(t *testing.T) {
+	m := NewManager(2)
+	m.SetAllocations(map[string]int{"ab": 2})
+	for _, bump := range []func(){m.Clear, m.Invalidate} {
+		stale := m.Generation()
+		bump()
+		m.InsertPrediction("ab", stale, mkTile(2, 0, 0), 0, trace.Foraging)
+		if m.Len() != 0 {
+			t.Fatal("a delivery from an older generation must be dropped")
+		}
+	}
+	m.InsertPrediction("ab", m.Generation(), mkTile(2, 0, 0), 0, trace.Foraging)
+	if m.Len() != 1 {
+		t.Error("a delivery from the current generation must land")
+	}
 }
 
 func TestInsertPredictionNoAllotment(t *testing.T) {
 	m := NewManager(2)
 	m.SetAllocations(map[string]int{"ab": 1})
-	m.InsertPrediction("unknown", mkTile(1, 0, 0), 0, trace.Foraging)
+	m.InsertPrediction("unknown", 0, mkTile(1, 0, 0), 0, trace.Foraging)
 	if m.Len() != 0 {
 		t.Error("prediction for an unallocated model must be dropped")
 	}

@@ -20,7 +20,7 @@ func TestLeadTimeObserved(t *testing.T) {
 
 	m.SetAllocations(map[string]int{"ab": 2})
 	tl := mkTile(1, 0, 0)
-	m.InsertPrediction("ab", tl, 0, trace.Foraging)
+	m.InsertPrediction("ab", 0, tl, 0, trace.Foraging)
 
 	now = now.Add(750 * time.Millisecond)
 	if _, ok := m.Lookup(tl.Coord); !ok {
@@ -51,9 +51,9 @@ func TestLeadTimeMultiModelUsesOldestInsert(t *testing.T) {
 
 	m.SetAllocations(map[string]int{"ab": 2, "sb": 2})
 	tl := mkTile(1, 0, 0)
-	m.InsertPrediction("ab", tl, 0, trace.Foraging)
+	m.InsertPrediction("ab", 0, tl, 0, trace.Foraging)
 	now = now.Add(400 * time.Millisecond)
-	m.InsertPrediction("sb", tl, 0, trace.Foraging)
+	m.InsertPrediction("sb", 0, tl, 0, trace.Foraging)
 	now = now.Add(100 * time.Millisecond)
 
 	if _, ok := m.Lookup(tl.Coord); !ok {
@@ -74,7 +74,7 @@ func TestLeadTimeUntrackedWithoutObs(t *testing.T) {
 	m := NewManager(4)
 	m.SetAllocations(map[string]int{"ab": 2})
 	tl := mkTile(1, 0, 0)
-	m.InsertPrediction("ab", tl, 0, trace.Foraging)
+	m.InsertPrediction("ab", 0, tl, 0, trace.Foraging)
 
 	p := obs.NewPipeline(obs.Config{})
 	m.SetObs(p) // attached after the insert: entry has no born stamp

@@ -119,9 +119,9 @@ func TestOutcomeAsyncRingEviction(t *testing.T) {
 	m.TrackOutcomes(true)
 	m.SetAllocations(map[string]int{"ab": 2})
 	a, b, c := mkTile(2, 0, 0), mkTile(2, 0, 1), mkTile(2, 1, 0)
-	m.InsertPrediction("ab", a, 0, trace.Foraging)
-	m.InsertPrediction("ab", b, 1, trace.Foraging)
-	m.InsertPrediction("ab", c, 2, trace.Foraging) // rings a out, unconsumed: miss at pos 0
+	m.InsertPrediction("ab", 0, a, 0, trace.Foraging)
+	m.InsertPrediction("ab", 0, b, 1, trace.Foraging)
+	m.InsertPrediction("ab", 0, c, 2, trace.Foraging) // rings a out, unconsumed: miss at pos 0
 	drain(t, m, []Outcome{{Model: "ab", Position: 0, Phase: trace.Foraging, Coord: a.Coord, Hit: false}})
 	if _, ok := m.Lookup(c.Coord); !ok {
 		t.Fatal("newest prediction should hit")
@@ -182,8 +182,8 @@ func TestOutcomePhaseAttribution(t *testing.T) {
 	// b refreshed under Navigation, then rung out by later inserts:
 	// the miss is attributed to the refreshing batch's phase.
 	m.FillPredictions("ab", []*tile.Tile{b}, trace.Navigation)
-	m.InsertPrediction("ab", mkTile(2, 1, 0), 0, trace.Foraging)
-	m.InsertPrediction("ab", mkTile(2, 1, 1), 1, trace.Foraging)
+	m.InsertPrediction("ab", 0, mkTile(2, 1, 0), 0, trace.Foraging)
+	m.InsertPrediction("ab", 0, mkTile(2, 1, 1), 1, trace.Foraging)
 	drain(t, m, []Outcome{
 		{Model: "ab", Position: 0, Phase: trace.Sensemaking, Coord: a.Coord, Hit: true},
 		{Model: "ab", Position: 0, Phase: trace.Navigation, Coord: b.Coord, Hit: false},
@@ -206,7 +206,7 @@ func TestOutcomeBufferBounded(t *testing.T) {
 	m.TrackOutcomes(true)
 	m.SetAllocations(map[string]int{"ab": 1})
 	for i := 0; i < outcomeBufferCap+100; i++ {
-		m.InsertPrediction("ab", mkTile(8, i/512, i%512), 0, trace.Foraging)
+		m.InsertPrediction("ab", 0, mkTile(8, i/512, i%512), 0, trace.Foraging)
 	}
 	if got := len(m.TakeOutcomes()); got > outcomeBufferCap {
 		t.Fatalf("outcome buffer grew to %d, cap is %d", got, outcomeBufferCap)
@@ -223,7 +223,7 @@ func TestIndexConsistentAfterChurn(t *testing.T) {
 		case 0:
 			m.FillPredictions("ab", []*tile.Tile{mkTile(3, i%8, 0), mkTile(3, i%8, 1)}, trace.Foraging)
 		case 1:
-			m.InsertPrediction("sb", mkTile(3, i%8, 2), i%3, trace.Foraging)
+			m.InsertPrediction("sb", 0, mkTile(3, i%8, 2), i%3, trace.Foraging)
 		case 2:
 			m.Lookup(tile.Coord{Level: 3, Y: i % 8, X: 1})
 		case 3:

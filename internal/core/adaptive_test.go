@@ -166,7 +166,7 @@ func TestAdaptiveKKeepsCacheRegionsFull(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.deliver(m.Name(), eng.epoch, 0, trace.PhaseUnknown, tl)
+		eng.cache.InsertPrediction(m.Name(), eng.cache.Generation(), tl, 0, trace.PhaseUnknown)
 	}
 	// A request under full pressure shrinks its submit batch to 1...
 	fake.setPressure(1)

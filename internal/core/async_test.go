@@ -31,9 +31,6 @@ func newAsyncEngine(t *testing.T, store backend.Store, sched Submitter, session 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !eng.Async() {
-		t.Fatal("engine should report async mode")
-	}
 	return eng
 }
 
@@ -152,8 +149,8 @@ func TestAsyncSupersedingBatches(t *testing.T) {
 	}
 }
 
-// TestSyncModeUnchanged: without a scheduler the engine still prefetches
-// inline — the eval harness's deterministic path.
+// TestSyncModeUnchanged: without a scheduler the engine prefetches through
+// its inline submitter — the eval harness's deterministic path.
 func TestSyncModeUnchanged(t *testing.T) {
 	db := testDBMS(t)
 	m := recommend.NewMomentum()
@@ -161,9 +158,6 @@ func TestSyncModeUnchanged(t *testing.T) {
 		[]recommend.Model{m}, Config{K: 4})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if eng.Async() {
-		t.Fatal("engine without scheduler must be synchronous")
 	}
 	resp, err := eng.Request(tile.Coord{})
 	if err != nil {
@@ -245,18 +239,26 @@ func TestResetDropsStaleDeliveries(t *testing.T) {
 	}
 }
 
-// TestDetachSchedulerFallsBackToInline: a detached engine keeps serving,
+// TestDetachSchedulerFallsBackToInline: the scheduler's deliveries still in
+// flight at the detach are dropped, and the detached engine keeps serving,
 // prefetching inline.
 func TestDetachSchedulerFallsBackToInline(t *testing.T) {
 	db := testDBMS(t)
-	sched := prefetch.NewScheduler(db, prefetch.Config{Workers: 2})
+	store := &gatedStore{DBMS: db, gate: make(chan struct{})}
+	sched := prefetch.NewScheduler(store, prefetch.Config{Workers: 2})
 	defer sched.Close()
 
-	eng := newAsyncEngine(t, db, sched, "s1")
-	eng.DetachScheduler()
-	if eng.Async() {
-		t.Fatal("engine should be synchronous after detach")
+	eng := newAsyncEngine(t, store, sched, "s1")
+	if _, err := eng.Request(tile.Coord{}); err != nil {
+		t.Fatal(err)
 	}
+	eng.DetachScheduler()
+	close(store.gate)
+	sched.Drain()
+	if st := eng.CacheStats(); st.Prefetched != 0 {
+		t.Errorf("Prefetched = %d after detach, want 0 (the scheduler's deliveries dropped)", st.Prefetched)
+	}
+	eng.Reset()
 	if _, err := eng.Request(tile.Coord{}); err != nil {
 		t.Fatal(err)
 	}

@@ -26,8 +26,8 @@ import (
 )
 
 // Config sizes and wires one prediction engine / session. The zero value of
-// every field below RecentTiles means "off": a synchronous, uninstrumented
-// engine that reports its cache outcomes to nobody.
+// every field below RecentTiles means "off": an engine that prefetches
+// inline, is uninstrumented and reports its cache outcomes to nobody.
 type Config struct {
 	// K is the prefetch budget in tiles (the paper sweeps k = 1..8).
 	K int
@@ -38,19 +38,19 @@ type Config struct {
 	// RecentTiles is the LRU region capacity for the last requested tiles.
 	RecentTiles int
 
-	// Scheduler switches the engine from inline (synchronous) prefetching to
-	// submit-and-return: after each request the ranked candidates are handed
-	// to the shared scheduler under the Session id, and the DBMS fetches
-	// happen off the response path, delivered into this engine's cache as
-	// they complete. The synchronous default is kept for the eval harness so
-	// paper experiments stay deterministic.
+	// Scheduler is the Submitter each request's ranked batch is handed to,
+	// under the Session id; its deliveries land in this engine's cache as
+	// they complete. Nil means the inline submitter: the paper's think-time
+	// model, which fetches and delivers the whole batch before Request
+	// returns (what the eval harness replays, deterministically). A shared
+	// *prefetch.Scheduler instead fetches off the response path.
 	Scheduler Submitter
 	Session   string
 	// AdaptiveK makes the engine respond to scheduler backpressure: each
 	// request reads the scheduler's Pressure signal and shrinks the prefetch
 	// budget from K down toward 1 as the shared queue saturates, restoring it
-	// as the queue drains. Only meaningful with a Scheduler; a synchronous
-	// engine always prefetches with the full K.
+	// as the queue drains. Only meaningful with a Scheduler; the inline
+	// submitter reads no pressure, so its engine prefetches with the full K.
 	AdaptiveK bool
 	// FairShare switches an adaptive engine from the global Pressure signal
 	// to the scheduler's per-session one: the budget shrinks only to the
@@ -73,11 +73,11 @@ type Config struct {
 	// turns per-session cache outcomes into the population-level hotspot
 	// signal. Independent of Feedback; either alone enables outcome tracking.
 	Consumption ConsumptionObserver
-	// Obs is the deployment's observability pipeline: synchronous backend
-	// fetches report their wall time, and the engine's cache reports each
-	// prefetched tile's lead time (insert to first consumption). The
-	// request-path span breakdown additionally requires the caller to pass a
-	// trace to RequestTraced.
+	// Obs is the deployment's observability pipeline: the engine's own
+	// DBMS fetches (misses, inline prefetches) report their wall time, and
+	// the engine's cache reports each prefetched tile's lead time (insert to
+	// first consumption). The request-path span breakdown additionally
+	// requires the caller to pass a trace to RequestTraced.
 	Obs *obs.Pipeline
 }
 
@@ -113,9 +113,8 @@ type Response struct {
 	// Phase is the classifier's prediction for the user's current phase
 	// (PhaseUnknown when the engine runs without a classifier).
 	Phase trace.Phase
-	// Prefetched lists the distinct tiles prefetched for the next request,
-	// in coordinate order: the ones loaded inline, or the ones submitted to
-	// the scheduler.
+	// Prefetched lists the distinct tiles submitted for the next request,
+	// in coordinate order.
 	Prefetched []tile.Coord
 	// PrefetchBudget is the effective K this request prefetched with: the
 	// configured K, shrunk by scheduler backpressure when the engine runs
@@ -123,9 +122,10 @@ type Response struct {
 	PrefetchBudget int
 }
 
-// Submitter is the asynchronous prefetch pipeline engines hand ranked
-// candidate batches to (implemented by *prefetch.Scheduler). Submit
-// enqueues a batch and returns immediately; CancelSession drops a
+// Submitter is the prefetch pipeline engines hand ranked candidate batches
+// to: *prefetch.Scheduler, or the engine's inline submitter. Submit (called
+// under the engine's lock) takes a batch and calls each entry's Deliver
+// once its tile is fetched, now or later; CancelSession drops a
 // session's still-queued entries; Pressure reports the pipeline's global
 // queue saturation in [0, 1] — the backpressure signal AdaptiveK
 // engines use to shrink their prefetch budget under load. SessionPressure
@@ -191,16 +191,13 @@ type Engine struct {
 	names      []string // models' keys in sorted order: the ranking order
 
 	mu sync.Mutex
-	// sched starts as cfg.Scheduler and is the one wired value that changes:
-	// DetachScheduler clears it. nil => inline synchronous prefetch.
+	// sched starts as cfg.Scheduler (inline when nil) and is the one wired
+	// value that changes: DetachScheduler swaps in the inline submitter.
 	sched   Submitter
 	cache   *cache.Manager
 	history *trace.History
 	last    trace.Request
 	started bool
-	// epoch increments on Reset so asynchronous deliveries submitted
-	// before a Reset cannot repopulate the freshly cleared cache.
-	epoch uint64
 }
 
 // NewEngine assembles an engine. classifier may be nil (single-model
@@ -235,16 +232,12 @@ func NewEngine(db backend.Store, classifier *phase.Classifier, policy Allocation
 		cache:      cache.NewManager(cfg.RecentTiles),
 		history:    trace.NewHistory(cfg.HistoryLen),
 	}
+	if e.sched == nil {
+		e.sched = inline{e}
+	}
 	e.cache.TrackOutcomes(cfg.Feedback != nil || cfg.Consumption != nil)
 	e.cache.SetObs(cfg.Obs)
 	return e, nil
-}
-
-// Async reports whether prefetching is routed through a shared scheduler.
-func (e *Engine) Async() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.sched != nil
 }
 
 // CachedPredictions snapshots the live prediction entries in this
@@ -266,23 +259,8 @@ func (e *Engine) CachedPredictions() []cache.Prediction {
 func (e *Engine) DetachScheduler() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.sched = nil
-	e.epoch++
-}
-
-// deliver installs an asynchronously fetched tile into the model's cache
-// region at the batch position it was ranked at and the phase predicted
-// when the batch was submitted — unless the engine was reset or detached
-// after the tile was requested, in which case the stale delivery is
-// dropped. Runs on a scheduler worker; it holds the engine lock so it
-// serializes with Reset.
-func (e *Engine) deliver(model string, epoch uint64, pos int, ph trace.Phase, t *tile.Tile) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.epoch != epoch || e.sched == nil {
-		return
-	}
-	e.cache.InsertPrediction(model, t, pos, ph)
+	e.sched = inline{e}
+	e.cache.Invalidate()
 }
 
 // CacheStats snapshots the cache counters (hit rate = prediction accuracy,
@@ -310,10 +288,7 @@ func (e *Engine) Reset() {
 	}
 	e.last = trace.Request{Move: trace.None}
 	e.started = false
-	e.epoch++
-	if e.sched != nil {
-		e.sched.CancelSession(e.cfg.Session)
-	}
+	e.sched.CancelSession(e.cfg.Session)
 }
 
 // Request serves a tile request addressed by coordinate, inferring the
@@ -326,8 +301,8 @@ func (e *Engine) Request(c tile.Coord) (*Response, error) {
 
 // RequestTraced is Request with a span breakdown: the caller's trace (nil
 // is fine — every span call is a no-op then) gets cache_lookup,
-// backend_fetch (sync misses only; async fetches report to the histograms
-// from the scheduler instead) and prefetch spans, plus the hit/miss
+// backend_fetch (demand misses only; prefetch fetches report to the
+// histograms instead) and prefetch spans, plus the hit/miss
 // outcome. The server's /tile handler owns the trace; the engine only
 // annotates it.
 func (e *Engine) RequestTraced(c tile.Coord, rt *obs.ReqTrace) (*Response, error) {
@@ -391,15 +366,14 @@ func (e *Engine) RequestTraced(c tile.Coord, rt *obs.ReqTrace) (*Response, error
 
 	endPrefetch := rt.StartSpan("prefetch")
 	// Bottom level: re-evaluate allocations, rank one batch across the
-	// models, and prefetch it for the next request — inline by default, or
-	// submitted to the shared scheduler in async mode. Under
+	// models, and submit it for the next request. Under
 	// backpressure an adaptive engine spends a smaller budget: queueing the
 	// full K onto a saturated scheduler only creates entries that decay or
 	// get shed before their fetch is issued. Only the submitted batch
 	// shrinks — the cache regions stay sized for the configured K, so
 	// pressure never evicts tiles the scheduler already delivered.
 	k := e.cfg.K
-	if e.cfg.AdaptiveK && e.sched != nil {
+	if e.cfg.AdaptiveK {
 		p := e.sched.Pressure()
 		if e.cfg.FairShare {
 			p = e.sched.SessionPressure(e.cfg.Session)
@@ -414,12 +388,8 @@ func (e *Engine) RequestTraced(c tile.Coord, rt *obs.ReqTrace) (*Response, error
 		fetchAllocs = e.policy.Allocations(resp.Phase, k)
 	}
 	batch, coords := e.rank(req, fetchAllocs)
-	if e.sched != nil {
-		e.submitPrefetch(batch, resp.Phase)
-		resp.Prefetched = coords
-	} else {
-		resp.Prefetched = e.prefetch(batch, coords, fetchAllocs, resp.Phase)
-	}
+	e.submit(batch, resp.Phase)
+	resp.Prefetched = coords
 	endPrefetch()
 
 	// Close the loop: report this request's prefetch outcomes (hits at
@@ -468,9 +438,10 @@ type prediction struct {
 }
 
 // rank is the bottom level: each model with a positive allotment, in name
-// order, ranks the candidates around req and keeps its top slots. It
-// returns the batch, one entry per (model, position), and the batch's
-// distinct coordinates in coordinate order.
+// order, ranks the candidates around req and keeps its top slots, less any
+// coordinate the pyramid does not contain. It returns the batch, one entry
+// per (model, position), and the batch's distinct coordinates in
+// coordinate order.
 func (e *Engine) rank(req trace.Request, allocs map[string]int) ([]prediction, []tile.Coord) {
 	cands := recommend.Candidates(e.db.Pyramid(), req.Coord, e.cfg.D)
 	batch := make([]prediction, 0, e.cfg.K) // allocations sum to at most K
@@ -480,6 +451,9 @@ func (e *Engine) rank(req trace.Request, allocs map[string]int) ([]prediction, [
 			continue
 		}
 		for pos, r := range recommend.TopK(e.models[name].Predict(req, cands, e.history), allocs[name]) {
+			if !e.db.Pyramid().Contains(r.Coord) {
+				continue
+			}
 			batch = append(batch, prediction{model: name, pos: pos, Ranked: r})
 			coords = append(coords, r.Coord)
 		}
@@ -490,55 +464,50 @@ func (e *Engine) rank(req trace.Request, allocs map[string]int) ([]prediction, [
 	return batch, slices.Compact(coords)
 }
 
-// prefetch is the synchronous path: it loads each distinct predicted tile
-// with one quiet DBMS fetch (prefetching happens while the user analyzes
-// the current view, off the response path), then fills every allotted
-// model's region with its predictions that loaded. It returns the
-// coordinates loaded. The eval harness uses this mode so the paper's
-// experiments stay deterministic.
-func (e *Engine) prefetch(batch []prediction, coords []tile.Coord, allocs map[string]int, ph trace.Phase) []tile.Coord {
-	fetched := coords[:0]
-	loaded := make([]*tile.Tile, 0, len(coords)) // loaded[i] is fetched[i]'s tile
-	for _, c := range coords {
-		if t, err := e.timedFetch(e.db.FetchQuiet, c); err == nil {
-			fetched = append(fetched, c)
-			loaded = append(loaded, t)
-		}
-	}
-	tiles := make([]*tile.Tile, 0, len(batch))
-	i := 0
-	for _, name := range e.names {
-		if allocs[name] <= 0 {
-			continue
-		}
-		// A model that ranked nothing still refills: its old region goes.
-		tiles = tiles[:0]
-		for ; i < len(batch) && batch[i].model == name; i++ {
-			if j := slices.Index(fetched, batch[i].Coord); j >= 0 {
-				tiles = append(tiles, loaded[j])
-			}
-		}
-		e.cache.FillPredictions(name, tiles, ph)
-	}
-	return fetched
-}
-
-// submitPrefetch is the asynchronous path: the batch goes to the shared
-// scheduler as it is, which fetches it off the response path (coalescing
-// duplicates across sessions) and delivers each tile into this engine's
-// cache as it completes.
-func (e *Engine) submitPrefetch(batch []prediction, ph trace.Phase) {
-	epoch := e.epoch // caller holds e.mu
+// submit hands the batch to the engine's submitter. Each entry's delivery
+// lands in its model's cache region at the batch position it was ranked at
+// and the phase predicted now, unless the cache has moved to a new
+// generation since (a Reset or a detach), in which case it is dropped. The
+// caller holds e.mu.
+func (e *Engine) submit(batch []prediction, ph trace.Phase) {
+	gen := e.cache.Generation()
 	reqs := make([]prefetch.Request, len(batch))
-	for i, p := range batch {
+	for i := range batch {
+		p := &batch[i] // captured by pointer: a smaller closure per entry
 		reqs[i] = prefetch.Request{
 			Coord: p.Coord,
 			Score: p.Score,
 			Model: p.model,
 			Deliver: func(t *tile.Tile) {
-				e.deliver(p.model, epoch, p.pos, ph, t)
+				e.cache.InsertPrediction(p.model, gen, t, p.pos, ph)
 			},
 		}
 	}
 	e.sched.Submit(e.cfg.Session, reqs)
 }
+
+// inline is the Submitter of an engine built without a scheduler: the
+// paper's think-time model, in which the whole batch is fetched and
+// delivered before the user's next request. Each distinct coordinate costs
+// one quiet DBMS fetch (prefetching happens while the user analyzes the
+// current view, off the response path); a failed fetch delivers nothing.
+type inline struct{ e *Engine }
+
+func (s inline) Submit(_ string, reqs []prefetch.Request) int {
+	tiles := make([]*tile.Tile, len(reqs)) // tiles[i] is reqs[i]'s tile
+	for i, r := range reqs {
+		if j := slices.IndexFunc(reqs[:i], func(q prefetch.Request) bool { return q.Coord == r.Coord }); j >= 0 {
+			tiles[i] = tiles[j]
+		} else if t, err := s.e.timedFetch(s.e.db.FetchQuiet, r.Coord); err == nil {
+			tiles[i] = t
+		}
+		if tiles[i] != nil {
+			r.Deliver(tiles[i])
+		}
+	}
+	return len(reqs)
+}
+
+func (inline) CancelSession(string)           {}
+func (inline) Pressure() float64              { return 0 }
+func (inline) SessionPressure(string) float64 { return 0 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
+	"forecache/internal/prefetch"
 	"forecache/internal/recommend"
 	"forecache/internal/tile"
 	"forecache/internal/trace"
@@ -28,25 +30,56 @@ func (flakyModel) Predict(req trace.Request, cands []recommend.Candidate, h *tra
 	return out
 }
 
+// recordingSubmitter records every coordinate submitted and fetches
+// nothing.
+type recordingSubmitter struct {
+	nopSubmitter
+	submitted []tile.Coord
+}
+
+func (r *recordingSubmitter) Submit(_ string, reqs []prefetch.Request) int {
+	for _, q := range reqs {
+		r.submitted = append(r.submitted, q.Coord)
+	}
+	return len(reqs)
+}
+
+// TestEngineSurvivesBogusPredictions: a ranked coordinate outside the
+// pyramid is never submitted — neither fetched by the inline submitter nor
+// handed to a scheduler — and never listed in Prefetched, while the valid
+// predictions behind it still are.
 func TestEngineSurvivesBogusPredictions(t *testing.T) {
-	db := testDBMS(t)
-	eng, err := NewEngine(db, nil, SinglePolicy{Model: "flaky"},
-		[]recommend.Model{flakyModel{}}, Config{K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := eng.Request(tile.Coord{})
-	if err != nil {
-		t.Fatalf("request with flaky model: %v", err)
-	}
-	for _, c := range resp.Prefetched {
-		if c.Level == 99 {
-			t.Error("bogus coordinate should not be prefetched")
+	bogus := tile.Coord{Level: 99}
+	for _, sched := range []*recordingSubmitter{nil, {}} {
+		name := "inline"
+		cfg := Config{K: 3}
+		if sched != nil {
+			name, cfg.Scheduler, cfg.Session = "scheduler", sched, "s"
 		}
-	}
-	// Real candidates from the model's tail must still be fetched.
-	if len(resp.Prefetched) == 0 {
-		t.Error("valid predictions should survive the bogus one")
+		t.Run(name, func(t *testing.T) {
+			store := &countingStore{DBMS: testDBMS(t), quiet: map[tile.Coord]int{}}
+			eng, err := NewEngine(store, nil, SinglePolicy{Model: "flaky"}, []recommend.Model{flakyModel{}}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := eng.Request(tile.Coord{})
+			if err != nil {
+				t.Fatalf("request with flaky model: %v", err)
+			}
+			if slices.Contains(resp.Prefetched, bogus) {
+				t.Errorf("Prefetched = %v lists the bogus coordinate", resp.Prefetched)
+			}
+			if store.quiet[bogus] != 0 {
+				t.Error("the bogus coordinate was fetched")
+			}
+			if sched != nil && slices.Contains(sched.submitted, bogus) {
+				t.Errorf("submitted %v, which lists the bogus coordinate", sched.submitted)
+			}
+			// Real candidates from the model's tail must still be submitted.
+			if len(resp.Prefetched) == 0 {
+				t.Error("valid predictions should survive the bogus one")
+			}
+		})
 	}
 }
 
