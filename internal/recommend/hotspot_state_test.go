@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"hash/fnv"
+	"os"
 	"strings"
 	"testing"
 
@@ -51,9 +52,11 @@ func TestHotspotStateRoundTripBytes(t *testing.T) {
 // empty table and for a fixed consumption sequence over levels 0-5, and
 // that they survive an import -> export round trip. Half of each level's
 // traffic goes to two tiles and the rest is spread thin, so some entries
-// decay below the 1e-3 noise floor and must be left out. The digest was
-// recorded before the counter table changed shape; a snapshot written by
-// an older binary has to keep restoring.
+// decay below the 1e-3 noise floor and must be left out. The digests were
+// recorded before the code they guard changed shape; a snapshot written by
+// an older binary has to keep restoring. testdata/hotspot_snapshot_hl16.json
+// holds the bytes of the first pin (3,000 observations at a 16-observation
+// half-life); its digest is that pin's constant.
 func TestHotspotSnapshotPin(t *testing.T) {
 	empty, err := NewHotspot(HotspotConfig{}).ExportState()
 	if err != nil {
@@ -62,11 +65,44 @@ func TestHotspotSnapshotPin(t *testing.T) {
 	if want := `{"level_n":[0` + strings.Repeat(",0", hotspotMaxLevels-1) + `],"entries":null}`; string(empty) != want {
 		t.Errorf("empty table exports %s, want %s", empty, want)
 	}
-	const want = uint64(0x9eb3ebe8ac42dbcf)
-	h := NewHotspot(HotspotConfig{HalfLife: 16})
+	old, err := os.ReadFile("testdata/hotspot_snapshot_hl16.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := digest(old), uint64(0x9eb3ebe8ac42dbcf); got != want {
+		t.Errorf("fixture digest = %#x, want %#x", got, want)
+	}
+	h16 := NewHotspot(HotspotConfig{HalfLife: 16})
+	consumePinSequence(t, h16, 3000)
+	raw16, err := h16.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw16, old) {
+		t.Error("the 16-observation half-life export differs from the fixture")
+	}
+	assertRestoresExactly(t, old)
+
+	const want = uint64(0x9b33deca1e026736)
+	h := NewHotspot(HotspotConfig{})
+	consumePinSequence(t, h, 30000)
+	raw, err := h.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := digest(raw); got != want {
+		t.Errorf("snapshot digest = %#x, want %#x (%d bytes)", got, want, len(raw))
+	}
+	assertRestoresExactly(t, raw)
+}
+
+// consumePinSequence feeds h n pseudo-random consumptions over levels 0-5
+// and checks that the export drops some, but not all, of the tiles seen.
+func consumePinSequence(t *testing.T, h *Hotspot, n int) {
+	t.Helper()
 	seen := make(map[tile.Coord]bool)
 	x := uint32(1)
-	for i := 0; i < 3000; i++ {
+	for i := 0; i < n; i++ {
 		x = x*1664525 + 1013904223 // LCG: deterministic on every platform
 		l := i % 6
 		side := uint32(1) << l
@@ -91,12 +127,13 @@ func TestHotspotSnapshotPin(t *testing.T) {
 	if len(st.Entries) == 0 || len(st.Entries) >= len(seen) {
 		t.Fatalf("exported %d of %d observed tiles, want some but not all below the floor", len(st.Entries), len(seen))
 	}
-	sum := fnv.New64a()
-	sum.Write(raw)
-	if got := sum.Sum64(); got != want {
-		t.Errorf("snapshot digest = %#x, want %#x (%d bytes, %d entries)", got, want, len(raw), len(st.Entries))
-	}
-	g := NewHotspot(HotspotConfig{HalfLife: 16})
+}
+
+// assertRestoresExactly imports raw into a fresh table and checks that the
+// table exports the same bytes.
+func assertRestoresExactly(t *testing.T, raw []byte) {
+	t.Helper()
+	g := NewHotspot(HotspotConfig{})
 	if err := g.ImportState(raw); err != nil {
 		t.Fatal(err)
 	}
@@ -107,6 +144,12 @@ func TestHotspotSnapshotPin(t *testing.T) {
 	if !bytes.Equal(raw, again) {
 		t.Error("import -> export changed the snapshot bytes")
 	}
+}
+
+func digest(b []byte) uint64 {
+	sum := fnv.New64a()
+	sum.Write(b)
+	return sum.Sum64()
 }
 
 // TestHotspotExportDropsNoise: an entry whose decayed weight is below the
