@@ -11,8 +11,9 @@ import (
 	"testing"
 )
 
-// allocFloor / allocPrior mirror core.AdaptiveConfig's defaults (Floor 0.1)
-// and the §5.4.3 hybrid prior at K=5 the replay asserts divergence from.
+// allocFloor / allocPrior mirror the adaptive policy's exploration floor
+// (core's allocFloor, 0.1) and the §5.4.3 hybrid prior at K=5 the replay
+// asserts divergence from.
 const allocFloor = 0.1
 
 func hybridPriorShare(phase, model string) float64 {
@@ -44,7 +45,7 @@ func TestAdaptiveAllocationReplay(t *testing.T) {
 	ds, traces := testWorld(t)
 	const nTraces = 12
 	run := func(adaptive, hotspot bool) (hitRate float64, alloc map[string]map[string]float64, metricsBody string) {
-		srv, err := ds.NewServer(traces, MiddlewareConfig{
+		srv, sched, err := ds.newServer(traces, MiddlewareConfig{
 			AsyncPrefetch: true, PrefetchWorkers: 4,
 			UtilityLearning: true, AdaptiveAllocation: adaptive,
 			Hotspot:         hotspot,
@@ -56,7 +57,7 @@ func TestAdaptiveAllocationReplay(t *testing.T) {
 		defer srv.Close()
 		ts := httptest.NewServer(srv)
 		defer ts.Close()
-		hits, total := replayStudy(t, srv, ts, traces, nTraces)
+		hits, total := replayStudy(t, sched, ts, traces, nTraces)
 
 		resp, err := ts.Client().Get(ts.URL + "/stats")
 		if err != nil {

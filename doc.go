@@ -61,11 +61,11 @@
 //     model whose prefetches actually get consumed — the registry's
 //     prior table (the paper's §5.4.3, extended with a hotspot column
 //     when the hotspot model is registered) is the prior until a phase
-//     warms up, every model keeps a floor share for exploration
-//     (core.AdaptiveConfig's defaults for floor, warmup and step
-//     bound), hysteresis bounds how fast shares move, and stale evidence decays with a
-//     half-life so a dataset shift re-learns the split instead of being
-//     pinned by history. With three registered models the learned split
+//     warms up, every model keeps a floor share for exploration (the
+//     constants allocFloor, allocWarmup and allocMaxStep in internal/core
+//     fix floor, warmup and step bound), hysteresis bounds how fast shares
+//     move, and stale evidence decays with a half-life so a dataset shift
+//     re-learns the split instead of being pinned by history. With three registered models the learned split
 //     is genuinely 3-way (the learned shares appear under /stats and as
 //     forecache_allocation_share{phase,model} gauges). NewServer wires
 //     one scheduler (plus an optional cross-session tile pool and bounded

@@ -464,6 +464,13 @@ func (d *Dataset) NewMiddleware(train []*trace.Trace, cfg MiddlewareConfig) (*co
 // failed training pass. The feedback loops, push, the encoded cache,
 // /metrics and tracing are each described on their MiddlewareConfig field.
 func (d *Dataset) NewServer(train []*trace.Trace, cfg MiddlewareConfig) (*server.Server, error) {
+	srv, _, err := d.newServer(train, cfg)
+	return srv, err
+}
+
+// newServer is NewServer that also returns the deployment's shared
+// scheduler (nil without AsyncPrefetch), which tests drain.
+func (d *Dataset) newServer(train []*trace.Trace, cfg MiddlewareConfig) (*server.Server, *prefetch.Scheduler, error) {
 	cfg = cfg.withDefaults()
 	meta := server.Meta{
 		Levels:   d.Pyramid.NumLevels(),
@@ -477,7 +484,7 @@ func (d *Dataset) NewServer(train []*trace.Trace, cfg MiddlewareConfig) (*server
 	}
 	arts, err := d.artifacts(train, cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// The feedback collector exists whenever some loop consumes outcomes:
 	// UtilityLearning prices scheduler admission with it (async only),
@@ -498,7 +505,7 @@ func (d *Dataset) NewServer(train []*trace.Trace, cfg MiddlewareConfig) (*server
 	if cfg.AdaptiveAllocation {
 		adaptive, err = core.NewAdaptivePolicy(arts.prior, arts.set.Names(), fc, core.AdaptiveConfig{})
 		if err != nil {
-			return nil, fmt.Errorf("forecache: adaptive allocation: %w", err)
+			return nil, nil, fmt.Errorf("forecache: adaptive allocation: %w", err)
 		}
 		policy = adaptive
 	}
@@ -519,7 +526,7 @@ func (d *Dataset) NewServer(train []*trace.Trace, cfg MiddlewareConfig) (*server
 		encCache = tile.NewEncodedCache(cfg.EncodedCacheBudget, pipe.ObserveTileEncode)
 	}
 	if cfg.Push && !cfg.AsyncPrefetch {
-		return nil, fmt.Errorf("forecache: Push requires AsyncPrefetch (push frames are produced by the shared scheduler)")
+		return nil, nil, fmt.Errorf("forecache: Push requires AsyncPrefetch (push frames are produced by the shared scheduler)")
 	}
 	var sched *prefetch.Scheduler
 	var streams *push.Registry
@@ -579,7 +586,7 @@ func (d *Dataset) NewServer(train []*trace.Trace, cfg MiddlewareConfig) (*server
 				if sched != nil {
 					sched.Close() // don't leak the worker pool on a construction error
 				}
-				return nil, fmt.Errorf("forecache: %w", err)
+				return nil, nil, fmt.Errorf("forecache: %w", err)
 			}
 			snapshots.Restore()
 			snapshots.Start()
@@ -616,5 +623,5 @@ func (d *Dataset) NewServer(train []*trace.Trace, cfg MiddlewareConfig) (*server
 		Obs:         pipe,
 		Persist:     snapshots,
 		Metrics:     cfg.MetricsEndpoint,
-	}), nil
+	}), sched, nil
 }

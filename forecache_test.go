@@ -364,7 +364,7 @@ func TestABOrderPin(t *testing.T) {
 
 func TestAsyncServerFacade(t *testing.T) {
 	ds, traces := testWorld(t)
-	srv, err := ds.NewServer(traces, MiddlewareConfig{
+	srv, sched, err := ds.newServer(traces, MiddlewareConfig{
 		AsyncPrefetch: true, PrefetchWorkers: 4,
 		SharedTiles: 64, MaxSessions: 8, SessionTTL: time.Hour,
 	})
@@ -385,9 +385,8 @@ func TestAsyncServerFacade(t *testing.T) {
 			}
 		}
 	}
-	sched := srv.Scheduler()
 	if sched == nil {
-		t.Fatal("async server should expose its scheduler")
+		t.Fatal("async server should build a scheduler")
 	}
 	sched.Drain()
 	st := sched.Stats()
@@ -408,7 +407,7 @@ func TestAsyncServerFacade(t *testing.T) {
 // deployment-wide.
 func TestShardedServerFacade(t *testing.T) {
 	ds, traces := testWorld(t)
-	srv, err := ds.NewServer(traces, MiddlewareConfig{
+	srv, sched, err := ds.newServer(traces, MiddlewareConfig{
 		AsyncPrefetch: true, Shards: 4, PrefetchWorkers: 4,
 		UtilityLearning: true, AdaptiveAllocation: true, Hotspot: true,
 		MetricsEndpoint: true, SharedTiles: 64,
@@ -430,7 +429,6 @@ func TestShardedServerFacade(t *testing.T) {
 			}
 		}
 	}
-	sched := srv.Scheduler()
 	sched.Drain()
 	st, per := sched.Snapshot()
 	if st.Shards != 4 {
@@ -521,7 +519,7 @@ func TestSessionCapIsExact(t *testing.T) {
 // grows the latency histogram families.
 func TestTracingServerFacade(t *testing.T) {
 	ds, traces := testWorld(t)
-	srv, err := ds.NewServer(traces, MiddlewareConfig{
+	srv, sched, err := ds.newServer(traces, MiddlewareConfig{
 		AsyncPrefetch: true, PrefetchWorkers: 2,
 		MetricsEndpoint: true, Tracing: true,
 	})
@@ -560,7 +558,7 @@ func TestTracingServerFacade(t *testing.T) {
 			t.Fatalf("tile %d: no X-Trace-ID", i)
 		}
 	}
-	srv.Scheduler().Drain()
+	sched.Drain()
 
 	code, body, _ := get("/debug/traces?n=8")
 	if code != 200 {
@@ -638,7 +636,7 @@ func TestTracingServerFacade(t *testing.T) {
 func TestMetricsScrapePin(t *testing.T) {
 	const want = 0x2861a113d4e97e8c
 	ds, traces := testWorld(t)
-	srv, err := ds.NewServer(traces, MiddlewareConfig{
+	srv, sched, err := ds.newServer(traces, MiddlewareConfig{
 		AsyncPrefetch: true, Push: true, Shards: 2, PrefetchWorkers: 2,
 		AdaptiveK: true, FairShare: true, UtilityLearning: true,
 		AdaptiveAllocation: true, Hotspot: true, BinaryTiles: true,
@@ -661,7 +659,7 @@ func TestMetricsScrapePin(t *testing.T) {
 	for level := range 3 {
 		get(fmt.Sprintf("/tile?level=%d&y=0&x=0&session=%s", level, session))
 	}
-	srv.Scheduler().Drain()
+	sched.Drain()
 	var masked strings.Builder
 	for _, line := range strings.SplitAfter(get("/metrics"), "\n") {
 		if sp := strings.LastIndexByte(line, ' '); !strings.HasPrefix(line, "#") && sp >= 0 {
@@ -679,9 +677,8 @@ func TestMetricsScrapePin(t *testing.T) {
 // replayStudy replays the first n study traces through a server (one
 // session per trace, scheduler drained after every request so async
 // deliveries are deterministic) and reports hits and total requests.
-func replayStudy(t *testing.T, srv *Server, ts *httptest.Server, traces []*Trace, n int) (hits, total int) {
+func replayStudy(t *testing.T, sched *Scheduler, ts *httptest.Server, traces []*Trace, n int) (hits, total int) {
 	t.Helper()
-	sched := srv.Scheduler()
 	for i, tr := range traces[:n] {
 		c := client.New(ts.URL, fmt.Sprintf("trace-%d", i))
 		for _, req := range tr.Requests {
@@ -710,7 +707,7 @@ func TestUtilityLearningConvergence(t *testing.T) {
 	ds, traces := testWorld(t)
 	const nTraces = 6
 	run := func(learning bool) (hitRate float64, st PrefetchStats, metricsBody string) {
-		srv, err := ds.NewServer(traces, MiddlewareConfig{
+		srv, sched, err := ds.newServer(traces, MiddlewareConfig{
 			AsyncPrefetch: true, PrefetchWorkers: 4,
 			AdaptiveK: true, FairShare: true,
 			UtilityLearning: learning, MetricsEndpoint: true,
@@ -722,7 +719,7 @@ func TestUtilityLearningConvergence(t *testing.T) {
 		defer srv.Close()
 		ts := httptest.NewServer(srv)
 		defer ts.Close()
-		hits, total := replayStudy(t, srv, ts, traces, nTraces)
+		hits, total := replayStudy(t, sched, ts, traces, nTraces)
 		resp, err := ts.Client().Get(ts.URL + "/metrics")
 		if err != nil {
 			t.Fatal(err)
@@ -732,7 +729,7 @@ func TestUtilityLearningConvergence(t *testing.T) {
 		if _, err := io.Copy(&body, resp.Body); err != nil {
 			t.Fatal(err)
 		}
-		return float64(hits) / float64(total), srv.Scheduler().Stats(), body.String()
+		return float64(hits) / float64(total), sched.Stats(), body.String()
 	}
 
 	baseRate, baseStats, _ := run(false)
@@ -791,12 +788,12 @@ func TestUtilityLearningConvergence(t *testing.T) {
 
 func TestSyncServerFacadeHasNoScheduler(t *testing.T) {
 	ds, traces := testWorld(t)
-	srv, err := ds.NewServer(traces, MiddlewareConfig{})
+	srv, sched, err := ds.newServer(traces, MiddlewareConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if srv.Scheduler() != nil {
+	if sched != nil {
 		t.Error("synchronous server should not build a scheduler")
 	}
 }
@@ -861,7 +858,7 @@ func TestNewMiddlewareStillTrainsPerCall(t *testing.T) {
 // /stats reports the pressure signal.
 func TestAdaptiveServerFacade(t *testing.T) {
 	ds, traces := testWorld(t)
-	srv, err := ds.NewServer(traces, MiddlewareConfig{
+	srv, sched, err := ds.newServer(traces, MiddlewareConfig{
 		AsyncPrefetch: true,
 		AdaptiveK:     true,
 	})
@@ -878,7 +875,6 @@ func TestAdaptiveServerFacade(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sched := srv.Scheduler()
 	sched.Drain()
 	if p := sched.Pressure(); p != 0 {
 		t.Errorf("drained pressure = %v, want 0", p)
@@ -960,7 +956,7 @@ func TestSharedArtifactsSkipTraining(t *testing.T) {
 // shared table (the cross-session loop, end to end over HTTP).
 func TestHotspotServerLearnsConsumption(t *testing.T) {
 	ds, traces := testWorld(t)
-	srv, err := ds.NewServer(traces, MiddlewareConfig{
+	srv, sched, err := ds.newServer(traces, MiddlewareConfig{
 		AsyncPrefetch: true, PrefetchWorkers: 4, Hotspot: true,
 	})
 	if err != nil {
@@ -977,7 +973,7 @@ func TestHotspotServerLearnsConsumption(t *testing.T) {
 			if _, _, err := c.Tile(coord); err != nil {
 				t.Fatalf("%s: %v", session, err)
 			}
-			srv.Scheduler().Drain()
+			sched.Drain()
 		}
 	}
 	// Both engines exist and served; the deployment ran 3 models per

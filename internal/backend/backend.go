@@ -11,7 +11,6 @@ package backend
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"forecache/internal/tile"
@@ -65,11 +64,6 @@ type DBMS struct {
 	pyr     *tile.Pyramid
 	latency LatencyModel
 	clock   Clock
-
-	// queries is atomic: every fetch — including the cross-shard coalesced
-	// path — bumps it, and a mutex held just for a counter serializes all
-	// concurrent fetchers.
-	queries atomic.Int64
 }
 
 // NewDBMS wraps a pyramid. A nil clock disables latency accounting.
@@ -83,7 +77,6 @@ func (d *DBMS) Fetch(c tile.Coord) (*tile.Tile, error) {
 	if err != nil {
 		return nil, fmt.Errorf("backend: %w", err)
 	}
-	d.queries.Add(1)
 	if d.clock != nil {
 		d.clock.Sleep(d.latency.Miss)
 	}
@@ -98,13 +91,7 @@ func (d *DBMS) FetchQuiet(c tile.Coord) (*tile.Tile, error) {
 	if err != nil {
 		return nil, fmt.Errorf("backend: %w", err)
 	}
-	d.queries.Add(1)
 	return t, nil
-}
-
-// Queries returns the number of DBMS fetches issued.
-func (d *DBMS) Queries() int {
-	return int(d.queries.Load())
 }
 
 // Latency returns the configured latency model.

@@ -45,34 +45,34 @@ func TestFetchChargesMissLatency(t *testing.T) {
 	if got := clock.Elapsed(); got != 984*time.Millisecond {
 		t.Errorf("elapsed = %v, want 984ms", got)
 	}
-	if db.Queries() != 1 {
-		t.Errorf("Queries = %d", db.Queries())
-	}
 }
 
 func TestFetchQuietSkipsLatency(t *testing.T) {
 	pyr := buildPyramid(t)
 	clock := &SimClock{}
 	db := NewDBMS(pyr, DefaultLatency(), clock)
-	if _, err := db.FetchQuiet(tile.Coord{Level: 1, Y: 1, X: 1}); err != nil {
+	c := tile.Coord{Level: 1, Y: 1, X: 1}
+	tl, err := db.FetchQuiet(c)
+	if err != nil {
 		t.Fatalf("FetchQuiet: %v", err)
+	}
+	if tl.Coord != c {
+		t.Errorf("FetchQuiet(%v) returned tile %v", c, tl.Coord)
 	}
 	if clock.Elapsed() != 0 {
 		t.Errorf("prefetch charged latency: %v", clock.Elapsed())
-	}
-	if db.Queries() != 1 {
-		t.Errorf("Queries = %d", db.Queries())
 	}
 }
 
 func TestFetchUnknownTile(t *testing.T) {
 	pyr := buildPyramid(t)
-	db := NewDBMS(pyr, DefaultLatency(), nil)
+	clock := &SimClock{}
+	db := NewDBMS(pyr, DefaultLatency(), clock)
 	if _, err := db.Fetch(tile.Coord{Level: 9, Y: 0, X: 0}); err == nil {
 		t.Error("fetch outside the pyramid should fail")
 	}
-	if db.Queries() != 0 {
-		t.Error("failed fetch should not count as a query")
+	if clock.Elapsed() != 0 {
+		t.Errorf("failed fetch charged latency: %v", clock.Elapsed())
 	}
 }
 

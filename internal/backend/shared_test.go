@@ -33,10 +33,7 @@ func TestSharedPoolDeduplicatesAcrossSessions(t *testing.T) {
 	}
 	st := pool.Stats()
 	if st.PoolHits != 1 || st.DBMSFetches != 1 {
-		t.Errorf("stats = %+v", st)
-	}
-	if db.Queries() != 1 {
-		t.Errorf("DBMS queries = %d, want 1 (deduplicated)", db.Queries())
+		t.Errorf("stats = %+v, want 1 pool hit and 1 DBMS fetch (deduplicated)", st)
 	}
 	if n := testing.AllocsPerRun(100, func() { pool.Fetch(root) }); n != 0 {
 		t.Errorf("pool hit allocates %v times, want 0", n)
@@ -85,8 +82,8 @@ func TestSharedPoolConcurrentMissesShareOneFetch(t *testing.T) {
 	}
 	wg.Wait()
 	st := pool.Stats()
-	if db.Queries() != 1 || st.DBMSFetches != 1 || st.PoolHits != n-1 {
-		t.Errorf("queries = %d, stats = %+v; want 1 DBMS fetch and %d pool hits", db.Queries(), st, n-1)
+	if clock.arrived.Load() != 1 || st.DBMSFetches != 1 || st.PoolHits != n-1 {
+		t.Errorf("DBMS round trips = %d, stats = %+v; want 1 DBMS fetch and %d pool hits", clock.arrived.Load(), st, n-1)
 	}
 	if want := lat.Miss + (n-1)*lat.Hit; clock.Elapsed() != want {
 		t.Errorf("charged %v, want one miss + %d hits = %v", clock.Elapsed(), n-1, want)
@@ -95,7 +92,8 @@ func TestSharedPoolConcurrentMissesShareOneFetch(t *testing.T) {
 
 func TestSharedPoolQuietPathPopulates(t *testing.T) {
 	pyr := buildPyramid(t)
-	db := NewDBMS(pyr, DefaultLatency(), &SimClock{})
+	clock := &SimClock{}
+	db := NewDBMS(pyr, DefaultLatency(), clock)
 	pool := NewSharedPool(db, 4)
 	c := tile.Coord{Level: 1, Y: 1, X: 0}
 	if _, err := pool.FetchQuiet(c); err != nil { // one session prefetches
@@ -104,8 +102,8 @@ func TestSharedPoolQuietPathPopulates(t *testing.T) {
 	if _, err := pool.Fetch(c); err != nil { // another session requests
 		t.Fatal(err)
 	}
-	if db.Queries() != 1 {
-		t.Errorf("queries = %d, want 1: prefetch should feed other sessions", db.Queries())
+	if st := pool.Stats(); st.DBMSFetches != 1 || clock.Elapsed() != DefaultLatency().Hit {
+		t.Errorf("stats = %+v, charged %v; want 1 DBMS fetch and a hit: prefetch should feed other sessions", st, clock.Elapsed())
 	}
 }
 
@@ -128,11 +126,11 @@ func TestSharedPoolEvicts(t *testing.T) {
 		t.Errorf("Evicted = %d, want 1", pool.Stats().Evicted)
 	}
 	// The oldest (first) coord was evicted; refetching hits the DBMS again.
-	before := db.Queries()
+	before := pool.Stats().DBMSFetches
 	if _, err := pool.FetchQuiet(coords[0]); err != nil {
 		t.Fatal(err)
 	}
-	if db.Queries() != before+1 {
+	if pool.Stats().DBMSFetches != before+1 {
 		t.Error("evicted tile should require a fresh DBMS fetch")
 	}
 }

@@ -120,8 +120,8 @@ type Manager struct {
 	allocs  map[string]int
 	regions map[string][]*predTile
 
-	// byCoord is the unified coordinate index over every region; Lookup and
-	// Peek resolve any coordinate with one map access.
+	// byCoord is the unified coordinate index over every region; Lookup
+	// resolves any coordinate with one map access.
 	byCoord map[tile.Coord]*coordEntry
 
 	// LRU region for the interface's last n requested tiles.
@@ -290,17 +290,6 @@ func (m *Manager) SetAllocations(allocs map[string]int) {
 	}
 }
 
-// Allocations returns a copy of the current allocation strategy.
-func (m *Manager) Allocations() map[string]int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]int, len(m.allocs))
-	for k, v := range m.allocs {
-		out[k] = v
-	}
-	return out
-}
-
 // FillPredictions replaces a model's region with a whole ranked batch at
 // once, trimmed to the model's allotment; a tile's slice index is its
 // batch position and ph is the analysis phase the allocation was made under
@@ -431,14 +420,6 @@ func (m *Manager) Lookup(c tile.Coord) (*tile.Tile, bool) {
 	return nil, false
 }
 
-// Peek reports whether c is cached without touching statistics, outcomes or
-// LRU order.
-func (m *Manager) Peek(c tile.Coord) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.byCoord[c] != nil
-}
-
 // Prediction is one live model-region entry, as exposed by Predictions.
 type Prediction struct {
 	// Model is the region holding the tile.
@@ -450,10 +431,10 @@ type Prediction struct {
 }
 
 // Predictions snapshots every live model-region entry in deterministic
-// order (model name, then region order: newest batch first). Like Peek it
-// is purely observational — no consumption marks, no outcomes, no stats —
-// so readers such as push-stream backfill can replay the cache's contents
-// without perturbing the feedback loop that judges predictions.
+// order (model name, then region order: newest batch first). It is purely
+// observational — no consumption marks, no outcomes, no stats — so readers
+// such as push-stream backfill can replay the cache's contents without
+// perturbing the feedback loop that judges predictions.
 func (m *Manager) Predictions() []Prediction {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -557,31 +538,4 @@ func (m *Manager) Invalidate() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.gen++
-}
-
-// MemBytes estimates the cache's current tile memory footprint.
-func (m *Manager) MemBytes() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	total := 0
-	for _, region := range m.regions {
-		for _, pt := range region {
-			total += pt.t.Bytes()
-		}
-	}
-	for el := m.recent.Front(); el != nil; el = el.Next() {
-		total += el.Value.(*tile.Tile).Bytes()
-	}
-	return total
-}
-
-// Len returns the number of cached tiles across all regions.
-func (m *Manager) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := m.recent.Len()
-	for _, region := range m.regions {
-		n += len(region)
-	}
-	return n
 }

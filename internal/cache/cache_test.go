@@ -17,6 +17,16 @@ func mkTile(level, y, x int) *tile.Tile {
 	}
 }
 
+// predicted lists the coordinates of every live model-region entry, in
+// Predictions order.
+func predicted(m *Manager) []tile.Coord {
+	var out []tile.Coord
+	for _, p := range m.Predictions() {
+		out = append(out, p.Tile.Coord)
+	}
+	return out
+}
+
 func TestLookupHitMissAccounting(t *testing.T) {
 	m := NewManager(4)
 	m.SetAllocations(map[string]int{"ab": 2})
@@ -64,7 +74,7 @@ func TestFillPredictionsRespectsAllocation(t *testing.T) {
 func TestFillPredictionsUnknownModel(t *testing.T) {
 	m := NewManager(2)
 	m.FillPredictions("ghost", []*tile.Tile{mkTile(1, 0, 0)}, trace.Foraging)
-	if m.Len() != 0 {
+	if len(predicted(m)) != 0 {
 		t.Error("unknown model has zero allotment; nothing should be cached")
 	}
 }
@@ -74,24 +84,27 @@ func TestSetAllocationsTrims(t *testing.T) {
 	m.SetAllocations(map[string]int{"ab": 3})
 	m.FillPredictions("ab", []*tile.Tile{mkTile(2, 0, 0), mkTile(2, 0, 1), mkTile(2, 1, 1)}, trace.Foraging)
 	m.SetAllocations(map[string]int{"ab": 1})
-	if m.Len() != 1 {
-		t.Errorf("after trim Len = %d, want 1", m.Len())
+	if got := predicted(m); len(got) != 1 {
+		t.Errorf("after trim the region holds %v, want 1 tile", got)
 	}
 	m.SetAllocations(map[string]int{"sb": 4}) // ab loses its region entirely
-	if m.Len() != 0 {
-		t.Errorf("after removing ab, Len = %d, want 0", m.Len())
+	if got := predicted(m); len(got) != 0 {
+		t.Errorf("after removing ab the cache predicts %v, want nothing", got)
 	}
-	allocs := m.Allocations()
-	if allocs["sb"] != 4 || len(allocs) != 1 {
-		t.Errorf("Allocations = %v", allocs)
+	tiles := []*tile.Tile{mkTile(3, 0, 0), mkTile(3, 0, 1), mkTile(3, 0, 2), mkTile(3, 0, 3), mkTile(3, 1, 0)}
+	m.FillPredictions("sb", tiles, trace.Foraging)
+	m.FillPredictions("ab", tiles, trace.Foraging)
+	if got := predicted(m); len(got) != 4 {
+		t.Errorf("after allotting sb 4 slots the cache predicts %v, want sb's first 4 tiles", got)
 	}
 }
 
 func TestNegativeAllocationClamped(t *testing.T) {
 	m := NewManager(2)
 	m.SetAllocations(map[string]int{"ab": -5})
-	if m.Allocations()["ab"] != 0 {
-		t.Error("negative allocation should clamp to 0")
+	m.FillPredictions("ab", []*tile.Tile{mkTile(1, 0, 0)}, trace.Foraging)
+	if got := predicted(m); len(got) != 0 {
+		t.Errorf("negative allocation should clamp to 0, but the cache predicts %v", got)
 	}
 }
 
@@ -105,10 +118,12 @@ func TestRecentLRUEviction(t *testing.T) {
 		t.Fatal("a should hit")
 	}
 	m.InsertRecent(c)
-	if m.Peek(b.Coord) {
+	if _, ok := m.Lookup(b.Coord); ok {
 		t.Error("b should have been evicted as least recently used")
 	}
-	if !m.Peek(a.Coord) || !m.Peek(c.Coord) {
+	_, okA := m.Lookup(a.Coord)
+	_, okC := m.Lookup(c.Coord)
+	if !okA || !okC {
 		t.Error("a and c should remain")
 	}
 }
@@ -118,21 +133,10 @@ func TestInsertRecentDuplicate(t *testing.T) {
 	a := mkTile(1, 0, 0)
 	m.InsertRecent(a)
 	m.InsertRecent(a)
-	if m.Len() != 1 {
-		t.Errorf("Len = %d, want 1 after duplicate insert", m.Len())
+	if n := m.recent.Len(); n != 1 {
+		t.Errorf("LRU holds %d tiles, want 1 after duplicate insert", n)
 	}
 	m.InsertRecent(nil) // must not panic
-}
-
-func TestPeekDoesNotCount(t *testing.T) {
-	m := NewManager(2)
-	m.InsertRecent(mkTile(1, 0, 0))
-	m.Peek(tile.Coord{Level: 1, Y: 0, X: 0})
-	m.Peek(tile.Coord{Level: 9, Y: 0, X: 0})
-	st := m.Stats()
-	if st.Hits != 0 || st.Misses != 0 {
-		t.Errorf("Peek changed stats: %+v", st)
-	}
 }
 
 func TestClearKeepsAllocations(t *testing.T) {
@@ -141,11 +145,15 @@ func TestClearKeepsAllocations(t *testing.T) {
 	m.FillPredictions("ab", []*tile.Tile{mkTile(1, 0, 0)}, trace.Foraging)
 	m.InsertRecent(mkTile(2, 0, 0))
 	m.Clear()
-	if m.Len() != 0 {
-		t.Errorf("Len after Clear = %d", m.Len())
+	if got := predicted(m); len(got) != 0 {
+		t.Errorf("the cache predicts %v after Clear", got)
 	}
-	if m.Allocations()["ab"] != 2 {
-		t.Error("Clear should keep the allocation strategy")
+	if _, ok := m.Lookup(tile.Coord{Level: 2}); ok {
+		t.Error("a recent tile survived Clear")
+	}
+	m.FillPredictions("ab", []*tile.Tile{mkTile(1, 0, 0), mkTile(1, 0, 1), mkTile(1, 1, 0)}, trace.Foraging)
+	if got := predicted(m); len(got) != 2 {
+		t.Errorf("after Clear the ab region holds %v, want the 2 slots it was allotted", got)
 	}
 }
 
@@ -159,16 +167,6 @@ func TestResetStats(t *testing.T) {
 	m.Lookup(tile.Coord{Level: 1})
 	if st, life := m.Stats(), m.LifetimeStats(); st.Misses != 1 || life.Misses != 2 {
 		t.Errorf("after reset + one miss: stats %+v, lifetime %+v, want 1 and 2 misses", st, life)
-	}
-}
-
-func TestMemBytes(t *testing.T) {
-	m := NewManager(4)
-	m.SetAllocations(map[string]int{"ab": 1})
-	m.FillPredictions("ab", []*tile.Tile{mkTile(1, 0, 0)}, trace.Foraging)
-	m.InsertRecent(mkTile(1, 0, 1))
-	if m.MemBytes() <= 0 {
-		t.Error("MemBytes should be positive")
 	}
 }
 
@@ -239,7 +237,7 @@ func TestConcurrentDeliveriesAcrossGenerations(t *testing.T) {
 	}
 	fresh := mkTile(5, 0, 0)
 	m.InsertPrediction("ab", m.Generation(), fresh, 0, trace.Foraging)
-	if !m.Peek(fresh.Coord) {
+	if !slices.Contains(predicted(m), fresh.Coord) {
 		t.Error("a delivery from the current generation must land")
 	}
 }
@@ -281,15 +279,15 @@ func TestInsertPredictionRingBehavior(t *testing.T) {
 	a, b, c := mkTile(2, 0, 0), mkTile(2, 0, 1), mkTile(2, 1, 0)
 	m.InsertPrediction("ab", 0, a, 0, trace.Foraging)
 	m.InsertPrediction("ab", 0, b, 1, trace.Foraging)
-	if !m.Peek(a.Coord) || !m.Peek(b.Coord) {
-		t.Fatal("both inserted predictions should be cached")
+	if got := predicted(m); !slices.Contains(got, a.Coord) || !slices.Contains(got, b.Coord) {
+		t.Fatalf("both inserted predictions should be cached, got %v", got)
 	}
 	// A third insert evicts the oldest (a).
 	m.InsertPrediction("ab", 0, c, 2, trace.Foraging)
-	if m.Peek(a.Coord) {
+	if got := predicted(m); slices.Contains(got, a.Coord) {
 		t.Error("oldest prediction should have been evicted")
 	}
-	if !m.Peek(b.Coord) || !m.Peek(c.Coord) {
+	if got := predicted(m); !slices.Contains(got, b.Coord) || !slices.Contains(got, c.Coord) {
 		t.Error("newest two predictions should remain")
 	}
 	// Re-inserting an existing coordinate refreshes, not duplicates.
@@ -319,12 +317,12 @@ func TestInsertPredictionDropsOlderGeneration(t *testing.T) {
 		stale := m.Generation()
 		bump()
 		m.InsertPrediction("ab", stale, mkTile(2, 0, 0), 0, trace.Foraging)
-		if m.Len() != 0 {
+		if len(predicted(m)) != 0 {
 			t.Fatal("a delivery from an older generation must be dropped")
 		}
 	}
 	m.InsertPrediction("ab", m.Generation(), mkTile(2, 0, 0), 0, trace.Foraging)
-	if m.Len() != 1 {
+	if len(predicted(m)) != 1 {
 		t.Error("a delivery from the current generation must land")
 	}
 }
@@ -333,7 +331,7 @@ func TestInsertPredictionNoAllotment(t *testing.T) {
 	m := NewManager(2)
 	m.SetAllocations(map[string]int{"ab": 1})
 	m.InsertPrediction("unknown", 0, mkTile(1, 0, 0), 0, trace.Foraging)
-	if m.Len() != 0 {
+	if len(predicted(m)) != 0 {
 		t.Error("prediction for an unallocated model must be dropped")
 	}
 }

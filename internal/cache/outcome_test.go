@@ -160,7 +160,7 @@ func TestOutcomeClearNotJudged(t *testing.T) {
 	if got := m.TakeOutcomes(); len(got) != 0 {
 		t.Fatalf("Clear must not judge predictions, got %+v", got)
 	}
-	if m.Len() != 0 {
+	if len(predicted(m)) != 0 {
 		t.Fatal("Clear should empty the cache")
 	}
 }

@@ -20,58 +20,33 @@ type AllocationFeedback interface {
 	AllocationRates(ph trace.Phase, models []string) (rates []float64, obs []int)
 }
 
-// AdaptiveConfig tunes an AdaptivePolicy.
-type AdaptiveConfig struct {
-	// Floor is the minimum budget share any model keeps in any phase once
-	// shares move (exploration: a model allocated zero slots can never earn
-	// consumption evidence, so it would stay at zero forever). Clamped to
-	// 1/len(models). Default 0.1.
-	Floor float64
-	// Warmup is the per-(phase, model) observation count below which the
-	// phase keeps the base policy's static split. A phase also warms when
-	// its TOTAL observations reach Warmup x len(models): a model the prior
-	// never allots slots to (e.g. the Actions-Based model in Sensemaking
-	// under the §5.4.3 table) collects no outcomes of its own, and the
-	// phase-wide evidence is what breaks that chicken-and-egg. Default 30.
-	Warmup int
-	// MaxStep bounds how far the fastest-moving model's share moves per
-	// reallocation (hysteresis): shares drift smoothly toward the observed
-	// consumption split instead of thrashing with every noisy outcome. A
-	// reallocation only happens when the phase has NEW outcome evidence
-	// since the last one, so share movement is proportional to observed
-	// consumption, never to how often Allocations is called. Default 0.02.
-	MaxStep float64
-}
+// AdaptiveConfig has no fields: the policy's floor, warmup and step are
+// the constants below, the only values any deployment has run.
+// NewAdaptivePolicy still takes one so its callers keep compiling.
+type AdaptiveConfig struct{}
 
-func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
-	if c.Floor == 0 {
-		c.Floor = 0.1
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 30
-	}
-	if c.MaxStep == 0 {
-		c.MaxStep = 0.02
-	}
-	return c
-}
-
-// Validate rejects out-of-range tuning values. Zero means "use the
-// default" everywhere, so only genuinely nonsensical settings fail:
-// a negative or >= 1 floor (the floor is a share, and every model must
-// keep one), a negative warmup, or a step outside (0, 1].
-func (c AdaptiveConfig) Validate() error {
-	if c.Floor < 0 || c.Floor >= 1 {
-		return fmt.Errorf("core: allocation floor %v outside [0, 1)", c.Floor)
-	}
-	if c.Warmup < 0 {
-		return fmt.Errorf("core: allocation warmup %d is negative", c.Warmup)
-	}
-	if c.MaxStep < 0 || c.MaxStep > 1 {
-		return fmt.Errorf("core: allocation max step %v outside (0, 1]", c.MaxStep)
-	}
-	return nil
-}
+// AdaptivePolicy tuning.
+const (
+	// allocFloor is the minimum budget share any model keeps in any phase
+	// once shares move (exploration: a model allocated zero slots can never
+	// earn consumption evidence, so it would stay at zero forever). Clamped
+	// to 1/len(models).
+	allocFloor = 0.1
+	// allocWarmup is the per-(phase, model) observation count below which
+	// the phase keeps the base policy's static split. A phase also warms
+	// when its TOTAL observations reach allocWarmup x len(models): a model
+	// the prior never allots slots to (e.g. the Actions-Based model in
+	// Sensemaking under the §5.4.3 table) collects no outcomes of its own,
+	// and the phase-wide evidence is what breaks that chicken-and-egg.
+	allocWarmup = 30
+	// allocMaxStep bounds how far the fastest-moving model's share moves
+	// per reallocation (hysteresis): shares drift smoothly toward the
+	// observed consumption split instead of thrashing with every noisy
+	// outcome. A reallocation only happens when the phase has NEW outcome
+	// evidence since the last one, so share movement is proportional to
+	// observed consumption, never to how often Allocations is called.
+	allocMaxStep = 0.02
+)
 
 // phaseShares is one phase's allocation state.
 type phaseShares struct {
@@ -85,11 +60,11 @@ type phaseShares struct {
 // consumption rates — the closed-loop version of the paper's fixed
 // allocation table (§4.4, §5.4.3), in the spirit of Khameleon's
 // utility-driven budget reallocation. The base policy is the prior: until a
-// (phase, model) bucket has warmed up (AdaptiveConfig.Warmup) the base
-// split is returned unchanged, so a cold deployment behaves exactly like
-// the static one. Once warmed, each call moves the phase's shares at most
-// MaxStep toward the consumption-proportional target (hysteresis), every
-// model keeps at least the Floor share (exploration), and the fractional
+// (phase, model) bucket has warmed up (allocWarmup) the base split is
+// returned unchanged, so a cold deployment behaves exactly like the static
+// one. Once warmed, each call moves the phase's shares at most allocMaxStep
+// toward the consumption-proportional target (hysteresis), every model
+// keeps at least the allocFloor share (exploration), and the fractional
 // shares are rounded to integer slot counts that always sum to exactly k.
 //
 // One AdaptivePolicy is shared by every session engine of a deployment
@@ -99,7 +74,7 @@ type AdaptivePolicy struct {
 	base   AllocationPolicy
 	models []string
 	fb     AllocationFeedback
-	cfg    AdaptiveConfig
+	floor  float64 // allocFloor, clamped to 1/len(models)
 
 	mu     sync.Mutex
 	phases map[trace.Phase]*phaseShares
@@ -108,7 +83,7 @@ type AdaptivePolicy struct {
 // NewAdaptivePolicy wraps base with feedback-driven per-phase reallocation
 // over the named models (the same names base allocates to). fb may be nil,
 // in which case the policy never leaves the base split.
-func NewAdaptivePolicy(base AllocationPolicy, models []string, fb AllocationFeedback, cfg AdaptiveConfig) (*AdaptivePolicy, error) {
+func NewAdaptivePolicy(base AllocationPolicy, models []string, fb AllocationFeedback, _ AdaptiveConfig) (*AdaptivePolicy, error) {
 	if base == nil {
 		return nil, fmt.Errorf("core: adaptive policy needs a base policy")
 	}
@@ -122,18 +97,11 @@ func NewAdaptivePolicy(base AllocationPolicy, models []string, fb AllocationFeed
 		}
 		seen[m] = true
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
-	if max := 1 / float64(len(models)); cfg.Floor > max {
-		cfg.Floor = max
-	}
 	return &AdaptivePolicy{
 		base:   base,
 		models: append([]string(nil), models...),
 		fb:     fb,
-		cfg:    cfg,
+		floor:  min(allocFloor, 1/float64(len(models))),
 		phases: make(map[trace.Phase]*phaseShares),
 	}, nil
 }
@@ -163,7 +131,7 @@ func (p *AdaptivePolicy) Allocations(ph trace.Phase, k int) map[string]int {
 		return p.base.Allocations(ph, k)
 	}
 	rates, obs := p.fb.AllocationRates(ph, p.models)
-	if !warmed(obs, p.cfg.Warmup) {
+	if !warmed(obs) {
 		if !st.moved {
 			return p.base.Allocations(ph, k)
 		}
@@ -182,20 +150,20 @@ func (p *AdaptivePolicy) Allocations(ph trace.Phase, k int) map[string]int {
 	return roundShares(st.shares, p.models, k)
 }
 
-// warmed reports whether every bucket has warmup observations — or,
-// failing that, whether the phase total reaches warmup x len(models) (the
-// starved-model escape hatch: a model the prior gives no slots can never
-// warm its own bucket, but plenty of phase-wide evidence with none of it
-// earned by that model IS evidence).
-func warmed(obs []int, warmup int) bool {
+// warmed reports whether every bucket has allocWarmup observations — or,
+// failing that, whether the phase total reaches allocWarmup x len(models)
+// (the starved-model escape hatch: a model the prior gives no slots can
+// never warm its own bucket, but plenty of phase-wide evidence with none
+// of it earned by that model IS evidence).
+func warmed(obs []int) bool {
 	all, total := true, 0
 	for _, o := range obs {
-		if o < warmup {
+		if o < allocWarmup {
 			all = false
 		}
 		total += o
 	}
-	return all || total >= warmup*len(obs)
+	return all || total >= allocWarmup*len(obs)
 }
 
 // Shares snapshots the current smoothed share per (phase, model) under one
@@ -214,16 +182,6 @@ func (p *AdaptivePolicy) Shares() map[trace.Phase]map[string]float64 {
 		out[ph] = shares
 	}
 	return out
-}
-
-// Warmed reports whether phase ph has enough consumption evidence for its
-// shares to move away from the base policy's prior.
-func (p *AdaptivePolicy) Warmed(ph trace.Phase) bool {
-	if p.fb == nil {
-		return false
-	}
-	_, obs := p.fb.AllocationRates(ph, p.models)
-	return warmed(obs, p.cfg.Warmup)
 }
 
 // Models returns the model names the policy splits the budget across.
@@ -249,7 +207,7 @@ func (p *AdaptivePolicy) priorShares(ph trace.Phase, k int) map[string]float64 {
 }
 
 // targetShares is the consumption-proportional split with the exploration
-// floor applied: every model keeps Floor, the remainder is divided in
+// floor applied: every model keeps the floor, the remainder is divided in
 // proportion to the observed per-(phase, model) consumption rates (equally
 // when nothing was consumed at all). rates is ordered like p.models.
 func (p *AdaptivePolicy) targetShares(rates []float64) map[string]float64 {
@@ -260,7 +218,7 @@ func (p *AdaptivePolicy) targetShares(rates []float64) map[string]float64 {
 		}
 	}
 	n := float64(len(p.models))
-	rest := 1 - p.cfg.Floor*n
+	rest := 1 - p.floor*n
 	target := make(map[string]float64, len(p.models))
 	for i, m := range p.models {
 		r := rates[i]
@@ -268,7 +226,7 @@ func (p *AdaptivePolicy) targetShares(rates []float64) map[string]float64 {
 			r = 0
 		}
 		if sum > 0 {
-			target[m] = p.cfg.Floor + rest*r/sum
+			target[m] = p.floor + rest*r/sum
 		} else {
 			target[m] = 1 / n
 		}
@@ -277,7 +235,7 @@ func (p *AdaptivePolicy) targetShares(rates []float64) map[string]float64 {
 }
 
 // stepLocked moves the share vector along the straight line toward target,
-// scaled so the fastest-moving model moves at most MaxStep. Because both
+// scaled so the fastest-moving model moves at most allocMaxStep. Because both
 // vectors sum to 1 the scaled deltas sum to 0 exactly: the shares stay
 // normalized without a renormalization pass that would distort the
 // slower-moving models' steps (or push a model below the floor) when more
@@ -293,8 +251,8 @@ func (p *AdaptivePolicy) stepLocked(st *phaseShares, target map[string]float64) 
 		return
 	}
 	t := 1.0
-	if maxAbs > p.cfg.MaxStep {
-		t = p.cfg.MaxStep / maxAbs
+	if maxAbs > allocMaxStep {
+		t = allocMaxStep / maxAbs
 	}
 	for _, m := range p.models {
 		st.shares[m] += t * (target[m] - st.shares[m])

@@ -47,9 +47,9 @@ func (f *fakeRater) AllocationRates(ph trace.Phase, models []string) ([]float64,
 	return rates, obs
 }
 
-func mustAdaptive(t testing.TB, base AllocationPolicy, models []string, fb AllocationFeedback, cfg AdaptiveConfig) *AdaptivePolicy {
+func mustAdaptive(t testing.TB, base AllocationPolicy, models []string, fb AllocationFeedback) *AdaptivePolicy {
 	t.Helper()
-	p, err := NewAdaptivePolicy(base, models, fb, cfg)
+	p, err := NewAdaptivePolicy(base, models, fb, AdaptiveConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestNewAdaptivePolicyValidation(t *testing.T) {
 	if _, err := NewAdaptivePolicy(base, []string{"ab", "ab"}, nil, AdaptiveConfig{}); err == nil {
 		t.Error("duplicate models should fail")
 	}
-	p := mustAdaptive(t, base, []string{"ab", "sb"}, nil, AdaptiveConfig{})
+	p := mustAdaptive(t, base, []string{"ab", "sb"}, nil)
 	if got := p.Models(); !slices.Equal(got, []string{"ab", "sb"}) {
 		t.Errorf("Models = %q", got)
 	}
@@ -78,11 +78,11 @@ func TestNewAdaptivePolicyValidation(t *testing.T) {
 func TestAdaptiveWarmupFallsBackToBase(t *testing.T) {
 	base := hybridPolicy(t, "ab", "sb")
 	cold := newFakeRater()
-	cold.set(trace.Navigation, "ab", 0.9, 29) // one short of Warmup=30
-	cold.set(trace.Navigation, "sb", 0.1, 29)
+	cold.set(trace.Navigation, "ab", 0.9, allocWarmup-1)
+	cold.set(trace.Navigation, "sb", 0.1, allocWarmup-1)
 	for _, p := range []*AdaptivePolicy{
-		mustAdaptive(t, base, []string{"ab", "sb"}, nil, AdaptiveConfig{}),
-		mustAdaptive(t, base, []string{"ab", "sb"}, cold, AdaptiveConfig{}),
+		mustAdaptive(t, base, []string{"ab", "sb"}, nil),
+		mustAdaptive(t, base, []string{"ab", "sb"}, cold),
 	} {
 		for _, ph := range []trace.Phase{trace.Foraging, trace.Navigation, trace.Sensemaking} {
 			for k := 0; k <= 8; k++ {
@@ -98,9 +98,6 @@ func TestAdaptiveWarmupFallsBackToBase(t *testing.T) {
 				}
 			}
 		}
-		if p.Warmed(trace.Navigation) {
-			t.Error("policy should not report warmed")
-		}
 	}
 }
 
@@ -111,63 +108,75 @@ func TestAdaptiveWarmupFallsBackToBase(t *testing.T) {
 func TestAdaptivePhaseTotalWarmsStarvedModel(t *testing.T) {
 	base := hybridPolicy(t, "ab", "sb")
 	r := newFakeRater()
-	r.set(trace.Sensemaking, "sb", 0.8, 60) // 2 models x Warmup(30) in total
 	r.set(trace.Sensemaking, "ab", 0, 0)
-	p := mustAdaptive(t, base, []string{"ab", "sb"}, r, AdaptiveConfig{Floor: 0.1, MaxStep: 0.5})
-	if !p.Warmed(trace.Sensemaking) {
-		t.Fatal("phase-total evidence should warm the phase")
-	}
+	p := mustAdaptive(t, base, []string{"ab", "sb"}, r)
+	// 2 models x allocWarmup outcomes in total, all of them sb's.
+	r.set(trace.Sensemaking, "sb", 0.8, 2*allocWarmup)
 	alloc := p.Allocations(trace.Sensemaking, 5)
+	if got := p.Shares()[trace.Sensemaking]["ab"]; got <= 0 {
+		t.Fatalf("phase-total evidence should warm the phase: ab share still %v", got)
+	}
 	if alloc["ab"] < 1 {
 		t.Errorf("starved model got no exploration slot: %v", alloc)
 	}
+	// Each round of fresh evidence moves ab one step toward the floor.
+	for i := 1; i <= int(allocFloor/allocMaxStep); i++ {
+		r.set(trace.Sensemaking, "sb", 0.8, 2*allocWarmup+i)
+		p.Allocations(trace.Sensemaking, 5)
+	}
 	shares := p.Shares()[trace.Sensemaking]
-	if shares["ab"] < 0.1-1e-9 {
-		t.Errorf("ab share %v below floor 0.1", shares["ab"])
+	if shares["ab"] < allocFloor-1e-9 {
+		t.Errorf("ab share %v below floor %v", shares["ab"], allocFloor)
 	}
 }
 
 // TestAdaptiveFloorClamping: however lopsided the observed rates, the
-// losing model's target never drops below the floor (and with a floor
-// above 1/len(models), the floor clamps to an equal split).
+// losing model's target never drops below the floor (and with more models
+// than 1/floor, the floor clamps to an equal split).
 func TestAdaptiveFloorClamping(t *testing.T) {
 	base := hybridPolicy(t, "ab", "sb")
 	r := newFakeRater()
-	r.set(trace.Navigation, "ab", 1.0, 100)
 	r.set(trace.Navigation, "sb", 0.0, 100)
-	p := mustAdaptive(t, base, []string{"ab", "sb"}, r, AdaptiveConfig{Floor: 0.2, MaxStep: 1})
+	p := mustAdaptive(t, base, []string{"ab", "sb"}, r)
 	for i := 0; i < 50; i++ {
+		r.set(trace.Navigation, "ab", 1.0, 100+i) // fresh evidence each round
 		p.Allocations(trace.Navigation, 5)
 	}
 	shares := p.Shares()[trace.Navigation]
-	if math.Abs(shares["sb"]-0.2) > 1e-9 {
-		t.Errorf("loser share = %v, want the floor 0.2", shares["sb"])
+	if math.Abs(shares["sb"]-allocFloor) > 1e-9 {
+		t.Errorf("loser share = %v, want the floor %v", shares["sb"], allocFloor)
 	}
-	if math.Abs(shares["ab"]-0.8) > 1e-9 {
-		t.Errorf("winner share = %v, want 0.8", shares["ab"])
+	if math.Abs(shares["ab"]-(1-allocFloor)) > 1e-9 {
+		t.Errorf("winner share = %v, want %v", shares["ab"], 1-allocFloor)
 	}
-	// A floor past 1/n clamps to an equal split.
-	p2 := mustAdaptive(t, base, []string{"ab", "sb"}, r, AdaptiveConfig{Floor: 0.9, MaxStep: 1})
-	p2.Allocations(trace.Navigation, 4)
-	shares = p2.Shares()[trace.Navigation]
-	if math.Abs(shares["ab"]-0.5) > 1e-9 || math.Abs(shares["sb"]-0.5) > 1e-9 {
-		t.Errorf("over-floor shares = %v, want 0.5/0.5", shares)
+	// Eleven models cannot each keep 0.1: the floor clamps to 1/11, which
+	// leaves nothing to split by rate, so the shares converge to equal.
+	models := []string{"ab", "sb", "c", "d", "e", "f", "g", "h", "i", "j", "k"}
+	p2 := mustAdaptive(t, base, models, r)
+	for i := 0; i < 100; i++ {
+		r.set(trace.Navigation, "ab", 1.0, 200+i)
+		p2.Allocations(trace.Navigation, 11)
+	}
+	for m, s := range p2.Shares()[trace.Navigation] {
+		if math.Abs(s-1.0/11) > 1e-9 {
+			t.Errorf("over-floor share %s = %v, want 1/11", m, s)
+		}
 	}
 }
 
 // TestAdaptiveHysteresisBounds: one reallocation moves a share by at most
-// MaxStep, whatever the target; repeated reallocations (each backed by new
-// evidence) converge monotonically — and calls WITHOUT new evidence do not
-// move shares at all, so call rate alone never drives drift.
+// allocMaxStep, whatever the target; repeated reallocations (each backed by
+// new evidence) converge monotonically — and calls WITHOUT new evidence do
+// not move shares at all, so call rate alone never drives drift.
 func TestAdaptiveHysteresisBounds(t *testing.T) {
 	base := hybridPolicy(t, "ab", "sb")
 	r := newFakeRater()
 	r.set(trace.Navigation, "ab", 0.0, 100) // prior 0.8 -> target floor 0.1
 	r.set(trace.Navigation, "sb", 1.0, 100)
-	const step = 0.05
-	p := mustAdaptive(t, base, []string{"ab", "sb"}, r, AdaptiveConfig{Floor: 0.1, MaxStep: step})
+	const step = allocMaxStep
+	p := mustAdaptive(t, base, []string{"ab", "sb"}, r)
 	prev := 0.8 // the hybrid prior at k=5: 4 of 5 slots to AB
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 50; i++ {
 		r.set(trace.Navigation, "sb", 1.0, 101+i) // fresh evidence each round
 		p.Allocations(trace.Navigation, 5)
 		cur := p.Shares()[trace.Navigation]["ab"]
@@ -176,8 +185,8 @@ func TestAdaptiveHysteresisBounds(t *testing.T) {
 		}
 		prev = cur
 	}
-	if math.Abs(prev-0.1) > 1e-9 {
-		t.Errorf("ab share = %v after convergence, want the floor 0.1", prev)
+	if math.Abs(prev-allocFloor) > 1e-9 {
+		t.Errorf("ab share = %v after convergence, want the floor %v", prev, allocFloor)
 	}
 	// No new evidence: however many times the engines re-allocate (the
 	// backpressured double call, session churn), shares must not move.
@@ -191,16 +200,17 @@ func TestAdaptiveHysteresisBounds(t *testing.T) {
 
 // TestAdaptiveThreeModelStepInvariants: with more than two models the
 // share movements are asymmetric; every model's per-step move must still
-// respect MaxStep, the vector must stay normalized without distortion, and
-// no model may dip below the floor on its way to a target at or above it.
+// respect allocMaxStep, the vector must stay normalized without
+// distortion, and no model may dip below the floor on its way to a target
+// at or above it.
 func TestAdaptiveThreeModelStepInvariants(t *testing.T) {
 	base := hybridPolicy(t, "a", "b") // model c: prior share 0
 	r := newFakeRater()
 	r.set(trace.Navigation, "a", 0.05, 100)
 	r.set(trace.Navigation, "b", 0.9, 100)
 	r.set(trace.Navigation, "c", 0.45, 100)
-	const step = 0.02
-	p := mustAdaptive(t, base, []string{"a", "b", "c"}, r, AdaptiveConfig{Floor: 0.1, MaxStep: step})
+	const step = allocMaxStep
+	p := mustAdaptive(t, base, []string{"a", "b", "c"}, r)
 	p.Allocations(trace.Navigation, 6) // initializes the prior from the base table
 	prev := p.Shares()[trace.Navigation]
 	for i := 0; i < 100; i++ {
@@ -283,12 +293,14 @@ func TestAdaptiveEdgeBudgets(t *testing.T) {
 	base := hybridPolicy(t, "ab", "sb")
 	r := newFakeRater()
 	r.set(trace.Navigation, "ab", 0.1, 100)
-	r.set(trace.Navigation, "sb", 0.9, 100)
-	p := mustAdaptive(t, base, []string{"ab", "sb"}, r, AdaptiveConfig{Floor: 0.1, MaxStep: 1})
+	p := mustAdaptive(t, base, []string{"ab", "sb"}, r)
 	if got := p.Allocations(trace.Navigation, 0); len(got) != 0 {
 		t.Errorf("k=0 should allocate nothing, got %v", got)
 	}
-	p.Allocations(trace.Navigation, 5) // move shares to the learned split
+	for i := 0; i < 50; i++ { // move shares to the learned split
+		r.set(trace.Navigation, "sb", 0.9, 100+i)
+		p.Allocations(trace.Navigation, 5)
+	}
 	got := p.Allocations(trace.Navigation, 1)
 	if got["sb"] != 1 || len(got) != 1 {
 		t.Errorf("k=1 = %v, want all to the higher-share model", got)
@@ -324,22 +336,23 @@ func TestEngineWithAdaptiveAllocation(t *testing.T) {
 	}
 	base := hybridPolicy(t, mom.Name(), ab.Name())
 	r := newFakeRater()
-	p := mustAdaptive(t, base, []string{mom.Name(), ab.Name()}, r, AdaptiveConfig{Floor: 0.1, MaxStep: 1})
+	p := mustAdaptive(t, base, []string{mom.Name(), ab.Name()}, r)
 	eng, err := NewEngine(db, nil, p, []recommend.Model{mom, ab}, Config{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A policy referencing models the engine lacks must fail validation.
 	ghost := mustAdaptive(t, hybridPolicy(t, "ghost", ab.Name()),
-		[]string{"ghost", ab.Name()}, nil, AdaptiveConfig{})
+		[]string{"ghost", ab.Name()}, nil)
 	if _, err := NewEngine(db, nil, ghost, []recommend.Model{mom, ab}, Config{K: 4}); err == nil {
 		t.Error("an adaptive policy naming an unknown model should fail")
 	}
-	if _, err := eng.Request(tile.Coord{}); err != nil {
+	resp, err := eng.Request(tile.Coord{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(eng.cache.Allocations()) == 0 {
-		t.Error("engine never installed allocations from the adaptive policy")
+	if len(resp.Prefetched) == 0 {
+		t.Error("engine prefetched nothing: it never installed allocations from the adaptive policy")
 	}
 }
 
@@ -351,7 +364,7 @@ func TestEngineWithAdaptiveAllocation(t *testing.T) {
 func TestAdaptiveAllocationConcurrent(t *testing.T) {
 	fc := prefetch.NewFeedbackCollector(5)
 	base := hybridPolicy(t, "ab", "sb")
-	p := mustAdaptive(t, base, []string{"ab", "sb"}, fc, AdaptiveConfig{Floor: 0.1, MaxStep: 0.02})
+	p := mustAdaptive(t, base, []string{"ab", "sb"}, fc)
 	phases := []trace.Phase{trace.Foraging, trace.Navigation, trace.Sensemaking}
 	models := []string{"ab", "sb"}
 	var wg sync.WaitGroup
@@ -408,8 +421,7 @@ func TestAdaptiveAllocationConcurrent(t *testing.T) {
 				_ = fc.Curve()
 				_ = fc.Observations()
 				for _, ph := range phases {
-					_, _ = fc.AllocationRate(ph, "ab")
-					_ = p.Warmed(ph)
+					_, _ = fc.AllocationRates(ph, models)
 				}
 			}
 		}()
@@ -417,7 +429,7 @@ func TestAdaptiveAllocationConcurrent(t *testing.T) {
 	wg.Wait()
 	// After the churn the phases are long warmed; shares must have moved.
 	for _, ph := range phases {
-		if !p.Warmed(ph) {
+		if _, obs := fc.AllocationRates(ph, models); !warmed(obs) {
 			t.Errorf("phase %v never warmed (%d observations total)", ph, fc.Observations())
 		}
 	}

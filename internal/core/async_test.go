@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"forecache/internal/backend"
@@ -12,14 +13,21 @@ import (
 
 // gatedStore wraps a DBMS so prefetch (FetchQuiet) fetches block on a gate,
 // letting tests hold several sessions' batches queued at once. User-facing
-// Fetch passes through ungated.
+// Fetch passes through ungated. Both count the DBMS fetches they issue.
 type gatedStore struct {
 	*backend.DBMS
-	gate chan struct{}
+	gate    chan struct{}
+	fetches atomic.Int64
+}
+
+func (g *gatedStore) Fetch(c tile.Coord) (*tile.Tile, error) {
+	g.fetches.Add(1)
+	return g.DBMS.Fetch(c)
 }
 
 func (g *gatedStore) FetchQuiet(c tile.Coord) (*tile.Tile, error) {
 	<-g.gate
+	g.fetches.Add(1)
 	return g.DBMS.FetchQuiet(c)
 }
 
@@ -62,7 +70,7 @@ func TestTwoEnginesCoalesceSharedPrediction(t *testing.T) {
 		t.Fatalf("submitted %d and %d candidates, want 4 and 4",
 			len(respA.Prefetched), len(respB.Prefetched))
 	}
-	queriesBefore := db.Queries() // the two user-facing root fetches
+	queriesBefore := store.fetches.Load() // the two user-facing root fetches
 	if queriesBefore != 2 {
 		t.Fatalf("user-facing queries = %d, want 2", queriesBefore)
 	}
@@ -70,7 +78,7 @@ func TestTwoEnginesCoalesceSharedPrediction(t *testing.T) {
 	sched.Drain()
 
 	// 4 shared predictions, each fetched from the DBMS exactly once.
-	if got := db.Queries() - queriesBefore; got != 4 {
+	if got := store.fetches.Load() - queriesBefore; got != 4 {
 		t.Errorf("prefetch DBMS queries = %d, want 4 (one per shared tile)", got)
 	}
 	st := sched.Stats()

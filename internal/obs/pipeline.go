@@ -8,12 +8,8 @@ import (
 	"time"
 )
 
-// Config sizes a Pipeline.
+// Config sets up a Pipeline.
 type Config struct {
-	// TraceCapacity is the completed-trace ring size (the /debug/traces
-	// working set). Default DefaultTraceCapacity; negative disables the
-	// buffer entirely (histograms still work).
-	TraceCapacity int
 	// Logger, when set, makes every finished trace emit one structured
 	// debug line carrying the trace id. Nil disables request logging.
 	Logger *slog.Logger
@@ -54,8 +50,7 @@ type Pipeline struct {
 	// post content negotiation, post compression.
 	TileBytes *Histogram
 
-	// Traces is the bounded ring of completed request traces (nil when
-	// disabled).
+	// Traces is the bounded ring of completed request traces.
 	Traces *TraceBuffer
 	// Log is the deployment's structured logger (nil disables logging).
 	Log *slog.Logger
@@ -69,7 +64,7 @@ type Pipeline struct {
 // consumption), tile encodes from 1µs, and response payload sizes in
 // byte-valued buckets from 64 B to ~1 GB.
 func NewPipeline(cfg Config) *Pipeline {
-	p := &Pipeline{
+	return &Pipeline{
 		RequestHit:   NewHistogram(ExpBuckets(100e-6, 2, 15)),
 		RequestMiss:  NewHistogram(ExpBuckets(100e-6, 2, 15)),
 		RequestShed:  NewHistogram(ExpBuckets(100e-6, 2, 15)),
@@ -79,12 +74,9 @@ func NewPipeline(cfg Config) *Pipeline {
 		PushLead:     NewHistogram(ExpBuckets(1e-3, 2, 15)),
 		TileEncode:   NewHistogram(ExpBuckets(1e-6, 2, 15)),
 		TileBytes:    NewHistogram(ExpBuckets(64, 4, 12)),
+		Traces:       newTraceBuffer(),
 		Log:          cfg.Logger,
 	}
-	if cfg.TraceCapacity >= 0 {
-		p.Traces = NewTraceBuffer(cfg.TraceCapacity)
-	}
-	return p
 }
 
 // requestHistogram maps an outcome label to its histogram.

@@ -147,9 +147,7 @@ func (t *ReqTrace) Finish() {
 		t.tr.Outcome = OutcomeShed
 	}
 	t.p.requestHistogram(t.tr.Outcome).ObserveDuration(d)
-	if t.p.Traces != nil {
-		t.p.Traces.Add(t.tr)
-	}
+	t.p.Traces.Add(t.tr)
 	if t.p.Log != nil {
 		t.p.Log.Debug("request",
 			"trace_id", t.tr.ID,
@@ -162,10 +160,10 @@ func (t *ReqTrace) Finish() {
 	}
 }
 
-// TraceBuffer is a bounded ring of completed traces: the newest capacity
-// records are retained, the oldest evicted first. Memory is bounded by
-// construction — capacity records, each with capped label bytes and span
-// count. Safe for concurrent use.
+// TraceBuffer is a bounded ring of completed traces: the newest
+// traceCapacity records are retained, the oldest evicted first. Memory is
+// bounded by construction — traceCapacity records, each with capped label
+// bytes and span count. Safe for concurrent use.
 type TraceBuffer struct {
 	mu    sync.Mutex
 	buf   []Trace
@@ -174,16 +172,12 @@ type TraceBuffer struct {
 	added uint64
 }
 
-// DefaultTraceCapacity is the ring size when none is configured.
-const DefaultTraceCapacity = 256
+// traceCapacity is the ring size: the /debug/traces working set.
+const traceCapacity = 256
 
-// NewTraceBuffer returns a ring retaining the last capacity traces
-// (DefaultTraceCapacity when capacity <= 0).
-func NewTraceBuffer(capacity int) *TraceBuffer {
-	if capacity <= 0 {
-		capacity = DefaultTraceCapacity
-	}
-	return &TraceBuffer{buf: make([]Trace, capacity)}
+// newTraceBuffer returns a ring retaining the last traceCapacity traces.
+func newTraceBuffer() *TraceBuffer {
+	return &TraceBuffer{buf: make([]Trace, traceCapacity)}
 }
 
 // Add records one completed trace, evicting the oldest past capacity.

@@ -10,38 +10,46 @@ import (
 )
 
 // TestTraceBufferEvictionOrder pins the ring semantics: the newest
-// capacity traces are retained and Snapshot returns them oldest-first.
+// traceCapacity traces are retained and Snapshot returns them oldest-first.
 func TestTraceBufferEvictionOrder(t *testing.T) {
-	b := NewTraceBuffer(3)
-	for i := 0; i < 5; i++ {
+	b := newTraceBuffer()
+	const added = traceCapacity + 2
+	for i := 0; i < added; i++ {
 		b.Add(Trace{ID: fmt.Sprintf("t-%d", i)})
 	}
-	if b.Cap() != 3 || b.Len() != 3 {
-		t.Fatalf("Cap/Len = %d/%d, want 3/3", b.Cap(), b.Len())
+	if b.Cap() != traceCapacity || b.Len() != traceCapacity {
+		t.Fatalf("Cap/Len = %d/%d, want %d/%d", b.Cap(), b.Len(), traceCapacity, traceCapacity)
 	}
-	if b.Added() != 5 {
-		t.Fatalf("Added = %d, want 5", b.Added())
+	if b.Added() != added {
+		t.Fatalf("Added = %d, want %d", b.Added(), added)
 	}
 	snap := b.Snapshot()
-	var ids []string
-	for _, tr := range snap {
-		ids = append(ids, tr.ID)
-	}
-	if got := strings.Join(ids, ","); got != "t-2,t-3,t-4" {
-		t.Fatalf("retained %s, want t-2,t-3,t-4 (oldest evicted first)", got)
+	for i, tr := range snap {
+		if want := fmt.Sprintf("t-%d", i+2); tr.ID != want {
+			t.Fatalf("retained[%d] = %s, want %s (oldest evicted first)", i, tr.ID, want)
+		}
 	}
 }
 
+// TestTraceBufferDefaultCapacity: every pipeline keeps a trace ring of
+// traceCapacity records, and a finished trace lands in it.
 func TestTraceBufferDefaultCapacity(t *testing.T) {
-	if got := NewTraceBuffer(0).Cap(); got != DefaultTraceCapacity {
-		t.Fatalf("default capacity = %d, want %d", got, DefaultTraceCapacity)
+	p := NewPipeline(Config{})
+	if got := p.Traces.Cap(); got != traceCapacity {
+		t.Fatalf("capacity = %d, want %d", got, traceCapacity)
+	}
+	tr := p.StartTrace("s", "q")
+	tr.SetOutcome(OutcomeHit)
+	tr.Finish()
+	if got := p.Traces.Len(); got != 1 {
+		t.Fatalf("ring holds %d traces after one finished, want 1", got)
 	}
 }
 
 // TestTraceBufferSlowest pins ordering: by duration descending, ties
 // broken oldest-first so repeated calls return identical slices.
 func TestTraceBufferSlowest(t *testing.T) {
-	b := NewTraceBuffer(8)
+	b := newTraceBuffer()
 	for i, dur := range []int64{30, 10, 30, 50, 20} {
 		b.Add(Trace{ID: fmt.Sprintf("t-%d", i), DurNS: dur})
 	}
@@ -176,19 +184,6 @@ func TestNewLoggerLevels(t *testing.T) {
 	}
 }
 
-func TestPipelineDisabledTraceBuffer(t *testing.T) {
-	p := NewPipeline(Config{TraceCapacity: -1})
-	if p.Traces != nil {
-		t.Fatal("negative TraceCapacity should disable the buffer")
-	}
-	tr := p.StartTrace("s", "q")
-	tr.SetOutcome(OutcomeHit)
-	tr.Finish() // histograms still work without a buffer
-	if got := p.RequestHit.Snapshot().Count; got != 1 {
-		t.Fatalf("hit count = %d, want 1", got)
-	}
-}
-
 func BenchmarkTraceRecord(b *testing.B) {
 	p := NewPipeline(Config{})
 	b.ReportAllocs()
@@ -201,7 +196,7 @@ func BenchmarkTraceRecord(b *testing.B) {
 }
 
 func BenchmarkTraceBufferAdd(b *testing.B) {
-	buf := NewTraceBuffer(DefaultTraceCapacity)
+	buf := newTraceBuffer()
 	tr := Trace{ID: "t-1", Session: "s", Target: "q", Outcome: OutcomeHit, Spans: []Span{{Name: "x"}}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -111,7 +111,7 @@ func Train(reqs []trace.Request, cfg TrainConfig) (*Classifier, error) {
 	if len(x) == 0 {
 		return nil, fmt.Errorf("phase: no labeled requests to train on")
 	}
-	m, err := svm.Train(x, y, svm.Config{})
+	m, err := svm.Train(x, y)
 	if err != nil {
 		return nil, fmt.Errorf("phase: %w", err)
 	}

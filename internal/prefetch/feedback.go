@@ -52,9 +52,6 @@ type FeedbackCollector struct {
 	// phaseN counts every outcome a phase has produced, across models: the
 	// staleness clock allocation buckets decay against.
 	phaseN map[trace.Phase]int
-	// allocHalfLife is the number of phase outcomes a bucket can miss
-	// before its rate halves.
-	allocHalfLife float64
 }
 
 // phaseModel keys the allocation tallies.
@@ -83,12 +80,12 @@ type allocBucket struct {
 
 // staleFactor is the decay multiplier for a bucket last observed when the
 // phase total was lastN, read at phase total n.
-func (f *FeedbackCollector) staleFactor(b *allocBucket, n int) float64 {
+func staleFactor(b *allocBucket, n int) float64 {
 	stale := n - b.lastN
 	if stale <= 0 {
 		return 1
 	}
-	return math.Pow(0.5, float64(stale)/f.allocHalfLife)
+	return math.Pow(0.5, float64(stale)/allocHalfLife)
 }
 
 // Collector tuning. The EWMA weight trades adaptation speed against noise:
@@ -98,12 +95,12 @@ const (
 	feedbackAlpha = 0.02
 	warmupObs     = 30
 	minFactor     = 0.01 // learned floor: a tail position never hits zero
-	// defaultAllocHalfLife is the evidence half-life of the allocation
-	// buckets, in phase outcomes: long enough that a model observed at the
-	// 0.1 exploration floor of a busy phase decays by well under 4%
-	// between its own observations, short enough that a few minutes of
-	// shifted traffic rewrites a stale split.
-	defaultAllocHalfLife = 2048
+	// allocHalfLife is the evidence half-life of the allocation buckets,
+	// in phase outcomes: long enough that a model observed at the 0.1
+	// exploration floor of a busy phase decays by well under 4% between
+	// its own observations, short enough that a few minutes of shifted
+	// traffic rewrites a stale split.
+	allocHalfLife = 2048
 )
 
 // NewFeedbackCollector returns a collector learning factors for positions
@@ -114,26 +111,12 @@ func NewFeedbackCollector(maxPos int) *FeedbackCollector {
 		maxPos = 2
 	}
 	return &FeedbackCollector{
-		alpha:         feedbackAlpha,
-		rate:          make([]float64, maxPos),
-		obs:           make([]int, maxPos),
-		phaseAlloc:    make(map[phaseModel]*allocBucket),
-		phaseN:        make(map[trace.Phase]int),
-		allocHalfLife: defaultAllocHalfLife,
+		alpha:      feedbackAlpha,
+		rate:       make([]float64, maxPos),
+		obs:        make([]int, maxPos),
+		phaseAlloc: make(map[phaseModel]*allocBucket),
+		phaseN:     make(map[trace.Phase]int),
 	}
-}
-
-// SetAllocationHalfLife overrides the allocation buckets' evidence
-// half-life (in phase outcomes). Values <= 0 restore the default. Tests
-// use short half-lives to exercise shift-and-recover without replaying
-// thousands of outcomes.
-func (f *FeedbackCollector) SetAllocationHalfLife(n float64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if n <= 0 {
-		n = defaultAllocHalfLife
-	}
-	f.allocHalfLife = n
 }
 
 // Observe records one cache outcome: the tile prefetched at batch position
@@ -168,7 +151,7 @@ func (f *FeedbackCollector) Observe(ph trace.Phase, model string, pos int, hit b
 		// Fold the staleness decay in before the EWMA step: evidence the
 		// bucket accumulated before going quiet counts for less, so the
 		// first observations after a long silence move the rate fast.
-		b.rate *= f.staleFactor(b, n-1)
+		b.rate *= staleFactor(b, n-1)
 		b.rate += f.alpha * (v - b.rate)
 	}
 	b.obs++
@@ -176,35 +159,21 @@ func (f *FeedbackCollector) Observe(ph trace.Phase, model string, pos int, hit b
 	f.phaseAlloc[key] = b
 }
 
-// AllocationRate reports the EWMA consumption rate of model's prefetches
-// under predicted phase ph, and how many outcomes it was fit from (0 obs =
-// never prefetched in that phase, rate 0): the signal AdaptivePolicy
-// re-splits the prefetch budget from, one model at a time.
-func (f *FeedbackCollector) AllocationRate(ph trace.Phase, model string) (rate float64, obs int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.allocationRateLocked(ph, model)
-}
-
-func (f *FeedbackCollector) allocationRateLocked(ph trace.Phase, model string) (rate float64, obs int) {
-	b := f.phaseAlloc[phaseModel{ph: ph, model: model}]
-	if b == nil {
-		return 0, 0
-	}
-	return b.rate * f.staleFactor(b, f.phaseN[ph]), b.obs
-}
-
-// AllocationRates implements core.AllocationFeedback, batched for the
-// per-request hot path: one lock hold returns every model's rate and
-// observation count for the phase (ordered like models), instead of
-// 2 x len(models) separate acquisitions of a mutex shared by all sessions.
+// AllocationRates implements core.AllocationFeedback: the EWMA
+// consumption rate of each model's prefetches under predicted phase ph,
+// and how many outcomes it was fit from (0 obs = never prefetched in that
+// phase, rate 0), ordered like models. It is batched for the per-request
+// hot path: one lock hold answers every model, instead of 2 x len(models)
+// separate acquisitions of a mutex shared by all sessions.
 func (f *FeedbackCollector) AllocationRates(ph trace.Phase, models []string) (rates []float64, obs []int) {
 	rates = make([]float64, len(models))
 	obs = make([]int, len(models))
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for i, m := range models {
-		rates[i], obs[i] = f.allocationRateLocked(ph, m)
+		if b := f.phaseAlloc[phaseModel{ph: ph, model: m}]; b != nil {
+			rates[i], obs[i] = b.rate*staleFactor(b, f.phaseN[ph]), b.obs
+		}
 	}
 	return rates, obs
 }

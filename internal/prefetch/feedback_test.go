@@ -256,33 +256,37 @@ func TestDecayedUtilityFactorMatchesStatic(t *testing.T) {
 	_ = tile.Coord{} // keep the tile import with the shared helpers
 }
 
+// allocationRate is one model's answer from the batched AllocationRates.
+func allocationRate(f *FeedbackCollector, ph trace.Phase, model string) (float64, int) {
+	rates, obs := f.AllocationRates(ph, []string{model})
+	return rates[0], obs[0]
+}
+
 // TestAllocationEvidenceDecay is the half-life table test for the
 // per-(phase, model) tallies: a bucket's effective rate halves for every
-// half-life of phase outcomes it sits out, a steadily-observed bucket
+// allocHalfLife phase outcomes it sits out, a steadily-observed bucket
 // barely decays between its own observations, and a silent bucket's first
 // new observation re-learns fast instead of crawling at the EWMA alpha.
 func TestAllocationEvidenceDecay(t *testing.T) {
 	const ph = trace.Foraging
 	cases := []struct {
-		name     string
-		halfLife float64
-		quiet    int     // outcomes other models produce after a's warm-up
-		wantMax  float64 // a's effective rate must fall to/below this
-		wantMin  float64 // ...but not below this
+		name    string
+		quiet   int     // outcomes other models produce after a's warm-up
+		wantMax float64 // a's effective rate must fall to/below this
+		wantMin float64 // ...but not below this
 	}{
-		{"one half-life", 50, 50, 0.51, 0.49},
-		{"two half-lives", 50, 100, 0.26, 0.24},
-		{"fresh bucket barely decays", 1000, 10, 1.01, 0.99},
+		{"one half-life", allocHalfLife, 0.51, 0.49},
+		{"two half-lives", 2 * allocHalfLife, 0.26, 0.24},
+		{"fresh bucket barely decays", 20, 1.01, 0.99},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			f := NewFeedbackCollector(5)
-			f.SetAllocationHalfLife(tc.halfLife)
 			// Warm a to rate 1.0 (first observation seeds the EWMA).
 			for i := 0; i < 40; i++ {
 				f.Observe(ph, "a", 0, true)
 			}
-			before, obs := f.AllocationRate(ph, "a")
+			before, obs := allocationRate(f, ph, "a")
 			if before < 0.999 || obs != 40 {
 				t.Fatalf("warm rate = %v obs %d, want ~1.0 / 40", before, obs)
 			}
@@ -290,7 +294,7 @@ func TestAllocationEvidenceDecay(t *testing.T) {
 			for i := 0; i < tc.quiet; i++ {
 				f.Observe(ph, "b", 0, true)
 			}
-			got, obs := f.AllocationRate(ph, "a")
+			got, obs := allocationRate(f, ph, "a")
 			if got > tc.wantMax || got < tc.wantMin {
 				t.Errorf("after %d quiet outcomes rate = %v, want in [%v, %v]",
 					tc.quiet, got, tc.wantMin, tc.wantMax)
@@ -301,7 +305,7 @@ func TestAllocationEvidenceDecay(t *testing.T) {
 			}
 			// Another phase's buckets are untouched by this phase's clock.
 			f.Observe(trace.Sensemaking, "a", 0, true)
-			if r, _ := f.AllocationRate(trace.Sensemaking, "a"); r != 1 {
+			if r, _ := allocationRate(f, trace.Sensemaking, "a"); r != 1 {
 				t.Errorf("other phase's fresh rate = %v, want 1", r)
 			}
 		})
@@ -310,36 +314,38 @@ func TestAllocationEvidenceDecay(t *testing.T) {
 	// Fast re-learn: after a long silence, a's decayed evidence means the
 	// next observations move the rate far faster than alpha alone would.
 	f := NewFeedbackCollector(5)
-	f.SetAllocationHalfLife(25)
 	for i := 0; i < 40; i++ {
 		f.Observe(ph, "a", 0, true) // rate 1.0
 	}
-	for i := 0; i < 200; i++ {
+	for i := 0; i < 8*allocHalfLife; i++ {
 		f.Observe(ph, "b", 0, true) // 8 half-lives of silence for a
 	}
 	f.Observe(ph, "a", 0, false) // first post-shift outcome: a miss
-	got, _ := f.AllocationRate(ph, "a")
+	got, _ := allocationRate(f, ph, "a")
 	if got > 0.01 {
 		t.Errorf("post-silence rate = %v, want near 0 (decayed evidence + miss)", got)
 	}
 }
 
-// TestAllocationRatesBatchedMatchesSingle: the batched hot-path probe and
-// the single-model probe must agree, including on decay.
+// TestAllocationRatesBatchedMatchesSingle: one batched call answers each
+// model exactly as a call for that model alone does, including on decay
+// and for a model never observed.
 func TestAllocationRatesBatchedMatchesSingle(t *testing.T) {
 	f := NewFeedbackCollector(5)
-	f.SetAllocationHalfLife(30)
-	for i := 0; i < 50; i++ {
+	for i := 0; i < 5000; i++ {
 		f.Observe(trace.Navigation, "a", i%5, i%3 != 0)
-		if i%4 == 0 {
+		if i < 50 && i%4 == 0 {
 			f.Observe(trace.Navigation, "b", i%5, i%2 == 0)
 		}
 	}
 	rates, obs := f.AllocationRates(trace.Navigation, []string{"a", "b", "ghost"})
 	for i, m := range []string{"a", "b", "ghost"} {
-		r, o := f.AllocationRate(trace.Navigation, m)
+		r, o := allocationRate(f, trace.Navigation, m)
 		if math.Abs(rates[i]-r) > 1e-12 || obs[i] != o {
 			t.Errorf("model %s: batched (%v, %d) != single (%v, %d)", m, rates[i], obs[i], r, o)
 		}
+	}
+	if obs[2] != 0 || rates[2] != 0 {
+		t.Errorf("never-observed model = (%v, %d), want (0, 0)", rates[2], obs[2])
 	}
 }

@@ -3,6 +3,7 @@ package prefetch
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"forecache/internal/trace"
@@ -49,13 +50,12 @@ func TestFeedbackStateRoundTripBytes(t *testing.T) {
 			t.Errorf("Factor(%d) = %v after restore, want %v", pos, got, want)
 		}
 	}
+	models := []string{"markov3", "sb:sift", "hotspot"}
 	for _, ph := range []trace.Phase{trace.Foraging, trace.Navigation, trace.Sensemaking} {
-		for _, m := range []string{"markov3", "sb:sift", "hotspot"} {
-			gr, gobs := g.AllocationRate(ph, m)
-			wr, wobs := f.AllocationRate(ph, m)
-			if gr != wr || gobs != wobs {
-				t.Errorf("AllocationRate(%s, %s) = (%v, %d), want (%v, %d)", ph, m, gr, gobs, wr, wobs)
-			}
+		gr, gobs := g.AllocationRates(ph, models)
+		wr, wobs := f.AllocationRates(ph, models)
+		if !slices.Equal(gr, wr) || !slices.Equal(gobs, wobs) {
+			t.Errorf("AllocationRates(%s) = (%v, %v), want (%v, %v)", ph, gr, gobs, wr, wobs)
 		}
 	}
 	if g.Observations() != f.Observations() {
@@ -160,8 +160,8 @@ func TestFeedbackImportIgnoresRetiredModelTallies(t *testing.T) {
 	if err := f.ImportState([]byte(head + `"model_hits":{"m":3},"model_misses":{"m":1},` + tail)); err != nil {
 		t.Fatalf("payload with retired keys rejected: %v", err)
 	}
-	if rate, obs := f.AllocationRate(trace.Foraging, "m"); obs != 4 || rate <= 0 || rate > 0.4 {
-		t.Errorf("AllocationRate(Foraging, m) = (%v, %d), want the imported bucket (rate 0.4 less 2 outcomes of decay, 4 obs)", rate, obs)
+	if rate, obs := allocationRate(f, trace.Foraging, "m"); obs != 4 || rate <= 0 || rate > 0.4 {
+		t.Errorf("rate of (Foraging, m) = (%v, %d), want the imported bucket (rate 0.4 less 2 outcomes of decay, 4 obs)", rate, obs)
 	}
 	if n := f.Observations(); n != 14 {
 		t.Errorf("Observations = %d, want 14", n)

@@ -211,17 +211,17 @@ func TestRegistryPushUnattached(t *testing.T) {
 }
 
 func TestRegistryBufferOverflowDrops(t *testing.T) {
-	r := NewRegistry(Config{Buffer: 2})
+	r := NewRegistry(Config{})
 	r.Attach("s")
-	for i := 0; i < 3; i++ {
-		c := tile.Coord{Level: 1, X: i}
+	for i := 0; i <= streamBuffer; i++ {
+		c := tile.Coord{Level: 7, X: i}
 		ok := r.Push("s", "m", c, 1, testTile(c))
-		if want := i < 2; ok != want {
+		if want := i < streamBuffer; ok != want {
 			t.Fatalf("push %d: ok=%v want %v", i, ok, want)
 		}
 	}
 	got := r.Stats()
-	if got.Pushed != 2 || got.Dropped != 1 {
+	if got.Pushed != streamBuffer || got.Dropped != 1 {
 		t.Fatalf("stats: %+v", got)
 	}
 }
@@ -326,7 +326,7 @@ func TestRegistryDrainDelay(t *testing.T) {
 
 func TestRegistryConsumedLead(t *testing.T) {
 	now := time.Unix(100, 0)
-	pipe := obs.NewPipeline(obs.Config{TraceCapacity: -1})
+	pipe := obs.NewPipeline(obs.Config{})
 	r := NewRegistry(Config{Obs: pipe, Now: func() time.Time { return now }})
 	r.Attach("s")
 	c := tile.Coord{Level: 3, Y: 1, X: 2}
@@ -353,24 +353,82 @@ func TestRegistryConsumedLead(t *testing.T) {
 	}
 }
 
-func TestRegistryPushedAtBounded(t *testing.T) {
-	r := NewRegistry(Config{Buffer: 3 * pushedAtCap})
-	r.Attach("s")
-	for i := 0; i < pushedAtCap+10; i++ {
-		c := tile.Coord{Level: 1, X: i}
-		if !r.Push("s", "m", c, 1, testTile(c)) {
-			t.Fatalf("push %d failed", i)
-		}
+// pushDrained pushes c onto session s's stream st and takes the frame off
+// the stream again, as the stream handler would.
+func pushDrained(t *testing.T, r *Registry, st *Stream, c tile.Coord) {
+	t.Helper()
+	if !r.Push("s", "m", c, 1, testTile(c)) {
+		t.Fatalf("push of %v failed", c)
 	}
+	<-st.Frames()
+}
+
+// trackerSize reads the session's pushed-coordinate tracker.
+func trackerSize(r *Registry, session string) (pushedAt, order int) {
 	r.mu.Lock()
-	n := len(r.sessions["s"].pushedAt)
-	r.mu.Unlock()
-	if n > pushedAtCap {
+	defer r.mu.Unlock()
+	ss := r.sessions[session]
+	return len(ss.pushedAt), len(ss.order)
+}
+
+func TestRegistryPushedAtBounded(t *testing.T) {
+	r := NewRegistry(Config{})
+	st := r.Attach("s")
+	for i := 0; i < pushedAtCap+10; i++ {
+		pushDrained(t, r, st, tile.Coord{Level: 12, X: i})
+	}
+	if n, _ := trackerSize(r, "s"); n > pushedAtCap {
 		t.Fatalf("pushedAt grew to %d, cap %d", n, pushedAtCap)
 	}
 	// Oldest were evicted; newest still tracked.
-	if _, ok := r.Consumed("s", tile.Coord{Level: 1, X: pushedAtCap + 9}); !ok {
+	if _, ok := r.Consumed("s", tile.Coord{Level: 12, X: 0}); ok {
+		t.Fatal("oldest pushed coord still tracked past the cap")
+	}
+	if _, ok := r.Consumed("s", tile.Coord{Level: 12, X: pushedAtCap + 9}); !ok {
 		t.Fatal("newest pushed coord not tracked")
+	}
+}
+
+// TestRegistryTrackerBoundedUnderConsumption: a session that consumes what
+// it is pushed keeps a bounded tracker, however long it runs.
+func TestRegistryTrackerBoundedUnderConsumption(t *testing.T) {
+	r := NewRegistry(Config{})
+	st := r.Attach("s")
+	for i := 0; i < 10000; i++ {
+		c := tile.Coord{Level: 6, X: i % 35}
+		pushDrained(t, r, st, c)
+		if _, ok := r.Consumed("s", c); !ok {
+			t.Fatalf("round %d: pushed %v not consumed", i, c)
+		}
+	}
+	if pushedAt, order := trackerSize(r, "s"); pushedAt != 0 || order > pushedAtCap {
+		t.Fatalf("after 10,000 consumed pushes the tracker holds %d stamps and %d order entries, cap %d",
+			pushedAt, order, pushedAtCap)
+	}
+}
+
+// TestRegistryRepushKeepsFreshStamp: a coordinate pushed, consumed and
+// pushed again is remembered for pushedAtCap pushes from its second push,
+// not evicted early by its first push's entry.
+func TestRegistryRepushKeepsFreshStamp(t *testing.T) {
+	r := NewRegistry(Config{})
+	st := r.Attach("s")
+	a := tile.Coord{Level: 12, X: 1 << 11}
+	pushDrained(t, r, st, a)
+	if _, ok := r.Consumed("s", a); !ok {
+		t.Fatal("first push not consumed")
+	}
+	for i := 0; i < 10; i++ {
+		pushDrained(t, r, st, tile.Coord{Level: 12, X: i})
+	}
+	pushDrained(t, r, st, a)
+	// pushedAtCap-10 more pushes: fewer than pushedAtCap since a's second
+	// push, more than enough to fill the tracker.
+	for i := 0; i < pushedAtCap-10; i++ {
+		pushDrained(t, r, st, tile.Coord{Level: 12, Y: 1, X: i})
+	}
+	if _, ok := r.Consumed("s", a); !ok {
+		t.Fatal("re-pushed coord forgotten before pushedAtCap later pushes")
 	}
 }
 

@@ -10,22 +10,21 @@ import (
 
 // Defaults and bounds.
 const (
-	// DefaultBuffer is the per-stream frame buffer: pushes beyond it are
+	// streamBuffer is the per-stream frame buffer: pushes beyond it are
 	// dropped (the cache still holds the tile; the pull path still works).
-	DefaultBuffer = 64
+	streamBuffer = 64
 	// DefaultHeartbeat is the idle-stream heartbeat interval.
 	DefaultHeartbeat = 15 * time.Second
 	// pushedAtCap bounds the per-session pushed-coordinate tracker behind
-	// the push-to-consume lead-time metric.
+	// the push-to-consume lead-time metric: a session remembers its last
+	// pushedAtCap pushes.
 	pushedAtCap = 2048
 	// drainAlpha is the EWMA weight of the newest drain-rate sample.
 	drainAlpha = 0.3
 )
 
-// Config sizes a Registry.
+// Config sets up a Registry.
 type Config struct {
-	// Buffer is the per-stream frame buffer capacity. Default DefaultBuffer.
-	Buffer int
 	// Heartbeat is how often an idle stream emits a heartbeat frame.
 	// Default DefaultHeartbeat.
 	Heartbeat time.Duration
@@ -73,10 +72,19 @@ type Stats struct {
 // the pushed-coordinate tracker (the lead-time metric). It survives a
 // client reconnect and dies with the session (Detach) or the registry.
 type sessionState struct {
-	bps      float64 // EWMA drained bytes per second
-	avgBytes float64 // EWMA frame size in bytes
-	pushedAt map[tile.Coord]time.Time
-	order    []tile.Coord // FIFO bound on pushedAt
+	bps      float64                  // EWMA drained bytes per second
+	avgBytes float64                  // EWMA frame size in bytes
+	pushedAt map[tile.Coord]pushStamp // unconsumed pushes by coordinate
+	order    []pushStamp              // the last pushedAtCap pushes, oldest first
+}
+
+// pushStamp is one push of coordinate c: when it was enqueued, and n, the
+// registry's push count at that moment, which tells a re-push of c apart
+// from the stale order entry of an earlier one.
+type pushStamp struct {
+	c  tile.Coord
+	at time.Time
+	n  int
 }
 
 // Stream is one attached session stream: a bounded frame buffer the
@@ -116,9 +124,6 @@ type Registry struct {
 
 // NewRegistry builds a stream registry.
 func NewRegistry(cfg Config) *Registry {
-	if cfg.Buffer <= 0 {
-		cfg.Buffer = DefaultBuffer
-	}
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = DefaultHeartbeat
 	}
@@ -156,12 +161,12 @@ func (r *Registry) attach(session string, binary bool) *Stream {
 	st := &Stream{
 		session: session,
 		binary:  binary,
-		frames:  make(chan Frame, r.cfg.Buffer),
+		frames:  make(chan Frame, streamBuffer),
 		done:    make(chan struct{}),
 	}
 	r.streams[session] = st
 	if r.sessions[session] == nil {
-		r.sessions[session] = &sessionState{pushedAt: make(map[tile.Coord]time.Time)}
+		r.sessions[session] = &sessionState{pushedAt: make(map[tile.Coord]pushStamp)}
 	}
 	r.opened++
 	return st
@@ -264,16 +269,19 @@ func (r *Registry) enqueue(st *Stream, f Frame) bool {
 	if f.Backfill {
 		r.backfilled++
 	}
+	// Forget the oldest of the last pushedAtCap pushes. Its coordinate's
+	// stamp goes with it only if it is still that push's: a consume has
+	// already removed it, and a later push of the coordinate replaced it.
 	ss := r.sessions[session]
-	if _, ok := ss.pushedAt[f.Coord]; !ok {
-		for len(ss.order) > 0 && len(ss.pushedAt) >= pushedAtCap {
-			victim := ss.order[0]
-			ss.order = ss.order[1:]
-			delete(ss.pushedAt, victim)
+	if len(ss.order) == pushedAtCap {
+		if v := ss.order[0]; ss.pushedAt[v.c].n == v.n {
+			delete(ss.pushedAt, v.c)
 		}
-		ss.order = append(ss.order, f.Coord)
+		ss.order = ss.order[1:]
 	}
-	ss.pushedAt[f.Coord] = r.cfg.Now()
+	stamp := pushStamp{c: f.Coord, at: r.cfg.Now(), n: r.pushed}
+	ss.order = append(ss.order, stamp)
+	ss.pushedAt[f.Coord] = stamp
 	return true
 }
 
@@ -288,14 +296,14 @@ func (r *Registry) Consumed(session string, c tile.Coord) (time.Duration, bool) 
 		r.mu.Unlock()
 		return 0, false
 	}
-	at, ok := ss.pushedAt[c]
+	stamp, ok := ss.pushedAt[c]
 	if !ok {
 		r.mu.Unlock()
 		return 0, false
 	}
 	delete(ss.pushedAt, c)
 	r.consumed++
-	lead := r.cfg.Now().Sub(at)
+	lead := r.cfg.Now().Sub(stamp.at)
 	obsPipe := r.cfg.Obs
 	r.mu.Unlock()
 	obsPipe.ObservePushLead(lead)

@@ -8,14 +8,18 @@ import (
 	"forecache/internal/trace"
 )
 
-// HotspotConfig tunes the online Hotspot recommender.
-type HotspotConfig struct {
-	// HalfLife is the number of consumption observations at a zoom level
-	// after which an unrefreshed tile's weight halves (EWMA decay by
-	// observation count, not wall clock, so replays are deterministic).
-	// Default 256.
-	HalfLife float64
-}
+// HotspotConfig has no fields: the decay half-life is hotspotHalfLife.
+// NewHotspot still takes one, and DefaultSpecs a non-nil one to add the
+// model, so their callers keep compiling.
+type HotspotConfig struct{}
+
+// hotspotHalfLife is the number of consumption observations at a zoom
+// level after which an unrefreshed tile's weight halves (EWMA decay by
+// observation count, not wall clock, so replays are deterministic).
+const hotspotHalfLife = 256
+
+// hotspotGamma is the per-observation decay factor, 0.5^(1/hotspotHalfLife).
+var hotspotGamma = math.Pow(0.5, 1.0/hotspotHalfLife)
 
 // hotspotMaxLevels bounds the per-level observation counters; deeper
 // coordinates clamp into the last bucket (pyramids are far shallower).
@@ -27,7 +31,7 @@ const noiseWeight = 1e-3
 
 // hotEntry is one tile's decayed consumption weight, stored together with
 // the level observation count it was last normalized at (decay is applied
-// lazily: weight_effective = score * gamma^(levelN - lastN)).
+// lazily: weight_effective = score * hotspotGamma^(levelN - lastN)).
 type hotEntry struct {
 	score float64
 	lastN int64
@@ -45,12 +49,12 @@ type hotEntry struct {
 //
 // Weights are kept per zoom level and EWMA-decayed by observation count:
 // each new consumption at a level multiplies every other tile's weight at
-// that level by gamma = 0.5^(1/HalfLife), so the table tracks what is
-// popular NOW and a dataset shift forgets old hotspots on its own. Predict
-// scores a candidate by its share of the recent consumption at its level
-// (0 when the level has never been consumed), which keeps scores
-// comparable across zoom levels even when their traffic differs by orders
-// of magnitude.
+// that level by hotspotGamma = 0.5^(1/hotspotHalfLife), so the table
+// tracks what is popular NOW and a dataset shift forgets old hotspots on
+// its own. Predict scores a candidate by its share of the recent
+// consumption at its level (0 when the level has never been consumed),
+// which keeps scores comparable across zoom levels even when their traffic
+// differs by orders of magnitude.
 //
 // The table is one map under one mutex, at most one entry per pyramid
 // tile: only successfully served tiles are ever consumed, so the pyramid
@@ -59,22 +63,14 @@ type hotEntry struct {
 // table is deployment-wide state, and one session ending says nothing
 // about what the population finds interesting.
 type Hotspot struct {
-	gamma float64
-
 	mu     sync.Mutex
 	levelN [hotspotMaxLevels]int64
 	w      map[tile.Coord]hotEntry
 }
 
 // NewHotspot returns an empty online hotspot model.
-func NewHotspot(cfg HotspotConfig) *Hotspot {
-	if cfg.HalfLife <= 0 {
-		cfg.HalfLife = 256
-	}
-	return &Hotspot{
-		gamma: math.Pow(0.5, 1/cfg.HalfLife),
-		w:     make(map[tile.Coord]hotEntry),
-	}
+func NewHotspot(HotspotConfig) *Hotspot {
+	return &Hotspot{w: make(map[tile.Coord]hotEntry)}
 }
 
 // Name identifies the model.
@@ -115,7 +111,7 @@ func (h *Hotspot) ObserveConsumption(c tile.Coord, _ trace.Phase) {
 	n := h.levelN[l]
 	e := h.w[c]
 	if e.score > 0 {
-		e.score *= math.Pow(h.gamma, float64(n-e.lastN))
+		e.score *= math.Pow(hotspotGamma, float64(n-e.lastN))
 	}
 	e.score++
 	e.lastN = n
@@ -123,16 +119,9 @@ func (h *Hotspot) ObserveConsumption(c tile.Coord, _ trace.Phase) {
 	h.mu.Unlock()
 }
 
-// Share returns the coordinate's share of the recent (decayed) consumption
-// at its zoom level, in [0, 1] — 0 when the level was never consumed.
-// Exposed for tests and operability probes.
-func (h *Hotspot) Share(c tile.Coord) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.shareLocked(c)
-}
-
-// shareLocked is Share with h.mu held.
+// shareLocked returns the coordinate's share of the recent (decayed)
+// consumption at its zoom level, in [0, 1] — 0 when the level was never
+// consumed. h.mu must be held.
 func (h *Hotspot) shareLocked(c tile.Coord) float64 {
 	n := h.levelN[level(c)]
 	e := h.w[c]
@@ -140,12 +129,12 @@ func (h *Hotspot) shareLocked(c tile.Coord) float64 {
 		return 0
 	}
 	// Total decayed weight at the level after n observations is the
-	// geometric sum 1 + gamma + ... + gamma^(n-1).
-	total := (1 - math.Pow(h.gamma, float64(n))) / (1 - h.gamma)
+	// geometric sum 1 + γ + ... + γ^(n-1), γ = hotspotGamma.
+	total := (1 - math.Pow(hotspotGamma, float64(n))) / (1 - hotspotGamma)
 	if total <= 0 {
 		return 0
 	}
-	share := e.score * math.Pow(h.gamma, float64(n-e.lastN)) / total
+	share := e.score * math.Pow(hotspotGamma, float64(n-e.lastN)) / total
 	return min(share, 1) // rounding slack; weights are a heuristic
 }
 

@@ -46,7 +46,7 @@ func (h *Hotspot) ExportState() ([]byte, error) {
 	h.mu.Lock()
 	copy(st.LevelN, h.levelN[:])
 	for c, e := range h.w {
-		if e.score*math.Pow(h.gamma, float64(st.LevelN[level(c)]-e.lastN)) < noiseWeight {
+		if e.score*math.Pow(hotspotGamma, float64(st.LevelN[level(c)]-e.lastN)) < noiseWeight {
 			continue
 		}
 		st.Entries = append(st.Entries, hotspotEntry{Level: c.Level, Y: c.Y, X: c.X, Score: e.score, LastN: e.lastN})

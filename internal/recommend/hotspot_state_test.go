@@ -23,14 +23,14 @@ func trainHotspot(h *Hotspot) {
 }
 
 func TestHotspotStateRoundTripBytes(t *testing.T) {
-	h := NewHotspot(HotspotConfig{HalfLife: 64})
+	h := NewHotspot(HotspotConfig{})
 	trainHotspot(h)
 	first, err := h.ExportState()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	g := NewHotspot(HotspotConfig{HalfLife: 64})
+	g := NewHotspot(HotspotConfig{})
 	if err := g.ImportState(first); err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestHotspotStateRoundTripBytes(t *testing.T) {
 		t.Errorf("export -> import -> export not byte-identical:\n%s\nvs\n%s", first, second)
 	}
 	for _, c := range []tile.Coord{{Level: 2, Y: 1, X: 1}, {Level: 4, Y: 7, X: 7}, {Level: 9, Y: 0, X: 0}} {
-		if got, want := g.Share(c), h.Share(c); got != want {
+		if got, want := share(g, c), share(h, c); got != want {
 			t.Errorf("Share(%v) = %v after restore, want %v", c, got, want)
 		}
 	}
@@ -56,7 +56,8 @@ func TestHotspotStateRoundTripBytes(t *testing.T) {
 // recorded before the code they guard changed shape; a snapshot written by
 // an older binary has to keep restoring. testdata/hotspot_snapshot_hl16.json
 // holds the bytes of the first pin (3,000 observations at a 16-observation
-// half-life); its digest is that pin's constant.
+// half-life, when the half-life could still be set); its digest is that
+// pin's constant.
 func TestHotspotSnapshotPin(t *testing.T) {
 	empty, err := NewHotspot(HotspotConfig{}).ExportState()
 	if err != nil {
@@ -71,15 +72,6 @@ func TestHotspotSnapshotPin(t *testing.T) {
 	}
 	if got, want := digest(old), uint64(0x9eb3ebe8ac42dbcf); got != want {
 		t.Errorf("fixture digest = %#x, want %#x", got, want)
-	}
-	h16 := NewHotspot(HotspotConfig{HalfLife: 16})
-	consumePinSequence(t, h16, 3000)
-	raw16, err := h16.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(raw16, old) {
-		t.Error("the 16-observation half-life export differs from the fixture")
 	}
 	assertRestoresExactly(t, old)
 
@@ -155,13 +147,13 @@ func digest(b []byte) uint64 {
 // TestHotspotExportDropsNoise: an entry whose decayed weight is below the
 // noise floor does not make it into a snapshot.
 func TestHotspotExportDropsNoise(t *testing.T) {
-	h := NewHotspot(HotspotConfig{HalfLife: 1})
+	h := NewHotspot(HotspotConfig{})
 	stale := tile.Coord{Level: 3, Y: 0, X: 0}
 	hot := tile.Coord{Level: 3, Y: 5, X: 5}
 	h.ObserveConsumption(stale, trace.Foraging)
-	// 12 further observations at the level decay stale's weight to
-	// 0.5^12 ~= 2.4e-4, below the 1e-3 noise floor.
-	for i := 0; i < 12; i++ {
+	// Ten half-lives of further observations at the level decay stale's
+	// weight to 0.5^10 ~= 9.8e-4, below the 1e-3 noise floor.
+	for i := 0; i < 10*hotspotHalfLife; i++ {
 		h.ObserveConsumption(hot, trace.Foraging)
 	}
 	raw, err := h.ExportState()
@@ -206,7 +198,7 @@ func TestHotspotImportRejectsBadState(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h := NewHotspot(HotspotConfig{HalfLife: 64})
+			h := NewHotspot(HotspotConfig{})
 			trainHotspot(h)
 			before, _ := h.ExportState()
 			if err := h.ImportState(raw); err == nil {

@@ -9,6 +9,12 @@ import (
 	"forecache/internal/trace"
 )
 
+// share is the score Predict gives c: its share of the recent consumption
+// at its zoom level.
+func share(h *Hotspot, c tile.Coord) float64 {
+	return h.Predict(trace.Request{Coord: c}, []Candidate{{Coord: c}}, nil)[0].Score
+}
+
 // TestHotspotRankingDeterministic: consumption counts order the candidate
 // ranking, and the untouched candidates tie at score 0 in coordinate
 // order — the whole ranking is reproducible.
@@ -50,29 +56,29 @@ func TestHotspotRankingDeterministic(t *testing.T) {
 	}
 }
 
-// TestHotspotDecayForgetsStaleTiles: with a short half-life, a burst of
-// newer consumption at the same level overtakes an old hotspot — the table
-// tracks what is popular NOW.
+// TestHotspotDecayForgetsStaleTiles: a burst of newer consumption at the
+// same level overtakes an old hotspot — the table tracks what is popular
+// NOW.
 func TestHotspotDecayForgetsStaleTiles(t *testing.T) {
-	h := NewHotspot(HotspotConfig{HalfLife: 4})
+	h := NewHotspot(HotspotConfig{})
 	old := tile.Coord{Level: 3, Y: 1, X: 1}
 	fresh := tile.Coord{Level: 3, Y: 2, X: 2}
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 640; i++ {
 		h.ObserveConsumption(old, trace.Foraging)
 	}
-	if h.Share(old) <= h.Share(fresh) {
+	if share(h, old) <= share(h, fresh) {
 		t.Fatal("old hotspot should dominate before the shift")
 	}
-	for i := 0; i < 30; i++ {
+	for i := 0; i < 7.5*hotspotHalfLife; i++ {
 		h.ObserveConsumption(fresh, trace.Foraging)
 	}
-	if h.Share(fresh) <= h.Share(old) {
+	if share(h, fresh) <= share(h, old) {
 		t.Errorf("after the shift fresh share %v should exceed stale %v",
-			h.Share(fresh), h.Share(old))
+			share(h, fresh), share(h, old))
 	}
-	// 30 observations = 7.5 half-lives: the stale share must be tiny.
-	if h.Share(old) > 0.02 {
-		t.Errorf("stale share %v did not decay", h.Share(old))
+	// 7.5 half-lives: the stale share must be tiny.
+	if share(h, old) > 0.02 {
+		t.Errorf("stale share %v did not decay", share(h, old))
 	}
 }
 
@@ -80,7 +86,7 @@ func TestHotspotDecayForgetsStaleTiles(t *testing.T) {
 // a tile's score is comparable across levels with wildly different
 // traffic volumes.
 func TestHotspotSharesPerLevel(t *testing.T) {
-	h := NewHotspot(HotspotConfig{HalfLife: 1000})
+	h := NewHotspot(HotspotConfig{})
 	deep := tile.Coord{Level: 4, Y: 3, X: 3}
 	shallow := tile.Coord{Level: 1, Y: 0, X: 0}
 	// The deep level sees 100 observations, 50 of them for our tile; the
@@ -96,11 +102,11 @@ func TestHotspotSharesPerLevel(t *testing.T) {
 	h.ObserveConsumption(shallow, trace.Foraging)
 	h.ObserveConsumption(tile.Coord{Level: 1, Y: 1, X: 1}, trace.Foraging)
 
-	ds, ss := h.Share(deep), h.Share(shallow)
+	ds, ss := share(h, deep), share(h, shallow)
 	if math.Abs(ds-0.5) > 0.05 || math.Abs(ss-0.5) > 0.05 {
 		t.Errorf("shares deep=%v shallow=%v, want both ~0.5", ds, ss)
 	}
-	if h.Share(tile.Coord{Level: 2, Y: 0, X: 0}) != 0 {
+	if share(h, tile.Coord{Level: 2, Y: 0, X: 0}) != 0 {
 		t.Error("level with no consumption must score 0")
 	}
 }
@@ -114,10 +120,10 @@ func TestHotspotModelContract(t *testing.T) {
 	}
 	c := tile.Coord{Level: 2, Y: 1, X: 1}
 	h.ObserveConsumption(c, trace.Foraging)
-	before := h.Share(c)
+	before := share(h, c)
 	h.Observe(trace.Request{Coord: tile.Coord{Level: 2, Y: 0, X: 0}})
 	h.Reset()
-	if got := h.Share(c); got != before {
+	if got := share(h, c); got != before {
 		t.Errorf("Observe/Reset changed the shared table: %v -> %v", before, got)
 	}
 	if h.Session() != Model(h) {
@@ -130,7 +136,7 @@ func TestHotspotModelContract(t *testing.T) {
 // shape (every session engine feeds and reads the same instance).
 func TestHotspotConcurrent(t *testing.T) {
 	b := gridBounds{maxLevel: 4}
-	h := NewHotspot(HotspotConfig{HalfLife: 64})
+	h := NewHotspot(HotspotConfig{})
 	cur := tile.Coord{Level: 2, Y: 1, X: 1}
 	cands := Candidates(b, cur, 1)
 	var wg sync.WaitGroup

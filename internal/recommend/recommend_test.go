@@ -172,28 +172,28 @@ func TestROITrackerAlgorithm1(t *testing.T) {
 	tr.Update(trace.Request{Coord: a, Move: trace.ZoomInNW}) // zoom-in: start temp
 	tr.Update(trace.Request{Coord: b, Move: trace.PanRight}) // pan: extend temp
 	tr.Update(trace.Request{Coord: c, Move: trace.PanDown})  // pan: extend temp
-	if roi := tr.ROI(); len(roi) != 0 {
+	if roi := tr.roi; len(roi) != 0 {
 		t.Fatalf("ROI before zoom-out = %v, want empty", roi)
 	}
 	tr.Update(trace.Request{Coord: c.Parent(), Move: trace.ZoomOut}) // commit
-	roi := tr.ROI()
+	roi := tr.roi
 	if len(roi) != 3 || roi[0] != a || roi[1] != b || roi[2] != c {
 		t.Fatalf("ROI = %v, want [%v %v %v]", roi, a, b, c)
 	}
 	// A zoom-out without a preceding zoom-in must not clobber the ROI.
 	tr.Update(trace.Request{Coord: c.Parent().Parent(), Move: trace.ZoomOut})
-	if len(tr.ROI()) != 3 {
+	if len(tr.roi) != 3 {
 		t.Error("stray zoom-out overwrote the ROI")
 	}
 	// A new zoom-in starts a fresh temp ROI.
 	d := tile.Coord{Level: 2, Y: 0, X: 0}
 	tr.Update(trace.Request{Coord: d, Move: trace.ZoomInSE})
 	tr.Update(trace.Request{Coord: d.Parent(), Move: trace.ZoomOut})
-	if roi := tr.ROI(); len(roi) != 1 || roi[0] != d {
+	if roi := tr.roi; len(roi) != 1 || roi[0] != d {
 		t.Fatalf("second ROI = %v, want [%v]", roi, d)
 	}
 	tr.Reset()
-	if len(tr.ROI()) != 0 {
+	if len(tr.roi) != 0 {
 		t.Error("Reset should clear the ROI")
 	}
 }

@@ -239,7 +239,7 @@ func SBSpec(sigs ...string) Spec {
 // seeds the population stops visiting. Its default prior claims a single
 // slot in every phase once the budget reaches 3 tiles (below that the
 // paper's two models keep everything).
-func HotspotSpec(cfg HotspotConfig) Spec {
+func HotspotSpec() Spec {
 	return Spec{
 		Name: hotspotName,
 		Prior: func(ph trace.Phase, k int) int {
@@ -249,7 +249,7 @@ func HotspotSpec(cfg HotspotConfig) Spec {
 			return 0
 		},
 		Build: func(env Env) (Artifact, error) {
-			h := NewHotspot(cfg)
+			h := NewHotspot(HotspotConfig{})
 			for _, tr := range env.Traces {
 				for _, r := range tr.Requests {
 					h.ObserveConsumption(r.Coord, r.Phase)
@@ -289,5 +289,5 @@ func DefaultSpecs(abOrder int, sbSigs []string, hotspot *HotspotConfig) []Spec {
 		}
 		return k
 	}
-	return []Spec{ab, HotspotSpec(*hotspot), sb}
+	return []Spec{ab, HotspotSpec(), sb}
 }

@@ -35,9 +35,6 @@ func (t *ROITracker) Update(req trace.Request) {
 	}
 }
 
-// ROI returns the user's last completed region of interest (may be empty).
-func (t *ROITracker) ROI() []tile.Coord { return append([]tile.Coord(nil), t.roi...) }
-
 // Reset clears all tracker state for a new session.
 func (t *ROITracker) Reset() { *t = ROITracker{} }
 

@@ -214,7 +214,7 @@ func TestMetricsAllocationShares(t *testing.T) {
 		t.Fatal(err)
 	}
 	ap, err := core.NewAdaptivePolicy(base, []string{evil, "sb_ok"}, fc,
-		core.AdaptiveConfig{Floor: 0.1, MaxStep: 0.02})
+		core.AdaptiveConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,8 +91,7 @@ type Config struct {
 	// gets a trace (id returned as X-Trace-ID, span breakdown retained in
 	// the pipeline's ring buffer, request latency fed to the outcome-split
 	// histogram), /metrics additionally exports the latency histogram
-	// families, and — when the pipeline keeps a trace buffer — GET
-	// /debug/traces serves the slowest retained traces.
+	// families, and GET /debug/traces serves the slowest retained traces.
 	Obs *obs.Pipeline
 	// Persist is the deployment's snapshot store: Close writes one final
 	// snapshot after the scheduler stops (so a graceful shutdown never loses
@@ -167,7 +166,7 @@ func New(meta Meta, factory EngineFactory, cfg Config) *Server {
 	if cfg.Metrics {
 		s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	}
-	if cfg.Obs != nil && cfg.Obs.Traces != nil {
+	if cfg.Obs != nil {
 		s.mux.HandleFunc("GET /debug/traces", s.handleTraces)
 	}
 	return s
@@ -397,10 +396,6 @@ func (s *Server) releaseSessions(evicted []*session) {
 
 // Sessions returns the number of live sessions.
 func (s *Server) Sessions() int { return s.gather(false).sessions }
-
-// Scheduler returns the attached shared prefetch pipeline (nil when the
-// deployment prefetches inline).
-func (s *Server) Scheduler() *prefetch.Scheduler { return s.cfg.Scheduler }
 
 func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.meta)

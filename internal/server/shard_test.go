@@ -162,7 +162,7 @@ func TestSchedulerShardSeriesExported(t *testing.T) {
 func TestShardedObsTracing(t *testing.T) {
 	pyr := testPyramid(t)
 	db := backend.NewDBMS(pyr, backend.DefaultLatency(), nil)
-	pipe := obs.NewPipeline(obs.Config{TraceCapacity: 16})
+	pipe := obs.NewPipeline(obs.Config{})
 	sched := prefetch.NewScheduler(db, prefetch.Config{Shards: 4, Workers: 4, Obs: pipe})
 	factory := func(session string) (*core.Engine, error) {
 		m := recommend.NewMomentum()

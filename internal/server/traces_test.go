@@ -32,7 +32,7 @@ func (s *slowStore) Fetch(c tile.Coord) (*tile.Tile, error) {
 // tracedServer builds a synchronous-prefetch server with tracing on.
 func tracedServer(t *testing.T, store backend.Store) (*Server, *obs.Pipeline) {
 	t.Helper()
-	pipe := obs.NewPipeline(obs.Config{TraceCapacity: 16})
+	pipe := obs.NewPipeline(obs.Config{})
 	factory := func(session string) (*core.Engine, error) {
 		m := recommend.NewMomentum()
 		return core.NewEngine(store, nil, core.SinglePolicy{Model: m.Name()},
@@ -62,7 +62,7 @@ func TestSlowBackendAttribution(t *testing.T) {
 		Store: backend.NewDBMS(pyr, backend.DefaultLatency(), nil),
 		delay: 50 * time.Millisecond,
 	}
-	srv, _ := tracedServer(t, store)
+	srv, pipe := tracedServer(t, store)
 
 	rec := get(t, srv, "/tile?level=0&y=0&x=0")
 	if rec.Code != 200 {
@@ -81,7 +81,7 @@ func TestSlowBackendAttribution(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if out.Capacity != 16 || out.Stored < 1 {
+	if out.Capacity != pipe.Traces.Cap() || out.Stored < 1 {
 		t.Fatalf("buffer shape: %+v", out)
 	}
 	var tr *obs.Trace
@@ -275,7 +275,7 @@ func TestStatsUptimeAndBuild(t *testing.T) {
 func TestMalformedTileDoesNotTouchSessions(t *testing.T) {
 	pyr := testPyramid(t)
 	db := backend.NewDBMS(pyr, backend.DefaultLatency(), nil)
-	pipe := obs.NewPipeline(obs.Config{TraceCapacity: 16})
+	pipe := obs.NewPipeline(obs.Config{})
 	var built atomic.Int64
 	factory := func(session string) (*core.Engine, error) {
 		built.Add(1)

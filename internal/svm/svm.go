@@ -33,41 +33,18 @@ func RBF(gamma float64) Kernel {
 	}
 }
 
-// Config controls training.
-type Config struct {
-	// C is the soft-margin penalty. Defaults to 1.
-	C float64
-	// Gamma is the RBF kernel width. Defaults to 1/dims.
-	Gamma float64
-	// Tol is the KKT violation tolerance. Defaults to 1e-3.
-	Tol float64
-	// MaxPasses is the number of full passes without alpha changes that
-	// terminates SMO. Defaults to 5.
-	MaxPasses int
-	// MaxIter bounds total SMO iterations. Defaults to 2000.
-	MaxIter int
-	// Seed drives the deterministic partner-selection shuffle.
-	Seed int64
-}
-
-func (c Config) withDefaults(dims int) Config {
-	if c.C <= 0 {
-		c.C = 1
-	}
-	if c.Gamma <= 0 {
-		c.Gamma = 1 / float64(dims)
-	}
-	if c.Tol <= 0 {
-		c.Tol = 1e-3
-	}
-	if c.MaxPasses <= 0 {
-		c.MaxPasses = 5
-	}
-	if c.MaxIter <= 0 {
-		c.MaxIter = 2000
-	}
-	return c
-}
+// Training constants. The RBF kernel width is 1/dims, LibSVM's default.
+const (
+	// penalty is the soft-margin penalty C.
+	penalty = 1
+	// tol is the KKT violation tolerance.
+	tol = 1e-3
+	// maxPasses is the number of full passes without alpha changes that
+	// terminates SMO.
+	maxPasses = 5
+	// maxIter bounds total SMO iterations.
+	maxIter = 2000
+)
 
 // binary is one trained two-class machine over standardized features.
 type binary struct {
@@ -99,7 +76,9 @@ type Classifier struct {
 }
 
 // Train fits a one-vs-one multi-class SVM on rows X with integer labels y.
-func Train(x [][]float64, y []int, cfg Config) (*Classifier, error) {
+// Training is deterministic: each binary machine's partner-selection
+// shuffle is seeded by its training-set size.
+func Train(x [][]float64, y []int) (*Classifier, error) {
 	if len(x) == 0 || len(x) != len(y) {
 		return nil, fmt.Errorf("svm: need matching non-empty X (%d) and y (%d)", len(x), len(y))
 	}
@@ -109,9 +88,7 @@ func Train(x [][]float64, y []int, cfg Config) (*Classifier, error) {
 			return nil, fmt.Errorf("svm: row %d has %d features, want %d", i, len(row), dims)
 		}
 	}
-	cfg = cfg.withDefaults(dims)
-
-	cls := &Classifier{kernel: RBF(cfg.Gamma)}
+	cls := &Classifier{kernel: RBF(1 / float64(dims))}
 	cls.mean, cls.scale = standardizer(x)
 	xs := make([][]float64, len(x))
 	for i, row := range x {
@@ -145,7 +122,7 @@ func Train(x [][]float64, y []int, cfg Config) (*Classifier, error) {
 					subY = append(subY, -1)
 				}
 			}
-			m := trainBinary(subX, subY, cls.kernel, cfg)
+			m := trainBinary(subX, subY, cls.kernel)
 			m.classA, m.classB = a, b
 			cls.machines = append(cls.machines, m)
 		}
@@ -194,13 +171,13 @@ func (c *Classifier) standardize(row []float64) []float64 {
 }
 
 // trainBinary runs simplified SMO (Platt / CS229 variant) on ±1 labels.
-func trainBinary(x [][]float64, y []float64, kernel Kernel, cfg Config) *binary {
+func trainBinary(x [][]float64, y []float64, kernel Kernel) *binary {
 	n := len(x)
 	m := &binary{alphas: make([]float64, n), x: x, y: y}
 	if n == 0 {
 		return m
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed + int64(n)))
+	rng := rand.New(rand.NewSource(int64(n)))
 	// Cache the kernel matrix: training sets here are small (hundreds of
 	// requests), so O(n²) memory is the right trade.
 	gram := make([][]float64, n)
@@ -222,12 +199,12 @@ func trainBinary(x [][]float64, y []float64, kernel Kernel, cfg Config) *binary 
 	}
 
 	passes, iters := 0, 0
-	for passes < cfg.MaxPasses && iters < cfg.MaxIter {
+	for passes < maxPasses && iters < maxIter {
 		iters++
 		changed := 0
 		for i := 0; i < n; i++ {
 			ei := f(i) - y[i]
-			if !((y[i]*ei < -cfg.Tol && m.alphas[i] < cfg.C) || (y[i]*ei > cfg.Tol && m.alphas[i] > 0)) {
+			if !((y[i]*ei < -tol && m.alphas[i] < penalty) || (y[i]*ei > tol && m.alphas[i] > 0)) {
 				continue
 			}
 			j := rng.Intn(n - 1)
@@ -239,10 +216,10 @@ func trainBinary(x [][]float64, y []float64, kernel Kernel, cfg Config) *binary 
 			var lo, hi float64
 			if y[i] != y[j] {
 				lo = math.Max(0, aj-ai)
-				hi = math.Min(cfg.C, cfg.C+aj-ai)
+				hi = math.Min(penalty, penalty+aj-ai)
 			} else {
-				lo = math.Max(0, ai+aj-cfg.C)
-				hi = math.Min(cfg.C, ai+aj)
+				lo = math.Max(0, ai+aj-penalty)
+				hi = math.Min(penalty, ai+aj)
 			}
 			if lo == hi {
 				continue
@@ -264,9 +241,9 @@ func trainBinary(x [][]float64, y []float64, kernel Kernel, cfg Config) *binary 
 			b1 := m.b + ei + y[i]*(aiNew-ai)*gram[i][i] + y[j]*(ajNew-aj)*gram[i][j]
 			b2 := m.b + ej + y[i]*(aiNew-ai)*gram[i][j] + y[j]*(ajNew-aj)*gram[j][j]
 			switch {
-			case aiNew > 0 && aiNew < cfg.C:
+			case aiNew > 0 && aiNew < penalty:
 				m.b = b1
-			case ajNew > 0 && ajNew < cfg.C:
+			case ajNew > 0 && ajNew < penalty:
 				m.b = b2
 			default:
 				m.b = (b1 + b2) / 2
@@ -320,9 +297,3 @@ func (c *Classifier) PredictScore(row []float64) (int, map[int]float64) {
 	}
 	return best, votes
 }
-
-// Classes returns the sorted class labels seen at training time.
-func (c *Classifier) Classes() []int { return append([]int(nil), c.classes...) }
-
-// NumMachines returns the number of pairwise binary machines.
-func (c *Classifier) NumMachines() int { return len(c.machines) }

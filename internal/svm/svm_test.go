@@ -7,16 +7,16 @@ import (
 )
 
 func TestTrainRejectsBadInput(t *testing.T) {
-	if _, err := Train(nil, nil, Config{}); err == nil {
+	if _, err := Train(nil, nil); err == nil {
 		t.Error("empty training set should fail")
 	}
-	if _, err := Train([][]float64{{1}}, []int{0, 1}, Config{}); err == nil {
+	if _, err := Train([][]float64{{1}}, []int{0, 1}); err == nil {
 		t.Error("length mismatch should fail")
 	}
-	if _, err := Train([][]float64{{1}, {2, 3}}, []int{0, 1}, Config{}); err == nil {
+	if _, err := Train([][]float64{{1}, {2, 3}}, []int{0, 1}); err == nil {
 		t.Error("ragged rows should fail")
 	}
-	if _, err := Train([][]float64{{1}, {2}}, []int{0, 0}, Config{}); err == nil {
+	if _, err := Train([][]float64{{1}, {2}}, []int{0, 0}); err == nil {
 		t.Error("single class should fail")
 	}
 }
@@ -31,7 +31,7 @@ func TestLinearlySeparable(t *testing.T) {
 		x = append(x, []float64{rng.Float64() - 3, rng.Float64() - 3})
 		y = append(y, 0)
 	}
-	cls, err := Train(x, y, Config{Seed: 7})
+	cls, err := Train(x, y)
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
@@ -60,7 +60,7 @@ func TestXORNeedsRBF(t *testing.T) {
 			y = append(y, int(q[2]))
 		}
 	}
-	cls, err := Train(x, y, Config{Gamma: 4, C: 10, Seed: 3})
+	cls, err := Train(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,19 +86,26 @@ func TestThreeClassesOneVsOne(t *testing.T) {
 			y = append(y, c)
 		}
 	}
-	cls, err := Train(x, y, Config{Seed: 11})
+	cls, err := Train(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cls.NumMachines() != 3 {
-		t.Errorf("NumMachines = %d, want 3 (one per pair)", cls.NumMachines())
-	}
-	if got := cls.Classes(); len(got) != 3 || got[0] != 0 || got[2] != 2 {
-		t.Errorf("Classes = %v", got)
-	}
 	for c, ctr := range centers {
-		if got := cls.Predict([]float64{ctr[0], ctr[1]}); got != c {
+		got, votes := cls.PredictScore([]float64{ctr[0], ctr[1]})
+		if got != c {
 			t.Errorf("center %v predicted as %d, want %d", ctr, got, c)
+		}
+		// One machine per pair of the three classes, each casting one vote
+		// for one of the pair's labels.
+		total := 0.0
+		for label, v := range votes {
+			if label < 0 || label > 2 {
+				t.Errorf("vote for unseen class %d", label)
+			}
+			total += v
+		}
+		if total != 3 {
+			t.Errorf("center %v: %v votes cast, want 3 (one per pair)", ctr, total)
 		}
 	}
 }
@@ -106,7 +113,7 @@ func TestThreeClassesOneVsOne(t *testing.T) {
 func TestPredictScoreVotes(t *testing.T) {
 	x := [][]float64{{0, 0}, {0, 0.2}, {5, 5}, {5, 5.2}, {-5, 5}, {-5, 5.2}}
 	y := []int{0, 0, 1, 1, 2, 2}
-	cls, err := Train(x, y, Config{Gamma: 0.5, Seed: 1})
+	cls, err := Train(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +134,7 @@ func TestStandardizationHandlesConstantFeature(t *testing.T) {
 	// Second feature is constant; scale must not divide by zero.
 	x := [][]float64{{0, 7}, {0.1, 7}, {5, 7}, {5.1, 7}}
 	y := []int{0, 0, 1, 1}
-	cls, err := Train(x, y, Config{Seed: 2})
+	cls, err := Train(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +151,11 @@ func TestStandardizationHandlesConstantFeature(t *testing.T) {
 func TestDeterministicTraining(t *testing.T) {
 	x := [][]float64{{0, 0}, {1, 0}, {0, 1}, {4, 4}, {5, 4}, {4, 5}}
 	y := []int{0, 0, 0, 1, 1, 1}
-	a, err := Train(x, y, Config{Seed: 9})
+	a, err := Train(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Train(x, y, Config{Seed: 9})
+	b, err := Train(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,9 +187,8 @@ func TestTrainBinaryMatchesFullScan(t *testing.T) {
 			x = append(x, []float64{rng.NormFloat64() + 0.6*label, rng.NormFloat64() - 0.4*label, rng.Float64()})
 			y = append(y, label)
 		}
-		cfg := Config{Seed: seed}.withDefaults(3)
-		got := trainBinary(x, y, RBF(cfg.Gamma), cfg)
-		want := trainBinaryFullScan(x, y, RBF(cfg.Gamma), cfg)
+		got := trainBinary(x, y, RBF(1.0/3))
+		want := trainBinaryFullScan(x, y, RBF(1.0/3))
 		if got.b != want.b {
 			t.Errorf("seed %d: b = %v, full scan %v", seed, got.b, want.b)
 		}
@@ -204,13 +210,13 @@ func TestTrainBinaryMatchesFullScan(t *testing.T) {
 // trainBinaryFullScan is trainBinary as it was before f kept an active
 // set: f walks all n alphas on every call. It is the reference
 // TestTrainBinaryMatchesFullScan holds the shipped trainer to.
-func trainBinaryFullScan(x [][]float64, y []float64, kernel Kernel, cfg Config) *binary {
+func trainBinaryFullScan(x [][]float64, y []float64, kernel Kernel) *binary {
 	n := len(x)
 	m := &binary{alphas: make([]float64, n), x: x, y: y}
 	if n == 0 {
 		return m
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed + int64(n)))
+	rng := rand.New(rand.NewSource(int64(n)))
 	// Cache the kernel matrix: training sets here are small (hundreds of
 	// requests), so O(n²) memory is the right trade.
 	gram := make([][]float64, n)
@@ -231,12 +237,12 @@ func trainBinaryFullScan(x [][]float64, y []float64, kernel Kernel, cfg Config) 
 	}
 
 	passes, iters := 0, 0
-	for passes < cfg.MaxPasses && iters < cfg.MaxIter {
+	for passes < maxPasses && iters < maxIter {
 		iters++
 		changed := 0
 		for i := 0; i < n; i++ {
 			ei := f(i) - y[i]
-			if !((y[i]*ei < -cfg.Tol && m.alphas[i] < cfg.C) || (y[i]*ei > cfg.Tol && m.alphas[i] > 0)) {
+			if !((y[i]*ei < -tol && m.alphas[i] < penalty) || (y[i]*ei > tol && m.alphas[i] > 0)) {
 				continue
 			}
 			j := rng.Intn(n - 1)
@@ -248,10 +254,10 @@ func trainBinaryFullScan(x [][]float64, y []float64, kernel Kernel, cfg Config) 
 			var lo, hi float64
 			if y[i] != y[j] {
 				lo = math.Max(0, aj-ai)
-				hi = math.Min(cfg.C, cfg.C+aj-ai)
+				hi = math.Min(penalty, penalty+aj-ai)
 			} else {
-				lo = math.Max(0, ai+aj-cfg.C)
-				hi = math.Min(cfg.C, ai+aj)
+				lo = math.Max(0, ai+aj-penalty)
+				hi = math.Min(penalty, ai+aj)
 			}
 			if lo == hi {
 				continue
@@ -273,9 +279,9 @@ func trainBinaryFullScan(x [][]float64, y []float64, kernel Kernel, cfg Config) 
 			b1 := m.b + ei + y[i]*(aiNew-ai)*gram[i][i] + y[j]*(ajNew-aj)*gram[i][j]
 			b2 := m.b + ej + y[i]*(aiNew-ai)*gram[i][j] + y[j]*(ajNew-aj)*gram[j][j]
 			switch {
-			case aiNew > 0 && aiNew < cfg.C:
+			case aiNew > 0 && aiNew < penalty:
 				m.b = b1
-			case ajNew > 0 && ajNew < cfg.C:
+			case ajNew > 0 && ajNew < penalty:
 				m.b = b2
 			default:
 				m.b = (b1 + b2) / 2
@@ -315,7 +321,7 @@ func BenchmarkTrain3Class(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Train(x, y, Config{Seed: 1}); err != nil {
+		if _, err := Train(x, y); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -331,7 +337,7 @@ func BenchmarkPredict(b *testing.B) {
 			y = append(y, c)
 		}
 	}
-	cls, err := Train(x, y, Config{Seed: 1})
+	cls, err := Train(x, y)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -188,8 +188,8 @@ func FuzzTileDecodeJSON(f *testing.F) {
 			return
 		}
 		for _, a := range tl.Attrs {
-			if _, err := tl.At(a, tl.Size-1, tl.Size-1); err != nil {
-				t.Fatalf("decoded tile cannot be read: %v", err)
+			if g, err := tl.Grid(a); err != nil || len(g) != tl.Size*tl.Size {
+				t.Fatalf("decoded tile cannot be read: %d cells of %d, %v", len(g), tl.Size*tl.Size, err)
 			}
 		}
 	})

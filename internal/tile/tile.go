@@ -37,21 +37,9 @@ func (t *Tile) Grid(attr string) ([]float64, error) {
 	return nil, fmt.Errorf("tile %s: no attribute %q", t.Coord, attr)
 }
 
-// At returns the value of attr at (row, col) inside the tile.
-func (t *Tile) At(attr string, row, col int) (float64, error) {
-	g, err := t.Grid(attr)
-	if err != nil {
-		return 0, err
-	}
-	if row < 0 || row >= t.Size || col < 0 || col >= t.Size {
-		return 0, fmt.Errorf("tile %s: cell (%d,%d) outside %dx%d", t.Coord, row, col, t.Size, t.Size)
-	}
-	return g[row*t.Size+col], nil
-}
-
-// Bytes estimates the main-memory footprint of the tile in bytes; the cache
-// manager uses it for space accounting. The estimate covers the struct
-// itself, the grid and signature values, and the per-slice, per-string and
+// Bytes estimates the main-memory footprint of the tile in bytes
+// (Pyramid.MemBytes sums it). The estimate covers the struct itself, the
+// grid and signature values, and the per-slice, per-string and
 // per-map-entry overhead Go charges for them — not just the raw float
 // payload, which undercounts tiles whose footprint is dominated by
 // signature vectors and attribute names.

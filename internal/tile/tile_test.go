@@ -12,6 +12,19 @@ import (
 
 // rawGrid is a size x size grid of one attribute, v, whose cells count up
 // from 0 in row-major order.
+
+// cell reads attr at (row, col) of tl's row-major grid.
+func cell(t *testing.T, tl *Tile, attr string, row, col int) float64 {
+	t.Helper()
+	g, err := tl.Grid(attr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row < 0 || row >= tl.Size || col < 0 || col >= tl.Size {
+		t.Fatalf("tile %s: cell (%d,%d) outside %dx%d", tl.Coord, row, col, tl.Size, tl.Size)
+	}
+	return g[row*tl.Size+col]
+}
 func rawGrid(size int) *Grid {
 	data := make([]float64, size*size)
 	for i := range data {
@@ -152,11 +165,7 @@ func TestBuildPadsNonPow2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := edge.At("v", 15, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsNaN(v) {
+	if v := cell(t, edge, "v", 15, 15); !math.IsNaN(v) {
 		t.Errorf("padded cell = %v, want NaN", v)
 	}
 }
@@ -180,7 +189,7 @@ func TestBuildClipsAndPads(t *testing.T) {
 	for r := range 8 {
 		for c := range 8 {
 			tl, _ := pyr.Tile(Coord{Level: 2, Y: r / 2, X: c / 2})
-			v, _ := tl.At("v", r%2, c%2)
+			v := cell(t, tl, "v", r%2, c%2)
 			if r < rows && c < cols {
 				if v != float64(r*cols+c) {
 					t.Errorf("cell (%d,%d) = %v, want %d", r, c, v, r*cols+c)
@@ -193,10 +202,10 @@ func TestBuildClipsAndPads(t *testing.T) {
 	// Level 1 cell (2, 1) covers rows 4-5, cols 2-3: only cell (4, 2) is
 	// in the grid; cell (3, 0) covers padding alone.
 	tl, _ := pyr.Tile(Coord{Level: 1, Y: 1, X: 0})
-	if v, _ := tl.At("v", 0, 1); v != 14 {
+	if v := cell(t, tl, "v", 0, 1); v != 14 {
 		t.Errorf("edge window = %v, want 14, its one non-empty cell", v)
 	}
-	if v, _ := tl.At("v", 1, 0); !math.IsNaN(v) {
+	if v := cell(t, tl, "v", 1, 0); !math.IsNaN(v) {
 		t.Errorf("padding window = %v, want NaN", v)
 	}
 }
@@ -241,7 +250,7 @@ func TestBuildAvgMatchesPaperFigure3(t *testing.T) {
 		for c := range 8 {
 			// The window holds cells 2r*16+2c, +1, +16 and +17.
 			want := float64(2*r*16+2*c) + 8.5
-			if v, _ := root.At("v", r, c); v != want {
+			if v := cell(t, root, "v", r, c); v != want {
 				t.Fatalf("cell (%d,%d) = %v, want %v", r, c, v, want)
 			}
 		}
@@ -257,7 +266,7 @@ func windowMean(t *testing.T, w ...float64) float64 {
 		t.Fatal(err)
 	}
 	root, _ := pyr.Tile(Coord{})
-	v, _ := root.At("v", 0, 0)
+	v := cell(t, root, "v", 0, 0)
 	return v
 }
 
@@ -340,11 +349,11 @@ func TestAggregationConsistencyAcrossLevels(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pv, _ := parent.At("v", r, c)
+				pv := cell(t, parent, "v", r, c)
 				sum := 0.0
 				for dr := 0; dr < 2; dr++ {
 					for dc := 0; dc < 2; dc++ {
-						cv, _ := child.At("v", gr%ts+dr, gc%ts+dc)
+						cv := cell(t, child, "v", gr%ts+dr, gc%ts+dc)
 						sum += cv
 					}
 				}
@@ -376,11 +385,11 @@ func TestTileCoverageMatchesChildQuadrants(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The parent's top-left cell aggregates the child's top-left 2x2 block.
-	pv, _ := parent.At("v", 0, 0)
+	pv := cell(t, parent, "v", 0, 0)
 	var sum float64
 	for dr := 0; dr < 2; dr++ {
 		for dc := 0; dc < 2; dc++ {
-			cv, _ := child.At("v", dr, dc)
+			cv := cell(t, child, "v", dr, dc)
 			sum += cv
 		}
 	}

@@ -36,8 +36,8 @@ func TestPushDeliveryAcceptance(t *testing.T) {
 	// viewer — the case push delivery exists for.
 	replay := []*Trace{traces[2], traces[5]}
 
-	mkServer := func(pushOn, binaryTiles bool) (*Server, *httptest.Server) {
-		srv, err := ds.NewServer(traces, MiddlewareConfig{
+	mkServer := func(pushOn, binaryTiles bool) (*Server, *Scheduler, *httptest.Server) {
+		srv, sched, err := ds.newServer(traces, MiddlewareConfig{
 			AsyncPrefetch: true, PrefetchWorkers: 4, Push: pushOn, BinaryTiles: binaryTiles,
 		})
 		if err != nil {
@@ -46,14 +46,13 @@ func TestPushDeliveryAcceptance(t *testing.T) {
 		ts := httptest.NewServer(srv)
 		t.Cleanup(ts.Close)
 		t.Cleanup(srv.Close)
-		return srv, ts
+		return srv, sched, ts
 	}
 
 	// run replays the traces in fresh sessions and returns the hit/miss
 	// sequence plus how many requests were answered from the client's
 	// push-stream slot buffer.
-	run := func(srv *Server, ts *httptest.Server, prefix string, attach, negotiate bool) (hits []bool, streamed, total int) {
-		sched := srv.Scheduler()
+	run := func(srv *Server, sched *Scheduler, ts *httptest.Server, prefix string, attach, negotiate bool) (hits []bool, streamed, total int) {
 		for i, tr := range replay {
 			c := client.New(ts.URL, fmt.Sprintf("%s-%d", prefix, i))
 			c.NegotiateBinary(negotiate)
@@ -98,17 +97,17 @@ func TestPushDeliveryAcceptance(t *testing.T) {
 		return hits, streamed, total
 	}
 
-	pullSrv, pullTS := mkServer(false, false)
-	pullHits, pullStreamed, _ := run(pullSrv, pullTS, "pull", false, false)
+	pullSrv, pullSched, pullTS := mkServer(false, false)
+	pullHits, pullStreamed, _ := run(pullSrv, pullSched, pullTS, "pull", false, false)
 
-	pushSrv, pushTS := mkServer(true, false)
-	detHits, detStreamed, _ := run(pushSrv, pushTS, "detached", false, false)
-	strHits, strStreamed, total := run(pushSrv, pushTS, "streamed", true, false)
+	pushSrv, pushSched, pushTS := mkServer(true, false)
+	detHits, detStreamed, _ := run(pushSrv, pushSched, pushTS, "detached", false, false)
+	strHits, strStreamed, total := run(pushSrv, pushSched, pushTS, "streamed", true, false)
 	sseBytes := pushSrv.Push().Stats().Bytes
-	mixHits, mixStreamed, _ := run(pushSrv, pushTS, "mixed", true, true)
+	mixHits, mixStreamed, _ := run(pushSrv, pushSched, pushTS, "mixed", true, true)
 
-	binSrv, binTS := mkServer(true, true)
-	binHits, binStreamed, _ := run(binSrv, binTS, "binary", true, true)
+	binSrv, binSched, binTS := mkServer(true, true)
+	binHits, binStreamed, _ := run(binSrv, binSched, binTS, "binary", true, true)
 
 	if pullStreamed != 0 || detStreamed != 0 {
 		t.Fatalf("streamed tiles without a stream: pull=%d detached=%d", pullStreamed, detStreamed)

@@ -15,9 +15,8 @@ import (
 // prefix so warmup and measurement sessions never collide) and returns
 // the cache outcome counts. Drain after every request keeps async
 // prefetch deterministic, as in replayStudy.
-func replayTraces(t *testing.T, srv *Server, ts *httptest.Server, traces []*Trace, prefix string) (hits, total int) {
+func replayTraces(t *testing.T, sched *Scheduler, ts *httptest.Server, traces []*Trace, prefix string) (hits, total int) {
 	t.Helper()
-	sched := srv.Scheduler()
 	for i, tr := range traces {
 		c := client.New(ts.URL, fmt.Sprintf("%s-%d", prefix, i))
 		for _, req := range tr.Requests {
@@ -68,8 +67,8 @@ func TestWarmRestartMatchesUninterruptedRun(t *testing.T) {
 	// All three learned-state families are live: the feedback collector
 	// (UtilityLearning + AdaptiveAllocation), the adaptive policy and the
 	// hotspot counter table.
-	mkServer := func(stateDir string) (*Server, *httptest.Server) {
-		srv, err := ds.NewServer(traces, MiddlewareConfig{
+	mkServer := func(stateDir string) (*Server, *Scheduler, *httptest.Server) {
+		srv, sched, err := ds.newServer(traces, MiddlewareConfig{
 			AsyncPrefetch: true, PrefetchWorkers: 4,
 			UtilityLearning: true, AdaptiveAllocation: true, Hotspot: true,
 			StateDir: stateDir, SnapshotInterval: -1,
@@ -78,21 +77,21 @@ func TestWarmRestartMatchesUninterruptedRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		ts := httptest.NewServer(srv)
-		return srv, ts
+		return srv, sched, ts
 	}
 	rate := func(hits, total int) float64 { return float64(hits) / float64(total) }
 
 	// A: the uninterrupted run.
-	srvA, tsA := mkServer("")
-	replayTraces(t, srvA, tsA, warmup, "warm-a")
-	aHits, aTotal := replayTraces(t, srvA, tsA, meas, "meas-a")
+	srvA, schedA, tsA := mkServer("")
+	replayTraces(t, schedA, tsA, warmup, "warm-a")
+	aHits, aTotal := replayTraces(t, schedA, tsA, meas, "meas-a")
 	tsA.Close()
 	srvA.Close()
 
 	// B: warmup only, then a clean shutdown that flushes the snapshot.
 	dir := t.TempDir()
-	srvB, tsB := mkServer(dir)
-	replayTraces(t, srvB, tsB, warmup, "warm-b")
+	srvB, schedB, tsB := mkServer(dir)
+	replayTraces(t, schedB, tsB, warmup, "warm-b")
 	tsB.Close()
 	srvB.Close()
 	if _, err := os.Stat(filepath.Join(dir, persist.FileName)); err != nil {
@@ -100,14 +99,14 @@ func TestWarmRestartMatchesUninterruptedRun(t *testing.T) {
 	}
 
 	// C: the warm restart.
-	srvC, tsC := mkServer(dir)
-	cHits, cTotal := replayTraces(t, srvC, tsC, meas, "meas-c")
+	srvC, schedC, tsC := mkServer(dir)
+	cHits, cTotal := replayTraces(t, schedC, tsC, meas, "meas-c")
 	tsC.Close()
 	srvC.Close()
 
 	// D: the cold restart C is supposed to beat.
-	srvD, tsD := mkServer("")
-	dHits, dTotal := replayTraces(t, srvD, tsD, meas, "meas-d")
+	srvD, schedD, tsD := mkServer("")
+	dHits, dTotal := replayTraces(t, schedD, tsD, meas, "meas-d")
 	tsD.Close()
 	srvD.Close()
 
