@@ -75,16 +75,21 @@ type sessionState struct {
 	bps      float64                  // EWMA drained bytes per second
 	avgBytes float64                  // EWMA frame size in bytes
 	pushedAt map[tile.Coord]pushStamp // unconsumed pushes by coordinate
-	order    []pushStamp              // the last pushedAtCap pushes, oldest first
+	order    []pushRef                // the last pushedAtCap pushes, oldest first
 }
 
-// pushStamp is one push of coordinate c: when it was enqueued, and n, the
-// registry's push count at that moment, which tells a re-push of c apart
-// from the stale order entry of an earlier one.
+// pushStamp is a coordinate's latest push: when it was enqueued, and n,
+// the registry's push count at that moment.
 type pushStamp struct {
-	c  tile.Coord
 	at time.Time
 	n  int
+}
+
+// pushRef names one push in the order: its coordinate and push count n,
+// which tell it apart from a later push of the same coordinate.
+type pushRef struct {
+	c tile.Coord
+	n int
 }
 
 // Stream is one attached session stream: a bounded frame buffer the
@@ -279,9 +284,8 @@ func (r *Registry) enqueue(st *Stream, f Frame) bool {
 		}
 		ss.order = ss.order[1:]
 	}
-	stamp := pushStamp{c: f.Coord, at: r.cfg.Now(), n: r.pushed}
-	ss.order = append(ss.order, stamp)
-	ss.pushedAt[f.Coord] = stamp
+	ss.order = append(ss.order, pushRef{c: f.Coord, n: r.pushed})
+	ss.pushedAt[f.Coord] = pushStamp{at: r.cfg.Now(), n: r.pushed}
 	return true
 }
 
