@@ -115,16 +115,16 @@ func (h *Harness) RunEngineLOO(name string, setup EngineSetup, ks []int, lm back
 				return nil, err
 			}
 			for _, tr := range fold.test {
-				eng.Reset()
+				eng.Reset() // zeroes CacheStats: each trace is counted before the next
 				for _, r := range tr.Requests {
 					if _, err := eng.Request(r.Coord); err != nil {
 						return nil, fmt.Errorf("eval: replay %s k=%d: %w", name, k, err)
 					}
 				}
+				st := eng.CacheStats()
+				sums[k].hits += st.Hits
+				sums[k].misses += st.Misses
 			}
-			st := eng.CacheStats()
-			sums[k].hits += st.Hits
-			sums[k].misses += st.Misses
 		}
 	}
 	out := make([]EngineRun, 0, len(ks))

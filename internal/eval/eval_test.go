@@ -261,9 +261,14 @@ func TestRunEngineLOO(t *testing.T) {
 	if len(runs) != 2 {
 		t.Fatalf("runs = %d", len(runs))
 	}
+	// Every trace is held out once, and every one of its requests counts.
+	heldOut := 0
+	for _, tr := range h.Traces {
+		heldOut += len(tr.Requests)
+	}
 	for _, r := range runs {
-		if r.Requests == 0 {
-			t.Fatalf("k=%d replayed no requests", r.K)
+		if r.Requests != heldOut {
+			t.Fatalf("k=%d counted %d requests, want all %d held-out ones", r.K, r.Requests, heldOut)
 		}
 		if r.HitRate < 0 || r.HitRate > 1 {
 			t.Fatalf("hit rate %v", r.HitRate)
