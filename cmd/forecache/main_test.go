@@ -134,45 +134,56 @@ func TestCmdBenchRunsCheapExperiment(t *testing.T) {
 
 var update = flag.Bool("update", false, "rewrite testdata/bench_all_128.golden from this tree's output")
 
-// TestBenchAllGolden holds the paper's tables and figures — all 14
-// experiments at the CI-sized world — to the committed bytes, so a change to
-// any figure fails `go test` instead of waiting for someone to diff `bench
-// all` by hand. A deliberate accuracy change reruns with -update and says why.
+// TestBenchAllGolden holds the paper's tables and figures to committed
+// bytes, so a change to any figure fails `go test` instead of waiting for
+// someone to diff `bench` output by hand: all 14 experiments at the
+// CI-sized world, and the engine replays behind Figures 12 and 13 and §5.5
+// at the default size the README quotes. A deliberate accuracy change
+// reruns with -update and says why.
 func TestBenchAllGolden(t *testing.T) {
-	const golden = "testdata/bench_all_128.golden"
-	var out bytes.Buffer
-	if err := cmdBench(&out, []string{"-size", "128", "all"}); err != nil {
-		t.Fatalf("bench all: %v", err)
-	}
-	if *update {
-		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(out.Bytes(), want) {
-		return
-	}
-	got, exp := strings.Split(out.String(), "\n"), strings.Split(string(want), "\n")
-	header := ""
-	for i := 0; i < max(len(got), len(exp)); i++ {
-		g, e := "<end of output>", "<end of golden>"
-		if i < len(got) {
-			g = got[i]
-		}
-		if i < len(exp) {
-			e = exp[i]
-		}
-		if g != e {
-			t.Fatalf("bench all differs from %s at line %d, under %q:\n got: %s\nwant: %s", golden, i+1, header, g, e)
-		}
-		if strings.HasPrefix(g, "=== ") {
-			header = g
-		}
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"testdata/bench_all_128.golden", []string{"-size", "128", "all"}},
+		{"testdata/bench_fig12_fig13_512.golden", []string{"-size", "512", "fig12", "fig13"}},
+	} {
+		t.Run(filepath.Base(tc.golden), func(t *testing.T) {
+			var out bytes.Buffer
+			if err := cmdBench(&out, tc.args); err != nil {
+				t.Fatalf("bench %v: %v", tc.args, err)
+			}
+			if *update {
+				if err := os.WriteFile(tc.golden, out.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(tc.golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bytes.Equal(out.Bytes(), want) {
+				return
+			}
+			got, exp := strings.Split(out.String(), "\n"), strings.Split(string(want), "\n")
+			header := ""
+			for i := 0; i < max(len(got), len(exp)); i++ {
+				g, e := "<end of output>", "<end of golden>"
+				if i < len(got) {
+					g = got[i]
+				}
+				if i < len(exp) {
+					e = exp[i]
+				}
+				if g != e {
+					t.Fatalf("bench %v differs from %s at line %d, under %q:\n got: %s\nwant: %s", tc.args, tc.golden, i+1, header, g, e)
+				}
+				if strings.HasPrefix(g, "=== ") {
+					header = g
+				}
+			}
+		})
 	}
 }
 
