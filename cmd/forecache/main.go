@@ -152,7 +152,7 @@ type serveFlags struct {
 // flags only size or place that deployment.
 func addServeFlags(fs *flag.FlagSet) *serveFlags {
 	sf := &serveFlags{cfg: forecache.MiddlewareConfig{
-		AsyncPrefetch: true, AdaptiveK: true, FairShare: true, UtilityLearning: true,
+		AsyncPrefetch: true, AdaptiveK: true, UtilityLearning: true,
 		AdaptiveAllocation: true, Hotspot: true, Push: true, BinaryTiles: true,
 		MetricsEndpoint: true, Tracing: true,
 	}}

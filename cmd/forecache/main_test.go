@@ -255,9 +255,9 @@ func TestKnobBudget(t *testing.T) {
 		cfg any
 		max int
 	}{
-		{core.Config{}, 11},
+		{core.Config{}, 9},
 		{core.AdaptiveConfig{}, 0},
-		{prefetch.Config{}, 8},
+		{prefetch.Config{}, 9}, // 8 before AdaptiveK moved in from core.Config
 		{push.Config{}, 4},
 		{server.Config{}, 9},
 		{persist.Config{}, 3},

@@ -193,15 +193,15 @@ type MiddlewareConfig struct {
 	// DBMS fetch budget); with Shards > 1 this is the deployment-wide
 	// budget, divided ceil(Workers/Shards) per shard. Default 4.
 	PrefetchWorkers int
-	// AdaptiveK makes every async session engine respond to scheduler
-	// backpressure: as the global queue saturates (Pressure → 1) engines
-	// shrink their per-request prefetch budget from K down toward 1, and
-	// restore it when the queue drains. Requires AsyncPrefetch.
+	// AdaptiveK turns on the scheduler's fair-share backpressure: a session
+	// whose share of its shard's pending queue exceeds the fair share 1/N
+	// has its next batch trimmed to its highest-scored entries — down
+	// toward one as the queue saturates — while light sessions keep whole
+	// batches. The engines always rank and hand over K tiles; the scheduler
+	// decides how many to admit. Requires AsyncPrefetch.
 	AdaptiveK bool
-	// FairShare scopes AdaptiveK's backpressure per session: each engine
-	// shrinks by how far ITS session's share of the pending queue exceeds
-	// the fair share 1/N, so one flooding session's budget collapses first
-	// while light sessions keep prefetching at full K. Requires AdaptiveK.
+	// FairShare is ignored: AdaptiveK's backpressure is always fair-share.
+	// The field stays only for callers that still set it.
 	FairShare bool
 	// UtilityLearning closes the prediction-quality loop: every session's
 	// cache attributes each prefetched tile's fate (consumed vs evicted
@@ -312,7 +312,7 @@ const (
 
 // The scheduler's admission constants, fixed the way Khameleon fixes its
 // utility decay: the only values any deployment has run. Without the
-// budget there is no Pressure signal for AdaptiveK and FairShare to read.
+// budget there is no pressure signal for AdaptiveK to trim by.
 const (
 	// globalQueueBudget caps queued prefetch entries across ALL sessions.
 	// At saturation the scheduler sheds the lowest-utility queued entry
@@ -535,6 +535,7 @@ func (d *Dataset) newServer(train []*trace.Trace, cfg MiddlewareConfig) (*server
 			Shards:        cfg.Shards,
 			Workers:       cfg.PrefetchWorkers,
 			GlobalQueue:   globalQueueBudget,
+			AdaptiveK:     cfg.AdaptiveK,
 			DecayHalfLife: decayHalfLife,
 			Obs:           pipe,
 		}
@@ -594,7 +595,7 @@ func (d *Dataset) newServer(train []*trace.Trace, cfg MiddlewareConfig) (*server
 	}
 	// What every session engine shares. The two observer fields are
 	// interfaces, so they are set only from non-nil pointers.
-	ecfg := core.Config{K: prefetchK, AdaptiveK: cfg.AdaptiveK, FairShare: cfg.FairShare, Obs: pipe}
+	ecfg := core.Config{K: prefetchK, Obs: pipe}
 	if fc != nil {
 		ecfg.Feedback = fc
 	}

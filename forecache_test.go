@@ -638,7 +638,7 @@ func TestMetricsScrapePin(t *testing.T) {
 	ds, traces := testWorld(t)
 	srv, sched, err := ds.newServer(traces, MiddlewareConfig{
 		AsyncPrefetch: true, Push: true, Shards: 2, PrefetchWorkers: 2,
-		AdaptiveK: true, FairShare: true, UtilityLearning: true,
+		AdaptiveK: true, UtilityLearning: true,
 		AdaptiveAllocation: true, Hotspot: true, BinaryTiles: true,
 		MetricsEndpoint: true, Tracing: true, StateDir: t.TempDir(),
 	})
@@ -709,7 +709,7 @@ func TestUtilityLearningConvergence(t *testing.T) {
 	run := func(learning bool) (hitRate float64, st PrefetchStats, metricsBody string) {
 		srv, sched, err := ds.newServer(traces, MiddlewareConfig{
 			AsyncPrefetch: true, PrefetchWorkers: 4,
-			AdaptiveK: true, FairShare: true,
+			AdaptiveK:       true,
 			UtilityLearning: learning, MetricsEndpoint: true,
 			SharedTiles: 64,
 		})
@@ -876,10 +876,10 @@ func TestAdaptiveServerFacade(t *testing.T) {
 		}
 	}
 	sched.Drain()
-	if p := sched.Pressure(); p != 0 {
-		t.Errorf("drained pressure = %v, want 0", p)
-	}
 	st := sched.Stats()
+	if st.Pressure != 0 {
+		t.Errorf("drained pressure = %v, want 0", st.Pressure)
+	}
 	if st.PeakPending > globalQueueBudget {
 		t.Errorf("PeakPending = %d, global budget %d exceeded", st.PeakPending, globalQueueBudget)
 	}

@@ -10,13 +10,10 @@ import (
 	"forecache/internal/trace"
 )
 
-// fakeSubmitter records submitted batches and reports settable global and
-// per-session pressures.
+// fakeSubmitter records submitted batches.
 type fakeSubmitter struct {
-	mu         sync.Mutex
-	batches    [][]prefetch.Request
-	pressure   float64
-	perSession map[string]float64
+	mu      sync.Mutex
+	batches [][]prefetch.Request
 }
 
 func (f *fakeSubmitter) Submit(session string, reqs []prefetch.Request) int {
@@ -28,33 +25,6 @@ func (f *fakeSubmitter) Submit(session string, reqs []prefetch.Request) int {
 
 func (f *fakeSubmitter) CancelSession(string) {}
 
-func (f *fakeSubmitter) Pressure() float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.pressure
-}
-
-func (f *fakeSubmitter) SessionPressure(session string) float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.perSession[session]
-}
-
-func (f *fakeSubmitter) setPressure(p float64) {
-	f.mu.Lock()
-	f.pressure = p
-	f.mu.Unlock()
-}
-
-func (f *fakeSubmitter) setSessionPressure(session string, p float64) {
-	f.mu.Lock()
-	if f.perSession == nil {
-		f.perSession = map[string]float64{}
-	}
-	f.perSession[session] = p
-	f.mu.Unlock()
-}
-
 func (f *fakeSubmitter) lastBatch() []prefetch.Request {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -64,112 +34,59 @@ func (f *fakeSubmitter) lastBatch() []prefetch.Request {
 	return f.batches[len(f.batches)-1]
 }
 
-func TestAdaptiveBudgetTable(t *testing.T) {
-	cases := []struct {
-		k        int
-		pressure float64
-		want     int
-	}{
-		{5, 0, 5},
-		{5, -1, 5},    // clamped below
-		{5, 0.25, 4},  // 5 - round(1)
-		{5, 0.5, 3},   // 5 - round(2)
-		{5, 0.75, 2},  // 5 - round(3)
-		{5, 1, 1},     // floor: one tile always submitted
-		{5, 2, 1},     // clamped above
-		{4, 0.5, 2},   // 4 - round(1.5)
-		{1, 1, 1},     // K=1 cannot shrink
-		{8, 0.999, 1}, // near saturation
-		{8, 0.001, 8}, // round(7*0.001 + 0.5) = 0: negligible pressure keeps K
-	}
-	for _, tc := range cases {
-		if got := adaptiveBudget(tc.k, tc.pressure); got != tc.want {
-			t.Errorf("adaptiveBudget(%d, %v) = %d, want %d", tc.k, tc.pressure, got, tc.want)
-		}
-	}
+// countingPolicy counts Allocations calls.
+type countingPolicy struct {
+	SinglePolicy
+	calls int
 }
 
-// TestAdaptiveKShrinksAndRestores: the engine reads the backpressure signal
-// per request, shrinks its submitted batch under load and restores the full
-// budget when the queue drains.
-func TestAdaptiveKShrinksAndRestores(t *testing.T) {
-	db := testDBMS(t)
-	fake := &fakeSubmitter{}
+func (p *countingPolicy) Allocations(ph trace.Phase, k int) map[string]int {
+	p.calls++
+	return p.SinglePolicy.Allocations(ph, k)
+}
+
+// saturatingEngine is a K=4 momentum engine for session "s1" on a
+// one-worker AdaptiveK scheduler whose global budget is exactly one batch,
+// over a store whose prefetch fetches wait for the gate: the engine's first
+// request fills the queue, so its own next batch meets a saturated queue.
+func saturatingEngine(t *testing.T, policy func(name string) AllocationPolicy) (*Engine, *prefetch.Scheduler, *gatedStore) {
+	t.Helper()
+	store := &gatedStore{DBMS: testDBMS(t), gate: make(chan struct{})}
+	sched := prefetch.NewScheduler(store, prefetch.Config{
+		Workers: 1, QueuePerSession: 8, GlobalQueue: 4, AdaptiveK: true,
+	})
+	t.Cleanup(sched.Close)
 	m := recommend.NewMomentum()
-	eng, err := NewEngine(db, nil, SinglePolicy{Model: m.Name()},
-		[]recommend.Model{m}, Config{K: 4, Scheduler: fake, Session: "s1", AdaptiveK: true})
+	eng, err := NewEngine(store, nil, policy(m.Name()),
+		[]recommend.Model{m}, Config{K: 4, Scheduler: sched, Session: "s1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// No pressure: the root's 4 candidates all fit the full budget.
-	resp, err := eng.Request(tile.Coord{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.PrefetchBudget != 4 {
-		t.Errorf("PrefetchBudget = %d at zero pressure, want 4", resp.PrefetchBudget)
-	}
-	if got := len(fake.lastBatch()); got != 4 {
-		t.Errorf("submitted %d candidates at zero pressure, want 4", got)
-	}
-
-	// Saturated: the budget collapses to a single top candidate.
-	fake.setPressure(1)
-	resp, err = eng.Request(tile.Coord{}.Child(tile.NW))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.PrefetchBudget != 1 {
-		t.Errorf("PrefetchBudget = %d at full pressure, want 1", resp.PrefetchBudget)
-	}
-	if got := len(fake.lastBatch()); got != 1 {
-		t.Errorf("submitted %d candidates at full pressure, want 1", got)
-	}
-
-	// Drained: the full budget is restored.
-	fake.setPressure(0)
-	resp, err = eng.Request(tile.Coord{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.PrefetchBudget != 4 {
-		t.Errorf("PrefetchBudget = %d after drain, want 4", resp.PrefetchBudget)
-	}
-	if got := len(fake.lastBatch()); got != 4 {
-		t.Errorf("submitted %d candidates after drain, want 4", got)
-	}
+	return eng, sched, store
 }
 
-// TestAdaptiveKKeepsCacheRegionsFull: backpressure shrinks only the
-// submitted batch, never the cache allocations — tiles the scheduler
-// already delivered must not be evicted just because pressure spiked.
+// TestAdaptiveKKeepsCacheRegionsFull: the scheduler's trim shrinks only
+// what it admits, never the engine's cache allocations — tiles already
+// delivered must not be evicted because the queue is saturated.
 func TestAdaptiveKKeepsCacheRegionsFull(t *testing.T) {
-	db := testDBMS(t)
-	fake := &fakeSubmitter{}
-	m := recommend.NewMomentum()
-	eng, err := NewEngine(db, nil, SinglePolicy{Model: m.Name()},
-		[]recommend.Model{m}, Config{K: 4, Scheduler: fake, Session: "s1", AdaptiveK: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng, sched, store := saturatingEngine(t, func(name string) AllocationPolicy { return SinglePolicy{Model: name} })
+	defer close(store.gate)
 	if _, err := eng.Request(tile.Coord{}); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate the scheduler delivering the whole predicted batch.
+	// Simulate the scheduler having delivered the whole predicted batch.
 	children := []tile.Coord{
 		tile.Coord{}.Child(tile.NW), tile.Coord{}.Child(tile.NE),
 		tile.Coord{}.Child(tile.SW), tile.Coord{}.Child(tile.SE),
 	}
 	for _, c := range children {
-		tl, err := db.FetchQuiet(c)
+		tl, err := store.DBMS.FetchQuiet(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.cache.InsertPrediction(m.Name(), eng.cache.Generation(), tl, 0, trace.PhaseUnknown)
+		eng.cache.InsertPrediction("momentum", eng.cache.Generation(), tl, 0, trace.PhaseUnknown)
 	}
-	// A request under full pressure shrinks its submit batch to 1...
-	fake.setPressure(1)
+	// A request on the saturated queue has its batch trimmed...
 	resp, err := eng.Request(children[0])
 	if err != nil {
 		t.Fatal(err)
@@ -177,8 +94,8 @@ func TestAdaptiveKKeepsCacheRegionsFull(t *testing.T) {
 	if !resp.Hit {
 		t.Error("delivered child should hit")
 	}
-	if resp.PrefetchBudget != 1 {
-		t.Fatalf("PrefetchBudget = %d at full pressure, want 1", resp.PrefetchBudget)
+	if st := sched.Stats(); st.Dropped == 0 {
+		t.Fatalf("saturated queue trimmed nothing: %+v", st)
 	}
 	// ...but the other delivered tiles must survive in the cache.
 	for _, c := range children[1:] {
@@ -188,68 +105,74 @@ func TestAdaptiveKKeepsCacheRegionsFull(t *testing.T) {
 	}
 }
 
-// TestAdaptiveKOffByDefault: without AdaptiveK the engine ignores pressure.
+// TestAdaptiveKOffByDefault: an engine without a scheduler never trims —
+// the inline submitter prefetches every tile the engine ranks.
 func TestAdaptiveKOffByDefault(t *testing.T) {
 	db := testDBMS(t)
-	fake := &fakeSubmitter{}
-	fake.setPressure(1)
-	eng := newAsyncEngine(t, db, fake, "s1")
-	resp, err := eng.Request(tile.Coord{})
+	m := recommend.NewMomentum()
+	eng, err := NewEngine(db, nil, SinglePolicy{Model: m.Name()}, []recommend.Model{m}, Config{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.PrefetchBudget != 4 {
-		t.Errorf("PrefetchBudget = %d, want the configured 4", resp.PrefetchBudget)
-	}
-	if got := len(fake.lastBatch()); got != 4 {
-		t.Errorf("submitted %d, want 4 (pressure must be ignored)", got)
+	prefetched := 0
+	for _, c := range []tile.Coord{{}, tile.Coord{}.Child(tile.NW), tile.Coord{}.Child(tile.NW).Child(tile.SE)} {
+		resp, err := eng.Request(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Prefetched) != 4 {
+			t.Fatalf("request %v ranked %d tiles, want K = 4", c, len(resp.Prefetched))
+		}
+		prefetched += len(resp.Prefetched)
+		if got := eng.CacheStats().Prefetched; got != prefetched {
+			t.Errorf("after %v the cache took %d prefetched tiles, want all %d ranked", c, got, prefetched)
+		}
 	}
 }
 
-// TestAdaptiveKUnderRealSaturation drives a real scheduler into saturation
-// with a gated store and watches the engine's budget shrink, then recover
-// once the queue drains — the end-to-end backpressure loop.
+// TestAdaptiveKUnderRealSaturation drives a real AdaptiveK scheduler into
+// saturation with a gated store: the engine keeps handing over its whole
+// batch (and asks its policy for one split per request), while the
+// scheduler trims it on the saturated queue and admits it whole again once
+// the queue drains — the end-to-end backpressure loop.
 func TestAdaptiveKUnderRealSaturation(t *testing.T) {
-	db := testDBMS(t)
-	store := &gatedStore{DBMS: db, gate: make(chan struct{})}
-	sched := prefetch.NewScheduler(store, prefetch.Config{
-		Workers: 1, QueuePerSession: 8, GlobalQueue: 4,
+	policy := &countingPolicy{}
+	eng, sched, store := saturatingEngine(t, func(name string) AllocationPolicy {
+		policy.Model = name
+		return policy
 	})
-	defer sched.Close()
-
-	m := recommend.NewMomentum()
-	eng, err := NewEngine(store, nil, SinglePolicy{Model: m.Name()},
-		[]recommend.Model{m}, Config{K: 4, Scheduler: sched, Session: "s1", AdaptiveK: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	// First request goes out at zero pressure and fills the global queue
 	// (4 candidates, budget 4; the lone gated worker may pop one).
 	resp, err := eng.Request(tile.Coord{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.PrefetchBudget != 4 {
-		t.Fatalf("first PrefetchBudget = %d, want 4", resp.PrefetchBudget)
+	if len(resp.Prefetched) != 4 || sched.Stats().Dropped != 0 {
+		t.Fatalf("first request handed over %d tiles, %d dropped; want 4 and 0", len(resp.Prefetched), sched.Stats().Dropped)
 	}
-	// Queue now holds 3 or 4 of the budget's 4: pressure >= 0.75, so the
-	// next request must shrink its budget.
+	// Queue now holds 3 or 4 of the budget's 4, all this session's:
+	// pressure >= 0.75, so the scheduler trims the next batch.
 	resp, err = eng.Request(tile.Coord{}.Child(tile.NW))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.PrefetchBudget >= 4 {
-		t.Errorf("PrefetchBudget = %d under saturation, want < 4", resp.PrefetchBudget)
+	if len(resp.Prefetched) != 4 {
+		t.Errorf("engine handed over %d tiles under saturation, want its whole batch of 4", len(resp.Prefetched))
+	}
+	dropped := sched.Stats().Dropped
+	if dropped < 2 {
+		t.Errorf("Dropped = %d under saturation, want >= 2 of 4", dropped)
 	}
 	close(store.gate)
 	sched.Drain()
-	// Drained: full budget restored.
-	resp, err = eng.Request(tile.Coord{})
-	if err != nil {
+	// Drained: the whole batch is admitted again.
+	if _, err := eng.Request(tile.Coord{}); err != nil {
 		t.Fatal(err)
 	}
-	if resp.PrefetchBudget != 4 {
-		t.Errorf("PrefetchBudget = %d after drain, want 4", resp.PrefetchBudget)
+	if got := sched.Stats().Dropped; got != dropped {
+		t.Errorf("Dropped grew %d -> %d after drain, want no trim", dropped, got)
+	}
+	if policy.calls != 3 {
+		t.Errorf("3 requests called Allocations %d times, want 3", policy.calls)
 	}
 }

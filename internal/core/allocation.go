@@ -112,9 +112,7 @@ func NewAdaptivePolicy(base AllocationPolicy, models []string, fb AllocationFeed
 // split rounded so the returned counts sum to exactly k (models rounded to
 // zero slots are omitted from the map, matching the base policies). Shares
 // step toward the observed split only when the phase has new outcome
-// evidence since the last step, so the two Allocations calls a
-// backpressured request makes (full-K cache split, shrunk-k fetch split)
-// see one consistent share state, and session churn alone never drifts the
+// evidence since the last step, so session churn alone never drifts the
 // learned split.
 func (p *AdaptivePolicy) Allocations(ph trace.Phase, k int) map[string]int {
 	if k <= 0 {

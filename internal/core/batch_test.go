@@ -117,8 +117,6 @@ type nopSubmitter struct{}
 
 func (nopSubmitter) Submit(_ string, reqs []prefetch.Request) int { return len(reqs) }
 func (nopSubmitter) CancelSession(string)                         {}
-func (nopSubmitter) Pressure() float64                            { return 0 }
-func (nopSubmitter) SessionPressure(string) float64               { return 0 }
 
 // requestAllocs is the mean allocation count of one zoom-in, zoom-out
 // round trip after the engine's first request.

@@ -43,21 +43,11 @@ type Config struct {
 	// they complete. Nil means the inline submitter: the paper's think-time
 	// model, which fetches and delivers the whole batch before Request
 	// returns (what the eval harness replays, deterministically). A shared
-	// *prefetch.Scheduler instead fetches off the response path.
+	// *prefetch.Scheduler instead fetches off the response path. The engine
+	// always hands over its whole batch: how much of it to admit under load
+	// is the scheduler's decision (prefetch.Config.AdaptiveK).
 	Scheduler Submitter
 	Session   string
-	// AdaptiveK makes the engine respond to scheduler backpressure: each
-	// request reads the scheduler's Pressure signal and shrinks the prefetch
-	// budget from K down toward 1 as the shared queue saturates, restoring it
-	// as the queue drains. Only meaningful with a Scheduler; the inline
-	// submitter reads no pressure, so its engine prefetches with the full K.
-	AdaptiveK bool
-	// FairShare switches an adaptive engine from the global Pressure signal
-	// to the scheduler's per-session one: the budget shrinks only to the
-	// extent ITS session crowds the shared queue past its fair share, so a
-	// flooding session's K collapses first while light sessions keep
-	// prefetching at full budget. Only meaningful with AdaptiveK.
-	FairShare bool
 	// Feedback closes the prediction-quality loop: the engine tracks each
 	// prefetched tile's fate in its cache (consumed vs evicted unconsumed,
 	// attributed to the model, batch position and predicted phase that
@@ -116,28 +106,17 @@ type Response struct {
 	// Prefetched lists the distinct tiles submitted for the next request,
 	// in coordinate order.
 	Prefetched []tile.Coord
-	// PrefetchBudget is the effective K this request prefetched with: the
-	// configured K, shrunk by scheduler backpressure when the engine runs
-	// with Config.AdaptiveK.
-	PrefetchBudget int
 }
 
 // Submitter is the prefetch pipeline engines hand ranked candidate batches
-// to: *prefetch.Scheduler, or the engine's inline submitter. Submit (called
-// under the engine's lock) takes a batch and calls each entry's Deliver
-// once its tile is fetched, now or later; CancelSession drops a
-// session's still-queued entries; Pressure reports the pipeline's global
-// queue saturation in [0, 1] — the backpressure signal AdaptiveK
-// engines use to shrink their prefetch budget under load. SessionPressure
-// is the fair-share variant of the same signal, scoped to one session:
-// sessions at or under their fair share of the queue read 0 while the
-// flooding session reads up to the full global pressure (FairShare
-// engines shrink on it instead).
+// to: a *prefetch.Shard or *prefetch.Scheduler, or the engine's inline
+// submitter. Submit (called under the engine's lock) takes a batch, admits
+// as much of it as its own backpressure allows, and calls each admitted
+// entry's Deliver once its tile is fetched, now or later; CancelSession
+// drops a session's still-queued entries.
 type Submitter interface {
 	Submit(session string, reqs []prefetch.Request) int
 	CancelSession(session string)
-	Pressure() float64
-	SessionPressure(session string) float64
 }
 
 // FeedbackObserver receives the cache's prefetch outcomes — "the tile
@@ -159,24 +138,6 @@ type FeedbackObserver interface {
 // consumption frequencies.
 type ConsumptionObserver interface {
 	ObserveConsumption(c tile.Coord, ph trace.Phase)
-}
-
-// adaptiveBudget maps backpressure to an effective prefetch budget: the
-// full K at zero pressure, linearly down to a single tile at saturation.
-// One tile is always kept — the top prediction stays worth submitting even
-// on a saturated queue, since it may coalesce with another session's fetch.
-func adaptiveBudget(k int, pressure float64) int {
-	if pressure <= 0 || k <= 1 {
-		return k
-	}
-	if pressure > 1 {
-		pressure = 1
-	}
-	eff := k - int(pressure*float64(k-1)+0.5)
-	if eff < 1 {
-		eff = 1
-	}
-	return eff
 }
 
 // Engine is one user session's middleware: prediction engine + cache
@@ -366,28 +327,10 @@ func (e *Engine) RequestTraced(c tile.Coord, rt *obs.ReqTrace) (*Response, error
 
 	endPrefetch := rt.StartSpan("prefetch")
 	// Bottom level: re-evaluate allocations, rank one batch across the
-	// models, and submit it for the next request. Under
-	// backpressure an adaptive engine spends a smaller budget: queueing the
-	// full K onto a saturated scheduler only creates entries that decay or
-	// get shed before their fetch is issued. Only the submitted batch
-	// shrinks — the cache regions stay sized for the configured K, so
-	// pressure never evicts tiles the scheduler already delivered.
-	k := e.cfg.K
-	if e.cfg.AdaptiveK {
-		p := e.sched.Pressure()
-		if e.cfg.FairShare {
-			p = e.sched.SessionPressure(e.cfg.Session)
-		}
-		k = adaptiveBudget(k, p)
-	}
-	resp.PrefetchBudget = k
+	// models, and submit it for the next request.
 	allocs := e.policy.Allocations(resp.Phase, e.cfg.K)
 	e.cache.SetAllocations(allocs)
-	fetchAllocs := allocs
-	if k != e.cfg.K {
-		fetchAllocs = e.policy.Allocations(resp.Phase, k)
-	}
-	batch, coords := e.rank(req, fetchAllocs)
+	batch, coords := e.rank(req, allocs)
 	e.submit(batch, resp.Phase)
 	resp.Prefetched = coords
 	endPrefetch()
@@ -508,6 +451,4 @@ func (s inline) Submit(_ string, reqs []prefetch.Request) int {
 	return len(reqs)
 }
 
-func (inline) CancelSession(string)           {}
-func (inline) Pressure() float64              { return 0 }
-func (inline) SessionPressure(string) float64 { return 0 }
+func (inline) CancelSession(string) {}

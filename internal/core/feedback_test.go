@@ -45,58 +45,47 @@ func (r *recordingObserver) counts() (hits, misses int) {
 	return hits, misses
 }
 
-// TestFairShareEngineUsesSessionSignal: a FairShare engine budgets by
-// its own session's pressure, not the global signal — a light session on a
-// globally saturated queue keeps its full K, a flooding session collapses
-// to 1 even while another session's signal reads 0.
+// TestFairShareEngineUsesSessionSignal: an AdaptiveK scheduler trims by
+// the submitting engine's own session, not the global signal — a light
+// session on a nearly saturated queue keeps its whole batch, while the
+// session that floods the queue has its batch trimmed.
 func TestFairShareEngineUsesSessionSignal(t *testing.T) {
-	db := testDBMS(t)
-	fake := &fakeSubmitter{}
-	fake.setPressure(1)                 // global queue saturated...
-	fake.setSessionPressure("light", 0) // ...but not this session's doing
-	fake.setSessionPressure("flood", 1) // this one owns the queue
-
-	m := recommend.NewMomentum()
-	light, err := NewEngine(db, nil, SinglePolicy{Model: m.Name()},
-		[]recommend.Model{m}, Config{K: 4, Scheduler: fake, Session: "light", AdaptiveK: true, FairShare: true})
-	if err != nil {
-		t.Fatal(err)
+	store := &gatedStore{DBMS: testDBMS(t), gate: make(chan struct{})}
+	sched := prefetch.NewScheduler(store, prefetch.Config{
+		Workers: 1, QueuePerSession: 64, GlobalQueue: 16, AdaptiveK: true,
+	})
+	defer sched.Close()
+	defer close(store.gate)
+	// The flooder fills 12 of the 16 slots (the gated worker may hold one
+	// in flight) with far-away, low-scored tiles.
+	flood := make([]prefetch.Request, 12)
+	for i := range flood {
+		flood[i] = prefetch.Request{Coord: tile.Coord{Level: 4, Y: 15, X: i}, Score: 0.01}
 	}
-	resp, err := light.Request(tile.Coord{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.PrefetchBudget != 4 {
-		t.Errorf("light session PrefetchBudget = %d under global saturation, want the full 4", resp.PrefetchBudget)
-	}
-
-	m2 := recommend.NewMomentum()
-	flood, err := NewEngine(db, nil, SinglePolicy{Model: m2.Name()},
-		[]recommend.Model{m2}, Config{K: 4, Scheduler: fake, Session: "flood", AdaptiveK: true, FairShare: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err = flood.Request(tile.Coord{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.PrefetchBudget != 1 {
-		t.Errorf("flooding session PrefetchBudget = %d, want 1", resp.PrefetchBudget)
+	sched.Submit("flood", flood)
+	engine := func(session string) *Engine {
+		m := recommend.NewMomentum()
+		eng, err := NewEngine(store, nil, SinglePolicy{Model: m.Name()},
+			[]recommend.Model{m}, Config{K: 4, Scheduler: sched, Session: session})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
 	}
 
-	// Without FairShare the same engine shape reads the global signal.
-	m3 := recommend.NewMomentum()
-	global, err := NewEngine(db, nil, SinglePolicy{Model: m3.Name()},
-		[]recommend.Model{m3}, Config{K: 4, Scheduler: fake, Session: "light", AdaptiveK: true})
-	if err != nil {
+	// The light session has nothing queued: it is not crowding anyone.
+	if _, err := engine("light").Request(tile.Coord{}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err = global.Request(tile.Coord{})
-	if err != nil {
+	if d := sched.Stats().Dropped; d != 0 {
+		t.Errorf("light session's batch lost %d entries under global pressure %v, want 0", d, sched.Stats().Pressure)
+	}
+	// The flooder holds 11-12 of 15-16 queued against a fair share of half.
+	if _, err := engine("flood").Request(tile.Coord{}); err != nil {
 		t.Fatal(err)
 	}
-	if resp.PrefetchBudget != 1 {
-		t.Errorf("global-signal PrefetchBudget = %d at pressure 1, want 1", resp.PrefetchBudget)
+	if d := sched.Stats().Dropped; d == 0 {
+		t.Error("flooding session's batch was admitted whole")
 	}
 }
 

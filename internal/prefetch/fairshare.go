@@ -1,24 +1,11 @@
 package prefetch
 
-// This file is the scheduler's per-session backpressure signal. Global
-// Pressure (below) reports how full the shared queue is, but treats every
-// session alike: when one session floods the queue, AdaptiveK engines all
-// shrink together and the flooder's victims pay for its burst. The
-// fair-share signal scales the global pressure by how far a session sits
-// ABOVE its fair share 1/N of the pending queue, so the flooding session's
-// budget collapses first while sessions at or under their share keep
-// prefetching at full K (they are not the reason the queue is full).
-
-// Pressure reports the shard's queue saturation in [0, 1]: how full its
-// slice of the GlobalQueue budget is right now. It is the scheduler→engine
-// backpressure signal: engines built with core.Config.AdaptiveK shrink their
-// prefetch budget K as pressure rises and restore it when the queue
-// drains. Without a global budget the signal is always 0.
-func (s *Shard) Pressure() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pressureLocked()
-}
+// This file is the scheduler's backpressure: a Config.AdaptiveK shard trims
+// the batch of a session that crowds its queue. The signal is fair-share:
+// the shard's queue saturation scaled by how far a session sits ABOVE its
+// fair share 1/N of the pending queue, so the flooding session's batch
+// shrinks first while sessions at or under their share keep whole batches
+// (they are not the reason the queue is full).
 
 func (s *Shard) pressureLocked() float64 {
 	return saturation(s.stats.Pending, s.cfg.GlobalQueue)
@@ -36,21 +23,14 @@ func saturation(pending, budget int) float64 {
 	return p
 }
 
-// SessionPressure reports backpressure scoped to one session: the global
-// pressure scaled by how far the session's share of the pending queue
+// sessionPressureLocked is backpressure scoped to one session: the shard's
+// saturation scaled by how far the session's share of the pending queue
 // exceeds its fair share 1/N (N = sessions with queued work). A session at
-// or under fair share reads 0 — it keeps its full prefetch budget no
-// matter how hard others flood — and the signal ramps linearly to the full
-// global pressure as one session approaches owning the whole queue. A lone
-// occupant is by definition the flooder and reads the global pressure
-// unscaled. Engines opt in with core.Config.FairShare.
-func (s *Shard) SessionPressure(session string) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sessionPressureLocked(session, s.active)
-}
-
-func (s *Shard) sessionPressureLocked(session string, active int) float64 {
+// or under fair share reads 0 no matter how hard others flood, and the
+// signal ramps linearly to the full saturation as one session approaches
+// owning the whole queue. A lone occupant is by definition the flooder and
+// reads the saturation unscaled.
+func (s *Shard) sessionPressureLocked(session string) float64 {
 	p := s.pressureLocked()
 	if p == 0 || s.stats.Pending <= 0 {
 		return 0
@@ -59,11 +39,11 @@ func (s *Shard) sessionPressureLocked(session string, active int) float64 {
 	if sq == nil || sq.queued == 0 {
 		return 0 // nothing queued: this session is not crowding anyone
 	}
-	if active <= 1 {
+	if s.active <= 1 {
 		return p // sole occupant: fair share is the whole queue
 	}
 	share := float64(sq.queued) / float64(s.stats.Pending)
-	fair := 1 / float64(active)
+	fair := 1 / float64(s.active)
 	over := (share - fair) / (1 - fair)
 	if over <= 0 {
 		return 0
@@ -72,4 +52,23 @@ func (s *Shard) sessionPressureLocked(session string, active int) float64 {
 		over = 1
 	}
 	return p * over
+}
+
+// adaptiveBudget maps backpressure to how many of a batch's n entries an
+// AdaptiveK shard admits: all n at zero pressure, linearly down to a single
+// entry at saturation. One entry is always kept — the top prediction stays
+// worth submitting even on a saturated queue, since it may coalesce with
+// another session's fetch.
+func adaptiveBudget(n int, pressure float64) int {
+	if pressure <= 0 || n <= 1 {
+		return n
+	}
+	if pressure > 1 {
+		pressure = 1
+	}
+	eff := n - int(pressure*float64(n-1)+0.5)
+	if eff < 1 {
+		eff = 1
+	}
+	return eff
 }

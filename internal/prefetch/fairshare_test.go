@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-
-	"forecache/internal/tile"
 )
 
 // TestSessionPressureFairShare: deterministic shares on a parked scheduler.
@@ -25,30 +23,23 @@ func TestSessionPressureFairShare(t *testing.T) {
 	s.Submit("l2", batch(1, 110, 1))
 	s.Submit("l3", batch(1, 120, 1))
 
-	if p := s.Pressure(); p != 1 {
-		t.Fatalf("global pressure = %v, want 1 (16/16 queued)", p)
+	st := s.Stats()
+	if st.Pressure != 1 {
+		t.Fatalf("global pressure = %v, want 1 (16/16 queued)", st.Pressure)
 	}
 	// share 13/16 vs fair 1/4: over = (13/16-1/4)/(3/4) = 0.75.
-	if p := s.SessionPressure("flood"); p < 0.7 || p > 0.8 {
+	if p := st.SessionPressures["flood"]; p < 0.7 || p > 0.8 {
 		t.Errorf("flooder pressure = %v, want ~0.75", p)
 	}
-	// Light sessions sit far under fair share: zero pressure, full K.
+	// Light sessions sit far under fair share: zero pressure, whole batches.
 	for _, id := range []string{"l1", "l2", "l3"} {
-		if p := s.SessionPressure(id); p != 0 {
+		if p := st.SessionPressures[id]; p != 0 {
 			t.Errorf("light session %s pressure = %v, want 0", id, p)
 		}
 	}
-	// Unknown and idle sessions are not crowding anyone either.
-	if p := s.SessionPressure("nobody"); p != 0 {
-		t.Errorf("unknown session pressure = %v, want 0", p)
-	}
-	if p := s.SessionPressure("warmup"); p != 0 {
-		t.Errorf("idle session pressure = %v, want 0", p)
-	}
-	// The stats snapshot carries the same signals.
-	st := s.Stats()
-	if st.SessionPressures["flood"] == 0 || st.SessionPressures["l1"] != 0 {
-		t.Errorf("Stats().SessionPressures = %v", st.SessionPressures)
+	// An idle session (its one entry is in flight) crowds nobody either.
+	if p, ok := st.SessionPressures["warmup"]; !ok || p != 0 {
+		t.Errorf("idle session pressure = %v (tracked %v), want 0", p, ok)
 	}
 }
 
@@ -62,7 +53,7 @@ func TestSessionPressureSoleOccupant(t *testing.T) {
 		reqs[i] = Request{Coord: coordAt(i), Score: 1}
 	}
 	s.Submit("only", reqs)
-	if p := s.SessionPressure("only"); p != 1 {
+	if p := s.Stats().SessionPressures["only"]; p != 1 {
 		t.Errorf("sole occupant pressure = %v, want the global 1", p)
 	}
 }
@@ -78,142 +69,188 @@ func TestSessionPressureBalancedLoad(t *testing.T) {
 			{Coord: coordAt(10 * i), Score: 1}, {Coord: coordAt(10*i + 1), Score: 1},
 		})
 	}
+	st := s.Stats()
 	for i := 0; i < 4; i++ {
-		if p := s.SessionPressure(fmt.Sprintf("s%d", i)); p != 0 {
+		if p := st.SessionPressures[fmt.Sprintf("s%d", i)]; p != 0 {
 			t.Errorf("balanced session s%d pressure = %v, want 0", i, p)
 		}
 	}
 }
 
+// TestSessionPressureZeroWithoutGlobalBudget: no budget, no pressure, so
+// an AdaptiveK shard admits every batch whole.
 func TestSessionPressureZeroWithoutGlobalBudget(t *testing.T) {
 	clk := newFakeClock()
-	s, _ := parkedScheduler(t, clk, Config{QueuePerSession: 8})
-	s.Submit("a", []Request{{Coord: coordAt(0), Score: 1}})
-	if p := s.SessionPressure("a"); p != 0 {
-		t.Errorf("pressure without global budget = %v, want 0", p)
+	s, _ := parkedScheduler(t, clk, Config{QueuePerSession: 8, AdaptiveK: true})
+	reqs := make([]Request, 8)
+	for i := range reqs {
+		reqs[i] = Request{Coord: coordAt(i), Score: 1}
+	}
+	for r := 0; r < 2; r++ {
+		if got := s.Submit("a", reqs); got != len(reqs) {
+			t.Errorf("round %d admitted %d, want %d", r, got, len(reqs))
+		}
+	}
+	if st := s.Stats(); st.SessionPressures["a"] != 0 || st.Dropped != 0 {
+		t.Errorf("without a global budget: pressure %v, Dropped %d; want 0 and 0", st.SessionPressures["a"], st.Dropped)
 	}
 }
 
-// mirrorAdaptiveK mirrors core.adaptiveBudget (pinned by core's
-// TestAdaptiveBudgetTable) so this package can assert the fair-share
-// contract in terms of the prefetch budget K engines would actually use.
-func mirrorAdaptiveK(k int, pressure float64) int {
-	if pressure <= 0 || k <= 1 {
-		return k
+func TestAdaptiveBudgetTable(t *testing.T) {
+	cases := []struct {
+		n        int
+		pressure float64
+		want     int
+	}{
+		{5, 0, 5},
+		{5, -1, 5},    // clamped below
+		{5, 0.25, 4},  // 5 - round(1)
+		{5, 0.5, 3},   // 5 - round(2)
+		{5, 0.75, 2},  // 5 - round(3)
+		{5, 1, 1},     // floor: one entry always admitted
+		{5, 2, 1},     // clamped above
+		{4, 0.5, 2},   // 4 - round(1.5)
+		{1, 1, 1},     // a one-entry batch cannot shrink
+		{0, 1, 0},     // nor can an empty one grow
+		{8, 0.999, 1}, // near saturation
+		{8, 0.001, 8}, // round(7*0.001 + 0.5) = 0: negligible pressure keeps all
 	}
-	if pressure > 1 {
-		pressure = 1
+	for _, tc := range cases {
+		if got := adaptiveBudget(tc.n, tc.pressure); got != tc.want {
+			t.Errorf("adaptiveBudget(%d, %v) = %d, want %d", tc.n, tc.pressure, got, tc.want)
+		}
 	}
-	eff := k - int(pressure*float64(k-1)+0.5)
-	if eff < 1 {
-		eff = 1
-	}
-	return eff
 }
 
-// TestFairShareFloodersShrinkFirst is the backpressure ordering contract
-// under -race: one flooder (whole-budget batches every round) and three
-// light sessions (single-tile batches) submit concurrently. At every
-// observation point the flooder's effective K must shrink to 1 before any
-// light session's K drops below the configured value — the flooding
-// session pays for saturation, its victims do not.
-func TestFairShareFloodersShrinkFirst(t *testing.T) {
-	const configuredK = 5
-	store := newFakeStore()
-	store.gate = make(chan struct{})
-	store.started = make(chan tile.Coord, 1024)
-	s := NewScheduler(store, Config{Workers: 1, QueuePerSession: 64, GlobalQueue: 32})
-	defer func() {
-		close(store.gate)
-		s.Close()
-	}()
-	// Park the single worker so queue contents stay under our control, and
-	// let the flooder saturate the queue before the race starts (the
-	// ordering contract is about behavior DURING a flood; a light session
-	// alone on an empty queue is its sole occupant and rightly owns the
-	// whole budget).
-	s.Submit("warmup", []Request{{Coord: tile.Coord{Level: 1}, Score: 1}})
-	<-store.started
-	flood := func(r int) []Request {
-		reqs := make([]Request, 48) // wants 1.5x the whole global budget
+// TestAdaptiveKShrinksAndRestores: an AdaptiveK shard trims a session that
+// owns its saturated queue to its single highest-scored entry, counts the
+// rest as Dropped, and admits whole batches again once the queue drains. A
+// shard without AdaptiveK admits the same batches whole.
+func TestAdaptiveKShrinksAndRestores(t *testing.T) {
+	batch := func(from int) []Request {
+		reqs := make([]Request, 8)
 		for i := range reqs {
-			reqs[i] = Request{Coord: coordAt((r*48 + i) % 500), Score: 1}
+			// Built lowest score first: the shard must pick by score, not
+			// by slice order.
+			reqs[i] = Request{Coord: coordAt(from + i), Score: float64(i)}
 		}
 		return reqs
 	}
-	s.Submit("flood", flood(0))
+	for _, adaptive := range []bool{false, true} {
+		t.Run(fmt.Sprintf("adaptive=%v", adaptive), func(t *testing.T) {
+			s, store := parkedScheduler(t, newFakeClock(), Config{GlobalQueue: 8, QueuePerSession: 16, AdaptiveK: adaptive})
+			// Empty queue: zero pressure, the whole batch fills the budget.
+			if got := s.Submit("a", batch(0)); got != 8 {
+				t.Fatalf("first batch admitted %d, want 8", got)
+			}
+			// The session alone owns the saturated queue: pressure 1.
+			want := 8
+			if adaptive {
+				want = 1
+			}
+			if got := s.Submit("a", batch(100)); got != want {
+				t.Fatalf("batch on a saturated queue admitted %d, want %d", got, want)
+			}
+			if st := s.Stats(); st.Dropped != 8-want || st.QueueDepths["a"] != want {
+				t.Errorf("Dropped = %d, depth = %d; want %d and %d", st.Dropped, st.QueueDepths["a"], 8-want, want)
+			}
+			close(store.gate)
+			s.Drain()
+			// The admitted entry is the batch's highest-scored one.
+			if store.count(coordAt(107)) != 1 {
+				t.Error("the top-scored entry was not fetched")
+			}
+			if adaptive && store.count(coordAt(106)) != 0 {
+				t.Error("a trimmed entry reached the DBMS")
+			}
+			// Drained: whole batches again.
+			if got := s.Submit("a", batch(200)); got != 8 {
+				t.Errorf("batch after drain admitted %d, want 8", got)
+			}
+		})
+	}
+}
 
-	const rounds = 200
-	var submitters sync.WaitGroup
-	submit := func(id string, rnd func(r int) []Request) {
-		defer submitters.Done()
-		for r := 0; r < rounds; r++ {
-			s.Submit(id, rnd(r))
+// TestFairShareFloodersShrinkFirst is the backpressure ordering contract,
+// seen through Submit and Stats().Dropped: a flooding session's admitted
+// batch shrinks while light sessions keep whole batches — the flooder pays
+// for saturation, its victims do not. First a deterministic sequence, then
+// the same sessions racing under -race.
+func TestFairShareFloodersShrinkFirst(t *testing.T) {
+	const floodN, lightN = 48, 2
+	s, _ := parkedScheduler(t, newFakeClock(), Config{QueuePerSession: 64, GlobalQueue: 32, AdaptiveK: true})
+	flood := func(r int) []Request {
+		reqs := make([]Request, floodN) // wants 1.5x the whole global budget
+		for i := range reqs {
+			reqs[i] = Request{Coord: coordAt((r*floodN + i) % 500), Score: 1}
 		}
+		return reqs
 	}
 	light := func(base int) func(int) []Request {
 		return func(r int) []Request {
-			return []Request{{Coord: coordAt(base + r%50), Score: 1}}
+			return []Request{{Coord: coordAt(base + r%50), Score: 1}, {Coord: coordAt(base + 50 + r%50), Score: 1}}
 		}
 	}
-	submitters.Add(4)
-	go submit("flood", flood)
-	go submit("l1", light(1000))
-	go submit("l2", light(2000))
-	go submit("l3", light(3000))
+	lights := map[string]func(int) []Request{"l1": light(1000), "l2": light(2000), "l3": light(3000)}
 
-	// Sample the backpressure signals while the submitters race.
-	errCh := make(chan error, 1)
-	done := make(chan struct{})
-	var sampler sync.WaitGroup
-	sampler.Add(1)
-	go func() {
-		defer sampler.Done()
-		fail := func(err error) {
-			select {
-			case errCh <- err:
-			default:
-			}
+	// An empty queue reads no pressure: the flooder fills the global budget
+	// and global admission rejects the other 16.
+	if got := s.Submit("flood", flood(0)); got != 32 {
+		t.Fatalf("first flood admitted %d, want 32", got)
+	}
+	// Each light session sheds two of the flooder's tail entries.
+	for id, rnd := range lights {
+		if got := s.Submit(id, rnd(0)); got != lightN {
+			t.Fatalf("light %s admitted %d, want %d", id, got, lightN)
 		}
-		for {
-			select {
-			case <-done:
+	}
+	// The flooder holds 26 of 32 against a fair share of 8: pressure
+	// (26/32 - 1/4)/(3/4) = 0.75 trims its 48 to 48 - round(0.75*47) = 13.
+	dropped := s.Stats().Dropped
+	if got := s.Submit("flood", flood(1)); got != 13 {
+		t.Fatalf("crowding flood admitted %d, want 13", got)
+	}
+	if d := s.Stats().Dropped - dropped; d != floodN-13 {
+		t.Errorf("trim dropped %d, want %d", d, floodN-13)
+	}
+
+	// The race: every light batch stays whole, so every Dropped entry is
+	// the flooder's.
+	dropped = s.Stats().Dropped
+	const rounds = 200
+	var mu sync.Mutex
+	floodShort := 0
+	var wg sync.WaitGroup
+	submit := func(id string, rnd func(int) []Request, n int) {
+		defer wg.Done()
+		for r := 1; r <= rounds; r++ {
+			got := s.Submit(id, rnd(r))
+			if id == "flood" {
+				mu.Lock()
+				floodShort += n - got
+				mu.Unlock()
+			} else if got != n {
+				t.Errorf("light %s round %d admitted %d, want its whole batch of %d", id, r, got, n)
 				return
-			default:
-			}
-			kf := mirrorAdaptiveK(configuredK, s.SessionPressure("flood"))
-			for _, id := range []string{"l1", "l2", "l3"} {
-				if kl := mirrorAdaptiveK(configuredK, s.SessionPressure(id)); kl < configuredK && kf > 1 {
-					fail(fmt.Errorf("light %s shrank to K=%d while the flooder still had K=%d", id, kl, kf))
-					return
-				}
 			}
 		}
-	}()
-
-	submitters.Wait()
-	close(done)
-	sampler.Wait()
-	select {
-	case err := <-errCh:
-		t.Fatal(err)
-	default:
 	}
-
-	// The settled end state is deterministic: the flooder holds 29 of the
-	// 32 budget slots (3 went to the lights, which tie-keep their slots),
-	// so its K is floored at 1 while every light keeps the configured K.
-	if pf := s.SessionPressure("flood"); mirrorAdaptiveK(configuredK, pf) != 1 {
-		t.Errorf("settled flooder pressure %v does not floor K (K=%d)", pf, mirrorAdaptiveK(configuredK, pf))
+	wg.Add(1 + len(lights))
+	go submit("flood", flood, floodN)
+	for id, rnd := range lights {
+		go submit(id, rnd, lightN)
 	}
-	for _, id := range []string{"l1", "l2", "l3"} {
-		if pl := s.SessionPressure(id); mirrorAdaptiveK(configuredK, pl) != configuredK {
-			t.Errorf("settled light %s pressure %v shrinks K to %d, want %d",
-				id, pl, mirrorAdaptiveK(configuredK, pl), configuredK)
-		}
-	}
+	wg.Wait()
 	st := s.Stats()
-	if st.QueueDepths["flood"] != 29 {
-		t.Errorf("settled flooder depth = %d, want 29 (32 budget - 3 lights)", st.QueueDepths["flood"])
+	if d := st.Dropped - dropped; d != floodShort || d == 0 {
+		t.Errorf("Dropped grew by %d, the flooder fell %d short (want equal and > 0)", d, floodShort)
+	}
+	if st.SessionPressures["flood"] == 0 {
+		t.Errorf("settled flooder reads no pressure: %v", st.SessionPressures)
+	}
+	for id := range lights {
+		if p := st.SessionPressures[id]; p != 0 {
+			t.Errorf("settled light %s pressure = %v, want 0", id, p)
+		}
 	}
 }

@@ -35,13 +35,12 @@
 //     shed to admit a higher-utility newcomer (or the newcomer is rejected
 //     if everything queued outranks it), so stale backlog cannot crowd out
 //     fresh predictions;
-//   - Pressure reports global queue saturation in [0, 1]; engines use it as
-//     a backpressure signal to shrink their prefetch budget K under load
-//     (core.Config.AdaptiveK) and restore it when the queue drains;
-//   - SessionPressure is the fair-share variant: global pressure scaled by
-//     how far one session's queue share exceeds its fair share 1/N, so the
-//     flooding session's budget collapses first while light sessions keep
-//     prefetching at full K (core.Config.FairShare);
+//   - backpressure (AdaptiveK) is decided here, not by the engines that
+//     submit: a shard reads a session's fair-share pressure — its queue
+//     saturation scaled by how far the session's queue share exceeds its
+//     fair share 1/N — and trims that session's next batch to its
+//     highest-scored entries, so the flooding session's batch collapses
+//     first while light sessions keep whole batches;
 //   - a FeedbackCollector (Config.Utility) closes the loop from cache
 //     outcomes back into admission control: it fits the position-utility
 //     curve online from which prefetched tiles clients actually consumed,
@@ -112,8 +111,15 @@ type Config struct {
 	// submission would exceed it, admission control sheds the queued entry
 	// with the lowest decayed utility — whichever session owns it — to make
 	// room, or rejects the incoming entry if everything queued outranks it.
-	// 0 means unlimited (and Pressure always reports 0).
+	// 0 means unlimited (and Stats.Pressure always reports 0).
 	GlobalQueue int
+	// AdaptiveK turns on backpressure: before a session's new batch
+	// supersedes its old one, the shard reads the session's fair-share
+	// pressure (Stats.SessionPressures) and admits only the batch's
+	// highest-scored adaptiveBudget entries — all of them at zero pressure,
+	// one at saturation. The rest count as Dropped. Needs GlobalQueue: the
+	// signal is 0 without a global budget.
+	AdaptiveK bool
 	// DecayHalfLife is the queue age at which an entry's utility halves.
 	// Stale entries therefore lose admission-control fights against fresh
 	// ones of equal model confidence. 0 disables age decay.
@@ -201,15 +207,16 @@ type Stats struct {
 	Inflight int
 	// Sessions is the number of sessions with scheduler state.
 	Sessions int
-	// Pressure is the current global queue saturation in [0, 1] (always 0
-	// without a global budget); see Scheduler.Pressure.
+	// Pressure is the current global queue saturation in [0, 1]: pending
+	// entries over GlobalQueue (always 0 without a global budget).
 	Pressure float64
 	// QueueDepths maps each tracked session to its live queued entry count.
 	QueueDepths map[string]int
 	// SessionPressures maps each tracked session to its fair-share
-	// backpressure signal (Scheduler.SessionPressure): 0 for sessions at
-	// or under their fair share of the queue, ramping to Pressure for a
-	// session that owns it.
+	// backpressure signal, the one an AdaptiveK shard trims the session's
+	// next batch by: 0 for sessions at or under their fair share of their
+	// shard's queue, ramping to the shard's saturation for a session that
+	// owns it.
 	SessionPressures map[string]float64
 	// AvgQueueLatency is the mean time entries spent queued before their
 	// fetch was issued (or joined).

@@ -115,27 +115,6 @@ func (s *Scheduler) CancelSession(session string) {
 	s.Shard(session).CancelSession(session)
 }
 
-// Pressure reports the deployment-wide queue saturation: total pending
-// entries over the total global budget. One slammed shard next to idle
-// ones therefore reads as partial pressure — the per-shard signal engines
-// actually shrink on comes from their own shard's Pressure.
-func (s *Scheduler) Pressure() float64 {
-	pending := 0
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		pending += sh.stats.Pending
-		sh.mu.Unlock()
-	}
-	return saturation(pending, s.total)
-}
-
-// SessionPressure reports the fair-share backpressure signal from the
-// session's home shard (fairness is scoped to the sessions actually
-// contending on that shard's queue).
-func (s *Scheduler) SessionPressure(session string) float64 {
-	return s.Shard(session).SessionPressure(session)
-}
-
 // Snapshot takes each shard's snapshot exactly once and returns both views
 // of it: the deployment-wide aggregate and the per-shard Stats it was
 // summed from (index = shard id), so within one Snapshot the per-shard

@@ -101,10 +101,13 @@ func newShard(store backend.Store, cfg Config) *Shard {
 // Submit replaces session's pending batch with reqs: entries still queued
 // from earlier batches are cancelled (their predictions are stale), then
 // reqs are enqueued in score order subject to the per-session budget and
-// the global one. When the global budget is saturated, each admission sheds
-// the lowest-utility queued entry across all sessions (utility = score
-// decayed by queue age and batch position), or rejects the newcomer if
-// everything queued outranks it. Returns the number of entries accepted.
+// the global one. With Config.AdaptiveK, a session crowding the queue past
+// its fair share first has its batch trimmed to its highest-scored
+// adaptiveBudget entries; the rest count as Dropped. When the global
+// budget is saturated, each admission sheds the lowest-utility queued entry
+// across all sessions (utility = score decayed by queue age and batch
+// position), or rejects the newcomer if everything queued outranks it.
+// Returns the number of entries accepted.
 // Fetches already in flight are not interrupted. Safe to call concurrently;
 // a no-op after Close.
 func (s *Shard) Submit(session string, reqs []Request) int {
@@ -113,6 +116,12 @@ func (s *Shard) Submit(session string, reqs []Request) int {
 	defer s.mu.Unlock()
 	if s.closed {
 		return 0
+	}
+	// Backpressure reads the queue this session crowds now, before its
+	// previous batch is superseded.
+	admit := len(reqs)
+	if s.cfg.AdaptiveK {
+		admit = adaptiveBudget(admit, s.sessionPressureLocked(session))
 	}
 	sq := s.sessions[session]
 	if sq == nil {
@@ -137,6 +146,8 @@ func (s *Shard) Submit(session string, reqs []Request) int {
 	sort.SliceStable(order, func(a, b int) bool {
 		return reqs[order[a]].Score > reqs[order[b]].Score
 	})
+	s.stats.Dropped += len(order) - admit
+	order = order[:admit]
 	var shed *shedHeap // built lazily on the first saturated admission
 	accepted, enqueued := 0, 0
 	for _, i := range order {
@@ -293,10 +304,9 @@ func (s *Shard) statsDetail() (Stats, time.Duration, int) {
 	st.Pressure = s.pressureLocked()
 	st.QueueDepths = make(map[string]int, len(s.sessions))
 	st.SessionPressures = make(map[string]float64, len(s.sessions))
-	active := s.active
 	for id, sq := range s.sessions {
 		st.QueueDepths[id] = sq.queued
-		st.SessionPressures[id] = s.sessionPressureLocked(id, active)
+		st.SessionPressures[id] = s.sessionPressureLocked(id)
 	}
 	if s.measured > 0 {
 		st.AvgQueueLatency = s.queueLatency / time.Duration(s.measured)
@@ -310,8 +320,8 @@ func (s *Shard) statsDetail() (Stats, time.Duration, int) {
 
 // addQueuedLocked adjusts a session's live-entry count, maintaining the
 // shard's count of sessions with queued work (the fair-share N) on
-// 0<->1 transitions so SessionPressure never scans the session table on
-// the request hot path.
+// 0<->1 transitions so the fair-share signal never scans the session table
+// on the submit path.
 func (s *Shard) addQueuedLocked(sq *sessionQueue, delta int) {
 	before := sq.queued
 	sq.queued += delta

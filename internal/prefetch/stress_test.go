@@ -79,11 +79,12 @@ func TestStressFiftySessions(t *testing.T) {
 				case r%11 == 10:
 					s.CancelSession(id) // eviction mid-stream; state rebuilt on next Submit
 				case r%7 == 3:
-					if st := s.Stats(); st.Pending > globalQueue {
+					st := s.Stats()
+					if st.Pending > globalQueue {
 						t.Errorf("observed Pending %d over global budget %d", st.Pending, globalQueue)
 					}
-					if p := s.Pressure(); p < 0 || p > 1 {
-						t.Errorf("pressure %v outside [0,1]", p)
+					if st.Pressure < 0 || st.Pressure > 1 {
+						t.Errorf("pressure %v outside [0,1]", st.Pressure)
 					}
 				}
 			}

@@ -248,7 +248,7 @@ func TestShedAccounting(t *testing.T) {
 func TestPressureSignal(t *testing.T) {
 	clk := newFakeClock()
 	s, store := parkedScheduler(t, clk, Config{GlobalQueue: 8, QueuePerSession: 8})
-	if p := s.Pressure(); p != 0 {
+	if p := s.Stats().Pressure; p != 0 {
 		t.Errorf("idle pressure = %v, want 0", p)
 	}
 	batch := func(n, from int) []Request {
@@ -259,19 +259,16 @@ func TestPressureSignal(t *testing.T) {
 		return reqs
 	}
 	s.Submit("a", batch(4, 0))
-	if p := s.Pressure(); p != 0.5 {
+	if p := s.Stats().Pressure; p != 0.5 {
 		t.Errorf("pressure at 4/8 = %v, want 0.5", p)
 	}
 	s.Submit("b", batch(4, 10))
-	if p := s.Pressure(); p != 1 {
+	if p := s.Stats().Pressure; p != 1 {
 		t.Errorf("pressure at 8/8 = %v, want 1", p)
-	}
-	if st := s.Stats(); st.Pressure != 1 {
-		t.Errorf("Stats().Pressure = %v, want 1", st.Pressure)
 	}
 	close(store.gate)
 	s.Drain()
-	if p := s.Pressure(); p != 0 {
+	if p := s.Stats().Pressure; p != 0 {
 		t.Errorf("drained pressure = %v, want 0", p)
 	}
 }
@@ -281,7 +278,7 @@ func TestPressureZeroWithoutGlobalBudget(t *testing.T) {
 	clk := newFakeClock()
 	s, _ := parkedScheduler(t, clk, Config{QueuePerSession: 64})
 	s.Submit("a", []Request{{Coord: coordAt(0), Score: 1}, {Coord: coordAt(1), Score: 1}})
-	if p := s.Pressure(); p != 0 {
+	if p := s.Stats().Pressure; p != 0 {
 		t.Errorf("pressure without global budget = %v, want 0", p)
 	}
 }
