@@ -377,6 +377,32 @@ func (m *Manager) InsertPrediction(model string, gen uint64, t *tile.Tile, pos i
 	m.stats.Prefetched++
 }
 
+// RefreshPrediction re-predicts a tile already live in model's region
+// before its new delivery arrives: the entry moves to the region's front,
+// takes batch position pos and phase ph, and is unconsumed again, so the
+// batch's other deliveries cannot ring it out and judge the old instance a
+// miss. It records no outcome, counts nothing and allocates nothing; a
+// tile not in the region is left to its delivery.
+func (m *Manager) RefreshPrediction(model string, c tile.Coord, pos int, ph trace.Phase) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e := m.byCoord[c]
+	if e == nil {
+		return
+	}
+	for _, ref := range e.refs {
+		if ref.model != model {
+			continue
+		}
+		region := m.regions[model]
+		i := slices.Index(region, ref.pt)
+		copy(region[1:i+1], region[:i])
+		region[0] = ref.pt
+		ref.pt.pos, ref.pt.ph, ref.pt.consumed = pos, ph, false
+		return
+	}
+}
+
 // Lookup returns the cached tile for c from any region, counting a hit or
 // miss: one index access resolves the model regions (checked first) and the
 // recent-request LRU alike. The first consumption of a prefetched entry

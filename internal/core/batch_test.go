@@ -154,3 +154,49 @@ func TestRequestAllocCeiling(t *testing.T) {
 		t.Errorf("scheduler round trip allocates %v times, ceiling %d", n, asyncCeiling)
 	}
 }
+
+// scriptedModel ranks next, best first, whatever the request.
+type scriptedModel struct{ next []tile.Coord }
+
+func (*scriptedModel) Name() string          { return "a" }
+func (*scriptedModel) Observe(trace.Request) {}
+func (*scriptedModel) Reset()                {}
+func (m *scriptedModel) Predict(trace.Request, []recommend.Candidate, *trace.History) []recommend.Ranked {
+	return fixedModel{coords: m.next}.Predict(trace.Request{}, nil, nil)
+}
+
+// TestRepredictedTileAtRegionEndIsNotJudged: a batch that re-predicts the
+// tile at a full region's old end refreshes it, so the batch's new tile
+// rings out the other old entry, and only that one is judged a miss.
+func TestRepredictedTileAtRegionEndIsNotJudged(t *testing.T) {
+	x, y, w := tile.Coord{Level: 2}, tile.Coord{Level: 2, X: 1}, tile.Coord{Level: 2, Y: 1}
+	m := &scriptedModel{next: []tile.Coord{x, y}}
+	rec := &recordingObserver{}
+	eng, err := NewEngine(testDBMS(t), nil, fixedPolicy{"a": 2}, []recommend.Model{m}, Config{K: 2, Feedback: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// x is delivered first, so it sits at the region's old end.
+	if _, err := eng.Request(tile.Coord{}); err != nil {
+		t.Fatal(err)
+	}
+	m.next = []tile.Coord{w, x}
+	if _, err := eng.Request(tile.Coord{Level: 1}); err != nil {
+		t.Fatal(err)
+	}
+	// y (position 1) left the cache unconsumed; x (position 0) is still
+	// predicted and must not be judged.
+	if len(rec.outcomes) != 1 || rec.outcomes[0].pos != 1 || rec.outcomes[0].hit {
+		t.Errorf("outcomes = %+v, want one miss, for y at position 1", rec.outcomes)
+	}
+	if got := eng.CacheStats().Prefetched; got != 4 {
+		t.Errorf("Prefetched = %d, want 4 deliveries (the refresh counts none)", got)
+	}
+	got := []tile.Coord{}
+	for _, p := range eng.CachedPredictions() {
+		got = append(got, p.Tile.Coord)
+	}
+	if !slices.Equal(got, []tile.Coord{x, w}) {
+		t.Errorf("region = %v, want [x w]", got)
+	}
+}

@@ -410,13 +410,16 @@ func (e *Engine) rank(req trace.Request, allocs map[string]int) ([]prediction, [
 // submit hands the batch to the engine's submitter. Each entry's delivery
 // lands in its model's cache region at the batch position it was ranked at
 // and the phase predicted now, unless the cache has moved to a new
-// generation since (a Reset or a detach), in which case it is dropped. The
-// caller holds e.mu.
+// generation since (a Reset or a detach), in which case it is dropped. An
+// entry whose tile is already live in its model's region is refreshed in
+// place first, so the batch's other deliveries cannot ring it out as an
+// unconsumed miss before its own arrives. The caller holds e.mu.
 func (e *Engine) submit(batch []prediction, ph trace.Phase) {
 	gen := e.cache.Generation()
 	reqs := make([]prefetch.Request, len(batch))
 	for i := range batch {
 		p := &batch[i] // captured by pointer: a smaller closure per entry
+		e.cache.RefreshPrediction(p.model, p.Coord, p.pos, ph)
 		reqs[i] = prefetch.Request{
 			Coord: p.Coord,
 			Score: p.Score,
