@@ -54,10 +54,8 @@ func TestBuildWorldPipeline(t *testing.T) {
 	if ds.Pyramid.NumLevels() != 5 {
 		t.Errorf("levels = %d, want 5 for 256/16", ds.Pyramid.NumLevels())
 	}
-	if !ds.Signatures.CodebookTrained() {
-		t.Error("codebook should be trained")
-	}
-	// Every tile must carry all four signatures.
+	// Every tile must carry all four signatures (SIFT needs the trained
+	// codebook).
 	tl, err := ds.Pyramid.Tile(Coord{Level: 2, Y: 1, X: 1})
 	if err != nil {
 		t.Fatal(err)

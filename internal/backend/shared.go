@@ -89,6 +89,3 @@ func (p *SharedPool) Stats() SharedStats {
 		Evicted:     int(st.Evicted),
 	}
 }
-
-// Len returns the number of pooled tiles.
-func (p *SharedPool) Len() int { return p.tiles.Stats().Entries }

@@ -119,8 +119,8 @@ func TestSharedPoolEvicts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if pool.Len() != 2 {
-		t.Errorf("Len = %d, want 2", pool.Len())
+	if n := pool.tiles.Stats().Entries; n != 2 {
+		t.Errorf("pooled tiles = %d, want 2", n)
 	}
 	if pool.Stats().Evicted != 1 {
 		t.Errorf("Evicted = %d, want 1", pool.Stats().Evicted)

@@ -115,15 +115,6 @@ func (t *Table) Get(model string, k int, ph trace.Phase) Point {
 	return Point{Model: model, K: k, Phase: ph}
 }
 
-// Points returns all cells in insertion order.
-func (t *Table) Points() []Point {
-	out := make([]Point, 0, len(t.order))
-	for _, kk := range t.order {
-		out = append(out, *t.points[kk])
-	}
-	return out
-}
-
 // Merge folds another table into this one.
 func (t *Table) Merge(o *Table) {
 	for _, kk := range o.order {

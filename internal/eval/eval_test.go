@@ -82,9 +82,6 @@ func TestTableAccumulateAndMerge(t *testing.T) {
 	if got := a.Get("m", 2, trace.Navigation); got.Hits != 2 || got.Total != 3 {
 		t.Errorf("merged = %+v", got)
 	}
-	if len(a.Points()) == 0 {
-		t.Error("Points should list cells")
-	}
 	if empty := a.Get("x", 1, trace.Foraging); empty.Accuracy() != 0 {
 		t.Error("missing cell should score 0")
 	}

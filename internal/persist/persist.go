@@ -184,9 +184,6 @@ func NewStore(cfg Config, families ...Family) (*Store, error) {
 	}, nil
 }
 
-// Path returns the snapshot file location.
-func (s *Store) Path() string { return s.path }
-
 // envelope is the on-disk file shape.
 type envelope struct {
 	Magic       string    `json:"magic"`

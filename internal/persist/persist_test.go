@@ -302,7 +302,7 @@ func TestSaveFailureIsReportedAndRecovers(t *testing.T) {
 	if !strings.HasPrefix(status.LastResult, "error:") {
 		t.Errorf("LastResult = %q, want error", status.LastResult)
 	}
-	if _, err := os.Stat(st.Path()); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, FileName)); !os.IsNotExist(err) {
 		t.Error("failed save must not install a snapshot")
 	}
 	// Exports heal; the next save succeeds and the status flips.
@@ -331,7 +331,7 @@ func TestIntervalTickerSaves(t *testing.T) {
 	st.Start()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, err := os.Stat(st.Path()); err == nil {
+		if _, err := os.Stat(filepath.Join(dir, FileName)); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -354,7 +354,7 @@ func TestCloseWritesFinalSnapshotAndIsIdempotent(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(st.Path()); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, FileName)); err != nil {
 		t.Fatalf("Close did not write a final snapshot: %v", err)
 	}
 	saves := st.Status().Saves
@@ -422,7 +422,7 @@ func TestSectionCRCMatchesPayload(t *testing.T) {
 	if err := st.Save(); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(st.Path())
+	raw, err := os.ReadFile(filepath.Join(dir, FileName))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,9 +106,6 @@ func bump(t map[uint64]*counts, ctx, next uint64) {
 // Name identifies the model, including its order (e.g. "markov3").
 func (m *AB) Name() string { return "markov" + strconv.Itoa(m.order) }
 
-// Order returns the chain's context length.
-func (m *AB) Order() int { return m.order }
-
 // Observe is a no-op: the AB model reads its context from the history
 // window passed to Predict.
 func (m *AB) Observe(trace.Request) {}

@@ -115,8 +115,8 @@ func TestABPredictsRepeatedZoomChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ab.Name() != "markov3" || ab.Order() != 3 {
-		t.Errorf("Name/Order = %s/%d", ab.Name(), ab.Order())
+	if ab.Name() != "markov3" {
+		t.Errorf("Name = %s, want markov3", ab.Name())
 	}
 	h := trace.NewHistory(3)
 	cur := tile.Coord{Level: 0, Y: 0, X: 0}

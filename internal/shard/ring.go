@@ -26,10 +26,7 @@ func NewRing(n int) *Ring {
 	return &Ring{n: n}
 }
 
-// Shards returns the number of shards the ring routes over.
-func (r *Ring) Shards() int { return r.n }
-
-// Locate returns the shard that owns key, always in [0, Shards()). Any
+// Locate returns the shard that owns key, always in [0, n). Any
 // string is a valid key — empty, unicode, control bytes — and the answer
 // is stable: equal keys always land on the same shard.
 func (r *Ring) Locate(key string) int {

@@ -8,15 +8,14 @@ import (
 func TestLocateInRangeAndStable(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 8, 16, 64} {
 		r := NewRing(n)
-		if r.Shards() != n {
-			t.Fatalf("Shards() = %d, want %d", r.Shards(), n)
-		}
+		seen := map[int]bool{}
 		for i := 0; i < 1000; i++ {
 			key := fmt.Sprintf("session-%d", i)
 			got := r.Locate(key)
 			if got < 0 || got >= n {
 				t.Fatalf("n=%d Locate(%q) = %d, out of range", n, key, got)
 			}
+			seen[got] = true
 			if again := r.Locate(key); again != got {
 				t.Fatalf("n=%d Locate(%q) unstable: %d then %d", n, key, got, again)
 			}
@@ -25,6 +24,9 @@ func TestLocateInRangeAndStable(t *testing.T) {
 			if fresh := NewRing(n).Locate(key); fresh != got {
 				t.Fatalf("n=%d Locate(%q) differs across rings: %d vs %d", n, key, got, fresh)
 			}
+		}
+		if len(seen) != n {
+			t.Errorf("n=%d: 1000 keys reached %d shards, want all %d", n, len(seen), n)
 		}
 	}
 }
@@ -39,8 +41,8 @@ func TestSingleShardAlwaysZero(t *testing.T) {
 	if got := NewRing(0).Locate("x"); got != 0 {
 		t.Errorf("NewRing(0).Locate = %d, want 0 (clamped to one shard)", got)
 	}
-	if got := NewRing(-3).Shards(); got != 1 {
-		t.Errorf("NewRing(-3).Shards() = %d, want 1", got)
+	if got := NewRing(-3).Locate("x"); got != 0 {
+		t.Errorf("NewRing(-3).Locate = %d, want 0 (clamped to one shard)", got)
 	}
 }
 

@@ -12,9 +12,6 @@ type Codebook struct {
 	Centroids [][]float64
 }
 
-// K returns the number of visual words.
-func (cb *Codebook) K() int { return len(cb.Centroids) }
-
 // Assign returns the index of the centroid nearest to desc (squared
 // Euclidean distance). An empty codebook assigns everything to word 0.
 func (cb *Codebook) Assign(desc []float64) int {

@@ -126,9 +126,6 @@ func (c *Computer) TrainCodebook(tiles []*tile.Tile) {
 	c.codebook = TrainCodebook(descs, c.cfg.Words, c.cfg.Seed)
 }
 
-// CodebookTrained reports whether the SIFT codebook is available.
-func (c *Computer) CodebookTrained() bool { return c.codebook != nil }
-
 // Compute returns the signature vectors for the tile, keyed by signature
 // name. It is a tile.MetadataFunc:
 //

@@ -263,8 +263,8 @@ func TestTrainCodebookSeparatesClusters(t *testing.T) {
 
 func TestTrainCodebookEmptyInput(t *testing.T) {
 	cb := TrainCodebook(nil, 4, 1)
-	if cb.K() != 4 {
-		t.Fatalf("K = %d, want 4", cb.K())
+	if len(cb.Centroids) != 4 {
+		t.Fatalf("%d visual words, want 4", len(cb.Centroids))
 	}
 	if w := cb.Assign(make([]float64, descriptorSize)); w != 0 {
 		t.Errorf("assign on zero codebook = %d", w)
@@ -289,9 +289,6 @@ func TestComputeAllFour(t *testing.T) {
 		mkTile(32, func(y, x int) float64 { return float64(x) / 32 }),
 	}
 	c.TrainCodebook(train)
-	if !c.CodebookTrained() {
-		t.Fatal("codebook not trained")
-	}
 	out := c.Compute(blobTile(32, 16, 16, 1))
 	for _, name := range AllNames() {
 		if _, ok := out[name]; !ok {

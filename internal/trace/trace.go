@@ -226,23 +226,6 @@ func (h *History) Push(r Request) {
 	}
 }
 
-// Len returns the number of retained requests.
-func (h *History) Len() int { return len(h.reqs) }
-
-// Cap returns the window capacity n.
-func (h *History) Cap() int { return h.cap }
-
-// Last returns the most recent request and ok=false when empty.
-func (h *History) Last() (Request, bool) {
-	if len(h.reqs) == 0 {
-		return Request{Move: None}, false
-	}
-	return h.reqs[len(h.reqs)-1], true
-}
-
-// Requests returns the retained requests, oldest first.
-func (h *History) Requests() []Request { return append([]Request(nil), h.reqs...) }
-
 // RecentMoves appends the retained moves to dst, oldest first, excluding
 // None and keeping only the n most recent. It allocates only when dst is
 // too short.

@@ -105,26 +105,19 @@ func TestMoveCounts(t *testing.T) {
 
 func TestHistoryWindow(t *testing.T) {
 	h := NewHistory(3)
-	if _, ok := h.Last(); ok {
-		t.Error("empty history should have no last request")
+	if got := h.RecentMoves(nil, 10); len(got) != 0 {
+		t.Errorf("empty history holds %v", got)
 	}
-	for i := 0; i < 5; i++ {
-		h.Push(Request{Coord: tile.Coord{Level: i}, Move: PanRight})
+	moves := []Move{PanRight, PanDown, ZoomInNW, ZoomOut, PanLeft}
+	for i, mv := range moves {
+		h.Push(Request{Coord: tile.Coord{Level: i}, Move: mv})
 	}
-	if h.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", h.Len())
-	}
-	last, ok := h.Last()
-	if !ok || last.Coord.Level != 4 {
-		t.Errorf("Last = %+v", last)
-	}
-	reqs := h.Requests()
-	if reqs[0].Coord.Level != 2 {
-		t.Errorf("oldest retained = %+v, want level 2", reqs[0])
+	if got := h.RecentMoves(nil, 10); !slices.Equal(got, moves[2:]) {
+		t.Errorf("window = %v, want the last 3 moves %v, oldest first", got, moves[2:])
 	}
 	h.Reset()
-	if h.Len() != 0 {
-		t.Error("Reset should empty the history")
+	if got := h.RecentMoves(nil, 10); len(got) != 0 {
+		t.Errorf("Reset left %v", got)
 	}
 }
 
@@ -160,8 +153,10 @@ func TestHistoryRecentMoves(t *testing.T) {
 
 func TestHistoryMinCapacity(t *testing.T) {
 	h := NewHistory(0)
-	if h.Cap() != 1 {
-		t.Errorf("Cap = %d, want clamped to 1", h.Cap())
+	h.Push(Request{Move: PanUp})
+	h.Push(Request{Move: PanDown})
+	if got := h.RecentMoves(nil, 10); !slices.Equal(got, []Move{PanDown}) {
+		t.Errorf("window = %v, want capacity clamped to 1", got)
 	}
 }
 
