@@ -44,12 +44,11 @@
 //     its stale queued entries. The scheduler is adaptive and closed-loop:
 //     queued entries lose utility as they age (halving every 2 s) and by
 //     batch position, a global queue budget (1024 entries) sheds the
-//     lowest-utility entries across all sessions at saturation, and a
-//     Pressure signal feeds back into each engine so its prefetch budget K
-//     shrinks under load (AdaptiveK) and recovers as the queue drains —
-//     per session with FairShare, which scales backpressure by how far a
-//     session's queue share exceeds its fair share 1/N so the flooding
-//     session's K collapses first. With UtilityLearning the cache
+//     lowest-utility entries across all sessions at saturation, and with
+//     AdaptiveK a shard trims each session's batch by fair-share
+//     backpressure — how far the session's queue share exceeds its fair
+//     share 1/N — so the flooding session's batch collapses first while
+//     the engines always submit k tiles. With UtilityLearning the cache
 //     attributes every prefetched tile's fate (consumed vs evicted
 //     unconsumed) to the model, batch position and predicted analysis
 //     phase that prefetched it, and a shared FeedbackCollector fits the

@@ -201,7 +201,8 @@ type MiddlewareConfig struct {
 	// decides how many to admit. Requires AsyncPrefetch.
 	AdaptiveK bool
 	// FairShare is ignored: AdaptiveK's backpressure is always fair-share.
-	// The field stays only for callers that still set it.
+	// The field stays only because the benchmark harness still sets it;
+	// the grouped config (ROADMAP item 9) deletes it.
 	FairShare bool
 	// UtilityLearning closes the prediction-quality loop: every session's
 	// cache attributes each prefetched tile's fate (consumed vs evicted
