@@ -146,13 +146,13 @@ type serveFlags struct {
 }
 
 // addServeFlags registers serve's flags over the one deployment shape it
-// runs: async prefetch with its three feedback loops, adaptive allocation
-// over the hotspot model, push delivery, the encoded-payload cache with
-// binary and gzip negotiation, /metrics and tracing, all always on. The
-// flags only size or place that deployment.
+// runs: async prefetch with its two feedback loops (utility learning and
+// adaptive allocation) over the hotspot model, push delivery, the
+// encoded-payload cache with binary and gzip negotiation, /metrics and
+// tracing, all always on. The flags only size or place that deployment.
 func addServeFlags(fs *flag.FlagSet) *serveFlags {
 	sf := &serveFlags{cfg: forecache.MiddlewareConfig{
-		AsyncPrefetch: true, AdaptiveK: true, UtilityLearning: true,
+		AsyncPrefetch: true, UtilityLearning: true,
 		AdaptiveAllocation: true, Hotspot: true, Push: true, BinaryTiles: true,
 		MetricsEndpoint: true, Tracing: true,
 	}}

@@ -43,12 +43,10 @@
 //     through an always-on coalescer), and a session's newer batch cancels
 //     its stale queued entries. The scheduler is adaptive and closed-loop:
 //     queued entries lose utility as they age (halving every 2 s) and by
-//     batch position, a global queue budget (1024 entries) sheds the
-//     lowest-utility entries across all sessions at saturation, and with
-//     AdaptiveK a shard trims each session's batch by fair-share
-//     backpressure — how far the session's queue share exceeds its fair
-//     share 1/N — so the flooding session's batch collapses first while
-//     the engines always submit k tiles. With UtilityLearning the cache
+//     batch position, and a global queue budget (1024 entries) sheds the
+//     lowest-utility entries across all sessions at saturation, so a
+//     flooding session loses its own low-ranked tail first while the
+//     engines always submit k tiles. With UtilityLearning the cache
 //     attributes every prefetched tile's fate (consumed vs evicted
 //     unconsumed) to the model, batch position and predicted analysis
 //     phase that prefetched it, and a shared FeedbackCollector fits the
@@ -74,7 +72,7 @@
 //     Submitter delivering into its cache; NewMiddleware's is the inline
 //     one (the paper's think-time model), so the experiments stay
 //     deterministic. MetricsEndpoint exposes the whole loop —
-//     queue/shed/coalesce counters, global and per-session backpressure,
+//     queue/shed/coalesce counters, queue saturation and depths,
 //     aggregate cache hit rates, the learned curve — as
 //     dependency-free Prometheus text under GET /metrics. The server
 //     keeps one session table behind one lock; MiddlewareConfig.Shards

@@ -193,17 +193,11 @@ type MiddlewareConfig struct {
 	// DBMS fetch budget); with Shards > 1 this is the deployment-wide
 	// budget, divided ceil(Workers/Shards) per shard. Default 4.
 	PrefetchWorkers int
-	// AdaptiveK turns on the scheduler's fair-share backpressure: a session
-	// whose share of its shard's pending queue exceeds the fair share 1/N
-	// has its next batch trimmed to its highest-scored entries — down
-	// toward one as the queue saturates — while light sessions keep whole
-	// batches. The engines always rank and hand over K tiles; the scheduler
-	// decides how many to admit. Requires AsyncPrefetch.
-	AdaptiveK bool
-	// FairShare is ignored: AdaptiveK's backpressure is always fair-share.
-	// The field stays only because the benchmark harness still sets it;
-	// the grouped config (ROADMAP item 9) deletes it.
-	FairShare bool
+	// AdaptiveK and FairShare are ignored: the scheduler's global
+	// admission control is its one rule under load. The fields stay only
+	// because the benchmark harness still sets them; the grouped config
+	// (ROADMAP item 9) deletes them.
+	AdaptiveK, FairShare bool
 	// UtilityLearning closes the prediction-quality loop: every session's
 	// cache attributes each prefetched tile's fate (consumed vs evicted
 	// unconsumed) to the model, batch position and predicted phase that
@@ -242,10 +236,10 @@ type MiddlewareConfig struct {
 	// with the same model shape (Hotspot).
 	Artifacts *Artifacts
 	// MetricsEndpoint registers a dependency-free Prometheus text-format
-	// GET /metrics endpoint on the server: scheduler counters, global and
-	// per-session backpressure, aggregate cache hit rates, the learned
-	// utility curve, and the adaptive allocation shares. With Tracing the
-	// payload grows latency histograms for every pipeline stage.
+	// GET /metrics endpoint on the server: scheduler counters, queue
+	// saturation and per-session depths, aggregate cache hit rates, the
+	// learned utility curve, and the adaptive allocation shares. With
+	// Tracing the payload grows latency histograms for every pipeline stage.
 	MetricsEndpoint bool
 	// Tracing threads one obs.Pipeline through the whole deployment:
 	// every /tile request gets a trace id (echoed as X-Trace-ID) with a
@@ -312,8 +306,7 @@ const (
 )
 
 // The scheduler's admission constants, fixed the way Khameleon fixes its
-// utility decay: the only values any deployment has run. Without the
-// budget there is no pressure signal for AdaptiveK to trim by.
+// utility decay: the only values any deployment has run.
 const (
 	// globalQueueBudget caps queued prefetch entries across ALL sessions.
 	// At saturation the scheduler sheds the lowest-utility queued entry
@@ -536,7 +529,6 @@ func (d *Dataset) newServer(train []*trace.Trace, cfg MiddlewareConfig) (*server
 			Shards:        cfg.Shards,
 			Workers:       cfg.PrefetchWorkers,
 			GlobalQueue:   globalQueueBudget,
-			AdaptiveK:     cfg.AdaptiveK,
 			DecayHalfLife: decayHalfLife,
 			Obs:           pipe,
 		}

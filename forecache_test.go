@@ -632,13 +632,13 @@ func TestTracingServerFacade(t *testing.T) {
 // drain; the masked scrape's FNV-64a digest is pinned. A deliberate change
 // to the exposition updates the digest in the same change.
 func TestMetricsScrapePin(t *testing.T) {
-	const want = 0x2861a113d4e97e8c
+	const want = 0x82a2bfbd22781229
 	ds, traces := testWorld(t)
 	srv, sched, err := ds.newServer(traces, MiddlewareConfig{
 		AsyncPrefetch: true, Push: true, Shards: 2, PrefetchWorkers: 2,
-		AdaptiveK: true, UtilityLearning: true,
-		AdaptiveAllocation: true, Hotspot: true, BinaryTiles: true,
-		MetricsEndpoint: true, Tracing: true, StateDir: t.TempDir(),
+		UtilityLearning: true, AdaptiveAllocation: true, Hotspot: true,
+		BinaryTiles: true, MetricsEndpoint: true, Tracing: true,
+		StateDir: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -707,7 +707,6 @@ func TestUtilityLearningConvergence(t *testing.T) {
 	run := func(learning bool) (hitRate float64, st PrefetchStats, metricsBody string) {
 		srv, sched, err := ds.newServer(traces, MiddlewareConfig{
 			AsyncPrefetch: true, PrefetchWorkers: 4,
-			AdaptiveK:       true,
 			UtilityLearning: learning, MetricsEndpoint: true,
 			SharedTiles: 64,
 		})
@@ -778,9 +777,8 @@ func TestUtilityLearningConvergence(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-	if !strings.Contains(metrics, "forecache_utility_observations_total") ||
-		!strings.Contains(metrics, "forecache_prefetch_session_pressure") {
-		t.Error("/metrics missing utility/fair-share families")
+	if !strings.Contains(metrics, "forecache_utility_observations_total") {
+		t.Error("/metrics missing the utility observations family")
 	}
 }
 
@@ -851,15 +849,12 @@ func TestNewMiddlewareStillTrainsPerCall(t *testing.T) {
 	}
 }
 
-// TestAdaptiveServerFacade wires the whole adaptive stack through the
-// facade: global budget, decay and adaptive K reach the scheduler, and
-// /stats reports the pressure signal.
+// TestAdaptiveServerFacade wires the adaptive scheduler through the
+// facade: the global budget and decay reach the scheduler, and /stats
+// reports the pressure signal.
 func TestAdaptiveServerFacade(t *testing.T) {
 	ds, traces := testWorld(t)
-	srv, sched, err := ds.newServer(traces, MiddlewareConfig{
-		AsyncPrefetch: true,
-		AdaptiveK:     true,
-	})
+	srv, sched, err := ds.newServer(traces, MiddlewareConfig{AsyncPrefetch: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,12 +7,11 @@ import (
 	"forecache/internal/trace"
 )
 
-// The Allocations hot path runs once (sometimes twice, under backpressure)
-// per tile request in every session engine, so the adaptive wrapper's cost
-// on top of the static table is a per-request tax. The three benchmarks
-// bracket it: the static table alone, the cold wrapper (warmup check +
-// base fallback), and the warmed wrapper (EWMA lookups + hysteresis step +
-// largest-remainder rounding).
+// The Allocations hot path runs once per tile request in every session
+// engine, so the adaptive wrapper's cost on top of the static table is a
+// per-request tax. The three benchmarks bracket it: the static table
+// alone, the cold wrapper (warmup check + base fallback), and the warmed
+// wrapper (EWMA lookups + hysteresis step + largest-remainder rounding).
 
 func BenchmarkAllocationsStatic(b *testing.B) {
 	p := hybridPolicy(b, "markov3", "sb:sift")

@@ -188,8 +188,8 @@ func TestAdaptiveHysteresisBounds(t *testing.T) {
 	if math.Abs(prev-allocFloor) > 1e-9 {
 		t.Errorf("ab share = %v after convergence, want the floor %v", prev, allocFloor)
 	}
-	// No new evidence: however many times the engines re-allocate (the
-	// backpressured double call, session churn), shares must not move.
+	// No new evidence: however many times the engines re-allocate
+	// (session churn), shares must not move.
 	for i := 0; i < 10; i++ {
 		p.Allocations(trace.Navigation, 5)
 	}

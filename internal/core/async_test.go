@@ -17,6 +17,7 @@ import (
 type gatedStore struct {
 	*backend.DBMS
 	gate    chan struct{}
+	started chan struct{} // if set, signalled as each prefetch fetch parks
 	fetches atomic.Int64
 }
 
@@ -26,6 +27,9 @@ func (g *gatedStore) Fetch(c tile.Coord) (*tile.Tile, error) {
 }
 
 func (g *gatedStore) FetchQuiet(c tile.Coord) (*tile.Tile, error) {
+	if g.started != nil {
+		g.started <- struct{}{}
+	}
 	<-g.gate
 	g.fetches.Add(1)
 	return g.DBMS.FetchQuiet(c)

@@ -45,7 +45,7 @@ type Config struct {
 	// returns (what the eval harness replays, deterministically). A shared
 	// *prefetch.Scheduler instead fetches off the response path. The engine
 	// always hands over its whole batch: how much of it to admit under load
-	// is the scheduler's decision (prefetch.Config.AdaptiveK).
+	// is the scheduler's decision (its global admission control).
 	Scheduler Submitter
 	Session   string
 	// Feedback closes the prediction-quality loop: the engine tracks each
@@ -111,9 +111,9 @@ type Response struct {
 // Submitter is the prefetch pipeline engines hand ranked candidate batches
 // to: a *prefetch.Shard or *prefetch.Scheduler, or the engine's inline
 // submitter. Submit (called under the engine's lock) takes a batch, admits
-// as much of it as its own backpressure allows, and calls each admitted
-// entry's Deliver once its tile is fetched, now or later; CancelSession
-// drops a session's still-queued entries.
+// as much of it as its own admission control allows, and calls each
+// admitted entry's Deliver once its tile is fetched, now or later;
+// CancelSession drops a session's still-queued entries.
 type Submitter interface {
 	Submit(session string, reqs []prefetch.Request) int
 	CancelSession(session string)

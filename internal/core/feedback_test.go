@@ -45,50 +45,6 @@ func (r *recordingObserver) counts() (hits, misses int) {
 	return hits, misses
 }
 
-// TestFairShareEngineUsesSessionSignal: an AdaptiveK scheduler trims by
-// the submitting engine's own session, not the global signal — a light
-// session on a nearly saturated queue keeps its whole batch, while the
-// session that floods the queue has its batch trimmed.
-func TestFairShareEngineUsesSessionSignal(t *testing.T) {
-	store := &gatedStore{DBMS: testDBMS(t), gate: make(chan struct{})}
-	sched := prefetch.NewScheduler(store, prefetch.Config{
-		Workers: 1, QueuePerSession: 64, GlobalQueue: 16, AdaptiveK: true,
-	})
-	defer sched.Close()
-	defer close(store.gate)
-	// The flooder fills 12 of the 16 slots (the gated worker may hold one
-	// in flight) with far-away, low-scored tiles.
-	flood := make([]prefetch.Request, 12)
-	for i := range flood {
-		flood[i] = prefetch.Request{Coord: tile.Coord{Level: 4, Y: 15, X: i}, Score: 0.01}
-	}
-	sched.Submit("flood", flood)
-	engine := func(session string) *Engine {
-		m := recommend.NewMomentum()
-		eng, err := NewEngine(store, nil, SinglePolicy{Model: m.Name()},
-			[]recommend.Model{m}, Config{K: 4, Scheduler: sched, Session: session})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eng
-	}
-
-	// The light session has nothing queued: it is not crowding anyone.
-	if _, err := engine("light").Request(tile.Coord{}); err != nil {
-		t.Fatal(err)
-	}
-	if d := sched.Stats().Dropped; d != 0 {
-		t.Errorf("light session's batch lost %d entries under global pressure %v, want 0", d, sched.Stats().Pressure)
-	}
-	// The flooder holds 11-12 of 15-16 queued against a fair share of half.
-	if _, err := engine("flood").Request(tile.Coord{}); err != nil {
-		t.Fatal(err)
-	}
-	if d := sched.Stats().Dropped; d == 0 {
-		t.Error("flooding session's batch was admitted whole")
-	}
-}
-
 // TestEngineReportsOutcomes: a synchronous engine with a Feedback sink drains
 // its cache's prefetch outcomes to the observer after every request —
 // consumed predictions as hits at their batch position, replaced

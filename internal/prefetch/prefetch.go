@@ -34,13 +34,10 @@
 //     a submission would exceed it, the lowest-utility entry anywhere is
 //     shed to admit a higher-utility newcomer (or the newcomer is rejected
 //     if everything queued outranks it), so stale backlog cannot crowd out
-//     fresh predictions;
-//   - backpressure (AdaptiveK) is decided here, not by the engines that
-//     submit: a shard reads a session's fair-share pressure — its queue
-//     saturation scaled by how far the session's queue share exceeds its
-//     fair share 1/N — and trims that session's next batch to its
-//     highest-scored entries, so the flooding session's batch collapses
-//     first while light sessions keep whole batches;
+//     fresh predictions. This is the one admission rule under load: a
+//     session flooding the queue ranks its own tail low (position decay),
+//     so it loses its tail first while light sessions keep whole batches,
+//     and the engines that submit never shrink a batch themselves;
 //   - a FeedbackCollector (Config.Utility) closes the loop from cache
 //     outcomes back into admission control: it fits the position-utility
 //     curve online from which prefetched tiles clients actually consumed,
@@ -113,13 +110,6 @@ type Config struct {
 	// room, or rejects the incoming entry if everything queued outranks it.
 	// 0 means unlimited (and Stats.Pressure always reports 0).
 	GlobalQueue int
-	// AdaptiveK turns on backpressure: before a session's new batch
-	// supersedes its old one, the shard reads the session's fair-share
-	// pressure (Stats.SessionPressures) and admits only the batch's
-	// highest-scored adaptiveBudget entries — all of them at zero pressure,
-	// one at saturation. The rest count as Dropped. Needs GlobalQueue: the
-	// signal is 0 without a global budget.
-	AdaptiveK bool
 	// DecayHalfLife is the queue age at which an entry's utility halves.
 	// Stale entries therefore lose admission-control fights against fresh
 	// ones of equal model confidence. 0 disables age decay.
@@ -212,12 +202,6 @@ type Stats struct {
 	Pressure float64
 	// QueueDepths maps each tracked session to its live queued entry count.
 	QueueDepths map[string]int
-	// SessionPressures maps each tracked session to its fair-share
-	// backpressure signal, the one an AdaptiveK shard trims the session's
-	// next batch by: 0 for sessions at or under their fair share of their
-	// shard's queue, ramping to the shard's saturation for a session that
-	// owns it.
-	SessionPressures map[string]float64
 	// AvgQueueLatency is the mean time entries spent queued before their
 	// fetch was issued (or joined).
 	AvgQueueLatency time.Duration

@@ -10,12 +10,13 @@ import (
 )
 
 // fakeSink is a controllable PushSink: it records every offered push and
-// serves per-session drain delays.
+// serves per-session drain delays, counting how often they are read.
 type fakeSink struct {
-	mu     sync.Mutex
-	pushes []sinkPush
-	refuse bool
-	delays map[string]time.Duration
+	mu         sync.Mutex
+	pushes     []sinkPush
+	refuse     bool
+	delays     map[string]time.Duration
+	delayReads int
 }
 
 type sinkPush struct {
@@ -37,6 +38,7 @@ func (f *fakeSink) Push(session, model string, c tile.Coord, score float64, t *t
 func (f *fakeSink) DrainDelay(session string) time.Duration {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.delayReads++
 	return f.delays[session]
 }
 
@@ -173,6 +175,28 @@ func TestPushBandwidthAdmission(t *testing.T) {
 	// The slow session's entry ages by its drain delay and is shed.
 	if accepted, st := run(200 * time.Millisecond); accepted != 1 || st.Shed != 1 {
 		t.Fatalf("bandwidth case: accepted=%d stats=%+v, want incumbent shed", accepted, st)
+	}
+}
+
+// TestDrainDelayReadOnlyWhenSaturated: the drain delay prices saturated
+// admissions only, so an unsaturated Submit never reads it (each read takes
+// the sink's lock while the shard's is held); a saturated one does.
+func TestDrainDelayReadOnlyWhenSaturated(t *testing.T) {
+	sink := &fakeSink{}
+	s, _ := parkedScheduler(t, newFakeClock(), Config{GlobalQueue: 2, QueuePerSession: 8, Push: sink})
+	reads := func() int {
+		sink.mu.Lock()
+		defer sink.mu.Unlock()
+		return sink.delayReads
+	}
+	s.Submit("a", []Request{{Coord: coordAt(0), Score: 1}, {Coord: coordAt(1), Score: 1}})
+	s.Submit("a", []Request{{Coord: coordAt(2), Score: 1}})
+	if n := reads(); n != 0 {
+		t.Fatalf("unsaturated submits read the drain delay %d times, want 0", n)
+	}
+	s.Submit("b", []Request{{Coord: coordAt(3), Score: 1}, {Coord: coordAt(4), Score: 1}})
+	if n := reads(); n == 0 {
+		t.Fatal("a saturated submit priced its admission without the drain delay")
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 // submit-path choke point at fleet scale (every session's Submit, Cancel
 // and worker pop serializes on it); sharding multiplies the locks while
 // the hash router keeps each session's whole scheduler life on
-// one shard, so per-session semantics (batch superseding, fair-share
-// pressure, queue budgets) are untouched.
+// one shard, so per-session semantics (batch superseding, queue budgets)
+// are untouched.
 
 // CoalescingStore wraps a backend.Store with deployment-wide single-flight
 // on the prefetch path, the one thing that must not shard: concurrent
@@ -121,7 +121,7 @@ func (s *Scheduler) CancelSession(session string) {
 // counters add up to the totals even while workers run.
 // Counters are sums of per-shard counters: each shard's are monotone and
 // the shard set is fixed for the scheduler's lifetime, so the sums are
-// monotone too. Session-keyed maps merge disjointly (a session lives on
+// monotone too. QueueDepths merges disjointly (a session lives on
 // exactly one shard). AvgQueueLatency is weighted by each shard's
 // measured entry count, PeakPending is the sum of per-shard peaks (an
 // upper bound on the true simultaneous peak), and Pressure is the
@@ -130,7 +130,6 @@ func (s *Scheduler) Snapshot() (Stats, []Stats) {
 	var agg Stats
 	agg.Shards = len(s.shards)
 	agg.QueueDepths = make(map[string]int)
-	agg.SessionPressures = make(map[string]float64)
 	per := make([]Stats, len(s.shards))
 	var latency time.Duration
 	measured := 0
@@ -151,9 +150,6 @@ func (s *Scheduler) Snapshot() (Stats, []Stats) {
 		agg.Sessions += st.Sessions
 		for id, d := range st.QueueDepths {
 			agg.QueueDepths[id] = d
-		}
-		for id, p := range st.SessionPressures {
-			agg.SessionPressures[id] = p
 		}
 		latency += lat
 		measured += n

@@ -68,7 +68,6 @@ type Shard struct {
 	byCoord    map[tile.Coord]map[*entry]struct{} // queued entries by coordinate
 	inflight   map[tile.Coord]*flight
 	delivering int // completed fetches whose Deliver callbacks still run
-	active     int // sessions with queued > 0, maintained on 0<->1 transitions
 	seq        uint64
 	closed     bool
 
@@ -101,12 +100,11 @@ func newShard(store backend.Store, cfg Config) *Shard {
 // Submit replaces session's pending batch with reqs: entries still queued
 // from earlier batches are cancelled (their predictions are stale), then
 // reqs are enqueued in score order subject to the per-session budget and
-// the global one. With Config.AdaptiveK, a session crowding the queue past
-// its fair share first has its batch trimmed to its highest-scored
-// adaptiveBudget entries; the rest count as Dropped. When the global
-// budget is saturated, each admission sheds the lowest-utility queued entry
-// across all sessions (utility = score decayed by queue age and batch
-// position), or rejects the newcomer if everything queued outranks it.
+// the global one. When the global budget is saturated, each admission sheds
+// the lowest-utility queued entry across all sessions (utility = score
+// decayed by queue age and batch position), or rejects the newcomer if
+// everything queued outranks it, so a session flooding the queue loses its
+// own low-utility tail first.
 // Returns the number of entries accepted.
 // Fetches already in flight are not interrupted. Safe to call concurrently;
 // a no-op after Close.
@@ -117,24 +115,12 @@ func (s *Shard) Submit(session string, reqs []Request) int {
 	if s.closed {
 		return 0
 	}
-	// Backpressure reads the queue this session crowds now, before its
-	// previous batch is superseded.
-	admit := len(reqs)
-	if s.cfg.AdaptiveK {
-		admit = adaptiveBudget(admit, s.sessionPressureLocked(session))
-	}
 	sq := s.sessions[session]
 	if sq == nil {
 		sq = &sessionQueue{id: session}
 		s.sessions[session] = sq
 	}
 	s.cancelQueuedLocked(sq)
-	// The bandwidth-aware admission term: with push delivery on, queued
-	// entries age by the connection's measured per-frame drain time as well
-	// as by wall clock, so tiles a slow stream cannot deliver before they
-	// decay stale lose admission fights. 0 (pull mode, no stream, or no
-	// measurement yet) prices exactly like the classic pull path.
-	pushDelay := s.cfg.pushDelay(session)
 	// Process the batch in descending score order: the queue was just
 	// cleared, so when the budget truncates, it is exactly the batch's
 	// lowest-scored entries that drop (the documented contract), whatever
@@ -146,9 +132,14 @@ func (s *Shard) Submit(session string, reqs []Request) int {
 	sort.SliceStable(order, func(a, b int) bool {
 		return reqs[order[a]].Score > reqs[order[b]].Score
 	})
-	s.stats.Dropped += len(order) - admit
-	order = order[:admit]
 	var shed *shedHeap // built lazily on the first saturated admission
+	// The bandwidth-aware admission term: with push delivery on, queued
+	// entries age by the connection's measured per-frame drain time as well
+	// as by wall clock, so tiles a slow stream cannot deliver before they
+	// decay stale lose admission fights. 0 (pull mode, no stream, or no
+	// measurement yet) prices exactly like the classic pull path. Only a
+	// saturated admission prices anything, so it is read with the shed heap.
+	var pushDelay time.Duration
 	accepted, enqueued := 0, 0
 	for _, i := range order {
 		// A fetch for this tile is already in flight (another session's,
@@ -169,6 +160,7 @@ func (s *Shard) Submit(session string, reqs []Request) int {
 		if s.cfg.GlobalQueue > 0 && s.stats.Pending >= s.cfg.GlobalQueue {
 			if shed == nil {
 				shed = s.buildShedHeapLocked(now)
+				pushDelay = s.cfg.pushDelay(session)
 			}
 			// The newcomer's admission utility is priced at the position it
 			// will occupy: sq.queued entries sit ahead of it, so its
@@ -186,7 +178,7 @@ func (s *Shard) Submit(session string, reqs []Request) int {
 		s.seq++
 		e := &entry{req: reqs[i], session: session, seq: s.seq, enqueued: now}
 		sq.pending = append(sq.pending, e)
-		s.addQueuedLocked(sq, 1)
+		sq.queued++
 		s.stats.Pending++
 		if s.stats.Pending > s.stats.PeakPending {
 			s.stats.PeakPending = s.stats.Pending
@@ -301,12 +293,10 @@ func (s *Shard) statsDetail() (Stats, time.Duration, int) {
 	st.Shards = 1
 	st.Inflight = len(s.inflight)
 	st.Sessions = len(s.sessions)
-	st.Pressure = s.pressureLocked()
+	st.Pressure = saturation(s.stats.Pending, s.cfg.GlobalQueue)
 	st.QueueDepths = make(map[string]int, len(s.sessions))
-	st.SessionPressures = make(map[string]float64, len(s.sessions))
 	for id, sq := range s.sessions {
 		st.QueueDepths[id] = sq.queued
-		st.SessionPressures[id] = s.sessionPressureLocked(id)
 	}
 	if s.measured > 0 {
 		st.AvgQueueLatency = s.queueLatency / time.Duration(s.measured)
@@ -318,19 +308,12 @@ func (s *Shard) statsDetail() (Stats, time.Duration, int) {
 	return st, s.queueLatency, s.measured
 }
 
-// addQueuedLocked adjusts a session's live-entry count, maintaining the
-// shard's count of sessions with queued work (the fair-share N) on
-// 0<->1 transitions so the fair-share signal never scans the session table
-// on the submit path.
-func (s *Shard) addQueuedLocked(sq *sessionQueue, delta int) {
-	before := sq.queued
-	sq.queued += delta
-	switch {
-	case before == 0 && sq.queued > 0:
-		s.active++
-	case before > 0 && sq.queued == 0:
-		s.active--
+// saturation is pending over budget clamped to [0, 1]; 0 without a budget.
+func saturation(pending, budget int) float64 {
+	if budget <= 0 {
+		return 0
 	}
+	return min(float64(pending)/float64(budget), 1)
 }
 
 // cancelQueuedLocked marks all of sq's queued entries cancelled. It wakes
@@ -347,8 +330,7 @@ func (s *Shard) cancelQueuedLocked(sq *sessionQueue) {
 			cancelled = true
 		}
 	}
-	sq.pending, sq.next = sq.pending[:0], 0
-	s.addQueuedLocked(sq, -sq.queued)
+	sq.pending, sq.next, sq.queued = sq.pending[:0], 0, 0
 	if cancelled {
 		s.idle.Broadcast()
 	}
@@ -394,7 +376,7 @@ func (s *Shard) popNextLocked() *entry {
 		}
 		s.rrPos++
 		e.state = stateDone
-		s.addQueuedLocked(sq, -1)
+		sq.queued--
 		s.detachLocked(e)
 		return e
 	}
@@ -435,7 +417,7 @@ func (s *Shard) worker() {
 		// serves them all.
 		for dup := range s.byCoord[coord] {
 			dup.state = stateDone
-			s.addQueuedLocked(s.sessions[dup.session], -1)
+			s.sessions[dup.session].queued--
 			fl.waiters = append(fl.waiters, waiter{session: dup.session, req: dup.req})
 			s.accountLatencyLocked(dup, now)
 			s.stats.Coalesced++

@@ -39,7 +39,9 @@ func (s *slowStore) Pyramid() *tile.Pyramid                 { return nil }
 //   - no delivery after eviction: cancelled- or shed-while-queued entries
 //     never deliver, so total Deliver invocations equal Completed exactly
 //     and the per-entry accounting (queued = cancelled+shed+completed+
-//     errors) balances.
+//     errors) balances;
+//   - every submitted entry is counted exactly once at submission: it is
+//     either accepted (Queued) or rejected (Dropped).
 func TestStressFiftySessions(t *testing.T) {
 	const (
 		sessions    = 50
@@ -115,6 +117,9 @@ func TestStressFiftySessions(t *testing.T) {
 	}
 	if got := st.Cancelled + st.Completed + st.Errors + st.Shed; got != st.Queued {
 		t.Errorf("Cancelled+Completed+Errors+Shed = %d, want Queued = %d (%+v)", got, st.Queued, st)
+	}
+	if got := st.Queued + st.Dropped; got != sessions*rounds*batchSize {
+		t.Errorf("Queued+Dropped = %d, want every submitted entry %d (%+v)", got, sessions*rounds*batchSize, st)
 	}
 	if got := delivered.Load(); got != int64(st.Completed) {
 		t.Errorf("Deliver ran %d times, Completed = %d — an evicted or shed entry was delivered", got, st.Completed)

@@ -135,7 +135,7 @@ func (s *Shard) shedLowestBelowLocked(h *shedHeap, u float64) bool {
 		victim := heap.Pop(h).(shedCand).e
 		victim.state = stateDone
 		s.detachLocked(victim)
-		s.addQueuedLocked(s.sessions[victim.session], -1)
+		s.sessions[victim.session].queued--
 		s.stats.Shed++
 		s.stats.Pending--
 		return true

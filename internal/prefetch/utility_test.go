@@ -356,3 +356,79 @@ func TestDecayDoesNotReorderWithinBatch(t *testing.T) {
 		}
 	}
 }
+
+// TestFairShareFloodersShrinkFirst is the admission contract under a
+// flood, seen through Submit and Stats: global shedding alone keeps the
+// queue fair — a session submitting more than the whole global budget
+// loses its own low-utility tail (position decay ranks it last), while
+// light sessions keep whole batches. The flooder pays for saturation, its
+// neighbours do not. First a deterministic sequence, then the same
+// sessions racing under -race.
+func TestFairShareFloodersShrinkFirst(t *testing.T) {
+	const floodN, lightN, budget = 48, 2, 32
+	s, _ := parkedScheduler(t, newFakeClock(), Config{QueuePerSession: 64, GlobalQueue: budget})
+	flood := func(r int) []Request {
+		reqs := make([]Request, floodN) // wants 1.5x the whole global budget
+		for i := range reqs {
+			reqs[i] = Request{Coord: coordAt((r*floodN + i) % 500), Score: 1}
+		}
+		return reqs
+	}
+	light := func(base int) func(int) []Request {
+		return func(r int) []Request {
+			return []Request{{Coord: coordAt(base + r%50), Score: 1}, {Coord: coordAt(base + 50 + r%50), Score: 1}}
+		}
+	}
+	lights := map[string]func(int) []Request{"l1": light(1000), "l2": light(2000), "l3": light(3000)}
+	// The three light sessions always hold 2 entries each, so after its
+	// own batch is superseded the flooder finds budget-6 free slots; its
+	// entry at rank 26 ranks below its own incumbents and is rejected.
+	floodSettled := budget - len(lights)*lightN
+
+	// An empty queue: the flooder fills the global budget and global
+	// admission rejects the other 16.
+	if got := s.Submit("flood", flood(0)); got != budget {
+		t.Fatalf("first flood admitted %d, want %d", got, budget)
+	}
+	for r := 0; r < 8; r++ {
+		// Each light batch is whole: on the first round it sheds two of
+		// the flooder's tail entries, afterwards it replaces its own two.
+		for id, rnd := range lights {
+			if got := s.Submit(id, rnd(r)); got != lightN {
+				t.Fatalf("round %d: light %s admitted %d, want %d", r, id, got, lightN)
+			}
+		}
+		if got := s.Submit("flood", flood(r+1)); got != floodSettled {
+			t.Fatalf("round %d: crowding flood admitted %d, want %d every round", r, got, floodSettled)
+		}
+	}
+	st := s.Stats()
+	if st.Shed != len(lights)*lightN || st.Pending != budget {
+		t.Errorf("Shed = %d, Pending = %d; want %d (the first light round only) and %d",
+			st.Shed, st.Pending, len(lights)*lightN, budget)
+	}
+
+	// The race: every light batch stays whole and the flooder is admitted
+	// the same share every round, so every Dropped entry is the flooder's.
+	dropped := st.Dropped
+	const rounds = 200
+	var wg sync.WaitGroup
+	submit := func(id string, rnd func(int) []Request, want int) {
+		defer wg.Done()
+		for r := 1; r <= rounds; r++ {
+			if got := s.Submit(id, rnd(r)); got != want {
+				t.Errorf("%s round %d admitted %d, want %d", id, r, got, want)
+				return
+			}
+		}
+	}
+	wg.Add(1 + len(lights))
+	go submit("flood", flood, floodSettled)
+	for id, rnd := range lights {
+		go submit(id, rnd, lightN)
+	}
+	wg.Wait()
+	if d := s.Stats().Dropped - dropped; d != rounds*(floodN-floodSettled) {
+		t.Errorf("Dropped grew by %d, want the flooder's %d", d, rounds*(floodN-floodSettled))
+	}
+}

@@ -130,8 +130,8 @@ func TestCloseDetachesEngines(t *testing.T) {
 	srv.Close() // idempotent
 }
 
-// TestStatsExposesPressureAndQueueDepths: the adaptive pipeline's
-// backpressure telemetry reaches /stats.
+// TestStatsExposesPressureAndQueueDepths: the scheduler's queue
+// saturation and per-session depths reach /stats.
 func TestStatsExposesPressureAndQueueDepths(t *testing.T) {
 	_, ts, sched := asyncTestServer(t, Config{})
 	resp, err := ts.Client().Get(ts.URL + "/tile?level=0&y=0&x=0&session=a")

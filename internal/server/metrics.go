@@ -14,11 +14,11 @@ import (
 // This file implements the dependency-free Prometheus text-format
 // /metrics endpoint (enabled with Config.Metrics): the operability surface
 // Kyrix argues production-scale interactive viz needs. It exposes the
-// whole closed scheduling loop — queue/shed/coalesce counters, global and
-// per-session backpressure, aggregate cache hit rates, and the learned
-// position-utility curve — in the exposition format every Prometheus
-// scraper understands (version 0.0.4), without importing a client
-// library.
+// whole closed scheduling loop — queue/shed/coalesce counters, queue
+// saturation and per-session depths, aggregate cache hit rates, and the
+// learned position-utility curve — in the exposition format every
+// Prometheus scraper understands (version 0.0.4), without importing a
+// client library.
 
 // promContentType is the Prometheus text exposition content type.
 const promContentType = "text/plain; version=0.0.4; charset=utf-8"
@@ -160,13 +160,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		pw.gauge("forecache_prefetch_pending", "Entries queued right now across all sessions.", float64(st.Pending))
 		pw.gauge("forecache_prefetch_peak_pending", "High-water mark of the pending queue.", float64(st.PeakPending))
 		pw.gauge("forecache_prefetch_inflight", "DBMS fetches running right now.", float64(st.Inflight))
-		pw.gauge("forecache_prefetch_pressure", "Global queue saturation in [0,1]; AdaptiveK engines shrink on it.", st.Pressure)
+		pw.gauge("forecache_prefetch_pressure", "Global queue saturation in [0,1]: pending entries over the global budget.", st.Pressure)
 		pw.gauge("forecache_prefetch_queue_latency_seconds", "Mean time entries spent queued before their fetch was issued.", st.AvgQueueLatency.Seconds())
 
 		pw.family("forecache_prefetch_session_queue_depth", "Live queued entries per session.", "gauge",
 			keyedSamples("session", st.QueueDepths)...)
-		pw.family("forecache_prefetch_session_pressure", "Per-session fair-share backpressure in [0,1]; FairShare engines shrink on it.", "gauge",
-			keyedSamples("session", st.SessionPressures)...)
 
 		// Per-shard series. A one-shard deployment renders one shard="0"
 		// series.

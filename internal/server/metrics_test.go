@@ -92,19 +92,17 @@ func TestMetricsEndpointValidates(t *testing.T) {
 		}
 	}
 	// Per-session families carry one sample per live session.
-	depths, pressures, curvePoints := 0, 0, 0
+	depths, curvePoints := 0, 0
 	for k := range values {
 		switch {
 		case strings.HasPrefix(k, "forecache_prefetch_session_queue_depth{"):
 			depths++
-		case strings.HasPrefix(k, "forecache_prefetch_session_pressure{"):
-			pressures++
 		case strings.HasPrefix(k, "forecache_utility_position_factor{"):
 			curvePoints++
 		}
 	}
-	if depths != 3 || pressures != 3 {
-		t.Errorf("per-session samples: %d depths, %d pressures, want 3 each", depths, pressures)
+	if depths != 3 {
+		t.Errorf("per-session queue depth samples = %d, want 3", depths)
 	}
 	if curvePoints != 4 {
 		t.Errorf("utility curve samples = %d, want 4 (collector positions)", curvePoints)

@@ -8,7 +8,7 @@
 // id forever. When the deployment routes prefetching through a shared
 // prefetch pipeline, the server surfaces its stats and cancels an evicted
 // session's queued fetches; Config.Metrics additionally exposes the full
-// scheduling loop (counters, per-session backpressure, cache hit rates,
+// scheduling loop (counters, queue saturation and depths, cache hit rates,
 // the learned utility curve, the scheduler's per-shard series) as
 // Prometheus text under GET /metrics.
 package server
@@ -101,7 +101,7 @@ type Config struct {
 	Persist *persist.Store
 	// Metrics registers a dependency-free Prometheus text-format GET
 	// /metrics endpoint exposing server, cache and prefetch-pipeline
-	// telemetry (including per-session backpressure, the scheduler's
+	// telemetry (including queue saturation and depths, the scheduler's
 	// per-shard series, the learned utility curve and the adaptive
 	// allocation shares when the deployment has them).
 	Metrics bool
@@ -485,9 +485,10 @@ func listsTag(ifNoneMatch, tag string) bool {
 
 // StatsResponse is the /stats payload: the session's cache counters (when
 // the session exists) plus server-wide session and prefetch-pipeline
-// telemetry — including the scheduler's backpressure signal, per-session
-// queue depths (Scheduler.QueueDepths) and, for deployments with adaptive allocation, the learned per-(phase,
-// model) budget shares. Asking for an unknown session returns the
+// telemetry — including the scheduler's global queue saturation
+// (pressure), per-session queue depths (Scheduler.QueueDepths) and, for
+// deployments with adaptive allocation, the learned per-(phase, model)
+// budget shares. Asking for an unknown session returns the
 // server-wide fields only — it does not create a session.
 type StatsResponse struct {
 	Cache     *cache.Stats    `json:"cache,omitempty"`

@@ -1,6 +1,6 @@
 // Package shard is the prefetch scheduler's session router: it maps a
 // session id to one of N independent scheduler shards, so a session's
-// queue, batch superseding and fair-share pressure all live on one shard.
+// queue, batch superseding and queue budget all live on one shard.
 // Sessions are independent behind the engine factory, so sharding is a
 // pure routing concern — this package owns that concern and nothing else.
 //
