@@ -231,7 +231,7 @@ type MiddlewareConfig struct {
 	Hotspot bool
 	// Artifacts supplies an already-trained artifact bundle (Dataset.Train)
 	// so construction performs no training at all: NewMiddleware and
-	// NewServer reuse the bundle's shared recommender artifacts and phase
+	// NewServer reuse the bundle's shared recommender models and phase
 	// classifier. The bundle must come from the same Dataset and a config
 	// with the same model shape (Hotspot).
 	Artifacts *Artifacts
@@ -329,13 +329,14 @@ func (c MiddlewareConfig) withDefaults() MiddlewareConfig {
 }
 
 // Artifacts bundles the shareable output of one training pass:
-// the registry-built recommender artifact set (the trained Kneser–Ney
-// Markov chain, the SB stamp, the shared hotspot counter table when the
-// config registers one), the allocation table its prior columns compose to
-// (so an engine's models and its policy can never diverge) and the fitted
-// SVM phase classifier. One bundle is
-// safely shared by every session engine of a deployment — and, via
-// MiddlewareConfig.Artifacts, by several middleware constructions, which
+// the registry-built model set (the trained Kneser–Ney Markov chain, the
+// SB recommender, the hotspot counter table when the config registers
+// one), the allocation table its prior columns compose to (so an engine's
+// models and its policy can never diverge) and the fitted SVM phase
+// classifier. Every model is shared: none holds session state, and SB
+// reads each session's region of interest from that session's history.
+// One bundle serves every session engine of a deployment — and, via
+// MiddlewareConfig.Artifacts, several middleware constructions, which
 // then perform no training at all.
 type Artifacts struct {
 	set   *recommend.Set
@@ -367,7 +368,7 @@ func (d *Dataset) registry(cfg MiddlewareConfig) (*recommend.Registry, error) {
 }
 
 // Train runs the deployment's one training pass over the study traces:
-// every trace-trained registry artifact (the Markov chain) plus the phase
+// every trace-trained registry model (the Markov chain) plus the phase
 // classifier. The returned bundle can be passed to any number of
 // NewMiddleware / NewServer calls via MiddlewareConfig.Artifacts, which
 // then skip training entirely.
@@ -440,7 +441,7 @@ func (d *Dataset) NewMiddleware(train []*trace.Trace, cfg MiddlewareConfig) (*co
 	if hs := arts.set.Hotspot(); hs != nil {
 		ecfg.Consumption = hs
 	}
-	return core.NewEngine(db, arts.cls, arts.prior, arts.set.Session(), ecfg)
+	return core.NewEngine(db, arts.cls, arts.prior, arts.set.Models(), ecfg)
 }
 
 // NewServer wraps the dataset in an HTTP middleware server; each session
@@ -450,8 +451,8 @@ func (d *Dataset) NewMiddleware(train []*trace.Trace, cfg MiddlewareConfig) (*co
 // multi-user scale. Call Close on the returned server to stop the
 // scheduler's workers.
 //
-// The recommender registry's shared artifacts (the Markov chain, the
-// hotspot counter table) and the phase classifier are trained/built
+// The recommender registry's models (the Markov chain, SB, the hotspot
+// counter table) and the phase classifier are trained/built
 // exactly once, here — or reused from cfg.Artifacts — and shared by every
 // session engine: creating the 2nd..Nth session performs no training and
 // is O(1). Construction returns an error for invalid tuning values or a
@@ -595,9 +596,9 @@ func (d *Dataset) newServer(train []*trace.Trace, cfg MiddlewareConfig) (*server
 	if hotspot != nil {
 		ecfg.Consumption = hotspot
 	}
-	// Only the cheap per-session state is fresh per engine: the model
-	// instances stamped out of the shared artifacts (SB's ROI tracker is
-	// mutable), the cache manager and the history window.
+	// Only the cheap per-session state is fresh per engine: the cache
+	// manager and the history window, which carries the session's region
+	// of interest. Every engine ranks with the same shared models.
 	factory := func(session string) (*core.Engine, error) {
 		ecfg := ecfg // this session's copy
 		if sched != nil {
@@ -605,7 +606,7 @@ func (d *Dataset) newServer(train []*trace.Trace, cfg MiddlewareConfig) (*server
 			// is paid per session, not per request.
 			ecfg.Scheduler, ecfg.Session = sched.Shard(session), session
 		}
-		return core.NewEngine(store, arts.cls, policy, arts.set.Session(), ecfg)
+		return core.NewEngine(store, arts.cls, policy, arts.set.Models(), ecfg)
 	}
 	return server.New(meta, factory, server.Config{
 		MaxSessions: cfg.MaxSessions,

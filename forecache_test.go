@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"forecache/internal/client"
+	"forecache/internal/core"
 	"forecache/internal/phase"
 	"forecache/internal/recommend"
 	"forecache/internal/shard"
@@ -316,7 +317,6 @@ func TestPredictionPin(t *testing.T) {
 	} {
 		hist := trace.NewHistory(3)
 		for _, r := range traces[0].Requests {
-			sb.model.Observe(r)
 			hist.Push(r)
 			ranking(sb.model.Predict(r, recommend.Candidates(ds.Pyramid, r.Coord, 1), hist))
 		}
@@ -887,6 +887,58 @@ func TestAdaptiveServerFacade(t *testing.T) {
 	}
 	if _, ok := out["pressure"]; !ok {
 		t.Error("/stats missing pressure")
+	}
+}
+
+// TestSessionsShareOneModelSet: two middleware engines built from one
+// trained bundle rank with the same model instances — one SB among them —
+// yet a session's answers depend on its own requests alone. Interleaved
+// request by request, each of two different study traces gets, at every
+// request, the hit, phase and prefetch set it gets replayed alone: no
+// session's region of interest leaks into the other's ranking.
+func TestSessionsShareOneModelSet(t *testing.T) {
+	ds, _ := testWorld(t)
+	traces := ds.SimulateStudy(7)
+	arts, err := ds.Train(traces, MiddlewareConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair := [2]*Trace{traces[0], traces[len(traces)-1]}
+	engine := func() *core.Engine {
+		mw, err := ds.NewMiddleware(nil, MiddlewareConfig{Artifacts: arts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mw
+	}
+	step := func(eng *core.Engine, r trace.Request) string {
+		resp, err := eng.Request(r.Coord)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%t/%v/%v", resp.Hit, resp.Phase, resp.Prefetched)
+	}
+	var alone, shared [2][]string
+	for i, tr := range pair {
+		eng := engine()
+		for _, r := range tr.Requests {
+			alone[i] = append(alone[i], step(eng, r))
+		}
+	}
+	engs := [2]*core.Engine{engine(), engine()}
+	for j := 0; j < max(len(pair[0].Requests), len(pair[1].Requests)); j++ {
+		for i, tr := range pair {
+			if j < len(tr.Requests) {
+				shared[i] = append(shared[i], step(engs[i], tr.Requests[j]))
+			}
+		}
+	}
+	for i := range pair {
+		for j := range alone[i] {
+			if shared[i][j] != alone[i][j] {
+				t.Fatalf("trace %d request %d interleaved = %s, alone = %s", i, j, shared[i][j], alone[i][j])
+			}
+		}
 	}
 }
 

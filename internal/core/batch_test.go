@@ -30,9 +30,7 @@ type fixedModel struct {
 	coords []tile.Coord
 }
 
-func (m fixedModel) Name() string        { return m.name }
-func (fixedModel) Observe(trace.Request) {}
-func (fixedModel) Reset()                {}
+func (m fixedModel) Name() string { return m.name }
 func (m fixedModel) Predict(trace.Request, []recommend.Candidate, *trace.History) []recommend.Ranked {
 	out := make([]recommend.Ranked, len(m.coords))
 	for i, c := range m.coords {
@@ -158,9 +156,7 @@ func TestRequestAllocCeiling(t *testing.T) {
 // scriptedModel ranks next, best first, whatever the request.
 type scriptedModel struct{ next []tile.Coord }
 
-func (*scriptedModel) Name() string          { return "a" }
-func (*scriptedModel) Observe(trace.Request) {}
-func (*scriptedModel) Reset()                {}
+func (*scriptedModel) Name() string { return "a" }
 func (m *scriptedModel) Predict(trace.Request, []recommend.Candidate, *trace.History) []recommend.Ranked {
 	return fixedModel{coords: m.next}.Predict(trace.Request{}, nil, nil)
 }

@@ -10,8 +10,8 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -148,8 +148,7 @@ type Engine struct {
 	db         backend.Store
 	classifier *phase.Classifier // nil => phase always PhaseUnknown
 	policy     AllocationPolicy
-	models     map[string]recommend.Model
-	names      []string // models' keys in sorted order: the ranking order
+	models     []recommend.Model // the deployment's shared models, by name: the ranking order
 
 	mu sync.Mutex
 	// sched starts as cfg.Scheduler (inline when nil) and is the one wired
@@ -163,8 +162,10 @@ type Engine struct {
 
 // NewEngine assembles an engine. classifier may be nil (single-model
 // baselines); every model the policy can allocate to must be present. A
-// deployment's engines may share one policy (*AdaptivePolicy): the learned
-// split then reflects all traffic and is exported once.
+// deployment's engines share one model set: models hold no session state,
+// since the engine hands each Predict this session's history. They may
+// share one policy too (*AdaptivePolicy): the learned split then reflects
+// all traffic and is exported once.
 func NewEngine(db backend.Store, classifier *phase.Classifier, policy AllocationPolicy, models []recommend.Model, cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if db == nil {
@@ -173,12 +174,11 @@ func NewEngine(db backend.Store, classifier *phase.Classifier, policy Allocation
 	if policy == nil {
 		return nil, fmt.Errorf("core: nil allocation policy")
 	}
-	byName := make(map[string]recommend.Model, len(models))
-	for _, m := range models {
-		byName[m.Name()] = m
-	}
+	models = slices.SortedFunc(slices.Values(models), func(a, b recommend.Model) int {
+		return strings.Compare(a.Name(), b.Name())
+	})
 	for _, name := range policy.Models() {
-		if _, ok := byName[name]; !ok {
+		if !slices.ContainsFunc(models, func(m recommend.Model) bool { return m.Name() == name }) {
 			return nil, fmt.Errorf("core: policy references unknown model %q", name)
 		}
 	}
@@ -187,8 +187,7 @@ func NewEngine(db backend.Store, classifier *phase.Classifier, policy Allocation
 		db:         db,
 		classifier: classifier,
 		policy:     policy,
-		models:     byName,
-		names:      slices.Sorted(maps.Keys(byName)),
+		models:     models,
 		sched:      cfg.Scheduler,
 		cache:      cache.NewManager(cfg.RecentTiles),
 		history:    trace.NewHistory(cfg.HistoryLen),
@@ -236,17 +235,14 @@ func (e *Engine) LifetimeCacheStats() cache.Stats {
 	return e.cache.LifetimeStats()
 }
 
-// Reset starts a fresh session: history, cache contents, model state and
-// statistics are cleared.
+// Reset starts a fresh session: history (with its region of interest),
+// cache contents and statistics are cleared.
 func (e *Engine) Reset() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.history.Reset()
 	e.cache.Clear()
 	e.cache.ResetStats()
-	for _, m := range e.models {
-		m.Reset()
-	}
 	e.last = trace.Request{Move: trace.None}
 	e.started = false
 	e.sched.CancelSession(e.cfg.Session)
@@ -302,11 +298,8 @@ func (e *Engine) RequestTraced(c tile.Coord, rt *obs.ReqTrace) (*Response, error
 	}
 	e.cache.InsertRecent(resp.Tile)
 
-	// Update session state and model observations.
+	// Update session state: the history window and the region of interest.
 	e.history.Push(req)
-	for _, m := range e.models {
-		m.Observe(req)
-	}
 	e.last = req
 	e.started = true
 
@@ -389,11 +382,12 @@ func (e *Engine) rank(req trace.Request, allocs map[string]int) ([]prediction, [
 	cands := recommend.Candidates(e.db.Pyramid(), req.Coord, e.cfg.D)
 	batch := make([]prediction, 0, e.cfg.K) // allocations sum to at most K
 	coords := make([]tile.Coord, 0, e.cfg.K)
-	for _, name := range e.names {
+	for _, m := range e.models {
+		name := m.Name()
 		if allocs[name] <= 0 {
 			continue
 		}
-		for pos, r := range recommend.TopK(e.models[name].Predict(req, cands, e.history), allocs[name]) {
+		for pos, r := range recommend.TopK(m.Predict(req, cands, e.history), allocs[name]) {
 			if !e.db.Pyramid().Contains(r.Coord) {
 				continue
 			}

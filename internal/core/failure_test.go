@@ -17,9 +17,7 @@ import (
 // pyramid; the prefetcher must skip them without failing the request.
 type flakyModel struct{}
 
-func (flakyModel) Name() string          { return "flaky" }
-func (flakyModel) Observe(trace.Request) {}
-func (flakyModel) Reset()                {}
+func (flakyModel) Name() string { return "flaky" }
 func (flakyModel) Predict(req trace.Request, cands []recommend.Candidate, h *trace.History) []recommend.Ranked {
 	out := []recommend.Ranked{
 		{Coord: tile.Coord{Level: 99, Y: 0, X: 0}, Score: 10}, // bogus
@@ -86,9 +84,7 @@ func TestEngineSurvivesBogusPredictions(t *testing.T) {
 // emptyModel never predicts anything.
 type emptyModel struct{}
 
-func (emptyModel) Name() string          { return "empty" }
-func (emptyModel) Observe(trace.Request) {}
-func (emptyModel) Reset()                {}
+func (emptyModel) Name() string { return "empty" }
 func (emptyModel) Predict(trace.Request, []recommend.Candidate, *trace.History) []recommend.Ranked {
 	return nil
 }

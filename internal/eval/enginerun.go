@@ -37,8 +37,9 @@ func SingleEngineSetup(factory ModelFactory) EngineSetup {
 }
 
 // RegistryEngineSetup builds an engine from registered recommender specs:
-// the per-fold model set comes from Registry.Build over the training
-// traces and the allocation policy from the registry's prior columns —
+// the fold's one model set comes from Registry.Build over the training
+// traces, shared by every engine and trace of the fold, and the
+// allocation policy from the registry's prior columns —
 // the same construction path the production facade uses. The phase
 // classifier is not: it trains on a seeded random 800 of the fold's
 // requests (sampleRequests), where Dataset.Train takes the first 800 in
@@ -62,7 +63,7 @@ func (h *Harness) RegistryEngineSetup(specs []recommend.Spec) EngineSetup {
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		return set.Session(), policy, cls, nil
+		return set.Models(), policy, cls, nil
 	}
 }
 

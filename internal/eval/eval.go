@@ -245,17 +245,11 @@ func (h *Harness) evalLOO(name string, setup EngineSetup, oracle bool, ks []int)
 // model's ranking trimmed to the slots the policy allots that model for the
 // request's phase (cls's prediction; the ground-truth label when cls is nil)?
 func (h *Harness) step(name string, models []recommend.Model, policy core.AllocationPolicy, cls *phase.Classifier, tr *trace.Trace, ks []int, table *Table) {
-	for _, m := range models {
-		m.Reset()
-	}
 	hist := trace.NewHistory(h.HistoryLen)
 	ranks := make([][]recommend.Ranked, len(models))
 	for i := 0; i+1 < len(tr.Requests); i++ {
 		r, next := tr.Requests[i], tr.Requests[i+1]
 		hist.Push(r)
-		for _, m := range models {
-			m.Observe(r)
-		}
 		ph := r.Phase
 		if cls != nil {
 			ph = cls.Predict(r)

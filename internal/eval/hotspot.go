@@ -52,12 +52,6 @@ func newTraceHotspot(traces []*trace.Trace, n, radius int) *traceHotspot {
 // Name identifies the model.
 func (m *traceHotspot) Name() string { return "hotspot" }
 
-// Observe is a no-op.
-func (m *traceHotspot) Observe(trace.Request) {}
-
-// Reset is a no-op.
-func (m *traceHotspot) Reset() {}
-
 // Predict behaves like Momentum unless a hotspot is within radius of the
 // current tile; then candidates are re-scored by how much closer they
 // bring the user to the nearest hotspot.

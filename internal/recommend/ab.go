@@ -16,13 +16,14 @@ import (
 // smoothed probability of the first move of its chain given the session
 // history.
 //
-// Observe and Reset are no-ops: session context comes from the history
-// window passed to Predict. A score is a pure function of the order most
-// recent moves and the next one, so each answer is computed once per input
-// and shared: one instance is safe for concurrent use by any number of
-// session engines — train once, share everywhere.
+// Session context comes from the history window passed to Predict. A score
+// is a pure function of the order most recent moves and the next one, so
+// each answer is computed once per input and shared: one instance is safe
+// for concurrent use by any number of session engines — train once, share
+// everywhere.
 type AB struct {
 	order int
+	name  string
 	// tables[k] holds, by packed length-k context, the raw (k == order) or
 	// continuation (k < order) counts of the moves that followed it.
 	tables  []map[uint64]*counts
@@ -53,7 +54,7 @@ func NewAB(order int, traces []*trace.Trace) (*AB, error) {
 	if order < 1 || order > maxOrder {
 		return nil, fmt.Errorf("recommend: AB order %d outside 1..%d", order, maxOrder)
 	}
-	m := &AB{order: order, tables: make([]map[uint64]*counts, order+1), probs: make(map[uint64]float64)}
+	m := &AB{order: order, name: "markov" + strconv.Itoa(order), tables: make([]map[uint64]*counts, order+1), probs: make(map[uint64]float64)}
 	for k := range m.tables {
 		m.tables[k] = make(map[uint64]*counts)
 	}
@@ -104,14 +105,7 @@ func bump(t map[uint64]*counts, ctx, next uint64) {
 }
 
 // Name identifies the model, including its order (e.g. "markov3").
-func (m *AB) Name() string { return "markov" + strconv.Itoa(m.order) }
-
-// Observe is a no-op: the AB model reads its context from the history
-// window passed to Predict.
-func (m *AB) Observe(trace.Request) {}
-
-// Reset is a no-op; the model is stateless between requests.
-func (m *AB) Reset() {}
+func (m *AB) Name() string { return m.name }
 
 // Predict ranks candidates by move probability under the Markov chain.
 // Multi-move candidates (d > 1) multiply the chain probabilities along

@@ -15,12 +15,6 @@ func NewMomentum() *Momentum { return &Momentum{} }
 // Name identifies the model.
 func (m *Momentum) Name() string { return "momentum" }
 
-// Observe is a no-op.
-func (m *Momentum) Observe(trace.Request) {}
-
-// Reset is a no-op.
-func (m *Momentum) Reset() {}
-
 // Predict assigns 0.9 to the candidate reached by repeating the previous
 // move and 0.0125 to every other candidate.
 func (m *Momentum) Predict(req trace.Request, cands []Candidate, h *trace.History) []Ranked {

@@ -95,24 +95,3 @@ func BenchmarkRegistryBuild(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkRegistrySession measures stamping one session's model set out
-// of a built Set: the per-session construction cost, which must stay O(1)
-// in deployment size.
-func BenchmarkRegistrySession(b *testing.B) {
-	reg, err := NewRegistry(DefaultSpecs(3, []string{"sift"}, &HotspotConfig{})...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	set, err := reg.Build(Env{Tiles: &fakeSource{}, Traces: registryTraces()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if models := set.Session(); len(models) != 3 {
-			b.Fatal("bad session set")
-		}
-	}
-}

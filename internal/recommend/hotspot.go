@@ -58,10 +58,10 @@ type hotEntry struct {
 //
 // The table is one map under one mutex, at most one entry per pyramid
 // tile: only successfully served tiles are ever consumed, so the pyramid
-// bounds it. Observe/ObserveConsumption/Predict are safe for concurrent
-// use by any number of session engines. Reset is a no-op by design: the
-// table is deployment-wide state, and one session ending says nothing
-// about what the population finds interesting.
+// bounds it. ObserveConsumption and Predict are safe for concurrent use by
+// any number of session engines, which all share the one instance. No
+// session resets it: the table is deployment-wide state, and one session
+// ending says nothing about what the population finds interesting.
 type Hotspot struct {
 	mu     sync.Mutex
 	levelN [hotspotMaxLevels]int64
@@ -75,18 +75,6 @@ func NewHotspot(HotspotConfig) *Hotspot {
 
 // Name identifies the model.
 func (h *Hotspot) Name() string { return "hotspot" }
-
-// Observe is a no-op: the model's signal is cross-session consumption,
-// fed through ObserveConsumption from the cache outcome stream, not one
-// session's request sequence.
-func (h *Hotspot) Observe(trace.Request) {}
-
-// Reset is a no-op: the counter table is shared, deployment-wide state.
-func (h *Hotspot) Reset() {}
-
-// Session implements recommend.Artifact: the shared instance IS the
-// per-session model (all sessions read and feed one table).
-func (h *Hotspot) Session() Model { return h }
 
 // level clamps a coordinate's zoom level into the counter range.
 func level(c tile.Coord) int {

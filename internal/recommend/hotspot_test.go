@@ -112,7 +112,8 @@ func TestHotspotSharesPerLevel(t *testing.T) {
 }
 
 // TestHotspotModelContract: the Model interface behaves as documented —
-// Observe and Reset are no-ops on the shared table.
+// Predict only reads the shared table, so one session's rankings leave
+// every other session's scores as they were.
 func TestHotspotModelContract(t *testing.T) {
 	h := NewHotspot(HotspotConfig{})
 	if h.Name() != "hotspot" {
@@ -121,13 +122,10 @@ func TestHotspotModelContract(t *testing.T) {
 	c := tile.Coord{Level: 2, Y: 1, X: 1}
 	h.ObserveConsumption(c, trace.Foraging)
 	before := share(h, c)
-	h.Observe(trace.Request{Coord: tile.Coord{Level: 2, Y: 0, X: 0}})
-	h.Reset()
+	other := tile.Coord{Level: 2, Y: 0, X: 0}
+	h.Predict(trace.Request{Coord: other}, Candidates(gridBounds{maxLevel: 4}, other, 1), trace.NewHistory(3))
 	if got := share(h, c); got != before {
-		t.Errorf("Observe/Reset changed the shared table: %v -> %v", before, got)
-	}
-	if h.Session() != Model(h) {
-		t.Error("Session must return the shared instance")
+		t.Errorf("Predict changed the shared table: %v -> %v", before, got)
 	}
 }
 

@@ -66,14 +66,13 @@ type Ranked struct {
 	Score float64
 }
 
-// Model is a tile recommendation model. Observe feeds it the user's actual
-// requests (stateful models like SB track the region of interest); Predict
-// ranks candidates for the next request; Reset clears per-session state.
+// Model is a tile recommendation model. Predict ranks candidates for the
+// next request as a function of its arguments alone: session context (the
+// recent moves, SB's region of interest) comes from the history, so one
+// instance serves every session of a deployment.
 type Model interface {
 	Name() string
-	Observe(req trace.Request)
 	Predict(req trace.Request, cands []Candidate, h *trace.History) []Ranked
-	Reset()
 }
 
 // sortRanked orders by score descending with deterministic coordinate

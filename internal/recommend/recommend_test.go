@@ -164,40 +164,6 @@ func TestMomentumFirstRequest(t *testing.T) {
 	}
 }
 
-func TestROITrackerAlgorithm1(t *testing.T) {
-	var tr ROITracker
-	a := tile.Coord{Level: 3, Y: 2, X: 2}
-	b := a.Pan(0, 1)
-	c := b.Pan(1, 0)
-	tr.Update(trace.Request{Coord: a, Move: trace.ZoomInNW}) // zoom-in: start temp
-	tr.Update(trace.Request{Coord: b, Move: trace.PanRight}) // pan: extend temp
-	tr.Update(trace.Request{Coord: c, Move: trace.PanDown})  // pan: extend temp
-	if roi := tr.roi; len(roi) != 0 {
-		t.Fatalf("ROI before zoom-out = %v, want empty", roi)
-	}
-	tr.Update(trace.Request{Coord: c.Parent(), Move: trace.ZoomOut}) // commit
-	roi := tr.roi
-	if len(roi) != 3 || roi[0] != a || roi[1] != b || roi[2] != c {
-		t.Fatalf("ROI = %v, want [%v %v %v]", roi, a, b, c)
-	}
-	// A zoom-out without a preceding zoom-in must not clobber the ROI.
-	tr.Update(trace.Request{Coord: c.Parent().Parent(), Move: trace.ZoomOut})
-	if len(tr.roi) != 3 {
-		t.Error("stray zoom-out overwrote the ROI")
-	}
-	// A new zoom-in starts a fresh temp ROI.
-	d := tile.Coord{Level: 2, Y: 0, X: 0}
-	tr.Update(trace.Request{Coord: d, Move: trace.ZoomInSE})
-	tr.Update(trace.Request{Coord: d.Parent(), Move: trace.ZoomOut})
-	if roi := tr.roi; len(roi) != 1 || roi[0] != d {
-		t.Fatalf("second ROI = %v, want [%v]", roi, d)
-	}
-	tr.Reset()
-	if len(tr.roi) != 0 {
-		t.Error("Reset should clear the ROI")
-	}
-}
-
 // fakeSource serves tiles with canned signatures.
 type fakeSource struct {
 	sigs map[tile.Coord]map[string][]float64
@@ -228,14 +194,15 @@ func TestSBRanksSimilarTilesFirst(t *testing.T) {
 		t.Errorf("Name = %s", sb.Name())
 	}
 	// Build an ROI = {cur} via zoom-in then zoom-out.
-	sb.Observe(trace.Request{Coord: cur, Move: trace.ZoomInNW})
-	sb.Observe(trace.Request{Coord: cur.Parent(), Move: trace.ZoomOut})
+	h := trace.NewHistory(3)
+	h.Push(trace.Request{Coord: cur, Move: trace.ZoomInNW})
+	h.Push(trace.Request{Coord: cur.Parent(), Move: trace.ZoomOut})
 	req := trace.Request{Coord: cur, Move: trace.PanUp}
 	cands := []Candidate{
 		{Coord: right, Moves: []trace.Move{trace.PanRight}},
 		{Coord: left, Moves: []trace.Move{trace.PanLeft}},
 	}
-	ranked := sb.Predict(req, cands, trace.NewHistory(3))
+	ranked := sb.Predict(req, cands, h)
 	if ranked[0].Coord != right {
 		t.Errorf("SB top = %v, want the visually similar %v", ranked[0].Coord, right)
 	}
@@ -253,14 +220,15 @@ func TestSBManhattanPenalty(t *testing.T) {
 		far:  same,        // zero signature distance, far
 	}}
 	sb := NewSB(src, WithSignatures(sig.NameHistogram))
-	sb.Observe(trace.Request{Coord: cur, Move: trace.ZoomInNW})
-	sb.Observe(trace.Request{Coord: cur.Parent(), Move: trace.ZoomOut})
+	h := trace.NewHistory(3)
+	h.Push(trace.Request{Coord: cur, Move: trace.ZoomInNW})
+	h.Push(trace.Request{Coord: cur.Parent(), Move: trace.ZoomOut})
 	req := trace.Request{Coord: cur, Move: trace.PanUp}
 	cands := []Candidate{
 		{Coord: near, Moves: []trace.Move{trace.PanRight}},
 		{Coord: far, Moves: []trace.Move{trace.PanRight, trace.PanRight}},
 	}
-	ranked := sb.Predict(req, cands, trace.NewHistory(3))
+	ranked := sb.Predict(req, cands, h)
 	// Zero signature distance stays zero regardless of the multiplicative
 	// penalty, so the identical-but-far tile still wins; the penalty's
 	// effect is visible in the score magnitudes instead.
@@ -282,7 +250,7 @@ func TestSBFallsBackToCurrentTile(t *testing.T) {
 		cur.Pan(0, -1): bare,
 	}}
 	sb := NewSB(src, WithSignatures(sig.NameHistogram))
-	// No Observe calls: no ROI yet.
+	// An empty history: no ROI yet.
 	req := trace.Request{Coord: cur, Move: trace.None}
 	cands := []Candidate{
 		{Coord: cur.Pan(0, 1), Moves: []trace.Move{trace.PanRight}},
@@ -292,6 +260,47 @@ func TestSBFallsBackToCurrentTile(t *testing.T) {
 	if ranked[0].Coord != cur.Pan(0, 1) {
 		t.Errorf("fallback ROI: top = %v, want the similar right tile", ranked[0].Coord)
 	}
+}
+
+// TestSBSharedBySessions is the -race check of the shared SB: sessions
+// with different regions of interest rank concurrently on one instance,
+// and each gets the ranking it gets alone.
+func TestSBSharedBySessions(t *testing.T) {
+	src := &fakeSource{sigs: map[tile.Coord]map[string][]float64{}}
+	for y := range 4 {
+		for x := range 4 {
+			src.sigs[tile.Coord{Level: 2, Y: y, X: x}] = map[string][]float64{sig.NameHistogram: {float64(1 + y), float64(1 + x), 1}}
+		}
+	}
+	sb := NewSB(src, WithSignatures(sig.NameHistogram))
+	cur := tile.Coord{Level: 2, Y: 1, X: 1}
+	cands := Candidates(gridBounds{maxLevel: 2}, cur, 1)
+	rank := func(g int) []Ranked {
+		h := trace.NewHistory(3)
+		roi := tile.Coord{Level: 2, Y: g / 4, X: g % 4}
+		h.Push(trace.Request{Coord: roi, Move: trace.ZoomInNW})
+		h.Push(trace.Request{Coord: roi.Parent(), Move: trace.ZoomOut})
+		return sb.Predict(trace.Request{Coord: cur, Move: trace.PanUp}, cands, h)
+	}
+	const sessions = 16
+	var alone [sessions][]Ranked
+	for g := range sessions {
+		alone[g] = rank(g)
+	}
+	var wg sync.WaitGroup
+	for g := range sessions {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 20 {
+				if got := rank(g); !slices.Equal(got, alone[g]) {
+					t.Errorf("session %d ranked %v beside the others, %v alone", g, got, alone[g])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestSBMissingTilesDegradeGracefully(t *testing.T) {

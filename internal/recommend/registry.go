@@ -13,24 +13,19 @@ import (
 // allocation table (§5.4.3, extended with the hotspot column) it claims.
 // The facade, the HTTP server and the eval harness all build their model
 // sets from registered Specs instead of hard-coding AB/SB wiring, so
-// adding a recommender is a registry entry, not a surgery.
+// adding a recommender is a registry entry, not a surgery. Every model is
+// built once per deployment and shared by all of its sessions: a model
+// holds no session state (SB's region of interest is read from the
+// session's trace.History).
 
-// Env is what artifact construction may draw on: the tile source (the
+// Env is what model construction may draw on: the tile source (the
 // pyramid) and, for trace-trained models, the training traces. TrainHook
 // is the facade's test seam — Build invokes it once per trace-trained
-// artifact so tests can prove a deployment trains each model exactly once.
+// model so tests can prove a deployment trains each model exactly once.
 type Env struct {
 	Tiles     TileSource
 	Traces    []*trace.Trace
 	TrainHook func(name string)
-}
-
-// Artifact is one built (possibly trained) recommender artifact. Session
-// returns the per-session Model view: a fresh mutable model for
-// recommenders with per-session state (SB's ROI tracker), or the shared
-// instance itself for session-free (AB) and deployment-wide (Hotspot) ones.
-type Artifact interface {
-	Session() Model
 }
 
 // Spec describes one recommender kind to the registry.
@@ -47,8 +42,8 @@ type Spec struct {
 	// remainder. core.NewRegistryPolicy turns the columns into an
 	// AllocationPolicy.
 	Prior func(ph trace.Phase, k int) int
-	// Build constructs the shared artifact, once per deployment.
-	Build func(env Env) (Artifact, error)
+	// Build constructs the shared model, once per deployment.
+	Build func(env Env) (Model, error)
 }
 
 // PriorColumn pairs a model name with its prior claim, in registry order —
@@ -91,12 +86,12 @@ func NewRegistry(specs ...Spec) (*Registry, error) {
 // Specs returns the registered specs in order.
 func (r *Registry) Specs() []Spec { return append([]Spec(nil), r.specs...) }
 
-// Build constructs every spec's shared artifact once — the deployment's
-// single training pass over the recommenders — and returns the Set that
-// stamps out per-session model sets. Trace-trained specs fail fast when
-// env.Traces is empty instead of silently training on nothing.
+// Build constructs every spec's shared model once — the deployment's
+// single training pass over the recommenders — and returns them as a Set.
+// Trace-trained specs fail fast when env.Traces is empty instead of
+// silently training on nothing.
 func (r *Registry) Build(env Env) (*Set, error) {
-	arts := make([]Artifact, len(r.specs))
+	models := make([]Model, len(r.specs))
 	for i, s := range r.specs {
 		if s.Trains {
 			if len(env.Traces) == 0 {
@@ -106,29 +101,40 @@ func (r *Registry) Build(env Env) (*Set, error) {
 				env.TrainHook(s.Name)
 			}
 		}
-		a, err := s.Build(env)
+		m, err := s.Build(env)
 		if err != nil {
 			return nil, fmt.Errorf("recommend: build %q: %w", s.Name, err)
 		}
-		arts[i] = a
+		models[i] = m
 	}
-	return &Set{specs: r.specs, arts: arts}, nil
+	return &Set{specs: r.specs, models: models}, nil
 }
 
-// Set is a registry's built artifact bundle: the shareable
-// output of one Registry.Build pass. One Set serves every session of a
-// deployment — Session stamps out the cheap per-session model views while
-// the trained/shared artifacts are constructed exactly once.
+// Set is the output of one Registry.Build pass: the deployment's one model
+// slice, which every session engine of the deployment ranks with.
 type Set struct {
-	specs []Spec
-	arts  []Artifact
+	specs  []Spec
+	models []Model
 }
 
-// Session returns a fresh per-session model set, in registry order.
-func (s *Set) Session() []Model {
-	out := make([]Model, len(s.arts))
-	for i, a := range s.arts {
-		out[i] = a.Session()
+// Models returns the shared models in registry order. Callers must not
+// modify the slice.
+func (s *Set) Models() []Model { return s.models }
+
+// SessionModel is a shared Model with a no-op Observe. It and Session
+// remain only for the benchmark/ probes, which still call both, until
+// their rewrite onto Models (ROADMAP item 1).
+type SessionModel struct{ Model }
+
+// Observe is a no-op: the session's trace.History carries the ROI.
+func (SessionModel) Observe(trace.Request) {}
+
+// Session returns the shared models in registry order, each wrapped in a
+// SessionModel.
+func (s *Set) Session() []SessionModel {
+	out := make([]SessionModel, len(s.models))
+	for i, m := range s.models {
+		out[i] = SessionModel{m}
 	}
 	return out
 }
@@ -142,23 +148,16 @@ func (s *Set) Names() []string {
 	return out
 }
 
-// Artifact returns the named spec's built artifact (nil when absent), so
-// deployments can reach shared state — e.g. the *Hotspot counter table
-// they must feed with cache outcomes.
-func (s *Set) Artifact(name string) Artifact {
-	for i, sp := range s.specs {
-		if sp.Name == name {
-			return s.arts[i]
+// Hotspot returns the set's shared online hotspot model — the counter
+// table deployments feed with cache outcomes — or nil when the registry
+// has no hotspot column.
+func (s *Set) Hotspot() *Hotspot {
+	for _, m := range s.models {
+		if h, ok := m.(*Hotspot); ok {
+			return h
 		}
 	}
 	return nil
-}
-
-// Hotspot returns the set's shared online hotspot model, or nil when the
-// registry has no hotspot column.
-func (s *Set) Hotspot() *Hotspot {
-	h, _ := s.Artifact(hotspotName).(*Hotspot)
-	return h
 }
 
 // Columns returns the specs' prior columns in registry order.
@@ -172,18 +171,6 @@ func (s *Set) Columns() []PriorColumn {
 
 // Rest is the prior claim that takes the whole unclaimed remainder.
 const Rest = -1
-
-// hotspotName is the online hotspot model's fixed Name().
-const hotspotName = "hotspot"
-
-// sbArtifact stamps out fresh SB recommenders (the ROI tracker is mutable
-// per-session state, so unlike AB the model cannot be shared).
-type sbArtifact struct {
-	src  TileSource
-	sigs []string
-}
-
-func (a *sbArtifact) Session() Model { return NewSB(a.src, WithSignatures(a.sigs...)) }
 
 // ABSpec registers the Actions-Based Markov recommender of the given
 // order: trace-trained, shared by every session. Its default
@@ -199,18 +186,14 @@ func ABSpec(order int) Spec {
 			}
 			return 4
 		},
-		Build: func(env Env) (Artifact, error) {
+		Build: func(env Env) (Model, error) {
 			return NewAB(order, env.Traces)
 		},
 	}
 }
 
-// Session implements Artifact: a trained AB holds no session state, so
-// the shared instance is the per-session model.
-func (m *AB) Session() Model { return m }
-
 // SBSpec registers the Signature-Based recommender restricted to the
-// named signatures: training-free, one fresh instance per session. Its
+// named signatures: training-free, shared by every session. Its
 // default prior is the §5.4.3 remainder column — everything the earlier
 // columns left unclaimed, which in Sensemaking is the whole budget.
 func SBSpec(sigs ...string) Spec {
@@ -221,11 +204,11 @@ func SBSpec(sigs ...string) Spec {
 	return Spec{
 		Name:  name,
 		Prior: func(trace.Phase, int) int { return Rest },
-		Build: func(env Env) (Artifact, error) {
+		Build: func(env Env) (Model, error) {
 			if env.Tiles == nil {
 				return nil, fmt.Errorf("SB needs a tile source")
 			}
-			return &sbArtifact{src: env.Tiles, sigs: sigs}, nil
+			return NewSB(env.Tiles, WithSignatures(sigs...)), nil
 		},
 	}
 }
@@ -241,14 +224,14 @@ func SBSpec(sigs ...string) Spec {
 // paper's two models keep everything).
 func HotspotSpec() Spec {
 	return Spec{
-		Name: hotspotName,
+		Name: "hotspot",
 		Prior: func(ph trace.Phase, k int) int {
 			if k >= 3 {
 				return 1
 			}
 			return 0
 		},
-		Build: func(env Env) (Artifact, error) {
+		Build: func(env Env) (Model, error) {
 			h := NewHotspot(HotspotConfig{})
 			for _, tr := range env.Traces {
 				for _, r := range tr.Requests {

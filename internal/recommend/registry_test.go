@@ -51,9 +51,9 @@ func TestRegistryValidation(t *testing.T) {
 	}
 }
 
-// TestRegistryBuildTrainsOnce: Build constructs each artifact exactly once
-// (firing the train hook only for trace-trained specs) and Session stamps
-// out fresh per-session views without touching the hook again.
+// TestRegistryBuildTrainsOnce: Build constructs each model exactly once
+// (firing the train hook only for trace-trained specs), and every reader
+// of the Set gets those same instances without touching the hook again.
 func TestRegistryBuildTrainsOnce(t *testing.T) {
 	reg, err := NewRegistry(DefaultSpecs(2, []string{"sift"}, &HotspotConfig{})...)
 	if err != nil {
@@ -75,21 +75,21 @@ func TestRegistryBuildTrainsOnce(t *testing.T) {
 		t.Fatalf("names = %v", got)
 	}
 
-	s1, s2 := set.Session(), set.Session()
+	// Every session reads the same instances: Models is one slice, and the
+	// Session adapter wraps those same models.
+	models := set.Models()
+	if len(models) != 3 || &set.Models()[0] != &models[0] {
+		t.Fatalf("Models() = %v, want the one shared slice of 3", models)
+	}
+	for i, m := range set.Session() {
+		if m.Model != models[i] {
+			t.Errorf("Session()[%d] wraps %v, want the shared %v", i, m.Model, models[i])
+		}
+	}
 	if len(trained) != 1 {
-		t.Fatalf("Session() trained more artifacts: %v", trained)
+		t.Fatalf("reading the models trained more: %v", trained)
 	}
-	// AB and hotspot are shared instances; SB must be fresh per session.
-	if s1[0] != s2[0] {
-		t.Error("AB model should be the shared trained instance")
-	}
-	if s1[1] != s2[1] {
-		t.Error("hotspot model should be the shared table")
-	}
-	if s1[2] == s2[2] {
-		t.Error("SB model must be a fresh instance per session")
-	}
-	for i, m := range s1 {
+	for i, m := range models {
 		if m.Name() != set.Names()[i] {
 			t.Errorf("model %d Name() = %q, want %q", i, m.Name(), set.Names()[i])
 		}

@@ -8,36 +8,6 @@ import (
 	"forecache/internal/trace"
 )
 
-// ROITracker maintains the user's most recent region of interest with the
-// heuristic of Algorithm 1: an ROI is the set of tiles visited between a
-// zoom-in and the following zoom-out (one zoom-in, zero or more pans, one
-// zoom-out).
-type ROITracker struct {
-	inFlag bool
-	temp   []tile.Coord
-	roi    []tile.Coord
-}
-
-// Update processes one user request, mirroring Algorithm 1 line by line.
-func (t *ROITracker) Update(req trace.Request) {
-	switch {
-	case req.Move.IsZoomIn():
-		t.inFlag = true
-		t.temp = []tile.Coord{req.Coord}
-	case req.Move.IsZoomOut():
-		if t.inFlag {
-			t.roi = t.temp
-			t.inFlag = false
-			t.temp = nil
-		}
-	case t.inFlag:
-		t.temp = append(t.temp, req.Coord)
-	}
-}
-
-// Reset clears all tracker state for a new session.
-func (t *ROITracker) Reset() { *t = ROITracker{} }
-
 // TileSource resolves coordinates to materialized tiles carrying
 // signatures. *tile.Pyramid implements it.
 type TileSource interface {
@@ -45,13 +15,14 @@ type TileSource interface {
 }
 
 // SB is the Signature-Based recommender (paper §4.3.3): it ranks candidate
-// tiles by visual similarity to the user's most recent region of interest,
-// using the tile signatures computed at pyramid-build time and the distance
-// combination of Algorithm 3.
+// tiles by visual similarity to the user's most recent region of interest
+// (Algorithm 1, kept by the session's trace.History), using the tile
+// signatures computed at pyramid-build time and the distance combination
+// of Algorithm 3.
 type SB struct {
-	src     TileSource
-	sigs    []string
-	tracker ROITracker
+	src  TileSource
+	sigs []string
+	name string
 
 	// physicalDivision applies Algorithm 3's line 13 division by the
 	// physical distance exactly as printed in the technical report. The
@@ -83,29 +54,22 @@ func NewSB(src TileSource, opts ...SBOption) *SB {
 	for _, opt := range opts {
 		opt(s)
 	}
+	s.name = "sb"
+	if len(s.sigs) == 1 {
+		s.name = "sb:" + s.sigs[0]
+	}
 	return s
 }
 
 // Name identifies the model ("sb" for the full signature set, or
 // "sb:<signature>" when restricted to one).
-func (s *SB) Name() string {
-	if len(s.sigs) == 1 {
-		return "sb:" + s.sigs[0]
-	}
-	return "sb"
-}
-
-// Observe updates the ROI tracker with the user's actual request.
-func (s *SB) Observe(req trace.Request) { s.tracker.Update(req) }
-
-// Reset clears the per-session ROI state.
-func (s *SB) Reset() { s.tracker.Reset() }
+func (s *SB) Name() string { return s.name }
 
 // Predict implements Algorithm 3. Candidates are ranked by ascending total
 // visual distance to the ROI tiles; Ranked.Score is the negated distance so
 // that, like every other model, higher scores mean more likely.
 func (s *SB) Predict(req trace.Request, cands []Candidate, h *trace.History) []Ranked {
-	roi := s.tracker.roi
+	roi := h.ROI()
 	if len(roi) == 0 {
 		// No completed ROI yet: fall back to the current tile as the
 		// reference for "what the user has requested in the past".

@@ -204,27 +204,52 @@ func (t *Trace) MoveCounts() (pans, zoomIns, zoomOuts int) {
 }
 
 // History is the sliding window of the user's last n requests, maintained
-// by the cache manager and consumed by the prediction engine (paper §4.1).
+// by the cache manager and consumed by the prediction engine (paper §4.1),
+// plus the session's region of interest (Algorithm 1), which SB ranks
+// against: an ROI is the set of tiles visited between a zoom-in and the
+// following zoom-out (one zoom-in, zero or more pans, one zoom-out).
 type History struct {
-	cap  int
-	reqs []Request
+	reqs []Request // cap(reqs) is the window n
+	// Algorithm 1's state: inROI is set from a zoom-in to the next
+	// zoom-out, temp collects the tiles visited meanwhile and roi is the
+	// last completed ROI. Committing swaps the two backings, so a session
+	// reuses them instead of allocating an ROI per zoom.
+	inROI     bool
+	temp, roi []tile.Coord
 }
 
 // NewHistory returns a history window holding the last n requests.
 func NewHistory(n int) *History {
-	if n < 1 {
-		n = 1
-	}
-	return &History{cap: n}
+	return &History{reqs: make([]Request, 0, max(n, 1))}
 }
 
-// Push appends a request, evicting the oldest past capacity.
+// Push appends a request, evicting the oldest past capacity. The ROI
+// advances first, from the request alone, so an ROI longer than the window
+// is kept whole. Once the window is full the entries shift in place: a
+// steady session allocates nothing here.
 func (h *History) Push(r Request) {
-	h.reqs = append(h.reqs, r)
-	if len(h.reqs) > h.cap {
-		h.reqs = h.reqs[len(h.reqs)-h.cap:]
+	switch {
+	case r.Move.IsZoomIn():
+		h.inROI = true
+		h.temp = append(h.temp[:0], r.Coord)
+	case r.Move.IsZoomOut():
+		if h.inROI {
+			h.roi, h.temp = h.temp, h.roi[:0]
+			h.inROI = false
+		}
+	case h.inROI:
+		h.temp = append(h.temp, r.Coord)
 	}
+	if n := len(h.reqs); n > 0 && n == cap(h.reqs) {
+		h.reqs = append(h.reqs[:0], h.reqs[1:]...)
+	}
+	h.reqs = append(h.reqs, r)
 }
+
+// ROI returns the last completed region of interest in visit order, empty
+// before the session's first zoom-in/zoom-out pair. It is valid until the
+// next Push or Reset.
+func (h *History) ROI() []tile.Coord { return h.roi }
 
 // RecentMoves appends the retained moves to dst, oldest first, excluding
 // None and keeping only the n most recent. It allocates only when dst is
@@ -244,8 +269,10 @@ func (h *History) RecentMoves(dst []Move, n int) []Move {
 	return dst
 }
 
-// Reset clears the window.
-func (h *History) Reset() { h.reqs = h.reqs[:0] }
+// Reset clears the window and the ROI.
+func (h *History) Reset() {
+	h.reqs, h.temp, h.roi, h.inROI = h.reqs[:0], h.temp[:0], h.roi[:0], false
+}
 
 // SaveFile writes the trace as JSON.
 func (t *Trace) SaveFile(path string) error {

@@ -160,6 +160,75 @@ func TestHistoryMinCapacity(t *testing.T) {
 	}
 }
 
+// resetMove marks a TestHistoryROIAlgorithm1 step that calls Reset
+// instead of Push.
+const resetMove Move = -2
+
+// TestHistoryROIAlgorithm1: Push keeps the region of interest of
+// Algorithm 1 — the tiles from a zoom-in through the pans before the next
+// zoom-out — whatever the window's size, and Reset clears it.
+func TestHistoryROIAlgorithm1(t *testing.T) {
+	a := tile.Coord{Level: 3, Y: 2, X: 2}
+	b := a.Pan(0, 1)
+	c := b.Pan(1, 0)
+	d := tile.Coord{Level: 2, Y: 0, X: 0}
+	in := func(c tile.Coord) Request { return Request{Coord: c, Move: ZoomInNW} }
+	pan := func(c tile.Coord) Request { return Request{Coord: c, Move: PanRight} }
+	out := func(c tile.Coord) Request { return Request{Coord: c.Parent(), Move: ZoomOut} }
+	reset := Request{Move: resetMove}
+	var row []tile.Coord // a zoom-in and five pans: longer than the window
+	for x := range 6 {
+		row = append(row, tile.Coord{Level: 3, Y: 1, X: x})
+	}
+	for _, tc := range []struct {
+		name  string
+		steps []Request
+		want  []tile.Coord
+	}{
+		{"pending until the zoom-out", []Request{in(a), pan(b), pan(c)}, nil},
+		{"zoom-out commits", []Request{in(a), pan(b), pan(c), out(c)}, []tile.Coord{a, b, c}},
+		{"stray zoom-out keeps the ROI", []Request{in(a), pan(b), pan(c), out(c), out(c.Parent())}, []tile.Coord{a, b, c}},
+		{"new zoom-in starts afresh", []Request{in(a), pan(b), out(b), in(d), out(d)}, []tile.Coord{d}},
+		{"ROI longer than the window", []Request{in(row[0]), pan(row[1]), pan(row[2]), pan(row[3]), pan(row[4]), pan(row[5]), out(row[5])}, row},
+		{"Reset clears a completed ROI", []Request{in(a), pan(b), out(b), reset}, nil},
+		{"Reset clears a pending ROI", []Request{in(a), pan(b), reset, out(b)}, nil},
+	} {
+		h := NewHistory(3)
+		for _, r := range tc.steps {
+			if r.Move == resetMove {
+				h.Reset()
+			} else {
+				h.Push(r)
+			}
+		}
+		if got := h.ROI(); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: ROI = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestHistoryPushDoesNotAllocate: a full window shifts in place, and the
+// ROI reuses its buffers, so a steady session's pushes allocate nothing.
+func TestHistoryPushDoesNotAllocate(t *testing.T) {
+	h := NewHistory(3)
+	steady := []Request{{Move: None}, {Move: PanUp}, {Move: PanLeft}, {Move: ZoomOut}}
+	if n := testing.AllocsPerRun(100, func() {
+		for i := range 10 {
+			h.Push(steady[i%len(steady)])
+		}
+	}); n != 0 {
+		t.Errorf("10 pushes with no zoom-in pending allocate %v times, want 0", n)
+	}
+	zooms := []Request{{Move: ZoomInNW}, {Move: PanUp}, {Move: PanLeft}, {Move: ZoomOut}}
+	if n := testing.AllocsPerRun(100, func() {
+		for _, r := range zooms {
+			h.Push(r)
+		}
+	}); n != 0 {
+		t.Errorf("a zoom-in, two pans and a zoom-out allocate %v times, want 0", n)
+	}
+}
+
 func TestPhaseStrings(t *testing.T) {
 	if Foraging.String() != "Foraging" || Navigation.String() != "Navigation" ||
 		Sensemaking.String() != "Sensemaking" || PhaseUnknown.String() != "Unknown" {

@@ -78,7 +78,7 @@ func TestPrefetchPin(t *testing.T) {
 					rec.next = hs
 				}
 				eng, err := core.NewEngine(backend.NewDBMS(ds.Pyramid, backend.LatencyModel{}, nil),
-					arts.cls, arts.prior, arts.set.Session(),
+					arts.cls, arts.prior, arts.set.Models(),
 					core.Config{K: k, D: d, Feedback: rec, Consumption: rec})
 				if err != nil {
 					t.Fatal(err)
