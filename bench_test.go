@@ -167,10 +167,29 @@ func BenchmarkAblationAllocationPolicies(b *testing.B) {
 
 // Component-level benchmarks: the pieces the per-request path is made of.
 
-func BenchmarkWorldBuild(b *testing.B) {
+// BenchmarkBuildWorld times the deployment's world build on the default
+// 7/512 world: what setup.build_world_s reads.
+func BenchmarkBuildWorld(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildWorld(WorldConfig{Seed: 1, Size: 128, TileSize: 16}); err != nil {
+		if _, err := BuildWorld(WorldConfig{Seed: 7, Size: 512}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTrain times the deployment's one training pass over the 54
+// SimulateStudy(7) traces on the 7/512 world: what setup.train_s reads.
+func BenchmarkTrain(b *testing.B) {
+	ds, err := BuildWorld(WorldConfig{Seed: 7, Size: 512})
+	if err != nil {
+		b.Fatal(err)
+	}
+	traces := ds.SimulateStudy(7)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ds.Train(traces, MiddlewareConfig{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -50,6 +50,19 @@ func testWorld(t testing.TB) (*Dataset, []*Trace) {
 	return world, worldTr
 }
 
+// liveSessions reads the sessions field of GET /stats through the
+// server's handler.
+func liveSessions(t *testing.T, h http.Handler) int {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/stats", nil))
+	var st struct{ Sessions int }
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatalf("/stats: %v (%d %s)", err, rec.Code, rec.Body)
+	}
+	return st.Sessions
+}
+
 func TestBuildWorldPipeline(t *testing.T) {
 	ds, traces := testWorld(t)
 	if ds.Pyramid.NumLevels() != 5 {
@@ -394,8 +407,8 @@ func TestAsyncServerFacade(t *testing.T) {
 	if st.Pending != 0 || st.Inflight != 0 {
 		t.Errorf("scheduler not drained: %+v", st)
 	}
-	if srv.Sessions() != 2 {
-		t.Errorf("sessions = %d, want 2", srv.Sessions())
+	if n := liveSessions(t, srv); n != 2 {
+		t.Errorf("sessions = %d, want 2", n)
 	}
 }
 
@@ -435,8 +448,8 @@ func TestShardedServerFacade(t *testing.T) {
 	if st.Queued == 0 || st.Completed == 0 {
 		t.Errorf("sharded scheduler never ran: %+v", st)
 	}
-	if srv.Sessions() != fleet {
-		t.Errorf("sessions = %d, want %d", srv.Sessions(), fleet)
+	if n := liveSessions(t, srv); n != fleet {
+		t.Errorf("sessions = %d, want %d", n, fleet)
 	}
 	// The fleet's prefetches spread over more than one scheduler shard.
 	nonzero := 0
@@ -823,8 +836,8 @@ func TestServerTrainsModelsOnce(t *testing.T) {
 			}
 		}
 	}
-	if srv.Sessions() != 5 {
-		t.Fatalf("sessions = %d, want 5", srv.Sessions())
+	if n := liveSessions(t, srv); n != 5 {
+		t.Fatalf("sessions = %d, want 5", n)
 	}
 	if got := trainings.Load(); got != afterBuild {
 		t.Errorf("sessions 1..5 trained %d extra artifacts, want 0 (train once, share everywhere)",
@@ -1024,8 +1037,8 @@ func TestHotspotServerLearnsConsumption(t *testing.T) {
 	// Both engines exist and served; the deployment ran 3 models per
 	// session without error. (The shared-table unit behavior is pinned in
 	// internal/recommend; here we assert the full stack stays healthy.)
-	if srv.Sessions() != 2 {
-		t.Fatalf("sessions = %d, want 2", srv.Sessions())
+	if n := liveSessions(t, srv); n != 2 {
+		t.Fatalf("sessions = %d, want 2", n)
 	}
 }
 

@@ -109,7 +109,8 @@ func Generate(cfg Config) (*Dataset, error) {
 	maskData := make([]float64, n*n)
 	ds.Mask = maskData
 
-	// Static per-cell fields: land mask, elevation, base snow probability.
+	// Static per-cell fields: land mask and elevation. Only land cells read
+	// their elevation, so sea cells skip it.
 	elev := make([]float64, n*n)
 	for r := 0; r < n; r++ {
 		pr := (float64(r) + 0.5) / float64(n)
@@ -118,8 +119,8 @@ func Generate(cfg Config) (*Dataset, error) {
 			i := r*n + c
 			if cfg.isLand(pr, pc) {
 				maskData[i] = 1
+				elev[i] = cfg.elevation(pr, pc)
 			}
-			elev[i] = cfg.elevation(pr, pc)
 		}
 	}
 
@@ -154,12 +155,20 @@ func Generate(cfg Config) (*Dataset, error) {
 }
 
 // isLand reports whether normalized point (pr, pc) is on a continent. The
-// coastline is roughened with low-frequency noise.
+// coastline is roughened with low-frequency noise. fbm lies in [0, 1), so
+// the edge lies in [0.825, 1.175] and a point clear of that band is
+// settled without evaluating it.
 func (cfg Config) isLand(pr, pc float64) bool {
 	for _, ct := range cfg.Continents {
 		dr := (pr - ct.CenterR) / ct.RadiusR
 		dc := (pc - ct.CenterC) / ct.RadiusC
 		d := dr*dr + dc*dc
+		if d >= 1.2 {
+			continue
+		}
+		if d < 0.8 {
+			return true
+		}
 		edge := 1 + 0.35*(fbm(pc*12, pr*12, cfg.Seed+int64(len(ct.Name)), 3, 2, 0.5)-0.5)
 		if d < edge {
 			return true
@@ -175,6 +184,10 @@ func (cfg Config) elevation(pr, pc float64) float64 {
 	base := 0.12 * fbm(pc*6, pr*6, cfg.Seed+101, 3, 2, 0.5)
 	best := 0.0
 	for ri, rg := range cfg.Ranges {
+		// mass < 1e-4 once d² > 2·ln(1e4)·Width² ≈ 18.42·Width².
+		if segDist2(pr, pc, rg.R0, rg.C0, rg.R1, rg.C1) > 20*rg.Width*rg.Width {
+			continue
+		}
 		d := segDist(pr, pc, rg.R0, rg.C0, rg.R1, rg.C1)
 		mass := math.Exp(-(d * d) / (2 * rg.Width * rg.Width))
 		if mass < 1e-4 {
@@ -201,6 +214,9 @@ func (cfg Config) snowCover(pr, pc, elev float64, daySeed int64) float64 {
 	weather := 0.12 * (fbm(pc*25, pr*25, daySeed+23, 3, 2, 0.5) - 0.5)
 	snowLine := 0.45
 	for _, rg := range cfg.Ranges {
+		if segDist2(pr, pc, rg.R0, rg.C0, rg.R1, rg.C1) > 10*rg.Width*rg.Width {
+			continue // d ≥ 3·Width
+		}
 		d := segDist(pr, pc, rg.R0, rg.C0, rg.R1, rg.C1)
 		if d < rg.Width*3 {
 			snowLine = rg.SnowLine

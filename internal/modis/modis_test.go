@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -299,6 +300,87 @@ func TestStudyRegionsCoverRanges(t *testing.T) {
 			t.Errorf("region %q does not contain range %q midpoint", chk.region, chk.rng)
 		}
 	}
+}
+
+// TestBoundsMatchDirect: the bounds isLand, elevation and snowCover
+// settle cells with are exact — on five seeds, at every point of a fine
+// grid and at random points, each returns what evaluating every continent
+// and range in full returns, to the bit.
+func TestBoundsMatchDirect(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for seed := range int64(5) {
+		cfg := DefaultConfig(seed, 0)
+		var pts [][2]float64
+		for r := range 160 {
+			for c := range 160 {
+				pts = append(pts, [2]float64{(float64(r) + 0.5) / 160, (float64(c) + 0.5) / 160})
+			}
+		}
+		for range 10000 {
+			pts = append(pts, [2]float64{rng.Float64(), rng.Float64()})
+		}
+		for _, p := range pts {
+			pr, pc := p[0], p[1]
+			if got, want := cfg.isLand(pr, pc), isLandDirect(cfg, pr, pc); got != want {
+				t.Fatalf("seed %d (%v, %v): isLand = %v, direct %v", seed, pr, pc, got, want)
+			}
+			elev := cfg.elevation(pr, pc)
+			if want := elevationDirect(cfg, pr, pc); elev != want {
+				t.Fatalf("seed %d (%v, %v): elevation = %v, direct %v", seed, pr, pc, elev, want)
+			}
+			if got, want := cfg.snowCover(pr, pc, elev, seed+7919), snowCoverDirect(cfg, pr, pc, elev, seed+7919); got != want {
+				t.Fatalf("seed %d (%v, %v): snowCover = %v, direct %v", seed, pr, pc, got, want)
+			}
+		}
+	}
+}
+
+// isLandDirect is isLand evaluating every continent's coastline noise.
+func isLandDirect(cfg Config, pr, pc float64) bool {
+	for _, ct := range cfg.Continents {
+		dr := (pr - ct.CenterR) / ct.RadiusR
+		dc := (pc - ct.CenterC) / ct.RadiusC
+		edge := 1 + 0.35*(fbm(pc*12, pr*12, cfg.Seed+int64(len(ct.Name)), 3, 2, 0.5)-0.5)
+		if dr*dr+dc*dc < edge {
+			return true
+		}
+	}
+	return false
+}
+
+// elevationDirect is elevation computing every range's Gaussian mass.
+func elevationDirect(cfg Config, pr, pc float64) float64 {
+	base := 0.12 * fbm(pc*6, pr*6, cfg.Seed+101, 3, 2, 0.5)
+	best := 0.0
+	for ri, rg := range cfg.Ranges {
+		d := segDist(pr, pc, rg.R0, rg.C0, rg.R1, rg.C1)
+		mass := math.Exp(-(d * d) / (2 * rg.Width * rg.Width))
+		if mass < 1e-4 {
+			continue
+		}
+		relief := 0.55 + 0.45*ridged(pc*48, pr*48, cfg.Seed+int64(ri+1)*31337, 4)
+		best = max(best, mass*relief)
+	}
+	return clamp01(base + best)
+}
+
+// snowCoverDirect is snowCover measuring the distance to every range.
+func snowCoverDirect(cfg Config, pr, pc, elev float64, daySeed int64) float64 {
+	polar := 0.0
+	if pr < 0.09 {
+		polar = (0.09 - pr) / 0.09
+	} else if pr > 0.93 {
+		polar = (pr - 0.93) / 0.07
+	}
+	weather := 0.12 * (fbm(pc*25, pr*25, daySeed+23, 3, 2, 0.5) - 0.5)
+	snowLine := 0.45
+	for _, rg := range cfg.Ranges {
+		if segDist(pr, pc, rg.R0, rg.C0, rg.R1, rg.C1) < rg.Width*3 {
+			snowLine = rg.SnowLine
+			break
+		}
+	}
+	return clamp01((elev-snowLine)/0.18 + weather + polar*1.5)
 }
 
 func BenchmarkGenerate128(b *testing.B) {

@@ -77,12 +77,24 @@ func clamp01(v float64) float64 {
 // segDist returns the distance from point p to the segment a-b, with all
 // points given as (row, col) pairs in normalized [0,1] coordinates.
 func segDist(pr, pc, ar, ac, br, bc float64) float64 {
+	return math.Hypot(segOffset(pr, pc, ar, ac, br, bc))
+}
+
+// segDist2 is segDist squared, without the Hypot: a cheap bound check that
+// agrees with segDist to within rounding.
+func segDist2(pr, pc, ar, ac, br, bc float64) float64 {
+	er, ec := segOffset(pr, pc, ar, ac, br, bc)
+	return er*er + ec*ec
+}
+
+// segOffset returns p minus the point of segment a-b nearest to it.
+func segOffset(pr, pc, ar, ac, br, bc float64) (float64, float64) {
 	dr, dc := br-ar, bc-ac
 	l2 := dr*dr + dc*dc
 	if l2 == 0 {
-		return math.Hypot(pr-ar, pc-ac)
+		return pr - ar, pc - ac
 	}
 	t := ((pr-ar)*dr + (pc-ac)*dc) / l2
 	t = clamp01(t)
-	return math.Hypot(pr-(ar+t*dr), pc-(ac+t*dc))
+	return pr - (ar + t*dr), pc - (ac + t*dc)
 }

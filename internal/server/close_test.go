@@ -124,8 +124,8 @@ func TestCloseDetachesEngines(t *testing.T) {
 	if st := sched.Stats(); st.Sessions != 0 {
 		t.Errorf("scheduler still tracks %d sessions after Close", st.Sessions)
 	}
-	if srv.Sessions() != 0 {
-		t.Errorf("server still tracks %d sessions after Close", srv.Sessions())
+	if srv.gather(false).sessions != 0 {
+		t.Errorf("server still tracks %d sessions after Close", srv.gather(false).sessions)
 	}
 	srv.Close() // idempotent
 }

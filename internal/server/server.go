@@ -394,9 +394,6 @@ func (s *Server) releaseSessions(evicted []*session) {
 	}
 }
 
-// Sessions returns the number of live sessions.
-func (s *Server) Sessions() int { return s.gather(false).sessions }
-
 func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.meta)
 }

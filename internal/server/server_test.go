@@ -126,8 +126,8 @@ func TestSessionsAreIsolated(t *testing.T) {
 	if _, _, err := b.Tile(tile.Coord{}); err != nil {
 		t.Fatal(err)
 	}
-	if srv.Sessions() != 2 {
-		t.Errorf("sessions = %d, want 2", srv.Sessions())
+	if srv.gather(false).sessions != 2 {
+		t.Errorf("sessions = %d, want 2", srv.gather(false).sessions)
 	}
 	// Alice's position must not constrain Bob: Bob can zoom while Alice
 	// already zoomed elsewhere.
@@ -179,8 +179,8 @@ func TestSessionLRUCap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if srv.Sessions() != 2 {
-		t.Errorf("sessions = %d, want 2 (LRU cap)", srv.Sessions())
+	if srv.gather(false).sessions != 2 {
+		t.Errorf("sessions = %d, want 2 (LRU cap)", srv.gather(false).sessions)
 	}
 	if srv.gather(false).evicted != 1 {
 		t.Errorf("evicted = %d, want 1", srv.gather(false).evicted)
@@ -210,8 +210,8 @@ func TestSessionTTLEviction(t *testing.T) {
 	if _, _, err := b.Tile(tile.Coord{}); err != nil {
 		t.Fatal(err)
 	}
-	if srv.Sessions() != 2 {
-		t.Fatalf("sessions = %d, want 2", srv.Sessions())
+	if srv.gather(false).sessions != 2 {
+		t.Fatalf("sessions = %d, want 2", srv.gather(false).sessions)
 	}
 	// Two minutes later any access sweeps both idle sessions.
 	clock = clock.Add(2 * time.Minute)
@@ -219,8 +219,8 @@ func TestSessionTTLEviction(t *testing.T) {
 	if _, _, err := c.Tile(tile.Coord{}); err != nil {
 		t.Fatal(err)
 	}
-	if srv.Sessions() != 1 {
-		t.Errorf("sessions = %d, want 1 (a and b expired)", srv.Sessions())
+	if srv.gather(false).sessions != 1 {
+		t.Errorf("sessions = %d, want 1 (a and b expired)", srv.gather(false).sessions)
 	}
 	if srv.gather(false).evicted != 2 {
 		t.Errorf("evicted = %d, want 2", srv.gather(false).evicted)
@@ -244,8 +244,8 @@ func TestTTLRefreshOnAccess(t *testing.T) {
 			t.Fatalf("move %d: %v", i, err)
 		}
 	}
-	if srv.Sessions() != 1 || srv.gather(false).evicted != 0 {
-		t.Errorf("sessions = %d evicted = %d, want 1 and 0", srv.Sessions(), srv.gather(false).evicted)
+	if srv.gather(false).sessions != 1 || srv.gather(false).evicted != 0 {
+		t.Errorf("sessions = %d evicted = %d, want 1 and 0", srv.gather(false).sessions, srv.gather(false).evicted)
 	}
 }
 
@@ -335,9 +335,9 @@ func TestStatsAndResetDoNotCreateSessions(t *testing.T) {
 			t.Fatalf("reset of unknown session should be a 204 no-op: %v", err)
 		}
 	}
-	if srv.Sessions() != 1 || srv.gather(false).evicted != 0 {
+	if srv.gather(false).sessions != 1 || srv.gather(false).evicted != 0 {
 		t.Errorf("sessions = %d evicted = %d after probes, want 1 and 0",
-			srv.Sessions(), srv.gather(false).evicted)
+			srv.gather(false).sessions, srv.gather(false).evicted)
 	}
 	// The analyst's session survived and still has its history.
 	if _, _, err := a.Tile(tile.Coord{}.Child(tile.NW)); err != nil {

@@ -293,9 +293,9 @@ func TestMalformedTileDoesNotTouchSessions(t *testing.T) {
 			t.Errorf("malformed %q = %d, want 400", q, rec.Code)
 		}
 	}
-	if srv.Sessions() != 1 || srv.gather(false).evicted != 0 || built.Load() != 1 {
+	if srv.gather(false).sessions != 1 || srv.gather(false).evicted != 0 || built.Load() != 1 {
 		t.Errorf("sessions = %d evicted = %d factory runs = %d after malformed requests, want 1, 0, 1",
-			srv.Sessions(), srv.gather(false).evicted, built.Load())
+			srv.gather(false).sessions, srv.gather(false).evicted, built.Load())
 	}
 	if !srv.hasSession("analyst") {
 		t.Error("the analyst's session was evicted to answer a 400")

@@ -54,46 +54,49 @@ func gaussianKernel(sigma float64) []float64 {
 	return k
 }
 
-// blur applies a separable Gaussian with edge clamping.
-func blur(src []float64, size int, sigma float64) []float64 {
-	k := gaussianKernel(sigma)
+// dogKernels are the Gaussian stack's kernels, sigma = baseSigma·√2^s for
+// scale s. Built once and never written.
+var dogKernels = func() (ks [dogScales][]float64) {
+	sigma := baseSigma
+	for s := range ks {
+		ks[s] = gaussianKernel(sigma)
+		sigma *= math.Sqrt2
+	}
+	return ks
+}()
+
+// blur applies the separable kernel k to src with edge clamping, writing
+// dst and using tmp (each size x size) for the horizontal pass. Each row,
+// then each column, is first gathered into a line extended by clamped
+// copies of its edge cells, so every output sums its taps in kernel order
+// over one contiguous window.
+func blur(dst, tmp, src []float64, size int, k []float64) {
 	radius := len(k) / 2
-	tmp := make([]float64, len(src))
-	dst := make([]float64, len(src))
-	// Horizontal pass.
-	for y := 0; y < size; y++ {
-		row := y * size
-		for x := 0; x < size; x++ {
-			acc := 0.0
-			for i, w := range k {
-				sx := x + i - radius
-				if sx < 0 {
-					sx = 0
-				} else if sx >= size {
-					sx = size - 1
-				}
-				acc += w * src[row+sx]
+	line := make([]float64, size+2*radius)
+	// pass convolves the size lines of in into out; a line starts every
+	// step cells and its cells are stride apart.
+	pass := func(out, in []float64, step, stride int) {
+		for l := range size {
+			base := l * step
+			first, last := in[base], in[base+(size-1)*stride]
+			for j := range radius {
+				line[j], line[radius+size+j] = first, last
 			}
-			tmp[row+x] = acc
+			for j := range size {
+				line[radius+j] = in[base+j*stride]
+			}
+			for x := range size {
+				win := line[x : x+len(k)]
+				acc := 0.0
+				for i, w := range k {
+					acc += w * win[i]
+				}
+				out[base+x*stride] = acc
+			}
 		}
 	}
-	// Vertical pass.
-	for y := 0; y < size; y++ {
-		for x := 0; x < size; x++ {
-			acc := 0.0
-			for i, w := range k {
-				sy := y + i - radius
-				if sy < 0 {
-					sy = 0
-				} else if sy >= size {
-					sy = size - 1
-				}
-				acc += w * tmp[sy*size+x]
-			}
-			dst[y*size+x] = acc
-		}
-	}
-	return dst
+	pass(tmp, src, size, 1)
+	pass(dst, tmp, 1, size)
 }
 
 // detectKeypoints finds up to maxKP DoG extrema in the grid (values in
@@ -102,20 +105,21 @@ func detectKeypoints(grid []float64, size, maxKP int) []keypoint {
 	if size < 8 {
 		return nil
 	}
-	// Build the Gaussian stack and DoG layers.
+	// Build the Gaussian stack in one backing, then turn it into the DoG
+	// layers in place: layer s becomes gauss[s+1] − gauss[s], s ascending.
+	n := size * size
+	buf := make([]float64, (dogScales+1)*n)
+	tmp := buf[dogScales*n:]
 	gauss := make([][]float64, dogScales)
-	sigma := baseSigma
-	for s := 0; s < dogScales; s++ {
-		gauss[s] = blur(grid, size, sigma)
-		sigma *= math.Sqrt2
+	for s := range gauss {
+		gauss[s] = buf[s*n : (s+1)*n]
+		blur(gauss[s], tmp, grid, size, dogKernels[s])
 	}
-	dog := make([][]float64, dogScales-1)
-	for s := 0; s < dogScales-1; s++ {
-		d := make([]float64, len(grid))
+	dog := gauss[:dogScales-1]
+	for s, d := range dog {
 		for i := range d {
-			d[i] = gauss[s+1][i] - gauss[s][i]
+			d[i] = gauss[s+1][i] - d[i]
 		}
-		dog[s] = d
 	}
 	var kps []keypoint
 	// Interior 3x3x3 extrema across the middle DoG layers.
@@ -184,47 +188,77 @@ func isExtremum(dog [][]float64, size, s, y, x int, v float64) bool {
 	return isMax || isMin
 }
 
-// describePatch computes the upright 128-d SIFT descriptor of the 16x16
-// patch centered at (cy, cx): gradient orientation histograms over a 4x4
-// cell grid, Gaussian-weighted by distance from the center, L2-normalized
-// with the standard 0.2 clamp and renormalization.
-func describePatch(grid []float64, size, cy, cx int) []float64 {
-	desc := make([]float64, descriptorSize)
-	const patch = 16
-	half := patch / 2
-	cell := patch / descriptorCells
+// patchSide is the side of a descriptor's patch, centered on its keypoint.
+const patchSide = 16
+
+// patchWeights[dy+8][dx+8] is the Gaussian weight (sigma 8) of the patch
+// pixel at offset (dy, dx) from the center. Built once and never written.
+var patchWeights = func() (w [patchSide][patchSide]float64) {
+	half := patchSide / 2
 	sigma := float64(half)
-	at := func(y, x int) float64 {
-		if y < 0 {
-			y = 0
-		} else if y >= size {
-			y = size - 1
-		}
-		if x < 0 {
-			x = 0
-		} else if x >= size {
-			x = size - 1
-		}
-		return grid[y*size+x]
-	}
 	for dy := -half; dy < half; dy++ {
 		for dx := -half; dx < half; dx++ {
-			y, x := cy+dy, cx+dx
+			w[dy+half][dx+half] = math.Exp(-(float64(dy*dy) + float64(dx*dx)) / (2 * sigma * sigma))
+		}
+	}
+	return w
+}()
+
+// gradients holds the gradient magnitude and orientation bin of each
+// pixel of [−1, size]², from the edge-clamped grid: past the tile's edge
+// the clamped grid is constant across the edge, so any pixel farther out
+// has the gradient of the nearest one of these. One Compute or
+// TrainCodebook call owns each table.
+type gradients struct {
+	grid []float64 // the normalized grid the table was computed from
+	size int
+	mag  []float64 // row-major, (size+2)², pixel (y, x) at (y+1)·(size+2) + x+1
+	bin  []uint8
+}
+
+func newGradients(grid []float64, size int) *gradients {
+	side := size + 2
+	gr := &gradients{grid: grid, size: size, mag: make([]float64, side*side), bin: make([]uint8, side*side)}
+	at := func(y, x int) float64 { return grid[min(max(y, 0), size-1)*size+min(max(x, 0), size-1)] }
+	for y := -1; y <= size; y++ {
+		for x := -1; x <= size; x++ {
 			gy := at(y+1, x) - at(y-1, x)
 			gx := at(y, x+1) - at(y, x-1)
-			mag := math.Hypot(gx, gy)
-			if mag == 0 {
-				continue
+			if gx == 0 && gy == 0 {
+				continue // Hypot is 0
 			}
 			theta := math.Atan2(gy, gx) // [-pi, pi]
 			bin := int((theta + math.Pi) / (2 * math.Pi) * descriptorBins)
 			if bin >= descriptorBins {
 				bin = descriptorBins - 1
 			}
-			w := math.Exp(-(float64(dy*dy) + float64(dx*dx)) / (2 * sigma * sigma))
-			cr := (dy + half) / cell
-			cc := (dx + half) / cell
-			desc[(cr*descriptorCells+cc)*descriptorBins+bin] += w * mag
+			i := (y+1)*side + x + 1
+			gr.mag[i], gr.bin[i] = math.Hypot(gx, gy), uint8(bin)
+		}
+	}
+	return gr
+}
+
+// describe writes into desc (descriptorSize zeros) the upright 128-d SIFT
+// descriptor of the 16x16 patch centered at (cy, cx): gradient orientation
+// histograms over a 4x4 cell grid, Gaussian-weighted by distance from the
+// center, L2-normalized with the standard 0.2 clamp and renormalization.
+func (gr *gradients) describe(desc []float64, cy, cx int) []float64 {
+	const half = patchSide / 2
+	const cell = patchSide / descriptorCells
+	side := gr.size + 2
+	var col [patchSide]int // the table column of each patch column
+	for dx := range col {
+		col[dx] = min(max(cx+dx-half, -1), gr.size) + 1
+	}
+	for dy := range patchSide {
+		row := (min(max(cy+dy-half, -1), gr.size) + 1) * side
+		for dx, c := range col {
+			mag := gr.mag[row+c]
+			if mag == 0 {
+				continue
+			}
+			desc[(dy/cell*descriptorCells+dx/cell)*descriptorBins+int(gr.bin[row+c])] += patchWeights[dy][dx] * mag
 		}
 	}
 	// L2 normalize, clamp at 0.2, renormalize (standard SIFT illumination

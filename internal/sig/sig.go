@@ -111,15 +111,16 @@ func (c *Computer) TrainCodebook(tiles []*tile.Tile) {
 		if g == nil {
 			continue
 		}
+		gr := newGradients(g, t.Size)
 		kps := detectKeypoints(g, t.Size, c.cfg.MaxKeypoints)
 		for _, kp := range kps {
-			descs = append(descs, describePatch(g, t.Size, kp.y, kp.x))
+			descs = append(descs, gr.describe(make([]float64, descriptorSize), kp.y, kp.x))
 		}
 		// Include a sparse sample of dense descriptors so the codebook also
 		// covers textureless regions that keypoint detection skips.
 		for y := c.cfg.DenseStride / 2; y < t.Size; y += c.cfg.DenseStride * 2 {
 			for x := c.cfg.DenseStride / 2; x < t.Size; x += c.cfg.DenseStride * 2 {
-				descs = append(descs, describePatch(g, t.Size, y, x))
+				descs = append(descs, gr.describe(make([]float64, descriptorSize), y, x))
 			}
 		}
 	}
@@ -135,9 +136,15 @@ func (c *Computer) Compute(t *tile.Tile) map[string][]float64 {
 	out[NameNormal] = c.Normal(t)
 	out[NameHistogram] = c.Histogram(t)
 	if c.codebook != nil {
-		g := c.normalizeGrid(t)
-		out[NameSIFT] = c.SIFT(t, g)
-		out[NameDenseSIFT] = c.DenseSIFT(t, g)
+		sift, dense := make([]float64, c.cfg.Words), make([]float64, 4*c.cfg.Words)
+		if g := c.normalizeGrid(t); g != nil {
+			// Both signatures describe patches of the one gradient table.
+			gr := newGradients(g, t.Size)
+			desc := make([]float64, descriptorSize)
+			c.sift(sift, gr, desc)
+			c.denseSIFT(dense, gr, desc)
+		}
+		out[NameSIFT], out[NameDenseSIFT] = sift, dense
 	}
 	return out
 }
@@ -190,48 +197,29 @@ func (c *Computer) Histogram(t *tile.Tile) []float64 {
 	return h
 }
 
-// SIFT computes the bag-of-visual-words histogram over detected keypoint
-// descriptors. grid may be nil, in which case it is recomputed.
-func (c *Computer) SIFT(t *tile.Tile, grid []float64) []float64 {
-	h := make([]float64, c.cfg.Words)
-	if c.codebook == nil {
-		return h
-	}
-	if grid == nil {
-		grid = c.normalizeGrid(t)
-	}
-	if grid == nil {
-		return h
-	}
-	kps := detectKeypoints(grid, t.Size, c.cfg.MaxKeypoints)
+// sift fills h (Words zeros) with the bag-of-visual-words histogram over
+// the tile's detected keypoint descriptors. desc is scratch.
+func (c *Computer) sift(h []float64, gr *gradients, desc []float64) {
+	kps := detectKeypoints(gr.grid, gr.size, c.cfg.MaxKeypoints)
 	for _, kp := range kps {
-		w := c.codebook.Assign(describePatch(grid, t.Size, kp.y, kp.x))
-		h[w]++
+		clear(desc)
+		h[c.codebook.Assign(gr.describe(desc, kp.y, kp.x))]++
 	}
 	normalizeSum(h)
-	return h
 }
 
-// DenseSIFT computes descriptors on a dense grid and pools the quantized
-// words into 2x2 spatial quadrant histograms, concatenated. Unlike SIFT it
-// therefore encodes *where* landmarks sit in the tile, which is why it
-// matches whole images rather than local regions (paper §5.4.2).
-func (c *Computer) DenseSIFT(t *tile.Tile, grid []float64) []float64 {
-	k := c.cfg.Words
-	h := make([]float64, 4*k)
-	if c.codebook == nil {
-		return h
-	}
-	if grid == nil {
-		grid = c.normalizeGrid(t)
-	}
-	if grid == nil {
-		return h
-	}
-	half := t.Size / 2
-	for y := c.cfg.DenseStride / 2; y < t.Size; y += c.cfg.DenseStride {
-		for x := c.cfg.DenseStride / 2; x < t.Size; x += c.cfg.DenseStride {
-			w := c.codebook.Assign(describePatch(grid, t.Size, y, x))
+// denseSIFT fills h (4·Words zeros) with descriptors computed on a dense
+// grid, their quantized words pooled into 2x2 spatial quadrant histograms,
+// concatenated. Unlike sift it therefore encodes *where* landmarks sit in
+// the tile, which is why it matches whole images rather than local regions
+// (paper §5.4.2). desc is scratch.
+func (c *Computer) denseSIFT(h []float64, gr *gradients, desc []float64) {
+	k, size := c.cfg.Words, gr.size
+	half := size / 2
+	for y := c.cfg.DenseStride / 2; y < size; y += c.cfg.DenseStride {
+		for x := c.cfg.DenseStride / 2; x < size; x += c.cfg.DenseStride {
+			clear(desc)
+			w := c.codebook.Assign(gr.describe(desc, y, x))
 			quad := 0
 			if y >= half {
 				quad += 2
@@ -243,7 +231,6 @@ func (c *Computer) DenseSIFT(t *tile.Tile, grid []float64) []float64 {
 		}
 	}
 	normalizeSum(h)
-	return h
 }
 
 // normalizeGrid maps the tile's attribute grid into [0,1] with NaN -> 0.

@@ -198,7 +198,7 @@ func TestDescriptorNormalized(t *testing.T) {
 	tl := blobTile(32, 12, 20, 1)
 	c := testComputer()
 	g := c.normalizeGrid(tl)
-	d := describePatch(g, 32, 12, 20)
+	d := newGradients(g, 32).describe(make([]float64, descriptorSize), 12, 20)
 	if len(d) != descriptorSize {
 		t.Fatalf("descriptor len = %d, want %d", len(d), descriptorSize)
 	}
@@ -216,7 +216,7 @@ func TestDescriptorNormalized(t *testing.T) {
 
 func TestDescriptorFlatPatchIsZero(t *testing.T) {
 	g := make([]float64, 32*32)
-	d := describePatch(g, 32, 16, 16)
+	d := newGradients(g, 32).describe(make([]float64, descriptorSize), 16, 16)
 	for i, v := range d {
 		if v != 0 {
 			t.Fatalf("flat patch descriptor[%d] = %v", i, v)
@@ -309,9 +309,9 @@ func TestSIFTMatchesLandmarks(t *testing.T) {
 	blobB := blobTile(32, 22, 18, 0.9)
 	flat := mkTile(32, func(y, x int) float64 { return 0.3 + 0.001*float64(x) })
 	c.TrainCodebook([]*tile.Tile{blobA, blobB, flat})
-	sa := c.SIFT(blobA, nil)
-	sb := c.SIFT(blobB, nil)
-	sf := c.SIFT(flat, nil)
+	sa := c.Compute(blobA)[NameSIFT]
+	sb := c.Compute(blobB)[NameSIFT]
+	sf := c.Compute(flat)[NameSIFT]
 	dSimilar := ChiSquared(sa, sb)
 	dDifferent := ChiSquared(sa, sf)
 	if !(dSimilar < dDifferent) {
@@ -328,8 +328,9 @@ func TestDenseSIFTIsPositionSensitive(t *testing.T) {
 	nw := blobTile(32, 7, 7, 1)
 	se := blobTile(32, 25, 25, 1)
 	c.TrainCodebook([]*tile.Tile{nw, se})
-	dense := ChiSquared(c.DenseSIFT(nw, nil), c.DenseSIFT(se, nil))
-	sparse := ChiSquared(c.SIFT(nw, nil), c.SIFT(se, nil))
+	a, b := c.Compute(nw), c.Compute(se)
+	dense := ChiSquared(a[NameDenseSIFT], b[NameDenseSIFT])
+	sparse := ChiSquared(a[NameSIFT], b[NameSIFT])
 	if !(dense > sparse) {
 		t.Errorf("densesift distance %v should exceed sift distance %v for moved landmark", dense, sparse)
 	}
@@ -361,10 +362,13 @@ func BenchmarkSIFTSignature(b *testing.B) {
 	tiles := []*tile.Tile{blobTile(64, 20, 20, 1), blobTile(64, 40, 44, 0.8)}
 	c.TrainCodebook(tiles)
 	tl := blobTile(64, 32, 32, 1)
+	g := c.normalizeGrid(tl)
+	h := make([]float64, c.cfg.Words)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.SIFT(tl, nil)
+		clear(h)
+		c.sift(h, newGradients(g, tl.Size), make([]float64, descriptorSize))
 	}
 }
 

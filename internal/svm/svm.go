@@ -171,6 +171,8 @@ func (c *Classifier) standardize(row []float64) []float64 {
 }
 
 // trainBinary runs simplified SMO (Platt / CS229 variant) on ±1 labels.
+// kernel must be bit-symmetric, as RBF is: (a−b)² and (b−a)² are the same
+// float, so half the Gram matrix is computed and mirrored.
 func trainBinary(x [][]float64, y []float64, kernel Kernel) *binary {
 	n := len(x)
 	m := &binary{alphas: make([]float64, n), x: x, y: y}
@@ -178,23 +180,35 @@ func trainBinary(x [][]float64, y []float64, kernel Kernel) *binary {
 		return m
 	}
 	rng := rand.New(rand.NewSource(int64(n)))
-	// Cache the kernel matrix: training sets here are small (hundreds of
-	// requests), so O(n²) memory is the right trade.
-	gram := make([][]float64, n)
-	for i := range gram {
-		gram[i] = make([]float64, n)
-		for j := range gram[i] {
-			gram[i][j] = kernel(x[i], x[j])
+	// Cache the kernel matrix, row-major in one backing: training sets here
+	// are small (hundreds of requests), so O(n²) memory is the right trade.
+	gram := make([]float64, n*n)
+	for i := range n {
+		for j := i; j < n; j++ {
+			v := kernel(x[i], x[j])
+			gram[i*n+j], gram[j*n+i] = v, v
 		}
 	}
 	// active lists the non-zero alphas' indices in ascending order, so f adds
 	// the same terms in the same order as a scan of all n; most stay zero.
+	// ay[k] is alphas[active[k]]·y[active[k]], the product f scales by.
 	var active []int
+	var ay []float64
+	// f(i) depends only on the alphas and the bias, which change only on an
+	// accepted step, so each value is kept until the next one. fAt[i] is
+	// fVal[i]'s step, counted from 1 so that no zero entry is current.
+	steps := 1
+	fVal, fAt := make([]float64, n), make([]int, n)
 	f := func(i int) float64 {
-		s := -m.b
-		for _, k := range active {
-			s += m.alphas[k] * y[k] * gram[k][i]
+		if fAt[i] == steps {
+			return fVal[i]
 		}
+		s := -m.b
+		row := gram[i*n : (i+1)*n]
+		for k, a := range active {
+			s += ay[k] * row[a]
+		}
+		fVal[i], fAt[i] = s, steps
 		return s
 	}
 
@@ -224,7 +238,8 @@ func trainBinary(x [][]float64, y []float64, kernel Kernel) *binary {
 			if lo == hi {
 				continue
 			}
-			eta := 2*gram[i][j] - gram[i][i] - gram[j][j]
+			gii, gij, gjj := gram[i*n+i], gram[i*n+j], gram[j*n+j]
+			eta := 2*gij - gii - gjj
 			if eta >= 0 {
 				continue
 			}
@@ -238,8 +253,8 @@ func trainBinary(x [][]float64, y []float64, kernel Kernel) *binary {
 				continue
 			}
 			aiNew := ai + y[i]*y[j]*(aj-ajNew)
-			b1 := m.b + ei + y[i]*(aiNew-ai)*gram[i][i] + y[j]*(ajNew-aj)*gram[i][j]
-			b2 := m.b + ej + y[i]*(aiNew-ai)*gram[i][j] + y[j]*(ajNew-aj)*gram[j][j]
+			b1 := m.b + ei + y[i]*(aiNew-ai)*gii + y[j]*(ajNew-aj)*gij
+			b2 := m.b + ej + y[i]*(aiNew-ai)*gij + y[j]*(ajNew-aj)*gjj
 			switch {
 			case aiNew > 0 && aiNew < penalty:
 				m.b = b1
@@ -250,10 +265,12 @@ func trainBinary(x [][]float64, y []float64, kernel Kernel) *binary {
 			}
 			m.alphas[i], m.alphas[j] = aiNew, ajNew
 			changed++
-			active = active[:0]
+			steps++
+			active, ay = active[:0], ay[:0]
 			for k, a := range m.alphas {
 				if a != 0 {
 					active = append(active, k)
+					ay = append(ay, a*y[k])
 				}
 			}
 		}

@@ -218,6 +218,12 @@ type History struct {
 	temp, roi []tile.Coord
 }
 
+// maxROI bounds a region of interest to the most recent tiles visited in
+// it. SB ranks every candidate against every ROI tile, so an analyst who
+// pans at one zoom level for a long time would otherwise make each
+// prediction slower without bound. The study's longest ROI is 21 tiles.
+const maxROI = 64
+
 // NewHistory returns a history window holding the last n requests.
 func NewHistory(n int) *History {
 	return &History{reqs: make([]Request, 0, max(n, 1))}
@@ -225,8 +231,9 @@ func NewHistory(n int) *History {
 
 // Push appends a request, evicting the oldest past capacity. The ROI
 // advances first, from the request alone, so an ROI longer than the window
-// is kept whole. Once the window is full the entries shift in place: a
-// steady session allocates nothing here.
+// is kept whole up to maxROI tiles, its most recent ones. Once the window
+// is full the entries shift in place: a steady session allocates nothing
+// here.
 func (h *History) Push(r Request) {
 	switch {
 	case r.Move.IsZoomIn():
@@ -238,6 +245,9 @@ func (h *History) Push(r Request) {
 			h.inROI = false
 		}
 	case h.inROI:
+		if len(h.temp) == maxROI {
+			h.temp = append(h.temp[:0], h.temp[1:]...)
+		}
 		h.temp = append(h.temp, r.Coord)
 	}
 	if n := len(h.reqs); n > 0 && n == cap(h.reqs) {

@@ -207,6 +207,26 @@ func TestHistoryROIAlgorithm1(t *testing.T) {
 	}
 }
 
+// TestHistoryROIKeepsTheLastMaxROI: an ROI of one zoom-in, 999 pans and a
+// zoom-out keeps only the last maxROI (64) tiles visited, in visit order.
+func TestHistoryROIKeepsTheLastMaxROI(t *testing.T) {
+	h := NewHistory(3)
+	var visited []tile.Coord
+	for i := range 1000 {
+		c := tile.Coord{Level: 10, Y: i / 1024, X: i % 1024}
+		move := PanRight
+		if i == 0 {
+			move = ZoomInNW
+		}
+		h.Push(Request{Coord: c, Move: move})
+		visited = append(visited, c)
+	}
+	h.Push(Request{Coord: tile.Coord{Level: 9}, Move: ZoomOut})
+	if got, want := h.ROI(), visited[len(visited)-64:]; !slices.Equal(got, want) {
+		t.Errorf("ROI has %d tiles %v…, want the last 64 visited %v…", len(got), got[:min(len(got), 2)], want[:2])
+	}
+}
+
 // TestHistoryPushDoesNotAllocate: a full window shifts in place, and the
 // ROI reuses its buffers, so a steady session's pushes allocate nothing.
 func TestHistoryPushDoesNotAllocate(t *testing.T) {
