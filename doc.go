@@ -83,7 +83,9 @@
 //     state stay deployment-wide and /metrics renders the per-shard
 //     series (forecache_prefetch_shard_*{shard="0"}) from the same pass
 //     as their totals; Shards=1, the default, is the same
-//     prefetch.Scheduler with one shard;
+//     prefetch.Scheduler with one shard. A server session is one object,
+//     its engine plus its own prefetch-queue and push handles, which
+//     eviction closes without touching a newer session of the same id;
 //   - push-based continuous delivery (internal/push): with
 //     MiddlewareConfig.Push (always on in serve) the server mounts GET /stream —
 //     one long-lived response per session, SSE or (negotiated as on
@@ -93,8 +95,8 @@
 //     coordinate, model attribution and score, with heartbeats while
 //     idle and teardown on session eviction
 //     and Close (Khameleon-style: round-trip latency moves from
-//     paid-per-pan to hidden-behind-the-stream). The registry measures
-//     each stream's drain rate from real writes and the scheduler's
+//     paid-per-pan to hidden-behind-the-stream). Each session's push
+//     handle measures its stream's drain rate from real writes and the scheduler's
 //     admission control ages queued entries by queue-rank × drain delay,
 //     so a slow connection's backlog loses shed fights it would have won
 //     on score alone. The Go client (client.Attach) keeps a bounded

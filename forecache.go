@@ -536,12 +536,11 @@ func (d *Dataset) newServer(train []*trace.Trace, cfg MiddlewareConfig) (*server
 		if cfg.UtilityLearning {
 			pcfg.Utility = fc
 		}
-		// One registry is both the scheduler's push sink (frame production)
-		// and the server's /stream transport (frame drain), so the two sides
-		// can never disagree about which sessions have live streams.
+		// The server opens each session's push handle here and makes it the
+		// push sink of the session's scheduler handle: frame production and
+		// the /stream transport share one session object.
 		if cfg.Push {
 			streams = push.NewRegistry(push.Config{Obs: pipe, Encoded: encCache})
-			pcfg.Push = streams
 		}
 		sched = prefetch.NewScheduler(store, pcfg)
 	}
@@ -598,14 +597,11 @@ func (d *Dataset) newServer(train []*trace.Trace, cfg MiddlewareConfig) (*server
 	}
 	// Only the cheap per-session state is fresh per engine: the cache
 	// manager and the history window, which carries the session's region
-	// of interest. Every engine ranks with the same shared models.
-	factory := func(session string) (*core.Engine, error) {
+	// of interest, plus the prefetch handle the server opened for the
+	// session. Every engine ranks with the same shared models.
+	factory := func(q core.Submitter) (*core.Engine, error) {
 		ecfg := ecfg // this session's copy
-		if sched != nil {
-			// Bound to the session's home shard once, here: the routing hash
-			// is paid per session, not per request.
-			ecfg.Scheduler, ecfg.Session = sched.Shard(session), session
-		}
+		ecfg.Scheduler = q
 		return core.NewEngine(store, arts.cls, policy, arts.set.Models(), ecfg)
 	}
 	return server.New(meta, factory, server.Config{

@@ -557,11 +557,3 @@ func (m *Manager) Generation() uint64 {
 	defer m.mu.Unlock()
 	return m.gen
 }
-
-// Invalidate moves to a new Generation without clearing anything: every
-// delivery still outstanding is dropped when it arrives.
-func (m *Manager) Invalidate() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.gen++
-}

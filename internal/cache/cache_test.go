@@ -208,7 +208,7 @@ func TestConcurrentDeliveriesAcrossGenerations(t *testing.T) {
 	m := NewManager(4)
 	m.SetAllocations(map[string]int{"ab": 4, "old": 4})
 	stale := m.Generation()
-	m.Invalidate()
+	m.Clear()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -224,7 +224,7 @@ func TestConcurrentDeliveriesAcrossGenerations(t *testing.T) {
 				case 2:
 					m.Lookup(tl.Coord)
 				default:
-					m.Invalidate()
+					m.Clear()
 				}
 			}
 		}(g)
@@ -309,17 +309,15 @@ func TestInsertPredictionRingBehavior(t *testing.T) {
 }
 
 // TestInsertPredictionDropsOlderGeneration: a delivery requested before a
-// Clear or an Invalidate never lands; one requested after does.
+// Clear never lands; one requested after does.
 func TestInsertPredictionDropsOlderGeneration(t *testing.T) {
 	m := NewManager(2)
 	m.SetAllocations(map[string]int{"ab": 2})
-	for _, bump := range []func(){m.Clear, m.Invalidate} {
-		stale := m.Generation()
-		bump()
-		m.InsertPrediction("ab", stale, mkTile(2, 0, 0), 0, trace.Foraging)
-		if len(predicted(m)) != 0 {
-			t.Fatal("a delivery from an older generation must be dropped")
-		}
+	stale := m.Generation()
+	m.Clear()
+	m.InsertPrediction("ab", stale, mkTile(2, 0, 0), 0, trace.Foraging)
+	if len(predicted(m)) != 0 {
+		t.Fatal("a delivery from an older generation must be dropped")
 	}
 	m.InsertPrediction("ab", m.Generation(), mkTile(2, 0, 0), 0, trace.Foraging)
 	if len(predicted(m)) != 1 {

@@ -35,11 +35,12 @@ func (g *gatedStore) FetchQuiet(c tile.Coord) (*tile.Tile, error) {
 	return g.DBMS.FetchQuiet(c)
 }
 
-func newAsyncEngine(t *testing.T, store backend.Store, sched Submitter, session string) *Engine {
+// newAsyncEngine builds an engine over a fresh handle for session on sched.
+func newAsyncEngine(t *testing.T, store backend.Store, sched *prefetch.Scheduler, session string) *Engine {
 	t.Helper()
 	m := recommend.NewMomentum()
 	eng, err := NewEngine(store, nil, SinglePolicy{Model: m.Name()},
-		[]recommend.Model{m}, Config{K: 4, Scheduler: sched, Session: session})
+		[]recommend.Model{m}, Config{K: 4, Scheduler: sched.Open(session, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,35 +252,41 @@ func TestResetDropsStaleDeliveries(t *testing.T) {
 	}
 }
 
-// TestDetachSchedulerFallsBackToInline: the scheduler's deliveries still in
-// flight at the detach are dropped, and the detached engine keeps serving,
-// prefetching inline.
-func TestDetachSchedulerFallsBackToInline(t *testing.T) {
+// TestClosedHandleRefusesLaterBatches: once the engine's scheduler handle
+// is closed (its session was evicted), a request still running on the
+// engine is served but queues nothing, and deliveries already in flight
+// complete normally.
+func TestClosedHandleRefusesLaterBatches(t *testing.T) {
 	db := testDBMS(t)
 	store := &gatedStore{DBMS: db, gate: make(chan struct{})}
 	sched := prefetch.NewScheduler(store, prefetch.Config{Workers: 2})
 	defer sched.Close()
 
-	eng := newAsyncEngine(t, store, sched, "s1")
+	h := sched.Open("s1", nil)
+	m := recommend.NewMomentum()
+	eng, err := NewEngine(store, nil, SinglePolicy{Model: m.Name()}, []recommend.Model{m}, Config{K: 4, Scheduler: h})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := eng.Request(tile.Coord{}); err != nil {
 		t.Fatal(err)
 	}
-	eng.DetachScheduler()
-	close(store.gate)
-	sched.Drain()
-	if st := eng.CacheStats(); st.Prefetched != 0 {
-		t.Errorf("Prefetched = %d after detach, want 0 (the scheduler's deliveries dropped)", st.Prefetched)
-	}
-	eng.Reset()
-	if _, err := eng.Request(tile.Coord{}); err != nil {
-		t.Fatal(err)
-	}
-	// Inline prefetch: the child is cached by the time Request returns.
+	h.Close()
+	queued := sched.Stats().Queued
 	resp, err := eng.Request(tile.Coord{}.Child(tile.NW))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resp.Hit {
-		t.Error("inline-prefetched child should hit after detach")
+	if len(resp.Prefetched) == 0 {
+		t.Fatal("the engine ranked no batch")
+	}
+	close(store.gate)
+	sched.Drain()
+	st := sched.Stats()
+	if st.Queued != queued || st.Sessions != 0 {
+		t.Errorf("a closed handle queued %d more entries and left %d sessions, want 0 and 0", st.Queued-queued, st.Sessions)
+	}
+	if st.Cancelled+st.Completed != st.Queued {
+		t.Errorf("accounting: cancelled %d + completed %d != queued %d", st.Cancelled, st.Completed, st.Queued)
 	}
 }

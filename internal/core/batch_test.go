@@ -113,8 +113,8 @@ func TestRequestFetchesEachPredictedTileOnce(t *testing.T) {
 // nopSubmitter accepts every batch and fetches nothing.
 type nopSubmitter struct{}
 
-func (nopSubmitter) Submit(_ string, reqs []prefetch.Request) int { return len(reqs) }
-func (nopSubmitter) CancelSession(string)                         {}
+func (nopSubmitter) Submit(reqs []prefetch.Request) int { return len(reqs) }
+func (nopSubmitter) Cancel()                            {}
 
 // requestAllocs is the mean allocation count of one zoom-in, zoom-out
 // round trip after the engine's first request.
@@ -144,7 +144,7 @@ func TestRequestAllocCeiling(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng, err := NewEngine(testDBMS(t), nil, SinglePolicy{Model: ab.Name()},
-		[]recommend.Model{ab}, Config{K: 5, Scheduler: nopSubmitter{}, Session: "s"})
+		[]recommend.Model{ab}, Config{K: 5, Scheduler: nopSubmitter{}})
 	if err != nil {
 		t.Fatal(err)
 	}

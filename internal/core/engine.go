@@ -38,16 +38,15 @@ type Config struct {
 	// RecentTiles is the LRU region capacity for the last requested tiles.
 	RecentTiles int
 
-	// Scheduler is the Submitter each request's ranked batch is handed to,
-	// under the Session id; its deliveries land in this engine's cache as
-	// they complete. Nil means the inline submitter: the paper's think-time
-	// model, which fetches and delivers the whole batch before Request
-	// returns (what the eval harness replays, deterministically). A shared
-	// *prefetch.Scheduler instead fetches off the response path. The engine
-	// always hands over its whole batch: how much of it to admit under load
-	// is the scheduler's decision (its global admission control).
+	// Scheduler is the Submitter each request's ranked batch is handed to;
+	// its deliveries land in this engine's cache as they complete. Nil
+	// means the inline submitter: the paper's think-time model, which
+	// fetches and delivers the whole batch before Request returns (what the
+	// eval harness replays, deterministically). The session's handle on the
+	// shared scheduler (*prefetch.Session) instead fetches off the response
+	// path. The engine always hands over its whole batch: how much of it to
+	// admit under load is the scheduler's decision.
 	Scheduler Submitter
-	Session   string
 	// Feedback closes the prediction-quality loop: the engine tracks each
 	// prefetched tile's fate in its cache (consumed vs evicted unconsumed,
 	// attributed to the model, batch position and predicted phase that
@@ -108,15 +107,15 @@ type Response struct {
 	Prefetched []tile.Coord
 }
 
-// Submitter is the prefetch pipeline engines hand ranked candidate batches
-// to: a *prefetch.Shard or *prefetch.Scheduler, or the engine's inline
-// submitter. Submit (called under the engine's lock) takes a batch, admits
-// as much of it as its own admission control allows, and calls each
-// admitted entry's Deliver once its tile is fetched, now or later;
-// CancelSession drops a session's still-queued entries.
+// Submitter is one session's prefetch pipeline, which its engine hands
+// ranked candidate batches to: the session's *prefetch.Session handle, or
+// the engine's inline submitter. Submit (called under the engine's lock)
+// takes a batch, admits as much of it as its own admission control allows,
+// and calls each admitted entry's Deliver once its tile is fetched, now or
+// later; Cancel drops the session's still-queued entries.
 type Submitter interface {
-	Submit(session string, reqs []prefetch.Request) int
-	CancelSession(session string)
+	Submit(reqs []prefetch.Request) int
+	Cancel()
 }
 
 // FeedbackObserver receives the cache's prefetch outcomes — "the tile
@@ -150,10 +149,7 @@ type Engine struct {
 	policy     AllocationPolicy
 	models     []recommend.Model // the deployment's shared models, by name: the ranking order
 
-	mu sync.Mutex
-	// sched starts as cfg.Scheduler (inline when nil) and is the one wired
-	// value that changes: DetachScheduler swaps in the inline submitter.
-	sched   Submitter
+	mu      sync.Mutex
 	cache   *cache.Manager
 	history *trace.History
 	last    trace.Request
@@ -188,12 +184,11 @@ func NewEngine(db backend.Store, classifier *phase.Classifier, policy Allocation
 		classifier: classifier,
 		policy:     policy,
 		models:     models,
-		sched:      cfg.Scheduler,
 		cache:      cache.NewManager(cfg.RecentTiles),
 		history:    trace.NewHistory(cfg.HistoryLen),
 	}
-	if e.sched == nil {
-		e.sched = inline{e}
+	if e.cfg.Scheduler == nil {
+		e.cfg.Scheduler = inline{e}
 	}
 	e.cache.TrackOutcomes(cfg.Feedback != nil || cfg.Consumption != nil)
 	e.cache.SetObs(cfg.Obs)
@@ -209,18 +204,6 @@ func (e *Engine) CachedPredictions() []cache.Prediction {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.cache.Predictions()
-}
-
-// DetachScheduler disconnects the engine from the shared scheduler; later
-// requests prefetch inline and pending deliveries are discarded. The server
-// calls this when evicting a session, before cancelling the session's
-// scheduler state: acquiring the engine lock waits out any in-flight
-// request, so no Submit can trail the detach and resurrect the session.
-func (e *Engine) DetachScheduler() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.sched = inline{e}
-	e.cache.Invalidate()
 }
 
 // CacheStats snapshots the cache counters (hit rate = prediction accuracy,
@@ -245,7 +228,7 @@ func (e *Engine) Reset() {
 	e.cache.ResetStats()
 	e.last = trace.Request{Move: trace.None}
 	e.started = false
-	e.sched.CancelSession(e.cfg.Session)
+	e.cfg.Scheduler.Cancel()
 }
 
 // Request serves a tile request addressed by coordinate, inferring the
@@ -404,7 +387,7 @@ func (e *Engine) rank(req trace.Request, allocs map[string]int) ([]prediction, [
 // submit hands the batch to the engine's submitter. Each entry's delivery
 // lands in its model's cache region at the batch position it was ranked at
 // and the phase predicted now, unless the cache has moved to a new
-// generation since (a Reset or a detach), in which case it is dropped. An
+// generation since (a Reset), in which case it is dropped. An
 // entry whose tile is already live in its model's region is refreshed in
 // place first, so the batch's other deliveries cannot ring it out as an
 // unconsumed miss before its own arrives. The caller holds e.mu.
@@ -423,7 +406,7 @@ func (e *Engine) submit(batch []prediction, ph trace.Phase) {
 			},
 		}
 	}
-	e.sched.Submit(e.cfg.Session, reqs)
+	e.cfg.Scheduler.Submit(reqs)
 }
 
 // inline is the Submitter of an engine built without a scheduler: the
@@ -433,7 +416,7 @@ func (e *Engine) submit(batch []prediction, ph trace.Phase) {
 // current view, off the response path); a failed fetch delivers nothing.
 type inline struct{ e *Engine }
 
-func (s inline) Submit(_ string, reqs []prefetch.Request) int {
+func (s inline) Submit(reqs []prefetch.Request) int {
 	tiles := make([]*tile.Tile, len(reqs)) // tiles[i] is reqs[i]'s tile
 	for i, r := range reqs {
 		if j := slices.IndexFunc(reqs[:i], func(q prefetch.Request) bool { return q.Coord == r.Coord }); j >= 0 {
@@ -448,4 +431,4 @@ func (s inline) Submit(_ string, reqs []prefetch.Request) int {
 	return len(reqs)
 }
 
-func (inline) CancelSession(string) {}
+func (inline) Cancel() {}

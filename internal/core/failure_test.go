@@ -35,7 +35,7 @@ type recordingSubmitter struct {
 	submitted []tile.Coord
 }
 
-func (r *recordingSubmitter) Submit(_ string, reqs []prefetch.Request) int {
+func (r *recordingSubmitter) Submit(reqs []prefetch.Request) int {
 	for _, q := range reqs {
 		r.submitted = append(r.submitted, q.Coord)
 	}
@@ -52,7 +52,7 @@ func TestEngineSurvivesBogusPredictions(t *testing.T) {
 		name := "inline"
 		cfg := Config{K: 3}
 		if sched != nil {
-			name, cfg.Scheduler, cfg.Session = "scheduler", sched, "s"
+			name, cfg.Scheduler = "scheduler", sched
 		}
 		t.Run(name, func(t *testing.T) {
 			store := &countingStore{DBMS: testDBMS(t), quiet: map[tile.Coord]int{}}

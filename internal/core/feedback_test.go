@@ -114,7 +114,7 @@ func TestEngineFeedbackFeedsCollector(t *testing.T) {
 	defer sched.Close()
 	m := recommend.NewMomentum()
 	eng, err := NewEngine(db, nil, SinglePolicy{Model: m.Name()},
-		[]recommend.Model{m}, Config{K: 4, Scheduler: sched, Session: "s1", Feedback: fc})
+		[]recommend.Model{m}, Config{K: 4, Scheduler: sched.Open("s1", nil), Feedback: fc})
 	if err != nil {
 		t.Fatal(err)
 	}

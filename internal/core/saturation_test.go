@@ -37,7 +37,7 @@ func saturatedEngine(t *testing.T, policy AllocationPolicy) (*Engine, *prefetch.
 	t.Cleanup(sched.Close)
 	t.Cleanup(func() { close(store.gate) })
 	eng, err := NewEngine(store, nil, policy, []recommend.Model{recommend.NewMomentum()},
-		Config{K: 4, Scheduler: sched, Session: "s1"})
+		Config{K: 4, Scheduler: sched.Open("s1", nil)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,6 +43,10 @@
 //     curve online from which prefetched tiles clients actually consumed,
 //     replacing the static positionBase guess once warmed up.
 //
+// Each session reaches the scheduler through its own handle (Scheduler.Open
+// → *Session): Submit, Cancel and Close act on that session's queue and
+// push sink alone, and a closed handle refuses later submits.
+//
 // The scheduler is shared by every session of one deployment and composes
 // with backend.SharedPool: the pool deduplicates tiles across time (a tile
 // fetched yesterday is still pooled), the scheduler deduplicates fetches in
@@ -64,8 +68,8 @@ type Request struct {
 	// first within the session.
 	Score float64
 	// Model names the recommender whose prediction asked for the tile; it
-	// is attribution carried through to push frames (Config.Push) and may
-	// be empty.
+	// is attribution carried through to push frames (PushSink) and may be
+	// empty.
 	Model string
 	// Deliver is invoked with the fetched tile off the response path
 	// (typically it inserts into the session's cache region). It must be
@@ -73,23 +77,23 @@ type Request struct {
 	Deliver func(*tile.Tile)
 }
 
-// PushSink is the push-delivery hook the scheduler drives when a
-// deployment runs with streaming on (satisfied by *push.Registry; the
-// scheduler deliberately depends on this interface, not the push package).
-// Both methods must be safe for concurrent use and must never block on a
-// slow client, and neither may call back into the scheduler.
+// PushSink is one session's push-delivery hook, handed to Scheduler.Open
+// when a deployment runs with streaming on (satisfied by *push.Session;
+// the scheduler deliberately depends on this interface, not the push
+// package). Both methods must be safe for concurrent use and must never
+// block on a slow client, and neither may call back into the scheduler.
 type PushSink interface {
-	// Push offers one completed fetch to session's stream, reporting
+	// Push offers one completed fetch to the session's stream, reporting
 	// whether a frame was enqueued (false: no stream attached or the
 	// stream's buffer is full — the tile still lands in the cache either
 	// way, so refusal costs nothing but the push).
-	Push(session, model string, c tile.Coord, score float64, t *tile.Tile) bool
-	// DrainDelay estimates how long session's connection takes to deliver
-	// one more tile frame (0 when unknown or no stream is attached).
-	// Admission control charges queued entries this much extra age per
-	// rank: a tile the connection cannot drain before it decays stale is
-	// not worth fetching ahead of fresher work.
-	DrainDelay(session string) time.Duration
+	Push(model string, c tile.Coord, score float64, t *tile.Tile) bool
+	// DrainDelay estimates how long the session's connection takes to
+	// deliver one more tile frame (0 when unknown or no stream is
+	// attached). Admission control charges queued entries this much extra
+	// age per rank: a tile the connection cannot drain before it decays
+	// stale is not worth fetching ahead of fresher work.
+	DrainDelay() time.Duration
 }
 
 // Config sizes a scheduler.
@@ -126,12 +130,6 @@ type Config struct {
 	// and how long each DBMS fetch took (backend fetch). Nil (the
 	// default) costs the hot path nothing beyond a nil check.
 	Obs *obs.Pipeline
-	// Push, when set, turns on push delivery: every completed fetch is
-	// offered to the waiter's session stream after the cache delivery, and
-	// admission control discounts queued entries by the session's measured
-	// drain rate (DrainDelay × rank of extra age). Nil (the default) is
-	// the pure pull path, bit-identical to a scheduler without this field.
-	Push PushSink
 
 	// clock overrides time.Now; scheduler tests inject a deterministic
 	// clock so decay is testable without sleeps.
@@ -168,7 +166,7 @@ type Stats struct {
 	// make room for higher-utility submissions.
 	Shed int
 	// Cancelled counts queued entries superseded by a newer batch (or a
-	// session eviction) before their fetch was issued.
+	// session's Cancel or Close) before their fetch was issued.
 	Cancelled int
 	// Coalesced counts entries that shared another entry's DBMS fetch
 	// instead of issuing their own (single-flight).
@@ -184,7 +182,7 @@ type Stats struct {
 	// Completed counts entries whose tile was fetched and delivered.
 	Completed int
 	// Pushed counts completed entries whose tile was also framed onto the
-	// session's push stream (Config.Push; 0 on pull-only deployments).
+	// session's push stream (its PushSink; 0 on pull-only deployments).
 	Pushed int
 	// Errors counts entries whose fetch failed.
 	Errors int
@@ -195,7 +193,7 @@ type Stats struct {
 	PeakPending int
 	// Inflight is the number of DBMS fetches running right now.
 	Inflight int
-	// Sessions is the number of sessions with scheduler state.
+	// Sessions is the number of session handles with scheduler state.
 	Sessions int
 	// Pressure is the current global queue saturation in [0, 1]: pending
 	// entries over GlobalQueue (always 0 without a global budget).

@@ -9,8 +9,8 @@ import (
 	"forecache/internal/tile"
 )
 
-// fakeSink is a controllable PushSink: it records every offered push and
-// serves per-session drain delays, counting how often they are read.
+// fakeSink records every push offered to the sessions opened through it
+// and serves per-session drain delays, counting how often they are read.
 type fakeSink struct {
 	mu         sync.Mutex
 	pushes     []sinkPush
@@ -25,21 +25,35 @@ type sinkPush struct {
 	score          float64
 }
 
-func (f *fakeSink) Push(session, model string, c tile.Coord, score float64, t *tile.Tile) bool {
+// open opens id on s with a PushSink that reports to f under id; later
+// string-form Submits for id reach that handle.
+func (f *fakeSink) open(s *Scheduler, id string) *Session {
+	return s.Open(id, sessionSink{f, id})
+}
+
+// sessionSink is one session's PushSink view of a fakeSink.
+type sessionSink struct {
+	f       *fakeSink
+	session string
+}
+
+func (ss sessionSink) Push(model string, c tile.Coord, score float64, t *tile.Tile) bool {
+	f := ss.f
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.refuse {
 		return false
 	}
-	f.pushes = append(f.pushes, sinkPush{session: session, model: model, coord: c, score: score})
+	f.pushes = append(f.pushes, sinkPush{session: ss.session, model: model, coord: c, score: score})
 	return true
 }
 
-func (f *fakeSink) DrainDelay(session string) time.Duration {
+func (ss sessionSink) DrainDelay() time.Duration {
+	f := ss.f
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.delayReads++
-	return f.delays[session]
+	return f.delays[ss.session]
 }
 
 func (f *fakeSink) all() []sinkPush {
@@ -54,8 +68,9 @@ func (f *fakeSink) all() []sinkPush {
 func TestPushDispatch(t *testing.T) {
 	store := newFakeStore()
 	sink := &fakeSink{}
-	s := NewScheduler(store, Config{Workers: 2, Push: sink})
+	s := NewScheduler(store, Config{Workers: 2})
 	defer s.Close()
+	sink.open(s, "viewer")
 
 	var deliveredMu sync.Mutex
 	deliveredBeforePush := true
@@ -98,11 +113,12 @@ func TestPushDispatchCoalesced(t *testing.T) {
 	store := newFakeStore()
 	store.gate = make(chan struct{})
 	sink := &fakeSink{}
-	s := NewScheduler(store, Config{Workers: 4, Push: sink})
+	s := NewScheduler(store, Config{Workers: 4})
 	defer s.Close()
 
 	shared := tile.Coord{Level: 3, Y: 1, X: 1}
 	for i := 0; i < 3; i++ {
+		sink.open(s, fmt.Sprintf("s%d", i))
 		s.Submit(fmt.Sprintf("s%d", i), []Request{{Coord: shared, Score: 1, Model: "m"}})
 	}
 	close(store.gate)
@@ -147,10 +163,11 @@ func TestPushBandwidthAdmission(t *testing.T) {
 			Workers:       1,
 			GlobalQueue:   1,
 			DecayHalfLife: 50 * time.Millisecond,
-			Push:          sink,
 			clock:         func() time.Time { return now },
 		})
 		defer s.Close()
+		sink.open(s, "slow")
+		sink.open(s, "fast")
 
 		// Park the lone worker on a decoy fetch so queued entries stay put.
 		s.Submit("decoy", []Request{{Coord: tile.Coord{Level: 9}, Score: 2}})
@@ -183,7 +200,9 @@ func TestPushBandwidthAdmission(t *testing.T) {
 // the sink's lock while the shard's is held); a saturated one does.
 func TestDrainDelayReadOnlyWhenSaturated(t *testing.T) {
 	sink := &fakeSink{}
-	s, _ := parkedScheduler(t, newFakeClock(), Config{GlobalQueue: 2, QueuePerSession: 8, Push: sink})
+	s, _ := parkedScheduler(t, newFakeClock(), Config{GlobalQueue: 2, QueuePerSession: 8})
+	sink.open(s, "a")
+	sink.open(s, "b")
 	reads := func() int {
 		sink.mu.Lock()
 		defer sink.mu.Unlock()

@@ -51,8 +51,8 @@ func (cs *CoalescingStore) Joined() int { return int(cs.flights.Stats().Hits) }
 
 // Scheduler is the shared asynchronous prefetch pipeline: Config.Shards
 // independent Shards behind a hash router keyed on session id.
-// Every per-session operation routes to the session's home shard; Stats,
-// Drain and Close fan out over all of them. Construct with NewScheduler; it
+// Open routes a session to its home shard once; Stats, Drain and Close fan
+// out over all the shards. Construct with NewScheduler; it
 // is safe for concurrent use by any number of sessions.
 type Scheduler struct {
 	ring   *shard.Ring
@@ -75,9 +75,9 @@ type Scheduler struct {
 // shard with the same cfg would run (QueuePerSession is per-session and
 // passes through unchanged). The store is wrapped in one shared
 // CoalescingStore so cross-shard duplicates still cost one DBMS fetch.
-// Shared learning state (cfg.Utility, cfg.Obs, cfg.Push) is deployment-wide
-// by construction: every shard feeds the same collector, pipeline and push
-// registry. Call Close to stop all worker pools.
+// Shared learning state (cfg.Utility, cfg.Obs) is deployment-wide by
+// construction: every shard feeds the same collector and pipeline. Call
+// Close to stop all worker pools.
 func NewScheduler(store backend.Store, cfg Config) *Scheduler {
 	cfg = cfg.withDefaults()
 	n := cfg.Shards
@@ -98,21 +98,32 @@ func NewScheduler(store backend.Store, cfg Config) *Scheduler {
 	return s
 }
 
-// Shard returns the shard owning session. Engines are bound to their
-// session's shard at construction (core.Config.Scheduler), so the routing
-// hash is paid once per session, not once per request.
-func (s *Scheduler) Shard(session string) *Shard {
-	return s.shards[s.ring.Locate(session)]
+// Open returns a new handle on session id's queue, routed to its home
+// shard once. sink (an untyped nil for a pull-only session) receives the
+// session's completed fetches as push frames and prices its queued entries
+// by the connection's drain rate. The handle becomes id's latest, which
+// the string adapter Submit resolves to.
+func (s *Scheduler) Open(id string, sink PushSink) *Session {
+	sh := s.shards[s.ring.Locate(id)]
+	sq := &Session{id: id, shard: sh, sink: sink}
+	sh.mu.Lock()
+	sh.byID[id] = sq
+	sh.mu.Unlock()
+	return sq
 }
 
-// Submit routes the batch to the session's shard; see Shard.Submit.
-func (s *Scheduler) Submit(session string, reqs []Request) int {
-	return s.Shard(session).Submit(session, reqs)
-}
-
-// CancelSession drops the session's queued entries on its shard.
-func (s *Scheduler) CancelSession(session string) {
-	s.Shard(session).CancelSession(session)
+// Submit submits reqs to id's latest handle, opening a pull-only one on
+// first use; see Session.Submit.
+func (s *Scheduler) Submit(id string, reqs []Request) int {
+	sh := s.shards[s.ring.Locate(id)]
+	sh.mu.Lock()
+	sq := sh.byID[id]
+	if sq == nil {
+		sq = &Session{id: id, shard: sh}
+		sh.byID[id] = sq
+	}
+	sh.mu.Unlock()
+	return sq.Submit(reqs)
 }
 
 // Snapshot takes each shard's snapshot exactly once and returns both views

@@ -288,7 +288,8 @@ func TestQueueBudget(t *testing.T) {
 	close(store.gate)
 }
 
-// TestCancelSession drops a session's queued work and forgets its state.
+// TestCancelSession: a handle's Cancel drops the session's queued work and
+// forgets its state.
 func TestCancelSession(t *testing.T) {
 	store := newFakeStore()
 	store.gate = make(chan struct{})
@@ -299,8 +300,9 @@ func TestCancelSession(t *testing.T) {
 	dummy := tile.Coord{Level: 1}
 	s.Submit("warmup", []Request{{Coord: dummy, Score: 1}})
 	<-store.started
-	s.Submit("gone", []Request{{Coord: coordAt(0), Score: 1}, {Coord: coordAt(1), Score: 2}})
-	s.CancelSession("gone")
+	gone := s.Open("gone", nil)
+	gone.Submit([]Request{{Coord: coordAt(0), Score: 1}, {Coord: coordAt(1), Score: 2}})
+	gone.Cancel()
 	close(store.gate)
 	s.Drain()
 
@@ -376,21 +378,21 @@ func BenchmarkSchedulerSubmitDrain(b *testing.B) {
 }
 
 // TestSubmitDrainAllocCeiling pins what one engine batch costs the
-// allocator end to end: Shard.Submit of a 5-entry batch, five fetches
+// allocator end to end: Session.Submit of a 5-entry batch, five fetches
 // through the coalescer, five deliveries, drain. Measured 43 (entries,
 // shard flights, queue growth, one coalescer flight per fetch); lower the
 // constant when the number drops.
 func TestSubmitDrainAllocCeiling(t *testing.T) {
 	s := NewScheduler(newFakeStore(), Config{Workers: 4})
 	defer s.Close()
-	sh := s.Shard("s1")
+	h := s.Open("s1", nil)
 	batch := make([]Request, 5)
 	for i := range batch {
 		batch[i] = Request{Coord: coordAt(i), Score: float64(len(batch) - i)}
 	}
 	const ceiling = 43
 	if n := testing.AllocsPerRun(100, func() {
-		sh.Submit("s1", batch)
+		h.Submit(batch)
 		s.Drain()
 	}); n > ceiling {
 		t.Errorf("Submit+Drain of 5 entries allocates %v times, ceiling %d", n, ceiling)

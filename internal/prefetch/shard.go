@@ -19,28 +19,35 @@ const (
 // entry is one queued Request plus its scheduling bookkeeping.
 type entry struct {
 	req      Request
-	session  string
+	session  *Session
 	seq      uint64 // tiebreak: earlier submissions first at equal score
 	enqueued time.Time
 	state    int
 }
 
-// sessionQueue holds one session's latest batch in dispatch order (score
-// descending, then submission order): Submit clears it and appends the
-// batch already sorted, and workers take entries from next on. Entries
-// cancelled, coalesced or shed in place are skipped lazily.
-type sessionQueue struct {
-	id      string
+// Session is one session's handle on its home shard (Scheduler.Open): its
+// push sink and its latest batch in dispatch order (score descending, then
+// submission order). Submit clears the batch and appends the next one
+// already sorted, and workers take entries from next on; entries
+// cancelled, coalesced or shed in place are skipped lazily. Safe for
+// concurrent use.
+type Session struct {
+	id    string
+	shard *Shard
+	sink  PushSink // nil: pull only
+
+	// The rest is guarded by shard.mu.
 	pending []*entry
 	next    int  // index of the first entry not yet dispatched
 	queued  int  // live (stateQueued) entries, for the budget
-	inRing  bool // whether id is in the round-robin ring
+	inRing  bool // whether the session is in the round-robin ring
+	closed  bool
 }
 
 // waiter is one Request waiting on a flight, tagged with its session so
-// push dispatch (Config.Push) knows whose stream the tile belongs on.
+// push dispatch knows whose sink the tile belongs on.
 type waiter struct {
-	session string
+	session *Session
 	req     Request
 }
 
@@ -51,8 +58,8 @@ type flight struct {
 
 // Shard is one independent slice of the Scheduler: its own mutex,
 // per-session queues, worker pool and pressure signal, serving the sessions
-// the hash router routes to it. Engines bind to their session's
-// Shard once (Scheduler.Shard), so the request path submits straight to the
+// the hash router routes to it. A Session handle is bound to its home
+// Shard once (Scheduler.Open), so the request path submits straight to the
 // queue that owns the session. Safe for concurrent use by any number of
 // sessions.
 type Shard struct {
@@ -60,10 +67,11 @@ type Shard struct {
 	cfg   Config
 
 	mu         sync.Mutex
-	work       *sync.Cond // signaled when queued work or shutdown arrives
-	idle       *sync.Cond // signaled when queued+inflight may have drained
-	sessions   map[string]*sessionQueue
-	rr         []string // round-robin ring of session ids with pending work
+	work       *sync.Cond            // signaled when queued work or shutdown arrives
+	idle       *sync.Cond            // signaled when queued+inflight may have drained
+	sessions   map[*Session]struct{} // handles with state: since a Submit, until Cancel or Close
+	byID       map[string]*Session   // each id's latest handle, for Scheduler.Submit
+	rr         []*Session            // round-robin ring of sessions with pending work
 	rrPos      int
 	byCoord    map[tile.Coord]map[*entry]struct{} // queued entries by coordinate
 	inflight   map[tile.Coord]*flight
@@ -84,7 +92,8 @@ func newShard(store backend.Store, cfg Config) *Shard {
 	s := &Shard{
 		store:    store,
 		cfg:      cfg,
-		sessions: make(map[string]*sessionQueue),
+		sessions: make(map[*Session]struct{}),
+		byID:     make(map[string]*Session),
 		byCoord:  make(map[tile.Coord]map[*entry]struct{}),
 		inflight: make(map[tile.Coord]*flight),
 	}
@@ -97,29 +106,26 @@ func newShard(store backend.Store, cfg Config) *Shard {
 	return s
 }
 
-// Submit replaces session's pending batch with reqs: entries still queued
-// from earlier batches are cancelled (their predictions are stale), then
-// reqs are enqueued in score order subject to the per-session budget and
-// the global one. When the global budget is saturated, each admission sheds
-// the lowest-utility queued entry across all sessions (utility = score
-// decayed by queue age and batch position), or rejects the newcomer if
-// everything queued outranks it, so a session flooding the queue loses its
-// own low-utility tail first.
+// Submit replaces the session's pending batch with reqs: entries still
+// queued from earlier batches are cancelled (their predictions are stale),
+// then reqs are enqueued in score order subject to the per-session budget
+// and the global one. When the global budget is saturated, each admission
+// sheds the lowest-utility queued entry across all sessions (utility =
+// score decayed by queue age and batch position), or rejects the newcomer
+// if everything queued outranks it, so a session flooding the queue loses
+// its own low-utility tail first.
 // Returns the number of entries accepted.
 // Fetches already in flight are not interrupted. Safe to call concurrently;
-// a no-op after Close.
-func (s *Shard) Submit(session string, reqs []Request) int {
+// a no-op that returns 0 after Close (the handle's or the scheduler's).
+func (sq *Session) Submit(reqs []Request) int {
+	s := sq.shard
 	now := s.cfg.clock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed || sq.closed {
 		return 0
 	}
-	sq := s.sessions[session]
-	if sq == nil {
-		sq = &sessionQueue{id: session}
-		s.sessions[session] = sq
-	}
+	s.sessions[sq] = struct{}{}
 	s.cancelQueuedLocked(sq)
 	// Process the batch in descending score order: the queue was just
 	// cleared, so when the budget truncates, it is exactly the batch's
@@ -145,7 +151,7 @@ func (s *Shard) Submit(session string, reqs []Request) int {
 		// A fetch for this tile is already in flight (another session's,
 		// typically): piggyback on it instead of queueing a duplicate.
 		if fl, ok := s.inflight[reqs[i].Coord]; ok {
-			fl.waiters = append(fl.waiters, waiter{session: session, req: reqs[i]})
+			fl.waiters = append(fl.waiters, waiter{session: sq, req: reqs[i]})
 			s.stats.Coalesced++
 			accepted++
 			continue
@@ -160,7 +166,7 @@ func (s *Shard) Submit(session string, reqs []Request) int {
 		if s.cfg.GlobalQueue > 0 && s.stats.Pending >= s.cfg.GlobalQueue {
 			if shed == nil {
 				shed = s.buildShedHeapLocked(now)
-				pushDelay = s.cfg.pushDelay(session)
+				pushDelay = sq.drainDelay()
 			}
 			// The newcomer's admission utility is priced at the position it
 			// will occupy: sq.queued entries sit ahead of it, so its
@@ -176,7 +182,7 @@ func (s *Shard) Submit(session string, reqs []Request) int {
 			}
 		}
 		s.seq++
-		e := &entry{req: reqs[i], session: session, seq: s.seq, enqueued: now}
+		e := &entry{req: reqs[i], session: sq, seq: s.seq, enqueued: now}
 		sq.pending = append(sq.pending, e)
 		sq.queued++
 		s.stats.Pending++
@@ -207,43 +213,35 @@ func (s *Shard) Submit(session string, reqs []Request) int {
 	if enqueued > 0 {
 		if !sq.inRing {
 			sq.inRing = true
-			s.rr = append(s.rr, session)
+			s.rr = append(s.rr, sq)
 		}
 		s.work.Broadcast()
 	}
 	return accepted
 }
 
-// CancelSession drops session's queued entries and forgets its scheduler
-// state (used when the server evicts an idle session). In-flight fetches
-// complete normally.
-func (s *Shard) CancelSession(session string) {
+// Cancel drops the session's queued entries and its scheduler state until
+// its next Submit (an engine Reset). In-flight fetches complete normally.
+func (sq *Session) Cancel() { sq.end(false) }
+
+// Close ends the session: Cancel, and every later Submit is a no-op that
+// returns 0. Only this handle is touched, never a newer one with the same
+// id. Idempotent.
+func (sq *Session) Close() { sq.end(true) }
+
+// end cancels sq's queued entries and drops its state; the worker drops it
+// from the ring when it next finds it empty.
+func (sq *Session) end(closing bool) {
+	s := sq.shard
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sq := s.sessions[session]
-	if sq == nil {
-		return
-	}
 	s.cancelQueuedLocked(sq)
-	if sq.inRing {
-		s.removeFromRingLocked(session)
-	}
-	delete(s.sessions, session)
-	s.idle.Broadcast()
-}
-
-// removeFromRingLocked drops one session id from the round-robin ring,
-// keeping the rotation position stable.
-func (s *Shard) removeFromRingLocked(session string) {
-	for i, id := range s.rr {
-		if id != session {
-			continue
+	delete(s.sessions, sq)
+	if closing {
+		sq.closed = true
+		if s.byID[sq.id] == sq {
+			delete(s.byID, sq.id)
 		}
-		s.rr = append(s.rr[:i], s.rr[i+1:]...)
-		if s.rrPos > i {
-			s.rrPos--
-		}
-		return
 	}
 }
 
@@ -266,7 +264,7 @@ func (s *Shard) close() {
 		return
 	}
 	s.closed = true
-	for _, sq := range s.sessions {
+	for sq := range s.sessions {
 		s.cancelQueuedLocked(sq)
 	}
 	s.work.Broadcast()
@@ -295,8 +293,8 @@ func (s *Shard) statsDetail() (Stats, time.Duration, int) {
 	st.Sessions = len(s.sessions)
 	st.Pressure = saturation(s.stats.Pending, s.cfg.GlobalQueue)
 	st.QueueDepths = make(map[string]int, len(s.sessions))
-	for id, sq := range s.sessions {
-		st.QueueDepths[id] = sq.queued
+	for sq := range s.sessions {
+		st.QueueDepths[sq.id] += sq.queued // two handles share an id only while the older closes
 	}
 	if s.measured > 0 {
 		st.AvgQueueLatency = s.queueLatency / time.Duration(s.measured)
@@ -319,7 +317,7 @@ func saturation(pending, budget int) float64 {
 // cancelQueuedLocked marks all of sq's queued entries cancelled. It wakes
 // Drain waiters: cancellation may have emptied the queue for good (e.g. a
 // Submit whose whole batch is dropped or piggybacked enqueues nothing).
-func (s *Shard) cancelQueuedLocked(sq *sessionQueue) {
+func (s *Shard) cancelQueuedLocked(sq *Session) {
 	cancelled := false
 	for _, e := range sq.pending[sq.next:] {
 		if e.state == stateQueued {
@@ -354,10 +352,9 @@ func (s *Shard) popNextLocked() *entry {
 		if s.rrPos >= len(s.rr) {
 			s.rrPos = 0
 		}
-		id := s.rr[s.rrPos]
-		sq := s.sessions[id]
+		sq := s.rr[s.rrPos]
 		var e *entry
-		for sq != nil && sq.next < len(sq.pending) {
+		for sq.next < len(sq.pending) {
 			top := sq.pending[sq.next]
 			sq.pending[sq.next] = nil
 			sq.next++
@@ -368,9 +365,7 @@ func (s *Shard) popNextLocked() *entry {
 		}
 		if e == nil {
 			// Session has no live work: drop it from the rotation.
-			if sq != nil {
-				sq.inRing = false
-			}
+			sq.inRing = false
 			s.rr = append(s.rr[:s.rrPos], s.rr[s.rrPos+1:]...)
 			continue
 		}
@@ -417,7 +412,7 @@ func (s *Shard) worker() {
 		// serves them all.
 		for dup := range s.byCoord[coord] {
 			dup.state = stateDone
-			s.sessions[dup.session].queued--
+			dup.session.queued--
 			fl.waiters = append(fl.waiters, waiter{session: dup.session, req: dup.req})
 			s.accountLatencyLocked(dup, now)
 			s.stats.Coalesced++
@@ -464,11 +459,9 @@ func (s *Shard) worker() {
 			// delivering is released, so Drain returning guarantees every
 			// completed fetch's frame has been enqueued.
 			pushed := 0
-			if sink := s.cfg.Push; sink != nil {
-				for _, w := range waiters {
-					if sink.Push(w.session, w.req.Model, coord, w.req.Score, t) {
-						pushed++
-					}
+			for _, w := range waiters {
+				if sink := w.session.sink; sink != nil && sink.Push(w.req.Model, coord, w.req.Score, t) {
+					pushed++
 				}
 			}
 			s.mu.Lock()

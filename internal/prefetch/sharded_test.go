@@ -21,7 +21,7 @@ func sessionsOnDistinctShards(t *testing.T, ss *Scheduler) (string, string) {
 			first = id
 			continue
 		}
-		if ss.Shard(id) != ss.Shard(first) {
+		if ss.ring.Locate(id) != ss.ring.Locate(first) {
 			return first, id
 		}
 	}
@@ -83,7 +83,7 @@ func TestCrossShardSingleFlight(t *testing.T) {
 }
 
 // TestShardedRoutingDisjoint: every session's scheduler state lives on
-// exactly its ring-assigned shard, and CancelSession reaches it there.
+// exactly its ring-assigned shard, and its handle's Close reaches it there.
 func TestShardedRoutingDisjoint(t *testing.T) {
 	store := newFakeStore()
 	store.gate = make(chan struct{}) // hold fetches so queues stay visible
@@ -94,13 +94,15 @@ func TestShardedRoutingDisjoint(t *testing.T) {
 	defer close(store.gate)
 
 	const sessions = 32
+	handles := map[string]*Session{}
 	for i := 0; i < sessions; i++ {
 		id := fmt.Sprintf("user-%d", i)
 		reqs := make([]Request, 4)
 		for j := range reqs {
 			reqs[j] = Request{Coord: tile.Coord{Level: 6, Y: i, X: j}, Score: 1}
 		}
-		if got := ss.Submit(id, reqs); got != 4 {
+		handles[id] = ss.Open(id, nil)
+		if got := handles[id].Submit(reqs); got != 4 {
 			t.Fatalf("Submit(%s) accepted %d, want 4", id, got)
 		}
 	}
@@ -118,10 +120,10 @@ func TestShardedRoutingDisjoint(t *testing.T) {
 	}
 
 	victim := "user-7"
-	ss.CancelSession(victim)
-	st, _, _ := ss.Shard(victim).statsDetail()
+	handles[victim].Close()
+	st, _, _ := ss.shards[ss.ring.Locate(victim)].statsDetail()
 	if _, ok := st.QueueDepths[victim]; ok {
-		t.Errorf("CancelSession(%s) left state on the home shard", victim)
+		t.Errorf("closing %s left state on the home shard", victim)
 	}
 }
 

@@ -64,7 +64,7 @@ func TestStressFiftySessions(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
-			id := fmt.Sprintf("sess-%02d", g)
+			h := s.Open(fmt.Sprintf("sess-%02d", g), nil)
 			for r := 0; r < rounds; r++ {
 				batch := make([]Request, batchSize)
 				for i := range batch {
@@ -76,10 +76,10 @@ func TestStressFiftySessions(t *testing.T) {
 						Deliver: func(*tile.Tile) { delivered.Add(1) },
 					}
 				}
-				s.Submit(id, batch)
+				h.Submit(batch)
 				switch {
 				case r%11 == 10:
-					s.CancelSession(id) // eviction mid-stream; state rebuilt on next Submit
+					h.Cancel() // a reset mid-stream; state rebuilt on next Submit
 				case r%7 == 3:
 					st := s.Stats()
 					if st.Pending > globalQueue {
@@ -91,7 +91,7 @@ func TestStressFiftySessions(t *testing.T) {
 				}
 			}
 			if g%2 == 0 {
-				s.CancelSession(id)
+				h.Close()
 			}
 		}(g)
 	}
@@ -132,7 +132,7 @@ func TestStressFiftySessions(t *testing.T) {
 }
 
 // TestNoDeliveryAfterEviction is the deterministic core of the eviction
-// guarantee: once CancelSession returns, entries that were still queued can
+// guarantee: once a handle's Close returns, entries that were still queued can
 // never deliver. Both workers are parked on gated fetches, so the victim's
 // whole batch is provably queued (not in flight) when the cancel lands.
 func TestNoDeliveryAfterEviction(t *testing.T) {
@@ -148,13 +148,14 @@ func TestNoDeliveryAfterEviction(t *testing.T) {
 	<-store.started
 
 	var victimDelivered atomic.Int64
-	s.Submit("victim", []Request{
+	victim := s.Open("victim", nil)
+	victim.Submit([]Request{
 		{Coord: coordAt(0), Score: 4, Deliver: func(*tile.Tile) { victimDelivered.Add(1) }},
 		{Coord: coordAt(1), Score: 3, Deliver: func(*tile.Tile) { victimDelivered.Add(1) }},
 		{Coord: coordAt(2), Score: 2, Deliver: func(*tile.Tile) { victimDelivered.Add(1) }},
 		{Coord: coordAt(3), Score: 1, Deliver: func(*tile.Tile) { victimDelivered.Add(1) }},
 	})
-	s.CancelSession("victim")
+	victim.Close()
 	close(store.gate)
 	s.Drain()
 
@@ -175,7 +176,7 @@ func TestNoDeliveryAfterEviction(t *testing.T) {
 	}
 }
 
-// TestStressCancelDuringShedding interleaves CancelSession with saturated
+// TestStressCancelDuringShedding interleaves Cancel with saturated
 // submissions so shedding, superseding and eviction race on the same
 // sessions (run with -race; guards the shed-heap's lazy invalidation).
 func TestStressCancelDuringShedding(t *testing.T) {
@@ -186,21 +187,25 @@ func TestStressCancelDuringShedding(t *testing.T) {
 		GlobalQueue:     8,
 		DecayHalfLife:   time.Millisecond,
 	})
+	handles := make([]*Session, 4) // 4 shared handles: heavy self-contention
+	for i := range handles {
+		handles[i] = s.Open(fmt.Sprintf("s%d", i), nil)
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			id := fmt.Sprintf("s%d", g%4) // 4 shared ids: heavy self-contention
+			h := handles[g%4]
 			rng := rand.New(rand.NewSource(int64(g)))
 			for r := 0; r < 50; r++ {
 				batch := make([]Request, 4)
 				for i := range batch {
 					batch[i] = Request{Coord: coordAt(rng.Intn(12)), Score: rng.Float64()}
 				}
-				s.Submit(id, batch)
+				h.Submit(batch)
 				if r%5 == 4 {
-					s.CancelSession(id)
+					h.Cancel()
 				}
 			}
 		}(g)

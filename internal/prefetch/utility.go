@@ -29,18 +29,18 @@ func (c Config) positionFactor(pos int) float64 {
 	return math.Pow(positionBase, float64(pos))
 }
 
-// pushDelay returns session's estimated per-frame drain time when push
-// delivery is configured, 0 otherwise. The bandwidth-aware admission term
-// charges a queued entry ranked r an extra (r+1)×pushDelay of decay age —
+// drainDelay returns the session's estimated per-frame drain time when it
+// has a push sink, 0 otherwise. The bandwidth-aware admission term
+// charges a queued entry ranked r an extra (r+1)×drainDelay of decay age —
 // the time the session's connection needs to deliver it and everything
 // ahead of it — so a slow stream's speculative tail loses admission fights
 // it would have won on model confidence alone. (Like wall-clock decay, the
 // term is active only with a nonzero DecayHalfLife.)
-func (c Config) pushDelay(session string) time.Duration {
-	if c.Push == nil {
+func (sq *Session) drainDelay() time.Duration {
+	if sq.sink == nil {
 		return 0
 	}
-	return c.Push.DrainDelay(session)
+	return sq.sink.DrainDelay()
 }
 
 // decayedUtilityFactor is the admission-control currency: score discounted
@@ -100,10 +100,10 @@ func (h *shedHeap) Pop() any {
 // position-decay exponent.
 func (s *Shard) buildShedHeapLocked(now time.Time) *shedHeap {
 	h := make(shedHeap, 0, s.stats.Pending)
-	for _, sq := range s.sessions {
+	for sq := range s.sessions {
 		// With push delivery on, incumbents age by their session's drain
 		// time too — rank pos waits behind pos frames plus its own.
-		delay := s.cfg.pushDelay(sq.id)
+		delay := sq.drainDelay()
 		pos := 0
 		for _, e := range sq.pending[sq.next:] {
 			if e.state != stateQueued {
@@ -135,7 +135,7 @@ func (s *Shard) shedLowestBelowLocked(h *shedHeap, u float64) bool {
 		victim := heap.Pop(h).(shedCand).e
 		victim.state = stateDone
 		s.detachLocked(victim)
-		s.sessions[victim.session].queued--
+		victim.session.queued--
 		s.stats.Shed++
 		s.stats.Pending--
 		return true

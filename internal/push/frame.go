@@ -11,11 +11,12 @@
 //     plus its coord/model/score attribution, greppable by curl, and binary
 //     frames (binary.go) around the tile's memoized FCT3 body, which a
 //     client negotiates on GET /stream as it does on /tile;
-//   - the Registry (registry.go): the per-session stream table the server
-//     and the prefetch scheduler share — attach/supersede/detach
-//     lifecycle, bounded per-stream frame buffers, per-session drain-rate
-//     measurement (the scheduler's bandwidth-aware admission term), and
-//     push-to-consume lead-time tracking.
+//   - the Registry (registry.go) of per-session handles: the server opens
+//     one Session per session and closes it at eviction, and the prefetch
+//     scheduler pushes through it (it is the session's prefetch.PushSink)
+//     — attach/supersede/release lifecycle, bounded per-stream frame
+//     buffers, drain-rate measurement (the scheduler's bandwidth-aware
+//     admission term), and push-to-consume lead-time tracking.
 package push
 
 import (

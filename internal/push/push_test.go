@@ -226,23 +226,27 @@ func TestRegistryBufferOverflowDrops(t *testing.T) {
 	}
 }
 
+// TestRegistryDetachAndRelease: a session's Close ends its stream and
+// forgets its push state; a Release (client drop) ends the stream only.
 func TestRegistryDetachAndRelease(t *testing.T) {
 	r := NewRegistry(Config{})
-	st := r.Attach("s")
-	r.RecordWrite("s", 1000, 10*time.Millisecond)
-	r.Detach("s")
+	old := r.Open("s")
+	st := old.Attach(false)
+	old.RecordWrite(1000, 10*time.Millisecond)
+	old.Close()
 	select {
 	case <-st.Done():
 	default:
-		t.Fatal("Detach did not close the stream")
+		t.Fatal("Close did not close the stream")
 	}
-	// Detach forgets drain state entirely.
-	st2 := r.Attach("s")
-	if d := r.DrainDelay("s"); d != 0 {
-		t.Fatalf("drain state survived Detach: %v", d)
+	// The session's next handle starts without drain state.
+	ss := r.Open("s")
+	st2 := ss.Attach(false)
+	if d := ss.DrainDelay(); d != 0 {
+		t.Fatalf("drain state survived Close: %v", d)
 	}
-	r.RecordWrite("s", 1000, 10*time.Millisecond)
-	if d := r.DrainDelay("s"); d == 0 {
+	ss.RecordWrite(1000, 10*time.Millisecond)
+	if d := ss.DrainDelay(); d == 0 {
 		t.Fatal("no drain delay after RecordWrite")
 	}
 	// Release (client drop) keeps session state for the reconnect.
@@ -252,11 +256,11 @@ func TestRegistryDetachAndRelease(t *testing.T) {
 	default:
 		t.Fatal("Release did not close the stream")
 	}
-	if d := r.DrainDelay("s"); d != 0 {
+	if d := ss.DrainDelay(); d != 0 {
 		t.Fatalf("DrainDelay nonzero with no stream attached: %v", d)
 	}
-	r.Attach("s")
-	if d := r.DrainDelay("s"); d == 0 {
+	ss.Attach(false)
+	if d := ss.DrainDelay(); d == 0 {
 		t.Fatal("drain estimate did not survive Release + re-attach")
 	}
 	// A stale Release of a superseded stream must not kill the current one.
@@ -295,25 +299,26 @@ func TestRegistryCloseIdempotent(t *testing.T) {
 
 func TestRegistryDrainDelay(t *testing.T) {
 	r := NewRegistry(Config{})
-	r.Attach("s")
-	if d := r.DrainDelay("s"); d != 0 {
+	ss := r.Open("s")
+	ss.Attach(false)
+	if d := ss.DrainDelay(); d != 0 {
 		t.Fatalf("DrainDelay before any write: %v", d)
 	}
 	// 1000 bytes in 10ms → 100 kB/s; avg frame 1000 B → 10ms per frame.
-	r.RecordWrite("s", 1000, 10*time.Millisecond)
-	d := r.DrainDelay("s")
+	ss.RecordWrite(1000, 10*time.Millisecond)
+	d := ss.DrainDelay()
 	if d < 9*time.Millisecond || d > 11*time.Millisecond {
 		t.Fatalf("DrainDelay = %v, want ~10ms", d)
 	}
 	// Faster writes shrink the estimate.
 	for i := 0; i < 20; i++ {
-		r.RecordWrite("s", 1000, time.Millisecond)
+		ss.RecordWrite(1000, time.Millisecond)
 	}
-	if d2 := r.DrainDelay("s"); d2 >= d {
+	if d2 := ss.DrainDelay(); d2 >= d {
 		t.Fatalf("DrainDelay did not shrink: %v -> %v", d, d2)
 	}
-	if d := r.DrainDelay("nobody"); d != 0 {
-		t.Fatalf("DrainDelay for unknown session: %v", d)
+	if d := r.Open("nobody").DrainDelay(); d != 0 {
+		t.Fatalf("DrainDelay for a session without a stream: %v", d)
 	}
 	// Bytes are counted ahead of the write, on their own: the EWMA's
 	// samples do not feed the total.
@@ -328,21 +333,22 @@ func TestRegistryConsumedLead(t *testing.T) {
 	now := time.Unix(100, 0)
 	pipe := obs.NewPipeline(obs.Config{})
 	r := NewRegistry(Config{Obs: pipe, Now: func() time.Time { return now }})
-	r.Attach("s")
+	ss := r.Open("s")
+	ss.Attach(false)
 	c := tile.Coord{Level: 3, Y: 1, X: 2}
-	if !r.Push("s", "m", c, 1, testTile(c)) {
+	if !ss.Push("m", c, 1, testTile(c)) {
 		t.Fatal("push failed")
 	}
 	now = now.Add(250 * time.Millisecond)
-	lead, ok := r.Consumed("s", c)
+	lead, ok := ss.Consumed(c)
 	if !ok || lead != 250*time.Millisecond {
 		t.Fatalf("Consumed = %v, %v", lead, ok)
 	}
 	// Second consume of the same coord is not double counted.
-	if _, ok := r.Consumed("s", c); ok {
+	if _, ok := ss.Consumed(c); ok {
 		t.Fatal("coord consumed twice")
 	}
-	if _, ok := r.Consumed("s", tile.Coord{Level: 9}); ok {
+	if _, ok := ss.Consumed(tile.Coord{Level: 9}); ok {
 		t.Fatal("never-pushed coord reported consumed")
 	}
 	if got := r.Stats(); got.Consumed != 1 {
@@ -364,27 +370,27 @@ func pushDrained(t *testing.T, r *Registry, st *Stream, c tile.Coord) {
 }
 
 // trackerSize reads the session's pushed-coordinate tracker.
-func trackerSize(r *Registry, session string) (pushedAt, order int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ss := r.sessions[session]
+func trackerSize(ss *Session) (pushedAt, order int) {
+	ss.reg.mu.Lock()
+	defer ss.reg.mu.Unlock()
 	return len(ss.pushedAt), len(ss.order)
 }
 
 func TestRegistryPushedAtBounded(t *testing.T) {
 	r := NewRegistry(Config{})
-	st := r.Attach("s")
+	ss := r.Open("s")
+	st := ss.Attach(false)
 	for i := 0; i < pushedAtCap+10; i++ {
 		pushDrained(t, r, st, tile.Coord{Level: 12, X: i})
 	}
-	if n, _ := trackerSize(r, "s"); n > pushedAtCap {
+	if n, _ := trackerSize(ss); n > pushedAtCap {
 		t.Fatalf("pushedAt grew to %d, cap %d", n, pushedAtCap)
 	}
 	// Oldest were evicted; newest still tracked.
-	if _, ok := r.Consumed("s", tile.Coord{Level: 12, X: 0}); ok {
+	if _, ok := ss.Consumed(tile.Coord{Level: 12, X: 0}); ok {
 		t.Fatal("oldest pushed coord still tracked past the cap")
 	}
-	if _, ok := r.Consumed("s", tile.Coord{Level: 12, X: pushedAtCap + 9}); !ok {
+	if _, ok := ss.Consumed(tile.Coord{Level: 12, X: pushedAtCap + 9}); !ok {
 		t.Fatal("newest pushed coord not tracked")
 	}
 }
@@ -393,15 +399,16 @@ func TestRegistryPushedAtBounded(t *testing.T) {
 // it is pushed keeps a bounded tracker, however long it runs.
 func TestRegistryTrackerBoundedUnderConsumption(t *testing.T) {
 	r := NewRegistry(Config{})
-	st := r.Attach("s")
+	ss := r.Open("s")
+	st := ss.Attach(false)
 	for i := 0; i < 10000; i++ {
 		c := tile.Coord{Level: 6, X: i % 35}
 		pushDrained(t, r, st, c)
-		if _, ok := r.Consumed("s", c); !ok {
+		if _, ok := ss.Consumed(c); !ok {
 			t.Fatalf("round %d: pushed %v not consumed", i, c)
 		}
 	}
-	if pushedAt, order := trackerSize(r, "s"); pushedAt != 0 || order > pushedAtCap {
+	if pushedAt, order := trackerSize(ss); pushedAt != 0 || order > pushedAtCap {
 		t.Fatalf("after 10,000 consumed pushes the tracker holds %d stamps and %d order entries, cap %d",
 			pushedAt, order, pushedAtCap)
 	}
@@ -412,10 +419,11 @@ func TestRegistryTrackerBoundedUnderConsumption(t *testing.T) {
 // not evicted early by its first push's entry.
 func TestRegistryRepushKeepsFreshStamp(t *testing.T) {
 	r := NewRegistry(Config{})
-	st := r.Attach("s")
+	ss := r.Open("s")
+	st := ss.Attach(false)
 	a := tile.Coord{Level: 12, X: 1 << 11}
 	pushDrained(t, r, st, a)
-	if _, ok := r.Consumed("s", a); !ok {
+	if _, ok := ss.Consumed(a); !ok {
 		t.Fatal("first push not consumed")
 	}
 	for i := 0; i < 10; i++ {
@@ -427,7 +435,7 @@ func TestRegistryRepushKeepsFreshStamp(t *testing.T) {
 	for i := 0; i < pushedAtCap-10; i++ {
 		pushDrained(t, r, st, tile.Coord{Level: 12, Y: 1, X: i})
 	}
-	if _, ok := r.Consumed("s", a); !ok {
+	if _, ok := ss.Consumed(a); !ok {
 		t.Fatal("re-pushed coord forgotten before pushedAtCap later pushes")
 	}
 }
@@ -519,7 +527,7 @@ func TestRegistryPushSharesEncodedPayload(t *testing.T) {
 	// frames carry no JSON payload and never touch the JSON variant — on
 	// push or on backfill.
 	before := ec.Stats()
-	bin := r.AttachBinary("bin")
+	bin := r.Open("bin").Attach(true)
 	fresh := tile.Coord{Level: 2, Y: 2, X: 2}
 	if !r.Push("bin", "m", fresh, 1, testTile(fresh)) || !r.Backfill(bin, "m", c, tl) {
 		t.Fatal("Push/Backfill to the binary stream failed")
@@ -559,5 +567,74 @@ func TestRegistryBackfillUsesEncodedPayload(t *testing.T) {
 	}
 	if tl, err := got.DecodeTile(); !got.Backfill || err != nil || tl.Coord != c {
 		t.Fatalf("decoded frame: %+v, DecodeTile: %v", got, err)
+	}
+}
+
+// TestClosedHandleRefusesAttach: a closed session handle attaches nothing
+// (the server answers its /stream with 503), refuses pushes, and leaves
+// the registry's stats.
+func TestClosedHandleRefusesAttach(t *testing.T) {
+	r := NewRegistry(Config{})
+	ss := r.Open("s")
+	st := ss.Attach(false)
+	ss.Close()
+	select {
+	case <-st.Done():
+	default:
+		t.Fatal("Close left the session's stream open")
+	}
+	if ss.Attach(false) != nil || ss.Attach(true) != nil {
+		t.Fatal("a closed session attached a stream")
+	}
+	c := tile.Coord{Level: 1}
+	if ss.Push("m", c, 1, testTile(c)) || r.Push("s", "m", c, 1, testTile(c)) {
+		t.Fatal("a push reached a closed session")
+	}
+	ss.Close() // idempotent
+	if got := r.Stats(); got.Open != 0 || len(got.DrainRates) != 0 {
+		t.Fatalf("stats after Close: %+v", got)
+	}
+	r.Close()
+	if r.Open("late").Attach(false) != nil {
+		t.Fatal("a handle opened after the registry's Close attached a stream")
+	}
+}
+
+// TestHandlesForOneIDAreIndependent: two handles opened for one id (an
+// evicted session and the newer session that reuses its id) keep separate
+// streams and drain-rate estimates. Closing the older leaves the newer
+// one's alone, and the string adapters resolve to the newer.
+func TestHandlesForOneIDAreIndependent(t *testing.T) {
+	r := NewRegistry(Config{})
+	older := r.Open("b")
+	oldStream := older.Attach(false)
+	older.RecordWrite(1000, 100*time.Millisecond)
+	newer := r.Open("b")
+	newStream := newer.Attach(false)
+	newer.RecordWrite(1000, 10*time.Millisecond)
+	select {
+	case <-oldStream.Done():
+		t.Fatal("opening a newer handle closed the older one's stream")
+	default:
+	}
+
+	older.Close()
+	select {
+	case <-newStream.Done():
+		t.Fatal("closing the older handle closed the newer one's stream")
+	default:
+	}
+	if d := newer.DrainDelay(); d < 9*time.Millisecond || d > 11*time.Millisecond {
+		t.Fatalf("newer handle's drain delay = %v after the older closed, want its own ~10ms", d)
+	}
+	if got := r.Stats(); got.Open != 1 || got.DrainRates["b"] != 100000 {
+		t.Fatalf("stats = %+v, want the newer stream alone at 100000 B/s", got)
+	}
+	c := tile.Coord{Level: 2}
+	if !r.Push("b", "m", c, 1, testTile(c)) {
+		t.Fatal("adapter push to b failed")
+	}
+	if f := <-newStream.Frames(); f.Coord != c {
+		t.Fatalf("frame on the newer stream = %+v", f)
 	}
 }

@@ -67,11 +67,18 @@ type Stats struct {
 	DrainRates map[string]float64 `json:"drain_bytes_per_sec,omitempty"`
 }
 
-// sessionState is the per-session accounting that outlives one stream
-// attachment: the measured drain rate (the scheduler's bandwidth term) and
-// the pushed-coordinate tracker (the lead-time metric). It survives a
-// client reconnect and dies with the session (Detach) or the registry.
-type sessionState struct {
+// Session is one session's push state (Registry.Open) and its
+// prefetch.PushSink: the attached stream, if any, and the accounting that
+// survives a reconnect — the measured drain rate (the scheduler's
+// bandwidth term) and the pushed-coordinate tracker (the lead-time
+// metric). Safe for concurrent use.
+type Session struct {
+	reg *Registry
+	id  string
+
+	// The rest is guarded by reg.mu.
+	stream   *Stream // the attached stream, nil when none
+	closed   bool
 	bps      float64                  // EWMA drained bytes per second
 	avgBytes float64                  // EWMA frame size in bytes
 	pushedAt map[tile.Coord]pushStamp // unconsumed pushes by coordinate
@@ -94,33 +101,32 @@ type pushRef struct {
 
 // Stream is one attached session stream: a bounded frame buffer the
 // scheduler pushes into and the server's stream handler drains, plus a
-// done channel closed when the stream is superseded, its session is
-// evicted, or the registry closes.
+// done channel closed when the stream stops being its session's current
+// one: superseded, released, its session closed, or the registry closed.
 type Stream struct {
-	session string
-	binary  bool // framed by AppendBinary: frames carry no JSON payload
-	frames  chan Frame
-	done    chan struct{}
-	closed  bool   // guarded by reg.mu
-	seq     uint64 // guarded by reg.mu
+	sess   *Session
+	binary bool // framed by AppendBinary: frames carry no JSON payload
+	frames chan Frame
+	done   chan struct{}
+	seq    uint64 // guarded by reg.mu
 }
 
 // Frames is the buffered frame channel the stream handler drains.
 func (st *Stream) Frames() <-chan Frame { return st.frames }
 
 // Done is closed when the stream must end: superseded by a re-attach,
-// session evicted, or registry closed.
+// session closed, or registry closed.
 func (st *Stream) Done() <-chan struct{} { return st.done }
 
-// Registry is the deployment's push-stream table, shared by the HTTP
-// server (attach/teardown, frame writing) and the prefetch scheduler
-// (frame dispatch, bandwidth-aware admission). Safe for concurrent use.
+// Registry is the deployment's push state: the server opens one Session
+// per session and writes its frames, the prefetch scheduler pushes through
+// it. Safe for concurrent use.
 type Registry struct {
 	cfg Config
 
 	mu       sync.Mutex
-	streams  map[string]*Stream
-	sessions map[string]*sessionState
+	sessions map[*Session]struct{} // every open handle
+	byID     map[string]*Session   // each id's latest, for the string adapters
 	closed   bool
 
 	opened, pushed, backfilled, dropped, heartbeats, consumed int
@@ -137,68 +143,98 @@ func NewRegistry(cfg Config) *Registry {
 	}
 	return &Registry{
 		cfg:      cfg,
-		streams:  make(map[string]*Stream),
-		sessions: make(map[string]*sessionState),
+		sessions: make(map[*Session]struct{}),
+		byID:     make(map[string]*Session),
 	}
 }
 
 // HeartbeatInterval returns the configured idle-stream heartbeat cadence.
 func (r *Registry) HeartbeatInterval() time.Duration { return r.cfg.Heartbeat }
 
-// Attach registers an SSE stream for session, superseding (and closing)
-// any stream the session already has — the newest connection wins, which
-// is what makes client reconnects safe. Returns nil after Close.
-func (r *Registry) Attach(session string) *Stream { return r.attach(session, false) }
-
-// AttachBinary is Attach for a stream the handler frames with AppendBinary
-// around the memoized FCT3 body: its frames get no JSON Payload.
-func (r *Registry) AttachBinary(session string) *Stream { return r.attach(session, true) }
-
-func (r *Registry) attach(session string, binary bool) *Stream {
+// Open returns a new handle on session id's push state, which becomes
+// id's latest for the string adapters; closed if the registry is.
+func (r *Registry) Open(id string) *Session {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed {
+	return r.openLocked(id)
+}
+
+func (r *Registry) openLocked(id string) *Session {
+	ss := &Session{reg: r, id: id, closed: r.closed}
+	r.sessions[ss] = struct{}{}
+	r.byID[id] = ss
+	return ss
+}
+
+// Attach attaches an SSE stream to session's latest handle, opening one on
+// first use; see Session.Attach.
+func (r *Registry) Attach(session string) *Stream {
+	r.mu.Lock()
+	ss := r.byID[session]
+	if ss == nil {
+		ss = r.openLocked(session)
+	}
+	r.mu.Unlock()
+	return ss.Attach(false)
+}
+
+// Attach registers a stream for the session, closing any it already has:
+// the newest connection wins, which makes reconnects safe. A binary
+// stream's frames get no JSON Payload (the handler frames the memoized
+// FCT3 body). Returns nil once the session or the registry is closed.
+func (ss *Session) Attach(binary bool) *Stream {
+	r := ss.reg
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if ss.closed {
 		return nil
 	}
-	if old := r.streams[session]; old != nil {
-		r.closeStreamLocked(old)
+	if ss.stream != nil {
+		close(ss.stream.done)
 	}
-	st := &Stream{
-		session: session,
-		binary:  binary,
-		frames:  make(chan Frame, streamBuffer),
-		done:    make(chan struct{}),
-	}
-	r.streams[session] = st
-	if r.sessions[session] == nil {
-		r.sessions[session] = &sessionState{pushedAt: make(map[tile.Coord]pushStamp)}
+	ss.stream = &Stream{
+		sess:   ss,
+		binary: binary,
+		frames: make(chan Frame, streamBuffer),
+		done:   make(chan struct{}),
 	}
 	r.opened++
-	return st
+	return ss.stream
 }
 
-// Detach ends session's stream and forgets its push state entirely — the
-// session-eviction path (TTL/LRU sweep, Server.Close teardown). The stream
-// handler observes Done and returns.
-func (r *Registry) Detach(session string) {
+// Close ends the session's stream and forgets its push state (session
+// eviction); later Attaches return nil and later pushes are refused. Only
+// this handle is touched, never a newer one with the same id. Idempotent.
+func (ss *Session) Close() {
+	r := ss.reg
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if st := r.streams[session]; st != nil {
-		r.closeStreamLocked(st)
-		delete(r.streams, session)
+	ss.endLocked()
+	delete(r.sessions, ss)
+	if r.byID[ss.id] == ss {
+		delete(r.byID, ss.id)
 	}
-	delete(r.sessions, session)
 }
 
-// Release ends st if it is still the session's current stream — the
-// client-dropped path. Unlike Detach it keeps the session's drain-rate and
+// endLocked closes ss and its stream and drops its accounting.
+func (ss *Session) endLocked() {
+	ss.closed = true
+	if ss.stream != nil {
+		close(ss.stream.done)
+		ss.stream = nil
+	}
+	ss.pushedAt, ss.order = nil, nil
+}
+
+// Release ends st if it is still its session's current stream — the
+// client-dropped path. Unlike Close it keeps the session's drain-rate and
 // lead-time state, so a reconnect resumes with a warm bandwidth estimate.
 func (r *Registry) Release(st *Stream) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.closeStreamLocked(st)
-	if r.streams[st.session] == st {
-		delete(r.streams, st.session)
+	if st.sess.stream == st { // any other stream is closed already
+		close(st.done)
+		st.sess.stream = nil
 	}
 }
 
@@ -209,31 +245,32 @@ func (r *Registry) Close() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.closed = true
-	for session, st := range r.streams {
-		r.closeStreamLocked(st)
-		delete(r.streams, session)
+	for ss := range r.sessions {
+		ss.endLocked()
 	}
-	r.sessions = make(map[string]*sessionState)
+	clear(r.sessions)
+	clear(r.byID)
 }
 
-// closeStreamLocked closes st's done channel exactly once.
-func (r *Registry) closeStreamLocked(st *Stream) {
-	if !st.closed {
-		st.closed = true
-		close(st.done)
-	}
-}
-
-// Push enqueues one freshly fetched tile onto session's stream, reporting
-// whether the frame was accepted (false: no stream attached, buffer full,
-// or registry closed). This is the prefetch scheduler's dispatch hook
-// (prefetch.PushSink); it never blocks — a slow consumer loses frames, not
-// the worker pool — and nothing is encoded for a session without a stream.
+// Push pushes to session's latest handle (false without one); see
+// Session.Push.
 func (r *Registry) Push(session, model string, c tile.Coord, score float64, t *tile.Tile) bool {
 	r.mu.Lock()
-	st := r.streams[session]
+	ss := r.byID[session]
 	r.mu.Unlock()
-	return st != nil && r.enqueue(st, Frame{Type: FrameTile, Model: model, Score: score, Coord: c, Tile: t})
+	return ss != nil && ss.Push(model, c, score, t)
+}
+
+// Push enqueues one freshly fetched tile onto the session's stream,
+// reporting whether the frame was accepted (false: no stream attached,
+// buffer full, or session closed). It never blocks — a slow consumer
+// loses frames, not the worker pool — and encodes nothing without a
+// stream.
+func (ss *Session) Push(model string, c tile.Coord, score float64, t *tile.Tile) bool {
+	ss.reg.mu.Lock()
+	st := ss.stream
+	ss.reg.mu.Unlock()
+	return st != nil && ss.reg.enqueue(st, Frame{Type: FrameTile, Model: model, Score: score, Coord: c, Tile: t})
 }
 
 // Backfill enqueues one cached tile onto st after a re-attach, so the
@@ -257,13 +294,13 @@ func (r *Registry) enqueue(st *Stream, f Frame) bool {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.streams[st.session] != st {
+	ss := st.sess
+	if ss.stream != st {
 		return false
 	}
-	session := st.session
 	st.seq++
 	f.Seq = st.seq
-	f.Session = session
+	f.Session = ss.id
 	select {
 	case st.frames <- f:
 	default:
@@ -277,7 +314,6 @@ func (r *Registry) enqueue(st *Stream, f Frame) bool {
 	// Forget the oldest of the last pushedAtCap pushes. Its coordinate's
 	// stamp goes with it only if it is still that push's: a consume has
 	// already removed it, and a later push of the coordinate replaced it.
-	ss := r.sessions[session]
 	if len(ss.order) == pushedAtCap {
 		if v := ss.order[0]; ss.pushedAt[v.c].n == v.n {
 			delete(ss.pushedAt, v.c)
@@ -285,21 +321,20 @@ func (r *Registry) enqueue(st *Stream, f Frame) bool {
 		ss.order = ss.order[1:]
 	}
 	ss.order = append(ss.order, pushRef{c: f.Coord, n: r.pushed})
+	if ss.pushedAt == nil {
+		ss.pushedAt = make(map[tile.Coord]pushStamp)
+	}
 	ss.pushedAt[f.Coord] = pushStamp{at: r.cfg.Now(), n: r.pushed}
 	return true
 }
 
-// Consumed records that session requested coordinate c: if c was pushed
-// down the session's stream and not yet consumed, the push-to-consume
-// lead time is observed and true is returned. The server calls this on
-// every /tile request of a push-enabled deployment.
-func (r *Registry) Consumed(session string, c tile.Coord) (time.Duration, bool) {
+// Consumed records that the session requested coordinate c: if c was
+// pushed down its stream and not yet consumed, the push-to-consume lead
+// time is observed and true is returned. The server calls this on every
+// /tile request of a push-enabled deployment.
+func (ss *Session) Consumed(c tile.Coord) (time.Duration, bool) {
+	r := ss.reg
 	r.mu.Lock()
-	ss := r.sessions[session]
-	if ss == nil {
-		r.mu.Unlock()
-		return 0, false
-	}
 	stamp, ok := ss.pushedAt[c]
 	if !ok {
 		r.mu.Unlock()
@@ -318,27 +353,25 @@ func (r *Registry) Consumed(session string, c tile.Coord) (time.Duration, bool) 
 // n bytes flushed to the connection in elapsed wall time. The handler
 // calls it after every frame write; the scheduler's bandwidth-aware
 // admission term reads the resulting rate through DrainDelay.
-func (r *Registry) RecordWrite(session string, n int, elapsed time.Duration) {
+func (ss *Session) RecordWrite(n int, elapsed time.Duration) {
 	if n <= 0 || elapsed <= 0 {
 		return
 	}
 	rate := float64(n) / elapsed.Seconds()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ss := r.sessions[session]
-	if ss == nil {
-		return
+	ss.reg.mu.Lock()
+	defer ss.reg.mu.Unlock()
+	if !ss.closed {
+		ss.bps, ss.avgBytes = ewma(ss.bps, rate), ewma(ss.avgBytes, float64(n))
 	}
-	if ss.bps == 0 {
-		ss.bps = rate
-	} else {
-		ss.bps = drainAlpha*rate + (1-drainAlpha)*ss.bps
+}
+
+// ewma folds sample into avg with weight drainAlpha; the first sample
+// seeds it.
+func ewma(avg, sample float64) float64 {
+	if avg == 0 {
+		return sample
 	}
-	if ss.avgBytes == 0 {
-		ss.avgBytes = float64(n)
-	} else {
-		ss.avgBytes = drainAlpha*float64(n) + (1-drainAlpha)*ss.avgBytes
-	}
+	return drainAlpha*sample + (1-drainAlpha)*avg
 }
 
 // CountWrite counts one frame of n bytes a stream handler is about to
@@ -354,20 +387,15 @@ func (r *Registry) CountWrite(n int, heartbeat bool) {
 	r.mu.Unlock()
 }
 
-// DrainDelay estimates how long session's connection takes to deliver one
-// more tile frame: the EWMA frame size over the measured drain rate. It
-// returns 0 for sessions without an attached stream or without a measured
-// rate yet — the scheduler's admission term then adds nothing, exactly the
-// pull-path behavior. This is prefetch.PushSink's bandwidth hook.
-func (r *Registry) DrainDelay(session string) time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	st := r.streams[session]
-	if st == nil || st.closed {
-		return 0
-	}
-	ss := r.sessions[session]
-	if ss == nil || ss.bps <= 0 || ss.avgBytes <= 0 {
+// DrainDelay estimates how long the session's connection takes to deliver
+// one more tile frame: the EWMA frame size over the measured drain rate.
+// It returns 0 without an attached stream or without a measured rate yet —
+// the scheduler's admission term then adds nothing, exactly the pull-path
+// behavior. This is prefetch.PushSink's bandwidth hook.
+func (ss *Session) DrainDelay() time.Duration {
+	ss.reg.mu.Lock()
+	defer ss.reg.mu.Unlock()
+	if ss.stream == nil || ss.bps <= 0 || ss.avgBytes <= 0 {
 		return 0
 	}
 	return time.Duration(ss.avgBytes / ss.bps * float64(time.Second))
@@ -379,7 +407,6 @@ func (r *Registry) Stats() Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := Stats{
-		Open:       len(r.streams),
 		Opened:     r.opened,
 		Pushed:     r.pushed,
 		Backfilled: r.backfilled,
@@ -387,15 +414,12 @@ func (r *Registry) Stats() Stats {
 		Heartbeats: r.heartbeats,
 		Consumed:   r.consumed,
 		Bytes:      r.bytes,
+		DrainRates: make(map[string]float64),
 	}
-	if len(r.streams) > 0 {
-		st.DrainRates = make(map[string]float64, len(r.streams))
-		for session := range r.streams {
-			var bps float64
-			if ss := r.sessions[session]; ss != nil {
-				bps = ss.bps
-			}
-			st.DrainRates[session] = bps
+	for ss := range r.sessions {
+		if ss.stream != nil {
+			st.Open++
+			st.DrainRates[ss.id] = ss.bps
 		}
 	}
 	return st

@@ -23,7 +23,7 @@ import (
 func TestStatsCloseRace(t *testing.T) {
 	srv, ts, sched := asyncTestServer(t, Config{})
 
-	// Seed a few live sessions so Close has engines to detach and queued
+	// Seed a few live sessions so Close has handles to close and queued
 	// prefetches to cancel.
 	for _, id := range []string{"a", "b", "c"} {
 		resp, err := ts.Client().Get(ts.URL + "/tile?level=0&y=0&x=0&session=" + id)
@@ -110,9 +110,8 @@ func TestStatsCloseRace(t *testing.T) {
 	}
 }
 
-// TestCloseDetachesEngines: sessions evicted by Close fall back to inline
-// mode, so a scheduler delivery racing the shutdown cannot repopulate them,
-// and their queued prefetches are cancelled.
+// TestCloseDetachesEngines: Close closes every session's handles, so their
+// queued prefetches are cancelled and the scheduler tracks none of them.
 func TestCloseDetachesEngines(t *testing.T) {
 	srv, ts, sched := asyncTestServer(t, Config{})
 	resp, err := ts.Client().Get(ts.URL + "/tile?level=0&y=0&x=0&session=a")

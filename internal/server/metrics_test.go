@@ -43,10 +43,10 @@ func metricsServer(t *testing.T) (*Server, *prefetch.Scheduler) {
 	sched := prefetch.NewScheduler(db, prefetch.Config{
 		Workers: 2, QueuePerSession: 8, GlobalQueue: 16, Utility: fc, Obs: pipe,
 	})
-	factory := func(session string) (*core.Engine, error) {
+	factory := func(q core.Submitter) (*core.Engine, error) {
 		m := recommend.NewMomentum()
 		return core.NewEngine(db, nil, core.SinglePolicy{Model: m.Name()},
-			[]recommend.Model{m}, core.Config{K: 4, Scheduler: sched, Session: session, Feedback: fc, Obs: pipe})
+			[]recommend.Model{m}, core.Config{K: 4, Scheduler: q, Feedback: fc, Obs: pipe})
 	}
 	srv := New(Meta{Levels: pyr.NumLevels(), TileSize: pyr.TileSize(), Attrs: pyr.Attrs()},
 		factory, Config{Scheduler: sched, Metrics: true, Obs: pipe})
@@ -216,7 +216,7 @@ func TestMetricsAllocationShares(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory := func(session string) (*core.Engine, error) {
+	factory := func(q core.Submitter) (*core.Engine, error) {
 		m := recommend.NewMomentum()
 		return core.NewEngine(db, nil, core.SinglePolicy{Model: m.Name()},
 			[]recommend.Model{m}, core.Config{K: 4})

@@ -78,13 +78,34 @@ func (c *scrapeChecker) scrape(step string) map[string]float64 {
 	return cur
 }
 
+// checkNoOrphans drains the scheduler and checks that no per-session state
+// outlives its session: every id the scheduler tracks and every id with an
+// open push stream is a live server session.
+func checkNoOrphans(t *testing.T, srv *Server, step string) {
+	t.Helper()
+	srv.cfg.Scheduler.Drain()
+	for id := range srv.cfg.Scheduler.Stats().QueueDepths {
+		if !srv.hasSession(id) {
+			t.Errorf("after %s: the scheduler tracks %q, which is no live session", step, id)
+		}
+	}
+	if srv.cfg.Push != nil {
+		for id := range srv.cfg.Push.Stats().DrainRates {
+			if !srv.hasSession(id) {
+				t.Errorf("after %s: %q has a push stream but is no live session", step, id)
+			}
+		}
+	}
+}
+
 // TestCountersMonotoneAndShardSumsHold drives one deployment per
 // configuration — {1, 4} shards x {pull, push over SSE, push over a binary
 // stream} — through everything that retires or rebuilds state (requests,
 // /reset, eviction by cap, eviction by TTL, a stream detach and re-attach,
 // Close) and checks the scrape properties after every step, and in every
 // scrape taken while prefetches are held in flight and then flow under
-// steady traffic.
+// steady traffic. After each step that ends sessions it also checks that
+// none of their scheduler or push state outlives them.
 func TestCountersMonotoneAndShardSumsHold(t *testing.T) {
 	streams := map[string]map[string]string{
 		"pull":        nil,
@@ -103,16 +124,15 @@ func TestCountersMonotoneAndShardSumsHold(t *testing.T) {
 				if headers != nil {
 					cfg.Encoded = tile.NewEncodedCache(0, pipe.ObserveTileEncode)
 					cfg.Push = push.NewRegistry(push.Config{Obs: pipe, Encoded: cfg.Encoded})
-					pcfg.Push = cfg.Push
 				}
 				// Gated until the under-load step below opens it for good.
 				store := &gatedStore{Store: db, gate: make(chan struct{}), entered: make(chan struct{})}
 				sched := prefetch.NewScheduler(store, pcfg)
 				cfg.Scheduler = sched
-				factory := func(session string) (*core.Engine, error) {
+				factory := func(q core.Submitter) (*core.Engine, error) {
 					m := recommend.NewMomentum()
 					return core.NewEngine(db, nil, core.SinglePolicy{Model: m.Name()}, []recommend.Model{m},
-						core.Config{K: 4, Scheduler: sched.Shard(session), Session: session, Feedback: fc, Obs: pipe})
+						core.Config{K: 4, Scheduler: q, Feedback: fc, Obs: pipe})
 				}
 				srv := New(Meta{}, factory, cfg)
 				var elapsed atomic.Int64 // the now hook's offset; stream handlers read it too
@@ -211,6 +231,7 @@ func TestCountersMonotoneAndShardSumsHold(t *testing.T) {
 					t.Fatalf("reset: %d", rec.Code)
 				}
 				check.scrape("/reset")
+				checkNoOrphans(t, srv, "/reset")
 
 				for i := 0; i < 30; i++ {
 					tileReq(fmt.Sprintf("crowd-%d", i), tile.Coord{})
@@ -218,6 +239,7 @@ func TestCountersMonotoneAndShardSumsHold(t *testing.T) {
 				if m = check.scrape("eviction by cap"); m["forecache_sessions_evicted_total"] == 0 {
 					t.Fatal("30 sessions over a cap of 8 evicted nobody")
 				}
+				checkNoOrphans(t, srv, "eviction by cap")
 
 				elapsed.Store(int64(2 * time.Minute))
 				tileReq("late", tile.Coord{})
@@ -227,18 +249,21 @@ func TestCountersMonotoneAndShardSumsHold(t *testing.T) {
 					t.Fatalf("two idle minutes past a one-minute TTL left %d sessions, want 1", n)
 				}
 				check.scrape("eviction by TTL")
+				checkNoOrphans(t, srv, "eviction by TTL")
 
 				detach()
 				check.scrape("stream detach")
 				attach()
 				tileReq("walker-0", tile.Coord{}) // swept, so any coordinate starts its walk
 				check.scrape("stream re-attach")
+				checkNoOrphans(t, srv, "stream re-attach")
 
 				srv.Close()
 				if m = check.scrape("Close"); m["forecache_server_closed"] != 1 || m["forecache_sessions"] != 0 {
 					t.Errorf("after Close: closed = %v sessions = %v, want 1 and 0",
 						m["forecache_server_closed"], m["forecache_sessions"])
 				}
+				checkNoOrphans(t, srv, "Close")
 			})
 		}
 	}

@@ -21,13 +21,14 @@ const streamWriteTimeout = 30 * time.Second
 func (s *Server) Push() *push.Registry { return s.cfg.Push }
 
 // handleStream is the long-lived per-session push response. Lifecycle:
-// attach (superseding any previous stream for the session — reconnects
-// win), backfill the session's live cached predictions, then drain frames
-// until the stream is torn down (session evicted, registry closed, client
-// gone, or a write stalls past streamWriteTimeout).
+// attach to the session's own push handle (superseding any previous stream
+// for the session — reconnects win), backfill the session's live cached
+// predictions, then drain frames until the stream is torn down (session
+// evicted, registry closed, client gone, or a write stalls past
+// streamWriteTimeout).
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	id := sessionID(r.URL.Query())
-	eng, err := s.session(id)
+	sess, err := s.session(id)
 	if err != nil {
 		sessionError(w, err)
 		return
@@ -37,12 +38,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// on a deployment with an encoded cache, SSE for anyone else.
 	binary := s.cfg.Encoded != nil && acceptsTileBinary(r.Header.Get("Accept"))
 	gz := binary && acceptsGzip(r.Header.Get("Accept-Encoding"))
-	attach, contentType := s.cfg.Push.Attach, "text/event-stream"
+	contentType := "text/event-stream"
 	if binary {
-		attach, contentType = s.cfg.Push.AttachBinary, push.BinaryContentType
+		contentType = push.BinaryContentType
 	}
-	st := attach(id)
-	if st == nil { // registry already closed
+	st := sess.push.Attach(binary)
+	if st == nil { // the session was closed since it was resolved
 		httpError(w, http.StatusServiceUnavailable, ErrClosed)
 		return
 	}
@@ -88,7 +89,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		if err := rc.Flush(); err != nil {
 			return false
 		}
-		s.cfg.Push.RecordWrite(id, n, time.Since(start))
+		sess.push.RecordWrite(n, time.Since(start))
 		return true
 	}
 
@@ -96,7 +97,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// session, so a dropped-and-reattached stream recovers what the old one
 	// carried without new DBMS fetches. CachedPredictions is side-effect
 	// free, so the replay cannot double-count feedback outcomes.
-	for _, p := range eng.CachedPredictions() {
+	for _, p := range sess.eng.CachedPredictions() {
 		s.cfg.Push.Backfill(st, p.Model, p.Tile.Coord, p.Tile)
 	}
 
@@ -115,9 +116,9 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		case <-st.Done():
-			// Superseded, evicted, or registry closed: the closer already
-			// removed the registry entry; just end the response. Never block
-			// here — Close must not wait on a stream mid-write.
+			// Superseded, session closed, or registry closed: the closer
+			// already unlinked the stream; just end the response. Never
+			// block here — Close must not wait on a stream mid-write.
 			return
 		case <-r.Context().Done():
 			s.cfg.Push.Release(st)

@@ -27,11 +27,11 @@ func pushTestServer(t *testing.T, pcfg push.Config, cfg Config) (*Server, *httpt
 	pyr := testPyramid(t)
 	db := backend.NewDBMS(pyr, backend.DefaultLatency(), nil)
 	reg := push.NewRegistry(pcfg)
-	sched := prefetch.NewScheduler(db, prefetch.Config{Workers: 2, Push: reg})
-	factory := func(session string) (*core.Engine, error) {
+	sched := prefetch.NewScheduler(db, prefetch.Config{Workers: 2})
+	factory := func(q core.Submitter) (*core.Engine, error) {
 		m := recommend.NewMomentum()
 		return core.NewEngine(db, nil, core.SinglePolicy{Model: m.Name()},
-			[]recommend.Model{m}, core.Config{K: 4, Scheduler: sched, Session: session})
+			[]recommend.Model{m}, core.Config{K: 4, Scheduler: q})
 	}
 	cfg.Scheduler, cfg.Push = sched, reg
 	srv := New(Meta{Levels: pyr.NumLevels(), TileSize: pyr.TileSize(), Attrs: pyr.Attrs()}, factory, cfg)

@@ -3,11 +3,13 @@
 // Each browser session gets its own prediction engine, history and cache,
 // keyed by a session identifier.
 //
-// Session state is bounded: an LRU cap and an idle TTL evict stale
-// sessions so long-running deployments don't leak one engine per session
-// id forever. When the deployment routes prefetching through a shared
-// prefetch pipeline, the server surfaces its stats and cancels an evicted
-// session's queued fetches; Config.Metrics additionally exposes the full
+// A session is one object: its engine plus its own handles on the
+// deployment's prefetch queue and push state. Session state is bounded: an
+// LRU cap and an idle TTL evict stale sessions, and eviction closes the
+// session's handles — only its own, never a newer session's reusing the
+// id. When the deployment routes prefetching through a shared prefetch
+// pipeline, the server surfaces its stats; Config.Metrics additionally
+// exposes the full
 // scheduling loop (counters, queue saturation and depths, cache hit rates,
 // the learned utility curve, the scheduler's per-shard series) as
 // Prometheus text under GET /metrics.
@@ -48,10 +50,11 @@ type Meta struct {
 	Attrs    []string `json:"attrs"`
 }
 
-// EngineFactory builds a fresh prediction engine for a new session. The
-// session id lets the factory register the engine with a shared prefetch
-// scheduler.
-type EngineFactory func(session string) (*core.Engine, error)
+// EngineFactory builds a fresh prediction engine for a new session around
+// q, its core.Config.Scheduler: the session's handle on the deployment's
+// scheduler (the server closes it when the session ends), or an untyped
+// nil without one.
+type EngineFactory func(q core.Submitter) (*core.Engine, error)
 
 // Config wires a Server to the rest of the deployment. Every field's zero
 // value means "off" or "none": the zero Config is an unbounded, pull-only,
@@ -64,9 +67,9 @@ type Config struct {
 	// SessionTTL evicts sessions idle for longer than this (checked lazily
 	// on access). 0 or less disables expiry.
 	SessionTTL time.Duration
-	// Scheduler is the deployment's shared prefetch pipeline: its stats
-	// appear under /stats, evicted sessions' queued fetches are cancelled,
-	// and Close shuts it down.
+	// Scheduler is the deployment's shared prefetch pipeline: each session
+	// gets its own handle on it (Scheduler.Open), closed at eviction; its
+	// stats appear under /stats, and Close shuts it down.
 	Scheduler *prefetch.Scheduler
 	// Allocation is the deployment's shared feedback-driven allocation
 	// policy; its learned per-(phase, model) budget shares appear under
@@ -75,9 +78,9 @@ type Config struct {
 	// Push is the deployment's push-stream registry and mounts GET /stream:
 	// one long-lived response per session carrying framed prefetched tiles
 	// (internal/push wire formats), heartbeats while idle, and teardown on
-	// session eviction and Close. The same registry must be handed to the
-	// prefetch pipeline (prefetch.Config.Push) — the scheduler produces the
-	// frames this endpoint drains.
+	// session eviction and Close. Each session's push handle
+	// (Registry.Open) is also the push sink of its scheduler handle, so the
+	// scheduler produces the frames this endpoint drains.
 	Push *push.Registry
 	// Encoded is the deployment-wide encoded-payload cache and turns on
 	// /tile content negotiation: "Accept: application/x-forecache-tile"
@@ -107,12 +110,45 @@ type Config struct {
 	Metrics bool
 }
 
-// session is one live engine plus its eviction bookkeeping.
+// session is one live session: its engine, its handles on the prefetch
+// queue and push state, and its eviction bookkeeping.
 type session struct {
 	id       string
 	eng      *core.Engine
-	el       *list.Element // position in the recency list
+	q        *prefetch.Session // nil without a scheduler
+	push     *push.Session     // nil without a push registry
+	el       *list.Element     // position in the recency list
 	lastSeen time.Time
+}
+
+// openSession opens a new session's handles — its push handle is its
+// queue's push sink — and returns its queue as the engine's Submitter,
+// an untyped nil (never a typed-nil pointer) without a scheduler.
+func (s *Server) openSession(id string) (*session, core.Submitter) {
+	sess := &session{id: id}
+	var sink prefetch.PushSink
+	var q core.Submitter
+	if s.cfg.Push != nil {
+		sess.push = s.cfg.Push.Open(id)
+		sink = sess.push
+	}
+	if s.cfg.Scheduler != nil {
+		sess.q = s.cfg.Scheduler.Open(id, sink)
+		q = sess.q
+	}
+	return sess, q
+}
+
+// close ends the session's handles: its queued prefetches are cancelled
+// (a request still running on its engine is served, but its submits are
+// refused) and its push stream is torn down.
+func (sess *session) close() {
+	if sess.q != nil {
+		sess.q.Close()
+	}
+	if sess.push != nil {
+		sess.push.Close()
+	}
 }
 
 // Server is the HTTP middleware front door: one session table behind one
@@ -177,32 +213,28 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 
 // Close releases server resources. It is safe to call concurrently with
 // in-flight requests and with itself: the teardown runs once, concurrent
-// callers return only when it is done, later calls are no-ops. The session
-// table is torn down under its lock (later tile requests get ErrClosed /
-// 503 and /stats keeps answering with server-wide telemetry), every engine
-// is detached so pending deliveries are dropped, the shared scheduler, if
-// any, is shut down after cancelling all queued prefetches, and finally
-// the snapshot store, if any, writes the deployment's learned state to disk
-// one last time — after the scheduler stops, so the snapshot sees the last
-// outcomes the worker pool delivered.
+// callers return only when it is done, later calls are no-ops. Every
+// session is closed and the table emptied under its lock (later tile
+// requests get ErrClosed / 503 and /stats keeps answering with server-wide
+// telemetry), the shared scheduler, if any, is shut down after cancelling
+// all queued prefetches, and finally the snapshot store, if any, writes the
+// deployment's learned state to disk one last time — after the scheduler
+// stops, so the snapshot sees the last outcomes the worker pool delivered.
 func (s *Server) Close() {
 	s.teardown.Do(func() {
 		s.mu.Lock()
 		s.closed = true
-		closing := make([]*session, 0, len(s.sessions))
 		for _, sess := range s.sessions {
-			closing = append(closing, sess)
 			s.retireStatsLocked(sess)
+			sess.close()
 		}
-		s.sessions = make(map[string]*session)
+		clear(s.sessions)
 		s.recency.Init()
 		s.mu.Unlock()
-		s.releaseSessions(closing)
 		if s.cfg.Push != nil {
-			// Signal every remaining stream handler to return (a stream may
-			// have attached after the table drained). Close only closes done
-			// channels — it never waits on a handler mid-write, so it cannot
-			// deadlock against a stalled stream.
+			// Signal every remaining stream handler to return. Close only
+			// closes done channels — it never waits on a handler mid-write,
+			// so it cannot deadlock against a stalled stream.
 			s.cfg.Push.Close()
 		}
 		if s.cfg.Scheduler != nil {
@@ -233,61 +265,57 @@ func sessionError(w http.ResponseWriter, err error) {
 	httpError(w, status, err)
 }
 
-// session returns (creating on demand) the engine for session id. Expired
-// and over-cap sessions are evicted here, on access.
-func (s *Server) session(id string) (*core.Engine, error) {
+// session returns (creating on demand) session id. Expired and over-cap
+// sessions are evicted here, on access.
+func (s *Server) session(id string) (*session, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
 	now := s.now()
-	evicted := s.expireIdleLocked(now)
+	s.expireIdleLocked(now)
 	if sess, ok := s.sessions[id]; ok {
 		sess.lastSeen = now
 		s.recency.MoveToFront(sess.el)
 		s.mu.Unlock()
-		s.releaseSessions(evicted)
-		return sess.eng, nil
+		return sess, nil
 	}
 	s.mu.Unlock()
-	s.releaseSessions(evicted)
 
-	// Build the engine outside the lock: assembling one can mean training
-	// models, and stalling every other session on it would serialize the
-	// server.
-	eng, err := s.factory(id)
+	// Open the new session's handles, then build the engine outside the
+	// lock: assembling one can mean training models, and stalling every
+	// other session on it would serialize the server.
+	sess, q := s.openSession(id)
+	eng, err := s.factory(q)
 	if err != nil {
+		sess.close()
 		return nil, err
 	}
+	sess.eng = eng
 
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		// Close won the race while the engine was being built: discard it
-		// before it can register with the (stopping) scheduler.
-		s.mu.Unlock()
-		eng.DetachScheduler()
+		// Close won the race while the engine was being built.
+		sess.close()
 		return nil, ErrClosed
 	}
-	if sess, ok := s.sessions[id]; ok {
-		// A concurrent request created this session first; use its engine
-		// and discard ours (it never submitted anything to the scheduler).
-		sess.lastSeen = s.now()
-		s.recency.MoveToFront(sess.el)
-		s.mu.Unlock()
-		eng.DetachScheduler()
-		return sess.eng, nil
+	if cur, ok := s.sessions[id]; ok {
+		// A concurrent request created this session first: use it, and
+		// close our handles (nothing was submitted through them).
+		sess.close()
+		cur.lastSeen = s.now()
+		s.recency.MoveToFront(cur.el)
+		return cur, nil
 	}
-	sess := &session{id: id, eng: eng, lastSeen: s.now()}
+	sess.lastSeen = s.now()
 	sess.el = s.recency.PushFront(sess)
 	s.sessions[id] = sess
-	evicted = nil
 	for s.cfg.MaxSessions > 0 && len(s.sessions) > s.cfg.MaxSessions {
-		evicted = append(evicted, s.evictLocked(s.recency.Back().Value.(*session)))
+		s.evictLocked(s.recency.Back().Value.(*session))
 	}
-	s.mu.Unlock()
-	s.releaseSessions(evicted)
-	return eng, nil
+	return sess, nil
 }
 
 // peekSession returns id's existing engine without creating one —
@@ -304,39 +332,29 @@ func (s *Server) peekSession(id string) (*core.Engine, bool) {
 	return sess.eng, true
 }
 
-// hasSession reports whether id currently has a live engine (test hook).
-func (s *Server) hasSession(id string) bool {
-	_, ok := s.peekSession(id)
-	return ok
-}
-
-// expireIdleLocked removes every session idle past the TTL from the table and
-// returns them for release.
-func (s *Server) expireIdleLocked(now time.Time) []*session {
+// expireIdleLocked evicts every session idle past the TTL.
+func (s *Server) expireIdleLocked(now time.Time) {
 	if s.cfg.SessionTTL <= 0 {
-		return nil
+		return
 	}
-	var evicted []*session
 	for s.recency.Len() > 0 {
 		oldest := s.recency.Back().Value.(*session)
 		if now.Sub(oldest.lastSeen) <= s.cfg.SessionTTL {
 			break
 		}
-		evicted = append(evicted, s.evictLocked(oldest))
+		s.evictLocked(oldest)
 	}
-	return evicted
 }
 
-// evictLocked unlinks a session from the table. The scheduler cleanup
-// happens in releaseSessions, outside the lock: detaching waits out any
-// in-flight request on the session's engine, which must not stall the
-// table.
-func (s *Server) evictLocked(sess *session) *session {
+// evictLocked unlinks a session from the table and closes it. Closing
+// takes only the scheduler shard's and the push registry's locks, never
+// the engine's, so a request running on the engine cannot stall the table.
+func (s *Server) evictLocked(sess *session) {
 	s.recency.Remove(sess.el)
 	delete(s.sessions, sess.id)
 	s.evicted++
 	s.retireStatsLocked(sess)
-	return sess
+	sess.close()
 }
 
 // retireStatsLocked folds a departing session's cache counters into the
@@ -373,27 +391,6 @@ func (s *Server) gather(withCache bool) tierStats {
 	return t
 }
 
-// releaseSessions finishes evictions outside the table lock: the engine is
-// detached first (so a request running right now cannot re-register the
-// session with the scheduler after the cancel), then the session's queued
-// prefetches are dropped and its push stream, if any, is torn down (the
-// stream handler observes the closed done channel and returns — an evicted
-// session must not leak a goroutine holding a hijackable response).
-func (s *Server) releaseSessions(evicted []*session) {
-	if s.cfg.Scheduler == nil && s.cfg.Push == nil {
-		return
-	}
-	for _, sess := range evicted {
-		sess.eng.DetachScheduler()
-		if s.cfg.Scheduler != nil {
-			s.cfg.Scheduler.CancelSession(sess.id)
-		}
-		if s.cfg.Push != nil {
-			s.cfg.Push.Detach(sess.id)
-		}
-	}
-}
-
 func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.meta)
 }
@@ -418,21 +415,21 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	endSession := rt.StartSpan("session")
-	eng, err := s.session(id)
+	sess, err := s.session(id)
 	endSession()
 	if err != nil {
 		sessionError(w, err)
 		return
 	}
-	resp, err := eng.RequestTraced(c, rt)
+	resp, err := sess.eng.RequestTraced(c, rt)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if s.cfg.Push != nil {
+	if sess.push != nil {
 		// Close the push-to-consume loop: if this tile was framed onto the
 		// session's stream, its lead time (push to request) is observed now.
-		s.cfg.Push.Consumed(id, c)
+		sess.push.Consumed(c)
 	}
 	if resp.Hit {
 		w.Header().Set("X-Cache", "HIT")

@@ -27,10 +27,16 @@ func testPyramid(t testing.TB) *tile.Pyramid {
 	return pyr
 }
 
+// hasSession reports whether id currently has a live engine.
+func (s *Server) hasSession(id string) bool {
+	_, ok := s.peekSession(id)
+	return ok
+}
+
 func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	pyr := testPyramid(t)
-	factory := func(session string) (*core.Engine, error) {
+	factory := func(q core.Submitter) (*core.Engine, error) {
 		db := backend.NewDBMS(pyr, backend.DefaultLatency(), nil)
 		m := recommend.NewMomentum()
 		return core.NewEngine(db, nil, core.SinglePolicy{Model: m.Name()},
@@ -256,10 +262,10 @@ func asyncTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *pref
 	pyr := testPyramid(t)
 	db := backend.NewDBMS(pyr, backend.DefaultLatency(), nil)
 	sched := prefetch.NewScheduler(db, prefetch.Config{Workers: 2})
-	factory := func(session string) (*core.Engine, error) {
+	factory := func(q core.Submitter) (*core.Engine, error) {
 		m := recommend.NewMomentum()
 		return core.NewEngine(db, nil, core.SinglePolicy{Model: m.Name()},
-			[]recommend.Model{m}, core.Config{K: 4, Scheduler: sched, Session: session})
+			[]recommend.Model{m}, core.Config{K: 4, Scheduler: q})
 	}
 	cfg.Scheduler = sched
 	srv := New(Meta{Levels: pyr.NumLevels(), TileSize: pyr.TileSize(), Attrs: pyr.Attrs()}, factory, cfg)

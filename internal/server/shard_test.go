@@ -21,10 +21,10 @@ func shardedTestServer(t *testing.T, shards int, cfg Config) (*Server, *prefetch
 	pyr := testPyramid(t)
 	db := backend.NewDBMS(pyr, backend.DefaultLatency(), nil)
 	sched := prefetch.NewScheduler(db, prefetch.Config{Shards: shards, Workers: 4, QueuePerSession: 8})
-	factory := func(session string) (*core.Engine, error) {
+	factory := func(q core.Submitter) (*core.Engine, error) {
 		m := recommend.NewMomentum()
 		return core.NewEngine(db, nil, core.SinglePolicy{Model: m.Name()},
-			[]recommend.Model{m}, core.Config{K: 4, Scheduler: sched.Shard(session), Session: session})
+			[]recommend.Model{m}, core.Config{K: 4, Scheduler: q})
 	}
 	cfg.Scheduler = sched
 	srv := New(Meta{Levels: pyr.NumLevels(), TileSize: pyr.TileSize(), Attrs: pyr.Attrs()}, factory, cfg)
@@ -101,6 +101,7 @@ func TestCrossShardAggregationUnderChurn(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
+	checkNoOrphans(t, srv, "churn")
 }
 
 // TestSchedulerShardSeriesExported: for every shard count — one included —
@@ -164,10 +165,10 @@ func TestShardedObsTracing(t *testing.T) {
 	db := backend.NewDBMS(pyr, backend.DefaultLatency(), nil)
 	pipe := obs.NewPipeline(obs.Config{})
 	sched := prefetch.NewScheduler(db, prefetch.Config{Shards: 4, Workers: 4, Obs: pipe})
-	factory := func(session string) (*core.Engine, error) {
+	factory := func(q core.Submitter) (*core.Engine, error) {
 		m := recommend.NewMomentum()
 		return core.NewEngine(db, nil, core.SinglePolicy{Model: m.Name()},
-			[]recommend.Model{m}, core.Config{K: 4, Scheduler: sched.Shard(session), Session: session, Obs: pipe})
+			[]recommend.Model{m}, core.Config{K: 4, Scheduler: q, Obs: pipe})
 	}
 	srv := New(Meta{Levels: pyr.NumLevels(), TileSize: pyr.TileSize(), Attrs: pyr.Attrs()},
 		factory, Config{Scheduler: sched, Obs: pipe})

@@ -33,7 +33,7 @@ func (s *slowStore) Fetch(c tile.Coord) (*tile.Tile, error) {
 func tracedServer(t *testing.T, store backend.Store) (*Server, *obs.Pipeline) {
 	t.Helper()
 	pipe := obs.NewPipeline(obs.Config{})
-	factory := func(session string) (*core.Engine, error) {
+	factory := func(q core.Submitter) (*core.Engine, error) {
 		m := recommend.NewMomentum()
 		return core.NewEngine(store, nil, core.SinglePolicy{Model: m.Name()},
 			[]recommend.Model{m}, core.Config{K: 2, Obs: pipe})
@@ -277,7 +277,7 @@ func TestMalformedTileDoesNotTouchSessions(t *testing.T) {
 	db := backend.NewDBMS(pyr, backend.DefaultLatency(), nil)
 	pipe := obs.NewPipeline(obs.Config{})
 	var built atomic.Int64
-	factory := func(session string) (*core.Engine, error) {
+	factory := func(q core.Submitter) (*core.Engine, error) {
 		built.Add(1)
 		m := recommend.NewMomentum()
 		return core.NewEngine(db, nil, core.SinglePolicy{Model: m.Name()},
