@@ -97,7 +97,7 @@ func BenchmarkFig10cHybridVsBest(b *testing.B) {
 	ks := []int{1, 5}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := h.EvalHybridLOO(eval.HybridSpec{}, ks); err != nil {
+		if _, err := h.EvalLOO("hybrid", h.HybridEngineSetup(false), false, ks); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -108,7 +108,7 @@ func BenchmarkFig11HybridVsExisting(b *testing.B) {
 	ks := []int{5}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := h.EvalHybridLOO(eval.HybridSpec{}, ks); err != nil {
+		if _, err := h.EvalLOO("hybrid", h.HybridEngineSetup(false), false, ks); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := h.EvalModelLOO("momentum", eval.MomentumFactory(), ks); err != nil {
@@ -137,7 +137,7 @@ func BenchmarkFig13ResponseTimes(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := h.RunEngineLOO("hybrid",
-			h.HybridEngineSetup(eval.HybridSpec{}), []int{5}, lm); err != nil {
+			h.HybridEngineSetup(false), []int{5}, lm); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -159,7 +159,7 @@ func BenchmarkAblationAllocationPolicies(b *testing.B) {
 	h := benchHarness(b, 3)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := h.EvalHybridLOO(eval.HybridSpec{Name: "orig", OriginalTable: true}, []int{5}); err != nil {
+		if _, err := h.EvalLOO("orig", h.HybridEngineSetup(true), false, []int{5}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,7 +11,8 @@
 //   - the tile pyramid data model (internal/tile), built from a raw grid
 //     by the (2, 2) averaging regrid that makes each coarser zoom level,
 //     and tile signatures including SIFT bag-of-visual-words
-//     (internal/sig);
+//     (internal/sig); BuildPyramid takes any Grid and a SignatureConfig,
+//     the route for a dataset other than MODIS;
 //   - the two-level prediction engine (internal/core) over an SVM phase
 //     classifier (internal/svm, internal/phase) and the recommenders
 //     (internal/recommend), among them a Kneser–Ney Markov chain. The
@@ -158,9 +159,9 @@
 //     and figure of the paper (internal/eval). The harness assembles every
 //     multi-model engine through the same registry path deployments use;
 //     it owns what only the comparisons need — the trace-trained Hotspot
-//     baseline of Doshi et al. and the two allocation ablations (a custom
-//     AB-first split, the §4.4 original table), expressed as prior-column
-//     overrides on the AB spec rather than as policy types.
+//     baseline of Doshi et al. and the allocation ablation (the §4.4
+//     original table), expressed as a prior-column override on the AB
+//     spec rather than as a policy type.
 //
 // Quickstart:
 //

@@ -25,6 +25,31 @@ func ExampleBuildWorld() {
 	// attr: ndsi_avg
 }
 
+// ExampleBuildPyramid tiles a dataset other than MODIS: a 64×64 grid of
+// one attribute, heart rate in beats per minute, signed over its value
+// range.
+func ExampleBuildPyramid() {
+	data := make([]float64, 64*64)
+	for i := range data {
+		data[i] = 60 + float64(i%40)
+	}
+	raw := &forecache.Grid{Rows: 64, Cols: 64, Attrs: []string{"bpm"}, Data: [][]float64{data}}
+	sigCfg := forecache.SignatureConfig{Attr: "bpm", ValueMin: 40, ValueMax: 160, Seed: 1}
+	ds, err := forecache.BuildPyramid(raw, 16, sigCfg)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	root, _ := ds.Pyramid.Tile(forecache.Coord{})
+	fmt.Println("levels:", ds.Pyramid.NumLevels())
+	fmt.Println("tiles:", ds.Pyramid.NumTiles())
+	fmt.Println("signatures:", len(root.Signatures))
+	// Output:
+	// levels: 3
+	// tiles: 21
+	// signatures: 4
+}
+
 // ExampleDataset_NewMiddleware walks the canonical zoom-in path and shows
 // the prefetcher at work.
 func ExampleDataset_NewMiddleware() {

@@ -34,6 +34,9 @@ type (
 	// Grid is a raw dataset: one row-major plane per attribute, NaN
 	// marking an empty cell. BuildPyramid tiles it.
 	Grid = tile.Grid
+	// SignatureConfig names the attribute BuildPyramid's signatures
+	// describe, its value range and the codebook's training seed.
+	SignatureConfig = sig.Config
 	// Trace is one recorded user session.
 	Trace = trace.Trace
 	// Request is one tile request within a trace.
@@ -49,7 +52,8 @@ type (
 	Response = core.Response
 	// LatencyModel holds the hit/miss service times.
 	LatencyModel = backend.LatencyModel
-	// Harness runs the paper's experiments.
+	// Harness runs the paper's experiments over one dataset and its
+	// traces, at the paper's history window (n = 3).
 	Harness = eval.Harness
 	// Server is the HTTP middleware front door.
 	Server = server.Server
@@ -85,14 +89,11 @@ type WorldConfig struct {
 	Size int
 	// TileSize is the per-side cell count of every tile. Default 16.
 	TileSize int
-	// CodebookTiles is how many tiles train the SIFT visual-word codebook.
-	// Default 80.
-	CodebookTiles int
 }
 
-// defaultCodebookTiles is CodebookTiles' default; BuildPyramid applies it
-// for BuildWorld too.
-const defaultCodebookTiles = 80
+// codebookTiles is how many sampled tiles train the SIFT visual-word
+// codebook.
+const codebookTiles = 80
 
 func (c WorldConfig) withDefaults() WorldConfig {
 	if c.Size <= 0 {
@@ -117,18 +118,15 @@ func BuildWorld(cfg WorldConfig) (*Dataset, error) {
 	sigCfg := sig.DefaultConfig("ndsi_avg")
 	sigCfg.Seed = cfg.Seed
 	raw := &Grid{Rows: cfg.Size, Cols: cfg.Size, Attrs: modis.Attrs, Data: ndsi}
-	return BuildPyramid(raw, cfg.TileSize, sigCfg, cfg.CodebookTiles)
+	return BuildPyramid(raw, cfg.TileSize, sigCfg)
 }
 
 // BuildPyramid turns any raw grid into a signed tile pyramid: the route for
 // non-MODIS datasets. sigCfg.Attr names the attribute the signatures
-// describe, and the Dataset's Attr is set from it. codebookTiles <= 0 means
-// the default, 80. The Dataset does not retain raw: the tiles copy its
+// describe, and the Dataset's Attr is set from it; 80 sampled tiles train
+// the SIFT codebook. The Dataset does not retain raw: the tiles copy its
 // cells out, so it can be collected once the caller drops it.
-func BuildPyramid(raw *Grid, tileSize int, sigCfg sig.Config, codebookTiles int) (*Dataset, error) {
-	if codebookTiles <= 0 {
-		codebookTiles = defaultCodebookTiles
-	}
+func BuildPyramid(raw *Grid, tileSize int, sigCfg SignatureConfig) (*Dataset, error) {
 	pyr, err := tile.Build(raw, tileSize)
 	if err != nil {
 		return nil, fmt.Errorf("forecache: build pyramid: %w", err)

@@ -150,16 +150,29 @@ func TestBuildPyramidGenericDataset(t *testing.T) {
 	}
 	cfg := sig.DefaultConfig("bpm")
 	cfg.ValueMin, cfg.ValueMax = 40, 160
-	ds, err := BuildPyramid(&Grid{Rows: 64, Cols: 64, Attrs: []string{"bpm"}, Data: [][]float64{data}}, 16, cfg, 20)
+	ds, err := BuildPyramid(&Grid{Rows: 64, Cols: 64, Attrs: []string{"bpm"}, Data: [][]float64{data}}, 16, cfg)
 	if err != nil {
 		t.Fatalf("BuildPyramid: %v", err)
 	}
-	if ds.Pyramid.NumLevels() != 3 {
-		t.Errorf("levels = %d, want 3", ds.Pyramid.NumLevels())
+	if ds.Pyramid.NumLevels() != 3 || ds.Pyramid.NumTiles() != 21 {
+		t.Errorf("levels, tiles = %d, %d, want 3, 21", ds.Pyramid.NumLevels(), ds.Pyramid.NumTiles())
 	}
 	if ds.Attr != "bpm" {
 		t.Errorf("attr = %q", ds.Attr)
 	}
+	// The codebook sample (80) covers all 21 tiles, and every tile carries
+	// all four signatures.
+	if n := len(ds.Pyramid.SampleTiles(codebookTiles)); n != 21 {
+		t.Errorf("codebook sample = %d tiles, want all 21", n)
+	}
+	ds.Pyramid.EachTile(func(tl *Tile) bool {
+		for _, name := range sig.AllNames() {
+			if len(tl.Signatures[name]) == 0 {
+				t.Errorf("%v: no %s signature", tl.Coord, name)
+			}
+		}
+		return true
+	})
 }
 
 func TestHarnessFromDataset(t *testing.T) {
@@ -645,7 +658,7 @@ func TestTracingServerFacade(t *testing.T) {
 // drain; the masked scrape's FNV-64a digest is pinned. A deliberate change
 // to the exposition updates the digest in the same change.
 func TestMetricsScrapePin(t *testing.T) {
-	const want = 0x82a2bfbd22781229
+	const want = 0x7276a7db00a37a9d
 	ds, traces := testWorld(t)
 	srv, sched, err := ds.newServer(traces, MiddlewareConfig{
 		AsyncPrefetch: true, Push: true, Shards: 2, PrefetchWorkers: 2,

@@ -33,8 +33,6 @@ type Config struct {
 	K int
 	// D is the prediction distance in moves (paper default d = 1).
 	D int
-	// HistoryLen is the session history window n.
-	HistoryLen int
 	// RecentTiles is the LRU region capacity for the last requested tiles.
 	RecentTiles int
 
@@ -70,9 +68,13 @@ type Config struct {
 	Obs *obs.Pipeline
 }
 
+// HistoryLen is the session history window n every engine keeps (paper:
+// n = 3).
+const HistoryLen = 3
+
 // DefaultConfig mirrors the paper's experimental defaults.
 func DefaultConfig() Config {
-	return Config{K: 5, D: 1, HistoryLen: 3, RecentTiles: 4}
+	return Config{K: 5, D: 1, RecentTiles: 4}
 }
 
 func (c Config) withDefaults() Config {
@@ -82,9 +84,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.D <= 0 {
 		c.D = d.D
-	}
-	if c.HistoryLen <= 0 {
-		c.HistoryLen = d.HistoryLen
 	}
 	if c.RecentTiles <= 0 {
 		c.RecentTiles = d.RecentTiles
@@ -185,7 +184,7 @@ func NewEngine(db backend.Store, classifier *phase.Classifier, policy Allocation
 		policy:     policy,
 		models:     models,
 		cache:      cache.NewManager(cfg.RecentTiles),
-		history:    trace.NewHistory(cfg.HistoryLen),
+		history:    trace.NewHistory(HistoryLen),
 	}
 	if e.cfg.Scheduler == nil {
 		e.cfg.Scheduler = inline{e}

@@ -8,6 +8,8 @@ import (
 	"forecache/internal/core"
 	"forecache/internal/phase"
 	"forecache/internal/recommend"
+	"forecache/internal/sig"
+	"forecache/internal/trace"
 )
 
 // EngineRun reports one end-to-end middleware measurement: a model (or the
@@ -82,11 +84,29 @@ func (h *Harness) classifier(f fold, features []int) (*phase.Classifier, error) 
 	return cls, err
 }
 
-// HybridEngineSetup builds the paper's full engine — AB + SB models, the
-// trained phase classifier and the spec's allocation table — through the
-// registry path, like every other multi-model engine.
-func (h *Harness) HybridEngineSetup(spec HybridSpec) EngineSetup {
-	return h.RegistryEngineSetup(spec.specs())
+// HybridEngineSetup builds the paper's full engine — AB (order 3) and SB
+// over SIFT, the trained phase classifier and the tuned §5.4.3 table, AB
+// taking the first four slots outside Sensemaking — through the registry
+// path, like every other multi-model engine. original swaps AB's column
+// for the pre-tuning §4.4 one (an ablation; SB keeps the remainder column,
+// so it still owns Sensemaking).
+func (h *Harness) HybridEngineSetup(original bool) EngineSetup {
+	specs := recommend.DefaultSpecs(3, []string{sig.NameSIFT}, nil)
+	if original {
+		// §4.4: Navigation all AB, Sensemaking all SB, Foraging an equal
+		// split with the odd slot to AB.
+		specs[0].Prior = func(ph trace.Phase, k int) int {
+			switch ph {
+			case trace.Navigation:
+				return k
+			case trace.Sensemaking:
+				return 0
+			default:
+				return k - k/2
+			}
+		}
+	}
+	return h.RegistryEngineSetup(specs)
 }
 
 // RunEngineLOO replays the held-out traces through a real middleware
@@ -110,7 +130,7 @@ func (h *Harness) RunEngineLOO(name string, setup EngineSetup, ks []int, lm back
 		db := backend.NewDBMS(h.Pyr, lm, nil)
 		for _, k := range ks {
 			eng, err := core.NewEngine(db, cls, policy, models, core.Config{
-				K: k, D: h.D, HistoryLen: h.HistoryLen, RecentTiles: h.RecentTiles(),
+				K: k, D: h.D, RecentTiles: h.RecentTiles(),
 			})
 			if err != nil {
 				return nil, err
@@ -146,4 +166,4 @@ func (h *Harness) RunEngineLOO(name string, setup EngineSetup, ks []int, lm back
 // RecentTiles is the LRU region size used in engine replays. The paper
 // reserves the remaining cache space for the last n requested tiles; we
 // use the history window size.
-func (h *Harness) RecentTiles() int { return h.HistoryLen }
+func (h *Harness) RecentTiles() int { return core.HistoryLen }

@@ -8,6 +8,12 @@
 // predictions trimmed to its allotment k; count whether the next requested
 // tile is in the list. Accuracy is attributed to the analysis phase of the
 // predicted (next) request.
+//
+// Every replay keeps the paper's one history window (n = 3,
+// core.HistoryLen), and the two-level engine is the paper's one hybrid:
+// AB (order 3) and SB over SIFT under the tuned §5.4.3 table
+// (HybridEngineSetup). Its ablations are the §4.4 original table and
+// ground-truth phases (EvalLOO's oracle).
 package eval
 
 import (
@@ -20,7 +26,6 @@ import (
 	"forecache/internal/core"
 	"forecache/internal/phase"
 	"forecache/internal/recommend"
-	"forecache/internal/sig"
 	"forecache/internal/tile"
 	"forecache/internal/trace"
 )
@@ -30,24 +35,17 @@ type Harness struct {
 	Pyr    *tile.Pyramid
 	Attr   string
 	Traces []*trace.Trace
-	// HistoryLen is the session history window n (default 3).
-	HistoryLen int
 	// D is the prediction distance in moves (default 1).
 	D int
 	// MaxTrainRequests caps the classifier's training set per fold for
 	// bounded SMO time (deterministic subsample; default 800).
 	MaxTrainRequests int
-	// Seed drives deterministic subsampling.
-	Seed int64
 	// classifiers memoizes each fold's phase classifier by held-out user;
-	// Traces, MaxTrainRequests and Seed must not change once it has entries.
+	// Traces and MaxTrainRequests must not change once it has entries.
 	classifiers map[int]*phase.Classifier
 }
 
 func (h *Harness) withDefaults() {
-	if h.HistoryLen <= 0 {
-		h.HistoryLen = 3
-	}
 	if h.D <= 0 {
 		h.D = 1
 	}
@@ -217,13 +215,13 @@ func (h *Harness) folds() []fold {
 // cross-validation, for every k in ks, attributed per phase: the one-model
 // engine, every slot allocated to it and no phase classifier.
 func (h *Harness) EvalModelLOO(name string, factory ModelFactory, ks []int) (*Table, error) {
-	return h.evalLOO(name, SingleEngineSetup(factory), false, ks)
+	return h.EvalLOO(name, SingleEngineSetup(factory), false, ks)
 }
 
-// evalLOO is the paper's accuracy measurement (§5.2.2), once: per fold build
+// EvalLOO is the paper's accuracy measurement (§5.2.2), once: per fold build
 // the engine's pieces on 17 users and step through the held-out user's
 // traces. oracle discards the setup's classifier (ground-truth phases).
-func (h *Harness) evalLOO(name string, setup EngineSetup, oracle bool, ks []int) (*Table, error) {
+func (h *Harness) EvalLOO(name string, setup EngineSetup, oracle bool, ks []int) (*Table, error) {
 	h.withDefaults()
 	table := NewTable()
 	for _, fold := range h.folds() {
@@ -245,7 +243,7 @@ func (h *Harness) evalLOO(name string, setup EngineSetup, oracle bool, ks []int)
 // model's ranking trimmed to the slots the policy allots that model for the
 // request's phase (cls's prediction; the ground-truth label when cls is nil)?
 func (h *Harness) step(name string, models []recommend.Model, policy core.AllocationPolicy, cls *phase.Classifier, tr *trace.Trace, ks []int, table *Table) {
-	hist := trace.NewHistory(h.HistoryLen)
+	hist := trace.NewHistory(core.HistoryLen)
 	ranks := make([][]recommend.Ranked, len(models))
 	for i := 0; i+1 < len(tr.Requests); i++ {
 		r, next := tr.Requests[i], tr.Requests[i+1]
@@ -272,75 +270,6 @@ func (h *Harness) step(name string, models []recommend.Model, policy core.Alloca
 	}
 }
 
-// HybridSpec configures the two-level engine evaluation.
-type HybridSpec struct {
-	// Name labels the rows (default "hybrid").
-	Name string
-	// ABOrder is the Markov order (paper: 3).
-	ABOrder int
-	// SBSigs restricts the SB model's signatures (paper: SIFT only).
-	SBSigs []string
-	// ABFirst is how many slots AB fills before SB (paper: 4).
-	ABFirst int
-	// OriginalTable switches to the pre-tuning §4.4 allocation
-	// strategy (ablation).
-	OriginalTable bool
-	// OraclePhases uses ground-truth phase labels instead of the trained
-	// classifier (ablation isolating classifier error).
-	OraclePhases bool
-}
-
-// specs is the registry composition the spec describes: the default AB +
-// SB pair, with AB's prior column overridden for the two allocation
-// ablations (SB keeps the remainder column, so it still owns Sensemaking).
-func (spec HybridSpec) specs() []recommend.Spec {
-	order := spec.ABOrder
-	if order <= 0 {
-		order = 3
-	}
-	sigs := spec.SBSigs
-	if len(sigs) == 0 {
-		sigs = []string{sig.NameSIFT}
-	}
-	specs := recommend.DefaultSpecs(order, sigs, nil)
-	switch {
-	case spec.OriginalTable:
-		// §4.4: Navigation all AB, Sensemaking all SB, Foraging an equal
-		// split with the odd slot to AB.
-		specs[0].Prior = func(ph trace.Phase, k int) int {
-			switch ph {
-			case trace.Navigation:
-				return k
-			case trace.Sensemaking:
-				return 0
-			default:
-				return k - k/2
-			}
-		}
-	case spec.ABFirst > 0:
-		// §5.4.3 with a custom split: the first min(k, ABFirst) slots.
-		first := spec.ABFirst
-		specs[0].Prior = func(ph trace.Phase, k int) int {
-			if ph == trace.Sensemaking {
-				return 0
-			}
-			return first
-		}
-	}
-	return specs
-}
-
-// EvalHybridLOO measures the full two-level prediction engine: per fold it
-// trains the phase classifier and the AB chain on 17 users and replays the
-// held-out user's traces, combining the models' rankings per the spec's
-// allocation table (§5.4.3).
-func (h *Harness) EvalHybridLOO(spec HybridSpec, ks []int) (*Table, error) {
-	if spec.Name == "" {
-		spec.Name = "hybrid"
-	}
-	return h.evalLOO(spec.Name, h.HybridEngineSetup(spec), spec.OraclePhases, ks)
-}
-
 // sampleRequests flattens training traces into labeled requests, capped at
 // MaxTrainRequests by deterministic subsampling so SVM training stays fast.
 func (h *Harness) sampleRequests(traces []*trace.Trace) []trace.Request {
@@ -348,7 +277,7 @@ func (h *Harness) sampleRequests(traces []*trace.Trace) []trace.Request {
 	if len(reqs) <= h.MaxTrainRequests {
 		return reqs
 	}
-	rng := rand.New(rand.NewSource(h.Seed + 17))
+	rng := rand.New(rand.NewSource(17))
 	idx := rng.Perm(len(reqs))[:h.MaxTrainRequests]
 	sort.Ints(idx)
 	out := make([]trace.Request, len(idx))

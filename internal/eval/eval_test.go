@@ -2,7 +2,6 @@ package eval
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -218,7 +217,7 @@ func TestEvalHybridLOO(t *testing.T) {
 	h := harness(t)
 	h.Traces = subsetUsers(h.Traces, 6)
 	ks := []int{1, 5}
-	hyb, err := h.EvalHybridLOO(HybridSpec{}, ks)
+	hyb, err := h.EvalLOO("hybrid", h.HybridEngineSetup(false), false, ks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +237,7 @@ func TestEvalHybridLOO(t *testing.T) {
 func TestHybridOraclePhases(t *testing.T) {
 	h := harness(t)
 	h.Traces = subsetUsers(h.Traces, 4)
-	hyb, err := h.EvalHybridLOO(HybridSpec{Name: "oracle", OraclePhases: true}, []int{4})
+	hyb, err := h.EvalLOO("oracle", h.HybridEngineSetup(false), true, []int{4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,17 +359,15 @@ func BenchmarkEvalMomentumLOO(b *testing.B) {
 
 // TestHybridSpecPolicies pins the allocation tables HybridEngineSetup
 // builds against the paper's rules written out independently: §5.4.3 (the
-// first min(k, ABFirst) slots to AB outside Sensemaking, SB the rest and
-// all of Sensemaking) for the default and every ABFirst, and the §4.4
-// original table — every phase and k = 1..8.
+// first min(k, 4) slots to AB outside Sensemaking, SB the rest and all of
+// Sensemaking) by default, and the §4.4 original table — every phase and
+// k = 1..8.
 func TestHybridSpecPolicies(t *testing.T) {
-	tuned := func(abFirst int) func(trace.Phase, int) int {
-		return func(ph trace.Phase, k int) int {
-			if ph == trace.Sensemaking {
-				return 0
-			}
-			return min(k, abFirst)
+	tuned := func(ph trace.Phase, k int) int {
+		if ph == trace.Sensemaking {
+			return 0
 		}
+		return min(k, 4)
 	}
 	original := func(ph trace.Phase, k int) int {
 		switch ph {
@@ -382,24 +379,20 @@ func TestHybridSpecPolicies(t *testing.T) {
 			return (k + 1) / 2
 		}
 	}
-	type tc struct {
-		name   string
-		spec   HybridSpec
-		wantAB func(trace.Phase, int) int
-	}
-	cases := []tc{
-		{"default", HybridSpec{}, tuned(4)},
-		{"original", HybridSpec{OriginalTable: true}, original},
-	}
-	for first := 1; first <= 8; first++ {
-		cases = append(cases, tc{fmt.Sprintf("abfirst=%d", first), HybridSpec{ABFirst: first}, tuned(first)})
+	cases := []struct {
+		name     string
+		original bool
+		wantAB   func(trace.Phase, int) int
+	}{
+		{"default", false, tuned},
+		{"original", true, original},
 	}
 	h := harness(t)
 	h.withDefaults()
 	train := subsetUsers(h.Traces, 2)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			models, policy, _, err := h.HybridEngineSetup(c.spec)(fold{train: train})
+			models, policy, _, err := h.HybridEngineSetup(c.original)(fold{train: train})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -127,7 +127,7 @@ func accuracyFigure(w io.Writer, h *Harness, title string, ks []int, rows []accu
 	names := make([]string, len(rows))
 	for i, row := range rows {
 		names[i] = row.name
-		t, err := h.evalLOO(row.name, row.setup, row.oracle, ks)
+		t, err := h.EvalLOO(row.name, row.setup, row.oracle, ks)
 		if err != nil {
 			return err
 		}
@@ -159,7 +159,7 @@ func runFig10b(w io.Writer, h *Harness) error {
 
 func runFig10c(w io.Writer, h *Harness) error {
 	return accuracyFigure(w, h, "Figure 10c: final two-level engine vs its best individual models", KSweep(), []accuracyRow{
-		{name: "hybrid", setup: h.HybridEngineSetup(HybridSpec{})},
+		{name: "hybrid", setup: h.HybridEngineSetup(false)},
 		{name: "markov3", setup: SingleEngineSetup(ABFactory(3))},
 		{name: "sb:sift", setup: SingleEngineSetup(h.SBFactory(sig.NameSIFT))},
 	}, "  paper shape: hybrid matches the best model per phase, beating both overall")
@@ -167,7 +167,7 @@ func runFig10c(w io.Writer, h *Harness) error {
 
 func runFig11(w io.Writer, h *Harness) error {
 	return accuracyFigure(w, h, "Figure 11: final engine vs existing techniques, accuracy by phase and k", KSweep(), []accuracyRow{
-		{name: "hybrid", setup: h.HybridEngineSetup(HybridSpec{})},
+		{name: "hybrid", setup: h.HybridEngineSetup(false)},
 		{name: "momentum", setup: SingleEngineSetup(MomentumFactory())},
 		{name: "hotspot", setup: SingleEngineSetup(HotspotFactory(8, 3))},
 	}, "  paper shape: up to 25% better in Navigation, 10-18% better in Sensemaking")
@@ -185,7 +185,7 @@ func engineRunsAll(h *Harness, ks []int) ([]EngineRun, error) {
 		{"hotspot", SingleEngineSetup(HotspotFactory(8, 3))},
 		{"markov3", SingleEngineSetup(ABFactory(3))},
 		{"sb:sift", SingleEngineSetup(h.SBFactory(sig.NameSIFT))},
-		{"hybrid", h.HybridEngineSetup(HybridSpec{})},
+		{"hybrid", h.HybridEngineSetup(false)},
 	} {
 		runs, err := h.RunEngineLOO(spec.name, spec.setup, ks, lm)
 		if err != nil {
@@ -215,7 +215,7 @@ func runFig13(w io.Writer, h *Harness) error {
 		name  string
 		setup EngineSetup
 	}{
-		{"hybrid", h.HybridEngineSetup(HybridSpec{})},
+		{"hybrid", h.HybridEngineSetup(false)},
 		{"momentum", SingleEngineSetup(MomentumFactory())},
 		{"hotspot", SingleEngineSetup(HotspotFactory(8, 3))},
 	} {
@@ -266,9 +266,9 @@ func runMarkovOrder(w io.Writer, h *Harness) error {
 
 func runPolicyAblation(w io.Writer, h *Harness) error {
 	return accuracyFigure(w, h, "Allocation-strategy ablation: tuned §5.4.3 vs original §4.4 vs oracle phases", []int{2, 5, 8}, []accuracyRow{
-		{name: "tuned", setup: h.HybridEngineSetup(HybridSpec{})},
-		{name: "original", setup: h.HybridEngineSetup(HybridSpec{OriginalTable: true})},
-		{name: "oracle", setup: h.HybridEngineSetup(HybridSpec{}), oracle: true},
+		{name: "tuned", setup: h.HybridEngineSetup(false)},
+		{name: "original", setup: h.HybridEngineSetup(true)},
+		{name: "oracle", setup: h.HybridEngineSetup(false), oracle: true},
 	})
 }
 

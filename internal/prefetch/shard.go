@@ -445,9 +445,12 @@ func (s *Shard) worker() {
 		s.stats.Completed += len(waiters)
 		s.delivering++
 		s.mu.Unlock()
-		// Deliver off the worker: a Deliver callback may block on a busy
-		// engine's lock, and stalling the shared pool on one session would
-		// be cross-session head-of-line blocking.
+		// Deliver off the worker because of push dispatch: an SSE
+		// stream's sink may encode the tile's JSON body on an
+		// encoded-cache miss, or wait on another caller's encode, and
+		// stalling the shared pool on one session would be cross-session
+		// head-of-line blocking. The cache deliveries take only the
+		// cache's leaf lock.
 		go func() {
 			for _, w := range waiters {
 				if w.req.Deliver != nil {

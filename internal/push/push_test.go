@@ -332,7 +332,7 @@ func TestRegistryDrainDelay(t *testing.T) {
 func TestRegistryConsumedLead(t *testing.T) {
 	now := time.Unix(100, 0)
 	pipe := obs.NewPipeline(obs.Config{})
-	r := NewRegistry(Config{Obs: pipe, Now: func() time.Time { return now }})
+	r := NewRegistry(Config{Obs: pipe, now: func() time.Time { return now }})
 	ss := r.Open("s")
 	ss.Attach(false)
 	c := tile.Coord{Level: 3, Y: 1, X: 2}

@@ -37,8 +37,8 @@ type Config struct {
 	// the /tile pull path — is encoded exactly once. Nil keeps the
 	// per-frame marshal. Binary streams never ask for the JSON variant.
 	Encoded *tile.EncodedCache
-	// Now overrides time.Now (test seam).
-	Now func() time.Time
+	// now overrides time.Now (test seam).
+	now func() time.Time
 }
 
 // Stats snapshots registry activity since construction.
@@ -52,8 +52,10 @@ type Stats struct {
 	// Backfilled counts the subset of Pushed replayed from the server-side
 	// cache on re-attach.
 	Backfilled int `json:"backfilled"`
-	// Dropped counts frames lost to a full stream buffer or a detached
-	// session.
+	// Dropped counts tile frames lost to a full stream buffer. A frame
+	// for a session with no stream, or for a superseded, released or
+	// closed one, is refused uncounted: its tile is cached either way and
+	// reaches a re-attached stream as backfill.
 	Dropped int `json:"dropped"`
 	// Heartbeats counts heartbeat frames written.
 	Heartbeats int `json:"heartbeats"`
@@ -138,8 +140,8 @@ func NewRegistry(cfg Config) *Registry {
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = DefaultHeartbeat
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
+	if cfg.now == nil {
+		cfg.now = time.Now
 	}
 	return &Registry{
 		cfg:      cfg,
@@ -324,7 +326,7 @@ func (r *Registry) enqueue(st *Stream, f Frame) bool {
 	if ss.pushedAt == nil {
 		ss.pushedAt = make(map[tile.Coord]pushStamp)
 	}
-	ss.pushedAt[f.Coord] = pushStamp{at: r.cfg.Now(), n: r.pushed}
+	ss.pushedAt[f.Coord] = pushStamp{at: r.cfg.now(), n: r.pushed}
 	return true
 }
 
@@ -342,7 +344,7 @@ func (ss *Session) Consumed(c tile.Coord) (time.Duration, bool) {
 	}
 	delete(ss.pushedAt, c)
 	r.consumed++
-	lead := r.cfg.Now().Sub(stamp.at)
+	lead := r.cfg.now().Sub(stamp.at)
 	obsPipe := r.cfg.Obs
 	r.mu.Unlock()
 	obsPipe.ObservePushLead(lead)

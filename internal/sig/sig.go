@@ -14,6 +14,11 @@
 // applies to each (paper §4.3.3). The SIFT variants quantize descriptors
 // against a k-means codebook trained on the pyramid's own tiles, replacing
 // the paper's OpenCV + external features pipeline.
+//
+// The signature shapes (histogram bins, codebook words, the keypoint cap
+// and the dense stride) are constants, the one configuration the
+// experiments run. A Config names only the attribute, its value range and
+// the codebook's training seed.
 package sig
 
 import (
@@ -35,6 +40,19 @@ func AllNames() []string {
 	return []string{NameNormal, NameHistogram, NameSIFT, NameDenseSIFT}
 }
 
+// The signature shapes every experiment uses.
+const (
+	// histBins is the 1-D histogram's bin count.
+	histBins = 16
+	// words is the codebook size (visual word count) for SIFT and
+	// DenseSIFT.
+	words = 24
+	// maxKeypoints caps SIFT keypoints per tile (strongest first).
+	maxKeypoints = 48
+	// denseStride is the cell stride of the DenseSIFT sampling grid.
+	denseStride = 8
+)
+
 // Config parameterizes signature computation for one attribute.
 type Config struct {
 	// Attr is the tile attribute the signatures describe (e.g. "ndsi_avg").
@@ -42,14 +60,6 @@ type Config struct {
 	// ValueMin and ValueMax bound the attribute's values; histograms and
 	// normalizations use this range. For NDSI the range is [-1, 1].
 	ValueMin, ValueMax float64
-	// HistBins is the 1-D histogram's bin count.
-	HistBins int
-	// Codebook size (visual word count) for SIFT and DenseSIFT.
-	Words int
-	// MaxKeypoints caps SIFT keypoints per tile (strongest first).
-	MaxKeypoints int
-	// DenseStride is the cell stride of the DenseSIFT sampling grid.
-	DenseStride int
 	// Seed drives the deterministic k-means codebook training.
 	Seed int64
 }
@@ -57,16 +67,7 @@ type Config struct {
 // DefaultConfig returns the configuration used by the experiments for the
 // NDSI dataset.
 func DefaultConfig(attr string) Config {
-	return Config{
-		Attr:         attr,
-		ValueMin:     -1,
-		ValueMax:     1,
-		HistBins:     16,
-		Words:        24,
-		MaxKeypoints: 48,
-		DenseStride:  8,
-		Seed:         1,
-	}
+	return Config{Attr: attr, ValueMin: -1, ValueMax: 1, Seed: 1}
 }
 
 // Computer computes all four signatures for tiles. The SIFT codebook must
@@ -77,28 +78,14 @@ type Computer struct {
 	codebook *Codebook
 }
 
-// NewComputer returns a Computer for the given configuration.
+// NewComputer returns a Computer for the given configuration. An empty
+// value range falls back to [0, 1].
 func NewComputer(cfg Config) *Computer {
-	if cfg.HistBins <= 0 {
-		cfg.HistBins = 16
-	}
-	if cfg.Words <= 0 {
-		cfg.Words = 24
-	}
-	if cfg.MaxKeypoints <= 0 {
-		cfg.MaxKeypoints = 48
-	}
-	if cfg.DenseStride <= 0 {
-		cfg.DenseStride = 8
-	}
 	if cfg.ValueMax <= cfg.ValueMin {
 		cfg.ValueMin, cfg.ValueMax = 0, 1
 	}
 	return &Computer{cfg: cfg}
 }
-
-// Config returns the computer's configuration.
-func (c *Computer) Config() Config { return c.cfg }
 
 // TrainCodebook extracts SIFT descriptors from the given training tiles and
 // clusters them into the visual-word codebook. It must be called before
@@ -112,19 +99,19 @@ func (c *Computer) TrainCodebook(tiles []*tile.Tile) {
 			continue
 		}
 		gr := newGradients(g, t.Size)
-		kps := detectKeypoints(g, t.Size, c.cfg.MaxKeypoints)
+		kps := detectKeypoints(g, t.Size, maxKeypoints)
 		for _, kp := range kps {
 			descs = append(descs, gr.describe(make([]float64, descriptorSize), kp.y, kp.x))
 		}
 		// Include a sparse sample of dense descriptors so the codebook also
 		// covers textureless regions that keypoint detection skips.
-		for y := c.cfg.DenseStride / 2; y < t.Size; y += c.cfg.DenseStride * 2 {
-			for x := c.cfg.DenseStride / 2; x < t.Size; x += c.cfg.DenseStride * 2 {
+		for y := denseStride / 2; y < t.Size; y += denseStride * 2 {
+			for x := denseStride / 2; x < t.Size; x += denseStride * 2 {
 				descs = append(descs, gr.describe(make([]float64, descriptorSize), y, x))
 			}
 		}
 	}
-	c.codebook = TrainCodebook(descs, c.cfg.Words, c.cfg.Seed)
+	c.codebook = TrainCodebook(descs, words, c.cfg.Seed)
 }
 
 // Compute returns the signature vectors for the tile, keyed by signature
@@ -136,7 +123,7 @@ func (c *Computer) Compute(t *tile.Tile) map[string][]float64 {
 	out[NameNormal] = c.Normal(t)
 	out[NameHistogram] = c.Histogram(t)
 	if c.codebook != nil {
-		sift, dense := make([]float64, c.cfg.Words), make([]float64, 4*c.cfg.Words)
+		sift, dense := make([]float64, words), make([]float64, 4*words)
 		if g := c.normalizeGrid(t); g != nil {
 			// Both signatures describe patches of the one gradient table.
 			gr := newGradients(g, t.Size)
@@ -164,11 +151,11 @@ func (c *Computer) Normal(t *tile.Tile) []float64 {
 	}
 }
 
-// Histogram computes the 1-D histogram signature: HistBins equal-width bins
+// Histogram computes the 1-D histogram signature: histBins equal-width bins
 // over [ValueMin, ValueMax], normalized to sum to 1 (empty tiles produce
 // the zero vector).
 func (c *Computer) Histogram(t *tile.Tile) []float64 {
-	h := make([]float64, c.cfg.HistBins)
+	h := make([]float64, histBins)
 	g, err := t.Grid(c.cfg.Attr)
 	if err != nil {
 		return h
@@ -179,12 +166,12 @@ func (c *Computer) Histogram(t *tile.Tile) []float64 {
 		if math.IsNaN(v) {
 			continue
 		}
-		b := int((v - c.cfg.ValueMin) / span * float64(c.cfg.HistBins))
+		b := int((v - c.cfg.ValueMin) / span * float64(histBins))
 		if b < 0 {
 			b = 0
 		}
-		if b >= c.cfg.HistBins {
-			b = c.cfg.HistBins - 1
+		if b >= histBins {
+			b = histBins - 1
 		}
 		h[b]++
 		n++
@@ -197,10 +184,10 @@ func (c *Computer) Histogram(t *tile.Tile) []float64 {
 	return h
 }
 
-// sift fills h (Words zeros) with the bag-of-visual-words histogram over
+// sift fills h (words zeros) with the bag-of-visual-words histogram over
 // the tile's detected keypoint descriptors. desc is scratch.
 func (c *Computer) sift(h []float64, gr *gradients, desc []float64) {
-	kps := detectKeypoints(gr.grid, gr.size, c.cfg.MaxKeypoints)
+	kps := detectKeypoints(gr.grid, gr.size, maxKeypoints)
 	for _, kp := range kps {
 		clear(desc)
 		h[c.codebook.Assign(gr.describe(desc, kp.y, kp.x))]++
@@ -208,16 +195,16 @@ func (c *Computer) sift(h []float64, gr *gradients, desc []float64) {
 	normalizeSum(h)
 }
 
-// denseSIFT fills h (4·Words zeros) with descriptors computed on a dense
+// denseSIFT fills h (4·words zeros) with descriptors computed on a dense
 // grid, their quantized words pooled into 2x2 spatial quadrant histograms,
 // concatenated. Unlike sift it therefore encodes *where* landmarks sit in
 // the tile, which is why it matches whole images rather than local regions
 // (paper §5.4.2). desc is scratch.
 func (c *Computer) denseSIFT(h []float64, gr *gradients, desc []float64) {
-	k, size := c.cfg.Words, gr.size
+	size := gr.size
 	half := size / 2
-	for y := c.cfg.DenseStride / 2; y < size; y += c.cfg.DenseStride {
-		for x := c.cfg.DenseStride / 2; x < size; x += c.cfg.DenseStride {
+	for y := denseStride / 2; y < size; y += denseStride {
+		for x := denseStride / 2; x < size; x += denseStride {
 			clear(desc)
 			w := c.codebook.Assign(gr.describe(desc, y, x))
 			quad := 0
@@ -227,7 +214,7 @@ func (c *Computer) denseSIFT(h []float64, gr *gradients, desc []float64) {
 			if x >= half {
 				quad++
 			}
-			h[quad*k+w]++
+			h[quad*words+w]++
 		}
 	}
 	normalizeSum(h)

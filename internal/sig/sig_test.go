@@ -33,8 +33,6 @@ func blobTile(size, cy, cx int, amp float64) *tile.Tile {
 func testComputer() *Computer {
 	cfg := DefaultConfig("v")
 	cfg.ValueMin, cfg.ValueMax = 0, 1
-	cfg.Words = 8
-	cfg.DenseStride = 4
 	return NewComputer(cfg)
 }
 
@@ -77,7 +75,7 @@ func TestHistogramSumsToOneAndBins(t *testing.T) {
 		return 0.99 // highest bin
 	})
 	h := c.Histogram(tl)
-	if len(h) != c.Config().HistBins {
+	if len(h) != histBins {
 		t.Fatalf("hist len = %d", len(h))
 	}
 	sum := 0.0
@@ -295,8 +293,8 @@ func TestComputeAllFour(t *testing.T) {
 			t.Errorf("missing signature %q", name)
 		}
 	}
-	if len(out[NameDenseSIFT]) != 4*c.Config().Words {
-		t.Errorf("densesift len = %d, want %d", len(out[NameDenseSIFT]), 4*c.Config().Words)
+	if len(out[NameDenseSIFT]) != 4*words {
+		t.Errorf("densesift len = %d, want %d", len(out[NameDenseSIFT]), 4*words)
 	}
 }
 
@@ -322,12 +320,20 @@ func TestSIFTMatchesLandmarks(t *testing.T) {
 // DenseSIFT is position sensitive: the same landmark in opposite corners
 // should be farther apart under densesift than under plain sift (relative
 // to each signature's own scale). This is the mechanism the paper gives
-// for DenseSIFT underperforming on MODIS (§5.4.2).
+// for DenseSIFT underperforming on MODIS (§5.4.2). The codebook trains on
+// the landmark at nine positions, as a pyramid's own tiles would show it,
+// so that its words describe the landmark rather than one tile's pixels.
 func TestDenseSIFTIsPositionSensitive(t *testing.T) {
 	c := testComputer()
 	nw := blobTile(32, 7, 7, 1)
 	se := blobTile(32, 25, 25, 1)
-	c.TrainCodebook([]*tile.Tile{nw, se})
+	var train []*tile.Tile
+	for _, y := range []int{7, 16, 25} {
+		for _, x := range []int{7, 16, 25} {
+			train = append(train, blobTile(32, y, x, 1))
+		}
+	}
+	c.TrainCodebook(train)
 	a, b := c.Compute(nw), c.Compute(se)
 	dense := ChiSquared(a[NameDenseSIFT], b[NameDenseSIFT])
 	sparse := ChiSquared(a[NameSIFT], b[NameSIFT])
@@ -363,7 +369,7 @@ func BenchmarkSIFTSignature(b *testing.B) {
 	c.TrainCodebook(tiles)
 	tl := blobTile(64, 32, 32, 1)
 	g := c.normalizeGrid(tl)
-	h := make([]float64, c.cfg.Words)
+	h := make([]float64, words)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
