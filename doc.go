@@ -96,7 +96,10 @@
 //     coordinate, model attribution and score, with heartbeats while
 //     idle and teardown on session eviction
 //     and Close (Khameleon-style: round-trip latency moves from
-//     paid-per-pan to hidden-behind-the-stream). Each session's push
+//     paid-per-pan to hidden-behind-the-stream). The worker that fetched
+//     a tile delivers it to the cache, then the push queue; the stream
+//     handler encodes a frame only when it writes it; the registry
+//     counts pushes. Each session's push
 //     handle measures its stream's drain rate from real writes and the scheduler's
 //     admission control ages queued entries by queue-rank × drain delay,
 //     so a slow connection's backlog loses shed fights it would have won
@@ -118,8 +121,8 @@
 //     deployment-wide byte-budgeted LRU (EncodedCacheBudget) with
 //     single-flight encoding (internal/memo's Cache, as are the tile pool
 //     behind SharedTiles and the prefetch coalescer), shared by the /tile
-//     handler and the push streams, so a tile is encoded at most once per
-//     format however it leaves the server. The Go client opts in with
+//     and /stream handlers, so a tile is encoded at most once per format
+//     however it leaves the server. The Go client opts in with
 //     NegotiateBinary (/tile and /stream alike); the default JSON and SSE
 //     wire formats are byte-for-byte unchanged, knob off or on. JSON
 //     numbers are written by Schubfach and read by Clinger's fast path or

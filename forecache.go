@@ -511,9 +511,9 @@ func (d *Dataset) newServer(train []*trace.Trace, cfg MiddlewareConfig) (*server
 		pipe = obs.NewPipeline(obs.Config{Logger: cfg.Logger})
 	}
 	// The encoded-payload cache is deployment-wide: the /tile and /stream
-	// handlers and the push registry share it, so the pull and push paths
-	// serve the same memoized bytes and a tile is encoded once however it
-	// leaves. The encode-duration hook is nil-receiver safe when untraced.
+	// handlers share it, so the pull and push paths serve the same memoized
+	// bytes and a tile is encoded once however it leaves. The
+	// encode-duration hook is nil-receiver safe when untraced.
 	var encCache *tile.EncodedCache
 	if cfg.BinaryTiles {
 		encCache = tile.NewEncodedCache(cfg.EncodedCacheBudget, pipe.ObserveTileEncode)
@@ -538,7 +538,7 @@ func (d *Dataset) newServer(train []*trace.Trace, cfg MiddlewareConfig) (*server
 		// push sink of the session's scheduler handle: frame production and
 		// the /stream transport share one session object.
 		if cfg.Push {
-			streams = push.NewRegistry(push.Config{Obs: pipe, Encoded: encCache})
+			streams = push.NewRegistry(push.Config{Obs: pipe})
 		}
 		sched = prefetch.NewScheduler(store, pcfg)
 	}

@@ -116,7 +116,10 @@ type Manager struct {
 	mu sync.Mutex
 
 	// model regions: model name -> recently prefetched tiles, capped by the
-	// allocation strategy, newest/highest-ranked first.
+	// allocation strategy, most recently delivered first (InsertPrediction
+	// puts each delivery at the front). Both submitters deliver a batch in
+	// rank order, so a batch's front-runner sits at the old end, behind its
+	// lower-ranked tiles.
 	allocs  map[string]int
 	regions map[string][]*predTile
 
@@ -260,8 +263,10 @@ func (m *Manager) evictRegionLocked(model string, pt *predTile) {
 }
 
 // SetAllocations installs a new allocation strategy: tile slots per model.
-// Existing model regions are trimmed to the new allotments; models absent
-// from the map lose their region entirely.
+// Existing model regions are trimmed to the new allotments from the old
+// end: the earliest deliveries go first, which within one batch are its
+// highest-ranked tiles (see regions). Models absent from the map lose their
+// region entirely.
 func (m *Manager) SetAllocations(allocs map[string]int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -294,7 +299,8 @@ func (m *Manager) SetAllocations(allocs map[string]int) {
 // once, trimmed to the model's allotment; a tile's slice index is its
 // batch position and ph is the analysis phase the allocation was made under
 // (both recorded as the attribution of the entry's eventual outcome). Tiles
-// beyond the allotment count as evictions. Unknown models get allotment 0.
+// beyond the allotment are dropped uncounted: they never enter the cache.
+// Unknown models get allotment 0.
 // An old entry re-predicted by the new batch is refreshed rather than
 // judged: no miss outcome is emitted for it, and the new entry is a fresh
 // prediction instance judged at the new position and phase.

@@ -121,7 +121,7 @@ func (c *Client) Tile(coord tile.Coord) (*tile.Tile, TileInfo, error) {
 	c.negotiate(req)
 	revalidate := streamed && epoch != ""
 	if revalidate {
-		req.Header.Set("If-None-Match", `W/"`+epoch+"."+strconv.Itoa(coord.Level)+"."+strconv.Itoa(coord.Y)+"."+strconv.Itoa(coord.X)+`"`)
+		req.Header.Set("If-None-Match", tile.ETag(epoch, coord))
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {

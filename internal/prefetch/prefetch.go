@@ -82,11 +82,13 @@ type Request struct {
 // the scheduler deliberately depends on this interface, not the push
 // package). Both methods must be safe for concurrent use and must never
 // block on a slow client, and neither may call back into the scheduler.
+// Push runs on the worker that fetched the tile: it hands the tile on
+// unencoded, and the stream handler encodes it.
 type PushSink interface {
 	// Push offers one completed fetch to the session's stream, reporting
 	// whether a frame was enqueued (false: no stream attached or the
-	// stream's buffer is full — the tile still lands in the cache either
-	// way, so refusal costs nothing but the push).
+	// stream's buffer is full). The scheduler ignores the answer: the tile
+	// lands in the cache either way, and the registry counts pushes.
 	Push(model string, c tile.Coord, score float64, t *tile.Tile) bool
 	// DrainDelay estimates how long the session's connection takes to
 	// deliver one more tile frame (0 when unknown or no stream is
@@ -181,9 +183,6 @@ type Stats struct {
 	Shards int
 	// Completed counts entries whose tile was fetched and delivered.
 	Completed int
-	// Pushed counts completed entries whose tile was also framed onto the
-	// session's push stream (its PushSink; 0 on pull-only deployments).
-	Pushed int
 	// Errors counts entries whose fetch failed.
 	Errors int
 	// Pending is the number of entries queued right now.
@@ -191,7 +190,8 @@ type Stats struct {
 	// PeakPending is the high-water mark of Pending: with a global budget
 	// configured it never exceeds Config.GlobalQueue.
 	PeakPending int
-	// Inflight is the number of DBMS fetches running right now.
+	// Inflight is the number of DBMS fetches running right now. A flight
+	// counts until its worker has handed the tile to every waiter.
 	Inflight int
 	// Sessions is the number of session handles with scheduler state.
 	Sessions int

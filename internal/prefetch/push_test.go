@@ -15,6 +15,7 @@ type fakeSink struct {
 	mu         sync.Mutex
 	pushes     []sinkPush
 	refuse     bool
+	refused    int
 	delays     map[string]time.Duration
 	delayReads int
 }
@@ -42,6 +43,7 @@ func (ss sessionSink) Push(model string, c tile.Coord, score float64, t *tile.Ti
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.refuse {
+		f.refused++
 		return false
 	}
 	f.pushes = append(f.pushes, sinkPush{session: ss.session, model: model, coord: c, score: score})
@@ -102,13 +104,10 @@ func TestPushDispatch(t *testing.T) {
 	if !ok {
 		t.Fatal("push frame dispatched before the cache delivery")
 	}
-	if st := s.Stats(); st.Pushed != 1 {
-		t.Fatalf("Stats.Pushed = %d, want 1", st.Pushed)
-	}
 }
 
 // TestPushDispatchCoalesced: one coalesced fetch pushes to every waiting
-// session under its own id, and refused pushes are not counted.
+// session under its own id, and a refused push costs the fetch nothing.
 func TestPushDispatchCoalesced(t *testing.T) {
 	store := newFakeStore()
 	store.gate = make(chan struct{})
@@ -125,25 +124,31 @@ func TestPushDispatchCoalesced(t *testing.T) {
 	s.Drain()
 
 	sessions := map[string]bool{}
-	for _, p := range sink.all() {
+	pushes := sink.all()
+	for _, p := range pushes {
 		sessions[p.session] = true
 	}
-	if len(sessions) != 3 {
-		t.Fatalf("pushed sessions = %v, want s0,s1,s2", sessions)
-	}
-	if st := s.Stats(); st.Pushed != 3 {
-		t.Fatalf("Stats.Pushed = %d, want 3", st.Pushed)
+	if len(pushes) != 3 || len(sessions) != 3 {
+		t.Fatalf("pushes = %v, want one each to s0,s1,s2", pushes)
 	}
 
-	// A refusing sink (no stream attached / buffer full) costs nothing.
+	// A refusing sink (no stream attached / buffer full) costs nothing:
+	// the tile is still delivered and the entry completes.
 	sink.mu.Lock()
 	sink.refuse = true
 	sink.mu.Unlock()
 	other := tile.Coord{Level: 3, Y: 2, X: 2}
-	s.Submit("s0", []Request{{Coord: other, Score: 1}})
+	delivered := false
+	s.Submit("s0", []Request{{Coord: other, Score: 1, Deliver: func(*tile.Tile) { delivered = true }}})
 	s.Drain()
-	if st := s.Stats(); st.Pushed != 3 {
-		t.Fatalf("refused push counted: Stats.Pushed = %d, want 3", st.Pushed)
+	sink.mu.Lock()
+	refused := sink.refused
+	sink.mu.Unlock()
+	if refused != 1 || len(sink.all()) != 3 {
+		t.Fatalf("refused %d offers with %d pushes recorded, want 1 and 3", refused, len(sink.all()))
+	}
+	if st := s.Stats(); !delivered || st.Completed != 4 || st.Errors != 0 {
+		t.Fatalf("refused push cost the fetch: delivered %v, stats %+v", delivered, st)
 	}
 }
 

@@ -153,7 +153,6 @@ func (s *Scheduler) Snapshot() (Stats, []Stats) {
 		agg.Cancelled += st.Cancelled
 		agg.Coalesced += st.Coalesced
 		agg.Completed += st.Completed
-		agg.Pushed += st.Pushed
 		agg.Errors += st.Errors
 		agg.Pending += st.Pending
 		agg.PeakPending += st.PeakPending
@@ -185,9 +184,10 @@ func (s *Scheduler) Stats() Stats {
 	return agg
 }
 
-// Drain blocks until every shard's queue and in-flight set are empty.
-// Deliveries for completed fetches finish before Drain returns, so tests
-// and examples can read caches deterministically afterwards.
+// Drain blocks until every shard's queue and in-flight set are empty. A
+// flight leaves the set only after its worker has run every waiter's
+// Deliver and push, so tests and examples can read caches and streams
+// deterministically afterwards.
 func (s *Scheduler) Drain() {
 	for _, sh := range s.shards {
 		sh.drain()
@@ -195,7 +195,8 @@ func (s *Scheduler) Drain() {
 }
 
 // Close stops every shard's worker pool after cancelling all queued
-// entries and waits for in-flight fetches to finish delivering. Idempotent.
+// entries and waits for the workers, which finish delivering their
+// in-flight fetches first. Idempotent.
 func (s *Scheduler) Close() {
 	for _, sh := range s.shards {
 		sh.close()

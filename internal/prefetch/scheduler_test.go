@@ -348,6 +348,63 @@ func TestDrainWaitsForDelivery(t *testing.T) {
 	}
 }
 
+// TestLateWaiterJoinsDeliveringFlight: a flight lasts until its worker has
+// served every waiter, so a session that asks for the tile while the first
+// waiter's Deliver still runs is served by the same fetch, and Drain
+// returns only after both deliveries ran.
+func TestLateWaiterJoinsDeliveringFlight(t *testing.T) {
+	store := newFakeStore()
+	s := NewScheduler(store, Config{Workers: 2})
+	defer s.Close()
+
+	c := coordAt(7)
+	delivering, release := make(chan struct{}), make(chan struct{})
+	var mu sync.Mutex
+	var served []string
+	deliverTo := func(id string) func(*tile.Tile) {
+		return func(*tile.Tile) {
+			if id == "a" {
+				close(delivering)
+				<-release
+			}
+			mu.Lock()
+			served = append(served, id)
+			mu.Unlock()
+		}
+	}
+	s.Submit("a", []Request{{Coord: c, Score: 1, Deliver: deliverTo("a")}})
+	<-delivering // fetched; a's delivery is held
+	s.Submit("b", []Request{{Coord: c, Score: 1, Deliver: deliverTo("b")}})
+
+	drained := make(chan struct{})
+	go func() {
+		s.Drain()
+		close(drained)
+	}()
+	select {
+	case <-drained:
+		t.Fatal("Drain returned while a delivery was held")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	select {
+	case <-drained:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Drain did not return after the delivery was released")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(served) != 2 || served[0] != "a" || served[1] != "b" {
+		t.Fatalf("served %v after Drain, want [a b]", served)
+	}
+	if n := store.count(c); n != 1 {
+		t.Fatalf("tile fetched %d times, want 1: the late waiter started its own fetch", n)
+	}
+	if st := s.Stats(); st.Completed != 2 || st.Coalesced != 1 || st.Inflight != 0 {
+		t.Fatalf("stats %+v, want 2 completed, 1 coalesced, none in flight", st)
+	}
+}
+
 // TestCloseIsIdempotentAndStopsSubmit.
 func TestCloseIsIdempotentAndStopsSubmit(t *testing.T) {
 	store := newFakeStore()

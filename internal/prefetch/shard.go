@@ -66,18 +66,17 @@ type Shard struct {
 	store backend.Store
 	cfg   Config
 
-	mu         sync.Mutex
-	work       *sync.Cond            // signaled when queued work or shutdown arrives
-	idle       *sync.Cond            // signaled when queued+inflight may have drained
-	sessions   map[*Session]struct{} // handles with state: since a Submit, until Cancel or Close
-	byID       map[string]*Session   // each id's latest handle, for Scheduler.Submit
-	rr         []*Session            // round-robin ring of sessions with pending work
-	rrPos      int
-	byCoord    map[tile.Coord]map[*entry]struct{} // queued entries by coordinate
-	inflight   map[tile.Coord]*flight
-	delivering int // completed fetches whose Deliver callbacks still run
-	seq        uint64
-	closed     bool
+	mu       sync.Mutex
+	work     *sync.Cond            // signaled when queued work or shutdown arrives
+	idle     *sync.Cond            // signaled when queued+inflight may have drained
+	sessions map[*Session]struct{} // handles with state: since a Submit, until Cancel or Close
+	byID     map[string]*Session   // each id's latest handle, for Scheduler.Submit
+	rr       []*Session            // round-robin ring of sessions with pending work
+	rrPos    int
+	byCoord  map[tile.Coord]map[*entry]struct{} // queued entries by coordinate
+	inflight map[tile.Coord]*flight             // until the fetching worker has served every waiter
+	seq      uint64
+	closed   bool
 
 	stats        Stats
 	queueLatency time.Duration // summed over issued/coalesced entries
@@ -245,18 +244,20 @@ func (sq *Session) end(closing bool) {
 	}
 }
 
-// drain blocks until no entries are queued and no fetches are in flight,
-// and the deliveries for completed fetches have run.
+// drain blocks until no entries are queued and no flights are left: a
+// flight ends only after its worker has served every waiter, so the
+// deliveries and push frames of every completed fetch have run.
 func (s *Shard) drain() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for s.stats.Pending > 0 || len(s.inflight) > 0 || s.delivering > 0 {
+	for s.stats.Pending > 0 || len(s.inflight) > 0 {
 		s.idle.Wait()
 	}
 }
 
-// close stops the workers after cancelling all queued entries and waits for
-// in-flight fetches to finish delivering. Idempotent.
+// close stops the workers after cancelling all queued entries; each
+// worker finishes its flight, deliveries included, before it exits.
+// Idempotent.
 func (s *Shard) close() {
 	s.mu.Lock()
 	if s.closed {
@@ -271,12 +272,6 @@ func (s *Shard) close() {
 	s.idle.Broadcast() // cancelling zeroed Pending: wake concurrent Drains
 	s.mu.Unlock()
 	s.wg.Wait()
-	// Workers are gone; wait out the detached delivery goroutines too.
-	s.mu.Lock()
-	for s.delivering > 0 {
-		s.idle.Wait()
-	}
-	s.mu.Unlock()
 }
 
 // statsDetail snapshots this shard's counters — internally consistent:
@@ -379,7 +374,8 @@ func (s *Shard) popNextLocked() *entry {
 }
 
 // worker is one pool goroutine: it pops entries fairly, coalesces
-// duplicates, and issues at most one DBMS fetch at a time.
+// duplicates, issues at most one DBMS fetch at a time, and delivers the
+// fetched tile to every waiter itself before it pops again.
 func (s *Shard) worker() {
 	defer s.wg.Done()
 	for {
@@ -432,47 +428,37 @@ func (s *Shard) worker() {
 		}
 
 		s.mu.Lock()
-		delete(s.inflight, coord)
-		// Late arrivals may have piggybacked while we fetched; deliver to
-		// the final waiter set.
-		waiters := fl.waiters
-		if err != nil {
-			s.stats.Errors += len(waiters)
-			s.idle.Broadcast()
+		// Serve every waiter, then those that piggybacked meanwhile: the
+		// flight stays in inflight until nobody is left waiting, so a late
+		// request for this tile joins it instead of fetching it again, and
+		// Drain waits for the deliveries.
+		for err == nil && len(fl.waiters) > 0 {
+			waiters := fl.waiters
+			fl.waiters = nil
+			s.stats.Completed += len(waiters)
 			s.mu.Unlock()
-			continue
-		}
-		s.stats.Completed += len(waiters)
-		s.delivering++
-		s.mu.Unlock()
-		// Deliver off the worker because of push dispatch: an SSE
-		// stream's sink may encode the tile's JSON body on an
-		// encoded-cache miss, or wait on another caller's encode, and
-		// stalling the shared pool on one session would be cross-session
-		// head-of-line blocking. The cache deliveries take only the
-		// cache's leaf lock.
-		go func() {
+			// Cache deliveries first, so a stream frame never beats its own
+			// cache insert. Neither step blocks on a client: a Deliver takes
+			// the cache's leaf lock, and a push enqueues the tile unencoded
+			// onto a bounded buffer or refuses it.
 			for _, w := range waiters {
 				if w.req.Deliver != nil {
 					w.req.Deliver(t)
 				}
 			}
-			// Push dispatch runs after the cache deliveries (the stream
-			// frame must never beat its own cache insert) and before
-			// delivering is released, so Drain returning guarantees every
-			// completed fetch's frame has been enqueued.
-			pushed := 0
 			for _, w := range waiters {
-				if sink := w.session.sink; sink != nil && sink.Push(w.req.Model, coord, w.req.Score, t) {
-					pushed++
+				if sink := w.session.sink; sink != nil {
+					sink.Push(w.req.Model, coord, w.req.Score, t)
 				}
 			}
 			s.mu.Lock()
-			s.stats.Pushed += pushed
-			s.delivering--
-			s.idle.Broadcast()
-			s.mu.Unlock()
-		}()
+		}
+		if err != nil {
+			s.stats.Errors += len(fl.waiters)
+		}
+		delete(s.inflight, coord)
+		s.idle.Broadcast()
+		s.mu.Unlock()
 	}
 }
 

@@ -61,11 +61,12 @@ type Frame struct {
 	// DecodeBinary leave it nil: DecodeTile decodes a received tile.
 	Tile *tile.Tile `json:"tile,omitempty"`
 	// Payload, when set, is the tile's already-encoded JSON body — the same
-	// bytes the /tile endpoint serves, shared through the deployment's
-	// encoded-payload cache. Encode splices it into the "tile" field
-	// verbatim instead of re-marshaling Tile, so a tile pushed to N
-	// attached streams is encoded once, not N times. It is never a wire
-	// field of its own; Decode sets it to the "tile" value it read.
+	// bytes the /tile endpoint serves. The SSE stream handler sets it from
+	// the deployment's encoded-payload cache just before it writes the
+	// frame, and Encode splices it into the "tile" field verbatim instead
+	// of re-marshaling Tile, so a tile pushed to N attached streams is
+	// encoded once, not N times. It is never a wire field of its own;
+	// Decode sets it to the "tile" value it read.
 	Payload json.RawMessage `json:"-"`
 
 	// body is DecodeBinary's undecoded FCT3 payload, gzipped when gz.

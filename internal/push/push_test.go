@@ -231,7 +231,7 @@ func TestRegistryBufferOverflowDrops(t *testing.T) {
 func TestRegistryDetachAndRelease(t *testing.T) {
 	r := NewRegistry(Config{})
 	old := r.Open("s")
-	st := old.Attach(false)
+	st := old.Attach()
 	old.RecordWrite(1000, 10*time.Millisecond)
 	old.Close()
 	select {
@@ -241,7 +241,7 @@ func TestRegistryDetachAndRelease(t *testing.T) {
 	}
 	// The session's next handle starts without drain state.
 	ss := r.Open("s")
-	st2 := ss.Attach(false)
+	st2 := ss.Attach()
 	if d := ss.DrainDelay(); d != 0 {
 		t.Fatalf("drain state survived Close: %v", d)
 	}
@@ -259,7 +259,7 @@ func TestRegistryDetachAndRelease(t *testing.T) {
 	if d := ss.DrainDelay(); d != 0 {
 		t.Fatalf("DrainDelay nonzero with no stream attached: %v", d)
 	}
-	ss.Attach(false)
+	ss.Attach()
 	if d := ss.DrainDelay(); d == 0 {
 		t.Fatal("drain estimate did not survive Release + re-attach")
 	}
@@ -300,7 +300,7 @@ func TestRegistryCloseIdempotent(t *testing.T) {
 func TestRegistryDrainDelay(t *testing.T) {
 	r := NewRegistry(Config{})
 	ss := r.Open("s")
-	ss.Attach(false)
+	ss.Attach()
 	if d := ss.DrainDelay(); d != 0 {
 		t.Fatalf("DrainDelay before any write: %v", d)
 	}
@@ -334,7 +334,7 @@ func TestRegistryConsumedLead(t *testing.T) {
 	pipe := obs.NewPipeline(obs.Config{})
 	r := NewRegistry(Config{Obs: pipe, now: func() time.Time { return now }})
 	ss := r.Open("s")
-	ss.Attach(false)
+	ss.Attach()
 	c := tile.Coord{Level: 3, Y: 1, X: 2}
 	if !ss.Push("m", c, 1, testTile(c)) {
 		t.Fatal("push failed")
@@ -379,7 +379,7 @@ func trackerSize(ss *Session) (pushedAt, order int) {
 func TestRegistryPushedAtBounded(t *testing.T) {
 	r := NewRegistry(Config{})
 	ss := r.Open("s")
-	st := ss.Attach(false)
+	st := ss.Attach()
 	for i := 0; i < pushedAtCap+10; i++ {
 		pushDrained(t, r, st, tile.Coord{Level: 12, X: i})
 	}
@@ -400,7 +400,7 @@ func TestRegistryPushedAtBounded(t *testing.T) {
 func TestRegistryTrackerBoundedUnderConsumption(t *testing.T) {
 	r := NewRegistry(Config{})
 	ss := r.Open("s")
-	st := ss.Attach(false)
+	st := ss.Attach()
 	for i := 0; i < 10000; i++ {
 		c := tile.Coord{Level: 6, X: i % 35}
 		pushDrained(t, r, st, c)
@@ -420,7 +420,7 @@ func TestRegistryTrackerBoundedUnderConsumption(t *testing.T) {
 func TestRegistryRepushKeepsFreshStamp(t *testing.T) {
 	r := NewRegistry(Config{})
 	ss := r.Open("s")
-	st := ss.Attach(false)
+	st := ss.Attach()
 	a := tile.Coord{Level: 12, X: 1 << 11}
 	pushDrained(t, r, st, a)
 	if _, ok := ss.Consumed(a); !ok {
@@ -485,88 +485,25 @@ func TestEncodePayloadMatchesLegacy(t *testing.T) {
 	}
 }
 
-func TestRegistryPushSharesEncodedPayload(t *testing.T) {
-	ec := tile.NewEncodedCache(0, nil)
-	r := NewRegistry(Config{Encoded: ec})
-	c := tile.Coord{Level: 2, Y: 1, X: 1}
-	tl := testTile(c)
-	sessions := []string{"s0", "s1", "s2"}
-	streams := make([]*Stream, len(sessions))
-	for i, s := range sessions {
-		streams[i] = r.Attach(s)
-	}
-	for i, s := range sessions {
-		if !r.Push(s, "m", c, 1, tl) {
-			t.Fatalf("Push to %s (stream %d) failed", s, i)
-		}
-	}
-	// Delivering one tile to N streams must encode it exactly once.
-	if st := ec.Stats(); st.Misses != 1 {
-		t.Fatalf("tile encoded %d times for %d streams, want 1 (stats %+v)",
-			st.Misses, len(streams), st)
-	}
-	for i, st := range streams {
-		f := <-st.Frames()
-		if len(f.Payload) == 0 {
-			t.Fatalf("stream %d: frame carries no cached payload", i)
-		}
-		var buf bytes.Buffer
-		if _, err := Encode(&buf, f); err != nil {
-			t.Fatalf("stream %d: Encode: %v", i, err)
-		}
-		got, err := Decode(bufio.NewReader(&buf))
-		if err != nil {
-			t.Fatalf("stream %d: Decode: %v", i, err)
-		}
-		if tl, err := got.DecodeTile(); err != nil || tl.Coord != c || tl.Data[0][1] != -2.25 {
-			t.Fatalf("stream %d: decoded tile corrupted: %+v, %v", i, tl, err)
-		}
-	}
-
-	// A binary stream's handler copies the FCT3 body at write time, so its
-	// frames carry no JSON payload and never touch the JSON variant — on
-	// push or on backfill.
-	before := ec.Stats()
-	bin := r.Open("bin").Attach(true)
-	fresh := tile.Coord{Level: 2, Y: 2, X: 2}
-	if !r.Push("bin", "m", fresh, 1, testTile(fresh)) || !r.Backfill(bin, "m", c, tl) {
-		t.Fatal("Push/Backfill to the binary stream failed")
-	}
-	for i := 0; i < 2; i++ {
-		if f := <-bin.Frames(); f.Payload != nil || f.Tile == nil {
-			t.Fatalf("binary stream frame %d: %+v, want the tile and no payload", i, f)
-		}
-	}
-	if after := ec.Stats(); after != before {
-		t.Fatalf("binary stream touched the encoded cache: %+v -> %+v", before, after)
-	}
-}
-
-func TestRegistryBackfillUsesEncodedPayload(t *testing.T) {
+// TestRegistryPushNeverEncodes: the registry hands tiles on unencoded,
+// whatever its Config says — the stream handler encodes a frame when it
+// writes it — so pushes onto an attached stream, one of them dropped at
+// the full buffer, leave the encoded cache untouched.
+func TestRegistryPushNeverEncodes(t *testing.T) {
 	ec := tile.NewEncodedCache(0, nil)
 	r := NewRegistry(Config{Encoded: ec})
 	st := r.Attach("s")
-	c := tile.Coord{Level: 2, Y: 1}
-	if !r.Backfill(st, "m", c, testTile(c)) {
-		t.Fatal("Backfill failed")
+	for i := 0; i <= streamBuffer; i++ {
+		c := tile.Coord{Level: 7, X: i}
+		if ok := r.Push("s", "m", c, 1, testTile(c)); ok != (i < streamBuffer) {
+			t.Fatalf("push %d: ok=%v", i, ok)
+		}
 	}
-	f := <-st.Frames()
-	if len(f.Payload) == 0 {
-		t.Fatal("backfill frame carries no cached payload")
+	if f := <-st.Frames(); f.Payload != nil || f.Tile == nil {
+		t.Fatalf("frame %+v, want the tile and no payload", f)
 	}
-	if stats := ec.Stats(); stats.Misses != 1 {
-		t.Fatalf("stats: %+v", stats)
-	}
-	var buf bytes.Buffer
-	if _, err := Encode(&buf, f); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(bufio.NewReader(&buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tl, err := got.DecodeTile(); !got.Backfill || err != nil || tl.Coord != c {
-		t.Fatalf("decoded frame: %+v, DecodeTile: %v", got, err)
+	if got := ec.Stats(); got != (tile.EncodedCacheStats{Budget: got.Budget}) {
+		t.Fatalf("pushes touched the encoded cache: %+v", got)
 	}
 }
 
@@ -576,14 +513,14 @@ func TestRegistryBackfillUsesEncodedPayload(t *testing.T) {
 func TestClosedHandleRefusesAttach(t *testing.T) {
 	r := NewRegistry(Config{})
 	ss := r.Open("s")
-	st := ss.Attach(false)
+	st := ss.Attach()
 	ss.Close()
 	select {
 	case <-st.Done():
 	default:
 		t.Fatal("Close left the session's stream open")
 	}
-	if ss.Attach(false) != nil || ss.Attach(true) != nil {
+	if ss.Attach() != nil || ss.Attach() != nil {
 		t.Fatal("a closed session attached a stream")
 	}
 	c := tile.Coord{Level: 1}
@@ -595,7 +532,7 @@ func TestClosedHandleRefusesAttach(t *testing.T) {
 		t.Fatalf("stats after Close: %+v", got)
 	}
 	r.Close()
-	if r.Open("late").Attach(false) != nil {
+	if r.Open("late").Attach() != nil {
 		t.Fatal("a handle opened after the registry's Close attached a stream")
 	}
 }
@@ -607,10 +544,10 @@ func TestClosedHandleRefusesAttach(t *testing.T) {
 func TestHandlesForOneIDAreIndependent(t *testing.T) {
 	r := NewRegistry(Config{})
 	older := r.Open("b")
-	oldStream := older.Attach(false)
+	oldStream := older.Attach()
 	older.RecordWrite(1000, 100*time.Millisecond)
 	newer := r.Open("b")
-	newStream := newer.Attach(false)
+	newStream := newer.Attach()
 	newer.RecordWrite(1000, 10*time.Millisecond)
 	select {
 	case <-oldStream.Done():

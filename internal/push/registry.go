@@ -31,11 +31,9 @@ type Config struct {
 	// Obs, when set, receives push-to-consume lead times (frame enqueued to
 	// the tile's request arriving). Nil is a no-op.
 	Obs *obs.Pipeline
-	// Encoded, when set, is the deployment's encoded-payload cache: every
-	// frame pushed onto an SSE stream carries the tile's memoized JSON body
-	// (Frame.Payload), so a tile delivered to N attached streams — and to
-	// the /tile pull path — is encoded exactly once. Nil keeps the
-	// per-frame marshal. Binary streams never ask for the JSON variant.
+	// Encoded is ignored: the registry enqueues tiles unencoded, and the
+	// stream handler that writes a frame takes its body from the
+	// deployment's encoded cache. Kept so existing callers compile.
 	Encoded *tile.EncodedCache
 	// now overrides time.Now (test seam).
 	now func() time.Time
@@ -107,7 +105,6 @@ type pushRef struct {
 // one: superseded, released, its session closed, or the registry closed.
 type Stream struct {
 	sess   *Session
-	binary bool // framed by AppendBinary: frames carry no JSON payload
 	frames chan Frame
 	done   chan struct{}
 	seq    uint64 // guarded by reg.mu
@@ -168,7 +165,7 @@ func (r *Registry) openLocked(id string) *Session {
 	return ss
 }
 
-// Attach attaches an SSE stream to session's latest handle, opening one on
+// Attach attaches a stream to session's latest handle, opening one on
 // first use; see Session.Attach.
 func (r *Registry) Attach(session string) *Stream {
 	r.mu.Lock()
@@ -177,14 +174,15 @@ func (r *Registry) Attach(session string) *Stream {
 		ss = r.openLocked(session)
 	}
 	r.mu.Unlock()
-	return ss.Attach(false)
+	return ss.Attach()
 }
 
 // Attach registers a stream for the session, closing any it already has:
-// the newest connection wins, which makes reconnects safe. A binary
-// stream's frames get no JSON Payload (the handler frames the memoized
-// FCT3 body). Returns nil once the session or the registry is closed.
-func (ss *Session) Attach(binary bool) *Stream {
+// the newest connection wins, which makes reconnects safe. The stream's
+// frames carry tiles unencoded, whatever the framing: the handler that
+// writes a frame encodes it. Returns nil once the session or the registry
+// is closed.
+func (ss *Session) Attach() *Stream {
 	r := ss.reg
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -196,7 +194,6 @@ func (ss *Session) Attach(binary bool) *Stream {
 	}
 	ss.stream = &Stream{
 		sess:   ss,
-		binary: binary,
 		frames: make(chan Frame, streamBuffer),
 		done:   make(chan struct{}),
 	}
@@ -266,8 +263,8 @@ func (r *Registry) Push(session, model string, c tile.Coord, score float64, t *t
 // Push enqueues one freshly fetched tile onto the session's stream,
 // reporting whether the frame was accepted (false: no stream attached,
 // buffer full, or session closed). It never blocks — a slow consumer
-// loses frames, not the worker pool — and encodes nothing without a
-// stream.
+// loses frames, not the worker pool — and never encodes: a frame is
+// encoded only when its stream handler writes it.
 func (ss *Session) Push(model string, c tile.Coord, score float64, t *tile.Tile) bool {
 	ss.reg.mu.Lock()
 	st := ss.stream
@@ -284,16 +281,8 @@ func (r *Registry) Backfill(st *Stream, model string, c tile.Coord, t *tile.Tile
 }
 
 // enqueue puts f on st unless st was superseded or released meanwhile (the
-// tile, already cached, reaches the replacing stream as backfill). A frame
-// for an SSE stream first takes the tile's memoized JSON body — before the
-// registry lock, so a first-touch encode stalls no other stream; without
-// it Encode marshals per frame.
+// tile, already cached, reaches the replacing stream as backfill).
 func (r *Registry) enqueue(st *Stream, f Frame) bool {
-	if !st.binary && r.cfg.Encoded != nil && f.Tile != nil {
-		if p, err := r.cfg.Encoded.Get(f.Coord, tile.FormatJSON, false, f.Tile.EncodeJSON); err == nil {
-			f.Payload = p
-		}
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ss := st.sess

@@ -123,7 +123,7 @@ func TestCountersMonotoneAndShardSumsHold(t *testing.T) {
 				pcfg := prefetch.Config{Shards: shards, Workers: 4, Utility: fc, Obs: pipe}
 				if headers != nil {
 					cfg.Encoded = tile.NewEncodedCache(0, pipe.ObserveTileEncode)
-					cfg.Push = push.NewRegistry(push.Config{Obs: pipe, Encoded: cfg.Encoded})
+					cfg.Push = push.NewRegistry(push.Config{Obs: pipe})
 				}
 				// Gated until the under-load step below opens it for good.
 				store := &gatedStore{Store: db, gate: make(chan struct{}), entered: make(chan struct{})}

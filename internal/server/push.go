@@ -38,11 +38,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// on a deployment with an encoded cache, SSE for anyone else.
 	binary := s.cfg.Encoded != nil && acceptsTileBinary(r.Header.Get("Accept"))
 	gz := binary && acceptsGzip(r.Header.Get("Accept-Encoding"))
-	contentType := "text/event-stream"
+	contentType, format := "text/event-stream", tile.FormatJSON
 	if binary {
-		contentType = push.BinaryContentType
+		contentType, format = push.BinaryContentType, tile.FormatBinary
 	}
-	st := sess.push.Attach(binary)
+	st := sess.push.Attach()
 	if st == nil { // the session was closed since it was resolved
 		httpError(w, http.StatusServiceUnavailable, ErrClosed)
 		return
@@ -60,18 +60,20 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// throughput back into the session's drain-rate estimate (the
 	// scheduler's bandwidth-aware admission term). The frame is encoded into
 	// buf first: the estimate times the connection, never the encoder.
+	// Frames arrive unencoded, so a frame never written is never encoded.
+	// The tile's body is the memoized one /tile serves; without an encoded
+	// cache push.Encode marshals the tile.
 	var buf []byte
 	write := func(f push.Frame) bool {
+		var body []byte
 		var err error
-		if binary {
-			var body []byte
-			if f.Tile != nil { // heartbeats carry none
-				body, err = s.encodedBody(f.Coord, f.Tile, tile.FormatBinary, gz)
-			}
-			if err == nil {
-				buf, err = push.AppendBinary(buf[:0], f, body, gz)
-			}
-		} else {
+		if f.Tile != nil && s.cfg.Encoded != nil { // heartbeats carry none
+			body, err = s.encodedBody(f.Coord, f.Tile, format, gz)
+		}
+		if err == nil && binary {
+			buf, err = push.AppendBinary(buf[:0], f, body, gz)
+		} else if err == nil {
+			f.Payload = body
 			sse := bytes.NewBuffer(buf[:0])
 			_, err = push.Encode(sse, f)
 			buf = sse.Bytes()

@@ -244,7 +244,7 @@ func TestStreamHeartbeat(t *testing.T) {
 	for name, headers := range map[string]map[string]string{"sse": nil, "binary": binaryGzip} {
 		t.Run(name, func(t *testing.T) {
 			ec := tile.NewEncodedCache(0, nil)
-			_, ts, _, reg := pushTestServer(t, push.Config{Heartbeat: 30 * time.Millisecond, Encoded: ec}, Config{Encoded: ec})
+			_, ts, _, reg := pushTestServer(t, push.Config{Heartbeat: 30 * time.Millisecond}, Config{Encoded: ec})
 			frames, resp := attachStreamWith(t, ts, "u1", headers)
 			if ct := resp.Header.Get("Content-Type"); (ct == push.BinaryContentType) != (headers != nil) {
 				t.Fatalf("stream content type = %q", ct)
@@ -390,11 +390,11 @@ func TestStreamFramingNegotiation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var pcfg push.Config
+			cfg := Config{Metrics: true}
 			if tc.encoded {
-				pcfg.Encoded = tile.NewEncodedCache(0, nil)
+				cfg.Encoded = tile.NewEncodedCache(0, nil)
 			}
-			_, ts, sched, _ := pushTestServer(t, pcfg, Config{Metrics: true, Encoded: pcfg.Encoded})
+			_, ts, sched, _ := pushTestServer(t, push.Config{}, cfg)
 			req, err := http.NewRequest(http.MethodGet, ts.URL+"/stream?session=u1", nil)
 			if err != nil {
 				t.Fatal(err)
@@ -504,7 +504,7 @@ func (w *slowConn) Write(p []byte) (int, error) {
 func TestStreamDrainRateExcludesEncode(t *testing.T) {
 	const encodeDelay = 300 * time.Millisecond
 	ec := tile.NewEncodedCache(0, nil)
-	srv, _, _, reg := pushTestServer(t, push.Config{Encoded: ec}, Config{Encoded: ec})
+	srv, _, _, reg := pushTestServer(t, push.Config{}, Config{Encoded: ec})
 	ctx, cancel := context.WithCancel(context.Background())
 	req := httptest.NewRequest(http.MethodGet, "/stream?session=u1", nil).WithContext(ctx)
 	req.Header.Set("Accept", tile.BinaryContentType)
@@ -550,4 +550,149 @@ func TestStreamDrainRateExcludesEncode(t *testing.T) {
 	if elapsed := time.Duration(float64(n) / bps * float64(time.Second)); elapsed > encodeDelay/2 {
 		t.Fatalf("drain sample covers %v for a %d-byte write behind a %v encode: the encoder was timed", elapsed, n, encodeDelay)
 	}
+}
+
+// TestStreamSharesEncodedJSONBody: the SSE handler frames a pushed tile
+// around its memoized JSON body, so one tile pushed to three attached
+// streams is encoded once, and every data line carries the cached bytes.
+func TestStreamSharesEncodedJSONBody(t *testing.T) {
+	ec := tile.NewEncodedCache(0, nil)
+	_, ts, _, reg := pushTestServer(t, push.Config{}, Config{Encoded: ec})
+	sessions := []string{"s0", "s1", "s2"}
+	streams := make([]<-chan push.Frame, len(sessions))
+	for i, id := range sessions {
+		streams[i], _ = attachStream(t, ts, id)
+	}
+	c := tile.Coord{Level: 2, Y: 1, X: 1}
+	tl, err := testPyramid(t).Tile(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range sessions {
+		if !reg.Push(id, "m", c, 1, tl) {
+			t.Fatalf("Push to %s refused", id)
+		}
+	}
+	for i, frames := range streams {
+		f, ok := waitFrame(t, frames, 5*time.Second)
+		if !ok {
+			t.Fatalf("stream %d ended before its frame", i)
+		}
+		if f.Coord != c || f.Tile.Coord != c {
+			t.Fatalf("stream %d: frame %+v does not carry the pushed tile", i, f)
+		}
+		body, err := ec.Get(c, tile.FormatJSON, false, func() ([]byte, error) {
+			t.Fatal("the pushed tile's JSON body is not in the encoded cache")
+			return nil, nil
+		})
+		if err != nil || !bytes.Equal(f.Payload, bytes.TrimSpace(body)) {
+			t.Fatalf("stream %d: data line carries %q, want the memoized body %q", i, f.Payload, body)
+		}
+		if got, err := f.Tile.EncodeJSON(); err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("stream %d: decoded tile re-encodes to %q, want %q", i, got, body)
+		}
+	}
+	if st := ec.Stats(); st.Misses != 1 || st.Entries != 1 {
+		t.Fatalf("one tile pushed to %d streams: %+v, want 1 encode and 1 entry", len(streams), st)
+	}
+}
+
+// TestStreamBackfillTakesEncodedBody: an SSE backfill frame carries the
+// memoized JSON body of its tile — a body seeded into the cache with an
+// extra field reaches the client verbatim — while a binary stream, pushed
+// and backfilled, never creates the JSON variant.
+func TestStreamBackfillTakesEncodedBody(t *testing.T) {
+	ec := tile.NewEncodedCache(0, nil)
+	srv, ts, sched, reg := pushTestServer(t, push.Config{}, Config{Encoded: ec})
+	getTileRaw(t, ts, "u1", nil)
+	sched.Drain()
+	eng, ok := srv.peekSession("u1")
+	if !ok {
+		t.Fatal("session u1 missing")
+	}
+	cached := eng.CachedPredictions()
+	if len(cached) == 0 {
+		t.Fatal("no cached predictions to backfill")
+	}
+	seeded := cached[0].Tile
+	canonical, err := seeded.EncodeJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	marked := append([]byte(`{"memo":1,`), canonical[1:]...)
+	if _, err := ec.Get(seeded.Coord, tile.FormatJSON, false, func() ([]byte, error) { return marked, nil }); err != nil {
+		t.Fatal(err)
+	}
+	frames, _ := attachStream(t, ts, "u1")
+	found := false
+	for range cached {
+		f, ok := waitFrame(t, frames, 5*time.Second)
+		if !ok {
+			t.Fatal("stream ended mid-backfill")
+		}
+		if !f.Backfill {
+			t.Fatalf("expected a backfill frame, got %+v", f)
+		}
+		if f.Coord != seeded.Coord {
+			continue
+		}
+		if !bytes.Equal(f.Payload, bytes.TrimSpace(marked)) || f.Tile.Coord != seeded.Coord {
+			t.Fatalf("backfill data line carries %q, want the memoized body %q", f.Payload, marked)
+		}
+		found = true
+	}
+	if !found {
+		t.Fatalf("no backfill frame for %v", seeded.Coord)
+	}
+	if st := reg.Stats(); st.Backfilled != len(cached) {
+		t.Fatalf("Backfilled = %d, want %d", st.Backfilled, len(cached))
+	}
+	// The pulled root, the seeded body and one encode per other backfilled
+	// tile.
+	if st := ec.Stats(); st.Misses != int64(1+len(cached)) {
+		t.Fatalf("after 1 pull and %d backfilled tiles: %+v, want %d encodes", len(cached), st, 1+len(cached))
+	}
+
+	t.Run("binary", func(t *testing.T) {
+		ec := tile.NewEncodedCache(0, nil)
+		srv, ts, sched, reg := pushTestServer(t, push.Config{}, Config{Encoded: ec})
+		getTileRaw(t, ts, "b1", binaryGzip)
+		sched.Drain()
+		eng, ok := srv.peekSession("b1")
+		if !ok {
+			t.Fatal("session b1 missing")
+		}
+		var coords []tile.Coord
+		for _, p := range eng.CachedPredictions() {
+			coords = append(coords, p.Tile.Coord)
+		}
+		frames, _ := attachStreamWith(t, ts, "b1", binaryGzip)
+		fresh := tile.Coord{Level: 2, Y: 2, X: 2}
+		tl, err := testPyramid(t).Tile(fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Pushed after the backfill, so the fresh frame arrives last.
+		for reg.Stats().Backfilled < len(coords) {
+			time.Sleep(time.Millisecond)
+		}
+		if !reg.Push("b1", "m", fresh, 1, tl) {
+			t.Fatal("Push to the binary stream refused")
+		}
+		coords = append(coords, fresh)
+		for range coords {
+			if f, ok := waitFrame(t, frames, 5*time.Second); !ok || f.Type != push.FrameTile {
+				t.Fatalf("binary stream: frame %+v (open %v)", f, ok)
+			}
+		}
+		for _, c := range coords {
+			encoded := false
+			if _, err := ec.Get(c, tile.FormatJSON, false, func() ([]byte, error) {
+				encoded = true
+				return []byte("{}"), nil
+			}); err != nil || !encoded {
+				t.Fatalf("%v: a binary stream created the JSON variant", c)
+			}
+		}
+	})
 }

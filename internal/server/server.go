@@ -456,11 +456,8 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 	endWrite()
 }
 
-// tileTag is the weak ETag of c's tile: W/"<epoch>.<level>.<y>.<x>". It is
-// weak because it names the tile, not one of its encodings.
-func (s *Server) tileTag(c tile.Coord) string {
-	return `W/"` + s.epoch + "." + strconv.Itoa(c.Level) + "." + strconv.Itoa(c.Y) + "." + strconv.Itoa(c.X) + `"`
-}
+// tileTag is the ETag of c's tile under this server's epoch (tile.ETag).
+func (s *Server) tileTag(c tile.Coord) string { return tile.ETag(s.epoch, c) }
 
 // listsTag reports whether an If-None-Match value lists tag, by weak
 // comparison (RFC 9110 §8.8.3.2). A malformed member or "*" lists nothing:

@@ -229,13 +229,13 @@ func TestMetricsExposeEncodedCacheFamilies(t *testing.T) {
 }
 
 // TestStreamPayloadEncodedOncePerTile: with the deployment-wide encoded
-// cache wired into the push registry, re-attaching a stream (backfill
+// cache on the server, re-attaching a stream (backfill
 // replay) must not re-encode tiles — the encode counter is flat across
 // attachments while every frame stays decodable by the updated client —
 // and a binary stream is cut from the very bodies /tile memoizes.
 func TestStreamPayloadEncodedOncePerTile(t *testing.T) {
 	ec := tile.NewEncodedCache(0, nil)
-	_, ts, sched, _ := pushTestServer(t, push.Config{Encoded: ec}, Config{Encoded: ec})
+	_, ts, sched, reg := pushTestServer(t, push.Config{}, Config{Encoded: ec})
 	frames, _ := attachStream(t, ts, "u1")
 
 	resp, err := ts.Client().Get(ts.URL + "/tile?level=0&y=0&x=0&session=u1")
@@ -244,12 +244,20 @@ func TestStreamPayloadEncodedOncePerTile(t *testing.T) {
 	}
 	resp.Body.Close()
 	sched.Drain()
-	f, ok := waitFrame(t, frames, 5*time.Second)
-	if !ok {
-		t.Fatal("stream ended before any tile frame")
+	// A frame is encoded when the handler writes it: receive every live
+	// frame, so each pushed tile has been encoded once before the baseline.
+	live := reg.Stats().Pushed
+	if live == 0 {
+		t.Fatal("nothing pushed")
 	}
-	if f.Tile == nil {
-		t.Fatalf("tile frame not decodable: %+v", f)
+	for i := 0; i < live; i++ {
+		f, ok := waitFrame(t, frames, 5*time.Second)
+		if !ok {
+			t.Fatal("stream ended before every tile frame")
+		}
+		if f.Tile == nil {
+			t.Fatalf("tile frame not decodable: %+v", f)
+		}
 	}
 	baseline := ec.Stats().Misses
 
@@ -278,7 +286,7 @@ func TestStreamPayloadEncodedOncePerTile(t *testing.T) {
 	// gzipped body that is served. No plain body and no JSON entry is kept.
 	t.Run("binary", func(t *testing.T) {
 		ec := tile.NewEncodedCache(0, nil)
-		_, ts, sched, reg := pushTestServer(t, push.Config{Encoded: ec}, Config{Encoded: ec})
+		_, ts, sched, reg := pushTestServer(t, push.Config{}, Config{Encoded: ec})
 		frames, resp := attachStreamWith(t, ts, "b1", binaryGzip)
 		if ct := resp.Header.Get("Content-Type"); ct != push.BinaryContentType {
 			t.Fatalf("stream content type = %q", ct)

@@ -424,3 +424,10 @@ func jsonNumber(tok []byte) bool {
 	}
 	return true
 }
+
+// ETag is c's tile's weak entity tag under a server epoch,
+// W/"<epoch>.<level>.<y>.<x>": /tile answers with it and a client revalidates
+// a pushed tile by it. Weak because it names the tile, not an encoding.
+func ETag(epoch string, c Coord) string {
+	return `W/"` + epoch + "." + strconv.Itoa(c.Level) + "." + strconv.Itoa(c.Y) + "." + strconv.Itoa(c.X) + `"`
+}
