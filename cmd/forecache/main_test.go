@@ -307,7 +307,7 @@ func TestRetiredServeFlagsRejected(t *testing.T) {
 // counts it: find . -name '*.go' -not -name '*_test.go' -not -path
 // './benchmark/*' | xargs cat | wc -l.
 func TestLineBudget(t *testing.T) {
-	const maxLines = 15135
+	const maxLines = 15134
 	const root = "../.."
 	lines := 0
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {

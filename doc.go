@@ -69,14 +69,14 @@
 //     one scheduler (plus an optional cross-session tile pool and bounded
 //     session table) across every session and trains the phase classifier
 //     and Markov chain exactly once, sharing the trained artifacts with
-//     every session engine. Every engine prefetches through one path, a
-//     Submitter delivering into its cache; NewMiddleware's is the inline
-//     one (the paper's think-time model), so the experiments stay
-//     deterministic. MetricsEndpoint exposes the whole loop —
-//     queue/shed/coalesce counters, queue saturation and depths,
-//     aggregate cache hit rates, the learned curve — as
-//     dependency-free Prometheus text under GET /metrics. The server
-//     keeps one session table behind one lock; MiddlewareConfig.Shards
+//     every session engine. Every engine prefetches through one executor,
+//     a scheduler shard delivering into its cache; NewMiddleware's runs
+//     its own, with no workers, after each request (the paper's think-time
+//     model), so the experiments stay deterministic. MetricsEndpoint
+//     exposes the whole loop — queue/shed/coalesce counters, queue
+//     saturation and depths, aggregate cache hit rates, the learned
+//     curve — as dependency-free Prometheus text under GET /metrics. The
+//     server keeps one session table behind one lock; MiddlewareConfig.Shards
 //     (serve -shards) splits only the scheduler, into N queue-and-worker
 //     shards behind a hash router keyed on session id (internal/shard:
 //     mix(FNV-1a(id)) % N — the shard count is fixed for a process's

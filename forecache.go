@@ -156,12 +156,12 @@ type MiddlewareConfig struct {
 	// Clock accounts simulated latency; nil disables accounting.
 	Clock backend.Clock
 
-	// AsyncPrefetch routes every server session's prefetching through one
-	// shared asynchronous scheduler (submit-and-return with cross-session
-	// coalescing) instead of each engine's inline submitter, which fetches
-	// the batch before the response returns; both deliver into the cache
-	// alike. Only NewServer honors this: NewMiddleware's engines stay
-	// inline so the eval harness and paper experiments stay deterministic.
+	// AsyncPrefetch chooses only who runs the prefetch scheduler: with it,
+	// every server session shares one whose background workers fetch off
+	// the response path (submit-and-return, cross-session coalescing);
+	// without it, each engine runs a private one itself before the response
+	// returns, as NewMiddleware's always do, so the eval harness and paper
+	// experiments stay deterministic. Only NewServer honors this.
 	AsyncPrefetch bool
 	// Push enables continuous push delivery (Khameleon-style): the server
 	// mounts GET /stream — one long-lived response per session — and
@@ -187,9 +187,9 @@ type MiddlewareConfig struct {
 	// learned state (feedback, allocation, hotspot) are one per deployment
 	// too. Default 1. Only NewServer with AsyncPrefetch honors this.
 	Shards int
-	// PrefetchWorkers sizes the scheduler's worker pool (the concurrent
-	// DBMS fetch budget); with Shards > 1 this is the deployment-wide
-	// budget, divided ceil(Workers/Shards) per shard. Default 4.
+	// PrefetchWorkers sizes the AsyncPrefetch scheduler's worker pool (the
+	// concurrent DBMS fetch budget), deployment-wide: with Shards > 1 each
+	// shard runs ceil(PrefetchWorkers/Shards). Default 4.
 	PrefetchWorkers int
 	// AdaptiveK and FairShare are ignored: the scheduler's global
 	// admission control is its one rule under load. The fields stay only
@@ -323,6 +323,9 @@ func (c MiddlewareConfig) withDefaults() MiddlewareConfig {
 	if c.Latency == (LatencyModel{}) {
 		c.Latency = backend.DefaultLatency()
 	}
+	if c.PrefetchWorkers <= 0 {
+		c.PrefetchWorkers = 4
+	}
 	return c
 }
 
@@ -425,9 +428,10 @@ func (d *Dataset) artifacts(train []*trace.Trace, cfg MiddlewareConfig) (*Artifa
 // session: phase classifier and Markov chain trained on the given traces
 // (or reused from cfg.Artifacts, in which case no training happens),
 // SIFT-based SB model over the dataset's signatures, the registry's
-// allocation table, cache manager and DBMS adapter. The engine prefetches
-// through its inline submitter (the deterministic mode the eval harness
-// replays); the asynchronous shared pipeline is a NewServer concern.
+// allocation table, cache manager and DBMS adapter. The engine runs its
+// private prefetch scheduler itself before each request returns (the
+// deterministic mode the eval harness replays); background workers are a
+// NewServer concern.
 func (d *Dataset) NewMiddleware(train []*trace.Trace, cfg MiddlewareConfig) (*core.Engine, error) {
 	cfg = cfg.withDefaults()
 	db := backend.NewDBMS(d.Pyramid, cfg.Latency, cfg.Clock)

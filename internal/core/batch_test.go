@@ -132,24 +132,12 @@ func requestAllocs(t *testing.T, eng *Engine) float64 {
 	})
 }
 
-// TestRequestAllocCeiling pins the request path's allocations, inline and
-// with a scheduler, at their measured counts.
+// TestRequestAllocCeiling pins the request path's allocations, prefetch
+// fetches and deliveries included, at the default engine's measured count.
 func TestRequestAllocCeiling(t *testing.T) {
-	const syncCeiling, asyncCeiling = 44, 26
-	if n := requestAllocs(t, testEngine(t, 5)); n > syncCeiling {
-		t.Errorf("sync round trip allocates %v times, ceiling %d", n, syncCeiling)
-	}
-	ab, err := recommend.NewAB(3, zoomTraces(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewEngine(testDBMS(t), nil, SinglePolicy{Model: ab.Name()},
-		[]recommend.Model{ab}, Config{K: 5, Scheduler: nopSubmitter{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := requestAllocs(t, eng); n > asyncCeiling {
-		t.Errorf("scheduler round trip allocates %v times, ceiling %d", n, asyncCeiling)
+	const ceiling = 40
+	if n := requestAllocs(t, testEngine(t, 5)); n > ceiling {
+		t.Errorf("round trip allocates %v times, ceiling %d", n, ceiling)
 	}
 }
 

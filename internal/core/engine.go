@@ -27,7 +27,8 @@ import (
 
 // Config sizes and wires one prediction engine / session. The zero value of
 // every field below RecentTiles means "off": an engine that prefetches
-// inline, is uninstrumented and reports its cache outcomes to nobody.
+// before its request returns, is uninstrumented and reports its cache
+// outcomes to nobody.
 type Config struct {
 	// K is the prefetch budget in tiles (the paper sweeps k = 1..8).
 	K int
@@ -38,12 +39,11 @@ type Config struct {
 
 	// Scheduler is the Submitter each request's ranked batch is handed to;
 	// its deliveries land in this engine's cache as they complete. Nil
-	// means the inline submitter: the paper's think-time model, which
-	// fetches and delivers the whole batch before Request returns (what the
-	// eval harness replays, deterministically). The session's handle on the
-	// shared scheduler (*prefetch.Session) instead fetches off the response
-	// path. The engine always hands over its whole batch: how much of it to
-	// admit under load is the scheduler's decision.
+	// gives the engine a private scheduler without workers, run after each
+	// submit: the paper's think-time model, in which the whole batch is
+	// delivered before Request returns (what the eval harness replays,
+	// deterministically). The engine always hands over its whole batch: how
+	// much of it to admit under load is the scheduler's decision.
 	Scheduler Submitter
 	// Feedback closes the prediction-quality loop: the engine tracks each
 	// prefetched tile's fate in its cache (consumed vs evicted unconsumed,
@@ -60,11 +60,11 @@ type Config struct {
 	// turns per-session cache outcomes into the population-level hotspot
 	// signal. Independent of Feedback; either alone enables outcome tracking.
 	Consumption ConsumptionObserver
-	// Obs is the deployment's observability pipeline: the engine's own
-	// DBMS fetches (misses, inline prefetches) report their wall time, and
-	// the engine's cache reports each prefetched tile's lead time (insert to
-	// first consumption). The request-path span breakdown additionally
-	// requires the caller to pass a trace to RequestTraced.
+	// Obs is the deployment's observability pipeline: the engine's demand
+	// fetches (and its private scheduler, if any) report their wall time,
+	// and the engine's cache reports each prefetched tile's lead time
+	// (insert to first consumption). The request-path span breakdown
+	// additionally requires the caller to pass a trace to RequestTraced.
 	Obs *obs.Pipeline
 }
 
@@ -107,11 +107,12 @@ type Response struct {
 }
 
 // Submitter is one session's prefetch pipeline, which its engine hands
-// ranked candidate batches to: the session's *prefetch.Session handle, or
-// the engine's inline submitter. Submit (called under the engine's lock)
-// takes a batch, admits as much of it as its own admission control allows,
-// and calls each admitted entry's Deliver once its tile is fetched, now or
-// later; Cancel drops the session's still-queued entries.
+// ranked candidate batches to: a *prefetch.Session handle on the
+// deployment's scheduler or on the engine's private one. Submit (called
+// under the engine's lock) takes a batch, admits as much of it as its own
+// admission control allows, and calls each admitted entry's Deliver once
+// its tile is fetched, now or later; Cancel drops the session's
+// still-queued entries.
 type Submitter interface {
 	Submit(reqs []prefetch.Request) int
 	Cancel()
@@ -187,7 +188,8 @@ func NewEngine(db backend.Store, classifier *phase.Classifier, policy Allocation
 		history:    trace.NewHistory(HistoryLen),
 	}
 	if e.cfg.Scheduler == nil {
-		e.cfg.Scheduler = inline{e}
+		sched := prefetch.NewScheduler(db, prefetch.Config{Obs: cfg.Obs})
+		e.cfg.Scheduler = callerRun{Session: sched.Open("", nil), sched: sched}
 	}
 	e.cache.TrackOutcomes(cfg.Feedback != nil || cfg.Consumption != nil)
 	e.cache.SetObs(cfg.Obs)
@@ -269,7 +271,9 @@ func (e *Engine) RequestTraced(c tile.Coord, rt *obs.ReqTrace) (*Response, error
 		rt.SetOutcome(obs.OutcomeHit)
 	} else {
 		endFetch := rt.StartSpan("backend_fetch")
-		t, err := e.timedFetch(e.db.Fetch, c) // charges the miss latency on the clock
+		start := time.Now()
+		t, err := e.db.Fetch(c) // charges the miss latency on the clock
+		e.cfg.Obs.ObserveBackendFetch(time.Since(start))
 		endFetch()
 		if err != nil {
 			return nil, err
@@ -336,18 +340,6 @@ func (e *Engine) RequestTraced(c tile.Coord, rt *obs.ReqTrace) (*Response, error
 	return resp, nil
 }
 
-// timedFetch is fetch(c), timed into the observability pipeline if the
-// engine has one.
-func (e *Engine) timedFetch(fetch func(tile.Coord) (*tile.Tile, error), c tile.Coord) (*tile.Tile, error) {
-	if e.cfg.Obs == nil {
-		return fetch(c)
-	}
-	start := time.Now()
-	t, err := fetch(c)
-	e.cfg.Obs.ObserveBackendFetch(time.Since(start))
-	return t, err
-}
-
 // prediction is one model's ranked candidate at one batch position.
 type prediction struct {
 	model string
@@ -408,26 +400,17 @@ func (e *Engine) submit(batch []prediction, ph trace.Phase) {
 	e.cfg.Scheduler.Submit(reqs)
 }
 
-// inline is the Submitter of an engine built without a scheduler: the
-// paper's think-time model, in which the whole batch is fetched and
-// delivered before the user's next request. Each distinct coordinate costs
-// one quiet DBMS fetch (prefetching happens while the user analyzes the
-// current view, off the response path); a failed fetch delivers nothing.
-type inline struct{ e *Engine }
-
-func (s inline) Submit(reqs []prefetch.Request) int {
-	tiles := make([]*tile.Tile, len(reqs)) // tiles[i] is reqs[i]'s tile
-	for i, r := range reqs {
-		if j := slices.IndexFunc(reqs[:i], func(q prefetch.Request) bool { return q.Coord == r.Coord }); j >= 0 {
-			tiles[i] = tiles[j]
-		} else if t, err := s.e.timedFetch(s.e.db.FetchQuiet, r.Coord); err == nil {
-			tiles[i] = t
-		}
-		if tiles[i] != nil {
-			r.Deliver(tiles[i])
-		}
-	}
-	return len(reqs)
+// callerRun is the Submitter of an engine built without a scheduler: a
+// handle on its private scheduler without workers, run to idle after each
+// submit, so the batch is fetched (one quiet DBMS fetch per distinct
+// coordinate) and delivered before the user's next request.
+type callerRun struct {
+	*prefetch.Session
+	sched *prefetch.Scheduler
 }
 
-func (inline) Cancel() {}
+func (r callerRun) Submit(reqs []prefetch.Request) int {
+	n := r.Session.Submit(reqs)
+	r.sched.Run(-1)
+	return n
+}

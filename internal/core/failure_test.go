@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"slices"
 	"testing"
 
+	"forecache/internal/backend"
 	"forecache/internal/prefetch"
 	"forecache/internal/recommend"
 	"forecache/internal/tile"
@@ -131,3 +133,41 @@ type starvedPolicy struct{}
 
 func (starvedPolicy) Models() []string                                 { return nil }
 func (starvedPolicy) Allocations(ph trace.Phase, k int) map[string]int { return nil }
+
+// quietFailStore serves demand fetches and fails every prefetch fetch.
+type quietFailStore struct{ *backend.DBMS }
+
+func (quietFailStore) FetchQuiet(tile.Coord) (*tile.Tile, error) {
+	return nil, errors.New("prefetch fetch failed")
+}
+
+// TestFailedPrefetchDeliversNothing: on the default engine, a failing
+// prefetch fetch leaves the request successful, inserts nothing into the
+// cache and is counted in the scheduler's Errors.
+func TestFailedPrefetchDeliversNothing(t *testing.T) {
+	m := recommend.NewMomentum()
+	eng, err := NewEngine(quietFailStore{testDBMS(t)}, nil, SinglePolicy{Model: m.Name()},
+		[]recommend.Model{m}, Config{K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := eng.Request(tile.Coord{})
+	if err != nil {
+		t.Fatalf("request with failing prefetches: %v", err)
+	}
+	if len(resp.Prefetched) == 0 {
+		t.Fatal("nothing was submitted, so nothing could fail")
+	}
+	if got := eng.CachedPredictions(); len(got) != 0 {
+		t.Errorf("cache holds %d predictions, want none", len(got))
+	}
+	if st := eng.CacheStats(); st.Prefetched != 0 {
+		t.Errorf("Prefetched = %d, want 0", st.Prefetched)
+	}
+	if got := eng.cfg.Scheduler.(callerRun).sched.Stats().Errors; got != len(resp.Prefetched) {
+		t.Errorf("Errors = %d, want one per submitted tile (%d)", got, len(resp.Prefetched))
+	}
+	if resp, err := eng.Request(resp.Prefetched[0]); err != nil || resp.Hit {
+		t.Errorf("request for a failed prefetch: hit %v, err %v; want a served miss", resp != nil && resp.Hit, err)
+	}
+}

@@ -3,7 +3,8 @@
 // *which* tiles to prefetch) from the DBMS fetches that load them. Engines
 // submit ranked candidate batches and return immediately; a bounded worker
 // pool issues the fetches off the response path, in priority order, with
-// per-session fairness.
+// per-session fairness. A scheduler with no workers is run by its caller
+// (Scheduler.Run): the same dispatch, done before the caller goes on.
 //
 // The design follows Khameleon's split of prediction from a utility-ordered,
 // budget-bound fetch scheduler, and Kyrix's middleware-throughput argument
@@ -71,9 +72,9 @@ type Request struct {
 	// is attribution carried through to push frames (PushSink) and may be
 	// empty.
 	Model string
-	// Deliver is invoked with the fetched tile off the response path
-	// (typically it inserts into the session's cache region). It must be
-	// safe to call from a scheduler worker goroutine. May be nil.
+	// Deliver is invoked with the fetched tile on the goroutine that ran
+	// the fetch, a scheduler worker or Run's caller (typically it inserts
+	// into the session's cache region). May be nil.
 	Deliver func(*tile.Tile)
 }
 
@@ -105,7 +106,8 @@ type Config struct {
 	// deployment-wide and ceil-divided across them. Default 1.
 	Shards int
 	// Workers is the bounded worker pool size: the maximum number of
-	// concurrent DBMS fetches (the in-flight budget). Default 4.
+	// concurrent DBMS fetches (the in-flight budget). 0 starts none, and
+	// the scheduler is run by its caller (Scheduler.Run).
 	Workers int
 	// QueuePerSession caps how many entries one session may have queued;
 	// submissions beyond the cap drop the lowest-scored entries. Default 64.
@@ -143,9 +145,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 1
-	}
-	if c.Workers <= 0 {
-		c.Workers = 4
 	}
 	if c.QueuePerSession <= 0 {
 		c.QueuePerSession = 64
@@ -191,7 +190,7 @@ type Stats struct {
 	// configured it never exceeds Config.GlobalQueue.
 	PeakPending int
 	// Inflight is the number of DBMS fetches running right now. A flight
-	// counts until its worker has handed the tile to every waiter.
+	// counts until its step has handed the tile to every waiter.
 	Inflight int
 	// Sessions is the number of session handles with scheduler state.
 	Sessions int

@@ -57,8 +57,8 @@ func (cs *CoalescingStore) Joined() int { return int(cs.flights.Stats().Hits) }
 type Scheduler struct {
 	ring   *shard.Ring
 	shards []*Shard
-	// store is what every shard fetches through. With one shard it joins
-	// nothing: the shard's own flight table already coalesces all it sees.
+	// store is what every shard fetches through, nil with one shard,
+	// whose own flight table already coalesces all it sees.
 	store *CoalescingStore
 	// total is the *configured* deployment-wide GlobalQueue — the aggregate
 	// pressure denominator. It must not be reconstructed as per-shard × n:
@@ -73,11 +73,12 @@ type Scheduler struct {
 // gets ceil(Workers/n) workers and ceil(GlobalQueue/n) global-queue slots,
 // so the fleet's total fetch concurrency and queue budget match what one
 // shard with the same cfg would run (QueuePerSession is per-session and
-// passes through unchanged). The store is wrapped in one shared
-// CoalescingStore so cross-shard duplicates still cost one DBMS fetch.
-// Shared learning state (cfg.Utility, cfg.Obs) is deployment-wide by
-// construction: every shard feeds the same collector and pipeline. Call
-// Close to stop all worker pools.
+// passes through unchanged). With more than one shard the store is
+// wrapped in one shared CoalescingStore so cross-shard duplicates still
+// cost one DBMS fetch. Shared learning state (cfg.Utility, cfg.Obs) is
+// deployment-wide by construction: every shard feeds the same collector
+// and pipeline. Call Close to stop all worker pools; a scheduler without
+// workers starts no goroutine and needs no Close.
 func NewScheduler(store backend.Store, cfg Config) *Scheduler {
 	cfg = cfg.withDefaults()
 	n := cfg.Shards
@@ -89,11 +90,14 @@ func NewScheduler(store backend.Store, cfg Config) *Scheduler {
 	s := &Scheduler{
 		ring:   shard.NewRing(n),
 		shards: make([]*Shard, n),
-		store:  NewCoalescingStore(store),
 		total:  cfg.GlobalQueue,
 	}
+	if n > 1 {
+		s.store = NewCoalescingStore(store)
+		store = s.store
+	}
 	for i := range s.shards {
-		s.shards[i] = newShard(s.store, per)
+		s.shards[i] = newShard(store, per)
 	}
 	return s
 }
@@ -174,7 +178,9 @@ func (s *Scheduler) Snapshot() (Stats, []Stats) {
 		agg.AvgQueueLatency = latency / time.Duration(measured)
 	}
 	agg.Pressure = saturation(agg.Pending, s.total)
-	agg.CrossShardCoalesced = s.store.Joined()
+	if s.store != nil {
+		agg.CrossShardCoalesced = s.store.Joined()
+	}
 	return agg, per
 }
 
@@ -184,10 +190,25 @@ func (s *Scheduler) Stats() Stats {
 	return agg
 }
 
+// Run fetches queued entries in the caller's goroutine, shard by shard,
+// until it has issued n fetches or, for n < 0, nothing is queued, and
+// returns the fetches issued: how a scheduler without workers progresses.
+func (s *Scheduler) Run(n int) int {
+	done := 0
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		for done != n && sh.step() {
+			done++
+		}
+		sh.mu.Unlock()
+	}
+	return done
+}
+
 // Drain blocks until every shard's queue and in-flight set are empty. A
-// flight leaves the set only after its worker has run every waiter's
+// flight leaves the set only after its step has run every waiter's
 // Deliver and push, so tests and examples can read caches and streams
-// deterministically afterwards.
+// deterministically afterwards. Without workers only Run empties a queue.
 func (s *Scheduler) Drain() {
 	for _, sh := range s.shards {
 		sh.drain()

@@ -1,8 +1,9 @@
 package prefetch
 
 import (
+	"cmp"
 	"container/heap"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -13,7 +14,7 @@ import (
 // entry states.
 const (
 	stateQueued = iota
-	stateDone   // cancelled, coalesced, or handed to a worker
+	stateDone   // cancelled, shed, or taken onto a flight
 )
 
 // entry is one queued Request plus its scheduling bookkeeping.
@@ -23,12 +24,14 @@ type entry struct {
 	seq      uint64 // tiebreak: earlier submissions first at equal score
 	enqueued time.Time
 	state    int
+	prev     *entry // neighbours in req.Coord's list of queued entries,
+	next     *entry // newest first from Shard.byCoord; nil once unqueued
 }
 
 // Session is one session's handle on its home shard (Scheduler.Open): its
 // push sink and its latest batch in dispatch order (score descending, then
 // submission order). Submit clears the batch and appends the next one
-// already sorted, and workers take entries from next on; entries
+// already sorted, and steps take entries from next on; entries
 // cancelled, coalesced or shed in place are skipped lazily. Safe for
 // concurrent use.
 type Session struct {
@@ -44,24 +47,19 @@ type Session struct {
 	closed  bool
 }
 
-// waiter is one Request waiting on a flight, tagged with its session so
-// push dispatch knows whose sink the tile belongs on.
-type waiter struct {
-	session *Session
-	req     Request
-}
-
-// flight is one in-flight DBMS fetch and the requests waiting on it.
+// flight is one in-flight DBMS fetch and the entries waiting on it.
 type flight struct {
-	waiters []waiter
+	first   [1]*entry // waiters' first backing array: one waiter allocates nothing
+	waiters []*entry
 }
 
 // Shard is one independent slice of the Scheduler: its own mutex,
 // per-session queues, worker pool and pressure signal, serving the sessions
 // the hash router routes to it. A Session handle is bound to its home
 // Shard once (Scheduler.Open), so the request path submits straight to the
-// queue that owns the session. Safe for concurrent use by any number of
-// sessions.
+// queue that owns the session. Every prefetch fetch runs in step, called
+// by the shard's workers or, with none, by Scheduler.Run. Safe for
+// concurrent use by any number of sessions.
 type Shard struct {
 	store backend.Store
 	cfg   Config
@@ -73,8 +71,9 @@ type Shard struct {
 	byID     map[string]*Session   // each id's latest handle, for Scheduler.Submit
 	rr       []*Session            // round-robin ring of sessions with pending work
 	rrPos    int
-	byCoord  map[tile.Coord]map[*entry]struct{} // queued entries by coordinate
-	inflight map[tile.Coord]*flight             // until the fetching worker has served every waiter
+	byCoord  map[tile.Coord]*entry  // the newest queued entry per coordinate, heading its list
+	inflight map[tile.Coord]*flight // until the fetching step has served every waiter
+	spare    *flight                // a served flight, for the next step to reuse
 	seq      uint64
 	closed   bool
 
@@ -85,21 +84,21 @@ type Shard struct {
 	wg sync.WaitGroup
 }
 
-// newShard starts one shard fetching from store with cfg.Workers workers;
-// cfg already carries defaults and this shard's slice of the budgets.
+// newShard starts one shard fetching from store with cfg.Workers workers,
+// maybe none; cfg already carries defaults and this shard's budgets.
 func newShard(store backend.Store, cfg Config) *Shard {
 	s := &Shard{
 		store:    store,
 		cfg:      cfg,
 		sessions: make(map[*Session]struct{}),
 		byID:     make(map[string]*Session),
-		byCoord:  make(map[tile.Coord]map[*entry]struct{}),
+		byCoord:  make(map[tile.Coord]*entry),
 		inflight: make(map[tile.Coord]*flight),
 	}
 	s.work = sync.NewCond(&s.mu)
 	s.idle = sync.NewCond(&s.mu)
-	s.wg.Add(s.cfg.Workers)
-	for i := 0; i < s.cfg.Workers; i++ {
+	for range s.cfg.Workers { // none when Workers <= 0
+		s.wg.Add(1)
 		go s.worker()
 	}
 	return s
@@ -129,14 +128,13 @@ func (sq *Session) Submit(reqs []Request) int {
 	// Process the batch in descending score order: the queue was just
 	// cleared, so when the budget truncates, it is exactly the batch's
 	// lowest-scored entries that drop (the documented contract), whatever
-	// order the caller built the slice in.
-	order := make([]int, len(reqs))
-	for i := range order {
-		order[i] = i
+	// order the caller built the slice in. The batch's entries share one
+	// backing array; those dropped or piggybacked are never linked.
+	batch := make([]entry, len(reqs))
+	for i := range reqs {
+		batch[i] = entry{req: reqs[i], session: sq}
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return reqs[order[a]].Score > reqs[order[b]].Score
-	})
+	slices.SortStableFunc(batch, func(a, b entry) int { return cmp.Compare(b.req.Score, a.req.Score) })
 	var shed *shedHeap // built lazily on the first saturated admission
 	// The bandwidth-aware admission term: with push delivery on, queued
 	// entries age by the connection's measured per-frame drain time as well
@@ -146,11 +144,12 @@ func (sq *Session) Submit(reqs []Request) int {
 	// saturated admission prices anything, so it is read with the shed heap.
 	var pushDelay time.Duration
 	accepted, enqueued := 0, 0
-	for _, i := range order {
+	for i := range batch {
+		e := &batch[i]
 		// A fetch for this tile is already in flight (another session's,
 		// typically): piggyback on it instead of queueing a duplicate.
-		if fl, ok := s.inflight[reqs[i].Coord]; ok {
-			fl.waiters = append(fl.waiters, waiter{session: sq, req: reqs[i]})
+		if fl, ok := s.inflight[e.req.Coord]; ok {
+			fl.waiters = append(fl.waiters, e)
 			s.stats.Coalesced++
 			accepted++
 			continue
@@ -174,14 +173,14 @@ func (sq *Session) Submit(reqs []Request) int {
 			// then; the two sites price the same position.) With push
 			// delivery on, the rank also charges drain time: the connection
 			// must deliver rank+1 frames before this one reaches the client.
-			u := decayedUtilityFactor(reqs[i].Score, time.Duration(sq.queued+1)*pushDelay, s.cfg.DecayHalfLife, s.cfg.positionFactor(sq.queued))
+			u := decayedUtilityFactor(e.req.Score, time.Duration(sq.queued+1)*pushDelay, s.cfg.DecayHalfLife, s.cfg.positionFactor(sq.queued))
 			if !s.shedLowestBelowLocked(shed, u) {
 				s.stats.Dropped++
 				continue
 			}
 		}
 		s.seq++
-		e := &entry{req: reqs[i], session: sq, seq: s.seq, enqueued: now}
+		e.seq, e.enqueued = s.seq, now
 		sq.pending = append(sq.pending, e)
 		sq.queued++
 		s.stats.Pending++
@@ -199,12 +198,10 @@ func (sq *Session) Submit(reqs []Request) int {
 			// lose fights, they are here so the accounting stays exact.
 			heap.Push(shed, shedCand{e: e, util: decayedUtilityFactor(e.req.Score, time.Duration(sq.queued)*pushDelay, s.cfg.DecayHalfLife, s.cfg.positionFactor(sq.queued-1))})
 		}
-		set := s.byCoord[e.req.Coord]
-		if set == nil {
-			set = make(map[*entry]struct{})
-			s.byCoord[e.req.Coord] = set
+		if head := s.byCoord[e.req.Coord]; head != nil {
+			head.prev, e.next = e, head
 		}
-		set[e] = struct{}{}
+		s.byCoord[e.req.Coord] = e
 		accepted++
 		enqueued++
 	}
@@ -228,7 +225,7 @@ func (sq *Session) Cancel() { sq.end(false) }
 // id. Idempotent.
 func (sq *Session) Close() { sq.end(true) }
 
-// end cancels sq's queued entries and drops its state; the worker drops it
+// end cancels sq's queued entries and drops its state; a step drops it
 // from the ring when it next finds it empty.
 func (sq *Session) end(closing bool) {
 	s := sq.shard
@@ -245,7 +242,7 @@ func (sq *Session) end(closing bool) {
 }
 
 // drain blocks until no entries are queued and no flights are left: a
-// flight ends only after its worker has served every waiter, so the
+// flight ends only after its step has served every waiter, so the
 // deliveries and push frames of every completed fetch have run.
 func (s *Shard) drain() {
 	s.mu.Lock()
@@ -316,10 +313,8 @@ func (s *Shard) cancelQueuedLocked(sq *Session) {
 	cancelled := false
 	for _, e := range sq.pending[sq.next:] {
 		if e.state == stateQueued {
-			e.state = stateDone
-			s.detachLocked(e)
+			s.unqueueLocked(e)
 			s.stats.Cancelled++
-			s.stats.Pending--
 			cancelled = true
 		}
 	}
@@ -329,19 +324,29 @@ func (s *Shard) cancelQueuedLocked(sq *Session) {
 	}
 }
 
-// detachLocked removes a no-longer-queued entry from the coordinate index.
-func (s *Shard) detachLocked(e *entry) {
-	if set, ok := s.byCoord[e.req.Coord]; ok {
-		delete(set, e)
-		if len(set) == 0 {
-			delete(s.byCoord, e.req.Coord)
-		}
+// unqueueLocked takes queued e out of the queue counts and the
+// coordinate index; its session's pending slice skips it lazily.
+func (s *Shard) unqueueLocked(e *entry) {
+	e.state = stateDone
+	e.session.queued--
+	s.stats.Pending--
+	switch {
+	case e.prev != nil:
+		e.prev.next = e.next
+	case e.next != nil:
+		s.byCoord[e.req.Coord] = e.next
+	default:
+		delete(s.byCoord, e.req.Coord)
 	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	}
+	e.prev, e.next = nil, nil
 }
 
-// popNextLocked picks the next entry to fetch: sessions with pending work
-// are visited round-robin, and within a session the highest-scored entry
-// wins. Returns nil when nothing is queued.
+// popNextLocked picks the next entry to fetch, still queued: sessions with
+// pending work are visited round-robin, and within a session the
+// highest-scored entry wins. Returns nil when nothing is queued.
 func (s *Shard) popNextLocked() *entry {
 	for len(s.rr) > 0 {
 		if s.rrPos >= len(s.rr) {
@@ -365,109 +370,100 @@ func (s *Shard) popNextLocked() *entry {
 			continue
 		}
 		s.rrPos++
-		e.state = stateDone
-		sq.queued--
-		s.detachLocked(e)
 		return e
 	}
 	return nil
 }
 
-// worker is one pool goroutine: it pops entries fairly, coalesces
-// duplicates, issues at most one DBMS fetch at a time, and delivers the
-// fetched tile to every waiter itself before it pops again.
+// worker is one pool goroutine: a loop over step that waits for work.
 func (s *Shard) worker() {
 	defer s.wg.Done()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for {
-		s.mu.Lock()
-		var e *entry
-		for {
-			e = s.popNextLocked()
-			if e != nil || s.closed {
-				break
-			}
-			s.work.Wait()
+		for s.step() {
 		}
-		if e == nil { // closed and drained
-			s.mu.Unlock()
+		if s.closed {
 			return
 		}
-		now := s.cfg.clock()
-		s.accountLatencyLocked(e, now)
-		s.stats.Pending--
-		coord := e.req.Coord
-		if fl, ok := s.inflight[coord]; ok {
-			// Another worker is already fetching this tile: piggyback.
-			fl.waiters = append(fl.waiters, waiter{session: e.session, req: e.req})
-			s.stats.Coalesced++
-			s.mu.Unlock()
-			continue
-		}
-		fl := &flight{waiters: []waiter{{session: e.session, req: e.req}}}
-		// Absorb queued duplicates from every session: one DBMS round trip
-		// serves them all.
-		for dup := range s.byCoord[coord] {
-			dup.state = stateDone
-			dup.session.queued--
-			fl.waiters = append(fl.waiters, waiter{session: dup.session, req: dup.req})
-			s.accountLatencyLocked(dup, now)
-			s.stats.Coalesced++
-			s.stats.Pending--
-		}
-		delete(s.byCoord, coord)
-		s.inflight[coord] = fl
-		s.mu.Unlock()
-
-		// The fetch timer reuses the queue-wait timestamp taken above, so
-		// instrumentation costs one clock read per fetch, not two. The
-		// duplicate-absorption map work between the two points is charged
-		// to the fetch; it is nanoseconds against a DBMS round trip.
-		t, err := s.store.FetchQuiet(coord)
-		if s.cfg.Obs != nil {
-			s.cfg.Obs.ObserveBackendFetch(s.cfg.clock().Sub(now))
-		}
-
-		s.mu.Lock()
-		// Serve every waiter, then those that piggybacked meanwhile: the
-		// flight stays in inflight until nobody is left waiting, so a late
-		// request for this tile joins it instead of fetching it again, and
-		// Drain waits for the deliveries.
-		for err == nil && len(fl.waiters) > 0 {
-			waiters := fl.waiters
-			fl.waiters = nil
-			s.stats.Completed += len(waiters)
-			s.mu.Unlock()
-			// Cache deliveries first, so a stream frame never beats its own
-			// cache insert. Neither step blocks on a client: a Deliver takes
-			// the cache's leaf lock, and a push enqueues the tile unencoded
-			// onto a bounded buffer or refuses it.
-			for _, w := range waiters {
-				if w.req.Deliver != nil {
-					w.req.Deliver(t)
-				}
-			}
-			for _, w := range waiters {
-				if sink := w.session.sink; sink != nil {
-					sink.Push(w.req.Model, coord, w.req.Score, t)
-				}
-			}
-			s.mu.Lock()
-		}
-		if err != nil {
-			s.stats.Errors += len(fl.waiters)
-		}
-		delete(s.inflight, coord)
-		s.idle.Broadcast()
-		s.mu.Unlock()
+		s.work.Wait()
 	}
 }
 
-// accountLatencyLocked records how long e sat queued. The queue-wait
-// histogram rides the same already-computed timestamp, so observability
-// adds no clock read here.
-func (s *Shard) accountLatencyLocked(e *entry, now time.Time) {
-	wait := now.Sub(e.enqueued)
-	s.queueLatency += wait
-	s.measured++
-	s.cfg.Obs.ObserveQueueWait(wait)
+// step pops the next entry in the shard's order, absorbs its queued
+// duplicates from every session, fetches the tile and delivers it to every
+// waiter, late joiners included, then wakes Drain; it reports whether
+// there was an entry. No entry is queued for a tile in flight: Submit
+// joins the flight instead. The caller holds s.mu, which step releases
+// around the fetch and the deliveries.
+func (s *Shard) step() bool {
+	e := s.popNextLocked()
+	if e == nil {
+		return false
+	}
+	now := s.cfg.clock()
+	coord := e.req.Coord
+	fl := s.spare
+	s.spare = nil
+	if fl == nil {
+		fl = &flight{}
+	}
+	fl.waiters = fl.first[:0]
+	s.inflight[coord] = fl
+	// Take e and its queued duplicates from every session onto the
+	// flight: one DBMS round trip serves them all. The queue-wait
+	// histogram rides the fetch timer's timestamp.
+	for w := s.byCoord[coord]; w != nil; w = s.byCoord[coord] {
+		s.unqueueLocked(w)
+		fl.waiters = append(fl.waiters, w)
+		wait := now.Sub(w.enqueued)
+		s.queueLatency += wait
+		s.measured++
+		s.cfg.Obs.ObserveQueueWait(wait)
+	}
+	s.stats.Coalesced += len(fl.waiters) - 1
+	s.mu.Unlock()
+
+	// The fetch timer reuses the queue-wait timestamp taken above, so
+	// instrumentation costs one clock read per fetch, not two. The
+	// duplicate absorption between the two points is charged to the
+	// fetch; it is nanoseconds against a DBMS round trip.
+	t, err := s.store.FetchQuiet(coord)
+	if s.cfg.Obs != nil {
+		s.cfg.Obs.ObserveBackendFetch(s.cfg.clock().Sub(now))
+	}
+
+	s.mu.Lock()
+	// Serve every waiter, then those that piggybacked meanwhile: the
+	// flight stays in inflight until nobody is left waiting, so a late
+	// request for this tile joins it instead of fetching it again, and
+	// Drain waits for the deliveries.
+	for err == nil && len(fl.waiters) > 0 {
+		waiters := fl.waiters
+		fl.waiters = nil
+		s.stats.Completed += len(waiters)
+		s.mu.Unlock()
+		// Cache deliveries first, so a stream frame never beats its own
+		// cache insert. Neither blocks on a client: a Deliver takes the
+		// cache's leaf lock, and a push enqueues the tile unencoded onto a
+		// bounded buffer or refuses it.
+		for _, w := range waiters {
+			if w.req.Deliver != nil {
+				w.req.Deliver(t)
+			}
+		}
+		for _, w := range waiters {
+			if sink := w.session.sink; sink != nil {
+				sink.Push(w.req.Model, coord, w.req.Score, t)
+			}
+		}
+		s.mu.Lock()
+	}
+	if err != nil {
+		s.stats.Errors += len(fl.waiters)
+	}
+	delete(s.inflight, coord)
+	*fl, s.spare = flight{}, fl
+	s.idle.Broadcast()
+	return true
 }

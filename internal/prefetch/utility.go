@@ -132,12 +132,8 @@ func (s *Shard) shedLowestBelowLocked(h *shedHeap, u float64) bool {
 		if (*h)[0].util >= u {
 			return false
 		}
-		victim := heap.Pop(h).(shedCand).e
-		victim.state = stateDone
-		s.detachLocked(victim)
-		victim.session.queued--
+		s.unqueueLocked(heap.Pop(h).(shedCand).e)
 		s.stats.Shed++
-		s.stats.Pending--
 		return true
 	}
 	return false
