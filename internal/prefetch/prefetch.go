@@ -17,8 +17,9 @@
 //   - the worker pool bounds concurrent DBMS fetches (the in-flight budget);
 //   - duplicate requests coalesce: when N sessions want the same tile, one
 //     DBMS fetch is issued and its result is delivered to all N waiters
-//     (single-flight), both for queued duplicates and for requests arriving
-//     while a fetch is already in flight;
+//     (single-flight). A shard's one coordinate table holds each tile's
+//     queued entries, which its fetch takes together, then the fetch's
+//     waiters, which requests arriving while it is in flight join;
 //   - a session's newer batch supersedes its older one: queued entries from
 //     previous batches are cancelled before they reach the DBMS, since the
 //     predictions they came from are stale.
@@ -174,7 +175,7 @@ type Stats struct {
 	Coalesced int
 	// CrossShardCoalesced counts worker fetches that joined another
 	// shard's in-flight DBMS fetch through the deployment-wide
-	// single-flight store (0 with one shard, whose own flight table
+	// single-flight store (0 with one shard, whose own coordinate table
 	// already coalesces everything it sees).
 	CrossShardCoalesced int
 	// Shards is how many independent scheduler shards the counters were
@@ -189,8 +190,8 @@ type Stats struct {
 	// PeakPending is the high-water mark of Pending: with a global budget
 	// configured it never exceeds Config.GlobalQueue.
 	PeakPending int
-	// Inflight is the number of DBMS fetches running right now. A flight
-	// counts until its step has handed the tile to every waiter.
+	// Inflight is the number of coordinate records in flight, each from the
+	// step that takes its entries until every waiter has the tile.
 	Inflight int
 	// Sessions is the number of session handles with scheduler state.
 	Sessions int

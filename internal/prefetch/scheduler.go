@@ -22,11 +22,11 @@ import (
 // CoalescingStore wraps a backend.Store with deployment-wide single-flight
 // on the prefetch path, the one thing that must not shard: concurrent
 // FetchQuiet calls for one coordinate — typically scheduler workers on
-// different shards — share one underlying fetch. Each shard's own flight
-// table coalesces above it, fanning one fetch out to many Deliver
-// callbacks without parking a worker. The response path (Fetch) is not
-// coalesced: it charges latency per the paper's model and stays the
-// engine's own concern. Safe for concurrent use.
+// different shards — share one underlying fetch. Each shard's own
+// coordinate table coalesces above it, fanning one fetch out to many
+// Deliver callbacks without parking a worker. The response path (Fetch)
+// is not coalesced: it charges latency per the paper's model and stays
+// the engine's own concern. Safe for concurrent use.
 type CoalescingStore struct {
 	backend.Store
 	flights *memo.Cache[tile.Coord, *tile.Tile] // budget 0: joins, retains nothing
@@ -58,7 +58,7 @@ type Scheduler struct {
 	ring   *shard.Ring
 	shards []*Shard
 	// store is what every shard fetches through, nil with one shard,
-	// whose own flight table already coalesces all it sees.
+	// whose own coordinate table already coalesces all it sees.
 	store *CoalescingStore
 	// total is the *configured* deployment-wide GlobalQueue — the aggregate
 	// pressure denominator. It must not be reconstructed as per-shard × n:
@@ -205,8 +205,8 @@ func (s *Scheduler) Run(n int) int {
 	return done
 }
 
-// Drain blocks until every shard's queue and in-flight set are empty. A
-// flight leaves the set only after its step has run every waiter's
+// Drain blocks until every shard's coordinate table is empty. A fetch's
+// record leaves the table only after its step has run every waiter's
 // Deliver and push, so tests and examples can read caches and streams
 // deterministically afterwards. Without workers only Run empties a queue.
 func (s *Scheduler) Drain() {

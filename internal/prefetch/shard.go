@@ -11,21 +11,25 @@ import (
 	"forecache/internal/tile"
 )
 
-// entry states.
-const (
-	stateQueued = iota
-	stateDone   // cancelled, shed, or taken onto a flight
-)
-
 // entry is one queued Request plus its scheduling bookkeeping.
 type entry struct {
 	req      Request
 	session  *Session
 	seq      uint64 // tiebreak: earlier submissions first at equal score
 	enqueued time.Time
-	state    int
-	prev     *entry // neighbours in req.Coord's list of queued entries,
-	next     *entry // newest first from Shard.byCoord; nil once unqueued
+	rec      *coordRec // req.Coord's record while queued; nil once cancelled, shed or taken
+	own      coordRec  // the record's storage, if this entry was first to queue req.Coord
+	prev     *entry    // neighbours in the record's list: newer while queued,
+	next     *entry    // older while queued, then the next waiter of the fetch
+}
+
+// coordRec is a shard's one record of a coordinate: its queued entries
+// from every session, newest first, until a step takes them; then the
+// fetch's waiters still to be served, late joiners appended in arrival
+// order. It is deleted from Shard.coords when its list empties.
+type coordRec struct {
+	head *entry
+	tail **entry // non-nil once fetching: the last waiter's next, or &head
 }
 
 // Session is one session's handle on its home shard (Scheduler.Open): its
@@ -42,38 +46,33 @@ type Session struct {
 	// The rest is guarded by shard.mu.
 	pending []*entry
 	next    int  // index of the first entry not yet dispatched
-	queued  int  // live (stateQueued) entries, for the budget
+	queued  int  // entries still queued, for the budget
 	inRing  bool // whether the session is in the round-robin ring
 	closed  bool
-}
-
-// flight is one in-flight DBMS fetch and the entries waiting on it.
-type flight struct {
-	first   [1]*entry // waiters' first backing array: one waiter allocates nothing
-	waiters []*entry
 }
 
 // Shard is one independent slice of the Scheduler: its own mutex,
 // per-session queues, worker pool and pressure signal, serving the sessions
 // the hash router routes to it. A Session handle is bound to its home
 // Shard once (Scheduler.Open), so the request path submits straight to the
-// queue that owns the session. Every prefetch fetch runs in step, called
-// by the shard's workers or, with none, by Scheduler.Run. Safe for
-// concurrent use by any number of sessions.
+// queue that owns the session. One table keyed by coordinate holds each
+// tile's record (coordRec): it is queued or in flight, never both. Every
+// prefetch fetch runs in step, called by the shard's workers or, with
+// none, by Scheduler.Run. Safe for concurrent use by any number of
+// sessions.
 type Shard struct {
 	store backend.Store
 	cfg   Config
 
 	mu       sync.Mutex
 	work     *sync.Cond            // signaled when queued work or shutdown arrives
-	idle     *sync.Cond            // signaled when queued+inflight may have drained
+	idle     *sync.Cond            // signaled when coords may have emptied
 	sessions map[*Session]struct{} // handles with state: since a Submit, until Cancel or Close
 	byID     map[string]*Session   // each id's latest handle, for Scheduler.Submit
 	rr       []*Session            // round-robin ring of sessions with pending work
 	rrPos    int
-	byCoord  map[tile.Coord]*entry  // the newest queued entry per coordinate, heading its list
-	inflight map[tile.Coord]*flight // until the fetching step has served every waiter
-	spare    *flight                // a served flight, for the next step to reuse
+	coords   map[tile.Coord]*coordRec // every queued or in-flight coordinate's record
+	fetching int                      // records in flight
 	seq      uint64
 	closed   bool
 
@@ -92,8 +91,7 @@ func newShard(store backend.Store, cfg Config) *Shard {
 		cfg:      cfg,
 		sessions: make(map[*Session]struct{}),
 		byID:     make(map[string]*Session),
-		byCoord:  make(map[tile.Coord]*entry),
-		inflight: make(map[tile.Coord]*flight),
+		coords:   make(map[tile.Coord]*coordRec),
 	}
 	s.work = sync.NewCond(&s.mu)
 	s.idle = sync.NewCond(&s.mu)
@@ -148,8 +146,9 @@ func (sq *Session) Submit(reqs []Request) int {
 		e := &batch[i]
 		// A fetch for this tile is already in flight (another session's,
 		// typically): piggyback on it instead of queueing a duplicate.
-		if fl, ok := s.inflight[e.req.Coord]; ok {
-			fl.waiters = append(fl.waiters, e)
+		rec := s.coords[e.req.Coord]
+		if rec != nil && rec.tail != nil {
+			*rec.tail, rec.tail = e, &e.next
 			s.stats.Coalesced++
 			accepted++
 			continue
@@ -198,10 +197,13 @@ func (sq *Session) Submit(reqs []Request) int {
 			// lose fights, they are here so the accounting stays exact.
 			heap.Push(shed, shedCand{e: e, util: decayedUtilityFactor(e.req.Score, time.Duration(sq.queued)*pushDelay, s.cfg.DecayHalfLife, s.cfg.positionFactor(sq.queued-1))})
 		}
-		if head := s.byCoord[e.req.Coord]; head != nil {
-			head.prev, e.next = e, head
+		if rec == nil || rec.head == nil { // new, or emptied by a shed above
+			rec = &e.own
+			s.coords[e.req.Coord] = rec
+		} else {
+			rec.head.prev, e.next = e, rec.head
 		}
-		s.byCoord[e.req.Coord] = e
+		rec.head, e.rec = e, rec
 		accepted++
 		enqueued++
 	}
@@ -241,32 +243,27 @@ func (sq *Session) end(closing bool) {
 	}
 }
 
-// drain blocks until no entries are queued and no flights are left: a
-// flight ends only after its step has served every waiter, so the
-// deliveries and push frames of every completed fetch have run.
+// drain blocks until the coordinate table is empty: nothing is queued,
+// and a fetch's record leaves only after its step has served every
+// waiter, so the deliveries and push frames of every fetch have run.
 func (s *Shard) drain() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for s.stats.Pending > 0 || len(s.inflight) > 0 {
+	for len(s.coords) > 0 {
 		s.idle.Wait()
 	}
 }
 
 // close stops the workers after cancelling all queued entries; each
-// worker finishes its flight, deliveries included, before it exits.
+// worker finishes its fetch, deliveries included, before it exits.
 // Idempotent.
 func (s *Shard) close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
 	s.closed = true
 	for sq := range s.sessions {
 		s.cancelQueuedLocked(sq)
 	}
 	s.work.Broadcast()
-	s.idle.Broadcast() // cancelling zeroed Pending: wake concurrent Drains
 	s.mu.Unlock()
 	s.wg.Wait()
 }
@@ -281,7 +278,7 @@ func (s *Shard) statsDetail() (Stats, time.Duration, int) {
 	defer s.mu.Unlock()
 	st := s.stats
 	st.Shards = 1
-	st.Inflight = len(s.inflight)
+	st.Inflight = s.fetching
 	st.Sessions = len(s.sessions)
 	st.Pressure = saturation(s.stats.Pending, s.cfg.GlobalQueue)
 	st.QueueDepths = make(map[string]int, len(s.sessions))
@@ -306,42 +303,36 @@ func saturation(pending, budget int) float64 {
 	return min(float64(pending)/float64(budget), 1)
 }
 
-// cancelQueuedLocked marks all of sq's queued entries cancelled. It wakes
-// Drain waiters: cancellation may have emptied the queue for good (e.g. a
-// Submit whose whole batch is dropped or piggybacked enqueues nothing).
+// cancelQueuedLocked cancels all of sq's queued entries.
 func (s *Shard) cancelQueuedLocked(sq *Session) {
-	cancelled := false
 	for _, e := range sq.pending[sq.next:] {
-		if e.state == stateQueued {
+		if e.rec != nil {
 			s.unqueueLocked(e)
 			s.stats.Cancelled++
-			cancelled = true
 		}
 	}
 	sq.pending, sq.next, sq.queued = sq.pending[:0], 0, 0
-	if cancelled {
-		s.idle.Broadcast()
-	}
 }
 
-// unqueueLocked takes queued e out of the queue counts and the
-// coordinate index; its session's pending slice skips it lazily.
+// unqueueLocked takes queued e out of the queue counts and its record,
+// and the record out of the table when e was its last entry, which may
+// let Drain return; its session's pending slice skips it lazily.
 func (s *Shard) unqueueLocked(e *entry) {
-	e.state = stateDone
 	e.session.queued--
 	s.stats.Pending--
-	switch {
-	case e.prev != nil:
+	if e.prev != nil {
 		e.prev.next = e.next
-	case e.next != nil:
-		s.byCoord[e.req.Coord] = e.next
-	default:
-		delete(s.byCoord, e.req.Coord)
+	} else {
+		e.rec.head = e.next
+		if e.next == nil { // e was the record's last entry
+			delete(s.coords, e.req.Coord)
+			s.idle.Broadcast()
+		}
 	}
 	if e.next != nil {
 		e.next.prev = e.prev
 	}
-	e.prev, e.next = nil, nil
+	e.rec, e.prev, e.next = nil, nil, nil
 }
 
 // popNextLocked picks the next entry to fetch, still queued: sessions with
@@ -358,7 +349,7 @@ func (s *Shard) popNextLocked() *entry {
 			top := sq.pending[sq.next]
 			sq.pending[sq.next] = nil
 			sq.next++
-			if top.state == stateQueued { // the rest were cancelled, coalesced or shed
+			if top.rec != nil { // the rest were cancelled, coalesced or shed
 				e = top
 				break
 			}
@@ -390,44 +381,41 @@ func (s *Shard) worker() {
 	}
 }
 
-// step pops the next entry in the shard's order, absorbs its queued
-// duplicates from every session, fetches the tile and delivers it to every
-// waiter, late joiners included, then wakes Drain; it reports whether
-// there was an entry. No entry is queued for a tile in flight: Submit
-// joins the flight instead. The caller holds s.mu, which step releases
-// around the fetch and the deliveries.
+// step pops the next entry in the shard's order, takes it and the
+// record's other queued entries from every session, fetches the tile and
+// delivers it to every waiter, late joiners included, then wakes Drain;
+// it reports whether there was an entry. While the record is fetching,
+// Submit appends to it instead of queueing. The caller holds s.mu, which
+// step releases around the fetch and the deliveries.
 func (s *Shard) step() bool {
 	e := s.popNextLocked()
 	if e == nil {
 		return false
 	}
 	now := s.cfg.clock()
-	coord := e.req.Coord
-	fl := s.spare
-	s.spare = nil
-	if fl == nil {
-		fl = &flight{}
-	}
-	fl.waiters = fl.first[:0]
-	s.inflight[coord] = fl
-	// Take e and its queued duplicates from every session onto the
-	// flight: one DBMS round trip serves them all. The queue-wait
-	// histogram rides the fetch timer's timestamp.
-	for w := s.byCoord[coord]; w != nil; w = s.byCoord[coord] {
-		s.unqueueLocked(w)
-		fl.waiters = append(fl.waiters, w)
+	rec, coord := e.rec, e.req.Coord
+	s.fetching++
+	// Take every queued entry, newest first: one DBMS round trip serves
+	// them all. The list stays linked as the fetch's waiters. The
+	// queue-wait histogram rides the fetch timer's timestamp.
+	taken := 0
+	for w := rec.head; w != nil; w = w.next {
+		w.session.queued--
+		w.rec, w.prev, rec.tail = nil, nil, &w.next
+		taken++
 		wait := now.Sub(w.enqueued)
 		s.queueLatency += wait
-		s.measured++
 		s.cfg.Obs.ObserveQueueWait(wait)
 	}
-	s.stats.Coalesced += len(fl.waiters) - 1
+	s.stats.Pending -= taken
+	s.stats.Coalesced += taken - 1
+	s.measured += taken
 	s.mu.Unlock()
 
 	// The fetch timer reuses the queue-wait timestamp taken above, so
-	// instrumentation costs one clock read per fetch, not two. The
-	// duplicate absorption between the two points is charged to the
-	// fetch; it is nanoseconds against a DBMS round trip.
+	// instrumentation costs one clock read per fetch, not two. Taking the
+	// entries between the two points is charged to the fetch; it is
+	// nanoseconds against a DBMS round trip.
 	t, err := s.store.FetchQuiet(coord)
 	if s.cfg.Obs != nil {
 		s.cfg.Obs.ObserveBackendFetch(s.cfg.clock().Sub(now))
@@ -435,35 +423,39 @@ func (s *Shard) step() bool {
 
 	s.mu.Lock()
 	// Serve every waiter, then those that piggybacked meanwhile: the
-	// flight stays in inflight until nobody is left waiting, so a late
+	// record stays in the table until nobody is left waiting, so a late
 	// request for this tile joins it instead of fetching it again, and
 	// Drain waits for the deliveries.
-	for err == nil && len(fl.waiters) > 0 {
-		waiters := fl.waiters
-		fl.waiters = nil
-		s.stats.Completed += len(waiters)
+	for err == nil && rec.head != nil {
+		waiters := rec.head
+		rec.head, rec.tail = nil, &rec.head
+		for w := waiters; w != nil; w = w.next {
+			s.stats.Completed++
+		}
 		s.mu.Unlock()
 		// Cache deliveries first, so a stream frame never beats its own
 		// cache insert. Neither blocks on a client: a Deliver takes the
 		// cache's leaf lock, and a push enqueues the tile unencoded onto a
 		// bounded buffer or refuses it.
-		for _, w := range waiters {
+		for w := waiters; w != nil; w = w.next {
 			if w.req.Deliver != nil {
 				w.req.Deliver(t)
 			}
 		}
-		for _, w := range waiters {
+		// Each served waiter is unlinked, so it keeps no other batch's
+		// array alive.
+		for w := waiters; w != nil; w, w.next = w.next, nil {
 			if sink := w.session.sink; sink != nil {
 				sink.Push(w.req.Model, coord, w.req.Score, t)
 			}
 		}
 		s.mu.Lock()
 	}
-	if err != nil {
-		s.stats.Errors += len(fl.waiters)
+	for w := rec.head; w != nil; w, w.next = w.next, nil { // a failed fetch's waiters
+		s.stats.Errors++
 	}
-	delete(s.inflight, coord)
-	*fl, s.spare = flight{}, fl
+	delete(s.coords, coord)
+	s.fetching--
 	s.idle.Broadcast()
 	return true
 }

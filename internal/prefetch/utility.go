@@ -106,7 +106,7 @@ func (s *Shard) buildShedHeapLocked(now time.Time) *shedHeap {
 		delay := sq.drainDelay()
 		pos := 0
 		for _, e := range sq.pending[sq.next:] {
-			if e.state != stateQueued {
+			if e.rec == nil {
 				continue
 			}
 			h = append(h, shedCand{
@@ -125,7 +125,7 @@ func (s *Shard) buildShedHeapLocked(now time.Time) *shedHeap {
 // the incumbent on ties avoids churn when nothing has actually decayed.
 func (s *Shard) shedLowestBelowLocked(h *shedHeap, u float64) bool {
 	for h.Len() > 0 {
-		if (*h)[0].e.state != stateQueued { // already popped or superseded
+		if (*h)[0].e.rec == nil { // already popped or superseded
 			heap.Pop(h)
 			continue
 		}
