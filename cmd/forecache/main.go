@@ -22,6 +22,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -154,12 +155,17 @@ func addServeFlags(fs *flag.FlagSet) *serveFlags {
 	sf := &serveFlags{cfg: forecache.MiddlewareConfig{
 		AsyncPrefetch: true, UtilityLearning: true,
 		AdaptiveAllocation: true, Hotspot: true, Push: true, BinaryTiles: true,
-		MetricsEndpoint: true, Tracing: true,
+		MetricsEndpoint: true, Tracing: true, PrefetchWorkers: 4,
 	}}
 	c := &sf.cfg
 	fs.StringVar(&sf.addr, "addr", ":8080", "listen address")
 	fs.IntVar(&c.Shards, "shards", 1, "prefetch scheduler shards behind a hash router keyed on session id (queues and workers go per-shard; the session table, single-flight and learned state stay deployment-wide)")
-	fs.IntVar(&c.PrefetchWorkers, "prefetch-workers", 4, "scheduler worker pool size (concurrent DBMS fetches)")
+	fs.Func("prefetch-workers", "scheduler worker pool size (concurrent DBMS fetches), at least 1 (default 4)", func(v string) (err error) {
+		if c.PrefetchWorkers, err = strconv.Atoi(v); err == nil && c.PrefetchWorkers < 1 {
+			err = errors.New("must be at least 1")
+		}
+		return err
+	})
 	fs.BoolVar(&sf.pprof, "pprof", false, "expose Go's net/http/pprof profiling handlers under GET /debug/pprof/")
 	fs.StringVar(&sf.logLevel, "log-level", "info", "structured request log level: debug, info, warn or error (debug logs every finished trace)")
 	fs.StringVar(&c.StateDir, "state-dir", "", "directory for crash-safe snapshots of learned state (utility curve, allocation shares, hotspot table); restored at startup, written on -snapshot-interval and at shutdown (empty disables)")
