@@ -160,7 +160,7 @@ func addServeFlags(fs *flag.FlagSet) *serveFlags {
 	c := &sf.cfg
 	fs.StringVar(&sf.addr, "addr", ":8080", "listen address")
 	fs.IntVar(&c.Shards, "shards", 1, "prefetch scheduler shards behind a hash router keyed on session id (queues and workers go per-shard; the session table, single-flight and learned state stay deployment-wide)")
-	fs.Func("prefetch-workers", "scheduler worker pool size (concurrent DBMS fetches), at least 1 (default 4)", func(v string) (err error) {
+	fs.Func("prefetch-workers", "scheduler worker pool size (concurrent DBMS fetches), an `int` of at least 1 (default 4)", func(v string) (err error) {
 		if c.PrefetchWorkers, err = strconv.Atoi(v); err == nil && c.PrefetchWorkers < 1 {
 			err = errors.New("must be at least 1")
 		}
