@@ -135,7 +135,7 @@ func requestAllocs(t *testing.T, eng *Engine) float64 {
 // TestRequestAllocCeiling pins the request path's allocations, prefetch
 // fetches and deliveries included, at the default engine's measured count.
 func TestRequestAllocCeiling(t *testing.T) {
-	const ceiling = 40
+	const ceiling = 38
 	if n := requestAllocs(t, testEngine(t, 5)); n > ceiling {
 		t.Errorf("round trip allocates %v times, ceiling %d", n, ceiling)
 	}

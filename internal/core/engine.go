@@ -111,8 +111,8 @@ type Response struct {
 // deployment's scheduler or on the engine's private one. Submit (called
 // under the engine's lock) takes a batch, admits as much of it as its own
 // admission control allows, and calls each admitted entry's Deliver once
-// its tile is fetched, now or later; Cancel drops the session's
-// still-queued entries.
+// its tile is fetched, now or later; it must not retain reqs, which the
+// engine reuses. Cancel drops the session's still-queued entries.
 type Submitter interface {
 	Submit(reqs []prefetch.Request) int
 	Cancel()
@@ -154,6 +154,7 @@ type Engine struct {
 	history *trace.History
 	last    trace.Request
 	started bool
+	reqs    []prefetch.Request // submit's batch, reused: Submit keeps none of it
 }
 
 // NewEngine assembles an engine. classifier may be nil (single-model
@@ -384,20 +385,21 @@ func (e *Engine) rank(req trace.Request, allocs map[string]int) ([]prediction, [
 // unconsumed miss before its own arrives. The caller holds e.mu.
 func (e *Engine) submit(batch []prediction, ph trace.Phase) {
 	gen := e.cache.Generation()
-	reqs := make([]prefetch.Request, len(batch))
+	e.reqs = e.reqs[:0]
 	for i := range batch {
 		p := &batch[i] // captured by pointer: a smaller closure per entry
 		e.cache.RefreshPrediction(p.model, p.Coord, p.pos, ph)
-		reqs[i] = prefetch.Request{
+		e.reqs = append(e.reqs, prefetch.Request{
 			Coord: p.Coord,
 			Score: p.Score,
 			Model: p.model,
 			Deliver: func(t *tile.Tile) {
 				e.cache.InsertPrediction(p.model, gen, t, p.pos, ph)
 			},
-		}
+		})
 	}
-	e.cfg.Scheduler.Submit(reqs)
+	e.cfg.Scheduler.Submit(e.reqs)
+	clear(e.reqs) // pin no Deliver closure until the next request
 }
 
 // callerRun is the Submitter of an engine built without a scheduler: a
