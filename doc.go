@@ -92,7 +92,8 @@
 //     one long-lived response per session, SSE or (negotiated as on
 //     /tile, with BinaryTiles) binary frames around the memoized FCT3
 //     bodies — and every completed prefetch for a stream-attached
-//     session is written down it as a framed tile payload carrying its
+//     session is written down it, unless its client still holds the
+//     tile, as a framed tile payload carrying its
 //     coordinate, model attribution and score, with heartbeats while
 //     idle and teardown on session eviction
 //     and Close (Khameleon-style: round-trip latency moves from

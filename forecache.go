@@ -165,9 +165,10 @@ type MiddlewareConfig struct {
 	AsyncPrefetch bool
 	// Push enables continuous push delivery (Khameleon-style): the server
 	// mounts GET /stream — one long-lived response per session — and
-	// every completed prefetch for a stream-attached session is written to
-	// it as a framed tile payload with its coordinate, model attribution and
-	// score, so the client holds the tile before ever asking for it (SSE;
+	// every completed prefetch for a stream-attached session whose client
+	// does not hold it yet is written to it as a framed tile payload with
+	// its coordinate, model attribution and score, so the client holds the
+	// tile before ever asking for it (SSE;
 	// with BinaryTiles, binary frames around the memoized FCT3 bodies for
 	// a request that names the binary tile codec in Accept). The
 	// scheduler's admission control grows a bandwidth-aware term: a queued

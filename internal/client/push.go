@@ -15,8 +15,9 @@ import (
 // DefaultSlotCap bounds the client-side buffer of streamed tiles. The
 // buffer is a receive-side mirror of the server's prefetch cache: small
 // enough that a stale stream cannot pin unbounded memory, large enough to
-// hold a few prediction batches ahead of the viewer.
-const DefaultSlotCap = 64
+// hold a few prediction batches ahead of the viewer. The server's
+// re-push window reads the same constant.
+const DefaultSlotCap = push.SlotCap
 
 // reattachDelay paces redial attempts after a dropped stream.
 const reattachDelay = 50 * time.Millisecond

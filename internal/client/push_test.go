@@ -315,3 +315,39 @@ func TestClientAttachLifecycle(t *testing.T) {
 	}
 	c.Detach()
 }
+
+// TestClientHeldTileStreamedOnce: a tile the registry pushes twice before
+// the client consumes it reaches the client in one frame, and Tile still
+// answers it from the slot.
+func TestClientHeldTileStreamedOnce(t *testing.T) {
+	held, other := tile.Coord{Level: 2, X: 1}, tile.Coord{Level: 2, Y: 1}
+	reg := push.NewRegistry(push.Config{})
+	ts := pushServer(t, func(n int, w http.ResponseWriter, r *http.Request) {
+		st := reg.Attach("s")
+		for _, c := range []tile.Coord{held, held, other} {
+			reg.Push("s", "m", c, 1, pushedTile(c))
+		}
+		for len(st.Frames()) > 0 {
+			_, _ = push.Encode(w, <-st.Frames())
+		}
+		_, _ = push.Encode(w, push.Frame{Type: push.FrameHeartbeat, Session: "s"})
+		w.(http.Flusher).Flush()
+		<-r.Context().Done()
+	})
+	c := New(ts.URL, "s")
+	if err := c.Attach(); err != nil {
+		t.Fatal(err)
+	}
+	defer c.Detach()
+	waitFor(t, "the stream's heartbeat", func() bool { return c.PushStats().Heartbeats == 1 })
+	if st := c.PushStats(); st.Frames != 2 || st.Buffered != 2 {
+		t.Fatalf("stats = %+v, want 2 frames for 2 tiles", st)
+	}
+	got, info, err := c.Tile(held)
+	if err != nil || !info.Streamed || !reflect.DeepEqual(got, pushedTile(held)) {
+		t.Fatalf("Tile = %+v, %+v, %v; want the streamed tile", got, info, err)
+	}
+	if st := c.PushStats(); st.Consumed != 1 {
+		t.Fatalf("stats = %+v, want one consumption", st)
+	}
+}

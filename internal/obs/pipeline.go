@@ -38,9 +38,10 @@ type Pipeline struct {
 	// prefetcher ran usefully ahead; missing leads mean prefetches were
 	// evicted unconsumed.
 	LeadTime *Histogram
-	// PushLead is the push-to-consume lead time: tile frame enqueued to a
-	// session's push stream to that tile's request arriving. The push
-	// analogue of LeadTime — a positive lead means the stream beat the pan.
+	// PushLead is the push-to-consume lead time: the frame that carried a
+	// tile enqueued on a session's push stream to that tile's request
+	// arriving. The push analogue of LeadTime — a positive lead means the
+	// stream beat the pan.
 	PushLead *Histogram
 	// TileEncode is the wall time of tile payload encodings (JSON or
 	// binary). With the encoded-payload cache on, only cache misses land

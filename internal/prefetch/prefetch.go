@@ -88,9 +88,10 @@ type Request struct {
 // unencoded, and the stream handler encodes it.
 type PushSink interface {
 	// Push offers one completed fetch to the session's stream, reporting
-	// whether a frame was enqueued (false: no stream attached or the
-	// stream's buffer is full). The scheduler ignores the answer: the tile
-	// lands in the cache either way, and the registry counts pushes.
+	// whether the stream has it (false: no stream attached or the stream's
+	// buffer is full); a tile the client still holds is not framed again.
+	// The scheduler ignores the answer: the tile lands in the cache either
+	// way, and the registry counts pushes.
 	Push(model string, c tile.Coord, score float64, t *tile.Tile) bool
 	// DrainDelay estimates how long the session's connection takes to
 	// deliver one more tile frame (0 when unknown or no stream is

@@ -13,6 +13,9 @@ const (
 	// streamBuffer is the per-stream frame buffer: pushes beyond it are
 	// dropped (the cache still holds the tile; the pull path still works).
 	streamBuffer = 64
+	// SlotCap is a client's slot-buffer capacity (client.DefaultSlotCap): a
+	// FIFO that cannot have evicted a tile framed fewer than SlotCap frames ago.
+	SlotCap = 64
 	// DefaultHeartbeat is the idle-stream heartbeat interval.
 	DefaultHeartbeat = 15 * time.Second
 	// pushedAtCap bounds the per-session pushed-coordinate tracker behind
@@ -28,8 +31,8 @@ type Config struct {
 	// Heartbeat is how often an idle stream emits a heartbeat frame.
 	// Default DefaultHeartbeat.
 	Heartbeat time.Duration
-	// Obs, when set, receives push-to-consume lead times (frame enqueued to
-	// the tile's request arriving). Nil is a no-op.
+	// Obs, when set, receives push-to-consume lead times (the carrying
+	// frame enqueued to the tile's request arriving). Nil is a no-op.
 	Obs *obs.Pipeline
 	// Encoded is ignored: the registry enqueues tiles unencoded, and the
 	// stream handler that writes a frame takes its body from the
@@ -45,7 +48,8 @@ type Stats struct {
 	Open int `json:"open"`
 	// Opened counts stream attachments ever (reconnects included).
 	Opened int `json:"opened"`
-	// Pushed counts tile frames enqueued to streams (backfill included).
+	// Pushed counts tile frames enqueued to streams (backfill included); a
+	// skipped re-push of a tile the client still holds is none.
 	Pushed int `json:"pushed"`
 	// Backfilled counts the subset of Pushed replayed from the server-side
 	// cache on re-attach.
@@ -85,11 +89,14 @@ type Session struct {
 	order    []pushRef                // the last pushedAtCap pushes, oldest first
 }
 
-// pushStamp is a coordinate's latest push: when it was enqueued, and n,
-// the registry's push count at that moment.
+// pushStamp is a coordinate's latest push: when it was enqueued, n, the
+// registry's push count then, and the id and Seq of the stream that carried
+// it (an id, so a stamp never keeps an ended stream's buffer alive).
 type pushStamp struct {
-	at time.Time
-	n  int
+	at     time.Time
+	n      int
+	stream int
+	seq    uint64
 }
 
 // pushRef names one push in the order: its coordinate and push count n,
@@ -107,7 +114,8 @@ type Stream struct {
 	sess   *Session
 	frames chan Frame
 	done   chan struct{}
-	seq    uint64 // guarded by reg.mu
+	id     int    // the registry's attach count at its attach
+	seq    uint64 // tile frames enqueued; guarded by reg.mu
 }
 
 // Frames is the buffered frame channel the stream handler drains.
@@ -192,12 +200,13 @@ func (ss *Session) Attach() *Stream {
 	if ss.stream != nil {
 		close(ss.stream.done)
 	}
+	r.opened++
 	ss.stream = &Stream{
 		sess:   ss,
 		frames: make(chan Frame, streamBuffer),
 		done:   make(chan struct{}),
+		id:     r.opened,
 	}
-	r.opened++
 	return ss.stream
 }
 
@@ -260,11 +269,10 @@ func (r *Registry) Push(session, model string, c tile.Coord, score float64, t *t
 	return ss != nil && ss.Push(model, c, score, t)
 }
 
-// Push enqueues one freshly fetched tile onto the session's stream,
-// reporting whether the frame was accepted (false: no stream attached,
-// buffer full, or session closed). It never blocks — a slow consumer
-// loses frames, not the worker pool — and never encodes: a frame is
-// encoded only when its stream handler writes it.
+// Push enqueues one freshly fetched tile onto the session's stream unless
+// its client still holds it, reporting whether the stream has it (false: no
+// stream attached, buffer full, or session closed). It never blocks — a
+// slow consumer loses frames, not the worker pool — and never encodes.
 func (ss *Session) Push(model string, c tile.Coord, score float64, t *tile.Tile) bool {
 	ss.reg.mu.Lock()
 	st := ss.stream
@@ -275,13 +283,16 @@ func (ss *Session) Push(model string, c tile.Coord, score float64, t *tile.Tile)
 // Backfill enqueues one cached tile onto st after a re-attach, so the
 // client's slot buffer recovers what the dropped stream already carried
 // without re-fetching (and without touching cache outcome accounting —
-// the caller reads the cache through a side-effect-free snapshot).
+// the caller reads the cache through a side-effect-free snapshot). A tile
+// cached in several model regions is framed once, as any re-push is.
 func (r *Registry) Backfill(st *Stream, model string, c tile.Coord, t *tile.Tile) bool {
 	return r.enqueue(st, Frame{Type: FrameTile, Model: model, Coord: c, Tile: t, Backfill: true})
 }
 
 // enqueue puts f on st unless st was superseded or released meanwhile (the
-// tile, already cached, reaches the replacing stream as backfill).
+// tile, already cached, reaches the replacing stream as backfill), or
+// reports true at once if st carried it fewer than SlotCap frames ago and
+// it is unconsumed since: the client's slot buffer still holds it.
 func (r *Registry) enqueue(st *Stream, f Frame) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -289,11 +300,13 @@ func (r *Registry) enqueue(st *Stream, f Frame) bool {
 	if ss.stream != st {
 		return false
 	}
-	st.seq++
-	f.Seq = st.seq
-	f.Session = ss.id
+	if p, ok := ss.pushedAt[f.Coord]; ok && p.stream == st.id && st.seq-p.seq < SlotCap {
+		return true
+	}
+	f.Seq, f.Session = st.seq+1, ss.id
 	select {
 	case st.frames <- f:
+		st.seq = f.Seq
 	default:
 		r.dropped++
 		return false
@@ -315,7 +328,7 @@ func (r *Registry) enqueue(st *Stream, f Frame) bool {
 	if ss.pushedAt == nil {
 		ss.pushedAt = make(map[tile.Coord]pushStamp)
 	}
-	ss.pushedAt[f.Coord] = pushStamp{at: r.cfg.now(), n: r.pushed}
+	ss.pushedAt[f.Coord] = pushStamp{at: r.cfg.now(), n: r.pushed, stream: st.id, seq: f.Seq}
 	return true
 }
 
